@@ -19,15 +19,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDirection, NonFiniteState, NonPositiveParameter
+from .errors import NonFiniteState, NonPositiveParameter
 from .geometry import (
     Pose,
+    _quat_from_rotvec,
+    _quat_mul,
+    _quat_to_rotvec,
+    _unit_quat,
     quat_conj,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
     quat_to_rotvec,
-    tangent_direction,
+    sq_norm,
+    tangent_or_none,
+    unchecked,
 )
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
@@ -64,13 +70,17 @@ class AdmittanceConfig:
     torque_deadband: float = 1.0
 
     def __post_init__(self):
+        # Written so that NaN fails each test: every comparison with NaN is false.
         for name in ("mass", "stiffness", "damping_ratio", "rot_mass", "rot_stiffness"):
-            if getattr(self, name) <= 0.0:
-                raise NonPositiveParameter(f"{name} must be > 0")
-        if self.tangent_scale < 1.0:
-            raise ValueError("tangent_scale must be >= 1")
-        if self.target_force < 0.0 or self.force_deadband < 0.0 or self.torque_deadband < 0.0:
-            raise ValueError("target_force and deadbands must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise NonPositiveParameter(f"{name} must be finite and > 0, got {value}")
+        if not 1.0 <= self.tangent_scale < math.inf:
+            raise ValueError(f"tangent_scale must be finite and >= 1, got {self.tangent_scale}")
+        for name in ("target_force", "force_deadband", "torque_deadband"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         object.__setattr__(self, "_damping",
                            compute_damping(self.mass, self.stiffness, self.damping_ratio))
         object.__setattr__(self, "_rot_damping",
@@ -158,7 +168,7 @@ def _radial_deadband(v: np.ndarray, band: float) -> np.ndarray:
     """Shrink the vector magnitude by the band; zero below it."""
     if band <= 0.0:
         return np.asarray(v, dtype=float).copy()
-    mag = math.sqrt(float(v @ v))
+    mag = math.sqrt(sq_norm(v))
     if mag <= band:
         return np.zeros(3)
     return v * ((mag - band) / mag)
@@ -183,7 +193,7 @@ def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: Admittance
     n = cmd.n
     k = cfg.stiffness
     d = cfg.damping
-    f = cfg.target_force + k * float(n @ (cmd.x_cmd - st.x_r)) + d * float(n @ st.v_r)
+    f = cfg.target_force + k * float(n.dot(cmd.x_cmd - st.x_r)) + d * float(n.dot(st.v_r))
     return f * n
 
 
@@ -191,10 +201,7 @@ def _tangent_axis(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceCo
     """Tangent direction for stiffening, or None when disabled/degenerate."""
     if not cfg.enable_tangent_stiffening or cmd.c == 0:
         return None
-    try:
-        return tangent_direction(cmd.n, cmd.x_cmd, st.x_r)
-    except DegenerateDirection:
-        return None  # graceful fallback to isotropic gains
+    return tangent_or_none(cmd.n, cmd.x_cmd - st.x_r)  # None: isotropic fallback
 
 
 def effective_gains(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig):
@@ -275,7 +282,10 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
 
     Equivalent to apply_deadband + step_translation + step_rotation but with
     the gains applied algebraically (the rank-1 tangent update never needs a
-    materialized matrix), to keep the 1 kHz loop cheap.
+    materialized matrix), to keep the 1 kHz loop cheap. The state update runs
+    on Python floats, which round like numpy's elementwise operations; every
+    dot product stays a numpy dot (see geometry.sq_norm). The inputs were
+    validated by their constructors and are not coerced again.
     """
     _check_dt(dt)
     f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
@@ -283,25 +293,45 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     f_cmd = commanded_force(cmd, st, cfg)
     k = cfg.stiffness
     d = cfg.damping
-    dx = st.x_r - cmd.x_cmd
-    spring = k * dx
-    damp = d * st.v_r
+    x0, x1, x2 = st.x_r.tolist()
+    v0, v1, v2 = st.v_r.tolist()
+    c0, c1, c2 = cmd.x_cmd.tolist()
+    s0, s1, s2 = k * (x0 - c0), k * (x1 - c1), k * (x2 - c2)  # spring
+    b0, b1, b2 = d * v0, d * v1, d * v2                       # damping
     t_axis = _tangent_axis(cmd, st, cfg)
     if t_axis is None:
         eigs = np.array([k, k, k])
     else:
         k_t = cfg.tangent_scale * k
         d_t = cfg.tangent_damping
-        spring = spring + ((k_t - k) * float(t_axis @ dx)) * t_axis
-        damp = damp + ((d_t - d) * float(t_axis @ st.v_r)) * t_axis
+        ks = (k_t - k) * float(t_axis.dot(st.x_r - cmd.x_cmd))
+        ds = (d_t - d) * float(t_axis.dot(st.v_r))
+        t0, t1, t2 = t_axis.tolist()
+        s0, s1, s2 = s0 + ks * t0, s1 + ks * t1, s2 + ks * t2
+        b0, b1, b2 = b0 + ds * t0, b1 + ds * t1, b2 + ds * t2
         eigs = np.array([k, k, k_t])
-    v_new = st.v_r + (dt / cfg.mass) * (f_ext - f_cmd - damp - spring)
-    x_new = st.x_r + dt * v_new
+    f0, f1, f2 = f_ext.tolist()
+    g0, g1, g2 = f_cmd.tolist()
+    a = dt / cfg.mass
+    v0 = v0 + a * (f0 - g0 - b0 - s0)
+    v1 = v1 + a * (f1 - g1 - b1 - s1)
+    v2 = v2 + a * (f2 - g2 - b2 - s2)
+    x0, x1, x2 = x0 + dt * v0, x1 + dt * v1, x2 + dt * v2
     # Rotational admittance with zero commanded torque.
-    theta_err = quat_to_rotvec(quat_mul(st.q_r, quat_conj(cmd.q_cmd)))
-    w_new = st.w_r + (dt / cfg.rot_mass) * (
-        tau_ext - cfg.rot_damping * st.w_r - cfg.rot_stiffness * theta_err)
-    q_new = quat_mul(quat_from_rotvec(w_new * dt), st.q_r)
-    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all() and np.isfinite(w_new).all()):
+    q_r = st.q_r.tolist()
+    qw, qx, qy, qz = cmd.q_cmd.tolist()
+    e0, e1, e2 = _quat_to_rotvec(_quat_mul(q_r, (qw, -qx, -qy, -qz)))
+    u0, u1, u2 = tau_ext.tolist()
+    w0, w1, w2 = st.w_r.tolist()
+    a = dt / cfg.rot_mass
+    rd = cfg.rot_damping
+    rk = cfg.rot_stiffness
+    w0 = w0 + a * (u0 - rd * w0 - rk * e0)
+    w1 = w1 + a * (u1 - rd * w1 - rk * e1)
+    w2 = w2 + a * (u2 - rd * w2 - rk * e2)
+    q_new = _quat_mul(_quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt)), q_r)
+    if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2))):
         raise NonFiniteState("controller state diverged")
-    return TickResult(ControllerState(x_new, v_new, q_new, w_new), f_ext, f_cmd, eigs)
+    state = unchecked(ControllerState, x_r=np.array([x0, x1, x2]), v_r=np.array([v0, v1, v2]),
+                      q_r=np.array(_unit_quat(q_new)), w_r=np.array([w0, w1, w2]))
+    return TickResult(state, f_ext, f_cmd, eigs)

@@ -63,7 +63,7 @@ import configparser
 import numpy as np
 
 from .environments import DisturbanceEvent
-from .errors import ConfigParse
+from .errors import ConfigParse, DegenerateInput, NonPositiveParameter
 from .harness import MODES, ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
 from .tasks import TASKS
@@ -87,11 +87,26 @@ def _read(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _get_float(parser, section: str, key: str, path: str) -> float:
+def _get_float(parser, section: str, key: str, path: str, **fallback) -> float:
     try:
-        return parser.getfloat(section, key)
+        return parser.getfloat(section, key, **fallback)
     except ValueError as exc:
         raise ConfigParse(f"{path}: [{section}] {key} is not a number") from exc
+
+
+def _get_int(parser, section: str, key: str, path: str, **fallback) -> int:
+    try:
+        return parser.getint(section, key, **fallback)
+    except ValueError as exc:
+        raise ConfigParse(f"{path}: [{section}] {key} is not an integer") from exc
+
+
+def _scenario(path: str, **kwargs) -> ScenarioConfig:
+    """ScenarioConfig(**kwargs), its validation errors reported as ConfigParse."""
+    try:
+        return ScenarioConfig(**kwargs)
+    except (ValueError, NonPositiveParameter) as exc:
+        raise ConfigParse(f"{path}: {exc}") from exc
 
 
 def _noise_from(parser, path: str) -> NoiseSpec:
@@ -102,8 +117,11 @@ def _noise_from(parser, path: str) -> NoiseSpec:
         if parser.has_option("noise", key):
             kwargs[key] = _get_float(parser, "noise", key, path)
     if parser.has_option("noise", "seed"):
-        kwargs["seed"] = parser.getint("noise", "seed")
-    return NoiseSpec(**kwargs)
+        kwargs["seed"] = _get_int(parser, "noise", "seed", path)
+    try:
+        return NoiseSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigParse(f"{path}: [noise] {exc}") from exc
 
 
 def _overrides_from(parser, section: str, keys, path: str) -> dict:
@@ -129,7 +147,10 @@ def _disturbances_from(parser, path: str) -> tuple:
             parts = parser.get(section, "direction").split()
             if len(parts) != 3:
                 raise ConfigParse(f"{path}: [{section}] direction needs 3 components")
-            direction = np.array([float(p) for p in parts])
+            try:
+                direction = np.array([float(p) for p in parts])
+            except ValueError as exc:
+                raise ConfigParse(f"{path}: [{section}] direction is not numeric") from exc
         try:
             events.append(DisturbanceEvent(
                 kind=kind,
@@ -140,7 +161,7 @@ def _disturbances_from(parser, path: str) -> tuple:
                 ramp=parser.getfloat(section, "ramp", fallback=0.0),
                 omega=parser.getfloat(section, "omega", fallback=2.0 * np.pi),
             ))
-        except (ValueError, configparser.NoOptionError) as exc:
+        except (ValueError, DegenerateInput, configparser.NoOptionError) as exc:
             raise ConfigParse(f"{path}: [{section}] {exc}") from exc
     return tuple(events)
 
@@ -158,9 +179,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
     kwargs = dict(
         task=task,
         mode=mode,
-        duration=parser.getfloat("scenario", "duration", fallback=20.0),
-        seed=parser.getint("scenario", "seed", fallback=0),
-        wipe_passes=parser.getint("scenario", "wipe_passes", fallback=1),
+        duration=_get_float(parser, "scenario", "duration", path, fallback=20.0),
+        seed=_get_int(parser, "scenario", "seed", path, fallback=0),
+        wipe_passes=_get_int(parser, "scenario", "wipe_passes", path, fallback=1),
         noise=_noise_from(parser, path),
         disturbances=_disturbances_from(parser, path),
         admittance_overrides=_admittance_overrides(parser, path),
@@ -171,10 +192,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
             kwargs["safety_limit"] = _get_float(parser, "safety", "limit", path)
         if parser.has_option("safety", "debounce"):
             kwargs["safety_debounce"] = _get_float(parser, "safety", "debounce", path)
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigParse(f"{path}: {exc}") from exc
+    return _scenario(path, **kwargs)
 
 
 def _admittance_overrides(parser, path: str) -> dict:
@@ -207,7 +225,7 @@ def parse_verify_params(path: str):
     ms = floats("m", [0.5, 1.0, 2.0])
     kes = floats("k_e", [100.0, 1000.0, 5000.0])
     fhs = floats("f_h", [2.0, 4.0, 8.0])
-    d_fixed = parser.getfloat("verify", "d", fallback=None)
+    d_fixed = _get_float(parser, "verify", "d", path, fallback=None)
     grid = []
     try:
         for m in ms:
@@ -233,13 +251,13 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     for m in modes:
         if m not in MODES:
             raise ConfigParse(f"{path}: [suite] unknown mode {m!r}")
-    seeds = parser.getint("suite", "seeds", fallback=5)
-    base_seed = parser.getint("suite", "base_seed", fallback=0)
-    duration = parser.getfloat("suite", "duration", fallback=20.0)
+    seeds = _get_int(parser, "suite", "seeds", path, fallback=5)
+    base_seed = _get_int(parser, "suite", "base_seed", path, fallback=0)
+    duration = _get_float(parser, "suite", "duration", path, fallback=20.0)
     disturbed = parser.get("suite", "disturbed", fallback="none")
     if disturbed not in ("none", "only", "both"):
         raise ConfigParse(f"{path}: [suite] disturbed must be none|only|both")
-    wipe_passes = parser.getint("suite", "wipe_passes", fallback=1)
+    wipe_passes = _get_int(parser, "suite", "wipe_passes", path, fallback=1)
     noise = _noise_from(parser, path)
     adm = _admittance_overrides(parser, path)
     env = _overrides_from(parser, "environment", _ENV_KEYS, path)
@@ -250,8 +268,8 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     for mode in modes:
         for with_dist in conditions:
             for s in range(seeds):
-                cfgs.append(ScenarioConfig(
-                    task=task, mode=mode, duration=duration, seed=base_seed + s,
+                cfgs.append(_scenario(
+                    path, task=task, mode=mode, duration=duration, seed=base_seed + s,
                     noise=noise, disturbances=events if with_dist else (),
                     admittance_overrides=adm, env_overrides=env,
                     wipe_passes=wipe_passes,

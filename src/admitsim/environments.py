@@ -20,10 +20,25 @@ import numpy as np
 
 from .admittance import WrenchSample
 from .errors import WrongVariant
-from .geometry import Pose, normalized, quat_from_axis_angle, quat_mul, quat_rotate, quat_to_matrix
+from .geometry import (
+    Pose,
+    normalized,
+    quat_from_axis_angle,
+    quat_mul,
+    quat_rotate,
+    quat_to_matrix,
+    sq_norm,
+    unchecked,
+)
 
 # Velocity threshold regularizing Coulomb friction at 1 kHz (avoids sign chatter).
 COULOMB_V_EPS = 1e-4
+
+
+# The wrench of every tick without contact, shared: its arrays are read-only.
+_ZERO = np.zeros(3)
+_ZERO.flags.writeable = False
+_NO_WRENCH = unchecked(WrenchSample, force=_ZERO, torque=_ZERO)
 
 
 @dataclass
@@ -57,8 +72,8 @@ def friction_force(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_
     Coulomb magnitude is ramped linearly below COULOMB_V_EPS so it vanishes
     at zero slip speed.
     """
-    v_t = vel - float(vel @ normal) * normal
-    speed = math.sqrt(float(v_t @ v_t))
+    v_t = vel - float(vel.dot(normal)) * normal
+    speed = math.sqrt(sq_norm(v_t))
     if speed < 1e-15:
         return np.zeros(3)
     coulomb = model.coulomb_mu * abs(f_n) * min(1.0, speed / COULOMB_V_EPS)
@@ -72,6 +87,7 @@ def friction_force(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_
 PERSISTENT_KINDS = ("raise", "lower", "shift", "tilt")
 WINDOWED_KINDS = ("force_pulse", "sinusoid")
 DISTURBANCE_KINDS = PERSISTENT_KINDS + WINDOWED_KINDS
+OFFSET_KINDS = ("raise", "lower", "shift", "sinusoid")
 
 
 @dataclass(frozen=True)
@@ -116,29 +132,29 @@ class DisturbanceEvent:
             return 1.0
         return max(0.0, min(1.0, rel / self.ramp, (self.duration - rel) / self.ramp))
 
+    def amplitude(self, t: float, p: float) -> float:
+        """Signed magnitude along `direction` (m, N or rad by kind) at profile value p."""
+        if self.kind == "lower":
+            return -self.magnitude * p
+        if self.kind == "sinusoid":
+            return self.magnitude * math.sin(self.omega * (t - self.start)) * p
+        return self.magnitude * p
+
     def rest_offset(self, t: float) -> np.ndarray:
         p = self.profile(t)
-        if p == 0.0:
+        if p == 0.0 or self.kind not in OFFSET_KINDS:
             return np.zeros(3)
-        if self.kind == "raise":
-            return self.magnitude * p * self.direction
-        if self.kind == "lower":
-            return -self.magnitude * p * self.direction
-        if self.kind == "shift":
-            return self.magnitude * p * self.direction
-        if self.kind == "sinusoid":
-            return self.direction * (self.magnitude * math.sin(self.omega * (t - self.start)) * p)
-        return np.zeros(3)
+        return self.amplitude(t, p) * self.direction
 
     def tilt_angle(self, t: float) -> float:
         if self.kind != "tilt":
             return 0.0
-        return self.magnitude * self.profile(t)
+        return self.amplitude(t, self.profile(t))
 
     def pulse_force(self, t: float) -> np.ndarray:
         if self.kind != "force_pulse":
             return np.zeros(3)
-        return self.magnitude * self.profile(t) * self.direction
+        return self.amplitude(t, self.profile(t)) * self.direction
 
     def active(self, t: float) -> bool:
         return self.profile(t) > 0.0
@@ -203,7 +219,7 @@ class InkGrid:
         if i_lo >= i_hi or j_lo >= j_hi:
             return 0
         window = self.inked[i_lo:i_hi, j_lo:j_hi]
-        count = int(window.sum())
+        count = int(np.count_nonzero(window))
         if count:
             window[:] = False
         return count
@@ -259,31 +275,40 @@ class PlaneBoard(TaskEnvironment):
         self._base_rotation = self.rotation.copy()
         self.ink = InkGrid(self.extent[0], self.extent[1])
         self.spring = SpringContact(self.k_e, self.center.copy(), self.normal())
+        self._tilt = (None, None)   # (tilt key, (rotation, normal) at that tilt)
+        self._frame = (None, None)  # (rotation, its matrix transposed)
 
     def normal(self) -> np.ndarray:
         return quat_rotate(self.rotation, np.array([0.0, 0.0, 1.0]))
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         self.spring.rest_point = self._base_rest + offset
-        if tilt != 0.0:
-            self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt), self._base_rotation)
-        else:
-            self.rotation = self._base_rotation.copy()
-        self.spring.surface_normal = self.normal()
+        # Rotation and normal are functions of the tilt alone: recompute them
+        # only when it changes (every tick of a ramp, once for a held tilt).
+        key = (tilt, tuple(tilt_axis.tolist())) if tilt != 0.0 else 0.0
+        if key != self._tilt[0]:
+            if tilt != 0.0:
+                self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt),
+                                         self._base_rotation)
+            else:
+                self.rotation = self._base_rotation.copy()
+            self._tilt = (key, (self.rotation, self.normal()))
+        self.rotation, self.spring.surface_normal = self._tilt[1]
 
     def to_board_frame(self, p: np.ndarray) -> np.ndarray:
         """World point to board-frame coordinates (z along the normal)."""
-        R = quat_to_matrix(self.rotation)
-        return R.T @ (np.asarray(p, dtype=float) - self.spring.rest_point)
+        if self._frame[0] is not self.rotation:
+            self._frame = (self.rotation, quat_to_matrix(self.rotation).T)
+        return self._frame[1] @ (np.asarray(p, dtype=float) - self.spring.rest_point)
 
     def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
         nu = self.spring.surface_normal
-        pen = float((self.spring.rest_point - eef.position) @ nu)
+        pen = float((self.spring.rest_point - eef.position).dot(nu))
         if pen <= 0.0:
-            return WrenchSample.zero()
+            return _NO_WRENCH
         f_n = self.spring.k_e * pen
         force = f_n * nu + friction_force(self.friction, vel, nu, f_n)
-        return WrenchSample(force, np.zeros(3))
+        return unchecked(WrenchSample, force=force, torque=_ZERO)
 
     def normal_force(self, eef: Pose) -> float:
         pen = float((self.spring.rest_point - eef.position) @ self.spring.surface_normal)
@@ -330,7 +355,7 @@ class HoleFixture(TaskEnvironment):
         r = float(np.linalg.norm(r_perp))
         force = np.zeros(3)
         if d_ax <= 0.0:
-            return WrenchSample.zero()
+            return _NO_WRENCH
         if r <= self.hole_radius:
             # Inside the bore: compliant wall beyond the clearance.
             if r > self.clearance:
@@ -357,7 +382,7 @@ class HoleFixture(TaskEnvironment):
             f_plate = self.spring.k_e * d_ax
             force += f_plate * self.axis_up
             force += friction_force(self.friction, vel, self.axis_up, f_plate)
-        return WrenchSample(force, np.zeros(3))
+        return unchecked(WrenchSample, force=force, torque=_ZERO)
 
 
 @dataclass
@@ -480,7 +505,7 @@ class HingedDoor(TaskEnvironment):
 
     def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
         if not self.engaged:
-            return WrenchSample.zero()
+            return _NO_WRENCH
         p = eef.position
         vel = np.asarray(vel, dtype=float)
         center, axis, radius = self._active_circle()
@@ -507,7 +532,7 @@ class HingedDoor(TaskEnvironment):
             if float(np.linalg.norm(lev_perp)) > 1e-9:
                 t_handle = np.cross(self.handle_axis, normalized(lev_perp))
                 force -= self.handle_spring * self.handle_angle * t_handle
-        return WrenchSample(force, np.zeros(3))
+        return unchecked(WrenchSample, force=force, torque=_ZERO)
 
 
 # --------------------------------------------------------------------------
@@ -551,27 +576,36 @@ def apply_disturbance(env: TaskEnvironment, ev: DisturbanceEvent, t: float) -> T
     return env
 
 
-_NO_FORCE = np.zeros(3)
+_X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 def apply_disturbances(env: TaskEnvironment, events, t: float):
-    """Sum all events' geometry offsets; return (extra force, any_active)."""
+    """Sum all events' geometry offsets; return (extra force, any_active).
+
+    The sums run on Python floats from +0.0, in event order, as the rest
+    offsets and pulse forces of the events would add up as arrays.
+    """
     if not events:
-        return _NO_FORCE, False
-    offset = np.zeros(3)
+        return _ZERO, False
+    offset = (0.0, 0.0, 0.0)
+    extra = (0.0, 0.0, 0.0)
     tilt = 0.0
-    tilt_axis = np.array([1.0, 0.0, 0.0])
-    extra = np.zeros(3)
+    tilt_axis = _X_AXIS
     active = False
     for ev in events:
-        offset += ev.rest_offset(t)
+        p = ev.profile(t)
+        active = active or p > 0.0
         if ev.kind == "tilt":
-            tilt += ev.tilt_angle(t)
+            tilt += ev.amplitude(t, p)
             tilt_axis = ev.direction
-        extra += ev.pulse_force(t)
-        active = active or ev.active(t)
-    env.apply_disturbance_state(offset, tilt, tilt_axis)
-    return extra, active
+        elif ev.kind == "force_pulse":
+            a = ev.amplitude(t, p)
+            extra = tuple(e + a * c for e, c in zip(extra, ev.direction.tolist()))
+        elif p != 0.0:
+            a = ev.amplitude(t, p)
+            offset = tuple(o + a * c for o, c in zip(offset, ev.direction.tolist()))
+    env.apply_disturbance_state(np.array(offset), tilt, tilt_axis)
+    return np.array(extra), active
 
 
 def insertion_depth(env: TaskEnvironment, eef: Pose) -> float:

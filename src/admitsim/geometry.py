@@ -23,15 +23,39 @@ EPS_POS = 1e-6
 EPS_PROJ = 1e-6
 
 
+def unchecked(cls, **fields):
+    """An instance of the dataclass `cls` holding `fields` as given.
+
+    Skips __post_init__: for values the 1 kHz loop has already coerced and
+    checked. Outside callers use the public constructors, which validate.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
+def sq_norm(v) -> float:
+    """v @ v for a vector, through numpy's dot.
+
+    Sums of squares that reach a stored or logged value use this rounding:
+    the BLAS kernel behind the dot fuses multiply and add, so a Python sum of
+    squares differs from it in the last bit for about a third of all inputs.
+    np.linalg.norm of a vector is exactly sqrt(sq_norm(v)).
+    """
+    a = np.asarray(v, dtype=float)
+    return float(a.dot(a))
+
+
 def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    v = np.asarray(v, dtype=float)
+    n = math.sqrt(sq_norm(v))
     if n < eps:
         raise DegenerateInput(f"cannot normalize near-zero vector (norm={n:g})")
-    return np.asarray(v, dtype=float) / n
+    return v / n
 
 
 # --------------------------------------------------------------------------
@@ -44,25 +68,12 @@ def quat_identity() -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit-normalize and pick the canonical sign (w >= 0)."""
-    q = np.asarray(q, dtype=float)
-    n = math.sqrt(float(q @ q))
-    if n < 1e-12:
-        raise DegenerateInput("zero quaternion")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    return q
+    return np.array(_unit_quat(np.asarray(q, dtype=float).tolist()))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    return np.array(_quat_mul(np.asarray(a, dtype=float).tolist(),
+                              np.asarray(b, dtype=float).tolist()))
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -70,33 +81,71 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = normalized(axis)
-    half = 0.5 * angle
-    s = math.sin(half)
-    return quat_normalize(np.array([math.cos(half), s * axis[0], s * axis[1], s * axis[2]]))
+    return np.array(_quat_from_axis_angle(normalized(axis).tolist(), angle))
 
 
 def quat_from_rotvec(w: np.ndarray) -> np.ndarray:
     """Exponential map: rotation vector (axis * angle) to quaternion."""
-    w = np.asarray(w, dtype=float)
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-12:
-        return quat_identity()
-    return quat_from_axis_angle(w / angle, angle)
+    return np.array(_quat_from_rotvec(np.asarray(w, dtype=float).tolist()))
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     """Log map: quaternion to rotation vector, angle in [0, pi]."""
-    q = quat_normalize(q)
-    s = float(np.linalg.norm(q[1:]))
+    return np.array(_quat_to_rotvec(np.asarray(q, dtype=float).tolist()))
+
+
+# The quaternion algebra itself, on sequences of Python floats. Elementwise
+# float arithmetic rounds exactly as numpy's does; only the sums of squares go
+# through sq_norm. The 1 kHz controller tick calls these directly.
+
+def _unit_quat(q) -> tuple:
+    n = math.sqrt(sq_norm(q))
+    if n < 1e-12:
+        raise DegenerateInput("zero quaternion")
+    w, x, y, z = q
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0:
+        return (-w, -x, -y, -z)
+    return (w, x, y, z)
+
+
+def _quat_mul(a, b) -> tuple:
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _quat_from_axis_angle(unit_axis, angle: float) -> tuple:
+    half = 0.5 * angle
+    s = math.sin(half)
+    ax, ay, az = unit_axis
+    return _unit_quat((math.cos(half), s * ax, s * ay, s * az))
+
+
+def _quat_from_rotvec(w) -> tuple:
+    angle = math.sqrt(sq_norm(w))
+    if angle < 1e-12:
+        return (1.0, 0.0, 0.0, 0.0)
+    axis = normalized([c / angle for c in w])
+    return _quat_from_axis_angle(axis.tolist(), angle)
+
+
+def _quat_to_rotvec(q) -> tuple:
+    w, x, y, z = _unit_quat(q)
+    s = math.sqrt(sq_norm((x, y, z)))
     if s < 1e-12:
-        return np.zeros(3)
-    angle = 2.0 * math.atan2(s, float(q[0]))
-    return (q[1:] / s) * angle
+        return (0.0, 0.0, 0.0)
+    angle = 2.0 * math.atan2(s, w)
+    return ((x / s) * angle, (y / s) * angle, (z / s) * angle)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
+    w, x, y, z = _unit_quat(np.asarray(q, dtype=float).tolist())
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -215,15 +264,24 @@ def tangent_direction(n: np.ndarray, x_cmd: np.ndarray, x_r: np.ndarray) -> np.n
     is expected to fall back to isotropic stiffness.
     """
     d = np.asarray(x_cmd, dtype=float) - np.asarray(x_r, dtype=float)
-    dist = float(np.linalg.norm(d))
-    if dist <= EPS_POS:
-        raise DegenerateDirection("commanded motion too short for a tangent")
-    v = d / dist
-    n = np.asarray(n, dtype=float)
-    proj = v - float(n @ v) * n
-    pn = float(np.linalg.norm(proj))
-    if pn <= EPS_PROJ:
+    t = tangent_or_none(np.asarray(n, dtype=float), d)
+    if t is None:
+        if math.sqrt(sq_norm(d)) <= EPS_POS:
+            raise DegenerateDirection("commanded motion too short for a tangent")
         raise DegenerateDirection("commanded motion parallel to the normal")
+    return t
+
+
+def tangent_or_none(n: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """tangent_direction for the motion d = x_cmd - x_r, or None where it raises."""
+    dist = math.sqrt(sq_norm(d))
+    if dist <= EPS_POS:
+        return None
+    v = d / dist
+    proj = v - float(n.dot(v)) * n
+    pn = math.sqrt(sq_norm(proj))
+    if pn <= EPS_PROJ:
+        return None
     return proj / pn
 
 

@@ -9,6 +9,7 @@ logs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .environments import (
     update_ink,
 )
 from .errors import NonFiniteState
-from .geometry import pose10_encode
+from .geometry import Pose, pose10_encode, sq_norm, unchecked
 from .policy import ActionChunk, NoiseSpec, Observation, predict
 from .tasks import TASK_FLAGS, TASK_TIME_LIMIT, TASKS, build_environment, generate_demo
 
@@ -64,11 +65,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
-        if self.duration < 0.0 or self.duration > TASK_TIME_LIMIT[self.task]:
+        limit = TASK_TIME_LIMIT[self.task]
+        if not 0.0 <= self.duration <= limit:  # false for NaN
             raise ValueError(
-                f"duration must be within (0, {TASK_TIME_LIMIT[self.task]}] s for {self.task}")
+                f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
         if self.chunk_horizon < 1:
             raise ValueError("chunk_horizon must be >= 1")
+        self.build_admittance()  # the overrides fail here, not mid-run
 
     def build_admittance(self) -> AdmittanceConfig:
         tangent, normal, f_h = TASK_FLAGS[self.task]
@@ -166,6 +169,8 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
     is_board = isinstance(env, PlaneBoard)
     is_door = isinstance(env, HingedDoor)
     normal_hat = env.spring.surface_normal if is_board else None
+    # The wrench and the ink read only the position of this pose.
+    eef = unchecked(Pose, position=state.x_r, orientation=state.q_r)
 
     for k in range(max_ticks):
         t = k * dt
@@ -188,14 +193,16 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
             normal_hat = env.spring.surface_normal
         if is_door:
             env.update(state.x_r, cmd.gripper)
-        wrench = env.external_wrench(state.pose(), state.v_r)
+        wrench = env.external_wrench(eef, state.v_r)
         raw_force = wrench.force + extra_force
-        res = controller_tick(state, cmd, WrenchSample(raw_force, wrench.torque), dt, adm)
+        res = controller_tick(state, cmd, unchecked(WrenchSample, force=raw_force,
+                                                    torque=wrench.torque), dt, adm)
         state = res.state
+        eef = unchecked(Pose, position=state.x_r, orientation=state.q_r)
         if is_board:
-            fn = float(raw_force @ normal_hat)
+            fn = float(raw_force.dot(normal_hat))
             if fn > 0.0:
-                update_ink(env, state.pose(), True, fn)
+                update_ink(env, eef, True, fn)
         buf_t[k] = t
         buf_x[k] = state.x_r
         buf_v[k] = state.v_r
@@ -206,7 +213,7 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         buf_c[k] = cmd.c
         buf_dist[k] = 1 if dist_active else 0
         end = k + 1
-        f_mag = float(np.linalg.norm(res.f_ext))
+        f_mag = math.sqrt(sq_norm(res.f_ext))
         peak_force = max(peak_force, f_mag)
         over = over + 1 if f_mag > cfg.safety_limit else 0
         if over > debounce_ticks:

@@ -50,6 +50,25 @@ class TestComputeDamping:
             compute_damping(m, k, xi)
 
 
+class TestAdmittanceConfigValidation:
+    @pytest.mark.parametrize("field", ["mass", "stiffness", "damping_ratio", "rot_mass",
+                                       "rot_stiffness"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_gains_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(NonPositiveParameter):
+            AdmittanceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("tangent_scale", math.nan), ("tangent_scale", math.inf), ("tangent_scale", 0.5),
+        ("target_force", math.nan), ("target_force", math.inf), ("target_force", -1.0),
+        ("force_deadband", math.nan), ("force_deadband", math.inf),
+        ("torque_deadband", math.nan), ("torque_deadband", -0.1),
+    ])
+    def test_scale_force_and_deadbands_must_be_finite(self, field, value):
+        with pytest.raises(ValueError):
+            AdmittanceConfig(**{field: value})
+
+
 class TestDeadband:
     cfg = AdmittanceConfig()
 

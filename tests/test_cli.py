@@ -117,3 +117,32 @@ class TestVerifyCommand:
 
 def test_usage_error_exit_code():
     assert main(["definitely-not-a-command"]) == 2
+
+
+@pytest.mark.parametrize("command,text", [
+    ("run", "[scenario]\ntask = WW\nseed = abc\n"),
+    ("run", "[scenario]\ntask = WW\nduration = soon\n"),
+    ("run", "[scenario]\ntask = WW\nduration = nan\n"),
+    ("run", "[scenario]\ntask = WW\nwipe_passes = 1.5\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\nseed = x\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\npos_std = -1\n"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\nmass = -1\n"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\nstiffness = inf\n"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+            "duration = 1\nmagnitude = 0.01\ndirection = 0 0 up\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = many\n"),
+    ("suite", "[suite]\ntask = WW\nbase_seed = one\n"),
+    ("suite", "[suite]\ntask = WW\nduration = long\n"),
+    ("suite", "[suite]\ntask = WW\nwipe_passes = two\n"),
+    ("suite", "[suite]\ntask = PH\nseeds = 1\nduration = 90\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[admittance]\nmass = nan\n"),
+    ("verify", "[verify]\nm = 1.0\nd = soft\n"),
+])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -116,6 +116,7 @@ class TestInk:
                          + board.ink.cell_center(28, 21) + board.ink.cell_center(31, 21))
         wiped = update_ink(board, pose(center[0], center[1], -0.004), True, 5.0)
         assert wiped == 12
+        assert type(wiped) is int  # counts feed JSON reports and sums
 
     def test_remaining_length_conversion(self):
         board = flat_board()

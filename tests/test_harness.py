@@ -37,6 +37,16 @@ class TestScenarioConfig:
             ScenarioConfig(task="PH", duration=90.0)
         ScenarioConfig(task="WW", duration=90.0)  # within the 120 s limit
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_duration(self, duration):
+        with pytest.raises(ValueError, match=r"\[0, 120"):
+            ScenarioConfig(task="WW", duration=duration)
+
+    def test_invalid_admittance_override_fails_at_construction(self):
+        from admitsim.errors import NonPositiveParameter
+        with pytest.raises(NonPositiveParameter):
+            ScenarioConfig(task="WW", admittance_overrides={"mass": -1.0})
+
     def test_mode_gain_mapping(self):
         fa = ScenarioConfig(task="WW", mode="force_aware").build_admittance()
         assert fa.stiffness == 50.0
