@@ -25,7 +25,6 @@ from .environments import (
     apply_disturbance,
     external_wrench,
     insertion_depth,
-    latch_resistance,
     opening_angle,
     remaining_ink_length,
     update_ink,

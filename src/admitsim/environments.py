@@ -22,6 +22,8 @@ from .admittance import WrenchSample
 from .errors import WrongVariant
 from .geometry import (
     Pose,
+    _cross,
+    _unit,
     normalized,
     quat_from_axis_angle,
     quat_mul,
@@ -65,19 +67,46 @@ class FrictionModel:
         if self.coulomb_mu < 0.0 or self.viscous_c < 0.0:
             raise ValueError("friction coefficients must be >= 0")
 
+    def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
+        """Resistance to the tangential velocity v_t (floats) of norm speed > 0.
 
-def friction_force(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: float) -> np.ndarray:
-    """Tangential resistance opposing the tangential velocity.
+        Coulomb magnitude is ramped linearly below COULOMB_V_EPS so it vanishes
+        at zero slip speed; the viscous part is linear in v_t.
+        """
+        coulomb = self.coulomb_mu * abs(f_n) * min(1.0, speed / COULOMB_V_EPS)
+        a = -(coulomb / speed)
+        c = self.viscous_c
+        v0, v1, v2 = v_t
+        return (a * v0 - c * v0, a * v1 - c * v1, a * v2 - c * v2)
 
-    Coulomb magnitude is ramped linearly below COULOMB_V_EPS so it vanishes
-    at zero slip speed.
-    """
-    v_t = vel - float(vel.dot(normal)) * normal
+
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _friction(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: float) -> tuple:
+    """friction_force as floats; vel and normal are arrays (dot operands)."""
+    d = float(vel.dot(normal))
+    v0, v1, v2 = vel.tolist()
+    n0, n1, n2 = normal.tolist()
+    v_t = (v0 - d * n0, v1 - d * n1, v2 - d * n2)
     speed = math.sqrt(sq_norm(v_t))
     if speed < 1e-15:
-        return np.zeros(3)
-    coulomb = model.coulomb_mu * abs(f_n) * min(1.0, speed / COULOMB_V_EPS)
-    return -(coulomb / speed) * v_t - model.viscous_c * v_t
+        return _ZERO3
+    return model.slip_force(v_t, speed, f_n)
+
+
+def friction_force(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: float) -> np.ndarray:
+    """Tangential resistance opposing the velocity's component off the normal."""
+    return np.array(_friction(model, np.asarray(vel, dtype=float),
+                              np.asarray(normal, dtype=float), f_n))
+
+
+def _perp(rel: np.ndarray, axis: np.ndarray) -> tuple:
+    """rel - (rel . axis) axis for the unit axis, as floats."""
+    a = float(rel.dot(axis))
+    r0, r1, r2 = rel.tolist()
+    x0, x1, x2 = axis.tolist()
+    return (r0 - a * x0, r1 - a * x1, r2 - a * x2)
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +336,9 @@ class PlaneBoard(TaskEnvironment):
         if pen <= 0.0:
             return _NO_WRENCH
         f_n = self.spring.k_e * pen
-        force = f_n * nu + friction_force(self.friction, vel, nu, f_n)
+        n0, n1, n2 = nu.tolist()
+        g0, g1, g2 = _friction(self.friction, vel, nu, f_n)
+        force = np.array([f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2])
         return unchecked(WrenchSample, force=force, torque=_ZERO)
 
     def normal_force(self, eef: Pose) -> float:
@@ -347,42 +378,45 @@ class HoleFixture(TaskEnvironment):
         self.spring.rest_point = self.bottom_center()
 
     def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
-        tip = eef.position
-        vel = np.asarray(vel, dtype=float)
-        rel = tip - self.rim_center
-        d_ax = -float(rel @ self.axis_up)  # depth below the rim
-        r_perp = rel - float(rel @ self.axis_up) * self.axis_up
-        r = float(np.linalg.norm(r_perp))
-        force = np.zeros(3)
+        # Floats throughout, summed from +0.0 in the order of the force terms.
+        rel = eef.position - self.rim_center
+        d_ax = -float(rel.dot(self.axis_up))  # depth below the rim
         if d_ax <= 0.0:
             return _NO_WRENCH
+        vel = np.asarray(vel, dtype=float)
+        r_perp = _perp(rel, self.axis_up)
+        p0, p1, p2 = r_perp
+        r = math.sqrt(sq_norm(r_perp))
+        f0 = f1 = f2 = 0.0
+        spring = None  # (force, unit normal) of a pressed spring
         if r <= self.hole_radius:
             # Inside the bore: compliant wall beyond the clearance.
             if r > self.clearance:
                 w = self.wall_stiffness * (r - self.clearance)
-                force -= w * (r_perp / r)
+                f0, f1, f2 = f0 - w * (p0 / r), f1 - w * (p1 / r), f2 - w * (p2 / r)
             pen = d_ax - self.depth
             if pen > 0.0:
-                f_bottom = self.spring.k_e * pen
-                force += f_bottom * self.axis_up
-                force += friction_force(self.friction, vel, self.axis_up, f_bottom)
+                spring = (self.spring.k_e * pen, self.axis_up)
         elif r <= self.hole_radius + self.chamfer:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
-            rho = r_perp / r
             d_surf = self.hole_radius + self.chamfer - r
-            pen = (d_ax - d_surf) * math.sqrt(0.5)
+            h = math.sqrt(0.5)
+            pen = (d_ax - d_surf) * h
             if pen > 0.0:
-                cone_n = (self.axis_up - rho) * math.sqrt(0.5)
-                f_cone = self.spring.k_e * pen
-                force += f_cone * cone_n
-                force += friction_force(self.friction, vel, cone_n, f_cone)
+                u0, u1, u2 = self.axis_up.tolist()
+                cone_n = [(u0 - p0 / r) * h, (u1 - p1 / r) * h, (u2 - p2 / r) * h]
+                spring = (self.spring.k_e * pen, np.array(cone_n))
         else:
             # Landed on the top plate beside the hole.
-            f_plate = self.spring.k_e * d_ax
-            force += f_plate * self.axis_up
-            force += friction_force(self.friction, vel, self.axis_up, f_plate)
-        return unchecked(WrenchSample, force=force, torque=_ZERO)
+            spring = (self.spring.k_e * d_ax, self.axis_up)
+        if spring is not None:
+            f_n, normal = spring
+            n0, n1, n2 = normal.tolist()
+            f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
+            g0, g1, g2 = _friction(self.friction, vel, normal, f_n)
+            f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
+        return unchecked(WrenchSample, force=np.array([f0, f1, f2]), torque=_ZERO)
 
 
 @dataclass
@@ -422,7 +456,8 @@ class HingedDoor(TaskEnvironment):
         if not self.microwave:
             self.handle_pivot = np.asarray(self.handle_pivot, dtype=float)
             self.handle_axis = normalized(self.handle_axis)
-            self._lever0 = self.grasp0 - self.handle_pivot
+            # Handle lever at the closed grasp, perpendicular to the handle axis.
+            self._lever0_perp = np.array(_perp(self.grasp0 - self.handle_pivot, self.handle_axis))
         self._base_rest = self.hinge_pivot.copy()
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.
         rad0 = self._radial(self.grasp0)
@@ -437,19 +472,19 @@ class HingedDoor(TaskEnvironment):
         self._az_ref = 0.0  # azimuth at grasp engagement, defines door_angle = 0
         self.spring = SpringContact(self.k_e, self.grasp0.copy(), self._e1.copy())
 
-    def _radial(self, p: np.ndarray) -> np.ndarray:
-        rel = p - self.hinge_pivot
-        return rel - float(rel @ self.hinge_axis) * self.hinge_axis
+    def _radial(self, p: np.ndarray) -> tuple:
+        """Component of p - hinge_pivot perpendicular to the hinge axis, as floats."""
+        return _perp(p - self.hinge_pivot, self.hinge_axis)
 
     def _azimuth(self, p: np.ndarray) -> float:
-        rad = self._radial(p)
-        return math.atan2(float(rad @ self._e2), float(rad @ self._e1))
+        rad = np.array(self._radial(p))
+        return math.atan2(float(rad.dot(self._e2)), float(rad.dot(self._e1)))
 
     def update(self, eef_pos: np.ndarray, gripper: float):
         """Per-tick state update: grasp engagement, angles, latch hysteresis."""
         eef_pos = np.asarray(eef_pos, dtype=float)
         if not self.engaged:
-            if gripper > 0.5 and float(np.linalg.norm(eef_pos - self.grasp0)) < self.grasp_tol:
+            if gripper > 0.5 and math.sqrt(sq_norm(eef_pos - self.grasp0)) < self.grasp_tol:
                 self.engaged = True
                 self._az_ref = self._azimuth(eef_pos)
         elif gripper < 0.5:
@@ -461,11 +496,10 @@ class HingedDoor(TaskEnvironment):
         self.door_angle = max(0.0, self.opening_sign * rel_az)
         self.max_door_angle = max(self.max_door_angle, self.door_angle)
         if not self.microwave and not self.latch_released:
-            lever = eef_pos - self.handle_pivot
-            lever_perp = lever - float(lever @ self.handle_axis) * self.handle_axis
-            ref = self._lever0 - float(self._lever0 @ self.handle_axis) * self.handle_axis
-            cosv = float(lever_perp @ ref)
-            sinv = float(self.handle_axis @ np.cross(ref, lever_perp))
+            lever_perp = _perp(eef_pos - self.handle_pivot, self.handle_axis)
+            ref = self._lever0_perp
+            cosv = float(ref.dot(np.array(lever_perp)))
+            sinv = float(self.handle_axis.dot(np.array(_cross(ref.tolist(), lever_perp))))
             self.handle_angle = max(0.0, math.atan2(sinv, cosv))
         if not self.latch_released:
             # Microwave snap lock yields to pulling past the release angle; the
@@ -478,7 +512,7 @@ class HingedDoor(TaskEnvironment):
 
     def _release(self, eef_pos: np.ndarray):
         self.latch_released = True
-        self.pull_radius = float(np.linalg.norm(self._radial(eef_pos)))
+        self.pull_radius = math.sqrt(sq_norm(self._radial(eef_pos)))
 
     def _active_circle(self):
         """(center, axis, radius) of the constraint circle currently in force."""
@@ -489,50 +523,63 @@ class HingedDoor(TaskEnvironment):
     def constraint_normal(self, p: np.ndarray) -> np.ndarray:
         """Outward radial of the active circle at point p."""
         center, axis, _ = self._active_circle()
-        rel = np.asarray(p, dtype=float) - center
-        rad = rel - float(rel @ axis) * axis
-        return normalized(rad)
+        return normalized(_perp(np.asarray(p, dtype=float) - center, axis))
+
+    def _latched(self) -> bool:
+        """Whether the latch force field acts: engaged, still latched, door opened."""
+        return self.engaged and not self.latch_released and self.door_angle > 0.0
+
+    def _latch_force(self, rad_hat) -> tuple:
+        """Latch force (floats) at the unit hinge radial rad_hat, against opening."""
+        a = -self.latch_force
+        s = self.opening_sign
+        t0, t1, t2 = _cross(self.hinge_axis.tolist(), rad_hat)
+        return (a * (s * t0), a * (s * t1), a * (s * t2))
 
     def latch_resistance_at(self, p: np.ndarray) -> np.ndarray:
         """Constant force field resisting door opening while latched."""
-        if self.latch_released or not self.engaged:
+        if not self._latched():
             return np.zeros(3)
-        if self.door_angle <= 0.0:
-            return np.zeros(3)
-        rad = self._radial(p)
-        t_open = self.opening_sign * np.cross(self.hinge_axis, normalized(rad))
-        return -self.latch_force * t_open
+        rad = self._radial(np.asarray(p, dtype=float))
+        return np.array(self._latch_force(_unit(rad, math.sqrt(sq_norm(rad)))))
 
     def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
+        # Floats throughout, summed from +0.0 in the order of the force terms.
         if not self.engaged:
             return _NO_WRENCH
         p = eef.position
-        vel = np.asarray(vel, dtype=float)
         center, axis, radius = self._active_circle()
-        rel = p - center
-        rad = rel - float(rel @ axis) * axis
-        r = float(np.linalg.norm(rad))
-        force = np.zeros(3)
-        f_con = 0.0
+        rad = _perp(p - center, axis)
+        r = math.sqrt(sq_norm(rad))
+        f0 = f1 = f2 = 0.0
         if r > 1e-9:
-            rho = rad / r
+            rho = _unit(rad, r)
             f_con = -self.spring.k_e * (r - radius)
-            force += f_con * rho
-            t_hat = np.cross(axis, rho)
-            v_arc = float(vel @ t_hat) * t_hat
-            speed = float(np.linalg.norm(v_arc))
+            f0, f1, f2 = f0 + f_con * rho[0], f1 + f_con * rho[1], f2 + f_con * rho[2]
+            t_hat = _cross(axis.tolist(), rho)
+            s = float(np.asarray(vel, dtype=float).dot(np.array(t_hat)))
+            v_arc = (s * t_hat[0], s * t_hat[1], s * t_hat[2])
+            speed = math.sqrt(sq_norm(v_arc))
             if speed > 1e-15:
-                coulomb = self.friction.coulomb_mu * abs(f_con) * min(1.0, speed / COULOMB_V_EPS)
-                force += -(coulomb / speed) * v_arc - self.friction.viscous_c * v_arc
-        force += self.latch_resistance_at(p)
-        if not self.microwave and not self.latch_released and self.handle_angle > 0.0:
-            # Handle return spring, tangential on the handle circle.
-            lev = p - self.handle_pivot
-            lev_perp = lev - float(lev @ self.handle_axis) * self.handle_axis
-            if float(np.linalg.norm(lev_perp)) > 1e-9:
-                t_handle = np.cross(self.handle_axis, normalized(lev_perp))
-                force -= self.handle_spring * self.handle_angle * t_handle
-        return unchecked(WrenchSample, force=force, torque=_ZERO)
+                g0, g1, g2 = self.friction.slip_force(v_arc, speed, f_con)
+                f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
+        if self._latched():
+            # The microwave's active circle is the hinge circle, whose unit
+            # radial the latch uses; a latched door's is the handle circle.
+            if self.microwave:
+                rad_hat = _unit(rad, r)
+            else:
+                hinge_rad = self._radial(p)
+                rad_hat = _unit(hinge_rad, math.sqrt(sq_norm(hinge_rad)))
+            g0, g1, g2 = self._latch_force(rad_hat)
+            f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
+        if not self.microwave and not self.latch_released and self.handle_angle > 0.0 \
+                and r > 1e-9:
+            # Handle return spring, tangential on the handle circle, which is
+            # the active circle here: its tangent is t_hat.
+            k = self.handle_spring * self.handle_angle
+            f0, f1, f2 = f0 - k * t_hat[0], f1 - k * t_hat[1], f2 - k * t_hat[2]
+        return unchecked(WrenchSample, force=np.array([f0, f1, f2]), torque=_ZERO)
 
 
 # --------------------------------------------------------------------------
@@ -541,23 +588,6 @@ class HingedDoor(TaskEnvironment):
 
 def external_wrench(env: TaskEnvironment, eef: Pose, vel: np.ndarray) -> WrenchSample:
     return env.external_wrench(eef, vel)
-
-
-def latch_resistance(env: TaskEnvironment, handle_angle: float, door_angle: float) -> np.ndarray:
-    """Latch force field magnitude/direction for the given joint angles."""
-    if not isinstance(env, HingedDoor):
-        raise WrongVariant("latch_resistance requires a HingedDoor")
-    if env.latch_released:
-        return np.zeros(3)
-    if env.microwave:
-        released = door_angle > env.release_angle
-    else:
-        released = handle_angle >= env.latch_threshold
-    if released:
-        return np.zeros(3)
-    rad = env._radial(env.grasp0)
-    t_open = env.opening_sign * np.cross(env.hinge_axis, normalized(rad))
-    return -env.latch_force * t_open
 
 
 def update_ink(env: TaskEnvironment, eef: Pose, contact_active: bool, normal_force: float) -> int:

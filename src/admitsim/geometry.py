@@ -50,12 +50,32 @@ def sq_norm(v) -> float:
     return float(a.dot(a))
 
 
-def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = math.sqrt(sq_norm(v))
+def _nonzero_norm(n: float, eps: float = 1e-12) -> float:
     if n < eps:
         raise DegenerateInput(f"cannot normalize near-zero vector (norm={n:g})")
-    return v / n
+    return n
+
+
+def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / _nonzero_norm(math.sqrt(sq_norm(v)), eps)
+
+
+# Float-tuple twins of normalized and np.cross for per-tick code: elementwise
+# float arithmetic rounds exactly as numpy's does.
+
+def _unit(v, n: float) -> tuple:
+    """normalized(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
+    n = _nonzero_norm(n)
+    v0, v1, v2 = v
+    return (v0 / n, v1 / n, v2 / n)
+
+
+def _cross(a, b) -> tuple:
+    """np.cross(a, b) of two float 3-sequences, in numpy's order of operations."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 # --------------------------------------------------------------------------

@@ -71,6 +71,14 @@ class ScenarioConfig:
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
         if self.chunk_horizon < 1:
             raise ValueError("chunk_horizon must be >= 1")
+        for key, value in self.env_overrides.items():  # k_e, latch_force
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"environment {key} must be finite and > 0, got {value}")
+        if not 0.0 < self.safety_limit < math.inf:
+            raise ValueError(f"safety limit must be finite and > 0, got {self.safety_limit}")
+        if not 0.0 <= self.safety_debounce < math.inf:
+            raise ValueError(
+                f"safety debounce must be finite and >= 0, got {self.safety_debounce}")
         self.build_admittance()  # the overrides fail here, not mid-run
 
     def build_admittance(self) -> AdmittanceConfig:

@@ -130,6 +130,15 @@ def test_usage_error_exit_code():
     ("run", "[scenario]\ntask = WW\n[admittance]\nstiffness = inf\n"),
     ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
             "duration = 1\nmagnitude = 0.01\ndirection = 0 0 up\n"),
+    ("run", "[scenario]\ntask = WW\n[environment]\nk_e = -5\n"),
+    ("run", "[scenario]\ntask = WW\n[environment]\nk_e = nan\n"),
+    ("run", "[scenario]\ntask = DO\n[environment]\nlatch_force = 0\n"),
+    ("run", "[scenario]\ntask = MO\n[environment]\nlatch_force = inf\n"),
+    ("run", "[scenario]\ntask = WW\n[safety]\nlimit = -1\n"),
+    ("run", "[scenario]\ntask = WW\n[safety]\nlimit = inf\n"),
+    ("run", "[scenario]\ntask = WW\n[safety]\ndebounce = nan\n"),
+    ("run", "[scenario]\ntask = WW\n[safety]\ndebounce = -0.5\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[environment]\nk_e = nan\n"),
     ("suite", "[suite]\ntask = WW\nseeds = many\n"),
     ("suite", "[suite]\ntask = WW\nbase_seed = one\n"),
     ("suite", "[suite]\ntask = WW\nduration = long\n"),

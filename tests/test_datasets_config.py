@@ -1,11 +1,24 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admitsim.config import parse_scenario, parse_suite
-from admitsim.datasets import Dataset, read_dataset, write_dataset, write_trace
+from admitsim.datasets import (
+    TRACE_CHUNK_ROWS,
+    TRACE_COLUMNS,
+    Dataset,
+    read_dataset,
+    write_dataset,
+    write_trace,
+)
 from admitsim.errors import ConfigParse, IoFailure
-from admitsim.harness import ScenarioConfig, run_episode
-from admitsim.tasks import build_environment, generate_demo
+from admitsim.expert import SupervisionTuple
+from admitsim.harness import RunLog, ScenarioConfig, run_episode
+from admitsim.tasks import TASKS, build_environment, generate_demo
 
 
 def sample_episodes(n_eps=3, seed=0):
@@ -67,6 +80,89 @@ class TestDataset:
         write_dataset(p2, Dataset("WW", 16, eps))
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_truncated_file_is_io_failure(self, tmp_path):
+        path = tmp_path / "demo.bin"
+        write_dataset(str(path), Dataset("WW", 16, sample_episodes(1)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(IoFailure, match="bytes where the header implies"):
+            read_dataset(str(path))
+
+    def test_trailing_bytes_are_io_failure(self, tmp_path):
+        path = tmp_path / "demo.bin"
+        write_dataset(str(path), Dataset("WW", 16, sample_episodes(1)))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(IoFailure, match="bytes where the header implies"):
+            read_dataset(str(path))
+
+
+# Any float64 bit pattern but NaN (which array_equal cannot compare), -0.0 included.
+_FLOATS = st.floats(allow_nan=False, width=64)
+
+
+@st.composite
+def datasets(draw):
+    def tup():
+        return st.builds(SupervisionTuple,
+                         st.lists(_FLOATS, min_size=10, max_size=10).map(np.array),
+                         st.lists(_FLOATS, min_size=3, max_size=3).map(np.array),
+                         st.integers(0, 1))
+    episodes = draw(st.lists(st.lists(tup(), max_size=4), max_size=3))
+    return Dataset(draw(st.sampled_from(TASKS)), draw(st.integers(0, 2 ** 32 - 1)), episodes)
+
+
+def _dataset_bytes(ds: Dataset) -> bytes:
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "d.bin")
+        write_dataset(path, ds)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _read_bytes(raw: bytes) -> Dataset:
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "d.bin")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return read_dataset(path)
+
+
+class TestDatasetFuzz:
+    @given(datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_bit_exact(self, ds):
+        back = _read_bytes(_dataset_bytes(ds))
+        assert (back.task, back.horizon) == (ds.task, ds.horizon)
+        assert [len(ep) for ep in back.episodes] == [len(ep) for ep in ds.episodes]
+        for e1, e2 in zip(ds.episodes, back.episodes):
+            for a, b in zip(e1, e2):
+                assert a.pose10.tobytes() == b.pose10.tobytes()
+                assert a.normal.tobytes() == b.normal.tobytes()
+                assert a.contact == b.contact
+
+    @given(datasets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_is_io_failure(self, ds, data):
+        raw = _dataset_bytes(ds)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(IoFailure):
+            _read_bytes(raw[:cut])
+
+    @given(datasets(), st.binary(min_size=1, max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_extension_is_io_failure(self, ds, extra):
+        with pytest.raises(IoFailure):
+            _read_bytes(_dataset_bytes(ds) + extra)
+
+    @given(datasets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_byte_reads_or_fails_typed(self, ds, data):
+        raw = bytearray(_dataset_bytes(ds))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        try:
+            _read_bytes(bytes(raw))
+        except IoFailure:
+            pass
+
 
 class TestTrace:
     def test_columns_and_monotone_time(self, tmp_path):
@@ -87,6 +183,51 @@ class TestTrace:
         write_trace(p1, run_episode(cfg))
         write_trace(p2, run_episode(cfg))
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_empty_log_writes_header_only(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(str(path), synthetic_log(0))
+        assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("n", [TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1])
+    def test_rows_across_chunks_parse_back_bit_exact(self, tmp_path, n):
+        log = synthetic_log(n)
+        path = tmp_path / "trace.csv"
+        write_trace(str(path), log)
+        lines = path.read_text().splitlines()
+        assert len(lines) == n + 1
+        rows = [ln.split(",") for ln in lines[1:]]
+        floats = np.array([[float(v) for v in row[:16]] for row in rows])
+        ints = np.array([[int(v) for v in row[16:]] for row in rows], dtype=np.int8)
+        expect = np.column_stack([log.t, log.x_r, log.v_r, log.f_ext, log.f_cmd, log.k_eigs])
+        assert floats.tobytes() == expect.tobytes()
+        assert np.array_equal(ints, np.column_stack([log.phase, log.contact, log.disturbed]))
+        assert "-0.0" in lines[1].split(",")
+
+
+def synthetic_log(n: int) -> RunLog:
+    """A log of n ticks of arbitrary floats: -0.0, subnormals, huge and tiny values,
+    and constant columns."""
+    rng = np.random.default_rng(n)
+    special = np.array([-0.0, 0.0, 5e-324, -1e308, 0.1, 1.0 / 3.0, -2.5e-17])
+
+    def series(*shape):
+        a = rng.normal(scale=10.0, size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        picks = rng.random(shape) < 0.2
+        a[picks] = rng.choice(special, size=int(picks.sum()))
+        a.flat[:1] = -0.0  # the first row starts with a negative zero
+        return a
+
+    def flags(top):
+        return rng.integers(0, top, size=n).astype(np.int8)
+
+    f_cmd, k_eigs = series(n, 3), series(n, 3)
+    # Constant columns, and one that is constant but for the sign of a zero.
+    k_eigs[:, 0], k_eigs[:, 1] = 200.0, -0.0
+    f_cmd[:, 0] = 0.0
+    f_cmd[-1:, 0] = -0.0
+    return RunLog(series(n), series(n, 3), series(n, 3), series(n, 3), f_cmd, k_eigs,
+                  flags(6), flags(2), flags(2), {}, False, False)
 
 
 SCENARIO = """

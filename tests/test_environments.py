@@ -16,7 +16,6 @@ from admitsim.environments import (
     external_wrench,
     friction_force,
     insertion_depth,
-    latch_resistance,
     opening_angle,
     remaining_ink_length,
     update_ink,
@@ -233,24 +232,44 @@ def lever_door(**kw):
                       microwave=False, **kw)
 
 
-class TestLatch:
-    def test_wrong_variant(self):
-        with pytest.raises(WrongVariant):
-            latch_resistance(flat_board(), 0.0, 0.0)
+def microwave_grasp(angle):
+    """Grasp point of microwave() opened by `angle` rad about its hinge."""
+    return np.array([-0.25 * math.sin(angle), 0.25 - 0.25 * math.cos(angle), 0.0])
 
+
+def lever_grasp(handle_angle, door_shift=0.0):
+    """Grasp point of lever_door() with the handle turned and the door pulled open."""
+    return np.array([-door_shift, -0.06 * math.cos(handle_angle),
+                     -0.06 * math.sin(handle_angle)])
+
+
+class TestLatch:
     def test_engaged_magnitude(self):
         door = microwave()
-        f = latch_resistance(door, 0.0, 0.0)
+        door.update(door.grasp0, 1.0)  # engage
+        p = microwave_grasp(math.radians(1.0))
+        door.update(p, 1.0)
+        assert 0.0 < door.door_angle < door.release_angle
+        f = door.latch_resistance_at(p)
         assert np.linalg.norm(f) == pytest.approx(door.latch_force)
 
     def test_snap_releases_past_angle(self):
         door = microwave()
-        assert_allclose(latch_resistance(door, 0.0, math.radians(6.0)), np.zeros(3))
+        door.update(door.grasp0, 1.0)
+        p = microwave_grasp(math.radians(6.0))
+        door.update(p, 1.0)
+        assert_allclose(door.latch_resistance_at(p), np.zeros(3))
 
     def test_handle_threshold_releases(self):
         door = lever_door()
-        assert np.linalg.norm(latch_resistance(door, math.radians(10.0), 0.0)) > 0
-        assert_allclose(latch_resistance(door, math.radians(31.0), 0.0), np.zeros(3))
+        door.update(door.grasp0, 1.0)
+        p = lever_grasp(math.radians(10.0), door_shift=0.01)
+        door.update(p, 1.0)
+        assert door.door_angle > 0.0
+        assert np.linalg.norm(door.latch_resistance_at(p)) > 0
+        p = lever_grasp(math.radians(31.0), door_shift=0.01)
+        door.update(p, 1.0)
+        assert_allclose(door.latch_resistance_at(p), np.zeros(3))
 
     def test_hysteresis_once_released(self):
         door = microwave()
@@ -263,7 +282,7 @@ class TestLatch:
         assert door.latch_released
         door.update(door.grasp0, 1.0)
         assert door.latch_released  # stays released
-        assert_allclose(latch_resistance(door, 0.0, 0.0), np.zeros(3))
+        assert_allclose(door.latch_resistance_at(door.grasp0), np.zeros(3))
 
     def test_opening_angle_tracks_grasp(self):
         door = microwave()

@@ -4,8 +4,10 @@ The tolerance-based tests accept any refactor that keeps the physics within
 their bounds; these digests catch one that shifts a single bit. Each scenario
 is short but exercises one feature: contact, tangent stiffening, the raise,
 lower, shift, tilt, sinusoid and force-pulse disturbances, a safety stop, and
-the PH, MO and DO environments. A `run` trace file, a 5-episode `gen-demos`
-dataset and the verification CSV on a one-point grid are pinned as bytes.
+the PH, MO and DO environments. Two `run` trace files (WW, and DO with the
+door, the force pulse and several chunks of the trace writer), a 5-episode
+`gen-demos` dataset and the verification CSV on a one-point grid are pinned as
+bytes.
 
 The digests depend on the host: 3-vector dot products go through BLAS, whose
 fused multiply-add rounding varies with the CPU kernel. After a change that is
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 
 from admitsim.cli import main as cli_main
-from admitsim.datasets import write_trace
+from admitsim.datasets import TRACE_CHUNK_ROWS, write_trace
 from admitsim.environments import DisturbanceEvent
 from admitsim.harness import ScenarioConfig, default_disturbance, run_episode
 from admitsim.policy import NoiseSpec
@@ -75,6 +77,7 @@ GOLDEN = {
     "do_force_aware_clean": "9ee19bddde676be92532c7878378569478337e2b86f4bf0d806f3fc7071c4e0b",
     "do_baseline_mid_pulse": "8f44a27f5578cc0bf3f76493a0cded80ed57dd3aeac6b32f8911482939192ac1",
     "trace_csv": "6873fbc63df1866f2b2862dd65badbdf307a131a1b9cae8c7bf098d32be89416",
+    "trace_csv_do": "e80c629413dbfc08482692a7269679bd7ece6cd24d7f51142f8e1a04c6c86c64",
     "gen_demos": "1d19f75cb54dd56ade1bcc4b8ced5b4b263e8c60a884f9f32539c3390dd8dfb1",
     "verification_csv": "550c0373391ac8390508e5b94b79f87f4eb5c6909a01368f36a0f285a3c701e9",
 }
@@ -102,10 +105,12 @@ def _file_sha(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def file_digests(workdir: str, log) -> dict:
-    """Digests of a trace file, a demo dataset and a verification CSV."""
+def file_digests(workdir: str, logs) -> dict:
+    """Digests of two trace files, a demo dataset and a verification CSV."""
     trace = os.path.join(workdir, "trace.csv")
-    write_trace(trace, log)
+    write_trace(trace, logs["ww_force_aware_clean"])
+    trace_do = os.path.join(workdir, "trace_do.csv")
+    write_trace(trace_do, logs["do_baseline_mid_pulse"])
     demos = os.path.join(workdir, "ww.demos")
     grid = os.path.join(workdir, "grid.ini")
     with open(grid, "w") as fh:
@@ -118,8 +123,8 @@ def file_digests(workdir: str, log) -> dict:
                               "--prop3-duration", "5.0"])
     if (rc_demos, rc_verify) != (0, 0):
         raise RuntimeError(f"gen-demos exit {rc_demos}, verify exit {rc_verify}")
-    return {"trace_csv": _file_sha(trace), "gen_demos": _file_sha(demos),
-            "verification_csv": _file_sha(report)}
+    return {"trace_csv": _file_sha(trace), "trace_csv_do": _file_sha(trace_do),
+            "gen_demos": _file_sha(demos), "verification_csv": _file_sha(report)}
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +145,7 @@ def test_scenarios_cover_their_features(logs):
     assert logs["ww_baseline_high_raise_stop"].safety_stopped
     assert sum(lg.safety_stopped for lg in logs.values()) == 1
     assert logs["ph_force_aware_shift"].metrics["insertion_depth_mm"] > 0.0
+    assert logs["do_baseline_mid_pulse"].n_ticks > 3 * TRACE_CHUNK_ROWS
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
@@ -148,7 +154,7 @@ def test_runlog_digest(logs, name):
 
 
 def test_file_digests(logs, tmp_path):
-    got = file_digests(str(tmp_path), logs["ww_force_aware_clean"])
+    got = file_digests(str(tmp_path), logs)
     assert got == {k: GOLDEN[k] for k in got}
 
 
@@ -156,7 +162,7 @@ def current_digests() -> dict:
     logs = {name: run_episode(scenario_config(name)) for name in SCENARIOS}
     out = {name: log_digest(log) for name, log in logs.items()}
     with tempfile.TemporaryDirectory() as workdir:
-        out.update(file_digests(workdir, logs["ww_force_aware_clean"]))
+        out.update(file_digests(workdir, logs))
     return out
 
 

@@ -47,6 +47,23 @@ class TestScenarioConfig:
         with pytest.raises(NonPositiveParameter):
             ScenarioConfig(task="WW", admittance_overrides={"mass": -1.0})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"env_overrides": {"k_e": -5.0}},
+        {"env_overrides": {"k_e": float("nan")}},
+        {"env_overrides": {"latch_force": 0.0}},
+        {"env_overrides": {"latch_force": float("inf")}},
+        {"safety_limit": -1.0},
+        {"safety_limit": float("nan")},
+        {"safety_debounce": float("nan")},
+        {"safety_debounce": -0.01},
+    ])
+    def test_rejects_invalid_environment_and_safety_values(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(task="DO", **kwargs)
+
+    def test_zero_debounce_accepted(self):
+        assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
+
     def test_mode_gain_mapping(self):
         fa = ScenarioConfig(task="WW", mode="force_aware").build_admittance()
         assert fa.stiffness == 50.0
