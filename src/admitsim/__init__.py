@@ -6,13 +6,9 @@ from .admittance import (
     ControllerState,
     TickResult,
     WrenchSample,
-    apply_deadband,
     commanded_force,
     compute_damping,
     controller_tick,
-    effective_stiffness,
-    step_rotation,
-    step_translation,
 )
 from .environments import (
     DisturbanceEvent,
@@ -22,8 +18,6 @@ from .environments import (
     InkGrid,
     PlaneBoard,
     SpringContact,
-    apply_disturbance,
-    external_wrench,
     insertion_depth,
     opening_angle,
     remaining_ink_length,
@@ -56,7 +50,6 @@ from .harness import (
     ScenarioConfig,
     run_episode,
     run_suite,
-    safety_monitor,
     success_check,
 )
 from .policy import ActionChunk, NoiseSpec, Observation, loss, predict
@@ -68,9 +61,9 @@ from .verify import (
     default_grid,
     equivalence_check,
     run_default_verification,
-    verify_prop1,
+    verify_prop1_grid,
     verify_prop2,
-    verify_prop3,
+    verify_prop3_grid,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ deadband -> commanded force -> effective gains -> integrate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,7 @@ from .geometry import (
     _quat_mul,
     _quat_to_rotvec,
     _unit_quat,
-    quat_conj,
-    quat_from_rotvec,
-    quat_mul,
     quat_normalize,
-    quat_to_rotvec,
     sq_norm,
     tangent_or_none,
     unchecked,
@@ -102,9 +98,6 @@ class AdmittanceConfig:
         """Damping paired with the scaled tangent stiffness (same over-damped rule)."""
         return self._tangent_damping
 
-    def with_flags(self, **kwargs) -> "AdmittanceConfig":
-        return replace(self, **kwargs)
-
 
 @dataclass
 class ControllerState:
@@ -174,14 +167,6 @@ def _radial_deadband(v: np.ndarray, band: float) -> np.ndarray:
     return v * ((mag - band) / mag)
 
 
-def apply_deadband(w: WrenchSample, cfg: AdmittanceConfig) -> WrenchSample:
-    """Radial deadband on force and torque (models sensor-noise rejection)."""
-    return WrenchSample(
-        _radial_deadband(w.force, cfg.force_deadband),
-        _radial_deadband(w.torque, cfg.torque_deadband),
-    )
-
-
 def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig) -> np.ndarray:
     """F_cmd = f*n with f = f_H + n.K(x_cmd - x_r) + n.D x_r'; zero out of contact.
 
@@ -204,68 +189,9 @@ def _tangent_axis(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceCo
     return tangent_or_none(cmd.n, cmd.x_cmd - st.x_r)  # None: isotropic fallback
 
 
-def effective_gains(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig):
-    """(K_eff, D_eff, eigenvalues) with the tangent rank-1 update when active.
-
-    Damping mirrors the stiffness structure: along the tangent it is recomputed
-    from the scaled stiffness with the same over-damped formulation.
-    """
-    k = cfg.stiffness
-    d = cfg.damping
-    t = _tangent_axis(cmd, st, cfg)
-    if t is None:
-        return k * np.eye(3), d * np.eye(3), np.array([k, k, k])
-    k_t = cfg.tangent_scale * k
-    d_t = cfg.tangent_damping
-    outer = np.outer(t, t)
-    K = k * np.eye(3) + (k_t - k) * outer
-    D = d * np.eye(3) + (d_t - d) * outer
-    return K, D, np.array([k, k, k_t])
-
-
-def effective_stiffness(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig) -> np.ndarray:
-    K, _, _ = effective_gains(cmd, st, cfg)
-    return K
-
-
 def _check_dt(dt: float):
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-
-
-def step_translation(st: ControllerState, cmd: ControllerCommand, f_ext: np.ndarray,
-                     dt: float, cfg: AdmittanceConfig) -> ControllerState:
-    """One semi-implicit Euler step of the translational admittance law.
-
-    f_ext is expected to be deadbanded already.
-    """
-    _check_dt(dt)
-    f_cmd = commanded_force(cmd, st, cfg)
-    K, D, _ = effective_gains(cmd, st, cfg)
-    acc = (np.asarray(f_ext, dtype=float) - f_cmd - D @ st.v_r - K @ (st.x_r - cmd.x_cmd)) / cfg.mass
-    v_new = st.v_r + dt * acc
-    x_new = st.x_r + dt * v_new
-    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
-        raise NonFiniteState("translational state diverged")
-    return ControllerState(x_new, v_new, st.q_r, st.w_r)
-
-
-def step_rotation(st: ControllerState, cmd: ControllerCommand, torque_ext: np.ndarray,
-                  dt: float, cfg: AdmittanceConfig) -> ControllerState:
-    """One semi-implicit Euler step of the rotational admittance law.
-
-    Orientation error is the axis-angle of q_r * q_cmd^-1 in the world frame;
-    commanded torque is zero by construction.
-    """
-    _check_dt(dt)
-    theta_err = quat_to_rotvec(quat_mul(st.q_r, quat_conj(cmd.q_cmd)))
-    d_rot = cfg.rot_damping
-    acc = (np.asarray(torque_ext, dtype=float) - d_rot * st.w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
-    w_new = st.w_r + dt * acc
-    q_new = quat_mul(quat_from_rotvec(w_new * dt), st.q_r)
-    if not np.isfinite(w_new).all():
-        raise NonFiniteState("rotational state diverged")
-    return ControllerState(st.x_r, st.v_r, q_new, w_new)
 
 
 @dataclass(frozen=True)
@@ -280,12 +206,15 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
                     dt: float, cfg: AdmittanceConfig) -> TickResult:
     """One full controller tick in the fixed evaluation order.
 
-    Equivalent to apply_deadband + step_translation + step_rotation but with
-    the gains applied algebraically (the rank-1 tangent update never needs a
-    materialized matrix), to keep the 1 kHz loop cheap. The state update runs
-    on Python floats, which round like numpy's elementwise operations; every
-    dot product stays a numpy dot (see geometry.sq_norm). The inputs were
-    validated by their constructors and are not coerced again.
+    Equivalent to deadbanding the wrench, then one semi-implicit Euler step of
+    the translational law with materialized K_eff and D_eff and one of the
+    rotational law, but with the gains applied algebraically (the rank-1
+    tangent update never needs a materialized matrix), to keep the 1 kHz loop
+    cheap (tests/test_admittance.py keeps the materialized form as a
+    reference). The state update runs on Python floats, which round like
+    numpy's elementwise operations; every dot product stays a numpy dot (see
+    geometry.sq_norm). The inputs were validated by their constructors and are
+    not coerced again.
     """
     _check_dt(dt)
     f_ext = _radial_deadband(wrench.force, cfg.force_deadband)

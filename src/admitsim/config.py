@@ -184,7 +184,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         wipe_passes=_get_int(parser, "scenario", "wipe_passes", path, fallback=1),
         noise=_noise_from(parser, path),
         disturbances=_disturbances_from(parser, path),
-        admittance_overrides=_admittance_overrides(parser, path),
+        admittance_overrides=_overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path),
         env_overrides=_overrides_from(parser, "environment", _ENV_KEYS, path),
     )
     if parser.has_section("safety"):
@@ -195,20 +195,14 @@ def parse_scenario(path: str) -> ScenarioConfig:
     return _scenario(path, **kwargs)
 
 
-def _admittance_overrides(parser, path: str) -> dict:
-    raw = _overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path)
-    return raw
-
-
 def parse_verify_params(path: str):
     """Verification grid overrides: [verify] with space-separated value lists.
 
-    Keys: m, k_e, f_H (grid axes) and optional d (explicit damping for every
-    point instead of the over-damped rule at stiffness 50).
+    Keys: m, k_e, f_H (grid axes, each defaulting to the default grid's) and
+    optional d (explicit damping for every point instead of the over-damped
+    rule at stiffness 50).
     """
-    import math
-
-    from .verify import CONTROLLER_K, DAMPING_RATIO, NormalDynamicsParams
+    from .verify import GRID_FH, GRID_KE, GRID_M, default_grid
 
     parser = _read(path)
     if not parser.has_section("verify"):
@@ -222,21 +216,11 @@ def parse_verify_params(path: str):
         except ValueError as exc:
             raise ConfigParse(f"{path}: [verify] {key} must be numbers") from exc
 
-    ms = floats("m", [0.5, 1.0, 2.0])
-    kes = floats("k_e", [100.0, 1000.0, 5000.0])
-    fhs = floats("f_h", [2.0, 4.0, 8.0])
-    d_fixed = _get_float(parser, "verify", "d", path, fallback=None)
-    grid = []
     try:
-        for m in ms:
-            d = d_fixed if d_fixed is not None else \
-                2.0 * DAMPING_RATIO * math.sqrt(m * CONTROLLER_K)
-            for k_e in kes:
-                for f_H in fhs:
-                    grid.append(NormalDynamicsParams(m, d, k_e, f_H))
-    except ValueError as exc:
+        return default_grid(floats("m", GRID_M), floats("k_e", GRID_KE), floats("f_h", GRID_FH),
+                            _get_float(parser, "verify", "d", path, fallback=None))
+    except (ValueError, NonPositiveParameter) as exc:
         raise ConfigParse(f"{path}: [verify] {exc}") from exc
-    return grid
 
 
 def parse_suite(path: str) -> list[ScenarioConfig]:
@@ -259,7 +243,7 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
         raise ConfigParse(f"{path}: [suite] disturbed must be none|only|both")
     wipe_passes = _get_int(parser, "suite", "wipe_passes", path, fallback=1)
     noise = _noise_from(parser, path)
-    adm = _admittance_overrides(parser, path)
+    adm = _overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path)
     env = _overrides_from(parser, "environment", _ENV_KEYS, path)
     events = _disturbances_from(parser, path) or default_disturbance(task)
 

@@ -52,8 +52,9 @@ class SpringContact:
     surface_normal: np.ndarray
 
     def __post_init__(self):
-        if self.k_e <= 0.0:
-            raise ValueError("environment stiffness k_e must be > 0")
+        # Written so that NaN fails each test: every comparison with NaN is false.
+        if not 0.0 < self.k_e < math.inf:
+            raise ValueError(f"environment stiffness k_e must be finite and > 0, got {self.k_e}")
         self.rest_point = np.asarray(self.rest_point, dtype=float)
         self.surface_normal = normalized(self.surface_normal)
 
@@ -64,8 +65,9 @@ class FrictionModel:
     viscous_c: float = 0.0
 
     def __post_init__(self):
-        if self.coulomb_mu < 0.0 or self.viscous_c < 0.0:
-            raise ValueError("friction coefficients must be >= 0")
+        if not (0.0 <= self.coulomb_mu < math.inf and 0.0 <= self.viscous_c < math.inf):
+            raise ValueError("friction coefficients must be finite and >= 0, got "
+                             f"{self.coulomb_mu}, {self.viscous_c}")
 
     def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
         """Resistance to the tangential velocity v_t (floats) of norm speed > 0.
@@ -116,7 +118,6 @@ def _perp(rel: np.ndarray, axis: np.ndarray) -> tuple:
 PERSISTENT_KINDS = ("raise", "lower", "shift", "tilt")
 WINDOWED_KINDS = ("force_pulse", "sinusoid")
 DISTURBANCE_KINDS = PERSISTENT_KINDS + WINDOWED_KINDS
-OFFSET_KINDS = ("raise", "lower", "shift", "sinusoid")
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,10 @@ class DisturbanceEvent:
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        for name in ("start", "duration", "magnitude", "ramp", "omega"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.duration <= 0.0:
             raise ValueError("duration must be > 0")
         if not 0.0 <= self.ramp <= self.duration:
@@ -168,25 +173,6 @@ class DisturbanceEvent:
         if self.kind == "sinusoid":
             return self.magnitude * math.sin(self.omega * (t - self.start)) * p
         return self.magnitude * p
-
-    def rest_offset(self, t: float) -> np.ndarray:
-        p = self.profile(t)
-        if p == 0.0 or self.kind not in OFFSET_KINDS:
-            return np.zeros(3)
-        return self.amplitude(t, p) * self.direction
-
-    def tilt_angle(self, t: float) -> float:
-        if self.kind != "tilt":
-            return 0.0
-        return self.amplitude(t, self.profile(t))
-
-    def pulse_force(self, t: float) -> np.ndarray:
-        if self.kind != "force_pulse":
-            return np.zeros(3)
-        return self.amplitude(t, self.profile(t)) * self.direction
-
-    def active(self, t: float) -> bool:
-        return self.profile(t) > 0.0
 
 
 # --------------------------------------------------------------------------
@@ -365,8 +351,8 @@ class HoleFixture(TaskEnvironment):
     def __post_init__(self):
         self.rim_center = np.asarray(self.rim_center, dtype=float)
         self.axis_up = normalized(self.axis_up)
-        if self.depth <= 0.0:
-            raise ValueError("hole depth must be > 0")
+        if not 0.0 < self.depth < math.inf:
+            raise ValueError(f"hole depth must be finite and > 0, got {self.depth}")
         self._base_rest = self.rim_center.copy()
         self.spring = SpringContact(self.k_e, self.bottom_center(), self.axis_up)
 
@@ -586,10 +572,6 @@ class HingedDoor(TaskEnvironment):
 # Module-level operations (variant-checked)
 # --------------------------------------------------------------------------
 
-def external_wrench(env: TaskEnvironment, eef: Pose, vel: np.ndarray) -> WrenchSample:
-    return env.external_wrench(eef, vel)
-
-
 def update_ink(env: TaskEnvironment, eef: Pose, contact_active: bool, normal_force: float) -> int:
     """Clean cells under the eraser footprint; gated on contact and force."""
     if not isinstance(env, PlaneBoard):
@@ -598,12 +580,6 @@ def update_ink(env: TaskEnvironment, eef: Pose, contact_active: bool, normal_for
         return 0
     local = env.to_board_frame(eef.position)
     return env.ink.wipe_rect(local[:2], env.eraser_half_x, env.eraser_half_y)
-
-
-def apply_disturbance(env: TaskEnvironment, ev: DisturbanceEvent, t: float) -> TaskEnvironment:
-    """Displace environment geometry per a single event's profile at time t."""
-    env.apply_disturbance_state(ev.rest_offset(t), ev.tilt_angle(t), ev.direction)
-    return env
 
 
 _X_AXIS = np.array([1.0, 0.0, 0.0])

@@ -118,17 +118,6 @@ class RunLog:
         return len(self.t)
 
 
-def safety_monitor(force_magnitudes: np.ndarray, limit: float,
-                   debounce_ticks: int) -> bool:
-    """True (stopped) when |F| exceeds the limit for more than the debounce window."""
-    over = 0
-    for m in force_magnitudes:
-        over = over + 1 if m > limit else 0
-        if over > debounce_ticks:
-            return True
-    return False
-
-
 def success_check(task: str, log: RunLog) -> bool:
     """Task threshold on final metrics; any safety stop is a failure."""
     if log.safety_stopped:

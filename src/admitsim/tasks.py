@@ -118,25 +118,21 @@ def _build_door(task: str, rng, overrides) -> HingedDoor:
         base = np.array([0.45 + rng.uniform(-0.05, 0.05),
                          0.25 + rng.uniform(-0.10, 0.10),
                          0.15 + rng.uniform(-0.05, 0.05)])
-        grasp = base + _rot_xy(rotz, np.array([0.0, -0.25, 0.0]))
+        grasp = base + quat_rotate(rotz, np.array([0.0, -0.25, 0.0]))
         return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=True,
                           latch_force=overrides.get("latch_force", 15.0),
                           k_e=overrides.get("k_e", 1000.0))
     base = np.array([0.55 + rng.uniform(-0.05, 0.05),
                      0.35 + rng.uniform(-0.15, 0.15),
                      rng.uniform(-0.05, 0.05)])
-    handle_pivot = base + _rot_xy(rotz, np.array([0.0, -0.42, 0.25]))
-    handle_axis = _rot_xy(rotz, np.array([1.0, 0.0, 0.0]))
-    grasp = handle_pivot + _rot_xy(rotz, np.array([0.0, -0.06, 0.0]))
+    handle_pivot = base + quat_rotate(rotz, np.array([0.0, -0.42, 0.25]))
+    handle_axis = quat_rotate(rotz, np.array([1.0, 0.0, 0.0]))
+    grasp = handle_pivot + quat_rotate(rotz, np.array([0.0, -0.06, 0.0]))
     return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=False,
                       handle_pivot=handle_pivot, handle_axis=handle_axis,
                       handle_lever=0.06,
                       latch_force=overrides.get("latch_force", 15.0),
                       k_e=overrides.get("k_e", 1000.0))
-
-
-def _rot_xy(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_rotate(q, v)
 
 
 # --------------------------------------------------------------------------

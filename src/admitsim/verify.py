@@ -18,7 +18,7 @@ vector pipeline and the reduced scalar law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .admittance import (
     ControllerState,
     WrenchSample,
     _radial_deadband,
+    compute_damping,
     controller_tick,
 )
 from .environments import SpringContact
@@ -81,10 +82,13 @@ class NormalDynamicsParams:
     x_e: XeProfile = field(default_factory=XeProfile)
 
     def __post_init__(self):
-        if self.m <= 0.0 or self.d <= 0.0 or self.k_e <= 0.0:
-            raise ValueError("m, d, k_e must be > 0")
-        if self.f_H < 0.0:
-            raise ValueError("f_H must be >= 0")
+        # Written so that NaN fails each test: every comparison with NaN is false.
+        for name in ("m", "d", "k_e"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0.0 <= self.f_H < math.inf:
+            raise ValueError(f"f_H must be finite and >= 0, got {self.f_H}")
 
     def equilibrium(self) -> float:
         return self.x_e.base - self.f_H / self.k_e
@@ -105,7 +109,6 @@ class VerificationReport:
     measured: dict
     tolerances: dict
     passed: bool
-    trajectory: dict = field(default_factory=dict)
 
 
 def _rk4(deriv, y0: np.ndarray, dt: float, n_steps: int):
@@ -128,49 +131,6 @@ def _rk4(deriv, y0: np.ndarray, dt: float, n_steps: int):
     if not np.isfinite(traj).all():
         raise NonFiniteState("verifier integration diverged")
     return np.arange(n_steps + 1) * dt, traj
-
-
-def _contact_deriv(p: NormalDynamicsParams):
-    def deriv(t, y):
-        x, v = y[..., 0], y[..., 1]
-        f_ext = p.k_e * (p.x_e.value(t) - x)
-        a = (f_ext - p.f_H - 2.0 * p.d * v) / p.m
-        return np.stack([v, a], axis=-1)
-    return deriv
-
-
-def verify_prop1(p: NormalDynamicsParams, x0: float, v0: float,
-                 T: float | None = None, dt: float = 5e-4) -> VerificationReport:
-    """Disturbance-free convergence to x_e - f_H/k_e with f_ext -> f_H,
-    plus monotone decrease of V = 0.5 m e'^2 + 0.5 k_e e^2 outside a slack band."""
-    if p.x_e.kind != "constant":
-        raise ValueError("proposition 1 requires a constant rest point")
-    if T is None:
-        T = 20.0 * p.time_constant()
-    n = int(math.ceil(T / dt))
-    t, traj = _rk4(_contact_deriv(p), np.array([x0, v0]), dt, n)
-    x, v = traj[:, 0], traj[:, 1]
-    eq = p.equilibrium()
-    e = x - eq
-    V = 0.5 * p.m * v ** 2 + 0.5 * p.k_e * e ** 2
-    v_ref = max(V[0], 1e-12)
-    dV = np.diff(V)
-    outside = V[:-1] > LYAP_SLACK * v_ref
-    lyap_ok = bool(np.all(dV[outside] <= LYAP_SLACK * v_ref))
-    f_final = p.k_e * (p.x_e.base - x[-1])
-    x_err = abs(x[-1] - eq)
-    f_err = abs(f_final - p.f_H)
-    tol_f = max(TOL_F_REL * p.f_H, 1e-6)  # absolute floor for the f_H = 0 case
-    passed = x_err < TOL_X and f_err <= tol_f and lyap_ok
-    return VerificationReport(
-        "prop1",
-        {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "x0": x0, "v0": v0, "T": T, "dt": dt},
-        {"x_final": float(x[-1]), "x_err": float(x_err), "f_final": float(f_final),
-         "f_err": float(f_err), "lyapunov_monotone": lyap_ok},
-        {"tol_x": TOL_X, "tol_f": tol_f, "lyap_slack": LYAP_SLACK},
-        bool(passed),
-        {"t": t[::50], "x": x[::50], "v": v[::50]},
-    )
 
 
 def verify_prop2(p: NormalDynamicsParams, v0: float,
@@ -204,60 +164,6 @@ def verify_prop2(p: NormalDynamicsParams, v0: float,
          "late_slope": slope},
         {"tol_v": TOL_V, "analytic_tol": 1e-5},
         bool(passed),
-        {"t": t[::10], "v": v[::10]},
-    )
-
-
-def verify_prop3(p: NormalDynamicsParams, amplitude: float, omega: float,
-                 T: float = 60.0, dt: float = 1e-3) -> VerificationReport:
-    """ISS under a sinusoidal rest point: bounded error states, the sampled
-    Lyapunov rate satisfies V' <= -d e'^2 + u^2/(4d), and V' <= 0 whenever
-    |e'| >= |u|/(2d)."""
-    prof = XeProfile("sinusoid", base=p.x_e.base, amplitude=amplitude, omega=omega)
-    pp = NormalDynamicsParams(p.m, p.d, p.k_e, p.f_H, prof)
-    n = int(math.ceil(T / dt))
-    x0 = prof.base - p.f_H / p.k_e  # equilibrium of the t=0 rest point
-    t, traj = _rk4(_contact_deriv(pp), np.array([x0, 0.0]), dt, n)
-    x, v = traj[:, 0], traj[:, 1]
-    e = x - (prof.value(t) - p.f_H / p.k_e)
-    edot = v - prof.vel(t)
-    u = -(p.m * prof.acc(t) + 2.0 * p.d * prof.vel(t))
-    sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
-
-    # Operational bound: forced amplitude from the frequency response plus the
-    # free response from the initial velocity mismatch, with headroom.
-    H = 1.0 / math.sqrt((p.k_e - p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
-    free_env = amplitude * omega * math.sqrt(p.m / p.k_e)
-    bound = 2.0 * (H * sup_u + free_env)
-    sup_e = float(np.max(np.abs(e)))
-    bounded = sup_e <= bound and bool(np.isfinite(traj).all())
-
-    # Sampled Lyapunov rate via 4th-order central differences.
-    V = 0.5 * p.m * edot ** 2 + 0.5 * p.k_e * e ** 2
-    Vdot = (V[:-4] - 8.0 * V[1:-3] + 8.0 * V[3:-1] - V[4:]) / (12.0 * dt)
-    mid = slice(2, len(V) - 2)
-    rhs = -p.d * edot[mid] ** 2 + u[mid] ** 2 / (4.0 * p.d)
-    p_ref = float(np.max(np.abs(rhs))) + 1e-12
-    ineq_resid = float(np.max(Vdot - rhs))
-    ineq_ok = ineq_resid <= LYAP_SLACK * p_ref
-    # Negative rate whenever the velocity error dominates the disturbance.
-    dominate = np.abs(edot[mid]) >= np.abs(u[mid]) / (2.0 * p.d)
-    neg_ok = bool(np.all(Vdot[dominate] <= LYAP_SLACK * p_ref))
-
-    # Steady-state error sup over the second half (transients gone after many
-    # time constants).
-    ss = slice(n // 2, n + 1)
-    sup_e_ss = float(np.max(np.abs(e[ss])))
-    passed = bounded and ineq_ok and neg_ok
-    return VerificationReport(
-        "prop3",
-        {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "A": amplitude,
-         "omega": omega, "T": T, "dt": dt},
-        {"sup_e": sup_e, "bound": bound, "sup_u": sup_u, "sup_e_steady": sup_e_ss,
-         "ineq_residual": ineq_resid, "neg_rate_ok": neg_ok},
-        {"lyap_slack": LYAP_SLACK * p_ref},
-        bool(passed),
-        {"t": t[::100], "e": e[::100]},
     )
 
 
@@ -274,7 +180,7 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     """
     n = np.array([0.0, 0.0, 1.0]) if n_axis is None else np.asarray(n_axis, dtype=float)
     n = n / np.linalg.norm(n)
-    cfg = cfg.with_flags(enable_normal_regulation=True)
+    cfg = replace(cfg, enable_normal_regulation=True)
     x_e = float(env.rest_point @ n)
     x_n = x_e + x0_offset
     v_n = v0
@@ -321,27 +227,41 @@ CONTROLLER_K = 50.0
 DAMPING_RATIO = 2.0
 
 
-def default_grid() -> list[NormalDynamicsParams]:
+def default_grid(ms=GRID_M, kes=GRID_KE, fhs=GRID_FH,
+                 d: float | None = None) -> list[NormalDynamicsParams]:
+    """The m x k_e x f_H grid; d defaults to the controller's over-damped rule."""
     grid = []
-    for m in GRID_M:
-        d = 2.0 * DAMPING_RATIO * math.sqrt(m * CONTROLLER_K)
-        for k_e in GRID_KE:
-            for f_H in GRID_FH:
-                grid.append(NormalDynamicsParams(m, d, k_e, f_H))
+    for m in ms:
+        d_m = compute_damping(m, CONTROLLER_K, DAMPING_RATIO) if d is None else d
+        for k_e in kes:
+            for f_H in fhs:
+                grid.append(NormalDynamicsParams(m, d_m, k_e, f_H))
     return grid
 
 
 def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
-                      x0_offset: float = 0.02, dt: float = 5e-4) -> list[VerificationReport]:
-    """Proposition-1 sweep, integrated as one batch for speed."""
+                      x0_offset: float = 0.02, v0: float = 0.0, T: float | None = None,
+                      dt: float = 5e-4) -> list[VerificationReport]:
+    """Disturbance-free convergence to x_e - f_H/k_e with f_ext -> f_H, plus
+    monotone decrease of V = 0.5 m e'^2 + 0.5 k_e e^2 outside a slack band.
+
+    Every point starts x0_offset from its equilibrium at velocity v0 and runs
+    for T (default: 20 of its own time constants); the grid is integrated as
+    one batch for speed.
+    """
     grid = grid or default_grid()
+    if any(p.x_e.kind != "constant" for p in grid):
+        raise ValueError("proposition 1 requires a constant rest point")
     m = np.array([p.m for p in grid])
     d = np.array([p.d for p in grid])
     k_e = np.array([p.k_e for p in grid])
     f_H = np.array([p.f_H for p in grid])
     x_e = np.array([p.x_e.base for p in grid])
     eq = x_e - f_H / k_e
-    T = np.array([20.0 * p.time_constant() for p in grid])
+    if T is None:
+        T = np.array([20.0 * p.time_constant() for p in grid])
+    else:
+        T = np.full(len(grid), float(T))
     n = int(math.ceil(float(T.max()) / dt))
 
     def deriv(t, y):
@@ -349,7 +269,7 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
         a = (k_e * (x_e - x) - f_H - 2.0 * d * v) / m
         return np.stack([v, a], axis=-1)
 
-    y0 = np.stack([eq + x0_offset, np.zeros(len(grid))], axis=-1)
+    y0 = np.stack([eq + x0_offset, np.full(len(grid), float(v0))], axis=-1)
     t, traj = _rk4(deriv, y0, dt, n)
     reports = []
     for i, p in enumerate(grid):
@@ -365,12 +285,13 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
         f_final = p.k_e * (p.x_e.base - x[-1])
         x_err = abs(float(x[-1]) - eq[i])
         f_err = abs(f_final - p.f_H)
-        tol_f = max(TOL_F_REL * p.f_H, 1e-6)
+        tol_f = max(TOL_F_REL * p.f_H, 1e-6)  # absolute floor for the f_H = 0 case
         passed = x_err < TOL_X and f_err <= tol_f and lyap_ok
         reports.append(VerificationReport(
             "prop1",
             {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "T": float(T[i]), "dt": dt},
-            {"x_err": float(x_err), "f_err": float(f_err), "lyapunov_monotone": lyap_ok},
+            {"x_final": float(x[-1]), "x_err": float(x_err), "f_final": float(f_final),
+             "f_err": float(f_err), "lyapunov_monotone": lyap_ok},
             {"tol_x": TOL_X, "tol_f": tol_f, "lyap_slack": LYAP_SLACK},
             bool(passed),
         ))
@@ -385,7 +306,7 @@ def run_default_verification(prop3_T: float = 60.0,
     reports = list(verify_prop1_grid(grid))
     for p in grid:
         reports.append(verify_prop2(p, v0=0.05))
-    reports.extend(_prop3_grid(grid, T=prop3_T))
+    reports.extend(verify_prop3_grid(grid, T=prop3_T))
     for p in grid:
         cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
                                damping_ratio=DAMPING_RATIO, target_force=p.f_H,
@@ -395,10 +316,19 @@ def run_default_verification(prop3_T: float = 60.0,
     return reports
 
 
-def _prop3_grid(grid: list[NormalDynamicsParams], amplitude: float = 0.005,
-                omega: float = 2.0 * math.pi, T: float = 60.0,
-                dt: float = 1e-3) -> list[VerificationReport]:
-    """Batched proposition-3 sweep (shared sinusoid, per-point dynamics)."""
+def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
+                      amplitude: float = 0.005, omega: float = 2.0 * math.pi,
+                      T: float = 60.0, dt: float = 1e-3) -> list[VerificationReport]:
+    """ISS under the sinusoidal rest point amplitude*sin(omega t): bounded error
+    states, the sampled Lyapunov rate satisfies V' <= -d e'^2 + u^2/(4d), and
+    V' <= 0 whenever |e'| >= |u|/(2d).
+
+    Every point starts at rest at the equilibrium of the t = 0 rest point and
+    shares the sinusoid; the grid is integrated as one batch. The error states
+    are relative to the moving rest point, so they do not depend on its base,
+    and every point is integrated around base 0.
+    """
+    grid = grid or default_grid()
     m = np.array([p.m for p in grid])
     d = np.array([p.d for p in grid])
     k_e = np.array([p.k_e for p in grid])
@@ -419,24 +349,30 @@ def _prop3_grid(grid: list[NormalDynamicsParams], amplitude: float = 0.005,
         edot = traj[:, i, 1] - prof.vel(t)
         u = -(p.m * prof.acc(t) + 2.0 * p.d * prof.vel(t))
         sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
+        # Operational bound: forced amplitude from the frequency response plus
+        # the free response from the initial velocity mismatch, with headroom.
         H = 1.0 / math.sqrt((p.k_e - p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
         bound = 2.0 * (H * sup_u + amplitude * omega * math.sqrt(p.m / p.k_e))
+        # Sampled Lyapunov rate via 4th-order central differences.
         V = 0.5 * p.m * edot ** 2 + 0.5 * p.k_e * e ** 2
         Vdot = (V[:-4] - 8.0 * V[1:-3] + 8.0 * V[3:-1] - V[4:]) / (12.0 * dt)
         mid = slice(2, len(V) - 2)
         rhs = -p.d * edot[mid] ** 2 + u[mid] ** 2 / (4.0 * p.d)
         p_ref = float(np.max(np.abs(rhs))) + 1e-12
         ineq_resid = float(np.max(Vdot - rhs))
+        # Negative rate whenever the velocity error dominates the disturbance.
         dominate = np.abs(edot[mid]) >= np.abs(u[mid]) / (2.0 * p.d)
         neg_ok = bool(np.all(Vdot[dominate] <= LYAP_SLACK * p_ref))
         sup_e = float(np.max(np.abs(e)))
+        # Steady-state error: the second half, long after the transients.
+        sup_e_ss = float(np.max(np.abs(e[n // 2:])))
         passed = sup_e <= bound and ineq_resid <= LYAP_SLACK * p_ref and neg_ok
         reports.append(VerificationReport(
             "prop3",
             {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "A": amplitude,
              "omega": omega, "T": T, "dt": dt},
-            {"sup_e": sup_e, "bound": bound, "ineq_residual": ineq_resid,
-             "neg_rate_ok": neg_ok},
+            {"sup_e": sup_e, "bound": bound, "sup_u": sup_u, "sup_e_steady": sup_e_ss,
+             "ineq_residual": ineq_resid, "neg_rate_ok": neg_ok},
             {"lyap_slack": LYAP_SLACK * p_ref},
             bool(passed),
         ))

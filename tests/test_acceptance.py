@@ -22,7 +22,7 @@ from admitsim.verify import (
     equivalence_check,
     verify_prop1_grid,
     verify_prop2,
-    verify_prop3,
+    verify_prop3_grid,
 )
 
 SUITE_NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
@@ -69,11 +69,11 @@ def test_criterion_3_prop3_iss():
     inequality holds within 1e-6 normalized slack, halving A halves sup|e|."""
     from admitsim.verify import NormalDynamicsParams
     p = NormalDynamicsParams(1.0, compute_damping(1.0, 50.0, 2.0), 1000.0, 4.0)
-    full = verify_prop3(p, amplitude=0.005, omega=2 * math.pi, T=60.0)
+    full = verify_prop3_grid([p], amplitude=0.005, omega=2 * math.pi, T=60.0)[0]
     assert full.passed
     assert full.measured["sup_e"] <= full.measured["bound"]
     assert full.measured["ineq_residual"] <= full.tolerances["lyap_slack"]
-    half = verify_prop3(p, amplitude=0.0025, omega=2 * math.pi, T=60.0)
+    half = verify_prop3_grid([p], amplitude=0.0025, omega=2 * math.pi, T=60.0)[0]
     ratio = half.measured["sup_e_steady"] / full.measured["sup_e_steady"]
     assert ratio <= 0.5 * 1.05
     report(3, f"sup|e| {full.measured['sup_e']:.2e} <= bound {full.measured['bound']:.2e}, "

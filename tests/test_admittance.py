@@ -11,16 +11,21 @@ from admitsim.admittance import (
     ControllerCommand,
     ControllerState,
     WrenchSample,
-    apply_deadband,
+    _radial_deadband,
     commanded_force,
     compute_damping,
     controller_tick,
-    effective_stiffness,
-    step_rotation,
-    step_translation,
 )
 from admitsim.errors import NonPositiveParameter
-from admitsim.geometry import quat_from_axis_angle, quat_identity, quat_to_rotvec
+from admitsim.geometry import (
+    quat_conj,
+    quat_from_axis_angle,
+    quat_from_rotvec,
+    quat_identity,
+    quat_mul,
+    quat_to_rotvec,
+    tangent_or_none,
+)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -69,39 +74,44 @@ class TestAdmittanceConfigValidation:
             AdmittanceConfig(**{field: value})
 
 
+def tick(st_, cmd, force=(0.0, 0.0, 0.0), torque=(0.0, 0.0, 0.0), cfg=None, dt=1e-3):
+    """controller_tick on a raw wrench, with the default gains unless cfg is given."""
+    wrench = WrenchSample(np.array(force, dtype=float), np.array(torque, dtype=float))
+    return controller_tick(st_, cmd, wrench, dt, cfg or AdmittanceConfig())
+
+
 class TestDeadband:
     cfg = AdmittanceConfig()
 
     def test_below_band_zeroed(self):
-        w = apply_deadband(WrenchSample(np.array([0.0, 0, 1.5]), np.zeros(3)), self.cfg)
-        assert_allclose(w.force, np.zeros(3))
+        res = tick(rest_state(), hold_cmd(), force=[0.0, 0, 1.5], cfg=self.cfg)
+        assert_allclose(res.f_ext, np.zeros(3))
 
     def test_radial_shrink(self):
-        w = apply_deadband(WrenchSample(np.array([0.0, 0, 5.0]), np.zeros(3)), self.cfg)
-        assert_allclose(w.force, [0, 0, 3.0], atol=1e-12)
+        res = tick(rest_state(), hold_cmd(), force=[0.0, 0, 5.0], cfg=self.cfg)
+        assert_allclose(res.f_ext, [0, 0, 3.0], atol=1e-12)
 
     def test_zero_passthrough(self):
-        w = apply_deadband(WrenchSample.zero(), self.cfg)
-        assert_allclose(w.force, 0)
-        assert_allclose(w.torque, 0)
+        res = tick(rest_state(), hold_cmd(), cfg=self.cfg)
+        assert_allclose(res.f_ext, 0)
+        assert_allclose(_radial_deadband(np.zeros(3), self.cfg.torque_deadband), 0)
 
     def test_torque_band(self):
-        w = apply_deadband(WrenchSample(np.zeros(3), np.array([0.0, 2.5, 0])), self.cfg)
-        assert_allclose(w.torque, [0, 1.5, 0], atol=1e-12)
+        tau = _radial_deadband(np.array([0.0, 2.5, 0]), self.cfg.torque_deadband)
+        assert_allclose(tau, [0, 1.5, 0], atol=1e-12)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        w = WrenchSample(rng.normal(scale=5, size=3), rng.normal(scale=2, size=3))
-        once = apply_deadband(w, self.cfg)
-        twice = apply_deadband(once, self.cfg)
-        # Applying twice subtracts the band twice unless already inside it;
-        # idempotence refers to a fixed point at and below the band edge.
-        if np.linalg.norm(once.force) == 0.0:
-            assert_allclose(twice.force, once.force)
-        if np.linalg.norm(once.torque) == 0.0:
-            assert_allclose(twice.torque, once.torque)
+        for v, band in ((rng.normal(scale=5, size=3), self.cfg.force_deadband),
+                        (rng.normal(scale=2, size=3), self.cfg.torque_deadband)):
+            once = _radial_deadband(v, band)
+            twice = _radial_deadband(once, band)
+            # Applying twice subtracts the band twice unless already inside it;
+            # idempotence refers to a fixed point at and below the band edge.
+            if np.linalg.norm(once) == 0.0:
+                assert_allclose(twice, once)
 
 
 class TestCommandedForce:
@@ -139,23 +149,42 @@ class TestCommandedForce:
         assert np.linalg.norm(nudged - base) < 1e-6
 
 
+def spring_response(cmd, cfg):
+    """K_eff (x_r - x_cmd) read off one tick from rest: v_new = -(dt/m) K_eff (x_r - x_cmd)."""
+    res = tick(rest_state(), cmd, cfg=cfg)
+    return res, -(cfg.mass / 1e-3) * res.state.v_r
+
+
+def rank_one_response(e, n, k, k_t):
+    """k e + (k_t - k)(t.e) t for the unit tangent t of e in the plane normal to n."""
+    e_t = e - (e @ n) * n
+    t = e_t / np.linalg.norm(e_t)
+    return k * e + (k_t - k) * (t @ e) * t
+
+
 class TestEffectiveStiffness:
     def test_disabled_is_isotropic(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=False)
-        K = effective_stiffness(hold_cmd(n=Z, c=1), rest_state(), cfg)
-        assert_allclose(K, 50.0 * np.eye(3))
+        cmd = hold_cmd(pos=(0.1, 0.05, -0.02), n=Z, c=1)
+        res, Ke = spring_response(cmd, cfg)
+        assert_allclose(res.stiffness_eigs, [50.0, 50.0, 50.0])
+        assert_allclose(Ke, 50.0 * (0.0 - cmd.x_cmd), rtol=1e-9)
 
     def test_rank_one_update(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
         cmd = hold_cmd(pos=(0.1, 0, 0), n=Z, c=1)
-        K = effective_stiffness(cmd, rest_state(), cfg)
-        assert_allclose(K, np.diag([200.0, 50.0, 50.0]), atol=1e-9)
+        res, Ke = spring_response(cmd, cfg)
+        assert_allclose(res.stiffness_eigs, [50.0, 50.0, 200.0])
+        # K = diag(200, 50, 50) acting on e = -x_cmd.
+        assert_allclose(Ke, [-20.0, 0.0, 0.0], atol=1e-9)
+        assert_allclose(Ke, rank_one_response(-cmd.x_cmd, Z, 50.0, 200.0), atol=1e-9)
 
     def test_parallel_motion_falls_back(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True)
         cmd = hold_cmd(pos=(0, 0, 0.1), n=Z, c=1)
-        K = effective_stiffness(cmd, rest_state(), cfg)
-        assert_allclose(K, 50.0 * np.eye(3))
+        res, Ke = spring_response(cmd, cfg)
+        assert_allclose(res.stiffness_eigs, [50.0, 50.0, 50.0])
+        assert_allclose(Ke, 50.0 * (0.0 - cmd.x_cmd), rtol=1e-9)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -165,19 +194,21 @@ class TestEffectiveStiffness:
         n /= np.linalg.norm(n)
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
         cmd = hold_cmd(pos=tuple(rng.normal(size=3)), n=n, c=1)
-        K = effective_stiffness(cmd, rest_state(), cfg)
-        assert_allclose(K, K.T, atol=1e-12)
-        eigs = np.sort(np.linalg.eigvalsh(K))
-        ref = np.sort([50.0, 50.0, 50.0]) if np.allclose(K, 50 * np.eye(3)) \
-            else np.array([50.0, 50.0, 200.0])
-        assert_allclose(eigs, ref, atol=1e-6)
+        res, Ke = spring_response(cmd, cfg)
+        eigs = np.sort(res.stiffness_eigs)
+        isotropic = np.array_equal(eigs, [50.0, 50.0, 50.0])
+        if not isotropic:
+            assert_allclose(eigs, [50.0, 50.0, 200.0])
+        e = 0.0 - cmd.x_cmd
+        expected = 50.0 * e if isotropic else rank_one_response(e, n, 50.0, 200.0)
+        assert_allclose(Ke, expected, rtol=1e-9, atol=1e-12)
+        assert float(Ke @ e) > 0.0  # positive definite along the spring error
 
 
 class TestStepTranslation:
     def test_equilibrium_unchanged(self):
-        cfg = AdmittanceConfig()
         st_ = rest_state()
-        out = step_translation(st_, hold_cmd(), np.zeros(3), 1e-3, cfg)
+        out = tick(st_, hold_cmd()).state
         assert_allclose(out.x_r, st_.x_r)
         assert_allclose(out.v_r, st_.v_r)
 
@@ -186,22 +217,20 @@ class TestStepTranslation:
         cfg = AdmittanceConfig(stiffness=k)
         st_ = rest_state((0, 0, 0.05))
         for _ in range(8000):
-            st_ = step_translation(st_, hold_cmd(), np.zeros(3), 1e-3, cfg)
+            st_ = tick(st_, hold_cmd(), cfg=cfg).state
             assert st_.x_r[2] > -1e-12  # never crosses the target
         assert abs(st_.x_r[2]) < 1e-6
 
     def test_static_equilibrium_offset(self):
         cfg = AdmittanceConfig(force_deadband=0.0)
         st_ = rest_state()
-        f = np.array([0.0, 0, -4.0])
         for _ in range(6000):
-            st_ = step_translation(st_, hold_cmd(), f, 1e-3, cfg)
+            st_ = tick(st_, hold_cmd(), force=[0.0, 0, -4.0], cfg=cfg).state
         assert_allclose(st_.x_r, [0, 0, -0.08], atol=1e-6)
 
     def test_dt_bounds(self):
-        cfg = AdmittanceConfig()
         with pytest.raises(ValueError):
-            step_translation(rest_state(), hold_cmd(), np.zeros(3), 0.02, cfg)
+            tick(rest_state(), hold_cmd(), dt=0.02)
 
 
 class TestStepRotation:
@@ -210,20 +239,18 @@ class TestStepRotation:
         assert cfg.rot_damping == pytest.approx(4.0)
 
     def test_equilibrium_unchanged(self):
-        cfg = AdmittanceConfig()
         st_ = rest_state()
-        out = step_rotation(st_, hold_cmd(), np.zeros(3), 1e-3, cfg)
+        out = tick(st_, hold_cmd()).state
         assert_allclose(out.q_r, st_.q_r)
         assert_allclose(out.w_r, np.zeros(3))
 
     def test_converges_without_overshoot(self):
-        cfg = AdmittanceConfig()
         q0 = quat_from_axis_angle(Z, math.radians(10.0))
         st_ = ControllerState(np.zeros(3), np.zeros(3), q0, np.zeros(3))
         cmd = hold_cmd()
         angles = []
         for _ in range(6000):
-            st_ = step_rotation(st_, cmd, np.zeros(3), 1e-3, cfg)
+            st_ = tick(st_, cmd).state
             angles.append(quat_to_rotvec(st_.q_r)[2])
         assert min(angles) > -1e-9  # no crossing through the target
         assert abs(angles[-1]) < 1e-4
@@ -246,7 +273,7 @@ class TestEq4Reduction:
         dt = 1e-3
         for k in range(2000):
             f_n = 3.0 * math.sin(0.01 * k)  # arbitrary force profile along n
-            st_ = step_translation(st_, cmd, f_n * n, dt, cfg)
+            st_ = tick(st_, cmd, force=f_n * n, cfg=cfg, dt=dt).state
             a = (f_n - cfg.target_force - 2.0 * d * v_n) / cfg.mass
             v_n = v_n + dt * a
             x_n = x_n + dt * v_n
@@ -261,9 +288,35 @@ class TestEq4Reduction:
         cmd_b = ControllerCommand(np.array([0.05, 0, -0.01]), quat_identity(), 1.0, Z, 1)
         for k in range(1000):
             f = math.sin(0.02 * k) * Z
-            st_a = step_translation(st_a, cmd_a, f, 1e-3, cfg)
-            st_b = step_translation(st_b, cmd_b, f, 1e-3, cfg)
+            st_a = tick(st_a, cmd_a, force=f, cfg=cfg).state
+            st_b = tick(st_b, cmd_b, force=f, cfg=cfg).state
             assert abs(st_a.x_r[2] - st_b.x_r[2]) < 1e-12
+
+
+def reference_tick(st_, cmd, f_ext, tau_ext, dt, cfg):
+    """The control law with materialized gain matrices, on a deadbanded wrench.
+
+    K_eff and D_eff carry the rank-1 tangent update built with np.outer; the
+    translation and the rotation each take one semi-implicit Euler step.
+    """
+    k, d = cfg.stiffness, cfg.damping
+    K, D = k * np.eye(3), d * np.eye(3)
+    t = None
+    if cfg.enable_tangent_stiffening and cmd.c == 1:
+        t = tangent_or_none(cmd.n, cmd.x_cmd - st_.x_r)
+    if t is not None:
+        outer = np.outer(t, t)
+        K = K + (cfg.tangent_scale * k - k) * outer
+        D = D + (cfg.tangent_damping - d) * outer
+    f_cmd = commanded_force(cmd, st_, cfg)
+    acc = (f_ext - f_cmd - D @ st_.v_r - K @ (st_.x_r - cmd.x_cmd)) / cfg.mass
+    v_new = st_.v_r + dt * acc
+    x_new = st_.x_r + dt * v_new
+    theta_err = quat_to_rotvec(quat_mul(st_.q_r, quat_conj(cmd.q_cmd)))
+    w_acc = (tau_ext - cfg.rot_damping * st_.w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
+    w_new = st_.w_r + dt * w_acc
+    q_new = quat_mul(quat_from_rotvec(w_new * dt), st_.q_r)
+    return ControllerState(x_new, v_new, q_new, w_new)
 
 
 class TestControllerTick:
@@ -277,13 +330,13 @@ class TestControllerTick:
         cmd = ControllerCommand(rng.normal(size=3) * 0.02, quat_identity(), 1.0, n, 1)
         wrench = WrenchSample(rng.normal(size=3) * 5, rng.normal(size=3) * 2)
         res = controller_tick(st_, cmd, wrench, 1e-3, cfg)
-        w = apply_deadband(wrench, cfg)
-        ref = step_translation(st_, cmd, w.force, 1e-3, cfg)
-        ref = step_rotation(ref, cmd, w.torque, 1e-3, cfg)
+        f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
+        tau_ext = _radial_deadband(wrench.torque, cfg.torque_deadband)
+        ref = reference_tick(st_, cmd, f_ext, tau_ext, 1e-3, cfg)
         assert_allclose(res.state.x_r, ref.x_r, atol=1e-15)
         assert_allclose(res.state.v_r, ref.v_r, atol=1e-15)
         assert_allclose(res.state.q_r, ref.q_r, atol=1e-12)
-        assert_allclose(res.f_ext, w.force)
+        assert_allclose(res.f_ext, f_ext)
 
     def test_records_stiffness_eigenvalues(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from admitsim.cli import main
+from admitsim.config import parse_scenario
 
 SCENARIO = """
 [scenario]
@@ -115,6 +116,20 @@ class TestVerifyCommand:
         assert len(open(out).read().splitlines()) == 1 + 2 * 4
 
 
+def shift_event(**values):
+    """A PH scenario with one shift disturbance, some of its values replaced."""
+    event = {"start": 1.0, "duration": 2.0, "magnitude": 0.01, "ramp": 0.5, "omega": 6.0,
+             **values}
+    return ("[scenario]\ntask = PH\n[disturbance.a]\nkind = shift\n"
+            + "".join(f"{key} = {value}\n" for key, value in event.items()))
+
+
+def test_shift_event_is_valid_unless_replaced(tmp_path):
+    path = tmp_path / "ok.ini"
+    path.write_text(shift_event())
+    assert parse_scenario(str(path)).disturbances[0].kind == "shift"
+
+
 def test_usage_error_exit_code():
     assert main(["definitely-not-a-command"]) == 2
 
@@ -146,6 +161,19 @@ def test_usage_error_exit_code():
     ("suite", "[suite]\ntask = PH\nseeds = 1\nduration = 90\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\n[admittance]\nmass = nan\n"),
     ("verify", "[verify]\nm = 1.0\nd = soft\n"),
+    ("verify", "[verify]\nm = nan\n"),
+    ("verify", "[verify]\nm = 1.0 inf\n"),
+    ("verify", "[verify]\nd = inf\n"),
+    ("verify", "[verify]\nk_e = inf\n"),
+    ("verify", "[verify]\nk_e = nan\n"),
+    ("verify", "[verify]\nf_h = nan\n"),
+    ("verify", "[verify]\nm = -1\n"),
+    ("run", shift_event(start="nan")),
+    ("run", shift_event(duration="inf")),
+    ("run", shift_event(magnitude="nan")),
+    ("run", shift_event(magnitude="inf")),
+    ("run", shift_event(ramp="nan")),
+    ("run", shift_event(omega="inf")),
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
     path = tmp_path / "bad.ini"

@@ -12,8 +12,8 @@ from admitsim.environments import (
     HingedDoor,
     HoleFixture,
     PlaneBoard,
-    apply_disturbance,
-    external_wrench,
+    SpringContact,
+    apply_disturbances,
     friction_force,
     insertion_depth,
     opening_angle,
@@ -37,17 +37,17 @@ def pose(x, y, z):
 class TestSpringWrench:
     def test_no_penetration_no_force(self):
         board = flat_board()
-        w = external_wrench(board, pose(0, 0, 0.01), np.zeros(3))
+        w = board.external_wrench(pose(0, 0, 0.01), np.zeros(3))
         assert_allclose(w.force, np.zeros(3))
 
     def test_linear_spring_value(self):
         board = flat_board(k_e=1000.0)
-        w = external_wrench(board, pose(0, 0, -0.004), np.zeros(3))
+        w = board.external_wrench(pose(0, 0, -0.004), np.zeros(3))
         assert_allclose(w.force, [0, 0, 4.0], atol=1e-12)
 
     def test_zero_velocity_no_coulomb(self):
         board = flat_board()
-        w = external_wrench(board, pose(0, 0, -0.004), np.zeros(3))
+        w = board.external_wrench(pose(0, 0, -0.004), np.zeros(3))
         assert_allclose(w.force[:2], np.zeros(2))
 
     @given(st.integers(0, 100_000))
@@ -57,7 +57,7 @@ class TestSpringWrench:
         board = flat_board(k_e=rng.uniform(100, 5000))
         p = pose(*rng.normal(scale=0.05, size=3))
         vel = rng.normal(scale=0.2, size=3)
-        w = external_wrench(board, p, vel)
+        w = board.external_wrench(p, vel)
         fn = float(w.force @ Z)
         assert fn >= 0.0  # springs push, never pull
         pen = -p.position[2]
@@ -158,14 +158,14 @@ class TestHole:
 
     def test_bottom_spring(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]), k_e=1000.0)
-        w = external_wrench(hole, pose(0, 0, -0.027), np.zeros(3))
+        w = hole.external_wrench(pose(0, 0, -0.027), np.zeros(3))
         assert_allclose(w.force, [0, 0, 2.0], atol=1e-12)
 
     def test_chamfer_guides_inward(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
         # Tip pressed into the funnel ring, offset along +x.
         r = hole.hole_radius + 0.5 * hole.chamfer
-        w = external_wrench(hole, pose(r, 0, -0.004), np.zeros(3))
+        w = hole.external_wrench(pose(r, 0, -0.004), np.zeros(3))
         assert w.force[2] > 0.0
         assert w.force[0] < 0.0  # pushes back toward the axis
 
@@ -179,24 +179,27 @@ class TestDisturbances:
         board = flat_board()
         rest0 = board.spring.rest_point.copy()
         ev = DisturbanceEvent("lower", start=5.0, duration=10.0, magnitude=0.03, ramp=0.5)
-        apply_disturbance(board, ev, 1.0)
+        apply_disturbances(board, (ev,), 1.0)
         assert_allclose(board.spring.rest_point, rest0)
 
     def test_lower_ramps_then_holds(self):
         board = flat_board()
         ev = DisturbanceEvent("lower", start=5.0, duration=10.0, magnitude=0.03, ramp=0.5)
-        apply_disturbance(board, ev, 5.25)
+        apply_disturbances(board, (ev,), 5.25)
         assert board.spring.rest_point[2] == pytest.approx(-0.015)
-        apply_disturbance(board, ev, 8.0)
+        apply_disturbances(board, (ev,), 8.0)
         assert board.spring.rest_point[2] == pytest.approx(-0.03)
-        apply_disturbance(board, ev, 100.0)
+        apply_disturbances(board, (ev,), 100.0)
         assert board.spring.rest_point[2] == pytest.approx(-0.03)  # persists
 
     def test_sinusoid_profile(self):
         ev = DisturbanceEvent("sinusoid", start=0.0, duration=100.0, magnitude=0.005,
                               ramp=0.0, omega=2 * math.pi)
-        assert ev.rest_offset(0.25)[2] == pytest.approx(0.005)
-        assert ev.rest_offset(0.75)[2] == pytest.approx(-0.005)
+        board = flat_board()
+        apply_disturbances(board, (ev,), 0.25)
+        assert board.spring.rest_point[2] == pytest.approx(0.005)
+        apply_disturbances(board, (ev,), 0.75)
+        assert board.spring.rest_point[2] == pytest.approx(-0.005)
 
     def test_profiles_continuous(self):
         events = [
@@ -217,6 +220,45 @@ class TestDisturbances:
             DisturbanceEvent("lower", 0.0, 1.0, 0.1, ramp=2.0)
         with pytest.raises(ValueError):
             DisturbanceEvent("wobble", 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("field", ["start", "duration", "magnitude", "ramp", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = dict(kind="shift", start=1.0, duration=2.0, magnitude=0.01, ramp=0.5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            DisturbanceEvent(**kwargs)
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize("k_e", [math.nan, math.inf, 0.0, -5.0])
+    def test_spring_stiffness_finite_and_positive(self, k_e):
+        with pytest.raises(ValueError, match="finite"):
+            SpringContact(k_e, np.zeros(3), Z)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PlaneBoard(k_e=math.nan),
+        lambda: HoleFixture(k_e=math.nan),
+        lambda: HoleFixture(depth=math.nan),
+        lambda: HoleFixture(depth=math.inf),
+        lambda: HoleFixture(depth=0.0),
+        lambda: microwave(k_e=math.nan),
+        lambda: lever_door(k_e=math.inf),
+    ])
+    def test_environment_geometry_and_stiffness(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"coulomb_mu": math.nan}, {"coulomb_mu": math.inf}, {"coulomb_mu": -0.1},
+        {"viscous_c": math.nan}, {"viscous_c": math.inf}, {"viscous_c": -1.0},
+    ])
+    def test_friction_coefficients_finite_and_non_negative(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            FrictionModel(**kwargs)
+
+    def test_zero_friction_accepted(self):
+        assert FrictionModel(0.0, 0.0) == FrictionModel()
 
 
 def microwave(**kw):
@@ -297,5 +339,5 @@ class TestLatch:
         door = microwave()
         door.update(door.grasp0, 0.0)
         assert not door.engaged
-        w = external_wrench(door, pose(*door.grasp0), np.zeros(3))
+        w = door.external_wrench(pose(*door.grasp0), np.zeros(3))
         assert_allclose(w.force, np.zeros(3))

@@ -7,7 +7,6 @@ from admitsim.harness import (
     default_disturbance,
     run_episode,
     run_suite,
-    safety_monitor,
     success_check,
 )
 from admitsim.policy import NoiseSpec
@@ -77,18 +76,47 @@ class TestScenarioConfig:
         assert ph.target_force == 2.0 and not ph.enable_tangent_stiffening
 
 
+def longest_run_over(log, limit):
+    """Longest run of consecutive ticks with |f_ext| above the limit, and the final run."""
+    best = run = 0
+    for over in np.linalg.norm(log.f_ext, axis=1) > limit:
+        run = run + 1 if over else 0
+        best = max(best, run)
+    return best, run
+
+
 class TestSafetyMonitor:
-    def test_all_below_limit(self):
-        assert not safety_monitor(np.full(1000, 10.0), 25.0, 20)
+    """The debounced stop inside run_episode, on a WW baseline_high episode whose
+    board raise pushes the force past the 25 N limit (debounce 0.02 s = 20 ticks)."""
+
+    @staticmethod
+    def stop_scenario(**kwargs):
+        noise = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
+                          contact_flip_prob=0.01, seed=11)
+        return ScenarioConfig("WW", "baseline_high", 6.0, 1, noise=noise,
+                              disturbances=default_disturbance("WW"), **kwargs)
 
     def test_sustained_violation_stops(self):
-        f = np.full(100, 30.0)
-        assert safety_monitor(f, 25.0, 20)
+        cfg = self.stop_scenario()
+        assert (cfg.safety_limit, cfg.safety_debounce) == (25.0, 0.02)
+        log = run_episode(cfg)
+        assert log.safety_stopped and not log.success
+        assert log.n_ticks == 5321
+        # It stops on the first tick that makes debounce + 1 consecutive ticks over the limit.
+        assert longest_run_over(log, 25.0) == (21, 21)
 
     def test_short_spike_survives_debounce(self):
-        f = np.full(100, 10.0)
-        f[40:50] = 40.0  # 10 ticks < 20-tick debounce
-        assert not safety_monitor(f, 25.0, 20)
+        log = run_episode(self.stop_scenario(safety_debounce=1.0))
+        assert not log.safety_stopped
+        assert log.n_ticks == 6000
+        assert longest_run_over(log, 25.0)[0] == 700  # 700 ticks < 1000-tick debounce
+
+    def test_all_below_limit(self):
+        peak = run_episode(self.stop_scenario(safety_debounce=1.0)).metrics["peak_force_n"]
+        log = run_episode(self.stop_scenario(safety_limit=peak + 1.0))
+        assert not log.safety_stopped
+        assert log.n_ticks == 6000
+        assert log.metrics["peak_force_n"] == peak
 
 
 class TestSuccessCheck:

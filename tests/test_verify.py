@@ -10,9 +10,9 @@ from admitsim.verify import (
     XeProfile,
     default_grid,
     equivalence_check,
-    verify_prop1,
+    verify_prop1_grid,
     verify_prop2,
-    verify_prop3,
+    verify_prop3_grid,
 )
 
 D_NOMINAL = compute_damping(1.0, 50.0, 2.0)
@@ -23,33 +23,51 @@ def params(m=1.0, k_e=1000.0, f_H=4.0):
     return NormalDynamicsParams(m, d, k_e, f_H)
 
 
+def prop1(p, x0, v0=0.0, T=None):
+    """Proposition 1 on a grid of one, started at the absolute position x0."""
+    return verify_prop1_grid([p], x0_offset=x0 - p.equilibrium(), v0=v0, T=T)[0]
+
+
+def prop3(p, amplitude, omega, T):
+    return verify_prop3_grid([p], amplitude=amplitude, omega=omega, T=T)[0]
+
+
 class TestProp1:
     def test_equilibrium_position(self):
-        rep = verify_prop1(params(k_e=100.0, f_H=4.0), x0=0.02, v0=0.0)
+        rep = prop1(params(k_e=100.0, f_H=4.0), x0=0.02, v0=0.0)
         assert rep.passed
         assert rep.measured["x_final"] == pytest.approx(-0.04, abs=1e-6)
         assert rep.measured["f_final"] == pytest.approx(4.0, abs=0.01)
 
     def test_zero_target_force_rests_at_surface(self):
-        rep = verify_prop1(params(k_e=100.0, f_H=0.0), x0=0.02, v0=0.0)
+        rep = prop1(params(k_e=100.0, f_H=0.0), x0=0.02, v0=0.0)
         assert rep.passed
         assert rep.measured["x_final"] == pytest.approx(0.0, abs=1e-6)
 
     def test_lyapunov_decreases(self):
-        rep = verify_prop1(params(), x0=0.05, v0=0.1)
+        rep = prop1(params(), x0=0.05, v0=0.1)
         assert rep.measured["lyapunov_monotone"]
 
     def test_requires_constant_rest_point(self):
         p = NormalDynamicsParams(1.0, D_NOMINAL, 1000.0, 4.0,
                                  XeProfile("sinusoid", amplitude=0.01))
         with pytest.raises(ValueError):
-            verify_prop1(p, 0.0, 0.0)
+            verify_prop1_grid([params(), p])
 
     def test_residual_shrinks_with_horizon(self):
         p = params(k_e=100.0)
-        short = verify_prop1(p, 0.02, 0.0, T=5.0 * p.time_constant())
-        long = verify_prop1(p, 0.02, 0.0, T=20.0 * p.time_constant())
+        short = prop1(p, 0.02, 0.0, T=5.0 * p.time_constant())
+        long = prop1(p, 0.02, 0.0, T=20.0 * p.time_constant())
         assert long.measured["x_err"] < short.measured["x_err"]
+
+    def test_grid_points_independent(self):
+        # A batched point reports what it reports alone (own 20-time-constant horizon).
+        grid = [params(k_e=100.0), params(m=2.0, k_e=5000.0, f_H=8.0)]
+        batch = verify_prop1_grid(grid, x0_offset=0.03, v0=-0.1)
+        for p, rep in zip(grid, batch):
+            alone = verify_prop1_grid([p], x0_offset=0.03, v0=-0.1)[0]
+            assert rep.params == alone.params
+            assert rep.measured == alone.measured
 
 
 class TestProp2:
@@ -78,25 +96,25 @@ class TestProp2:
 
 class TestProp3:
     def test_bounded_and_inequality(self):
-        rep = verify_prop3(params(), amplitude=0.005, omega=2 * math.pi, T=20.0)
+        rep = prop3(params(), amplitude=0.005, omega=2 * math.pi, T=20.0)
         assert rep.passed
         assert rep.measured["sup_e"] <= rep.measured["bound"]
         assert rep.measured["neg_rate_ok"]
 
     def test_sup_u_closed_form(self):
         p = params()
-        rep = verify_prop3(p, amplitude=0.005, omega=2 * math.pi, T=5.0)
+        rep = prop3(p, amplitude=0.005, omega=2 * math.pi, T=5.0)
         expected = 0.005 * math.sqrt((p.m * (2 * math.pi) ** 2) ** 2
                                      + (2 * p.d * 2 * math.pi) ** 2)
         assert rep.measured["sup_u"] == pytest.approx(expected)
 
     def test_zero_amplitude_reduces_to_equilibrium(self):
-        rep = verify_prop3(params(), amplitude=0.0, omega=2 * math.pi, T=5.0)
+        rep = prop3(params(), amplitude=0.0, omega=2 * math.pi, T=5.0)
         assert rep.measured["sup_e"] < 1e-9
 
     def test_gain_linearity(self):
-        full = verify_prop3(params(), amplitude=0.005, omega=2 * math.pi, T=30.0)
-        half = verify_prop3(params(), amplitude=0.0025, omega=2 * math.pi, T=30.0)
+        full = prop3(params(), amplitude=0.005, omega=2 * math.pi, T=30.0)
+        half = prop3(params(), amplitude=0.0025, omega=2 * math.pi, T=30.0)
         ratio = half.measured["sup_e_steady"] / full.measured["sup_e_steady"]
         assert ratio == pytest.approx(0.5, rel=0.05)
 
@@ -141,8 +159,20 @@ def test_default_grid_is_27_points():
         assert p.d == pytest.approx(compute_damping(p.m, 50.0, 2.0))
 
 
-def test_params_validation():
+def test_default_grid_axes_and_damping():
+    grid = default_grid(ms=(1.0,), kes=(100.0, 500.0), fhs=(4.0,))
+    assert [(p.m, p.k_e, p.f_H) for p in grid] == [(1.0, 100.0, 4.0), (1.0, 500.0, 4.0)]
+    assert all(p.d == compute_damping(1.0, 50.0, 2.0) for p in grid)
+    assert {p.d for p in default_grid(ms=(0.5, 2.0), d=3.0)} == {3.0}
+
+
+@pytest.mark.parametrize("m,d,k_e,f_H", [
+    (1.0, 0.0, 100.0, 1.0), (1.0, 1.0, 100.0, -1.0),
+    (math.nan, 1.0, 100.0, 1.0), (math.inf, 1.0, 100.0, 1.0),
+    (1.0, math.nan, 100.0, 1.0), (1.0, math.inf, 100.0, 1.0),
+    (1.0, 1.0, math.nan, 1.0), (1.0, 1.0, math.inf, 1.0),
+    (1.0, 1.0, 100.0, math.nan), (1.0, 1.0, 100.0, math.inf),
+])
+def test_params_validation(m, d, k_e, f_H):
     with pytest.raises(ValueError):
-        NormalDynamicsParams(1.0, 0.0, 100.0, 1.0)
-    with pytest.raises(ValueError):
-        NormalDynamicsParams(1.0, 1.0, 100.0, -1.0)
+        NormalDynamicsParams(m, d, k_e, f_H)
