@@ -26,6 +26,7 @@ from .geometry import (
     _quat_mul,
     _quat_to_rotvec,
     _unit_quat,
+    dot3,
     quat_normalize,
     sq_norm,
     tangent_or_none,
@@ -139,7 +140,7 @@ class ControllerCommand:
         object.__setattr__(self, "n", n)
         if self.c not in (0, 1):
             raise ValueError("contact flag must be 0 or 1")
-        if self.c == 1 and abs(float(np.linalg.norm(n)) - 1.0) > 1e-6:
+        if self.c == 1 and abs(math.sqrt(sq_norm(n.tolist())) - 1.0) > 1e-6:
             raise ValueError("normal direction must be unit when c=1")
 
 
@@ -157,14 +158,19 @@ class WrenchSample:
         return cls(np.zeros(3), np.zeros(3))
 
 
-def _radial_deadband(v: np.ndarray, band: float) -> np.ndarray:
-    """Shrink the vector magnitude by the band; zero below it."""
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _radial_deadband(v, band: float) -> tuple:
+    """Shrink the magnitude of the float 3-vector v by the band; zero below it."""
+    v0, v1, v2 = v
     if band <= 0.0:
-        return np.asarray(v, dtype=float).copy()
+        return (v0, v1, v2)
     mag = math.sqrt(sq_norm(v))
     if mag <= band:
-        return np.zeros(3)
-    return v * ((mag - band) / mag)
+        return _ZERO3
+    s = (mag - band) / mag
+    return (v0 * s, v1 * s, v2 * s)
 
 
 def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig) -> np.ndarray:
@@ -175,18 +181,11 @@ def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: Admittance
     """
     if cmd.c == 0 or not cfg.enable_normal_regulation:
         return np.zeros(3)
-    n = cmd.n
-    k = cfg.stiffness
-    d = cfg.damping
-    f = cfg.target_force + k * float(n.dot(cmd.x_cmd - st.x_r)) + d * float(n.dot(st.v_r))
-    return f * n
-
-
-def _tangent_axis(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig):
-    """Tangent direction for stiffening, or None when disabled/degenerate."""
-    if not cfg.enable_tangent_stiffening or cmd.c == 0:
-        return None
-    return tangent_or_none(cmd.n, cmd.x_cmd - st.x_r)  # None: isotropic fallback
+    n = cmd.n.tolist()
+    f = (cfg.target_force + cfg.stiffness * dot3(n, (cmd.x_cmd - st.x_r).tolist())
+         + cfg.damping * dot3(n, st.v_r.tolist()))
+    n0, n1, n2 = n
+    return np.array([f * n0, f * n1, f * n2])
 
 
 def _check_dt(dt: float):
@@ -211,35 +210,39 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     rotational law, but with the gains applied algebraically (the rank-1
     tangent update never needs a materialized matrix), to keep the 1 kHz loop
     cheap (tests/test_admittance.py keeps the materialized form as a
-    reference). The state update runs on Python floats, which round like
-    numpy's elementwise operations; every dot product stays a numpy dot (see
-    geometry.sq_norm). The inputs were validated by their constructors and are
-    not coerced again.
+    reference). The state update, dot products included, runs on Python
+    floats (see the numerics contract in admitsim.geometry). The inputs were
+    validated by their constructors and are not coerced again.
     """
     _check_dt(dt)
-    f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
-    tau_ext = _radial_deadband(wrench.torque, cfg.torque_deadband)
+    f_ext = _radial_deadband(wrench.force.tolist(), cfg.force_deadband)
+    tau_ext = _radial_deadband(wrench.torque.tolist(), cfg.torque_deadband)
     f_cmd = commanded_force(cmd, st, cfg)
     k = cfg.stiffness
     d = cfg.damping
     x0, x1, x2 = st.x_r.tolist()
-    v0, v1, v2 = st.v_r.tolist()
+    v = st.v_r.tolist()
+    v0, v1, v2 = v
     c0, c1, c2 = cmd.x_cmd.tolist()
-    s0, s1, s2 = k * (x0 - c0), k * (x1 - c1), k * (x2 - c2)  # spring
+    e = (x0 - c0, x1 - c1, x2 - c2)                           # x_r - x_cmd
+    s0, s1, s2 = k * e[0], k * e[1], k * e[2]                 # spring
     b0, b1, b2 = d * v0, d * v1, d * v2                       # damping
-    t_axis = _tangent_axis(cmd, st, cfg)
+    t_axis = None
+    if cfg.enable_tangent_stiffening and cmd.c == 1:
+        # None: motion too short or along n, isotropic fallback.
+        t_axis = tangent_or_none(cmd.n.tolist(), (c0 - x0, c1 - x1, c2 - x2))
     if t_axis is None:
         eigs = np.array([k, k, k])
     else:
         k_t = cfg.tangent_scale * k
         d_t = cfg.tangent_damping
-        ks = (k_t - k) * float(t_axis.dot(st.x_r - cmd.x_cmd))
-        ds = (d_t - d) * float(t_axis.dot(st.v_r))
-        t0, t1, t2 = t_axis.tolist()
+        ks = (k_t - k) * dot3(t_axis, e)
+        ds = (d_t - d) * dot3(t_axis, v)
+        t0, t1, t2 = t_axis
         s0, s1, s2 = s0 + ks * t0, s1 + ks * t1, s2 + ks * t2
         b0, b1, b2 = b0 + ds * t0, b1 + ds * t1, b2 + ds * t2
         eigs = np.array([k, k, k_t])
-    f0, f1, f2 = f_ext.tolist()
+    f0, f1, f2 = f_ext
     g0, g1, g2 = f_cmd.tolist()
     a = dt / cfg.mass
     v0 = v0 + a * (f0 - g0 - b0 - s0)
@@ -250,7 +253,7 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     q_r = st.q_r.tolist()
     qw, qx, qy, qz = cmd.q_cmd.tolist()
     e0, e1, e2 = _quat_to_rotvec(_quat_mul(q_r, (qw, -qx, -qy, -qz)))
-    u0, u1, u2 = tau_ext.tolist()
+    u0, u1, u2 = tau_ext
     w0, w1, w2 = st.w_r.tolist()
     a = dt / cfg.rot_mass
     rd = cfg.rot_damping
@@ -263,4 +266,4 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
         raise NonFiniteState("controller state diverged")
     state = unchecked(ControllerState, x_r=np.array([x0, x1, x2]), v_r=np.array([v0, v1, v2]),
                       q_r=np.array(_unit_quat(q_new)), w_r=np.array([w0, w1, w2]))
-    return TickResult(state, f_ext, f_cmd, eigs)
+    return TickResult(state, np.array(f_ext), f_cmd, eigs)

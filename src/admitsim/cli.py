@@ -19,7 +19,7 @@ from .datasets import (
     write_trace,
     write_verification_csv,
 )
-from .errors import ConfigParse, IoFailure, NonFiniteState
+from .errors import AdmitSimError, ConfigParse
 from .harness import run_episode, run_suite
 from .policy import DEFAULT_HORIZON
 from .tasks import TASKS, build_environment, generate_demo
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IoFailure, NonFiniteState) as exc:
+    except AdmitSimError as exc:  # runtime failure: message, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

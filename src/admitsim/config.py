@@ -212,9 +212,12 @@ def parse_verify_params(path: str):
         if not parser.has_option("verify", key):
             return default
         try:
-            return [float(v) for v in parser.get("verify", key).split()]
+            values = [float(v) for v in parser.get("verify", key).split()]
         except ValueError as exc:
             raise ConfigParse(f"{path}: [verify] {key} must be numbers") from exc
+        if not values:
+            raise ConfigParse(f"{path}: [verify] {key} has no values")
+        return values
 
     try:
         return default_grid(floats("m", GRID_M), floats("k_e", GRID_KE), floats("f_h", GRID_FH),

@@ -23,12 +23,15 @@ from .errors import WrongVariant
 from .geometry import (
     Pose,
     _cross,
+    _matvec,
+    _perp,
+    _quat_matrix,
     _unit,
+    dot3,
     normalized,
     quat_from_axis_angle,
     quat_mul,
     quat_rotate,
-    quat_to_matrix,
     sq_norm,
     unchecked,
 )
@@ -43,6 +46,21 @@ _ZERO.flags.writeable = False
 _NO_WRENCH = unchecked(WrenchSample, force=_ZERO, torque=_ZERO)
 
 
+def _check_params(obj, positive=(), non_negative=()):
+    """Reject attributes that are not finite and > 0, or finite and >= 0.
+
+    Written so that NaN fails each test: every comparison with NaN is false.
+    """
+    for name in positive:
+        value = getattr(obj, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    for name in non_negative:
+        value = getattr(obj, name)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass
 class SpringContact:
     """Linear environment spring: rest point, stiffness, outward normal."""
@@ -52,9 +70,7 @@ class SpringContact:
     surface_normal: np.ndarray
 
     def __post_init__(self):
-        # Written so that NaN fails each test: every comparison with NaN is false.
-        if not 0.0 < self.k_e < math.inf:
-            raise ValueError(f"environment stiffness k_e must be finite and > 0, got {self.k_e}")
+        _check_params(self, positive=("k_e",))
         self.rest_point = np.asarray(self.rest_point, dtype=float)
         self.surface_normal = normalized(self.surface_normal)
 
@@ -65,9 +81,7 @@ class FrictionModel:
     viscous_c: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.coulomb_mu < math.inf and 0.0 <= self.viscous_c < math.inf):
-            raise ValueError("friction coefficients must be finite and >= 0, got "
-                             f"{self.coulomb_mu}, {self.viscous_c}")
+        _check_params(self, non_negative=("coulomb_mu", "viscous_c"))
 
     def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
         """Resistance to the tangential velocity v_t (floats) of norm speed > 0.
@@ -85,12 +99,9 @@ class FrictionModel:
 _ZERO3 = (0.0, 0.0, 0.0)
 
 
-def _friction(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: float) -> tuple:
-    """friction_force as floats; vel and normal are arrays (dot operands)."""
-    d = float(vel.dot(normal))
-    v0, v1, v2 = vel.tolist()
-    n0, n1, n2 = normal.tolist()
-    v_t = (v0 - d * n0, v1 - d * n1, v2 - d * n2)
+def _friction(model: FrictionModel, vel, normal, f_n: float) -> tuple:
+    """friction_force on float 3-sequences, as floats."""
+    v_t = _perp(vel, normal)
     speed = math.sqrt(sq_norm(v_t))
     if speed < 1e-15:
         return _ZERO3
@@ -99,16 +110,8 @@ def _friction(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: fl
 
 def friction_force(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: float) -> np.ndarray:
     """Tangential resistance opposing the velocity's component off the normal."""
-    return np.array(_friction(model, np.asarray(vel, dtype=float),
-                              np.asarray(normal, dtype=float), f_n))
-
-
-def _perp(rel: np.ndarray, axis: np.ndarray) -> tuple:
-    """rel - (rel . axis) axis for the unit axis, as floats."""
-    a = float(rel.dot(axis))
-    r0, r1, r2 = rel.tolist()
-    x0, x1, x2 = axis.tolist()
-    return (r0 - a * x0, r1 - a * x1, r2 - a * x2)
+    return np.array(_friction(model, np.asarray(vel, dtype=float).tolist(),
+                              np.asarray(normal, dtype=float).tolist(), f_n))
 
 
 # --------------------------------------------------------------------------
@@ -212,12 +215,13 @@ class InkGrid:
         if len(pts) == 1:
             dmin = np.linalg.norm(centers - pts[0], axis=1)
         for a, b in zip(pts[:-1], pts[1:]):
-            ab = b - a
-            den = float(ab @ ab)
+            ab0, ab1 = ab = b - a
+            den = float(ab0 * ab0 + ab1 * ab1)
             if den < 1e-18:
                 d = np.linalg.norm(centers - a, axis=1)
             else:
-                s = np.clip((centers - a) @ ab / den, 0.0, 1.0)
+                rel = centers - a  # columnwise dot with ab, as in geometry.dot3
+                s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
                 d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
             dmin = np.minimum(dmin, d)
         mask = (dmin <= pen_radius).reshape(self.nx, self.ny)
@@ -284,6 +288,8 @@ class PlaneBoard(TaskEnvironment):
     variant = "plane_board"
 
     def __post_init__(self):
+        _check_params(self, positive=("eraser_half_x", "eraser_half_y"),
+                      non_negative=("f_min_wipe",))
         self.center = np.asarray(self.center, dtype=float)
         self.rotation = np.asarray(self.rotation, dtype=float)
         self._base_rest = self.center.copy()
@@ -291,7 +297,7 @@ class PlaneBoard(TaskEnvironment):
         self.ink = InkGrid(self.extent[0], self.extent[1])
         self.spring = SpringContact(self.k_e, self.center.copy(), self.normal())
         self._tilt = (None, None)   # (tilt key, (rotation, normal) at that tilt)
-        self._frame = (None, None)  # (rotation, its matrix transposed)
+        self._frame = (None, None)  # (rotation, rows of its matrix transposed)
 
     def normal(self) -> np.ndarray:
         return quat_rotate(self.rotation, np.array([0.0, 0.0, 1.0]))
@@ -313,23 +319,20 @@ class PlaneBoard(TaskEnvironment):
     def to_board_frame(self, p: np.ndarray) -> np.ndarray:
         """World point to board-frame coordinates (z along the normal)."""
         if self._frame[0] is not self.rotation:
-            self._frame = (self.rotation, quat_to_matrix(self.rotation).T)
-        return self._frame[1] @ (np.asarray(p, dtype=float) - self.spring.rest_point)
+            self._frame = (self.rotation, tuple(zip(*_quat_matrix(self.rotation))))
+        rel = (np.asarray(p, dtype=float) - self.spring.rest_point).tolist()
+        return np.array(_matvec(self._frame[1], rel))
 
     def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
-        nu = self.spring.surface_normal
-        pen = float((self.spring.rest_point - eef.position).dot(nu))
+        nu = self.spring.surface_normal.tolist()
+        pen = dot3((self.spring.rest_point - eef.position).tolist(), nu)
         if pen <= 0.0:
             return _NO_WRENCH
         f_n = self.spring.k_e * pen
-        n0, n1, n2 = nu.tolist()
-        g0, g1, g2 = _friction(self.friction, vel, nu, f_n)
+        n0, n1, n2 = nu
+        g0, g1, g2 = _friction(self.friction, vel.tolist(), nu, f_n)
         force = np.array([f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2])
         return unchecked(WrenchSample, force=force, torque=_ZERO)
-
-    def normal_force(self, eef: Pose) -> float:
-        pen = float((self.spring.rest_point - eef.position) @ self.spring.surface_normal)
-        return self.spring.k_e * max(0.0, pen)
 
 
 @dataclass
@@ -351,8 +354,8 @@ class HoleFixture(TaskEnvironment):
     def __post_init__(self):
         self.rim_center = np.asarray(self.rim_center, dtype=float)
         self.axis_up = normalized(self.axis_up)
-        if not 0.0 < self.depth < math.inf:
-            raise ValueError(f"hole depth must be finite and > 0, got {self.depth}")
+        _check_params(self, positive=("depth", "hole_radius", "wall_stiffness"),
+                      non_negative=("clearance",))
         self._base_rest = self.rim_center.copy()
         self.spring = SpringContact(self.k_e, self.bottom_center(), self.axis_up)
 
@@ -365,12 +368,12 @@ class HoleFixture(TaskEnvironment):
 
     def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
         # Floats throughout, summed from +0.0 in the order of the force terms.
-        rel = eef.position - self.rim_center
-        d_ax = -float(rel.dot(self.axis_up))  # depth below the rim
+        rel = (eef.position - self.rim_center).tolist()
+        axis_up = self.axis_up.tolist()
+        d_ax = -dot3(rel, axis_up)  # depth below the rim
         if d_ax <= 0.0:
             return _NO_WRENCH
-        vel = np.asarray(vel, dtype=float)
-        r_perp = _perp(rel, self.axis_up)
+        r_perp = _perp(rel, axis_up)
         p0, p1, p2 = r_perp
         r = math.sqrt(sq_norm(r_perp))
         f0 = f1 = f2 = 0.0
@@ -382,7 +385,7 @@ class HoleFixture(TaskEnvironment):
                 f0, f1, f2 = f0 - w * (p0 / r), f1 - w * (p1 / r), f2 - w * (p2 / r)
             pen = d_ax - self.depth
             if pen > 0.0:
-                spring = (self.spring.k_e * pen, self.axis_up)
+                spring = (self.spring.k_e * pen, axis_up)
         elif r <= self.hole_radius + self.chamfer:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
@@ -390,17 +393,17 @@ class HoleFixture(TaskEnvironment):
             h = math.sqrt(0.5)
             pen = (d_ax - d_surf) * h
             if pen > 0.0:
-                u0, u1, u2 = self.axis_up.tolist()
-                cone_n = [(u0 - p0 / r) * h, (u1 - p1 / r) * h, (u2 - p2 / r) * h]
-                spring = (self.spring.k_e * pen, np.array(cone_n))
+                u0, u1, u2 = axis_up
+                cone_n = ((u0 - p0 / r) * h, (u1 - p1 / r) * h, (u2 - p2 / r) * h)
+                spring = (self.spring.k_e * pen, cone_n)
         else:
             # Landed on the top plate beside the hole.
-            spring = (self.spring.k_e * d_ax, self.axis_up)
+            spring = (self.spring.k_e * d_ax, axis_up)
         if spring is not None:
             f_n, normal = spring
-            n0, n1, n2 = normal.tolist()
+            n0, n1, n2 = normal
             f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
-            g0, g1, g2 = _friction(self.friction, vel, normal, f_n)
+            g0, g1, g2 = _friction(self.friction, vel.tolist(), normal, f_n)
             f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         return unchecked(WrenchSample, force=np.array([f0, f1, f2]), torque=_ZERO)
 
@@ -436,6 +439,7 @@ class HingedDoor(TaskEnvironment):
     variant = "hinged_door"
 
     def __post_init__(self):
+        _check_params(self, non_negative=("latch_force", "handle_spring"))
         self.hinge_pivot = np.asarray(self.hinge_pivot, dtype=float)
         self.hinge_axis = normalized(self.hinge_axis)
         self.grasp0 = np.asarray(self.grasp0, dtype=float)
@@ -443,34 +447,37 @@ class HingedDoor(TaskEnvironment):
             self.handle_pivot = np.asarray(self.handle_pivot, dtype=float)
             self.handle_axis = normalized(self.handle_axis)
             # Handle lever at the closed grasp, perpendicular to the handle axis.
-            self._lever0_perp = np.array(_perp(self.grasp0 - self.handle_pivot, self.handle_axis))
+            self._lever0_perp = _perp((self.grasp0 - self.handle_pivot).tolist(),
+                                      self.handle_axis.tolist())
         self._base_rest = self.hinge_pivot.copy()
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.
         rad0 = self._radial(self.grasp0)
-        self._e1 = normalized(rad0)
-        self._e2 = np.cross(self.hinge_axis, self._e1)
+        e1 = normalized(rad0)
+        self._e1 = e1.tolist()
+        self._e2 = np.cross(self.hinge_axis, e1).tolist()
         self.engaged = False
         self.latch_released = False
         self.door_angle = 0.0
         self.handle_angle = 0.0
         self.max_door_angle = 0.0
-        self.pull_radius = float(np.linalg.norm(rad0))
+        self.pull_radius = math.sqrt(sq_norm(rad0))
         self._az_ref = 0.0  # azimuth at grasp engagement, defines door_angle = 0
-        self.spring = SpringContact(self.k_e, self.grasp0.copy(), self._e1.copy())
+        self.spring = SpringContact(self.k_e, self.grasp0.copy(), e1)
 
     def _radial(self, p: np.ndarray) -> tuple:
         """Component of p - hinge_pivot perpendicular to the hinge axis, as floats."""
-        return _perp(p - self.hinge_pivot, self.hinge_axis)
+        return _perp((p - self.hinge_pivot).tolist(), self.hinge_axis.tolist())
 
     def _azimuth(self, p: np.ndarray) -> float:
-        rad = np.array(self._radial(p))
-        return math.atan2(float(rad.dot(self._e2)), float(rad.dot(self._e1)))
+        rad = self._radial(p)
+        return math.atan2(dot3(rad, self._e2), dot3(rad, self._e1))
 
     def update(self, eef_pos: np.ndarray, gripper: float):
         """Per-tick state update: grasp engagement, angles, latch hysteresis."""
         eef_pos = np.asarray(eef_pos, dtype=float)
         if not self.engaged:
-            if gripper > 0.5 and math.sqrt(sq_norm(eef_pos - self.grasp0)) < self.grasp_tol:
+            if gripper > 0.5 and \
+                    math.sqrt(sq_norm((eef_pos - self.grasp0).tolist())) < self.grasp_tol:
                 self.engaged = True
                 self._az_ref = self._azimuth(eef_pos)
         elif gripper < 0.5:
@@ -482,10 +489,11 @@ class HingedDoor(TaskEnvironment):
         self.door_angle = max(0.0, self.opening_sign * rel_az)
         self.max_door_angle = max(self.max_door_angle, self.door_angle)
         if not self.microwave and not self.latch_released:
-            lever_perp = _perp(eef_pos - self.handle_pivot, self.handle_axis)
+            handle_axis = self.handle_axis.tolist()
+            lever_perp = _perp((eef_pos - self.handle_pivot).tolist(), handle_axis)
             ref = self._lever0_perp
-            cosv = float(ref.dot(np.array(lever_perp)))
-            sinv = float(self.handle_axis.dot(np.array(_cross(ref.tolist(), lever_perp))))
+            cosv = dot3(ref, lever_perp)
+            sinv = dot3(handle_axis, _cross(ref, lever_perp))
             self.handle_angle = max(0.0, math.atan2(sinv, cosv))
         if not self.latch_released:
             # Microwave snap lock yields to pulling past the release angle; the
@@ -509,7 +517,7 @@ class HingedDoor(TaskEnvironment):
     def constraint_normal(self, p: np.ndarray) -> np.ndarray:
         """Outward radial of the active circle at point p."""
         center, axis, _ = self._active_circle()
-        return normalized(_perp(np.asarray(p, dtype=float) - center, axis))
+        return normalized(_perp((np.asarray(p, dtype=float) - center).tolist(), axis.tolist()))
 
     def _latched(self) -> bool:
         """Whether the latch force field acts: engaged, still latched, door opened."""
@@ -535,15 +543,16 @@ class HingedDoor(TaskEnvironment):
             return _NO_WRENCH
         p = eef.position
         center, axis, radius = self._active_circle()
-        rad = _perp(p - center, axis)
+        axis = axis.tolist()
+        rad = _perp((p - center).tolist(), axis)
         r = math.sqrt(sq_norm(rad))
         f0 = f1 = f2 = 0.0
         if r > 1e-9:
             rho = _unit(rad, r)
             f_con = -self.spring.k_e * (r - radius)
             f0, f1, f2 = f0 + f_con * rho[0], f1 + f_con * rho[1], f2 + f_con * rho[2]
-            t_hat = _cross(axis.tolist(), rho)
-            s = float(np.asarray(vel, dtype=float).dot(np.array(t_hat)))
+            t_hat = _cross(axis, rho)
+            s = dot3(vel.tolist(), t_hat)
             v_arc = (s * t_hat[0], s * t_hat[1], s * t_hat[2])
             speed = math.sqrt(sq_norm(v_arc))
             if speed > 1e-15:
@@ -618,7 +627,7 @@ def insertion_depth(env: TaskEnvironment, eef: Pose) -> float:
     """Peg-tip depth below the hole rim along the axis, clamped to [0, depth], in mm."""
     if not isinstance(env, HoleFixture):
         raise WrongVariant("insertion_depth requires a HoleFixture")
-    d_ax = -float((eef.position - env.rim_center) @ env.axis_up)
+    d_ax = -dot3((eef.position - env.rim_center).tolist(), env.axis_up.tolist())
     return 1000.0 * min(env.depth, max(0.0, d_ax))
 
 

@@ -23,6 +23,9 @@ from .errors import (
 )
 from .geometry import (
     Pose,
+    _matvec,
+    _quat_matrix,
+    dot3,
     interpolate_pose,
     normalized,
     pose10_decode,
@@ -30,8 +33,8 @@ from .geometry import (
     quat_from_axis_angle,
     quat_mul,
     quat_rotate,
-    quat_to_matrix,
     rodrigues_rotate,
+    sq_norm,
 )
 
 
@@ -108,7 +111,7 @@ def plan_insertion(hole: HoleFixture, start_height: float, step: float,
         orientation = np.array([1.0, 0.0, 0.0, 0.0])
     # Peg axis is the tool -z direction; it must oppose the hole's up axis.
     peg_dir = quat_rotate(orientation, np.array([0.0, 0.0, -1.0]))
-    if float(peg_dir @ (-hole.axis_up)) < math.cos(align_tol):
+    if -dot3(peg_dir.tolist(), hole.axis_up.tolist()) < math.cos(align_tol):
         raise NotAligned("peg axis deviates from the hole axis beyond tolerance")
     if step <= 0.0:
         raise ValueError("step must be > 0")
@@ -118,7 +121,7 @@ def plan_insertion(hole: HoleFixture, start_height: float, step: float,
     for i in range(n_steps + 1):
         h = max(0.0, start_height - i * step)
         poses.append(Pose(bottom + h * hole.axis_up, orientation))
-    if float(np.linalg.norm(poses[-1].position - bottom)) > 1e-12:
+    if math.sqrt(sq_norm((poses[-1].position - bottom).tolist())) > 1e-12:
         poses.append(Pose(bottom, orientation))
     return poses
 
@@ -149,12 +152,11 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
     lanes = [y_lo]
     while lanes[-1] < y_hi - 1e-12:
         lanes.append(min(lanes[-1] + pitch, y_hi))
-    R = quat_to_matrix(board.rotation)
+    R = _quat_matrix(board.rotation)
     orientation = board.rotation  # eraser frame aligned with the board surface
 
     def world(x: float, y: float) -> np.ndarray:
-        local = np.array([x, y, -press_depth])
-        return board.spring.rest_point + R @ local
+        return board.spring.rest_point + np.array(_matvec(R, (x, y, -press_depth)))
 
     poses: list[Pose] = []
     for _ in range(max(1, passes)):
@@ -253,7 +255,7 @@ def extract_supervision(poses: list[Pose], phases: list[FsmPhase], grippers: lis
         if c == 1:
             if normals is not None:
                 n = normals[t + 1]
-                if float(n @ n) < 0.25:
+                if sq_norm(n.tolist()) < 0.25:
                     n = normals[t]  # contact ends at t+1: keep the incoming manifold
             else:
                 n = manifold_normal(env, poses[t + 1])

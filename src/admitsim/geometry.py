@@ -5,6 +5,28 @@ Conventions:
 - Quaternions are wxyz arrays of shape (4,), unit norm, canonical sign w >= 0.
 - The 6D rotation encoding is the first two columns of the rotation matrix,
   decoded by Gram-Schmidt orthonormalization.
+
+Numerics contract. Every dot product of 3-vectors whose value reaches state,
+a log or an output file is `dot3(a, b) = a0*b0 + a1*b1 + a2*b2`, evaluated left
+to right on Python floats with one rounding per operation. `sq_norm(v)` is
+`dot3(v, v)`, a quaternion's squared norm is the same left-to-right sum over
+its four components, and a 3x3 matrix times a vector is three row `dot3`s.
+No BLAS call (`ndarray.dot`, the `@` operator, `np.linalg.norm` of one
+vector) feeds an output: a BLAS kernel may fuse multiply and add, so its last
+bit depends on the CPU. The columnwise numpy form
+`a[:, 0]*b[:, 0] + a[:, 1]*b[:, 1] + a[:, 2]*b[:, 2]` rounds exactly like
+`dot3`, so a batch of N vectors reproduces N single ones bit for bit; the
+axis-wise `np.linalg.norm(x, axis=1)` of the ink grid's 2-column rows is such
+a columnwise sum too.
+
+Per-value transcendentals come from the `math` module: `sqrt` is correctly
+rounded, and `sin`, `cos`, `atan2` and `acos` come from the C math library,
+so outputs are identical on any host with the same libm. On the reference
+host numpy's `sqrt`, `sin` and `cos` ufuncs equal `math` bit for bit (a
+tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
+in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
+Whole-array code (the verifier's RK4 grids, the ink grid) uses numpy ufuncs,
+which give the same bits at any array length.
 """
 
 from __future__ import annotations
@@ -34,20 +56,17 @@ def unchecked(cls, **fields):
     return obj
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
+def dot3(a, b) -> float:
+    """a0*b0 + a1*b1 + a2*b2, left to right: the one 3-vector dot (see above)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a0 * b0 + a1 * b1 + a2 * b2
 
 
 def sq_norm(v) -> float:
-    """v @ v for a vector, through numpy's dot.
-
-    Sums of squares that reach a stored or logged value use this rounding:
-    the BLAS kernel behind the dot fuses multiply and add, so a Python sum of
-    squares differs from it in the last bit for about a third of all inputs.
-    np.linalg.norm of a vector is exactly sqrt(sq_norm(v)).
-    """
-    a = np.asarray(v, dtype=float)
-    return float(a.dot(a))
+    """dot3(v, v): the squared norm of a 3-vector."""
+    x, y, z = v
+    return x * x + y * y + z * z
 
 
 def _nonzero_norm(n: float, eps: float = 1e-12) -> float:
@@ -58,11 +77,11 @@ def _nonzero_norm(n: float, eps: float = 1e-12) -> float:
 
 def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    return v / _nonzero_norm(math.sqrt(sq_norm(v)), eps)
+    return v / _nonzero_norm(math.sqrt(sq_norm(v.tolist())), eps)
 
 
-# Float-tuple twins of normalized and np.cross for per-tick code: elementwise
-# float arithmetic rounds exactly as numpy's does.
+# Float-tuple twins of normalized, np.cross and the matrix-vector product for
+# per-tick code: elementwise float arithmetic rounds exactly as numpy's does.
 
 def _unit(v, n: float) -> tuple:
     """normalized(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
@@ -76,6 +95,20 @@ def _cross(a, b) -> tuple:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _perp(v, axis) -> tuple:
+    """v - (v . axis) axis for the unit axis, as floats."""
+    a = dot3(v, axis)
+    v0, v1, v2 = v
+    x0, x1, x2 = axis
+    return (v0 - a * x0, v1 - a * x1, v2 - a * x2)
+
+
+def _matvec(rows, v) -> tuple:
+    """The 3x3 matrix with the given rows times v, as three row dot3s."""
+    r0, r1, r2 = rows
+    return (dot3(r0, v), dot3(r1, v), dot3(r2, v))
 
 
 # --------------------------------------------------------------------------
@@ -114,15 +147,14 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return np.array(_quat_to_rotvec(np.asarray(q, dtype=float).tolist()))
 
 
-# The quaternion algebra itself, on sequences of Python floats. Elementwise
-# float arithmetic rounds exactly as numpy's does; only the sums of squares go
-# through sq_norm. The 1 kHz controller tick calls these directly.
+# The quaternion algebra itself, on sequences of Python floats, under the
+# numerics contract above. The 1 kHz controller tick calls these directly.
 
 def _unit_quat(q) -> tuple:
-    n = math.sqrt(sq_norm(q))
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)  # sq_norm's sum, four terms
     if n < 1e-12:
         raise DegenerateInput("zero quaternion")
-    w, x, y, z = q
     w, x, y, z = w / n, x / n, y / n, z / n
     if w < 0.0:
         return (-w, -x, -y, -z)
@@ -151,8 +183,8 @@ def _quat_from_rotvec(w) -> tuple:
     angle = math.sqrt(sq_norm(w))
     if angle < 1e-12:
         return (1.0, 0.0, 0.0, 0.0)
-    axis = normalized([c / angle for c in w])
-    return _quat_from_axis_angle(axis.tolist(), angle)
+    axis = [c / angle for c in w]
+    return _quat_from_axis_angle(_unit(axis, math.sqrt(sq_norm(axis))), angle)
 
 
 def _quat_to_rotvec(q) -> tuple:
@@ -165,12 +197,17 @@ def _quat_to_rotvec(q) -> tuple:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    return np.array(_quat_matrix(q))
+
+
+def _quat_matrix(q) -> tuple:
+    """Rows of the rotation matrix of q, as float tuples."""
     w, x, y, z = _unit_quat(np.asarray(q, dtype=float).tolist())
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+        (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+        (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
+    )
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -205,14 +242,16 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_to_matrix(q) @ np.asarray(v, dtype=float)
+    return np.array(_matvec(_quat_matrix(q), np.asarray(v, dtype=float).tolist()))
 
 
 def quat_slerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     """Shortest-arc spherical interpolation, s in [0, 1]."""
     a = quat_normalize(a)
     b = quat_normalize(b)
-    dot = float(a @ b)
+    aw, ax, ay, az = a.tolist()
+    bw, bx, by, bz = b.tolist()
+    dot = aw * bw + ax * bx + ay * by + az * bz
     if dot < 0.0:
         b = -b
         dot = -dot
@@ -244,12 +283,12 @@ def rot6d_decode(v6: np.ndarray) -> np.ndarray:
     """
     v6 = np.asarray(v6, dtype=float)
     a, b = v6[:3], v6[3:6]
-    na = float(np.linalg.norm(a))
+    na = math.sqrt(sq_norm(a.tolist()))
     if na <= 1e-6:
         raise DegenerateInput("rot6d first column near zero")
     b1 = a / na
-    b2 = b - (b1 @ b) * b1
-    nb = float(np.linalg.norm(b2))
+    b2 = b - dot3(b1.tolist(), b.tolist()) * b1
+    nb = math.sqrt(sq_norm(b2.tolist()))
     if nb <= 1e-6:
         raise DegenerateInput("rot6d columns parallel")
     b2 = b2 / nb
@@ -268,7 +307,7 @@ def rodrigues_rotate(p: np.ndarray, axis: np.ndarray, pivot: np.ndarray, angle: 
     pivot = np.asarray(pivot, dtype=float)
     r = p - pivot
     c, s = math.cos(angle), math.sin(angle)
-    rotated = r * c + np.cross(axis, r) * s + axis * float(axis @ r) * (1.0 - c)
+    rotated = r * c + np.cross(axis, r) * s + axis * dot3(axis.tolist(), r.tolist()) * (1.0 - c)
     return pivot + rotated
 
 
@@ -283,26 +322,31 @@ def tangent_direction(n: np.ndarray, x_cmd: np.ndarray, x_r: np.ndarray) -> np.n
     EPS_POS or (after projection) parallel to n within EPS_PROJ; the caller
     is expected to fall back to isotropic stiffness.
     """
-    d = np.asarray(x_cmd, dtype=float) - np.asarray(x_r, dtype=float)
-    t = tangent_or_none(np.asarray(n, dtype=float), d)
+    d = (np.asarray(x_cmd, dtype=float) - np.asarray(x_r, dtype=float)).tolist()
+    t = tangent_or_none(np.asarray(n, dtype=float).tolist(), d)
     if t is None:
         if math.sqrt(sq_norm(d)) <= EPS_POS:
             raise DegenerateDirection("commanded motion too short for a tangent")
         raise DegenerateDirection("commanded motion parallel to the normal")
-    return t
+    return np.array(t)
 
 
-def tangent_or_none(n: np.ndarray, d: np.ndarray) -> np.ndarray | None:
-    """tangent_direction for the motion d = x_cmd - x_r, or None where it raises."""
+def tangent_or_none(n, d) -> tuple | None:
+    """tangent_direction for the motion d = x_cmd - x_r, or None where it raises.
+
+    n and d are float 3-sequences; the tangent comes back as a float tuple.
+    """
     dist = math.sqrt(sq_norm(d))
     if dist <= EPS_POS:
         return None
-    v = d / dist
-    proj = v - float(n.dot(v)) * n
+    d0, d1, d2 = d
+    v = (d0 / dist, d1 / dist, d2 / dist)
+    proj = _perp(v, n)
     pn = math.sqrt(sq_norm(proj))
     if pn <= EPS_PROJ:
         return None
-    return proj / pn
+    p0, p1, p2 = proj
+    return (p0 / pn, p1 / pn, p2 / pn)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .environments import (
     update_ink,
 )
 from .errors import NonFiniteState
-from .geometry import Pose, pose10_encode, sq_norm, unchecked
+from .geometry import Pose, dot3, pose10_encode, sq_norm, unchecked
 from .policy import ActionChunk, NoiseSpec, Observation, predict
 from .tasks import TASK_FLAGS, TASK_TIME_LIMIT, TASKS, build_environment, generate_demo
 
@@ -197,7 +197,7 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         state = res.state
         eef = unchecked(Pose, position=state.x_r, orientation=state.q_r)
         if is_board:
-            fn = float(raw_force.dot(normal_hat))
+            fn = dot3(raw_force.tolist(), normal_hat.tolist())
             if fn > 0.0:
                 update_ink(env, eef, True, fn)
         buf_t[k] = t
@@ -210,7 +210,7 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         buf_c[k] = cmd.c
         buf_dist[k] = 1 if dist_active else 0
         end = k + 1
-        f_mag = math.sqrt(sq_norm(res.f_ext))
+        f_mag = math.sqrt(sq_norm(res.f_ext.tolist()))
         peak_force = max(peak_force, f_mag)
         over = over + 1 if f_mag > cfg.safety_limit else 0
         if over > debounce_ticks:

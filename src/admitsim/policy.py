@@ -7,6 +7,7 @@ prediction noise, and scores predictions with the weighted L1 training loss
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import EndOfDemo, LengthMismatch
 from .expert import SupervisionTuple
 from .geometry import (
     normalized,
+    sq_norm,
     quat_from_axis_angle,
     quat_mul,
     quat_rotate,
@@ -60,16 +62,19 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.pos_std, self.rot_std, self.normal_cone_std, self.contact_flip_prob) < 0.0:
-            raise ValueError("noise parameters must be >= 0")
-        if self.contact_flip_prob > 1.0:
-            raise ValueError("contact_flip_prob must be <= 1")
+        # Written so that NaN fails each test: every comparison with NaN is false.
+        for name in ("pos_std", "rot_std", "normal_cone_std"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.contact_flip_prob <= 1.0:
+            raise ValueError(f"contact_flip_prob must lie in [0, 1], got {self.contact_flip_prob}")
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(sq_norm(v.tolist()))
         if n > 1e-8:
             return v / n
 
@@ -79,7 +84,7 @@ def _perturb_normal(n: np.ndarray, rng: np.random.Generator, cone_std: float) ->
     # Rotation axis orthogonal to n so the cone angle is exactly `angle`.
     helper = _random_unit(rng)
     axis = np.cross(n, helper)
-    while float(np.linalg.norm(axis)) < 1e-8:
+    while math.sqrt(sq_norm(axis.tolist())) < 1e-8:
         axis = np.cross(n, _random_unit(rng))
     q = quat_from_axis_angle(axis, angle)
     return normalized(quat_rotate(q, n))
@@ -111,7 +116,7 @@ def predict(obs: Observation, demo: list[SupervisionTuple], noise: NoiseSpec,
         n = src.normal.copy()
         if noise.contact_flip_prob > 0.0 and rng.random() < noise.contact_flip_prob:
             c = 1 - c
-            if c == 1 and float(np.linalg.norm(n)) < 0.5:
+            if c == 1 and math.sqrt(sq_norm(n.tolist())) < 0.5:
                 n = _random_unit(rng)  # spurious contact: the normal is garbage but unit
         if c == 1 and noise.normal_cone_std > 0.0:
             n = _perturb_normal(n, rng, noise.normal_cone_std)

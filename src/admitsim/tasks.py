@@ -24,7 +24,7 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import Pose, normalized, quat_from_axis_angle, quat_rotate
+from .geometry import Pose, _perp, normalized, quat_from_axis_angle, quat_rotate
 
 TASKS = ("MO", "PH", "WW", "DO")
 
@@ -276,10 +276,8 @@ def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> 
         n_turn = 0
     for i, pose in enumerate(arc):
         if i < n_turn:
-            rel = pose.position - door.handle_pivot
-            rad = rel - float(rel @ door.handle_axis) * door.handle_axis
+            pivot, axis = door.handle_pivot, door.handle_axis
         else:
-            rel = pose.position - door.hinge_pivot
-            rad = rel - float(rel @ door.hinge_axis) * door.hinge_axis
-        normals.append(normalized(rad))
+            pivot, axis = door.hinge_pivot, door.hinge_axis
+        normals.append(normalized(_perp((pose.position - pivot).tolist(), axis.tolist())))
     return normals

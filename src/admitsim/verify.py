@@ -33,6 +33,7 @@ from .admittance import (
 )
 from .environments import SpringContact
 from .errors import NonFiniteState
+from .geometry import dot3, normalized
 
 TOL_X = 1e-4          # m, equilibrium position tolerance
 TOL_V = 1e-4          # m/s, steady-velocity tolerance
@@ -178,10 +179,10 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     forces are restricted to the normal axis. The per-step position gap along n
     certifies the algebraic reduction of the commanded-force law.
     """
-    n = np.array([0.0, 0.0, 1.0]) if n_axis is None else np.asarray(n_axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = normalized([0.0, 0.0, 1.0] if n_axis is None else n_axis)
+    n_f = n.tolist()
     cfg = replace(cfg, enable_normal_regulation=True)
-    x_e = float(env.rest_point @ n)
+    x_e = dot3(env.rest_point.tolist(), n_f)
     x_n = x_e + x0_offset
     v_n = v0
     state = ControllerState(x_n * n, v_n * n, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
@@ -195,16 +196,16 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     max_gap = 0.0
     for _ in range(steps):
         # Vector pipeline with the bilateral spring along n.
-        f_spring = env.k_e * (x_e - float(state.x_r @ n))
+        f_spring = env.k_e * (x_e - dot3(state.x_r.tolist(), n_f))
         res = controller_tick(state, cmd, WrenchSample(f_spring * n, np.zeros(3)), dt, cfg)
         state = res.state
         # Reduced law: m x'' + 2 d x' = f_ext,n - f_H, same scheme and deadband.
         f_scalar = env.k_e * (x_e - x_n)
-        f_dead = float(_radial_deadband(f_scalar * n, cfg.force_deadband) @ n)
+        f_dead = dot3(_radial_deadband((f_scalar * n).tolist(), cfg.force_deadband), n_f)
         a_n = (f_dead - cfg.target_force - 2.0 * d * v_n) / cfg.mass
         v_n = v_n + dt * a_n
         x_n = x_n + dt * v_n
-        max_gap = max(max_gap, abs(float(state.x_r @ n) - x_n))
+        max_gap = max(max_gap, abs(dot3(state.x_r.tolist(), n_f) - x_n))
     passed = max_gap < EQUIV_TOL
     return VerificationReport(
         "equivalence",
@@ -249,7 +250,10 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
     for T (default: 20 of its own time constants); the grid is integrated as
     one batch for speed.
     """
-    grid = grid or default_grid()
+    if grid is None:
+        grid = default_grid()
+    if not grid:
+        return []
     if any(p.x_e.kind != "constant" for p in grid):
         raise ValueError("proposition 1 requires a constant rest point")
     m = np.array([p.m for p in grid])
@@ -302,7 +306,8 @@ def run_default_verification(prop3_T: float = 60.0,
                              grid: list[NormalDynamicsParams] | None = None
                              ) -> list[VerificationReport]:
     """All four checks over the parameter grid (one report per check per point)."""
-    grid = grid or default_grid()
+    if grid is None:
+        grid = default_grid()
     reports = list(verify_prop1_grid(grid))
     for p in grid:
         reports.append(verify_prop2(p, v0=0.05))
@@ -328,7 +333,10 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     are relative to the moving rest point, so they do not depend on its base,
     and every point is integrated around base 0.
     """
-    grid = grid or default_grid()
+    if grid is None:
+        grid = default_grid()
+    if not grid:
+        return []
     m = np.array([p.m for p in grid])
     d = np.array([p.d for p in grid])
     k_e = np.array([p.k_e for p in grid])

@@ -134,6 +134,22 @@ def test_usage_error_exit_code():
     assert main(["definitely-not-a-command"]) == 2
 
 
+def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, capsys,
+                                                   monkeypatch):
+    """Any toolkit error at run time (here a door's DegenerateInput) is exit 1."""
+    from admitsim import cli
+    from admitsim.errors import DegenerateInput
+
+    def degenerate_episode(cfg):
+        raise DegenerateInput("cannot normalize near-zero vector (norm=0)")
+
+    monkeypatch.setattr(cli, "run_episode", degenerate_episode)
+    assert main(["run", "--config", scenario_file, "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot normalize")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,text", [
     ("run", "[scenario]\ntask = WW\nseed = abc\n"),
     ("run", "[scenario]\ntask = WW\nduration = soon\n"),
@@ -141,6 +157,13 @@ def test_usage_error_exit_code():
     ("run", "[scenario]\ntask = WW\nwipe_passes = 1.5\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nseed = x\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\npos_std = -1\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\npos_std = nan\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\nrot_std = inf\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\nnormal_cone_std = nan\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\ncontact_flip_prob = nan\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\npos_std = nan\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\nnormal_cone_std = nan\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\ncontact_flip_prob = nan\n"),
     ("run", "[scenario]\ntask = WW\n[admittance]\nmass = -1\n"),
     ("run", "[scenario]\ntask = WW\n[admittance]\nstiffness = inf\n"),
     ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
@@ -168,6 +191,8 @@ def test_usage_error_exit_code():
     ("verify", "[verify]\nk_e = nan\n"),
     ("verify", "[verify]\nf_h = nan\n"),
     ("verify", "[verify]\nm = -1\n"),
+    ("verify", "[verify]\nm =\n"),
+    ("verify", "[verify]\nm = 1.0\nk_e =\nf_h = 4\n"),
     ("run", shift_event(start="nan")),
     ("run", shift_event(duration="inf")),
     ("run", shift_event(magnitude="nan")),

@@ -260,6 +260,38 @@ class TestConstructorValidation:
     def test_zero_friction_accepted(self):
         assert FrictionModel(0.0, 0.0) == FrictionModel()
 
+    @pytest.mark.parametrize("build,name", [
+        (lambda **kw: microwave(**kw), "latch_force"),
+        (lambda **kw: lever_door(**kw), "latch_force"),
+        (lambda **kw: lever_door(**kw), "handle_spring"),
+        (HoleFixture, "hole_radius"),
+        (HoleFixture, "clearance"),
+        (HoleFixture, "wall_stiffness"),
+        (PlaneBoard, "f_min_wipe"),
+        (PlaneBoard, "eraser_half_x"),
+        (PlaneBoard, "eraser_half_y"),
+    ], ids=["microwave-latch_force", "door-latch_force", "door-handle_spring",
+            "hole-hole_radius", "hole-clearance", "hole-wall_stiffness",
+            "board-f_min_wipe", "board-eraser_half_x", "board-eraser_half_y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_geometry_and_force_parameters_finite(self, build, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build(**{name: value})
+
+    @pytest.mark.parametrize("build,name", [
+        (HoleFixture, "hole_radius"), (HoleFixture, "wall_stiffness"),
+        (PlaneBoard, "eraser_half_x"),
+    ])
+    def test_positive_parameters_reject_zero(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            build(**{name: 0.0})
+
+    def test_zero_latch_spring_clearance_and_gate_accepted(self):
+        assert microwave(latch_force=0.0).latch_force == 0.0
+        assert lever_door(handle_spring=0.0).handle_spring == 0.0
+        assert HoleFixture(clearance=0.0).clearance == 0.0
+        assert PlaneBoard(f_min_wipe=0.0).f_min_wipe == 0.0
+
 
 def microwave(**kw):
     return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),

@@ -9,9 +9,12 @@ door, the force pulse and several chunks of the trace writer), a 5-episode
 `gen-demos` dataset and the verification CSV on a one-point grid are pinned as
 bytes.
 
-The digests depend on the host: 3-vector dot products go through BLAS, whose
-fused multiply-add rounding varies with the CPU kernel. After a change that is
-meant to alter the numbers, or on another host, print the current digests with
+The digests hold for one C math library (libm): every 3-vector dot product is
+a left-to-right Python-float sum (admitsim.geometry.dot3) and no BLAS kernel
+rounds an output, so only libm's sin, cos and atan2 (and, for the
+verification CSV, numpy's array sin, cos and exp loops) tie them to a host.
+After a change that is meant to alter the numbers, or on another libm, print
+the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -67,18 +70,18 @@ SERIES = ("t", "x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "di
 VERIFY_GRID = "[verify]\nm = 1.0\nk_e = 1000\nf_h = 4\n"
 
 GOLDEN = {
-    "ww_force_aware_clean": "19ea51591221fca0b5f45a1cf6a03c56bb82252a6698cf6050bee51a5501f2a3",
-    "ww_force_aware_raise": "0333843d7e4332ddcd57f99c1836ff3f30246abb4111b3c376022af07901bc77",
-    "ww_force_aware_mixed": "1e10f06e3b34c2636599bcf1f17ace3847d9130750d34b047fffa96dd848f59a",
-    "ww_baseline_high_raise_stop": "511fccbc393395040020cbb13f21c4a80da396cede6112ac463e524ba9ca181c",
-    "ph_force_aware_shift": "2d830badabeca8be1248c1edd9491666a3545c6fd0c49bbb3937c9bb7de84996",
-    "ph_baseline_mid_clean": "85979a0521abce8b04ebacfc4b12f6298ef680be14414f8a201e4ffd318769c2",
-    "mo_force_aware_pulse": "fed144778ba58638c50b74e451b3e38698f036c28e68b1047e4b537d5baea981",
-    "do_force_aware_clean": "9ee19bddde676be92532c7878378569478337e2b86f4bf0d806f3fc7071c4e0b",
-    "do_baseline_mid_pulse": "8f44a27f5578cc0bf3f76493a0cded80ed57dd3aeac6b32f8911482939192ac1",
-    "trace_csv": "6873fbc63df1866f2b2862dd65badbdf307a131a1b9cae8c7bf098d32be89416",
-    "trace_csv_do": "e80c629413dbfc08482692a7269679bd7ece6cd24d7f51142f8e1a04c6c86c64",
-    "gen_demos": "1d19f75cb54dd56ade1bcc4b8ced5b4b263e8c60a884f9f32539c3390dd8dfb1",
+    "ww_force_aware_clean": "83643bb3af9b63a4bd814fe040b4c46cc3955a92470b183be4fe10980e011a3b",
+    "ww_force_aware_raise": "dc6fdba16d06485277ae72d464704fe7ec2dd412d8325dd3578e42fafe570518",
+    "ww_force_aware_mixed": "e234ca04435ae9460279e4be2eda90eb47e0d364d492d39eaed28a125fd0f26b",
+    "ww_baseline_high_raise_stop": "4b1963d19a27ec5b2488d77b87c125c517a22da30f68aec84b851adae1d84e93",
+    "ph_force_aware_shift": "2f1e8bd25e59d6844dd511477411993c05eb8b7cfe246c407e35b6ea585edd8c",
+    "ph_baseline_mid_clean": "9b957fe5f353eac431cc35fdcbe4890b69ff619d23711938d4500713018bb6b8",
+    "mo_force_aware_pulse": "4b46997a186c6f36b4c2341e06fe031a2526fe2fe5a1704ecc576206a73ff78c",
+    "do_force_aware_clean": "82d4ce12fd1f94ac7d569005a8e906ffcd49ad2a5b4c2034fd68e31dde4f7b81",
+    "do_baseline_mid_pulse": "61e70b7589580aaed048d69448cea5a0046edde89320add94af85d48e162d2aa",
+    "trace_csv": "5343e7faf7009191d9a57e14dbb5865cb7cacdcc6f070633f030813b6db4cc66",
+    "trace_csv_do": "735fef5a6b7a5c39e5e233d1c757cb3be7d3636e44bbc209a5e4623eed07da51",
+    "gen_demos": "703e76c5036d5543ec33e8ace7f14d450c74524e872474b41d00b9d592cae955",
     "verification_csv": "550c0373391ac8390508e5b94b79f87f4eb5c6909a01368f36a0f285a3c701e9",
 }
 

@@ -159,6 +159,12 @@ def test_default_grid_is_27_points():
         assert p.d == pytest.approx(compute_damping(p.m, 50.0, 2.0))
 
 
+def test_empty_grid_gives_no_reports():
+    """An empty grid is not the default grid: it has no points to report on."""
+    assert verify_prop1_grid([]) == []
+    assert verify_prop3_grid([]) == []
+
+
 def test_default_grid_axes_and_damping():
     grid = default_grid(ms=(1.0,), kes=(100.0, 500.0), fhs=(4.0,))
     assert [(p.m, p.k_e, p.f_H) for p in grid] == [(1.0, 100.0, 4.0), (1.0, 500.0, 4.0)]
