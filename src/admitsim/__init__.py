@@ -43,7 +43,6 @@ from .geometry import (
     rodrigues_rotate,
     rot6d_decode,
     rot6d_encode,
-    tangent_direction,
 )
 from .harness import (
     RunLog,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import NonFiniteState, NonPositiveParameter
 from .geometry import (
@@ -27,13 +26,14 @@ from .geometry import (
     _quat_to_rotvec,
     _unit_quat,
     dot3,
-    quat_normalize,
     sq_norm,
     tangent_or_none,
-    unchecked,
+    vec3,
 )
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
+
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 def compute_damping(mass: float, stiffness: float, damping_ratio: float) -> float:
@@ -100,24 +100,30 @@ class AdmittanceConfig:
         return self._tangent_damping
 
 
-@dataclass
-class ControllerState:
+# The records of the 1 kHz loop are NamedTuples of float tuples. The public
+# constructors of ControllerState and WrenchSample coerce any sequence (an
+# array, a list) and validate it; the loop builds them from values it has
+# already checked with the NamedTuple method `_make`, which skips that.
+
+class _StateFields(NamedTuple):
+    x_r: tuple
+    v_r: tuple
+    q_r: tuple
+    w_r: tuple
+
+
+class ControllerState(_StateFields):
     """Compliant reference state advanced by the admittance law."""
 
-    x_r: np.ndarray
-    v_r: np.ndarray
-    q_r: np.ndarray
-    w_r: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.x_r = np.asarray(self.x_r, dtype=float)
-        self.v_r = np.asarray(self.v_r, dtype=float)
-        self.q_r = quat_normalize(self.q_r)
-        self.w_r = np.asarray(self.w_r, dtype=float)
+    def __new__(cls, x_r, v_r, q_r, w_r):
+        return super().__new__(cls, vec3(x_r), vec3(v_r), _unit_quat(tuple(map(float, q_r))),
+                               vec3(w_r))
 
     @classmethod
     def at_rest(cls, pose: Pose) -> "ControllerState":
-        return cls(pose.position.copy(), np.zeros(3), pose.orientation.copy(), np.zeros(3))
+        return cls(pose.position, _ZERO3, pose.orientation, _ZERO3)
 
     def pose(self) -> Pose:
         return Pose(self.x_r, self.q_r)
@@ -125,40 +131,44 @@ class ControllerState:
 
 @dataclass(frozen=True)
 class ControllerCommand:
-    """One policy action: reference pose, gripper, normal direction, contact flag."""
+    """One policy action: reference pose, gripper, normal direction, contact flag.
 
-    x_cmd: np.ndarray
-    q_cmd: np.ndarray
+    Positions, quaternion and normal are float tuples, coerced from any sequence.
+    """
+
+    x_cmd: tuple
+    q_cmd: tuple
     gripper: float = 0.0
-    n: np.ndarray = None
+    n: tuple = None
     c: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x_cmd", np.asarray(self.x_cmd, dtype=float))
-        object.__setattr__(self, "q_cmd", quat_normalize(self.q_cmd))
-        n = np.zeros(3) if self.n is None else np.asarray(self.n, dtype=float)
+        object.__setattr__(self, "x_cmd", vec3(self.x_cmd))
+        object.__setattr__(self, "q_cmd", _unit_quat(tuple(map(float, self.q_cmd))))
+        n = _ZERO3 if self.n is None else vec3(self.n)
         object.__setattr__(self, "n", n)
         if self.c not in (0, 1):
             raise ValueError("contact flag must be 0 or 1")
-        if self.c == 1 and abs(math.sqrt(sq_norm(n.tolist())) - 1.0) > 1e-6:
+        if self.c == 1 and abs(math.sqrt(sq_norm(n)) - 1.0) > 1e-6:
             raise ValueError("normal direction must be unit when c=1")
 
 
-@dataclass(frozen=True)
-class WrenchSample:
-    force: np.ndarray
-    torque: np.ndarray
+class _WrenchFields(NamedTuple):
+    force: tuple
+    torque: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
-        object.__setattr__(self, "torque", np.asarray(self.torque, dtype=float))
+
+class WrenchSample(_WrenchFields):
+    """Force and torque on the end-effector."""
+
+    __slots__ = ()
+
+    def __new__(cls, force, torque):
+        return super().__new__(cls, vec3(force), vec3(torque))
 
     @classmethod
     def zero(cls) -> "WrenchSample":
-        return cls(np.zeros(3), np.zeros(3))
-
-
-_ZERO3 = (0.0, 0.0, 0.0)
+        return cls(_ZERO3, _ZERO3)
 
 
 def _radial_deadband(v, band: float) -> tuple:
@@ -173,19 +183,21 @@ def _radial_deadband(v, band: float) -> tuple:
     return (v0 * s, v1 * s, v2 * s)
 
 
-def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig) -> np.ndarray:
+def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig) -> tuple:
     """F_cmd = f*n with f = f_H + n.K(x_cmd - x_r) + n.D x_r'; zero out of contact.
 
     K and D here are the base isotropic gains: any tangent-stiffening rank-1
     term is orthogonal to n and cannot contribute to the n-projection.
     """
     if cmd.c == 0 or not cfg.enable_normal_regulation:
-        return np.zeros(3)
-    n = cmd.n.tolist()
-    f = (cfg.target_force + cfg.stiffness * dot3(n, (cmd.x_cmd - st.x_r).tolist())
-         + cfg.damping * dot3(n, st.v_r.tolist()))
+        return _ZERO3
+    n = cmd.n
+    c0, c1, c2 = cmd.x_cmd
+    x0, x1, x2 = st.x_r
+    f = (cfg.target_force + cfg.stiffness * dot3(n, (c0 - x0, c1 - x1, c2 - x2))
+         + cfg.damping * dot3(n, st.v_r))
     n0, n1, n2 = n
-    return np.array([f * n0, f * n1, f * n2])
+    return (f * n0, f * n1, f * n2)
 
 
 def _check_dt(dt: float):
@@ -193,12 +205,13 @@ def _check_dt(dt: float):
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
 
 
-@dataclass(frozen=True)
-class TickResult:
+class TickResult(NamedTuple):
+    """The new state and the per-tick log values, each vector a float tuple."""
+
     state: ControllerState
-    f_ext: np.ndarray           # deadbanded external force fed to the law
-    f_cmd: np.ndarray
-    stiffness_eigs: np.ndarray  # eigenvalues of K_eff: (k, k, k_t) or (k, k, k)
+    f_ext: tuple           # deadbanded external force fed to the law
+    f_cmd: tuple
+    stiffness_eigs: tuple  # eigenvalues of K_eff: (k, k, k_t) or (k, k, k)
 
 
 def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchSample,
@@ -210,29 +223,30 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     rotational law, but with the gains applied algebraically (the rank-1
     tangent update never needs a materialized matrix), to keep the 1 kHz loop
     cheap (tests/test_admittance.py keeps the materialized form as a
-    reference). The state update, dot products included, runs on Python
-    floats (see the numerics contract in admitsim.geometry). The inputs were
-    validated by their constructors and are not coerced again.
+    reference). Inputs, state and results are float tuples, and the
+    arithmetic, dot products included, runs on Python floats (see the
+    numerics contract in admitsim.geometry). The inputs were validated by
+    their constructors and are not coerced again.
     """
     _check_dt(dt)
-    f_ext = _radial_deadband(wrench.force.tolist(), cfg.force_deadband)
-    tau_ext = _radial_deadband(wrench.torque.tolist(), cfg.torque_deadband)
-    f_cmd = commanded_force(cmd, st, cfg)
+    f0, f1, f2 = f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
+    u0, u1, u2 = _radial_deadband(wrench.torque, cfg.torque_deadband)
+    g0, g1, g2 = f_cmd = commanded_force(cmd, st, cfg)
     k = cfg.stiffness
     d = cfg.damping
-    x0, x1, x2 = st.x_r.tolist()
-    v = st.v_r.tolist()
+    x0, x1, x2 = st.x_r
+    v = st.v_r
     v0, v1, v2 = v
-    c0, c1, c2 = cmd.x_cmd.tolist()
+    c0, c1, c2 = cmd.x_cmd
     e = (x0 - c0, x1 - c1, x2 - c2)                           # x_r - x_cmd
     s0, s1, s2 = k * e[0], k * e[1], k * e[2]                 # spring
     b0, b1, b2 = d * v0, d * v1, d * v2                       # damping
     t_axis = None
     if cfg.enable_tangent_stiffening and cmd.c == 1:
         # None: motion too short or along n, isotropic fallback.
-        t_axis = tangent_or_none(cmd.n.tolist(), (c0 - x0, c1 - x1, c2 - x2))
+        t_axis = tangent_or_none(cmd.n, (c0 - x0, c1 - x1, c2 - x2))
     if t_axis is None:
-        eigs = np.array([k, k, k])
+        eigs = (k, k, k)
     else:
         k_t = cfg.tangent_scale * k
         d_t = cfg.tangent_damping
@@ -241,20 +255,17 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
         t0, t1, t2 = t_axis
         s0, s1, s2 = s0 + ks * t0, s1 + ks * t1, s2 + ks * t2
         b0, b1, b2 = b0 + ds * t0, b1 + ds * t1, b2 + ds * t2
-        eigs = np.array([k, k, k_t])
-    f0, f1, f2 = f_ext
-    g0, g1, g2 = f_cmd.tolist()
+        eigs = (k, k, k_t)
     a = dt / cfg.mass
     v0 = v0 + a * (f0 - g0 - b0 - s0)
     v1 = v1 + a * (f1 - g1 - b1 - s1)
     v2 = v2 + a * (f2 - g2 - b2 - s2)
     x0, x1, x2 = x0 + dt * v0, x1 + dt * v1, x2 + dt * v2
     # Rotational admittance with zero commanded torque.
-    q_r = st.q_r.tolist()
-    qw, qx, qy, qz = cmd.q_cmd.tolist()
+    q_r = st.q_r
+    qw, qx, qy, qz = cmd.q_cmd
     e0, e1, e2 = _quat_to_rotvec(_quat_mul(q_r, (qw, -qx, -qy, -qz)))
-    u0, u1, u2 = tau_ext
-    w0, w1, w2 = st.w_r.tolist()
+    w0, w1, w2 = st.w_r
     a = dt / cfg.rot_mass
     rd = cfg.rot_damping
     rk = cfg.rot_stiffness
@@ -264,6 +275,5 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     q_new = _quat_mul(_quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt)), q_r)
     if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2))):
         raise NonFiniteState("controller state diverged")
-    state = unchecked(ControllerState, x_r=np.array([x0, x1, x2]), v_r=np.array([v0, v1, v2]),
-                      q_r=np.array(_unit_quat(q_new)), w_r=np.array([w0, w1, w2]))
-    return TickResult(state, np.array(f_ext), f_cmd, eigs)
+    state = ControllerState._make(((x0, x1, x2), (v0, v1, v2), _unit_quat(q_new), (w0, w1, w2)))
+    return TickResult(state, f_ext, f_cmd, eigs)

@@ -22,28 +22,28 @@ from .admittance import WrenchSample
 from .errors import WrongVariant
 from .geometry import (
     Pose,
+    _add,
     _cross,
     _matvec,
     _perp,
     _quat_matrix,
+    _sub,
     _unit,
     dot3,
     normalized,
     quat_from_axis_angle,
     quat_mul,
-    quat_rotate,
     sq_norm,
-    unchecked,
+    vec3,
 )
 
 # Velocity threshold regularizing Coulomb friction at 1 kHz (avoids sign chatter).
 COULOMB_V_EPS = 1e-4
 
 
-# The wrench of every tick without contact, shared: its arrays are read-only.
-_ZERO = np.zeros(3)
-_ZERO.flags.writeable = False
-_NO_WRENCH = unchecked(WrenchSample, force=_ZERO, torque=_ZERO)
+_ZERO3 = (0.0, 0.0, 0.0)
+# The wrench of every tick without contact, shared.
+_NO_WRENCH = WrenchSample(_ZERO3, _ZERO3)
 
 
 def _check_params(obj, positive=(), non_negative=()):
@@ -63,16 +63,21 @@ def _check_params(obj, positive=(), non_negative=()):
 
 @dataclass
 class SpringContact:
-    """Linear environment spring: rest point, stiffness, outward normal."""
+    """Linear environment spring: rest point, stiffness, outward unit normal.
+
+    The rest point and the normal are float tuples, coerced from any sequence:
+    the wrench reads them every tick and disturbances move them.
+    """
 
     k_e: float
-    rest_point: np.ndarray
-    surface_normal: np.ndarray
+    rest_point: tuple
+    surface_normal: tuple
 
     def __post_init__(self):
         _check_params(self, positive=("k_e",))
-        self.rest_point = np.asarray(self.rest_point, dtype=float)
-        self.surface_normal = normalized(self.surface_normal)
+        self.rest_point = vec3(self.rest_point)
+        n = vec3(self.surface_normal)
+        self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
 
 
 @dataclass(frozen=True)
@@ -96,22 +101,16 @@ class FrictionModel:
         return (a * v0 - c * v0, a * v1 - c * v1, a * v2 - c * v2)
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
-
-
 def _friction(model: FrictionModel, vel, normal, f_n: float) -> tuple:
-    """friction_force on float 3-sequences, as floats."""
+    """Tangential resistance opposing the velocity's component off the unit normal.
+
+    vel and normal are float 3-sequences; the force is a float tuple.
+    """
     v_t = _perp(vel, normal)
     speed = math.sqrt(sq_norm(v_t))
     if speed < 1e-15:
         return _ZERO3
     return model.slip_force(v_t, speed, f_n)
-
-
-def friction_force(model: FrictionModel, vel: np.ndarray, normal: np.ndarray, f_n: float) -> np.ndarray:
-    """Tangential resistance opposing the velocity's component off the normal."""
-    return np.array(_friction(model, np.asarray(vel, dtype=float).tolist(),
-                              np.asarray(normal, dtype=float).tolist(), f_n))
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +136,7 @@ class DisturbanceEvent:
     start: float
     duration: float
     magnitude: float
-    direction: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    direction: tuple = (0.0, 0.0, 1.0)  # any 3-sequence; held as a unit float tuple
     ramp: float = 0.0
     omega: float = 2.0 * math.pi
 
@@ -152,7 +151,8 @@ class DisturbanceEvent:
             raise ValueError("duration must be > 0")
         if not 0.0 <= self.ramp <= self.duration:
             raise ValueError("ramp must lie in [0, duration]")
-        object.__setattr__(self, "direction", normalized(self.direction))
+        d = vec3(self.direction)
+        object.__setattr__(self, "direction", _unit(d, math.sqrt(sq_norm(d))))
 
     def profile(self, t: float) -> float:
         """Activation envelope in [0, 1]."""
@@ -258,18 +258,22 @@ class InkGrid:
 # --------------------------------------------------------------------------
 
 class TaskEnvironment:
-    """Common interface: spring + friction + per-variant geometry."""
+    """Common interface: spring + friction + per-variant geometry.
 
-    variant = "base"
+    The per-tick methods take the end-effector position and velocity as float
+    3-sequences and return float tuples; the geometry they read every tick is
+    held as float tuples too.
+    """
+
     spring: SpringContact
     friction: FrictionModel
 
-    def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> WrenchSample:
         raise NotImplementedError
 
-    def apply_disturbance_state(self, offset: np.ndarray, tilt: float, tilt_axis: np.ndarray):
-        """Default: displace the spring rest point; tilt ignored."""
-        self.spring.rest_point = self._base_rest + offset
+    def apply_disturbance_state(self, offset, tilt: float, tilt_axis):
+        """Default: displace the spring rest point by the float offset; tilt ignored."""
+        self.spring.rest_point = _add(self._base_rest, offset)
 
 
 @dataclass
@@ -285,28 +289,27 @@ class PlaneBoard(TaskEnvironment):
     eraser_half_y: float = 0.01
     f_min_wipe: float = 1.0  # wiping force gate (N)
 
-    variant = "plane_board"
-
     def __post_init__(self):
         _check_params(self, positive=("eraser_half_x", "eraser_half_y"),
                       non_negative=("f_min_wipe",))
         self.center = np.asarray(self.center, dtype=float)
         self.rotation = np.asarray(self.rotation, dtype=float)
-        self._base_rest = self.center.copy()
+        self._base_rest = vec3(self.center)
         self._base_rotation = self.rotation.copy()
         self.ink = InkGrid(self.extent[0], self.extent[1])
-        self.spring = SpringContact(self.k_e, self.center.copy(), self.normal())
+        self.spring = SpringContact(self.k_e, self._base_rest, self.normal())
         self._tilt = (None, None)   # (tilt key, (rotation, normal) at that tilt)
         self._frame = (None, None)  # (rotation, rows of its matrix transposed)
 
-    def normal(self) -> np.ndarray:
-        return quat_rotate(self.rotation, np.array([0.0, 0.0, 1.0]))
+    def normal(self) -> tuple:
+        """The board's +z axis in the world, as floats."""
+        return _matvec(_quat_matrix(self.rotation), (0.0, 0.0, 1.0))
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
-        self.spring.rest_point = self._base_rest + offset
+        self.spring.rest_point = _add(self._base_rest, offset)
         # Rotation and normal are functions of the tilt alone: recompute them
         # only when it changes (every tick of a ramp, once for a held tilt).
-        key = (tilt, tuple(tilt_axis.tolist())) if tilt != 0.0 else 0.0
+        key = (tilt, tilt_axis) if tilt != 0.0 else 0.0
         if key != self._tilt[0]:
             if tilt != 0.0:
                 self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt),
@@ -316,30 +319,32 @@ class PlaneBoard(TaskEnvironment):
             self._tilt = (key, (self.rotation, self.normal()))
         self.rotation, self.spring.surface_normal = self._tilt[1]
 
-    def to_board_frame(self, p: np.ndarray) -> np.ndarray:
-        """World point to board-frame coordinates (z along the normal)."""
+    def to_board_frame(self, p) -> tuple:
+        """World point (a float 3-sequence) to board-frame coordinates (z along the normal)."""
         if self._frame[0] is not self.rotation:
             self._frame = (self.rotation, tuple(zip(*_quat_matrix(self.rotation))))
-        rel = (np.asarray(p, dtype=float) - self.spring.rest_point).tolist()
-        return np.array(_matvec(self._frame[1], rel))
+        return _matvec(self._frame[1], _sub(p, self.spring.rest_point))
 
-    def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
-        nu = self.spring.surface_normal.tolist()
-        pen = dot3((self.spring.rest_point - eef.position).tolist(), nu)
+    def external_wrench(self, pos, vel) -> WrenchSample:
+        nu = self.spring.surface_normal
+        pen = dot3(_sub(self.spring.rest_point, pos), nu)
         if pen <= 0.0:
             return _NO_WRENCH
         f_n = self.spring.k_e * pen
         n0, n1, n2 = nu
-        g0, g1, g2 = _friction(self.friction, vel.tolist(), nu, f_n)
-        force = np.array([f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2])
-        return unchecked(WrenchSample, force=force, torque=_ZERO)
+        g0, g1, g2 = _friction(self.friction, vel, nu, f_n)
+        return WrenchSample._make(((f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2), _ZERO3))
 
 
 @dataclass
 class HoleFixture(TaskEnvironment):
-    """Vertical bore with compliant walls and a spring-loaded bottom."""
+    """Vertical bore with compliant walls and a spring-loaded bottom.
 
-    rim_center: np.ndarray = field(default_factory=lambda: np.array([0.30, 0.10, 0.08]))
+    The rim center, which disturbances move, is a float tuple; the fixed axis
+    is an array with a float copy for the wrench.
+    """
+
+    rim_center: tuple = (0.30, 0.10, 0.08)  # any 3-sequence
     axis_up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     hole_radius: float = 0.005
     clearance: float = 0.001  # lateral play before wall contact
@@ -349,27 +354,29 @@ class HoleFixture(TaskEnvironment):
     wall_stiffness: float = 20000.0
     friction: FrictionModel = field(default_factory=lambda: FrictionModel(coulomb_mu=0.2, viscous_c=2.0))
 
-    variant = "hole_fixture"
-
     def __post_init__(self):
-        self.rim_center = np.asarray(self.rim_center, dtype=float)
+        self.rim_center = vec3(self.rim_center)
         self.axis_up = normalized(self.axis_up)
+        self._axis = vec3(self.axis_up)
         _check_params(self, positive=("depth", "hole_radius", "wall_stiffness"),
-                      non_negative=("clearance",))
-        self._base_rest = self.rim_center.copy()
+                      non_negative=("clearance", "chamfer"))
+        self._base_rest = self.rim_center
         self.spring = SpringContact(self.k_e, self.bottom_center(), self.axis_up)
 
-    def bottom_center(self) -> np.ndarray:
-        return self.rim_center - self.depth * self.axis_up
+    def bottom_center(self) -> tuple:
+        r0, r1, r2 = self.rim_center
+        a0, a1, a2 = self._axis
+        d = self.depth
+        return (r0 - d * a0, r1 - d * a1, r2 - d * a2)
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
-        self.rim_center = self._base_rest + offset
+        self.rim_center = _add(self._base_rest, offset)
         self.spring.rest_point = self.bottom_center()
 
-    def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> WrenchSample:
         # Floats throughout, summed from +0.0 in the order of the force terms.
-        rel = (eef.position - self.rim_center).tolist()
-        axis_up = self.axis_up.tolist()
+        rel = _sub(pos, self.rim_center)
+        axis_up = self._axis
         d_ax = -dot3(rel, axis_up)  # depth below the rim
         if d_ax <= 0.0:
             return _NO_WRENCH
@@ -403,9 +410,9 @@ class HoleFixture(TaskEnvironment):
             f_n, normal = spring
             n0, n1, n2 = normal
             f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
-            g0, g1, g2 = _friction(self.friction, vel.tolist(), normal, f_n)
+            g0, g1, g2 = _friction(self.friction, vel, normal, f_n)
             f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
-        return unchecked(WrenchSample, force=np.array([f0, f1, f2]), torque=_ZERO)
+        return WrenchSample._make(((f0, f1, f2), _ZERO3))
 
 
 @dataclass
@@ -436,48 +443,51 @@ class HingedDoor(TaskEnvironment):
     friction: FrictionModel = field(default_factory=lambda: FrictionModel(coulomb_mu=0.05, viscous_c=6.0))
     grasp_tol: float = 0.03
 
-    variant = "hinged_door"
-
     def __post_init__(self):
-        _check_params(self, non_negative=("latch_force", "handle_spring"))
+        _check_params(self, positive=("handle_lever", "grasp_tol"),
+                      non_negative=("latch_force", "handle_spring", "latch_threshold",
+                                    "release_angle"))
         self.hinge_pivot = np.asarray(self.hinge_pivot, dtype=float)
         self.hinge_axis = normalized(self.hinge_axis)
         self.grasp0 = np.asarray(self.grasp0, dtype=float)
+        # Float copies of the fixed geometry for the per-tick methods.
+        self._hinge = (vec3(self.hinge_pivot), vec3(self.hinge_axis))
+        self._grasp = vec3(self.grasp0)
         if not self.microwave:
             self.handle_pivot = np.asarray(self.handle_pivot, dtype=float)
             self.handle_axis = normalized(self.handle_axis)
+            self._handle = (vec3(self.handle_pivot), vec3(self.handle_axis))
             # Handle lever at the closed grasp, perpendicular to the handle axis.
-            self._lever0_perp = _perp((self.grasp0 - self.handle_pivot).tolist(),
-                                      self.handle_axis.tolist())
-        self._base_rest = self.hinge_pivot.copy()
+            self._lever0_perp = _perp(_sub(self._grasp, self._handle[0]), self._handle[1])
+        self._base_rest = self._hinge[0]
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.
-        rad0 = self._radial(self.grasp0)
-        e1 = normalized(rad0)
-        self._e1 = e1.tolist()
-        self._e2 = np.cross(self.hinge_axis, e1).tolist()
+        rad0 = self._radial(self._grasp)
+        self.pull_radius = math.sqrt(sq_norm(rad0))
+        self._e1 = _unit(rad0, self.pull_radius)
+        self._e2 = _cross(self._hinge[1], self._e1)
         self.engaged = False
         self.latch_released = False
         self.door_angle = 0.0
         self.handle_angle = 0.0
         self.max_door_angle = 0.0
-        self.pull_radius = math.sqrt(sq_norm(rad0))
         self._az_ref = 0.0  # azimuth at grasp engagement, defines door_angle = 0
-        self.spring = SpringContact(self.k_e, self.grasp0.copy(), e1)
+        self.spring = SpringContact(self.k_e, self._grasp, self._e1)
 
-    def _radial(self, p: np.ndarray) -> tuple:
-        """Component of p - hinge_pivot perpendicular to the hinge axis, as floats."""
-        return _perp((p - self.hinge_pivot).tolist(), self.hinge_axis.tolist())
+    def _radial(self, p) -> tuple:
+        """Component of the float point p - hinge_pivot perpendicular to the hinge axis."""
+        pivot, axis = self._hinge
+        return _perp(_sub(p, pivot), axis)
 
-    def _azimuth(self, p: np.ndarray) -> float:
+    def _azimuth(self, p) -> float:
         rad = self._radial(p)
         return math.atan2(dot3(rad, self._e2), dot3(rad, self._e1))
 
-    def update(self, eef_pos: np.ndarray, gripper: float):
-        """Per-tick state update: grasp engagement, angles, latch hysteresis."""
-        eef_pos = np.asarray(eef_pos, dtype=float)
+    def update(self, eef_pos, gripper: float):
+        """Per-tick state update at the float position eef_pos: grasp engagement,
+        angles, latch hysteresis."""
         if not self.engaged:
             if gripper > 0.5 and \
-                    math.sqrt(sq_norm((eef_pos - self.grasp0).tolist())) < self.grasp_tol:
+                    math.sqrt(sq_norm(_sub(eef_pos, self._grasp))) < self.grasp_tol:
                 self.engaged = True
                 self._az_ref = self._azimuth(eef_pos)
         elif gripper < 0.5:
@@ -489,8 +499,8 @@ class HingedDoor(TaskEnvironment):
         self.door_angle = max(0.0, self.opening_sign * rel_az)
         self.max_door_angle = max(self.max_door_angle, self.door_angle)
         if not self.microwave and not self.latch_released:
-            handle_axis = self.handle_axis.tolist()
-            lever_perp = _perp((eef_pos - self.handle_pivot).tolist(), handle_axis)
+            pivot, handle_axis = self._handle
+            lever_perp = _perp(_sub(eef_pos, pivot), handle_axis)
             ref = self._lever0_perp
             cosv = dot3(ref, lever_perp)
             sinv = dot3(handle_axis, _cross(ref, lever_perp))
@@ -504,47 +514,33 @@ class HingedDoor(TaskEnvironment):
             elif self.handle_angle >= self.latch_threshold:
                 self._release(eef_pos)
 
-    def _release(self, eef_pos: np.ndarray):
+    def _release(self, eef_pos):
         self.latch_released = True
         self.pull_radius = math.sqrt(sq_norm(self._radial(eef_pos)))
 
     def _active_circle(self):
-        """(center, axis, radius) of the constraint circle currently in force."""
+        """(center, axis, radius) of the constraint circle currently in force, as floats."""
         if not self.microwave and not self.latch_released:
-            return self.handle_pivot, self.handle_axis, self.handle_lever
-        return self.hinge_pivot, self.hinge_axis, self.pull_radius
+            center, axis = self._handle
+            return center, axis, self.handle_lever
+        center, axis = self._hinge
+        return center, axis, self.pull_radius
 
     def constraint_normal(self, p: np.ndarray) -> np.ndarray:
         """Outward radial of the active circle at point p."""
         center, axis, _ = self._active_circle()
-        return normalized(_perp((np.asarray(p, dtype=float) - center).tolist(), axis.tolist()))
+        return normalized(_perp(_sub(p, center), axis))
 
     def _latched(self) -> bool:
         """Whether the latch force field acts: engaged, still latched, door opened."""
         return self.engaged and not self.latch_released and self.door_angle > 0.0
 
-    def _latch_force(self, rad_hat) -> tuple:
-        """Latch force (floats) at the unit hinge radial rad_hat, against opening."""
-        a = -self.latch_force
-        s = self.opening_sign
-        t0, t1, t2 = _cross(self.hinge_axis.tolist(), rad_hat)
-        return (a * (s * t0), a * (s * t1), a * (s * t2))
-
-    def latch_resistance_at(self, p: np.ndarray) -> np.ndarray:
-        """Constant force field resisting door opening while latched."""
-        if not self._latched():
-            return np.zeros(3)
-        rad = self._radial(np.asarray(p, dtype=float))
-        return np.array(self._latch_force(_unit(rad, math.sqrt(sq_norm(rad)))))
-
-    def external_wrench(self, eef: Pose, vel: np.ndarray) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> WrenchSample:
         # Floats throughout, summed from +0.0 in the order of the force terms.
         if not self.engaged:
             return _NO_WRENCH
-        p = eef.position
         center, axis, radius = self._active_circle()
-        axis = axis.tolist()
-        rad = _perp((p - center).tolist(), axis)
+        rad = _perp(_sub(pos, center), axis)
         r = math.sqrt(sq_norm(rad))
         f0 = f1 = f2 = 0.0
         if r > 1e-9:
@@ -552,29 +548,35 @@ class HingedDoor(TaskEnvironment):
             f_con = -self.spring.k_e * (r - radius)
             f0, f1, f2 = f0 + f_con * rho[0], f1 + f_con * rho[1], f2 + f_con * rho[2]
             t_hat = _cross(axis, rho)
-            s = dot3(vel.tolist(), t_hat)
+            s = dot3(vel, t_hat)
             v_arc = (s * t_hat[0], s * t_hat[1], s * t_hat[2])
             speed = math.sqrt(sq_norm(v_arc))
             if speed > 1e-15:
                 g0, g1, g2 = self.friction.slip_force(v_arc, speed, f_con)
                 f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         if self._latched():
-            # The microwave's active circle is the hinge circle, whose unit
-            # radial the latch uses; a latched door's is the handle circle.
+            # Constant force against opening, along the hinge circle's tangent.
+            # The microwave's active circle is the hinge circle; a latched
+            # door's is the handle circle. On the hinge axis the tangent is
+            # undefined and the latch term is left out, as the constraint
+            # term is above.
             if self.microwave:
-                rad_hat = _unit(rad, r)
+                hinge_rad, h = rad, r
             else:
-                hinge_rad = self._radial(p)
-                rad_hat = _unit(hinge_rad, math.sqrt(sq_norm(hinge_rad)))
-            g0, g1, g2 = self._latch_force(rad_hat)
-            f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
+                hinge_rad = self._radial(pos)
+                h = math.sqrt(sq_norm(hinge_rad))
+            if h > 1e-9:
+                a = -self.latch_force
+                sign = self.opening_sign
+                t0, t1, t2 = _cross(self._hinge[1], _unit(hinge_rad, h))
+                f0, f1, f2 = f0 + a * (sign * t0), f1 + a * (sign * t1), f2 + a * (sign * t2)
         if not self.microwave and not self.latch_released and self.handle_angle > 0.0 \
                 and r > 1e-9:
             # Handle return spring, tangential on the handle circle, which is
             # the active circle here: its tangent is t_hat.
             k = self.handle_spring * self.handle_angle
             f0, f1, f2 = f0 - k * t_hat[0], f1 - k * t_hat[1], f2 - k * t_hat[2]
-        return unchecked(WrenchSample, force=np.array([f0, f1, f2]), torque=_ZERO)
+        return WrenchSample._make(((f0, f1, f2), _ZERO3))
 
 
 # --------------------------------------------------------------------------
@@ -591,19 +593,20 @@ def update_ink(env: TaskEnvironment, eef: Pose, contact_active: bool, normal_for
     return env.ink.wipe_rect(local[:2], env.eraser_half_x, env.eraser_half_y)
 
 
-_X_AXIS = np.array([1.0, 0.0, 0.0])
+_X_AXIS = (1.0, 0.0, 0.0)
 
 
 def apply_disturbances(env: TaskEnvironment, events, t: float):
     """Sum all events' geometry offsets; return (extra force, any_active).
 
     The sums run on Python floats from +0.0, in event order, as the rest
-    offsets and pulse forces of the events would add up as arrays.
+    offsets and pulse forces of the events would add up as arrays; the extra
+    force is a float tuple.
     """
     if not events:
-        return _ZERO, False
-    offset = (0.0, 0.0, 0.0)
-    extra = (0.0, 0.0, 0.0)
+        return _ZERO3, False
+    o0 = o1 = o2 = 0.0
+    e0 = e1 = e2 = 0.0
     tilt = 0.0
     tilt_axis = _X_AXIS
     active = False
@@ -615,19 +618,21 @@ def apply_disturbances(env: TaskEnvironment, events, t: float):
             tilt_axis = ev.direction
         elif ev.kind == "force_pulse":
             a = ev.amplitude(t, p)
-            extra = tuple(e + a * c for e, c in zip(extra, ev.direction.tolist()))
+            d0, d1, d2 = ev.direction
+            e0, e1, e2 = e0 + a * d0, e1 + a * d1, e2 + a * d2
         elif p != 0.0:
             a = ev.amplitude(t, p)
-            offset = tuple(o + a * c for o, c in zip(offset, ev.direction.tolist()))
-    env.apply_disturbance_state(np.array(offset), tilt, tilt_axis)
-    return np.array(extra), active
+            d0, d1, d2 = ev.direction
+            o0, o1, o2 = o0 + a * d0, o1 + a * d1, o2 + a * d2
+    env.apply_disturbance_state((o0, o1, o2), tilt, tilt_axis)
+    return (e0, e1, e2), active
 
 
 def insertion_depth(env: TaskEnvironment, eef: Pose) -> float:
     """Peg-tip depth below the hole rim along the axis, clamped to [0, depth], in mm."""
     if not isinstance(env, HoleFixture):
         raise WrongVariant("insertion_depth requires a HoleFixture")
-    d_ax = -dot3((eef.position - env.rim_center).tolist(), env.axis_up.tolist())
+    d_ax = -dot3(_sub(vec3(eef.position), env.rim_center), env._axis)
     return 1000.0 * min(env.depth, max(0.0, d_ax))
 
 

@@ -9,10 +9,6 @@ class DegenerateInput(AdmitSimError):
     """Geometric input too close to a singular configuration to process."""
 
 
-class DegenerateDirection(AdmitSimError):
-    """Tangent projection undefined: motion parallel to the normal or too short."""
-
-
 class NonPositiveParameter(AdmitSimError):
     """A physical parameter that must be strictly positive is not."""
 

@@ -226,7 +226,7 @@ def manifold_normal(env: TaskEnvironment, eef: Pose) -> np.ndarray:
     robot; the controller presses along its negative.
     """
     if isinstance(env, PlaneBoard):
-        return env.spring.surface_normal.copy()
+        return np.array(env.spring.surface_normal)
     if isinstance(env, HoleFixture):
         return env.axis_up.copy()
     if isinstance(env, HingedDoor):

@@ -1,8 +1,10 @@
 """Vector, quaternion, and trajectory primitives used by the controller and planners.
 
 Conventions:
-- Vectors are float64 numpy arrays of shape (3,), SI units.
-- Quaternions are wxyz arrays of shape (4,), unit norm, canonical sign w >= 0.
+- Vectors are 3-vectors in SI units: numpy float64 arrays of shape (3,) in
+  whole-array and planning code, tuples of three Python floats per tick.
+- Quaternions are wxyz, unit norm, canonical sign w >= 0: arrays of shape
+  (4,), or tuples of four floats per tick.
 - The 6D rotation encoding is the first two columns of the rotation matrix,
   decoded by Gram-Schmidt orthonormalization.
 
@@ -27,6 +29,18 @@ tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Whole-array code (the verifier's RK4 grids, the ink grid) uses numpy ufuncs,
 which give the same bits at any array length.
+
+Per-tick contract. The 1 kHz loop carries every value as a tuple of Python
+floats, end to end: controller state, command, wrench and tick result, the
+environment wrenches, the disturbance offsets and forces, and the spring rest
+point and normal. The float helpers below (`_add`, `_sub`, `_cross`, `_perp`,
+`_unit`, `_matvec`) and the `_quat_*` functions serve it; none builds an
+array. Elementwise float arithmetic rounds exactly like numpy's, so the
+tuples carry the same bits an array would. Arrays appear only where whole
+arrays are the point: the `RunLog` of a finished episode, built once from
+the per-tick logs, the ink grid, the planners and the verifier's grids. The
+public constructors (`vec3` for a 3-vector) coerce any sequence into the
+tuple form.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection, DegenerateInput
+from .errors import DegenerateInput
 
 # Degeneracy thresholds for the tangent projection: below these the commanded
 # motion carries no usable tangent information and callers must fall back to
@@ -54,6 +68,14 @@ def unchecked(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def vec3(v) -> tuple:
+    """Any sequence of three numbers (an array, a list) as a tuple of Python floats."""
+    t = tuple(map(float, v))
+    if len(t) != 3:
+        raise ValueError(f"expected 3 components, got {len(t)}")
+    return t
 
 
 def dot3(a, b) -> float:
@@ -80,8 +102,9 @@ def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return v / _nonzero_norm(math.sqrt(sq_norm(v.tolist())), eps)
 
 
-# Float-tuple twins of normalized, np.cross and the matrix-vector product for
-# per-tick code: elementwise float arithmetic rounds exactly as numpy's does.
+# Float-tuple twins of normalized, np.cross, array sums and differences and the
+# matrix-vector product for per-tick code: elementwise float arithmetic rounds
+# exactly as numpy's does.
 
 def _unit(v, n: float) -> tuple:
     """normalized(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
@@ -95,6 +118,20 @@ def _cross(a, b) -> tuple:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _add(a, b) -> tuple:
+    """a + b for two float 3-sequences, as floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 + b0, a1 + b1, a2 + b2)
+
+
+def _sub(a, b) -> tuple:
+    """a - b for two float 3-sequences, as floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 - b0, a1 - b1, a2 - b2)
 
 
 def _perp(v, axis) -> tuple:
@@ -183,7 +220,8 @@ def _quat_from_rotvec(w) -> tuple:
     angle = math.sqrt(sq_norm(w))
     if angle < 1e-12:
         return (1.0, 0.0, 0.0, 0.0)
-    axis = [c / angle for c in w]
+    w0, w1, w2 = w
+    axis = (w0 / angle, w1 / angle, w2 / angle)
     return _quat_from_axis_angle(_unit(axis, math.sqrt(sq_norm(axis))), angle)
 
 
@@ -315,26 +353,12 @@ def rodrigues_rotate(p: np.ndarray, axis: np.ndarray, pivot: np.ndarray, angle: 
 # Tangent projection (the force-direction split)
 # --------------------------------------------------------------------------
 
-def tangent_direction(n: np.ndarray, x_cmd: np.ndarray, x_r: np.ndarray) -> np.ndarray:
-    """Unit motion direction projected onto the plane orthogonal to n.
-
-    Raises DegenerateDirection when the commanded motion is shorter than
-    EPS_POS or (after projection) parallel to n within EPS_PROJ; the caller
-    is expected to fall back to isotropic stiffness.
-    """
-    d = (np.asarray(x_cmd, dtype=float) - np.asarray(x_r, dtype=float)).tolist()
-    t = tangent_or_none(np.asarray(n, dtype=float).tolist(), d)
-    if t is None:
-        if math.sqrt(sq_norm(d)) <= EPS_POS:
-            raise DegenerateDirection("commanded motion too short for a tangent")
-        raise DegenerateDirection("commanded motion parallel to the normal")
-    return np.array(t)
-
-
 def tangent_or_none(n, d) -> tuple | None:
-    """tangent_direction for the motion d = x_cmd - x_r, or None where it raises.
+    """Unit motion direction d = x_cmd - x_r projected onto the plane orthogonal to n.
 
-    n and d are float 3-sequences; the tangent comes back as a float tuple.
+    None when the motion is no longer than EPS_POS or, after projection,
+    parallel to n within EPS_PROJ: the caller falls back to isotropic
+    stiffness. n and d are float 3-sequences; the tangent is a float tuple.
     """
     dist = math.sqrt(sq_norm(d))
     if dist <= EPS_POS:

@@ -10,6 +10,7 @@ logs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -145,15 +146,17 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
     max_ticks = int(round(cfg.duration * CONTROL_HZ))
 
     state = ControllerState.at_rest(demo.poses[0])
-    buf_t = np.empty(max_ticks)
-    buf_x = np.empty((max_ticks, 3))
-    buf_v = np.empty((max_ticks, 3))
-    buf_fe = np.empty((max_ticks, 3))
-    buf_fc = np.empty((max_ticks, 3))
-    buf_k = np.empty((max_ticks, 3))
-    buf_phase = np.empty(max_ticks, dtype=np.int8)
-    buf_c = np.empty(max_ticks, dtype=np.int8)
-    buf_dist = np.empty(max_ticks, dtype=np.int8)
+    # Compact per-tick logs, appended to with extend/append and wrapped as
+    # arrays once at the end: no numpy call per tick.
+    buf_t = array("d")
+    buf_x = array("d")
+    buf_v = array("d")
+    buf_fe = array("d")
+    buf_fc = array("d")
+    buf_k = array("d")
+    buf_phase = array("b")
+    buf_c = array("b")
+    buf_dist = array("b")
 
     chunk: ActionChunk | None = None
     cmd: ControllerCommand | None = None
@@ -161,13 +164,9 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
     gripper = demo.grippers[0]
     over = 0
     safety_stopped = False
-    end = 0
     peak_force = 0.0
     is_board = isinstance(env, PlaneBoard)
     is_door = isinstance(env, HingedDoor)
-    normal_hat = env.spring.surface_normal if is_board else None
-    # The wrench and the ink read only the position of this pose.
-    eef = unchecked(Pose, position=state.x_r, orientation=state.q_r)
 
     for k in range(max_ticks):
         t = k * dt
@@ -185,32 +184,32 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
                                         gripper, tup.normal, tup.contact)
                 phase_idx = demo.phases[p].label.value
             # Past the demo: hold the last command through the settle tail.
-        extra_force, dist_active = apply_disturbances(env, cfg.disturbances, t)
-        if is_board:
-            normal_hat = env.spring.surface_normal
+        (e0, e1, e2), dist_active = apply_disturbances(env, cfg.disturbances, t)
+        x = state.x_r
         if is_door:
-            env.update(state.x_r, cmd.gripper)
-        wrench = env.external_wrench(eef, state.v_r)
-        raw_force = wrench.force + extra_force
-        res = controller_tick(state, cmd, unchecked(WrenchSample, force=raw_force,
-                                                    torque=wrench.torque), dt, adm)
+            env.update(x, cmd.gripper)
+        wrench = env.external_wrench(x, state.v_r)
+        w0, w1, w2 = wrench.force
+        raw_force = (w0 + e0, w1 + e1, w2 + e2)
+        res = controller_tick(state, cmd, WrenchSample._make((raw_force, wrench.torque)),
+                              dt, adm)
         state = res.state
-        eef = unchecked(Pose, position=state.x_r, orientation=state.q_r)
         if is_board:
-            fn = dot3(raw_force.tolist(), normal_hat.tolist())
+            fn = dot3(raw_force, env.spring.surface_normal)
             if fn > 0.0:
-                update_ink(env, eef, True, fn)
-        buf_t[k] = t
-        buf_x[k] = state.x_r
-        buf_v[k] = state.v_r
-        buf_fe[k] = res.f_ext
-        buf_fc[k] = res.f_cmd
-        buf_k[k] = res.stiffness_eigs
-        buf_phase[k] = phase_idx
-        buf_c[k] = cmd.c
-        buf_dist[k] = 1 if dist_active else 0
-        end = k + 1
-        f_mag = math.sqrt(sq_norm(res.f_ext.tolist()))
+                # The ink reads only the position of this pose.
+                update_ink(env, unchecked(Pose, position=state.x_r, orientation=state.q_r),
+                           True, fn)
+        buf_t.append(t)
+        buf_x.extend(state.x_r)
+        buf_v.extend(state.v_r)
+        buf_fe.extend(res.f_ext)
+        buf_fc.extend(res.f_cmd)
+        buf_k.extend(res.stiffness_eigs)
+        buf_phase.append(phase_idx)
+        buf_c.append(cmd.c)
+        buf_dist.append(dist_active)
+        f_mag = math.sqrt(sq_norm(res.f_ext))
         peak_force = max(peak_force, f_mag)
         over = over + 1 if f_mag > cfg.safety_limit else 0
         if over > debounce_ticks:
@@ -218,14 +217,20 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
             break
 
     metrics = _final_metrics(cfg.task, env, state, peak_force)
-    log = RunLog(buf_t[:end], buf_x[:end], buf_v[:end], buf_fe[:end], buf_fc[:end],
-                 buf_k[:end], buf_phase[:end], buf_c[:end], buf_dist[:end],
-                 metrics, False, safety_stopped)
+    log = RunLog(_series(buf_t), _series(buf_x, 3), _series(buf_v, 3), _series(buf_fe, 3),
+                 _series(buf_fc, 3), _series(buf_k, 3), _series(buf_phase),
+                 _series(buf_c), _series(buf_dist), metrics, False, safety_stopped)
     log.success = success_check(cfg.task, log)
     log.metrics["success"] = log.success
     if not np.isfinite(log.x_r).all():
         raise NonFiniteState("episode produced a non-finite trajectory")
     return log
+
+
+def _series(buf: array, width: int = 0) -> np.ndarray:
+    """A log buffer as a numpy array over its memory: (n,) or (n, width)."""
+    arr = np.frombuffer(buf, dtype=np.float64 if buf.typecode == "d" else np.int8)
+    return arr.reshape(-1, width) if width else arr
 
 
 def _final_metrics(task: str, env, state: ControllerState, peak_force: float) -> dict:

@@ -177,8 +177,9 @@ def _section(poses, label: PhaseLabel, gripper, normals=None):
 def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
     wipe = plan_wiping(board, passes=wipe_passes)
     start = wipe[0]
-    above = Pose(start.position + 0.03 * board.spring.surface_normal, start.orientation)
-    high = Pose(above.position + 0.05 * board.spring.surface_normal, start.orientation)
+    nu = np.array(board.spring.surface_normal)
+    above = Pose(start.position + 0.03 * nu, start.orientation)
+    high = Pose(above.position + 0.05 * nu, start.orientation)
     approach = plan_free_motion(
         [KeyPose(HOME, 1.0, PhaseLabel.APPROACH),
          KeyPose(high, 1.0, PhaseLabel.APPROACH),
@@ -189,7 +190,7 @@ def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
         [KeyPose(above, 1.0, PhaseLabel.APPROACH), KeyPose(start, 1.0, PhaseLabel.APPROACH)],
         steps_per_segment=4,
     )[1:]
-    lift = Pose(wipe[-1].position + 0.08 * board.spring.surface_normal, wipe[-1].orientation)
+    lift = Pose(wipe[-1].position + 0.08 * nu, wipe[-1].orientation)
     retract = plan_free_motion(
         [KeyPose(wipe[-1], 1.0, PhaseLabel.RETRACT), KeyPose(lift, 1.0, PhaseLabel.RETRACT)],
         steps_per_segment=6,

@@ -179,33 +179,32 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     forces are restricted to the normal axis. The per-step position gap along n
     certifies the algebraic reduction of the commanded-force law.
     """
-    n = normalized([0.0, 0.0, 1.0] if n_axis is None else n_axis)
-    n_f = n.tolist()
+    n = normalized([0.0, 0.0, 1.0] if n_axis is None else n_axis).tolist()
+    n0, n1, n2 = n
     cfg = replace(cfg, enable_normal_regulation=True)
-    x_e = dot3(env.rest_point.tolist(), n_f)
+    x_e = dot3(env.rest_point, n)
     x_n = x_e + x0_offset
     v_n = v0
-    state = ControllerState(x_n * n, v_n * n, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-    cmd = ControllerCommand(
-        x_cmd=(x_e + cmd_offset) * n,
-        q_cmd=np.array([1.0, 0.0, 0.0, 0.0]),
-        gripper=1.0, n=n, c=1,
-    )
+    x_c = x_e + cmd_offset
+    state = ControllerState((x_n * n0, x_n * n1, x_n * n2), (v_n * n0, v_n * n1, v_n * n2),
+                            (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    cmd = ControllerCommand(x_cmd=(x_c * n0, x_c * n1, x_c * n2), q_cmd=(1.0, 0.0, 0.0, 0.0),
+                            gripper=1.0, n=n, c=1)
     steps = int(math.ceil(T / dt))
     d = cfg.damping
     max_gap = 0.0
     for _ in range(steps):
         # Vector pipeline with the bilateral spring along n.
-        f_spring = env.k_e * (x_e - dot3(state.x_r.tolist(), n_f))
-        res = controller_tick(state, cmd, WrenchSample(f_spring * n, np.zeros(3)), dt, cfg)
-        state = res.state
+        f = env.k_e * (x_e - dot3(state.x_r, n))
+        wrench = WrenchSample._make(((f * n0, f * n1, f * n2), (0.0, 0.0, 0.0)))
+        state = controller_tick(state, cmd, wrench, dt, cfg).state
         # Reduced law: m x'' + 2 d x' = f_ext,n - f_H, same scheme and deadband.
-        f_scalar = env.k_e * (x_e - x_n)
-        f_dead = dot3(_radial_deadband((f_scalar * n).tolist(), cfg.force_deadband), n_f)
+        f = env.k_e * (x_e - x_n)
+        f_dead = dot3(_radial_deadband((f * n0, f * n1, f * n2), cfg.force_deadband), n)
         a_n = (f_dead - cfg.target_force - 2.0 * d * v_n) / cfg.mass
         v_n = v_n + dt * a_n
         x_n = x_n + dt * v_n
-        max_gap = max(max_gap, abs(dot3(state.x_r.tolist(), n_f) - x_n))
+        max_gap = max(max_gap, abs(dot3(state.x_r, n) - x_n))
     passed = max_gap < EQUIV_TOL
     return VerificationReport(
         "equivalence",

@@ -146,13 +146,13 @@ class TestCommandedForce:
         base = commanded_force(cmd, rest_state(), cfg)
         eps = 1e-9
         nudged = commanded_force(cmd, rest_state((eps, eps, eps)), cfg)
-        assert np.linalg.norm(nudged - base) < 1e-6
+        assert np.linalg.norm(np.subtract(nudged, base)) < 1e-6
 
 
 def spring_response(cmd, cfg):
     """K_eff (x_r - x_cmd) read off one tick from rest: v_new = -(dt/m) K_eff (x_r - x_cmd)."""
     res = tick(rest_state(), cmd, cfg=cfg)
-    return res, -(cfg.mass / 1e-3) * res.state.v_r
+    return res, -(cfg.mass / 1e-3) * np.array(res.state.v_r)
 
 
 def rank_one_response(e, n, k, k_t):
@@ -168,7 +168,7 @@ class TestEffectiveStiffness:
         cmd = hold_cmd(pos=(0.1, 0.05, -0.02), n=Z, c=1)
         res, Ke = spring_response(cmd, cfg)
         assert_allclose(res.stiffness_eigs, [50.0, 50.0, 50.0])
-        assert_allclose(Ke, 50.0 * (0.0 - cmd.x_cmd), rtol=1e-9)
+        assert_allclose(Ke, 50.0 * (0.0 - np.array(cmd.x_cmd)), rtol=1e-9)
 
     def test_rank_one_update(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
@@ -177,14 +177,14 @@ class TestEffectiveStiffness:
         assert_allclose(res.stiffness_eigs, [50.0, 50.0, 200.0])
         # K = diag(200, 50, 50) acting on e = -x_cmd.
         assert_allclose(Ke, [-20.0, 0.0, 0.0], atol=1e-9)
-        assert_allclose(Ke, rank_one_response(-cmd.x_cmd, Z, 50.0, 200.0), atol=1e-9)
+        assert_allclose(Ke, rank_one_response(-np.array(cmd.x_cmd), Z, 50.0, 200.0), atol=1e-9)
 
     def test_parallel_motion_falls_back(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True)
         cmd = hold_cmd(pos=(0, 0, 0.1), n=Z, c=1)
         res, Ke = spring_response(cmd, cfg)
         assert_allclose(res.stiffness_eigs, [50.0, 50.0, 50.0])
-        assert_allclose(Ke, 50.0 * (0.0 - cmd.x_cmd), rtol=1e-9)
+        assert_allclose(Ke, 50.0 * (0.0 - np.array(cmd.x_cmd)), rtol=1e-9)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -199,7 +199,7 @@ class TestEffectiveStiffness:
         isotropic = np.array_equal(eigs, [50.0, 50.0, 50.0])
         if not isotropic:
             assert_allclose(eigs, [50.0, 50.0, 200.0])
-        e = 0.0 - cmd.x_cmd
+        e = 0.0 - np.array(cmd.x_cmd)
         expected = 50.0 * e if isotropic else rank_one_response(e, n, 50.0, 200.0)
         assert_allclose(Ke, expected, rtol=1e-9, atol=1e-12)
         assert float(Ke @ e) > 0.0  # positive definite along the spring error
@@ -277,7 +277,7 @@ class TestEq4Reduction:
             a = (f_n - cfg.target_force - 2.0 * d * v_n) / cfg.mass
             v_n = v_n + dt * a
             x_n = x_n + dt * v_n
-            assert abs(float(st_.x_r @ n) - x_n) < 1e-9
+            assert abs(float(np.array(st_.x_r) @ n) - x_n) < 1e-9
 
     def test_tangential_command_offset_does_not_touch_normal_axis(self):
         cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0,
@@ -299,23 +299,25 @@ def reference_tick(st_, cmd, f_ext, tau_ext, dt, cfg):
     K_eff and D_eff carry the rank-1 tangent update built with np.outer; the
     translation and the rotation each take one semi-implicit Euler step.
     """
+    x_r, v_r, q_r, w_r = (np.array(v) for v in (st_.x_r, st_.v_r, st_.q_r, st_.w_r))
+    x_cmd = np.array(cmd.x_cmd)
     k, d = cfg.stiffness, cfg.damping
     K, D = k * np.eye(3), d * np.eye(3)
     t = None
     if cfg.enable_tangent_stiffening and cmd.c == 1:
-        t = tangent_or_none(cmd.n, cmd.x_cmd - st_.x_r)
+        t = tangent_or_none(cmd.n, (x_cmd - x_r).tolist())
     if t is not None:
         outer = np.outer(t, t)
         K = K + (cfg.tangent_scale * k - k) * outer
         D = D + (cfg.tangent_damping - d) * outer
-    f_cmd = commanded_force(cmd, st_, cfg)
-    acc = (f_ext - f_cmd - D @ st_.v_r - K @ (st_.x_r - cmd.x_cmd)) / cfg.mass
-    v_new = st_.v_r + dt * acc
-    x_new = st_.x_r + dt * v_new
-    theta_err = quat_to_rotvec(quat_mul(st_.q_r, quat_conj(cmd.q_cmd)))
-    w_acc = (tau_ext - cfg.rot_damping * st_.w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
-    w_new = st_.w_r + dt * w_acc
-    q_new = quat_mul(quat_from_rotvec(w_new * dt), st_.q_r)
+    f_cmd = np.array(commanded_force(cmd, st_, cfg))
+    acc = (np.array(f_ext) - f_cmd - D @ v_r - K @ (x_r - x_cmd)) / cfg.mass
+    v_new = v_r + dt * acc
+    x_new = x_r + dt * v_new
+    theta_err = quat_to_rotvec(quat_mul(q_r, quat_conj(np.array(cmd.q_cmd))))
+    w_acc = (np.array(tau_ext) - cfg.rot_damping * w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
+    w_new = w_r + dt * w_acc
+    q_new = quat_mul(quat_from_rotvec(w_new * dt), q_r)
     return ControllerState(x_new, v_new, q_new, w_new)
 
 

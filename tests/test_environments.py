@@ -13,8 +13,8 @@ from admitsim.environments import (
     HoleFixture,
     PlaneBoard,
     SpringContact,
+    _friction,
     apply_disturbances,
-    friction_force,
     insertion_depth,
     opening_angle,
     remaining_ink_length,
@@ -34,20 +34,25 @@ def pose(x, y, z):
     return Pose(np.array([x, y, z], dtype=float), quat_identity())
 
 
+def point(x, y, z):
+    """A position as the float tuple the per-tick methods take."""
+    return (float(x), float(y), float(z))
+
+
 class TestSpringWrench:
     def test_no_penetration_no_force(self):
         board = flat_board()
-        w = board.external_wrench(pose(0, 0, 0.01), np.zeros(3))
+        w = board.external_wrench(point(0, 0, 0.01), np.zeros(3))
         assert_allclose(w.force, np.zeros(3))
 
     def test_linear_spring_value(self):
         board = flat_board(k_e=1000.0)
-        w = board.external_wrench(pose(0, 0, -0.004), np.zeros(3))
+        w = board.external_wrench(point(0, 0, -0.004), np.zeros(3))
         assert_allclose(w.force, [0, 0, 4.0], atol=1e-12)
 
     def test_zero_velocity_no_coulomb(self):
         board = flat_board()
-        w = board.external_wrench(pose(0, 0, -0.004), np.zeros(3))
+        w = board.external_wrench(point(0, 0, -0.004), np.zeros(3))
         assert_allclose(w.force[:2], np.zeros(2))
 
     @given(st.integers(0, 100_000))
@@ -55,16 +60,16 @@ class TestSpringWrench:
     def test_unilateral_and_dissipative(self, seed):
         rng = np.random.default_rng(seed)
         board = flat_board(k_e=rng.uniform(100, 5000))
-        p = pose(*rng.normal(scale=0.05, size=3))
+        p = point(*rng.normal(scale=0.05, size=3))
         vel = rng.normal(scale=0.2, size=3)
-        w = board.external_wrench(p, vel)
-        fn = float(w.force @ Z)
+        force = np.array(board.external_wrench(p, tuple(vel)).force)
+        fn = float(force @ Z)
         assert fn >= 0.0  # springs push, never pull
-        pen = -p.position[2]
+        pen = -p[2]
         if pen <= 0:
-            assert_allclose(w.force, np.zeros(3))
+            assert_allclose(force, np.zeros(3))
         v_t = vel - (vel @ Z) * Z
-        f_t = w.force - fn * Z
+        f_t = force - fn * Z
         assert float(f_t @ v_t) <= 1e-12  # friction never adds energy
 
 
@@ -74,14 +79,14 @@ class TestFriction:
         model = FrictionModel(coulomb_mu=0.4, viscous_c=3.0)
         for _ in range(200):
             vel = rng.normal(size=3)
-            f = friction_force(model, vel, Z, 5.0)
+            f = np.array(_friction(model, tuple(vel), tuple(Z), 5.0))
             v_t = vel - (vel @ Z) * Z
             assert float(f @ v_t) <= 1e-12
 
     def test_regularized_at_low_speed(self):
         model = FrictionModel(coulomb_mu=0.5, viscous_c=0.0)
-        slow = friction_force(model, np.array([1e-5, 0, 0]), Z, 10.0)
-        fast = friction_force(model, np.array([1.0, 0, 0]), Z, 10.0)
+        slow = _friction(model, (1e-5, 0.0, 0.0), tuple(Z), 10.0)
+        fast = _friction(model, (1.0, 0.0, 0.0), tuple(Z), 10.0)
         assert np.linalg.norm(slow) < np.linalg.norm(fast)
         assert np.linalg.norm(fast) == pytest.approx(5.0)
 
@@ -158,14 +163,14 @@ class TestHole:
 
     def test_bottom_spring(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]), k_e=1000.0)
-        w = hole.external_wrench(pose(0, 0, -0.027), np.zeros(3))
+        w = hole.external_wrench(point(0, 0, -0.027), np.zeros(3))
         assert_allclose(w.force, [0, 0, 2.0], atol=1e-12)
 
     def test_chamfer_guides_inward(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
         # Tip pressed into the funnel ring, offset along +x.
         r = hole.hole_radius + 0.5 * hole.chamfer
-        w = hole.external_wrench(pose(r, 0, -0.004), np.zeros(3))
+        w = hole.external_wrench(point(r, 0, -0.004), np.zeros(3))
         assert w.force[2] > 0.0
         assert w.force[0] < 0.0  # pushes back toward the axis
 
@@ -177,7 +182,7 @@ class TestHole:
 class TestDisturbances:
     def test_before_start_unchanged(self):
         board = flat_board()
-        rest0 = board.spring.rest_point.copy()
+        rest0 = board.spring.rest_point
         ev = DisturbanceEvent("lower", start=5.0, duration=10.0, magnitude=0.03, ramp=0.5)
         apply_disturbances(board, (ev,), 1.0)
         assert_allclose(board.spring.rest_point, rest0)
@@ -270,9 +275,16 @@ class TestConstructorValidation:
         (PlaneBoard, "f_min_wipe"),
         (PlaneBoard, "eraser_half_x"),
         (PlaneBoard, "eraser_half_y"),
+        (HoleFixture, "chamfer"),
+        (lambda **kw: microwave(**kw), "grasp_tol"),
+        (lambda **kw: lever_door(**kw), "handle_lever"),
+        (lambda **kw: lever_door(**kw), "latch_threshold"),
+        (lambda **kw: microwave(**kw), "release_angle"),
     ], ids=["microwave-latch_force", "door-latch_force", "door-handle_spring",
             "hole-hole_radius", "hole-clearance", "hole-wall_stiffness",
-            "board-f_min_wipe", "board-eraser_half_x", "board-eraser_half_y"])
+            "board-f_min_wipe", "board-eraser_half_x", "board-eraser_half_y",
+            "hole-chamfer", "microwave-grasp_tol", "door-handle_lever",
+            "door-latch_threshold", "microwave-release_angle"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_geometry_and_force_parameters_finite(self, build, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -281,6 +293,8 @@ class TestConstructorValidation:
     @pytest.mark.parametrize("build,name", [
         (HoleFixture, "hole_radius"), (HoleFixture, "wall_stiffness"),
         (PlaneBoard, "eraser_half_x"),
+        (lambda **kw: microwave(**kw), "grasp_tol"),
+        (lambda **kw: lever_door(**kw), "handle_lever"),
     ])
     def test_positive_parameters_reject_zero(self, build, name):
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
@@ -291,6 +305,9 @@ class TestConstructorValidation:
         assert lever_door(handle_spring=0.0).handle_spring == 0.0
         assert HoleFixture(clearance=0.0).clearance == 0.0
         assert PlaneBoard(f_min_wipe=0.0).f_min_wipe == 0.0
+        assert HoleFixture(chamfer=0.0).chamfer == 0.0
+        assert lever_door(latch_threshold=0.0).latch_threshold == 0.0
+        assert microwave(release_angle=0.0).release_angle == 0.0
 
 
 def microwave(**kw):
@@ -317,6 +334,19 @@ def lever_grasp(handle_angle, door_shift=0.0):
                      -0.06 * math.sin(handle_angle)])
 
 
+def latch_term(door, p):
+    """The latch part of the door's wrench at p (at rest): the wrench minus that
+    of the same door with a zero latch force."""
+    full = np.array(door.external_wrench(p, np.zeros(3)).force)
+    latch_force = door.latch_force
+    door.latch_force = 0.0
+    try:
+        free = np.array(door.external_wrench(p, np.zeros(3)).force)
+    finally:
+        door.latch_force = latch_force
+    return full - free
+
+
 class TestLatch:
     def test_engaged_magnitude(self):
         door = microwave()
@@ -324,7 +354,7 @@ class TestLatch:
         p = microwave_grasp(math.radians(1.0))
         door.update(p, 1.0)
         assert 0.0 < door.door_angle < door.release_angle
-        f = door.latch_resistance_at(p)
+        f = latch_term(door, p)
         assert np.linalg.norm(f) == pytest.approx(door.latch_force)
 
     def test_snap_releases_past_angle(self):
@@ -332,7 +362,7 @@ class TestLatch:
         door.update(door.grasp0, 1.0)
         p = microwave_grasp(math.radians(6.0))
         door.update(p, 1.0)
-        assert_allclose(door.latch_resistance_at(p), np.zeros(3))
+        assert_allclose(latch_term(door, p), np.zeros(3))
 
     def test_handle_threshold_releases(self):
         door = lever_door()
@@ -340,10 +370,10 @@ class TestLatch:
         p = lever_grasp(math.radians(10.0), door_shift=0.01)
         door.update(p, 1.0)
         assert door.door_angle > 0.0
-        assert np.linalg.norm(door.latch_resistance_at(p)) > 0
+        assert np.linalg.norm(latch_term(door, p)) > 0
         p = lever_grasp(math.radians(31.0), door_shift=0.01)
         door.update(p, 1.0)
-        assert_allclose(door.latch_resistance_at(p), np.zeros(3))
+        assert_allclose(latch_term(door, p), np.zeros(3))
 
     def test_hysteresis_once_released(self):
         door = microwave()
@@ -356,7 +386,7 @@ class TestLatch:
         assert door.latch_released
         door.update(door.grasp0, 1.0)
         assert door.latch_released  # stays released
-        assert_allclose(door.latch_resistance_at(door.grasp0), np.zeros(3))
+        assert_allclose(latch_term(door, door.grasp0), np.zeros(3))
 
     def test_opening_angle_tracks_grasp(self):
         door = microwave()
@@ -371,5 +401,22 @@ class TestLatch:
         door = microwave()
         door.update(door.grasp0, 0.0)
         assert not door.engaged
-        w = door.external_wrench(pose(*door.grasp0), np.zeros(3))
+        w = door.external_wrench(door.grasp0, np.zeros(3))
         assert_allclose(w.force, np.zeros(3))
+
+    @pytest.mark.parametrize("build", [microwave, lever_door], ids=["microwave", "door"])
+    def test_latched_wrench_on_hinge_axis(self, build):
+        # A latched door opened a little; the hinge radial vanishes on the axis,
+        # so the latch term is left out there instead of being undefined.
+        door = build()
+        door.update(door.grasp0, 1.0)
+        p = microwave_grasp(math.radians(1.0)) if door.microwave else \
+            lever_grasp(math.radians(10.0), door_shift=0.01)
+        door.update(p, 1.0)
+        assert door.engaged and not door.latch_released and door.door_angle > 0.0
+        on_axis = door.hinge_pivot + 0.05 * door.hinge_axis
+        force = np.array(door.external_wrench(on_axis, np.zeros(3)).force)
+        assert np.isfinite(force).all()
+        assert_allclose(latch_term(door, on_axis), np.zeros(3))
+        if door.microwave:  # the hinge circle is the active one: no term at all
+            assert_allclose(force, np.zeros(3))

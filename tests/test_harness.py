@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,21 @@ from admitsim.policy import NoiseSpec
 
 NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
                   contact_flip_prob=0.01, seed=0)
+
+
+SERIES = ("t", "x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "disturbed")
+FLAG_SERIES = ("phase", "contact", "disturbed")
+
+
+def series_digest(log) -> str:
+    """SHA-256 over every per-tick series (dtype, shape, bytes) and the metrics."""
+    h = hashlib.sha256()
+    for name in SERIES:
+        arr = getattr(log, name)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    h.update(repr(sorted(log.metrics.items())).encode())
+    return h.hexdigest()
 
 
 def make_log(metrics, safety_stopped=False, n=0):
@@ -169,6 +186,24 @@ class TestRunEpisode:
         log = run_episode(cfg)
         assert log.metrics["insertion_depth_mm"] >= 10.0
         assert log.success
+
+    def test_logs_of_successive_episodes_are_independent(self):
+        # A log buffer shared between episodes would rewrite the first log.
+        first = run_episode(ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE))
+        before = series_digest(first)
+        second = run_episode(ScenarioConfig(task="WW", duration=3.0, seed=6, noise=NOISE))
+        assert series_digest(first) == before
+        assert series_digest(second) != before
+        for log in (first, second):
+            for name in SERIES:
+                arr = getattr(log, name)
+                assert arr.flags.c_contiguous, name
+                if name in FLAG_SERIES:
+                    assert (arr.dtype, arr.shape) == (np.int8, (3000,)), name
+                elif name == "t":
+                    assert (arr.dtype, arr.shape) == (np.float64, (3000,)), name
+                else:
+                    assert (arr.dtype, arr.shape) == (np.float64, (3000, 3)), name
 
     def test_disturbance_flag_logged(self):
         cfg = ScenarioConfig(task="WW", duration=8.0, seed=3,
