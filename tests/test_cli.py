@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -12,6 +13,10 @@ mode = force_aware
 duration = 6.0
 seed = 2
 """
+
+# SHA-256 of `admitsim verify --prop3-duration 5.0` on the default 27-point grid
+# (see tests/test_golden.py for how such a digest is re-pinned).
+DEFAULT_GRID_SHA256 = "157c8bc6322759e1b96e886ed312cc60b2ca3522fd5308d61b749d6eb3a1cb78"
 
 
 @pytest.fixture()
@@ -99,6 +104,9 @@ class TestVerifyCommand:
         lines = open(out).read().splitlines()
         assert len(lines) == 1 + 27 * 4  # header + four checks per grid point
         assert "failed=0" in capsys.readouterr().out
+        # The whole default-grid report, pinned as bytes like the golden digests.
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == DEFAULT_GRID_SHA256
 
     def test_zero_damping_rejected(self, tmp_path):
         params = tmp_path / "v.ini"

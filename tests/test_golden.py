@@ -6,8 +6,8 @@ is short but exercises one feature: contact, tangent stiffening, the raise,
 lower, shift, tilt, sinusoid and force-pulse disturbances, a safety stop, and
 the PH, MO and DO environments. Two `run` trace files (WW, and DO with the
 door, the force pulse and several chunks of the trace writer), a 5-episode
-`gen-demos` dataset and the verification CSV on a one-point grid are pinned as
-bytes.
+`gen-demos` dataset per task and the verification CSV on a one-point grid are
+pinned as bytes.
 
 The digests hold for one C math library (libm): every 3-vector dot product is
 a left-to-right Python-float sum (admitsim.geometry.dot3) and no BLAS kernel
@@ -67,6 +67,10 @@ SCENARIOS = {
 
 SERIES = ("t", "x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "disturbed")
 
+# GOLDEN key -> task of a 5-episode `gen-demos` dataset (seed 3).
+DEMO_DIGESTS = {"gen_demos": "WW", "gen_demos_ph": "PH", "gen_demos_mo": "MO",
+                "gen_demos_do": "DO"}
+
 VERIFY_GRID = "[verify]\nm = 1.0\nk_e = 1000\nf_h = 4\n"
 
 GOLDEN = {
@@ -82,6 +86,9 @@ GOLDEN = {
     "trace_csv": "5343e7faf7009191d9a57e14dbb5865cb7cacdcc6f070633f030813b6db4cc66",
     "trace_csv_do": "735fef5a6b7a5c39e5e233d1c757cb3be7d3636e44bbc209a5e4623eed07da51",
     "gen_demos": "703e76c5036d5543ec33e8ace7f14d450c74524e872474b41d00b9d592cae955",
+    "gen_demos_ph": "b0b2a9a023a9c0dc8df2de466372eae4edeec309ea272976a34e0a18059bfc55",
+    "gen_demos_mo": "c9a77488e7815ff94765507a1f864e1f0a19b7bca9783f9c9c4557b09ba7f305",
+    "gen_demos_do": "4958e64285bc5726e28657690c97be95b0e0e5453a8a80f33579bd685638d555",
     "verification_csv": "550c0373391ac8390508e5b94b79f87f4eb5c6909a01368f36a0f285a3c701e9",
 }
 
@@ -109,25 +116,31 @@ def _file_sha(path: str) -> str:
 
 
 def file_digests(workdir: str, logs) -> dict:
-    """Digests of two trace files, a demo dataset and a verification CSV."""
+    """Digests of two trace files, a demo dataset per task and a verification CSV."""
     trace = os.path.join(workdir, "trace.csv")
     write_trace(trace, logs["ww_force_aware_clean"])
     trace_do = os.path.join(workdir, "trace_do.csv")
     write_trace(trace_do, logs["do_baseline_mid_pulse"])
-    demos = os.path.join(workdir, "ww.demos")
     grid = os.path.join(workdir, "grid.ini")
     with open(grid, "w") as fh:
         fh.write(VERIFY_GRID)
     report = os.path.join(workdir, "verification.csv")
+    out = {"trace_csv": _file_sha(trace), "trace_csv_do": _file_sha(trace_do)}
+    for key, task in DEMO_DIGESTS.items():
+        demos = os.path.join(workdir, f"{task}.demos")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["gen-demos", "--task", task, "--count", "5", "--seed", "3",
+                           "--out", demos])
+        if rc != 0:
+            raise RuntimeError(f"gen-demos {task} exit {rc}")
+        out[key] = _file_sha(demos)
     with contextlib.redirect_stdout(io.StringIO()):
-        rc_demos = cli_main(["gen-demos", "--task", "WW", "--count", "5", "--seed", "3",
-                             "--out", demos])
-        rc_verify = cli_main(["verify", "--config", grid, "--out", report,
-                              "--prop3-duration", "5.0"])
-    if (rc_demos, rc_verify) != (0, 0):
-        raise RuntimeError(f"gen-demos exit {rc_demos}, verify exit {rc_verify}")
-    return {"trace_csv": _file_sha(trace), "trace_csv_do": _file_sha(trace_do),
-            "gen_demos": _file_sha(demos), "verification_csv": _file_sha(report)}
+        rc = cli_main(["verify", "--config", grid, "--out", report,
+                       "--prop3-duration", "5.0"])
+    if rc != 0:
+        raise RuntimeError(f"verify exit {rc}")
+    out["verification_csv"] = _file_sha(report)
+    return out
 
 
 @pytest.fixture(scope="module")
