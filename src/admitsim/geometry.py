@@ -41,6 +41,12 @@ arrays are the point: the `RunLog` of a finished episode, built once from
 the per-tick logs, the ink grid, the planners and the verifier's grids. The
 public constructors (`vec3` for a 3-vector) coerce any sequence into the
 tuple form.
+
+Planner code. The expert planners pass poses as arrays, but the two functions
+they call per waypoint compute on floats and build one array for the result:
+`rodrigues_rotate` (with `_sub`, `_cross` and `dot3`, in the order of
+operations of its array formula) and `pose10_encode` (the two columns of
+`_quat_matrix`, no arithmetic).
 """
 
 from __future__ import annotations
@@ -339,14 +345,19 @@ def rot6d_decode(v6: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def rodrigues_rotate(p: np.ndarray, axis: np.ndarray, pivot: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate point p by angle about the line through pivot along unit axis."""
-    p = np.asarray(p, dtype=float)
-    axis = np.asarray(axis, dtype=float)
-    pivot = np.asarray(pivot, dtype=float)
-    r = p - pivot
+    """Rotate point p by angle about the line through pivot along unit axis.
+
+    Computed on floats, in the order of operations of the array formula
+    pivot + (r c + (axis x r) s + (axis (axis . r)) (1 - c)) with r = p - pivot.
+    """
+    o = np.asarray(pivot, dtype=float).tolist()
+    a = np.asarray(axis, dtype=float).tolist()
+    r = _sub(np.asarray(p, dtype=float).tolist(), o)
     c, s = math.cos(angle), math.sin(angle)
-    rotated = r * c + np.cross(axis, r) * s + axis * dot3(axis.tolist(), r.tolist()) * (1.0 - c)
-    return pivot + rotated
+    k = dot3(a, r)
+    omc = 1.0 - c
+    return np.array([o_i + (r_i * c + x_i * s + a_i * k * omc)
+                     for o_i, a_i, r_i, x_i in zip(o, a, r, _cross(a, r))])
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +411,8 @@ POSE10_DIM = 10
 
 def pose10_encode(pose: Pose, gripper: float) -> np.ndarray:
     """Pack (position, 6D rotation, gripper command) into a 10-vector."""
-    return np.concatenate([pose.position, rot6d_encode(pose.orientation), [float(gripper)]])
+    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _quat_matrix(pose.orientation)
+    return np.array([*pose.position.tolist(), r00, r10, r20, r01, r11, r21, float(gripper)])
 
 
 def pose10_decode(v: np.ndarray) -> tuple[Pose, float]:

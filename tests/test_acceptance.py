@@ -57,7 +57,7 @@ def test_criterion_2_prop2_analytic_match():
         for f_H in (2.0, 4.0, 8.0):
             d = compute_damping(m, 50.0, 2.0)
             from admitsim.verify import NormalDynamicsParams
-            rep = verify_prop2(NormalDynamicsParams(m, d, 1000.0, f_H), v0=0.05, dt=1e-4)
+            rep = verify_prop2([NormalDynamicsParams(m, d, 1000.0, f_H)], v0=0.05, dt=1e-4)[0]
             assert rep.passed
             worst = max(worst, rep.measured["analytic_max_err"])
     assert worst < 1e-5

@@ -70,28 +70,48 @@ class TestProp1:
             assert rep.measured == alone.measured
 
 
+def prop2(p, v0, dt=1e-4):
+    """Proposition 2 on a grid of one."""
+    return verify_prop2([p], v0=v0, dt=dt)[0]
+
+
 class TestProp2:
     def test_velocity_limit_value(self):
-        rep = verify_prop2(params(), v0=0.05)
+        rep = prop2(params(), v0=0.05)
         assert rep.passed
         assert rep.measured["v_final"] == pytest.approx(-4.0 / (2.0 * D_NOMINAL), abs=1e-6)
         assert -4.0 / (2.0 * D_NOMINAL) == pytest.approx(-0.07071067811865475)
 
     def test_zero_force_stays_at_rest(self):
-        rep = verify_prop2(params(f_H=0.0), v0=0.0)
+        rep = prop2(params(f_H=0.0), v0=0.0)
         assert rep.measured["v_final"] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_analytic_solution(self):
-        rep = verify_prop2(params(), v0=0.05)
+        rep = prop2(params(), v0=0.05)
         assert rep.measured["analytic_max_err"] < 1e-5
 
     def test_integrator_order_sanity(self):
         # Fourth-order scheme: halving dt cuts the analytic gap ~16x.
         p = params()
-        coarse = verify_prop2(p, v0=0.2, dt=2e-3)
-        fine = verify_prop2(p, v0=0.2, dt=1e-3)
+        coarse = prop2(p, v0=0.2, dt=2e-3)
+        fine = prop2(p, v0=0.2, dt=1e-3)
         ratio = coarse.measured["analytic_max_err"] / fine.measured["analytic_max_err"]
         assert 8.0 < ratio < 40.0
+
+    def test_grid_points_independent(self):
+        # Each point keeps its own horizon 20 m/(2d) inside a batch that runs to
+        # the longest one, and reports what it reports alone.
+        grid = [params(m=0.5, f_H=2.0), params(m=1.0, k_e=100.0), params(m=2.0, f_H=8.0)]
+        assert len({rep.params["T"] for rep in verify_prop2(grid, v0=0.05)}) == 3
+        for p, rep in zip(grid, verify_prop2(grid, v0=0.05)):
+            alone = prop2(p, v0=0.05)
+            assert rep.params == alone.params
+            assert rep.measured == alone.measured
+            assert rep.passed and alone.passed
+
+    def test_shared_horizon_override(self):
+        reps = verify_prop2([params(m=0.5), params(m=2.0)], v0=0.05, T=0.5, dt=1e-3)
+        assert [rep.params["T"] for rep in reps] == [0.5, 0.5]
 
 
 class TestProp3:
@@ -111,6 +131,14 @@ class TestProp3:
     def test_zero_amplitude_reduces_to_equilibrium(self):
         rep = prop3(params(), amplitude=0.0, omega=2 * math.pi, T=5.0)
         assert rep.measured["sup_e"] < 1e-9
+
+    def test_grid_points_independent(self):
+        grid = [params(m=0.5, f_H=2.0), params(m=1.0, k_e=100.0), params(m=2.0, f_H=8.0)]
+        batch = verify_prop3_grid(grid, amplitude=0.005, omega=2 * math.pi, T=5.0)
+        for p, rep in zip(grid, batch):
+            alone = prop3(p, amplitude=0.005, omega=2 * math.pi, T=5.0)
+            assert rep.params == alone.params
+            assert rep.measured == alone.measured
 
     def test_gain_linearity(self):
         full = prop3(params(), amplitude=0.005, omega=2 * math.pi, T=30.0)
@@ -162,6 +190,7 @@ def test_default_grid_is_27_points():
 def test_empty_grid_gives_no_reports():
     """An empty grid is not the default grid: it has no points to report on."""
     assert verify_prop1_grid([]) == []
+    assert verify_prop2([], v0=0.05) == []
     assert verify_prop3_grid([]) == []
 
 
