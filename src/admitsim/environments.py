@@ -187,7 +187,14 @@ CELL_SIZE = 0.005  # 0.5 cm ink cells
 
 @dataclass
 class InkGrid:
-    """Boolean grid over the board extent, indexed in the board frame."""
+    """Boolean grid over the board extent, indexed in the board frame.
+
+    The grid keeps a half-open index box (i_lo, i_hi, j_lo, j_hi) that holds
+    every inked cell, so that a wipe away from the ink costs no numpy call.
+    The box is the whole grid until `ink_stroke` or a wipe that cleans cells
+    recomputes it from `inked`; a caller that writes `inked` directly after
+    that calls `refresh_box`.
+    """
 
     extent_x: float
     extent_y: float
@@ -197,6 +204,19 @@ class InkGrid:
         self.nx = max(1, int(round(self.extent_x / self.cell)))
         self.ny = max(1, int(round(self.extent_y / self.cell)))
         self.inked = np.zeros((self.nx, self.ny), dtype=bool)
+        # The board-frame origin's offsets in the index formulas of wipe_rect.
+        self._x0 = 0.5 * self.extent_x
+        self._y0 = 0.5 * self.extent_y
+        self.box = (0, self.nx, 0, self.ny)
+
+    def refresh_box(self):
+        """Recompute `box` from `inked`: the tightest box, empty when no cell is inked."""
+        rows = np.flatnonzero(self.inked.any(axis=1))
+        if len(rows) == 0:
+            self.box = (0, 0, 0, 0)
+            return
+        cols = np.flatnonzero(self.inked.any(axis=0))
+        self.box = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
 
     def cell_center(self, i: int, j: int) -> np.ndarray:
         """Cell center in board-frame xy, origin at the board center."""
@@ -227,20 +247,31 @@ class InkGrid:
         mask = (dmin <= pen_radius).reshape(self.nx, self.ny)
         fresh = mask & ~self.inked
         self.inked |= mask
+        self.refresh_box()
         return int(fresh.sum())
 
-    def wipe_rect(self, center_xy: np.ndarray, half_x: float, half_y: float) -> int:
-        """Clean all inked cells whose centers fall in the axis-aligned rectangle."""
-        i_lo = max(0, int(math.ceil((center_xy[0] - half_x + 0.5 * self.extent_x) / self.cell - 0.5)))
-        i_hi = min(self.nx, int(math.floor((center_xy[0] + half_x + 0.5 * self.extent_x) / self.cell - 0.5)) + 1)
-        j_lo = max(0, int(math.ceil((center_xy[1] - half_y + 0.5 * self.extent_y) / self.cell - 0.5)))
-        j_hi = min(self.ny, int(math.floor((center_xy[1] + half_y + 0.5 * self.extent_y) / self.cell - 0.5)) + 1)
-        if i_lo >= i_hi or j_lo >= j_hi:
+    def wipe_rect(self, center_xy, half_x: float, half_y: float) -> int:
+        """Clean all inked cells whose centers fall in the axis-aligned rectangle.
+
+        center_xy is any sequence whose first two items are the board-frame x, y.
+        """
+        cell = self.cell
+        box_ilo, box_ihi, box_jlo, box_jhi = self.box
+        x = center_xy[0]
+        i_lo = max(box_ilo, math.ceil((x - half_x + self._x0) / cell - 0.5))
+        i_hi = min(box_ihi, math.floor((x + half_x + self._x0) / cell - 0.5) + 1)
+        if i_lo >= i_hi:
+            return 0
+        y = center_xy[1]
+        j_lo = max(box_jlo, math.ceil((y - half_y + self._y0) / cell - 0.5))
+        j_hi = min(box_jhi, math.floor((y + half_y + self._y0) / cell - 0.5) + 1)
+        if j_lo >= j_hi:
             return 0
         window = self.inked[i_lo:i_hi, j_lo:j_hi]
         count = int(np.count_nonzero(window))
         if count:
             window[:] = False
+            self.refresh_box()
         return count
 
     def inked_count(self) -> int:
@@ -298,7 +329,10 @@ class PlaneBoard(TaskEnvironment):
         self._base_rotation = self.rotation.copy()
         self.ink = InkGrid(self.extent[0], self.extent[1])
         self.spring = SpringContact(self.k_e, self._base_rest, self.normal())
-        self._tilt = (None, None)   # (tilt key, (rotation, normal) at that tilt)
+        # (tilt key, (rotation, normal) at that tilt). Zero tilt restores the
+        # board as built, with the spring's unit normal.
+        self._untilted = (0.0, (self.rotation, self.spring.surface_normal))
+        self._tilt = self._untilted
         self._frame = (None, None)  # (rotation, rows of its matrix transposed)
 
     def normal(self) -> tuple:
@@ -314,9 +348,9 @@ class PlaneBoard(TaskEnvironment):
             if tilt != 0.0:
                 self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt),
                                          self._base_rotation)
+                self._tilt = (key, (self.rotation, self.normal()))
             else:
-                self.rotation = self._base_rotation.copy()
-            self._tilt = (key, (self.rotation, self.normal()))
+                self._tilt = self._untilted
         self.rotation, self.spring.surface_normal = self._tilt[1]
 
     def to_board_frame(self, p) -> tuple:
@@ -590,7 +624,7 @@ def update_ink(env: TaskEnvironment, eef: Pose, contact_active: bool, normal_for
     if not contact_active or normal_force < env.f_min_wipe:
         return 0
     local = env.to_board_frame(eef.position)
-    return env.ink.wipe_rect(local[:2], env.eraser_half_x, env.eraser_half_y)
+    return env.ink.wipe_rect(local, env.eraser_half_x, env.eraser_half_y)
 
 
 _X_AXIS = (1.0, 0.0, 0.0)

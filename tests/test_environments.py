@@ -21,7 +21,9 @@ from admitsim.environments import (
     update_ink,
 )
 from admitsim.errors import WrongVariant
-from admitsim.geometry import Pose, quat_identity
+from admitsim.geometry import Pose, quat_from_axis_angle, quat_identity
+from admitsim.harness import default_disturbance
+from admitsim.tasks import TASKS, build_environment
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -122,6 +124,44 @@ class TestInk:
         assert wiped == 12
         assert type(wiped) is int  # counts feed JSON reports and sums
 
+    def test_wipes_match_the_whole_grid_reference(self):
+        """Wipes clipped to the ink's box clean what the unclipped window would,
+        and the box holds every inked cell after each wipe."""
+        def reference_wipe(ink, inked, x, y, hx, hy):
+            i_lo = max(0, math.ceil((x - hx + 0.5 * ink.extent_x) / ink.cell - 0.5))
+            i_hi = min(ink.nx, math.floor((x + hx + 0.5 * ink.extent_x) / ink.cell - 0.5) + 1)
+            j_lo = max(0, math.ceil((y - hy + 0.5 * ink.extent_y) / ink.cell - 0.5))
+            j_hi = min(ink.ny, math.floor((y + hy + 0.5 * ink.extent_y) / ink.cell - 0.5) + 1)
+            if i_lo >= i_hi or j_lo >= j_hi:
+                return 0
+            count = int(inked[i_lo:i_hi, j_lo:j_hi].sum())
+            inked[i_lo:i_hi, j_lo:j_hi] = False
+            return count
+
+        rng = np.random.default_rng(5)
+        wiped = 0
+        for seed in range(10):
+            board = build_environment("WW", np.random.default_rng(seed))
+            ink = board.ink
+            inked = ink.inked.copy()
+            for _ in range(400):
+                x, y = rng.uniform(-0.16, 0.16), rng.uniform(-0.11, 0.11)
+                count = ink.wipe_rect((x, y), 0.01, 0.01)
+                assert count == reference_wipe(ink, inked, x, y, 0.01, 0.01)
+                assert np.array_equal(ink.inked, inked)
+                i_lo, i_hi, j_lo, j_hi = ink.box
+                assert ink.inked[i_lo:i_hi, j_lo:j_hi].sum() == ink.inked_count()
+                wiped += count
+        assert wiped > 100
+
+    def test_refresh_box_after_a_direct_write(self):
+        board = flat_board()
+        board.ink.ink_stroke(np.array([[-0.05, 0.0], [-0.04, 0.0]]))
+        board.ink.inked[50, 30] = True
+        board.ink.refresh_box()
+        c = board.ink.cell_center(50, 30)
+        assert update_ink(board, pose(c[0], c[1], -0.004), True, 5.0) == 1
+
     def test_remaining_length_conversion(self):
         board = flat_board()
         board.ink.inked[:, :] = False
@@ -205,6 +245,28 @@ class TestDisturbances:
         assert board.spring.rest_point[2] == pytest.approx(0.005)
         apply_disturbances(board, (ev,), 0.75)
         assert board.spring.rest_point[2] == pytest.approx(-0.005)
+
+    def test_zero_tilt_keeps_the_unit_normal(self):
+        """A disturbance that has not tilted the board leaves its spring normal
+        bit for bit as built (the unit normal, not the raw rotated axis)."""
+        raise_later = default_disturbance("WW")  # a raise starting at 5 s
+        for seed in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, TASKS.index("WW")]))
+            board = build_environment("WW", rng)
+            clean = board.spring.surface_normal
+            apply_disturbances(board, raise_later, 0.0)
+            assert board.spring.surface_normal == clean, seed
+
+    def test_tilt_back_to_zero_restores_the_board(self):
+        board = PlaneBoard(rotation=quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.3))
+        built = (board.rotation.tolist(), board.spring.surface_normal)
+        x = np.array([1.0, 0.0, 0.0])
+        events = (DisturbanceEvent("tilt", 1.0, 5.0, 0.05, direction=x),
+                  DisturbanceEvent("tilt", 2.0, 5.0, -0.05, direction=x))
+        apply_disturbances(board, events, 1.5)
+        assert board.spring.surface_normal != built[1]
+        apply_disturbances(board, events, 3.0)
+        assert (board.rotation.tolist(), board.spring.surface_normal) == built
 
     def test_profiles_continuous(self):
         events = [
