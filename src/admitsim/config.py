@@ -36,6 +36,7 @@ Scenario schema:
 
     [disturbance.<name>]     ; zero or more
     kind = lower             ; raise | lower | shift | tilt | force_pulse | sinusoid
+                             ; (PH: no tilt; MO, DO: force_pulse only)
     start = 5.0
     duration = 10.0
     magnitude = 0.03

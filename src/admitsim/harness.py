@@ -32,7 +32,14 @@ from .environments import (
 from .errors import NonFiniteState
 from .geometry import Pose, dot3, pose10_encode, sq_norm, unchecked
 from .policy import ActionChunk, NoiseSpec, Observation, predict
-from .tasks import TASK_FLAGS, TASK_TIME_LIMIT, TASKS, build_environment, generate_demo
+from .tasks import (
+    TASK_DISTURBANCES,
+    TASK_FLAGS,
+    TASK_TIME_LIMIT,
+    TASKS,
+    build_environment,
+    generate_demo,
+)
 
 MODES = ("force_aware", "baseline_low", "baseline_mid", "baseline_high")
 BASELINE_STIFFNESS = {"baseline_low": 50.0, "baseline_mid": 200.0, "baseline_high": 800.0}
@@ -72,6 +79,11 @@ class ScenarioConfig:
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
         if self.chunk_horizon < 1:
             raise ValueError("chunk_horizon must be >= 1")
+        kinds = TASK_DISTURBANCES[self.task]
+        for ev in self.disturbances:
+            if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed
+                raise ValueError(f"a {ev.kind} disturbance has no effect on {self.task} "
+                                 f"(it takes {' | '.join(kinds)})")
         for key, value in self.env_overrides.items():  # k_e, latch_force
             if not 0.0 < value < math.inf:
                 raise ValueError(f"environment {key} must be finite and > 0, got {value}")

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import HingedDoor, HoleFixture, PlaneBoard, TaskEnvironment
+from .environments import (
+    DISTURBANCE_KINDS,
+    HingedDoor,
+    HoleFixture,
+    PlaneBoard,
+    TaskEnvironment,
+)
 from .expert import (
     FsmPhase,
     KeyPose,
@@ -37,6 +43,16 @@ TASK_FLAGS = {
     "PH": (False, True, 2.0),
     "WW": (True, True, 4.0),
     "DO": (True, False, 0.0),
+}
+
+# Disturbance kinds each task's environment responds to. The door wrench reads
+# only the hinge and handle geometry, which no disturbance moves, and the bore
+# has no tilt.
+TASK_DISTURBANCES = {
+    "MO": ("force_pulse",),
+    "PH": ("raise", "lower", "shift", "force_pulse", "sinusoid"),
+    "WW": DISTURBANCE_KINDS,
+    "DO": ("force_pulse",),
 }
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])

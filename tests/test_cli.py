@@ -132,6 +132,22 @@ def shift_event(**values):
             + "".join(f"{key} = {value}\n" for key, value in event.items()))
 
 
+def task_event(task, kind):
+    """A scenario of `task` with one disturbance of `kind`."""
+    return (f"[scenario]\ntask = {task}\n[disturbance.a]\nkind = {kind}\n"
+            "start = 1.0\nduration = 2.0\nmagnitude = 0.01\nramp = 0.5\n")
+
+
+@pytest.mark.parametrize("task,kind", [
+    ("MO", "force_pulse"), ("DO", "force_pulse"), ("PH", "sinusoid"), ("PH", "lower"),
+    ("WW", "tilt"), ("WW", "sinusoid"),
+])
+def test_disturbance_the_task_responds_to_is_valid(tmp_path, task, kind):
+    path = tmp_path / "ok.ini"
+    path.write_text(task_event(task, kind))
+    assert parse_scenario(str(path)).disturbances[0].kind == kind
+
+
 def test_shift_event_is_valid_unless_replaced(tmp_path):
     path = tmp_path / "ok.ini"
     path.write_text(shift_event())
@@ -201,6 +217,16 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("verify", "[verify]\nm = -1\n"),
     ("verify", "[verify]\nm =\n"),
     ("verify", "[verify]\nm = 1.0\nk_e =\nf_h = 4\n"),
+    ("run", task_event("MO", "raise")),
+    ("run", task_event("MO", "lower")),
+    ("run", task_event("MO", "shift")),
+    ("run", task_event("MO", "tilt")),
+    ("run", task_event("MO", "sinusoid")),
+    ("run", task_event("DO", "shift")),
+    ("run", task_event("DO", "tilt")),
+    ("run", task_event("PH", "tilt")),
+    ("suite", "[suite]\ntask = DO\nseeds = 1\ndisturbed = only\n"
+              "[disturbance.a]\nkind = raise\nstart = 1\nduration = 1\nmagnitude = 0.01\n"),
     ("run", shift_event(start="nan")),
     ("run", shift_event(duration="inf")),
     ("run", shift_event(magnitude="nan")),
