@@ -155,14 +155,14 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None = 
     """Contact lost (f_ext = 0): velocity converges to -f_H/(2d); the whole
     trajectory matches the analytic first-order solution.
 
-    Every point starts at velocity v0 and runs for T (default: 20 m/(2d), ten
-    of its own velocity time constants); the grid is integrated as one batch
-    up to the longest horizon, and each point is judged on its own horizon.
+    Every point starts at velocity v0 and runs for T (default: 20 m/(2d),
+    twenty of its own velocity time constants); the grid is integrated as one
+    batch up to the longest horizon, and each point is judged on its own.
     """
     if not grid:
         return []
     m = np.array([p.m for p in grid])
-    d2 = np.array([2.0 * p.d for p in grid])
+    d2 = 2.0 * np.array([p.d for p in grid])
     f_H = np.array([p.f_H for p in grid])
     Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
     ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
