@@ -37,10 +37,8 @@ from .expert import (
 )
 from .geometry import (
     Pose,
-    interpolate_pose,
     pose10_decode,
     pose10_encode,
-    rodrigues_rotate,
     rot6d_decode,
     rot6d_encode,
 )

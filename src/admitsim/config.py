@@ -250,6 +250,8 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     adm = _overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path)
     env = _overrides_from(parser, "environment", _ENV_KEYS, path)
     events = _disturbances_from(parser, path) or default_disturbance(task)
+    # The events must suit the task even when no run of the suite takes them.
+    _scenario(path, task=task, disturbances=events)
 
     conditions = {"none": (False,), "only": (True,), "both": (False, True)}[disturbed]
     cfgs = []

@@ -4,6 +4,8 @@ Dataset layout (little-endian):
   magic 'ADMS' | u32 version | 4-byte task code | u32 chunk horizon |
   u32 episode count | u64 total tuple count | u32 tuple count per episode |
   records of 14 f64 per tuple (10 pose/gripper + 3 normal + 1 contact flag).
+The contact flag is 0.0 or 1.0; a reader rejects any other value. An
+episode's records are one (n, 14) block, written and read whole.
 
 CSV floats are written with repr() (shortest round-trip), so identical runs
 produce byte-identical files.
@@ -48,22 +50,31 @@ def write_dataset(path: str, ds: Dataset) -> None:
             for ep in ds.episodes:
                 fh.write(struct.pack("<I", len(ep)))
             for ep in ds.episodes:
-                for tup in ep:
-                    rec = np.concatenate([tup.pose10, tup.normal, [float(tup.contact)]])
-                    fh.write(struct.pack("<14d", *rec))
+                if ep:
+                    fh.write(_record_block(ep).tobytes())
     except OSError as exc:
         raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
 
 
+def _record_block(episode: list) -> np.ndarray:
+    """The (n, 14) little-endian float64 records of an episode's tuples."""
+    block = np.empty((len(episode), RECORD_DIM), dtype="<f8")
+    block[:, :10] = [tup.pose10 for tup in episode]
+    block[:, 10:13] = [tup.normal for tup in episode]
+    block[:, 13] = [tup.contact for tup in episode]
+    return block
+
+
 _HEADER = struct.Struct("<4sI4sIIQ")  # magic, version, task, horizon, episodes, tuples
-_RECORD = struct.Struct(f"<{RECORD_DIM}d")
+_RECORD_SIZE = 8 * RECORD_DIM
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read a dataset file; IoFailure unless its size is what its header implies.
+    """Read a dataset file; IoFailure unless its size is what its header implies
+    and every contact flag is 0.0 or 1.0.
 
-    Records are read an episode at a time, so no more than one episode's
-    bytes are held at once.
+    Records are read an episode at a time, each into one (n, 14) block whose
+    rows its tuples view.
     """
     try:
         with open(path, "rb") as fh:
@@ -82,20 +93,29 @@ def read_dataset(path: str) -> Dataset:
             lengths = struct.unpack(f"<{n_eps}I", fh.read(table))
             if sum(lengths) != total:
                 raise IoFailure(f"{path}: episode lengths disagree with header count")
-            expected = _HEADER.size + table + _RECORD.size * total
+            expected = _HEADER.size + table + _RECORD_SIZE * total
             if size != expected:
                 raise IoFailure(f"{path}: {size} bytes where the header implies {expected}")
             try:
                 task = task.rstrip(b"\0").decode("ascii")
-                episodes = [[SupervisionTuple(np.array(rec[:10]), np.array(rec[10:13]),
-                                              int(rec[13]))
-                             for rec in _RECORD.iter_unpack(fh.read(_RECORD.size * n))]
-                            for n in lengths]
-            except (UnicodeDecodeError, ValueError, OverflowError) as exc:
+            except UnicodeDecodeError as exc:
                 raise IoFailure(f"{path}: corrupt dataset: {exc}") from exc
+            episodes = [_read_episode(path, fh, n) for n in lengths]
             return Dataset(task, horizon, episodes)
     except OSError as exc:
         raise IoFailure(f"cannot read dataset {path}: {exc}") from exc
+
+
+def _read_episode(path: str, fh, n: int) -> list:
+    """The next n records of fh as tuples viewing the rows of one block."""
+    block = np.frombuffer(fh.read(_RECORD_SIZE * n), dtype="<f8").reshape(n, RECORD_DIM)
+    block = block.astype(float)  # a writable native copy the tuples view
+    flags = block[:, 13]
+    if not ((flags == 0.0) | (flags == 1.0)).all():
+        bad = float(flags[(flags != 0.0) & (flags != 1.0)][0])
+        raise IoFailure(f"{path}: corrupt dataset: contact flag {bad!r} is not 0.0 or 1.0")
+    return list(map(SupervisionTuple._make,
+                    zip(block[:, :10], block[:, 10:13], map(int, flags.tolist()))))
 
 
 # --------------------------------------------------------------------------

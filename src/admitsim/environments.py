@@ -226,10 +226,33 @@ class InkGrid:
         ])
 
     def ink_stroke(self, points_xy: np.ndarray, pen_radius: float = 0.004) -> int:
-        """Ink every cell whose center lies within pen_radius of the polyline."""
+        """Ink every cell whose center lies within pen_radius of the polyline.
+
+        Only the cells in the stroke's bounding box widened by pen_radius and
+        one more cell are evaluated: no cell outside it lies that close.
+        """
         pts = np.asarray(points_xy, dtype=float)
-        cx = (np.arange(self.nx) + 0.5) * self.cell - 0.5 * self.extent_x
-        cy = (np.arange(self.ny) + 0.5) * self.cell - 0.5 * self.extent_y
+        if not (np.isfinite(pts).all() and 0.0 <= pen_radius < math.inf):
+            raise ValueError("stroke points must be finite and pen_radius finite and >= 0")
+        mask = np.zeros_like(self.inked)
+        if len(pts):
+            reach = pen_radius + self.cell
+            lo = (pts.min(axis=0) - reach + (self._x0, self._y0)) / self.cell - 0.5
+            hi = (pts.max(axis=0) + reach + (self._x0, self._y0)) / self.cell - 0.5
+            i_lo, j_lo = max(0, math.floor(lo[0])), max(0, math.floor(lo[1]))
+            i_hi = min(self.nx, math.ceil(hi[0]) + 1)
+            j_hi = min(self.ny, math.ceil(hi[1]) + 1)
+            if i_lo < i_hi and j_lo < j_hi:
+                mask[i_lo:i_hi, j_lo:j_hi] = self._near(pts, pen_radius, i_lo, i_hi, j_lo, j_hi)
+        fresh = mask & ~self.inked
+        self.inked |= mask
+        self.refresh_box()
+        return int(fresh.sum())
+
+    def _near(self, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
+        """Whether each cell of the index box lies within pen_radius of the polyline."""
+        cx = (np.arange(i_lo, i_hi) + 0.5) * self.cell - 0.5 * self.extent_x
+        cy = (np.arange(j_lo, j_hi) + 0.5) * self.cell - 0.5 * self.extent_y
         centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
         dmin = np.full(len(centers), np.inf)
         if len(pts) == 1:
@@ -244,11 +267,7 @@ class InkGrid:
                 s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
                 d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
             dmin = np.minimum(dmin, d)
-        mask = (dmin <= pen_radius).reshape(self.nx, self.ny)
-        fresh = mask & ~self.inked
-        self.inked |= mask
-        self.refresh_box()
-        return int(fresh.sum())
+        return (dmin <= pen_radius).reshape(i_hi - i_lo, j_hi - j_lo)
 
     def wipe_rect(self, center_xy, half_x: float, half_y: float) -> int:
         """Clean all inked cells whose centers fall in the axis-aligned rectangle.
@@ -278,10 +297,10 @@ class InkGrid:
         return int(self.inked.sum())
 
     def inked_centers(self) -> np.ndarray:
-        idx = np.argwhere(self.inked)
-        if len(idx) == 0:
-            return np.zeros((0, 2))
-        return np.stack([self.cell_center(i, j) for i, j in idx])
+        """Centers of the inked cells, one row each: cell_center of every index."""
+        i, j = np.nonzero(self.inked)
+        return np.column_stack([(i + 0.5) * self.cell - 0.5 * self.extent_x,
+                                (j + 0.5) * self.cell - 0.5 * self.extent_y])
 
 
 # --------------------------------------------------------------------------

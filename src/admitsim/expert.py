@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,17 +24,23 @@ from .errors import (
 )
 from .geometry import (
     Pose,
+    _add,
+    _lerp,
     _matvec,
+    _normalize,
+    _pose10,
+    _pose_of,
+    _quat_from_axis_angle,
     _quat_matrix,
+    _quat_mul,
+    _rodrigues,
+    _rodrigues_fixed,
+    _slerp,
+    _slerp_ends,
+    _sub,
+    _unit_quat,
     dot3,
-    interpolate_pose,
-    normalized,
     pose10_decode,
-    pose10_encode,
-    quat_from_axis_angle,
-    quat_mul,
-    quat_rotate,
-    rodrigues_rotate,
     sq_norm,
 )
 
@@ -62,24 +69,34 @@ class KeyPose:
     label: PhaseLabel
 
 
-@dataclass(frozen=True)
-class SupervisionTuple:
-    """Per-step training target: 10-d pose/gripper, normal direction, contact flag."""
-
+class _SupervisionFields(NamedTuple):
     pose10: np.ndarray
     normal: np.ndarray
     contact: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "pose10", np.asarray(self.pose10, dtype=float))
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
+
+class SupervisionTuple(_SupervisionFields):
+    """Per-step training target: 10-d pose/gripper, normal direction, contact flag.
+
+    The tuples of a generated or read-back demo are views of one (n, 14)
+    float64 block in the dataset's record layout: pose10 is row[:10], normal
+    row[10:13], and contact, a Python int 0 or 1, is stored as row[13]. Those
+    are built with the NamedTuple method `_make`; the public constructor
+    coerces pose10 and normal to float arrays.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pose10, normal, contact):
+        return super().__new__(cls, np.asarray(pose10, dtype=float),
+                               np.asarray(normal, dtype=float), contact)
 
     def decode_pose(self) -> tuple[Pose, float]:
         return pose10_decode(self.pose10)
 
 
 # Placeholder normal for out-of-contact steps; the loss masks it.
-ZERO_NORMAL = np.zeros(3)
+ZERO_NORMAL = (0.0, 0.0, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -98,8 +115,11 @@ def plan_free_motion(schedule: list[KeyPose], steps_per_segment: int) -> list[Po
         raise ValueError("steps_per_segment must be >= 1")
     poses = [schedule[0].pose]
     for a, b in zip(schedule[:-1], schedule[1:]):
+        pa, pb = a.pose.position.tolist(), b.pose.position.tolist()
+        ends = _slerp_ends(a.pose.orientation.tolist(), b.pose.orientation.tolist())
         for i in range(1, steps_per_segment + 1):
-            poses.append(interpolate_pose(a.pose, b.pose, i / steps_per_segment))
+            s = i / steps_per_segment
+            poses.append(_pose_of(_lerp(pa, pb, s), _unit_quat(_slerp(ends, s))))
     return poses
 
 
@@ -107,23 +127,26 @@ def plan_insertion(hole: HoleFixture, start_height: float, step: float,
                    orientation: np.ndarray | None = None,
                    align_tol: float = math.radians(5.0)) -> list[Pose]:
     """Descend along the hole axis from start_height above the bottom to the bottom."""
-    if orientation is None:
-        orientation = np.array([1.0, 0.0, 0.0, 0.0])
+    orientation = (1.0, 0.0, 0.0, 0.0) if orientation is None else \
+        np.asarray(orientation, dtype=float).tolist()
     # Peg axis is the tool -z direction; it must oppose the hole's up axis.
-    peg_dir = quat_rotate(orientation, np.array([0.0, 0.0, -1.0]))
-    if -dot3(peg_dir.tolist(), hole.axis_up.tolist()) < math.cos(align_tol):
+    peg_dir = _matvec(_quat_matrix(orientation), (0.0, 0.0, -1.0))
+    up = hole.axis_up.tolist()
+    if -dot3(peg_dir, up) < math.cos(align_tol):
         raise NotAligned("peg axis deviates from the hole axis beyond tolerance")
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    bottom = hole.bottom_center()
+    q = _unit_quat(orientation)
+    bottom = b0, b1, b2 = hole.bottom_center()
+    u0, u1, u2 = up
     n_steps = int(math.ceil(start_height / step - 1e-12)) if start_height > 0 else 0
-    poses = []
+    positions = []
     for i in range(n_steps + 1):
         h = max(0.0, start_height - i * step)
-        poses.append(Pose(bottom + h * hole.axis_up, orientation))
-    if math.sqrt(sq_norm((poses[-1].position - bottom).tolist())) > 1e-12:
-        poses.append(Pose(bottom, orientation))
-    return poses
+        positions.append((b0 + h * u0, b1 + h * u1, b2 + h * u2))
+    if math.sqrt(sq_norm(_sub(positions[-1], bottom))) > 1e-12:
+        positions.append(bottom)
+    return [_pose_of(p, q) for p in positions]
 
 
 def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float = 0.5,
@@ -153,10 +176,8 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
     while lanes[-1] < y_hi - 1e-12:
         lanes.append(min(lanes[-1] + pitch, y_hi))
     R = _quat_matrix(board.rotation)
-    orientation = board.rotation  # eraser frame aligned with the board surface
-
-    def world(x: float, y: float) -> np.ndarray:
-        return board.spring.rest_point + np.array(_matvec(R, (x, y, -press_depth)))
+    q = _unit_quat(board.rotation.tolist())  # eraser frame aligned with the board surface
+    rest = board.spring.rest_point
 
     poses: list[Pose] = []
     for _ in range(max(1, passes)):
@@ -165,7 +186,7 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
             if li % 2 == 1:
                 xs = xs[::-1]
             for x in xs:
-                poses.append(Pose(world(x, y), orientation))
+                poses.append(_pose_of(_add(rest, _matvec(R, (x, y, -press_depth))), q))
     return poses
 
 
@@ -205,13 +226,19 @@ def plan_articulated(door: HingedDoor, target_angle: float, step: float,
 
 def _arc(start: Pose, axis: np.ndarray, pivot: np.ndarray, total: float, step: float,
          sign: float = 1.0) -> list[Pose]:
+    """`start` turned about the line through pivot along axis, co-rotating, by
+    sign * min(total, i * step) for i = 0 .. ceil(total / step)."""
     n = int(math.ceil(total / step - 1e-12)) if total > 0 else 0
+    axis = np.asarray(axis, dtype=float).tolist()
+    turn = _rodrigues_fixed(start.position.tolist(), axis,
+                            np.asarray(pivot, dtype=float).tolist())
+    unit_axis = _normalize(axis)
+    q0 = start.orientation.tolist()
     out = []
     for i in range(n + 1):
         ang = sign * min(total, i * step)
-        pos = rodrigues_rotate(start.position, axis, pivot, ang)
-        q = quat_mul(quat_from_axis_angle(axis, ang), start.orientation)
-        out.append(Pose(pos, q))
+        q = _quat_mul(_quat_from_axis_angle(unit_axis, ang), q0)
+        out.append(_pose_of(_rodrigues(turn, ang), _unit_quat(q)))
     return out
 
 
@@ -235,13 +262,14 @@ def manifold_normal(env: TaskEnvironment, eef: Pose) -> np.ndarray:
 
 
 def extract_supervision(poses: list[Pose], phases: list[FsmPhase], grippers: list[float],
-                        env: TaskEnvironment, normals: list[np.ndarray] | None = None
+                        env: TaskEnvironment, normals: list | None = None
                         ) -> list[SupervisionTuple]:
     """Shifted supervision: tuple[t] = (pose[t+1], normal at t+1, contact[t]).
 
     The gripper command in the 10-vector is the expert command at time t.
     When `normals` is given (door tasks, where the manifold depends on plan
-    progression) it supplies the per-pose normals instead of manifold_normal.
+    progression) it supplies the per-pose normals, float 3-sequences, instead
+    of manifold_normal. The tuples are row views of one (n, 14) record block.
     """
     if not (len(poses) == len(phases) == len(grippers)):
         raise LengthMismatch("poses, phases, grippers must have equal lengths")
@@ -249,18 +277,24 @@ def extract_supervision(poses: list[Pose], phases: list[FsmPhase], grippers: lis
         raise LengthMismatch("normals length must match poses")
     if len(poses) < 2:
         raise LengthMismatch("need at least two steps to extract supervision")
-    out = []
-    for t in range(len(poses) - 1):
-        c = phases[t].contact_flag
+    contacts = [ph.contact_flag for ph in phases[:-1]]
+    fixed = None  # the board's and the bore's manifold normal is the same at every pose
+    rows = []
+    for t, c in enumerate(contacts):
         if c == 1:
             if normals is not None:
                 n = normals[t + 1]
-                if sq_norm(n.tolist()) < 0.25:
+                if sq_norm(n) < 0.25:
                     n = normals[t]  # contact ends at t+1: keep the incoming manifold
+                n = _normalize(n)
+            elif isinstance(env, HingedDoor):
+                n = _normalize(manifold_normal(env, poses[t + 1]).tolist())
             else:
-                n = manifold_normal(env, poses[t + 1])
-            n = normalized(n)
+                if fixed is None:
+                    fixed = _normalize(manifold_normal(env, poses[t + 1]).tolist())
+                n = fixed
         else:
-            n = ZERO_NORMAL.copy()
-        out.append(SupervisionTuple(pose10_encode(poses[t + 1], grippers[t]), n, c))
-    return out
+            n = ZERO_NORMAL
+        rows.append((*_pose10(poses[t + 1], grippers[t]), *n, float(c)))
+    block = np.array(rows)
+    return list(map(SupervisionTuple._make, zip(block[:, :10], block[:, 10:13], contacts)))

@@ -42,11 +42,17 @@ the per-tick logs, the ink grid, the planners and the verifier's grids. The
 public constructors (`vec3` for a 3-vector) coerce any sequence into the
 tuple form.
 
-Planner code. The expert planners pass poses as arrays, but the two functions
-they call per waypoint compute on floats and build one array for the result:
-`rodrigues_rotate` (with `_sub`, `_cross` and `dot3`, in the order of
-operations of its array formula) and `pose10_encode` (the two columns of
-`_quat_matrix`, no arithmetic).
+Planner code. The expert planners compute on floats as well, in the order of
+operations of the array formulas they replace, and build each waypoint's
+`Pose` once with `_pose_of` from finished floats. The terms that do not
+change along a segment are computed once: the unit endpoints of a slerp
+(`_slerp_ends`), the pivot-relative vectors of a rotation about a line
+(`_rodrigues_fixed`) and the unit axis of an arc. Every quaternion still gets
+the `_unit_quat` passes of the array code (the slerp's own and the one of
+`Pose.__post_init__`): a repeated pass changes at least one component of
+about a third of unit quaternions, so dropping one would move every demo.
+A demo's supervision tuples are row views of one (n, 14) float64 record
+block, the layout of the dataset file (`admitsim.datasets`).
 """
 
 from __future__ import annotations
@@ -104,17 +110,21 @@ def _nonzero_norm(n: float, eps: float = 1e-12) -> float:
 
 
 def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return v / _nonzero_norm(math.sqrt(sq_norm(v.tolist())), eps)
+    return np.array(_normalize(np.asarray(v, dtype=float).tolist(), eps))
 
 
 # Float-tuple twins of normalized, np.cross, array sums and differences and the
 # matrix-vector product for per-tick code: elementwise float arithmetic rounds
 # exactly as numpy's does.
 
-def _unit(v, n: float) -> tuple:
-    """normalized(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
-    n = _nonzero_norm(n)
+def _normalize(v, eps: float = 1e-12) -> tuple:
+    """v / |v| for a float 3-sequence v, as floats."""
+    return _unit(v, math.sqrt(sq_norm(v)), eps)
+
+
+def _unit(v, n: float, eps: float = 1e-12) -> tuple:
+    """_normalize(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
+    n = _nonzero_norm(n, eps)
     v0, v1, v2 = v
     return (v0 / n, v1 / n, v2 / n)
 
@@ -172,22 +182,9 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                               np.asarray(b, dtype=float).tolist()))
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    return np.array(_quat_from_axis_angle(normalized(axis).tolist(), angle))
-
-
-def quat_from_rotvec(w: np.ndarray) -> np.ndarray:
-    """Exponential map: rotation vector (axis * angle) to quaternion."""
-    return np.array(_quat_from_rotvec(np.asarray(w, dtype=float).tolist()))
-
-
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Log map: quaternion to rotation vector, angle in [0, pi]."""
-    return np.array(_quat_to_rotvec(np.asarray(q, dtype=float).tolist()))
+    return np.array(_quat_from_axis_angle(_normalize(np.asarray(axis, dtype=float).tolist()),
+                                          angle))
 
 
 # The quaternion algebra itself, on sequences of Python floats, under the
@@ -223,6 +220,7 @@ def _quat_from_axis_angle(unit_axis, angle: float) -> tuple:
 
 
 def _quat_from_rotvec(w) -> tuple:
+    """Exponential map: rotation vector (axis * angle) to quaternion."""
     angle = math.sqrt(sq_norm(w))
     if angle < 1e-12:
         return (1.0, 0.0, 0.0, 0.0)
@@ -232,6 +230,7 @@ def _quat_from_rotvec(w) -> tuple:
 
 
 def _quat_to_rotvec(q) -> tuple:
+    """Log map: quaternion to rotation vector, angle in [0, pi]."""
     w, x, y, z = _unit_quat(q)
     s = math.sqrt(sq_norm((x, y, z)))
     if s < 1e-12:
@@ -289,24 +288,35 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array(_matvec(_quat_matrix(q), np.asarray(v, dtype=float).tolist()))
 
 
-def quat_slerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """Shortest-arc spherical interpolation, s in [0, 1]."""
-    a = quat_normalize(a)
-    b = quat_normalize(b)
-    aw, ax, ay, az = a.tolist()
-    bw, bx, by, bz = b.tolist()
+def _slerp_ends(a, b) -> tuple:
+    """The terms of a shortest-arc slerp from a to b that do not depend on s.
+
+    (a, b, theta, sin theta) with a and b unit, b on a's hemisphere and theta
+    None where the two nearly coincide and the blend is linear.
+    """
+    aw, ax, ay, az = a = _unit_quat(a)
+    bw, bx, by, bz = b = _unit_quat(b)
     dot = aw * bw + ax * bx + ay * by + az * bz
     if dot < 0.0:
-        b = -b
+        b = (-bw, -bx, -by, -bz)
         dot = -dot
     if dot > 1.0 - 1e-12:
-        # Nearly identical: linear blend keeps the endpoints exact.
-        return quat_normalize((1.0 - s) * a + s * b)
+        return a, b, None, None
     theta = math.acos(min(1.0, dot))
-    sin_theta = math.sin(theta)
-    wa = math.sin((1.0 - s) * theta) / sin_theta
-    wb = math.sin(s * theta) / sin_theta
-    return quat_normalize(wa * a + wb * b)
+    return a, b, theta, math.sin(theta)
+
+
+def _slerp(ends, s: float) -> tuple:
+    """Spherical interpolation at s in [0, 1] between the _slerp_ends."""
+    (aw, ax, ay, az), (bw, bx, by, bz), theta, sin_theta = ends
+    if theta is None:
+        # Nearly identical: linear blend keeps the endpoints exact.
+        wa, wb = 1.0 - s, s
+    else:
+        wa = math.sin((1.0 - s) * theta) / sin_theta
+        wb = math.sin(s * theta) / sin_theta
+    return _unit_quat((wa * aw + wb * bw, wa * ax + wb * bx, wa * ay + wb * by,
+                       wa * az + wb * bz))
 
 
 # --------------------------------------------------------------------------
@@ -344,20 +354,26 @@ def rot6d_decode(v6: np.ndarray) -> np.ndarray:
 # Rodrigues rotation about an arbitrary line
 # --------------------------------------------------------------------------
 
-def rodrigues_rotate(p: np.ndarray, axis: np.ndarray, pivot: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate point p by angle about the line through pivot along unit axis.
+def _rodrigues_fixed(p, axis, pivot) -> tuple:
+    """The terms of the rotation of point p about the line through pivot along
+    unit axis that do not depend on the angle, from float 3-sequences: pivot,
+    r = p - pivot, axis x r and axis (axis . r)."""
+    r = _sub(p, pivot)
+    k = dot3(axis, r)
+    a0, a1, a2 = axis
+    return pivot, r, _cross(axis, r), (a0 * k, a1 * k, a2 * k)
 
-    Computed on floats, in the order of operations of the array formula
-    pivot + (r c + (axis x r) s + (axis (axis . r)) (1 - c)) with r = p - pivot.
-    """
-    o = np.asarray(pivot, dtype=float).tolist()
-    a = np.asarray(axis, dtype=float).tolist()
-    r = _sub(np.asarray(p, dtype=float).tolist(), o)
+
+def _rodrigues(fixed, angle: float) -> tuple:
+    """The point of the _rodrigues_fixed terms rotated by angle, as floats, in
+    the order of operations of the array formula
+    pivot + (r c + (axis x r) s + (axis (axis . r)) (1 - c))."""
+    (o0, o1, o2), (r0, r1, r2), (x0, x1, x2), (k0, k1, k2) = fixed
     c, s = math.cos(angle), math.sin(angle)
-    k = dot3(a, r)
     omc = 1.0 - c
-    return np.array([o_i + (r_i * c + x_i * s + a_i * k * omc)
-                     for o_i, a_i, r_i, x_i in zip(o, a, r, _cross(a, r))])
+    return (o0 + (r0 * c + x0 * s + k0 * omc),
+            o1 + (r1 * c + x1 * s + k1 * omc),
+            o2 + (r2 * c + x2 * s + k2 * omc))
 
 
 # --------------------------------------------------------------------------
@@ -400,10 +416,18 @@ class Pose:
         object.__setattr__(self, "orientation", quat_normalize(self.orientation))
 
 
-def interpolate_pose(a: Pose, b: Pose, s: float) -> Pose:
-    """Linear position blend with shortest-arc orientation slerp."""
-    pos = (1.0 - s) * a.position + s * b.position
-    return Pose(pos, quat_slerp(a.orientation, b.orientation, s))
+def _pose_of(position, q) -> Pose:
+    """A Pose of the float 3-sequence position and the float quaternion q as
+    given: q has had the _unit_quat pass Pose.__post_init__ makes."""
+    return unchecked(Pose, position=np.array(position, dtype=float), orientation=np.array(q))
+
+
+def _lerp(a, b, s: float) -> tuple:
+    """(1 - s) a + s b for two float 3-sequences, as floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    t = 1.0 - s
+    return (t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2)
 
 
 POSE10_DIM = 10
@@ -411,8 +435,13 @@ POSE10_DIM = 10
 
 def pose10_encode(pose: Pose, gripper: float) -> np.ndarray:
     """Pack (position, 6D rotation, gripper command) into a 10-vector."""
+    return np.array(_pose10(pose, gripper))
+
+
+def _pose10(pose: Pose, gripper: float) -> list:
+    """pose10_encode(pose, gripper) as a list of floats."""
     (r00, r01, _), (r10, r11, _), (r20, r21, _) = _quat_matrix(pose.orientation)
-    return np.array([*pose.position.tolist(), r00, r10, r20, r01, r11, r21, float(gripper)])
+    return [*pose.position.tolist(), r00, r10, r20, r01, r11, r21, float(gripper)]
 
 
 def pose10_decode(v: np.ndarray) -> tuple[Pose, float]:

@@ -21,6 +21,7 @@ from .environments import (
     TaskEnvironment,
 )
 from .expert import (
+    ZERO_NORMAL,
     FsmPhase,
     KeyPose,
     PhaseLabel,
@@ -30,7 +31,7 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import Pose, _perp, normalized, quat_from_axis_angle, quat_rotate
+from .geometry import Pose, _normalize, _perp, _sub, quat_from_axis_angle, quat_rotate
 
 TASKS = ("MO", "PH", "WW", "DO")
 
@@ -178,7 +179,7 @@ def _chain(*sections):
         phases.extend(s[1])
         grippers.extend(s[2])
         if any_normals:
-            normals.extend(s[3] if len(s) == 4 else [np.zeros(3)] * len(s[0]))
+            normals.extend(s[3] if len(s) == 4 else [ZERO_NORMAL] * len(s[0]))
     return poses, phases, grippers, (normals if any_normals else None)
 
 
@@ -280,21 +281,19 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
 
 
 def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> list:
-    """Outward radial of the manifold each arc pose belongs to.
+    """Outward radial of the manifold each arc pose belongs to, as floats.
 
     For the door task the first segment lies on the handle circle and the rest
     on the hinge circle; at the switch step the incoming (handle) manifold's
     normal is used.
     """
-    normals = []
+    hinge = (door.hinge_pivot.tolist(), door.hinge_axis.tolist())
+    n_turn, handle = 0, hinge
     if not door.microwave:
         n_turn = int(math.ceil(turn_angle / math.radians(1.5) - 1e-12)) + 1
-    else:
-        n_turn = 0
+        handle = (door.handle_pivot.tolist(), door.handle_axis.tolist())
+    normals = []
     for i, pose in enumerate(arc):
-        if i < n_turn:
-            pivot, axis = door.handle_pivot, door.handle_axis
-        else:
-            pivot, axis = door.hinge_pivot, door.hinge_axis
-        normals.append(normalized(_perp((pose.position - pivot).tolist(), axis.tolist())))
+        pivot, axis = handle if i < n_turn else hinge
+        normals.append(_normalize(_perp(_sub(pose.position.tolist(), pivot), axis)))
     return normals

@@ -18,12 +18,11 @@ from admitsim.admittance import (
 )
 from admitsim.errors import NonPositiveParameter
 from admitsim.geometry import (
-    quat_conj,
+    _quat_from_rotvec,
+    _quat_mul,
+    _quat_to_rotvec,
     quat_from_axis_angle,
-    quat_from_rotvec,
     quat_identity,
-    quat_mul,
-    quat_to_rotvec,
     tangent_or_none,
 )
 
@@ -251,7 +250,7 @@ class TestStepRotation:
         angles = []
         for _ in range(6000):
             st_ = tick(st_, cmd).state
-            angles.append(quat_to_rotvec(st_.q_r)[2])
+            angles.append(_quat_to_rotvec(st_.q_r)[2])
         assert min(angles) > -1e-9  # no crossing through the target
         assert abs(angles[-1]) < 1e-4
 
@@ -314,10 +313,11 @@ def reference_tick(st_, cmd, f_ext, tau_ext, dt, cfg):
     acc = (np.array(f_ext) - f_cmd - D @ v_r - K @ (x_r - x_cmd)) / cfg.mass
     v_new = v_r + dt * acc
     x_new = x_r + dt * v_new
-    theta_err = quat_to_rotvec(quat_mul(q_r, quat_conj(np.array(cmd.q_cmd))))
+    qw, qx, qy, qz = cmd.q_cmd
+    theta_err = np.array(_quat_to_rotvec(_quat_mul(q_r.tolist(), (qw, -qx, -qy, -qz))))
     w_acc = (np.array(tau_ext) - cfg.rot_damping * w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
     w_new = w_r + dt * w_acc
-    q_new = quat_mul(quat_from_rotvec(w_new * dt), q_r)
+    q_new = _quat_mul(_quat_from_rotvec((w_new * dt).tolist()), q_r.tolist())
     return ControllerState(x_new, v_new, q_new, w_new)
 
 

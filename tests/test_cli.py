@@ -227,6 +227,8 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", task_event("PH", "tilt")),
     ("suite", "[suite]\ntask = DO\nseeds = 1\ndisturbed = only\n"
               "[disturbance.a]\nkind = raise\nstart = 1\nduration = 1\nmagnitude = 0.01\n"),
+    ("suite", "[suite]\ntask = DO\nseeds = 1\ndisturbed = none\n"
+              "[disturbance.a]\nkind = tilt\nstart = 1\nduration = 1\nmagnitude = 0.01\n"),
     ("run", shift_event(start="nan")),
     ("run", shift_event(duration="inf")),
     ("run", shift_event(magnitude="nan")),

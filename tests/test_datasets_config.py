@@ -1,4 +1,5 @@
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -87,6 +88,27 @@ class TestDataset:
         with pytest.raises(IoFailure, match="bytes where the header implies"):
             read_dataset(str(path))
 
+    @pytest.mark.parametrize("flag", [0.7, 2.0, -1.0, np.nan, np.inf])
+    def test_contact_flag_other_than_zero_or_one_is_io_failure(self, tmp_path, flag):
+        path = tmp_path / "demo.bin"
+        path.write_bytes(with_last_contact(_dataset_bytes(small_dataset()), flag))
+        with pytest.raises(IoFailure, match="contact flag"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_demo_tuples_view_one_block(self, task):
+        demo = generate_demo(task, build_environment(task, np.random.default_rng(2)))
+        assert_record_block(demo.tuples)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_read_back_tuples_view_one_block_per_episode(self, tmp_path, task):
+        eps = [generate_demo(task, build_environment(task, np.random.default_rng(i))).tuples
+               for i in range(2)]
+        path = str(tmp_path / "demo.bin")
+        write_dataset(path, Dataset(task, 16, eps))
+        for ep in read_dataset(path).episodes:
+            assert_record_block(ep)
+
     def test_trailing_bytes_are_io_failure(self, tmp_path):
         path = tmp_path / "demo.bin"
         write_dataset(str(path), Dataset("WW", 16, sample_episodes(1)))
@@ -108,6 +130,29 @@ def datasets(draw):
                          st.integers(0, 1))
     episodes = draw(st.lists(st.lists(tup(), max_size=4), max_size=3))
     return Dataset(draw(st.sampled_from(TASKS)), draw(st.integers(0, 2 ** 32 - 1)), episodes)
+
+
+def small_dataset() -> Dataset:
+    pose10 = np.array([0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+    return Dataset("PH", 16, [[SupervisionTuple(pose10, np.array([0.0, 0.0, 1.0]), 1)] * 3])
+
+
+def with_last_contact(raw: bytes, flag: float) -> bytes:
+    """The dataset bytes with the contact flag of the last record replaced."""
+    return raw[:-8] + struct.pack("<d", flag)
+
+
+def assert_record_block(episode):
+    """The tuples are row views of one C-contiguous (n, 14) float64 block."""
+    block = episode[0].pose10.base
+    assert block.shape == (len(episode), 14)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    for i, tup in enumerate(episode):
+        assert tup.pose10.base is block and tup.normal.base is block
+        assert np.shares_memory(tup.pose10, block[i, :10])
+        assert np.shares_memory(tup.normal, block[i, 10:13])
+        assert type(tup.contact) is int and tup.contact in (0, 1)
+        assert block[i, 13] == tup.contact
 
 
 def _dataset_bytes(ds: Dataset) -> bytes:
@@ -162,6 +207,18 @@ class TestDatasetFuzz:
             _read_bytes(bytes(raw))
         except IoFailure:
             pass
+
+
+class TestContactFlagFuzz:
+    @given(st.floats(width=64))
+    @settings(max_examples=100, deadline=None)
+    def test_only_zero_and_one_read_back(self, flag):
+        raw = with_last_contact(_dataset_bytes(small_dataset()), flag)
+        if flag in (0.0, 1.0):
+            assert _read_bytes(raw).episodes[0][-1].contact == int(flag)
+        else:
+            with pytest.raises(IoFailure):
+                _read_bytes(raw)
 
 
 class TestTrace:

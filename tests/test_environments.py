@@ -93,6 +93,36 @@ class TestFriction:
         assert np.linalg.norm(fast) == pytest.approx(5.0)
 
 
+# Board-frame stroke coordinates: the 30 x 20 cm board, its edges, cell
+# boundaries and centres (multiples of 2.5 mm) and points off the board.
+_STROKE_COORD = st.one_of(
+    st.floats(-0.2, 0.2),
+    st.integers(-80, 80).map(lambda k: 0.0025 * k),
+    st.sampled_from([-0.15, 0.15, -0.1, 0.1, -0.154, 0.154]),
+)
+
+
+def full_grid_stroke(ink, pts, pen_radius):
+    """The ink mask of a stroke evaluated at every cell, by the per-cell formula."""
+    cx = (np.arange(ink.nx) + 0.5) * ink.cell - 0.5 * ink.extent_x
+    cy = (np.arange(ink.ny) + 0.5) * ink.cell - 0.5 * ink.extent_y
+    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
+    dmin = np.full(len(centers), np.inf)
+    if len(pts) == 1:
+        dmin = np.linalg.norm(centers - pts[0], axis=1)
+    for a, b in zip(pts[:-1], pts[1:]):
+        ab0, ab1 = ab = b - a
+        den = float(ab0 * ab0 + ab1 * ab1)
+        if den < 1e-18:
+            d = np.linalg.norm(centers - a, axis=1)
+        else:
+            rel = centers - a
+            s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
+            d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
+        dmin = np.minimum(dmin, d)
+    return (dmin <= pen_radius).reshape(ink.nx, ink.ny)
+
+
 class TestInk:
     def test_update_requires_board(self):
         hole = HoleFixture()
@@ -174,6 +204,23 @@ class TestInk:
         n = board.ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
         assert n == board.ink.inked_count()
         assert remaining_ink_length(board) == pytest.approx(n * 0.5)
+
+    @given(st.lists(st.tuples(_STROKE_COORD, _STROKE_COORD), min_size=1, max_size=5),
+           st.sampled_from([0.0, 0.0025, 0.004, 0.01, 0.05]))
+    @settings(max_examples=150, deadline=None)
+    def test_stroke_inks_what_a_full_grid_evaluation_inks(self, points, radius):
+        ink = flat_board().ink
+        pts = np.array(points)
+        ink.ink_stroke(pts, pen_radius=radius)
+        assert np.array_equal(ink.inked, full_grid_stroke(ink, pts, radius))
+
+    def test_stroke_rejects_non_finite_input(self):
+        ink = flat_board().ink
+        with pytest.raises(ValueError):
+            ink.ink_stroke(np.array([[0.0, 0.0], [np.nan, 0.01]]))
+        with pytest.raises(ValueError):
+            ink.ink_stroke(np.array([[0.0, 0.0]]), pen_radius=np.inf)
+        assert ink.inked_count() == 0
 
     def test_monotone_under_wiping(self):
         board = flat_board()

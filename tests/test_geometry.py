@@ -9,7 +9,11 @@ from numpy.testing import assert_allclose
 from admitsim.errors import DegenerateInput
 from admitsim.geometry import (
     Pose,
-    interpolate_pose,
+    _lerp,
+    _rodrigues,
+    _rodrigues_fixed,
+    _slerp,
+    _slerp_ends,
     pose10_decode,
     pose10_encode,
     quat_from_axis_angle,
@@ -17,7 +21,6 @@ from admitsim.geometry import (
     quat_mul,
     quat_normalize,
     quat_to_matrix,
-    rodrigues_rotate,
     rot6d_decode,
     rot6d_encode,
     tangent_or_none,
@@ -67,6 +70,12 @@ class TestRot6d:
             q2 = rot6d_decode(rot6d_encode(q))
             err = np.linalg.norm(quat_to_matrix(q2) - quat_to_matrix(q))
             assert err < 1e-9
+
+
+def rodrigues_rotate(p, axis, pivot, angle):
+    """Point p turned by angle about the line through pivot along unit axis."""
+    fixed = _rodrigues_fixed(*(np.asarray(v, dtype=float).tolist() for v in (p, axis, pivot)))
+    return np.array(_rodrigues(fixed, angle))
 
 
 class TestRodrigues:
@@ -135,6 +144,12 @@ class TestTangentDirection:
         t = np.array(t)
         assert abs(float(t @ n)) < 1e-9
         assert abs(np.linalg.norm(t) - 1.0) < 1e-9
+
+
+def interpolate_pose(a, b, s):
+    """The pose at s of the segment from a to b: position lerp, shortest-arc slerp."""
+    ends = _slerp_ends(a.orientation.tolist(), b.orientation.tolist())
+    return Pose(_lerp(a.position.tolist(), b.position.tolist(), s), _slerp(ends, s))
 
 
 class TestInterpolatePose:
