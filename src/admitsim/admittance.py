@@ -22,10 +22,10 @@ from .errors import NonFiniteState, NonPositiveParameter
 from .geometry import (
     Pose,
     _quat_from_rotvec,
-    _quat_mul,
     _quat_to_rotvec,
     _unit_quat,
     dot3,
+    quat_mul,
     sq_norm,
     tangent_or_none,
     vec3,
@@ -264,7 +264,7 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     # Rotational admittance with zero commanded torque.
     q_r = st.q_r
     qw, qx, qy, qz = cmd.q_cmd
-    e0, e1, e2 = _quat_to_rotvec(_quat_mul(q_r, (qw, -qx, -qy, -qz)))
+    e0, e1, e2 = _quat_to_rotvec(quat_mul(q_r, (qw, -qx, -qy, -qz)))
     w0, w1, w2 = st.w_r
     a = dt / cfg.rot_mass
     rd = cfg.rot_damping
@@ -272,7 +272,7 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     w0 = w0 + a * (u0 - rd * w0 - rk * e0)
     w1 = w1 + a * (u1 - rd * w1 - rk * e1)
     w2 = w2 + a * (u2 - rd * w2 - rk * e2)
-    q_new = _quat_mul(_quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt)), q_r)
+    q_new = quat_mul(_quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt)), q_r)
     if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2))):
         raise NonFiniteState("controller state diverged")
     state = ControllerState._make(((x0, x1, x2), (v0, v1, v2), _unit_quat(q_new), (w0, w1, w2)))

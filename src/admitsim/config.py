@@ -60,8 +60,7 @@ Suite schema:
 from __future__ import annotations
 
 import configparser
-
-import numpy as np
+import math
 
 from .environments import DisturbanceEvent
 from .errors import ConfigParse, DegenerateInput, NonPositiveParameter
@@ -143,13 +142,13 @@ def _disturbances_from(parser, path: str) -> tuple:
         kind = parser.get(section, "kind", fallback=None)
         if kind is None:
             raise ConfigParse(f"{path}: [{section}] missing 'kind'")
-        direction = np.array([0.0, 0.0, 1.0])
+        direction = (0.0, 0.0, 1.0)
         if parser.has_option(section, "direction"):
             parts = parser.get(section, "direction").split()
             if len(parts) != 3:
                 raise ConfigParse(f"{path}: [{section}] direction needs 3 components")
             try:
-                direction = np.array([float(p) for p in parts])
+                direction = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise ConfigParse(f"{path}: [{section}] direction is not numeric") from exc
         try:
@@ -160,7 +159,7 @@ def _disturbances_from(parser, path: str) -> tuple:
                 magnitude=_get_float(parser, section, "magnitude", path),
                 direction=direction,
                 ramp=parser.getfloat(section, "ramp", fallback=0.0),
-                omega=parser.getfloat(section, "omega", fallback=2.0 * np.pi),
+                omega=parser.getfloat(section, "omega", fallback=2.0 * math.pi),
             ))
         except (ValueError, DegenerateInput, configparser.NoOptionError) as exc:
             raise ConfigParse(f"{path}: [{section}] {exc}") from exc

@@ -21,16 +21,15 @@ import numpy as np
 from .admittance import WrenchSample
 from .errors import WrongVariant
 from .geometry import (
-    Pose,
     _add,
     _cross,
     _matvec,
+    _normalize,
     _perp,
     _quat_matrix,
     _sub,
     _unit,
     dot3,
-    normalized,
     quat_from_axis_angle,
     quat_mul,
     sq_norm,
@@ -218,13 +217,6 @@ class InkGrid:
         cols = np.flatnonzero(self.inked.any(axis=0))
         self.box = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
 
-    def cell_center(self, i: int, j: int) -> np.ndarray:
-        """Cell center in board-frame xy, origin at the board center."""
-        return np.array([
-            (i + 0.5) * self.cell - 0.5 * self.extent_x,
-            (j + 0.5) * self.cell - 0.5 * self.extent_y,
-        ])
-
     def ink_stroke(self, points_xy: np.ndarray, pen_radius: float = 0.004) -> int:
         """Ink every cell whose center lies within pen_radius of the polyline.
 
@@ -297,7 +289,7 @@ class InkGrid:
         return int(self.inked.sum())
 
     def inked_centers(self) -> np.ndarray:
-        """Centers of the inked cells, one row each: cell_center of every index."""
+        """Board-frame xy centers of the inked cells, one row each, origin at the board center."""
         i, j = np.nonzero(self.inked)
         return np.column_stack([(i + 0.5) * self.cell - 0.5 * self.extent_x,
                                 (j + 0.5) * self.cell - 0.5 * self.extent_y])
@@ -311,8 +303,8 @@ class TaskEnvironment:
     """Common interface: spring + friction + per-variant geometry.
 
     The per-tick methods take the end-effector position and velocity as float
-    3-sequences and return float tuples; the geometry they read every tick is
-    held as float tuples too.
+    3-sequences and return float tuples. Every geometry parameter is a float
+    tuple, coerced once by the constructor.
     """
 
     spring: SpringContact
@@ -322,16 +314,16 @@ class TaskEnvironment:
         raise NotImplementedError
 
     def apply_disturbance_state(self, offset, tilt: float, tilt_axis):
-        """Default: displace the spring rest point by the float offset; tilt ignored."""
-        self.spring.rest_point = _add(self._base_rest, offset)
+        """Move the geometry by the float offset and tilt (an angle about the unit tilt_axis)."""
+        raise NotImplementedError
 
 
 @dataclass
 class PlaneBoard(TaskEnvironment):
     """Flat board with an ink grid; the outward normal faces the robot."""
 
-    center: np.ndarray = field(default_factory=lambda: np.array([0.25, 0.0, 0.10]))
-    rotation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
+    center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
+    rotation: tuple = (1.0, 0.0, 0.0, 0.0)  # any 4-sequence, wxyz
     extent: tuple = (0.30, 0.20)
     k_e: float = 1000.0
     friction: FrictionModel = field(default_factory=lambda: FrictionModel(coulomb_mu=0.3, viscous_c=5.0))
@@ -342,12 +334,10 @@ class PlaneBoard(TaskEnvironment):
     def __post_init__(self):
         _check_params(self, positive=("eraser_half_x", "eraser_half_y"),
                       non_negative=("f_min_wipe",))
-        self.center = np.asarray(self.center, dtype=float)
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        self._base_rest = vec3(self.center)
-        self._base_rotation = self.rotation.copy()
+        self.center = vec3(self.center)
+        self.rotation = self._base_rotation = tuple(map(float, self.rotation))
         self.ink = InkGrid(self.extent[0], self.extent[1])
-        self.spring = SpringContact(self.k_e, self._base_rest, self.normal())
+        self.spring = SpringContact(self.k_e, self.center, self.normal())
         # (tilt key, (rotation, normal) at that tilt). Zero tilt restores the
         # board as built, with the spring's unit normal.
         self._untilted = (0.0, (self.rotation, self.spring.surface_normal))
@@ -359,7 +349,7 @@ class PlaneBoard(TaskEnvironment):
         return _matvec(_quat_matrix(self.rotation), (0.0, 0.0, 1.0))
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
-        self.spring.rest_point = _add(self._base_rest, offset)
+        self.spring.rest_point = _add(self.center, offset)
         # Rotation and normal are functions of the tilt alone: recompute them
         # only when it changes (every tick of a ramp, once for a held tilt).
         key = (tilt, tilt_axis) if tilt != 0.0 else 0.0
@@ -393,12 +383,11 @@ class PlaneBoard(TaskEnvironment):
 class HoleFixture(TaskEnvironment):
     """Vertical bore with compliant walls and a spring-loaded bottom.
 
-    The rim center, which disturbances move, is a float tuple; the fixed axis
-    is an array with a float copy for the wrench.
+    Disturbances move the rim center; the axis is fixed and held unit.
     """
 
     rim_center: tuple = (0.30, 0.10, 0.08)  # any 3-sequence
-    axis_up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    axis_up: tuple = (0.0, 0.0, 1.0)  # any 3-sequence
     hole_radius: float = 0.005
     clearance: float = 0.001  # lateral play before wall contact
     depth: float = 0.025
@@ -409,8 +398,7 @@ class HoleFixture(TaskEnvironment):
 
     def __post_init__(self):
         self.rim_center = vec3(self.rim_center)
-        self.axis_up = normalized(self.axis_up)
-        self._axis = vec3(self.axis_up)
+        self.axis_up = _normalize(vec3(self.axis_up))
         _check_params(self, positive=("depth", "hole_radius", "wall_stiffness"),
                       non_negative=("clearance", "chamfer"))
         self._base_rest = self.rim_center
@@ -418,7 +406,7 @@ class HoleFixture(TaskEnvironment):
 
     def bottom_center(self) -> tuple:
         r0, r1, r2 = self.rim_center
-        a0, a1, a2 = self._axis
+        a0, a1, a2 = self.axis_up
         d = self.depth
         return (r0 - d * a0, r1 - d * a1, r2 - d * a2)
 
@@ -429,7 +417,7 @@ class HoleFixture(TaskEnvironment):
     def external_wrench(self, pos, vel) -> WrenchSample:
         # Floats throughout, summed from +0.0 in the order of the force terms.
         rel = _sub(pos, self.rim_center)
-        axis_up = self._axis
+        axis_up = self.axis_up
         d_ax = -dot3(rel, axis_up)  # depth below the rim
         if d_ax <= 0.0:
             return _NO_WRENCH
@@ -480,11 +468,11 @@ class HingedDoor(TaskEnvironment):
     once disengaged it stays disengaged.
     """
 
-    hinge_pivot: np.ndarray = field(default_factory=lambda: np.array([0.45, 0.25, 0.15]))
-    hinge_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    grasp0: np.ndarray = field(default_factory=lambda: np.array([0.45, -0.05, 0.15]))
-    handle_pivot: np.ndarray = None   # non-microwave only
-    handle_axis: np.ndarray = None
+    hinge_pivot: tuple = (0.45, 0.25, 0.15)  # any 3-sequences
+    hinge_axis: tuple = (0.0, 0.0, 1.0)
+    grasp0: tuple = (0.45, -0.05, 0.15)
+    handle_pivot: tuple = None  # non-microwave only
+    handle_axis: tuple = None
     handle_lever: float = 0.06
     microwave: bool = True
     opening_sign: float = -1.0
@@ -500,36 +488,34 @@ class HingedDoor(TaskEnvironment):
         _check_params(self, positive=("handle_lever", "grasp_tol"),
                       non_negative=("latch_force", "handle_spring", "latch_threshold",
                                     "release_angle"))
-        self.hinge_pivot = np.asarray(self.hinge_pivot, dtype=float)
-        self.hinge_axis = normalized(self.hinge_axis)
-        self.grasp0 = np.asarray(self.grasp0, dtype=float)
-        # Float copies of the fixed geometry for the per-tick methods.
-        self._hinge = (vec3(self.hinge_pivot), vec3(self.hinge_axis))
-        self._grasp = vec3(self.grasp0)
+        self.hinge_pivot = vec3(self.hinge_pivot)
+        self.hinge_axis = _normalize(vec3(self.hinge_axis))
+        self.grasp0 = vec3(self.grasp0)
         if not self.microwave:
-            self.handle_pivot = np.asarray(self.handle_pivot, dtype=float)
-            self.handle_axis = normalized(self.handle_axis)
-            self._handle = (vec3(self.handle_pivot), vec3(self.handle_axis))
+            self.handle_pivot = vec3(self.handle_pivot)
+            self.handle_axis = _normalize(vec3(self.handle_axis))
             # Handle lever at the closed grasp, perpendicular to the handle axis.
-            self._lever0_perp = _perp(_sub(self._grasp, self._handle[0]), self._handle[1])
-        self._base_rest = self._hinge[0]
+            self._lever0_perp = _perp(_sub(self.grasp0, self.handle_pivot), self.handle_axis)
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.
-        rad0 = self._radial(self._grasp)
+        rad0 = self._radial(self.grasp0)
         self.pull_radius = math.sqrt(sq_norm(rad0))
         self._e1 = _unit(rad0, self.pull_radius)
-        self._e2 = _cross(self._hinge[1], self._e1)
+        self._e2 = _cross(self.hinge_axis, self._e1)
         self.engaged = False
         self.latch_released = False
         self.door_angle = 0.0
         self.handle_angle = 0.0
         self.max_door_angle = 0.0
         self._az_ref = 0.0  # azimuth at grasp engagement, defines door_angle = 0
-        self.spring = SpringContact(self.k_e, self._grasp, self._e1)
+        self.spring = SpringContact(self.k_e, self.grasp0, self._e1)
+
+    def apply_disturbance_state(self, offset, tilt, tilt_axis):
+        """Displace the spring rest point from the hinge pivot; tilt ignored."""
+        self.spring.rest_point = _add(self.hinge_pivot, offset)
 
     def _radial(self, p) -> tuple:
         """Component of the float point p - hinge_pivot perpendicular to the hinge axis."""
-        pivot, axis = self._hinge
-        return _perp(_sub(p, pivot), axis)
+        return _perp(_sub(p, self.hinge_pivot), self.hinge_axis)
 
     def _azimuth(self, p) -> float:
         rad = self._radial(p)
@@ -540,7 +526,7 @@ class HingedDoor(TaskEnvironment):
         angles, latch hysteresis."""
         if not self.engaged:
             if gripper > 0.5 and \
-                    math.sqrt(sq_norm(_sub(eef_pos, self._grasp))) < self.grasp_tol:
+                    math.sqrt(sq_norm(_sub(eef_pos, self.grasp0))) < self.grasp_tol:
                 self.engaged = True
                 self._az_ref = self._azimuth(eef_pos)
         elif gripper < 0.5:
@@ -552,8 +538,8 @@ class HingedDoor(TaskEnvironment):
         self.door_angle = max(0.0, self.opening_sign * rel_az)
         self.max_door_angle = max(self.max_door_angle, self.door_angle)
         if not self.microwave and not self.latch_released:
-            pivot, handle_axis = self._handle
-            lever_perp = _perp(_sub(eef_pos, pivot), handle_axis)
+            handle_axis = self.handle_axis
+            lever_perp = _perp(_sub(eef_pos, self.handle_pivot), handle_axis)
             ref = self._lever0_perp
             cosv = dot3(ref, lever_perp)
             sinv = dot3(handle_axis, _cross(ref, lever_perp))
@@ -574,15 +560,13 @@ class HingedDoor(TaskEnvironment):
     def _active_circle(self):
         """(center, axis, radius) of the constraint circle currently in force, as floats."""
         if not self.microwave and not self.latch_released:
-            center, axis = self._handle
-            return center, axis, self.handle_lever
-        center, axis = self._hinge
-        return center, axis, self.pull_radius
+            return self.handle_pivot, self.handle_axis, self.handle_lever
+        return self.hinge_pivot, self.hinge_axis, self.pull_radius
 
-    def constraint_normal(self, p: np.ndarray) -> np.ndarray:
-        """Outward radial of the active circle at point p."""
+    def constraint_normal(self, p) -> tuple:
+        """Outward radial of the active circle at the float point p."""
         center, axis, _ = self._active_circle()
-        return normalized(_perp(_sub(p, center), axis))
+        return _normalize(_perp(_sub(p, center), axis))
 
     def _latched(self) -> bool:
         """Whether the latch force field acts: engaged, still latched, door opened."""
@@ -621,7 +605,7 @@ class HingedDoor(TaskEnvironment):
             if h > 1e-9:
                 a = -self.latch_force
                 sign = self.opening_sign
-                t0, t1, t2 = _cross(self._hinge[1], _unit(hinge_rad, h))
+                t0, t1, t2 = _cross(self.hinge_axis, _unit(hinge_rad, h))
                 f0, f1, f2 = f0 + a * (sign * t0), f1 + a * (sign * t1), f2 + a * (sign * t2)
         if not self.microwave and not self.latch_released and self.handle_angle > 0.0 \
                 and r > 1e-9:
@@ -636,13 +620,14 @@ class HingedDoor(TaskEnvironment):
 # Module-level operations (variant-checked)
 # --------------------------------------------------------------------------
 
-def update_ink(env: TaskEnvironment, eef: Pose, contact_active: bool, normal_force: float) -> int:
-    """Clean cells under the eraser footprint; gated on contact and force."""
+def update_ink(env: TaskEnvironment, position, contact_active: bool, normal_force: float) -> int:
+    """Clean cells under the eraser footprint at the end-effector position (a
+    float 3-sequence); gated on contact and force."""
     if not isinstance(env, PlaneBoard):
         raise WrongVariant("update_ink requires a PlaneBoard")
     if not contact_active or normal_force < env.f_min_wipe:
         return 0
-    local = env.to_board_frame(eef.position)
+    local = env.to_board_frame(position)
     return env.ink.wipe_rect(local, env.eraser_half_x, env.eraser_half_y)
 
 
@@ -681,11 +666,12 @@ def apply_disturbances(env: TaskEnvironment, events, t: float):
     return (e0, e1, e2), active
 
 
-def insertion_depth(env: TaskEnvironment, eef: Pose) -> float:
-    """Peg-tip depth below the hole rim along the axis, clamped to [0, depth], in mm."""
+def insertion_depth(env: TaskEnvironment, position) -> float:
+    """Depth of the peg tip at position (a float 3-sequence) below the hole rim
+    along the axis, clamped to [0, depth], in mm."""
     if not isinstance(env, HoleFixture):
         raise WrongVariant("insertion_depth requires a HoleFixture")
-    d_ax = -dot3(_sub(vec3(eef.position), env.rim_center), env._axis)
+    d_ax = -dot3(_sub(position, env.rim_center), env.axis_up)
     return 1000.0 * min(env.depth, max(0.0, d_ax))
 
 

@@ -28,11 +28,7 @@ from .geometry import (
     _lerp,
     _matvec,
     _normalize,
-    _pose10,
-    _pose_of,
-    _quat_from_axis_angle,
     _quat_matrix,
-    _quat_mul,
     _rodrigues,
     _rodrigues_fixed,
     _slerp,
@@ -41,6 +37,9 @@ from .geometry import (
     _unit_quat,
     dot3,
     pose10_decode,
+    pose10_encode,
+    quat_from_axis_angle,
+    quat_mul,
     sq_norm,
 )
 
@@ -82,12 +81,15 @@ class SupervisionTuple(_SupervisionFields):
     float64 block in the dataset's record layout: pose10 is row[:10], normal
     row[10:13], and contact, a Python int 0 or 1, is stored as row[13]. Those
     are built with the NamedTuple method `_make`; the public constructor
-    coerces pose10 and normal to float arrays.
+    coerces pose10 and normal to float arrays and rejects a contact flag
+    other than 0 or 1, which the dataset format cannot hold.
     """
 
     __slots__ = ()
 
     def __new__(cls, pose10, normal, contact):
+        if contact not in (0, 1):
+            raise ValueError(f"contact flag must be 0 or 1, got {contact!r}")
         return super().__new__(cls, np.asarray(pose10, dtype=float),
                                np.asarray(normal, dtype=float), contact)
 
@@ -115,23 +117,23 @@ def plan_free_motion(schedule: list[KeyPose], steps_per_segment: int) -> list[Po
         raise ValueError("steps_per_segment must be >= 1")
     poses = [schedule[0].pose]
     for a, b in zip(schedule[:-1], schedule[1:]):
-        pa, pb = a.pose.position.tolist(), b.pose.position.tolist()
-        ends = _slerp_ends(a.pose.orientation.tolist(), b.pose.orientation.tolist())
+        pa, pb = a.pose.position, b.pose.position
+        ends = _slerp_ends(a.pose.orientation, b.pose.orientation)
         for i in range(1, steps_per_segment + 1):
             s = i / steps_per_segment
-            poses.append(_pose_of(_lerp(pa, pb, s), _unit_quat(_slerp(ends, s))))
+            poses.append(Pose._make((_lerp(pa, pb, s), _unit_quat(_slerp(ends, s)))))
     return poses
 
 
 def plan_insertion(hole: HoleFixture, start_height: float, step: float,
-                   orientation: np.ndarray | None = None,
+                   orientation=None,
                    align_tol: float = math.radians(5.0)) -> list[Pose]:
     """Descend along the hole axis from start_height above the bottom to the bottom."""
     orientation = (1.0, 0.0, 0.0, 0.0) if orientation is None else \
-        np.asarray(orientation, dtype=float).tolist()
+        tuple(map(float, orientation))
     # Peg axis is the tool -z direction; it must oppose the hole's up axis.
     peg_dir = _matvec(_quat_matrix(orientation), (0.0, 0.0, -1.0))
-    up = hole.axis_up.tolist()
+    up = hole.axis_up
     if -dot3(peg_dir, up) < math.cos(align_tol):
         raise NotAligned("peg axis deviates from the hole axis beyond tolerance")
     if step <= 0.0:
@@ -146,7 +148,7 @@ def plan_insertion(hole: HoleFixture, start_height: float, step: float,
         positions.append((b0 + h * u0, b1 + h * u1, b2 + h * u2))
     if math.sqrt(sq_norm(_sub(positions[-1], bottom))) > 1e-12:
         positions.append(bottom)
-    return [_pose_of(p, q) for p in positions]
+    return [Pose._make((p, q)) for p in positions]
 
 
 def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float = 0.5,
@@ -176,7 +178,7 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
     while lanes[-1] < y_hi - 1e-12:
         lanes.append(min(lanes[-1] + pitch, y_hi))
     R = _quat_matrix(board.rotation)
-    q = _unit_quat(board.rotation.tolist())  # eraser frame aligned with the board surface
+    q = _unit_quat(board.rotation)  # eraser frame aligned with the board surface
     rest = board.spring.rest_point
 
     poses: list[Pose] = []
@@ -186,7 +188,7 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
             if li % 2 == 1:
                 xs = xs[::-1]
             for x in xs:
-                poses.append(_pose_of(_add(rest, _matvec(R, (x, y, -press_depth))), q))
+                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -press_depth))), q)))
     return poses
 
 
@@ -205,7 +207,7 @@ def plan_articulated(door: HingedDoor, target_angle: float, step: float,
     encoding the turn-then-pull sequence.
     """
     if grasp_pose is None:
-        grasp_pose = Pose(door.grasp0, np.array([1.0, 0.0, 0.0, 0.0]))
+        grasp_pose = Pose(door.grasp0, (1.0, 0.0, 0.0, 0.0))
     if step <= 0.0:
         raise ValueError("step must be > 0")
     poses: list[Pose] = []
@@ -224,21 +226,19 @@ def plan_articulated(door: HingedDoor, target_angle: float, step: float,
     return poses
 
 
-def _arc(start: Pose, axis: np.ndarray, pivot: np.ndarray, total: float, step: float,
+def _arc(start: Pose, axis, pivot, total: float, step: float,
          sign: float = 1.0) -> list[Pose]:
-    """`start` turned about the line through pivot along axis, co-rotating, by
-    sign * min(total, i * step) for i = 0 .. ceil(total / step)."""
+    """`start` turned about the line through pivot along the unit axis (float
+    3-sequences), co-rotating, by sign * min(total, i * step) for
+    i = 0 .. ceil(total / step)."""
     n = int(math.ceil(total / step - 1e-12)) if total > 0 else 0
-    axis = np.asarray(axis, dtype=float).tolist()
-    turn = _rodrigues_fixed(start.position.tolist(), axis,
-                            np.asarray(pivot, dtype=float).tolist())
-    unit_axis = _normalize(axis)
-    q0 = start.orientation.tolist()
+    turn = _rodrigues_fixed(start.position, axis, pivot)
+    q0 = start.orientation
     out = []
     for i in range(n + 1):
         ang = sign * min(total, i * step)
-        q = _quat_mul(_quat_from_axis_angle(unit_axis, ang), q0)
-        out.append(_pose_of(_rodrigues(turn, ang), _unit_quat(q)))
+        q = quat_mul(quat_from_axis_angle(axis, ang), q0)
+        out.append(Pose._make((_rodrigues(turn, ang), _unit_quat(q))))
     return out
 
 
@@ -246,16 +246,16 @@ def _arc(start: Pose, axis: np.ndarray, pivot: np.ndarray, total: float, step: f
 # Contact-manifold normals and supervision extraction
 # --------------------------------------------------------------------------
 
-def manifold_normal(env: TaskEnvironment, eef: Pose) -> np.ndarray:
-    """Outward constraint normal at the end-effector.
+def manifold_normal(env: TaskEnvironment, eef: Pose) -> tuple:
+    """Outward constraint normal at the end-effector, as floats.
 
     This is the direction of the contact force the environment exerts on the
     robot; the controller presses along its negative.
     """
     if isinstance(env, PlaneBoard):
-        return np.array(env.spring.surface_normal)
+        return env.spring.surface_normal
     if isinstance(env, HoleFixture):
-        return env.axis_up.copy()
+        return env.axis_up
     if isinstance(env, HingedDoor):
         return env.constraint_normal(eef.position)
     raise NoContactManifold(f"no manifold for environment {type(env).__name__}")
@@ -288,13 +288,13 @@ def extract_supervision(poses: list[Pose], phases: list[FsmPhase], grippers: lis
                     n = normals[t]  # contact ends at t+1: keep the incoming manifold
                 n = _normalize(n)
             elif isinstance(env, HingedDoor):
-                n = _normalize(manifold_normal(env, poses[t + 1]).tolist())
+                n = _normalize(manifold_normal(env, poses[t + 1]))
             else:
                 if fixed is None:
-                    fixed = _normalize(manifold_normal(env, poses[t + 1]).tolist())
+                    fixed = _normalize(manifold_normal(env, poses[t + 1]))
                 n = fixed
         else:
             n = ZERO_NORMAL
-        rows.append((*_pose10(poses[t + 1], grippers[t]), *n, float(c)))
+        rows.append((*pose10_encode(poses[t + 1], grippers[t]), *n, float(c)))
     block = np.array(rows)
     return list(map(SupervisionTuple._make, zip(block[:, :10], block[:, 10:13], contacts)))

@@ -1,10 +1,10 @@
 """Vector, quaternion, and trajectory primitives used by the controller and planners.
 
 Conventions:
-- Vectors are 3-vectors in SI units: numpy float64 arrays of shape (3,) in
-  whole-array and planning code, tuples of three Python floats per tick.
-- Quaternions are wxyz, unit norm, canonical sign w >= 0: arrays of shape
-  (4,), or tuples of four floats per tick.
+- A 3-vector is a tuple of three Python floats in SI units, a quaternion a
+  tuple of four (wxyz, unit norm, canonical sign w >= 0) and a `Pose` a pair
+  of them. The public constructors (`vec3`, `Pose`) coerce any sequence, an
+  array or a list, into that form.
 - The 6D rotation encoding is the first two columns of the rotation matrix,
   decoded by Gram-Schmidt orthonormalization.
 
@@ -27,40 +27,24 @@ so outputs are identical on any host with the same libm. On the reference
 host numpy's `sqrt`, `sin` and `cos` ufuncs equal `math` bit for bit (a
 tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
-Whole-array code (the verifier's RK4 grids, the ink grid) uses numpy ufuncs,
-which give the same bits at any array length.
+Arrays appear only where whole arrays are the point, and numpy ufuncs give
+the same bits at any array length there: the `RunLog` of a finished episode,
+built once from the per-tick logs, the ink grid, the verifier's RK4 grids and
+the supervision records, row views of one (n, 14) float64 block in the
+dataset layout (`admitsim.datasets`). Elementwise float arithmetic rounds
+exactly like numpy's, so the tuples carry the bits an array would.
 
-Per-tick contract. The 1 kHz loop carries every value as a tuple of Python
-floats, end to end: controller state, command, wrench and tick result, the
-environment wrenches, the disturbance offsets and forces, and the spring rest
-point and normal. The float helpers below (`_add`, `_sub`, `_cross`, `_perp`,
-`_unit`, `_matvec`) and the `_quat_*` functions serve it; none builds an
-array. Elementwise float arithmetic rounds exactly like numpy's, so the
-tuples carry the same bits an array would. Arrays appear only where whole
-arrays are the point: the `RunLog` of a finished episode, built once from
-the per-tick logs, the ink grid, the planners and the verifier's grids. The
-public constructors (`vec3` for a 3-vector) coerce any sequence into the
-tuple form.
-
-Planner code. The expert planners compute on floats as well, in the order of
-operations of the array formulas they replace, and build each waypoint's
-`Pose` once with `_pose_of` from finished floats. The terms that do not
-change along a segment are computed once: the unit endpoints of a slerp
-(`_slerp_ends`), the pivot-relative vectors of a rotation about a line
-(`_rodrigues_fixed`) and the unit axis of an arc. Every quaternion still gets
-the `_unit_quat` passes of the array code (the slerp's own and the one of
-`Pose.__post_init__`): a repeated pass changes at least one component of
-about a third of unit quaternions, so dropping one would move every demo.
-A demo's supervision tuples are row views of one (n, 14) float64 record
-block, the layout of the dataset file (`admitsim.datasets`).
+Every quaternion keeps the `_unit_quat` passes of the formulas the outputs
+were pinned with (a slerp's own, the one of the `Pose` constructor): a
+repeated pass changes at least one component of about a third of unit
+quaternions. The planners build each waypoint's `Pose` once, with
+`Pose._make`, from floats that have had that pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import DegenerateInput
 
@@ -69,17 +53,6 @@ from .errors import DegenerateInput
 # isotropic stiffness.
 EPS_POS = 1e-6
 EPS_PROJ = 1e-6
-
-
-def unchecked(cls, **fields):
-    """An instance of the dataclass `cls` holding `fields` as given.
-
-    Skips __post_init__: for values the 1 kHz loop has already coerced and
-    checked. Outside callers use the public constructors, which validate.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def vec3(v) -> tuple:
@@ -109,14 +82,6 @@ def _nonzero_norm(n: float, eps: float = 1e-12) -> float:
     return n
 
 
-def normalized(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    return np.array(_normalize(np.asarray(v, dtype=float).tolist(), eps))
-
-
-# Float-tuple twins of normalized, np.cross, array sums and differences and the
-# matrix-vector product for per-tick code: elementwise float arithmetic rounds
-# exactly as numpy's does.
-
 def _normalize(v, eps: float = 1e-12) -> tuple:
     """v / |v| for a float 3-sequence v, as floats."""
     return _unit(v, math.sqrt(sq_norm(v)), eps)
@@ -130,7 +95,7 @@ def _unit(v, n: float, eps: float = 1e-12) -> tuple:
 
 
 def _cross(a, b) -> tuple:
-    """np.cross(a, b) of two float 3-sequences, in numpy's order of operations."""
+    """a x b of two float 3-sequences, in numpy's (np.cross) order of operations."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
@@ -168,29 +133,8 @@ def _matvec(rows, v) -> tuple:
 # Quaternions (wxyz)
 # --------------------------------------------------------------------------
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Unit-normalize and pick the canonical sign (w >= 0)."""
-    return np.array(_unit_quat(np.asarray(q, dtype=float).tolist()))
-
-
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array(_quat_mul(np.asarray(a, dtype=float).tolist(),
-                              np.asarray(b, dtype=float).tolist()))
-
-
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    return np.array(_quat_from_axis_angle(_normalize(np.asarray(axis, dtype=float).tolist()),
-                                          angle))
-
-
-# The quaternion algebra itself, on sequences of Python floats, under the
-# numerics contract above. The 1 kHz controller tick calls these directly.
-
 def _unit_quat(q) -> tuple:
+    """q normalized, with the canonical sign w >= 0."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)  # sq_norm's sum, four terms
     if n < 1e-12:
@@ -201,7 +145,8 @@ def _unit_quat(q) -> tuple:
     return (w, x, y, z)
 
 
-def _quat_mul(a, b) -> tuple:
+def quat_mul(a, b) -> tuple:
+    """The Hamilton product a b."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
     return (
@@ -212,10 +157,11 @@ def _quat_mul(a, b) -> tuple:
     )
 
 
-def _quat_from_axis_angle(unit_axis, angle: float) -> tuple:
+def quat_from_axis_angle(axis, angle: float) -> tuple:
+    """The rotation by angle about axis, which is normalized first."""
+    ax, ay, az = _normalize(axis)
     half = 0.5 * angle
     s = math.sin(half)
-    ax, ay, az = unit_axis
     return _unit_quat((math.cos(half), s * ax, s * ay, s * az))
 
 
@@ -225,8 +171,7 @@ def _quat_from_rotvec(w) -> tuple:
     if angle < 1e-12:
         return (1.0, 0.0, 0.0, 0.0)
     w0, w1, w2 = w
-    axis = (w0 / angle, w1 / angle, w2 / angle)
-    return _quat_from_axis_angle(_unit(axis, math.sqrt(sq_norm(axis))), angle)
+    return quat_from_axis_angle((w0 / angle, w1 / angle, w2 / angle), angle)
 
 
 def _quat_to_rotvec(q) -> tuple:
@@ -239,13 +184,9 @@ def _quat_to_rotvec(q) -> tuple:
     return ((x / s) * angle, (y / s) * angle, (z / s) * angle)
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    return np.array(_quat_matrix(q))
-
-
 def _quat_matrix(q) -> tuple:
     """Rows of the rotation matrix of q, as float tuples."""
-    w, x, y, z = _unit_quat(np.asarray(q, dtype=float).tolist())
+    w, x, y, z = _unit_quat(q)
     return (
         (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
         (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
@@ -253,39 +194,28 @@ def _quat_matrix(q) -> tuple:
     )
 
 
-def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix to quaternion (Shepperd's branch method)."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+def matrix_to_quat(R) -> tuple:
+    """Rotation matrix, given by its rows, to quaternion (Shepperd's branch method)."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      0.25 * s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      0.25 * s,
-                      (R[1, 2] + R[2, 1]) / s])
+        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
     else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      0.25 * s])
-    return quat_normalize(q)
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
+    return _unit_quat(q)
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.array(_matvec(_quat_matrix(q), np.asarray(v, dtype=float).tolist()))
+def quat_rotate(q, v) -> tuple:
+    """The 3-vector v rotated by q."""
+    return _matvec(_quat_matrix(q), v)
 
 
 def _slerp_ends(a, b) -> tuple:
@@ -323,31 +253,30 @@ def _slerp(ends, s: float) -> tuple:
 # 6D rotation encoding
 # --------------------------------------------------------------------------
 
-def rot6d_encode(q: np.ndarray) -> np.ndarray:
+def rot6d_encode(q) -> tuple:
     """First two columns of the rotation matrix, flattened column-first."""
-    R = quat_to_matrix(q)
-    return np.concatenate([R[:, 0], R[:, 1]])
+    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _quat_matrix(q)
+    return (r00, r10, r20, r01, r11, r21)
 
 
-def rot6d_decode(v6: np.ndarray) -> np.ndarray:
+def rot6d_decode(v6) -> tuple:
     """Gram-Schmidt the two encoded columns back into a quaternion.
 
     Raises DegenerateInput when the first column is near zero or the columns
     are parallel within 1e-6.
     """
-    v6 = np.asarray(v6, dtype=float)
+    v6 = tuple(map(float, v6))
     a, b = v6[:3], v6[3:6]
-    na = math.sqrt(sq_norm(a.tolist()))
+    na = math.sqrt(sq_norm(a))
     if na <= 1e-6:
         raise DegenerateInput("rot6d first column near zero")
-    b1 = a / na
-    b2 = b - dot3(b1.tolist(), b.tolist()) * b1
-    nb = math.sqrt(sq_norm(b2.tolist()))
+    b1 = _unit(a, na)
+    b2 = _perp(b, b1)
+    nb = math.sqrt(sq_norm(b2))
     if nb <= 1e-6:
         raise DegenerateInput("rot6d columns parallel")
-    b2 = b2 / nb
-    b3 = np.cross(b1, b2)
-    return matrix_to_quat(np.column_stack([b1, b2, b3]))
+    b2 = _unit(b2, nb)
+    return matrix_to_quat(tuple(zip(b1, b2, _cross(b1, b2))))
 
 
 # --------------------------------------------------------------------------
@@ -404,22 +333,23 @@ def tangent_or_none(n, d) -> tuple | None:
 # Poses and the 10-d pose/gripper encoding
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pose:
-    """End-effector position (m) and orientation (unit quaternion, wxyz)."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "orientation", quat_normalize(self.orientation))
+class _PoseFields(NamedTuple):
+    position: tuple
+    orientation: tuple
 
 
-def _pose_of(position, q) -> Pose:
-    """A Pose of the float 3-sequence position and the float quaternion q as
-    given: q has had the _unit_quat pass Pose.__post_init__ makes."""
-    return unchecked(Pose, position=np.array(position, dtype=float), orientation=np.array(q))
+class Pose(_PoseFields):
+    """End-effector position (m) and orientation (unit quaternion, wxyz).
+
+    The public constructor coerces both to float tuples and gives the
+    orientation one `_unit_quat` pass; code holding finished floats builds a
+    pose with the NamedTuple method `_make`, which skips both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, position, orientation):
+        return super().__new__(cls, vec3(position), _unit_quat(tuple(map(float, orientation))))
 
 
 def _lerp(a, b, s: float) -> tuple:
@@ -433,17 +363,10 @@ def _lerp(a, b, s: float) -> tuple:
 POSE10_DIM = 10
 
 
-def pose10_encode(pose: Pose, gripper: float) -> np.ndarray:
-    """Pack (position, 6D rotation, gripper command) into a 10-vector."""
-    return np.array(_pose10(pose, gripper))
+def pose10_encode(pose: Pose, gripper: float) -> tuple:
+    """Pack (position, 6D rotation, gripper command) into 10 floats."""
+    return (*pose.position, *rot6d_encode(pose.orientation), float(gripper))
 
 
-def _pose10(pose: Pose, gripper: float) -> list:
-    """pose10_encode(pose, gripper) as a list of floats."""
-    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _quat_matrix(pose.orientation)
-    return [*pose.position.tolist(), r00, r10, r20, r01, r11, r21, float(gripper)]
-
-
-def pose10_decode(v: np.ndarray) -> tuple[Pose, float]:
-    v = np.asarray(v, dtype=float)
+def pose10_decode(v) -> tuple[Pose, float]:
     return Pose(v[:3], rot6d_decode(v[3:9])), float(v[9])

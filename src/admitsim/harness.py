@@ -30,7 +30,7 @@ from .environments import (
     update_ink,
 )
 from .errors import NonFiniteState
-from .geometry import Pose, dot3, pose10_encode, sq_norm, unchecked
+from .geometry import dot3, pose10_encode, sq_norm
 from .policy import ActionChunk, NoiseSpec, Observation, predict
 from .tasks import (
     TASK_DISTURBANCES,
@@ -209,9 +209,7 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         if is_board:
             fn = dot3(raw_force, env.spring.surface_normal)
             if fn > 0.0:
-                # The ink reads only the position of this pose.
-                update_ink(env, unchecked(Pose, position=state.x_r, orientation=state.q_r),
-                           True, fn)
+                update_ink(env, state.x_r, True, fn)
         buf_t.append(t)
         buf_x.extend(state.x_r)
         buf_v.extend(state.v_r)
@@ -256,7 +254,7 @@ def _final_metrics(task: str, env, state: ControllerState, peak_force: float) ->
     if task == "WW":
         metrics["remaining_ink_cm"] = remaining_ink_length(env)
     elif task == "PH":
-        metrics["insertion_depth_mm"] = insertion_depth(env, state.pose())
+        metrics["insertion_depth_mm"] = insertion_depth(env, state.x_r)
     else:
         metrics["opening_angle_deg"] = opening_angle(env)
     return metrics
@@ -317,9 +315,9 @@ def default_disturbance(task: str) -> tuple:
     """The scripted disturbance used in disturbed suite runs."""
     if task == "WW":
         return (DisturbanceEvent("raise", start=5.0, duration=10.0, magnitude=0.07,
-                                 direction=np.array([0.0, 0.0, 1.0]), ramp=0.5),)
+                                 direction=(0.0, 0.0, 1.0), ramp=0.5),)
     if task == "PH":
         return (DisturbanceEvent("shift", start=3.0, duration=5.0, magnitude=0.01,
-                                 direction=np.array([1.0, 0.0, 0.0]), ramp=0.5),)
+                                 direction=(1.0, 0.0, 0.0), ramp=0.5),)
     return (DisturbanceEvent("force_pulse", start=6.0, duration=2.0, magnitude=10.0,
-                             direction=np.array([0.0, 1.0, 0.0]), ramp=0.3),)
+                             direction=(0.0, 1.0, 0.0), ramp=0.3),)

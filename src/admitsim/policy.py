@@ -15,13 +15,15 @@ import numpy as np
 from .errors import EndOfDemo, LengthMismatch
 from .expert import SupervisionTuple
 from .geometry import (
-    normalized,
-    sq_norm,
+    _cross,
+    _normalize,
+    _unit,
     quat_from_axis_angle,
     quat_mul,
     quat_rotate,
     rot6d_decode,
     rot6d_encode,
+    sq_norm,
 )
 
 DEFAULT_HORIZON = 16
@@ -71,23 +73,23 @@ class NoiseSpec:
             raise ValueError(f"contact_flip_prob must lie in [0, 1], got {self.contact_flip_prob}")
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
+def _random_unit(rng: np.random.Generator) -> tuple:
     while True:
-        v = rng.normal(size=3)
-        n = math.sqrt(sq_norm(v.tolist()))
+        v = rng.normal(size=3).tolist()
+        n = math.sqrt(sq_norm(v))
         if n > 1e-8:
-            return v / n
+            return _unit(v, n)
 
 
-def _perturb_normal(n: np.ndarray, rng: np.random.Generator, cone_std: float) -> np.ndarray:
+def _perturb_normal(n, rng: np.random.Generator, cone_std: float) -> tuple:
+    """The unit normal n (a float 3-sequence) tilted by a random cone angle."""
     angle = rng.normal(0.0, cone_std)
     # Rotation axis orthogonal to n so the cone angle is exactly `angle`.
-    helper = _random_unit(rng)
-    axis = np.cross(n, helper)
-    while math.sqrt(sq_norm(axis.tolist())) < 1e-8:
-        axis = np.cross(n, _random_unit(rng))
+    axis = _cross(n, _random_unit(rng))
+    while math.sqrt(sq_norm(axis)) < 1e-8:
+        axis = _cross(n, _random_unit(rng))
     q = quat_from_axis_angle(axis, angle)
-    return normalized(quat_rotate(q, n))
+    return _normalize(quat_rotate(q, n))
 
 
 def predict(obs: Observation, demo: list[SupervisionTuple], noise: NoiseSpec,
@@ -113,10 +115,10 @@ def predict(obs: Observation, demo: list[SupervisionTuple], noise: NoiseSpec,
             dq = quat_from_axis_angle(_random_unit(rng), rng.normal(0.0, noise.rot_std))
             pose10[3:9] = rot6d_encode(quat_mul(dq, q))
         c = src.contact
-        n = src.normal.copy()
+        n = src.normal.tolist()
         if noise.contact_flip_prob > 0.0 and rng.random() < noise.contact_flip_prob:
             c = 1 - c
-            if c == 1 and math.sqrt(sq_norm(n.tolist())) < 0.5:
+            if c == 1 and math.sqrt(sq_norm(n)) < 0.5:
                 n = _random_unit(rng)  # spurious contact: the normal is garbage but unit
         if c == 1 and noise.normal_cone_std > 0.0:
             n = _perturb_normal(n, rng, noise.normal_cone_std)

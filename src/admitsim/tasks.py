@@ -31,7 +31,7 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import Pose, _normalize, _perp, _sub, quat_from_axis_angle, quat_rotate
+from .geometry import Pose, _add, _normalize, _perp, _sub, quat_from_axis_angle, quat_rotate
 
 TASKS = ("MO", "PH", "WW", "DO")
 
@@ -56,7 +56,7 @@ TASK_DISTURBANCES = {
     "DO": ("force_pulse",),
 }
 
-IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -95,8 +95,8 @@ def _build_board(rng, overrides) -> PlaneBoard:
     # Height randomized within 10 cm, orientation about x within +/-20 deg.
     dz = rng.uniform(-0.05, 0.05)
     tilt = rng.uniform(-math.radians(20.0), math.radians(20.0))
-    center = np.array([0.30, 0.0, 0.12 + dz])
-    rotation = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), tilt)
+    center = (0.30, 0.0, 0.12 + dz)
+    rotation = quat_from_axis_angle((1.0, 0.0, 0.0), tilt)
     board = PlaneBoard(center=center, rotation=rotation,
                        k_e=overrides.get("k_e", 1000.0))
     _scribble(board, rng)
@@ -120,31 +120,31 @@ def _scribble(board: PlaneBoard, rng, n_segments: int = 3, seg_len: float = 0.05
 def _build_hole(rng, overrides) -> HoleFixture:
     # Placement randomized in a 40 cm x 40 cm x 20 cm volume; the vertical-axis
     # orientation randomization (+/-90 deg) is immaterial for a round hole.
-    rim = np.array([
+    rim = (
         0.25 + rng.uniform(-0.2, 0.2),
         rng.uniform(-0.2, 0.2),
         0.10 + rng.uniform(-0.1, 0.1),
-    ])
+    )
     return HoleFixture(rim_center=rim, k_e=overrides.get("k_e", 1000.0))
 
 
 def _build_door(task: str, rng, overrides) -> HingedDoor:
     yaw = rng.uniform(-math.radians(15.0), math.radians(15.0))
-    rotz = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
+    rotz = quat_from_axis_angle((0.0, 0.0, 1.0), yaw)
     if task == "MO":
-        base = np.array([0.45 + rng.uniform(-0.05, 0.05),
-                         0.25 + rng.uniform(-0.10, 0.10),
-                         0.15 + rng.uniform(-0.05, 0.05)])
-        grasp = base + quat_rotate(rotz, np.array([0.0, -0.25, 0.0]))
+        base = (0.45 + rng.uniform(-0.05, 0.05),
+                0.25 + rng.uniform(-0.10, 0.10),
+                0.15 + rng.uniform(-0.05, 0.05))
+        grasp = _add(base, quat_rotate(rotz, (0.0, -0.25, 0.0)))
         return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=True,
                           latch_force=overrides.get("latch_force", 15.0),
                           k_e=overrides.get("k_e", 1000.0))
-    base = np.array([0.55 + rng.uniform(-0.05, 0.05),
-                     0.35 + rng.uniform(-0.15, 0.15),
-                     rng.uniform(-0.05, 0.05)])
-    handle_pivot = base + quat_rotate(rotz, np.array([0.0, -0.42, 0.25]))
-    handle_axis = quat_rotate(rotz, np.array([1.0, 0.0, 0.0]))
-    grasp = handle_pivot + quat_rotate(rotz, np.array([0.0, -0.06, 0.0]))
+    base = (0.55 + rng.uniform(-0.05, 0.05),
+            0.35 + rng.uniform(-0.15, 0.15),
+            rng.uniform(-0.05, 0.05))
+    handle_pivot = _add(base, quat_rotate(rotz, (0.0, -0.42, 0.25)))
+    handle_axis = quat_rotate(rotz, (1.0, 0.0, 0.0))
+    grasp = _add(handle_pivot, quat_rotate(rotz, (0.0, -0.06, 0.0)))
     return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=False,
                       handle_pivot=handle_pivot, handle_axis=handle_axis,
                       handle_lever=0.06,
@@ -156,7 +156,7 @@ def _build_door(task: str, rng, overrides) -> HingedDoor:
 # Demonstration generation
 # --------------------------------------------------------------------------
 
-HOME = Pose(np.array([0.0, 0.0, 0.35]), IDENTITY_Q)
+HOME = Pose((0.0, 0.0, 0.35), IDENTITY_Q)
 GRASP_STEPS = 5
 
 
@@ -183,6 +183,13 @@ def _chain(*sections):
     return poses, phases, grippers, (normals if any_normals else None)
 
 
+def _along(p, s: float, d) -> tuple:
+    """The float point p + s d."""
+    p0, p1, p2 = p
+    d0, d1, d2 = d
+    return (p0 + s * d0, p1 + s * d1, p2 + s * d2)
+
+
 def _section(poses, label: PhaseLabel, gripper, normals=None):
     phases = [FsmPhase(label)] * len(poses)
     grippers = [gripper] * len(poses) if np.isscalar(gripper) else list(gripper)
@@ -194,9 +201,9 @@ def _section(poses, label: PhaseLabel, gripper, normals=None):
 def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
     wipe = plan_wiping(board, passes=wipe_passes)
     start = wipe[0]
-    nu = np.array(board.spring.surface_normal)
-    above = Pose(start.position + 0.03 * nu, start.orientation)
-    high = Pose(above.position + 0.05 * nu, start.orientation)
+    nu = board.spring.surface_normal
+    above = Pose(_along(start.position, 0.03, nu), start.orientation)
+    high = Pose(_along(above.position, 0.05, nu), start.orientation)
     approach = plan_free_motion(
         [KeyPose(HOME, 1.0, PhaseLabel.APPROACH),
          KeyPose(high, 1.0, PhaseLabel.APPROACH),
@@ -207,7 +214,7 @@ def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
         [KeyPose(above, 1.0, PhaseLabel.APPROACH), KeyPose(start, 1.0, PhaseLabel.APPROACH)],
         steps_per_segment=4,
     )[1:]
-    lift = Pose(wipe[-1].position + 0.08 * nu, wipe[-1].orientation)
+    lift = Pose(_along(wipe[-1].position, 0.08, nu), wipe[-1].orientation)
     retract = plan_free_motion(
         [KeyPose(wipe[-1], 1.0, PhaseLabel.RETRACT), KeyPose(lift, 1.0, PhaseLabel.RETRACT)],
         steps_per_segment=6,
@@ -225,7 +232,7 @@ def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
 def _ph_demo(hole: HoleFixture) -> Demo:
     insertion = plan_insertion(hole, start_height=hole.depth, step=0.001)
     rim_pose = insertion[0]
-    above = Pose(rim_pose.position + 0.04 * hole.axis_up, rim_pose.orientation)
+    above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
     approach = plan_free_motion(
         [KeyPose(HOME, 1.0, PhaseLabel.APPROACH),
          KeyPose(above, 1.0, PhaseLabel.APPROACH),
@@ -245,8 +252,8 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
     grasp_pose = Pose(door.grasp0, IDENTITY_Q)
     # Approach from above: a vertical standoff leaves the hinge azimuth (and
     # with it the inferred door angle) unbiased when the gripper closes.
-    standoff_dir = np.array([0.0, 0.0, 1.0])
-    pre = Pose(door.grasp0 + 0.08 * standoff_dir, IDENTITY_Q)
+    standoff_dir = (0.0, 0.0, 1.0)
+    pre = Pose(_along(door.grasp0, 0.08, standoff_dir), IDENTITY_Q)
     approach = plan_free_motion(
         [KeyPose(HOME, 0.0, PhaseLabel.APPROACH),
          KeyPose(pre, 0.0, PhaseLabel.APPROACH),
@@ -265,7 +272,7 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
     # commanded arc before letting go.
     hold = [open_pose] * 12
     hold_normals = [arc_normals[-1]] * 12
-    away = Pose(open_pose.position + 0.06 * standoff_dir, open_pose.orientation)
+    away = Pose(_along(open_pose.position, 0.06, standoff_dir), open_pose.orientation)
     retract_poses = plan_free_motion(
         [KeyPose(open_pose, 0.0, PhaseLabel.RETRACT), KeyPose(away, 0.0, PhaseLabel.RETRACT)],
         steps_per_segment=5,
@@ -287,13 +294,13 @@ def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> 
     on the hinge circle; at the switch step the incoming (handle) manifold's
     normal is used.
     """
-    hinge = (door.hinge_pivot.tolist(), door.hinge_axis.tolist())
+    hinge = (door.hinge_pivot, door.hinge_axis)
     n_turn, handle = 0, hinge
     if not door.microwave:
         n_turn = int(math.ceil(turn_angle / math.radians(1.5) - 1e-12)) + 1
-        handle = (door.handle_pivot.tolist(), door.handle_axis.tolist())
+        handle = (door.handle_pivot, door.handle_axis)
     normals = []
     for i, pose in enumerate(arc):
         pivot, axis = handle if i < n_turn else hinge
-        normals.append(_normalize(_perp(_sub(pose.position.tolist(), pivot), axis)))
+        normals.append(_normalize(_perp(_sub(pose.position, pivot), axis)))
     return normals

@@ -33,7 +33,7 @@ from .admittance import (
 )
 from .environments import SpringContact
 from .errors import NonFiniteState
-from .geometry import dot3, normalized
+from .geometry import _normalize, dot3, vec3
 
 TOL_X = 1e-4          # m, equilibrium position tolerance
 TOL_V = 1e-4          # m/s, steady-velocity tolerance
@@ -196,7 +196,7 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None = 
 
 
 def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
-                      dt: float = 1e-3, n_axis: np.ndarray | None = None,
+                      dt: float = 1e-3, n_axis=None,
                       cmd_offset: float = -0.002, x0_offset: float = 0.0,
                       v0: float = 0.0) -> VerificationReport:
     """Full vector pipeline vs the reduced scalar law, matched step for step.
@@ -206,7 +206,7 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     forces are restricted to the normal axis. The per-step position gap along n
     certifies the algebraic reduction of the commanded-force law.
     """
-    n = normalized([0.0, 0.0, 1.0] if n_axis is None else n_axis).tolist()
+    n = _normalize(vec3((0.0, 0.0, 1.0) if n_axis is None else n_axis))
     n0, n1, n2 = n
     cfg = replace(cfg, enable_normal_regulation=True)
     x_e = dot3(env.rest_point, n)
@@ -338,7 +338,7 @@ def run_default_verification(prop3_T: float = 60.0,
         cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
                                damping_ratio=DAMPING_RATIO, target_force=p.f_H,
                                enable_normal_regulation=True)
-        env = SpringContact(p.k_e, np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        env = SpringContact(p.k_e, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         reports.append(equivalence_check(cfg, env))
     return reports
 

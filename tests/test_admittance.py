@@ -19,22 +19,22 @@ from admitsim.admittance import (
 from admitsim.errors import NonPositiveParameter
 from admitsim.geometry import (
     _quat_from_rotvec,
-    _quat_mul,
     _quat_to_rotvec,
     quat_from_axis_angle,
-    quat_identity,
+    quat_mul,
     tangent_or_none,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def rest_state(pos=(0.0, 0.0, 0.0)):
-    return ControllerState(np.array(pos, dtype=float), np.zeros(3), quat_identity(), np.zeros(3))
+    return ControllerState(np.array(pos, dtype=float), np.zeros(3), IDENTITY, np.zeros(3))
 
 
 def hold_cmd(pos=(0.0, 0.0, 0.0), n=None, c=0):
-    return ControllerCommand(np.array(pos, dtype=float), quat_identity(), 1.0,
+    return ControllerCommand(np.array(pos, dtype=float), IDENTITY, 1.0,
                              np.array(n) if n is not None else None, c)
 
 
@@ -132,7 +132,7 @@ class TestCommandedForce:
     def test_hand_evaluated_magnitude(self):
         # f = 4 + 50*0.01 + d*0.02 with d = 4*sqrt(50).
         cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0)
-        st_ = ControllerState(np.zeros(3), np.array([0.0, 0, -0.02]), quat_identity(), np.zeros(3))
+        st_ = ControllerState(np.zeros(3), np.array([0.0, 0, -0.02]), IDENTITY, np.zeros(3))
         cmd = hold_cmd(pos=(0, 0, -0.01), n=-Z, c=1)
         f = commanded_force(cmd, st_, cfg)
         expected = 4.0 + 50.0 * 0.01 + compute_damping(1, 50, 2) * 0.02
@@ -265,7 +265,7 @@ class TestEq4Reduction:
         d = cfg.damping
         rng = np.random.default_rng(0)
         x_cmd = 0.01 * n
-        cmd = ControllerCommand(x_cmd, quat_identity(), 1.0, n, 1)
+        cmd = ControllerCommand(x_cmd, IDENTITY, 1.0, n, 1)
         st_ = rest_state()
         x_n = 0.0
         v_n = 0.0
@@ -283,8 +283,8 @@ class TestEq4Reduction:
                                enable_tangent_stiffening=False, force_deadband=0.0)
         st_a = rest_state()
         st_b = rest_state()
-        cmd_a = ControllerCommand(np.array([0.0, 0, -0.01]), quat_identity(), 1.0, Z, 1)
-        cmd_b = ControllerCommand(np.array([0.05, 0, -0.01]), quat_identity(), 1.0, Z, 1)
+        cmd_a = ControllerCommand(np.array([0.0, 0, -0.01]), IDENTITY, 1.0, Z, 1)
+        cmd_b = ControllerCommand(np.array([0.05, 0, -0.01]), IDENTITY, 1.0, Z, 1)
         for k in range(1000):
             f = math.sin(0.02 * k) * Z
             st_a = tick(st_a, cmd_a, force=f, cfg=cfg).state
@@ -314,10 +314,10 @@ def reference_tick(st_, cmd, f_ext, tau_ext, dt, cfg):
     v_new = v_r + dt * acc
     x_new = x_r + dt * v_new
     qw, qx, qy, qz = cmd.q_cmd
-    theta_err = np.array(_quat_to_rotvec(_quat_mul(q_r.tolist(), (qw, -qx, -qy, -qz))))
+    theta_err = np.array(_quat_to_rotvec(quat_mul(q_r.tolist(), (qw, -qx, -qy, -qz))))
     w_acc = (np.array(tau_ext) - cfg.rot_damping * w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
     w_new = w_r + dt * w_acc
-    q_new = _quat_mul(_quat_from_rotvec((w_new * dt).tolist()), q_r.tolist())
+    q_new = quat_mul(_quat_from_rotvec((w_new * dt).tolist()), q_r.tolist())
     return ControllerState(x_new, v_new, q_new, w_new)
 
 
@@ -329,7 +329,7 @@ class TestControllerTick:
         st_ = ControllerState(rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.01,
                               quat_from_axis_angle(Z, 0.2), np.zeros(3))
         n = np.array([0.0, 1.0, 0.0])
-        cmd = ControllerCommand(rng.normal(size=3) * 0.02, quat_identity(), 1.0, n, 1)
+        cmd = ControllerCommand(rng.normal(size=3) * 0.02, IDENTITY, 1.0, n, 1)
         wrench = WrenchSample(rng.normal(size=3) * 5, rng.normal(size=3) * 2)
         res = controller_tick(st_, cmd, wrench, 1e-3, cfg)
         f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
@@ -342,13 +342,13 @@ class TestControllerTick:
 
     def test_records_stiffness_eigenvalues(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
-        cmd = ControllerCommand(np.array([0.1, 0, 0]), quat_identity(), 1.0, Z, 1)
+        cmd = ControllerCommand(np.array([0.1, 0, 0]), IDENTITY, 1.0, Z, 1)
         res = controller_tick(rest_state(), cmd, WrenchSample.zero(), 1e-3, cfg)
         assert_allclose(sorted(res.stiffness_eigs), [50.0, 50.0, 200.0])
 
     def test_command_validates_unit_normal(self):
         with pytest.raises(ValueError):
-            ControllerCommand(np.zeros(3), quat_identity(), 1.0, np.array([0.0, 0, 0.5]), 1)
+            ControllerCommand(np.zeros(3), IDENTITY, 1.0, np.array([0.0, 0, 0.5]), 1)
 
     def test_non_finite_force_raises(self):
         from admitsim.errors import NonFiniteState

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import struct
 import tempfile
 
@@ -94,6 +95,11 @@ class TestDataset:
         path.write_bytes(with_last_contact(_dataset_bytes(small_dataset()), flag))
         with pytest.raises(IoFailure, match="contact flag"):
             read_dataset(str(path))
+
+    @pytest.mark.parametrize("flag", [2, -1, 0.7, np.nan])
+    def test_supervision_tuple_rejects_a_contact_flag_the_format_cannot_hold(self, flag):
+        with pytest.raises(ValueError, match="contact flag"):
+            SupervisionTuple(np.zeros(10), np.zeros(3), flag)
 
     @pytest.mark.parametrize("task", TASKS)
     def test_demo_tuples_view_one_block(self, task):
@@ -378,3 +384,17 @@ class TestSuiteParsing:
         path.write_text("[suite]\ntask = WW\nmodes = warp\n")
         with pytest.raises(ConfigParse):
             parse_suite(str(path))
+
+
+CONFIGS = sorted(pathlib.Path(__file__).resolve().parent.parent.joinpath("configs").glob("*.ini"))
+
+
+def test_configs_directory_is_not_empty():
+    assert CONFIGS
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_parses(path):
+    """Every file under configs/ is a scenario or a suite the CLI accepts."""
+    parse = parse_suite if "[suite]" in path.read_text() else parse_scenario
+    assert parse(str(path))

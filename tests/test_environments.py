@@ -21,7 +21,7 @@ from admitsim.environments import (
     update_ink,
 )
 from admitsim.errors import WrongVariant
-from admitsim.geometry import Pose, quat_from_axis_angle, quat_identity
+from admitsim.geometry import quat_from_axis_angle
 from admitsim.harness import default_disturbance
 from admitsim.tasks import TASKS, build_environment
 
@@ -29,11 +29,7 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def flat_board(**kw):
-    return PlaneBoard(center=np.array([0.0, 0.0, 0.0]), rotation=quat_identity(), **kw)
-
-
-def pose(x, y, z):
-    return Pose(np.array([x, y, z], dtype=float), quat_identity())
+    return PlaneBoard(center=(0.0, 0.0, 0.0), rotation=(1.0, 0.0, 0.0, 0.0), **kw)
 
 
 def point(x, y, z):
@@ -127,19 +123,19 @@ class TestInk:
     def test_update_requires_board(self):
         hole = HoleFixture()
         with pytest.raises(WrongVariant):
-            update_ink(hole, pose(0, 0, 0), True, 5.0)
+            update_ink(hole, point(0, 0, 0), True, 5.0)
 
     def test_no_contact_no_wipe(self):
         board = flat_board()
         board.ink.inked[10:14, 10:13] = True
-        assert update_ink(board, pose(0, 0, 0), False, 5.0) == 0
+        assert update_ink(board, point(0, 0, 0), False, 5.0) == 0
 
     def test_force_gate(self):
         board = flat_board()
         board.ink.inked[:, :] = False
         board.ink.inked[30, 20] = True
-        c = board.ink.cell_center(30, 20)
-        p = pose(c[0], c[1], -0.004)
+        (c,) = board.ink.inked_centers()
+        p = point(c[0], c[1], -0.004)
         assert update_ink(board, p, True, 0.5) == 0
         assert update_ink(board, p, True, 2.0) == 1
 
@@ -148,9 +144,8 @@ class TestInk:
         board.ink.inked[:, :] = False
         # 4 x 3 block of cells centred under the eraser.
         board.ink.inked[28:32, 19:22] = True
-        center = 0.25 * (board.ink.cell_center(28, 19) + board.ink.cell_center(31, 19)
-                         + board.ink.cell_center(28, 21) + board.ink.cell_center(31, 21))
-        wiped = update_ink(board, pose(center[0], center[1], -0.004), True, 5.0)
+        center = board.ink.inked_centers().mean(axis=0)
+        wiped = update_ink(board, point(center[0], center[1], -0.004), True, 5.0)
         assert wiped == 12
         assert type(wiped) is int  # counts feed JSON reports and sums
 
@@ -189,8 +184,9 @@ class TestInk:
         board.ink.ink_stroke(np.array([[-0.05, 0.0], [-0.04, 0.0]]))
         board.ink.inked[50, 30] = True
         board.ink.refresh_box()
-        c = board.ink.cell_center(50, 30)
-        assert update_ink(board, pose(c[0], c[1], -0.004), True, 5.0) == 1
+        ink = board.ink
+        c = ((50 + 0.5) * ink.cell - 0.5 * ink.extent_x, (30 + 0.5) * ink.cell - 0.5 * ink.extent_y)
+        assert update_ink(board, point(c[0], c[1], -0.004), True, 5.0) == 1
 
     def test_remaining_length_conversion(self):
         board = flat_board()
@@ -228,7 +224,7 @@ class TestInk:
         last = remaining_ink_length(board)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p = pose(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004)
+            p = point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004)
             update_ink(board, p, True, 5.0)
             now = remaining_ink_length(board)
             assert now <= last
@@ -238,15 +234,15 @@ class TestInk:
 class TestHole:
     def test_depth_at_rim_zero(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert insertion_depth(hole, pose(0, 0, 0)) == 0.0
+        assert insertion_depth(hole, point(0, 0, 0)) == 0.0
 
     def test_depth_clamps_at_bottom(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert insertion_depth(hole, pose(0, 0, -0.030)) == pytest.approx(25.0)
+        assert insertion_depth(hole, point(0, 0, -0.030)) == pytest.approx(25.0)
 
     def test_success_threshold_depth(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert insertion_depth(hole, pose(0, 0, -0.010)) == pytest.approx(10.0)
+        assert insertion_depth(hole, point(0, 0, -0.010)) == pytest.approx(10.0)
 
     def test_bottom_spring(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]), k_e=1000.0)
@@ -263,7 +259,7 @@ class TestHole:
 
     def test_wrong_variant(self):
         with pytest.raises(WrongVariant):
-            insertion_depth(flat_board(), pose(0, 0, 0))
+            insertion_depth(flat_board(), point(0, 0, 0))
 
 
 class TestDisturbances:
@@ -306,14 +302,14 @@ class TestDisturbances:
 
     def test_tilt_back_to_zero_restores_the_board(self):
         board = PlaneBoard(rotation=quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.3))
-        built = (board.rotation.tolist(), board.spring.surface_normal)
+        built = (board.rotation, board.spring.surface_normal)
         x = np.array([1.0, 0.0, 0.0])
         events = (DisturbanceEvent("tilt", 1.0, 5.0, 0.05, direction=x),
                   DisturbanceEvent("tilt", 2.0, 5.0, -0.05, direction=x))
         apply_disturbances(board, events, 1.5)
         assert board.spring.surface_normal != built[1]
         apply_disturbances(board, events, 3.0)
-        assert (board.rotation.tolist(), board.spring.surface_normal) == built
+        assert (board.rotation, board.spring.surface_normal) == built
 
     def test_profiles_continuous(self):
         events = [
@@ -523,7 +519,7 @@ class TestLatch:
             lever_grasp(math.radians(10.0), door_shift=0.01)
         door.update(p, 1.0)
         assert door.engaged and not door.latch_released and door.door_angle > 0.0
-        on_axis = door.hinge_pivot + 0.05 * door.hinge_axis
+        on_axis = np.array(door.hinge_pivot) + 0.05 * np.array(door.hinge_axis)
         force = np.array(door.external_wrench(on_axis, np.zeros(3)).force)
         assert np.isfinite(force).all()
         assert_allclose(latch_term(door, on_axis), np.zeros(3))

@@ -23,14 +23,22 @@ from admitsim.expert import (
     plan_insertion,
     plan_wiping,
 )
-from admitsim.geometry import Pose, quat_identity
+from admitsim.geometry import Pose
 from admitsim.tasks import build_environment, generate_demo
 
 Z = np.array([0.0, 0.0, 1.0])
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def kp(pos, label=PhaseLabel.APPROACH, gripper=1.0):
-    return KeyPose(Pose(np.array(pos, dtype=float), quat_identity()), gripper, label)
+    return KeyPose(Pose(pos, IDENTITY), gripper, label)
+
+
+def radius(p, pivot, axis):
+    """Distance of the point p from the line through pivot along the unit axis."""
+    rel = np.subtract(p, pivot)
+    axis = np.array(axis)
+    return np.linalg.norm(rel - (rel @ axis) * axis)
 
 
 class TestFreeMotion:
@@ -45,7 +53,8 @@ class TestFreeMotion:
 
     def test_uniform_spacing(self):
         poses = plan_free_motion([kp((0, 0, 0)), kp((0.2, 0, 0))], steps_per_segment=20)
-        gaps = [np.linalg.norm(b.position - a.position) for a, b in zip(poses, poses[1:])]
+        gaps = [np.linalg.norm(np.subtract(b.position, a.position))
+                for a, b in zip(poses, poses[1:])]
         assert_allclose(gaps, 0.01, atol=1e-12)
 
     def test_empty_schedule(self):
@@ -68,7 +77,7 @@ class TestInsertion:
     def test_axis_constraint(self):
         poses = plan_insertion(self.hole, start_height=0.02, step=0.002)
         for a, b in zip(poses, poses[1:]):
-            delta = b.position - a.position
+            delta = np.subtract(b.position, a.position)
             assert_allclose(delta[:2], np.zeros(2), atol=1e-15)
             assert delta[2] <= 0.0
 
@@ -81,7 +90,7 @@ class TestInsertion:
 
 class TestWiping:
     def flat_board(self):
-        return PlaneBoard(center=np.zeros(3), rotation=quat_identity())
+        return PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
 
     def test_nothing_to_wipe(self):
         with pytest.raises(NothingToWipe):
@@ -108,7 +117,7 @@ class TestWiping:
             demo = generate_demo("WW", env)
             for p, ph in zip(demo.poses, demo.phases):
                 if ph.contact_flag:
-                    update_ink(env, p, True, 4.0)
+                    update_ink(env, p.position, True, 4.0)
             assert env.ink.inked_count() == 0
 
 
@@ -126,9 +135,7 @@ class TestArticulated:
         poses = plan_articulated(door, math.radians(60.0), math.radians(1.0))
         assert len(poses) == 61
         for p in poses:
-            rel = p.position - door.hinge_pivot
-            rad = rel - (rel @ door.hinge_axis) * door.hinge_axis
-            assert abs(np.linalg.norm(rad) - 0.25) < 1e-9
+            assert abs(radius(p.position, door.hinge_pivot, door.hinge_axis) - 0.25) < 1e-9
 
     def test_door_emits_two_arcs(self):
         door = HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
@@ -141,15 +148,12 @@ class TestArticulated:
         n_turn = int(math.ceil(2.0 * door.latch_threshold / step - 1e-12)) + 1
         # Turn arc: constant distance from the handle pivot.
         for p in poses[:n_turn]:
-            rel = p.position - door.handle_pivot
-            rad = rel - (rel @ door.handle_axis) * door.handle_axis
-            assert abs(np.linalg.norm(rad) - door.handle_lever) < 1e-9
+            r = radius(p.position, door.handle_pivot, door.handle_axis)
+            assert abs(r - door.handle_lever) < 1e-9
         # Pull arc: constant distance from the hinge axis.
         r_pull = None
         for p in poses[n_turn:]:
-            rel = p.position - door.hinge_pivot
-            rad = rel - (rel @ door.hinge_axis) * door.hinge_axis
-            r = np.linalg.norm(rad)
+            r = radius(p.position, door.hinge_pivot, door.hinge_axis)
             r_pull = r if r_pull is None else r_pull
             assert abs(r - r_pull) < 1e-9
         assert len(poses) > n_turn
@@ -157,15 +161,15 @@ class TestArticulated:
 
 class TestManifoldNormal:
     def test_board_outward_normal(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=quat_identity())
-        n = manifold_normal(board, Pose(np.zeros(3), quat_identity()))
+        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
+        n = manifold_normal(board, Pose(np.zeros(3), IDENTITY))
         # The contact force on the eef points out of the board (+z here);
         # the controller presses along -n.
         assert_allclose(n, Z)
 
     def test_hole_axis(self):
         hole = HoleFixture(rim_center=np.zeros(3))
-        n = manifold_normal(hole, Pose(np.array([0.0, 0, -0.01]), quat_identity()))
+        n = manifold_normal(hole, Pose(np.array([0.0, 0, -0.01]), IDENTITY))
         assert_allclose(n, Z)
 
     def test_door_normal_rotates_with_angle(self):
@@ -174,10 +178,10 @@ class TestManifoldNormal:
         door.update(door.grasp0, 1.0)
         for ang in (0.0, 0.3, 0.8):
             p = np.array([-0.25 * math.sin(ang), 0.25 - 0.25 * math.cos(ang), 0.0])
-            n = manifold_normal(door, Pose(p, quat_identity()))
+            n = manifold_normal(door, Pose(p, IDENTITY))
             tangent = np.cross(door.hinge_axis, n)
             # Radial normal, orthogonal to the instantaneous arc tangent.
-            assert abs(float(n @ tangent)) < 1e-12
+            assert abs(float(np.dot(n, tangent))) < 1e-12
             expected = (p - door.hinge_pivot) / np.linalg.norm(p - door.hinge_pivot)
             assert_allclose(n, expected, atol=1e-9)
 
@@ -185,24 +189,24 @@ class TestManifoldNormal:
         class Mystery:
             pass
         with pytest.raises(NoContactManifold):
-            manifold_normal(Mystery(), Pose(np.zeros(3), quat_identity()))
+            manifold_normal(Mystery(), Pose(np.zeros(3), IDENTITY))
 
 
 class TestSupervision:
     def make(self, n_steps, label=PhaseLabel.APPROACH):
-        poses = [Pose(np.array([0.01 * i, 0, 0.05]), quat_identity()) for i in range(n_steps)]
+        poses = [Pose(np.array([0.01 * i, 0, 0.05]), IDENTITY) for i in range(n_steps)]
         phases = [FsmPhase(label)] * n_steps
         grippers = [1.0] * n_steps
         return poses, phases, grippers
 
     def test_shift_drops_final_step(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=quat_identity())
+        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
         poses, phases, grippers = self.make(2)
         tuples = extract_supervision(poses, phases, grippers, board)
         assert len(tuples) == 1
 
     def test_free_motion_placeholder_normals(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=quat_identity())
+        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
         poses, phases, grippers = self.make(6)
         tuples = extract_supervision(poses, phases, grippers, board)
         for t in tuples:
@@ -219,15 +223,15 @@ class TestSupervision:
             assert_allclose(t.normal, hole.axis_up)
 
     def test_pose_shift_reproduces_next_pose(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=quat_identity())
+        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
         poses, phases, grippers = self.make(10)
         tuples = extract_supervision(poses, phases, grippers, board)
         for t, tup in enumerate(tuples):
             decoded, _ = tup.decode_pose()
-            assert np.linalg.norm(decoded.position - poses[t + 1].position) < 1e-9
+            assert np.linalg.norm(np.subtract(decoded.position, poses[t + 1].position)) < 1e-9
 
     def test_length_mismatch(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=quat_identity())
+        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
         poses, phases, grippers = self.make(5)
         with pytest.raises(LengthMismatch):
             extract_supervision(poses, phases[:-1], grippers, board)
@@ -255,7 +259,5 @@ class TestDemoInvariants:
         if task == "MO":
             radii = []
             for p in contact:
-                rel = p.position - env.hinge_pivot
-                rad = rel - (rel @ env.hinge_axis) * env.hinge_axis
-                radii.append(np.linalg.norm(rad))
+                radii.append(radius(p.position, env.hinge_pivot, env.hinge_axis))
             assert max(radii) - min(radii) < 1e-9

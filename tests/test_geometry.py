@@ -10,50 +10,55 @@ from admitsim.errors import DegenerateInput
 from admitsim.geometry import (
     Pose,
     _lerp,
+    _quat_matrix,
     _rodrigues,
     _rodrigues_fixed,
     _slerp,
     _slerp_ends,
+    _unit_quat,
     pose10_decode,
     pose10_encode,
     quat_from_axis_angle,
-    quat_identity,
     quat_mul,
-    quat_normalize,
-    quat_to_matrix,
     rot6d_decode,
     rot6d_encode,
     tangent_or_none,
 )
+
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def random_quat(rng):
     q = rng.normal(size=4)
     while np.linalg.norm(q) < 1e-3:
         q = rng.normal(size=4)
-    return quat_normalize(q)
+    return _unit_quat(q.tolist())
+
+
+def matrix(q):
+    return np.array(_quat_matrix(q))
 
 
 class TestRot6d:
     def test_identity_encoding(self):
-        assert_allclose(rot6d_encode(quat_identity()), [1, 0, 0, 0, 1, 0], atol=1e-12)
+        assert_allclose(rot6d_encode(IDENTITY), [1, 0, 0, 0, 1, 0], atol=1e-12)
 
     def test_90deg_about_z(self):
-        q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi / 2)
+        q = quat_from_axis_angle((0.0, 0.0, 1.0), math.pi / 2)
         assert_allclose(rot6d_encode(q), [0, 1, 0, -1, 0, 0], atol=1e-12)
 
     def test_decode_identity(self):
         q = rot6d_decode(np.array([1.0, 0, 0, 0, 1, 0]))
-        assert_allclose(q, quat_identity(), atol=1e-12)
+        assert_allclose(q, IDENTITY, atol=1e-12)
 
     def test_decode_scale_invariant(self):
         q = rot6d_decode(np.array([2.0, 0, 0, 0, 3, 0]))
-        assert_allclose(q, quat_identity(), atol=1e-12)
+        assert_allclose(q, IDENTITY, atol=1e-12)
 
     def test_decode_gram_schmidt(self):
         # Second column (1,1,0) orthogonalized against (1,0,0) gives (0,1,0).
         q = rot6d_decode(np.array([1.0, 0, 0, 1, 1, 0]))
-        assert_allclose(quat_to_matrix(q), np.eye(3), atol=1e-12)
+        assert_allclose(matrix(q), np.eye(3), atol=1e-12)
 
     def test_decode_degenerate_first_column(self):
         with pytest.raises(DegenerateInput):
@@ -68,7 +73,7 @@ class TestRot6d:
         for _ in range(1000):
             q = random_quat(rng)
             q2 = rot6d_decode(rot6d_encode(q))
-            err = np.linalg.norm(quat_to_matrix(q2) - quat_to_matrix(q))
+            err = np.linalg.norm(matrix(q2) - matrix(q))
             assert err < 1e-9
 
 
@@ -148,28 +153,28 @@ class TestTangentDirection:
 
 def interpolate_pose(a, b, s):
     """The pose at s of the segment from a to b: position lerp, shortest-arc slerp."""
-    ends = _slerp_ends(a.orientation.tolist(), b.orientation.tolist())
-    return Pose(_lerp(a.position.tolist(), b.position.tolist(), s), _slerp(ends, s))
+    ends = _slerp_ends(a.orientation, b.orientation)
+    return Pose(_lerp(a.position, b.position, s), _slerp(ends, s))
 
 
 class TestInterpolatePose:
     def test_endpoints_exact(self):
-        a = Pose(np.zeros(3), quat_identity())
-        b = Pose(np.array([1.0, 0, 0]), quat_from_axis_angle(np.array([0.0, 0, 1]), 1.0))
+        a = Pose(np.zeros(3), IDENTITY)
+        b = Pose(np.array([1.0, 0, 0]), quat_from_axis_angle((0.0, 0, 1), 1.0))
         assert_allclose(interpolate_pose(a, b, 0.0).position, a.position)
         assert_allclose(interpolate_pose(a, b, 1.0).position, b.position)
         assert_allclose(interpolate_pose(a, b, 1.0).orientation, b.orientation, atol=1e-12)
 
     def test_midpoint_position(self):
-        a = Pose(np.zeros(3), quat_identity())
-        b = Pose(np.array([1.0, 0, 0]), quat_identity())
+        a = Pose(np.zeros(3), IDENTITY)
+        b = Pose(np.array([1.0, 0, 0]), IDENTITY)
         assert_allclose(interpolate_pose(a, b, 0.5).position, [0.5, 0, 0])
 
     def test_slerp_halfway_is_45deg(self):
-        a = Pose(np.zeros(3), quat_identity())
-        b = Pose(np.zeros(3), quat_from_axis_angle(np.array([0.0, 0, 1]), math.pi / 2))
+        a = Pose(np.zeros(3), IDENTITY)
+        b = Pose(np.zeros(3), quat_from_axis_angle((0.0, 0, 1), math.pi / 2))
         mid = interpolate_pose(a, b, 0.5)
-        expected = quat_from_axis_angle(np.array([0.0, 0, 1]), math.pi / 4)
+        expected = quat_from_axis_angle((0.0, 0, 1), math.pi / 4)
         assert_allclose(mid.orientation, expected, atol=1e-12)
 
     @given(st.floats(0.0, 1.0), st.integers(0, 1000))
@@ -188,10 +193,10 @@ def test_pose10_round_trip():
         pose = Pose(rng.normal(size=3), random_quat(rng))
         g = rng.uniform(0, 1)
         v = pose10_encode(pose, g)
-        assert v.shape == (10,)
+        assert len(v) == 10 and all(type(x) is float for x in v)
         pose2, g2 = pose10_decode(v)
         assert_allclose(pose2.position, pose.position, atol=1e-12)
-        assert np.linalg.norm(quat_to_matrix(pose2.orientation) - quat_to_matrix(pose.orientation)) < 1e-9
+        assert np.linalg.norm(matrix(pose2.orientation) - matrix(pose.orientation)) < 1e-9
         assert g2 == pytest.approx(g)
 
 
@@ -199,5 +204,20 @@ def test_quat_mul_matches_matrix_product():
     rng = np.random.default_rng(3)
     for _ in range(20):
         a, b = random_quat(rng), random_quat(rng)
-        assert_allclose(quat_to_matrix(quat_mul(a, b)),
-                        quat_to_matrix(a) @ quat_to_matrix(b), atol=1e-12)
+        assert_allclose(matrix(quat_mul(a, b)), matrix(a) @ matrix(b), atol=1e-12)
+
+
+@pytest.mark.parametrize("position, orientation", [
+    ([0.0, 0.0], IDENTITY),            # a position of 2 components
+    ([0.0, 0.0, 0.0, 0.0], IDENTITY),  # ... or of 4
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+])
+def test_pose_rejects_malformed_components(position, orientation):
+    with pytest.raises(ValueError):
+        Pose(position, orientation)
+
+
+def test_pose_holds_float_tuples():
+    pose = Pose(np.array([1, 2, 3]), np.array([2.0, 0.0, 0.0, 0.0]))
+    assert pose == ((1.0, 2.0, 3.0), IDENTITY)
+    assert all(type(x) is float for x in pose.position + pose.orientation)
