@@ -4,9 +4,9 @@ Translational dynamics per tick:
 
     M x_r'' + D_eff x_r' + K_eff (x_r - x_cmd) = F_ext - F_cmd
 
-with F_cmd = f*n during contact (normal force regulation), K_eff optionally
-stiffened along the commanded tangent direction, and an analogous rotational
-admittance with zero commanded torque. Discretized with semi-implicit Euler.
+with F_cmd = f*n during contact (normal force regulation) and K_eff optionally
+stiffened along the commanded tangent direction. Discretized with
+semi-implicit Euler.
 
 The per-tick evaluation order is fixed for reproducibility:
 deadband -> commanded force -> effective gains -> integrate.
@@ -19,17 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NonFiniteState, NonPositiveParameter
-from .geometry import (
-    Pose,
-    _quat_from_rotvec,
-    _quat_to_rotvec,
-    _unit_quat,
-    dot3,
-    quat_mul,
-    sq_norm,
-    tangent_or_none,
-    vec3,
-)
+from .geometry import Pose, _unit_quat, dot3, sq_norm, tangent_or_none, vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
 
@@ -49,39 +39,33 @@ def compute_damping(mass: float, stiffness: float, damping_ratio: float) -> floa
 class AdmittanceConfig:
     """Controller gains and task flags.
 
-    Defaults follow the nominal setup: unit translational mass, stiffness 50,
-    over-damped ratio 2, rotational mass 0.1 with stiffness 10, tangent scale 4,
-    force/torque deadbands 2 N / 1 Nm.
+    Defaults follow the nominal setup: unit mass, stiffness 50, over-damped
+    ratio 2, tangent scale 4, force deadband 2 N.
     """
 
     mass: float = 1.0
     stiffness: float = 50.0
     damping_ratio: float = 2.0
-    rot_mass: float = 0.1
-    rot_stiffness: float = 10.0
     tangent_scale: float = 4.0
     enable_normal_regulation: bool = False
     enable_tangent_stiffening: bool = False
     target_force: float = 0.0  # f_H, desired normal contact force magnitude (N)
     force_deadband: float = 2.0
-    torque_deadband: float = 1.0
 
     def __post_init__(self):
         # Written so that NaN fails each test: every comparison with NaN is false.
-        for name in ("mass", "stiffness", "damping_ratio", "rot_mass", "rot_stiffness"):
+        for name in ("mass", "stiffness", "damping_ratio"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise NonPositiveParameter(f"{name} must be finite and > 0, got {value}")
         if not 1.0 <= self.tangent_scale < math.inf:
             raise ValueError(f"tangent_scale must be finite and >= 1, got {self.tangent_scale}")
-        for name in ("target_force", "force_deadband", "torque_deadband"):
+        for name in ("target_force", "force_deadband"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         object.__setattr__(self, "_damping",
                            compute_damping(self.mass, self.stiffness, self.damping_ratio))
-        object.__setattr__(self, "_rot_damping",
-                           compute_damping(self.rot_mass, self.rot_stiffness, self.damping_ratio))
         object.__setattr__(self, "_tangent_damping",
                            compute_damping(self.mass, self.tangent_scale * self.stiffness,
                                            self.damping_ratio))
@@ -91,42 +75,32 @@ class AdmittanceConfig:
         return self._damping
 
     @property
-    def rot_damping(self) -> float:
-        return self._rot_damping
-
-    @property
     def tangent_damping(self) -> float:
         """Damping paired with the scaled tangent stiffness (same over-damped rule)."""
         return self._tangent_damping
 
 
-# The records of the 1 kHz loop are NamedTuples of float tuples. The public
-# constructors of ControllerState and WrenchSample coerce any sequence (an
-# array, a list) and validate it; the loop builds them from values it has
-# already checked with the NamedTuple method `_make`, which skips that.
+# The state of the 1 kHz loop is a NamedTuple of float tuples. The public
+# constructor of ControllerState coerces any sequence (an array, a list); the
+# loop builds it from values it has already checked with the NamedTuple method
+# `_make`, which skips that.
 
 class _StateFields(NamedTuple):
     x_r: tuple
     v_r: tuple
-    q_r: tuple
-    w_r: tuple
 
 
 class ControllerState(_StateFields):
-    """Compliant reference state advanced by the admittance law."""
+    """Compliant reference position and velocity advanced by the admittance law."""
 
     __slots__ = ()
 
-    def __new__(cls, x_r, v_r, q_r, w_r):
-        return super().__new__(cls, vec3(x_r), vec3(v_r), _unit_quat(tuple(map(float, q_r))),
-                               vec3(w_r))
+    def __new__(cls, x_r, v_r):
+        return super().__new__(cls, vec3(x_r), vec3(v_r))
 
     @classmethod
     def at_rest(cls, pose: Pose) -> "ControllerState":
-        return cls(pose.position, _ZERO3, pose.orientation, _ZERO3)
-
-    def pose(self) -> Pose:
-        return Pose(self.x_r, self.q_r)
+        return cls(pose.position, _ZERO3)
 
 
 @dataclass(frozen=True)
@@ -151,24 +125,6 @@ class ControllerCommand:
             raise ValueError("contact flag must be 0 or 1")
         if self.c == 1 and abs(math.sqrt(sq_norm(n)) - 1.0) > 1e-6:
             raise ValueError("normal direction must be unit when c=1")
-
-
-class _WrenchFields(NamedTuple):
-    force: tuple
-    torque: tuple
-
-
-class WrenchSample(_WrenchFields):
-    """Force and torque on the end-effector."""
-
-    __slots__ = ()
-
-    def __new__(cls, force, torque):
-        return super().__new__(cls, vec3(force), vec3(torque))
-
-    @classmethod
-    def zero(cls) -> "WrenchSample":
-        return cls(_ZERO3, _ZERO3)
 
 
 def _radial_deadband(v, band: float) -> tuple:
@@ -214,23 +170,22 @@ class TickResult(NamedTuple):
     stiffness_eigs: tuple  # eigenvalues of K_eff: (k, k, k_t) or (k, k, k)
 
 
-def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchSample,
+def controller_tick(st: ControllerState, cmd: ControllerCommand, force: tuple,
                     dt: float, cfg: AdmittanceConfig) -> TickResult:
     """One full controller tick in the fixed evaluation order.
 
-    Equivalent to deadbanding the wrench, then one semi-implicit Euler step of
-    the translational law with materialized K_eff and D_eff and one of the
-    rotational law, but with the gains applied algebraically (the rank-1
-    tangent update never needs a materialized matrix), to keep the 1 kHz loop
-    cheap (tests/test_admittance.py keeps the materialized form as a
-    reference). Inputs, state and results are float tuples, and the
-    arithmetic, dot products included, runs on Python floats (see the
-    numerics contract in admitsim.geometry). The inputs were validated by
-    their constructors and are not coerced again.
+    Equivalent to deadbanding the raw external force (a float 3-tuple), then
+    one semi-implicit Euler step of the law with materialized K_eff and D_eff,
+    but with the gains applied algebraically (the rank-1 tangent update never
+    needs a materialized matrix), to keep the 1 kHz loop cheap
+    (tests/test_admittance.py keeps the materialized form as a reference).
+    Inputs, state and results are float tuples, and the arithmetic, dot
+    products included, runs on Python floats (see the numerics contract in
+    admitsim.geometry). The inputs were validated by their constructors and
+    are not coerced again.
     """
     _check_dt(dt)
-    f0, f1, f2 = f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
-    u0, u1, u2 = _radial_deadband(wrench.torque, cfg.torque_deadband)
+    f0, f1, f2 = f_ext = _radial_deadband(force, cfg.force_deadband)
     g0, g1, g2 = f_cmd = commanded_force(cmd, st, cfg)
     k = cfg.stiffness
     d = cfg.damping
@@ -261,19 +216,6 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, wrench: WrenchS
     v1 = v1 + a * (f1 - g1 - b1 - s1)
     v2 = v2 + a * (f2 - g2 - b2 - s2)
     x0, x1, x2 = x0 + dt * v0, x1 + dt * v1, x2 + dt * v2
-    # Rotational admittance with zero commanded torque.
-    q_r = st.q_r
-    qw, qx, qy, qz = cmd.q_cmd
-    e0, e1, e2 = _quat_to_rotvec(quat_mul(q_r, (qw, -qx, -qy, -qz)))
-    w0, w1, w2 = st.w_r
-    a = dt / cfg.rot_mass
-    rd = cfg.rot_damping
-    rk = cfg.rot_stiffness
-    w0 = w0 + a * (u0 - rd * w0 - rk * e0)
-    w1 = w1 + a * (u1 - rd * w1 - rk * e1)
-    w2 = w2 + a * (u2 - rd * w2 - rk * e2)
-    q_new = quat_mul(_quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt)), q_r)
-    if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2))):
+    if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
         raise NonFiniteState("controller state diverged")
-    state = ControllerState._make(((x0, x1, x2), (v0, v1, v2), _unit_quat(q_new), (w0, w1, w2)))
-    return TickResult(state, f_ext, f_cmd, eigs)
+    return TickResult(ControllerState._make(((x0, x1, x2), (v0, v1, v2))), f_ext, f_cmd, eigs)

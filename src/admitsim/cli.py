@@ -36,6 +36,9 @@ def _cmd_gen_demos(args) -> int:
     if args.count < 1:
         print("gen-demos: --count must be >= 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("gen-demos: --seed must be >= 0", file=sys.stderr)
+        return 2
     episodes = []
     lengths = []
     for i in range(args.count):

@@ -13,12 +13,9 @@ Scenario schema:
     mass = 1.0
     stiffness = 50.0
     damping_ratio = 2.0
-    rot_mass = 0.1
-    rot_stiffness = 10.0
     tangent_scale = 4.0
     target_force = 4.0
     force_deadband = 2.0
-    torque_deadband = 1.0
 
     [noise]                  ; optional oracle-prediction noise
     pos_std = 0.002
@@ -69,20 +66,19 @@ from .policy import NoiseSpec
 from .tasks import TASKS
 
 _ADMITTANCE_KEYS = (
-    "mass", "stiffness", "damping_ratio", "rot_mass", "rot_stiffness",
-    "tangent_scale", "target_force", "force_deadband", "torque_deadband",
+    "mass", "stiffness", "damping_ratio", "tangent_scale", "target_force", "force_deadband",
 )
 _ENV_KEYS = ("k_e", "latch_force")
 
 
 def _read(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigParse(f"{path}: {exc}") from exc
     return parser
 
@@ -235,10 +231,14 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     if task not in TASKS:
         raise ConfigParse(f"{path}: [suite] task must be one of {TASKS}, got {task!r}")
     modes = parser.get("suite", "modes", fallback="force_aware").split()
+    if not modes:
+        raise ConfigParse(f"{path}: [suite] modes has no values")
     for m in modes:
         if m not in MODES:
             raise ConfigParse(f"{path}: [suite] unknown mode {m!r}")
     seeds = _get_int(parser, "suite", "seeds", path, fallback=5)
+    if seeds < 1:
+        raise ConfigParse(f"{path}: [suite] seeds must be >= 1, got {seeds}")
     base_seed = _get_int(parser, "suite", "base_seed", path, fallback=0)
     duration = _get_float(parser, "suite", "duration", path, fallback=20.0)
     disturbed = parser.get("suite", "disturbed", fallback="none")

@@ -1,4 +1,4 @@
-"""Task environments supplying external wrenches.
+"""Task environments supplying the external force on the end-effector.
 
 Three variants: a plane board with an ink grid (wiping), a hole fixture with a
 bottom spring and compliant walls (insertion), and a hinged door with a latch
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admittance import WrenchSample
 from .errors import WrongVariant
 from .geometry import (
     _add,
@@ -41,8 +40,6 @@ COULOMB_V_EPS = 1e-4
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
-# The wrench of every tick without contact, shared.
-_NO_WRENCH = WrenchSample(_ZERO3, _ZERO3)
 
 
 def _check_params(obj, positive=(), non_negative=()):
@@ -310,7 +307,8 @@ class TaskEnvironment:
     spring: SpringContact
     friction: FrictionModel
 
-    def external_wrench(self, pos, vel) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> tuple:
+        """The contact force on the end-effector (no environment produces torque)."""
         raise NotImplementedError
 
     def apply_disturbance_state(self, offset, tilt: float, tilt_axis):
@@ -368,15 +366,15 @@ class PlaneBoard(TaskEnvironment):
             self._frame = (self.rotation, tuple(zip(*_quat_matrix(self.rotation))))
         return _matvec(self._frame[1], _sub(p, self.spring.rest_point))
 
-    def external_wrench(self, pos, vel) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> tuple:
         nu = self.spring.surface_normal
         pen = dot3(_sub(self.spring.rest_point, pos), nu)
         if pen <= 0.0:
-            return _NO_WRENCH
+            return _ZERO3
         f_n = self.spring.k_e * pen
         n0, n1, n2 = nu
         g0, g1, g2 = _friction(self.friction, vel, nu, f_n)
-        return WrenchSample._make(((f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2), _ZERO3))
+        return (f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2)
 
 
 @dataclass
@@ -414,13 +412,13 @@ class HoleFixture(TaskEnvironment):
         self.rim_center = _add(self._base_rest, offset)
         self.spring.rest_point = self.bottom_center()
 
-    def external_wrench(self, pos, vel) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
         rel = _sub(pos, self.rim_center)
         axis_up = self.axis_up
         d_ax = -dot3(rel, axis_up)  # depth below the rim
         if d_ax <= 0.0:
-            return _NO_WRENCH
+            return _ZERO3
         r_perp = _perp(rel, axis_up)
         p0, p1, p2 = r_perp
         r = math.sqrt(sq_norm(r_perp))
@@ -453,7 +451,7 @@ class HoleFixture(TaskEnvironment):
             f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
             g0, g1, g2 = _friction(self.friction, vel, normal, f_n)
             f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
-        return WrenchSample._make(((f0, f1, f2), _ZERO3))
+        return (f0, f1, f2)
 
 
 @dataclass
@@ -510,8 +508,7 @@ class HingedDoor(TaskEnvironment):
         self.spring = SpringContact(self.k_e, self.grasp0, self._e1)
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
-        """Displace the spring rest point from the hinge pivot; tilt ignored."""
-        self.spring.rest_point = _add(self.hinge_pivot, offset)
+        """No-op: a door takes force pulses only, which move no geometry."""
 
     def _radial(self, p) -> tuple:
         """Component of the float point p - hinge_pivot perpendicular to the hinge axis."""
@@ -572,10 +569,10 @@ class HingedDoor(TaskEnvironment):
         """Whether the latch force field acts: engaged, still latched, door opened."""
         return self.engaged and not self.latch_released and self.door_angle > 0.0
 
-    def external_wrench(self, pos, vel) -> WrenchSample:
+    def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
         if not self.engaged:
-            return _NO_WRENCH
+            return _ZERO3
         center, axis, radius = self._active_circle()
         rad = _perp(_sub(pos, center), axis)
         r = math.sqrt(sq_norm(rad))
@@ -613,7 +610,7 @@ class HingedDoor(TaskEnvironment):
             # the active circle here: its tangent is t_hat.
             k = self.handle_spring * self.handle_angle
             f0, f1, f2 = f0 - k * t_hat[0], f1 - k * t_hat[1], f2 - k * t_hat[2]
-        return WrenchSample._make(((f0, f1, f2), _ZERO3))
+        return (f0, f1, f2)
 
 
 # --------------------------------------------------------------------------

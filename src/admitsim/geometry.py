@@ -165,25 +165,6 @@ def quat_from_axis_angle(axis, angle: float) -> tuple:
     return _unit_quat((math.cos(half), s * ax, s * ay, s * az))
 
 
-def _quat_from_rotvec(w) -> tuple:
-    """Exponential map: rotation vector (axis * angle) to quaternion."""
-    angle = math.sqrt(sq_norm(w))
-    if angle < 1e-12:
-        return (1.0, 0.0, 0.0, 0.0)
-    w0, w1, w2 = w
-    return quat_from_axis_angle((w0 / angle, w1 / angle, w2 / angle), angle)
-
-
-def _quat_to_rotvec(q) -> tuple:
-    """Log map: quaternion to rotation vector, angle in [0, pi]."""
-    w, x, y, z = _unit_quat(q)
-    s = math.sqrt(sq_norm((x, y, z)))
-    if s < 1e-12:
-        return (0.0, 0.0, 0.0)
-    angle = 2.0 * math.atan2(s, w)
-    return ((x / s) * angle, (y / s) * angle, (z / s) * angle)
-
-
 def _quat_matrix(q) -> tuple:
     """Rows of the rotation matrix of q, as float tuples."""
     w, x, y, z = _unit_quat(q)

@@ -19,7 +19,6 @@ from .admittance import (
     AdmittanceConfig,
     ControllerCommand,
     ControllerState,
-    WrenchSample,
     controller_tick,
 )
 from .environments import (
@@ -30,7 +29,7 @@ from .environments import (
     update_ink,
 )
 from .errors import NonFiniteState
-from .geometry import dot3, pose10_encode, sq_norm
+from .geometry import Pose, dot3, pose10_encode, sq_norm
 from .policy import ActionChunk, NoiseSpec, Observation, predict
 from .tasks import (
     TASK_DISTURBANCES,
@@ -77,6 +76,8 @@ class ScenarioConfig:
         if not 0.0 <= self.duration <= limit:  # false for NaN
             raise ValueError(
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.chunk_horizon < 1:
             raise ValueError("chunk_horizon must be >= 1")
         kinds = TASK_DISTURBANCES[self.task]
@@ -100,8 +101,7 @@ class ScenarioConfig:
             base = dict(stiffness=50.0, enable_tangent_stiffening=tangent,
                         enable_normal_regulation=normal, target_force=f_h)
         else:
-            # Blind baselines: isotropic stiffness, no force awareness;
-            # rotational admittance stays at the low-stiffness setting.
+            # Blind baselines: isotropic stiffness, no force awareness.
             base = dict(stiffness=BASELINE_STIFFNESS[self.mode],
                         enable_tangent_stiffening=False,
                         enable_normal_regulation=False, target_force=0.0)
@@ -188,7 +188,10 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
                 break
             if p < n_demo:
                 if p % cfg.chunk_horizon == 0:
-                    obs = Observation(pose10_encode(state.pose(), gripper), p)
+                    # The controller is translational: the observed orientation
+                    # is the commanded one.
+                    q = demo.poses[0].orientation if cmd is None else cmd.q_cmd
+                    obs = Observation(pose10_encode(Pose._make((state.x_r, q)), gripper), p)
                     chunk = predict(obs, demo.tuples, noise, cfg.chunk_horizon)
                 tup = chunk[p % cfg.chunk_horizon]
                 pose_cmd, gripper = tup.decode_pose()
@@ -200,11 +203,9 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         x = state.x_r
         if is_door:
             env.update(x, cmd.gripper)
-        wrench = env.external_wrench(x, state.v_r)
-        w0, w1, w2 = wrench.force
+        w0, w1, w2 = env.external_wrench(x, state.v_r)
         raw_force = (w0 + e0, w1 + e1, w2 + e2)
-        res = controller_tick(state, cmd, WrenchSample._make((raw_force, wrench.torque)),
-                              dt, adm)
+        res = controller_tick(state, cmd, raw_force, dt, adm)
         state = res.state
         if is_board:
             fn = dot3(raw_force, env.spring.surface_normal)

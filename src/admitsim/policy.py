@@ -57,6 +57,14 @@ class ActionChunk:
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """Oracle prediction noise and its seed.
+
+    `rot_std` perturbs the predicted orientation. The controller is
+    translational, so that orientation reaches only the commanded pose that
+    the next observation carries, which `predict` does not read; its draws
+    still advance the noise generator, and with it every later draw.
+    """
+
     pos_std: float = 0.0
     rot_std: float = 0.0
     normal_cone_std: float = 0.0
@@ -71,6 +79,8 @@ class NoiseSpec:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.contact_flip_prob <= 1.0:
             raise ValueError(f"contact_flip_prob must lie in [0, 1], got {self.contact_flip_prob}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _random_unit(rng: np.random.Generator) -> tuple:

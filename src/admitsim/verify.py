@@ -26,7 +26,6 @@ from .admittance import (
     AdmittanceConfig,
     ControllerCommand,
     ControllerState,
-    WrenchSample,
     _radial_deadband,
     compute_damping,
     controller_tick,
@@ -213,8 +212,7 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     x_n = x_e + x0_offset
     v_n = v0
     x_c = x_e + cmd_offset
-    state = ControllerState((x_n * n0, x_n * n1, x_n * n2), (v_n * n0, v_n * n1, v_n * n2),
-                            (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    state = ControllerState((x_n * n0, x_n * n1, x_n * n2), (v_n * n0, v_n * n1, v_n * n2))
     cmd = ControllerCommand(x_cmd=(x_c * n0, x_c * n1, x_c * n2), q_cmd=(1.0, 0.0, 0.0, 0.0),
                             gripper=1.0, n=n, c=1)
     steps = int(math.ceil(T / dt))
@@ -223,8 +221,7 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     for _ in range(steps):
         # Vector pipeline with the bilateral spring along n.
         f = env.k_e * (x_e - dot3(state.x_r, n))
-        wrench = WrenchSample._make(((f * n0, f * n1, f * n2), (0.0, 0.0, 0.0)))
-        state = controller_tick(state, cmd, wrench, dt, cfg).state
+        state = controller_tick(state, cmd, (f * n0, f * n1, f * n2), dt, cfg).state
         # Reduced law: m x'' + 2 d x' = f_ext,n - f_H, same scheme and deadband.
         f = env.k_e * (x_e - x_n)
         f_dead = dot3(_radial_deadband((f * n0, f * n1, f * n2), cfg.force_deadband), n)

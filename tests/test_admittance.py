@@ -10,27 +10,20 @@ from admitsim.admittance import (
     AdmittanceConfig,
     ControllerCommand,
     ControllerState,
-    WrenchSample,
     _radial_deadband,
     commanded_force,
     compute_damping,
     controller_tick,
 )
 from admitsim.errors import NonPositiveParameter
-from admitsim.geometry import (
-    _quat_from_rotvec,
-    _quat_to_rotvec,
-    quat_from_axis_angle,
-    quat_mul,
-    tangent_or_none,
-)
+from admitsim.geometry import tangent_or_none, vec3
 
 Z = np.array([0.0, 0.0, 1.0])
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def rest_state(pos=(0.0, 0.0, 0.0)):
-    return ControllerState(np.array(pos, dtype=float), np.zeros(3), IDENTITY, np.zeros(3))
+    return ControllerState(np.array(pos, dtype=float), np.zeros(3))
 
 
 def hold_cmd(pos=(0.0, 0.0, 0.0), n=None, c=0):
@@ -55,8 +48,7 @@ class TestComputeDamping:
 
 
 class TestAdmittanceConfigValidation:
-    @pytest.mark.parametrize("field", ["mass", "stiffness", "damping_ratio", "rot_mass",
-                                       "rot_stiffness"])
+    @pytest.mark.parametrize("field", ["mass", "stiffness", "damping_ratio"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_gains_must_be_finite_and_positive(self, field, value):
         with pytest.raises(NonPositiveParameter):
@@ -66,17 +58,15 @@ class TestAdmittanceConfigValidation:
         ("tangent_scale", math.nan), ("tangent_scale", math.inf), ("tangent_scale", 0.5),
         ("target_force", math.nan), ("target_force", math.inf), ("target_force", -1.0),
         ("force_deadband", math.nan), ("force_deadband", math.inf),
-        ("torque_deadband", math.nan), ("torque_deadband", -0.1),
     ])
-    def test_scale_force_and_deadbands_must_be_finite(self, field, value):
+    def test_scale_force_and_deadband_must_be_finite(self, field, value):
         with pytest.raises(ValueError):
             AdmittanceConfig(**{field: value})
 
 
-def tick(st_, cmd, force=(0.0, 0.0, 0.0), torque=(0.0, 0.0, 0.0), cfg=None, dt=1e-3):
-    """controller_tick on a raw wrench, with the default gains unless cfg is given."""
-    wrench = WrenchSample(np.array(force, dtype=float), np.array(torque, dtype=float))
-    return controller_tick(st_, cmd, wrench, dt, cfg or AdmittanceConfig())
+def tick(st_, cmd, force=(0.0, 0.0, 0.0), cfg=None, dt=1e-3):
+    """controller_tick on a raw force, with the default gains unless cfg is given."""
+    return controller_tick(st_, cmd, vec3(force), dt, cfg or AdmittanceConfig())
 
 
 class TestDeadband:
@@ -93,24 +83,18 @@ class TestDeadband:
     def test_zero_passthrough(self):
         res = tick(rest_state(), hold_cmd(), cfg=self.cfg)
         assert_allclose(res.f_ext, 0)
-        assert_allclose(_radial_deadband(np.zeros(3), self.cfg.torque_deadband), 0)
-
-    def test_torque_band(self):
-        tau = _radial_deadband(np.array([0.0, 2.5, 0]), self.cfg.torque_deadband)
-        assert_allclose(tau, [0, 1.5, 0], atol=1e-12)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        for v, band in ((rng.normal(scale=5, size=3), self.cfg.force_deadband),
-                        (rng.normal(scale=2, size=3), self.cfg.torque_deadband)):
-            once = _radial_deadband(v, band)
-            twice = _radial_deadband(once, band)
-            # Applying twice subtracts the band twice unless already inside it;
-            # idempotence refers to a fixed point at and below the band edge.
-            if np.linalg.norm(once) == 0.0:
-                assert_allclose(twice, once)
+        band = self.cfg.force_deadband
+        once = _radial_deadband(rng.normal(scale=5, size=3), band)
+        twice = _radial_deadband(once, band)
+        # Applying twice subtracts the band twice unless already inside it;
+        # idempotence refers to a fixed point at and below the band edge.
+        if np.linalg.norm(once) == 0.0:
+            assert_allclose(twice, once)
 
 
 class TestCommandedForce:
@@ -132,7 +116,7 @@ class TestCommandedForce:
     def test_hand_evaluated_magnitude(self):
         # f = 4 + 50*0.01 + d*0.02 with d = 4*sqrt(50).
         cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0)
-        st_ = ControllerState(np.zeros(3), np.array([0.0, 0, -0.02]), IDENTITY, np.zeros(3))
+        st_ = ControllerState(np.zeros(3), np.array([0.0, 0, -0.02]))
         cmd = hold_cmd(pos=(0, 0, -0.01), n=-Z, c=1)
         f = commanded_force(cmd, st_, cfg)
         expected = 4.0 + 50.0 * 0.01 + compute_damping(1, 50, 2) * 0.02
@@ -232,29 +216,6 @@ class TestStepTranslation:
             tick(rest_state(), hold_cmd(), dt=0.02)
 
 
-class TestStepRotation:
-    def test_rotational_damping_value(self):
-        cfg = AdmittanceConfig()
-        assert cfg.rot_damping == pytest.approx(4.0)
-
-    def test_equilibrium_unchanged(self):
-        st_ = rest_state()
-        out = tick(st_, hold_cmd()).state
-        assert_allclose(out.q_r, st_.q_r)
-        assert_allclose(out.w_r, np.zeros(3))
-
-    def test_converges_without_overshoot(self):
-        q0 = quat_from_axis_angle(Z, math.radians(10.0))
-        st_ = ControllerState(np.zeros(3), np.zeros(3), q0, np.zeros(3))
-        cmd = hold_cmd()
-        angles = []
-        for _ in range(6000):
-            st_ = tick(st_, cmd).state
-            angles.append(_quat_to_rotvec(st_.q_r)[2])
-        assert min(angles) > -1e-9  # no crossing through the target
-        assert abs(angles[-1]) < 1e-4
-
-
 class TestEq4Reduction:
     """n-projection of the full law matches direct damping-control integration."""
 
@@ -292,13 +253,13 @@ class TestEq4Reduction:
             assert abs(st_a.x_r[2] - st_b.x_r[2]) < 1e-12
 
 
-def reference_tick(st_, cmd, f_ext, tau_ext, dt, cfg):
-    """The control law with materialized gain matrices, on a deadbanded wrench.
+def reference_tick(st_, cmd, f_ext, dt, cfg):
+    """The control law with materialized gain matrices, on a deadbanded force.
 
     K_eff and D_eff carry the rank-1 tangent update built with np.outer; the
-    translation and the rotation each take one semi-implicit Euler step.
+    state takes one semi-implicit Euler step.
     """
-    x_r, v_r, q_r, w_r = (np.array(v) for v in (st_.x_r, st_.v_r, st_.q_r, st_.w_r))
+    x_r, v_r = np.array(st_.x_r), np.array(st_.v_r)
     x_cmd = np.array(cmd.x_cmd)
     k, d = cfg.stiffness, cfg.damping
     K, D = k * np.eye(3), d * np.eye(3)
@@ -313,12 +274,7 @@ def reference_tick(st_, cmd, f_ext, tau_ext, dt, cfg):
     acc = (np.array(f_ext) - f_cmd - D @ v_r - K @ (x_r - x_cmd)) / cfg.mass
     v_new = v_r + dt * acc
     x_new = x_r + dt * v_new
-    qw, qx, qy, qz = cmd.q_cmd
-    theta_err = np.array(_quat_to_rotvec(quat_mul(q_r.tolist(), (qw, -qx, -qy, -qz))))
-    w_acc = (np.array(tau_ext) - cfg.rot_damping * w_r - cfg.rot_stiffness * theta_err) / cfg.rot_mass
-    w_new = w_r + dt * w_acc
-    q_new = quat_mul(_quat_from_rotvec((w_new * dt).tolist()), q_r.tolist())
-    return ControllerState(x_new, v_new, q_new, w_new)
+    return ControllerState(x_new, v_new)
 
 
 class TestControllerTick:
@@ -326,24 +282,21 @@ class TestControllerTick:
         cfg = AdmittanceConfig(enable_normal_regulation=True,
                                enable_tangent_stiffening=True, target_force=4.0)
         rng = np.random.default_rng(5)
-        st_ = ControllerState(rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.01,
-                              quat_from_axis_angle(Z, 0.2), np.zeros(3))
+        st_ = ControllerState(rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.01)
         n = np.array([0.0, 1.0, 0.0])
         cmd = ControllerCommand(rng.normal(size=3) * 0.02, IDENTITY, 1.0, n, 1)
-        wrench = WrenchSample(rng.normal(size=3) * 5, rng.normal(size=3) * 2)
-        res = controller_tick(st_, cmd, wrench, 1e-3, cfg)
-        f_ext = _radial_deadband(wrench.force, cfg.force_deadband)
-        tau_ext = _radial_deadband(wrench.torque, cfg.torque_deadband)
-        ref = reference_tick(st_, cmd, f_ext, tau_ext, 1e-3, cfg)
+        force = vec3(rng.normal(size=3) * 5)
+        res = controller_tick(st_, cmd, force, 1e-3, cfg)
+        f_ext = _radial_deadband(force, cfg.force_deadband)
+        ref = reference_tick(st_, cmd, f_ext, 1e-3, cfg)
         assert_allclose(res.state.x_r, ref.x_r, atol=1e-15)
         assert_allclose(res.state.v_r, ref.v_r, atol=1e-15)
-        assert_allclose(res.state.q_r, ref.q_r, atol=1e-12)
         assert_allclose(res.f_ext, f_ext)
 
     def test_records_stiffness_eigenvalues(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
         cmd = ControllerCommand(np.array([0.1, 0, 0]), IDENTITY, 1.0, Z, 1)
-        res = controller_tick(rest_state(), cmd, WrenchSample.zero(), 1e-3, cfg)
+        res = controller_tick(rest_state(), cmd, (0.0, 0.0, 0.0), 1e-3, cfg)
         assert_allclose(sorted(res.stiffness_eigs), [50.0, 50.0, 200.0])
 
     def test_command_validates_unit_normal(self):
@@ -354,5 +307,4 @@ class TestControllerTick:
         from admitsim.errors import NonFiniteState
         cfg = AdmittanceConfig(force_deadband=0.0)
         with pytest.raises(NonFiniteState):
-            controller_tick(rest_state(), hold_cmd(),
-                            WrenchSample(np.array([np.inf, 0, 0]), np.zeros(3)), 1e-3, cfg)
+            controller_tick(rest_state(), hold_cmd(), (math.inf, 0.0, 0.0), 1e-3, cfg)

@@ -71,6 +71,13 @@ class TestGenDemos:
                    "--out", str(tmp_path / "x.bin")])
         assert rc == 2
 
+    def test_seed_must_be_non_negative(self, tmp_path, capsys):
+        rc = main(["gen-demos", "--task", "WW", "--seed", "-1",
+                   "--out", str(tmp_path / "x.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == "gen-demos: --seed must be >= 0\n"
+        assert not os.path.exists(tmp_path / "x.bin")
+
 
 class TestSuiteCommand:
     def test_summary_rows(self, tmp_path, capsys):
@@ -85,15 +92,6 @@ class TestSuiteCommand:
         lines = open(out).read().splitlines()
         assert len(lines) == 3  # header + 2 modes
         assert lines[0].startswith("mode,disturbed,episodes,success_rate")
-
-    def test_empty_suite_header_only(self, tmp_path):
-        suite = tmp_path / "suite.ini"
-        suite.write_text("[suite]\ntask = WW\nmodes = force_aware\nseeds = 0\n")
-        out = str(tmp_path / "summary.csv")
-        rc = main(["suite", "--config", str(suite), "--out", out])
-        assert rc == 0
-        lines = open(out).read().splitlines()
-        assert len(lines) == 1
 
 
 class TestVerifyCommand:
@@ -176,10 +174,14 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
 
 @pytest.mark.parametrize("command,text", [
     ("run", "[scenario]\ntask = WW\nseed = abc\n"),
+    ("run", "[scenario]\ntask = WW\nseed = -1\n"),
     ("run", "[scenario]\ntask = WW\nduration = soon\n"),
+    ("run", "[scenario]\ntask = WW\nduration = 5%\n"),
     ("run", "[scenario]\ntask = WW\nduration = nan\n"),
     ("run", "[scenario]\ntask = WW\nwipe_passes = 1.5\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nseed = x\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\nseed = -1\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\nseed = -1\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\npos_std = -1\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\npos_std = nan\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nrot_std = inf\n"),
@@ -190,6 +192,9 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\ncontact_flip_prob = nan\n"),
     ("run", "[scenario]\ntask = WW\n[admittance]\nmass = -1\n"),
     ("run", "[scenario]\ntask = WW\n[admittance]\nstiffness = inf\n"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\nrot_mass = 0.1\n"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\nrot_stiffness = 10.0\n"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\ntorque_deadband = 1.0\n"),
     ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
             "duration = 1\nmagnitude = 0.01\ndirection = 0 0 up\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = -5\n"),
@@ -202,6 +207,10 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", "[scenario]\ntask = WW\n[safety]\ndebounce = -0.5\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\n[environment]\nk_e = nan\n"),
     ("suite", "[suite]\ntask = WW\nseeds = many\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 0\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = -1\n"),
+    ("suite", "[suite]\ntask = WW\nmodes =\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\nbase_seed = -1\n"),
     ("suite", "[suite]\ntask = WW\nbase_seed = one\n"),
     ("suite", "[suite]\ntask = WW\nduration = long\n"),
     ("suite", "[suite]\ntask = WW\nwipe_passes = two\n"),
@@ -244,3 +253,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[scenario]\ntask = WW\n; r\xe9sum\xe9\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err

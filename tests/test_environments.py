@@ -41,17 +41,17 @@ class TestSpringWrench:
     def test_no_penetration_no_force(self):
         board = flat_board()
         w = board.external_wrench(point(0, 0, 0.01), np.zeros(3))
-        assert_allclose(w.force, np.zeros(3))
+        assert_allclose(w, np.zeros(3))
 
     def test_linear_spring_value(self):
         board = flat_board(k_e=1000.0)
         w = board.external_wrench(point(0, 0, -0.004), np.zeros(3))
-        assert_allclose(w.force, [0, 0, 4.0], atol=1e-12)
+        assert_allclose(w, [0, 0, 4.0], atol=1e-12)
 
     def test_zero_velocity_no_coulomb(self):
         board = flat_board()
         w = board.external_wrench(point(0, 0, -0.004), np.zeros(3))
-        assert_allclose(w.force[:2], np.zeros(2))
+        assert_allclose(w[:2], np.zeros(2))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -60,7 +60,7 @@ class TestSpringWrench:
         board = flat_board(k_e=rng.uniform(100, 5000))
         p = point(*rng.normal(scale=0.05, size=3))
         vel = rng.normal(scale=0.2, size=3)
-        force = np.array(board.external_wrench(p, tuple(vel)).force)
+        force = np.array(board.external_wrench(p, tuple(vel)))
         fn = float(force @ Z)
         assert fn >= 0.0  # springs push, never pull
         pen = -p[2]
@@ -247,15 +247,15 @@ class TestHole:
     def test_bottom_spring(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]), k_e=1000.0)
         w = hole.external_wrench(point(0, 0, -0.027), np.zeros(3))
-        assert_allclose(w.force, [0, 0, 2.0], atol=1e-12)
+        assert_allclose(w, [0, 0, 2.0], atol=1e-12)
 
     def test_chamfer_guides_inward(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
         # Tip pressed into the funnel ring, offset along +x.
         r = hole.hole_radius + 0.5 * hole.chamfer
         w = hole.external_wrench(point(r, 0, -0.004), np.zeros(3))
-        assert w.force[2] > 0.0
-        assert w.force[0] < 0.0  # pushes back toward the axis
+        assert w[2] > 0.0
+        assert w[0] < 0.0  # pushes back toward the axis
 
     def test_wrong_variant(self):
         with pytest.raises(WrongVariant):
@@ -310,6 +310,14 @@ class TestDisturbances:
         assert board.spring.surface_normal != built[1]
         apply_disturbances(board, events, 3.0)
         assert (board.rotation, board.spring.surface_normal) == built
+
+    def test_force_pulse_moves_no_door_geometry(self):
+        rng = np.random.default_rng(np.random.SeedSequence([0, TASKS.index("MO")]))
+        door = build_environment("MO", rng)
+        (pulse,) = default_disturbance("MO")
+        force, active = apply_disturbances(door, (pulse,), pulse.start + 0.5 * pulse.duration)
+        assert active and np.linalg.norm(force) > 0.0
+        assert door.spring.rest_point == door.grasp0
 
     def test_profiles_continuous(self):
         events = [
@@ -442,11 +450,11 @@ def lever_grasp(handle_angle, door_shift=0.0):
 def latch_term(door, p):
     """The latch part of the door's wrench at p (at rest): the wrench minus that
     of the same door with a zero latch force."""
-    full = np.array(door.external_wrench(p, np.zeros(3)).force)
+    full = np.array(door.external_wrench(p, np.zeros(3)))
     latch_force = door.latch_force
     door.latch_force = 0.0
     try:
-        free = np.array(door.external_wrench(p, np.zeros(3)).force)
+        free = np.array(door.external_wrench(p, np.zeros(3)))
     finally:
         door.latch_force = latch_force
     return full - free
@@ -507,7 +515,7 @@ class TestLatch:
         door.update(door.grasp0, 0.0)
         assert not door.engaged
         w = door.external_wrench(door.grasp0, np.zeros(3))
-        assert_allclose(w.force, np.zeros(3))
+        assert_allclose(w, np.zeros(3))
 
     @pytest.mark.parametrize("build", [microwave, lever_door], ids=["microwave", "door"])
     def test_latched_wrench_on_hinge_axis(self, build):
@@ -520,7 +528,7 @@ class TestLatch:
         door.update(p, 1.0)
         assert door.engaged and not door.latch_released and door.door_angle > 0.0
         on_axis = np.array(door.hinge_pivot) + 0.05 * np.array(door.hinge_axis)
-        force = np.array(door.external_wrench(on_axis, np.zeros(3)).force)
+        force = np.array(door.external_wrench(on_axis, np.zeros(3)))
         assert np.isfinite(force).all()
         assert_allclose(latch_term(door, on_axis), np.zeros(3))
         if door.microwave:  # the hinge circle is the active one: no term at all

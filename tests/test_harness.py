@@ -77,6 +77,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(task="DO", **kwargs)
 
+    @pytest.mark.parametrize("build", [lambda: ScenarioConfig(task="WW", seed=-1),
+                                       lambda: NoiseSpec(seed=-1)], ids=["scenario", "noise"])
+    def test_rejects_negative_seed(self, build):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            build()
+
     def test_zero_debounce_accepted(self):
         assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
 
@@ -88,7 +94,6 @@ class TestScenarioConfig:
         hi = ScenarioConfig(task="WW", mode="baseline_high").build_admittance()
         assert hi.stiffness == 800.0
         assert not hi.enable_normal_regulation and not hi.enable_tangent_stiffening
-        assert hi.rot_stiffness == 10.0  # rotational admittance stays low-stiffness
         ph = ScenarioConfig(task="PH", mode="force_aware").build_admittance()
         assert ph.target_force == 2.0 and not ph.enable_tangent_stiffening
 
