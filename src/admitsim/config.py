@@ -6,7 +6,7 @@ Scenario schema:
     task = WW                ; MO | PH | WW | DO
     mode = force_aware       ; force_aware | baseline_low | baseline_mid | baseline_high
     duration = 20.0          ; seconds, within the task time limit
-    seed = 0
+    seed = 0                 ; >= 0
     wipe_passes = 1          ; WW only: repetitions of the coverage path
 
     [admittance]             ; optional gain overrides
@@ -22,6 +22,7 @@ Scenario schema:
     rot_std = 0.01
     normal_cone_std = 0.05
     contact_flip_prob = 0.01
+    seed = 0                 ; >= 0
 
     [environment]            ; optional
     k_e = 1000.0
@@ -46,10 +47,10 @@ Suite schema:
     [suite]
     task = WW
     modes = force_aware baseline_low baseline_mid baseline_high
-    seeds = 25
+    seeds = 25               ; >= 1
     duration = 20.0
     disturbed = none         ; none | only | both
-    base_seed = 0
+    base_seed = 0            ; >= 0
     plus optional [noise], [admittance], [environment], [disturbance.*]
     sections applied to every episode (disturbances only to disturbed runs).
 """
