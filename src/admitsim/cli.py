@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check/runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -68,6 +69,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 < args.prop3_duration < math.inf:  # false for NaN
+        print("verify: --prop3-duration must be finite and > 0", file=sys.stderr)
+        return 2
     grid = None
     if args.config:
         from .config import parse_verify_params

@@ -7,7 +7,7 @@ Scenario schema:
     mode = force_aware       ; force_aware | baseline_low | baseline_mid | baseline_high
     duration = 20.0          ; seconds, within the task time limit
     seed = 0                 ; >= 0
-    wipe_passes = 1          ; WW only: repetitions of the coverage path
+    wipe_passes = 1          ; WW only: repetitions of the coverage path, >= 1
 
     [admittance]             ; optional gain overrides
     mass = 1.0
@@ -51,6 +51,7 @@ Suite schema:
     duration = 20.0
     disturbed = none         ; none | only | both
     base_seed = 0            ; >= 0
+    wipe_passes = 1          ; >= 1
     plus optional [noise], [admittance], [environment], [disturbance.*]
     sections applied to every episode (disturbances only to disturbed runs).
 """

@@ -148,6 +148,8 @@ class DisturbanceEvent:
         if not 0.0 <= self.ramp <= self.duration:
             raise ValueError("ramp must lie in [0, duration]")
         d = vec3(self.direction)
+        if not all(map(math.isfinite, d)):
+            raise ValueError(f"direction must be finite, got {d}")
         object.__setattr__(self, "direction", _unit(d, math.sqrt(sq_norm(d))))
 
     def profile(self, t: float) -> float:

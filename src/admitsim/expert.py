@@ -159,8 +159,11 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
     Lanes run along the board-frame x axis with pitch (1 - lane_overlap) times
     the eraser footprint width; the eraser orientation aligns with the surface
     normal. Waypoints sit press_depth below the surface so that ideal tracking
-    produces contact force k_e * press_depth.
+    produces contact force k_e * press_depth. The sweep repeats `passes` times
+    (>= 1).
     """
+    if passes < 1:
+        raise ValueError(f"passes must be >= 1, got {passes}")
     centers = board.ink.inked_centers()
     if len(centers) == 0:
         raise NothingToWipe("board has no inked cells")
@@ -182,7 +185,7 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
     rest = board.spring.rest_point
 
     poses: list[Pose] = []
-    for _ in range(max(1, passes)):
+    for _ in range(passes):
         for li, y in enumerate(lanes):
             xs = _lane_waypoints(x_lo, x_hi, step_len)
             if li % 2 == 1:

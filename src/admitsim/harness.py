@@ -80,6 +80,8 @@ class ScenarioConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.chunk_horizon < 1:
             raise ValueError("chunk_horizon must be >= 1")
+        if self.wipe_passes < 1:
+            raise ValueError(f"wipe_passes must be >= 1, got {self.wipe_passes}")
         kinds = TASK_DISTURBANCES[self.task]
         for ev in self.disturbances:
             if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed

@@ -121,6 +121,22 @@ class TestVerifyCommand:
         assert rc == 0
         assert len(open(out).read().splitlines()) == 1 + 2 * 4
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1"])
+    def test_prop3_duration_must_be_finite_and_positive(self, duration, capsys):
+        assert main(["verify", "--prop3-duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err == "verify: --prop3-duration must be finite and > 0\n"
+        assert "Traceback" not in err
+
+    def test_diverging_point_exits_1(self, tmp_path, capsys):
+        params = tmp_path / "v.ini"
+        params.write_text("[verify]\nm = 0.001\nk_e = 1e9\nf_h = 4\n")
+        rc = main(["verify", "--config", str(params), "--prop3-duration", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: verifier integration diverged\n"
+        assert "Traceback" not in err
+
 
 def shift_event(**values):
     """A PH scenario with one shift disturbance, some of its values replaced."""
@@ -179,6 +195,10 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", "[scenario]\ntask = WW\nduration = 5%\n"),
     ("run", "[scenario]\ntask = WW\nduration = nan\n"),
     ("run", "[scenario]\ntask = WW\nwipe_passes = 1.5\n"),
+    ("run", "[scenario]\ntask = WW\nwipe_passes = 0\n"),
+    ("run", "[scenario]\ntask = WW\nwipe_passes = -2\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\nwipe_passes = 0\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\nwipe_passes = -2\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nseed = x\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nseed = -1\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\nseed = -1\n"),
@@ -197,6 +217,10 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", "[scenario]\ntask = WW\n[admittance]\ntorque_deadband = 1.0\n"),
     ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
             "duration = 1\nmagnitude = 0.01\ndirection = 0 0 up\n"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+            "duration = 1\nmagnitude = 0.01\ndirection = nan 0 1\n"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+            "duration = 1\nmagnitude = 0.01\ndirection = 0 inf 1\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = -5\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = nan\n"),
     ("run", "[scenario]\ntask = DO\n[environment]\nlatch_force = 0\n"),

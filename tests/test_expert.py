@@ -102,6 +102,13 @@ class TestWiping:
         poses = plan_wiping(board)
         assert len(poses) >= 2
 
+    @pytest.mark.parametrize("passes", [0, -2])
+    def test_passes_below_one_rejected(self, passes):
+        board = self.flat_board()
+        board.ink.inked[30, 20] = True
+        with pytest.raises(ValueError):
+            plan_wiping(board, passes=passes)
+
     def test_lane_count_lower_bound(self):
         board = self.flat_board()
         # Inked bounding box roughly 10 cm x 6 cm (cell-centre aligned rows).

@@ -5,11 +5,15 @@ import pytest
 
 from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim.environments import SpringContact
+from admitsim.errors import NonFiniteState
 from admitsim.verify import (
+    CONTROLLER_K,
+    DAMPING_RATIO,
     NormalDynamicsParams,
     XeProfile,
     default_grid,
     equivalence_check,
+    run_default_verification,
     verify_prop1_grid,
     verify_prop2,
     verify_prop3_grid,
@@ -192,6 +196,53 @@ def test_empty_grid_gives_no_reports():
     assert verify_prop1_grid([]) == []
     assert verify_prop2([], v0=0.05) == []
     assert verify_prop3_grid([]) == []
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_prop3_horizon_must_be_finite_and_positive(T):
+    with pytest.raises(ValueError):
+        verify_prop3_grid([params()], T=T)
+    with pytest.raises(ValueError):
+        run_default_verification(prop3_T=T, grid=[params()])
+
+
+class TestOneBatch:
+    """run_default_verification integrates the three propositions as one batch."""
+
+    # Ragged horizons: proposition 1 runs 1000, 6753 and 2000 steps, proposition
+    # 2 runs 2500, 3536 and 5000, and proposition 3 (T = 5 s) 5000 each, so the
+    # longest lane is a proposition 1 lane, not a proposition 3 one.
+    GRID = [params(m=0.5, k_e=1000.0, f_H=4.0), params(m=1.0, k_e=300.0, f_H=0.0),
+            params(m=2.0, k_e=5000.0, f_H=8.0)]
+
+    def test_equals_each_proposition_alone(self):
+        grid = self.GRID
+        batch = run_default_verification(prop3_T=5.0, grid=grid)
+        alone = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
+                 + verify_prop3_grid(grid, T=5.0))
+        for p in grid:
+            cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
+                                   damping_ratio=DAMPING_RATIO, target_force=p.f_H,
+                                   enable_normal_regulation=True)
+            alone.append(equivalence_check(cfg, SpringContact(p.k_e, (0.0, 0.0, 0.0),
+                                                              (0.0, 0.0, 1.0))))
+        steps = {rep.proposition: [] for rep in alone}
+        for rep in alone:
+            if rep.proposition != "equivalence":
+                steps[rep.proposition].append(math.ceil(rep.params["T"] / rep.params["dt"]))
+        assert max(steps["prop1"]) > max(steps["prop3"]) == 5000
+        assert len(set(steps["prop1"])) == len(set(steps["prop2"])) == 3
+        assert [r.proposition for r in batch] == [r.proposition for r in alone]
+        for got, want in zip(batch, alone):
+            assert got.params == want.params
+            assert got.measured == want.measured
+            assert got.passed == want.passed
+
+    def test_divergence_is_nonfinite_state(self):
+        # omega dt = sqrt(k_e / m) dt is far outside RK4's stability region.
+        stiff = NormalDynamicsParams(0.001, compute_damping(0.001, 50.0, 2.0), 1e9, 4.0)
+        with pytest.raises(NonFiniteState, match="verifier integration diverged"):
+            run_default_verification(prop3_T=0.5, grid=[params(), stiff])
 
 
 def test_default_grid_axes_and_damping():
