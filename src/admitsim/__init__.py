@@ -23,8 +23,6 @@ from .environments import (
     update_ink,
 )
 from .expert import (
-    FsmPhase,
-    KeyPose,
     PhaseLabel,
     SupervisionTuple,
     extract_supervision,
@@ -48,7 +46,7 @@ from .harness import (
     run_suite,
     success_check,
 )
-from .policy import ActionChunk, NoiseSpec, Observation, loss, predict
+from .policy import NoiseSpec, loss, predict
 from .tasks import Demo, build_environment, generate_demo
 from .verify import (
     NormalDynamicsParams,

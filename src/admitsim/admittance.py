@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NonFiniteState, NonPositiveParameter
-from .geometry import Pose, _unit_quat, dot3, sq_norm, tangent_or_none, vec3
+from .geometry import Pose, dot3, sq_norm, tangent_or_none, vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
 
@@ -105,20 +105,18 @@ class ControllerState(_StateFields):
 
 @dataclass(frozen=True)
 class ControllerCommand:
-    """One policy action: reference pose, gripper, normal direction, contact flag.
+    """One policy action: reference position, gripper, normal direction, contact flag.
 
-    Positions, quaternion and normal are float tuples, coerced from any sequence.
+    The position and the normal are float tuples, coerced from any sequence.
     """
 
     x_cmd: tuple
-    q_cmd: tuple
     gripper: float = 0.0
     n: tuple = None
     c: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "x_cmd", vec3(self.x_cmd))
-        object.__setattr__(self, "q_cmd", _unit_quat(tuple(map(float, self.q_cmd))))
         n = _ZERO3 if self.n is None else vec3(self.n)
         object.__setattr__(self, "n", n)
         if self.c not in (0, 1):

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 check/runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -69,14 +68,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0.0 < args.prop3_duration < math.inf:  # false for NaN
-        print("verify: --prop3-duration must be finite and > 0", file=sys.stderr)
-        return 2
     grid = None
     if args.config:
         from .config import parse_verify_params
         grid = parse_verify_params(args.config)
-    reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
+    try:
+        reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
+    except ValueError as exc:  # --prop3-duration out of range
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         write_verification_csv(args.out, reports)
     n_pass = sum(1 for r in reports if r.passed)

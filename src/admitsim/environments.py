@@ -299,14 +299,14 @@ class InkGrid:
 # --------------------------------------------------------------------------
 
 class TaskEnvironment:
-    """Common interface: spring + friction + per-variant geometry.
+    """Common interface: contact stiffness k_e, friction and per-variant geometry.
 
     The per-tick methods take the end-effector position and velocity as float
     3-sequences and return float tuples. Every geometry parameter is a float
     tuple, coerced once by the constructor.
     """
 
-    spring: SpringContact
+    k_e: float
     friction: FrictionModel
 
     def external_wrench(self, pos, vel) -> tuple:
@@ -320,7 +320,11 @@ class TaskEnvironment:
 
 @dataclass
 class PlaneBoard(TaskEnvironment):
-    """Flat board with an ink grid; the outward normal faces the robot."""
+    """Flat board with an ink grid; the outward normal faces the robot.
+
+    Its `spring` holds the contact's rest point and unit normal, which
+    disturbances move and tilt.
+    """
 
     center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
     rotation: tuple = (1.0, 0.0, 0.0, 0.0)  # any 4-sequence, wxyz
@@ -399,10 +403,9 @@ class HoleFixture(TaskEnvironment):
     def __post_init__(self):
         self.rim_center = vec3(self.rim_center)
         self.axis_up = _normalize(vec3(self.axis_up))
-        _check_params(self, positive=("depth", "hole_radius", "wall_stiffness"),
+        _check_params(self, positive=("depth", "hole_radius", "wall_stiffness", "k_e"),
                       non_negative=("clearance", "chamfer"))
         self._base_rest = self.rim_center
-        self.spring = SpringContact(self.k_e, self.bottom_center(), self.axis_up)
 
     def bottom_center(self) -> tuple:
         r0, r1, r2 = self.rim_center
@@ -412,7 +415,6 @@ class HoleFixture(TaskEnvironment):
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         self.rim_center = _add(self._base_rest, offset)
-        self.spring.rest_point = self.bottom_center()
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
@@ -433,7 +435,7 @@ class HoleFixture(TaskEnvironment):
                 f0, f1, f2 = f0 - w * (p0 / r), f1 - w * (p1 / r), f2 - w * (p2 / r)
             pen = d_ax - self.depth
             if pen > 0.0:
-                spring = (self.spring.k_e * pen, axis_up)
+                spring = (self.k_e * pen, axis_up)
         elif r <= self.hole_radius + self.chamfer:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
@@ -443,10 +445,10 @@ class HoleFixture(TaskEnvironment):
             if pen > 0.0:
                 u0, u1, u2 = axis_up
                 cone_n = ((u0 - p0 / r) * h, (u1 - p1 / r) * h, (u2 - p2 / r) * h)
-                spring = (self.spring.k_e * pen, cone_n)
+                spring = (self.k_e * pen, cone_n)
         else:
             # Landed on the top plate beside the hole.
-            spring = (self.spring.k_e * d_ax, axis_up)
+            spring = (self.k_e * d_ax, axis_up)
         if spring is not None:
             f_n, normal = spring
             n0, n1, n2 = normal
@@ -485,7 +487,7 @@ class HingedDoor(TaskEnvironment):
     grasp_tol: float = 0.03
 
     def __post_init__(self):
-        _check_params(self, positive=("handle_lever", "grasp_tol"),
+        _check_params(self, positive=("handle_lever", "grasp_tol", "k_e"),
                       non_negative=("latch_force", "handle_spring", "latch_threshold",
                                     "release_angle"))
         self.hinge_pivot = vec3(self.hinge_pivot)
@@ -507,7 +509,6 @@ class HingedDoor(TaskEnvironment):
         self.handle_angle = 0.0
         self.max_door_angle = 0.0
         self._az_ref = 0.0  # azimuth at grasp engagement, defines door_angle = 0
-        self.spring = SpringContact(self.k_e, self.grasp0, self._e1)
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         """No-op: a door takes force pulses only, which move no geometry."""
@@ -581,7 +582,7 @@ class HingedDoor(TaskEnvironment):
         f0 = f1 = f2 = 0.0
         if r > 1e-9:
             rho = _unit(rad, r)
-            f_con = -self.spring.k_e * (r - radius)
+            f_con = -self.k_e * (r - radius)
             f0, f1, f2 = f0 + f_con * rho[0], f1 + f_con * rho[1], f2 + f_con * rho[2]
             t_hat = _cross(axis, rho)
             s = dot3(vel, t_hat)
@@ -619,12 +620,12 @@ class HingedDoor(TaskEnvironment):
 # Module-level operations (variant-checked)
 # --------------------------------------------------------------------------
 
-def update_ink(env: TaskEnvironment, position, contact_active: bool, normal_force: float) -> int:
+def update_ink(env: TaskEnvironment, position, normal_force: float) -> int:
     """Clean cells under the eraser footprint at the end-effector position (a
-    float 3-sequence); gated on contact and force."""
+    float 3-sequence); gated on the normal contact force."""
     if not isinstance(env, PlaneBoard):
         raise WrongVariant("update_ink requires a PlaneBoard")
-    if not contact_active or normal_force < env.f_min_wipe:
+    if normal_force < env.f_min_wipe:
         return 0
     local = env.to_board_frame(position)
     return env.ink.wipe_rect(local, env.eraser_half_x, env.eraser_half_y)

@@ -8,7 +8,6 @@ demonstrations; the admittance loop only enters at replay time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,7 +35,6 @@ from .geometry import (
     _sub,
     _unit_quat,
     dot3,
-    pose10_decode,
     pose10_encode,
     quat_from_axis_angle,
     quat_mul,
@@ -45,27 +43,17 @@ from .geometry import (
 
 
 class PhaseLabel(Enum):
+    """The expert phase of a demo step; its value is the phase index a log records."""
+
     APPROACH = 0
     GRASP = 1
     CONTACT = 2
     RETRACT = 3
 
-
-@dataclass(frozen=True)
-class FsmPhase:
-    label: PhaseLabel
-
     @property
     def contact_flag(self) -> int:
         # c=1 exactly during contact interaction, by construction.
-        return 1 if self.label is PhaseLabel.CONTACT else 0
-
-
-@dataclass(frozen=True)
-class KeyPose:
-    pose: Pose
-    gripper: float
-    label: PhaseLabel
+        return 1 if self is PhaseLabel.CONTACT else 0
 
 
 class _SupervisionFields(NamedTuple):
@@ -93,9 +81,6 @@ class SupervisionTuple(_SupervisionFields):
         return super().__new__(cls, np.asarray(pose10, dtype=float),
                                np.asarray(normal, dtype=float), contact)
 
-    def decode_pose(self) -> tuple[Pose, float]:
-        return pose10_decode(self.pose10)
-
 
 # Placeholder normal for out-of-contact steps; the loss masks it.
 ZERO_NORMAL = (0.0, 0.0, 0.0)
@@ -105,8 +90,8 @@ ZERO_NORMAL = (0.0, 0.0, 0.0)
 # Planners
 # --------------------------------------------------------------------------
 
-def plan_free_motion(schedule: list[KeyPose], steps_per_segment: int) -> list[Pose]:
-    """Piecewise pose interpolation through the key-pose schedule.
+def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]:
+    """Piecewise pose interpolation through the schedule of key poses.
 
     One segment of s steps yields s+1 poses; later segments share their start
     pose with the previous end, contributing s poses each.
@@ -115,10 +100,10 @@ def plan_free_motion(schedule: list[KeyPose], steps_per_segment: int) -> list[Po
         raise EmptySchedule("schedule has no key poses")
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
-    poses = [schedule[0].pose]
+    poses = [schedule[0]]
     for a, b in zip(schedule[:-1], schedule[1:]):
-        pa, pb = a.pose.position, b.pose.position
-        ends = _slerp_ends(a.pose.orientation, b.pose.orientation)
+        pa, pb = a.position, b.position
+        ends = _slerp_ends(a.orientation, b.orientation)
         for i in range(1, steps_per_segment + 1):
             s = i / steps_per_segment
             poses.append(Pose._make((_lerp(pa, pb, s), _unit_quat(_slerp(ends, s)))))
@@ -264,7 +249,7 @@ def manifold_normal(env: TaskEnvironment, eef: Pose) -> tuple:
     raise NoContactManifold(f"no manifold for environment {type(env).__name__}")
 
 
-def extract_supervision(poses: list[Pose], phases: list[FsmPhase], grippers: list[float],
+def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: list[float],
                         env: TaskEnvironment, normals: list | None = None
                         ) -> list[SupervisionTuple]:
     """Shifted supervision: tuple[t] = (pose[t+1], normal at t+1, contact[t]).

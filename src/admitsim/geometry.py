@@ -29,16 +29,19 @@ tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Arrays appear only where whole arrays are the point, and numpy ufuncs give
 the same bits at any array length there: the `RunLog` of a finished episode,
-built once from the per-tick logs, the ink grid, the verifier's RK4 grids and
-the supervision records, row views of one (n, 14) float64 block in the
+built once from the per-tick logs, the ink grid, the verifier's lane table
+and the supervision records, row views of one (n, 14) float64 block in the
 dataset layout (`admitsim.datasets`). Elementwise float arithmetic rounds
-exactly like numpy's, so the tuples carry the bits an array would.
+exactly like numpy's, so the tuples carry the bits an array would; a
+controller command's position is the float tuple of a record's `pose10[:3]`.
 
 Every quaternion keeps the `_unit_quat` passes of the formulas the outputs
 were pinned with (a slerp's own, the one of the `Pose` constructor): a
 repeated pass changes at least one component of about a third of unit
 quaternions. The planners build each waypoint's `Pose` once, with
-`Pose._make`, from floats that have had that pass.
+`Pose._make`, from floats that have had that pass. No quaternion reaches the
+translational controller: the 6D rotations of the supervision records reach
+the demo datasets only.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ from .environments import (
     update_ink,
 )
 from .errors import NonFiniteState
-from .geometry import Pose, dot3, pose10_encode, sq_norm
-from .policy import ActionChunk, NoiseSpec, Observation, predict
+from .geometry import dot3, sq_norm
+from .policy import DEFAULT_HORIZON, NoiseSpec, predict
 from .tasks import (
     TASK_DISTURBANCES,
     TASK_FLAGS,
@@ -46,6 +46,7 @@ BASELINE_STIFFNESS = {"baseline_low": 50.0, "baseline_mid": 200.0, "baseline_hig
 CONTROL_HZ = 1000
 POLICY_HZ = 10
 TICKS_PER_STEP = CONTROL_HZ // POLICY_HZ
+SETTLE_STEPS = POLICY_HZ  # policy steps (1 s) that hold the last command after the demo
 
 DEFAULT_SAFETY_LIMIT = 25.0   # N on the deadbanded force magnitude
 DEFAULT_DEBOUNCE = 0.020      # s a violation must persist before stopping
@@ -61,10 +62,8 @@ class ScenarioConfig:
     disturbances: tuple = ()
     admittance_overrides: dict = field(default_factory=dict)
     env_overrides: dict = field(default_factory=dict)
-    chunk_horizon: int = 16
     safety_limit: float = DEFAULT_SAFETY_LIMIT
     safety_debounce: float = DEFAULT_DEBOUNCE
-    settle_time: float = 1.0
     wipe_passes: int = 1
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class ScenarioConfig:
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.chunk_horizon < 1:
-            raise ValueError("chunk_horizon must be >= 1")
         if self.wipe_passes < 1:
             raise ValueError(f"wipe_passes must be >= 1, got {self.wipe_passes}")
         kinds = TASK_DISTURBANCES[self.task]
@@ -156,7 +153,6 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
     dt = 1.0 / CONTROL_HZ
     debounce_ticks = int(round(cfg.safety_debounce * CONTROL_HZ))
     n_demo = len(demo.tuples)
-    settle_steps = int(round(cfg.settle_time * POLICY_HZ))
     max_ticks = int(round(cfg.duration * CONTROL_HZ))
 
     state = ControllerState.at_rest(demo.poses[0])
@@ -172,10 +168,7 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
     buf_c = array("b")
     buf_dist = array("b")
 
-    chunk: ActionChunk | None = None
-    cmd: ControllerCommand | None = None
     phase_idx = 0
-    gripper = demo.grippers[0]
     over = 0
     safety_stopped = False
     peak_force = 0.0
@@ -186,20 +179,16 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         t = k * dt
         if k % TICKS_PER_STEP == 0:
             p = k // TICKS_PER_STEP
-            if p >= n_demo + settle_steps:
+            if p >= n_demo + SETTLE_STEPS:
                 break
             if p < n_demo:
-                if p % cfg.chunk_horizon == 0:
-                    # The controller is translational: the observed orientation
-                    # is the commanded one.
-                    q = demo.poses[0].orientation if cmd is None else cmd.q_cmd
-                    obs = Observation(pose10_encode(Pose._make((state.x_r, q)), gripper), p)
-                    chunk = predict(obs, demo.tuples, noise, cfg.chunk_horizon)
-                tup = chunk[p % cfg.chunk_horizon]
-                pose_cmd, gripper = tup.decode_pose()
-                cmd = ControllerCommand(pose_cmd.position, pose_cmd.orientation,
-                                        gripper, tup.normal, tup.contact)
-                phase_idx = demo.phases[p].label.value
+                if p % DEFAULT_HORIZON == 0:
+                    chunk = predict(p, demo.tuples, noise, DEFAULT_HORIZON)
+                # The controller is translational: a command takes the
+                # position and the gripper of the predicted 10-d pose.
+                pose10, normal, contact = chunk[p % DEFAULT_HORIZON]
+                cmd = ControllerCommand(pose10[:3], float(pose10[9]), normal, contact)
+                phase_idx = demo.phases[p].value
             # Past the demo: hold the last command through the settle tail.
         (e0, e1, e2), dist_active = apply_disturbances(env, cfg.disturbances, t)
         x = state.x_r
@@ -212,7 +201,7 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
         if is_board:
             fn = dot3(raw_force, env.spring.surface_normal)
             if fn > 0.0:
-                update_ink(env, state.x_r, True, fn)
+                update_ink(env, state.x_r, fn)
         buf_t.append(t)
         buf_x.extend(state.x_r)
         buf_v.extend(state.v_r)

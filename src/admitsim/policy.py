@@ -30,39 +30,13 @@ DEFAULT_HORIZON = 16
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Proprioception (position, 6D rotation, gripper) plus the policy-step index."""
-
-    proprio: np.ndarray
-    time_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "proprio", np.asarray(self.proprio, dtype=float))
-
-
-@dataclass(frozen=True)
-class ActionChunk:
-    tuples: tuple
-
-    def __post_init__(self):
-        if len(self.tuples) < 1:
-            raise ValueError("chunk horizon must be >= 1")
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __getitem__(self, i: int) -> SupervisionTuple:
-        return self.tuples[i]
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Oracle prediction noise and its seed.
 
     `rot_std` perturbs the predicted orientation. The controller is
-    translational, so that orientation reaches only the commanded pose that
-    the next observation carries, which `predict` does not read; its draws
-    still advance the noise generator, and with it every later draw.
+    translational and a command takes only the position and the gripper of
+    a prediction, so no output reads that orientation; its draws still
+    advance the noise generator, and with it every later draw.
     """
 
     pos_std: float = 0.0
@@ -102,15 +76,17 @@ def _perturb_normal(n, rng: np.random.Generator, cone_std: float) -> tuple:
     return _normalize(quat_rotate(q, n))
 
 
-def predict(obs: Observation, demo: list[SupervisionTuple], noise: NoiseSpec,
-            horizon: int = DEFAULT_HORIZON) -> ActionChunk:
-    """Next `horizon` supervision tuples from the demo, perturbed.
+def predict(t0: int, demo: list[SupervisionTuple], noise: NoiseSpec,
+            horizon: int = DEFAULT_HORIZON) -> tuple:
+    """The next `horizon` supervision tuples from policy step t0 of the demo,
+    perturbed, as a tuple (the action chunk).
 
     The slice is padded by repeating the final tuple when the demo ends inside
     the horizon; a time index at or beyond the demo raises EndOfDemo. Output
-    is deterministic in (noise.seed, obs.time_index).
+    is deterministic in (noise.seed, t0).
     """
-    t0 = obs.time_index
+    if horizon < 1:
+        raise ValueError("chunk horizon must be >= 1")
     if t0 < 0 or t0 >= len(demo):
         raise EndOfDemo(f"time index {t0} outside demo of length {len(demo)}")
     rng = np.random.default_rng(np.random.SeedSequence([noise.seed, t0]))
@@ -133,7 +109,7 @@ def predict(obs: Observation, demo: list[SupervisionTuple], noise: NoiseSpec,
         if c == 1 and noise.normal_cone_std > 0.0:
             n = _perturb_normal(n, rng, noise.normal_cone_std)
         out.append(SupervisionTuple(pose10, n, c))
-    return ActionChunk(tuple(out))
+    return tuple(out)
 
 
 def loss(pred: list[SupervisionTuple], gt: list[SupervisionTuple],

@@ -22,8 +22,6 @@ from .environments import (
 )
 from .expert import (
     ZERO_NORMAL,
-    FsmPhase,
-    KeyPose,
     PhaseLabel,
     extract_supervision,
     plan_articulated,
@@ -61,13 +59,11 @@ IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 @dataclass
 class Demo:
-    """One expert rollout: aligned pose/phase/gripper streams plus supervision."""
+    """One expert rollout: aligned pose and phase streams plus supervision."""
 
     task: str
     poses: list
-    phases: list
-    grippers: list
-    normals: list | None
+    phases: list  # one PhaseLabel per pose
     tuples: list
 
     def __len__(self):
@@ -191,7 +187,7 @@ def _along(p, s: float, d) -> tuple:
 
 
 def _section(poses, label: PhaseLabel, gripper, normals=None):
-    phases = [FsmPhase(label)] * len(poses)
+    phases = [label] * len(poses)
     grippers = [gripper] * len(poses) if np.isscalar(gripper) else list(gripper)
     if normals is None:
         return poses, phases, grippers
@@ -204,21 +200,10 @@ def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
     nu = board.spring.surface_normal
     above = Pose(_along(start.position, 0.03, nu), start.orientation)
     high = Pose(_along(above.position, 0.05, nu), start.orientation)
-    approach = plan_free_motion(
-        [KeyPose(HOME, 1.0, PhaseLabel.APPROACH),
-         KeyPose(high, 1.0, PhaseLabel.APPROACH),
-         KeyPose(above, 1.0, PhaseLabel.APPROACH)],
-        steps_per_segment=8,
-    )
-    descend = plan_free_motion(
-        [KeyPose(above, 1.0, PhaseLabel.APPROACH), KeyPose(start, 1.0, PhaseLabel.APPROACH)],
-        steps_per_segment=4,
-    )[1:]
+    approach = plan_free_motion([HOME, high, above], steps_per_segment=8)
+    descend = plan_free_motion([above, start], steps_per_segment=4)[1:]
     lift = Pose(_along(wipe[-1].position, 0.08, nu), wipe[-1].orientation)
-    retract = plan_free_motion(
-        [KeyPose(wipe[-1], 1.0, PhaseLabel.RETRACT), KeyPose(lift, 1.0, PhaseLabel.RETRACT)],
-        steps_per_segment=6,
-    )[1:]
+    retract = plan_free_motion([wipe[-1], lift], steps_per_segment=6)[1:]
     dwell = [wipe[0]] * 6  # press and let the contact force converge before sweeping
     poses, phases, grippers, _ = _chain(
         _section(approach + descend, PhaseLabel.APPROACH, 1.0),
@@ -226,26 +211,21 @@ def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
         _section(retract, PhaseLabel.RETRACT, 1.0),
     )
     tuples = extract_supervision(poses, phases, grippers, board)
-    return Demo("WW", poses, phases, grippers, None, tuples)
+    return Demo("WW", poses, phases, tuples)
 
 
 def _ph_demo(hole: HoleFixture) -> Demo:
     insertion = plan_insertion(hole, start_height=hole.depth, step=0.001)
     rim_pose = insertion[0]
     above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
-    approach = plan_free_motion(
-        [KeyPose(HOME, 1.0, PhaseLabel.APPROACH),
-         KeyPose(above, 1.0, PhaseLabel.APPROACH),
-         KeyPose(rim_pose, 1.0, PhaseLabel.APPROACH)],
-        steps_per_segment=8,
-    )
+    approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
     hold = [insertion[-1]] * 10  # press at the bottom to secure depth
     poses, phases, grippers, _ = _chain(
         _section(approach, PhaseLabel.APPROACH, 1.0),
         _section(insertion[1:] + hold, PhaseLabel.CONTACT, 1.0),
     )
     tuples = extract_supervision(poses, phases, grippers, hole)
-    return Demo("PH", poses, phases, grippers, None, tuples)
+    return Demo("PH", poses, phases, tuples)
 
 
 def _door_demo(task: str, door: HingedDoor) -> Demo:
@@ -254,12 +234,7 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
     # with it the inferred door angle) unbiased when the gripper closes.
     standoff_dir = (0.0, 0.0, 1.0)
     pre = Pose(_along(door.grasp0, 0.08, standoff_dir), IDENTITY_Q)
-    approach = plan_free_motion(
-        [KeyPose(HOME, 0.0, PhaseLabel.APPROACH),
-         KeyPose(pre, 0.0, PhaseLabel.APPROACH),
-         KeyPose(grasp_pose, 0.0, PhaseLabel.APPROACH)],
-        steps_per_segment=8,
-    )
+    approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
     grasp_poses = [grasp_pose] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
     target = math.radians(60.0) if task == "MO" else math.radians(40.0)
@@ -273,10 +248,7 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
     hold = [open_pose] * 12
     hold_normals = [arc_normals[-1]] * 12
     away = Pose(_along(open_pose.position, 0.06, standoff_dir), open_pose.orientation)
-    retract_poses = plan_free_motion(
-        [KeyPose(open_pose, 0.0, PhaseLabel.RETRACT), KeyPose(away, 0.0, PhaseLabel.RETRACT)],
-        steps_per_segment=5,
-    )
+    retract_poses = plan_free_motion([open_pose, away], steps_per_segment=5)
     poses, phases, grippers, normals = _chain(
         _section(approach, PhaseLabel.APPROACH, 0.0),
         _section(grasp_poses, PhaseLabel.GRASP, grasp_grip),
@@ -284,7 +256,7 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
         _section(retract_poses, PhaseLabel.RETRACT, 0.0),
     )
     tuples = extract_supervision(poses, phases, grippers, door, normals=normals)
-    return Demo(task, poses, phases, grippers, normals, tuples)
+    return Demo(task, poses, phases, tuples)
 
 
 def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> list:

@@ -7,6 +7,7 @@ batches and a 2000-demonstration generation run).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,13 +188,13 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     t1, t2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli_main(["run", "--config", str(scenario), "--out", t1]) == 0
     assert cli_main(["run", "--config", str(scenario), "--out", t2]) == 0
-    assert open(t1, "rb").read() == open(t2, "rb").read()
+    assert Path(t1).read_bytes() == Path(t2).read_bytes()
 
     d1, d2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     for out in (d1, d2):
         assert cli_main(["gen-demos", "--task", "WW", "--count", "5", "--seed", "3",
                          "--out", out]) == 0
-    assert open(d1, "rb").read() == open(d2, "rb").read()
+    assert Path(d1).read_bytes() == Path(d2).read_bytes()
     report(8, "trace and dataset reruns byte-identical")
 
 
@@ -209,7 +210,7 @@ def test_criterion_9_demo_generation_scale():
         demo = generate_demo("WW", env)
         for pose, phase in zip(demo.poses, demo.phases):
             if phase.contact_flag:
-                update_ink(env, pose.position, True, 4.0)
+                update_ink(env, pose.position, 4.0)
         if env.ink.inked_count() == 0:
             covered += 1
     elapsed = time.perf_counter() - t0

@@ -19,7 +19,6 @@ from admitsim.errors import NonPositiveParameter
 from admitsim.geometry import tangent_or_none, vec3
 
 Z = np.array([0.0, 0.0, 1.0])
-IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def rest_state(pos=(0.0, 0.0, 0.0)):
@@ -27,7 +26,7 @@ def rest_state(pos=(0.0, 0.0, 0.0)):
 
 
 def hold_cmd(pos=(0.0, 0.0, 0.0), n=None, c=0):
-    return ControllerCommand(np.array(pos, dtype=float), IDENTITY, 1.0,
+    return ControllerCommand(np.array(pos, dtype=float), 1.0,
                              np.array(n) if n is not None else None, c)
 
 
@@ -226,7 +225,7 @@ class TestEq4Reduction:
         d = cfg.damping
         rng = np.random.default_rng(0)
         x_cmd = 0.01 * n
-        cmd = ControllerCommand(x_cmd, IDENTITY, 1.0, n, 1)
+        cmd = ControllerCommand(x_cmd, 1.0, n, 1)
         st_ = rest_state()
         x_n = 0.0
         v_n = 0.0
@@ -244,8 +243,8 @@ class TestEq4Reduction:
                                enable_tangent_stiffening=False, force_deadband=0.0)
         st_a = rest_state()
         st_b = rest_state()
-        cmd_a = ControllerCommand(np.array([0.0, 0, -0.01]), IDENTITY, 1.0, Z, 1)
-        cmd_b = ControllerCommand(np.array([0.05, 0, -0.01]), IDENTITY, 1.0, Z, 1)
+        cmd_a = ControllerCommand(np.array([0.0, 0, -0.01]), 1.0, Z, 1)
+        cmd_b = ControllerCommand(np.array([0.05, 0, -0.01]), 1.0, Z, 1)
         for k in range(1000):
             f = math.sin(0.02 * k) * Z
             st_a = tick(st_a, cmd_a, force=f, cfg=cfg).state
@@ -284,7 +283,7 @@ class TestControllerTick:
         rng = np.random.default_rng(5)
         st_ = ControllerState(rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.01)
         n = np.array([0.0, 1.0, 0.0])
-        cmd = ControllerCommand(rng.normal(size=3) * 0.02, IDENTITY, 1.0, n, 1)
+        cmd = ControllerCommand(rng.normal(size=3) * 0.02, 1.0, n, 1)
         force = vec3(rng.normal(size=3) * 5)
         res = controller_tick(st_, cmd, force, 1e-3, cfg)
         f_ext = _radial_deadband(force, cfg.force_deadband)
@@ -295,13 +294,13 @@ class TestControllerTick:
 
     def test_records_stiffness_eigenvalues(self):
         cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
-        cmd = ControllerCommand(np.array([0.1, 0, 0]), IDENTITY, 1.0, Z, 1)
+        cmd = ControllerCommand(np.array([0.1, 0, 0]), 1.0, Z, 1)
         res = controller_tick(rest_state(), cmd, (0.0, 0.0, 0.0), 1e-3, cfg)
         assert_allclose(sorted(res.stiffness_eigs), [50.0, 50.0, 200.0])
 
     def test_command_validates_unit_normal(self):
         with pytest.raises(ValueError):
-            ControllerCommand(np.zeros(3), IDENTITY, 1.0, np.array([0.0, 0, 0.5]), 1)
+            ControllerCommand(np.zeros(3), 1.0, np.array([0.0, 0, 0.5]), 1)
 
     def test_non_finite_force_raises(self):
         from admitsim.errors import NonFiniteState

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -60,7 +61,7 @@ class TestGenDemos:
         for out in (a, b):
             assert main(["gen-demos", "--task", "WW", "--count", "3", "--seed", "7",
                          "--out", out]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_requires_task_or_config(self, tmp_path):
         rc = main(["gen-demos", "--count", "1", "--out", str(tmp_path / "x.bin")])
@@ -89,7 +90,7 @@ class TestSuiteCommand:
         out = str(tmp_path / "summary.csv")
         rc = main(["suite", "--config", str(suite), "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 3  # header + 2 modes
         assert lines[0].startswith("mode,disturbed,episodes,success_rate")
 
@@ -99,7 +100,7 @@ class TestVerifyCommand:
         out = str(tmp_path / "report.csv")
         rc = main(["verify", "--out", out, "--prop3-duration", "5.0"])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 + 27 * 4  # header + four checks per grid point
         assert "failed=0" in capsys.readouterr().out
         # The whole default-grid report, pinned as bytes like the golden digests.
@@ -119,14 +120,32 @@ class TestVerifyCommand:
         rc = main(["verify", "--config", str(params), "--out", out,
                    "--prop3-duration", "5.0"])
         assert rc == 0
-        assert len(open(out).read().splitlines()) == 1 + 2 * 4
+        assert len(Path(out).read_text().splitlines()) == 1 + 2 * 4
 
-    @pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1"])
+    # 0.002 and 0.003 s are 2 and 3 proposition-3 steps, short of the Lyapunov-rate
+    # stencil's four.
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1", "0.002", "0.003"])
     def test_prop3_duration_must_be_finite_and_positive(self, duration, capsys):
         assert main(["verify", "--prop3-duration", duration]) == 2
         err = capsys.readouterr().err
-        assert err == "verify: --prop3-duration must be finite and > 0\n"
+        assert err == ("verify: proposition 3 duration T must be finite, > 0 and span at "
+                       f"least 4 steps of 0.001 s, got {float(duration)}\n")
         assert "Traceback" not in err
+
+    def test_four_step_prop3_duration_passes(self, capsys):
+        assert main(["verify", "--prop3-duration", "0.0031"]) == 0
+        assert "checks=108 passed=108 failed=0" in capsys.readouterr().out
+
+    def test_tiny_mass_grid_ends_in_a_typed_error(self, tmp_path, capsys):
+        # Proposition 2 runs one step at m = 1e-12 and four at m = 1e-6: its
+        # late-slope fit still has two samples. The equivalence check's
+        # controller then diverges, a runtime failure.
+        for m in ("1e-12", "1e-6"):
+            params = tmp_path / "v.ini"
+            params.write_text(f"[verify]\nm = {m}\nk_e = 100\nf_h = 2\n")
+            rc = main(["verify", "--config", str(params), "--prop3-duration", "0.01"])
+            assert rc == 1, m
+            assert capsys.readouterr().err == "error: controller state diverged\n", m
 
     def test_diverging_point_exits_1(self, tmp_path, capsys):
         params = tmp_path / "v.ini"

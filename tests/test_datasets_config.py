@@ -80,7 +80,7 @@ class TestDataset:
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         write_dataset(p1, Dataset("WW", 16, eps))
         write_dataset(p2, Dataset("WW", 16, eps))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_truncated_file_is_io_failure(self, tmp_path):
         path = tmp_path / "demo.bin"
@@ -232,7 +232,7 @@ class TestTrace:
         log = run_episode(ScenarioConfig(task="WW", duration=2.0, seed=0))
         path = str(tmp_path / "trace.csv")
         write_trace(path, log)
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         header = lines[0].split(",")
         assert header[0] == "t"
         assert len(header) == 19
@@ -245,7 +245,7 @@ class TestTrace:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_trace(p1, run_episode(cfg))
         write_trace(p2, run_episode(cfg))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_empty_log_writes_header_only(self, tmp_path):
         path = tmp_path / "trace.csv"

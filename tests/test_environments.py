@@ -123,12 +123,7 @@ class TestInk:
     def test_update_requires_board(self):
         hole = HoleFixture()
         with pytest.raises(WrongVariant):
-            update_ink(hole, point(0, 0, 0), True, 5.0)
-
-    def test_no_contact_no_wipe(self):
-        board = flat_board()
-        board.ink.inked[10:14, 10:13] = True
-        assert update_ink(board, point(0, 0, 0), False, 5.0) == 0
+            update_ink(hole, point(0, 0, 0), 5.0)
 
     def test_force_gate(self):
         board = flat_board()
@@ -136,8 +131,8 @@ class TestInk:
         board.ink.inked[30, 20] = True
         (c,) = board.ink.inked_centers()
         p = point(c[0], c[1], -0.004)
-        assert update_ink(board, p, True, 0.5) == 0
-        assert update_ink(board, p, True, 2.0) == 1
+        assert update_ink(board, p, 0.5) == 0
+        assert update_ink(board, p, 2.0) == 1
 
     def test_footprint_counts_cells(self):
         board = flat_board()
@@ -145,7 +140,7 @@ class TestInk:
         # 4 x 3 block of cells centred under the eraser.
         board.ink.inked[28:32, 19:22] = True
         center = board.ink.inked_centers().mean(axis=0)
-        wiped = update_ink(board, point(center[0], center[1], -0.004), True, 5.0)
+        wiped = update_ink(board, point(center[0], center[1], -0.004), 5.0)
         assert wiped == 12
         assert type(wiped) is int  # counts feed JSON reports and sums
 
@@ -186,7 +181,7 @@ class TestInk:
         board.ink.refresh_box()
         ink = board.ink
         c = ((50 + 0.5) * ink.cell - 0.5 * ink.extent_x, (30 + 0.5) * ink.cell - 0.5 * ink.extent_y)
-        assert update_ink(board, point(c[0], c[1], -0.004), True, 5.0) == 1
+        assert update_ink(board, point(c[0], c[1], -0.004), 5.0) == 1
 
     def test_remaining_length_conversion(self):
         board = flat_board()
@@ -225,7 +220,7 @@ class TestInk:
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004)
-            update_ink(board, p, True, 5.0)
+            update_ink(board, p, 5.0)
             now = remaining_ink_length(board)
             assert now <= last
             last = now
@@ -312,12 +307,15 @@ class TestDisturbances:
         assert (board.rotation, board.spring.surface_normal) == built
 
     def test_force_pulse_moves_no_door_geometry(self):
-        rng = np.random.default_rng(np.random.SeedSequence([0, TASKS.index("MO")]))
-        door = build_environment("MO", rng)
-        (pulse,) = default_disturbance("MO")
-        force, active = apply_disturbances(door, (pulse,), pulse.start + 0.5 * pulse.duration)
-        assert active and np.linalg.norm(force) > 0.0
-        assert door.spring.rest_point == door.grasp0
+        for task in ("MO", "DO"):
+            rng = np.random.default_rng(np.random.SeedSequence([0, TASKS.index(task)]))
+            door = build_environment(task, rng)
+            built = dict(vars(door))
+            (pulse,) = default_disturbance(task)
+            force, active = apply_disturbances(door, (pulse,),
+                                               pulse.start + 0.5 * pulse.duration)
+            assert active and np.linalg.norm(force) > 0.0
+            assert vars(door) == built, task
 
     def test_profiles_continuous(self):
         events = [

@@ -13,8 +13,6 @@ from admitsim.errors import (
     NothingToWipe,
 )
 from admitsim.expert import (
-    FsmPhase,
-    KeyPose,
     PhaseLabel,
     extract_supervision,
     manifold_normal,
@@ -30,8 +28,8 @@ Z = np.array([0.0, 0.0, 1.0])
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-def kp(pos, label=PhaseLabel.APPROACH, gripper=1.0):
-    return KeyPose(Pose(pos, IDENTITY), gripper, label)
+def kp(pos):
+    return Pose(pos, IDENTITY)
 
 
 def radius(p, pivot, axis):
@@ -124,7 +122,7 @@ class TestWiping:
             demo = generate_demo("WW", env)
             for p, ph in zip(demo.poses, demo.phases):
                 if ph.contact_flag:
-                    update_ink(env, p.position, True, 4.0)
+                    update_ink(env, p.position, 4.0)
             assert env.ink.inked_count() == 0
 
 
@@ -202,7 +200,7 @@ class TestManifoldNormal:
 class TestSupervision:
     def make(self, n_steps, label=PhaseLabel.APPROACH):
         poses = [Pose(np.array([0.01 * i, 0, 0.05]), IDENTITY) for i in range(n_steps)]
-        phases = [FsmPhase(label)] * n_steps
+        phases = [label] * n_steps
         grippers = [1.0] * n_steps
         return poses, phases, grippers
 
@@ -223,7 +221,7 @@ class TestSupervision:
     def test_insertion_normals_equal_axis(self):
         hole = HoleFixture(rim_center=np.zeros(3))
         poses = plan_insertion(hole, 0.02, 0.002)
-        phases = [FsmPhase(PhaseLabel.CONTACT)] * len(poses)
+        phases = [PhaseLabel.CONTACT] * len(poses)
         tuples = extract_supervision(poses, phases, [1.0] * len(poses), hole)
         for t in tuples:
             assert t.contact == 1
@@ -234,8 +232,7 @@ class TestSupervision:
         poses, phases, grippers = self.make(10)
         tuples = extract_supervision(poses, phases, grippers, board)
         for t, tup in enumerate(tuples):
-            decoded, _ = tup.decode_pose()
-            assert np.linalg.norm(np.subtract(decoded.position, poses[t + 1].position)) < 1e-9
+            assert np.linalg.norm(np.subtract(tup.pose10[:3], poses[t + 1].position)) < 1e-9
 
     def test_length_mismatch(self):
         board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
@@ -252,7 +249,7 @@ class TestDemoInvariants:
         env = build_environment(task, np.random.default_rng(0))
         demo = generate_demo(task, env)
         for t, tup in enumerate(demo.tuples):
-            expected = 1 if demo.phases[t].label is PhaseLabel.CONTACT else 0
+            expected = 1 if demo.phases[t] is PhaseLabel.CONTACT else 0
             assert tup.contact == expected
             if tup.contact == 1:
                 assert abs(np.linalg.norm(tup.normal) - 1.0) < 1e-9
@@ -262,7 +259,7 @@ class TestDemoInvariants:
         env = build_environment(task, np.random.default_rng(1))
         demo = generate_demo(task, env)
         contact = [p for p, ph in zip(demo.poses, demo.phases)
-                   if ph.label is PhaseLabel.CONTACT]
+                   if ph is PhaseLabel.CONTACT]
         if task == "MO":
             radii = []
             for p in contact:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from admitsim.errors import EndOfDemo, LengthMismatch
 from admitsim.expert import SupervisionTuple
-from admitsim.policy import NoiseSpec, Observation, loss, predict
+from admitsim.policy import NoiseSpec, loss, predict
 
 
 def make_demo(n, contact_from=None):
@@ -23,17 +23,10 @@ def make_demo(n, contact_from=None):
     return demo
 
 
-def obs(t):
-    proprio = np.zeros(10)
-    proprio[3] = 1.0
-    proprio[7] = 1.0
-    return Observation(proprio, t)
-
-
 class TestPredict:
     def test_zero_noise_exact_slice(self):
         demo = make_demo(40, contact_from=10)
-        chunk = predict(obs(4), demo, NoiseSpec(), horizon=16)
+        chunk = predict(4, demo, NoiseSpec(), horizon=16)
         assert len(chunk) == 16
         for k in range(16):
             assert_allclose(chunk[k].pose10, demo[4 + k].pose10)
@@ -41,18 +34,22 @@ class TestPredict:
 
     def test_pads_by_repeating_last(self):
         demo = make_demo(10)
-        chunk = predict(obs(8), demo, NoiseSpec(), horizon=16)
+        chunk = predict(8, demo, NoiseSpec(), horizon=16)
         for k in range(2, 16):
             assert_allclose(chunk[k].pose10, demo[-1].pose10)
 
     def test_end_of_demo_raises(self):
         demo = make_demo(10)
         with pytest.raises(EndOfDemo):
-            predict(obs(10), demo, NoiseSpec())
+            predict(10, demo, NoiseSpec())
+
+    def test_chunk_horizon_must_be_positive(self):
+        with pytest.raises(ValueError, match="chunk horizon must be >= 1"):
+            predict(0, make_demo(10), NoiseSpec(), horizon=0)
 
     def test_normals_remain_unit_under_cone_noise(self):
         demo = make_demo(30, contact_from=0)
-        chunk = predict(obs(0), demo, NoiseSpec(normal_cone_std=0.2, seed=3))
+        chunk = predict(0, demo, NoiseSpec(normal_cone_std=0.2, seed=3))
         for tup in chunk:
             assert abs(np.linalg.norm(tup.normal) - 1.0) < 1e-9
 
@@ -60,9 +57,9 @@ class TestPredict:
         demo = make_demo(30, contact_from=5)
         spec = NoiseSpec(pos_std=0.01, rot_std=0.05, normal_cone_std=0.1,
                          contact_flip_prob=0.2, seed=9)
-        a = predict(obs(2), demo, spec)
-        b = predict(obs(2), demo, spec)
-        for x, y in zip(a.tuples, b.tuples):
+        a = predict(2, demo, spec)
+        b = predict(2, demo, spec)
+        for x, y in zip(a, b):
             assert_allclose(x.pose10, y.pose10)
             assert_allclose(x.normal, y.normal)
             assert x.contact == y.contact
@@ -70,8 +67,8 @@ class TestPredict:
     def test_flipped_on_contact_gets_unit_normal(self):
         demo = make_demo(64)  # never in contact
         spec = NoiseSpec(contact_flip_prob=0.5, seed=1)
-        chunk = predict(obs(0), demo, spec, horizon=64)
-        flipped = [t for t in chunk.tuples if t.contact == 1]
+        chunk = predict(0, demo, spec, horizon=64)
+        flipped = [t for t in chunk if t.contact == 1]
         assert flipped  # with p=0.5 over 64 steps some flips occur
         for t in flipped:
             assert abs(np.linalg.norm(t.normal) - 1.0) < 1e-9
@@ -79,8 +76,8 @@ class TestPredict:
     def test_rot6d_stays_decodable_under_rot_noise(self):
         from admitsim.geometry import rot6d_decode
         demo = make_demo(20)
-        chunk = predict(obs(0), demo, NoiseSpec(rot_std=0.3, seed=7))
-        for t in chunk.tuples:
+        chunk = predict(0, demo, NoiseSpec(rot_std=0.3, seed=7))
+        for t in chunk:
             rot6d_decode(t.pose10[3:9])
 
 
@@ -141,8 +138,8 @@ def test_mean_loss_monotone_in_position_noise():
     for std in grid:
         vals = []
         for seed in range(100):
-            chunk = predict(obs(0), demo, NoiseSpec(pos_std=std, seed=seed), horizon=16)
-            vals.append(loss(list(chunk.tuples), demo[:16]))
+            chunk = predict(0, demo, NoiseSpec(pos_std=std, seed=seed), horizon=16)
+            vals.append(loss(list(chunk), demo[:16]))
         means.append(np.mean(vals))
     assert means[0] <= means[1] <= means[2]
     assert means[0] == pytest.approx(0.0)
@@ -150,5 +147,5 @@ def test_mean_loss_monotone_in_position_noise():
 
 def test_zero_noise_prediction_scores_zero():
     demo = make_demo(30, contact_from=5)
-    chunk = predict(obs(3), demo, NoiseSpec(), horizon=16)
-    assert loss(list(chunk.tuples), demo[3:19]) == 0.0
+    chunk = predict(3, demo, NoiseSpec(), horizon=16)
+    assert loss(list(chunk), demo[3:19]) == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,10 @@ class TestProp1:
     def test_lyapunov_decreases(self):
         rep = prop1(params(), x0=0.05, v0=0.1)
         assert rep.measured["lyapunov_monotone"]
+
+    def test_rest_point_is_constant_or_sinusoid(self):
+        with pytest.raises(ValueError, match="unknown x_e profile kind 'step'"):
+            XeProfile("step", amplitude=0.01)
 
     def test_requires_constant_rest_point(self):
         p = NormalDynamicsParams(1.0, D_NOMINAL, 1000.0, 4.0,
@@ -116,6 +121,31 @@ class TestProp2:
     def test_shared_horizon_override(self):
         reps = verify_prop2([params(m=0.5), params(m=2.0)], v0=0.05, T=0.5, dt=1e-3)
         assert [rep.params["T"] for rep in reps] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 11, 40])
+    def test_short_run_late_slope(self, n):
+        """A run of n <= 10 steps still fits the late slope on two samples,
+        the last one included: it lies between the final and the start velocity."""
+        p = params()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a one-sample fit warns (RankWarning)
+            (rep,) = verify_prop2([p], v0=0.05, T=n * 1e-4, dt=1e-4)
+        slope, v_final = rep.measured["late_slope"], rep.measured["v_final"]
+        assert v_final < slope < 0.05
+
+    def test_tiny_mass_is_a_verdict(self):
+        """m = 1e-12 runs one step of 1e-4 s (20 time constants are ~4e-7 s):
+        RK4 is far outside its stability region and the point fails, with no
+        error from the late-slope fit."""
+        tiny = params(m=1e-12, k_e=100.0, f_H=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rep,) = verify_prop2([tiny], v0=0.05)
+            reports = verify_prop1_grid([tiny]) + verify_prop3_grid([tiny], T=0.01)
+        assert math.ceil(rep.params["T"] / rep.params["dt"]) == 1
+        assert math.isfinite(rep.measured["late_slope"])
+        assert not rep.passed
+        assert not any(r.passed for r in reports)
 
 
 class TestProp3:
@@ -198,7 +228,7 @@ def test_empty_grid_gives_no_reports():
     assert verify_prop3_grid([]) == []
 
 
-@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0, 0.002, 0.003])
 def test_prop3_horizon_must_be_finite_and_positive(T):
     with pytest.raises(ValueError):
         verify_prop3_grid([params()], T=T)
