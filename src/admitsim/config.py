@@ -54,6 +54,8 @@ Suite schema:
     wipe_passes = 1          ; >= 1
     plus optional [noise], [admittance], [environment], [disturbance.*]
     sections applied to every episode (disturbances only to disturbed runs).
+
+A key that a section read by the parser does not list above is a ConfigParse.
 """
 
 from __future__ import annotations
@@ -67,10 +69,17 @@ from .harness import MODES, ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
 from .tasks import TASKS
 
+# The keys of each section; any other key is a config error.
+_SCENARIO_KEYS = ("task", "mode", "duration", "seed", "wipe_passes")
+_SUITE_KEYS = ("task", "modes", "seeds", "duration", "disturbed", "base_seed", "wipe_passes")
+_VERIFY_KEYS = ("m", "k_e", "f_h", "d")
 _ADMITTANCE_KEYS = (
     "mass", "stiffness", "damping_ratio", "tangent_scale", "target_force", "force_deadband",
 )
+_NOISE_KEYS = ("pos_std", "rot_std", "normal_cone_std", "contact_flip_prob", "seed")
 _ENV_KEYS = ("k_e", "latch_force")
+_SAFETY_KEYS = ("limit", "debounce")
+_DISTURBANCE_KEYS = ("kind", "start", "duration", "magnitude", "direction", "ramp", "omega")
 
 
 def _read(path: str) -> configparser.ConfigParser:
@@ -83,6 +92,12 @@ def _read(path: str) -> configparser.ConfigParser:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigParse(f"{path}: {exc}") from exc
     return parser
+
+
+def _check_keys(parser, section: str, keys, path: str):
+    for key in parser.options(section):
+        if key not in keys:
+            raise ConfigParse(f"{path}: unknown key {key!r} in [{section}]")
 
 
 def _get_float(parser, section: str, key: str, path: str, **fallback) -> float:
@@ -110,6 +125,7 @@ def _scenario(path: str, **kwargs) -> ScenarioConfig:
 def _noise_from(parser, path: str) -> NoiseSpec:
     if not parser.has_section("noise"):
         return NoiseSpec()
+    _check_keys(parser, "noise", _NOISE_KEYS, path)
     kwargs = {}
     for key in ("pos_std", "rot_std", "normal_cone_std", "contact_flip_prob"):
         if parser.has_option("noise", key):
@@ -125,9 +141,8 @@ def _noise_from(parser, path: str) -> NoiseSpec:
 def _overrides_from(parser, section: str, keys, path: str) -> dict:
     out = {}
     if parser.has_section(section):
+        _check_keys(parser, section, keys, path)
         for key in parser.options(section):
-            if key not in keys:
-                raise ConfigParse(f"{path}: unknown key {key!r} in [{section}]")
             out[key] = _get_float(parser, section, key, path)
     return out
 
@@ -137,6 +152,7 @@ def _disturbances_from(parser, path: str) -> tuple:
     for section in parser.sections():
         if not section.startswith("disturbance"):
             continue
+        _check_keys(parser, section, _DISTURBANCE_KEYS, path)
         kind = parser.get(section, "kind", fallback=None)
         if kind is None:
             raise ConfigParse(f"{path}: [{section}] missing 'kind'")
@@ -168,6 +184,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     parser = _read(path)
     if not parser.has_section("scenario"):
         raise ConfigParse(f"{path}: missing [scenario] section")
+    _check_keys(parser, "scenario", _SCENARIO_KEYS, path)
     task = parser.get("scenario", "task", fallback=None)
     if task not in TASKS:
         raise ConfigParse(f"{path}: [scenario] task must be one of {TASKS}, got {task!r}")
@@ -186,6 +203,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         env_overrides=_overrides_from(parser, "environment", _ENV_KEYS, path),
     )
     if parser.has_section("safety"):
+        _check_keys(parser, "safety", _SAFETY_KEYS, path)
         if parser.has_option("safety", "limit"):
             kwargs["safety_limit"] = _get_float(parser, "safety", "limit", path)
         if parser.has_option("safety", "debounce"):
@@ -205,6 +223,7 @@ def parse_verify_params(path: str):
     parser = _read(path)
     if not parser.has_section("verify"):
         raise ConfigParse(f"{path}: missing [verify] section")
+    _check_keys(parser, "verify", _VERIFY_KEYS, path)
 
     def floats(key, default):
         if not parser.has_option("verify", key):
@@ -229,6 +248,7 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     parser = _read(path)
     if not parser.has_section("suite"):
         raise ConfigParse(f"{path}: missing [suite] section")
+    _check_keys(parser, "suite", _SUITE_KEYS, path)
     task = parser.get("suite", "task", fallback=None)
     if task not in TASKS:
         raise ConfigParse(f"{path}: [suite] task must be one of {TASKS}, got {task!r}")

@@ -148,9 +148,10 @@ class DisturbanceEvent:
         if not 0.0 <= self.ramp <= self.duration:
             raise ValueError("ramp must lie in [0, duration]")
         d = vec3(self.direction)
-        if not all(map(math.isfinite, d)):
-            raise ValueError(f"direction must be finite, got {d}")
-        object.__setattr__(self, "direction", _unit(d, math.sqrt(sq_norm(d))))
+        norm = math.sqrt(sq_norm(d))
+        if not norm < math.inf:  # a non-finite component, or a squared norm that overflows
+            raise ValueError(f"direction must be finite with a finite norm, got {d}")
+        object.__setattr__(self, "direction", _unit(d, norm))
 
     def profile(self, t: float) -> float:
         """Activation envelope in [0, 1]."""

@@ -262,6 +262,10 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
 def _prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None, dt: float):
     """Proposition 2's lanes (contact lost: k_e = 0) and the judge of their run."""
     Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
+    for T_i in Ts:  # false for NaN; ceil(inf) would raise OverflowError
+        if not (0.0 < T_i < math.inf and math.ceil(T_i / dt) >= 1):
+            raise ValueError(f"proposition-2 horizon must be finite and at least one "
+                             f"step of {dt} s, got {T_i}")
     ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
     zeros = [0.0] * len(grid)
     lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], zeros,

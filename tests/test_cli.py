@@ -240,6 +240,16 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
             "duration = 1\nmagnitude = 0.01\ndirection = nan 0 1\n"),
     ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
             "duration = 1\nmagnitude = 0.01\ndirection = 0 inf 1\n"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+            "duration = 1\nmagnitude = 0.01\ndirection = 1e200 1e200 0\n"),
+    ("run", "[scenario]\ntask = WW\ndurration = 5\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\npos_sd = 0.002\n"),
+    ("run", "[scenario]\ntask = WW\n[safety]\nlimits = 10\n"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+            "duration = 1\nmagnitude = 0.01\nramp_time = 0.5\n"),
+    ("suite", "[suite]\ntask = WW\nseed = 3\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\nseeds = 3\n"),
+    ("verify", "[verify]\nm = 1.0\nke = 1000\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = -5\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = nan\n"),
     ("run", "[scenario]\ntask = DO\n[environment]\nlatch_force = 0\n"),

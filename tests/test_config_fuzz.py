@@ -2,7 +2,8 @@
 
 The files mix schema keys with junk keys, and numbers with nan, inf, junk and
 empty values, over the scenario, suite and verify sections plus [disturbance.*]
-and junk sections. Only the parsers run: no episode, no verification.
+and junk sections. A key that is not in the schema of a section the parser
+reads always fails. Only the parsers run: no episode, no verification.
 """
 
 import os
@@ -31,6 +32,12 @@ SCHEMA = {
 SECTIONS = tuple(SCHEMA) + ("disturbance.b", "disturbance", "DEFAULT", "junk")
 KEYS = tuple(dict.fromkeys(k for keys in SCHEMA.values() for k in keys))
 JUNK_KEYS = ("junk", "rot_mass", "horizon", "x y")
+# The sections each parser reads, so every key in them must be in the schema.
+READS = {
+    "scenario": ("scenario", "admittance", "noise", "environment", "safety", "disturbance.a"),
+    "suite": ("suite", "admittance", "noise", "environment", "disturbance.a"),
+    "verify": ("verify",),
+}
 
 _number = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -80,20 +87,26 @@ _directions = st.sampled_from(["0 0 0", "1e-200 0 0", "1 nan 0", "1 0", "0 0 inf
 
 
 @st.composite
-def ini_files(draw, first: str) -> str:
+def ini_files(draw, first: str, unknown_key: bool = False) -> str:
     """A valid file, or nearly: most of each drawn section's keys with values
     the schema accepts, then up to three keys set to junk (junk keys included).
-    The section its parser requires comes first, or is missing."""
+    The section its parser requires comes first, or is missing. With
+    unknown_key, that section is there and one section the parser reads holds
+    a key outside its schema."""
     names = draw(st.lists(st.sampled_from(SECTIONS), max_size=4, unique=True))
     if first in names:
         names.remove(first)
-    if draw(st.integers(0, 9)):
+    if unknown_key or draw(st.integers(0, 9)):
         names.insert(0, first)
     if not names:
         return ""
     ini = {name: {key: draw(VALID.get(key, _between(1.0, 10.0)))
                   for key in SCHEMA.get(name, ()) if draw(st.integers(0, 4))}
            for name in names}
+    if unknown_key:
+        section = draw(st.sampled_from(READS[first]))
+        key = draw(st.sampled_from([k for k in KEYS + JUNK_KEYS if k not in SCHEMA[section]]))
+        ini.setdefault(section, {})[key] = draw(VALID.get(key, _between(1.0, 10.0)))
     for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(KEYS + JUNK_KEYS))
         if key == "seeds":
@@ -139,3 +152,14 @@ def test_parse_suite_returns_or_raises_config_parse(text):
 def test_parse_verify_params_returns_or_raises_config_parse(text):
     grid = _parse_or_config_error(parse_verify_params, text)
     assert grid is None or len(grid) >= 1
+
+
+PARSERS = {"scenario": parse_scenario, "suite": parse_suite, "verify": parse_verify_params}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_unknown_key_in_a_section_read_is_config_parse(data):
+    first = data.draw(st.sampled_from(tuple(PARSERS)))
+    text = data.draw(ini_files(first, unknown_key=True))
+    assert _parse_or_config_error(PARSERS[first], text) is None

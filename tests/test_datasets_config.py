@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admitsim.config import parse_scenario, parse_suite
+from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.datasets import (
     TRACE_CHUNK_ROWS,
     TRACE_COLUMNS,
@@ -355,6 +355,23 @@ class TestScenarioParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigParse):
             parse_scenario("/does/not/exist.ini")
+
+
+@pytest.mark.parametrize("parse,text,key", [
+    (parse_scenario, "[scenario]\ntask = WW\ndurration = 5\n", "durration"),
+    (parse_scenario, "[scenario]\ntask = WW\n[noise]\nbogus = 1\n", "bogus"),
+    (parse_scenario, "[scenario]\ntask = WW\n[safety]\nbogus = 1\n", "bogus"),
+    (parse_scenario, "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+                     "duration = 1\nmagnitude = 0.01\nbogus = 1\n", "bogus"),
+    (parse_suite, "[suite]\ntask = WW\nbogus = 1\n", "bogus"),
+    (parse_suite, "[suite]\ntask = WW\n[noise]\nbogus = 1\n", "bogus"),
+    (parse_verify_params, "[verify]\nm = 1.0\nbogus = 1\n", "bogus"),
+])
+def test_unknown_key_is_named(tmp_path, parse, text, key):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigParse, match=f"unknown key '{key}'"):
+        parse(str(path))
 
 
 SUITE = """

@@ -345,6 +345,18 @@ class TestDisturbances:
         with pytest.raises(ValueError, match=field):
             DisturbanceEvent(**kwargs)
 
+    @pytest.mark.parametrize("direction", [(1e200, 1e200, 0.0), (0.0, -1e155, 0.0),
+                                           (1.0, math.nan, 0.0), (0.0, 0.0, math.inf)])
+    def test_direction_with_non_finite_norm_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction"):
+            DisturbanceEvent("raise", 1.0, 2.0, 0.01, direction=direction)
+
+    @pytest.mark.parametrize("direction,unit", [((3.0, 4.0, 0.0), (0.6, 0.8, 0.0)),
+                                                ((0.0, 0.0, 2.0), (0.0, 0.0, 1.0)),
+                                                ((0.0, -1e150, 0.0), (0.0, -1.0, 0.0))])
+    def test_direction_held_as_exact_unit(self, direction, unit):
+        assert DisturbanceEvent("raise", 1.0, 2.0, 0.01, direction=direction).direction == unit
+
 
 class TestConstructorValidation:
     @pytest.mark.parametrize("k_e", [math.nan, math.inf, 0.0, -5.0])

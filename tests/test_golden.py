@@ -6,8 +6,8 @@ is short but exercises one feature: contact, tangent stiffening, the raise,
 lower, shift, tilt, sinusoid and force-pulse disturbances, a safety stop, and
 the PH, MO and DO environments. Two `run` trace files (WW, and DO with the
 door, the force pulse and several chunks of the trace writer), a 5-episode
-`gen-demos` dataset per task and the verification CSV on a one-point grid are
-pinned as bytes.
+`gen-demos` dataset per task, the verification CSV on a one-point grid and the
+summary CSV of a small clean/raise WW suite are pinned as bytes.
 
 The digests hold for one C math library (libm): every 3-vector dot product is
 a left-to-right Python-float sum (admitsim.geometry.dot3) and no BLAS kernel
@@ -73,6 +73,13 @@ DEMO_DIGESTS = {"gen_demos": "WW", "gen_demos_ph": "PH", "gen_demos_mo": "MO",
 
 VERIFY_GRID = "[verify]\nm = 1.0\nk_e = 1000\nf_h = 4\n"
 
+# A clean/raise WW suite of two modes and two seeds: the seed-1 baseline_high
+# episode with the raise stops on the force limit.
+SUITE_INI = ("[suite]\ntask = WW\nmodes = force_aware baseline_high\nseeds = 2\n"
+             "base_seed = 1\nduration = 8.0\ndisturbed = both\n"
+             "[noise]\npos_std = 0.002\nrot_std = 0.01\nnormal_cone_std = 0.05\n"
+             "contact_flip_prob = 0.01\nseed = 11\n")
+
 GOLDEN = {
     "ww_force_aware_clean": "83643bb3af9b63a4bd814fe040b4c46cc3955a92470b183be4fe10980e011a3b",
     "ww_force_aware_raise": "dc6fdba16d06485277ae72d464704fe7ec2dd412d8325dd3578e42fafe570518",
@@ -90,6 +97,7 @@ GOLDEN = {
     "gen_demos_mo": "c9a77488e7815ff94765507a1f864e1f0a19b7bca9783f9c9c4557b09ba7f305",
     "gen_demos_do": "4958e64285bc5726e28657690c97be95b0e0e5453a8a80f33579bd685638d555",
     "verification_csv": "550c0373391ac8390508e5b94b79f87f4eb5c6909a01368f36a0f285a3c701e9",
+    "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
 }
 
 
@@ -116,7 +124,8 @@ def _file_sha(path: str) -> str:
 
 
 def file_digests(workdir: str, logs) -> dict:
-    """Digests of two trace files, a demo dataset per task and a verification CSV."""
+    """Digests of two trace files, a demo dataset per task, a verification CSV and a
+    suite CSV."""
     trace = os.path.join(workdir, "trace.csv")
     write_trace(trace, logs["ww_force_aware_clean"])
     trace_do = os.path.join(workdir, "trace_do.csv")
@@ -140,6 +149,15 @@ def file_digests(workdir: str, logs) -> dict:
     if rc != 0:
         raise RuntimeError(f"verify exit {rc}")
     out["verification_csv"] = _file_sha(report)
+    suite = os.path.join(workdir, "suite.ini")
+    with open(suite, "w") as fh:
+        fh.write(SUITE_INI)
+    summary = os.path.join(workdir, "suite.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(["suite", "--config", suite, "--out", summary])
+    if rc != 0:
+        raise RuntimeError(f"suite exit {rc}")
+    out["suite_csv"] = _file_sha(summary)
     return out
 
 

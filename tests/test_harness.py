@@ -1,8 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from admitsim import harness
+from admitsim.environments import DisturbanceEvent
 from admitsim.harness import (
     RunLog,
     ScenarioConfig,
@@ -238,3 +241,93 @@ class TestRunSuite:
         assert [r.mode for r in rows] == ["force_aware", "baseline_low"]
         assert all(r.episodes == 2 for r in rows)
         assert all(0.0 <= r.success_rate <= 1.0 for r in rows)
+
+
+class TestSuiteTwins:
+    """run_suite runs each disturbed config right before its clean twin and
+    continues the twin from the disturbed episode at the onset; every episode
+    must still equal its own standalone run_episode bit for bit."""
+
+    NOISE11 = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
+                        contact_flip_prob=0.01, seed=11)
+
+    def cases(self):
+        """A suite's configs: clean configs next to disturbed twins, and the cases
+        that share nothing."""
+        def cfg(task, mode, duration, seed, events=()):
+            return ScenarioConfig(task, mode, duration, seed, noise=self.NOISE11,
+                                  disturbances=events)
+
+        two_starts = (DisturbanceEvent("force_pulse", start=2.0, duration=0.5, magnitude=5.0,
+                                       direction=(1.0, 0.0, 0.0), ramp=0.1),
+                      default_disturbance("PH")[0])  # a shift at 3.0 s
+        at_zero = (DisturbanceEvent("force_pulse", start=0.0, duration=2.0, magnitude=10.0,
+                                    direction=(0.0, 1.0, 0.0), ramp=0.3),)
+        too_late = (DisturbanceEvent("force_pulse", start=9.0, duration=1.0, magnitude=10.0,
+                                     direction=(0.0, 1.0, 0.0)),)
+        step = (DisturbanceEvent("raise", start=2.0, duration=1.0, magnitude=0.01),)
+        ww_fa = cfg("WW", "force_aware", 6.0, 1)
+        return [
+            # A twin that safety-stops after the onset (5321 ticks, onset at 5000).
+            cfg("WW", "baseline_high", 6.0, 1),
+            cfg("WW", "baseline_high", 6.0, 1, default_disturbance("WW")),
+            # A ramp-0 raise from exactly tick 2000, and its pair twice.
+            ww_fa,
+            cfg("WW", "force_aware", 6.0, 1, step),
+            ww_fa,
+            cfg("WW", "force_aware", 6.0, 1, step),
+            # Two events with different starts: the onset is the earlier one.
+            cfg("PH", "force_aware", 4.0, 1),
+            cfg("PH", "force_aware", 4.0, 1, two_starts),
+            # An event from t = 0: nothing to share.
+            cfg("MO", "force_aware", 3.0, 1, at_zero),
+            cfg("MO", "force_aware", 3.0, 1),
+            # A disturbance after the episode's end: nothing to share.
+            cfg("DO", "baseline_mid", 4.0, 1),
+            cfg("DO", "baseline_mid", 4.0, 1, too_late),
+            # The DO pulse at 6 s, and a disturbed config with no clean twin.
+            cfg("DO", "force_aware", 7.0, 1, default_disturbance("DO")),
+            cfg("DO", "force_aware", 7.0, 1),
+            cfg("PH", "baseline_mid", 4.0, 2, default_disturbance("PH")),
+        ]
+
+    @pytest.mark.parametrize("start", [2.0, 2.007, 0.3, 0.0015, math.nextafter(0.3, 1.0),
+                                       math.nextafter(2.007, 0.0), 0.0, -1.0, -1e308, 3.9995,
+                                       4.0, 9.0, 1e308])
+    def test_onset_tick_is_the_first_tick_at_or_past_the_start(self, start):
+        events = (DisturbanceEvent("force_pulse", start, 1.0, 1.0),
+                  DisturbanceEvent("force_pulse", start + 0.5, 1.0, 1.0))
+        dt = 1.0 / harness.CONTROL_HZ
+        first = next((k for k in range(4000) if k * dt >= start), 4000)
+        assert harness._onset_tick(events, 4000) == first
+        assert harness._onset_tick((), 4000) == 4000
+
+    def test_every_suite_episode_equals_its_standalone_run(self, monkeypatch):
+        cfgs = self.cases()
+        seen, builds = [], []
+        original, build = harness.run_episode, harness.build_environment
+
+        def tap(cfg):
+            log = original(cfg)
+            seen.append((cfg, log))
+            return log
+
+        def counting_build(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(harness, "run_episode", tap)
+        monkeypatch.setattr(harness, "build_environment", counting_build)
+        run_suite(cfgs)
+        monkeypatch.undo()
+
+        assert sorted(map(repr, (cfg for cfg, _ in seen))) == sorted(map(repr, cfgs))
+        # Five twins continue a disturbed episode (three WW, PH, DO) and build
+        # no environment of their own.
+        assert len(builds) == len(cfgs) - 5
+        assert [(cfg.mode, bool(cfg.disturbances)) for cfg, log in seen
+                if log.safety_stopped] == [("baseline_high", True)]
+        for cfg, log in seen:
+            alone = run_episode(cfg)
+            assert series_digest(log) == series_digest(alone), cfg
+            assert (log.success, log.safety_stopped) == (alone.success, alone.safety_stopped)

@@ -133,6 +133,13 @@ class TestProp2:
         slope, v_final = rep.measured["late_slope"], rep.measured["v_final"]
         assert v_final < slope < 0.05
 
+    @pytest.mark.parametrize("T,dt", [(0.0, 1e-4), (-1.0, 1e-4), (math.nan, 1e-4),
+                                      (math.inf, 1e-4), (5e-324, 10.0)])
+    def test_horizon_under_one_step_rejected(self, T, dt):
+        """ceil(T / dt) == 0 (the last case underflows) leaves no step to judge."""
+        with pytest.raises(ValueError, match="horizon"):
+            verify_prop2([params()], v0=0.05, T=T, dt=dt)
+
     def test_tiny_mass_is_a_verdict(self):
         """m = 1e-12 runs one step of 1e-4 s (20 time constants are ~4e-7 s):
         RK4 is far outside its stability region and the point fails, with no
