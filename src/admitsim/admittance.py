@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple
 
 from .errors import NonFiniteState, NonPositiveParameter
@@ -41,6 +42,10 @@ class AdmittanceConfig:
 
     Defaults follow the nominal setup: unit mass, stiffness 50, over-damped
     ratio 2, tangent scale 4, force deadband 2 N.
+
+    `damping` and `tangent_damping` (the damping paired with the scaled
+    tangent stiffness, by the same over-damped rule) are derived once, here;
+    `dataclasses.replace` derives them again for the new gains.
     """
 
     mass: float = 1.0
@@ -64,26 +69,22 @@ class AdmittanceConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        object.__setattr__(self, "_damping",
-                           compute_damping(self.mass, self.stiffness, self.damping_ratio))
-        object.__setattr__(self, "_tangent_damping",
-                           compute_damping(self.mass, self.tangent_scale * self.stiffness,
-                                           self.damping_ratio))
-
-    @property
-    def damping(self) -> float:
-        return self._damping
-
-    @property
-    def tangent_damping(self) -> float:
-        """Damping paired with the scaled tangent stiffness (same over-damped rule)."""
-        return self._tangent_damping
+        k = self.stiffness
+        k_t = self.tangent_scale * k
+        object.__setattr__(self, "damping", compute_damping(self.mass, k, self.damping_ratio))
+        object.__setattr__(self, "tangent_damping",
+                           compute_damping(self.mass, k_t, self.damping_ratio))
+        # The two eigenvalue triples of K_eff that controller_tick reports.
+        object.__setattr__(self, "_eigs", (k, k, k))
+        object.__setattr__(self, "_tangent_eigs", (k, k, k_t))
 
 
 # The state of the 1 kHz loop is a NamedTuple of float tuples. The public
 # constructor of ControllerState coerces any sequence (an array, a list); the
-# loop builds it from values it has already checked with the NamedTuple method
-# `_make`, which skips that.
+# loop builds it and TickResult from values it has already checked with
+# tuple.__new__, which skips that and the NamedTuple constructors' calls.
+_new = tuple.__new__
+
 
 class _StateFields(NamedTuple):
     x_r: tuple
@@ -155,7 +156,7 @@ def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: Admittance
 
 
 def _check_dt(dt: float):
-    if not 0.0 < dt <= MAX_DT:
+    if not 0.0 < dt <= MAX_DT:  # false for NaN
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
 
 
@@ -182,7 +183,8 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, force: tuple,
     admitsim.geometry). The inputs were validated by their constructors and
     are not coerced again.
     """
-    _check_dt(dt)
+    if not 0.0 < dt <= MAX_DT:
+        _check_dt(dt)  # raises
     f0, f1, f2 = f_ext = _radial_deadband(force, cfg.force_deadband)
     g0, g1, g2 = f_cmd = commanded_force(cmd, st, cfg)
     k = cfg.stiffness
@@ -199,21 +201,21 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, force: tuple,
         # None: motion too short or along n, isotropic fallback.
         t_axis = tangent_or_none(cmd.n, (c0 - x0, c1 - x1, c2 - x2))
     if t_axis is None:
-        eigs = (k, k, k)
+        eigs = cfg._eigs
     else:
-        k_t = cfg.tangent_scale * k
-        d_t = cfg.tangent_damping
-        ks = (k_t - k) * dot3(t_axis, e)
-        ds = (d_t - d) * dot3(t_axis, v)
+        eigs = cfg._tangent_eigs
+        ks = (eigs[2] - k) * dot3(t_axis, e)
+        ds = (cfg.tangent_damping - d) * dot3(t_axis, v)
         t0, t1, t2 = t_axis
         s0, s1, s2 = s0 + ks * t0, s1 + ks * t1, s2 + ks * t2
         b0, b1, b2 = b0 + ds * t0, b1 + ds * t1, b2 + ds * t2
-        eigs = (k, k, k_t)
     a = dt / cfg.mass
     v0 = v0 + a * (f0 - g0 - b0 - s0)
     v1 = v1 + a * (f1 - g1 - b1 - s1)
     v2 = v2 + a * (f2 - g2 - b2 - s2)
     x0, x1, x2 = x0 + dt * v0, x1 + dt * v1, x2 + dt * v2
-    if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
+    if not (isfinite(x0) and isfinite(x1) and isfinite(x2)
+            and isfinite(v0) and isfinite(v1) and isfinite(v2)):
         raise NonFiniteState("controller state diverged")
-    return TickResult(ControllerState._make(((x0, x1, x2), (v0, v1, v2))), f_ext, f_cmd, eigs)
+    return _new(TickResult, (_new(ControllerState, ((x0, x1, x2), (v0, v1, v2))),
+                             f_ext, f_cmd, eigs))

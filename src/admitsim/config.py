@@ -52,8 +52,9 @@ Suite schema:
     disturbed = none         ; none | only | both
     base_seed = 0            ; >= 0
     wipe_passes = 1          ; >= 1
-    plus optional [noise], [admittance], [environment], [disturbance.*]
-    sections applied to every episode (disturbances only to disturbed runs).
+    plus optional [noise], [admittance], [environment], [safety],
+    [disturbance.*] sections applied to every episode (disturbances only to
+    disturbed runs).
 
 A key that a section read by the parser does not list above is a ConfigParse.
 """
@@ -147,6 +148,17 @@ def _overrides_from(parser, section: str, keys, path: str) -> dict:
     return out
 
 
+def _safety_from(parser, path: str) -> dict:
+    """The ScenarioConfig keyword arguments of the [safety] section."""
+    out = {}
+    if parser.has_section("safety"):
+        _check_keys(parser, "safety", _SAFETY_KEYS, path)
+        for key, name in (("limit", "safety_limit"), ("debounce", "safety_debounce")):
+            if parser.has_option("safety", key):
+                out[name] = _get_float(parser, "safety", key, path)
+    return out
+
+
 def _disturbances_from(parser, path: str) -> tuple:
     events = []
     for section in parser.sections():
@@ -202,12 +214,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         admittance_overrides=_overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path),
         env_overrides=_overrides_from(parser, "environment", _ENV_KEYS, path),
     )
-    if parser.has_section("safety"):
-        _check_keys(parser, "safety", _SAFETY_KEYS, path)
-        if parser.has_option("safety", "limit"):
-            kwargs["safety_limit"] = _get_float(parser, "safety", "limit", path)
-        if parser.has_option("safety", "debounce"):
-            kwargs["safety_debounce"] = _get_float(parser, "safety", "debounce", path)
+    kwargs.update(_safety_from(parser, path))
     return _scenario(path, **kwargs)
 
 
@@ -270,6 +277,7 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     noise = _noise_from(parser, path)
     adm = _overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path)
     env = _overrides_from(parser, "environment", _ENV_KEYS, path)
+    safety = _safety_from(parser, path)
     events = _disturbances_from(parser, path) or default_disturbance(task)
     # The events must suit the task even when no run of the suite takes them.
     _scenario(path, task=task, disturbances=events)
@@ -283,6 +291,6 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
                     path, task=task, mode=mode, duration=duration, seed=base_seed + s,
                     noise=noise, disturbances=events if with_dist else (),
                     admittance_overrides=adm, env_overrides=env,
-                    wipe_passes=wipe_passes,
+                    wipe_passes=wipe_passes, **safety,
                 ))
     return cfgs

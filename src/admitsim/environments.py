@@ -191,8 +191,10 @@ class InkGrid:
     The grid keeps a half-open index box (i_lo, i_hi, j_lo, j_hi) that holds
     every inked cell, so that a wipe away from the ink costs no numpy call.
     The box is the whole grid until `ink_stroke` or a wipe that cleans cells
-    recomputes it from `inked`; a caller that writes `inked` directly after
-    that calls `refresh_box`.
+    recomputes it from `inked`. It also remembers the last window a wipe
+    found or left clean, so that wiping it again costs no numpy call either;
+    `refresh_box` forgets it. So every direct write to `inked` is followed by
+    `refresh_box`.
     """
 
     extent_x: float
@@ -207,9 +209,12 @@ class InkGrid:
         self._x0 = 0.5 * self.extent_x
         self._y0 = 0.5 * self.extent_y
         self.box = (0, self.nx, 0, self.ny)
+        self._clean = None  # the last window wiped clean, as (i_lo, i_hi, j_lo, j_hi)
 
     def refresh_box(self):
-        """Recompute `box` from `inked`: the tightest box, empty when no cell is inked."""
+        """Recompute `box` from `inked`: the tightest box, empty when no cell is
+        inked. Forgets the window last wiped clean."""
+        self._clean = None
         rows = np.flatnonzero(self.inked.any(axis=1))
         if len(rows) == 0:
             self.box = (0, 0, 0, 0)
@@ -278,11 +283,15 @@ class InkGrid:
         j_hi = min(box_jhi, math.floor((y + half_y + self._y0) / cell - 0.5) + 1)
         if j_lo >= j_hi:
             return 0
+        key = (i_lo, i_hi, j_lo, j_hi)
+        if key == self._clean:
+            return 0
         window = self.inked[i_lo:i_hi, j_lo:j_hi]
         count = int(np.count_nonzero(window))
         if count:
             window[:] = False
             self.refresh_box()
+        self._clean = key
         return count
 
     def inked_count(self) -> int:

@@ -217,11 +217,12 @@ class _Episode:
         self.over = 0
         self.safety_stopped = False
         self.peak_force = 0.0
-        # Compact per-tick logs, appended to with extend/append and wrapped as
-        # arrays once at the end: no numpy call per tick. One per RunLog series,
-        # in its field order.
+        # Compact logs, appended to with extend/append and wrapped as arrays
+        # once at the end: no numpy call per tick. One per RunLog series but t,
+        # in its field order. t is k * dt, and phase and contact change only at
+        # a policy step, so those two hold one record per step begun.
         self.bufs = (array("d"), array("d"), array("d"), array("d"), array("d"),
-                     array("d"), array("b"), array("b"), array("b"))
+                     array("b"), array("b"), array("b"))
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
         """This episode so far, continued under cfg (the same run up to this tick)."""
@@ -245,12 +246,18 @@ class _Episode:
         n_demo = len(tuples)
         is_board = isinstance(env, PlaneBoard)
         is_door = isinstance(env, HingedDoor)
+        # The per-tick callees, looked up once per call: a wrapper installed on
+        # a module name (or an environment class) before this call is called.
+        tick, disturb, ink = controller_tick, apply_disturbances, update_ink
+        wrench = env.external_wrench
+        door_update = env.update if is_door else None
+        spring = env.spring if is_board else None
+        sqrt = math.sqrt
         state, chunk, cmd = self.state, self.chunk, self.cmd
         phase_idx, over, peak_force = self.phase_idx, self.over, self.peak_force
-        buf_t, buf_x, buf_v, buf_fe, buf_fc, buf_k, buf_phase, buf_c, buf_dist = self.bufs
+        buf_x, buf_v, buf_fe, buf_fc, buf_k, buf_phase, buf_c, buf_dist = self.bufs
 
         for k in range(self.k, stop):
-            t = k * dt
             if k % TICKS_PER_STEP == 0:
                 p = k // TICKS_PER_STEP
                 if p >= n_demo + SETTLE_STEPS:
@@ -265,33 +272,33 @@ class _Episode:
                     cmd = ControllerCommand(pose10[:3], float(pose10[9]), normal, contact)
                     phase_idx = phases[p].value
                 # Past the demo: hold the last command through the settle tail.
+                buf_phase.append(phase_idx)
+                buf_c.append(cmd.c)
             if k < onset:
                 e0 = e1 = e2 = 0.0
                 dist_active = False
             else:
-                (e0, e1, e2), dist_active = apply_disturbances(env, events, t)
+                (e0, e1, e2), dist_active = disturb(env, events, k * dt)
             x = state.x_r
             if is_door:
-                env.update(x, cmd.gripper)
-            w0, w1, w2 = env.external_wrench(x, state.v_r)
+                door_update(x, cmd.gripper)
+            w0, w1, w2 = wrench(x, state.v_r)
             raw_force = (w0 + e0, w1 + e1, w2 + e2)
-            res = controller_tick(state, cmd, raw_force, dt, adm)
-            state = res.state
+            res = tick(state, cmd, raw_force, dt, adm)
+            state, f_ext = res.state, res.f_ext
             if is_board:
-                fn = dot3(raw_force, env.spring.surface_normal)
+                fn = dot3(raw_force, spring.surface_normal)
                 if fn > 0.0:
-                    update_ink(env, state.x_r, fn)
-            buf_t.append(t)
+                    ink(env, state.x_r, fn)
             buf_x.extend(state.x_r)
             buf_v.extend(state.v_r)
-            buf_fe.extend(res.f_ext)
+            buf_fe.extend(f_ext)
             buf_fc.extend(res.f_cmd)
             buf_k.extend(res.stiffness_eigs)
-            buf_phase.append(phase_idx)
-            buf_c.append(cmd.c)
             buf_dist.append(dist_active)
-            f_mag = math.sqrt(sq_norm(res.f_ext))
-            peak_force = max(peak_force, f_mag)
+            f_mag = sqrt(sq_norm(f_ext))
+            if f_mag > peak_force:
+                peak_force = f_mag
             over = over + 1 if f_mag > limit else 0
             if over > debounce_ticks:
                 self.safety_stopped = self.ended = True
@@ -305,10 +312,12 @@ class _Episode:
         """The episode's RunLog: the series as they stand and the final metrics."""
         task = self.cfg.task
         metrics = _final_metrics(task, self.env, self.state, self.peak_force)
-        buf_t, buf_x, buf_v, buf_fe, buf_fc, buf_k, buf_phase, buf_c, buf_dist = self.bufs
-        log = RunLog(_series(buf_t), _series(buf_x, 3), _series(buf_v, 3), _series(buf_fe, 3),
-                     _series(buf_fc, 3), _series(buf_k, 3), _series(buf_phase),
-                     _series(buf_c), _series(buf_dist), metrics, False, self.safety_stopped)
+        buf_x, buf_v, buf_fe, buf_fc, buf_k, buf_phase, buf_c, buf_dist = self.bufs
+        n = len(buf_dist)
+        t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
+        log = RunLog(t, _series(buf_x, 3), _series(buf_v, 3), _series(buf_fe, 3),
+                     _series(buf_fc, 3), _series(buf_k, 3), _per_tick(buf_phase, n),
+                     _per_tick(buf_c, n), _series(buf_dist), metrics, False, self.safety_stopped)
         log.success = success_check(task, log)
         log.metrics["success"] = log.success
         if not np.isfinite(log.x_r).all():
@@ -320,6 +329,11 @@ def _series(buf: array, width: int = 0) -> np.ndarray:
     """A log buffer as a numpy array over its memory: (n,) or (n, width)."""
     arr = np.frombuffer(buf, dtype=np.float64 if buf.typecode == "d" else np.int8)
     return arr.reshape(-1, width) if width else arr
+
+
+def _per_tick(steps: array, n: int) -> np.ndarray:
+    """The (n,) per-tick series of one record per policy step begun."""
+    return np.repeat(_series(steps), TICKS_PER_STEP)[:n]
 
 
 def _final_metrics(task: str, env, state: ControllerState, peak_force: float) -> dict:

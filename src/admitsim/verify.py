@@ -51,9 +51,22 @@ LYAP_SLACK = 1e-6     # normalized Lyapunov slack
 EQUIV_TOL = 1e-9      # m per step, pipeline vs reduced law
 
 
+def _libm(fn, x):
+    """The math function fn at a float, or at each value of a 1-d array.
+
+    Every value comes from libm, as a Python float would, and not from the
+    array loop numpy dispatches to on the host's CPU, which may round
+    differently; so the verification outputs depend on libm alone.
+    """
+    if isinstance(x, float):
+        return fn(x)
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
 @dataclass(frozen=True)
 class XeProfile:
-    """Rest-point trajectory: constant or sinusoid."""
+    """Rest-point trajectory: constant or sinusoid, at a float time or a 1-d
+    array of times."""
 
     kind: str = "constant"
     base: float = 0.0
@@ -67,16 +80,16 @@ class XeProfile:
     def value(self, t):
         if self.kind == "constant":
             return self.base + 0.0 * t
-        return self.base + self.amplitude * np.sin(self.omega * t)
+        return self.base + self.amplitude * _libm(math.sin, self.omega * t)
 
     def vel(self, t):
         if self.kind == "sinusoid":
-            return self.amplitude * self.omega * np.cos(self.omega * t)
+            return self.amplitude * self.omega * _libm(math.cos, self.omega * t)
         return 0.0 * t
 
     def acc(self, t):
         if self.kind == "sinusoid":
-            return -self.amplitude * self.omega ** 2 * np.sin(self.omega * t)
+            return -self.amplitude * self.omega ** 2 * _libm(math.sin, self.omega * t)
         return 0.0 * t
 
 
@@ -277,7 +290,7 @@ def _prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None, dt: flo
         for p, T_i, n, (x, v) in zip(grid, Ts, ns, run):
             t = np.arange(n + 1) * dt
             v_inf = -p.f_H / (2.0 * p.d)
-            analytic = v_inf + (v0 - v_inf) * np.exp(-2.0 * p.d * t / p.m)
+            analytic = v_inf + (v0 - v_inf) * _libm(math.exp, -2.0 * p.d * t / p.m)
             max_err = float(np.max(np.abs(v - analytic)))
             # Late-time window, the last tenth and at least the last two
             # samples: position slope equals the steady velocity (linear drive

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from admitsim.admittance import (
     AdmittanceConfig,
     ControllerCommand,
     ControllerState,
+    TickResult,
     _radial_deadband,
     commanded_force,
     compute_damping,
     controller_tick,
 )
-from admitsim.errors import NonPositiveParameter
+from admitsim.errors import NonFiniteState, NonPositiveParameter
 from admitsim.geometry import tangent_or_none, vec3
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -61,6 +63,17 @@ class TestAdmittanceConfigValidation:
     def test_scale_force_and_deadband_must_be_finite(self, field, value):
         with pytest.raises(ValueError):
             AdmittanceConfig(**{field: value})
+
+    def test_damping_is_derived_from_the_gains(self):
+        cfg = AdmittanceConfig(mass=2.0, stiffness=80.0, damping_ratio=1.5, tangent_scale=3.0)
+        assert cfg.damping == compute_damping(2.0, 80.0, 1.5)
+        assert cfg.tangent_damping == compute_damping(2.0, 3.0 * 80.0, 1.5)
+        stiffer = replace(cfg, stiffness=500.0)
+        assert stiffer.damping == compute_damping(2.0, 500.0, 1.5)
+        assert stiffer.tangent_damping == compute_damping(2.0, 3.0 * 500.0, 1.5)
+        assert {"damping", "tangent_damping"}.isdisjoint(f.name for f in fields(cfg))
+        with pytest.raises(FrozenInstanceError):
+            cfg.damping = 1.0
 
 
 def tick(st_, cmd, force=(0.0, 0.0, 0.0), cfg=None, dt=1e-3):
@@ -210,9 +223,13 @@ class TestStepTranslation:
             st_ = tick(st_, hold_cmd(), force=[0.0, 0, -4.0], cfg=cfg).state
         assert_allclose(st_.x_r, [0, 0, -0.08], atol=1e-6)
 
-    def test_dt_bounds(self):
-        with pytest.raises(ValueError):
-            tick(rest_state(), hold_cmd(), dt=0.02)
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, 0.011, 0.02])
+    def test_dt_bounds(self, dt):
+        with pytest.raises(ValueError, match="dt must be in"):
+            tick(rest_state(), hold_cmd(), dt=dt)
+
+    def test_largest_dt_accepted(self):
+        assert tick(rest_state(), hold_cmd(), dt=0.01).state == rest_state()
 
 
 class TestEq4Reduction:
@@ -302,8 +319,41 @@ class TestControllerTick:
         with pytest.raises(ValueError):
             ControllerCommand(np.zeros(3), 1.0, np.array([0.0, 0, 0.5]), 1)
 
-    def test_non_finite_force_raises(self):
-        from admitsim.errors import NonFiniteState
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_force_raises(self, axis, value):
+        # The velocity and the position along the axis both leave the finite range.
         cfg = AdmittanceConfig(force_deadband=0.0)
+        force = [0.0, 0.0, 0.0]
+        force[axis] = value
         with pytest.raises(NonFiniteState):
-            controller_tick(rest_state(), hold_cmd(), (math.inf, 0.0, 0.0), 1e-3, cfg)
+            controller_tick(rest_state(), hold_cmd(), tuple(force), 1e-3, cfg)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_position_overflow_alone_raises(self, axis):
+        # At the top of the float range a finite velocity still overflows the
+        # position, while the velocity stays finite.
+        x, v = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        x[axis], v[axis] = math.nextafter(math.inf, 0.0), 1e306  # the largest float
+        st_ = ControllerState(x, v)
+        cmd = ControllerCommand(x, 1.0)  # no spring force
+        with pytest.raises(NonFiniteState):
+            controller_tick(st_, cmd, (0.0, 0.0, 0.0), 0.01, AdmittanceConfig())
+        v_next = 1e306 - 0.01 * AdmittanceConfig().damping * 1e306
+        assert math.isfinite(v_next) and not math.isfinite(x[axis] + 0.01 * v_next)
+
+    def test_result_is_a_tick_result_of_float_tuples(self):
+        cfg = AdmittanceConfig(enable_normal_regulation=True,
+                               enable_tangent_stiffening=True, target_force=4.0)
+        cmd = ControllerCommand((0.1, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 1)
+        res = controller_tick(rest_state(), cmd, (0.0, 0.0, 3.0), 1e-3, cfg)
+        assert type(res) is TickResult and type(res.state) is ControllerState
+        assert TickResult._fields == ("state", "f_ext", "f_cmd", "stiffness_eigs")
+        assert ControllerState._fields == ("x_r", "v_r")
+        for vec in (*res.state, res.f_ext, res.f_cmd, res.stiffness_eigs):
+            assert type(vec) is tuple and len(vec) == 3
+            assert all(type(c) is float for c in vec)
+        assert res.stiffness_eigs == (50.0, 50.0, 200.0)
+        assert res == (res.state, res.f_ext, res.f_cmd, res.stiffness_eigs)
+        isotropic = controller_tick(rest_state(), hold_cmd(), (0.0, 0.0, 0.0), 1e-3, cfg)
+        assert isotropic.stiffness_eigs == (50.0, 50.0, 50.0)

@@ -258,6 +258,12 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", "[scenario]\ntask = WW\n[safety]\nlimit = inf\n"),
     ("run", "[scenario]\ntask = WW\n[safety]\ndebounce = nan\n"),
     ("run", "[scenario]\ntask = WW\n[safety]\ndebounce = -0.5\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[safety]\nlimit = 1.0\nbogus = 3\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[safety]\nlimit = high\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[safety]\nlimit = 0\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[safety]\nlimit = inf\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[safety]\ndebounce = nan\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[safety]\ndebounce = -0.5\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\n[environment]\nk_e = nan\n"),
     ("suite", "[suite]\ntask = WW\nseeds = many\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 0\n"),

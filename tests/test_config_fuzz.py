@@ -35,7 +35,7 @@ JUNK_KEYS = ("junk", "rot_mass", "horizon", "x y")
 # The sections each parser reads, so every key in them must be in the schema.
 READS = {
     "scenario": ("scenario", "admittance", "noise", "environment", "safety", "disturbance.a"),
-    "suite": ("suite", "admittance", "noise", "environment", "disturbance.a"),
+    "suite": ("suite", "admittance", "noise", "environment", "safety", "disturbance.a"),
     "verify": ("verify",),
 }
 

@@ -365,6 +365,7 @@ class TestScenarioParsing:
                      "duration = 1\nmagnitude = 0.01\nbogus = 1\n", "bogus"),
     (parse_suite, "[suite]\ntask = WW\nbogus = 1\n", "bogus"),
     (parse_suite, "[suite]\ntask = WW\n[noise]\nbogus = 1\n", "bogus"),
+    (parse_suite, "[suite]\ntask = WW\nseeds = 1\n[safety]\nlimit = 1.0\nbogus = 3\n", "bogus"),
     (parse_verify_params, "[verify]\nm = 1.0\nbogus = 1\n", "bogus"),
 ])
 def test_unknown_key_is_named(tmp_path, parse, text, key):
@@ -395,6 +396,16 @@ class TestSuiteParsing:
         disturbed = [c for c in cfgs if c.disturbances]
         assert len(disturbed) == 6
         assert {c.seed for c in cfgs} == {100, 101, 102}
+
+    def test_safety_applies_to_every_episode(self, tmp_path):
+        path = tmp_path / "suite.ini"
+        path.write_text(SUITE + "[safety]\nlimit = 1.0\ndebounce = 0.05\n")
+        cfgs = parse_suite(str(path))
+        assert len(cfgs) == 12
+        assert {(c.safety_limit, c.safety_debounce) for c in cfgs} == {(1.0, 0.05)}
+        path.write_text(SUITE + "[safety]\ndebounce = 0.0\n")
+        assert {(c.safety_limit, c.safety_debounce) for c in parse_suite(str(path))} == \
+            {(25.0, 0.0)}
 
     def test_bad_mode(self, tmp_path):
         path = tmp_path / "suite.ini"

@@ -183,6 +183,28 @@ class TestInk:
         c = ((50 + 0.5) * ink.cell - 0.5 * ink.extent_x, (30 + 0.5) * ink.cell - 0.5 * ink.extent_y)
         assert update_ink(board, point(c[0], c[1], -0.004), 5.0) == 1
 
+    @pytest.mark.parametrize("reink", ["stroke", "direct_write"])
+    def test_a_window_wiped_clean_is_wiped_again_once_reinked(self, reink):
+        """A wipe remembers the window it left clean; re-inking cells inside it
+        by a stroke, or by a direct write and refresh_box, makes it count again."""
+        ink = flat_board().ink
+        ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
+        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) > 0
+        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == 0
+        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == 0  # the remembered window
+        if reink == "stroke":
+            fresh = ink.ink_stroke(np.array([[-0.002, 0.0], [0.002, 0.0]]))
+        else:
+            i, j = ink.nx // 2, ink.ny // 2  # the four cells around the board center
+            ink.inked[i - 1:i + 1, j - 1:j + 1] = True
+            ink.refresh_box()
+            fresh = 4
+        assert fresh > 0
+        before = ink.inked_count()
+        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == fresh
+        assert ink.inked_count() == before - fresh
+        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == 0
+
     def test_remaining_length_conversion(self):
         board = flat_board()
         board.ink.inked[:, :] = False

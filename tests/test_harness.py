@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from admitsim.harness import (
     run_suite,
     success_check,
 )
-from admitsim.policy import NoiseSpec
+from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
 
 NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
                   contact_flip_prob=0.01, seed=0)
@@ -219,6 +220,92 @@ class TestRunEpisode:
         log = run_episode(cfg)
         assert log.disturbed[:4000].max() == 0  # raise starts at 5 s
         assert log.disturbed[5500:].max() == 1
+
+
+def reference_flags(cfg, n):
+    """Each tick's phase and contact flag by the loop's rule: the command of
+    the tick's policy step, and past the demo the last one, held."""
+    ep = harness._Episode(cfg)
+    tuples, phases = ep.demo.tuples, ep.demo.phases
+    chunks = {}
+    phase, contact = [], []
+    for k in range(n):
+        p = min(k // harness.TICKS_PER_STEP, len(tuples) - 1)
+        p0 = p - p % DEFAULT_HORIZON
+        if p0 not in chunks:
+            chunks[p0] = predict(p0, tuples, ep.noise, DEFAULT_HORIZON)
+        phase.append(phases[p].value)
+        contact.append(chunks[p0][p - p0][2])
+    return phase, contact
+
+
+class TestDerivedSeries:
+    """t is k * dt, and phase and contact are recorded once per policy step and
+    spread over its ticks; every episode end must still give one value per tick."""
+
+    NOISE11 = TestSafetyMonitor.stop_scenario().noise
+
+    def check(self, log, cfg):
+        n = log.n_ticks
+        dt = 1.0 / harness.CONTROL_HZ
+        assert log.t.dtype == np.float64
+        assert log.t.tobytes() == np.array([k * dt for k in range(n)]).tobytes()
+        phase, contact = reference_flags(cfg, n)
+        for name, expected in (("phase", phase), ("contact", contact)):
+            arr = getattr(log, name)
+            assert (arr.dtype, arr.shape) == (np.int8, (n,)), name
+            assert arr.tolist() == expected, name
+
+    def test_safety_stop_inside_a_policy_step(self):
+        cfg = TestSafetyMonitor.stop_scenario()
+        log = run_episode(cfg)
+        assert log.safety_stopped and log.n_ticks % harness.TICKS_PER_STEP == 21
+        self.check(log, cfg)
+
+    def test_end_on_the_settle_tail(self):
+        cfg = ScenarioConfig("PH", "force_aware", 30.0, 1, noise=self.NOISE11)
+        log = run_episode(cfg)
+        steps = len(harness._Episode(cfg).demo.tuples) + harness.SETTLE_STEPS
+        assert not log.safety_stopped
+        assert log.n_ticks == steps * harness.TICKS_PER_STEP < 30_000
+        assert log.contact.max() == 1 and len(set(log.phase.tolist())) > 1
+        self.check(log, cfg)
+
+    def test_end_inside_a_policy_step_at_the_duration(self):
+        cfg = ScenarioConfig("WW", "force_aware", 2.345, 1, noise=self.NOISE11)
+        log = run_episode(cfg)
+        assert log.n_ticks == 2345
+        self.check(log, cfg)
+
+    def test_suite_twin_resumed_inside_a_policy_step(self, monkeypatch):
+        raise_ = (DisturbanceEvent("raise", start=5.0505, duration=10.0, magnitude=0.07,
+                                   ramp=0.5),)
+        clean = ScenarioConfig("WW", "force_aware", 7.0, 1, noise=self.NOISE11)
+        disturbed = replace(clean, disturbances=raise_)
+        assert harness._onset_tick(raise_, 7000) == 5051
+        seen, built = [], []
+        original, episode = harness.run_episode, harness._Episode
+
+        def tap(cfg):
+            log = original(cfg)
+            seen.append((cfg, log))
+            return log
+
+        def counting_episode(cfg):
+            built.append(cfg)
+            return episode(cfg)
+
+        monkeypatch.setattr(harness, "run_episode", tap)
+        monkeypatch.setattr(harness, "_Episode", counting_episode)
+        run_suite([clean, disturbed])
+        monkeypatch.undo()
+
+        assert [cfg for cfg, _ in seen] == [disturbed, clean]
+        assert built == [disturbed]  # the twin continued the disturbed episode
+        for cfg, log in seen:
+            alone = run_episode(cfg)
+            assert series_digest(log) == series_digest(alone), cfg
+            self.check(log, cfg)
 
 
 class TestRunSuite:

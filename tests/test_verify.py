@@ -6,6 +6,7 @@ import pytest
 
 from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim.environments import SpringContact
+from admitsim import verify
 from admitsim.errors import NonFiniteState
 from admitsim.verify import (
     CONTROLLER_K,
@@ -56,6 +57,20 @@ class TestProp1:
     def test_rest_point_is_constant_or_sinusoid(self):
         with pytest.raises(ValueError, match="unknown x_e profile kind 'step'"):
             XeProfile("step", amplitude=0.01)
+
+    def test_sinusoid_is_libm_at_a_float_and_at_each_time_of_an_array(self):
+        # The integrator evaluates the rest point at float times, the judge at
+        # an array of them: both must be libm's values, whatever numpy's loops do.
+        prof = XeProfile("sinusoid", base=0.1, amplitude=0.005, omega=2.0 * math.pi)
+        t = np.arange(2001) * 1e-3
+        for f, fn in ((prof.value, math.sin), (prof.vel, math.cos), (prof.acc, math.sin)):
+            at_array = f(t)
+            assert at_array.dtype == np.float64 and at_array.shape == t.shape
+            assert at_array.tolist() == [f(v) for v in t.tolist()]
+            assert type(f(0.25)) is float
+        assert prof.value(0.25) == 0.1 + 0.005 * math.sin(2.0 * math.pi * 0.25)
+        x = np.linspace(-30.0, 0.0, 5001)
+        assert verify._libm(math.exp, x).tolist() == [math.exp(v) for v in x.tolist()]
 
     def test_requires_constant_rest_point(self):
         p = NormalDynamicsParams(1.0, D_NOMINAL, 1000.0, 4.0,
