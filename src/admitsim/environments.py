@@ -168,6 +168,22 @@ class DisturbanceEvent:
             return 1.0
         return max(0.0, min(1.0, rel / self.ramp, (self.duration - rel) / self.ramp))
 
+    def settled(self, t: float) -> bool:
+        """Whether `profile` and the amplitude that `apply_disturbances` reads
+        hold their values from t on.
+
+        Mirrors `profile`'s branches: a persistent kind settles at the end of
+        its ramp (rel / ramp only grows with t), a windowed kind once its
+        window has passed (its profile is 0 from then on). Monotone: settled
+        at t means settled at every later time.
+        """
+        if t < self.start:
+            return False
+        rel = t - self.start
+        if self.kind in PERSISTENT_KINDS:
+            return self.ramp <= 0.0 or rel / self.ramp >= 1.0
+        return rel > self.duration
+
     def amplitude(self, t: float, p: float) -> float:
         """Signed magnitude along `direction` (m, N or rad by kind) at profile value p."""
         if self.kind == "lower":
@@ -356,7 +372,7 @@ class PlaneBoard(TaskEnvironment):
         # board as built, with the spring's unit normal.
         self._untilted = (0.0, (self.rotation, self.spring.surface_normal))
         self._tilt = self._untilted
-        self._frame = (None, None)  # (rotation, rows of its matrix transposed)
+        self._frame = (None, None)  # (rotation, _frame_rows() at that rotation)
 
     def normal(self) -> tuple:
         """The board's +z axis in the world, as floats."""
@@ -376,11 +392,18 @@ class PlaneBoard(TaskEnvironment):
                 self._tilt = self._untilted
         self.rotation, self.spring.surface_normal = self._tilt[1]
 
+    def _frame_rows(self) -> tuple:
+        """The rows of the world-to-board rotation (the board axes in the world),
+        cached until the rotation changes."""
+        rotation, rows = self._frame
+        if rotation is not self.rotation:
+            rows = tuple(zip(*_quat_matrix(self.rotation)))
+            self._frame = (self.rotation, rows)
+        return rows
+
     def to_board_frame(self, p) -> tuple:
         """World point (a float 3-sequence) to board-frame coordinates (z along the normal)."""
-        if self._frame[0] is not self.rotation:
-            self._frame = (self.rotation, tuple(zip(*_quat_matrix(self.rotation))))
-        return _matvec(self._frame[1], _sub(p, self.spring.rest_point))
+        return _matvec(self._frame_rows(), _sub(p, self.spring.rest_point))
 
     def external_wrench(self, pos, vel) -> tuple:
         nu = self.spring.surface_normal
@@ -632,13 +655,20 @@ class HingedDoor(TaskEnvironment):
 
 def update_ink(env: TaskEnvironment, position, normal_force: float) -> int:
     """Clean cells under the eraser footprint at the end-effector position (a
-    float 3-sequence); gated on the normal contact force."""
+    float 3-sequence); gated on the normal contact force. A board without ink
+    left costs no transform."""
     if not isinstance(env, PlaneBoard):
         raise WrongVariant("update_ink requires a PlaneBoard")
     if normal_force < env.f_min_wipe:
         return 0
-    local = env.to_board_frame(position)
-    return env.ink.wipe_rect(local, env.eraser_half_x, env.eraser_half_y)
+    ink = env.ink
+    i_lo, i_hi, _, _ = ink.box
+    if i_lo >= i_hi:  # no ink left
+        return 0
+    # The board-plane (x, y) of to_board_frame: wipe_rect reads no z.
+    r0, r1, _ = env._frame_rows()
+    d = _sub(position, env.spring.rest_point)
+    return ink.wipe_rect((dot3(r0, d), dot3(r1, d)), env.eraser_half_x, env.eraser_half_y)
 
 
 _X_AXIS = (1.0, 0.0, 0.0)
@@ -649,7 +679,8 @@ def apply_disturbances(env: TaskEnvironment, events, t: float):
 
     The sums run on Python floats from +0.0, in event order, as the rest
     offsets and pulse forces of the events would add up as arrays; the extra
-    force is a float tuple.
+    force is a float tuple. Tilt angles add up about the last tilt event's
+    axis, so `ScenarioConfig` admits only tilt events that share one.
     """
     if not events:
         return _ZERO3, False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +24,7 @@ from .admittance import (
     controller_tick,
 )
 from .environments import (
+    PERSISTENT_KINDS,
     DisturbanceEvent,
     HingedDoor,
     PlaneBoard,
@@ -85,6 +87,10 @@ class ScenarioConfig:
             if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed
                 raise ValueError(f"a {ev.kind} disturbance has no effect on {self.task} "
                                  f"(it takes {' | '.join(kinds)})")
+        # apply_disturbances sums the tilt angles about one axis.
+        axes = {ev.direction for ev in self.disturbances if ev.kind == "tilt"}
+        if len(axes) > 1:
+            raise ValueError(f"tilt events must share one direction, got {sorted(axes)}")
         for key, value in self.env_overrides.items():  # k_e, latch_force
             if not 0.0 < value < math.inf:
                 raise ValueError(f"environment {key} must be finite and > 0, got {value}")
@@ -170,6 +176,31 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
 _twin_slot: list | None = None
 
 
+def _settle_tick(events, onset: int, max_ticks: int) -> int:
+    """The first tick from which every event is settled (see
+    `DisturbanceEvent.settled`): apply_disturbances returns the same force and
+    flag, and sets the same environment state, at it and at every later tick.
+
+    max_ticks when some event does not settle in time; onset when there is no
+    event.
+    """
+    dt = 1.0 / CONTROL_HZ
+    settle = onset
+    for ev in events:
+        end = ev.start + (ev.ramp if ev.kind in PERSISTENT_KINDS else ev.duration)
+        estimate = end * CONTROL_HZ
+        if not estimate < max_ticks:
+            return max_ticks
+        # settled is monotone in t: step from the estimate to its first tick.
+        k = math.ceil(estimate) if estimate > settle else settle
+        while k > settle and ev.settled((k - 1) * dt):
+            k -= 1
+        while k < max_ticks and not ev.settled(k * dt):
+            k += 1
+        settle = k
+    return settle
+
+
 def _onset_tick(events, max_ticks: int) -> int:
     """The first tick whose time k * dt is at or past the earliest event start.
 
@@ -197,7 +228,9 @@ class _Episode:
 
     Before the onset tick the loop leaves the environment to itself, so a
     disturbed episode up to its onset is bit for bit its clean twin's prefix,
-    signed zeros of the geometry included.
+    signed zeros of the geometry included. From the settle tick on, every
+    event holds its value, and the loop holds that tick's disturbance result
+    instead of applying the events again.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -209,6 +242,8 @@ class _Episode:
         self.noise = replace(cfg.noise, seed=cfg.noise.seed ^ (cfg.seed * 2654435761 % 2 ** 31))
         self.max_ticks = int(round(cfg.duration * CONTROL_HZ))
         self.onset = _onset_tick(cfg.disturbances, self.max_ticks)
+        self.settle = _settle_tick(cfg.disturbances, self.onset, self.max_ticks)
+        self.held = None      # the last disturbance result, held from the settle tick on
         self.k = 0            # the next tick
         self.ended = False    # the plan and its settle tail ran out, or a safety stop
         self.state = ControllerState.at_rest(self.demo.poses[0])
@@ -217,20 +252,26 @@ class _Episode:
         self.over = 0
         self.safety_stopped = False
         self.peak_force = 0.0
-        # Compact logs, appended to with extend/append and wrapped as arrays
-        # once at the end: no numpy call per tick. One per RunLog series but t,
-        # in its field order. t is k * dt, and phase and contact change only at
-        # a policy step, so those two hold one record per step begun.
-        self.bufs = (array("d"), array("d"), array("d"), array("d"), array("d"),
-                     array("b"), array("b"), array("b"))
+        # Compact logs, appended to per tick and turned into arrays once at the
+        # end: no numpy call per tick. Each tick appends one _RECORD of the
+        # float series and one disturbed flag. t is k * dt, and phase and
+        # contact change only at a policy step, so those two hold one record
+        # per step begun.
+        self.records = bytearray()
+        self.flags = (array("b"), array("b"), array("b"))  # phase, contact, disturbed
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
         """This episode so far, continued under cfg (the same run up to this tick)."""
         dup = copy.copy(self)
         dup.cfg = cfg
         dup.onset = _onset_tick(cfg.disturbances, self.max_ticks)
+        # cfg's events may not be settled yet, or settled on other values:
+        # the copy runs apply_disturbances again at its first tick at least.
+        dup.settle = max(_settle_tick(cfg.disturbances, dup.onset, self.max_ticks), self.k)
+        dup.held = None
         dup.env = copy.deepcopy(self.env)
-        dup.bufs = tuple(buf[:] for buf in self.bufs)
+        dup.records = self.records[:]
+        dup.flags = tuple(buf[:] for buf in self.flags)
         return dup
 
     def advance(self, k_end: int):
@@ -240,7 +281,8 @@ class _Episode:
             return
         cfg, env, adm, noise = self.cfg, self.env, self.adm, self.noise
         tuples, phases = self.demo.tuples, self.demo.phases
-        events, onset, limit = cfg.disturbances, self.onset, cfg.safety_limit
+        events, limit = cfg.disturbances, cfg.safety_limit
+        onset, settle, held = self.onset, self.settle, self.held
         dt = 1.0 / CONTROL_HZ
         debounce_ticks = int(round(cfg.safety_debounce * CONTROL_HZ))
         n_demo = len(tuples)
@@ -253,9 +295,11 @@ class _Episode:
         door_update = env.update if is_door else None
         spring = env.spring if is_board else None
         sqrt = math.sqrt
+        pack = _RECORD.pack
         state, chunk, cmd = self.state, self.chunk, self.cmd
         phase_idx, over, peak_force = self.phase_idx, self.over, self.peak_force
-        buf_x, buf_v, buf_fe, buf_fc, buf_k, buf_phase, buf_c, buf_dist = self.bufs
+        records = self.records
+        buf_phase, buf_c, buf_dist = self.flags
 
         for k in range(self.k, stop):
             if k % TICKS_PER_STEP == 0:
@@ -278,23 +322,21 @@ class _Episode:
                 e0 = e1 = e2 = 0.0
                 dist_active = False
             else:
-                (e0, e1, e2), dist_active = disturb(env, events, k * dt)
-            x = state.x_r
+                if k <= settle:  # past it, a call would return held and set no new state
+                    held = disturb(env, events, k * dt)
+                (e0, e1, e2), dist_active = held
+            x_r, v_r = state
             if is_door:
-                door_update(x, cmd.gripper)
-            w0, w1, w2 = wrench(x, state.v_r)
+                door_update(x_r, cmd.gripper)
+            w0, w1, w2 = wrench(x_r, v_r)
             raw_force = (w0 + e0, w1 + e1, w2 + e2)
-            res = tick(state, cmd, raw_force, dt, adm)
-            state, f_ext = res.state, res.f_ext
+            state, f_ext, f_cmd, eigs = tick(state, cmd, raw_force, dt, adm)
+            x_r, v_r = state
             if is_board:
                 fn = dot3(raw_force, spring.surface_normal)
                 if fn > 0.0:
-                    ink(env, state.x_r, fn)
-            buf_x.extend(state.x_r)
-            buf_v.extend(state.v_r)
-            buf_fe.extend(f_ext)
-            buf_fc.extend(res.f_cmd)
-            buf_k.extend(res.stiffness_eigs)
+                    ink(env, x_r, fn)
+            records += pack(*x_r, *v_r, *f_ext, *f_cmd, *eigs)
             buf_dist.append(dist_active)
             f_mag = sqrt(sq_norm(f_ext))
             if f_mag > peak_force:
@@ -305,19 +347,23 @@ class _Episode:
                 break
 
         self.k = stop
+        self.held = held
         self.state, self.chunk, self.cmd = state, chunk, cmd
         self.phase_idx, self.over, self.peak_force = phase_idx, over, peak_force
 
     def log(self) -> RunLog:
-        """The episode's RunLog: the series as they stand and the final metrics."""
+        """The episode's RunLog: copies of the series as they stand, and the final
+        metrics. The episode can advance on afterwards."""
         task = self.cfg.task
         metrics = _final_metrics(task, self.env, self.state, self.peak_force)
-        buf_x, buf_v, buf_fe, buf_fc, buf_k, buf_phase, buf_c, buf_dist = self.bufs
+        buf_phase, buf_c, buf_dist = self.flags
         n = len(buf_dist)
         t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
-        log = RunLog(t, _series(buf_x, 3), _series(buf_v, 3), _series(buf_fe, 3),
-                     _series(buf_fc, 3), _series(buf_k, 3), _per_tick(buf_phase, n),
-                     _per_tick(buf_c, n), _series(buf_dist), metrics, False, self.safety_stopped)
+        block = np.frombuffer(self.records, dtype=np.float64).reshape(-1, 15)
+        series = [block[:, i:i + 3].copy() for i in range(0, 15, 3)]  # C-contiguous (n, 3)
+        disturbed = np.frombuffer(buf_dist, dtype=np.int8).copy()
+        log = RunLog(t, *series, _per_tick(buf_phase, n), _per_tick(buf_c, n), disturbed,
+                     metrics, False, self.safety_stopped)
         log.success = success_check(task, log)
         log.metrics["success"] = log.success
         if not np.isfinite(log.x_r).all():
@@ -325,15 +371,14 @@ class _Episode:
         return log
 
 
-def _series(buf: array, width: int = 0) -> np.ndarray:
-    """A log buffer as a numpy array over its memory: (n,) or (n, width)."""
-    arr = np.frombuffer(buf, dtype=np.float64 if buf.typecode == "d" else np.int8)
-    return arr.reshape(-1, width) if width else arr
+# One tick's float log values: x_r, v_r, f_ext, f_cmd and the stiffness
+# eigenvalues, three each, in RunLog's field order.
+_RECORD = struct.Struct("15d")
 
 
 def _per_tick(steps: array, n: int) -> np.ndarray:
-    """The (n,) per-tick series of one record per policy step begun."""
-    return np.repeat(_series(steps), TICKS_PER_STEP)[:n]
+    """The (n,) per-tick series of one int8 record per policy step begun."""
+    return np.repeat(np.frombuffer(steps, dtype=np.int8), TICKS_PER_STEP)[:n]
 
 
 def _final_metrics(task: str, env, state: ControllerState, peak_force: float) -> dict:

@@ -175,7 +175,8 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
     evaluated at t + dt/2 (shared by stages 2 and 3) and at t + dt (stage 4,
     and stage 1 of the next step). Each lane's (x, v) rows are written in
     place, n + 1 of them; the result holds, per table and lane, views of
-    shape (n + 1,) of its positions and velocities.
+    shape (n + 1,) of its positions and velocities. A table of rows that no
+    array can index, or that cannot be allocated, is a ValueError.
     """
     lanes = sorted(((g, i) for g, tab in enumerate(tables) for i in range(len(tab.n))),
                    key=lambda gi: -tables[gi[0]].n[gi[1]])  # stable: equal counts stay grouped
@@ -201,9 +202,17 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
     # Lane j's rows are hist[:, off_j : off_j + n_j + 1]; pos indexes the
     # next row of every lane in the flat buffer (row 0: x, row 1: v).
     rows = [n + 1 for n in ns]
-    off = np.cumsum([0] + rows, dtype=np.intp)[:-1]
     total = sum(rows)
-    hist = np.empty((2, total))
+    limit = np.iinfo(np.intp).max // 16  # rows of two float64s an array can index
+    if total > limit:
+        raise ValueError(f"the lane table needs more than {limit} rows, the most one "
+                         "array can index; shorten the horizons")
+    try:
+        hist = np.empty((2, total))
+    except MemoryError:
+        raise ValueError(f"the lane table needs {total} rows ({16 * total} bytes), more "
+                         "than can be allocated; shorten the horizons") from None
+    off = np.cumsum([0] + rows, dtype=np.intp)[:-1]
     flat = hist.reshape(-1)
     pos = np.stack([off, off + total])
     state = np.stack([column("x0"), column("v0")])
@@ -515,8 +524,9 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     Every point starts at rest at the equilibrium of the t = 0 rest point and
     shares the sinusoid; the grid is integrated as one batch. The error states
     are relative to the moving rest point, so they do not depend on its base,
-    and every point is integrated around base 0. T must be finite and span at
-    least four steps of dt (ValueError otherwise).
+    and every point is integrated around base 0. T must be finite, span at
+    least four steps of dt and give a lane table that fits in memory
+    (ValueError otherwise).
     """
     lanes, judge = _prop3(default_grid() if grid is None else grid, amplitude, omega, T, dt)
     return judge(_integrate([lanes])[0])

@@ -357,3 +357,87 @@ class TestControllerTick:
         assert res == (res.state, res.f_ext, res.f_cmd, res.stiffness_eigs)
         isotropic = controller_tick(rest_state(), hold_cmd(), (0.0, 0.0, 0.0), 1e-3, cfg)
         assert isotropic.stiffness_eigs == (50.0, 50.0, 50.0)
+
+
+vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+unit_vectors = vectors.filter(lambda v: math.fsum(c * c for c in v) > 1e-4).map(
+    lambda v: vec3(np.divide(v, np.linalg.norm(v))))
+
+
+class TestControllerProperties:
+    """Properties of the law for any gains, normal, state and command in range."""
+
+    @given(mass=st.floats(0.5, 10.0), stiffness=st.floats(1.0, 1000.0),
+           ratio=st.floats(0.3, 3.0), scale=st.floats(1.0, 8.0), contact=st.booleans(),
+           n=unit_vectors, x=vectors, v=vectors, x_cmd=vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_energy_does_not_increase_without_external_force(
+            self, mass, stiffness, ratio, scale, contact, n, x, v, x_cmd):
+        """With f_ext = 0 and a fixed command (no commanded force), one tick does
+        not raise E = m |v|^2 / 2 + e^T K e / 2, e = x_r - x_cmd, in the
+        tick's stiffness: k I, or k n n^T + k_t (I - n n^T) with tangent
+        stiffening, whose gradient is K_eff e and whose eigenbasis also
+        diagonalizes D_eff. Each axis of that basis is a semi-implicit Euler
+        step of m x'' + d x' + k x = 0, which does not raise its energy when
+        (1 - dt d / m)^2 <= 1 - dt^2 k / m, as it holds for every (k, d) pair
+        of the drawn gains."""
+        cfg = AdmittanceConfig(mass=mass, stiffness=stiffness, damping_ratio=ratio,
+                               tangent_scale=scale, enable_tangent_stiffening=True)
+        dt = 1e-3
+        k, k_t, d, d_t = stiffness, scale * stiffness, cfg.damping, cfg.tangent_damping
+        for kk, dd in ((k, d), (k_t, d_t), (k_t, d)):
+            assert (1.0 - dt * dd / mass) ** 2 <= 1.0 - dt * dt * kk / mass
+        cmd = ControllerCommand(x_cmd, 0.0, n, int(contact))
+        st_ = ControllerState(x, v)
+        res = controller_tick(st_, cmd, (0.0, 0.0, 0.0), dt, cfg)
+        assert res.f_cmd == (0.0, 0.0, 0.0)
+        if res.stiffness_eigs[2] == k:
+            K = k * np.eye(3)
+        else:
+            nn = np.outer(n, n)
+            K = k * nn + k_t * (np.eye(3) - nn)
+
+        def energy(s):
+            e = np.subtract(s.x_r, x_cmd)
+            return 0.5 * mass * float(np.dot(s.v_r, s.v_r)) + 0.5 * float(e @ K @ e)
+
+        before = energy(st_)
+        assert energy(res.state) <= before + 1e-12 * (1.0 + before)
+
+    @given(band=st.floats(0.0, 10.0), u=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+           w=st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_deadband_is_continuous(self, band, u, w):
+        """The radial deadband is 1-Lipschitz (the proximal map of band * |f|),
+        so continuous, at the band's edge too."""
+        du = np.array(_radial_deadband(u, band))
+        dw = np.array(_radial_deadband(w, band))
+        gap = np.linalg.norm(np.subtract(u, w))
+        assert np.linalg.norm(du - dw) <= gap * (1 + 1e-12) + 1e-12
+
+    @given(band=st.floats(0.1, 10.0), n=unit_vectors, s=st.floats(0.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_deadband_vanishes_at_the_edge(self, band, n, s):
+        out = _radial_deadband(tuple(s * band * c for c in n), band)
+        assert np.linalg.norm(out) == pytest.approx(max(0.0, s - 1.0) * band, abs=1e-12 * band)
+
+    @given(n=unit_vectors, f_h=st.floats(0.0, 20.0), tangent=st.booleans(),
+           x=vectors, v=vectors, x_cmd=vectors, force=st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_normal_dynamics_follow_the_equivalence_law(self, n, f_h, tangent, x, v, x_cmd,
+                                                        force):
+        """Along any unit normal n in contact, one tick of the full law is one
+        step of m x_n'' + 2 d x_n' = f_ext.n - f_H: no normal stiffness, twice
+        the damping, whatever the command, the tangent stiffening and the
+        tangential force."""
+        cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=f_h,
+                               enable_tangent_stiffening=tangent)
+        dt = 1e-3
+        st_ = ControllerState(x, v)
+        res = controller_tick(st_, ControllerCommand(x_cmd, 1.0, n, 1), vec3(force), dt, cfg)
+        v_n = float(np.dot(v, n))
+        a_n = (float(np.dot(res.f_ext, n)) - f_h - 2.0 * cfg.damping * v_n) / cfg.mass
+        scale = (np.linalg.norm(force) + f_h + cfg.tangent_damping * np.linalg.norm(v)
+                 + cfg.tangent_scale * cfg.stiffness * np.linalg.norm(np.subtract(x, x_cmd)))
+        assert float(np.dot(res.state.v_r, n)) == pytest.approx(v_n + dt * a_n,
+                                                                 abs=1e-13 * (1.0 + scale))

@@ -132,6 +132,15 @@ class TestVerifyCommand:
                        f"least 4 steps of 0.001 s, got {float(duration)}\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("duration", ["1e9", "1e300"])
+    def test_prop3_duration_too_long_to_allocate(self, duration, capsys):
+        # 1e9 s needs about 400 TiB of lane table, and 1e300 s more rows than
+        # an array can index: each is refused before any memory is touched.
+        assert main(["verify", "--prop3-duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: the lane table needs ")
+        assert "Traceback" not in err
+
     def test_four_step_prop3_duration_passes(self, capsys):
         assert main(["verify", "--prop3-duration", "0.0031"]) == 0
         assert "checks=108 passed=108 failed=0" in capsys.readouterr().out
@@ -169,6 +178,20 @@ def task_event(task, kind):
     """A scenario of `task` with one disturbance of `kind`."""
     return (f"[scenario]\ntask = {task}\n[disturbance.a]\nkind = {kind}\n"
             "start = 1.0\nduration = 2.0\nmagnitude = 0.01\nramp = 0.5\n")
+
+
+def tilt_sections(*directions):
+    """One tilt event section per direction."""
+    return "".join(
+        f"[disturbance.t{i}]\nkind = tilt\nstart = 1.0\nduration = 2.0\n"
+        f"magnitude = 0.1\ndirection = {d}\n" for i, d in enumerate(directions))
+
+
+def test_tilts_about_one_axis_are_valid(tmp_path):
+    path = tmp_path / "ok.ini"
+    path.write_text("[scenario]\ntask = WW\n" + tilt_sections("0 0 2", "0 0 1"))
+    assert [ev.direction for ev in parse_scenario(str(path)).disturbances] == \
+        [(0.0, 0.0, 1.0)] * 2
 
 
 @pytest.mark.parametrize("task,kind", [
@@ -303,6 +326,9 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", shift_event(magnitude="inf")),
     ("run", shift_event(ramp="nan")),
     ("run", shift_event(omega="inf")),
+    ("run", "[scenario]\ntask = WW\n" + tilt_sections("1 0 0", "0 1 0")),
+    ("run", "[scenario]\ntask = WW\n" + tilt_sections("1 0 0", "-1 0 0")),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n" + tilt_sections("0 0 1", "0 1 1")),
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
     path = tmp_path / "bad.ini"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from admitsim.environments import (
+    DISTURBANCE_KINDS,
     DisturbanceEvent,
     FrictionModel,
     HingedDoor,
@@ -173,6 +175,50 @@ class TestInk:
                 assert ink.inked[i_lo:i_hi, j_lo:j_hi].sum() == ink.inked_count()
                 wiped += count
         assert wiped > 100
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_update_equals_a_wipe_at_the_board_frame_point(self, seed, tilted):
+        """update_ink wipes at the (x, y) of to_board_frame, bit for bit, on a
+        tilted or raised board too, and an empty box wipes nothing."""
+        rng = np.random.default_rng(seed)
+        board = build_environment("WW", rng)
+        if tilted:
+            events = (DisturbanceEvent("tilt", 0.0, 1.0, rng.uniform(-0.3, 0.3),
+                                       direction=tuple(rng.normal(size=3))),
+                      DisturbanceEvent("raise", 0.0, 1.0, rng.uniform(0.0, 0.05)))
+            apply_disturbances(board, events, rng.uniform(0.0, 2.0))
+        if rng.random() < 0.25:
+            board.ink.inked[:, :] = False
+            board.ink.refresh_box()
+        twin = copy.deepcopy(board)
+        centers = []
+        wipe = board.ink.wipe_rect
+        board.ink.wipe_rect = lambda xy, hx, hy: centers.append(xy) or wipe(xy, hx, hy)
+        ink = board.ink.inked
+        for _ in range(60):
+            # Around the eraser's reach of the ink, and anywhere over the board.
+            cells = np.argwhere(ink)
+            if len(cells) and rng.random() < 0.7:
+                i, j = cells[rng.integers(len(cells))]
+                xy = ((i + 0.5) * board.ink.cell - board.ink._x0 + rng.normal(scale=0.01),
+                      (j + 0.5) * board.ink.cell - board.ink._y0 + rng.normal(scale=0.01))
+            else:
+                xy = tuple(rng.uniform(-0.2, 0.2, size=2))
+            r = board._frame_rows()
+            p = tuple(map(float, np.add(board.spring.rest_point,
+                                        np.array(r).T @ (*xy, rng.uniform(-0.01, 0.01)))))
+            expected = twin.ink.wipe_rect(twin.to_board_frame(p), twin.eraser_half_x,
+                                          twin.eraser_half_y)
+            n_calls = len(centers)
+            had_ink = board.ink.box[0] < board.ink.box[1]
+            assert update_ink(board, p, 5.0) == expected
+            assert np.array_equal(board.ink.inked, twin.ink.inked)
+            assert (board.ink.box, board.ink._clean) == (twin.ink.box, twin.ink._clean)
+            if had_ink:
+                assert centers[n_calls:] == [twin.to_board_frame(p)[:2]]
+            else:  # no ink left: no transform and no wipe
+                assert len(centers) == n_calls
 
     def test_refresh_box_after_a_direct_write(self):
         board = flat_board()
@@ -350,6 +396,43 @@ class TestDisturbances:
             vals = np.array([ev.profile(t) * ev.magnitude for t in ts])
             jumps = np.abs(np.diff(vals))
             assert jumps.max() < ev.magnitude * 0.02  # ramped, no steps
+
+    @given(kind=st.sampled_from(DISTURBANCE_KINDS),
+           start=st.floats(-5.0, 5.0), duration=st.floats(0.001, 3.0),
+           ramp_share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           magnitude=st.floats(-10.0, 10.0), omega=st.floats(-20.0, 20.0),
+           t=st.floats(-6.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_settled_values_hold(self, kind, start, duration, ramp_share, magnitude, omega, t):
+        """From a time where an event is settled on, its profile and the
+        amplitude apply_disturbances reads stay bit for bit the same."""
+        ev = DisturbanceEvent(kind, start, duration, magnitude,
+                              ramp=min(duration, ramp_share * duration), omega=omega)
+        if not ev.settled(t):
+            return
+        p = ev.profile(t)
+        a = ev.amplitude(t, p)
+        later = [math.nextafter(t, math.inf)] + [
+            t + float(dt) for dt in np.linspace(0.0, 4.0 * duration + 1.0, 401)]
+        for u in later:
+            assert ev.settled(u)
+            assert ev.profile(u).hex() == p.hex()
+            if kind == "sinusoid":
+                # Settled only past its window: the profile is 0 there, and
+                # apply_disturbances adds no offset of a profile of 0.
+                assert p == 0.0 and ev.amplitude(u, p) == 0.0
+            else:
+                assert ev.amplitude(u, p).hex() == a.hex()
+
+    @pytest.mark.parametrize("ev,first", [
+        (DisturbanceEvent("raise", 1.0, 2.0, 0.01, ramp=0.5), 1.5),
+        (DisturbanceEvent("tilt", 1.0, 2.0, 0.01, ramp=0.0), 1.0),
+        (DisturbanceEvent("force_pulse", 1.0, 2.0, 5.0, ramp=0.5), math.nextafter(3.0, 4.0)),
+        (DisturbanceEvent("sinusoid", 1.0, 2.0, 0.01), math.nextafter(3.0, 4.0)),
+    ])
+    def test_settled_from_the_end_of_the_ramp_or_the_window(self, ev, first):
+        assert not ev.settled(math.nextafter(first, 0.0))
+        assert ev.settled(first)
 
     def test_validation(self):
         with pytest.raises(ValueError):

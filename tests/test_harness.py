@@ -87,6 +87,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             build()
 
+    @pytest.mark.parametrize("axes", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                                      ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+                                      ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.1, 1.0))])
+    def test_rejects_tilts_about_different_axes(self, axes):
+        # The tilt angles add up about one axis: two axes would tilt the board
+        # about the last one by the sum of the angles.
+        events = tuple(DisturbanceEvent("tilt", 1.0, 2.0, 0.1, direction=a) for a in axes)
+        with pytest.raises(ValueError, match="tilt events must share one direction"):
+            ScenarioConfig(task="WW", disturbances=events)
+
+    def test_tilts_about_one_axis_accepted(self):
+        events = (DisturbanceEvent("tilt", 1.0, 2.0, 0.1, direction=(0.0, 0.0, 2.0)),
+                  DisturbanceEvent("raise", 1.0, 2.0, 0.01, direction=(1.0, 0.0, 0.0)),
+                  DisturbanceEvent("tilt", 1.5, 2.0, -0.1, direction=(0.0, 0.0, 1.0)))
+        assert ScenarioConfig(task="WW", disturbances=events).disturbances == events
+
     def test_zero_debounce_accepted(self):
         assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
 
@@ -213,6 +229,16 @@ class TestRunEpisode:
                     assert (arr.dtype, arr.shape) == (np.float64, (3000,)), name
                 else:
                     assert (arr.dtype, arr.shape) == (np.float64, (3000, 3)), name
+
+    def test_an_episode_advances_on_after_its_log(self):
+        cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE,
+                             disturbances=(DisturbanceEvent("raise", 1.0, 1.0, 0.01),))
+        ep = harness._Episode(cfg)
+        ep.advance(1500)
+        early = ep.log()
+        ep.advance(ep.max_ticks)
+        assert series_digest(ep.log()) == series_digest(run_episode(cfg))
+        assert early.n_ticks == 1500
 
     def test_disturbance_flag_logged(self):
         cfg = ScenarioConfig(task="WW", duration=8.0, seed=3,
@@ -418,3 +444,126 @@ class TestSuiteTwins:
             alone = run_episode(cfg)
             assert series_digest(log) == series_digest(alone), cfg
             assert (log.success, log.safety_stopped) == (alone.success, alone.safety_stopped)
+
+
+def first_settled_tick(events, onset, max_ticks):
+    """The settle tick by its definition: the first tick from the onset on at
+    which every event is settled, or max_ticks."""
+    dt = 1.0 / harness.CONTROL_HZ
+    return next((k for k in range(onset, max_ticks)
+                 if all(ev.settled(k * dt) for ev in events)), max_ticks)
+
+
+class TestSettledDisturbances:
+    """From the tick at which every event is settled on, the loop holds that
+    tick's apply_disturbances result instead of calling it again; the logs
+    must not change."""
+
+    NOISE11 = TestSuiteTwins.NOISE11
+    RAISE = DisturbanceEvent("raise", 2.0, 10.0, 0.03, ramp=0.5)
+    PULSE = DisturbanceEvent("force_pulse", 3.0, 1.0, 5.0, direction=(1.0, 0.0, 0.0),
+                             ramp=0.2)
+
+    def cfg(self, events, duration=6.0, mode="force_aware"):
+        return ScenarioConfig("WW", mode, duration, 1, noise=self.NOISE11,
+                              disturbances=events)
+
+    @pytest.mark.parametrize("events,settle", [
+        ((RAISE,), 2500),
+        ((PULSE,), 4001),
+        ((DisturbanceEvent("sinusoid", 2.0, 50.0, 0.003, ramp=0.5, omega=3.0),), 6000),
+        ((PULSE, RAISE), 4001),
+        ((RAISE, DisturbanceEvent("tilt", 1.0, 5.0, 0.05, direction=(1.0, 0.0, 0.0),
+                                  ramp=2.0)), 3000),
+        ((DisturbanceEvent("lower", 2.0, 1.0, 0.01),), 2000),
+    ], ids=["raise", "pulse", "sinusoid", "two", "tilt", "step"])
+    def test_calls_run_from_the_onset_to_the_settle_tick(self, monkeypatch, events, settle):
+        cfg = self.cfg(events)
+        max_ticks = 6000
+        onset = harness._onset_tick(events, max_ticks)
+        assert harness._settle_tick(events, onset, max_ticks) == settle
+        assert first_settled_tick(events, onset, max_ticks) == settle
+        calls = []
+        original = harness.apply_disturbances
+
+        def counting(env, evs, t):
+            calls.append(t)
+            return original(env, evs, t)
+
+        monkeypatch.setattr(harness, "apply_disturbances", counting)
+        log = run_episode(cfg)
+        # The same episode with a call on every tick from the onset on.
+        monkeypatch.setattr(harness, "_settle_tick", lambda evs, on, n: n)
+        every_tick = run_episode(cfg)
+        monkeypatch.undo()
+
+        dt = 1.0 / harness.CONTROL_HZ
+        n = log.n_ticks
+        assert n > settle or settle == max_ticks
+        held = [k * dt for k in range(onset, min(settle + 1, n))]
+        assert calls[:len(held)] == held
+        assert calls[len(held):] == [k * dt for k in range(onset, n)]
+        assert series_digest(log) == series_digest(every_tick)
+
+    @pytest.mark.parametrize("events", [
+        (DisturbanceEvent("force_pulse", -1e308, 1.0, 1.0),),
+        (DisturbanceEvent("raise", 0.0, 1.0, 0.01, ramp=0.0),),
+        (DisturbanceEvent("raise", 0.0015, 1.0, 0.01, ramp=0.5),
+         DisturbanceEvent("sinusoid", 0.3, 1.7, 0.01, ramp=0.1)),
+        (DisturbanceEvent("force_pulse", 1.0, 2.999, 1.0, ramp=0.1),),
+        (DisturbanceEvent("force_pulse", 1.0, 3.0, 1.0),),
+        (DisturbanceEvent("raise", 3.5, 1.0, 0.01, ramp=0.5),),
+        (DisturbanceEvent("raise", 9.0, 1.0, 0.01),),
+        (DisturbanceEvent("force_pulse", 1e308, 1.0, 1.0),),
+        (),
+    ])
+    def test_settle_tick_is_the_first_settled_tick(self, events):
+        for max_ticks in (4000, 3999, 4001):
+            onset = harness._onset_tick(events, max_ticks)
+            assert harness._settle_tick(events, onset, max_ticks) == \
+                first_settled_tick(events, onset, max_ticks), max_ticks
+
+    @pytest.mark.parametrize("ramp", [0.5, 0.0])
+    def test_resumed_across_the_settle_tick(self, ramp):
+        cfg = self.cfg((replace(self.RAISE, ramp=ramp),))
+        settle = harness._Episode(cfg).settle
+        assert settle == 2000 + 1000 * ramp
+        alone = series_digest(run_episode(cfg))
+        for split in (settle - 1, settle, settle + 1):
+            ep = harness._Episode(cfg)
+            ep.advance(split)
+            ep.advance(ep.max_ticks)
+            assert series_digest(ep.log()) == alone, split
+
+    def test_suite_pair_resumed_at_the_settle_tick(self, monkeypatch):
+        # A ramp-0 raise settles at its onset, where run_suite parts the
+        # disturbed episode from its clean twin and resumes it.
+        step = (replace(self.RAISE, ramp=0.0),)
+        clean = self.cfg(())
+        seen = []
+        original = harness.run_episode
+
+        def tap(cfg):
+            log = original(cfg)
+            seen.append((cfg, log))
+            return log
+
+        monkeypatch.setattr(harness, "run_episode", tap)
+        run_suite([clean, self.cfg(step), clean, self.cfg((self.RAISE,))])
+        monkeypatch.undo()
+        assert len(seen) == 4
+        for cfg, log in seen:
+            assert series_digest(log) == series_digest(run_episode(cfg)), cfg
+
+    @pytest.mark.parametrize("first,then", [((RAISE,), (RAISE, PULSE)),
+                                            ((RAISE, PULSE), (RAISE,))])
+    def test_copy_past_the_settle_tick_holds_its_own_events(self, first, then):
+        # Before the pulse starts the two configs run the same ticks; a copy
+        # taken there runs the new config's events, not the held result of
+        # the old ones.
+        ep = harness._Episode(self.cfg(first))
+        ep.advance(2800)
+        assert (ep.settle < 2800) == (first == (self.RAISE,))
+        dup = ep.copy(self.cfg(then))
+        dup.advance(dup.max_ticks)
+        assert series_digest(dup.log()) == series_digest(run_episode(self.cfg(then)))
