@@ -24,6 +24,7 @@ from .environments import (
 )
 from .expert import (
     PhaseLabel,
+    SupervisionRecords,
     SupervisionTuple,
     extract_supervision,
     manifold_normal,

@@ -5,7 +5,8 @@ Dataset layout (little-endian):
   u32 episode count | u64 total tuple count | u32 tuple count per episode |
   records of 14 f64 per tuple (10 pose/gripper + 3 normal + 1 contact flag).
 The contact flag is 0.0 or 1.0; a reader rejects any other value. An
-episode's records are one (n, 14) block, written and read whole.
+episode's records are one (n, 14) block, written and read whole: a
+`SupervisionRecords` is written from its block as it is, and read back as one.
 
 CSV floats are written with repr() (shortest round-trip), so identical runs
 produce byte-identical files.
@@ -20,18 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure
-from .expert import SupervisionTuple
+from .expert import RECORD_DIM, SupervisionRecords
 
 MAGIC = b"ADMS"
 VERSION = 1
-RECORD_DIM = 14
 
 
 @dataclass
 class Dataset:
     task: str
     horizon: int
-    episodes: list  # list of list[SupervisionTuple]
+    # One SupervisionRecords per episode (read_dataset gives these); any
+    # sequence of SupervisionTuple is written the same.
+    episodes: list
 
     @property
     def tuple_count(self) -> int:
@@ -56,8 +58,10 @@ def write_dataset(path: str, ds: Dataset) -> None:
         raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
 
 
-def _record_block(episode: list) -> np.ndarray:
+def _record_block(episode) -> np.ndarray:
     """The (n, 14) little-endian float64 records of an episode's tuples."""
+    if isinstance(episode, SupervisionRecords):
+        return episode.block.astype("<f8", copy=False)
     block = np.empty((len(episode), RECORD_DIM), dtype="<f8")
     block[:, :10] = [tup.pose10 for tup in episode]
     block[:, 10:13] = [tup.normal for tup in episode]
@@ -73,8 +77,8 @@ def read_dataset(path: str) -> Dataset:
     """Read a dataset file; IoFailure unless its size is what its header implies
     and every contact flag is 0.0 or 1.0.
 
-    Records are read an episode at a time, each into one (n, 14) block whose
-    rows its tuples view.
+    Records are read an episode at a time, each into the (n, 14) block of
+    one SupervisionRecords.
     """
     try:
         with open(path, "rb") as fh:
@@ -106,16 +110,15 @@ def read_dataset(path: str) -> Dataset:
         raise IoFailure(f"cannot read dataset {path}: {exc}") from exc
 
 
-def _read_episode(path: str, fh, n: int) -> list:
-    """The next n records of fh as tuples viewing the rows of one block."""
+def _read_episode(path: str, fh, n: int) -> SupervisionRecords:
+    """The next n records of fh."""
     block = np.frombuffer(fh.read(_RECORD_SIZE * n), dtype="<f8").reshape(n, RECORD_DIM)
-    block = block.astype(float)  # a writable native copy the tuples view
+    block = block.astype(float)  # a writable native copy
     flags = block[:, 13]
     if not ((flags == 0.0) | (flags == 1.0)).all():
         bad = float(flags[(flags != 0.0) & (flags != 1.0)][0])
         raise IoFailure(f"{path}: corrupt dataset: contact flag {bad!r} is not 0.0 or 1.0")
-    return list(map(SupervisionTuple._make,
-                    zip(block[:, :10], block[:, 10:13], map(int, flags.tolist()))))
+    return SupervisionRecords(block)
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Privileged-state expert: phase segmentation, reference-trajectory planners,
-and supervision-tuple extraction.
+and supervision extraction.
 
 Plans are executed kinematically (ideal pose tracking) when generating
-demonstrations; the admittance loop only enters at replay time.
+demonstrations; the admittance loop only enters at replay time. A demo's
+supervision is one (n, 14) float64 record block in the dataset layout, built
+column by column, held as a `SupervisionRecords` whose `SupervisionTuple`s
+are row views made on access.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -15,6 +19,7 @@ import numpy as np
 
 from .environments import HingedDoor, HoleFixture, PlaneBoard, TaskEnvironment
 from .errors import (
+    DegenerateInput,
     EmptySchedule,
     LengthMismatch,
     NoContactManifold,
@@ -33,9 +38,9 @@ from .geometry import (
     _slerp,
     _slerp_ends,
     _sub,
+    _unit_matrix,
     _unit_quat,
     dot3,
-    pose10_encode,
     quat_from_axis_angle,
     quat_mul,
     sq_norm,
@@ -65,12 +70,11 @@ class _SupervisionFields(NamedTuple):
 class SupervisionTuple(_SupervisionFields):
     """Per-step training target: 10-d pose/gripper, normal direction, contact flag.
 
-    The tuples of a generated or read-back demo are views of one (n, 14)
-    float64 block in the dataset's record layout: pose10 is row[:10], normal
-    row[10:13], and contact, a Python int 0 or 1, is stored as row[13]. Those
-    are built with the NamedTuple method `_make`; the public constructor
-    coerces pose10 and normal to float arrays and rejects a contact flag
-    other than 0 or 1, which the dataset format cannot hold.
+    The tuples of a generated or read-back demo are views of a row of its
+    record block (see `SupervisionRecords`), built with the NamedTuple method
+    `_make`. The public constructor coerces pose10 and normal to float arrays
+    and rejects a contact flag other than 0 or 1, which the dataset format
+    cannot hold.
     """
 
     __slots__ = ()
@@ -80,6 +84,41 @@ class SupervisionTuple(_SupervisionFields):
             raise ValueError(f"contact flag must be 0 or 1, got {contact!r}")
         return super().__new__(cls, np.asarray(pose10, dtype=float),
                                np.asarray(normal, dtype=float), contact)
+
+
+# Floats per supervision record: 10 pose/gripper, 3 normal, 1 contact flag.
+RECORD_DIM = 14
+
+
+class SupervisionRecords(Sequence):
+    """A demo's supervision: its (n, 14) float64 record block, in the dataset's
+    record layout, as a sequence of SupervisionTuple.
+
+    Indexing and iteration make each tuple on access as views of its row:
+    pose10 is row[:10], normal row[10:13], and contact the Python int of
+    row[13], which holds 0.0 or 1.0. Negative indices count from the end; a
+    slice is the records of the sliced block. Only the block is held, 112
+    bytes per step.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SupervisionRecords(self.block[i])
+        row = self.block[i]
+        return SupervisionTuple._make((row[:10], row[10:13], int(row[13])))
+
+    def __iter__(self):
+        block = self.block
+        return map(SupervisionTuple._make,
+                   zip(block[:, :10], block[:, 10:13], map(int, block[:, 13].tolist())))
 
 
 # Placeholder normal for out-of-contact steps; the loss masks it.
@@ -251,13 +290,15 @@ def manifold_normal(env: TaskEnvironment, eef: Pose) -> tuple:
 
 def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: list[float],
                         env: TaskEnvironment, normals: list | None = None
-                        ) -> list[SupervisionTuple]:
+                        ) -> SupervisionRecords:
     """Shifted supervision: tuple[t] = (pose[t+1], normal at t+1, contact[t]).
 
     The gripper command in the 10-vector is the expert command at time t.
     When `normals` is given (door tasks, where the manifold depends on plan
     progression) it supplies the per-pose normals, float 3-sequences, instead
-    of manifold_normal. The tuples are row views of one (n, 14) record block.
+    of manifold_normal. The record block is built column by column: each 6D
+    rotation is pose10_encode's, bit for bit, from the same `_unit_quat` pass
+    and operations on numpy columns.
     """
     if not (len(poses) == len(phases) == len(grippers)):
         raise LengthMismatch("poses, phases, grippers must have equal lengths")
@@ -267,7 +308,7 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
         raise LengthMismatch("need at least two steps to extract supervision")
     contacts = [ph.contact_flag for ph in phases[:-1]]
     fixed = None  # the board's and the bore's manifold normal is the same at every pose
-    rows = []
+    normal_rows = []
     for t, c in enumerate(contacts):
         if c == 1:
             if normals is not None:
@@ -283,6 +324,29 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
                 n = fixed
         else:
             n = ZERO_NORMAL
-        rows.append((*pose10_encode(poses[t + 1], grippers[t]), *n, float(c)))
-    block = np.array(rows)
-    return list(map(SupervisionTuple._make, zip(block[:, :10], block[:, 10:13], contacts)))
+        normal_rows.append(n)
+    block = np.empty((len(contacts), RECORD_DIM))
+    block[:, 0:3] = [p.position for p in poses[1:]]
+    block[:, 3:9] = _rot6d_columns(np.array([p.orientation for p in poses[1:]]))
+    block[:, 9] = grippers[:-1]
+    block[:, 10:13] = normal_rows
+    block[:, 13] = contacts
+    return SupervisionRecords(block)
+
+
+def _rot6d_columns(q: np.ndarray) -> np.ndarray:
+    """rot6d_encode of each row of an (n, 4) quaternion array, as an (n, 6) array.
+
+    The `_unit_quat` pass and the matrix are computed on columns: numpy's
+    elementwise operations and sqrt round like the float ones, so every row
+    equals rot6d_encode of that quaternion. The pass's canonical sign is left
+    out: it negates all four components, and each matrix entry is built from
+    products of two of them, which the common sign leaves unchanged, bit for
+    bit. A zero quaternion is DegenerateInput.
+    """
+    w, x, y, z = q.T
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    if (n < 1e-12).any():
+        raise DegenerateInput("zero quaternion")
+    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _unit_matrix(w / n, x / n, y / n, z / n)
+    return np.column_stack((r00, r10, r20, r01, r11, r21))

@@ -28,12 +28,16 @@ host numpy's `sqrt`, `sin` and `cos` ufuncs equal `math` bit for bit (a
 tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Arrays appear only where whole arrays are the point, and numpy ufuncs give
-the same bits at any array length there: the `RunLog` of a finished episode,
-built once from the per-tick logs, the ink grid, the verifier's lane table
-and the supervision records, row views of one (n, 14) float64 block in the
-dataset layout (`admitsim.datasets`). Elementwise float arithmetic rounds
-exactly like numpy's, so the tuples carry the bits an array would; a
-controller command's position is the float tuple of a record's `pose10[:3]`.
+the same bits at any array length and in any layout there: the `RunLog` of a
+finished episode, built once from the per-tick logs, the ink grid, the
+verifier's lane chunks, judged a chunk of steps at a time, and a demo's
+supervision records, one (n, 14) float64 block in the dataset layout
+(`admitsim.datasets`) whose tuples are made as row views on access.
+Elementwise float arithmetic rounds exactly like numpy's, so the tuples carry
+the bits an array would: the records' 6D rotations are computed on numpy
+columns of all a demo's quaternions (`_unit_matrix` serves floats and
+columns alike), and equal the per-pose `rot6d_encode`; a controller
+command's position is the float tuple of a record's `pose10[:3]`.
 
 Every quaternion keeps the `_unit_quat` passes of the formulas the outputs
 were pinned with (a slerp's own, the one of the `Pose` constructor): a
@@ -170,7 +174,15 @@ def quat_from_axis_angle(axis, angle: float) -> tuple:
 
 def _quat_matrix(q) -> tuple:
     """Rows of the rotation matrix of q, as float tuples."""
-    w, x, y, z = _unit_quat(q)
+    return _unit_matrix(*_unit_quat(q))
+
+
+def _unit_matrix(w, x, y, z) -> tuple:
+    """Rows of the rotation matrix of the unit quaternion (w, x, y, z).
+
+    The components are floats, or numpy columns of many quaternions, which
+    the same operations round alike.
+    """
     return (
         (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
         (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),

@@ -259,6 +259,7 @@ class _Episode:
         # per step begun.
         self.records = bytearray()
         self.flags = (array("b"), array("b"), array("b"))  # phase, contact, disturbed
+        self.final_log = None  # the log, once the episode cannot advance
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
         """This episode so far, continued under cfg (the same run up to this tick)."""
@@ -352,20 +353,33 @@ class _Episode:
         self.phase_idx, self.over, self.peak_force = phase_idx, over, peak_force
 
     def log(self) -> RunLog:
-        """The episode's RunLog: copies of the series as they stand, and the final
-        metrics. The episode can advance on afterwards."""
-        task = self.cfg.task
-        metrics = _final_metrics(task, self.env, self.state, self.peak_force)
-        buf_phase, buf_c, buf_dist = self.flags
-        n = len(buf_dist)
-        t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
-        block = np.frombuffer(self.records, dtype=np.float64).reshape(-1, 15)
-        series = [block[:, i:i + 3].copy() for i in range(0, 15, 3)]  # C-contiguous (n, 3)
-        disturbed = np.frombuffer(buf_dist, dtype=np.int8).copy()
-        log = RunLog(t, *series, _per_tick(buf_phase, n), _per_tick(buf_c, n), disturbed,
-                     metrics, False, self.safety_stopped)
-        log.success = success_check(task, log)
-        log.metrics["success"] = log.success
+        """The episode's RunLog: the series as they stand, and the final metrics.
+
+        While the episode can advance (on after this call), the series are
+        copies of its tick records. Once it cannot (it ended, or ran max_ticks),
+        they are moved out of the records, which are left empty, and every
+        later call returns the same log.
+        """
+        log = self.final_log
+        if log is None:
+            task = self.cfg.task
+            metrics = _final_metrics(task, self.env, self.state, self.peak_force)
+            buf_phase, buf_c, buf_dist = self.flags
+            n = len(buf_dist)
+            t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
+            final = self.ended or self.k >= self.max_ticks
+            if final:
+                series = _take_series(self.records, n)
+            else:
+                block = np.frombuffer(self.records, dtype=np.float64).reshape(-1, 15)
+                series = [block[:, i:i + 3].copy() for i in range(0, 15, 3)]  # C-contiguous
+            disturbed = np.frombuffer(buf_dist, dtype=np.int8).copy()
+            log = RunLog(t, *series, _per_tick(buf_phase, n), _per_tick(buf_c, n), disturbed,
+                         metrics, False, self.safety_stopped)
+            log.success = success_check(task, log)
+            log.metrics["success"] = log.success
+            if final:
+                self.final_log = log
         if not np.isfinite(log.x_r).all():
             raise NonFiniteState("episode produced a non-finite trajectory")
         return log
@@ -374,6 +388,27 @@ class _Episode:
 # One tick's float log values: x_r, v_r, f_ext, f_cmd and the stiffness
 # eigenvalues, three each, in RunLog's field order.
 _RECORD = struct.Struct("15d")
+
+
+def _take_series(records: bytearray, n: int) -> list:
+    """The five C-contiguous (n, 3) series of n tick records, cut off the
+    buffer as they are copied, from the end.
+
+    A bytearray gives memory back only when cut below half its allocation, so
+    each pass takes the upper half of the rows left: the buffer and the
+    series are never held whole at the same time.
+    """
+    series = [np.empty((n, 3)) for _ in range(5)]
+    hi = n
+    while hi:
+        lo = hi // 2
+        rows = np.frombuffer(records, np.float64, (hi - lo) * 15, lo * _RECORD.size)
+        for i, out in enumerate(series):
+            out[lo:hi] = rows.reshape(-1, 5, 3)[:, i]
+        del rows  # the buffer cannot be resized while an array views it
+        del records[lo * _RECORD.size:]
+        hi = lo
+    return series
 
 
 def _per_tick(steps: array, n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ prediction noise, and scores predictions with the weighted L1 training loss
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ def _perturb_normal(n, rng: np.random.Generator, cone_std: float) -> tuple:
     return _normalize(quat_rotate(q, n))
 
 
-def predict(t0: int, demo: list[SupervisionTuple], noise: NoiseSpec,
+def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec,
             horizon: int = DEFAULT_HORIZON) -> tuple:
     """The next `horizon` supervision tuples from policy step t0 of the demo,
     perturbed, as a tuple (the action chunk).

@@ -23,6 +23,7 @@ from .environments import (
 from .expert import (
     ZERO_NORMAL,
     PhaseLabel,
+    SupervisionRecords,
     extract_supervision,
     plan_articulated,
     plan_free_motion,
@@ -64,7 +65,7 @@ class Demo:
     task: str
     poses: list
     phases: list  # one PhaseLabel per pose
-    tuples: list
+    tuples: SupervisionRecords  # one per pose but the last
 
     def __len__(self):
         return len(self.tuples)

@@ -19,6 +19,10 @@ horizon, and a fixed order of operations makes every lane bit-identical to
 integrating it alone. `run_default_verification` integrates all three
 propositions as one table; `verify_prop1_grid`, `verify_prop2` and
 `verify_prop3_grid` each integrate their own lanes through the same kernel.
+Each proposition's judge takes its lanes' rows a chunk of steps at a time and
+keeps per lane only the maxima, `all`s and final values its reports need, so
+the memory the verifier uses does not grow with the horizon; the reports equal
+those of judging each whole trajectory at once, bit for bit.
 
 The equivalence check instead mirrors the controller's semi-implicit scheme
 step for step, because its purpose is the algebraic identity between the full
@@ -52,7 +56,7 @@ EQUIV_TOL = 1e-9      # m per step, pipeline vs reduced law
 
 
 def _libm(fn, x):
-    """The math function fn at a float, or at each value of a 1-d array.
+    """The math function fn at a float, or at each value of an array.
 
     Every value comes from libm, as a Python float would, and not from the
     array loop numpy dispatches to on the host's CPU, which may round
@@ -60,7 +64,7 @@ def _libm(fn, x):
     """
     if isinstance(x, float):
         return fn(x)
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,16 @@ class VerificationReport:
     passed: bool
 
 
+# A lane takes at most this many steps, the int32 range: a boundary of the
+# interface, not of the host, since the judges take the rows in chunks and the
+# verifier's memory does not grow with the horizon.
+MAX_LANE_STEPS = 2 ** 31 - 1
+
+# Rows of every lane held between judge calls. 1024 rows of the default run's
+# 81 lanes take 1.3 MB.
+JUDGE_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class _Lanes:
     """One proposition's rows of the lane table, one lane per grid point.
@@ -152,9 +166,18 @@ class _Lanes:
     v0: list
     moving: XeProfile | None = None
 
+    def params(self, idx: np.ndarray) -> tuple:
+        """(m, d, k_e, f_H) of the lanes idx, as (lanes, 1) columns against a
+        judge's (lanes, rows) blocks: numpy rounds each value's arithmetic as
+        Python does a float's."""
+        return tuple(np.array(getattr(self, name))[idx, None]
+                     for name in ("m", "d", "k_e", "f_H"))
 
-def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Classical RK4 over every lane of every table, in one lockstep loop.
+
+def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport]:
+    """Classical RK4 over the lanes of every proposition, in one lockstep loop,
+    each proposition's judge taking its lanes' rows a chunk at a time; the
+    reports of every proposition, in order.
 
     Each lane integrates x' = v, v' = a with the one law
 
@@ -173,18 +196,28 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
     (v_j, a_j) are overlapping (2, lanes) views, and each stage update
     Y_j = Y_1 + h F_{j-1} is one multiply and one add. A moving rest point is
     evaluated at t + dt/2 (shared by stages 2 and 3) and at t + dt (stage 4,
-    and stage 1 of the next step). Each lane's (x, v) rows are written in
-    place, n + 1 of them; the result holds, per table and lane, views of
-    shape (n + 1,) of its positions and velocities. A table of rows that no
-    array can index, or that cannot be allocated, is a ValueError.
+    and stage 1 of the next step).
+
+    A lane's rows (x, v), n + 1 of them from its start state on, go to its
+    proposition's `feed(idx, lo, x, v)` `chunk` rows (default JUDGE_CHUNK) at
+    a time and in order: x and v are C-contiguous (lanes, rows) arrays of the
+    rows from `lo` of the proposition's lanes `idx`, which take the same rows.
+    Every chunk is checked for finiteness before any judge sees it
+    (NonFiniteState). A lane of more than MAX_LANE_STEPS steps is a
+    ValueError.
     """
+    chunk = JUDGE_CHUNK if chunk is None else chunk
+    tables = [prop.lanes for prop in props]
     lanes = sorted(((g, i) for g, tab in enumerate(tables) for i in range(len(tab.n))),
                    key=lambda gi: -tables[gi[0]].n[gi[1]])  # stable: equal counts stay grouped
+    ns = [tables[g].n[i] for g, i in lanes]
+    if ns and ns[0] > MAX_LANE_STEPS:
+        raise ValueError(f"the lane table needs {ns[0]} steps in one lane, more than the "
+                         f"{MAX_LANE_STEPS} a lane may take; shorten the horizons")
 
     def column(name):
         return np.array([getattr(tables[g], name)[i] for g, i in lanes], dtype=float)
 
-    ns = [tables[g].n[i] for g, i in lanes]
     dt = np.array([tables[g].dt for g, _ in lanes], dtype=float)
     h, w = 0.5 * dt, dt / 6.0
     m, k_e, f_H, x_e = column("m"), column("k_e"), column("f_H"), column("x_e")
@@ -199,31 +232,39 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
         m0, m1 = moving[0], moving[-1] + 1
         x_e[m0:m1] = mover.moving.value(0.0)
 
-    # Lane j's rows are hist[:, off_j : off_j + n_j + 1]; pos indexes the
-    # next row of every lane in the flat buffer (row 0: x, row 1: v).
-    rows = [n + 1 for n in ns]
-    total = sum(rows)
-    limit = np.iinfo(np.intp).max // 16  # rows of two float64s an array can index
-    if total > limit:
-        raise ValueError(f"the lane table needs more than {limit} rows, the most one "
-                         "array can index; shorten the horizons")
-    try:
-        hist = np.empty((2, total))
-    except MemoryError:
-        raise ValueError(f"the lane table needs {total} rows ({16 * total} bytes), more "
-                         "than can be allocated; shorten the horizons") from None
-    off = np.cumsum([0] + rows, dtype=np.intp)[:-1]
-    flat = hist.reshape(-1)
-    pos = np.stack([off, off + total])
+    # buf[:, j, r] is row g0 + r of lane j (row 0: the start state). Past its
+    # horizon a lane keeps rows already checked, or zeros.
+    buf = np.zeros((2, len(lanes), chunk))
+    own = [[(j, i) for j, (g, i) in enumerate(lanes) if g == gg] for gg in range(len(tables))]
+
+    def flush(g0, r):
+        live = sum(n >= g0 for n in ns)  # the lanes with rows from g0 on: a prefix
+        # NaN propagates through min and max, so this sees every non-finite row.
+        rows = buf[:, :live, :r]
+        if not (math.isfinite(rows.min(initial=0.0)) and math.isfinite(rows.max(initial=0.0))):
+            raise NonFiniteState("verifier integration diverged")
+        for prop, members in zip(props, own):
+            takes = {}  # rows taken -> (lanes in the sorted table, lanes of prop)
+            for j, i in members:
+                if j >= live:
+                    break
+                cols, idx = takes.setdefault(min(r, ns[j] + 1 - g0), ([], []))
+                cols.append(j)
+                idx.append(i)
+            for taken, (cols, idx) in takes.items():
+                prop.feed(np.array(idx), g0, buf[0, cols, :taken], buf[1, cols, :taken])
+        return g0 + r, 0
+
     state = np.stack([column("x0"), column("v0")])
-    flat[pos] = state
+    buf[:, :, 0] = state
+    g0, r = flush(0, 1) if chunk == 1 else (0, 1)
     # Per-lane step sizes, doubled to the (2, lanes) shape of a stage's slope.
     dt, h, w = (np.stack([c, c]) for c in (dt, h, w))
 
     sub, mul, add, div = np.subtract, np.multiply, np.add, np.divide
     t = 0.0
     done = 0
-    # A diverging lane is reported once, by the finiteness check below.
+    # A diverging lane is reported once, by the finiteness check of flush.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(lanes), 0, -1):
             stop = ns[k - 1]  # the prefix of k lanes all run up to here
@@ -239,8 +280,7 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
             F1, F2, F3, F4 = S[:, 1:3]
             T1, T2 = np.empty((2, 2, k))
             q = np.empty(k)
-            P = pos[:, :k].copy()
-            I = np.ones_like(P)
+            rows = buf[:, :k]
             dtk, hk, wk = dt[:, :k].copy(), h[:, :k].copy(), w[:, :k].copy()
             mk, kk, fk, d2k, xk = m[:k], k_e[:k], f_H[:k], d2[:k], x_e[:k]
             xm = x_e[m0:m1] if moving and m0 < k else None
@@ -267,58 +307,80 @@ def _integrate(tables: list[_Lanes]) -> list[list[tuple[np.ndarray, np.ndarray]]
                 add(F2, F2, T1); add(F1, T1, T1)
                 add(F3, F3, T2); add(T1, T2, T1)
                 add(T1, F4, T1); mul(wk, T1, T1); add(Y1, T1, Y1)
-                add(P, I, P)
-                flat[P] = Y1
-            state, pos = Y1, P
+                rows[:, :, r] = Y1
+                r += 1
+                if r == chunk:
+                    g0, r = flush(g0, r)
+            state = Y1
             done = stop
-    # NaN propagates through min and max, so this sees every non-finite row.
-    if not (math.isfinite(hist.min(initial=0.0)) and math.isfinite(hist.max(initial=0.0))):
-        raise NonFiniteState("verifier integration diverged")
-    out = [[None] * len(tab.n) for tab in tables]
-    for j, (g, i) in enumerate(lanes):
-        span = slice(off[j], off[j] + rows[j])
-        out[g][i] = (hist[0, span], hist[1, span])
-    return out
+    if r:
+        flush(g0, r)
+    return [rep for prop in props for rep in prop.reports()]
 
 
-def _prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None, dt: float):
-    """Proposition 2's lanes (contact lost: k_e = 0) and the judge of their run."""
-    Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
-    for T_i in Ts:  # false for NaN; ceil(inf) would raise OverflowError
-        if not (0.0 < T_i < math.inf and math.ceil(T_i / dt) >= 1):
-            raise ValueError(f"proposition-2 horizon must be finite and at least one "
-                             f"step of {dt} s, got {T_i}")
-    ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
-    zeros = [0.0] * len(grid)
-    lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], zeros,
-                   [p.f_H for p in grid], zeros, zeros, [float(v0)] * len(grid))
+class _Prop2:
+    """Proposition 2's lanes (contact lost: k_e = 0) and their judge.
+
+    The judge keeps, per lane, the largest gap to the analytic solution, the
+    last velocity and the rows of the late-slope fit.
+    """
+
+    def __init__(self, grid: list[NormalDynamicsParams], v0: float, T: float | None,
+                 dt: float):
+        Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
+        for T_i in Ts:  # false for NaN; ceil(inf) would raise OverflowError
+            if not (0.0 < T_i < math.inf and math.ceil(T_i / dt) >= 1):
+                raise ValueError(f"proposition-2 horizon must be finite and at least one "
+                                 f"step of {dt} s, got {T_i}")
+        ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
+        zeros = [0.0] * len(grid)
+        self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], zeros,
+                            [p.f_H for p in grid], zeros, zeros, [float(v0)] * len(grid))
+        self.grid, self.Ts, self.v0 = grid, Ts, v0
+        self.v_inf = [-p.f_H / (2.0 * p.d) for p in grid]
+        # Late-time window, the last tenth and at least the last two samples.
+        self.tail_start = [min(int(0.9 * n), n - 1) for n in ns]
+        self.tails = [[] for _ in grid]
+        self.max_err = np.full(len(grid), -np.inf)
+        self.v_last = np.zeros(len(grid))
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def judge(run):
+    def feed(self, idx, lo, x, v):
+        dt = self.lanes.dt
+        hi = lo + x.shape[1]
+        t = np.arange(lo, hi) * dt
+        m, d, _, f_H = self.lanes.params(idx)
+        v_inf = -f_H / (2.0 * d)
+        analytic = v_inf + (self.v0 - v_inf) * _libm(math.exp, -2.0 * d * t / m)
+        self.max_err[idx] = np.maximum(self.max_err[idx], np.abs(v - analytic).max(axis=1))
+        self.v_last[idx] = v[:, -1]
+        for row, i in zip(x, idx.tolist()):
+            start = self.tail_start[i]
+            if start < hi:
+                self.tails[i].append(row[max(start - lo, 0):].copy())
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def reports(self) -> list[VerificationReport]:
+        dt, v0 = self.lanes.dt, self.v0
         reports = []
-        for p, T_i, n, (x, v) in zip(grid, Ts, ns, run):
-            t = np.arange(n + 1) * dt
-            v_inf = -p.f_H / (2.0 * p.d)
-            analytic = v_inf + (v0 - v_inf) * _libm(math.exp, -2.0 * p.d * t / p.m)
-            max_err = float(np.max(np.abs(v - analytic)))
-            # Late-time window, the last tenth and at least the last two
-            # samples: position slope equals the steady velocity (linear drive
-            # toward the environment).
-            tail = slice(min(int(0.9 * n), n - 1), n + 1)
-            slope = float(np.polyfit(t[tail], x[tail], 1)[0])
-            v_err = abs(v[-1] - v_inf)
+        for i, (p, T_i, n) in enumerate(zip(self.grid, self.Ts, self.lanes.n)):
+            v_inf, v_final = self.v_inf[i], self.v_last[i]
+            max_err = float(self.max_err[i])
+            # The position slope over the late window equals the steady velocity
+            # (linear drive toward the environment).
+            t_tail = np.arange(self.tail_start[i], n + 1) * dt
+            slope = float(np.polyfit(t_tail, np.concatenate(self.tails[i]), 1)[0])
+            v_err = abs(v_final - v_inf)
             passed = v_err < TOL_V and max_err < 1e-5 and abs(slope - v_inf) < 10 * TOL_V
             reports.append(VerificationReport(
                 "prop2",
                 {"m": p.m, "d": p.d, "f_H": p.f_H, "v0": v0, "T": T_i, "dt": dt},
-                {"v_final": float(v[-1]), "v_err": float(v_err), "analytic_max_err": max_err,
+                {"v_final": float(v_final), "v_err": float(v_err), "analytic_max_err": max_err,
                  "late_slope": slope},
                 {"tol_v": TOL_V, "analytic_tol": 1e-5},
                 bool(passed),
             ))
         return reports
-
-    return lanes, judge
 
 
 def verify_prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None = None,
@@ -331,8 +393,7 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None = 
     batch, each point up to its own horizon, and each point is judged on its
     own.
     """
-    lanes, judge = _prop2(grid, v0, T, dt)
-    return judge(_integrate([lanes])[0])
+    return _integrate([_Prop2(grid, v0, T, dt)])
 
 
 def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
@@ -403,44 +464,68 @@ def default_grid(ms=GRID_M, kes=GRID_KE, fhs=GRID_FH,
     return grid
 
 
-def _prop1(grid: list[NormalDynamicsParams], x0_offset: float, v0: float,
-           T: float | None, dt: float):
-    """Proposition 1's lanes and the judge of their run."""
-    if any(p.x_e.kind != "constant" for p in grid):
-        raise ValueError("proposition 1 requires a constant rest point")
-    eq = [p.x_e.base - p.f_H / p.k_e for p in grid]
-    Ts = [20.0 * p.time_constant() if T is None else float(T) for p in grid]
-    ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
-    lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], [p.k_e for p in grid],
-                   [p.f_H for p in grid], [p.x_e.base for p in grid],
-                   [e + x0_offset for e in eq], [float(v0)] * len(grid))
+class _Prop1:
+    """Proposition 1's lanes and their judge.
+
+    The judge keeps, per lane, the Lyapunov reference V[0], the last V (for
+    the difference across a chunk edge), whether V has decreased so far and
+    the last position.
+    """
+
+    def __init__(self, grid: list[NormalDynamicsParams], x0_offset: float, v0: float,
+                 T: float | None, dt: float):
+        if any(p.x_e.kind != "constant" for p in grid):
+            raise ValueError("proposition 1 requires a constant rest point")
+        eq = [p.x_e.base - p.f_H / p.k_e for p in grid]
+        Ts = [20.0 * p.time_constant() if T is None else float(T) for p in grid]
+        ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
+        self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid],
+                            [p.k_e for p in grid], [p.f_H for p in grid],
+                            [p.x_e.base for p in grid], [e + x0_offset for e in eq],
+                            [float(v0)] * len(grid))
+        self.grid, self.Ts, self.eq = grid, Ts, eq
+        self.v_ref = np.zeros(len(grid))
+        self.V_last = np.zeros(len(grid))
+        self.lyap_ok = np.ones(len(grid), dtype=bool)
+        self.x_last = np.zeros(len(grid))
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def judge(run):
+    def feed(self, idx, lo, x, v):
+        m, _, k_e, _ = self.lanes.params(idx)
+        e = x - np.array(self.eq)[idx, None]
+        V = 0.5 * m * v ** 2 + 0.5 * k_e * e ** 2
+        if lo == 0:
+            self.v_ref[idx] = np.maximum(V[:, 0], 1e-12)
+        else:
+            V = np.concatenate([self.V_last[idx, None], V], axis=1)
+        # V may not rise from a sample outside the slack band.
+        slack = LYAP_SLACK * self.v_ref[idx, None]
+        rises = (V[:, :-1] > slack) & ~(np.diff(V, axis=1) <= slack)
+        self.lyap_ok[idx] &= ~rises.any(axis=1)
+        self.V_last[idx] = V[:, -1]
+        self.x_last[idx] = x[:, -1]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def reports(self) -> list[VerificationReport]:
+        dt = self.lanes.dt
         reports = []
-        for p, T_i, eq_i, (x, v) in zip(grid, Ts, eq, run):
-            e = x - eq_i
-            V = 0.5 * p.m * v ** 2 + 0.5 * p.k_e * e ** 2
-            v_ref = max(V[0], 1e-12)
-            dV = np.diff(V)
-            outside = V[:-1] > LYAP_SLACK * v_ref
-            lyap_ok = bool(np.all(dV[outside] <= LYAP_SLACK * v_ref))
-            f_final = p.k_e * (p.x_e.base - x[-1])
-            x_err = abs(float(x[-1]) - eq_i)
+        for i, (p, T_i, eq_i) in enumerate(zip(self.grid, self.Ts, self.eq)):
+            x_final = self.x_last[i]
+            lyap_ok = bool(self.lyap_ok[i])
+            f_final = p.k_e * (p.x_e.base - x_final)
+            x_err = abs(float(x_final) - eq_i)
             f_err = abs(f_final - p.f_H)
             tol_f = max(TOL_F_REL * p.f_H, 1e-6)  # absolute floor for the f_H = 0 case
             passed = x_err < TOL_X and f_err <= tol_f and lyap_ok
             reports.append(VerificationReport(
                 "prop1",
                 {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "T": T_i, "dt": dt},
-                {"x_final": float(x[-1]), "x_err": float(x_err), "f_final": float(f_final),
+                {"x_final": float(x_final), "x_err": float(x_err), "f_final": float(f_final),
                  "f_err": float(f_err), "lyapunov_monotone": lyap_ok},
                 {"tol_x": TOL_X, "tol_f": tol_f, "lyap_slack": LYAP_SLACK},
                 bool(passed),
             ))
         return reports
-
-    return lanes, judge
 
 
 def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
@@ -453,52 +538,91 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
     for T (default: 20 of its own time constants); the grid is integrated as
     one batch, each point up to its own horizon.
     """
-    lanes, judge = _prop1(default_grid() if grid is None else grid, x0_offset, v0, T, dt)
-    return judge(_integrate([lanes])[0])
+    grid = default_grid() if grid is None else grid
+    return _integrate([_Prop1(grid, x0_offset, v0, T, dt)])
 
 
-def _prop3(grid: list[NormalDynamicsParams], amplitude: float, omega: float, T: float,
-           dt: float):
-    """Proposition 3's lanes (one shared sinusoidal rest point) and their judge."""
-    # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
-    n = int(math.ceil(T / dt)) if 0.0 < T < math.inf else 0  # false for NaN
-    if n < 4:
-        raise ValueError(f"proposition 3 duration T must be finite, > 0 and span at least "
-                         f"4 steps of {dt} s, got {T}")
-    prof = XeProfile("sinusoid", base=0.0, amplitude=amplitude, omega=omega)
-    zeros = [0.0] * len(grid)
-    lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],
-                   [p.k_e for p in grid], [p.f_H for p in grid], zeros,
-                   [-p.f_H / p.k_e for p in grid], zeros, moving=prof)
+class _Prop3:
+    """Proposition 3's lanes (one shared sinusoidal rest point) and their judge.
+
+    The judge keeps, per lane, the maxima of the error, of the steady-state
+    error, of |rhs| and of V' - rhs, the largest V' where the velocity error
+    dominates, and the last four samples of V, e' and u, over which the
+    Lyapunov-rate stencil continues into the next chunk.
+    """
+
+    def __init__(self, grid: list[NormalDynamicsParams], amplitude: float, omega: float,
+                 T: float, dt: float):
+        # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
+        n = int(math.ceil(T / dt)) if 0.0 < T < math.inf else 0  # false for NaN
+        if n < 4:
+            raise ValueError(f"proposition 3 duration T must be finite, > 0 and span at least "
+                             f"4 steps of {dt} s, got {T}")
+        self.prof = XeProfile("sinusoid", base=0.0, amplitude=amplitude, omega=omega)
+        zeros = [0.0] * len(grid)
+        self.lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],
+                            [p.k_e for p in grid], [p.f_H for p in grid], zeros,
+                            [-p.f_H / p.k_e for p in grid], zeros, moving=self.prof)
+        self.grid, self.amplitude, self.omega, self.T = grid, amplitude, omega, T
+        L = len(grid)
+        self.sup_e, self.sup_e_ss = np.full(L, -np.inf), np.full(L, -np.inf)
+        self.rhs_max, self.resid_max = np.full(L, -np.inf), np.full(L, -np.inf)
+        self.dominated, self.dominated_max = np.zeros(L, dtype=bool), np.full(L, -np.inf)
+        self.tail = np.zeros((3, L, 4))  # the last four samples of V, e' and u
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def judge(run):
-        t = np.arange(n + 1) * dt
+    def feed(self, idx, lo, x, v):
+        n, dt, prof = self.lanes.n[0], self.lanes.dt, self.prof
+        hi = lo + x.shape[1]
+        t = np.arange(lo, hi) * dt
         # The rest-point profile is shared by every point.
         x_e, v_e, a_e = prof.value(t), prof.vel(t), prof.acc(t)
+        m, d, k_e, f_H = self.lanes.params(idx)
+        e = x - (x_e - f_H / k_e)
+        edot = v - v_e
+        u = -(m * a_e + 2.0 * d * v_e)
+        abs_e = np.abs(e)
+        self.sup_e[idx] = np.maximum(self.sup_e[idx], abs_e.max(axis=1))
+        # Steady-state error: the second half, long after the transients.
+        if n // 2 < hi:
+            steady = abs_e[:, max(n // 2 - lo, 0):].max(axis=1)
+            self.sup_e_ss[idx] = np.maximum(self.sup_e_ss[idx], steady)
+        V = 0.5 * m * edot ** 2 + 0.5 * k_e * e ** 2
+        # The window of the stencil: the samples of the chunk after the (up
+        # to) four before it.
+        before, after = min(lo, 4), min(hi, 4)
+        V, edot, u = (np.concatenate([tail[idx, 4 - before:], rows], axis=1)
+                      for tail, rows in zip(self.tail, (V, edot, u)))
+        for tail, rows in zip(self.tail, (V, edot, u)):
+            tail[idx, 4 - after:] = rows[:, -after:]
+        if V.shape[1] < 5:
+            return
+        # Sampled Lyapunov rate via 4th-order central differences.
+        Vdot = (V[:, :-4] - 8.0 * V[:, 1:-3] + 8.0 * V[:, 3:-1] - V[:, 4:]) / (12.0 * dt)
+        edot, u = edot[:, 2:-2], u[:, 2:-2]
+        rhs = -d * edot ** 2 + u ** 2 / (4.0 * d)
+        self.rhs_max[idx] = np.maximum(self.rhs_max[idx], np.abs(rhs).max(axis=1))
+        self.resid_max[idx] = np.maximum(self.resid_max[idx], (Vdot - rhs).max(axis=1))
+        # Negative rate whenever the velocity error dominates the disturbance.
+        dominate = np.abs(edot) >= np.abs(u) / (2.0 * d)
+        self.dominated[idx] |= dominate.any(axis=1)
+        dominated_max = Vdot.max(axis=1, where=dominate, initial=-np.inf)
+        self.dominated_max[idx] = np.maximum(self.dominated_max[idx], dominated_max)
+
+    def reports(self) -> list[VerificationReport]:
+        amplitude, omega, T, dt = self.amplitude, self.omega, self.T, self.lanes.dt
         reports = []
-        for p, (x, v) in zip(grid, run):
-            e = x - (x_e - p.f_H / p.k_e)
-            edot = v - v_e
-            u = -(p.m * a_e + 2.0 * p.d * v_e)
+        for i, p in enumerate(self.grid):
             sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
             # Operational bound: forced amplitude from the frequency response plus
             # the free response from the initial velocity mismatch, with headroom.
             H = 1.0 / math.sqrt((p.k_e - p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
             bound = 2.0 * (H * sup_u + amplitude * omega * math.sqrt(p.m / p.k_e))
-            # Sampled Lyapunov rate via 4th-order central differences.
-            V = 0.5 * p.m * edot ** 2 + 0.5 * p.k_e * e ** 2
-            Vdot = (V[:-4] - 8.0 * V[1:-3] + 8.0 * V[3:-1] - V[4:]) / (12.0 * dt)
-            mid = slice(2, len(V) - 2)
-            rhs = -p.d * edot[mid] ** 2 + u[mid] ** 2 / (4.0 * p.d)
-            p_ref = float(np.max(np.abs(rhs))) + 1e-12
-            ineq_resid = float(np.max(Vdot - rhs))
-            # Negative rate whenever the velocity error dominates the disturbance.
-            dominate = np.abs(edot[mid]) >= np.abs(u[mid]) / (2.0 * p.d)
-            neg_ok = bool(np.all(Vdot[dominate] <= LYAP_SLACK * p_ref))
-            sup_e = float(np.max(np.abs(e)))
-            # Steady-state error: the second half, long after the transients.
-            sup_e_ss = float(np.max(np.abs(e[n // 2:])))
+            p_ref = float(self.rhs_max[i]) + 1e-12
+            ineq_resid = float(self.resid_max[i])
+            neg_ok = bool(not self.dominated[i] or self.dominated_max[i] <= LYAP_SLACK * p_ref)
+            sup_e = float(self.sup_e[i])
+            sup_e_ss = float(self.sup_e_ss[i])
             passed = sup_e <= bound and ineq_resid <= LYAP_SLACK * p_ref and neg_ok
             reports.append(VerificationReport(
                 "prop3",
@@ -511,8 +635,6 @@ def _prop3(grid: list[NormalDynamicsParams], amplitude: float, omega: float, T: 
             ))
         return reports
 
-    return lanes, judge
-
 
 def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
                       amplitude: float = 0.005, omega: float = 2.0 * math.pi,
@@ -524,12 +646,11 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     Every point starts at rest at the equilibrium of the t = 0 rest point and
     shares the sinusoid; the grid is integrated as one batch. The error states
     are relative to the moving rest point, so they do not depend on its base,
-    and every point is integrated around base 0. T must be finite, span at
-    least four steps of dt and give a lane table that fits in memory
-    (ValueError otherwise).
+    and every point is integrated around base 0. T must be finite and span at
+    least four steps of dt, and at most MAX_LANE_STEPS (ValueError otherwise).
     """
-    lanes, judge = _prop3(default_grid() if grid is None else grid, amplitude, omega, T, dt)
-    return judge(_integrate([lanes])[0])
+    grid = default_grid() if grid is None else grid
+    return _integrate([_Prop3(grid, amplitude, omega, T, dt)])
 
 
 def run_default_verification(prop3_T: float = 60.0,
@@ -543,11 +664,9 @@ def run_default_verification(prop3_T: float = 60.0,
     if grid is None:
         grid = default_grid()
     # Each proposition with the defaults of its public function.
-    props = [_prop1(grid, x0_offset=0.02, v0=0.0, T=None, dt=5e-4),
-             _prop2(grid, v0=0.05, T=None, dt=1e-4),
-             _prop3(grid, amplitude=0.005, omega=2.0 * math.pi, T=prop3_T, dt=1e-3)]
-    runs = _integrate([lanes for lanes, _ in props])
-    reports = [rep for (_, judge), run in zip(props, runs) for rep in judge(run)]
+    reports = _integrate([_Prop1(grid, x0_offset=0.02, v0=0.0, T=None, dt=5e-4),
+                    _Prop2(grid, v0=0.05, T=None, dt=1e-4),
+                    _Prop3(grid, amplitude=0.005, omega=2.0 * math.pi, T=prop3_T, dt=1e-3)])
     for p in grid:
         cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
                                damping_ratio=DAMPING_RATIO, target_force=p.f_H,

@@ -18,7 +18,7 @@ from admitsim.datasets import (
     write_trace,
 )
 from admitsim.errors import ConfigParse, IoFailure
-from admitsim.expert import SupervisionTuple
+from admitsim.expert import SupervisionRecords, SupervisionTuple
 from admitsim.harness import RunLog, ScenarioConfig, run_episode
 from admitsim.tasks import TASKS, build_environment, generate_demo
 
@@ -114,6 +114,19 @@ class TestDataset:
         write_dataset(path, Dataset(task, 16, eps))
         for ep in read_dataset(path).episodes:
             assert_record_block(ep)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_records_write_the_bytes_of_their_tuples(self, tmp_path, task):
+        eps = [generate_demo(task, build_environment(task, np.random.default_rng(i))).tuples
+               for i in range(3)]
+        assert all(isinstance(ep, SupervisionRecords) for ep in eps)
+        blocks, lists = str(tmp_path / "blocks.bin"), str(tmp_path / "lists.bin")
+        write_dataset(blocks, Dataset(task, 16, eps))
+        write_dataset(lists, Dataset(task, 16, [list(ep) for ep in eps]))
+        assert pathlib.Path(blocks).read_bytes() == pathlib.Path(lists).read_bytes()
+        back = read_dataset(blocks).episodes
+        assert all(isinstance(ep, SupervisionRecords) for ep in back)
+        assert [ep.block.tobytes() for ep in back] == [ep.block.tobytes() for ep in eps]
 
     def test_trailing_bytes_are_io_failure(self, tmp_path):
         path = tmp_path / "demo.bin"

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from admitsim.environments import HingedDoor, HoleFixture, PlaneBoard, update_ink
 from admitsim.errors import (
+    DegenerateInput,
     EmptySchedule,
     LengthMismatch,
     NoContactManifold,
@@ -14,6 +17,9 @@ from admitsim.errors import (
 )
 from admitsim.expert import (
     PhaseLabel,
+    SupervisionRecords,
+    SupervisionTuple,
+    _rot6d_columns,
     extract_supervision,
     manifold_normal,
     plan_articulated,
@@ -21,7 +27,8 @@ from admitsim.expert import (
     plan_insertion,
     plan_wiping,
 )
-from admitsim.geometry import Pose
+from admitsim.geometry import Pose, pose10_encode, rot6d_encode
+from admitsim.policy import NoiseSpec, predict
 from admitsim.tasks import build_environment, generate_demo
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -265,3 +272,70 @@ class TestDemoInvariants:
             for p in contact:
                 radii.append(radius(p.position, env.hinge_pivot, env.hinge_axis))
             assert max(radii) - min(radii) < 1e-9
+
+
+def _tuple_bytes(tup) -> bytes:
+    """A supervision tuple's fields as bytes, the contact's Python type included."""
+    return (tup.pose10.tobytes() + tup.normal.tobytes()
+            + f"{type(tup.contact).__name__}:{tup.contact}".encode())
+
+
+class TestSupervisionRecords:
+    """A demo's supervision is its (n, 14) record block, viewed row by row."""
+
+    @pytest.mark.parametrize("task", ["MO", "PH", "WW", "DO"])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_each_pose10_is_pose10_encode_of_the_next_pose(self, task, seed):
+        # The 6D rotations are built columnwise; each row must be the
+        # per-pose encoding bit for bit.
+        demo = generate_demo(task, build_environment(task, np.random.default_rng(seed)))
+        assert len(demo.tuples) == len(demo.poses) - 1
+        for t, tup in enumerate(demo.tuples):
+            want = np.array(pose10_encode(demo.poses[t + 1], tup.pose10[9]))
+            assert tup.pose10.tobytes() == want.tobytes(), t
+
+    @given(st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 4), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_rot6d_columns_equal_rot6d_encode(self, quats):
+        quats = [q for q in quats if math.sqrt(sum(c * c for c in q)) >= 1e-12]
+        if not quats:
+            return
+        got = _rot6d_columns(np.array(quats))
+        want = np.array([rot6d_encode(q) for q in quats])
+        assert got.tobytes() == want.tobytes()
+
+    def test_rot6d_columns_reject_a_zero_quaternion(self):
+        with pytest.raises(DegenerateInput, match="zero quaternion"):
+            _rot6d_columns(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("task", ["MO", "PH", "WW", "DO"])
+    def test_indexing_slicing_and_iteration_give_the_same_row_views(self, task):
+        records = generate_demo(task, build_environment(task, np.random.default_rng(4))).tuples
+        assert isinstance(records, SupervisionRecords)
+        n = len(records)
+        listed = list(records)
+        assert len(listed) == n
+        for i in range(-n, n):
+            tup = records[i]
+            assert isinstance(tup, SupervisionTuple)
+            assert _tuple_bytes(tup) == _tuple_bytes(listed[i])
+            assert np.shares_memory(tup.pose10, records.block[i])
+        for sl in (slice(2, 7), slice(None, None, 2), slice(-4, None), slice(5, 2),
+                   slice(None, None, -3)):
+            part = records[sl]
+            assert isinstance(part, SupervisionRecords)
+            assert [_tuple_bytes(t) for t in part] == [_tuple_bytes(t) for t in listed[sl]]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[i]
+
+    @pytest.mark.parametrize("task", ["PH", "WW"])
+    def test_predict_chunks_equal_those_of_a_list_of_tuples(self, task):
+        records = generate_demo(task, build_environment(task, np.random.default_rng(5))).tuples
+        listed = list(records)
+        noise = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
+                          contact_flip_prob=0.2, seed=9)
+        for t0 in range(0, len(records), 7):
+            got = predict(t0, records, noise)
+            want = predict(t0, listed, noise)
+            assert [_tuple_bytes(t) for t in got] == [_tuple_bytes(t) for t in want]

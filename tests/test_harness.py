@@ -240,6 +240,27 @@ class TestRunEpisode:
         assert series_digest(ep.log()) == series_digest(run_episode(cfg))
         assert early.n_ticks == 1500
 
+    def test_the_log_of_an_episode_that_cannot_advance_is_taken_once(self):
+        cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE)
+        ep = harness._Episode(cfg)
+        ep.advance(ep.max_ticks)
+        log = ep.log()
+        assert len(ep.records) == 0  # the series were moved out of the tick records
+        assert ep.log() is log
+        ep.advance(ep.max_ticks)
+        assert ep.log() is log
+        assert series_digest(log) == series_digest(run_episode(cfg))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 1001])
+    def test_take_series_equals_copies_of_the_records(self, n):
+        values = np.arange(15 * n, dtype=float).reshape(n, 15) - 0.5
+        records = bytearray(values.tobytes())
+        series = harness._take_series(records, n)
+        assert len(records) == 0
+        for i, got in enumerate(series):
+            assert got.flags.c_contiguous and got.shape == (n, 3)
+            assert got.tobytes() == values[:, 3 * i:3 * i + 3].copy().tobytes()
+
     def test_disturbance_flag_logged(self):
         cfg = ScenarioConfig(task="WW", duration=8.0, seed=3,
                              disturbances=default_disturbance("WW"))

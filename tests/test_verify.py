@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -314,3 +315,59 @@ def test_default_grid_axes_and_damping():
 def test_params_validation(m, d, k_e, f_H):
     with pytest.raises(ValueError):
         NormalDynamicsParams(m, d, k_e, f_H)
+
+
+class TestChunkedJudges:
+    """The judges take each lane's rows a chunk at a time; the reports do not
+    depend on the chunk size."""
+
+    GRID = TestOneBatch.GRID
+
+    def props(self):
+        # Short, ragged horizons: proposition 1 runs 100, 676 and 200 steps,
+        # proposition 2 250, 354 and 500, and proposition 3 200 each.
+        grid = self.GRID
+        return [verify._Prop1(grid, x0_offset=0.02, v0=0.0, T=None, dt=5e-3),
+                verify._Prop2(grid, v0=0.05, T=None, dt=1e-3),
+                verify._Prop3(grid, amplitude=0.005, omega=2.0 * math.pi, T=0.2, dt=1e-3)]
+
+    @staticmethod
+    def as_data(reports):
+        return [(r.proposition, r.params, r.measured, r.tolerances, r.passed) for r in reports]
+
+    def test_reports_equal_at_every_chunk_size(self):
+        props = self.props()
+        longest = max(n for prop in props for n in prop.lanes.n)
+        assert longest == 676
+        whole = self.as_data(verify._integrate(self.props(), chunk=longest + 1))
+        assert len(whole) == 9
+        for chunk in (1, 2, 3, 4, 5, 6, 7, 101):
+            assert self.as_data(verify._integrate(self.props(), chunk=chunk)) == whole, chunk
+        assert self.as_data(verify._integrate(self.props())) == whole
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1024])
+    def test_divergence_is_found_at_every_chunk_size(self, chunk):
+        stiff = NormalDynamicsParams(0.001, compute_damping(0.001, 50.0, 2.0), 1e9, 4.0)
+        prop3 = verify._Prop3([params(), stiff], 0.005, 2.0 * math.pi, 0.5, 1e-3)
+        with pytest.raises(NonFiniteState, match="verifier integration diverged"):
+            verify._integrate([prop3], chunk=chunk)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # Holding every row, 20 s took 3.6 times the memory of 5 s.
+        def peak(prop3_T):
+            tracemalloc.start()
+            try:
+                run_default_verification(prop3_T=prop3_T, grid=[params()])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20.0) <= 1.2 * peak(5.0)
+
+    def test_a_lane_longer_than_the_cap_is_refused_before_it_runs(self):
+        over = (verify.MAX_LANE_STEPS + 1) * 1e-3
+        assert math.ceil(over / 1e-3) > verify.MAX_LANE_STEPS
+        with pytest.raises(ValueError, match="the lane table needs .* steps in one lane"):
+            verify_prop3_grid([params()], T=over)
+        with pytest.raises(ValueError, match="the lane table needs"):
+            verify_prop1_grid([params()], T=over, dt=1e-3)
