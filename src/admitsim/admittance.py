@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
 
-from .errors import NonFiniteState, NonPositiveParameter
+from .errors import NonFiniteState, NonPositiveParameter, check_range
 from .geometry import Pose, dot3, sq_norm, tangent_or_none, vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
@@ -29,10 +29,9 @@ _ZERO3 = (0.0, 0.0, 0.0)
 
 def compute_damping(mass: float, stiffness: float, damping_ratio: float) -> float:
     """Over-damped gain d = 2*xi*sqrt(m*k)."""
-    if mass <= 0.0 or stiffness <= 0.0 or damping_ratio <= 0.0:
-        raise NonPositiveParameter(
-            f"mass, stiffness, damping_ratio must be > 0 (got {mass}, {stiffness}, {damping_ratio})"
-        )
+    check_range("mass", mass, error=NonPositiveParameter)
+    check_range("stiffness", stiffness, error=NonPositiveParameter)
+    check_range("damping_ratio", damping_ratio, error=NonPositiveParameter)
     return 2.0 * damping_ratio * math.sqrt(mass * stiffness)
 
 
@@ -58,20 +57,13 @@ class AdmittanceConfig:
     force_deadband: float = 2.0
 
     def __post_init__(self):
-        # Written so that NaN fails each test: every comparison with NaN is false.
-        for name in ("mass", "stiffness", "damping_ratio"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise NonPositiveParameter(f"{name} must be finite and > 0, got {value}")
-        if not 1.0 <= self.tangent_scale < math.inf:
-            raise ValueError(f"tangent_scale must be finite and >= 1, got {self.tangent_scale}")
-        for name in ("target_force", "force_deadband"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         k = self.stiffness
-        k_t = self.tangent_scale * k
+        # compute_damping checks the mass, the stiffness and the damping ratio.
         object.__setattr__(self, "damping", compute_damping(self.mass, k, self.damping_ratio))
+        check_range("tangent_scale", self.tangent_scale, low=1.0, closed=True)
+        check_range("target_force", self.target_force, closed=True)
+        check_range("force_deadband", self.force_deadband, closed=True)
+        k_t = self.tangent_scale * k
         object.__setattr__(self, "tangent_damping",
                            compute_damping(self.mass, k_t, self.damping_ratio))
         # The two eigenvalue triples of K_eff that controller_tick reports.

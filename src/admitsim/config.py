@@ -63,12 +63,12 @@ from __future__ import annotations
 
 import configparser
 import math
+from dataclasses import replace
 
 from .environments import DisturbanceEvent
 from .errors import ConfigParse, DegenerateInput, NonPositiveParameter
-from .harness import MODES, ScenarioConfig, default_disturbance
+from .harness import ENV_KEYS, ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
-from .tasks import TASKS
 
 # The keys of each section; any other key is a config error.
 _SCENARIO_KEYS = ("task", "mode", "duration", "seed", "wipe_passes")
@@ -78,12 +78,13 @@ _ADMITTANCE_KEYS = (
     "mass", "stiffness", "damping_ratio", "tangent_scale", "target_force", "force_deadband",
 )
 _NOISE_KEYS = ("pos_std", "rot_std", "normal_cone_std", "contact_flip_prob", "seed")
-_ENV_KEYS = ("k_e", "latch_force")
+_ENV_KEYS = ENV_KEYS
 _SAFETY_KEYS = ("limit", "debounce")
 _DISTURBANCE_KEYS = ("kind", "start", "duration", "magnitude", "direction", "ramp", "omega")
 
 
-def _read(path: str) -> configparser.ConfigParser:
+def _read(path: str, section: str, keys) -> configparser.ConfigParser:
+    """The parsed file, which must have section, with only keys in it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -92,6 +93,9 @@ def _read(path: str) -> configparser.ConfigParser:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigParse(f"{path}: {exc}") from exc
+    if not parser.has_section(section):
+        raise ConfigParse(f"{path}: missing [{section}] section")
+    _check_keys(parser, section, keys, path)
     return parser
 
 
@@ -115,48 +119,39 @@ def _get_int(parser, section: str, key: str, path: str, **fallback) -> int:
         raise ConfigParse(f"{path}: [{section}] {key} is not an integer") from exc
 
 
-def _scenario(path: str, **kwargs) -> ScenarioConfig:
-    """ScenarioConfig(**kwargs), its validation errors reported as ConfigParse."""
+def _scenario(path: str, base: ScenarioConfig | None = None, **kwargs) -> ScenarioConfig:
+    """ScenarioConfig(**kwargs), or base with kwargs replaced, its validation
+    errors reported as ConfigParse."""
     try:
-        return ScenarioConfig(**kwargs)
+        return ScenarioConfig(**kwargs) if base is None else replace(base, **kwargs)
     except (ValueError, NonPositiveParameter) as exc:
         raise ConfigParse(f"{path}: {exc}") from exc
 
 
-def _noise_from(parser, path: str) -> NoiseSpec:
-    if not parser.has_section("noise"):
-        return NoiseSpec()
-    _check_keys(parser, "noise", _NOISE_KEYS, path)
-    kwargs = {}
-    for key in ("pos_std", "rot_std", "normal_cone_std", "contact_flip_prob"):
-        if parser.has_option("noise", key):
-            kwargs[key] = _get_float(parser, "noise", key, path)
-    if parser.has_option("noise", "seed"):
-        kwargs["seed"] = _get_int(parser, "noise", "seed", path)
+def _floats_from(parser, section: str, keys, path: str) -> dict:
+    """The section's keys read as floats (none when it is absent)."""
+    if not parser.has_section(section):
+        return {}
+    _check_keys(parser, section, keys, path)
+    return {key: _get_float(parser, section, key, path) for key in parser.options(section)}
+
+
+def _shared_sections(parser, path: str) -> dict:
+    """The ScenarioConfig keyword arguments of the sections scenario and suite
+    files share: [noise], [admittance], [environment], [safety] and
+    [disturbance.*]."""
+    noise = _floats_from(parser, "noise", _NOISE_KEYS, path)
+    if "seed" in noise:
+        noise["seed"] = _get_int(parser, "noise", "seed", path)
     try:
-        return NoiseSpec(**kwargs)
+        noise = NoiseSpec(**noise)
     except ValueError as exc:
         raise ConfigParse(f"{path}: [noise] {exc}") from exc
-
-
-def _overrides_from(parser, section: str, keys, path: str) -> dict:
-    out = {}
-    if parser.has_section(section):
-        _check_keys(parser, section, keys, path)
-        for key in parser.options(section):
-            out[key] = _get_float(parser, section, key, path)
-    return out
-
-
-def _safety_from(parser, path: str) -> dict:
-    """The ScenarioConfig keyword arguments of the [safety] section."""
-    out = {}
-    if parser.has_section("safety"):
-        _check_keys(parser, "safety", _SAFETY_KEYS, path)
-        for key, name in (("limit", "safety_limit"), ("debounce", "safety_debounce")):
-            if parser.has_option("safety", key):
-                out[name] = _get_float(parser, "safety", key, path)
-    return out
+    safety = _floats_from(parser, "safety", _SAFETY_KEYS, path)
+    return dict(noise=noise, disturbances=_disturbances_from(parser, path),
+                admittance_overrides=_floats_from(parser, "admittance", _ADMITTANCE_KEYS, path),
+                env_overrides=_floats_from(parser, "environment", _ENV_KEYS, path),
+                **{"safety_" + key: value for key, value in safety.items()})
 
 
 def _disturbances_from(parser, path: str) -> tuple:
@@ -193,29 +188,16 @@ def _disturbances_from(parser, path: str) -> tuple:
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
-    parser = _read(path)
-    if not parser.has_section("scenario"):
-        raise ConfigParse(f"{path}: missing [scenario] section")
-    _check_keys(parser, "scenario", _SCENARIO_KEYS, path)
-    task = parser.get("scenario", "task", fallback=None)
-    if task not in TASKS:
-        raise ConfigParse(f"{path}: [scenario] task must be one of {TASKS}, got {task!r}")
-    mode = parser.get("scenario", "mode", fallback="force_aware")
-    if mode not in MODES:
-        raise ConfigParse(f"{path}: [scenario] mode must be one of {MODES}, got {mode!r}")
-    kwargs = dict(
-        task=task,
-        mode=mode,
+    parser = _read(path, "scenario", _SCENARIO_KEYS)
+    return _scenario(
+        path,
+        task=parser.get("scenario", "task", fallback=None),
+        mode=parser.get("scenario", "mode", fallback="force_aware"),
         duration=_get_float(parser, "scenario", "duration", path, fallback=20.0),
         seed=_get_int(parser, "scenario", "seed", path, fallback=0),
         wipe_passes=_get_int(parser, "scenario", "wipe_passes", path, fallback=1),
-        noise=_noise_from(parser, path),
-        disturbances=_disturbances_from(parser, path),
-        admittance_overrides=_overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path),
-        env_overrides=_overrides_from(parser, "environment", _ENV_KEYS, path),
+        **_shared_sections(parser, path),
     )
-    kwargs.update(_safety_from(parser, path))
-    return _scenario(path, **kwargs)
 
 
 def parse_verify_params(path: str):
@@ -227,10 +209,7 @@ def parse_verify_params(path: str):
     """
     from .verify import GRID_FH, GRID_KE, GRID_M, default_grid
 
-    parser = _read(path)
-    if not parser.has_section("verify"):
-        raise ConfigParse(f"{path}: missing [verify] section")
-    _check_keys(parser, "verify", _VERIFY_KEYS, path)
+    parser = _read(path, "verify", _VERIFY_KEYS)
 
     def floats(key, default):
         if not parser.has_option("verify", key):
@@ -251,46 +230,29 @@ def parse_verify_params(path: str):
 
 
 def parse_suite(path: str) -> list[ScenarioConfig]:
-    """Expand a suite file into scenario configs (modes x seeds x conditions)."""
-    parser = _read(path)
-    if not parser.has_section("suite"):
-        raise ConfigParse(f"{path}: missing [suite] section")
-    _check_keys(parser, "suite", _SUITE_KEYS, path)
-    task = parser.get("suite", "task", fallback=None)
-    if task not in TASKS:
-        raise ConfigParse(f"{path}: [suite] task must be one of {TASKS}, got {task!r}")
+    """Expand a suite file into scenario configs (modes x conditions x seeds)."""
+    parser = _read(path, "suite", _SUITE_KEYS)
     modes = parser.get("suite", "modes", fallback="force_aware").split()
     if not modes:
         raise ConfigParse(f"{path}: [suite] modes has no values")
-    for m in modes:
-        if m not in MODES:
-            raise ConfigParse(f"{path}: [suite] unknown mode {m!r}")
     seeds = _get_int(parser, "suite", "seeds", path, fallback=5)
     if seeds < 1:
         raise ConfigParse(f"{path}: [suite] seeds must be >= 1, got {seeds}")
     base_seed = _get_int(parser, "suite", "base_seed", path, fallback=0)
-    duration = _get_float(parser, "suite", "duration", path, fallback=20.0)
     disturbed = parser.get("suite", "disturbed", fallback="none")
-    if disturbed not in ("none", "only", "both"):
+    conditions = {"none": (False,), "only": (True,), "both": (False, True)}.get(disturbed)
+    if conditions is None:
         raise ConfigParse(f"{path}: [suite] disturbed must be none|only|both")
-    wipe_passes = _get_int(parser, "suite", "wipe_passes", path, fallback=1)
-    noise = _noise_from(parser, path)
-    adm = _overrides_from(parser, "admittance", _ADMITTANCE_KEYS, path)
-    env = _overrides_from(parser, "environment", _ENV_KEYS, path)
-    safety = _safety_from(parser, path)
-    events = _disturbances_from(parser, path) or default_disturbance(task)
-    # The events must suit the task even when no run of the suite takes them.
-    _scenario(path, task=task, disturbances=events)
-
-    conditions = {"none": (False,), "only": (True,), "both": (False, True)}[disturbed]
-    cfgs = []
-    for mode in modes:
-        for with_dist in conditions:
-            for s in range(seeds):
-                cfgs.append(_scenario(
-                    path, task=task, mode=mode, duration=duration, seed=base_seed + s,
-                    noise=noise, disturbances=events if with_dist else (),
-                    admittance_overrides=adm, env_overrides=env,
-                    wipe_passes=wipe_passes, **safety,
-                ))
-    return cfgs
+    task = parser.get("suite", "task", fallback=None)
+    shared = _shared_sections(parser, path)
+    events = shared.pop("disturbances") or default_disturbance(task)
+    # The base carries the events, so they must suit the task even when no
+    # run of the suite takes them.
+    base = _scenario(
+        path, task=task, mode=modes[0], seed=base_seed, disturbances=events,
+        duration=_get_float(parser, "suite", "duration", path, fallback=20.0),
+        wipe_passes=_get_int(parser, "suite", "wipe_passes", path, fallback=1), **shared,
+    )
+    return [_scenario(path, base, mode=mode, seed=base_seed + s,
+                      disturbances=events if with_dist else ())
+            for mode in modes for with_dist in conditions for s in range(seeds)]

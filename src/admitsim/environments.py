@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WrongVariant
+from .errors import WrongVariant, check_range
 from .geometry import (
     _add,
     _cross,
@@ -42,21 +42,6 @@ COULOMB_V_EPS = 1e-4
 _ZERO3 = (0.0, 0.0, 0.0)
 
 
-def _check_params(obj, positive=(), non_negative=()):
-    """Reject attributes that are not finite and > 0, or finite and >= 0.
-
-    Written so that NaN fails each test: every comparison with NaN is false.
-    """
-    for name in positive:
-        value = getattr(obj, name)
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    for name in non_negative:
-        value = getattr(obj, name)
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 @dataclass
 class SpringContact:
     """Linear environment spring: rest point, stiffness, outward unit normal.
@@ -70,7 +55,7 @@ class SpringContact:
     surface_normal: tuple
 
     def __post_init__(self):
-        _check_params(self, positive=("k_e",))
+        check_range("k_e", self.k_e)
         self.rest_point = vec3(self.rest_point)
         n = vec3(self.surface_normal)
         self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
@@ -82,7 +67,8 @@ class FrictionModel:
     viscous_c: float = 0.0
 
     def __post_init__(self):
-        _check_params(self, non_negative=("coulomb_mu", "viscous_c"))
+        check_range("coulomb_mu", self.coulomb_mu, closed=True)
+        check_range("viscous_c", self.viscous_c, closed=True)
 
     def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
         """Resistance to the tangential velocity v_t (floats) of norm speed > 0.
@@ -362,8 +348,9 @@ class PlaneBoard(TaskEnvironment):
     f_min_wipe: float = 1.0  # wiping force gate (N)
 
     def __post_init__(self):
-        _check_params(self, positive=("eraser_half_x", "eraser_half_y"),
-                      non_negative=("f_min_wipe",))
+        check_range("eraser_half_x", self.eraser_half_x)
+        check_range("eraser_half_y", self.eraser_half_y)
+        check_range("f_min_wipe", self.f_min_wipe, closed=True)
         self.center = vec3(self.center)
         self.rotation = self._base_rotation = tuple(map(float, self.rotation))
         self.ink = InkGrid(self.extent[0], self.extent[1])
@@ -436,8 +423,10 @@ class HoleFixture(TaskEnvironment):
     def __post_init__(self):
         self.rim_center = vec3(self.rim_center)
         self.axis_up = _normalize(vec3(self.axis_up))
-        _check_params(self, positive=("depth", "hole_radius", "wall_stiffness", "k_e"),
-                      non_negative=("clearance", "chamfer"))
+        for name in ("depth", "hole_radius", "wall_stiffness", "k_e"):
+            check_range(name, getattr(self, name))
+        check_range("clearance", self.clearance, closed=True)
+        check_range("chamfer", self.chamfer, closed=True)
         self._base_rest = self.rim_center
 
     def bottom_center(self) -> tuple:
@@ -520,9 +509,10 @@ class HingedDoor(TaskEnvironment):
     grasp_tol: float = 0.03
 
     def __post_init__(self):
-        _check_params(self, positive=("handle_lever", "grasp_tol", "k_e"),
-                      non_negative=("latch_force", "handle_spring", "latch_threshold",
-                                    "release_angle"))
+        for name in ("handle_lever", "grasp_tol", "k_e"):
+            check_range(name, getattr(self, name))
+        for name in ("latch_force", "handle_spring", "latch_threshold", "release_angle"):
+            check_range(name, getattr(self, name), closed=True)
         self.hinge_pivot = vec3(self.hinge_pivot)
         self.hinge_axis = _normalize(vec3(self.hinge_axis))
         self.grasp0 = vec3(self.grasp0)

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the range checks that raise them."""
+
+import math
+from numbers import Integral
 
 
 class AdmitSimError(Exception):
@@ -51,3 +54,20 @@ class ConfigParse(AdmitSimError):
 
 class IoFailure(AdmitSimError):
     """File could not be read or written."""
+
+
+def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError):
+    """Raise error unless value is finite and > low (>= low when closed).
+
+    Written so that NaN fails: every comparison with NaN is false.
+    """
+    if not ((low <= value) if closed else (low < value)) or not value < math.inf:
+        raise error(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, got {value}")
+
+
+def check_count(name: str, value, low: int):
+    """Raise ValueError unless value is an integer (a float is not) and >= low."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

@@ -24,14 +24,13 @@ from .admittance import (
     controller_tick,
 )
 from .environments import (
-    PERSISTENT_KINDS,
     DisturbanceEvent,
     HingedDoor,
     PlaneBoard,
     apply_disturbances,
     update_ink,
 )
-from .errors import NonFiniteState
+from .errors import NonFiniteState, check_count, check_range
 from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
 from .tasks import (
@@ -50,6 +49,8 @@ CONTROL_HZ = 1000
 POLICY_HZ = 10
 TICKS_PER_STEP = CONTROL_HZ // POLICY_HZ
 SETTLE_STEPS = POLICY_HZ  # policy steps (1 s) that hold the last command after the demo
+
+ENV_KEYS = ("k_e", "latch_force")  # the environment overrides build_environment reads
 
 DEFAULT_SAFETY_LIMIT = 25.0   # N on the deadbanded force magnitude
 DEFAULT_DEBOUNCE = 0.020      # s a violation must persist before stopping
@@ -78,10 +79,8 @@ class ScenarioConfig:
         if not 0.0 <= self.duration <= limit:  # false for NaN
             raise ValueError(
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.wipe_passes < 1:
-            raise ValueError(f"wipe_passes must be >= 1, got {self.wipe_passes}")
+        check_count("seed", self.seed, 0)
+        check_count("wipe_passes", self.wipe_passes, 1)
         kinds = TASK_DISTURBANCES[self.task]
         for ev in self.disturbances:
             if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed
@@ -91,14 +90,13 @@ class ScenarioConfig:
         axes = {ev.direction for ev in self.disturbances if ev.kind == "tilt"}
         if len(axes) > 1:
             raise ValueError(f"tilt events must share one direction, got {sorted(axes)}")
-        for key, value in self.env_overrides.items():  # k_e, latch_force
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"environment {key} must be finite and > 0, got {value}")
-        if not 0.0 < self.safety_limit < math.inf:
-            raise ValueError(f"safety limit must be finite and > 0, got {self.safety_limit}")
-        if not 0.0 <= self.safety_debounce < math.inf:
-            raise ValueError(
-                f"safety debounce must be finite and >= 0, got {self.safety_debounce}")
+        for key, value in self.env_overrides.items():
+            if key not in ENV_KEYS:  # build_environment would ignore it
+                raise ValueError(f"unknown environment override {key!r} (it takes "
+                                 f"{' | '.join(ENV_KEYS)})")
+            check_range(f"environment {key}", value)
+        check_range("safety limit", self.safety_limit)
+        check_range("safety debounce", self.safety_debounce, closed=True)
         self.build_admittance()  # the overrides fail here, not mid-run
 
     def build_admittance(self) -> AdmittanceConfig:
@@ -176,29 +174,31 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
 _twin_slot: list | None = None
 
 
+def _first_tick(holds, lo: int, hi: int) -> int:
+    """The first tick k in [lo, hi) at which holds(k), or hi if there is none.
+
+    By bisection: holds must be monotone, true at every tick after one at
+    which it is true.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _settle_tick(events, onset: int, max_ticks: int) -> int:
-    """The first tick from which every event is settled (see
+    """The first tick from the onset on at which every event is settled (see
     `DisturbanceEvent.settled`): apply_disturbances returns the same force and
     flag, and sets the same environment state, at it and at every later tick.
 
     max_ticks when some event does not settle in time; onset when there is no
-    event.
+    event. Exact: k * dt and settled never decrease as k grows.
     """
     dt = 1.0 / CONTROL_HZ
-    settle = onset
-    for ev in events:
-        end = ev.start + (ev.ramp if ev.kind in PERSISTENT_KINDS else ev.duration)
-        estimate = end * CONTROL_HZ
-        if not estimate < max_ticks:
-            return max_ticks
-        # settled is monotone in t: step from the estimate to its first tick.
-        k = math.ceil(estimate) if estimate > settle else settle
-        while k > settle and ev.settled((k - 1) * dt):
-            k -= 1
-        while k < max_ticks and not ev.settled(k * dt):
-            k += 1
-        settle = k
-    return settle
+    return _first_tick(lambda k: all(ev.settled(k * dt) for ev in events), onset, max_ticks)
 
 
 def _onset_tick(events, max_ticks: int) -> int:
@@ -210,27 +210,19 @@ def _onset_tick(events, max_ticks: int) -> int:
     if not events:
         return max_ticks
     start = min(ev.start for ev in events)
-    if start <= 0.0:
-        return 0
-    if not start * CONTROL_HZ < max_ticks:
-        return max_ticks
     dt = 1.0 / CONTROL_HZ
-    k = math.ceil(start * CONTROL_HZ)
-    while (k - 1) * dt >= start:  # k * dt rounds either side of start
-        k -= 1
-    while k * dt < start:
-        k += 1
-    return min(k, max_ticks)
+    return _first_tick(lambda k: k * dt >= start, 0, max_ticks)
 
 
 class _Episode:
-    """run_episode's loop state: advanced tick by tick, and copyable at any tick.
+    """run_episode's loop state: advanced tick by tick, and logged once it ends.
 
     Before the onset tick the loop leaves the environment to itself, so a
     disturbed episode up to its onset is bit for bit its clean twin's prefix,
-    signed zeros of the geometry included. From the settle tick on, every
-    event holds its value, and the loop holds that tick's disturbance result
-    instead of applying the events again.
+    signed zeros of the geometry included, and a copy of it there continues
+    as that twin (`copy`). From the settle tick on, every event holds its
+    value, and the loop holds that tick's disturbance result instead of
+    applying the events again.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -262,14 +254,11 @@ class _Episode:
         self.final_log = None  # the log, once the episode cannot advance
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
-        """This episode so far, continued under cfg (the same run up to this tick)."""
+        """This episode so far, continued as its clean twin cfg: the same run up
+        to this tick, which is at or before the onset, and no event after it."""
         dup = copy.copy(self)
         dup.cfg = cfg
-        dup.onset = _onset_tick(cfg.disturbances, self.max_ticks)
-        # cfg's events may not be settled yet, or settled on other values:
-        # the copy runs apply_disturbances again at its first tick at least.
-        dup.settle = max(_settle_tick(cfg.disturbances, dup.onset, self.max_ticks), self.k)
-        dup.held = None
+        dup.onset = dup.settle = self.max_ticks
         dup.env = copy.deepcopy(self.env)
         dup.records = self.records[:]
         dup.flags = tuple(buf[:] for buf in self.flags)
@@ -353,33 +342,25 @@ class _Episode:
         self.phase_idx, self.over, self.peak_force = phase_idx, over, peak_force
 
     def log(self) -> RunLog:
-        """The episode's RunLog: the series as they stand, and the final metrics.
-
-        While the episode can advance (on after this call), the series are
-        copies of its tick records. Once it cannot (it ended, or ran max_ticks),
-        they are moved out of the records, which are left empty, and every
-        later call returns the same log.
+        """The RunLog of an episode that cannot advance (it ended, or ran
+        max_ticks): the series, moved out of the tick records, which are left
+        empty, and the final metrics. Every later call returns the same log.
         """
         log = self.final_log
         if log is None:
+            assert self.ended or self.k >= self.max_ticks, "the episode can still advance"
             task = self.cfg.task
             metrics = _final_metrics(task, self.env, self.state, self.peak_force)
             buf_phase, buf_c, buf_dist = self.flags
             n = len(buf_dist)
             t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
-            final = self.ended or self.k >= self.max_ticks
-            if final:
-                series = _take_series(self.records, n)
-            else:
-                block = np.frombuffer(self.records, dtype=np.float64).reshape(-1, 15)
-                series = [block[:, i:i + 3].copy() for i in range(0, 15, 3)]  # C-contiguous
+            series = _take_series(self.records, n)
             disturbed = np.frombuffer(buf_dist, dtype=np.int8).copy()
-            log = RunLog(t, *series, _per_tick(buf_phase, n), _per_tick(buf_c, n), disturbed,
-                         metrics, False, self.safety_stopped)
+            log = self.final_log = RunLog(t, *series, _per_tick(buf_phase, n),
+                                          _per_tick(buf_c, n), disturbed, metrics, False,
+                                          self.safety_stopped)
             log.success = success_check(task, log)
             log.metrics["success"] = log.success
-            if final:
-                self.final_log = log
         if not np.isfinite(log.x_r).all():
             raise NonFiniteState("episode produced a non-finite trajectory")
         return log

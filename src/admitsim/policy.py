@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndOfDemo, LengthMismatch
+from .errors import EndOfDemo, LengthMismatch, check_count, check_range
 from .expert import SupervisionTuple
 from .geometry import (
     _cross,
@@ -47,15 +47,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # Written so that NaN fails each test: every comparison with NaN is false.
         for name in ("pos_std", "rot_std", "normal_cone_std"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.contact_flip_prob <= 1.0:
+            check_range(name, getattr(self, name), closed=True)
+        if not 0.0 <= self.contact_flip_prob <= 1.0:  # false for NaN
             raise ValueError(f"contact_flip_prob must lie in [0, 1], got {self.contact_flip_prob}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
 
 
 def _random_unit(rng: np.random.Generator) -> tuple:

@@ -45,7 +45,7 @@ from .admittance import (
     controller_tick,
 )
 from .environments import SpringContact
-from .errors import NonFiniteState
+from .errors import NonFiniteState, check_range
 from .geometry import _normalize, dot3, vec3
 
 TOL_X = 1e-4          # m, equilibrium position tolerance
@@ -106,13 +106,9 @@ class NormalDynamicsParams:
     x_e: XeProfile = field(default_factory=XeProfile)
 
     def __post_init__(self):
-        # Written so that NaN fails each test: every comparison with NaN is false.
         for name in ("m", "d", "k_e"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0.0 <= self.f_H < math.inf:
-            raise ValueError(f"f_H must be finite and >= 0, got {self.f_H}")
+            check_range(name, getattr(self, name))
+        check_range("f_H", self.f_H, closed=True)
 
     def equilibrium(self) -> float:
         return self.x_e.base - self.f_H / self.k_e

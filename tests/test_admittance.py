@@ -42,7 +42,9 @@ class TestComputeDamping:
     def test_high_stiffness(self):
         assert compute_damping(1.0, 800.0, 2.0) == pytest.approx(113.13708498984761, abs=1e-12)
 
-    @pytest.mark.parametrize("m,k,xi", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("m,k,xi", [(0, 1, 1), (1, -2, 1), (1, 1, 0),
+                                        (math.nan, 50, 2), (math.inf, 50, 2), (1, math.nan, 2),
+                                        (1, math.inf, 2), (1, 50, math.nan), (1, 50, math.inf)])
     def test_rejects_non_positive(self, m, k, xi):
         with pytest.raises(NonPositiveParameter):
             compute_damping(m, k, xi)

@@ -388,6 +388,29 @@ def test_unknown_key_is_named(tmp_path, parse, text, key):
         parse(str(path))
 
 
+def test_readme_scenario_example_lists_every_key(tmp_path):
+    """The README's scenario INI example shows each section the scenario
+    parser reads, with every key that section accepts."""
+    import configparser
+
+    from admitsim import config
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Scenario config")[1].split("```ini\n")[1].split("```")[0]
+    example = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    example.read_string(block)
+    schema = {"scenario": config._SCENARIO_KEYS, "noise": config._NOISE_KEYS,
+              "admittance": config._ADMITTANCE_KEYS, "environment": config._ENV_KEYS,
+              "safety": config._SAFETY_KEYS, "disturbance": config._DISTURBANCE_KEYS}
+    sections = {name.split(".")[0]: name for name in example.sections()}
+    assert sorted(sections) == sorted(schema)
+    for name, keys in schema.items():
+        assert sorted(example.options(sections[name])) == sorted(keys), name
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert parse_scenario(str(path)).admittance_overrides["target_force"] == 4.0
+
+
 SUITE = """
 [suite]
 task = WW

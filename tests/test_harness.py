@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from admitsim import harness
 from admitsim.environments import DisturbanceEvent
@@ -86,6 +88,12 @@ class TestScenarioConfig:
     def test_rejects_negative_seed(self, build):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             build()
+
+    def test_rejects_unknown_environment_override(self):
+        from admitsim import config
+        with pytest.raises(ValueError, match="unknown environment override 'bogus'"):
+            ScenarioConfig(task="WW", env_overrides={"bogus": 3.0})
+        assert config._ENV_KEYS is harness.ENV_KEYS  # the INI parser takes the same keys
 
     @pytest.mark.parametrize("axes", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                                       ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
@@ -229,16 +237,6 @@ class TestRunEpisode:
                     assert (arr.dtype, arr.shape) == (np.float64, (3000,)), name
                 else:
                     assert (arr.dtype, arr.shape) == (np.float64, (3000, 3)), name
-
-    def test_an_episode_advances_on_after_its_log(self):
-        cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE,
-                             disturbances=(DisturbanceEvent("raise", 1.0, 1.0, 0.01),))
-        ep = harness._Episode(cfg)
-        ep.advance(1500)
-        early = ep.log()
-        ep.advance(ep.max_ticks)
-        assert series_digest(ep.log()) == series_digest(run_episode(cfg))
-        assert early.n_ticks == 1500
 
     def test_the_log_of_an_episode_that_cannot_advance_is_taken_once(self):
         cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE)
@@ -436,6 +434,12 @@ class TestSuiteTwins:
         assert harness._onset_tick(events, 4000) == first
         assert harness._onset_tick((), 4000) == 4000
 
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(-5, 85))
+    def test_first_tick_is_the_first_tick_that_holds(self, lo, span, first):
+        hi = lo + span
+        expected = next((k for k in range(lo, hi) if k >= first), hi)
+        assert harness._first_tick(lambda k: k >= first, lo, hi) == expected
+
     def test_every_suite_episode_equals_its_standalone_run(self, monkeypatch):
         cfgs = self.cases()
         seen, builds = [], []
@@ -575,16 +579,3 @@ class TestSettledDisturbances:
         assert len(seen) == 4
         for cfg, log in seen:
             assert series_digest(log) == series_digest(run_episode(cfg)), cfg
-
-    @pytest.mark.parametrize("first,then", [((RAISE,), (RAISE, PULSE)),
-                                            ((RAISE, PULSE), (RAISE,))])
-    def test_copy_past_the_settle_tick_holds_its_own_events(self, first, then):
-        # Before the pulse starts the two configs run the same ticks; a copy
-        # taken there runs the new config's events, not the held result of
-        # the old ones.
-        ep = harness._Episode(self.cfg(first))
-        ep.advance(2800)
-        assert (ep.settle < 2800) == (first == (self.RAISE,))
-        dup = ep.copy(self.cfg(then))
-        dup.advance(dup.max_ticks)
-        assert series_digest(dup.log()) == series_digest(run_episode(self.cfg(then)))
