@@ -7,7 +7,7 @@ Scenario schema:
     mode = force_aware       ; force_aware | baseline_low | baseline_mid | baseline_high
     duration = 20.0          ; seconds, within the task time limit
     seed = 0                 ; >= 0
-    wipe_passes = 1          ; WW only: repetitions of the coverage path, >= 1
+    wipe_passes = 1          ; WW only: repetitions of the coverage path, >= 1 (1 elsewhere)
 
     [admittance]             ; optional gain overrides
     mass = 1.0
@@ -24,9 +24,9 @@ Scenario schema:
     contact_flip_prob = 0.01
     seed = 0                 ; >= 0
 
-    [environment]            ; optional
+    [environment]            ; optional; a key the task does not read is an error
     k_e = 1000.0
-    latch_force = 15.0
+    latch_force = 15.0       ; MO, DO only
 
     [safety]                 ; optional
     limit = 25.0
@@ -51,12 +51,13 @@ Suite schema:
     duration = 20.0
     disturbed = none         ; none | only | both
     base_seed = 0            ; >= 0
-    wipe_passes = 1          ; >= 1
+    wipe_passes = 1          ; >= 1, WW only
     plus optional [noise], [admittance], [environment], [safety],
     [disturbance.*] sections applied to every episode (disturbances only to
     disturbed runs).
 
-A key that a section read by the parser does not list above is a ConfigParse.
+A key that a section read by the parser does not list above is a ConfigParse,
+and so is an input the task does not read (see `tasks.TaskSpec`).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from dataclasses import replace
 
 from .environments import DisturbanceEvent
 from .errors import ConfigParse, DegenerateInput, NonPositiveParameter
-from .harness import ENV_KEYS, ScenarioConfig, default_disturbance
+from .harness import ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
 
 # The keys of each section; any other key is a config error.
@@ -78,7 +79,6 @@ _ADMITTANCE_KEYS = (
     "mass", "stiffness", "damping_ratio", "tangent_scale", "target_force", "force_deadband",
 )
 _NOISE_KEYS = ("pos_std", "rot_std", "normal_cone_std", "contact_flip_prob", "seed")
-_ENV_KEYS = ENV_KEYS
 _SAFETY_KEYS = ("limit", "debounce")
 _DISTURBANCE_KEYS = ("kind", "start", "duration", "magnitude", "direction", "ramp", "omega")
 
@@ -132,7 +132,8 @@ def _floats_from(parser, section: str, keys, path: str) -> dict:
     """The section's keys read as floats (none when it is absent)."""
     if not parser.has_section(section):
         return {}
-    _check_keys(parser, section, keys, path)
+    if keys is not None:  # None: ScenarioConfig checks them
+        _check_keys(parser, section, keys, path)
     return {key: _get_float(parser, section, key, path) for key in parser.options(section)}
 
 
@@ -150,7 +151,7 @@ def _shared_sections(parser, path: str) -> dict:
     safety = _floats_from(parser, "safety", _SAFETY_KEYS, path)
     return dict(noise=noise, disturbances=_disturbances_from(parser, path),
                 admittance_overrides=_floats_from(parser, "admittance", _ADMITTANCE_KEYS, path),
-                env_overrides=_floats_from(parser, "environment", _ENV_KEYS, path),
+                env_overrides=_floats_from(parser, "environment", None, path),
                 **{"safety_" + key: value for key, value in safety.items()})
 
 
@@ -245,14 +246,15 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
         raise ConfigParse(f"{path}: [suite] disturbed must be none|only|both")
     task = parser.get("suite", "task", fallback=None)
     shared = _shared_sections(parser, path)
-    events = shared.pop("disturbances") or default_disturbance(task)
-    # The base carries the events, so they must suit the task even when no
-    # run of the suite takes them.
+    # The base carries the file's events, so they must suit the task even
+    # when no run of the suite takes them.
+    events = shared.pop("disturbances")
     base = _scenario(
         path, task=task, mode=modes[0], seed=base_seed, disturbances=events,
         duration=_get_float(parser, "suite", "duration", path, fallback=20.0),
         wipe_passes=_get_int(parser, "suite", "wipe_passes", path, fallback=1), **shared,
     )
+    events = events or default_disturbance(task)  # the task is known by now
     return [_scenario(path, base, mode=mode, seed=base_seed + s,
                       disturbances=events if with_dist else ())
             for mode in modes for with_dist in conditions for s in range(seeds)]

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from .errors import IoFailure
 from .expert import RECORD_DIM, SupervisionRecords
+from .harness import SuiteRow
 
 MAGIC = b"ADMS"
 VERSION = 1
@@ -179,24 +181,17 @@ def write_trace(path: str, log) -> None:
         raise IoFailure(f"cannot write trace {path}: {exc}") from exc
 
 
-SUITE_COLUMNS = (
-    "mode", "disturbed", "episodes", "success_rate", "safety_stop_rate",
-    "mean_remaining_ink_cm", "mean_insertion_depth_mm", "mean_opening_angle_deg",
-    "mean_peak_force_n",
-)
+def _cell(v) -> str:  # a name as it is, a flag or a count as an integer, else repr(float)
+    return v if isinstance(v, str) else str(int(v)) if isinstance(v, Integral) else _fmt(v)
 
 
 def write_suite_csv(path: str, rows) -> None:
+    """One column per SuiteRow field, in field order."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(SUITE_COLUMNS) + "\n")
+            fh.write(",".join(f.name for f in fields(SuiteRow)) + "\n")
             for r in rows:
-                fh.write(",".join([
-                    r.mode, str(int(r.disturbed)), str(r.episodes),
-                    _fmt(r.success_rate), _fmt(r.safety_stop_rate),
-                    _fmt(r.mean_remaining_ink_cm), _fmt(r.mean_insertion_depth_mm),
-                    _fmt(r.mean_opening_angle_deg), _fmt(r.mean_peak_force_n),
-                ]) + "\n")
+                fh.write(",".join(map(_cell, astuple(r))) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write suite summary {path}: {exc}") from exc
 

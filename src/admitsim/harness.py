@@ -14,6 +14,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -23,24 +24,11 @@ from .admittance import (
     ControllerState,
     controller_tick,
 )
-from .environments import (
-    DisturbanceEvent,
-    HingedDoor,
-    PlaneBoard,
-    apply_disturbances,
-    update_ink,
-)
+from .environments import HingedDoor, PlaneBoard, apply_disturbances, update_ink
 from .errors import NonFiniteState, check_count, check_range
 from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
-from .tasks import (
-    TASK_DISTURBANCES,
-    TASK_FLAGS,
-    TASK_TIME_LIMIT,
-    TASKS,
-    build_environment,
-    generate_demo,
-)
+from .tasks import TASKS, build_environment, generate_demo, task_spec
 
 MODES = ("force_aware", "baseline_low", "baseline_mid", "baseline_high")
 BASELINE_STIFFNESS = {"baseline_low": 50.0, "baseline_mid": 200.0, "baseline_high": 800.0}
@@ -50,7 +38,8 @@ POLICY_HZ = 10
 TICKS_PER_STEP = CONTROL_HZ // POLICY_HZ
 SETTLE_STEPS = POLICY_HZ  # policy steps (1 s) that hold the last command after the demo
 
-ENV_KEYS = ("k_e", "latch_force")  # the environment overrides build_environment reads
+# Every episode's final metrics in SuiteRow's order; NaN unless its task measures one.
+FINAL_METRICS = ("remaining_ink_cm", "insertion_depth_mm", "opening_angle_deg", "peak_force_n")
 
 DEFAULT_SAFETY_LIMIT = 25.0   # N on the deadbanded force magnitude
 DEFAULT_DEBOUNCE = 0.020      # s a violation must persist before stopping
@@ -71,17 +60,19 @@ class ScenarioConfig:
     wipe_passes: int = 1
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
+        spec = task_spec(self.task)
         if self.mode not in MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
-        limit = TASK_TIME_LIMIT[self.task]
+        limit = spec.time_limit
         if not 0.0 <= self.duration <= limit:  # false for NaN
             raise ValueError(
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
         check_count("seed", self.seed, 0)
         check_count("wipe_passes", self.wipe_passes, 1)
-        kinds = TASK_DISTURBANCES[self.task]
+        if self.wipe_passes != 1 and not spec.multipass:  # generate_demo would ignore it
+            raise ValueError(f"wipe_passes must be 1 for {self.task}, which has no coverage "
+                             f"path to repeat, got {self.wipe_passes}")
+        kinds = spec.disturbance_kinds
         for ev in self.disturbances:
             if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed
                 raise ValueError(f"a {ev.kind} disturbance has no effect on {self.task} "
@@ -91,19 +82,24 @@ class ScenarioConfig:
         if len(axes) > 1:
             raise ValueError(f"tilt events must share one direction, got {sorted(axes)}")
         for key, value in self.env_overrides.items():
-            if key not in ENV_KEYS:  # build_environment would ignore it
-                raise ValueError(f"unknown environment override {key!r} (it takes "
-                                 f"{' | '.join(ENV_KEYS)})")
+            if key not in spec.env_keys:  # the environment would not read it
+                raise ValueError(f"unknown environment override {key!r} for {self.task} "
+                                 f"(it takes {' | '.join(spec.env_keys)})")
             check_range(f"environment {key}", value)
+        for key, value in self.admittance_overrides.items():
+            if key not in AdmittanceConfig.__dataclass_fields__:
+                raise ValueError(f"unknown admittance override {key!r}")
+            if not isinstance(value, Real):  # a bool flag is one too
+                raise ValueError(f"admittance {key} must be a real number, got {value!r}")
         check_range("safety limit", self.safety_limit)
         check_range("safety debounce", self.safety_debounce, closed=True)
         self.build_admittance()  # the overrides fail here, not mid-run
 
     def build_admittance(self) -> AdmittanceConfig:
-        tangent, normal, f_h = TASK_FLAGS[self.task]
         if self.mode == "force_aware":
-            base = dict(stiffness=50.0, enable_tangent_stiffening=tangent,
-                        enable_normal_regulation=normal, target_force=f_h)
+            spec = task_spec(self.task)
+            base = dict(stiffness=50.0, enable_tangent_stiffening=spec.tangent_stiffening,
+                        enable_normal_regulation=spec.normal_regulation, target_force=spec.f_H)
         else:
             # Blind baselines: isotropic stiffness, no force awareness.
             base = dict(stiffness=BASELINE_STIFFNESS[self.mode],
@@ -137,16 +133,8 @@ class RunLog:
 
 def success_check(task: str, log: RunLog) -> bool:
     """Task threshold on final metrics; any safety stop is a failure."""
-    if log.safety_stopped:
-        return False
-    m = log.metrics
-    if task == "MO":
-        return m["opening_angle_deg"] >= 50.0
-    if task == "DO":
-        return m["opening_angle_deg"] >= 30.0
-    if task == "PH":
-        return m["insertion_depth_mm"] >= 10.0
-    return m["remaining_ink_cm"] < 5.0
+    spec = task_spec(task)
+    return not log.safety_stopped and spec.meets(log.metrics[spec.metric], spec.threshold)
 
 
 def run_episode(cfg: ScenarioConfig) -> RunLog:
@@ -350,7 +338,10 @@ class _Episode:
         if log is None:
             assert self.ended or self.k >= self.max_ticks, "the episode can still advance"
             task = self.cfg.task
-            metrics = _final_metrics(task, self.env, self.state, self.peak_force)
+            spec = task_spec(task)
+            metrics = dict.fromkeys(FINAL_METRICS, math.nan)
+            metrics[spec.metric] = spec.measure(self.env, self.state.x_r)
+            metrics["peak_force_n"] = self.peak_force
             buf_phase, buf_c, buf_dist = self.flags
             n = len(buf_dist)
             t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
@@ -395,23 +386,6 @@ def _take_series(records: bytearray, n: int) -> list:
 def _per_tick(steps: array, n: int) -> np.ndarray:
     """The (n,) per-tick series of one int8 record per policy step begun."""
     return np.repeat(np.frombuffer(steps, dtype=np.int8), TICKS_PER_STEP)[:n]
-
-
-def _final_metrics(task: str, env, state: ControllerState, peak_force: float) -> dict:
-    from .environments import insertion_depth, opening_angle, remaining_ink_length
-    metrics = {
-        "peak_force_n": peak_force,
-        "remaining_ink_cm": float("nan"),
-        "insertion_depth_mm": float("nan"),
-        "opening_angle_deg": float("nan"),
-    }
-    if task == "WW":
-        metrics["remaining_ink_cm"] = remaining_ink_length(env)
-    elif task == "PH":
-        metrics["insertion_depth_mm"] = insertion_depth(env, state.x_r)
-    else:
-        metrics["opening_angle_deg"] = opening_angle(env)
-    return metrics
 
 
 # --------------------------------------------------------------------------
@@ -462,10 +436,7 @@ def run_suite(cfgs: list[ScenarioConfig]) -> list[SuiteRow]:
             episodes=len(group),
             success_rate=float(np.mean([1.0 if ok else 0.0 for ok in success])),
             safety_stop_rate=float(np.mean([1.0 if st else 0.0 for st in stopped])),
-            mean_remaining_ink_cm=_nanmean([m["remaining_ink_cm"] for m in metrics]),
-            mean_insertion_depth_mm=_nanmean([m["insertion_depth_mm"] for m in metrics]),
-            mean_opening_angle_deg=_nanmean([m["opening_angle_deg"] for m in metrics]),
-            mean_peak_force_n=_nanmean([m["peak_force_n"] for m in metrics]),
+            **{"mean_" + name: _nanmean([m[name] for m in metrics]) for name in FINAL_METRICS},
         ))
     return rows
 
@@ -502,11 +473,4 @@ def _nanmean(values) -> float:
 
 def default_disturbance(task: str) -> tuple:
     """The scripted disturbance used in disturbed suite runs."""
-    if task == "WW":
-        return (DisturbanceEvent("raise", start=5.0, duration=10.0, magnitude=0.07,
-                                 direction=(0.0, 0.0, 1.0), ramp=0.5),)
-    if task == "PH":
-        return (DisturbanceEvent("shift", start=3.0, duration=5.0, magnitude=0.01,
-                                 direction=(1.0, 0.0, 0.0), ramp=0.5),)
-    return (DisturbanceEvent("force_pulse", start=6.0, duration=2.0, magnitude=10.0,
-                             direction=(0.0, 1.0, 0.0), ramp=0.3),)
+    return task_spec(task).suite_disturbance

@@ -4,21 +4,32 @@ Task codes: MO (microwave opening), PH (peg-in-hole), WW (whiteboard wiping),
 DO (door opening). Initial object poses are randomized per seed within the
 documented evaluation ranges; demonstrations chain approach / grasp / contact /
 retract phases and end with shifted supervision tuples.
+
+Everything that sets one task apart is its `TaskSpec` record in `TASK_SPECS`.
+The harness and the two entry points below read it; no code branches on the
+task code.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .environments import (
     DISTURBANCE_KINDS,
+    DisturbanceEvent,
     HingedDoor,
     HoleFixture,
     PlaneBoard,
     TaskEnvironment,
+    insertion_depth,
+    opening_angle,
+    remaining_ink_length,
 )
 from .expert import (
     ZERO_NORMAL,
@@ -31,29 +42,6 @@ from .expert import (
     plan_wiping,
 )
 from .geometry import Pose, _add, _normalize, _perp, _sub, quat_from_axis_angle, quat_rotate
-
-TASKS = ("MO", "PH", "WW", "DO")
-
-TASK_TIME_LIMIT = {"MO": 120.0, "PH": 60.0, "WW": 120.0, "DO": 120.0}
-
-# Per-task controller flags and target normal force (tangent stiffening,
-# normal force regulation, f_H in newtons).
-TASK_FLAGS = {
-    "MO": (True, False, 0.0),
-    "PH": (False, True, 2.0),
-    "WW": (True, True, 4.0),
-    "DO": (True, False, 0.0),
-}
-
-# Disturbance kinds each task's environment responds to. The door wrench reads
-# only the hinge and handle geometry, which no disturbance moves, and the bore
-# has no tilt.
-TASK_DISTURBANCES = {
-    "MO": ("force_pulse",),
-    "PH": ("raise", "lower", "shift", "force_pulse", "sinusoid"),
-    "WW": DISTURBANCE_KINDS,
-    "DO": ("force_pulse",),
-}
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
@@ -75,27 +63,13 @@ class Demo:
 # Environment builders (randomization per the evaluation protocol ranges)
 # --------------------------------------------------------------------------
 
-def build_environment(task: str, rng: np.random.Generator | None = None,
-                      overrides: dict | None = None) -> TaskEnvironment:
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    rng = rng or np.random.default_rng(0)
-    overrides = dict(overrides or {})
-    if task == "WW":
-        return _build_board(rng, overrides)
-    if task == "PH":
-        return _build_hole(rng, overrides)
-    return _build_door(task, rng, overrides)
-
-
-def _build_board(rng, overrides) -> PlaneBoard:
+def _build_board(rng, **overrides) -> PlaneBoard:
     # Height randomized within 10 cm, orientation about x within +/-20 deg.
     dz = rng.uniform(-0.05, 0.05)
     tilt = rng.uniform(-math.radians(20.0), math.radians(20.0))
     center = (0.30, 0.0, 0.12 + dz)
     rotation = quat_from_axis_angle((1.0, 0.0, 0.0), tilt)
-    board = PlaneBoard(center=center, rotation=rotation,
-                       k_e=overrides.get("k_e", 1000.0))
+    board = PlaneBoard(center=center, rotation=rotation, **overrides)
     _scribble(board, rng)
     return board
 
@@ -114,7 +88,7 @@ def _scribble(board: PlaneBoard, rng, n_segments: int = 3, seg_len: float = 0.05
     board.ink.ink_stroke(np.array(pts))
 
 
-def _build_hole(rng, overrides) -> HoleFixture:
+def _build_hole(rng, **overrides) -> HoleFixture:
     # Placement randomized in a 40 cm x 40 cm x 20 cm volume; the vertical-axis
     # orientation randomization (+/-90 deg) is immaterial for a round hole.
     rim = (
@@ -122,20 +96,18 @@ def _build_hole(rng, overrides) -> HoleFixture:
         rng.uniform(-0.2, 0.2),
         0.10 + rng.uniform(-0.1, 0.1),
     )
-    return HoleFixture(rim_center=rim, k_e=overrides.get("k_e", 1000.0))
+    return HoleFixture(rim_center=rim, **overrides)
 
 
-def _build_door(task: str, rng, overrides) -> HingedDoor:
+def _build_door(rng, microwave: bool, **overrides) -> HingedDoor:
     yaw = rng.uniform(-math.radians(15.0), math.radians(15.0))
     rotz = quat_from_axis_angle((0.0, 0.0, 1.0), yaw)
-    if task == "MO":
+    if microwave:
         base = (0.45 + rng.uniform(-0.05, 0.05),
                 0.25 + rng.uniform(-0.10, 0.10),
                 0.15 + rng.uniform(-0.05, 0.05))
         grasp = _add(base, quat_rotate(rotz, (0.0, -0.25, 0.0)))
-        return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=True,
-                          latch_force=overrides.get("latch_force", 15.0),
-                          k_e=overrides.get("k_e", 1000.0))
+        return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=True, **overrides)
     base = (0.55 + rng.uniform(-0.05, 0.05),
             0.35 + rng.uniform(-0.15, 0.15),
             rng.uniform(-0.05, 0.05))
@@ -144,9 +116,7 @@ def _build_door(task: str, rng, overrides) -> HingedDoor:
     grasp = _add(handle_pivot, quat_rotate(rotz, (0.0, -0.06, 0.0)))
     return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=False,
                       handle_pivot=handle_pivot, handle_axis=handle_axis,
-                      handle_lever=0.06,
-                      latch_force=overrides.get("latch_force", 15.0),
-                      k_e=overrides.get("k_e", 1000.0))
+                      handle_lever=0.06, **overrides)
 
 
 # --------------------------------------------------------------------------
@@ -157,26 +127,17 @@ HOME = Pose((0.0, 0.0, 0.35), IDENTITY_Q)
 GRASP_STEPS = 5
 
 
-def generate_demo(task: str, env: TaskEnvironment, wipe_passes: int = 1) -> Demo:
-    if task == "WW":
-        return _ww_demo(env, wipe_passes)
-    if task == "PH":
-        return _ph_demo(env)
-    if task in ("MO", "DO"):
-        return _door_demo(task, env)
-    raise ValueError(f"unknown task {task!r}")
-
-
 def _chain(*sections):
-    """Concatenate (poses, phases, grippers[, normals]) sections."""
+    """Concatenate (poses, phases, grippers, normals) sections; the normals are
+    None unless some section has them."""
+    any_normals = any(s[3] is not None for s in sections)
     poses, phases, grippers, normals = [], [], [], []
-    any_normals = any(len(s) == 4 for s in sections)
-    for s in sections:
-        poses.extend(s[0])
-        phases.extend(s[1])
-        grippers.extend(s[2])
+    for p, ph, g, n in sections:
+        poses += p
+        phases += ph
+        grippers += g
         if any_normals:
-            normals.extend(s[3] if len(s) == 4 else [ZERO_NORMAL] * len(s[0]))
+            normals += [ZERO_NORMAL] * len(p) if n is None else n
     return poses, phases, grippers, (normals if any_normals else None)
 
 
@@ -188,14 +149,11 @@ def _along(p, s: float, d) -> tuple:
 
 
 def _section(poses, label: PhaseLabel, gripper, normals=None):
-    phases = [label] * len(poses)
     grippers = [gripper] * len(poses) if np.isscalar(gripper) else list(gripper)
-    if normals is None:
-        return poses, phases, grippers
-    return poses, phases, grippers, normals
+    return poses, [label] * len(poses), grippers, normals
 
 
-def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
+def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
     wipe = plan_wiping(board, passes=wipe_passes)
     start = wipe[0]
     nu = board.spring.surface_normal
@@ -206,30 +164,27 @@ def _ww_demo(board: PlaneBoard, wipe_passes: int) -> Demo:
     lift = Pose(_along(wipe[-1].position, 0.08, nu), wipe[-1].orientation)
     retract = plan_free_motion([wipe[-1], lift], steps_per_segment=6)[1:]
     dwell = [wipe[0]] * 6  # press and let the contact force converge before sweeping
-    poses, phases, grippers, _ = _chain(
+    return _chain(
         _section(approach + descend, PhaseLabel.APPROACH, 1.0),
         _section(dwell + wipe, PhaseLabel.CONTACT, 1.0),
         _section(retract, PhaseLabel.RETRACT, 1.0),
     )
-    tuples = extract_supervision(poses, phases, grippers, board)
-    return Demo("WW", poses, phases, tuples)
 
 
-def _ph_demo(hole: HoleFixture) -> Demo:
+def _ph_plan(hole: HoleFixture) -> tuple:
     insertion = plan_insertion(hole, start_height=hole.depth, step=0.001)
     rim_pose = insertion[0]
     above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
     approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
     hold = [insertion[-1]] * 10  # press at the bottom to secure depth
-    poses, phases, grippers, _ = _chain(
+    return _chain(
         _section(approach, PhaseLabel.APPROACH, 1.0),
         _section(insertion[1:] + hold, PhaseLabel.CONTACT, 1.0),
     )
-    tuples = extract_supervision(poses, phases, grippers, hole)
-    return Demo("PH", poses, phases, tuples)
 
 
-def _door_demo(task: str, door: HingedDoor) -> Demo:
+def _door_plan(door: HingedDoor, target: float) -> tuple:
+    """Grasp the handle, open the door to target (rad) and let go."""
     grasp_pose = Pose(door.grasp0, IDENTITY_Q)
     # Approach from above: a vertical standoff leaves the hinge azimuth (and
     # with it the inferred door angle) unbiased when the gripper closes.
@@ -238,7 +193,6 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
     approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
     grasp_poses = [grasp_pose] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
-    target = math.radians(60.0) if task == "MO" else math.radians(40.0)
     turn_angle = None if door.microwave else 2.0 * door.latch_threshold
     arc = plan_articulated(door, target, math.radians(1.5), grasp_pose=grasp_pose,
                            turn_angle=turn_angle)
@@ -250,14 +204,12 @@ def _door_demo(task: str, door: HingedDoor) -> Demo:
     hold_normals = [arc_normals[-1]] * 12
     away = Pose(_along(open_pose.position, 0.06, standoff_dir), open_pose.orientation)
     retract_poses = plan_free_motion([open_pose, away], steps_per_segment=5)
-    poses, phases, grippers, normals = _chain(
+    return _chain(
         _section(approach, PhaseLabel.APPROACH, 0.0),
         _section(grasp_poses, PhaseLabel.GRASP, grasp_grip),
         _section(arc + hold, PhaseLabel.CONTACT, 1.0, arc_normals + hold_normals),
         _section(retract_poses, PhaseLabel.RETRACT, 0.0),
     )
-    tuples = extract_supervision(poses, phases, grippers, door, normals=normals)
-    return Demo(task, poses, phases, tuples)
 
 
 def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> list:
@@ -277,3 +229,84 @@ def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> 
         pivot, axis = handle if i < n_turn else hinge
         normals.append(_normalize(_perp(_sub(pose.position, pivot), axis)))
     return normals
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """Everything that sets one task apart. The controller flags and f_H are
+    those of the force_aware mode; the blind baselines ignore them."""
+
+    time_limit: float           # s, the longest episode
+    tangent_stiffening: bool    # stiffen along the commanded motion tangent
+    normal_regulation: bool     # regulate the normal contact force to f_H
+    f_H: float                  # N
+    disturbance_kinds: tuple    # the kinds the environment responds to (others are no-ops)
+    suite_disturbance: tuple    # the scripted events of a disturbed suite run
+    env_keys: tuple             # the overrides `build` passes to the environment
+    build: Callable             # (rng, **overrides) -> the randomized environment
+    plan: Callable              # (env[, wipe_passes]) -> (poses, phases, grippers, normals)
+    metric: str                 # the final metric that decides success
+    measure: Callable           # (env, x_r) -> that metric at the end of an episode
+    threshold: float
+    meets: Callable = operator.ge  # meets(metric, threshold): success
+    multipass: bool = False     # plan repeats its coverage path wipe_passes times
+
+
+# The door wrench reads only the hinge and handle geometry, which no
+# disturbance moves; the round bore (PH) takes every kind but tilt.
+_DOOR_KINDS = ("force_pulse",)
+_DOOR_PULSE = (DisturbanceEvent("force_pulse", start=6.0, duration=2.0, magnitude=10.0,
+                                direction=(0.0, 1.0, 0.0), ramp=0.3),)
+
+# In this order: the index of a task seeds its episodes.
+TASK_SPECS = {
+    "MO": TaskSpec(
+        time_limit=120.0, tangent_stiffening=True, normal_regulation=False, f_H=0.0,
+        disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
+        env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=True),
+        plan=partial(_door_plan, target=math.radians(60.0)), metric="opening_angle_deg",
+        measure=lambda door, x_r: opening_angle(door), threshold=50.0),
+    "PH": TaskSpec(
+        time_limit=60.0, tangent_stiffening=False, normal_regulation=True, f_H=2.0,
+        disturbance_kinds=("raise", "lower", "shift", "force_pulse", "sinusoid"),
+        suite_disturbance=(DisturbanceEvent("shift", start=3.0, duration=5.0, magnitude=0.01,
+                                            direction=(1.0, 0.0, 0.0), ramp=0.5),),
+        env_keys=("k_e",), build=_build_hole, plan=_ph_plan,
+        metric="insertion_depth_mm", measure=insertion_depth, threshold=10.0),
+    "WW": TaskSpec(
+        time_limit=120.0, tangent_stiffening=True, normal_regulation=True, f_H=4.0,
+        disturbance_kinds=DISTURBANCE_KINDS,
+        suite_disturbance=(DisturbanceEvent("raise", start=5.0, duration=10.0, magnitude=0.07,
+                                            direction=(0.0, 0.0, 1.0), ramp=0.5),),
+        env_keys=("k_e",), build=_build_board, plan=_ww_plan, multipass=True,
+        metric="remaining_ink_cm", measure=lambda board, x_r: remaining_ink_length(board),
+        threshold=5.0, meets=operator.lt),
+    "DO": TaskSpec(
+        time_limit=120.0, tangent_stiffening=True, normal_regulation=False, f_H=0.0,
+        disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
+        env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=False),
+        plan=partial(_door_plan, target=math.radians(40.0)), metric="opening_angle_deg",
+        measure=lambda door, x_r: opening_angle(door), threshold=30.0),
+}
+TASKS = tuple(TASK_SPECS)
+
+
+def task_spec(task: str) -> TaskSpec:
+    """The record of task (ValueError for an unknown one)."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    return TASK_SPECS[task]
+
+
+def build_environment(task: str, rng: np.random.Generator | None = None,
+                      overrides: dict | None = None) -> TaskEnvironment:
+    """The task's environment, randomized by rng, with overrides (of env_keys)."""
+    return task_spec(task).build(rng or np.random.default_rng(0), **(overrides or {}))
+
+
+def generate_demo(task: str, env: TaskEnvironment, wipe_passes: int = 1) -> Demo:
+    spec = task_spec(task)
+    poses, phases, grippers, normals = (spec.plan(env, wipe_passes) if spec.multipass
+                                        else spec.plan(env))
+    return Demo(task, poses, phases,
+                extract_supervision(poses, phases, grippers, env, normals=normals))

@@ -136,6 +136,21 @@ class VerificationReport:
 # verifier's memory does not grow with the horizon.
 MAX_LANE_STEPS = 2 ** 31 - 1
 
+def _steps(horizon: str, T: float, dt: float, least: int = 1) -> int:
+    """ceil(T / dt), where horizon names T: ValueError unless T and dt are finite
+    and > 0 and the count is in [least, MAX_LANE_STEPS]."""
+    check_range("dt", dt)
+    q = T / dt if 0.0 < T < math.inf else 0.0  # false for NaN
+    n = math.ceil(q) if q < math.inf else q  # a tiny dt can overflow T / dt
+    if n > MAX_LANE_STEPS:
+        raise ValueError(f"the lane table needs {n} steps in one lane, more than the "
+                         f"{MAX_LANE_STEPS} a lane may take; shorten the horizons")
+    if n < least:
+        raise ValueError(f"{horizon} must be finite, > 0 and span at least {least} "
+                         f"step{'s' * (least > 1)} of {dt} s, got {T}")
+    return n
+
+
 # Rows of every lane held between judge calls. 1024 rows of the default run's
 # 81 lanes take 1.3 MB.
 JUDGE_CHUNK = 1024
@@ -199,17 +214,13 @@ def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport
     a time and in order: x and v are C-contiguous (lanes, rows) arrays of the
     rows from `lo` of the proposition's lanes `idx`, which take the same rows.
     Every chunk is checked for finiteness before any judge sees it
-    (NonFiniteState). A lane of more than MAX_LANE_STEPS steps is a
-    ValueError.
+    (NonFiniteState).
     """
     chunk = JUDGE_CHUNK if chunk is None else chunk
     tables = [prop.lanes for prop in props]
     lanes = sorted(((g, i) for g, tab in enumerate(tables) for i in range(len(tab.n))),
                    key=lambda gi: -tables[gi[0]].n[gi[1]])  # stable: equal counts stay grouped
     ns = [tables[g].n[i] for g, i in lanes]
-    if ns and ns[0] > MAX_LANE_STEPS:
-        raise ValueError(f"the lane table needs {ns[0]} steps in one lane, more than the "
-                         f"{MAX_LANE_STEPS} a lane may take; shorten the horizons")
 
     def column(name):
         return np.array([getattr(tables[g], name)[i] for g, i in lanes], dtype=float)
@@ -324,11 +335,7 @@ class _Prop2:
     def __init__(self, grid: list[NormalDynamicsParams], v0: float, T: float | None,
                  dt: float):
         Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
-        for T_i in Ts:  # false for NaN; ceil(inf) would raise OverflowError
-            if not (0.0 < T_i < math.inf and math.ceil(T_i / dt) >= 1):
-                raise ValueError(f"proposition-2 horizon must be finite and at least one "
-                                 f"step of {dt} s, got {T_i}")
-        ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
+        ns = [_steps("proposition 2 horizon T", T_i, dt) for T_i in Ts]
         zeros = [0.0] * len(grid)
         self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], zeros,
                             [p.f_H for p in grid], zeros, zeros, [float(v0)] * len(grid))
@@ -474,7 +481,7 @@ class _Prop1:
             raise ValueError("proposition 1 requires a constant rest point")
         eq = [p.x_e.base - p.f_H / p.k_e for p in grid]
         Ts = [20.0 * p.time_constant() if T is None else float(T) for p in grid]
-        ns = [int(math.ceil(T_i / dt)) for T_i in Ts]
+        ns = [_steps("proposition 1 horizon T", T_i, dt) for T_i in Ts]
         self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid],
                             [p.k_e for p in grid], [p.f_H for p in grid],
                             [p.x_e.base for p in grid], [e + x0_offset for e in eq],
@@ -550,10 +557,7 @@ class _Prop3:
     def __init__(self, grid: list[NormalDynamicsParams], amplitude: float, omega: float,
                  T: float, dt: float):
         # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
-        n = int(math.ceil(T / dt)) if 0.0 < T < math.inf else 0  # false for NaN
-        if n < 4:
-            raise ValueError(f"proposition 3 duration T must be finite, > 0 and span at least "
-                             f"4 steps of {dt} s, got {T}")
+        n = _steps("proposition 3 duration T", T, dt, least=4)
         self.prof = XeProfile("sinusoid", base=0.0, amplitude=amplitude, omega=omega)
         zeros = [0.0] * len(grid)
         self.lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],

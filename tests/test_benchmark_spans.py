@@ -3,9 +3,15 @@ the package, given as (owner, attribute) pairs. A name that a refactor deletes
 or renames leaves its layer unmeasured without failing the benchmark; this test
 fails instead. It only reads perfbench/: the module is executed from its
 source, so no bytecode is written there.
+
+The benchmark's workloads also read package names as `admitsim.<module>.<name>`
+(the scripted suite disturbance, the task order, the builders); a rename would
+fail the benchmark run, so each such name in perfbench's source must resolve.
 """
 
+import importlib
 import os
+import re
 import types
 
 import pytest
@@ -31,3 +37,27 @@ def test_traced_name_resolves_to_a_callable(layer, owner, attr):
     # The tracer looks a class attribute up in the class's own __dict__.
     target = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
     assert callable(target), f"layer {layer}: {owner.__name__}.{attr} is missing"
+
+
+def read_names():
+    """Every (module, name) that perfbench/*.py spells as admitsim.<module>.<name>."""
+    names = set()
+    folder = os.path.dirname(LAYERS_PY)
+    for file in sorted(os.listdir(folder)):
+        if file.endswith(".py"):
+            with open(os.path.join(folder, file)) as fh:
+                names.update(re.findall(r"\badmitsim\.(\w+)\.(\w+)", fh.read()))
+    return sorted(names)
+
+
+NAMES = read_names()
+
+
+def test_the_benchmark_reads_package_names():
+    assert len(NAMES) >= 15
+
+
+@pytest.mark.parametrize("module,name", NAMES, ids=[f"{m}.{n}" for m, n in NAMES])
+def test_package_name_read_by_the_benchmark_resolves(module, name):
+    assert hasattr(importlib.import_module(f"admitsim.{module}"), name), \
+        f"admitsim.{module}.{name} is missing"

@@ -5,6 +5,10 @@ when closed) or, for counts and seeds, by `errors.check_count`. NaN, both
 infinities and the value just past the bound raise the documented type; the
 bound itself is accepted where the range is closed and rejected where it is
 open, and the value just inside it is accepted.
+
+The inputs that a task does not read (an environment override outside its
+record's `env_keys`, a `wipe_passes` other than 1 outside WW), the admittance
+overrides and the verifier's horizons fail with a typed error too.
 """
 
 import math
@@ -20,10 +24,17 @@ from admitsim.environments import (
     PlaneBoard,
     SpringContact,
 )
-from admitsim.errors import NonPositiveParameter
+from admitsim.config import parse_scenario
+from admitsim.errors import ConfigParse, NonPositiveParameter
 from admitsim.harness import ScenarioConfig
 from admitsim.policy import NoiseSpec
-from admitsim.verify import NormalDynamicsParams
+from admitsim.tasks import TASK_SPECS, TASKS, build_environment
+from admitsim.verify import (
+    NormalDynamicsParams,
+    verify_prop1_grid,
+    verify_prop2,
+    verify_prop3_grid,
+)
 
 
 def field(cls, name):
@@ -124,3 +135,84 @@ def test_count_bound(name, build, low):
             build(value)
     build(low)
     build(np.int64(low + 1))
+
+
+# Each task's environment override keys, from its record: every one is read,
+# and every other key is rejected at construction, naming the task.
+ENV_READ = [(task, key) for task in TASKS for key in TASK_SPECS[task].env_keys]
+ANY_ENV_KEY = tuple(dict.fromkeys(k for spec in TASK_SPECS.values() for k in spec.env_keys))
+ENV_UNREAD = [(task, key) for task in TASKS for key in ANY_ENV_KEY + ("bogus",)
+              if key not in TASK_SPECS[task].env_keys]
+
+
+@pytest.mark.parametrize("task,key", ENV_READ, ids=[f"{t}-{k}" for t, k in ENV_READ])
+def test_environment_override_changes_the_built_environment(task, key):
+    default = getattr(build_environment(task, np.random.default_rng(3)), key)
+    cfg = ScenarioConfig(task, env_overrides={key: 2.0 * default})
+    env = build_environment(task, np.random.default_rng(3), cfg.env_overrides)
+    assert getattr(env, key) == 2.0 * default
+
+
+@pytest.mark.parametrize("task,key", ENV_UNREAD, ids=[f"{t}-{k}" for t, k in ENV_UNREAD])
+def test_environment_override_the_task_does_not_read(task, key, tmp_path):
+    with pytest.raises(ValueError, match=f"^unknown environment override '{key}' for {task} "):
+        ScenarioConfig(task, env_overrides={key: 1.0})
+    path = tmp_path / "s.ini"  # through an INI file: a config error
+    path.write_text(f"[scenario]\ntask = {task}\n[environment]\n{key} = 1.0\n")
+    with pytest.raises(ConfigParse, match=f"override '{key}' for {task} "):
+        parse_scenario(str(path))
+
+
+@pytest.mark.parametrize("task", [t for t in TASKS if not TASK_SPECS[t].multipass])
+def test_wipe_passes_is_one_outside_a_multipass_task(task, tmp_path):
+    assert ScenarioConfig(task, wipe_passes=1).wipe_passes == 1
+    for passes in (2, 3):
+        with pytest.raises(ValueError, match=f"^wipe_passes must be 1 for {task}, "):
+            ScenarioConfig(task, wipe_passes=passes)
+    path = tmp_path / "s.ini"
+    path.write_text(f"[scenario]\ntask = {task}\nwipe_passes = 3\n")
+    with pytest.raises(ConfigParse, match=f"wipe_passes must be 1 for {task}"):
+        parse_scenario(str(path))
+
+
+def test_admittance_flag_overrides_still_apply():
+    flags = {"enable_tangent_stiffening": False, "enable_normal_regulation": False}
+    adm = ScenarioConfig("WW", admittance_overrides=flags).build_admittance()
+    assert not adm.enable_tangent_stiffening and not adm.enable_normal_regulation
+    adm = ScenarioConfig("WW", admittance_overrides={"mass": np.float64(2.0)}).build_admittance()
+    assert adm.mass == 2.0
+
+
+PROPS = (("prop1", verify_prop1_grid, "proposition 1 horizon T", {}),
+         ("prop2", verify_prop2, "proposition 2 horizon T", {"v0": 0.05}),
+         ("prop3", verify_prop3_grid, "proposition 3 duration T", {}))
+
+
+def horizon(call, **kw):
+    return lambda: call([dynamics()], **kw)
+
+
+# (case, call, error, message prefix): the inputs that no range table covers.
+TYPED = [
+    ("admittance-key", lambda: ScenarioConfig("WW", admittance_overrides={"bogus": 1.0}),
+     ValueError, "unknown admittance override 'bogus'"),
+    ("admittance-str", lambda: ScenarioConfig("WW", admittance_overrides={"mass": "2"}),
+     ValueError, "admittance mass must be a real number, got '2'"),
+    ("admittance-none", lambda: ScenarioConfig("PH", admittance_overrides={"stiffness": None}),
+     ValueError, "admittance stiffness must be a real number, got None"),
+] + [
+    (f"{name}-T={T}-dt={dt}", horizon(call, T=T, dt=dt, **kw), ValueError, message)
+    for name, call, what, kw in PROPS
+    for T, dt, message in [(T, 1e-3, f"{what} must be finite, > 0 and span at least ")
+                           for T in (math.inf, math.nan, 0.0, -1.0)]
+    + [(1.0, dt, "dt must be finite and > 0, got ") for dt in (0.0, -1e-3, math.nan, math.inf)]
+    + [(1.0, 5e-324, "the lane table needs inf steps in one lane")]
+]
+
+
+@pytest.mark.parametrize("case,call,error,message", TYPED, ids=[row[0] for row in TYPED])
+def test_typed_error(case, call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(message), str(exc.value)

@@ -20,7 +20,7 @@ from admitsim.datasets import (
 from admitsim.errors import ConfigParse, IoFailure
 from admitsim.expert import SupervisionRecords, SupervisionTuple
 from admitsim.harness import RunLog, ScenarioConfig, run_episode
-from admitsim.tasks import TASKS, build_environment, generate_demo
+from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
 
 
 def sample_episodes(n_eps=3, seed=0):
@@ -399,8 +399,11 @@ def test_readme_scenario_example_lists_every_key(tmp_path):
     block = readme.split("### Scenario config")[1].split("```ini\n")[1].split("```")[0]
     example = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     example.read_string(block)
+    # [environment] holds the keys the example's task reads (any other is a
+    # config error for it).
+    task = example.get("scenario", "task")
     schema = {"scenario": config._SCENARIO_KEYS, "noise": config._NOISE_KEYS,
-              "admittance": config._ADMITTANCE_KEYS, "environment": config._ENV_KEYS,
+              "admittance": config._ADMITTANCE_KEYS, "environment": TASK_SPECS[task].env_keys,
               "safety": config._SAFETY_KEYS, "disturbance": config._DISTURBANCE_KEYS}
     sections = {name.split(".")[0]: name for name in example.sections()}
     assert sorted(sections) == sorted(schema)

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -8,16 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from admitsim import harness
+from admitsim.datasets import write_suite_csv
 from admitsim.environments import DisturbanceEvent
 from admitsim.harness import (
     RunLog,
     ScenarioConfig,
+    SuiteRow,
     default_disturbance,
     run_episode,
     run_suite,
     success_check,
 )
 from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
+from admitsim.tasks import TASK_SPECS, TASKS
 
 NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
                   contact_flip_prob=0.01, seed=0)
@@ -89,11 +92,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             build()
 
-    def test_rejects_unknown_environment_override(self):
-        from admitsim import config
-        with pytest.raises(ValueError, match="unknown environment override 'bogus'"):
+    def test_rejects_unknown_environment_override(self, tmp_path):
+        from admitsim.config import parse_scenario
+        from admitsim.errors import ConfigParse
+        with pytest.raises(ValueError, match="unknown environment override 'bogus' for WW"):
             ScenarioConfig(task="WW", env_overrides={"bogus": 3.0})
-        assert config._ENV_KEYS is harness.ENV_KEYS  # the INI parser takes the same keys
+        # The INI parser leaves the [environment] keys to ScenarioConfig.
+        path = tmp_path / "s.ini"
+        path.write_text("[scenario]\ntask = WW\n[environment]\nbogus = 3.0\n")
+        with pytest.raises(ConfigParse, match="unknown environment override 'bogus' for WW"):
+            parse_scenario(str(path))
 
     @pytest.mark.parametrize("axes", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                                       ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
@@ -186,6 +194,16 @@ class TestSuccessCheck:
     def test_insertion_threshold(self):
         assert success_check("PH", make_log({"insertion_depth_mm": 10.0}))
         assert not success_check("PH", make_log({"insertion_depth_mm": 9.0}))
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_final_metrics_measure_the_task_metric(self, task):
+        # Each task measures its own success metric; the others stay NaN.
+        log = run_episode(ScenarioConfig(task=task, duration=0.3, seed=1))
+        metrics = dict(log.metrics)
+        assert metrics.pop("success") == success_check(task, log)
+        assert tuple(metrics) == harness.FINAL_METRICS
+        measured = {name for name, value in metrics.items() if not math.isnan(value)}
+        assert measured == {TASK_SPECS[task].metric, "peak_force_n"}
 
 
 class TestRunEpisode:
@@ -362,6 +380,17 @@ class TestRunSuite:
         r1 = run_suite([cfg])
         r2 = run_suite([cfg])
         assert repr(r1) == repr(r2)
+
+    def test_suite_csv_columns_are_the_row_fields(self, tmp_path):
+        rows = run_suite([ScenarioConfig(task="PH", duration=0.5, seed=s) for s in range(2)])
+        path = tmp_path / "suite.csv"
+        write_suite_csv(str(path), rows)
+        header, row = path.read_text().splitlines()
+        names = [f.name for f in fields(SuiteRow)]
+        assert header.split(",") == names
+        assert names[-4:] == ["mean_" + name for name in harness.FINAL_METRICS]
+        assert row.split(",")[:3] == ["force_aware", "0", "2"]
+        assert row.split(",")[3:] == [repr(float(v)) for v in astuple(rows[0])[3:]]
 
     def test_grouping_by_mode_and_condition(self):
         cfgs = []
