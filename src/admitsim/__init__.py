@@ -27,7 +27,6 @@ from .expert import (
     SupervisionRecords,
     SupervisionTuple,
     extract_supervision,
-    manifold_normal,
     plan_articulated,
     plan_free_motion,
     plan_insertion,

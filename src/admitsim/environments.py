@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WrongVariant, check_range
+from .errors import WrongVariant, check_range, check_real
 from .geometry import (
     _add,
     _cross,
@@ -127,6 +127,7 @@ class DisturbanceEvent:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         for name in ("start", "duration", "magnitude", "ramp", "omega"):
             value = getattr(self, name)
+            check_real(name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.duration <= 0.0:
@@ -585,11 +586,6 @@ class HingedDoor(TaskEnvironment):
         if not self.microwave and not self.latch_released:
             return self.handle_pivot, self.handle_axis, self.handle_lever
         return self.hinge_pivot, self.hinge_axis, self.pull_radius
-
-    def constraint_normal(self, p) -> tuple:
-        """Outward radial of the active circle at the float point p."""
-        center, axis, _ = self._active_circle()
-        return _normalize(_perp(_sub(p, center), axis))
 
     def _latched(self) -> bool:
         """Whether the latch force field acts: engaged, still latched, door opened."""

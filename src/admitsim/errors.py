@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, and the range checks that raise them."""
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class AdmitSimError(Exception):
@@ -36,10 +36,6 @@ class NothingToWipe(AdmitSimError):
     """Wiping plan requested for a board without inked cells."""
 
 
-class NoContactManifold(AdmitSimError):
-    """No contact manifold is defined for the queried environment/pose."""
-
-
 class LengthMismatch(AdmitSimError):
     """Paired sequences have inconsistent lengths."""
 
@@ -56,11 +52,19 @@ class IoFailure(AdmitSimError):
     """File could not be read or written."""
 
 
+def check_real(name: str, value, error=ValueError):
+    """Raise error unless value is a real number (a bool is one too)."""
+    if not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError):
-    """Raise error unless value is finite and > low (>= low when closed).
+    """Raise error unless value is a real number, finite and > low (>= low when
+    closed).
 
     Written so that NaN fails: every comparison with NaN is false.
     """
+    check_real(name, value, error)
     if not ((low <= value) if closed else (low < value)) or not value < math.inf:
         raise error(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, got {value}")
 

@@ -17,21 +17,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .environments import HingedDoor, HoleFixture, PlaneBoard, TaskEnvironment
-from .errors import (
-    DegenerateInput,
-    EmptySchedule,
-    LengthMismatch,
-    NoContactManifold,
-    NotAligned,
-    NothingToWipe,
-)
+from .environments import HingedDoor, HoleFixture, PlaneBoard
+from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NotAligned, NothingToWipe
 from .geometry import (
     Pose,
     _add,
     _lerp,
     _matvec,
     _normalize,
+    _perp,
     _quat_matrix,
     _rodrigues,
     _rodrigues_fixed,
@@ -110,9 +104,9 @@ class SupervisionRecords(Sequence):
         return len(self.block)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SupervisionRecords(self.block[i])
         row = self.block[i]
+        if row.ndim == 2:  # i is a slice
+            return SupervisionRecords(row)
         return SupervisionTuple._make((row[:10], row[10:13], int(row[13])))
 
     def __iter__(self):
@@ -226,105 +220,83 @@ def _lane_waypoints(x_lo: float, x_hi: float, step_len: float) -> list[float]:
 
 def plan_articulated(door: HingedDoor, target_angle: float, step: float,
                      grasp_pose: Pose | None = None,
-                     turn_angle: float | None = None) -> list[Pose]:
-    """Circular arcs about the ground-truth joint axes, orientation co-rotating.
+                     turn_angle: float | None = None) -> tuple[list[Pose], list[tuple]]:
+    """Circular arcs about the ground-truth joint axes, orientation co-rotating,
+    and the contact normal of each pose: the outward radial, as floats, of the
+    circle it lies on.
 
     Microwave: a single arc about the hinge. Door: a handle-turn arc (to
     turn_angle, default twice the latch threshold) followed by the hinge arc,
-    encoding the turn-then-pull sequence.
+    encoding the turn-then-pull sequence; the junction pose keeps the handle
+    normal.
     """
     if grasp_pose is None:
         grasp_pose = Pose(door.grasp0, (1.0, 0.0, 0.0, 0.0))
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    poses: list[Pose] = []
-    start = grasp_pose
-    if not door.microwave:
-        if turn_angle is None:
-            turn_angle = 2.0 * door.latch_threshold
-        poses.extend(_arc(start, door.handle_axis, door.handle_pivot, turn_angle, step))
-        start = poses[-1]
-        pull = _arc(start, door.hinge_axis, door.hinge_pivot,
+    if door.microwave:
+        return _arc(grasp_pose, door.hinge_axis, door.hinge_pivot,
                     target_angle, step, sign=door.opening_sign)
-        poses.extend(pull[1:])  # junction pose already emitted
-    else:
-        poses.extend(_arc(start, door.hinge_axis, door.hinge_pivot,
-                          target_angle, step, sign=door.opening_sign))
-    return poses
+    if turn_angle is None:
+        turn_angle = 2.0 * door.latch_threshold
+    poses, normals = _arc(grasp_pose, door.handle_axis, door.handle_pivot, turn_angle, step)
+    pull, pull_normals = _arc(poses[-1], door.hinge_axis, door.hinge_pivot,
+                              target_angle, step, sign=door.opening_sign)
+    # The junction pose is already emitted, with the handle normal.
+    return poses + pull[1:], normals + pull_normals[1:]
 
 
 def _arc(start: Pose, axis, pivot, total: float, step: float,
-         sign: float = 1.0) -> list[Pose]:
+         sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
     """`start` turned about the line through pivot along the unit axis (float
     3-sequences), co-rotating, by sign * min(total, i * step) for
-    i = 0 .. ceil(total / step)."""
+    i = 0 .. ceil(total / step); and the outward radial of each pose."""
     n = int(math.ceil(total / step - 1e-12)) if total > 0 else 0
     turn = _rodrigues_fixed(start.position, axis, pivot)
     q0 = start.orientation
-    out = []
+    poses, normals = [], []
     for i in range(n + 1):
         ang = sign * min(total, i * step)
         q = quat_mul(quat_from_axis_angle(axis, ang), q0)
-        out.append(Pose._make((_rodrigues(turn, ang), _unit_quat(q))))
-    return out
+        p = _rodrigues(turn, ang)
+        poses.append(Pose._make((p, _unit_quat(q))))
+        normals.append(_normalize(_perp(_sub(p, pivot), axis)))
+    return poses, normals
 
 
 # --------------------------------------------------------------------------
-# Contact-manifold normals and supervision extraction
+# Supervision extraction
 # --------------------------------------------------------------------------
-
-def manifold_normal(env: TaskEnvironment, eef: Pose) -> tuple:
-    """Outward constraint normal at the end-effector, as floats.
-
-    This is the direction of the contact force the environment exerts on the
-    robot; the controller presses along its negative.
-    """
-    if isinstance(env, PlaneBoard):
-        return env.spring.surface_normal
-    if isinstance(env, HoleFixture):
-        return env.axis_up
-    if isinstance(env, HingedDoor):
-        return env.constraint_normal(eef.position)
-    raise NoContactManifold(f"no manifold for environment {type(env).__name__}")
-
 
 def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: list[float],
-                        env: TaskEnvironment, normals: list | None = None
-                        ) -> SupervisionRecords:
+                        normals: list) -> SupervisionRecords:
     """Shifted supervision: tuple[t] = (pose[t+1], normal at t+1, contact[t]).
 
     The gripper command in the 10-vector is the expert command at time t.
-    When `normals` is given (door tasks, where the manifold depends on plan
-    progression) it supplies the per-pose normals, float 3-sequences, instead
-    of manifold_normal. The record block is built column by column: each 6D
-    rotation is pose10_encode's, bit for bit, from the same `_unit_quat` pass
-    and operations on numpy columns.
+    `normals` holds the plan's contact normal of each pose, float 3-sequences
+    (ZERO_NORMAL out of contact); a contact step's normal is that of pose t+1,
+    unit-normalized, or pose t's where contact ends at t+1. The record block is
+    built column by column: each 6D rotation is pose10_encode's, bit for bit,
+    from the same `_unit_quat` pass and operations on numpy columns.
     """
-    if not (len(poses) == len(phases) == len(grippers)):
-        raise LengthMismatch("poses, phases, grippers must have equal lengths")
-    if normals is not None and len(normals) != len(poses):
-        raise LengthMismatch("normals length must match poses")
+    if not (len(poses) == len(phases) == len(grippers) == len(normals)):
+        raise LengthMismatch("poses, phases, grippers, normals must have equal lengths")
     if len(poses) < 2:
         raise LengthMismatch("need at least two steps to extract supervision")
     contacts = [ph.contact_flag for ph in phases[:-1]]
-    fixed = None  # the board's and the bore's manifold normal is the same at every pose
+    last = unit = None  # a plan repeats one normal object over a run of poses
     normal_rows = []
     for t, c in enumerate(contacts):
-        if c == 1:
-            if normals is not None:
-                n = normals[t + 1]
-                if sq_norm(n) < 0.25:
-                    n = normals[t]  # contact ends at t+1: keep the incoming manifold
-                n = _normalize(n)
-            elif isinstance(env, HingedDoor):
-                n = _normalize(manifold_normal(env, poses[t + 1]))
-            else:
-                if fixed is None:
-                    fixed = _normalize(manifold_normal(env, poses[t + 1]))
-                n = fixed
-        else:
-            n = ZERO_NORMAL
-        normal_rows.append(n)
+        if c == 0:
+            normal_rows.append(ZERO_NORMAL)
+            continue
+        n = normals[t + 1]
+        if n is not last:
+            if sq_norm(n) < 0.25:  # contact ends at t+1: keep the incoming manifold
+                normal_rows.append(_normalize(normals[t]))
+                continue
+            last, unit = n, _normalize(n)
+        normal_rows.append(unit)
     block = np.empty((len(contacts), RECORD_DIM))
     block[:, 0:3] = [p.position for p in poses[1:]]
     block[:, 3:9] = _rot6d_columns(np.array([p.orientation for p in poses[1:]]))

@@ -356,9 +356,6 @@ def _lerp(a, b, s: float) -> tuple:
     return (t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2)
 
 
-POSE10_DIM = 10
-
-
 def pose10_encode(pose: Pose, gripper: float) -> tuple:
     """Pack (position, 6D rotation, gripper command) into 10 floats."""
     return (*pose.position, *rot6d_encode(pose.orientation), float(gripper))

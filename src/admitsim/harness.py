@@ -14,7 +14,6 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
-from numbers import Real
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .admittance import (
     controller_tick,
 )
 from .environments import HingedDoor, PlaneBoard, apply_disturbances, update_ink
-from .errors import NonFiniteState, check_count, check_range
+from .errors import NonFiniteState, check_count, check_range, check_real
 from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
 from .tasks import TASKS, build_environment, generate_demo, task_spec
@@ -64,6 +63,7 @@ class ScenarioConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         limit = spec.time_limit
+        check_real("duration", self.duration)
         if not 0.0 <= self.duration <= limit:  # false for NaN
             raise ValueError(
                 f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
@@ -89,8 +89,7 @@ class ScenarioConfig:
         for key, value in self.admittance_overrides.items():
             if key not in AdmittanceConfig.__dataclass_fields__:
                 raise ValueError(f"unknown admittance override {key!r}")
-            if not isinstance(value, Real):  # a bool flag is one too
-                raise ValueError(f"admittance {key} must be a real number, got {value!r}")
+            check_real(f"admittance {key}", value)  # a bool flag is one too
         check_range("safety limit", self.safety_limit)
         check_range("safety debounce", self.safety_debounce, closed=True)
         self.build_admittance()  # the overrides fail here, not mid-run

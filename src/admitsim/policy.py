@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndOfDemo, LengthMismatch, check_count, check_range
+from .errors import EndOfDemo, LengthMismatch, check_count, check_range, check_real
 from .expert import SupervisionTuple
 from .geometry import (
     _cross,
@@ -49,6 +49,7 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("pos_std", "rot_std", "normal_cone_std"):
             check_range(name, getattr(self, name), closed=True)
+        check_real("contact_flip_prob", self.contact_flip_prob)
         if not 0.0 <= self.contact_flip_prob <= 1.0:  # false for NaN
             raise ValueError(f"contact_flip_prob must lie in [0, 1], got {self.contact_flip_prob}")
         check_count("seed", self.seed, 0)

@@ -17,6 +17,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import Pose, _add, _normalize, _perp, _sub, quat_from_axis_angle, quat_rotate
+from .geometry import Pose, _add, quat_from_axis_angle, quat_rotate
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
@@ -127,18 +128,9 @@ HOME = Pose((0.0, 0.0, 0.35), IDENTITY_Q)
 GRASP_STEPS = 5
 
 
-def _chain(*sections):
-    """Concatenate (poses, phases, grippers, normals) sections; the normals are
-    None unless some section has them."""
-    any_normals = any(s[3] is not None for s in sections)
-    poses, phases, grippers, normals = [], [], [], []
-    for p, ph, g, n in sections:
-        poses += p
-        phases += ph
-        grippers += g
-        if any_normals:
-            normals += [ZERO_NORMAL] * len(p) if n is None else n
-    return poses, phases, grippers, (normals if any_normals else None)
+def _chain(*sections) -> tuple:
+    """Concatenate (poses, phases, grippers, normals) sections."""
+    return tuple(list(chain.from_iterable(parts)) for parts in zip(*sections))
 
 
 def _along(p, s: float, d) -> tuple:
@@ -149,8 +141,11 @@ def _along(p, s: float, d) -> tuple:
 
 
 def _section(poses, label: PhaseLabel, gripper, normals=None):
-    grippers = [gripper] * len(poses) if np.isscalar(gripper) else list(gripper)
-    return poses, [label] * len(poses), grippers, normals
+    """One phase of a plan: its poses, labels, gripper commands (one for all,
+    or one per pose) and contact normals (one per pose; ZERO_NORMAL if None)."""
+    n = len(poses)
+    grippers = [gripper] * n if np.isscalar(gripper) else list(gripper)
+    return poses, [label] * n, grippers, [ZERO_NORMAL] * n if normals is None else normals
 
 
 def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
@@ -164,9 +159,10 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
     lift = Pose(_along(wipe[-1].position, 0.08, nu), wipe[-1].orientation)
     retract = plan_free_motion([wipe[-1], lift], steps_per_segment=6)[1:]
     dwell = [wipe[0]] * 6  # press and let the contact force converge before sweeping
+    contact = dwell + wipe
     return _chain(
         _section(approach + descend, PhaseLabel.APPROACH, 1.0),
-        _section(dwell + wipe, PhaseLabel.CONTACT, 1.0),
+        _section(contact, PhaseLabel.CONTACT, 1.0, [nu] * len(contact)),
         _section(retract, PhaseLabel.RETRACT, 1.0),
     )
 
@@ -176,10 +172,10 @@ def _ph_plan(hole: HoleFixture) -> tuple:
     rim_pose = insertion[0]
     above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
     approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
-    hold = [insertion[-1]] * 10  # press at the bottom to secure depth
+    contact = insertion[1:] + [insertion[-1]] * 10  # press at the bottom to secure depth
     return _chain(
         _section(approach, PhaseLabel.APPROACH, 1.0),
-        _section(insertion[1:] + hold, PhaseLabel.CONTACT, 1.0),
+        _section(contact, PhaseLabel.CONTACT, 1.0, [hole.axis_up] * len(contact)),
     )
 
 
@@ -193,10 +189,7 @@ def _door_plan(door: HingedDoor, target: float) -> tuple:
     approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
     grasp_poses = [grasp_pose] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
-    turn_angle = None if door.microwave else 2.0 * door.latch_threshold
-    arc = plan_articulated(door, target, math.radians(1.5), grasp_pose=grasp_pose,
-                           turn_angle=turn_angle)
-    arc_normals = _door_arc_normals(door, arc, turn_angle)
+    arc, arc_normals = plan_articulated(door, target, math.radians(1.5), grasp_pose=grasp_pose)
     open_pose = arc[-1]
     # Hold the end pose grasped so the compliant reference catches up with the
     # commanded arc before letting go.
@@ -210,25 +203,6 @@ def _door_plan(door: HingedDoor, target: float) -> tuple:
         _section(arc + hold, PhaseLabel.CONTACT, 1.0, arc_normals + hold_normals),
         _section(retract_poses, PhaseLabel.RETRACT, 0.0),
     )
-
-
-def _door_arc_normals(door: HingedDoor, arc: list, turn_angle: float | None) -> list:
-    """Outward radial of the manifold each arc pose belongs to, as floats.
-
-    For the door task the first segment lies on the handle circle and the rest
-    on the hinge circle; at the switch step the incoming (handle) manifold's
-    normal is used.
-    """
-    hinge = (door.hinge_pivot, door.hinge_axis)
-    n_turn, handle = 0, hinge
-    if not door.microwave:
-        n_turn = int(math.ceil(turn_angle / math.radians(1.5) - 1e-12)) + 1
-        handle = (door.handle_pivot, door.handle_axis)
-    normals = []
-    for i, pose in enumerate(arc):
-        pivot, axis = handle if i < n_turn else hinge
-        normals.append(_normalize(_perp(_sub(pose.position, pivot), axis)))
-    return normals
 
 
 @dataclass(frozen=True)
@@ -308,5 +282,4 @@ def generate_demo(task: str, env: TaskEnvironment, wipe_passes: int = 1) -> Demo
     spec = task_spec(task)
     poses, phases, grippers, normals = (spec.plan(env, wipe_passes) if spec.multipass
                                         else spec.plan(env))
-    return Demo(task, poses, phases,
-                extract_supervision(poses, phases, grippers, env, normals=normals))
+    return Demo(task, poses, phases, extract_supervision(poses, phases, grippers, normals))

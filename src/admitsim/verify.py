@@ -27,6 +27,10 @@ those of judging each whole trajectory at once, bit for bit.
 The equivalence check instead mirrors the controller's semi-implicit scheme
 step for step, because its purpose is the algebraic identity between the full
 vector pipeline and the reduced scalar law.
+
+All four checks size their horizons by one rule, `_steps`: ceil(T / dt) steps,
+where T and dt must be finite and > 0 and the count must lie between the
+check's least step count and MAX_LANE_STEPS; anything else is ValueError.
 """
 
 from __future__ import annotations
@@ -419,7 +423,7 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     x_c = x_e + cmd_offset
     state = ControllerState((x_n * n0, x_n * n1, x_n * n2), (v_n * n0, v_n * n1, v_n * n2))
     cmd = ControllerCommand(x_cmd=(x_c * n0, x_c * n1, x_c * n2), gripper=1.0, n=n, c=1)
-    steps = int(math.ceil(T / dt))
+    steps = _steps("equivalence horizon T", T, dt)
     d = cfg.damping
     max_gap = 0.0
     for _ in range(steps):

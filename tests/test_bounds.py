@@ -8,7 +8,8 @@ open, and the value just inside it is accepted.
 
 The inputs that a task does not read (an environment override outside its
 record's `env_keys`, a `wipe_passes` other than 1 outside WW), the admittance
-overrides and the verifier's horizons fail with a typed error too.
+overrides, the verifier's horizons and a value that is not a number fail with a
+typed error too.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 
 from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim.environments import (
+    DisturbanceEvent,
     FrictionModel,
     HingedDoor,
     HoleFixture,
@@ -216,3 +218,26 @@ def test_typed_error(case, call, error, message):
         call()
     assert type(exc.value) is error
     assert str(exc.value).startswith(message), str(exc.value)
+
+
+# (name in the message, constructor given a str where a number belongs, error)
+NON_NUMBERS = [
+    ("environment k_e", lambda: ScenarioConfig("WW", env_overrides={"k_e": "2"}), VE),
+    ("safety limit", lambda: ScenarioConfig("WW", safety_limit="1"), VE),
+    ("safety debounce", lambda: ScenarioConfig("WW", safety_debounce="0"), VE),
+    ("duration", lambda: ScenarioConfig("WW", duration="5"), VE),
+    ("pos_std", lambda: NoiseSpec(pos_std="1"), VE),
+    ("contact_flip_prob", lambda: NoiseSpec(contact_flip_prob="0.1"), VE),
+    ("mass", lambda: AdmittanceConfig(mass="1"), NPP),
+    ("m", lambda: NormalDynamicsParams("1", 1, 1, 1), VE),
+    ("start", lambda: DisturbanceEvent("raise", start="1", duration=1.0, magnitude=0.01,
+                                       direction=(0.0, 0.0, 1.0)), VE),
+]
+
+
+@pytest.mark.parametrize("name,call,error", NON_NUMBERS, ids=[row[0] for row in NON_NUMBERS])
+def test_a_value_that_is_not_a_number_is_a_typed_error(name, call, error):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{name} must be a real number, got '"), str(exc.value)

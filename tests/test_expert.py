@@ -11,23 +11,22 @@ from admitsim.errors import (
     DegenerateInput,
     EmptySchedule,
     LengthMismatch,
-    NoContactManifold,
     NotAligned,
     NothingToWipe,
 )
 from admitsim.expert import (
+    ZERO_NORMAL,
     PhaseLabel,
     SupervisionRecords,
     SupervisionTuple,
     _rot6d_columns,
     extract_supervision,
-    manifold_normal,
     plan_articulated,
     plan_free_motion,
     plan_insertion,
     plan_wiping,
 )
-from admitsim.geometry import Pose, pose10_encode, rot6d_encode
+from admitsim.geometry import Pose, _normalize, pose10_encode, quat_rotate, rot6d_encode
 from admitsim.policy import NoiseSpec, predict
 from admitsim.tasks import build_environment, generate_demo
 
@@ -44,6 +43,14 @@ def radius(p, pivot, axis):
     rel = np.subtract(p, pivot)
     axis = np.array(axis)
     return np.linalg.norm(rel - (rel @ axis) * axis)
+
+
+def radial(p, pivot, axis):
+    """Unit outward radial of the point p from the line through pivot along the unit axis."""
+    rel = np.subtract(p, pivot)
+    axis = np.array(axis)
+    r = rel - (rel @ axis) * axis
+    return r / np.linalg.norm(r)
 
 
 class TestFreeMotion:
@@ -133,31 +140,44 @@ class TestWiping:
             assert env.ink.inked_count() == 0
 
 
-class TestArticulated:
-    def microwave(self):
-        return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
-                          grasp0=np.array([0.0, 0.0, 0.0]), microwave=True)
+def demo_door():
+    return HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
+                      grasp0=np.array([0.0, -0.06, 0.0]),
+                      handle_pivot=np.array([0.0, 0.0, 0.0]),
+                      handle_axis=np.array([1.0, 0.0, 0.0]),
+                      microwave=False)
 
+
+def microwave():
+    return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
+                      grasp0=np.array([0.0, 0.0, 0.0]), microwave=True)
+
+
+def turn_poses(door, step):
+    """Poses of the door's handle-turn arc, the junction included (0 for a microwave)."""
+    if door.microwave:
+        return 0
+    return int(math.ceil(2.0 * door.latch_threshold / step - 1e-12)) + 1
+
+
+class TestArticulated:
     def test_zero_target_single_pose(self):
-        poses = plan_articulated(self.microwave(), 0.0, math.radians(1.0))
-        assert len(poses) == 1
+        poses, normals = plan_articulated(microwave(), 0.0, math.radians(1.0))
+        assert len(poses) == len(normals) == 1
 
     def test_arc_counting_and_radius(self):
-        door = self.microwave()
-        poses = plan_articulated(door, math.radians(60.0), math.radians(1.0))
-        assert len(poses) == 61
+        door = microwave()
+        poses, normals = plan_articulated(door, math.radians(60.0), math.radians(1.0))
+        assert len(poses) == len(normals) == 61
         for p in poses:
             assert abs(radius(p.position, door.hinge_pivot, door.hinge_axis) - 0.25) < 1e-9
 
     def test_door_emits_two_arcs(self):
-        door = HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
-                          grasp0=np.array([0.0, -0.06, 0.0]),
-                          handle_pivot=np.array([0.0, 0.0, 0.0]),
-                          handle_axis=np.array([1.0, 0.0, 0.0]),
-                          microwave=False)
+        door = demo_door()
         step = math.radians(1.5)
-        poses = plan_articulated(door, math.radians(40.0), step)
-        n_turn = int(math.ceil(2.0 * door.latch_threshold / step - 1e-12)) + 1
+        poses, normals = plan_articulated(door, math.radians(40.0), step)
+        assert len(normals) == len(poses)
+        n_turn = turn_poses(door, step)
         # Turn arc: constant distance from the handle pivot.
         for p in poses[:n_turn]:
             r = radius(p.position, door.handle_pivot, door.handle_axis)
@@ -171,37 +191,67 @@ class TestArticulated:
         assert len(poses) > n_turn
 
 
-class TestManifoldNormal:
-    def test_board_outward_normal(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
-        n = manifold_normal(board, Pose(np.zeros(3), IDENTITY))
-        # The contact force on the eef points out of the board (+z here);
-        # the controller presses along -n.
-        assert_allclose(n, Z)
+class TestPlanNormals:
+    """The expert plan gives each pose its contact normal; the supervision of
+    a contact step is the unit normal of its next pose."""
 
-    def test_hole_axis(self):
-        hole = HoleFixture(rim_center=np.zeros(3))
-        n = manifold_normal(hole, Pose(np.array([0.0, 0, -0.01]), IDENTITY))
-        assert_allclose(n, Z)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_board_contact_normal_is_the_outward_board_normal(self, seed):
+        board = build_environment("WW", np.random.default_rng(seed))
+        want = _normalize(board.spring.surface_normal)
+        # The contact force on the eef points out of the board (its frame's
+        # +z); the controller presses along -n.
+        assert_allclose(want, quat_rotate(board.rotation, (0.0, 0.0, 1.0)), atol=1e-12)
+        contact = [t for t in generate_demo("WW", board).tuples if t.contact]
+        assert contact
+        for t in contact:
+            assert t.normal.tobytes() == np.array(want).tobytes()
 
-    def test_door_normal_rotates_with_angle(self):
-        door = HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
-                          grasp0=np.array([0.0, 0.0, 0.0]), microwave=True)
-        door.update(door.grasp0, 1.0)
-        for ang in (0.0, 0.3, 0.8):
-            p = np.array([-0.25 * math.sin(ang), 0.25 - 0.25 * math.cos(ang), 0.0])
-            n = manifold_normal(door, Pose(p, IDENTITY))
-            tangent = np.cross(door.hinge_axis, n)
-            # Radial normal, orthogonal to the instantaneous arc tangent.
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_insertion_contact_normal_is_the_bore_axis(self, seed):
+        hole = build_environment("PH", np.random.default_rng(seed))
+        want = _normalize(hole.axis_up)
+        assert_allclose(want, Z)
+        contact = [t for t in generate_demo("PH", hole).tuples if t.contact]
+        assert contact
+        for t in contact:
+            assert t.normal.tobytes() == np.array(want).tobytes()
+
+    def test_microwave_normals_are_hinge_radials(self):
+        door = microwave()
+        poses, normals = plan_articulated(door, math.radians(60.0), math.radians(1.0))
+        for p, n in zip(poses, normals):
+            assert_allclose(n, radial(p.position, door.hinge_pivot, door.hinge_axis), atol=1e-12)
+
+    def test_door_turn_then_pull_normals(self):
+        door = demo_door()
+        step = math.radians(1.5)
+        poses, normals = plan_articulated(door, math.radians(40.0), step)
+        n_turn = turn_poses(door, step)
+        handle = (door.handle_pivot, door.handle_axis)
+        hinge = (door.hinge_pivot, door.hinge_axis)
+        for i, (p, n) in enumerate(zip(poses, normals)):
+            assert_allclose(n, radial(p.position, *(handle if i < n_turn else hinge)),
+                            atol=1e-12)
+        # The junction pose ends the turn and starts the pull; it keeps the
+        # handle normal, which differs from the hinge radial there.
+        junction, n = poses[n_turn - 1].position, normals[n_turn - 1]
+        assert_allclose(n, radial(junction, *handle), atol=1e-12)
+        assert np.linalg.norm(np.subtract(n, radial(junction, *hinge))) > 0.1
+
+    @pytest.mark.parametrize("door", [microwave(), demo_door()], ids=["microwave", "door"])
+    def test_every_normal_is_an_orthogonal_unit_to_its_arc_tangent(self, door):
+        step = math.radians(1.5)
+        poses, normals = plan_articulated(door, math.radians(40.0), step)
+        n_turn = turn_poses(door, step)
+        for i, (p, n) in enumerate(zip(poses, normals)):
+            pivot, axis = ((door.handle_pivot, door.handle_axis) if i < n_turn
+                           else (door.hinge_pivot, door.hinge_axis))
+            tangent = np.cross(axis, np.subtract(p.position, pivot))
+            tangent /= np.linalg.norm(tangent)
+            assert abs(np.linalg.norm(n) - 1.0) < 1e-12
             assert abs(float(np.dot(n, tangent))) < 1e-12
-            expected = (p - door.hinge_pivot) / np.linalg.norm(p - door.hinge_pivot)
-            assert_allclose(n, expected, atol=1e-9)
-
-    def test_unknown_environment(self):
-        class Mystery:
-            pass
-        with pytest.raises(NoContactManifold):
-            manifold_normal(Mystery(), Pose(np.zeros(3), IDENTITY))
+            assert abs(float(np.dot(n, axis))) < 1e-12
 
 
 class TestSupervision:
@@ -209,18 +259,14 @@ class TestSupervision:
         poses = [Pose(np.array([0.01 * i, 0, 0.05]), IDENTITY) for i in range(n_steps)]
         phases = [label] * n_steps
         grippers = [1.0] * n_steps
-        return poses, phases, grippers
+        return poses, phases, grippers, [ZERO_NORMAL] * n_steps
 
     def test_shift_drops_final_step(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
-        poses, phases, grippers = self.make(2)
-        tuples = extract_supervision(poses, phases, grippers, board)
+        tuples = extract_supervision(*self.make(2))
         assert len(tuples) == 1
 
     def test_free_motion_placeholder_normals(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
-        poses, phases, grippers = self.make(6)
-        tuples = extract_supervision(poses, phases, grippers, board)
+        tuples = extract_supervision(*self.make(6))
         for t in tuples:
             assert t.contact == 0
             assert_allclose(t.normal, np.zeros(3))
@@ -228,26 +274,38 @@ class TestSupervision:
     def test_insertion_normals_equal_axis(self):
         hole = HoleFixture(rim_center=np.zeros(3))
         poses = plan_insertion(hole, 0.02, 0.002)
-        phases = [PhaseLabel.CONTACT] * len(poses)
-        tuples = extract_supervision(poses, phases, [1.0] * len(poses), hole)
+        n = len(poses)
+        tuples = extract_supervision(poses, [PhaseLabel.CONTACT] * n, [1.0] * n,
+                                     [hole.axis_up] * n)
         for t in tuples:
             assert t.contact == 1
             assert_allclose(t.normal, hole.axis_up)
 
+    def test_contact_normal_is_the_next_poses_unit_normal(self):
+        # Contact ends at the last pose, whose placeholder normal gives way to
+        # the incoming one.
+        poses, _, grippers, _ = self.make(4)
+        phases = [PhaseLabel.CONTACT] * 3 + [PhaseLabel.RETRACT]
+        normals = [(0.0, 0.0, 2.0), (0.0, 3.0, 0.0), (4.0, 0.0, 0.0), ZERO_NORMAL]
+        tuples = extract_supervision(poses, phases, grippers, normals)
+        assert [tuple(t.normal) for t in tuples] == [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
+                                                    (1.0, 0.0, 0.0)]
+        assert [t.contact for t in tuples] == [1, 1, 1]
+
     def test_pose_shift_reproduces_next_pose(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
-        poses, phases, grippers = self.make(10)
-        tuples = extract_supervision(poses, phases, grippers, board)
+        poses, phases, grippers, normals = self.make(10)
+        tuples = extract_supervision(poses, phases, grippers, normals)
         for t, tup in enumerate(tuples):
             assert np.linalg.norm(np.subtract(tup.pose10[:3], poses[t + 1].position)) < 1e-9
 
     def test_length_mismatch(self):
-        board = PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
-        poses, phases, grippers = self.make(5)
+        poses, phases, grippers, normals = self.make(5)
         with pytest.raises(LengthMismatch):
-            extract_supervision(poses, phases[:-1], grippers, board)
+            extract_supervision(poses, phases[:-1], grippers, normals)
         with pytest.raises(LengthMismatch):
-            extract_supervision(poses[:1], phases[:1], grippers[:1], board)
+            extract_supervision(poses, phases, grippers, normals[:-1])
+        with pytest.raises(LengthMismatch):
+            extract_supervision(poses[:1], phases[:1], grippers[:1], normals[:1])
 
 
 class TestDemoInvariants:
@@ -272,6 +330,27 @@ class TestDemoInvariants:
             for p in contact:
                 radii.append(radius(p.position, env.hinge_pivot, env.hinge_axis))
             assert max(radii) - min(radii) < 1e-9
+
+    @pytest.mark.parametrize("task", ["MO", "DO"])
+    @pytest.mark.parametrize("seed", [0, 3, 7, 12])
+    def test_contact_normal_is_the_radial_of_the_next_poses_circle(self, task, seed):
+        env = build_environment(task, np.random.default_rng(seed))
+        demo = generate_demo(task, env)
+        on_handle, hinge_radii = 0, []
+        for t, tup in enumerate(demo.tuples):
+            if not tup.contact:
+                continue
+            p = demo.poses[t + 1].position
+            if task == "DO" and \
+                    abs(radius(p, env.handle_pivot, env.handle_axis) - env.handle_lever) < 1e-9:
+                circle = (env.handle_pivot, env.handle_axis)
+                on_handle += 1
+            else:
+                circle = (env.hinge_pivot, env.hinge_axis)
+                hinge_radii.append(radius(p, *circle))
+            assert_allclose(tup.normal, radial(p, *circle), atol=1e-12)
+        assert max(hinge_radii) - min(hinge_radii) < 1e-9  # one hinge circle
+        assert (on_handle > 0) == (task == "DO")
 
 
 def _tuple_bytes(tup) -> bytes:

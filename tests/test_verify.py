@@ -259,6 +259,17 @@ def test_prop3_horizon_must_be_finite_and_positive(T):
         run_default_verification(prop3_T=T, grid=[params()])
 
 
+@pytest.mark.parametrize("T,dt,message", [
+    (T, 1e-3, "equivalence horizon T must be finite, > 0 and span at least 1 step")
+    for T in (0.0, -1.0, math.inf, math.nan)
+] + [(2.0, dt, "dt must be finite and > 0") for dt in (math.nan, 0.0)])
+def test_equivalence_horizon_must_be_finite_and_positive(T, dt, message):
+    env = SpringContact(1000.0, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match=f"^{message}") as exc:
+        equivalence_check(AdmittanceConfig(target_force=4.0), env, T=T, dt=dt)
+    assert type(exc.value) is ValueError
+
+
 class TestOneBatch:
     """run_default_verification integrates the three propositions as one batch."""
 
