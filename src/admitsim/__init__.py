@@ -17,9 +17,6 @@ from .environments import (
     InkGrid,
     PlaneBoard,
     SpringContact,
-    insertion_depth,
-    opening_angle,
-    remaining_ink_length,
     update_ink,
 )
 from .expert import (

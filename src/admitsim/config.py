@@ -67,7 +67,7 @@ import math
 from dataclasses import replace
 
 from .environments import DisturbanceEvent
-from .errors import ConfigParse, DegenerateInput, NonPositiveParameter
+from .errors import ConfigParse, DegenerateInput
 from .harness import ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
 
@@ -124,7 +124,7 @@ def _scenario(path: str, base: ScenarioConfig | None = None, **kwargs) -> Scenar
     errors reported as ConfigParse."""
     try:
         return ScenarioConfig(**kwargs) if base is None else replace(base, **kwargs)
-    except (ValueError, NonPositiveParameter) as exc:
+    except ValueError as exc:
         raise ConfigParse(f"{path}: {exc}") from exc
 
 
@@ -226,7 +226,7 @@ def parse_verify_params(path: str):
     try:
         return default_grid(floats("m", GRID_M), floats("k_e", GRID_KE), floats("f_h", GRID_FH),
                             _get_float(parser, "verify", "d", path, fallback=None))
-    except (ValueError, NonPositiveParameter) as exc:
+    except ValueError as exc:
         raise ConfigParse(f"{path}: [verify] {exc}") from exc
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WrongVariant, check_range, check_real
+from .errors import check_range, check_real
 from .geometry import (
     _add,
     _cross,
@@ -322,6 +322,10 @@ class TaskEnvironment:
     k_e: float
     friction: FrictionModel
 
+    # The per-tick state update, update(x_r, gripper), run before the wrench;
+    # None for a variant without state of its own to update.
+    update = None
+
     def external_wrench(self, pos, vel) -> tuple:
         """The contact force on the end-effector (no environment produces torque)."""
         raise NotImplementedError
@@ -330,13 +334,17 @@ class TaskEnvironment:
         """Move the geometry by the float offset and tilt (an angle about the unit tilt_axis)."""
         raise NotImplementedError
 
+    def measure(self, x_r) -> float:
+        """The task's final metric with the end-effector at x_r (a float 3-sequence)."""
+        raise NotImplementedError
+
 
 @dataclass
 class PlaneBoard(TaskEnvironment):
     """Flat board with an ink grid; the outward normal faces the robot.
 
-    Its `spring` holds the contact's rest point and unit normal, which
-    disturbances move and tilt.
+    The contact's `rest_point` and unit `surface_normal` start at the center
+    and the board's +z axis; disturbances move and tilt them.
     """
 
     center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
@@ -355,10 +363,13 @@ class PlaneBoard(TaskEnvironment):
         self.center = vec3(self.center)
         self.rotation = self._base_rotation = tuple(map(float, self.rotation))
         self.ink = InkGrid(self.extent[0], self.extent[1])
-        self.spring = SpringContact(self.k_e, self.center, self.normal())
+        check_range("k_e", self.k_e)
+        self.rest_point = self.center
+        n = self.normal()
+        self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
         # (tilt key, (rotation, normal) at that tilt). Zero tilt restores the
-        # board as built, with the spring's unit normal.
-        self._untilted = (0.0, (self.rotation, self.spring.surface_normal))
+        # board as built, with its unit normal.
+        self._untilted = (0.0, (self.rotation, self.surface_normal))
         self._tilt = self._untilted
         self._frame = (None, None)  # (rotation, _frame_rows() at that rotation)
 
@@ -367,7 +378,7 @@ class PlaneBoard(TaskEnvironment):
         return _matvec(_quat_matrix(self.rotation), (0.0, 0.0, 1.0))
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
-        self.spring.rest_point = _add(self.center, offset)
+        self.rest_point = _add(self.center, offset)
         # Rotation and normal are functions of the tilt alone: recompute them
         # only when it changes (every tick of a ramp, once for a held tilt).
         key = (tilt, tilt_axis) if tilt != 0.0 else 0.0
@@ -378,7 +389,7 @@ class PlaneBoard(TaskEnvironment):
                 self._tilt = (key, (self.rotation, self.normal()))
             else:
                 self._tilt = self._untilted
-        self.rotation, self.spring.surface_normal = self._tilt[1]
+        self.rotation, self.surface_normal = self._tilt[1]
 
     def _frame_rows(self) -> tuple:
         """The rows of the world-to-board rotation (the board axes in the world),
@@ -391,17 +402,21 @@ class PlaneBoard(TaskEnvironment):
 
     def to_board_frame(self, p) -> tuple:
         """World point (a float 3-sequence) to board-frame coordinates (z along the normal)."""
-        return _matvec(self._frame_rows(), _sub(p, self.spring.rest_point))
+        return _matvec(self._frame_rows(), _sub(p, self.rest_point))
 
     def external_wrench(self, pos, vel) -> tuple:
-        nu = self.spring.surface_normal
-        pen = dot3(_sub(self.spring.rest_point, pos), nu)
+        nu = self.surface_normal
+        pen = dot3(_sub(self.rest_point, pos), nu)
         if pen <= 0.0:
             return _ZERO3
-        f_n = self.spring.k_e * pen
+        f_n = self.k_e * pen
         n0, n1, n2 = nu
         g0, g1, g2 = _friction(self.friction, vel, nu, f_n)
         return (f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2)
+
+    def measure(self, x_r) -> float:
+        """Ink left on the board, as stroke length in cm."""
+        return self.ink.inked_count() * self.ink.cell * 100.0
 
 
 @dataclass
@@ -438,6 +453,12 @@ class HoleFixture(TaskEnvironment):
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         self.rim_center = _add(self._base_rest, offset)
+
+    def measure(self, x_r) -> float:
+        """Depth of the peg tip at x_r below the rim along the axis, clamped to
+        [0, depth], in mm."""
+        d_ax = -dot3(_sub(x_r, self.rim_center), self.axis_up)
+        return 1000.0 * min(self.depth, max(0.0, d_ax))
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
@@ -536,6 +557,10 @@ class HingedDoor(TaskEnvironment):
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         """No-op: a door takes force pulses only, which move no geometry."""
+
+    def measure(self, x_r) -> float:
+        """Current door angle about the hinge axis, in degrees."""
+        return math.degrees(self.door_angle)
 
     def _radial(self, p) -> tuple:
         """Component of the float point p - hinge_pivot perpendicular to the hinge axis."""
@@ -636,15 +661,13 @@ class HingedDoor(TaskEnvironment):
 
 
 # --------------------------------------------------------------------------
-# Module-level operations (variant-checked)
+# Module-level operations
 # --------------------------------------------------------------------------
 
-def update_ink(env: TaskEnvironment, position, normal_force: float) -> int:
+def update_ink(env: PlaneBoard, position, normal_force: float) -> int:
     """Clean cells under the eraser footprint at the end-effector position (a
     float 3-sequence); gated on the normal contact force. A board without ink
     left costs no transform."""
-    if not isinstance(env, PlaneBoard):
-        raise WrongVariant("update_ink requires a PlaneBoard")
     if normal_force < env.f_min_wipe:
         return 0
     ink = env.ink
@@ -653,7 +676,7 @@ def update_ink(env: TaskEnvironment, position, normal_force: float) -> int:
         return 0
     # The board-plane (x, y) of to_board_frame: wipe_rect reads no z.
     r0, r1, _ = env._frame_rows()
-    d = _sub(position, env.spring.rest_point)
+    d = _sub(position, env.rest_point)
     return ink.wipe_rect((dot3(r0, d), dot3(r1, d)), env.eraser_half_x, env.eraser_half_y)
 
 
@@ -692,25 +715,3 @@ def apply_disturbances(env: TaskEnvironment, events, t: float):
     env.apply_disturbance_state((o0, o1, o2), tilt, tilt_axis)
     return (e0, e1, e2), active
 
-
-def insertion_depth(env: TaskEnvironment, position) -> float:
-    """Depth of the peg tip at position (a float 3-sequence) below the hole rim
-    along the axis, clamped to [0, depth], in mm."""
-    if not isinstance(env, HoleFixture):
-        raise WrongVariant("insertion_depth requires a HoleFixture")
-    d_ax = -dot3(_sub(position, env.rim_center), env.axis_up)
-    return 1000.0 * min(env.depth, max(0.0, d_ax))
-
-
-def remaining_ink_length(env: TaskEnvironment) -> float:
-    """Inked cell count expressed as stroke length in cm."""
-    if not isinstance(env, PlaneBoard):
-        raise WrongVariant("remaining_ink_length requires a PlaneBoard")
-    return env.ink.inked_count() * env.ink.cell * 100.0
-
-
-def opening_angle(env: TaskEnvironment) -> float:
-    """Current door angle about the hinge axis, in degrees."""
-    if not isinstance(env, HingedDoor):
-        raise WrongVariant("opening_angle requires a HingedDoor")
-    return math.degrees(env.door_angle)

@@ -12,16 +12,12 @@ class DegenerateInput(AdmitSimError):
     """Geometric input too close to a singular configuration to process."""
 
 
-class NonPositiveParameter(AdmitSimError):
+class NonPositiveParameter(AdmitSimError, ValueError):
     """A physical parameter that must be strictly positive is not."""
 
 
 class NonFiniteState(AdmitSimError):
     """Integration produced NaN or infinity."""
-
-
-class WrongVariant(AdmitSimError):
-    """Operation called on an environment variant that does not support it."""
 
 
 class EmptySchedule(AdmitSimError):

@@ -200,7 +200,7 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
         lanes.append(min(lanes[-1] + pitch, y_hi))
     R = _quat_matrix(board.rotation)
     q = _unit_quat(board.rotation)  # eraser frame aligned with the board surface
-    rest = board.spring.rest_point
+    rest = board.rest_point
 
     poses: list[Pose] = []
     for _ in range(passes):

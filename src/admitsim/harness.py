@@ -23,7 +23,7 @@ from .admittance import (
     ControllerState,
     controller_tick,
 )
-from .environments import HingedDoor, PlaneBoard, apply_disturbances, update_ink
+from .environments import PlaneBoard, apply_disturbances, update_ink
 from .errors import NonFiniteState, check_count, check_range, check_real
 from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
@@ -97,7 +97,7 @@ class ScenarioConfig:
     def build_admittance(self) -> AdmittanceConfig:
         if self.mode == "force_aware":
             spec = task_spec(self.task)
-            base = dict(stiffness=50.0, enable_tangent_stiffening=spec.tangent_stiffening,
+            base = dict(enable_tangent_stiffening=spec.tangent_stiffening,
                         enable_normal_regulation=spec.normal_regulation, target_force=spec.f_H)
         else:
             # Blind baselines: isotropic stiffness, no force awareness.
@@ -264,13 +264,11 @@ class _Episode:
         debounce_ticks = int(round(cfg.safety_debounce * CONTROL_HZ))
         n_demo = len(tuples)
         is_board = isinstance(env, PlaneBoard)
-        is_door = isinstance(env, HingedDoor)
         # The per-tick callees, looked up once per call: a wrapper installed on
         # a module name (or an environment class) before this call is called.
         tick, disturb, ink = controller_tick, apply_disturbances, update_ink
         wrench = env.external_wrench
-        door_update = env.update if is_door else None
-        spring = env.spring if is_board else None
+        door_update = env.update
         sqrt = math.sqrt
         pack = _RECORD.pack
         state, chunk, cmd = self.state, self.chunk, self.cmd
@@ -303,14 +301,14 @@ class _Episode:
                     held = disturb(env, events, k * dt)
                 (e0, e1, e2), dist_active = held
             x_r, v_r = state
-            if is_door:
+            if door_update is not None:
                 door_update(x_r, cmd.gripper)
             w0, w1, w2 = wrench(x_r, v_r)
             raw_force = (w0 + e0, w1 + e1, w2 + e2)
             state, f_ext, f_cmd, eigs = tick(state, cmd, raw_force, dt, adm)
             x_r, v_r = state
             if is_board:
-                fn = dot3(raw_force, spring.surface_normal)
+                fn = dot3(raw_force, env.surface_normal)
                 if fn > 0.0:
                     ink(env, x_r, fn)
             records += pack(*x_r, *v_r, *f_ext, *f_cmd, *eigs)
@@ -339,7 +337,7 @@ class _Episode:
             task = self.cfg.task
             spec = task_spec(task)
             metrics = dict.fromkeys(FINAL_METRICS, math.nan)
-            metrics[spec.metric] = spec.measure(self.env, self.state.x_r)
+            metrics[spec.metric] = self.env.measure(self.state.x_r)
             metrics["peak_force_n"] = self.peak_force
             buf_phase, buf_c, buf_dist = self.flags
             n = len(buf_dist)

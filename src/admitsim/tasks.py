@@ -28,9 +28,6 @@ from .environments import (
     HoleFixture,
     PlaneBoard,
     TaskEnvironment,
-    insertion_depth,
-    opening_angle,
-    remaining_ink_length,
 )
 from .expert import (
     ZERO_NORMAL,
@@ -151,7 +148,7 @@ def _section(poses, label: PhaseLabel, gripper, normals=None):
 def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
     wipe = plan_wiping(board, passes=wipe_passes)
     start = wipe[0]
-    nu = board.spring.surface_normal
+    nu = board.surface_normal
     above = Pose(_along(start.position, 0.03, nu), start.orientation)
     high = Pose(_along(above.position, 0.05, nu), start.orientation)
     approach = plan_free_motion([HOME, high, above], steps_per_segment=8)
@@ -219,8 +216,7 @@ class TaskSpec:
     env_keys: tuple             # the overrides `build` passes to the environment
     build: Callable             # (rng, **overrides) -> the randomized environment
     plan: Callable              # (env[, wipe_passes]) -> (poses, phases, grippers, normals)
-    metric: str                 # the final metric that decides success
-    measure: Callable           # (env, x_r) -> that metric at the end of an episode
+    metric: str                 # the final metric that decides success, env.measure's value
     threshold: float
     meets: Callable = operator.ge  # meets(metric, threshold): success
     multipass: bool = False     # plan repeats its coverage path wipe_passes times
@@ -239,28 +235,27 @@ TASK_SPECS = {
         disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
         env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=True),
         plan=partial(_door_plan, target=math.radians(60.0)), metric="opening_angle_deg",
-        measure=lambda door, x_r: opening_angle(door), threshold=50.0),
+        threshold=50.0),
     "PH": TaskSpec(
         time_limit=60.0, tangent_stiffening=False, normal_regulation=True, f_H=2.0,
         disturbance_kinds=("raise", "lower", "shift", "force_pulse", "sinusoid"),
         suite_disturbance=(DisturbanceEvent("shift", start=3.0, duration=5.0, magnitude=0.01,
                                             direction=(1.0, 0.0, 0.0), ramp=0.5),),
         env_keys=("k_e",), build=_build_hole, plan=_ph_plan,
-        metric="insertion_depth_mm", measure=insertion_depth, threshold=10.0),
+        metric="insertion_depth_mm", threshold=10.0),
     "WW": TaskSpec(
         time_limit=120.0, tangent_stiffening=True, normal_regulation=True, f_H=4.0,
         disturbance_kinds=DISTURBANCE_KINDS,
         suite_disturbance=(DisturbanceEvent("raise", start=5.0, duration=10.0, magnitude=0.07,
                                             direction=(0.0, 0.0, 1.0), ramp=0.5),),
         env_keys=("k_e",), build=_build_board, plan=_ww_plan, multipass=True,
-        metric="remaining_ink_cm", measure=lambda board, x_r: remaining_ink_length(board),
-        threshold=5.0, meets=operator.lt),
+        metric="remaining_ink_cm", threshold=5.0, meets=operator.lt),
     "DO": TaskSpec(
         time_limit=120.0, tangent_stiffening=True, normal_regulation=False, f_H=0.0,
         disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
         env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=False),
         plan=partial(_door_plan, target=math.radians(40.0)), metric="opening_angle_deg",
-        measure=lambda door, x_r: opening_angle(door), threshold=30.0),
+        threshold=30.0),
 }
 TASKS = tuple(TASK_SPECS)
 

@@ -147,8 +147,8 @@ def _steps(horizon: str, T: float, dt: float, least: int = 1) -> int:
     q = T / dt if 0.0 < T < math.inf else 0.0  # false for NaN
     n = math.ceil(q) if q < math.inf else q  # a tiny dt can overflow T / dt
     if n > MAX_LANE_STEPS:
-        raise ValueError(f"the lane table needs {n} steps in one lane, more than the "
-                         f"{MAX_LANE_STEPS} a lane may take; shorten the horizons")
+        raise ValueError(f"{horizon} needs {n} steps of {dt} s, more than the "
+                         f"{MAX_LANE_STEPS} one check may take; shorten it")
     if n < least:
         raise ValueError(f"{horizon} must be finite, > 0 and span at least {least} "
                          f"step{'s' * (least > 1)} of {dt} s, got {T}")
@@ -455,8 +455,8 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
 GRID_M = (0.5, 1.0, 2.0)
 GRID_KE = (100.0, 1000.0, 5000.0)
 GRID_FH = (2.0, 4.0, 8.0)
-CONTROLLER_K = 50.0
-DAMPING_RATIO = 2.0
+CONTROLLER_K = AdmittanceConfig.stiffness
+DAMPING_RATIO = AdmittanceConfig.damping_ratio
 
 
 def default_grid(ms=GRID_M, kes=GRID_KE, fhs=GRID_FH,

@@ -97,7 +97,7 @@ def test_criterion_4_equivalence_over_grid():
 
 def _board_normal(seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, TASKS.index("WW")]))
-    return build_environment("WW", rng).spring.surface_normal
+    return build_environment("WW", rng).surface_normal
 
 
 def test_criterion_5_force_trace_reproduction():

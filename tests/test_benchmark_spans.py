@@ -1,8 +1,10 @@
 """The benchmark's per-layer trace (perfbench/layers.py) wraps public names of
 the package, given as (owner, attribute) pairs. A name that a refactor deletes
-or renames leaves its layer unmeasured without failing the benchmark; this test
-fails instead. It only reads perfbench/: the module is executed from its
-source, so no bytecode is written there.
+or renames leaves its layer unmeasured without failing the benchmark, and a
+call site moved away from a traced name leaves its layer at 0 calls; these
+tests fail instead, the second by tracing one disturbed episode per task. They
+only read perfbench/: the module is executed from its source, so no bytecode
+is written there.
 
 The benchmark's workloads also read package names as `admitsim.<module>.<name>`
 (the scripted suite disturbance, the task order, the builders); a rename would
@@ -16,19 +18,24 @@ import types
 
 import pytest
 
+from admitsim import harness
+from admitsim.harness import ScenarioConfig, default_disturbance
+from admitsim.tasks import TASKS
+
 LAYERS_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench", "layers.py")
 
 
-def load_spans():
+def load_layers():
     module = types.ModuleType("perfbench_layers")
     module.__file__ = LAYERS_PY
     with open(LAYERS_PY) as fh:
         exec(compile(fh.read(), LAYERS_PY, "exec"), module.__dict__)
-    return module.SPANS
+    return module
 
 
-SPANS = load_spans()
+LAYERS = load_layers()
+SPANS = LAYERS.SPANS
 
 
 @pytest.mark.parametrize("layer,owner,attr", SPANS,
@@ -37,6 +44,33 @@ def test_traced_name_resolves_to_a_callable(layer, owner, attr):
     # The tracer looks a class attribute up in the class's own __dict__.
     target = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
     assert callable(target), f"layer {layer}: {owner.__name__}.{attr} is missing"
+
+
+class _StillClock:
+    """The tracer's host clock, with no sampling time to leave out of a span."""
+
+    kernel_s = 0.0
+
+
+# The layers that one disturbed episode of each task calls.
+EPISODE_LAYERS = (
+    "harness.episode", "admittance.controller_tick", "environments.wrench.board",
+    "environments.wrench.hole", "environments.wrench.door", "environments.door_update",
+    "environments.apply_disturbances", "environments.update_ink", "policy.predict",
+    "tasks.build_environment", "tasks.generate_demo",
+)
+
+
+def test_every_episode_layer_is_called_in_a_traced_run():
+    """A refactor that moves a call site away from the traced name leaves its
+    layer at 0 calls, which the benchmark would report without failing."""
+    with LAYERS.Tracer(_StillClock()) as tracer:
+        for task in TASKS:
+            harness.run_episode(ScenarioConfig(task, duration=7.0,
+                                               disturbances=default_disturbance(task)))
+    assert tracer.unmeasured == []
+    idle = [layer for layer in EPISODE_LAYERS if tracer.stats[layer][0] == 0]
+    assert idle == []
 
 
 def read_names():

@@ -86,6 +86,7 @@ BOUNDS = [
     ("board", "eraser_half_x", field(PlaneBoard, "eraser_half_x"), 0.0, False, VE),
     ("board", "eraser_half_y", field(PlaneBoard, "eraser_half_y"), 0.0, False, VE),
     ("board", "f_min_wipe", field(PlaneBoard, "f_min_wipe"), 0.0, True, VE),
+    ("board", "k_e", field(PlaneBoard, "k_e"), 0.0, False, VE),
     ("hole", "depth", field(HoleFixture, "depth"), 0.0, False, VE),
     ("hole", "hole_radius", field(HoleFixture, "hole_radius"), 0.0, False, VE),
     ("hole", "wall_stiffness", field(HoleFixture, "wall_stiffness"), 0.0, False, VE),
@@ -177,6 +178,13 @@ def test_wipe_passes_is_one_outside_a_multipass_task(task, tmp_path):
         parse_scenario(str(path))
 
 
+@pytest.mark.parametrize("key", ["mass", "stiffness", "damping_ratio"])
+def test_a_non_positive_gain_override_is_a_value_error(key):
+    with pytest.raises(ValueError, match=f"^{key} must be finite and > 0, got 0.0$") as exc:
+        ScenarioConfig("WW", admittance_overrides={key: 0.0})
+    assert type(exc.value) is NonPositiveParameter
+
+
 def test_admittance_flag_overrides_still_apply():
     flags = {"enable_tangent_stiffening": False, "enable_normal_regulation": False}
     adm = ScenarioConfig("WW", admittance_overrides=flags).build_admittance()
@@ -208,7 +216,7 @@ TYPED = [
     for T, dt, message in [(T, 1e-3, f"{what} must be finite, > 0 and span at least ")
                            for T in (math.inf, math.nan, 0.0, -1.0)]
     + [(1.0, dt, "dt must be finite and > 0, got ") for dt in (0.0, -1e-3, math.nan, math.inf)]
-    + [(1.0, 5e-324, "the lane table needs inf steps in one lane")]
+    + [(1.0, 5e-324, f"{what} needs inf steps of 5e-324 s")]
 ]
 
 

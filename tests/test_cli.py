@@ -138,7 +138,7 @@ class TestVerifyCommand:
         # an array can index: each is refused before any memory is touched.
         assert main(["verify", "--prop3-duration", duration]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("verify: the lane table needs ")
+        assert err.startswith("verify: proposition 3 duration T needs ")
         assert "Traceback" not in err
 
     def test_four_step_prop3_duration_passes(self, capsys):

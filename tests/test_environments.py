@@ -17,12 +17,8 @@ from admitsim.environments import (
     SpringContact,
     _friction,
     apply_disturbances,
-    insertion_depth,
-    opening_angle,
-    remaining_ink_length,
     update_ink,
 )
-from admitsim.errors import WrongVariant
 from admitsim.geometry import quat_from_axis_angle
 from admitsim.harness import default_disturbance
 from admitsim.tasks import TASKS, build_environment
@@ -122,11 +118,6 @@ def full_grid_stroke(ink, pts, pen_radius):
 
 
 class TestInk:
-    def test_update_requires_board(self):
-        hole = HoleFixture()
-        with pytest.raises(WrongVariant):
-            update_ink(hole, point(0, 0, 0), 5.0)
-
     def test_force_gate(self):
         board = flat_board()
         board.ink.inked[:, :] = False
@@ -206,7 +197,7 @@ class TestInk:
             else:
                 xy = tuple(rng.uniform(-0.2, 0.2, size=2))
             r = board._frame_rows()
-            p = tuple(map(float, np.add(board.spring.rest_point,
+            p = tuple(map(float, np.add(board.rest_point,
                                         np.array(r).T @ (*xy, rng.uniform(-0.01, 0.01)))))
             expected = twin.ink.wipe_rect(twin.to_board_frame(p), twin.eraser_half_x,
                                           twin.eraser_half_y)
@@ -254,15 +245,15 @@ class TestInk:
     def test_remaining_length_conversion(self):
         board = flat_board()
         board.ink.inked[:, :] = False
-        assert remaining_ink_length(board) == 0.0
+        assert board.measure(None) == 0.0
         board.ink.inked[0, :10] = True
-        assert remaining_ink_length(board) == pytest.approx(5.0)
+        assert board.measure(None) == pytest.approx(5.0)
 
     def test_stroke_conservation(self):
         board = flat_board()
         n = board.ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
         assert n == board.ink.inked_count()
-        assert remaining_ink_length(board) == pytest.approx(n * 0.5)
+        assert board.measure(None) == pytest.approx(n * 0.5)
 
     @given(st.lists(st.tuples(_STROKE_COORD, _STROKE_COORD), min_size=1, max_size=5),
            st.sampled_from([0.0, 0.0025, 0.004, 0.01, 0.05]))
@@ -284,12 +275,12 @@ class TestInk:
     def test_monotone_under_wiping(self):
         board = flat_board()
         board.ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
-        last = remaining_ink_length(board)
+        last = board.measure(None)
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004)
             update_ink(board, p, 5.0)
-            now = remaining_ink_length(board)
+            now = board.measure(None)
             assert now <= last
             last = now
 
@@ -297,15 +288,15 @@ class TestInk:
 class TestHole:
     def test_depth_at_rim_zero(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert insertion_depth(hole, point(0, 0, 0)) == 0.0
+        assert hole.measure(point(0, 0, 0)) == 0.0
 
     def test_depth_clamps_at_bottom(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert insertion_depth(hole, point(0, 0, -0.030)) == pytest.approx(25.0)
+        assert hole.measure(point(0, 0, -0.030)) == pytest.approx(25.0)
 
     def test_success_threshold_depth(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert insertion_depth(hole, point(0, 0, -0.010)) == pytest.approx(10.0)
+        assert hole.measure(point(0, 0, -0.010)) == pytest.approx(10.0)
 
     def test_bottom_spring(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]), k_e=1000.0)
@@ -320,59 +311,55 @@ class TestHole:
         assert w[2] > 0.0
         assert w[0] < 0.0  # pushes back toward the axis
 
-    def test_wrong_variant(self):
-        with pytest.raises(WrongVariant):
-            insertion_depth(flat_board(), point(0, 0, 0))
-
 
 class TestDisturbances:
     def test_before_start_unchanged(self):
         board = flat_board()
-        rest0 = board.spring.rest_point
+        rest0 = board.rest_point
         ev = DisturbanceEvent("lower", start=5.0, duration=10.0, magnitude=0.03, ramp=0.5)
         apply_disturbances(board, (ev,), 1.0)
-        assert_allclose(board.spring.rest_point, rest0)
+        assert_allclose(board.rest_point, rest0)
 
     def test_lower_ramps_then_holds(self):
         board = flat_board()
         ev = DisturbanceEvent("lower", start=5.0, duration=10.0, magnitude=0.03, ramp=0.5)
         apply_disturbances(board, (ev,), 5.25)
-        assert board.spring.rest_point[2] == pytest.approx(-0.015)
+        assert board.rest_point[2] == pytest.approx(-0.015)
         apply_disturbances(board, (ev,), 8.0)
-        assert board.spring.rest_point[2] == pytest.approx(-0.03)
+        assert board.rest_point[2] == pytest.approx(-0.03)
         apply_disturbances(board, (ev,), 100.0)
-        assert board.spring.rest_point[2] == pytest.approx(-0.03)  # persists
+        assert board.rest_point[2] == pytest.approx(-0.03)  # persists
 
     def test_sinusoid_profile(self):
         ev = DisturbanceEvent("sinusoid", start=0.0, duration=100.0, magnitude=0.005,
                               ramp=0.0, omega=2 * math.pi)
         board = flat_board()
         apply_disturbances(board, (ev,), 0.25)
-        assert board.spring.rest_point[2] == pytest.approx(0.005)
+        assert board.rest_point[2] == pytest.approx(0.005)
         apply_disturbances(board, (ev,), 0.75)
-        assert board.spring.rest_point[2] == pytest.approx(-0.005)
+        assert board.rest_point[2] == pytest.approx(-0.005)
 
     def test_zero_tilt_keeps_the_unit_normal(self):
-        """A disturbance that has not tilted the board leaves its spring normal
+        """A disturbance that has not tilted the board leaves its normal
         bit for bit as built (the unit normal, not the raw rotated axis)."""
         raise_later = default_disturbance("WW")  # a raise starting at 5 s
         for seed in range(200):
             rng = np.random.default_rng(np.random.SeedSequence([seed, TASKS.index("WW")]))
             board = build_environment("WW", rng)
-            clean = board.spring.surface_normal
+            clean = board.surface_normal
             apply_disturbances(board, raise_later, 0.0)
-            assert board.spring.surface_normal == clean, seed
+            assert board.surface_normal == clean, seed
 
     def test_tilt_back_to_zero_restores_the_board(self):
         board = PlaneBoard(rotation=quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.3))
-        built = (board.rotation, board.spring.surface_normal)
+        built = (board.rotation, board.surface_normal)
         x = np.array([1.0, 0.0, 0.0])
         events = (DisturbanceEvent("tilt", 1.0, 5.0, 0.05, direction=x),
                   DisturbanceEvent("tilt", 2.0, 5.0, -0.05, direction=x))
         apply_disturbances(board, events, 1.5)
-        assert board.spring.surface_normal != built[1]
+        assert board.surface_normal != built[1]
         apply_disturbances(board, events, 3.0)
-        assert (board.rotation, board.spring.surface_normal) == built
+        assert (board.rotation, board.surface_normal) == built
 
     def test_force_pulse_moves_no_door_geometry(self):
         for task in ("MO", "DO"):
@@ -619,11 +606,11 @@ class TestLatch:
     def test_opening_angle_tracks_grasp(self):
         door = microwave()
         door.update(door.grasp0, 1.0)
-        assert opening_angle(door) == pytest.approx(0.0)
+        assert door.measure(None) == pytest.approx(0.0)
         ang = 0.3
         p = np.array([-0.25 * math.sin(ang), 0.25 - 0.25 * math.cos(ang), 0.0])
         door.update(p, 1.0)
-        assert opening_angle(door) == pytest.approx(math.degrees(ang), abs=1e-6)
+        assert door.measure(None) == pytest.approx(math.degrees(ang), abs=1e-6)
 
     def test_not_engaged_without_gripper(self):
         door = microwave()

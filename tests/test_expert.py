@@ -198,7 +198,7 @@ class TestPlanNormals:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_board_contact_normal_is_the_outward_board_normal(self, seed):
         board = build_environment("WW", np.random.default_rng(seed))
-        want = _normalize(board.spring.surface_normal)
+        want = _normalize(board.surface_normal)
         # The contact force on the eef points out of the board (its frame's
         # +z); the controller presses along -n.
         assert_allclose(want, quat_rotate(board.rotation, (0.0, 0.0, 1.0)), atol=1e-12)

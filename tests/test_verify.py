@@ -378,7 +378,11 @@ class TestChunkedJudges:
     def test_a_lane_longer_than_the_cap_is_refused_before_it_runs(self):
         over = (verify.MAX_LANE_STEPS + 1) * 1e-3
         assert math.ceil(over / 1e-3) > verify.MAX_LANE_STEPS
-        with pytest.raises(ValueError, match="the lane table needs .* steps in one lane"):
+        with pytest.raises(ValueError, match="^proposition 3 duration T needs .* steps of "):
             verify_prop3_grid([params()], T=over)
-        with pytest.raises(ValueError, match="the lane table needs"):
+        with pytest.raises(ValueError, match="^proposition 1 horizon T needs "):
             verify_prop1_grid([params()], T=over, dt=1e-3)
+        cfg = AdmittanceConfig(target_force=4.0, enable_normal_regulation=True)
+        env = SpringContact(1000.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="^equivalence horizon T needs inf steps of 5e-324 s"):
+            equivalence_check(cfg, env, T=1.0, dt=5e-324)
