@@ -16,7 +16,6 @@ from .environments import (
     HoleFixture,
     InkGrid,
     PlaneBoard,
-    SpringContact,
     update_ink,
 )
 from .expert import (
@@ -48,7 +47,6 @@ from .tasks import Demo, build_environment, generate_demo
 from .verify import (
     NormalDynamicsParams,
     VerificationReport,
-    XeProfile,
     default_grid,
     equivalence_check,
     run_default_verification,

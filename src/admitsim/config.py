@@ -180,8 +180,8 @@ def _disturbances_from(parser, path: str) -> tuple:
                 duration=_get_float(parser, section, "duration", path),
                 magnitude=_get_float(parser, section, "magnitude", path),
                 direction=direction,
-                ramp=parser.getfloat(section, "ramp", fallback=0.0),
-                omega=parser.getfloat(section, "omega", fallback=2.0 * math.pi),
+                ramp=_get_float(parser, section, "ramp", path, fallback=0.0),
+                omega=_get_float(parser, section, "omega", path, fallback=2.0 * math.pi),
             ))
         except (ValueError, DegenerateInput, configparser.NoOptionError) as exc:
             raise ConfigParse(f"{path}: [{section}] {exc}") from exc

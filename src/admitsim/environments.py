@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_range, check_real
+from .errors import check_finite, check_range
 from .geometry import (
     _add,
     _cross,
@@ -40,25 +40,6 @@ COULOMB_V_EPS = 1e-4
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
-
-
-@dataclass
-class SpringContact:
-    """Linear environment spring: rest point, stiffness, outward unit normal.
-
-    The rest point and the normal are float tuples, coerced from any sequence:
-    the wrench reads them every tick and disturbances move them.
-    """
-
-    k_e: float
-    rest_point: tuple
-    surface_normal: tuple
-
-    def __post_init__(self):
-        check_range("k_e", self.k_e)
-        self.rest_point = vec3(self.rest_point)
-        n = vec3(self.surface_normal)
-        self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
 
 
 @dataclass(frozen=True)
@@ -126,10 +107,7 @@ class DisturbanceEvent:
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         for name in ("start", "duration", "magnitude", "ramp", "omega"):
-            value = getattr(self, name)
-            check_real(name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            check_finite(name, getattr(self, name))
         if self.duration <= 0.0:
             raise ValueError("duration must be > 0")
         if not 0.0 <= self.ramp <= self.duration:

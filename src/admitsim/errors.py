@@ -54,6 +54,13 @@ def check_real(name: str, value, error=ValueError):
         raise error(f"{name} must be a real number, got {value!r}")
 
 
+def check_finite(name: str, value, error=ValueError):
+    """Raise error unless value is a real number and finite."""
+    check_real(name, value, error)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+
+
 def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError):
     """Raise error unless value is a real number, finite and > low (>= low when
     closed).

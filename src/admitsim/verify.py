@@ -9,9 +9,10 @@ and checks three properties: convergence to the force/position equilibrium,
 velocity convergence after contact loss, and input-to-state stability under a
 moving rest point, including the Lyapunov-rate inequality from the ISS proof.
 
-One law covers every case: a = (k_e (x_e(t) - x) - f_H - 2d v) / m, with a
-constant x_e for proposition 1, a sinusoidal x_e shared by the points of
-proposition 3, and k_e = 0 for proposition 2 (contact lost, f_ext = 0). A
+One law covers every case: a = (k_e (x_e(t) - x) - f_H - 2d v) / m, with the
+rest point x_e at the origin for proposition 1 (the propositions are
+translation-invariant), the sinusoid x_e = A sin(omega t) shared by the points
+of proposition 3, and k_e = 0 for proposition 2 (contact lost, f_ext = 0). A
 classical RK4 kernel (`_integrate`, errors far below the pass tolerances)
 advances a table of lanes, one per grid point and proposition, each with its
 own dt and step count, in one lockstep loop; each lane stops at its own
@@ -36,7 +37,7 @@ check's least step count and MAX_LANE_STEPS; anything else is ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +49,7 @@ from .admittance import (
     compute_damping,
     controller_tick,
 )
-from .environments import SpringContact
-from .errors import NonFiniteState, check_range
+from .errors import NonFiniteState, check_finite, check_range
 from .geometry import _normalize, dot3, vec3
 
 TOL_X = 1e-4          # m, equilibrium position tolerance
@@ -59,55 +59,25 @@ LYAP_SLACK = 1e-6     # normalized Lyapunov slack
 EQUIV_TOL = 1e-9      # m per step, pipeline vs reduced law
 
 
-def _libm(fn, x):
-    """The math function fn at a float, or at each value of an array.
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """The math function fn at each value of the array x.
 
     Every value comes from libm, as a Python float would, and not from the
     array loop numpy dispatches to on the host's CPU, which may round
     differently; so the verification outputs depend on libm alone.
     """
-    if isinstance(x, float):
-        return fn(x)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
-class XeProfile:
-    """Rest-point trajectory: constant or sinusoid, at a float time or a 1-d
-    array of times."""
-
-    kind: str = "constant"
-    base: float = 0.0
-    amplitude: float = 0.0
-    omega: float = 2.0 * math.pi
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "sinusoid"):
-            raise ValueError(f"unknown x_e profile kind {self.kind!r}")
-
-    def value(self, t):
-        if self.kind == "constant":
-            return self.base + 0.0 * t
-        return self.base + self.amplitude * _libm(math.sin, self.omega * t)
-
-    def vel(self, t):
-        if self.kind == "sinusoid":
-            return self.amplitude * self.omega * _libm(math.cos, self.omega * t)
-        return 0.0 * t
-
-    def acc(self, t):
-        if self.kind == "sinusoid":
-            return -self.amplitude * self.omega ** 2 * _libm(math.sin, self.omega * t)
-        return 0.0 * t
-
-
-@dataclass(frozen=True)
 class NormalDynamicsParams:
+    """One point of the normal dynamics, its contact rest point at the origin
+    (the propositions are translation-invariant)."""
+
     m: float
     d: float
     k_e: float
     f_H: float
-    x_e: XeProfile = field(default_factory=XeProfile)
 
     def __post_init__(self):
         for name in ("m", "d", "k_e"):
@@ -115,7 +85,7 @@ class NormalDynamicsParams:
         check_range("f_H", self.f_H, closed=True)
 
     def equilibrium(self) -> float:
-        return self.x_e.base - self.f_H / self.k_e
+        return 0.0 - self.f_H / self.k_e
 
     def time_constant(self) -> float:
         """1 / |Re(slowest pole)| of m s^2 + 2 d s + k_e."""
@@ -165,9 +135,9 @@ class _Lanes:
     """One proposition's rows of the lane table, one lane per grid point.
 
     Every lane has its own columns of the one law (see `_integrate`), its own
-    start state and step count, and the table's dt. `x_e` holds each lane's
-    constant rest point unless `moving` is set: then every lane of the table
-    follows that profile, and they all share one step count.
+    start state and step count, and the table's dt. Its rest point is the
+    origin unless `sinusoid` is set to (A, omega): then every lane of the table
+    follows the rest point A sin(omega t), and they all share one step count.
     """
 
     dt: float
@@ -176,10 +146,9 @@ class _Lanes:
     d: list
     k_e: list
     f_H: list
-    x_e: list
     x0: list
     v0: list
-    moving: XeProfile | None = None
+    sinusoid: tuple | None = None
 
     def params(self, idx: np.ndarray) -> tuple:
         """(m, d, k_e, f_H) of the lanes idx, as (lanes, 1) columns against a
@@ -209,9 +178,10 @@ def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport
     never integrated past its horizon. The stages are in-place buffers: stage
     j holds the rows (x_j, v_j, a_j), so its state (x_j, v_j) and its slope
     (v_j, a_j) are overlapping (2, lanes) views, and each stage update
-    Y_j = Y_1 + h F_{j-1} is one multiply and one add. A moving rest point is
-    evaluated at t + dt/2 (shared by stages 2 and 3) and at t + dt (stage 4,
-    and stage 1 of the next step).
+    Y_j = Y_1 + h F_{j-1} is one multiply and one add. A sinusoidal rest point
+    is 0.0 + A * math.sin(omega * t) at the float times t + dt/2 (shared by
+    stages 2 and 3) and t + dt (stage 4, and stage 1 of the next step); every
+    other lane rests at the origin.
 
     A lane's rows (x, v), n + 1 of them from its start state on, go to its
     proposition's `feed(idx, lo, x, v)` `chunk` rows (default JUDGE_CHUNK) at
@@ -231,17 +201,19 @@ def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport
 
     dt = np.array([tables[g].dt for g, _ in lanes], dtype=float)
     h, w = 0.5 * dt, dt / 6.0
-    m, k_e, f_H, x_e = column("m"), column("k_e"), column("f_H"), column("x_e")
+    m, k_e, f_H = column("m"), column("k_e"), column("f_H")
     d2 = 2.0 * column("d")
-    movers = [tab for tab in tables if tab.moving is not None]
+    x_e = np.zeros(len(lanes))
+    movers = [tab for tab in tables if tab.sinusoid is not None]
     if len(movers) > 1:
         raise ValueError("at most one table may have a moving rest point")
     # Its lanes share one step count, so they are adjacent after the sort.
-    moving = [j for j, (g, _) in enumerate(lanes) if tables[g].moving is not None]
+    moving = [j for j, (g, _) in enumerate(lanes) if tables[g].sinusoid is not None]
     if moving:
         mover = movers[0]
+        amp, omega = mover.sinusoid
         m0, m1 = moving[0], moving[-1] + 1
-        x_e[m0:m1] = mover.moving.value(0.0)
+        x_e[m0:m1] = 0.0 + amp * math.sin(omega * 0.0)
 
     # buf[:, j, r] is row g0 + r of lane j (row 0: the start state). Past its
     # horizon a lane keeps rows already checked, or zeros.
@@ -272,7 +244,7 @@ def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport
     # Per-lane step sizes, doubled to the (2, lanes) shape of a stage's slope.
     dt, h, w = (np.stack([c, c]) for c in (dt, h, w))
 
-    sub, mul, add, div = np.subtract, np.multiply, np.add, np.divide
+    sub, mul, add, div, sin = np.subtract, np.multiply, np.add, np.divide, math.sin
     t = 0.0
     done = 0
     # A diverging lane is reported once, by the finiteness check of flush.
@@ -296,14 +268,14 @@ def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport
             mk, kk, fk, d2k, xk = m[:k], k_e[:k], f_H[:k], d2[:k], x_e[:k]
             xm = x_e[m0:m1] if moving and m0 < k else None
             if xm is not None:
-                rest, hm, dtm = mover.moving.value, 0.5 * mover.dt, mover.dt
+                hm, dtm = 0.5 * mover.dt, mover.dt
             # Unrolled: the law at stages 1-4, the stage updates, the RK4 sum.
             for _ in range(done, stop):
                 sub(xk, X1, A1); mul(kk, A1, A1); sub(A1, fk, A1)
                 mul(d2k, V1, q); sub(A1, q, A1); div(A1, mk, A1)
                 mul(hk, F1, T1); add(Y1, T1, Y2)
                 if xm is not None:
-                    xm.fill(rest(t + hm))
+                    xm.fill(0.0 + amp * sin(omega * (t + hm)))
                 sub(xk, X2, A2); mul(kk, A2, A2); sub(A2, fk, A2)
                 mul(d2k, V2, q); sub(A2, q, A2); div(A2, mk, A2)
                 mul(hk, F2, T1); add(Y1, T1, Y3)
@@ -312,7 +284,7 @@ def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport
                 mul(dtk, F3, T1); add(Y1, T1, Y4)
                 if xm is not None:
                     t += dtm
-                    xm.fill(rest(t))
+                    xm.fill(0.0 + amp * sin(omega * t))
                 sub(xk, X4, A4); mul(kk, A4, A4); sub(A4, fk, A4)
                 mul(d2k, V4, q); sub(A4, q, A4); div(A4, mk, A4)
                 add(F2, F2, T1); add(F1, T1, T1)
@@ -338,11 +310,12 @@ class _Prop2:
 
     def __init__(self, grid: list[NormalDynamicsParams], v0: float, T: float | None,
                  dt: float):
+        check_finite("v0", v0)
         Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
         ns = [_steps("proposition 2 horizon T", T_i, dt) for T_i in Ts]
         zeros = [0.0] * len(grid)
         self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], zeros,
-                            [p.f_H for p in grid], zeros, zeros, [float(v0)] * len(grid))
+                            [p.f_H for p in grid], zeros, [float(v0)] * len(grid))
         self.grid, self.Ts, self.v0 = grid, Ts, v0
         self.v_inf = [-p.f_H / (2.0 * p.d) for p in grid]
         # Late-time window, the last tenth and at least the last two samples.
@@ -403,24 +376,23 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None = 
     return _integrate([_Prop2(grid, v0, T, dt)])
 
 
-def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
-                      dt: float = 1e-3, n_axis=None,
-                      cmd_offset: float = -0.002, x0_offset: float = 0.0,
-                      v0: float = 0.0) -> VerificationReport:
+def equivalence_check(cfg: AdmittanceConfig, k_e: float, n=(0.0, 0.0, 1.0), T: float = 2.0,
+                      dt: float = 1e-3) -> VerificationReport:
     """Full vector pipeline vs the reduced scalar law, matched step for step.
 
     Both sides integrate with the controller's semi-implicit scheme at the same
-    dt against the same bilateral spring, deadbanded identically; motion and
-    forces are restricted to the normal axis. The per-step position gap along n
-    certifies the algebraic reduction of the commanded-force law.
+    dt against the same bilateral spring of stiffness k_e, its rest point at the
+    origin and its outward normal n, deadbanded identically; motion and forces
+    are restricted to the normal axis. Both start at rest on the surface and are
+    commanded 2 mm into it. The per-step position gap along n certifies the
+    algebraic reduction of the commanded-force law.
     """
-    n = _normalize(vec3((0.0, 0.0, 1.0) if n_axis is None else n_axis))
+    check_range("k_e", k_e)
+    n = _normalize(vec3(n))
     n0, n1, n2 = n
     cfg = replace(cfg, enable_normal_regulation=True)
-    x_e = dot3(env.rest_point, n)
-    x_n = x_e + x0_offset
-    v_n = v0
-    x_c = x_e + cmd_offset
+    x_n = v_n = 0.0
+    x_c = -0.002
     state = ControllerState((x_n * n0, x_n * n1, x_n * n2), (v_n * n0, v_n * n1, v_n * n2))
     cmd = ControllerCommand(x_cmd=(x_c * n0, x_c * n1, x_c * n2), gripper=1.0, n=n, c=1)
     steps = _steps("equivalence horizon T", T, dt)
@@ -428,10 +400,10 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     max_gap = 0.0
     for _ in range(steps):
         # Vector pipeline with the bilateral spring along n.
-        f = env.k_e * (x_e - dot3(state.x_r, n))
+        f = k_e * (0.0 - dot3(state.x_r, n))
         state = controller_tick(state, cmd, (f * n0, f * n1, f * n2), dt, cfg).state
         # Reduced law: m x'' + 2 d x' = f_ext,n - f_H, same scheme and deadband.
-        f = env.k_e * (x_e - x_n)
+        f = k_e * (0.0 - x_n)
         f_dead = dot3(_radial_deadband((f * n0, f * n1, f * n2), cfg.force_deadband), n)
         a_n = (f_dead - cfg.target_force - 2.0 * d * v_n) / cfg.mass
         v_n = v_n + dt * a_n
@@ -440,7 +412,7 @@ def equivalence_check(cfg: AdmittanceConfig, env: SpringContact, T: float = 2.0,
     passed = max_gap < EQUIV_TOL
     return VerificationReport(
         "equivalence",
-        {"m": cfg.mass, "k": cfg.stiffness, "f_H": cfg.target_force, "k_e": env.k_e,
+        {"m": cfg.mass, "k": cfg.stiffness, "f_H": cfg.target_force, "k_e": k_e,
          "T": T, "dt": dt},
         {"max_step_gap": float(max_gap)},
         {"tol": EQUIV_TOL},
@@ -481,15 +453,14 @@ class _Prop1:
 
     def __init__(self, grid: list[NormalDynamicsParams], x0_offset: float, v0: float,
                  T: float | None, dt: float):
-        if any(p.x_e.kind != "constant" for p in grid):
-            raise ValueError("proposition 1 requires a constant rest point")
-        eq = [p.x_e.base - p.f_H / p.k_e for p in grid]
+        check_finite("x0_offset", x0_offset)
+        check_finite("v0", v0)
+        eq = [p.equilibrium() for p in grid]
         Ts = [20.0 * p.time_constant() if T is None else float(T) for p in grid]
         ns = [_steps("proposition 1 horizon T", T_i, dt) for T_i in Ts]
         self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid],
                             [p.k_e for p in grid], [p.f_H for p in grid],
-                            [p.x_e.base for p in grid], [e + x0_offset for e in eq],
-                            [float(v0)] * len(grid))
+                            [e + x0_offset for e in eq], [float(v0)] * len(grid))
         self.grid, self.Ts, self.eq = grid, Ts, eq
         self.v_ref = np.zeros(len(grid))
         self.V_last = np.zeros(len(grid))
@@ -519,7 +490,7 @@ class _Prop1:
         for i, (p, T_i, eq_i) in enumerate(zip(self.grid, self.Ts, self.eq)):
             x_final = self.x_last[i]
             lyap_ok = bool(self.lyap_ok[i])
-            f_final = p.k_e * (p.x_e.base - x_final)
+            f_final = p.k_e * (0.0 - x_final)
             x_err = abs(float(x_final) - eq_i)
             f_err = abs(f_final - p.f_H)
             tol_f = max(TOL_F_REL * p.f_H, 1e-6)  # absolute floor for the f_H = 0 case
@@ -538,7 +509,7 @@ class _Prop1:
 def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
                       x0_offset: float = 0.02, v0: float = 0.0, T: float | None = None,
                       dt: float = 5e-4) -> list[VerificationReport]:
-    """Disturbance-free convergence to x_e - f_H/k_e with f_ext -> f_H, plus
+    """Disturbance-free convergence to -f_H/k_e with f_ext -> f_H, plus
     monotone decrease of V = 0.5 m e'^2 + 0.5 k_e e^2 outside a slack band.
 
     Every point starts x0_offset from its equilibrium at velocity v0 and runs
@@ -560,14 +531,15 @@ class _Prop3:
 
     def __init__(self, grid: list[NormalDynamicsParams], amplitude: float, omega: float,
                  T: float, dt: float):
+        check_finite("amplitude", amplitude)
+        check_finite("omega", omega)
         # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
         n = _steps("proposition 3 duration T", T, dt, least=4)
-        self.prof = XeProfile("sinusoid", base=0.0, amplitude=amplitude, omega=omega)
-        zeros = [0.0] * len(grid)
         self.lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],
-                            [p.k_e for p in grid], [p.f_H for p in grid], zeros,
-                            [-p.f_H / p.k_e for p in grid], zeros, moving=self.prof)
-        self.grid, self.amplitude, self.omega, self.T = grid, amplitude, omega, T
+                            [p.k_e for p in grid], [p.f_H for p in grid],
+                            [-p.f_H / p.k_e for p in grid], [0.0] * len(grid),
+                            sinusoid=(amplitude, omega))
+        self.grid, self.T = grid, T
         L = len(grid)
         self.sup_e, self.sup_e_ss = np.full(L, -np.inf), np.full(L, -np.inf)
         self.rhs_max, self.resid_max = np.full(L, -np.inf), np.full(L, -np.inf)
@@ -576,11 +548,15 @@ class _Prop3:
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
     def feed(self, idx, lo, x, v):
-        n, dt, prof = self.lanes.n[0], self.lanes.dt, self.prof
+        n, dt, (amp, omega) = self.lanes.n[0], self.lanes.dt, self.lanes.sinusoid
         hi = lo + x.shape[1]
-        t = np.arange(lo, hi) * dt
-        # The rest-point profile is shared by every point.
-        x_e, v_e, a_e = prof.value(t), prof.vel(t), prof.acc(t)
+        wt = omega * (np.arange(lo, hi) * dt)
+        # The rest point A sin(omega t), its velocity and its acceleration,
+        # shared by every point.
+        sin_wt = _libm(math.sin, wt)
+        x_e = 0.0 + amp * sin_wt
+        v_e = amp * omega * _libm(math.cos, wt)
+        a_e = -amp * omega ** 2 * sin_wt
         m, d, k_e, f_H = self.lanes.params(idx)
         e = x - (x_e - f_H / k_e)
         edot = v - v_e
@@ -614,7 +590,7 @@ class _Prop3:
         self.dominated_max[idx] = np.maximum(self.dominated_max[idx], dominated_max)
 
     def reports(self) -> list[VerificationReport]:
-        amplitude, omega, T, dt = self.amplitude, self.omega, self.T, self.lanes.dt
+        (amplitude, omega), T, dt = self.lanes.sinusoid, self.T, self.lanes.dt
         reports = []
         for i, p in enumerate(self.grid):
             sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
@@ -650,8 +626,9 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     Every point starts at rest at the equilibrium of the t = 0 rest point and
     shares the sinusoid; the grid is integrated as one batch. The error states
     are relative to the moving rest point, so they do not depend on its base,
-    and every point is integrated around base 0. T must be finite and span at
-    least four steps of dt, and at most MAX_LANE_STEPS (ValueError otherwise).
+    and every point is integrated around base 0. amplitude and omega must be
+    finite, and T finite and span at least four steps of dt, and at most
+    MAX_LANE_STEPS (ValueError otherwise).
     """
     grid = default_grid() if grid is None else grid
     return _integrate([_Prop3(grid, amplitude, omega, T, dt)])
@@ -675,6 +652,5 @@ def run_default_verification(prop3_T: float = 60.0,
         cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
                                damping_ratio=DAMPING_RATIO, target_force=p.f_H,
                                enable_normal_regulation=True)
-        env = SpringContact(p.k_e, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-        reports.append(equivalence_check(cfg, env))
+        reports.append(equivalence_check(cfg, p.k_e))
     return reports

@@ -14,7 +14,7 @@ import pytest
 
 from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim.cli import main as cli_main
-from admitsim.environments import DisturbanceEvent, SpringContact, update_ink
+from admitsim.environments import DisturbanceEvent, update_ink
 from admitsim.harness import ScenarioConfig, default_disturbance, run_episode, run_suite
 from admitsim.policy import NoiseSpec
 from admitsim.tasks import TASKS, build_environment, generate_demo
@@ -87,8 +87,7 @@ def test_criterion_4_equivalence_over_grid():
     for p in default_grid():
         cfg = AdmittanceConfig(mass=p.m, stiffness=50.0, damping_ratio=2.0,
                                target_force=p.f_H, enable_normal_regulation=True)
-        env = SpringContact(p.k_e, np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        rep = equivalence_check(cfg, env)
+        rep = equivalence_check(cfg, p.k_e)
         assert rep.passed
         worst = max(worst, rep.measured["max_step_gap"])
     assert worst < 1e-9

@@ -2,9 +2,9 @@
 the package, given as (owner, attribute) pairs. A name that a refactor deletes
 or renames leaves its layer unmeasured without failing the benchmark, and a
 call site moved away from a traced name leaves its layer at 0 calls; these
-tests fail instead, the second by tracing one disturbed episode per task. They
-only read perfbench/: the module is executed from its source, so no bytecode
-is written there.
+tests fail instead, by tracing one disturbed episode per task and the offline
+commands (verify, gen-demos, read_dataset). They only read perfbench/: the
+module is executed from its source, so no bytecode is written there.
 
 The benchmark's workloads also read package names as `admitsim.<module>.<name>`
 (the scripted suite disturbance, the task order, the builders); a rename would
@@ -18,7 +18,7 @@ import types
 
 import pytest
 
-from admitsim import harness
+from admitsim import cli, datasets, harness
 from admitsim.harness import ScenarioConfig, default_disturbance
 from admitsim.tasks import TASKS
 
@@ -70,6 +70,37 @@ def test_every_episode_layer_is_called_in_a_traced_run():
                                                disturbances=default_disturbance(task)))
     assert tracer.unmeasured == []
     idle = [layer for layer in EPISODE_LAYERS if tracer.stats[layer][0] == 0]
+    assert idle == []
+
+
+# The layers that the offline commands call.
+OFFLINE_LAYERS = (
+    "verify.run", "verify.equivalence", "config.parse", "tasks.build_environment",
+    "tasks.generate_demo", "datasets.write_dataset", "datasets.read_dataset",
+)
+
+
+def test_every_offline_layer_is_called_in_a_traced_run(tmp_path):
+    """`verify` on a one-point [verify] grid, a one-demo `gen-demos` and
+    `read_dataset` of its file, traced: an offline layer at 0 calls fails.
+
+    `run_default_verification` integrates propositions 1 and 2 in its own
+    lane table and never calls `verify_prop1_grid` or `verify_prop2`, so the
+    `verify.prop1_grid` and `verify.prop2` layers read 0 calls in the
+    benchmark's offline workload too, and are not checked here.
+    """
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[verify]\nm = 1.0\nk_e = 1000\nf_h = 4\n")
+    demos = str(tmp_path / "demos.bin")
+    with LAYERS.Tracer(_StillClock()) as tracer:
+        verified = cli.main(["verify", "--config", str(grid), "--prop3-duration", "0.01",
+                             "--out", str(tmp_path / "verify.csv")])
+        generated = cli.main(["gen-demos", "--task", "WW", "--count", "1", "--out", demos])
+        dataset = datasets.read_dataset(demos)
+    assert (verified, generated, len(dataset.episodes)) == (0, 0, 1)
+    assert tracer.unmeasured == []
+    assert tracer.counts["verify_checks"] == 4
+    idle = [layer for layer in OFFLINE_LAYERS if tracer.stats[layer][0] == 0]
     assert idle == []
 
 

@@ -8,8 +8,9 @@ open, and the value just inside it is accepted.
 
 The inputs that a task does not read (an environment override outside its
 record's `env_keys`, a `wipe_passes` other than 1 outside WW), the admittance
-overrides, the verifier's horizons and a value that is not a number fail with a
-typed error too.
+overrides, the verifier's horizons and its other inputs (start offset and
+velocity, rest-point amplitude and frequency) and a value that is not a number
+fail with a typed error too.
 """
 
 import math
@@ -24,7 +25,6 @@ from admitsim.environments import (
     HingedDoor,
     HoleFixture,
     PlaneBoard,
-    SpringContact,
 )
 from admitsim.config import parse_scenario
 from admitsim.errors import ConfigParse, NonPositiveParameter
@@ -33,6 +33,7 @@ from admitsim.policy import NoiseSpec
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 from admitsim.verify import (
     NormalDynamicsParams,
+    equivalence_check,
     verify_prop1_grid,
     verify_prop2,
     verify_prop3_grid,
@@ -79,7 +80,7 @@ BOUNDS = [
     ("scenario", "safety limit", lambda v: ScenarioConfig("WW", safety_limit=v), 0.0, False, VE),
     ("scenario", "safety debounce",
      lambda v: ScenarioConfig("WW", safety_debounce=v), 0.0, True, VE),
-    ("spring", "k_e", lambda v: SpringContact(v, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ("equivalence", "k_e", lambda v: equivalence_check(AdmittanceConfig(), v, T=1e-3),
      0.0, False, VE),
     ("friction", "coulomb_mu", field(FrictionModel, "coulomb_mu"), 0.0, True, VE),
     ("friction", "viscous_c", field(FrictionModel, "viscous_c"), 0.0, True, VE),
@@ -217,6 +218,15 @@ TYPED = [
                            for T in (math.inf, math.nan, 0.0, -1.0)]
     + [(1.0, dt, "dt must be finite and > 0, got ") for dt in (0.0, -1e-3, math.nan, math.inf)]
     + [(1.0, 5e-324, f"{what} needs inf steps of 5e-324 s")]
+] + [
+    (f"{name}-{arg}={value}", horizon(call, **{arg: value}), ValueError,
+     f"{arg} must be finite, got {value}")
+    for name, call, arg in (("prop1", verify_prop1_grid, "x0_offset"),
+                            ("prop1", verify_prop1_grid, "v0"),
+                            ("prop2", verify_prop2, "v0"),
+                            ("prop3", verify_prop3_grid, "amplitude"),
+                            ("prop3", verify_prop3_grid, "omega"))
+    for value in (math.nan, math.inf, -math.inf)
 ]
 
 
@@ -238,6 +248,10 @@ NON_NUMBERS = [
     ("contact_flip_prob", lambda: NoiseSpec(contact_flip_prob="0.1"), VE),
     ("mass", lambda: AdmittanceConfig(mass="1"), NPP),
     ("m", lambda: NormalDynamicsParams("1", 1, 1, 1), VE),
+    ("x0_offset", lambda: verify_prop1_grid([dynamics()], x0_offset="0"), VE),
+    ("v0", lambda: verify_prop2([dynamics()], v0="0.05"), VE),
+    ("amplitude", lambda: verify_prop3_grid([dynamics()], amplitude="x"), VE),
+    ("omega", lambda: verify_prop3_grid([dynamics()], omega="3"), VE),
     ("start", lambda: DisturbanceEvent("raise", start="1", duration=1.0, magnitude=0.01,
                                        direction=(0.0, 0.0, 1.0)), VE),
 ]

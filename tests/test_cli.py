@@ -340,6 +340,17 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("key", ["start", "duration", "magnitude", "ramp", "omega"])
+def test_disturbance_value_that_is_not_a_number_is_named(tmp_path, capsys, key):
+    """Every number of a [disturbance.*] section is read by one reader, so
+    each one that is not a number gets the same message."""
+    path = tmp_path / "bad.ini"
+    path.write_text(shift_event(**{key: "abc"}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (f"config error: {path}: [disturbance.a] {key} "
+                                       "is not a number\n")
+
+
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "latin1.ini"
     path.write_bytes(b"[scenario]\ntask = WW\n; r\xe9sum\xe9\n")

@@ -14,7 +14,6 @@ from admitsim.environments import (
     HingedDoor,
     HoleFixture,
     PlaneBoard,
-    SpringContact,
     _friction,
     apply_disturbances,
     update_ink,
@@ -451,11 +450,6 @@ class TestDisturbances:
 
 
 class TestConstructorValidation:
-    @pytest.mark.parametrize("k_e", [math.nan, math.inf, 0.0, -5.0])
-    def test_spring_stiffness_finite_and_positive(self, k_e):
-        with pytest.raises(ValueError, match="finite"):
-            SpringContact(k_e, np.zeros(3), Z)
-
     @pytest.mark.parametrize("build", [
         lambda: PlaneBoard(k_e=math.nan),
         lambda: HoleFixture(k_e=math.nan),
