@@ -54,11 +54,11 @@ def check_real(name: str, value, error=ValueError):
         raise error(f"{name} must be a real number, got {value!r}")
 
 
-def check_finite(name: str, value, error=ValueError):
-    """Raise error unless value is a real number and finite."""
-    check_real(name, value, error)
+def check_finite(name: str, value):
+    """Raise ValueError unless value is a real number and finite."""
+    check_real(name, value)
     if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError):
