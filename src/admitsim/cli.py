@@ -23,7 +23,7 @@ from .errors import AdmitSimError, ConfigParse
 from .harness import run_episode, run_suite
 from .policy import DEFAULT_HORIZON
 from .tasks import TASKS, build_environment, generate_demo
-from .verify import run_default_verification
+from .verify import PROP3_T, run_default_verification
 
 
 def _cmd_gen_demos(args) -> int:
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the stability verification grid")
     p.add_argument("--config", default=None, help="optional [verify] grid overrides")
     p.add_argument("--out", default=None)
-    p.add_argument("--prop3-duration", type=float, default=60.0)
+    p.add_argument("--prop3-duration", type=float, default=PROP3_T)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("suite", help="run a batch of episodes and summarize")

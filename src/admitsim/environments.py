@@ -180,11 +180,10 @@ class InkGrid:
 
     extent_x: float
     extent_y: float
-    cell: float = CELL_SIZE
 
     def __post_init__(self):
-        self.nx = max(1, int(round(self.extent_x / self.cell)))
-        self.ny = max(1, int(round(self.extent_y / self.cell)))
+        self.nx = max(1, int(round(self.extent_x / CELL_SIZE)))
+        self.ny = max(1, int(round(self.extent_y / CELL_SIZE)))
         self.inked = np.zeros((self.nx, self.ny), dtype=bool)
         # The board-frame origin's offsets in the index formulas of wipe_rect.
         self._x0 = 0.5 * self.extent_x
@@ -214,9 +213,9 @@ class InkGrid:
             raise ValueError("stroke points must be finite and pen_radius finite and >= 0")
         mask = np.zeros_like(self.inked)
         if len(pts):
-            reach = pen_radius + self.cell
-            lo = (pts.min(axis=0) - reach + (self._x0, self._y0)) / self.cell - 0.5
-            hi = (pts.max(axis=0) + reach + (self._x0, self._y0)) / self.cell - 0.5
+            reach = pen_radius + CELL_SIZE
+            lo = (pts.min(axis=0) - reach + (self._x0, self._y0)) / CELL_SIZE - 0.5
+            hi = (pts.max(axis=0) + reach + (self._x0, self._y0)) / CELL_SIZE - 0.5
             i_lo, j_lo = max(0, math.floor(lo[0])), max(0, math.floor(lo[1]))
             i_hi = min(self.nx, math.ceil(hi[0]) + 1)
             j_hi = min(self.ny, math.ceil(hi[1]) + 1)
@@ -229,8 +228,8 @@ class InkGrid:
 
     def _near(self, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
         """Whether each cell of the index box lies within pen_radius of the polyline."""
-        cx = (np.arange(i_lo, i_hi) + 0.5) * self.cell - 0.5 * self.extent_x
-        cy = (np.arange(j_lo, j_hi) + 0.5) * self.cell - 0.5 * self.extent_y
+        cx = (np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - 0.5 * self.extent_x
+        cy = (np.arange(j_lo, j_hi) + 0.5) * CELL_SIZE - 0.5 * self.extent_y
         centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
         dmin = np.full(len(centers), np.inf)
         if len(pts) == 1:
@@ -252,7 +251,7 @@ class InkGrid:
 
         center_xy is any sequence whose first two items are the board-frame x, y.
         """
-        cell = self.cell
+        cell = CELL_SIZE
         box_ilo, box_ihi, box_jlo, box_jhi = self.box
         x = center_xy[0]
         i_lo = max(box_ilo, math.ceil((x - half_x + self._x0) / cell - 0.5))
@@ -281,8 +280,8 @@ class InkGrid:
     def inked_centers(self) -> np.ndarray:
         """Board-frame xy centers of the inked cells, one row each, origin at the board center."""
         i, j = np.nonzero(self.inked)
-        return np.column_stack([(i + 0.5) * self.cell - 0.5 * self.extent_x,
-                                (j + 0.5) * self.cell - 0.5 * self.extent_y])
+        return np.column_stack([(i + 0.5) * CELL_SIZE - 0.5 * self.extent_x,
+                                (j + 0.5) * CELL_SIZE - 0.5 * self.extent_y])
 
 
 # --------------------------------------------------------------------------
@@ -345,10 +344,9 @@ class PlaneBoard(TaskEnvironment):
         self.rest_point = self.center
         n = self.normal()
         self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
-        # (tilt key, (rotation, normal) at that tilt). Zero tilt restores the
-        # board as built, with its unit normal.
-        self._untilted = (0.0, (self.rotation, self.surface_normal))
-        self._tilt = self._untilted
+        # Zero tilt restores the board as built, with its unit normal, and
+        # its rotation object, which keeps _frame_rows' cache.
+        self._untilted = (self.rotation, self.surface_normal)
         self._frame = (None, None)  # (rotation, _frame_rows() at that rotation)
 
     def normal(self) -> tuple:
@@ -357,17 +355,11 @@ class PlaneBoard(TaskEnvironment):
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         self.rest_point = _add(self.center, offset)
-        # Rotation and normal are functions of the tilt alone: recompute them
-        # only when it changes (every tick of a ramp, once for a held tilt).
-        key = (tilt, tilt_axis) if tilt != 0.0 else 0.0
-        if key != self._tilt[0]:
-            if tilt != 0.0:
-                self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt),
-                                         self._base_rotation)
-                self._tilt = (key, (self.rotation, self.normal()))
-            else:
-                self._tilt = self._untilted
-        self.rotation, self.surface_normal = self._tilt[1]
+        if tilt != 0.0:
+            self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt), self._base_rotation)
+            self.surface_normal = self.normal()
+        else:
+            self.rotation, self.surface_normal = self._untilted
 
     def _frame_rows(self) -> tuple:
         """The rows of the world-to-board rotation (the board axes in the world),
@@ -394,7 +386,7 @@ class PlaneBoard(TaskEnvironment):
 
     def measure(self, x_r) -> float:
         """Ink left on the board, as stroke length in cm."""
-        return self.ink.inked_count() * self.ink.cell * 100.0
+        return self.ink.inked_count() * CELL_SIZE * 100.0
 
 
 @dataclass

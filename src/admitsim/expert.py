@@ -34,7 +34,6 @@ from .geometry import (
     _sub,
     _unit_matrix,
     _unit_quat,
-    dot3,
     quat_from_axis_angle,
     quat_mul,
     sq_norm,
@@ -118,6 +117,13 @@ class SupervisionRecords(Sequence):
 # Placeholder normal for out-of-contact steps; the loss masks it.
 ZERO_NORMAL = (0.0, 0.0, 0.0)
 
+# The identity orientation, wxyz: that of the peg and of the gripper at a
+# door's grasp point.
+IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
+
+# Largest angle between the peg axis and the bore axis that insertion accepts.
+ALIGN_TOL = math.radians(5.0)
+
 
 # --------------------------------------------------------------------------
 # Planners
@@ -143,22 +149,20 @@ def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]
     return poses
 
 
-def plan_insertion(hole: HoleFixture, start_height: float, step: float,
-                   orientation=None,
-                   align_tol: float = math.radians(5.0)) -> list[Pose]:
-    """Descend along the hole axis from start_height above the bottom to the bottom."""
-    orientation = (1.0, 0.0, 0.0, 0.0) if orientation is None else \
-        tuple(map(float, orientation))
-    # Peg axis is the tool -z direction; it must oppose the hole's up axis.
-    peg_dir = _matvec(_quat_matrix(orientation), (0.0, 0.0, -1.0))
-    up = hole.axis_up
-    if -dot3(peg_dir, up) < math.cos(align_tol):
+def plan_insertion(hole: HoleFixture, start_height: float, step: float) -> list[Pose]:
+    """Descend along the hole axis from start_height above the bottom to the bottom.
+
+    The peg holds the identity orientation, its axis the tool -z direction,
+    which must oppose the hole's up axis within ALIGN_TOL (NotAligned).
+    """
+    # The cosine of the angle between the peg axis (0, 0, -1) and the bore's
+    # down axis is the up axis's z component.
+    if hole.axis_up[2] < math.cos(ALIGN_TOL):
         raise NotAligned("peg axis deviates from the hole axis beyond tolerance")
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    q = _unit_quat(orientation)
     bottom = b0, b1, b2 = hole.bottom_center()
-    u0, u1, u2 = up
+    u0, u1, u2 = hole.axis_up
     n_steps = int(math.ceil(start_height / step - 1e-12)) if start_height > 0 else 0
     positions = []
     for i in range(n_steps + 1):
@@ -166,31 +170,35 @@ def plan_insertion(hole: HoleFixture, start_height: float, step: float,
         positions.append((b0 + h * u0, b1 + h * u1, b2 + h * u2))
     if math.sqrt(sq_norm(_sub(positions[-1], bottom))) > 1e-12:
         positions.append(bottom)
-    return [Pose._make((p, q)) for p in positions]
+    return [Pose._make((p, IDENTITY_Q)) for p in positions]
 
 
-def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float = 0.5,
-                press_depth: float | None = None, margin: float = 0.025,
-                passes: int = 1) -> list[Pose]:
+# Wiping: the sweep's waypoint spacing along a lane (m), the overlap of
+# neighbouring lanes as a share of the eraser width, how far a lane runs past
+# the inked box at either end (m), and the depth of the waypoints below the
+# surface (m), so that ideal tracking presses with k_e * PRESS_DEPTH.
+STEP_LEN = 0.015
+LANE_OVERLAP = 0.5
+MARGIN = 0.025
+PRESS_DEPTH = 0.004
+
+
+def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
     """Boustrophedon sweep over the bounding box of the inked cells.
 
-    Lanes run along the board-frame x axis with pitch (1 - lane_overlap) times
+    Lanes run along the board-frame x axis with pitch (1 - LANE_OVERLAP) times
     the eraser footprint width; the eraser orientation aligns with the surface
-    normal. Waypoints sit press_depth below the surface so that ideal tracking
-    produces contact force k_e * press_depth. The sweep repeats `passes` times
-    (>= 1).
+    normal. Waypoints sit PRESS_DEPTH below the surface. The sweep repeats
+    `passes` times (>= 1).
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     centers = board.ink.inked_centers()
     if len(centers) == 0:
         raise NothingToWipe("board has no inked cells")
-    if press_depth is None:
-        press_depth = 0.004
-    fw = 2.0 * board.eraser_half_y
-    pitch = (1.0 - lane_overlap) * fw
-    x_lo = float(centers[:, 0].min()) - margin
-    x_hi = float(centers[:, 0].max()) + margin
+    pitch = (1.0 - LANE_OVERLAP) * (2.0 * board.eraser_half_y)
+    x_lo = float(centers[:, 0].min()) - MARGIN
+    x_hi = float(centers[:, 0].max()) + MARGIN
     y_lo = float(centers[:, 1].min())
     y_hi = float(centers[:, 1].max())
     # First and last lanes sit directly on the extreme inked rows, so edge
@@ -201,45 +209,36 @@ def plan_wiping(board: PlaneBoard, step_len: float = 0.015, lane_overlap: float 
     R = _quat_matrix(board.rotation)
     q = _unit_quat(board.rotation)  # eraser frame aligned with the board surface
     rest = board.rest_point
+    n = max(1, int(math.ceil((x_hi - x_lo) / STEP_LEN)))
+    xs = [x_lo + (x_hi - x_lo) * i / n for i in range(n + 1)]
 
     poses: list[Pose] = []
     for _ in range(passes):
         for li, y in enumerate(lanes):
-            xs = _lane_waypoints(x_lo, x_hi, step_len)
-            if li % 2 == 1:
-                xs = xs[::-1]
-            for x in xs:
-                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -press_depth))), q)))
+            for x in xs[::-1] if li % 2 == 1 else xs:
+                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -PRESS_DEPTH))), q)))
     return poses
 
 
-def _lane_waypoints(x_lo: float, x_hi: float, step_len: float) -> list[float]:
-    n = max(1, int(math.ceil((x_hi - x_lo) / step_len)))
-    return [x_lo + (x_hi - x_lo) * i / n for i in range(n + 1)]
-
-
-def plan_articulated(door: HingedDoor, target_angle: float, step: float,
-                     grasp_pose: Pose | None = None,
-                     turn_angle: float | None = None) -> tuple[list[Pose], list[tuple]]:
-    """Circular arcs about the ground-truth joint axes, orientation co-rotating,
-    and the contact normal of each pose: the outward radial, as floats, of the
+def plan_articulated(door: HingedDoor, target_angle: float,
+                     step: float) -> tuple[list[Pose], list[tuple]]:
+    """Circular arcs about the ground-truth joint axes from the grasp pose (the
+    door's grasp point, identity orientation), orientation co-rotating, and
+    the contact normal of each pose: the outward radial, as floats, of the
     circle it lies on.
 
-    Microwave: a single arc about the hinge. Door: a handle-turn arc (to
-    turn_angle, default twice the latch threshold) followed by the hinge arc,
-    encoding the turn-then-pull sequence; the junction pose keeps the handle
-    normal.
+    Microwave: a single arc about the hinge. Door: a handle-turn arc (to twice
+    the latch threshold) followed by the hinge arc, encoding the turn-then-pull
+    sequence; the junction pose keeps the handle normal.
     """
-    if grasp_pose is None:
-        grasp_pose = Pose(door.grasp0, (1.0, 0.0, 0.0, 0.0))
     if step <= 0.0:
         raise ValueError("step must be > 0")
+    grasp_pose = Pose(door.grasp0, IDENTITY_Q)
     if door.microwave:
         return _arc(grasp_pose, door.hinge_axis, door.hinge_pivot,
                     target_angle, step, sign=door.opening_sign)
-    if turn_angle is None:
-        turn_angle = 2.0 * door.latch_threshold
-    poses, normals = _arc(grasp_pose, door.handle_axis, door.handle_pivot, turn_angle, step)
+    poses, normals = _arc(grasp_pose, door.handle_axis, door.handle_pivot,
+                          2.0 * door.latch_threshold, step)
     pull, pull_normals = _arc(poses[-1], door.hinge_axis, door.hinge_pivot,
                               target_angle, step, sign=door.opening_sign)
     # The junction pose is already emitted, with the handle normal.

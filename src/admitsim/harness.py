@@ -284,7 +284,7 @@ class _Episode:
                     break
                 if p < n_demo:
                     if p % DEFAULT_HORIZON == 0:
-                        chunk = predict(p, tuples, noise, DEFAULT_HORIZON)
+                        chunk = predict(p, tuples, noise)
                     # The controller is translational: a command takes the
                     # position and the gripper of the predicted 10-d pose.
                     pose10, normal, contact = chunk[p % DEFAULT_HORIZON]

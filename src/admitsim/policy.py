@@ -15,17 +15,7 @@ import numpy as np
 
 from .errors import EndOfDemo, LengthMismatch, check_count, check_range, check_real
 from .expert import SupervisionTuple
-from .geometry import (
-    _cross,
-    _normalize,
-    _unit,
-    quat_from_axis_angle,
-    quat_mul,
-    quat_rotate,
-    rot6d_decode,
-    rot6d_encode,
-    sq_norm,
-)
+from .geometry import _cross, _normalize, _unit, quat_from_axis_angle, quat_rotate, sq_norm
 
 DEFAULT_HORIZON = 16
 
@@ -34,10 +24,11 @@ DEFAULT_HORIZON = 16
 class NoiseSpec:
     """Oracle prediction noise and its seed.
 
-    `rot_std` perturbs the predicted orientation. The controller is
+    `rot_std` only advances the noise generator. The controller is
     translational and a command takes only the position and the gripper of
-    a prediction, so no output reads that orientation; its draws still
-    advance the noise generator, and with it every later draw.
+    a prediction, so `predict` returns the demo's orientation; while
+    `rot_std` > 0 it still makes the two draws of an orientation
+    perturbation per tuple, which keeps every later draw as it was.
     """
 
     pos_std: float = 0.0
@@ -74,30 +65,29 @@ def _perturb_normal(n, rng: np.random.Generator, cone_std: float) -> tuple:
     return _normalize(quat_rotate(q, n))
 
 
-def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec,
-            horizon: int = DEFAULT_HORIZON) -> tuple:
-    """The next `horizon` supervision tuples from policy step t0 of the demo,
-    perturbed, as a tuple (the action chunk).
+def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec) -> tuple:
+    """The next DEFAULT_HORIZON supervision tuples from policy step t0 of the
+    demo, perturbed, as a tuple (the action chunk).
 
     The slice is padded by repeating the final tuple when the demo ends inside
     the horizon; a time index at or beyond the demo raises EndOfDemo. Output
-    is deterministic in (noise.seed, t0).
+    is deterministic in (noise.seed, t0). The predicted 6D rotation is the
+    demo's: `rot_std` only draws from the noise generator (see NoiseSpec).
     """
-    if horizon < 1:
-        raise ValueError("chunk horizon must be >= 1")
     if t0 < 0 or t0 >= len(demo):
         raise EndOfDemo(f"time index {t0} outside demo of length {len(demo)}")
     rng = np.random.default_rng(np.random.SeedSequence([noise.seed, t0]))
     out = []
-    for k in range(horizon):
+    for k in range(DEFAULT_HORIZON):
         src = demo[min(t0 + k, len(demo) - 1)]
         pose10 = src.pose10.copy()
         if noise.pos_std > 0.0:
             pose10[:3] += rng.normal(0.0, noise.pos_std, 3)
         if noise.rot_std > 0.0:
-            q = rot6d_decode(pose10[3:9])
-            dq = quat_from_axis_angle(_random_unit(rng), rng.normal(0.0, noise.rot_std))
-            pose10[3:9] = rot6d_encode(quat_mul(dq, q))
+            # The draws of a rotation perturbation (axis, then angle), which no
+            # output reads: they keep the stream of every later draw.
+            _random_unit(rng)
+            rng.normal(0.0, noise.rot_std)
         c = src.contact
         n = src.normal.tolist()
         if noise.contact_flip_prob > 0.0 and rng.random() < noise.contact_flip_prob:

@@ -30,6 +30,7 @@ from .environments import (
     TaskEnvironment,
 )
 from .expert import (
+    IDENTITY_Q,
     ZERO_NORMAL,
     PhaseLabel,
     SupervisionRecords,
@@ -40,8 +41,6 @@ from .expert import (
     plan_wiping,
 )
 from .geometry import Pose, _add, quat_from_axis_angle, quat_rotate
-
-IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -72,15 +71,20 @@ def _build_board(rng, **overrides) -> PlaneBoard:
     return board
 
 
-def _scribble(board: PlaneBoard, rng, n_segments: int = 3, seg_len: float = 0.05):
+# The ink stroke: a polyline of this many segments, each this long (m).
+SCRIBBLE_SEGMENTS = 3
+SCRIBBLE_SEG_LEN = 0.05
+
+
+def _scribble(board: PlaneBoard, rng):
     """Random polyline stroke in the central region of the board."""
     half_x = 0.5 * board.extent[0] - 0.04
     half_y = 0.5 * board.extent[1] - 0.04
     p = np.array([rng.uniform(-half_x, half_x), rng.uniform(-half_y, half_y)])
     pts = [p]
-    for _ in range(n_segments):
+    for _ in range(SCRIBBLE_SEGMENTS):
         ang = rng.uniform(0.0, 2.0 * math.pi)
-        q = pts[-1] + seg_len * np.array([math.cos(ang), math.sin(ang)])
+        q = pts[-1] + SCRIBBLE_SEG_LEN * np.array([math.cos(ang), math.sin(ang)])
         q = np.clip(q, [-half_x, -half_y], [half_x, half_y])
         pts.append(q)
     board.ink.ink_stroke(np.array(pts))
@@ -186,7 +190,7 @@ def _door_plan(door: HingedDoor, target: float) -> tuple:
     approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
     grasp_poses = [grasp_pose] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
-    arc, arc_normals = plan_articulated(door, target, math.radians(1.5), grasp_pose=grasp_pose)
+    arc, arc_normals = plan_articulated(door, target, math.radians(1.5))
     open_pose = arc[-1]
     # Hold the end pose grasped so the compliant reference catches up with the
     # commanded arc before letting go.

@@ -308,8 +308,8 @@ class _Prop2:
     last velocity and the rows of the late-slope fit.
     """
 
-    def __init__(self, grid: list[NormalDynamicsParams], v0: float, T: float | None,
-                 dt: float):
+    def __init__(self, grid: list[NormalDynamicsParams], v0: float, T: float | None = None,
+                 dt: float = 1e-4):
         check_finite("v0", v0)
         Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
         ns = [_steps("proposition 2 horizon T", T_i, dt) for T_i in Ts]
@@ -363,17 +363,17 @@ class _Prop2:
         return reports
 
 
-def verify_prop2(grid: list[NormalDynamicsParams], v0: float, T: float | None = None,
-                 dt: float = 1e-4) -> list[VerificationReport]:
+def verify_prop2(grid: list[NormalDynamicsParams], v0: float,
+                 **options) -> list[VerificationReport]:
     """Contact lost (f_ext = 0): velocity converges to -f_H/(2d); the whole
     trajectory matches the analytic first-order solution.
 
     Every point starts at velocity v0 and runs for T (default: 20 m/(2d),
-    twenty of its own velocity time constants); the grid is integrated as one
-    batch, each point up to its own horizon, and each point is judged on its
-    own.
+    twenty of its own velocity time constants) in steps of dt; `options` (T,
+    dt) default to `_Prop2`'s. The grid is integrated as one batch, each point
+    up to its own horizon, and each point is judged on its own.
     """
-    return _integrate([_Prop2(grid, v0, T, dt)])
+    return _integrate([_Prop2(grid, v0, **options)])
 
 
 def equivalence_check(cfg: AdmittanceConfig, k_e: float, n=(0.0, 0.0, 1.0), T: float = 2.0,
@@ -451,8 +451,8 @@ class _Prop1:
     the last position.
     """
 
-    def __init__(self, grid: list[NormalDynamicsParams], x0_offset: float, v0: float,
-                 T: float | None, dt: float):
+    def __init__(self, grid: list[NormalDynamicsParams], x0_offset: float = 0.02,
+                 v0: float = 0.0, T: float | None = None, dt: float = 5e-4):
         check_finite("x0_offset", x0_offset)
         check_finite("v0", v0)
         eq = [p.equilibrium() for p in grid]
@@ -507,17 +507,29 @@ class _Prop1:
 
 
 def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
-                      x0_offset: float = 0.02, v0: float = 0.0, T: float | None = None,
-                      dt: float = 5e-4) -> list[VerificationReport]:
+                      **options) -> list[VerificationReport]:
     """Disturbance-free convergence to -f_H/k_e with f_ext -> f_H, plus
     monotone decrease of V = 0.5 m e'^2 + 0.5 k_e e^2 outside a slack band.
 
     Every point starts x0_offset from its equilibrium at velocity v0 and runs
-    for T (default: 20 of its own time constants); the grid is integrated as
+    for T (default: 20 of its own time constants) in steps of dt; `options`
+    (x0_offset, v0, T, dt) default to `_Prop1`'s. The grid is integrated as
     one batch, each point up to its own horizon.
     """
-    grid = default_grid() if grid is None else grid
-    return _integrate([_Prop1(grid, x0_offset, v0, T, dt)])
+    return _integrate([_Prop1(default_grid() if grid is None else grid, **options)])
+
+
+# Proposition 3's default duration, s.
+PROP3_T = 60.0
+
+
+def _iss_bound(p: NormalDynamicsParams, amplitude: float, omega: float) -> tuple:
+    """(sup |u|, error bound) of p under amplitude * sin(omega t); OverflowError past range."""
+    sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
+    # Operational bound: forced amplitude from the frequency response plus
+    # the free response from the initial velocity mismatch, with headroom.
+    H = 1.0 / math.sqrt((p.k_e - p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
+    return sup_u, 2.0 * (H * sup_u + amplitude * omega * math.sqrt(p.m / p.k_e))
 
 
 class _Prop3:
@@ -529,10 +541,16 @@ class _Prop3:
     Lyapunov-rate stencil continues into the next chunk.
     """
 
-    def __init__(self, grid: list[NormalDynamicsParams], amplitude: float, omega: float,
-                 T: float, dt: float):
+    def __init__(self, grid: list[NormalDynamicsParams], amplitude: float = 0.005,
+                 omega: float = 2.0 * math.pi, T: float = PROP3_T, dt: float = 1e-3):
         check_finite("amplitude", amplitude)
         check_finite("omega", omega)
+        try:
+            self.a_scale = -amplitude * omega ** 2  # rest-point acceleration / sin(omega t)
+            self.bounds = [_iss_bound(p, amplitude, omega) for p in grid]
+        except OverflowError:
+            raise ValueError(f"omega is too large: omega ** 2 or the bound of proposition 3 "
+                             f"overflows, got {omega}") from None
         # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
         n = _steps("proposition 3 duration T", T, dt, least=4)
         self.lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],
@@ -556,7 +574,7 @@ class _Prop3:
         sin_wt = _libm(math.sin, wt)
         x_e = 0.0 + amp * sin_wt
         v_e = amp * omega * _libm(math.cos, wt)
-        a_e = -amp * omega ** 2 * sin_wt
+        a_e = self.a_scale * sin_wt
         m, d, k_e, f_H = self.lanes.params(idx)
         e = x - (x_e - f_H / k_e)
         edot = v - v_e
@@ -592,12 +610,7 @@ class _Prop3:
     def reports(self) -> list[VerificationReport]:
         (amplitude, omega), T, dt = self.lanes.sinusoid, self.T, self.lanes.dt
         reports = []
-        for i, p in enumerate(self.grid):
-            sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
-            # Operational bound: forced amplitude from the frequency response plus
-            # the free response from the initial velocity mismatch, with headroom.
-            H = 1.0 / math.sqrt((p.k_e - p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
-            bound = 2.0 * (H * sup_u + amplitude * omega * math.sqrt(p.m / p.k_e))
+        for i, (p, (sup_u, bound)) in enumerate(zip(self.grid, self.bounds)):
             p_ref = float(self.rhs_max[i]) + 1e-12
             ineq_resid = float(self.resid_max[i])
             neg_ok = bool(not self.dominated[i] or self.dominated_max[i] <= LYAP_SLACK * p_ref)
@@ -617,8 +630,7 @@ class _Prop3:
 
 
 def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
-                      amplitude: float = 0.005, omega: float = 2.0 * math.pi,
-                      T: float = 60.0, dt: float = 1e-3) -> list[VerificationReport]:
+                      **options) -> list[VerificationReport]:
     """ISS under the sinusoidal rest point amplitude*sin(omega t): bounded error
     states, the sampled Lyapunov rate satisfies V' <= -d e'^2 + u^2/(4d), and
     V' <= 0 whenever |e'| >= |u|/(2d).
@@ -626,28 +638,26 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     Every point starts at rest at the equilibrium of the t = 0 rest point and
     shares the sinusoid; the grid is integrated as one batch. The error states
     are relative to the moving rest point, so they do not depend on its base,
-    and every point is integrated around base 0. amplitude and omega must be
-    finite, and T finite and span at least four steps of dt, and at most
-    MAX_LANE_STEPS (ValueError otherwise).
+    and every point is integrated around base 0. `options` (amplitude, omega,
+    T, dt) default to `_Prop3`'s. amplitude and omega must be finite and
+    omega ** 2 and the bound must not overflow; T must span between four and
+    MAX_LANE_STEPS steps of dt (ValueError otherwise).
     """
-    grid = default_grid() if grid is None else grid
-    return _integrate([_Prop3(grid, amplitude, omega, T, dt)])
+    return _integrate([_Prop3(default_grid() if grid is None else grid, **options)])
 
 
-def run_default_verification(prop3_T: float = 60.0,
+def run_default_verification(prop3_T: float = PROP3_T,
                              grid: list[NormalDynamicsParams] | None = None
                              ) -> list[VerificationReport]:
-    """All four checks over the parameter grid (one report per check per point).
+    """All four checks over the parameter grid (one report per check per
+    point), each with its defaults but proposition 2's v0 = 0.05 m/s and
+    proposition 3's duration prop3_T.
 
     Propositions 1, 2 and 3 integrate as one lane table: one RK4 loop runs
     every point of every proposition, each up to its own horizon.
     """
-    if grid is None:
-        grid = default_grid()
-    # Each proposition with the defaults of its public function.
-    reports = _integrate([_Prop1(grid, x0_offset=0.02, v0=0.0, T=None, dt=5e-4),
-                    _Prop2(grid, v0=0.05, T=None, dt=1e-4),
-                    _Prop3(grid, amplitude=0.005, omega=2.0 * math.pi, T=prop3_T, dt=1e-3)])
+    grid = default_grid() if grid is None else grid
+    reports = _integrate([_Prop1(grid), _Prop2(grid, v0=0.05), _Prop3(grid, T=prop3_T)])
     for p in grid:
         cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
                                damping_ratio=DAMPING_RATIO, target_force=p.f_H,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from admitsim.environments import (
+    CELL_SIZE,
     DISTURBANCE_KINDS,
     DisturbanceEvent,
     FrictionModel,
@@ -97,8 +98,8 @@ _STROKE_COORD = st.one_of(
 
 def full_grid_stroke(ink, pts, pen_radius):
     """The ink mask of a stroke evaluated at every cell, by the per-cell formula."""
-    cx = (np.arange(ink.nx) + 0.5) * ink.cell - 0.5 * ink.extent_x
-    cy = (np.arange(ink.ny) + 0.5) * ink.cell - 0.5 * ink.extent_y
+    cx = (np.arange(ink.nx) + 0.5) * CELL_SIZE - 0.5 * ink.extent_x
+    cy = (np.arange(ink.ny) + 0.5) * CELL_SIZE - 0.5 * ink.extent_y
     centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
     dmin = np.full(len(centers), np.inf)
     if len(pts) == 1:
@@ -140,10 +141,10 @@ class TestInk:
         """Wipes clipped to the ink's box clean what the unclipped window would,
         and the box holds every inked cell after each wipe."""
         def reference_wipe(ink, inked, x, y, hx, hy):
-            i_lo = max(0, math.ceil((x - hx + 0.5 * ink.extent_x) / ink.cell - 0.5))
-            i_hi = min(ink.nx, math.floor((x + hx + 0.5 * ink.extent_x) / ink.cell - 0.5) + 1)
-            j_lo = max(0, math.ceil((y - hy + 0.5 * ink.extent_y) / ink.cell - 0.5))
-            j_hi = min(ink.ny, math.floor((y + hy + 0.5 * ink.extent_y) / ink.cell - 0.5) + 1)
+            i_lo = max(0, math.ceil((x - hx + 0.5 * ink.extent_x) / CELL_SIZE - 0.5))
+            i_hi = min(ink.nx, math.floor((x + hx + 0.5 * ink.extent_x) / CELL_SIZE - 0.5) + 1)
+            j_lo = max(0, math.ceil((y - hy + 0.5 * ink.extent_y) / CELL_SIZE - 0.5))
+            j_hi = min(ink.ny, math.floor((y + hy + 0.5 * ink.extent_y) / CELL_SIZE - 0.5) + 1)
             if i_lo >= i_hi or j_lo >= j_hi:
                 return 0
             count = int(inked[i_lo:i_hi, j_lo:j_hi].sum())
@@ -191,8 +192,8 @@ class TestInk:
             cells = np.argwhere(ink)
             if len(cells) and rng.random() < 0.7:
                 i, j = cells[rng.integers(len(cells))]
-                xy = ((i + 0.5) * board.ink.cell - board.ink._x0 + rng.normal(scale=0.01),
-                      (j + 0.5) * board.ink.cell - board.ink._y0 + rng.normal(scale=0.01))
+                xy = ((i + 0.5) * CELL_SIZE - board.ink._x0 + rng.normal(scale=0.01),
+                      (j + 0.5) * CELL_SIZE - board.ink._y0 + rng.normal(scale=0.01))
             else:
                 xy = tuple(rng.uniform(-0.2, 0.2, size=2))
             r = board._frame_rows()
@@ -216,7 +217,7 @@ class TestInk:
         board.ink.inked[50, 30] = True
         board.ink.refresh_box()
         ink = board.ink
-        c = ((50 + 0.5) * ink.cell - 0.5 * ink.extent_x, (30 + 0.5) * ink.cell - 0.5 * ink.extent_y)
+        c = ((50 + 0.5) * CELL_SIZE - 0.5 * ink.extent_x, (30 + 0.5) * CELL_SIZE - 0.5 * ink.extent_y)
         assert update_ink(board, point(c[0], c[1], -0.004), 5.0) == 1
 
     @pytest.mark.parametrize("reink", ["stroke", "direct_write"])
@@ -359,6 +360,9 @@ class TestDisturbances:
         assert board.surface_normal != built[1]
         apply_disturbances(board, events, 3.0)
         assert (board.rotation, board.surface_normal) == built
+        # The very rotation object as built, so the board-frame rows stay cached.
+        rows = board._frame_rows()
+        assert board.rotation is built[0] and board._frame_rows() is rows
 
     def test_force_pulse_moves_no_door_geometry(self):
         for task in ("MO", "DO"):

@@ -93,11 +93,32 @@ class TestInsertion:
             assert_allclose(delta[:2], np.zeros(2), atol=1e-15)
             assert delta[2] <= 0.0
 
+    @staticmethod
+    def bore(axis_deg: float, degrees: float) -> HoleFixture:
+        """A hole whose up axis is tilted by `degrees` about x (axis_deg 0) or y (90)."""
+        a, b = math.radians(degrees), math.radians(axis_deg)
+        up = (math.sin(b) * math.sin(a), -math.cos(b) * math.sin(a), math.cos(a))
+        return HoleFixture(rim_center=(0.0, 0.0, 0.0), axis_up=up)
+
     def test_not_aligned(self):
-        from admitsim.geometry import quat_from_axis_angle
-        tilted = quat_from_axis_angle(np.array([1.0, 0, 0]), math.radians(20.0))
+        # The peg holds the identity orientation: a bore tilted 20 degrees is refused.
         with pytest.raises(NotAligned):
-            plan_insertion(self.hole, 0.02, 0.001, orientation=tilted)
+            plan_insertion(self.bore(0.0, 20.0), 0.02, 0.001)
+
+    @pytest.mark.parametrize("axis_deg", [0.0, 90.0])
+    @pytest.mark.parametrize("degrees", [5.5, 90.0, 180.0])
+    def test_not_aligned_beyond_five_degrees(self, axis_deg, degrees):
+        with pytest.raises(NotAligned):
+            plan_insertion(self.bore(axis_deg, degrees), 0.02, 0.001)
+
+    @pytest.mark.parametrize("axis_deg", [0.0, 90.0])
+    @pytest.mark.parametrize("degrees", [0.0, 3.0, 4.5])
+    def test_aligned_within_tolerance(self, axis_deg, degrees):
+        hole = self.bore(axis_deg, degrees)
+        poses = plan_insertion(hole, 0.02, 0.001)
+        assert all(p.orientation == (1.0, 0.0, 0.0, 0.0) for p in poses)
+        assert_allclose(np.subtract(poses[0].position, poses[-1].position),
+                        0.02 * np.array(hole.axis_up), atol=1e-15)
 
 
 class TestWiping:

@@ -4,7 +4,9 @@ The tolerance-based tests accept any refactor that keeps the physics within
 their bounds; these digests catch one that shifts a single bit. Each scenario
 is short but exercises one feature: contact, tangent stiffening, the raise,
 lower, shift, tilt, sinusoid and force-pulse disturbances, a safety stop, and
-the PH, MO and DO environments. Two `run` trace files (WW, and DO with the
+the PH, MO and DO environments. The action chunks `predict` makes of one WW
+demo under the scenarios' noise are pinned by what a command reads of them.
+Two `run` trace files (WW, and DO with the
 door, the force pulse and several chunks of the trace writer), a 5-episode
 `gen-demos` dataset per task, the verification CSV on a one-point grid and the
 summary CSV of a small clean/raise WW suite are pinned as bytes.
@@ -37,7 +39,8 @@ from admitsim.cli import main as cli_main
 from admitsim.datasets import TRACE_CHUNK_ROWS, write_trace
 from admitsim.environments import DisturbanceEvent
 from admitsim.harness import ScenarioConfig, default_disturbance, run_episode
-from admitsim.policy import NoiseSpec
+from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
+from admitsim.tasks import build_environment, generate_demo
 
 NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
                   contact_flip_prob=0.01, seed=11)
@@ -98,6 +101,7 @@ GOLDEN = {
     "gen_demos_do": "4958e64285bc5726e28657690c97be95b0e0e5453a8a80f33579bd685638d555",
     "verification_csv": "550c0373391ac8390508e5b94b79f87f4eb5c6909a01368f36a0f285a3c701e9",
     "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
+    "predict_chunks": "55bbafc328a93d28a6d8e2f25b30ba4dd456d93cee5629fed652a08a1e51f4cc",
 }
 
 
@@ -115,6 +119,22 @@ def log_digest(log) -> str:
         h.update(arr.tobytes())
     h.update(repr(sorted(log.metrics.items())).encode())
     h.update(f"success={log.success} stopped={log.safety_stopped}".encode())
+    return h.hexdigest()
+
+
+def predict_digest() -> str:
+    """SHA-256 over the position, gripper, normal and contact flag of every
+    tuple of every chunk `predict` makes of a seed-3 WW demo under NOISE (the
+    chunks the harness takes, at every DEFAULT_HORIZON-th step). NOISE has
+    rot_std > 0, whose draws advance the generator."""
+    demo = generate_demo("WW", build_environment("WW", np.random.default_rng(3))).tuples
+    h = hashlib.sha256()
+    for t0 in range(0, len(demo), DEFAULT_HORIZON):
+        for pose10, normal, contact in predict(t0, demo, NOISE):
+            h.update(pose10[:3].tobytes())
+            h.update(pose10[9].tobytes())
+            h.update(np.asarray(normal, dtype=float).tobytes())
+            h.update(bytes([contact]))
     return h.hexdigest()
 
 
@@ -192,11 +212,16 @@ def test_file_digests(logs, tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
 
 
+def test_predict_digest():
+    assert predict_digest() == GOLDEN["predict_chunks"]
+
+
 def current_digests() -> dict:
     logs = {name: run_episode(scenario_config(name)) for name in SCENARIOS}
     out = {name: log_digest(log) for name, log in logs.items()}
     with tempfile.TemporaryDirectory() as workdir:
         out.update(file_digests(workdir, logs))
+    out["predict_chunks"] = predict_digest()
     return out
 
 

@@ -296,7 +296,7 @@ def reference_flags(cfg, n):
         p = min(k // harness.TICKS_PER_STEP, len(tuples) - 1)
         p0 = p - p % DEFAULT_HORIZON
         if p0 not in chunks:
-            chunks[p0] = predict(p0, tuples, ep.noise, DEFAULT_HORIZON)
+            chunks[p0] = predict(p0, tuples, ep.noise)
         phase.append(phases[p].value)
         contact.append(chunks[p0][p - p0][2])
     return phase, contact

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from admitsim.errors import EndOfDemo, LengthMismatch
 from admitsim.expert import SupervisionTuple
-from admitsim.policy import NoiseSpec, loss, predict
+from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, loss, predict
 
 
 def make_demo(n, contact_from=None):
@@ -26,15 +26,15 @@ def make_demo(n, contact_from=None):
 class TestPredict:
     def test_zero_noise_exact_slice(self):
         demo = make_demo(40, contact_from=10)
-        chunk = predict(4, demo, NoiseSpec(), horizon=16)
-        assert len(chunk) == 16
+        chunk = predict(4, demo, NoiseSpec())
+        assert len(chunk) == DEFAULT_HORIZON == 16
         for k in range(16):
             assert_allclose(chunk[k].pose10, demo[4 + k].pose10)
             assert chunk[k].contact == demo[4 + k].contact
 
     def test_pads_by_repeating_last(self):
         demo = make_demo(10)
-        chunk = predict(8, demo, NoiseSpec(), horizon=16)
+        chunk = predict(8, demo, NoiseSpec())
         for k in range(2, 16):
             assert_allclose(chunk[k].pose10, demo[-1].pose10)
 
@@ -42,10 +42,6 @@ class TestPredict:
         demo = make_demo(10)
         with pytest.raises(EndOfDemo):
             predict(10, demo, NoiseSpec())
-
-    def test_chunk_horizon_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk horizon must be >= 1"):
-            predict(0, make_demo(10), NoiseSpec(), horizon=0)
 
     def test_normals_remain_unit_under_cone_noise(self):
         demo = make_demo(30, contact_from=0)
@@ -67,7 +63,7 @@ class TestPredict:
     def test_flipped_on_contact_gets_unit_normal(self):
         demo = make_demo(64)  # never in contact
         spec = NoiseSpec(contact_flip_prob=0.5, seed=1)
-        chunk = predict(0, demo, spec, horizon=64)
+        chunk = [t for t0 in range(0, 64, DEFAULT_HORIZON) for t in predict(t0, demo, spec)]
         flipped = [t for t in chunk if t.contact == 1]
         assert flipped  # with p=0.5 over 64 steps some flips occur
         for t in flipped:
@@ -79,6 +75,24 @@ class TestPredict:
         chunk = predict(0, demo, NoiseSpec(rot_std=0.3, seed=7))
         for t in chunk:
             rot6d_decode(t.pose10[3:9])
+
+    def test_rotation_is_the_demos_under_rot_noise(self):
+        # rot_std only advances the noise generator: every predicted 6D
+        # rotation is its demo tuple's, bit for bit.
+        from admitsim.geometry import quat_from_axis_angle, rot6d_encode
+        demo = [SupervisionTuple(np.concatenate([[0.01 * i, 0.0, 0.1],
+                                                 rot6d_encode(quat_from_axis_angle((0.0, 1.0, 0.0),
+                                                                                   0.1 * i)),
+                                                 [1.0]]), np.zeros(3), 0)
+                for i in range(20)]
+        for spec in (NoiseSpec(rot_std=0.3, seed=7),
+                     NoiseSpec(pos_std=0.01, rot_std=0.05, normal_cone_std=0.1,
+                               contact_flip_prob=0.2, seed=9)):
+            for t0 in (0, 8):
+                chunk = predict(t0, demo, spec)
+                for k, t in enumerate(chunk):
+                    src = demo[min(t0 + k, len(demo) - 1)]
+                    assert t.pose10[3:9].tobytes() == src.pose10[3:9].tobytes()
 
 
 class TestLoss:
@@ -138,7 +152,7 @@ def test_mean_loss_monotone_in_position_noise():
     for std in grid:
         vals = []
         for seed in range(100):
-            chunk = predict(0, demo, NoiseSpec(pos_std=std, seed=seed), horizon=16)
+            chunk = predict(0, demo, NoiseSpec(pos_std=std, seed=seed))
             vals.append(loss(list(chunk), demo[:16]))
         means.append(np.mean(vals))
     assert means[0] <= means[1] <= means[2]
@@ -147,5 +161,5 @@ def test_mean_loss_monotone_in_position_noise():
 
 def test_zero_noise_prediction_scores_zero():
     demo = make_demo(30, contact_from=5)
-    chunk = predict(3, demo, NoiseSpec(), horizon=16)
+    chunk = predict(3, demo, NoiseSpec())
     assert loss(list(chunk), demo[3:19]) == 0.0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -201,6 +202,20 @@ class TestProp3:
         assert len(reports) == 27
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.NON_DEFAULT_SHA256
 
+    @pytest.mark.parametrize("omega,T", [(1e80, 0.5), (1e154, 0.5), (1.5e154, 0.5),
+                                         (1e200, 0.5), (-1e200, 0.5), (1.7e308, 60.0)])
+    def test_omega_too_large_for_the_bound_is_refused(self, omega, T):
+        # omega ** 2, or the square in the bound, overflows a float: refused
+        # before any run, with a ValueError naming omega.
+        message = f"^omega is too large: .*, got {re.escape(str(omega))}$"
+        with pytest.raises(ValueError, match=message) as exc:
+            verify_prop3_grid(omega=omega, T=T)
+        assert type(exc.value) is ValueError
+
+    def test_omega_below_the_overflow_runs(self):
+        (rep,) = verify_prop3_grid([params()], omega=1e70, T=0.01)
+        assert math.isfinite(rep.measured["bound"])
+
 
 class TestEquivalence:
     def test_default_point(self):
@@ -272,6 +287,16 @@ def test_equivalence_horizon_must_be_finite_and_positive(T, dt, message):
 
 class TestOneBatch:
     """run_default_verification integrates the three propositions as one batch."""
+
+    # SHA-256 over repr() of every report of run_default_verification on a
+    # one-point grid with a 5 s proposition 3: every measured field of the
+    # four checks with their defaults, not only the CSV's columns.
+    ONE_POINT_SHA256 = "191d02e652bf27a0064500fb284a184daf03173056d54a14aa2fc2e2886d50a8"
+
+    def test_one_point_run_is_pinned(self):
+        reports = run_default_verification(prop3_T=5.0, grid=[params()])
+        assert [r.proposition for r in reports] == ["prop1", "prop2", "prop3", "equivalence"]
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.ONE_POINT_SHA256
 
     # Ragged horizons: proposition 1 runs 1000, 6753 and 2000 steps, proposition
     # 2 runs 2500, 3536 and 5000, and proposition 3 (T = 5 s) 5000 each, so the
