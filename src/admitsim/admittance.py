@@ -147,11 +147,6 @@ def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: Admittance
     return (f * n0, f * n1, f * n2)
 
 
-def _check_dt(dt: float):
-    if not 0.0 < dt <= MAX_DT:  # false for NaN
-        raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-
-
 class TickResult(NamedTuple):
     """The new state and the per-tick log values, each vector a float tuple."""
 
@@ -175,8 +170,8 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, force: tuple,
     admitsim.geometry). The inputs were validated by their constructors and
     are not coerced again.
     """
-    if not 0.0 < dt <= MAX_DT:
-        _check_dt(dt)  # raises
+    if not 0.0 < dt <= MAX_DT:  # NaN fails the comparison too
+        raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
     f0, f1, f2 = f_ext = _radial_deadband(force, cfg.force_deadband)
     g0, g1, g2 = f_cmd = commanded_force(cmd, st, cfg)
     k = cfg.stiffness

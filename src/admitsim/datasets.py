@@ -33,9 +33,7 @@ VERSION = 1
 class Dataset:
     task: str
     horizon: int
-    # One SupervisionRecords per episode (read_dataset gives these); any
-    # sequence of SupervisionTuple is written the same.
-    episodes: list
+    episodes: list  # one SupervisionRecords per episode
 
     @property
     def tuple_count(self) -> int:
@@ -54,21 +52,9 @@ def write_dataset(path: str, ds: Dataset) -> None:
             for ep in ds.episodes:
                 fh.write(struct.pack("<I", len(ep)))
             for ep in ds.episodes:
-                if ep:
-                    fh.write(_record_block(ep).tobytes())
+                fh.write(ep.block.astype("<f8", copy=False).tobytes())
     except OSError as exc:
         raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
-
-
-def _record_block(episode) -> np.ndarray:
-    """The (n, 14) little-endian float64 records of an episode's tuples."""
-    if isinstance(episode, SupervisionRecords):
-        return episode.block.astype("<f8", copy=False)
-    block = np.empty((len(episode), RECORD_DIM), dtype="<f8")
-    block[:, :10] = [tup.pose10 for tup in episode]
-    block[:, 10:13] = [tup.normal for tup in episode]
-    block[:, 13] = [tup.contact for tup in episode]
-    return block
 
 
 _HEADER = struct.Struct("<4sI4sIIQ")  # magic, version, task, horizon, episodes, tuples

@@ -6,6 +6,11 @@ force field (articulated opening). All contact is single-point: a unilateral
 linear spring along the surface normal plus regularized Coulomb/viscous
 friction in the tangent plane.
 
+A constructor takes only what a task builder or a config override sets: the
+pose of the geometry, the contact stiffness k_e and the door's latch_force.
+Every other dimension, stiffness, friction law and threshold is a module
+constant below, the same for every environment of its kind.
+
 Sign convention: `surface_normal` points out of the environment toward free
 space, so contact forces on the end-effector have a non-negative component
 along it.
@@ -14,7 +19,7 @@ along it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +49,11 @@ _ZERO3 = (0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class FrictionModel:
-    coulomb_mu: float = 0.0
-    viscous_c: float = 0.0
+    """The regularized Coulomb/viscous friction law, with one instance per
+    environment kind (BOARD_FRICTION, HOLE_FRICTION, DOOR_FRICTION)."""
 
-    def __post_init__(self):
-        check_range("coulomb_mu", self.coulomb_mu, closed=True)
-        check_range("viscous_c", self.viscous_c, closed=True)
+    coulomb_mu: float
+    viscous_c: float
 
     def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
         """Resistance to the tangential velocity v_t (floats) of norm speed > 0.
@@ -163,11 +167,11 @@ class DisturbanceEvent:
 # --------------------------------------------------------------------------
 
 CELL_SIZE = 0.005  # 0.5 cm ink cells
+BOARD_EXTENT = (0.30, 0.20)  # the board's size along its x and y axes (m)
 
 
-@dataclass
 class InkGrid:
-    """Boolean grid over the board extent, indexed in the board frame.
+    """Boolean grid over BOARD_EXTENT, indexed in the board frame.
 
     The grid keeps a half-open index box (i_lo, i_hi, j_lo, j_hi) that holds
     every inked cell, so that a wipe away from the ink costs no numpy call.
@@ -178,16 +182,14 @@ class InkGrid:
     `refresh_box`.
     """
 
-    extent_x: float
-    extent_y: float
-
-    def __post_init__(self):
-        self.nx = max(1, int(round(self.extent_x / CELL_SIZE)))
-        self.ny = max(1, int(round(self.extent_y / CELL_SIZE)))
+    def __init__(self):
+        extent_x, extent_y = BOARD_EXTENT
+        self.nx = int(round(extent_x / CELL_SIZE))
+        self.ny = int(round(extent_y / CELL_SIZE))
         self.inked = np.zeros((self.nx, self.ny), dtype=bool)
         # The board-frame origin's offsets in the index formulas of wipe_rect.
-        self._x0 = 0.5 * self.extent_x
-        self._y0 = 0.5 * self.extent_y
+        self._x0 = 0.5 * extent_x
+        self._y0 = 0.5 * extent_y
         self.box = (0, self.nx, 0, self.ny)
         self._clean = None  # the last window wiped clean, as (i_lo, i_hi, j_lo, j_hi)
 
@@ -228,8 +230,8 @@ class InkGrid:
 
     def _near(self, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
         """Whether each cell of the index box lies within pen_radius of the polyline."""
-        cx = (np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - 0.5 * self.extent_x
-        cy = (np.arange(j_lo, j_hi) + 0.5) * CELL_SIZE - 0.5 * self.extent_y
+        cx = (np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - self._x0
+        cy = (np.arange(j_lo, j_hi) + 0.5) * CELL_SIZE - self._y0
         centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
         dmin = np.full(len(centers), np.inf)
         if len(pts) == 1:
@@ -280,8 +282,8 @@ class InkGrid:
     def inked_centers(self) -> np.ndarray:
         """Board-frame xy centers of the inked cells, one row each, origin at the board center."""
         i, j = np.nonzero(self.inked)
-        return np.column_stack([(i + 0.5) * CELL_SIZE - 0.5 * self.extent_x,
-                                (j + 0.5) * CELL_SIZE - 0.5 * self.extent_y])
+        return np.column_stack([(i + 0.5) * CELL_SIZE - self._x0,
+                                (j + 0.5) * CELL_SIZE - self._y0])
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +291,7 @@ class InkGrid:
 # --------------------------------------------------------------------------
 
 class TaskEnvironment:
-    """Common interface: contact stiffness k_e, friction and per-variant geometry.
+    """Common interface: contact stiffness k_e and per-variant geometry.
 
     The per-tick methods take the end-effector position and velocity as float
     3-sequences and return float tuples. Every geometry parameter is a float
@@ -297,7 +299,6 @@ class TaskEnvironment:
     """
 
     k_e: float
-    friction: FrictionModel
 
     # The per-tick state update, update(x_r, gripper), run before the wrench;
     # None for a variant without state of its own to update.
@@ -316,6 +317,11 @@ class TaskEnvironment:
         raise NotImplementedError
 
 
+BOARD_FRICTION = FrictionModel(coulomb_mu=0.3, viscous_c=5.0)
+ERASER_HALF = 0.01  # half the side of the square eraser footprint (m)
+F_MIN_WIPE = 1.0  # wiping force gate (N)
+
+
 @dataclass
 class PlaneBoard(TaskEnvironment):
     """Flat board with an ink grid; the outward normal faces the robot.
@@ -326,20 +332,12 @@ class PlaneBoard(TaskEnvironment):
 
     center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
     rotation: tuple = (1.0, 0.0, 0.0, 0.0)  # any 4-sequence, wxyz
-    extent: tuple = (0.30, 0.20)
     k_e: float = 1000.0
-    friction: FrictionModel = field(default_factory=lambda: FrictionModel(coulomb_mu=0.3, viscous_c=5.0))
-    eraser_half_x: float = 0.01
-    eraser_half_y: float = 0.01
-    f_min_wipe: float = 1.0  # wiping force gate (N)
 
     def __post_init__(self):
-        check_range("eraser_half_x", self.eraser_half_x)
-        check_range("eraser_half_y", self.eraser_half_y)
-        check_range("f_min_wipe", self.f_min_wipe, closed=True)
         self.center = vec3(self.center)
         self.rotation = self._base_rotation = tuple(map(float, self.rotation))
-        self.ink = InkGrid(self.extent[0], self.extent[1])
+        self.ink = InkGrid()
         check_range("k_e", self.k_e)
         self.rest_point = self.center
         n = self.normal()
@@ -381,12 +379,20 @@ class PlaneBoard(TaskEnvironment):
             return _ZERO3
         f_n = self.k_e * pen
         n0, n1, n2 = nu
-        g0, g1, g2 = _friction(self.friction, vel, nu, f_n)
+        g0, g1, g2 = _friction(BOARD_FRICTION, vel, nu, f_n)
         return (f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2)
 
     def measure(self, x_r) -> float:
         """Ink left on the board, as stroke length in cm."""
         return self.ink.inked_count() * CELL_SIZE * 100.0
+
+
+HOLE_RADIUS = 0.005
+CLEARANCE = 0.001  # lateral play before wall contact
+HOLE_DEPTH = 0.025
+CHAMFER = 0.004  # 45-degree entry funnel width
+WALL_STIFFNESS = 20000.0
+HOLE_FRICTION = FrictionModel(coulomb_mu=0.2, viscous_c=2.0)
 
 
 @dataclass
@@ -398,27 +404,18 @@ class HoleFixture(TaskEnvironment):
 
     rim_center: tuple = (0.30, 0.10, 0.08)  # any 3-sequence
     axis_up: tuple = (0.0, 0.0, 1.0)  # any 3-sequence
-    hole_radius: float = 0.005
-    clearance: float = 0.001  # lateral play before wall contact
-    depth: float = 0.025
-    chamfer: float = 0.004  # 45-degree entry funnel width
     k_e: float = 1000.0
-    wall_stiffness: float = 20000.0
-    friction: FrictionModel = field(default_factory=lambda: FrictionModel(coulomb_mu=0.2, viscous_c=2.0))
 
     def __post_init__(self):
         self.rim_center = vec3(self.rim_center)
         self.axis_up = _normalize(vec3(self.axis_up))
-        for name in ("depth", "hole_radius", "wall_stiffness", "k_e"):
-            check_range(name, getattr(self, name))
-        check_range("clearance", self.clearance, closed=True)
-        check_range("chamfer", self.chamfer, closed=True)
+        check_range("k_e", self.k_e)
         self._base_rest = self.rim_center
 
     def bottom_center(self) -> tuple:
         r0, r1, r2 = self.rim_center
         a0, a1, a2 = self.axis_up
-        d = self.depth
+        d = HOLE_DEPTH
         return (r0 - d * a0, r1 - d * a1, r2 - d * a2)
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
@@ -426,9 +423,9 @@ class HoleFixture(TaskEnvironment):
 
     def measure(self, x_r) -> float:
         """Depth of the peg tip at x_r below the rim along the axis, clamped to
-        [0, depth], in mm."""
+        [0, HOLE_DEPTH], in mm."""
         d_ax = -dot3(_sub(x_r, self.rim_center), self.axis_up)
-        return 1000.0 * min(self.depth, max(0.0, d_ax))
+        return 1000.0 * min(HOLE_DEPTH, max(0.0, d_ax))
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
@@ -442,18 +439,18 @@ class HoleFixture(TaskEnvironment):
         r = math.sqrt(sq_norm(r_perp))
         f0 = f1 = f2 = 0.0
         spring = None  # (force, unit normal) of a pressed spring
-        if r <= self.hole_radius:
+        if r <= HOLE_RADIUS:
             # Inside the bore: compliant wall beyond the clearance.
-            if r > self.clearance:
-                w = self.wall_stiffness * (r - self.clearance)
+            if r > CLEARANCE:
+                w = WALL_STIFFNESS * (r - CLEARANCE)
                 f0, f1, f2 = f0 - w * (p0 / r), f1 - w * (p1 / r), f2 - w * (p2 / r)
-            pen = d_ax - self.depth
+            pen = d_ax - HOLE_DEPTH
             if pen > 0.0:
                 spring = (self.k_e * pen, axis_up)
-        elif r <= self.hole_radius + self.chamfer:
+        elif r <= HOLE_RADIUS + CHAMFER:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
-            d_surf = self.hole_radius + self.chamfer - r
+            d_surf = HOLE_RADIUS + CHAMFER - r
             h = math.sqrt(0.5)
             pen = (d_ax - d_surf) * h
             if pen > 0.0:
@@ -467,9 +464,19 @@ class HoleFixture(TaskEnvironment):
             f_n, normal = spring
             n0, n1, n2 = normal
             f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
-            g0, g1, g2 = _friction(self.friction, vel, normal, f_n)
+            g0, g1, g2 = _friction(HOLE_FRICTION, vel, normal, f_n)
             f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         return (f0, f1, f2)
+
+
+HINGE_AXIS = (0.0, 0.0, 1.0)  # unit; the door swings about a vertical axis
+HANDLE_LEVER = 0.06  # m, from the handle axis to the grasp point
+OPENING_SIGN = -1.0  # the sense of rotation about HINGE_AXIS that opens the door
+LATCH_THRESHOLD = math.radians(30.0)  # handle rotation releasing the bolt
+RELEASE_ANGLE = math.radians(5.0)     # door angle releasing the snap lock
+HANDLE_SPRING = 12.0  # N per rad of handle rotation
+DOOR_FRICTION = FrictionModel(coulomb_mu=0.05, viscous_c=6.0)
+GRASP_TOL = 0.03  # m, the gripper closes on the handle within this distance
 
 
 @dataclass
@@ -485,28 +492,17 @@ class HingedDoor(TaskEnvironment):
     """
 
     hinge_pivot: tuple = (0.45, 0.25, 0.15)  # any 3-sequences
-    hinge_axis: tuple = (0.0, 0.0, 1.0)
     grasp0: tuple = (0.45, -0.05, 0.15)
     handle_pivot: tuple = None  # non-microwave only
     handle_axis: tuple = None
-    handle_lever: float = 0.06
     microwave: bool = True
-    opening_sign: float = -1.0
-    latch_threshold: float = math.radians(30.0)  # handle rotation releasing the bolt
-    release_angle: float = math.radians(5.0)     # door angle releasing the snap lock
     latch_force: float = 15.0
-    handle_spring: float = 12.0  # N per rad of handle rotation
     k_e: float = 1000.0
-    friction: FrictionModel = field(default_factory=lambda: FrictionModel(coulomb_mu=0.05, viscous_c=6.0))
-    grasp_tol: float = 0.03
 
     def __post_init__(self):
-        for name in ("handle_lever", "grasp_tol", "k_e"):
-            check_range(name, getattr(self, name))
-        for name in ("latch_force", "handle_spring", "latch_threshold", "release_angle"):
-            check_range(name, getattr(self, name), closed=True)
+        check_range("k_e", self.k_e)
+        check_range("latch_force", self.latch_force, closed=True)
         self.hinge_pivot = vec3(self.hinge_pivot)
-        self.hinge_axis = _normalize(vec3(self.hinge_axis))
         self.grasp0 = vec3(self.grasp0)
         if not self.microwave:
             self.handle_pivot = vec3(self.handle_pivot)
@@ -517,7 +513,7 @@ class HingedDoor(TaskEnvironment):
         rad0 = self._radial(self.grasp0)
         self.pull_radius = math.sqrt(sq_norm(rad0))
         self._e1 = _unit(rad0, self.pull_radius)
-        self._e2 = _cross(self.hinge_axis, self._e1)
+        self._e2 = _cross(HINGE_AXIS, self._e1)
         self.engaged = False
         self.latch_released = False
         self.door_angle = 0.0
@@ -534,7 +530,7 @@ class HingedDoor(TaskEnvironment):
 
     def _radial(self, p) -> tuple:
         """Component of the float point p - hinge_pivot perpendicular to the hinge axis."""
-        return _perp(_sub(p, self.hinge_pivot), self.hinge_axis)
+        return _perp(_sub(p, self.hinge_pivot), HINGE_AXIS)
 
     def _azimuth(self, p) -> float:
         rad = self._radial(p)
@@ -545,7 +541,7 @@ class HingedDoor(TaskEnvironment):
         angles, latch hysteresis."""
         if not self.engaged:
             if gripper > 0.5 and \
-                    math.sqrt(sq_norm(_sub(eef_pos, self.grasp0))) < self.grasp_tol:
+                    math.sqrt(sq_norm(_sub(eef_pos, self.grasp0))) < GRASP_TOL:
                 self.engaged = True
                 self._az_ref = self._azimuth(eef_pos)
         elif gripper < 0.5:
@@ -554,7 +550,7 @@ class HingedDoor(TaskEnvironment):
             return
         rel_az = self._azimuth(eef_pos) - self._az_ref
         rel_az = (rel_az + math.pi) % (2.0 * math.pi) - math.pi
-        self.door_angle = max(0.0, self.opening_sign * rel_az)
+        self.door_angle = max(0.0, OPENING_SIGN * rel_az)
         self.max_door_angle = max(self.max_door_angle, self.door_angle)
         if not self.microwave and not self.latch_released:
             handle_axis = self.handle_axis
@@ -567,9 +563,9 @@ class HingedDoor(TaskEnvironment):
             # Microwave snap lock yields to pulling past the release angle; the
             # door bolt disengages only through the handle rotation.
             if self.microwave:
-                if self.door_angle > self.release_angle:
+                if self.door_angle > RELEASE_ANGLE:
                     self._release(eef_pos)
-            elif self.handle_angle >= self.latch_threshold:
+            elif self.handle_angle >= LATCH_THRESHOLD:
                 self._release(eef_pos)
 
     def _release(self, eef_pos):
@@ -579,8 +575,8 @@ class HingedDoor(TaskEnvironment):
     def _active_circle(self):
         """(center, axis, radius) of the constraint circle currently in force, as floats."""
         if not self.microwave and not self.latch_released:
-            return self.handle_pivot, self.handle_axis, self.handle_lever
-        return self.hinge_pivot, self.hinge_axis, self.pull_radius
+            return self.handle_pivot, self.handle_axis, HANDLE_LEVER
+        return self.hinge_pivot, HINGE_AXIS, self.pull_radius
 
     def _latched(self) -> bool:
         """Whether the latch force field acts: engaged, still latched, door opened."""
@@ -603,7 +599,7 @@ class HingedDoor(TaskEnvironment):
             v_arc = (s * t_hat[0], s * t_hat[1], s * t_hat[2])
             speed = math.sqrt(sq_norm(v_arc))
             if speed > 1e-15:
-                g0, g1, g2 = self.friction.slip_force(v_arc, speed, f_con)
+                g0, g1, g2 = DOOR_FRICTION.slip_force(v_arc, speed, f_con)
                 f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         if self._latched():
             # Constant force against opening, along the hinge circle's tangent.
@@ -618,14 +614,14 @@ class HingedDoor(TaskEnvironment):
                 h = math.sqrt(sq_norm(hinge_rad))
             if h > 1e-9:
                 a = -self.latch_force
-                sign = self.opening_sign
-                t0, t1, t2 = _cross(self.hinge_axis, _unit(hinge_rad, h))
+                sign = OPENING_SIGN
+                t0, t1, t2 = _cross(HINGE_AXIS, _unit(hinge_rad, h))
                 f0, f1, f2 = f0 + a * (sign * t0), f1 + a * (sign * t1), f2 + a * (sign * t2)
         if not self.microwave and not self.latch_released and self.handle_angle > 0.0 \
                 and r > 1e-9:
             # Handle return spring, tangential on the handle circle, which is
             # the active circle here: its tangent is t_hat.
-            k = self.handle_spring * self.handle_angle
+            k = HANDLE_SPRING * self.handle_angle
             f0, f1, f2 = f0 - k * t_hat[0], f1 - k * t_hat[1], f2 - k * t_hat[2]
         return (f0, f1, f2)
 
@@ -638,7 +634,7 @@ def update_ink(env: PlaneBoard, position, normal_force: float) -> int:
     """Clean cells under the eraser footprint at the end-effector position (a
     float 3-sequence); gated on the normal contact force. A board without ink
     left costs no transform."""
-    if normal_force < env.f_min_wipe:
+    if normal_force < F_MIN_WIPE:
         return 0
     ink = env.ink
     i_lo, i_hi, _, _ = ink.box
@@ -647,7 +643,7 @@ def update_ink(env: PlaneBoard, position, normal_force: float) -> int:
     # The board-plane (x, y) of to_board_frame: wipe_rect reads no z.
     r0, r1, _ = env._frame_rows()
     d = _sub(position, env.rest_point)
-    return ink.wipe_rect((dot3(r0, d), dot3(r1, d)), env.eraser_half_x, env.eraser_half_y)
+    return ink.wipe_rect((dot3(r0, d), dot3(r1, d)), ERASER_HALF, ERASER_HALF)
 
 
 _X_AXIS = (1.0, 0.0, 0.0)

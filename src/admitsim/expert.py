@@ -17,7 +17,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .environments import HingedDoor, HoleFixture, PlaneBoard
+from .environments import (
+    ERASER_HALF,
+    HINGE_AXIS,
+    LATCH_THRESHOLD,
+    OPENING_SIGN,
+    HingedDoor,
+    HoleFixture,
+    PlaneBoard,
+)
 from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NotAligned, NothingToWipe
 from .geometry import (
     Pose,
@@ -196,7 +204,7 @@ def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
     centers = board.ink.inked_centers()
     if len(centers) == 0:
         raise NothingToWipe("board has no inked cells")
-    pitch = (1.0 - LANE_OVERLAP) * (2.0 * board.eraser_half_y)
+    pitch = (1.0 - LANE_OVERLAP) * (2.0 * ERASER_HALF)
     x_lo = float(centers[:, 0].min()) - MARGIN
     x_hi = float(centers[:, 0].max()) + MARGIN
     y_lo = float(centers[:, 1].min())
@@ -235,12 +243,12 @@ def plan_articulated(door: HingedDoor, target_angle: float,
         raise ValueError("step must be > 0")
     grasp_pose = Pose(door.grasp0, IDENTITY_Q)
     if door.microwave:
-        return _arc(grasp_pose, door.hinge_axis, door.hinge_pivot,
-                    target_angle, step, sign=door.opening_sign)
+        return _arc(grasp_pose, HINGE_AXIS, door.hinge_pivot,
+                    target_angle, step, sign=OPENING_SIGN)
     poses, normals = _arc(grasp_pose, door.handle_axis, door.handle_pivot,
-                          2.0 * door.latch_threshold, step)
-    pull, pull_normals = _arc(poses[-1], door.hinge_axis, door.hinge_pivot,
-                              target_angle, step, sign=door.opening_sign)
+                          2.0 * LATCH_THRESHOLD, step)
+    pull, pull_normals = _arc(poses[-1], HINGE_AXIS, door.hinge_pivot,
+                              target_angle, step, sign=OPENING_SIGN)
     # The junction pose is already emitted, with the handle normal.
     return poses + pull[1:], normals + pull_normals[1:]
 

@@ -83,20 +83,15 @@ def sq_norm(v) -> float:
     return x * x + y * y + z * z
 
 
-def _nonzero_norm(n: float, eps: float = 1e-12) -> float:
-    if n < eps:
-        raise DegenerateInput(f"cannot normalize near-zero vector (norm={n:g})")
-    return n
-
-
-def _normalize(v, eps: float = 1e-12) -> tuple:
+def _normalize(v) -> tuple:
     """v / |v| for a float 3-sequence v, as floats."""
-    return _unit(v, math.sqrt(sq_norm(v)), eps)
+    return _unit(v, math.sqrt(sq_norm(v)))
 
 
-def _unit(v, n: float, eps: float = 1e-12) -> tuple:
+def _unit(v, n: float) -> tuple:
     """_normalize(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
-    n = _nonzero_norm(n, eps)
+    if n < 1e-12:
+        raise DegenerateInput(f"cannot normalize near-zero vector (norm={n:g})")
     v0, v1, v2 = v
     return (v0 / n, v1 / n, v2 / n)
 

@@ -22,7 +22,10 @@ from itertools import chain
 import numpy as np
 
 from .environments import (
+    BOARD_EXTENT,
     DISTURBANCE_KINDS,
+    HANDLE_LEVER,
+    HOLE_DEPTH,
     DisturbanceEvent,
     HingedDoor,
     HoleFixture,
@@ -78,8 +81,8 @@ SCRIBBLE_SEG_LEN = 0.05
 
 def _scribble(board: PlaneBoard, rng):
     """Random polyline stroke in the central region of the board."""
-    half_x = 0.5 * board.extent[0] - 0.04
-    half_y = 0.5 * board.extent[1] - 0.04
+    half_x = 0.5 * BOARD_EXTENT[0] - 0.04
+    half_y = 0.5 * BOARD_EXTENT[1] - 0.04
     p = np.array([rng.uniform(-half_x, half_x), rng.uniform(-half_y, half_y)])
     pts = [p]
     for _ in range(SCRIBBLE_SEGMENTS):
@@ -115,10 +118,9 @@ def _build_door(rng, microwave: bool, **overrides) -> HingedDoor:
             rng.uniform(-0.05, 0.05))
     handle_pivot = _add(base, quat_rotate(rotz, (0.0, -0.42, 0.25)))
     handle_axis = quat_rotate(rotz, (1.0, 0.0, 0.0))
-    grasp = _add(handle_pivot, quat_rotate(rotz, (0.0, -0.06, 0.0)))
+    grasp = _add(handle_pivot, quat_rotate(rotz, (0.0, -HANDLE_LEVER, 0.0)))
     return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=False,
-                      handle_pivot=handle_pivot, handle_axis=handle_axis,
-                      handle_lever=0.06, **overrides)
+                      handle_pivot=handle_pivot, handle_axis=handle_axis, **overrides)
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
 
 
 def _ph_plan(hole: HoleFixture) -> tuple:
-    insertion = plan_insertion(hole, start_height=hole.depth, step=0.001)
+    insertion = plan_insertion(hole, start_height=HOLE_DEPTH, step=0.001)
     rim_pose = insertion[0]
     above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
     approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
@@ -271,10 +273,10 @@ def task_spec(task: str) -> TaskSpec:
     return TASK_SPECS[task]
 
 
-def build_environment(task: str, rng: np.random.Generator | None = None,
+def build_environment(task: str, rng: np.random.Generator,
                       overrides: dict | None = None) -> TaskEnvironment:
     """The task's environment, randomized by rng, with overrides (of env_keys)."""
-    return task_spec(task).build(rng or np.random.default_rng(0), **(overrides or {}))
+    return task_spec(task).build(rng, **(overrides or {}))
 
 
 def generate_demo(task: str, env: TaskEnvironment, wipe_passes: int = 1) -> Demo:

@@ -21,7 +21,6 @@ import pytest
 from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim.environments import (
     DisturbanceEvent,
-    FrictionModel,
     HingedDoor,
     HoleFixture,
     PlaneBoard,
@@ -82,25 +81,10 @@ BOUNDS = [
      lambda v: ScenarioConfig("WW", safety_debounce=v), 0.0, True, VE),
     ("equivalence", "k_e", lambda v: equivalence_check(AdmittanceConfig(), v, T=1e-3),
      0.0, False, VE),
-    ("friction", "coulomb_mu", field(FrictionModel, "coulomb_mu"), 0.0, True, VE),
-    ("friction", "viscous_c", field(FrictionModel, "viscous_c"), 0.0, True, VE),
-    ("board", "eraser_half_x", field(PlaneBoard, "eraser_half_x"), 0.0, False, VE),
-    ("board", "eraser_half_y", field(PlaneBoard, "eraser_half_y"), 0.0, False, VE),
-    ("board", "f_min_wipe", field(PlaneBoard, "f_min_wipe"), 0.0, True, VE),
     ("board", "k_e", field(PlaneBoard, "k_e"), 0.0, False, VE),
-    ("hole", "depth", field(HoleFixture, "depth"), 0.0, False, VE),
-    ("hole", "hole_radius", field(HoleFixture, "hole_radius"), 0.0, False, VE),
-    ("hole", "wall_stiffness", field(HoleFixture, "wall_stiffness"), 0.0, False, VE),
     ("hole", "k_e", field(HoleFixture, "k_e"), 0.0, False, VE),
-    ("hole", "clearance", field(HoleFixture, "clearance"), 0.0, True, VE),
-    ("hole", "chamfer", field(HoleFixture, "chamfer"), 0.0, True, VE),
-    ("door", "handle_lever", door("handle_lever"), 0.0, False, VE),
-    ("door", "grasp_tol", door("grasp_tol"), 0.0, False, VE),
     ("door", "k_e", door("k_e"), 0.0, False, VE),
     ("door", "latch_force", door("latch_force"), 0.0, True, VE),
-    ("door", "handle_spring", door("handle_spring"), 0.0, True, VE),
-    ("door", "latch_threshold", door("latch_threshold"), 0.0, True, VE),
-    ("door", "release_angle", door("release_angle"), 0.0, True, VE),
 ]
 
 

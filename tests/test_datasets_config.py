@@ -120,11 +120,9 @@ class TestDataset:
         eps = [generate_demo(task, build_environment(task, np.random.default_rng(i))).tuples
                for i in range(3)]
         assert all(isinstance(ep, SupervisionRecords) for ep in eps)
-        blocks, lists = str(tmp_path / "blocks.bin"), str(tmp_path / "lists.bin")
-        write_dataset(blocks, Dataset(task, 16, eps))
-        write_dataset(lists, Dataset(task, 16, [list(ep) for ep in eps]))
-        assert pathlib.Path(blocks).read_bytes() == pathlib.Path(lists).read_bytes()
-        back = read_dataset(blocks).episodes
+        path = str(tmp_path / "demo.bin")
+        write_dataset(path, Dataset(task, 16, eps))
+        back = read_dataset(path).episodes
         assert all(isinstance(ep, SupervisionRecords) for ep in back)
         assert [ep.block.tobytes() for ep in back] == [ep.block.tobytes() for ep in eps]
 
@@ -140,20 +138,21 @@ class TestDataset:
 _FLOATS = st.floats(allow_nan=False, width=64)
 
 
+def records(rows) -> SupervisionRecords:
+    """The records of rows, each 13 floats and a contact flag, as one (n, 14) block."""
+    return SupervisionRecords(np.array(rows, dtype=float).reshape(len(rows), 14))
+
+
 @st.composite
 def datasets(draw):
-    def tup():
-        return st.builds(SupervisionTuple,
-                         st.lists(_FLOATS, min_size=10, max_size=10).map(np.array),
-                         st.lists(_FLOATS, min_size=3, max_size=3).map(np.array),
-                         st.integers(0, 1))
-    episodes = draw(st.lists(st.lists(tup(), max_size=4), max_size=3))
+    row = st.tuples(*[_FLOATS] * 13, st.sampled_from([0.0, 1.0]))
+    episodes = draw(st.lists(st.lists(row, max_size=4).map(records), max_size=3))
     return Dataset(draw(st.sampled_from(TASKS)), draw(st.integers(0, 2 ** 32 - 1)), episodes)
 
 
 def small_dataset() -> Dataset:
-    pose10 = np.array([0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
-    return Dataset("PH", 16, [[SupervisionTuple(pose10, np.array([0.0, 0.0, 1.0]), 1)] * 3])
+    row = (0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    return Dataset("PH", 16, [records([row] * 3)])
 
 
 def with_last_contact(raw: bytes, flag: float) -> bytes:

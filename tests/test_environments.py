@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,12 +10,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from admitsim.environments import (
+    BOARD_EXTENT,
     CELL_SIZE,
+    CHAMFER,
     DISTURBANCE_KINDS,
+    ERASER_HALF,
+    HINGE_AXIS,
+    HOLE_RADIUS,
+    RELEASE_ANGLE,
     DisturbanceEvent,
     FrictionModel,
     HingedDoor,
     HoleFixture,
+    InkGrid,
     PlaneBoard,
     _friction,
     apply_disturbances,
@@ -21,7 +30,7 @@ from admitsim.environments import (
 )
 from admitsim.geometry import quat_from_axis_angle
 from admitsim.harness import default_disturbance
-from admitsim.tasks import TASKS, build_environment
+from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -98,8 +107,8 @@ _STROKE_COORD = st.one_of(
 
 def full_grid_stroke(ink, pts, pen_radius):
     """The ink mask of a stroke evaluated at every cell, by the per-cell formula."""
-    cx = (np.arange(ink.nx) + 0.5) * CELL_SIZE - 0.5 * ink.extent_x
-    cy = (np.arange(ink.ny) + 0.5) * CELL_SIZE - 0.5 * ink.extent_y
+    cx = (np.arange(ink.nx) + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[0]
+    cy = (np.arange(ink.ny) + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[1]
     centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
     dmin = np.full(len(centers), np.inf)
     if len(pts) == 1:
@@ -141,10 +150,10 @@ class TestInk:
         """Wipes clipped to the ink's box clean what the unclipped window would,
         and the box holds every inked cell after each wipe."""
         def reference_wipe(ink, inked, x, y, hx, hy):
-            i_lo = max(0, math.ceil((x - hx + 0.5 * ink.extent_x) / CELL_SIZE - 0.5))
-            i_hi = min(ink.nx, math.floor((x + hx + 0.5 * ink.extent_x) / CELL_SIZE - 0.5) + 1)
-            j_lo = max(0, math.ceil((y - hy + 0.5 * ink.extent_y) / CELL_SIZE - 0.5))
-            j_hi = min(ink.ny, math.floor((y + hy + 0.5 * ink.extent_y) / CELL_SIZE - 0.5) + 1)
+            i_lo = max(0, math.ceil((x - hx + 0.5 * BOARD_EXTENT[0]) / CELL_SIZE - 0.5))
+            i_hi = min(ink.nx, math.floor((x + hx + 0.5 * BOARD_EXTENT[0]) / CELL_SIZE - 0.5) + 1)
+            j_lo = max(0, math.ceil((y - hy + 0.5 * BOARD_EXTENT[1]) / CELL_SIZE - 0.5))
+            j_hi = min(ink.ny, math.floor((y + hy + 0.5 * BOARD_EXTENT[1]) / CELL_SIZE - 0.5) + 1)
             if i_lo >= i_hi or j_lo >= j_hi:
                 return 0
             count = int(inked[i_lo:i_hi, j_lo:j_hi].sum())
@@ -199,8 +208,7 @@ class TestInk:
             r = board._frame_rows()
             p = tuple(map(float, np.add(board.rest_point,
                                         np.array(r).T @ (*xy, rng.uniform(-0.01, 0.01)))))
-            expected = twin.ink.wipe_rect(twin.to_board_frame(p), twin.eraser_half_x,
-                                          twin.eraser_half_y)
+            expected = twin.ink.wipe_rect(twin.to_board_frame(p), ERASER_HALF, ERASER_HALF)
             n_calls = len(centers)
             had_ink = board.ink.box[0] < board.ink.box[1]
             assert update_ink(board, p, 5.0) == expected
@@ -216,8 +224,8 @@ class TestInk:
         board.ink.ink_stroke(np.array([[-0.05, 0.0], [-0.04, 0.0]]))
         board.ink.inked[50, 30] = True
         board.ink.refresh_box()
-        ink = board.ink
-        c = ((50 + 0.5) * CELL_SIZE - 0.5 * ink.extent_x, (30 + 0.5) * CELL_SIZE - 0.5 * ink.extent_y)
+        c = ((50 + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[0],
+             (30 + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[1])
         assert update_ink(board, point(c[0], c[1], -0.004), 5.0) == 1
 
     @pytest.mark.parametrize("reink", ["stroke", "direct_write"])
@@ -306,7 +314,7 @@ class TestHole:
     def test_chamfer_guides_inward(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
         # Tip pressed into the funnel ring, offset along +x.
-        r = hole.hole_radius + 0.5 * hole.chamfer
+        r = HOLE_RADIUS + 0.5 * CHAMFER
         w = hole.external_wrench(point(r, 0, -0.004), np.zeros(3))
         assert w[2] > 0.0
         assert w[0] < 0.0  # pushes back toward the axis
@@ -457,9 +465,6 @@ class TestConstructorValidation:
     @pytest.mark.parametrize("build", [
         lambda: PlaneBoard(k_e=math.nan),
         lambda: HoleFixture(k_e=math.nan),
-        lambda: HoleFixture(depth=math.nan),
-        lambda: HoleFixture(depth=math.inf),
-        lambda: HoleFixture(depth=0.0),
         lambda: microwave(k_e=math.nan),
         lambda: lever_door(k_e=math.inf),
     ])
@@ -467,60 +472,44 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match="finite"):
             build()
 
-    @pytest.mark.parametrize("kwargs", [
-        {"coulomb_mu": math.nan}, {"coulomb_mu": math.inf}, {"coulomb_mu": -0.1},
-        {"viscous_c": math.nan}, {"viscous_c": math.inf}, {"viscous_c": -1.0},
-    ])
-    def test_friction_coefficients_finite_and_non_negative(self, kwargs):
-        with pytest.raises(ValueError, match="finite"):
-            FrictionModel(**kwargs)
-
-    def test_zero_friction_accepted(self):
-        assert FrictionModel(0.0, 0.0) == FrictionModel()
-
     @pytest.mark.parametrize("build,name", [
         (lambda **kw: microwave(**kw), "latch_force"),
         (lambda **kw: lever_door(**kw), "latch_force"),
-        (lambda **kw: lever_door(**kw), "handle_spring"),
-        (HoleFixture, "hole_radius"),
-        (HoleFixture, "clearance"),
-        (HoleFixture, "wall_stiffness"),
-        (PlaneBoard, "f_min_wipe"),
-        (PlaneBoard, "eraser_half_x"),
-        (PlaneBoard, "eraser_half_y"),
-        (HoleFixture, "chamfer"),
-        (lambda **kw: microwave(**kw), "grasp_tol"),
-        (lambda **kw: lever_door(**kw), "handle_lever"),
-        (lambda **kw: lever_door(**kw), "latch_threshold"),
-        (lambda **kw: microwave(**kw), "release_angle"),
-    ], ids=["microwave-latch_force", "door-latch_force", "door-handle_spring",
-            "hole-hole_radius", "hole-clearance", "hole-wall_stiffness",
-            "board-f_min_wipe", "board-eraser_half_x", "board-eraser_half_y",
-            "hole-chamfer", "microwave-grasp_tol", "door-handle_lever",
-            "door-latch_threshold", "microwave-release_angle"])
+    ], ids=["microwave-latch_force", "door-latch_force"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_geometry_and_force_parameters_finite(self, build, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             build(**{name: value})
 
-    @pytest.mark.parametrize("build,name", [
-        (HoleFixture, "hole_radius"), (HoleFixture, "wall_stiffness"),
-        (PlaneBoard, "eraser_half_x"),
-        (lambda **kw: microwave(**kw), "grasp_tol"),
-        (lambda **kw: lever_door(**kw), "handle_lever"),
-    ])
-    def test_positive_parameters_reject_zero(self, build, name):
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-            build(**{name: 0.0})
-
-    def test_zero_latch_spring_clearance_and_gate_accepted(self):
+    def test_zero_latch_force_accepted(self):
         assert microwave(latch_force=0.0).latch_force == 0.0
-        assert lever_door(handle_spring=0.0).handle_spring == 0.0
-        assert HoleFixture(clearance=0.0).clearance == 0.0
-        assert PlaneBoard(f_min_wipe=0.0).f_min_wipe == 0.0
-        assert HoleFixture(chamfer=0.0).chamfer == 0.0
-        assert lever_door(latch_threshold=0.0).latch_threshold == 0.0
-        assert microwave(release_angle=0.0).release_angle == 0.0
+        assert lever_door(latch_force=0.0).latch_force == 0.0
+
+
+# The constructor fields of each environment: the inputs a task builder or a
+# config override sets. Every other dimension is a module constant.
+ENV_FIELDS = {
+    PlaneBoard: ("center", "rotation", "k_e"),
+    HoleFixture: ("rim_center", "axis_up", "k_e"),
+    HingedDoor: ("hinge_pivot", "grasp0", "handle_pivot", "handle_axis", "microwave",
+                 "latch_force", "k_e"),
+}
+
+
+class TestConstructorFields:
+    @pytest.mark.parametrize("cls", list(ENV_FIELDS), ids=lambda cls: cls.__name__)
+    def test_fields_are_the_inputs_a_caller_sets(self, cls):
+        assert tuple(f.name for f in dataclasses.fields(cls)) == ENV_FIELDS[cls]
+
+    def test_ink_grid_takes_no_arguments(self):
+        assert not inspect.signature(InkGrid).parameters
+        ink = InkGrid()
+        assert ink.inked.shape == (ink.nx, ink.ny) == (60, 40)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_override_key_is_a_field_of_the_built_environment(self, task):
+        env = build_environment(task, np.random.default_rng(0))
+        assert set(TASK_SPECS[task].env_keys) <= set(ENV_FIELDS[type(env)])
 
 
 def microwave(**kw):
@@ -566,7 +555,7 @@ class TestLatch:
         door.update(door.grasp0, 1.0)  # engage
         p = microwave_grasp(math.radians(1.0))
         door.update(p, 1.0)
-        assert 0.0 < door.door_angle < door.release_angle
+        assert 0.0 < door.door_angle < RELEASE_ANGLE
         f = latch_term(door, p)
         assert np.linalg.norm(f) == pytest.approx(door.latch_force)
 
@@ -627,7 +616,7 @@ class TestLatch:
             lever_grasp(math.radians(10.0), door_shift=0.01)
         door.update(p, 1.0)
         assert door.engaged and not door.latch_released and door.door_angle > 0.0
-        on_axis = np.array(door.hinge_pivot) + 0.05 * np.array(door.hinge_axis)
+        on_axis = np.array(door.hinge_pivot) + 0.05 * np.array(HINGE_AXIS)
         force = np.array(door.external_wrench(on_axis, np.zeros(3)))
         assert np.isfinite(force).all()
         assert_allclose(latch_term(door, on_axis), np.zeros(3))

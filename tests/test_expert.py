@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from admitsim.environments import HingedDoor, HoleFixture, PlaneBoard, update_ink
+from admitsim.environments import (
+    HANDLE_LEVER,
+    HINGE_AXIS,
+    LATCH_THRESHOLD,
+    HingedDoor,
+    HoleFixture,
+    PlaneBoard,
+    update_ink,
+)
 from admitsim.errors import (
     DegenerateInput,
     EmptySchedule,
@@ -178,7 +186,7 @@ def turn_poses(door, step):
     """Poses of the door's handle-turn arc, the junction included (0 for a microwave)."""
     if door.microwave:
         return 0
-    return int(math.ceil(2.0 * door.latch_threshold / step - 1e-12)) + 1
+    return int(math.ceil(2.0 * LATCH_THRESHOLD / step - 1e-12)) + 1
 
 
 class TestArticulated:
@@ -191,7 +199,7 @@ class TestArticulated:
         poses, normals = plan_articulated(door, math.radians(60.0), math.radians(1.0))
         assert len(poses) == len(normals) == 61
         for p in poses:
-            assert abs(radius(p.position, door.hinge_pivot, door.hinge_axis) - 0.25) < 1e-9
+            assert abs(radius(p.position, door.hinge_pivot, HINGE_AXIS) - 0.25) < 1e-9
 
     def test_door_emits_two_arcs(self):
         door = demo_door()
@@ -202,11 +210,11 @@ class TestArticulated:
         # Turn arc: constant distance from the handle pivot.
         for p in poses[:n_turn]:
             r = radius(p.position, door.handle_pivot, door.handle_axis)
-            assert abs(r - door.handle_lever) < 1e-9
+            assert abs(r - HANDLE_LEVER) < 1e-9
         # Pull arc: constant distance from the hinge axis.
         r_pull = None
         for p in poses[n_turn:]:
-            r = radius(p.position, door.hinge_pivot, door.hinge_axis)
+            r = radius(p.position, door.hinge_pivot, HINGE_AXIS)
             r_pull = r if r_pull is None else r_pull
             assert abs(r - r_pull) < 1e-9
         assert len(poses) > n_turn
@@ -242,7 +250,7 @@ class TestPlanNormals:
         door = microwave()
         poses, normals = plan_articulated(door, math.radians(60.0), math.radians(1.0))
         for p, n in zip(poses, normals):
-            assert_allclose(n, radial(p.position, door.hinge_pivot, door.hinge_axis), atol=1e-12)
+            assert_allclose(n, radial(p.position, door.hinge_pivot, HINGE_AXIS), atol=1e-12)
 
     def test_door_turn_then_pull_normals(self):
         door = demo_door()
@@ -250,7 +258,7 @@ class TestPlanNormals:
         poses, normals = plan_articulated(door, math.radians(40.0), step)
         n_turn = turn_poses(door, step)
         handle = (door.handle_pivot, door.handle_axis)
-        hinge = (door.hinge_pivot, door.hinge_axis)
+        hinge = (door.hinge_pivot, HINGE_AXIS)
         for i, (p, n) in enumerate(zip(poses, normals)):
             assert_allclose(n, radial(p.position, *(handle if i < n_turn else hinge)),
                             atol=1e-12)
@@ -267,7 +275,7 @@ class TestPlanNormals:
         n_turn = turn_poses(door, step)
         for i, (p, n) in enumerate(zip(poses, normals)):
             pivot, axis = ((door.handle_pivot, door.handle_axis) if i < n_turn
-                           else (door.hinge_pivot, door.hinge_axis))
+                           else (door.hinge_pivot, HINGE_AXIS))
             tangent = np.cross(axis, np.subtract(p.position, pivot))
             tangent /= np.linalg.norm(tangent)
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
@@ -349,7 +357,7 @@ class TestDemoInvariants:
         if task == "MO":
             radii = []
             for p in contact:
-                radii.append(radius(p.position, env.hinge_pivot, env.hinge_axis))
+                radii.append(radius(p.position, env.hinge_pivot, HINGE_AXIS))
             assert max(radii) - min(radii) < 1e-9
 
     @pytest.mark.parametrize("task", ["MO", "DO"])
@@ -363,11 +371,11 @@ class TestDemoInvariants:
                 continue
             p = demo.poses[t + 1].position
             if task == "DO" and \
-                    abs(radius(p, env.handle_pivot, env.handle_axis) - env.handle_lever) < 1e-9:
+                    abs(radius(p, env.handle_pivot, env.handle_axis) - HANDLE_LEVER) < 1e-9:
                 circle = (env.handle_pivot, env.handle_axis)
                 on_handle += 1
             else:
-                circle = (env.hinge_pivot, env.hinge_axis)
+                circle = (env.hinge_pivot, HINGE_AXIS)
                 hinge_radii.append(radius(p, *circle))
             assert_allclose(tup.normal, radial(p, *circle), atol=1e-12)
         assert max(hinge_radii) - min(hinge_radii) < 1e-9  # one hinge circle
