@@ -39,19 +39,28 @@ def _cmd_gen_demos(args) -> int:
     if args.seed < 0:
         print("gen-demos: --seed must be >= 0", file=sys.stderr)
         return 2
-    episodes = []
-    lengths = []
-    for i in range(args.count):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]))
-        env = build_environment(task, rng)
-        demo = generate_demo(task, env)
-        episodes.append(demo.tuples)
-        lengths.append(len(demo.tuples))
-    ds = Dataset(task, DEFAULT_HORIZON, episodes)
-    write_dataset(args.out, ds)
-    print(f"task={task} episodes={len(episodes)} tuples={ds.tuple_count} "
+    lengths = write_dataset(args.out, Dataset(task, DEFAULT_HORIZON,
+                                              _Demos(task, args.seed, args.count)))
+    print(f"task={task} episodes={len(lengths)} tuples={sum(lengths)} "
           f"mean_len={np.mean(lengths):.1f} out={args.out}")
     return 0
+
+
+class _Demos:
+    """gen-demos' episodes, demo i seeded by (seed, i): a sized iterable that
+    generates each demo as the iteration reaches it, so that write_dataset
+    holds one demo at a time."""
+
+    def __init__(self, task: str, seed: int, count: int):
+        self.task, self.seed, self.count = task, seed, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for i in range(self.count):
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, i]))
+            yield generate_demo(self.task, build_environment(self.task, rng)).tuples
 
 
 def _cmd_run(args) -> int:

@@ -33,32 +33,47 @@ VERSION = 1
 class Dataset:
     task: str
     horizon: int
-    episodes: list  # one SupervisionRecords per episode
+    episodes: list  # one SupervisionRecords per episode (write_dataset: any sized iterable)
 
     @property
     def tuple_count(self) -> int:
         return sum(len(ep) for ep in self.episodes)
 
 
-def write_dataset(path: str, ds: Dataset) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(ds.task.encode("ascii").ljust(4, b"\0")[:4])
-            fh.write(struct.pack("<I", ds.horizon))
-            fh.write(struct.pack("<I", len(ds.episodes)))
-            fh.write(struct.pack("<Q", ds.tuple_count))
-            for ep in ds.episodes:
-                fh.write(struct.pack("<I", len(ep)))
-            for ep in ds.episodes:
-                fh.write(ep.block.astype("<f8", copy=False).tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
-
-
 _HEADER = struct.Struct("<4sI4sIIQ")  # magic, version, task, horizon, episodes, tuples
 _RECORD_SIZE = 8 * RECORD_DIM
+
+
+def write_dataset(path: str, ds: Dataset) -> list:
+    """Write ds to path; return the episode lengths.
+
+    ds.episodes is taken once with len() and iterated once, so a sized
+    iterable that makes each episode as the iteration reaches it is written
+    holding one episode at a time. The header and the length table come
+    last, by a seek back over zero bytes: until then the file has no magic,
+    so read_dataset rejects a file that a failed or killed write left, and a
+    write that fails with an exception removes its file.
+    """
+    count = len(ds.episodes)
+    lengths = []
+    try:
+        with open(path, "wb") as fh:
+            try:
+                fh.write(bytes(_HEADER.size + 4 * count))
+                for ep in ds.episodes:
+                    fh.write(ep.block.astype("<f8", copy=False).tobytes())
+                    lengths.append(len(ep))
+                fh.seek(0)
+                fh.write(_HEADER.pack(MAGIC, VERSION, ds.task.encode("ascii"), ds.horizon,
+                                      count, sum(lengths)))
+                fh.write(struct.pack(f"<{count}I", *lengths))
+            except BaseException:
+                fh.close()
+                os.remove(path)
+                raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
+    return lengths
 
 
 def read_dataset(path: str) -> Dataset:

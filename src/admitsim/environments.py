@@ -40,7 +40,13 @@ from .geometry import (
     vec3,
 )
 
-# Velocity threshold regularizing Coulomb friction at 1 kHz (avoids sign chatter).
+# Slip speed below which the Coulomb magnitude ramps linearly to zero, so that
+# the friction force is continuous through zero slip. The ramp does not stop
+# sign chatter at 1 kHz: below this speed the force grows with slope
+# mu f_n / COULOMB_V_EPS, about 17,800 N s/m at the 5.9 N raw normal force of
+# a 4 N board press, while the explicit 1 kHz step is stable only for slopes
+# below 2 m / dt = 2000 N s/m (m = 1 kg, the default admittance mass). So a
+# sticking contact flips the sign of its tangential velocity on most ticks.
 COULOMB_V_EPS = 1e-4
 
 
@@ -168,41 +174,20 @@ class DisturbanceEvent:
 
 CELL_SIZE = 0.005  # 0.5 cm ink cells
 BOARD_EXTENT = (0.30, 0.20)  # the board's size along its x and y axes (m)
+ERASER_HALF = 0.01  # half the side of the square eraser footprint (m)
 
 
 class InkGrid:
-    """Boolean grid over BOARD_EXTENT, indexed in the board frame.
-
-    The grid keeps a half-open index box (i_lo, i_hi, j_lo, j_hi) that holds
-    every inked cell, so that a wipe away from the ink costs no numpy call.
-    The box is the whole grid until `ink_stroke` or a wipe that cleans cells
-    recomputes it from `inked`. It also remembers the last window a wipe
-    found or left clean, so that wiping it again costs no numpy call either;
-    `refresh_box` forgets it. So every direct write to `inked` is followed by
-    `refresh_box`.
-    """
+    """Boolean grid over BOARD_EXTENT, indexed in the board frame."""
 
     def __init__(self):
         extent_x, extent_y = BOARD_EXTENT
         self.nx = int(round(extent_x / CELL_SIZE))
         self.ny = int(round(extent_y / CELL_SIZE))
         self.inked = np.zeros((self.nx, self.ny), dtype=bool)
-        # The board-frame origin's offsets in the index formulas of wipe_rect.
+        # The board-frame origin's offsets in the index formulas of wipe.
         self._x0 = 0.5 * extent_x
         self._y0 = 0.5 * extent_y
-        self.box = (0, self.nx, 0, self.ny)
-        self._clean = None  # the last window wiped clean, as (i_lo, i_hi, j_lo, j_hi)
-
-    def refresh_box(self):
-        """Recompute `box` from `inked`: the tightest box, empty when no cell is
-        inked. Forgets the window last wiped clean."""
-        self._clean = None
-        rows = np.flatnonzero(self.inked.any(axis=1))
-        if len(rows) == 0:
-            self.box = (0, 0, 0, 0)
-            return
-        cols = np.flatnonzero(self.inked.any(axis=0))
-        self.box = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
 
     def ink_stroke(self, points_xy: np.ndarray, pen_radius: float = 0.004) -> int:
         """Ink every cell whose center lies within pen_radius of the polyline.
@@ -225,7 +210,6 @@ class InkGrid:
                 mask[i_lo:i_hi, j_lo:j_hi] = self._near(pts, pen_radius, i_lo, i_hi, j_lo, j_hi)
         fresh = mask & ~self.inked
         self.inked |= mask
-        self.refresh_box()
         return int(fresh.sum())
 
     def _near(self, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
@@ -248,33 +232,28 @@ class InkGrid:
             dmin = np.minimum(dmin, d)
         return (dmin <= pen_radius).reshape(i_hi - i_lo, j_hi - j_lo)
 
-    def wipe_rect(self, center_xy, half_x: float, half_y: float) -> int:
-        """Clean all inked cells whose centers fall in the axis-aligned rectangle.
+    def wipe(self, x: np.ndarray, y: np.ndarray) -> int:
+        """Clean the inked cells whose centers fall in the eraser's square
+        (ERASER_HALF each way) around any of the board-frame points (x, y),
+        given as two columns; return how many were cleaned.
 
-        center_xy is any sequence whose first two items are the board-frame x, y.
+        Each window's index bounds are the ceil and floor of the same float
+        expressions as for a single point, clamped to the grid. A window
+        equal to the one before it is wiped once.
         """
-        cell = CELL_SIZE
-        box_ilo, box_ihi, box_jlo, box_jhi = self.box
-        x = center_xy[0]
-        i_lo = max(box_ilo, math.ceil((x - half_x + self._x0) / cell - 0.5))
-        i_hi = min(box_ihi, math.floor((x + half_x + self._x0) / cell - 0.5) + 1)
-        if i_lo >= i_hi:
-            return 0
-        y = center_xy[1]
-        j_lo = max(box_jlo, math.ceil((y - half_y + self._y0) / cell - 0.5))
-        j_hi = min(box_jhi, math.floor((y + half_y + self._y0) / cell - 0.5) + 1)
-        if j_lo >= j_hi:
-            return 0
-        key = (i_lo, i_hi, j_lo, j_hi)
-        if key == self._clean:
-            return 0
-        window = self.inked[i_lo:i_hi, j_lo:j_hi]
-        count = int(np.count_nonzero(window))
-        if count:
-            window[:] = False
-            self.refresh_box()
-        self._clean = key
-        return count
+        h, cell, nx, ny = ERASER_HALF, CELL_SIZE, self.nx, self.ny
+        bounds = np.stack([np.ceil((x - h + self._x0) / cell - 0.5),  # i_lo
+                           np.floor((x + h + self._x0) / cell - 0.5) + 1,  # i_hi
+                           np.ceil((y - h + self._y0) / cell - 0.5),  # j_lo
+                           np.floor((y + h + self._y0) / cell - 0.5) + 1])  # j_hi
+        fresh = np.ones(bounds.shape[1], dtype=bool)
+        fresh[1:] = (bounds[:, 1:] != bounds[:, :-1]).any(axis=0)
+        windows = np.clip(bounds[:, fresh].T, 0, (nx, nx, ny, ny)).astype(np.intp)
+        inked = self.inked
+        before = np.count_nonzero(inked)
+        for i_lo, i_hi, j_lo, j_hi in windows.tolist():
+            inked[i_lo:i_hi, j_lo:j_hi] = False  # empty when lo >= hi
+        return int(before - np.count_nonzero(inked))
 
     def inked_count(self) -> int:
         return int(self.inked.sum())
@@ -318,7 +297,6 @@ class TaskEnvironment:
 
 
 BOARD_FRICTION = FrictionModel(coulomb_mu=0.3, viscous_c=5.0)
-ERASER_HALF = 0.01  # half the side of the square eraser footprint (m)
 F_MIN_WIPE = 1.0  # wiping force gate (N)
 
 
@@ -328,6 +306,11 @@ class PlaneBoard(TaskEnvironment):
 
     The contact's `rest_point` and unit `surface_normal` start at the center
     and the board's +z axis; disturbances move and tilt them.
+
+    The episode loop records each press at or above F_MIN_WIPE in `presses`
+    and wipes them all at once with `update_ink`. `segments` says which
+    geometry each press was made under: `(start, rest_point, rotation)` holds
+    from `presses[start]` on, and `apply_disturbance_state` starts a new one.
     """
 
     center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
@@ -343,9 +326,10 @@ class PlaneBoard(TaskEnvironment):
         n = self.normal()
         self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
         # Zero tilt restores the board as built, with its unit normal, and
-        # its rotation object, which keeps _frame_rows' cache.
+        # its rotation object, which update_ink turns into a frame once.
         self._untilted = (self.rotation, self.surface_normal)
-        self._frame = (None, None)  # (rotation, _frame_rows() at that rotation)
+        self.presses = []  # the pressed positions' x, y, z floats, one after another
+        self.segments = [(0, self.rest_point, self.rotation)]
 
     def normal(self) -> tuple:
         """The board's +z axis in the world, as floats."""
@@ -358,19 +342,11 @@ class PlaneBoard(TaskEnvironment):
             self.surface_normal = self.normal()
         else:
             self.rotation, self.surface_normal = self._untilted
-
-    def _frame_rows(self) -> tuple:
-        """The rows of the world-to-board rotation (the board axes in the world),
-        cached until the rotation changes."""
-        rotation, rows = self._frame
-        if rotation is not self.rotation:
-            rows = tuple(zip(*_quat_matrix(self.rotation)))
-            self._frame = (self.rotation, rows)
-        return rows
-
-    def to_board_frame(self, p) -> tuple:
-        """World point (a float 3-sequence) to board-frame coordinates (z along the normal)."""
-        return _matvec(self._frame_rows(), _sub(p, self.rest_point))
+        segment = (len(self.presses), self.rest_point, self.rotation)
+        if self.segments[-1][0] == segment[0]:  # no press under the geometry it replaces
+            self.segments[-1] = segment
+        else:
+            self.segments.append(segment)
 
     def external_wrench(self, pos, vel) -> tuple:
         nu = self.surface_normal
@@ -630,20 +606,34 @@ class HingedDoor(TaskEnvironment):
 # Module-level operations
 # --------------------------------------------------------------------------
 
-def update_ink(env: PlaneBoard, position, normal_force: float) -> int:
-    """Clean cells under the eraser footprint at the end-effector position (a
-    float 3-sequence); gated on the normal contact force. A board without ink
-    left costs no transform."""
-    if normal_force < F_MIN_WIPE:
-        return 0
-    ink = env.ink
-    i_lo, i_hi, _, _ = ink.box
-    if i_lo >= i_hi:  # no ink left
-        return 0
-    # The board-plane (x, y) of to_board_frame: wipe_rect reads no z.
-    r0, r1, _ = env._frame_rows()
-    d = _sub(position, env.rest_point)
-    return ink.wipe_rect((dot3(r0, d), dot3(r1, d)), ERASER_HALF, ERASER_HALF)
+def update_ink(board: PlaneBoard) -> int:
+    """Wipe under the eraser at every press the board recorded since the last
+    call, each in the board frame of its own segment; return the cells cleaned.
+
+    One columnwise pass over the presses: the board-plane x and y of each are
+    the dot3s of to-board rows with its offset from the rest point, so they
+    equal a per-press transform bit for bit. The wipes together clean the
+    union of their windows, which no order of wiping changes.
+    """
+    presses, segments = board.presses, board.segments
+    starts = [start for start, _, _ in segments] + [len(presses)]
+    runs = np.diff(starts) // 3  # the presses under each segment
+    frames, rotation, frame = [], None, None
+    for _, _, rot in segments:
+        if rot is not rotation:  # one frame per distinct rotation object
+            rotation, frame = rot, _quat_matrix(rot)
+        frames.append(frame)
+    # axes[c, k] is the rotation matrix's entry (k, c) under each press, and
+    # d each press's offset from its rest point, one row per world axis: x
+    # (c = 0) and y (c = 1) sum their products as a per-press _matvec by the
+    # world-to-board rows does.
+    axes = np.repeat(np.array(frames).T[:2], runs, axis=2)
+    rest = np.repeat(np.array([rest_point for _, rest_point, _ in segments]).T, runs, axis=1)
+    d = np.fromiter(presses, float, len(presses)).reshape(-1, 3).T - rest
+    x, y = (a0 * d[0] + a1 * d[1] + a2 * d[2] for a0, a1, a2 in axes)
+    del presses[:]
+    board.segments = [(0, board.rest_point, board.rotation)]
+    return board.ink.wipe(x, y)
 
 
 _X_AXIS = (1.0, 0.0, 0.0)

@@ -23,7 +23,7 @@ from .admittance import (
     ControllerState,
     controller_tick,
 )
-from .environments import PlaneBoard, apply_disturbances, update_ink
+from .environments import F_MIN_WIPE, PlaneBoard, apply_disturbances, update_ink
 from .errors import NonFiniteState, check_count, check_range, check_real
 from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
@@ -209,7 +209,9 @@ class _Episode:
     signed zeros of the geometry included, and a copy of it there continues
     as that twin (`copy`). From the settle tick on, every event holds its
     value, and the loop holds that tick's disturbance result instead of
-    applying the events again.
+    applying the events again. No tick reads the board's ink: a tick only
+    records its press, and each `advance` wipes its presses in one
+    `update_ink` call before it returns, so `copy` and `log` see every wipe.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -264,8 +266,9 @@ class _Episode:
         debounce_ticks = int(round(cfg.safety_debounce * CONTROL_HZ))
         n_demo = len(tuples)
         is_board = isinstance(env, PlaneBoard)
-        # The per-tick callees, looked up once per call: a wrapper installed on
-        # a module name (or an environment class) before this call is called.
+        press = env.presses.extend if is_board else None
+        # The callees, looked up once per call: a wrapper installed on a
+        # module name (or an environment class) before this call is called.
         tick, disturb, ink = controller_tick, apply_disturbances, update_ink
         wrench = env.external_wrench
         door_update = env.update
@@ -307,10 +310,8 @@ class _Episode:
             raw_force = (w0 + e0, w1 + e1, w2 + e2)
             state, f_ext, f_cmd, eigs = tick(state, cmd, raw_force, dt, adm)
             x_r, v_r = state
-            if is_board:
-                fn = dot3(raw_force, env.surface_normal)
-                if fn > 0.0:
-                    ink(env, x_r, fn)
+            if is_board and dot3(raw_force, env.surface_normal) >= F_MIN_WIPE:
+                press(x_r)  # wiped with the others at the end of this call
             records += pack(*x_r, *v_r, *f_ext, *f_cmd, *eigs)
             buf_dist.append(dist_active)
             f_mag = sqrt(sq_norm(f_ext))
@@ -321,6 +322,8 @@ class _Episode:
                 self.safety_stopped = self.ended = True
                 break
 
+        if is_board:
+            ink(env)
         self.k = stop
         self.held = held
         self.state, self.chunk, self.cmd = state, chunk, cmd

@@ -209,7 +209,8 @@ def test_criterion_9_demo_generation_scale():
         demo = generate_demo("WW", env)
         for pose, phase in zip(demo.poses, demo.phases):
             if phase.contact_flag:
-                update_ink(env, pose.position, 4.0)
+                env.presses.extend(pose.position)
+        update_ink(env)
         if env.ink.inked_count() == 0:
             covered += 1
     elapsed = time.perf_counter() - t0

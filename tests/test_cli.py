@@ -4,8 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from admitsim import cli
 from admitsim.cli import main
 from admitsim.config import parse_scenario
+from admitsim.datasets import read_dataset
+from admitsim.errors import DegenerateInput, IoFailure
+from admitsim.tasks import generate_demo
 
 SCENARIO = """
 [scenario]
@@ -62,6 +66,26 @@ class TestGenDemos:
             assert main(["gen-demos", "--task", "WW", "--count", "3", "--seed", "7",
                          "--out", out]) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_a_run_that_fails_part_way_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
+        """Demos are written as they are generated; the file is no dataset
+        while that goes on, and a failure removes it."""
+        out = str(tmp_path / "d.bin")
+        made = []
+
+        def failing_third(task, env):
+            if made:  # the earlier demos are being written: no dataset yet
+                with pytest.raises(IoFailure):
+                    read_dataset(out)
+            if len(made) == 2:
+                raise DegenerateInput("no plan")
+            made.append(generate_demo(task, env))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "generate_demo", failing_third)
+        assert main(["gen-demos", "--task", "WW", "--count", "4", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: no plan\n"
+        assert not os.path.exists(out)
 
     def test_requires_task_or_config(self, tmp_path):
         rc = main(["gen-demos", "--count", "1", "--out", str(tmp_path / "x.bin")])

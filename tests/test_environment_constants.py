@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from admitsim import environments
+from admitsim import environments, harness
 from admitsim.environments import (
     BOARD_EXTENT,
     BOARD_FRICTION,
@@ -144,25 +144,31 @@ def test_top_plate_slides_with_hole_friction():
 # Board: the wiping gate and the square eraser
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("force,wiped", [(math.nextafter(F_MIN_WIPE, 0.0), 0), (F_MIN_WIPE, 1)],
+@pytest.mark.parametrize("force,pressed", [(math.nextafter(F_MIN_WIPE, 0.0), 0), (F_MIN_WIPE, 1)],
                          ids=["below", "at"])
-def test_wiping_is_gated_at_f_min_wipe(force, wiped):
-    board = flat_board()
-    board.ink.inked[:] = False
-    board.ink.inked[30, 20] = True
-    board.ink.refresh_box()
-    (c,) = board.ink.inked_centers()
-    assert update_ink(board, (c[0], c[1], -0.004), force) == wiped
+def test_wiping_is_gated_at_f_min_wipe(force, pressed, monkeypatch):
+    """A tick records a press to wipe when the raw force along the board
+    normal is at least F_MIN_WIPE."""
+    ep = harness._Episode(harness.ScenarioConfig("WW", duration=1.0))
+    board = ep.env
+    board.surface_normal = (0.0, 0.0, 1.0)
+    board.external_wrench = lambda pos, vel: (0.0, 0.0, force)
+    seen = []
+    wipe = harness.update_ink
+    monkeypatch.setattr(harness, "update_ink",
+                        lambda board: seen.append(len(board.presses) // 3) or wipe(board))
+    ep.advance(1)
+    assert seen == [pressed]
 
 
 @pytest.mark.parametrize("x,y", [(0.0, 0.0), (0.031, -0.042), (-0.1, 0.07)])
 def test_eraser_cleans_the_square_of_eraser_half(x, y):
     board = flat_board()
     board.ink.inked[:] = True
-    board.ink.refresh_box()
     centers = board.ink.inked_centers()
     inside = np.abs(centers - (x, y)).max(axis=1) <= ERASER_HALF
-    assert update_ink(board, (x, y, -0.004), 5.0) == inside.sum() > 0
+    board.presses.extend((x, y, -0.004))
+    assert update_ink(board) == inside.sum() > 0
     left = board.ink.inked.reshape(-1)  # inked_centers lists the cells in this order
     assert not left[inside].any()
     assert left[~inside].all()

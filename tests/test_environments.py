@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import inspect
 import math
@@ -14,7 +13,6 @@ from admitsim.environments import (
     CELL_SIZE,
     CHAMFER,
     DISTURBANCE_KINDS,
-    ERASER_HALF,
     HINGE_AXIS,
     HOLE_RADIUS,
     RELEASE_ANGLE,
@@ -126,129 +124,64 @@ def full_grid_stroke(ink, pts, pen_radius):
     return (dmin <= pen_radius).reshape(ink.nx, ink.ny)
 
 
-class TestInk:
-    def test_force_gate(self):
-        board = flat_board()
-        board.ink.inked[:, :] = False
-        board.ink.inked[30, 20] = True
-        (c,) = board.ink.inked_centers()
-        p = point(c[0], c[1], -0.004)
-        assert update_ink(board, p, 0.5) == 0
-        assert update_ink(board, p, 2.0) == 1
+def press(board, p):
+    """Record a press at p, as the episode loop records one at or above F_MIN_WIPE."""
+    board.presses.extend(p)
 
+
+class TestInk:
     def test_footprint_counts_cells(self):
         board = flat_board()
         board.ink.inked[:, :] = False
         # 4 x 3 block of cells centred under the eraser.
         board.ink.inked[28:32, 19:22] = True
         center = board.ink.inked_centers().mean(axis=0)
-        wiped = update_ink(board, point(center[0], center[1], -0.004), 5.0)
+        press(board, point(center[0], center[1], -0.004))
+        wiped = update_ink(board)
         assert wiped == 12
         assert type(wiped) is int  # counts feed JSON reports and sums
 
-    def test_wipes_match_the_whole_grid_reference(self):
-        """Wipes clipped to the ink's box clean what the unclipped window would,
-        and the box holds every inked cell after each wipe."""
-        def reference_wipe(ink, inked, x, y, hx, hy):
-            i_lo = max(0, math.ceil((x - hx + 0.5 * BOARD_EXTENT[0]) / CELL_SIZE - 0.5))
-            i_hi = min(ink.nx, math.floor((x + hx + 0.5 * BOARD_EXTENT[0]) / CELL_SIZE - 0.5) + 1)
-            j_lo = max(0, math.ceil((y - hy + 0.5 * BOARD_EXTENT[1]) / CELL_SIZE - 0.5))
-            j_hi = min(ink.ny, math.floor((y + hy + 0.5 * BOARD_EXTENT[1]) / CELL_SIZE - 0.5) + 1)
-            if i_lo >= i_hi or j_lo >= j_hi:
-                return 0
-            count = int(inked[i_lo:i_hi, j_lo:j_hi].sum())
-            inked[i_lo:i_hi, j_lo:j_hi] = False
-            return count
+    def test_a_call_wipes_each_press_once_and_forgets_them(self):
+        board = flat_board()
+        board.ink.inked[:, :] = False
+        board.ink.inked[30, 20] = True
+        (c,) = board.ink.inked_centers()
+        assert update_ink(board) == 0  # nothing pressed
+        press(board, point(c[0], c[1], -0.004))
+        press(board, point(c[0], c[1], -0.004))
+        assert update_ink(board) == 1
+        assert (board.presses, board.ink.inked_count()) == ([], 0)
+        assert board.segments == [(0, board.rest_point, board.rotation)]
 
-        rng = np.random.default_rng(5)
-        wiped = 0
-        for seed in range(10):
-            board = build_environment("WW", np.random.default_rng(seed))
-            ink = board.ink
-            inked = ink.inked.copy()
-            for _ in range(400):
-                x, y = rng.uniform(-0.16, 0.16), rng.uniform(-0.11, 0.11)
-                count = ink.wipe_rect((x, y), 0.01, 0.01)
-                assert count == reference_wipe(ink, inked, x, y, 0.01, 0.01)
-                assert np.array_equal(ink.inked, inked)
-                i_lo, i_hi, j_lo, j_hi = ink.box
-                assert ink.inked[i_lo:i_hi, j_lo:j_hi].sum() == ink.inked_count()
-                wiped += count
-        assert wiped > 100
-
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_update_equals_a_wipe_at_the_board_frame_point(self, seed, tilted):
-        """update_ink wipes at the (x, y) of to_board_frame, bit for bit, on a
-        tilted or raised board too, and an empty box wipes nothing."""
-        rng = np.random.default_rng(seed)
-        board = build_environment("WW", rng)
-        if tilted:
-            events = (DisturbanceEvent("tilt", 0.0, 1.0, rng.uniform(-0.3, 0.3),
-                                       direction=tuple(rng.normal(size=3))),
-                      DisturbanceEvent("raise", 0.0, 1.0, rng.uniform(0.0, 0.05)))
-            apply_disturbances(board, events, rng.uniform(0.0, 2.0))
-        if rng.random() < 0.25:
-            board.ink.inked[:, :] = False
-            board.ink.refresh_box()
-        twin = copy.deepcopy(board)
-        centers = []
-        wipe = board.ink.wipe_rect
-        board.ink.wipe_rect = lambda xy, hx, hy: centers.append(xy) or wipe(xy, hx, hy)
-        ink = board.ink.inked
-        for _ in range(60):
-            # Around the eraser's reach of the ink, and anywhere over the board.
-            cells = np.argwhere(ink)
-            if len(cells) and rng.random() < 0.7:
-                i, j = cells[rng.integers(len(cells))]
-                xy = ((i + 0.5) * CELL_SIZE - board.ink._x0 + rng.normal(scale=0.01),
-                      (j + 0.5) * CELL_SIZE - board.ink._y0 + rng.normal(scale=0.01))
-            else:
-                xy = tuple(rng.uniform(-0.2, 0.2, size=2))
-            r = board._frame_rows()
-            p = tuple(map(float, np.add(board.rest_point,
-                                        np.array(r).T @ (*xy, rng.uniform(-0.01, 0.01)))))
-            expected = twin.ink.wipe_rect(twin.to_board_frame(p), ERASER_HALF, ERASER_HALF)
-            n_calls = len(centers)
-            had_ink = board.ink.box[0] < board.ink.box[1]
-            assert update_ink(board, p, 5.0) == expected
-            assert np.array_equal(board.ink.inked, twin.ink.inked)
-            assert (board.ink.box, board.ink._clean) == (twin.ink.box, twin.ink._clean)
-            if had_ink:
-                assert centers[n_calls:] == [twin.to_board_frame(p)[:2]]
-            else:  # no ink left: no transform and no wipe
-                assert len(centers) == n_calls
-
-    def test_refresh_box_after_a_direct_write(self):
+    def test_a_direct_write_is_wiped(self):
         board = flat_board()
         board.ink.ink_stroke(np.array([[-0.05, 0.0], [-0.04, 0.0]]))
         board.ink.inked[50, 30] = True
-        board.ink.refresh_box()
         c = ((50 + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[0],
              (30 + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[1])
-        assert update_ink(board, point(c[0], c[1], -0.004), 5.0) == 1
+        press(board, point(c[0], c[1], -0.004))
+        assert update_ink(board) == 1
 
     @pytest.mark.parametrize("reink", ["stroke", "direct_write"])
     def test_a_window_wiped_clean_is_wiped_again_once_reinked(self, reink):
-        """A wipe remembers the window it left clean; re-inking cells inside it
-        by a stroke, or by a direct write and refresh_box, makes it count again."""
+        """Re-inking cells inside a window wiped clean, by a stroke or by a
+        direct write, makes the next wipe there count them."""
         ink = flat_board().ink
         ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
-        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) > 0
-        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == 0
-        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == 0  # the remembered window
+        origin = np.zeros(1)
+        assert ink.wipe(origin, origin) > 0
+        assert ink.wipe(origin, origin) == 0
         if reink == "stroke":
             fresh = ink.ink_stroke(np.array([[-0.002, 0.0], [0.002, 0.0]]))
         else:
             i, j = ink.nx // 2, ink.ny // 2  # the four cells around the board center
             ink.inked[i - 1:i + 1, j - 1:j + 1] = True
-            ink.refresh_box()
             fresh = 4
         assert fresh > 0
         before = ink.inked_count()
-        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == fresh
+        assert ink.wipe(origin, origin) == fresh
         assert ink.inked_count() == before - fresh
-        assert ink.wipe_rect((0.0, 0.0), 0.01, 0.01) == 0
+        assert ink.wipe(origin, origin) == 0
 
     def test_remaining_length_conversion(self):
         board = flat_board()
@@ -286,8 +219,8 @@ class TestInk:
         last = board.measure(None)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p = point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004)
-            update_ink(board, p, 5.0)
+            press(board, point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004))
+            update_ink(board)
             now = board.measure(None)
             assert now <= last
             last = now
@@ -368,9 +301,8 @@ class TestDisturbances:
         assert board.surface_normal != built[1]
         apply_disturbances(board, events, 3.0)
         assert (board.rotation, board.surface_normal) == built
-        # The very rotation object as built, so the board-frame rows stay cached.
-        rows = board._frame_rows()
-        assert board.rotation is built[0] and board._frame_rows() is rows
+        # The very rotation object as built, which update_ink turns into one frame.
+        assert board.rotation is built[0]
 
     def test_force_pulse_moves_no_door_geometry(self):
         for task in ("MO", "DO"):
