@@ -1,6 +1,6 @@
 """Numerical certification of the normal-direction stability claims.
 
-The verifier integrates the bilateral closed-loop normal dynamics
+The verifier solves the bilateral closed-loop normal dynamics
 
     m x'' + 2 d x' = f_ext - f_H        with f_ext = k_e (x_e - x)   (in contact)
     m x'' + 2 d x' = -f_H                                           (contact lost)
@@ -9,21 +9,19 @@ and checks three properties: convergence to the force/position equilibrium,
 velocity convergence after contact loss, and input-to-state stability under a
 moving rest point, including the Lyapunov-rate inequality from the ISS proof.
 
-One law covers every case: a = (k_e (x_e(t) - x) - f_H - 2d v) / m, with the
+One law covers every case: m x'' + 2d x' + k_e x = k_e x_e(t) - f_H, with the
 rest point x_e at the origin for proposition 1 (the propositions are
 translation-invariant), the sinusoid x_e = A sin(omega t) shared by the points
-of proposition 3, and k_e = 0 for proposition 2 (contact lost, f_ext = 0). A
-classical RK4 kernel (`_integrate`, errors far below the pass tolerances)
-advances a table of lanes, one per grid point and proposition, each with its
-own dt and step count, in one lockstep loop; each lane stops at its own
-horizon, and a fixed order of operations makes every lane bit-identical to
-integrating it alone. `run_default_verification` integrates all three
-propositions as one table; `verify_prop1_grid`, `verify_prop2` and
-`verify_prop3_grid` each integrate their own lanes through the same kernel.
-Each proposition's judge takes its lanes' rows a chunk of steps at a time and
-keeps per lane only the maxima, `all`s and final values its reports need, so
-the memory the verifier uses does not grow with the horizon; the reports equal
-those of judging each whole trajectory at once, bit for bit.
+of proposition 3, and k_e = 0 for proposition 2 (contact lost, f_ext = 0).
+Every lane of it, one per grid point and proposition, is linear and
+time-invariant with a constant or sinusoidal forcing, so `_Solution` samples
+its exact solution at the steps k dt of its own horizon, every value a
+function of k alone. Each proposition's judge takes its lanes' rows a chunk
+of steps at a time and keeps per lane only the maxima, `all`s and final values
+its reports need, so the memory the verifier uses does not grow with the
+horizon; the reports equal those of judging each whole trajectory at once,
+bit for bit. A lane whose rows are not finite ends the run with
+NonFiniteState("verifier integration diverged").
 
 The equivalence check instead mirrors the controller's semi-implicit scheme
 step for step, because its purpose is the algebraic identity between the full
@@ -125,19 +123,25 @@ def _steps(horizon: str, T: float, dt: float, least: int = 1) -> int:
     return n
 
 
-# Rows of every lane held between judge calls. 1024 rows of the default run's
-# 81 lanes take 1.3 MB.
+# Rows of one proposition's lanes held between judge calls. 1024 rows of the
+# default run's 27 lanes take 0.4 MB.
 JUDGE_CHUNK = 1024
+
+# Steps per block of a lane's exponential tables: its e^{lambda k dt} is the
+# head e^{lambda q EXP_BLOCK dt} of the block q = k // EXP_BLOCK times the table
+# entry e^{lambda j dt}, j = k % EXP_BLOCK, each from _libm, so every row is a
+# function of k alone, whatever the chunk it is judged in.
+EXP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class _Lanes:
-    """One proposition's rows of the lane table, one lane per grid point.
+    """One proposition's lanes, one per grid point.
 
-    Every lane has its own columns of the one law (see `_integrate`), its own
-    start state and step count, and the table's dt. Its rest point is the
+    Every lane has its own coefficients of the one law (see `_Solution`), its
+    own start state and step count, and the table's dt. Its rest point is the
     origin unless `sinusoid` is set to (A, omega): then every lane of the table
-    follows the rest point A sin(omega t), and they all share one step count.
+    follows the rest point A sin(omega t).
     """
 
     dt: float
@@ -158,146 +162,133 @@ class _Lanes:
                      for name in ("m", "d", "k_e", "f_H"))
 
 
+def _exp(rate: float, beta: float, t: np.ndarray) -> tuple:
+    """e^{(rate + i beta) t} at the times t, through _libm, as its real and
+    imaginary parts; the imaginary part is None when beta is 0."""
+    e = _libm(math.exp, rate * t)
+    if not beta:
+        return e, None
+    return e * _libm(math.cos, beta * t), e * _libm(math.sin, beta * t)
+
+
+class _Solution:
+    """The exact solution of one lane of a `_Lanes` table, at its steps k.
+
+    The lane's law m x'' + 2d x' + k_e x = k_e x_e(t) - f_H has a particular
+    solution p: the rest -f_H / k_e, or the ramp -f_H / (2d) t when k_e = 0,
+    plus A Im(G e^{i omega t}) under a sinusoidal rest point, with
+    G = k_e / (k_e - m omega^2 + 2i omega d). With alpha = -d/m, the start
+    state's offsets y0 = x0 - p(0) and w0 = v0 - p'(0), and f and g the
+    homogeneous solutions with (f, f')(0) = (1, alpha) and (g, g')(0) = (0, 1),
+
+        x = p + y0 f + (w0 - alpha y0) g,   v = p' + w0 f + (alpha w0 - (k_e/m) y0) g.
+
+    With beta = sqrt(|d^2 - m k_e|) / m, f = e^{alpha t} C and g = e^{alpha t} S:
+    (C, S) is (cos beta t, sin beta t / beta) for complex roots, from
+    Z = e^{(alpha + i beta) t}; (cosh, sinh / beta) for real roots, as
+    ((E1 + E2) / 2, (E1 - E2) / (2 beta)) with E1,2 = e^{(alpha +- beta) t}, so
+    nothing overflows; and (1, t) when d^2 == m k_e exactly.
+
+    Each root's e^{lambda k dt} is head[k // EXP_BLOCK] * table[k % EXP_BLOCK]
+    (`_exp`), in float64 columns with one ufunc per operation: numpy's complex
+    multiply may fuse its operations, and rounds differently on some hosts.
+    """
+
+    def __init__(self, lanes: _Lanes, i: int):
+        m, d, k_e, f_H = lanes.m[i], lanes.d[i], lanes.k_e[i], lanes.f_H[i]
+        alpha, disc = -d / m, d * d - m * k_e
+        self.beta = beta = math.sqrt(abs(disc)) / m
+        self.dt, self.disc = lanes.dt, disc
+        if not math.isfinite(beta * (lanes.n[i] * self.dt)):  # past what cos and sin take
+            raise NonFiniteState("verifier integration diverged")
+        self.rest = -f_H / k_e if k_e else 0.0
+        self.ramp = 0.0 if k_e else -f_H / (2.0 * d)
+        # p's wave: x gains ps sin + pc cos of omega t, and v gains vs sin + vc cos.
+        ps = pc = vs = vc = 0.0
+        if lanes.sinusoid is not None:
+            amp, omega = lanes.sinusoid
+            a, b = k_e - m * omega ** 2, 2.0 * omega * d
+            den = a * a + b * b
+            ps, pc = amp * (k_e * a / den), amp * (-k_e * b / den)
+            vs, vc = -omega * pc, omega * ps
+        self.wave = (ps, pc, vs, vc)
+        y0 = lanes.x0[i] - (self.rest + pc)
+        w0 = lanes.v0[i] - (self.ramp + vc)
+        self.cx = (y0, w0 - alpha * y0)
+        self.cv = (w0, alpha * w0 - k_e / m * y0)
+        # The roots as (rate, beta) of e^{(rate + i beta) t}, beta 0 if real.
+        self.roots = ([(alpha, beta)] if disc < 0.0 else [(alpha, 0.0)] if disc == 0.0
+                      else [(alpha + beta, 0.0), (alpha - beta, 0.0)])
+        j = np.arange(min(EXP_BLOCK, lanes.n[i] + 1)) * self.dt
+        self.tables = [_exp(rate, b, j) for rate, b in self.roots]
+
+    def rows(self, k: np.ndarray, t: np.ndarray, wave: tuple | None) -> tuple:
+        """(x, v) at the consecutive steps k, at the times t = k dt; wave is
+        (sin, cos) of omega t under a sinusoidal rest point."""
+        q, j = np.divmod(k, EXP_BLOCK)
+        q0 = q[0]
+        tq = (np.arange(q0, q[-1] + 1) * EXP_BLOCK) * self.dt
+        q = q - q0
+        powers = []
+        for (rate, b), (tr, ti) in zip(self.roots, self.tables):
+            hr, hi = _exp(rate, b, tq)
+            hr, tr = hr[q], tr[j]
+            if b:
+                hi, ti = hi[q], ti[j]
+                powers += [hr * tr - hi * ti, hr * ti + hi * tr]
+            else:
+                powers.append(hr * tr)
+        if self.disc < 0.0:
+            f, g = powers[0], powers[1] / self.beta
+        elif self.disc > 0.0:
+            f, g = (powers[0] + powers[1]) * 0.5, (powers[0] - powers[1]) / (2.0 * self.beta)
+        else:
+            f, g = powers[0], t * powers[0]
+        x = (self.rest + self.ramp * t) + (self.cx[0] * f + self.cx[1] * g)
+        v = self.ramp + (self.cv[0] * f + self.cv[1] * g)
+        if wave is not None:
+            (sin_wt, cos_wt), (ps, pc, vs, vc) = wave, self.wave
+            x = x + (ps * sin_wt + pc * cos_wt)
+            v = v + (vs * sin_wt + vc * cos_wt)
+        return x, v
+
+
 def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport]:
-    """Classical RK4 over the lanes of every proposition, in one lockstep loop,
-    each proposition's judge taking its lanes' rows a chunk at a time; the
-    reports of every proposition, in order.
+    """The exact rows of every lane of every proposition (`_Solution`), each
+    proposition's judge taking its lanes' rows a chunk at a time; the reports
+    of every proposition, in order.
 
-    Each lane integrates x' = v, v' = a with the one law
-
-        a = (k_e (x_e(t) - x) - f_H - 2d v) / m,
-
-    evaluated as ((k_e * (x_e - x) - f_H) - (2d) * v) / m, and its RK4 step is
-    x_+ = x + (dt/6) (((v + 2 v2) + 2 v3) + v4), likewise for v, with 2 v2
-    formed as v2 + v2 (exact). This fixed order of operations makes every lane
-    bit-identical to integrating it alone. Proposition 2's contact-lost lanes
-    are the k_e = 0 case: 0 * (x_e - x) - f_H equals -f_H.
-
-    The lanes are sorted by step count, longest first, so the active lanes are
-    always a prefix of the table; a lane leaves it after its own n steps and is
-    never integrated past its horizon. The stages are in-place buffers: stage
-    j holds the rows (x_j, v_j, a_j), so its state (x_j, v_j) and its slope
-    (v_j, a_j) are overlapping (2, lanes) views, and each stage update
-    Y_j = Y_1 + h F_{j-1} is one multiply and one add. A sinusoidal rest point
-    is 0.0 + A * math.sin(omega * t) at the float times t + dt/2 (shared by
-    stages 2 and 3) and t + dt (stage 4, and stage 1 of the next step); every
-    other lane rests at the origin.
-
-    A lane's rows (x, v), n + 1 of them from its start state on, go to its
-    proposition's `feed(idx, lo, x, v)` `chunk` rows (default JUDGE_CHUNK) at
-    a time and in order: x and v are C-contiguous (lanes, rows) arrays of the
-    rows from `lo` of the proposition's lanes `idx`, which take the same rows.
-    Every chunk is checked for finiteness before any judge sees it
-    (NonFiniteState).
+    A lane's rows (x, v) at its steps 0..n go to its proposition's
+    `feed(idx, lo, x, v)` `chunk` rows (default JUDGE_CHUNK) at a time and in
+    order: x and v are C-contiguous (lanes, rows) arrays of the rows from `lo`
+    of the proposition's lanes `idx`, which take the same rows. Every chunk is
+    checked for finiteness before its judge sees it (NonFiniteState).
     """
     chunk = JUDGE_CHUNK if chunk is None else chunk
-    tables = [prop.lanes for prop in props]
-    lanes = sorted(((g, i) for g, tab in enumerate(tables) for i in range(len(tab.n))),
-                   key=lambda gi: -tables[gi[0]].n[gi[1]])  # stable: equal counts stay grouped
-    ns = [tables[g].n[i] for g, i in lanes]
-
-    def column(name):
-        return np.array([getattr(tables[g], name)[i] for g, i in lanes], dtype=float)
-
-    dt = np.array([tables[g].dt for g, _ in lanes], dtype=float)
-    h, w = 0.5 * dt, dt / 6.0
-    m, k_e, f_H = column("m"), column("k_e"), column("f_H")
-    d2 = 2.0 * column("d")
-    x_e = np.zeros(len(lanes))
-    movers = [tab for tab in tables if tab.sinusoid is not None]
-    if len(movers) > 1:
-        raise ValueError("at most one table may have a moving rest point")
-    # Its lanes share one step count, so they are adjacent after the sort.
-    moving = [j for j, (g, _) in enumerate(lanes) if tables[g].sinusoid is not None]
-    if moving:
-        mover = movers[0]
-        amp, omega = mover.sinusoid
-        m0, m1 = moving[0], moving[-1] + 1
-        x_e[m0:m1] = 0.0 + amp * math.sin(omega * 0.0)
-
-    # buf[:, j, r] is row g0 + r of lane j (row 0: the start state). Past its
-    # horizon a lane keeps rows already checked, or zeros.
-    buf = np.zeros((2, len(lanes), chunk))
-    own = [[(j, i) for j, (g, i) in enumerate(lanes) if g == gg] for gg in range(len(tables))]
-
-    def flush(g0, r):
-        live = sum(n >= g0 for n in ns)  # the lanes with rows from g0 on: a prefix
-        # NaN propagates through min and max, so this sees every non-finite row.
-        rows = buf[:, :live, :r]
-        if not (math.isfinite(rows.min(initial=0.0)) and math.isfinite(rows.max(initial=0.0))):
-            raise NonFiniteState("verifier integration diverged")
-        for prop, members in zip(props, own):
-            takes = {}  # rows taken -> (lanes in the sorted table, lanes of prop)
-            for j, i in members:
-                if j >= live:
-                    break
-                cols, idx = takes.setdefault(min(r, ns[j] + 1 - g0), ([], []))
-                cols.append(j)
-                idx.append(i)
-            for taken, (cols, idx) in takes.items():
-                prop.feed(np.array(idx), g0, buf[0, cols, :taken], buf[1, cols, :taken])
-        return g0 + r, 0
-
-    state = np.stack([column("x0"), column("v0")])
-    buf[:, :, 0] = state
-    g0, r = flush(0, 1) if chunk == 1 else (0, 1)
-    # Per-lane step sizes, doubled to the (2, lanes) shape of a stage's slope.
-    dt, h, w = (np.stack([c, c]) for c in (dt, h, w))
-
-    sub, mul, add, div, sin = np.subtract, np.multiply, np.add, np.divide, math.sin
-    t = 0.0
-    done = 0
-    # A diverging lane is reported once, by the finiteness check of flush.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(lanes), 0, -1):
-            stop = ns[k - 1]  # the prefix of k lanes all run up to here
-            if stop <= done:
-                continue
-            # Contiguous buffers for this prefix: numpy runs each call as one loop.
-            S = np.empty((4, 3, k))
-            S[0, 0:2] = state[:, :k]
-            X1, X2, X3, X4 = S[:, 0]
-            V1, V2, V3, V4 = S[:, 1]
-            A1, A2, A3, A4 = S[:, 2]
-            Y1, Y2, Y3, Y4 = S[:, 0:2]
-            F1, F2, F3, F4 = S[:, 1:3]
-            T1, T2 = np.empty((2, 2, k))
-            q = np.empty(k)
-            rows = buf[:, :k]
-            dtk, hk, wk = dt[:, :k].copy(), h[:, :k].copy(), w[:, :k].copy()
-            mk, kk, fk, d2k, xk = m[:k], k_e[:k], f_H[:k], d2[:k], x_e[:k]
-            xm = x_e[m0:m1] if moving and m0 < k else None
-            if xm is not None:
-                hm, dtm = 0.5 * mover.dt, mover.dt
-            # Unrolled: the law at stages 1-4, the stage updates, the RK4 sum.
-            for _ in range(done, stop):
-                sub(xk, X1, A1); mul(kk, A1, A1); sub(A1, fk, A1)
-                mul(d2k, V1, q); sub(A1, q, A1); div(A1, mk, A1)
-                mul(hk, F1, T1); add(Y1, T1, Y2)
-                if xm is not None:
-                    xm.fill(0.0 + amp * sin(omega * (t + hm)))
-                sub(xk, X2, A2); mul(kk, A2, A2); sub(A2, fk, A2)
-                mul(d2k, V2, q); sub(A2, q, A2); div(A2, mk, A2)
-                mul(hk, F2, T1); add(Y1, T1, Y3)
-                sub(xk, X3, A3); mul(kk, A3, A3); sub(A3, fk, A3)
-                mul(d2k, V3, q); sub(A3, q, A3); div(A3, mk, A3)
-                mul(dtk, F3, T1); add(Y1, T1, Y4)
-                if xm is not None:
-                    t += dtm
-                    xm.fill(0.0 + amp * sin(omega * t))
-                sub(xk, X4, A4); mul(kk, A4, A4); sub(A4, fk, A4)
-                mul(d2k, V4, q); sub(A4, q, A4); div(A4, mk, A4)
-                add(F2, F2, T1); add(F1, T1, T1)
-                add(F3, F3, T2); add(T1, T2, T1)
-                add(T1, F4, T1); mul(wk, T1, T1); add(Y1, T1, Y1)
-                rows[:, :, r] = Y1
-                r += 1
-                if r == chunk:
-                    g0, r = flush(g0, r)
-            state = Y1
-            done = stop
-    if r:
-        flush(g0, r)
+    for prop in props:
+        lanes = prop.lanes
+        solutions = [_Solution(lanes, i) for i in range(len(lanes.n))]
+        for lo in range(0, max(lanes.n, default=-1) + 1, chunk):
+            takes = {}  # rows taken -> the lanes taking them
+            for i, n in enumerate(lanes.n):
+                if n >= lo:
+                    takes.setdefault(min(chunk, n + 1 - lo), []).append(i)
+            for taken, idx in takes.items():
+                k = np.arange(lo, lo + taken)
+                t = k * lanes.dt
+                wave = None
+                if lanes.sinusoid is not None:
+                    wt = lanes.sinusoid[1] * t
+                    wave = (_libm(math.sin, wt), _libm(math.cos, wt))
+                rows = np.empty((2, len(idx), taken))
+                # A diverging lane is reported once, by the finiteness check.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for r, i in enumerate(idx):
+                        rows[:, r] = solutions[i].rows(k, t, wave)
+                # NaN propagates through min and max, so this sees every non-finite row.
+                if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
+                    raise NonFiniteState("verifier integration diverged")
+                prop.feed(np.array(idx), lo, rows[0], rows[1])
     return [rep for prop in props for rep in prop.reports()]
 
 
@@ -370,8 +361,8 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float,
 
     Every point starts at velocity v0 and runs for T (default: 20 m/(2d),
     twenty of its own velocity time constants) in steps of dt; `options` (T,
-    dt) default to `_Prop2`'s. The grid is integrated as one batch, each point
-    up to its own horizon, and each point is judged on its own.
+    dt) default to `_Prop2`'s. Each point is solved up to its own horizon and
+    judged on its own.
     """
     return _integrate([_Prop2(grid, v0, **options)])
 
@@ -513,8 +504,8 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
 
     Every point starts x0_offset from its equilibrium at velocity v0 and runs
     for T (default: 20 of its own time constants) in steps of dt; `options`
-    (x0_offset, v0, T, dt) default to `_Prop1`'s. The grid is integrated as
-    one batch, each point up to its own horizon.
+    (x0_offset, v0, T, dt) default to `_Prop1`'s. Each point is solved up to
+    its own horizon.
     """
     return _integrate([_Prop1(default_grid() if grid is None else grid, **options)])
 
@@ -636,9 +627,9 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     V' <= 0 whenever |e'| >= |u|/(2d).
 
     Every point starts at rest at the equilibrium of the t = 0 rest point and
-    shares the sinusoid; the grid is integrated as one batch. The error states
-    are relative to the moving rest point, so they do not depend on its base,
-    and every point is integrated around base 0. `options` (amplitude, omega,
+    shares the sinusoid. The error states are relative to the moving rest
+    point, so they do not depend on its base, and every point is solved around
+    base 0. `options` (amplitude, omega,
     T, dt) default to `_Prop3`'s. amplitude and omega must be finite and
     omega ** 2 and the bound must not overflow; T must span between four and
     MAX_LANE_STEPS steps of dt (ValueError otherwise).
@@ -652,9 +643,6 @@ def run_default_verification(prop3_T: float = PROP3_T,
     """All four checks over the parameter grid (one report per check per
     point), each with its defaults but proposition 2's v0 = 0.05 m/s and
     proposition 3's duration prop3_T.
-
-    Propositions 1, 2 and 3 integrate as one lane table: one RK4 loop runs
-    every point of every proposition, each up to its own horizon.
     """
     grid = default_grid() if grid is None else grid
     reports = _integrate([_Prop1(grid), _Prop2(grid, v0=0.05), _Prop3(grid, T=prop3_T)])

@@ -206,3 +206,4 @@ def test_the_safety_stopped_raise_wipes_as_per_tick(monkeypatch):
     ref.track(ep)
     assert ref.advance(ep, ep.max_ticks) > 0
     assert ep.safety_stopped and ep.log().n_ticks < ep.max_ticks
+    assert ep.k == ep.log().n_ticks == 5321  # the ticks run, not the 6000 asked for

@@ -56,8 +56,8 @@ class TestProp1:
         assert rep.measured["lyapunov_monotone"]
 
     def test_libm_at_each_value_of_an_array(self):
-        # The integrator takes math.sin at float times, the judges _libm at
-        # arrays of them: both must be libm's values, whatever numpy's loops do.
+        # The solver and the judges take _libm at arrays of float times: the
+        # values must be libm's, whatever numpy's loops do.
         wt = 2.0 * math.pi * (np.arange(2001) * 1e-3)
         for fn in (math.sin, math.cos):
             at_array = verify._libm(fn, wt)
@@ -105,14 +105,6 @@ class TestProp2:
         rep = prop2(params(), v0=0.05)
         assert rep.measured["analytic_max_err"] < 1e-5
 
-    def test_integrator_order_sanity(self):
-        # Fourth-order scheme: halving dt cuts the analytic gap ~16x.
-        p = params()
-        coarse = prop2(p, v0=0.2, dt=2e-3)
-        fine = prop2(p, v0=0.2, dt=1e-3)
-        ratio = coarse.measured["analytic_max_err"] / fine.measured["analytic_max_err"]
-        assert 8.0 < ratio < 40.0
-
     def test_grid_points_independent(self):
         # Each point keeps its own horizon 20 m/(2d) inside a batch that runs to
         # the longest one, and reports what it reports alone.
@@ -147,9 +139,10 @@ class TestProp2:
             verify_prop2([params()], v0=0.05, T=T, dt=dt)
 
     def test_tiny_mass_is_a_verdict(self):
-        """m = 1e-12 runs one step of 1e-4 s (20 time constants are ~4e-7 s):
-        RK4 is far outside its stability region and the point fails, with no
-        error from the late-slope fit."""
+        """m = 1e-12 runs one proposition-2 step of 1e-4 s (20 time constants
+        are ~4e-7 s): the late-slope fit spans that one step, past the whole
+        transient, and the point fails, with no error from the fit. Solved
+        exactly, propositions 1 and 3 pass."""
         tiny = params(m=1e-12, k_e=100.0, f_H=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -158,7 +151,7 @@ class TestProp2:
         assert math.ceil(rep.params["T"] / rep.params["dt"]) == 1
         assert math.isfinite(rep.measured["late_slope"])
         assert not rep.passed
-        assert not any(r.passed for r in reports)
+        assert [r.passed for r in reports] == [True, True]
 
 
 class TestProp3:
@@ -195,7 +188,7 @@ class TestProp3:
 
     # SHA-256 over repr() of every report of a run with a negative amplitude
     # and a non-default omega on the default grid.
-    NON_DEFAULT_SHA256 = "6b122a036b062c8a82ec0699f72451b56c47139d6b9ee778043775be5beb9fd2"
+    NON_DEFAULT_SHA256 = "fd175e2b76f0e15c6d62fb19b366d41240fe63ed1a6b85abfd297d70124b0086"
 
     def test_non_default_run_is_pinned(self):
         reports = verify_prop3_grid(T=7.0, amplitude=-0.003, omega=3.0)
@@ -286,12 +279,12 @@ def test_equivalence_horizon_must_be_finite_and_positive(T, dt, message):
 
 
 class TestOneBatch:
-    """run_default_verification integrates the three propositions as one batch."""
+    """run_default_verification solves the three propositions in one call."""
 
     # SHA-256 over repr() of every report of run_default_verification on a
     # one-point grid with a 5 s proposition 3: every measured field of the
     # four checks with their defaults, not only the CSV's columns.
-    ONE_POINT_SHA256 = "191d02e652bf27a0064500fb284a184daf03173056d54a14aa2fc2e2886d50a8"
+    ONE_POINT_SHA256 = "df8e58b9a5734a318bc78cde9bf2122ee7e3c34086c2afb131c96f6d097ccf21"
 
     def test_one_point_run_is_pinned(self):
         reports = run_default_verification(prop3_T=5.0, grid=[params()])
@@ -327,10 +320,12 @@ class TestOneBatch:
             assert got.passed == want.passed
 
     def test_divergence_is_nonfinite_state(self):
-        # omega dt = sqrt(k_e / m) dt is far outside RK4's stability region.
-        stiff = NormalDynamicsParams(0.001, compute_damping(0.001, 50.0, 2.0), 1e9, 4.0)
+        # One proposition-1 lane whose rows overflow ends the run of all three.
+        grid = [params(), params(k_e=100.0)]
+        props = [verify._Prop1(grid, x0_offset=1e308, v0=-1e308),
+                 verify._Prop2(grid, v0=0.05), verify._Prop3(grid, T=0.5)]
         with pytest.raises(NonFiniteState, match="verifier integration diverged"):
-            run_default_verification(prop3_T=0.5, grid=[params(), stiff])
+            verify._integrate(props)
 
 
 def test_default_grid_axes_and_damping():
@@ -382,10 +377,17 @@ class TestChunkedJudges:
 
     @pytest.mark.parametrize("chunk", [1, 5, 1024])
     def test_divergence_is_found_at_every_chunk_size(self, chunk):
-        stiff = NormalDynamicsParams(0.001, compute_damping(0.001, 50.0, 2.0), 1e9, 4.0)
-        prop3 = verify._Prop3([params(), stiff], 0.005, 2.0 * math.pi, 0.5, 1e-3)
+        # The start state's offsets overflow the coefficients of the solution.
+        prop1 = verify._Prop1([params(), params(k_e=100.0)], x0_offset=1e308, v0=-1e308)
         with pytest.raises(NonFiniteState, match="verifier integration diverged"):
-            verify._integrate([prop3], chunk=chunk)
+            verify._integrate([prop1], chunk=chunk)
+
+    def test_a_root_past_the_float_range_is_divergence(self):
+        # beta = sqrt(|d^2 - m k_e|) / m overflows, and math.cos would refuse
+        # its angles with a ValueError.
+        p = NormalDynamicsParams(1e-320, 1e-300, 1e300, 0.0)
+        with pytest.raises(NonFiniteState, match="verifier integration diverged"):
+            verify_prop1_grid([p])
 
     def test_memory_does_not_grow_with_the_horizon(self):
         # Holding every row, 20 s took 3.6 times the memory of 5 s.
@@ -409,3 +411,86 @@ class TestChunkedJudges:
         cfg = AdmittanceConfig(target_force=4.0, enable_normal_regulation=True)
         with pytest.raises(ValueError, match="^equivalence horizon T needs inf steps of 5e-324 s"):
             equivalence_check(cfg, 1000.0, T=1.0, dt=5e-324)
+
+
+class Recorder:
+    """A proposition whose judge also keeps every row it is fed."""
+
+    def __init__(self, prop):
+        self.prop, self.lanes = prop, prop.lanes
+        shape = (len(prop.lanes.n), max(prop.lanes.n) + 1)
+        self.x, self.v = np.full(shape, np.nan), np.full(shape, np.nan)
+
+    def feed(self, idx, lo, x, v):
+        hi = lo + x.shape[1]
+        self.x[idx, lo:hi], self.v[idx, lo:hi] = x, v
+        self.prop.feed(idx, lo, x, v)
+
+    def reports(self):
+        return self.prop.reports()
+
+
+def rk4_rows(lanes, i):
+    """The rows (x, v) of lane i of a lane table by classical RK4, one scalar
+    step at a time: the reference for the exact solution."""
+    m, d, k_e, f_H, dt = lanes.m[i], lanes.d[i], lanes.k_e[i], lanes.f_H[i], lanes.dt
+    amp, omega = lanes.sinusoid or (0.0, 0.0)
+
+    def acc(t, x, v):
+        return (k_e * (amp * math.sin(omega * t) - x) - f_H - 2.0 * d * v) / m
+
+    x, v = lanes.x0[i], lanes.v0[i]
+    rows = [(x, v)]
+    for k in range(lanes.n[i]):
+        t, h = k * dt, 0.5 * dt
+        a1 = acc(t, x, v)
+        x2, v2 = x + h * v, v + h * a1
+        a2 = acc(t + h, x2, v2)
+        x3, v3 = x + h * v2, v + h * a2
+        a3 = acc(t + h, x3, v3)
+        x4, v4 = x + dt * v3, v + dt * a3
+        a4 = acc(t + dt, x4, v4)
+        x, v = (x + dt / 6.0 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+        rows.append((x, v))
+    return np.array(rows).T
+
+
+class TestExactSolution:
+    """The verifier samples each lane's exact solution (`verify._Solution`)."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: verify._Prop1([params(k_e=100.0)], 0.02, 0.1, 1.0, 1e-4),
+                     id="overdamped"),
+        pytest.param(lambda: verify._Prop1([params(k_e=5000.0)], 0.02, 0.1, 1.0, 1e-4),
+                     id="underdamped"),
+        pytest.param(lambda: verify._Prop2([params()], 0.05, 1.0, 1e-4), id="free_flight"),
+        pytest.param(lambda: verify._Prop3([params()], 0.005, 2.0 * math.pi, 1.0, 1e-4),
+                     id="sinusoidal_rest_point"),
+    ])
+    def test_agrees_with_a_scalar_rk4(self, make):
+        rec = Recorder(make())
+        verify._integrate([rec])
+        x, v = rk4_rows(rec.lanes, 0)
+        assert np.abs(rec.x[0] - x).max() < 1e-9  # m
+        assert np.abs(rec.v[0] - v).max() < 1e-9  # m/s
+
+    @staticmethod
+    def error_rows(k_e):
+        """The reports and the error states (rows less the rest -f_H / k_e) of
+        propositions 1 and 3 at m = 1, d = 2, f_H = 4."""
+        p = NormalDynamicsParams(1.0, 2.0, k_e, 4.0)
+        recs = [Recorder(verify._Prop1([p], T=10.0)), Recorder(verify._Prop3([p], T=5.0))]
+        return verify._integrate(recs), [rec.x - p.equilibrium() for rec in recs]
+
+    def test_repeated_root(self):
+        # d^2 == m k_e exactly: the t e^(alpha t) form, finite and passing, and
+        # within 1e-9 m of its neighbours with a real and a complex root pair.
+        assert 2.0 * 2.0 == 1.0 * 4.0
+        reports, rows = self.error_rows(4.0)
+        assert [r.proposition for r in reports] == ["prop1", "prop3"]
+        assert all(r.passed for r in reports)
+        assert all(np.isfinite(x).all() for x in rows)
+        for k_e in (4.0 * (1.0 - 1e-9), 4.0 * (1.0 + 1e-9)):
+            for x, near in zip(rows, self.error_rows(k_e)[1]):
+                assert np.abs(x - near).max() < 1e-9, k_e
