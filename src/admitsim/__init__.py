@@ -30,9 +30,7 @@ from .expert import (
 )
 from .geometry import (
     Pose,
-    pose10_decode,
     pose10_encode,
-    rot6d_decode,
     rot6d_encode,
 )
 from .harness import (
@@ -42,7 +40,7 @@ from .harness import (
     run_suite,
     success_check,
 )
-from .policy import NoiseSpec, loss, predict
+from .policy import NoiseSpec, predict
 from .tasks import Demo, build_environment, generate_demo
 from .verify import (
     NormalDynamicsParams,

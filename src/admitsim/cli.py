@@ -83,7 +83,7 @@ def _cmd_verify(args) -> int:
         grid = parse_verify_params(args.config)
     try:
         reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
-    except ValueError as exc:  # --prop3-duration out of range
+    except ValueError as exc:  # a horizon or a bound out of range
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -494,7 +494,6 @@ class HingedDoor(TaskEnvironment):
         self.latch_released = False
         self.door_angle = 0.0
         self.handle_angle = 0.0
-        self.max_door_angle = 0.0
         self._az_ref = 0.0  # azimuth at grasp engagement, defines door_angle = 0
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
@@ -527,7 +526,6 @@ class HingedDoor(TaskEnvironment):
         rel_az = self._azimuth(eef_pos) - self._az_ref
         rel_az = (rel_az + math.pi) % (2.0 * math.pi) - math.pi
         self.door_angle = max(0.0, OPENING_SIGN * rel_az)
-        self.max_door_angle = max(self.max_door_angle, self.door_angle)
         if not self.microwave and not self.latch_released:
             handle_axis = self.handle_axis
             lever_perp = _perp(_sub(eef_pos, self.handle_pivot), handle_axis)

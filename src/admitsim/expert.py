@@ -20,6 +20,7 @@ import numpy as np
 from .environments import (
     ERASER_HALF,
     HINGE_AXIS,
+    HOLE_DEPTH,
     LATCH_THRESHOLD,
     OPENING_SIGN,
     HingedDoor,
@@ -122,7 +123,7 @@ class SupervisionRecords(Sequence):
                    zip(block[:, :10], block[:, 10:13], map(int, block[:, 13].tolist())))
 
 
-# Placeholder normal for out-of-contact steps; the loss masks it.
+# Placeholder normal for out-of-contact steps.
 ZERO_NORMAL = (0.0, 0.0, 0.0)
 
 # The identity orientation, wxyz: that of the peg and of the gripper at a
@@ -157,8 +158,13 @@ def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]
     return poses
 
 
-def plan_insertion(hole: HoleFixture, start_height: float, step: float) -> list[Pose]:
-    """Descend along the hole axis from start_height above the bottom to the bottom.
+# The insertion's waypoint spacing along the bore axis (m).
+INSERT_STEP = 0.001
+
+
+def plan_insertion(hole: HoleFixture) -> list[Pose]:
+    """Descend along the hole axis from the rim, HOLE_DEPTH above the bottom,
+    to the bottom in steps of INSERT_STEP.
 
     The peg holds the identity orientation, its axis the tool -z direction,
     which must oppose the hole's up axis within ALIGN_TOL (NotAligned).
@@ -167,14 +173,12 @@ def plan_insertion(hole: HoleFixture, start_height: float, step: float) -> list[
     # down axis is the up axis's z component.
     if hole.axis_up[2] < math.cos(ALIGN_TOL):
         raise NotAligned("peg axis deviates from the hole axis beyond tolerance")
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
     bottom = b0, b1, b2 = hole.bottom_center()
     u0, u1, u2 = hole.axis_up
-    n_steps = int(math.ceil(start_height / step - 1e-12)) if start_height > 0 else 0
+    n_steps = int(math.ceil(HOLE_DEPTH / INSERT_STEP - 1e-12))
     positions = []
     for i in range(n_steps + 1):
-        h = max(0.0, start_height - i * step)
+        h = max(0.0, HOLE_DEPTH - i * INSERT_STEP)
         positions.append((b0 + h * u0, b1 + h * u1, b2 + h * u2))
     if math.sqrt(sq_norm(_sub(positions[-1], bottom))) > 1e-12:
         positions.append(bottom)
@@ -228,8 +232,11 @@ def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
     return poses
 
 
-def plan_articulated(door: HingedDoor, target_angle: float,
-                     step: float) -> tuple[list[Pose], list[tuple]]:
+# The angle between neighbouring waypoints of an arc (rad).
+ARC_STEP = math.radians(1.5)
+
+
+def plan_articulated(door: HingedDoor, target_angle: float) -> tuple[list[Pose], list[tuple]]:
     """Circular arcs about the ground-truth joint axes from the grasp pose (the
     door's grasp point, identity orientation), orientation co-rotating, and
     the contact normal of each pose: the outward radial, as floats, of the
@@ -239,31 +246,28 @@ def plan_articulated(door: HingedDoor, target_angle: float,
     the latch threshold) followed by the hinge arc, encoding the turn-then-pull
     sequence; the junction pose keeps the handle normal.
     """
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
     grasp_pose = Pose(door.grasp0, IDENTITY_Q)
     if door.microwave:
-        return _arc(grasp_pose, HINGE_AXIS, door.hinge_pivot,
-                    target_angle, step, sign=OPENING_SIGN)
+        return _arc(grasp_pose, HINGE_AXIS, door.hinge_pivot, target_angle, sign=OPENING_SIGN)
     poses, normals = _arc(grasp_pose, door.handle_axis, door.handle_pivot,
-                          2.0 * LATCH_THRESHOLD, step)
+                          2.0 * LATCH_THRESHOLD)
     pull, pull_normals = _arc(poses[-1], HINGE_AXIS, door.hinge_pivot,
-                              target_angle, step, sign=OPENING_SIGN)
+                              target_angle, sign=OPENING_SIGN)
     # The junction pose is already emitted, with the handle normal.
     return poses + pull[1:], normals + pull_normals[1:]
 
 
-def _arc(start: Pose, axis, pivot, total: float, step: float,
+def _arc(start: Pose, axis, pivot, total: float,
          sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
     """`start` turned about the line through pivot along the unit axis (float
-    3-sequences), co-rotating, by sign * min(total, i * step) for
-    i = 0 .. ceil(total / step); and the outward radial of each pose."""
-    n = int(math.ceil(total / step - 1e-12)) if total > 0 else 0
+    3-sequences), co-rotating, by sign * min(total, i * ARC_STEP) for
+    i = 0 .. ceil(total / ARC_STEP); and the outward radial of each pose."""
+    n = int(math.ceil(total / ARC_STEP - 1e-12)) if total > 0 else 0
     turn = _rodrigues_fixed(start.position, axis, pivot)
     q0 = start.orientation
     poses, normals = [], []
     for i in range(n + 1):
-        ang = sign * min(total, i * step)
+        ang = sign * min(total, i * ARC_STEP)
         q = quat_mul(quat_from_axis_angle(axis, ang), q0)
         p = _rodrigues(turn, ang)
         poses.append(Pose._make((p, _unit_quat(q))))

@@ -5,8 +5,7 @@ Conventions:
   tuple of four (wxyz, unit norm, canonical sign w >= 0) and a `Pose` a pair
   of them. The public constructors (`vec3`, `Pose`) coerce any sequence, an
   array or a list, into that form.
-- The 6D rotation encoding is the first two columns of the rotation matrix,
-  decoded by Gram-Schmidt orthonormalization.
+- The 6D rotation encoding is the first two columns of the rotation matrix.
 
 Numerics contract. Every dot product of 3-vectors whose value reaches state,
 a log or an output file is `dot3(a, b) = a0*b0 + a1*b1 + a2*b2`, evaluated left
@@ -185,25 +184,6 @@ def _unit_matrix(w, x, y, z) -> tuple:
     )
 
 
-def matrix_to_quat(R) -> tuple:
-    """Rotation matrix, given by its rows, to quaternion (Shepperd's branch method)."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
-    tr = r00 + r11 + r22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
-    elif r00 > r11 and r00 > r22:
-        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
-        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
-    elif r11 > r22:
-        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
-        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
-        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
-    return _unit_quat(q)
-
-
 def quat_rotate(q, v) -> tuple:
     """The 3-vector v rotated by q."""
     return _matvec(_quat_matrix(q), v)
@@ -248,26 +228,6 @@ def rot6d_encode(q) -> tuple:
     """First two columns of the rotation matrix, flattened column-first."""
     (r00, r01, _), (r10, r11, _), (r20, r21, _) = _quat_matrix(q)
     return (r00, r10, r20, r01, r11, r21)
-
-
-def rot6d_decode(v6) -> tuple:
-    """Gram-Schmidt the two encoded columns back into a quaternion.
-
-    Raises DegenerateInput when the first column is near zero or the columns
-    are parallel within 1e-6.
-    """
-    v6 = tuple(map(float, v6))
-    a, b = v6[:3], v6[3:6]
-    na = math.sqrt(sq_norm(a))
-    if na <= 1e-6:
-        raise DegenerateInput("rot6d first column near zero")
-    b1 = _unit(a, na)
-    b2 = _perp(b, b1)
-    nb = math.sqrt(sq_norm(b2))
-    if nb <= 1e-6:
-        raise DegenerateInput("rot6d columns parallel")
-    b2 = _unit(b2, nb)
-    return matrix_to_quat(tuple(zip(b1, b2, _cross(b1, b2))))
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +314,3 @@ def _lerp(a, b, s: float) -> tuple:
 def pose10_encode(pose: Pose, gripper: float) -> tuple:
     """Pack (position, 6D rotation, gripper command) into 10 floats."""
     return (*pose.position, *rot6d_encode(pose.orientation), float(gripper))
-
-
-def pose10_decode(v) -> tuple[Pose, float]:
-    return Pose(v[:3], rot6d_decode(v[3:9])), float(v[9])

@@ -1,8 +1,7 @@
 """Scripted stand-in for the learned policy.
 
 Replays expert supervision as fixed-horizon action chunks with configurable
-prediction noise, and scores predictions with the weighted L1 training loss
-(pose/gripper, contact-masked normal, contact flag).
+prediction noise.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndOfDemo, LengthMismatch, check_count, check_range, check_real
+from .errors import EndOfDemo, check_count, check_range, check_real
 from .expert import SupervisionTuple
 from .geometry import _cross, _normalize, _unit, quat_from_axis_angle, quat_rotate, sq_norm
 
@@ -99,24 +98,3 @@ def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec) -> tupl
         out.append(SupervisionTuple(pose10, n, c))
     return tuple(out)
 
-
-def loss(pred: list[SupervisionTuple], gt: list[SupervisionTuple],
-         lam1: float = 1.0, lam2: float = 1.0, lam3: float = 1.0) -> float:
-    """Weighted L1: pose/gripper + contact-masked normal + contact flag.
-
-    Each term is the mean absolute error over its elements and steps; the
-    normal term averages only over ground-truth contact steps (the placeholder
-    normal out of contact is arbitrary).
-    """
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"prediction/target lengths differ: {len(pred)} vs {len(gt)}")
-    if len(pred) == 0:
-        return 0.0
-    pose_err = float(np.mean([np.abs(p.pose10 - g.pose10).mean() for p, g in zip(pred, gt)]))
-    contact_steps = [(p, g) for p, g in zip(pred, gt) if g.contact == 1]
-    if contact_steps:
-        normal_err = float(np.mean([np.abs(p.normal - g.normal).mean() for p, g in contact_steps]))
-    else:
-        normal_err = 0.0
-    c_err = float(np.mean([abs(p.contact - g.contact) for p, g in zip(pred, gt)]))
-    return lam1 * pose_err + lam2 * normal_err + lam3 * c_err

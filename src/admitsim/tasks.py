@@ -25,7 +25,6 @@ from .environments import (
     BOARD_EXTENT,
     DISTURBANCE_KINDS,
     HANDLE_LEVER,
-    HOLE_DEPTH,
     DisturbanceEvent,
     HingedDoor,
     HoleFixture,
@@ -171,7 +170,7 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
 
 
 def _ph_plan(hole: HoleFixture) -> tuple:
-    insertion = plan_insertion(hole, start_height=HOLE_DEPTH, step=0.001)
+    insertion = plan_insertion(hole)
     rim_pose = insertion[0]
     above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
     approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
@@ -192,7 +191,7 @@ def _door_plan(door: HingedDoor, target: float) -> tuple:
     approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
     grasp_poses = [grasp_pose] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
-    arc, arc_normals = plan_articulated(door, target, math.radians(1.5))
+    arc, arc_normals = plan_articulated(door, target)
     open_pose = arc[-1]
     # Hold the end pose grasped so the compliant reference catches up with the
     # commanded arc before letting go.

@@ -91,7 +91,9 @@ class NormalDynamicsParams:
         if disc <= 0.0:
             return self.m / self.d
         slow = (self.d - math.sqrt(disc)) / self.m
-        return 1.0 / slow
+        # m k_e below the rounding of d^2: the slow pole rounds to 0, and no
+        # horizon of its time constants is finite.
+        return 1.0 / slow if slow else math.inf
 
 
 @dataclass
@@ -187,7 +189,9 @@ class _Solution:
     (C, S) is (cos beta t, sin beta t / beta) for complex roots, from
     Z = e^{(alpha + i beta) t}; (cosh, sinh / beta) for real roots, as
     ((E1 + E2) / 2, (E1 - E2) / (2 beta)) with E1,2 = e^{(alpha +- beta) t}, so
-    nothing overflows; and (1, t) when d^2 == m k_e exactly.
+    nothing overflows; and (1, t) when d^2 == m k_e exactly. Where d^2 and
+    m k_e both round to 0, that tie is not the law's, and the lane is refused
+    (ValueError).
 
     Each root's e^{lambda k dt} is head[k // EXP_BLOCK] * table[k % EXP_BLOCK]
     (`_exp`), in float64 columns with one ufunc per operation: numpy's complex
@@ -197,6 +201,9 @@ class _Solution:
     def __init__(self, lanes: _Lanes, i: int):
         m, d, k_e, f_H = lanes.m[i], lanes.d[i], lanes.k_e[i], lanes.f_H[i]
         alpha, disc = -d / m, d * d - m * k_e
+        if disc == 0.0 and d * d == 0.0:
+            raise ValueError(f"d = {d} is too small to solve: d^2 and m k_e (m = {m}, "
+                             f"k_e = {k_e}) both round to 0, so the roots cannot be told apart")
         self.beta = beta = math.sqrt(abs(disc)) / m
         self.dt, self.disc = lanes.dt, disc
         if not math.isfinite(beta * (lanes.n[i] * self.dt)):  # past what cos and sin take
@@ -253,43 +260,43 @@ class _Solution:
         return x, v
 
 
-def _integrate(props: list, chunk: int | None = None) -> list[VerificationReport]:
-    """The exact rows of every lane of every proposition (`_Solution`), each
-    proposition's judge taking its lanes' rows a chunk at a time; the reports
-    of every proposition, in order.
+def _integrate(prop, chunk: int | None = None) -> list[VerificationReport]:
+    """The exact rows of every lane of one proposition (`_Solution`), its
+    judge taking its lanes' rows a chunk at a time; the judge's reports.
 
-    A lane's rows (x, v) at its steps 0..n go to its proposition's
-    `feed(idx, lo, x, v)` `chunk` rows (default JUDGE_CHUNK) at a time and in
-    order: x and v are C-contiguous (lanes, rows) arrays of the rows from `lo`
-    of the proposition's lanes `idx`, which take the same rows. Every chunk is
-    checked for finiteness before its judge sees it (NonFiniteState).
+    A lane's rows (x, v) at its steps 0..n go to the proposition's
+    `feed(idx, lo, x, v, wave)` `chunk` rows (default JUDGE_CHUNK) at a time
+    and in order: x and v are C-contiguous (lanes, rows) arrays of the rows
+    from `lo` of the proposition's lanes `idx`, which take the same rows, and
+    wave is (sin, cos) of omega t at those rows under a sinusoidal rest point,
+    else None. Every chunk is checked for finiteness before the judge sees it
+    (NonFiniteState).
     """
     chunk = JUDGE_CHUNK if chunk is None else chunk
-    for prop in props:
-        lanes = prop.lanes
-        solutions = [_Solution(lanes, i) for i in range(len(lanes.n))]
-        for lo in range(0, max(lanes.n, default=-1) + 1, chunk):
-            takes = {}  # rows taken -> the lanes taking them
-            for i, n in enumerate(lanes.n):
-                if n >= lo:
-                    takes.setdefault(min(chunk, n + 1 - lo), []).append(i)
-            for taken, idx in takes.items():
-                k = np.arange(lo, lo + taken)
-                t = k * lanes.dt
-                wave = None
-                if lanes.sinusoid is not None:
-                    wt = lanes.sinusoid[1] * t
-                    wave = (_libm(math.sin, wt), _libm(math.cos, wt))
-                rows = np.empty((2, len(idx), taken))
-                # A diverging lane is reported once, by the finiteness check.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for r, i in enumerate(idx):
-                        rows[:, r] = solutions[i].rows(k, t, wave)
-                # NaN propagates through min and max, so this sees every non-finite row.
-                if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
-                    raise NonFiniteState("verifier integration diverged")
-                prop.feed(np.array(idx), lo, rows[0], rows[1])
-    return [rep for prop in props for rep in prop.reports()]
+    lanes = prop.lanes
+    solutions = [_Solution(lanes, i) for i in range(len(lanes.n))]
+    for lo in range(0, max(lanes.n, default=-1) + 1, chunk):
+        takes = {}  # rows taken -> the lanes taking them
+        for i, n in enumerate(lanes.n):
+            if n >= lo:
+                takes.setdefault(min(chunk, n + 1 - lo), []).append(i)
+        for taken, idx in takes.items():
+            k = np.arange(lo, lo + taken)
+            t = k * lanes.dt
+            wave = None
+            if lanes.sinusoid is not None:
+                wt = lanes.sinusoid[1] * t
+                wave = (_libm(math.sin, wt), _libm(math.cos, wt))
+            rows = np.empty((2, len(idx), taken))
+            # A diverging lane is reported once, by the finiteness check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r, i in enumerate(idx):
+                    rows[:, r] = solutions[i].rows(k, t, wave)
+            # NaN propagates through min and max, so this sees every non-finite row.
+            if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
+                raise NonFiniteState("verifier integration diverged")
+            prop.feed(np.array(idx), lo, rows[0], rows[1], wave)
+    return prop.reports()
 
 
 class _Prop2:
@@ -316,7 +323,7 @@ class _Prop2:
         self.v_last = np.zeros(len(grid))
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def feed(self, idx, lo, x, v):
+    def feed(self, idx, lo, x, v, wave):
         dt = self.lanes.dt
         hi = lo + x.shape[1]
         t = np.arange(lo, hi) * dt
@@ -364,7 +371,7 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float,
     dt) default to `_Prop2`'s. Each point is solved up to its own horizon and
     judged on its own.
     """
-    return _integrate([_Prop2(grid, v0, **options)])
+    return _integrate(_Prop2(grid, v0, **options))
 
 
 def equivalence_check(cfg: AdmittanceConfig, k_e: float, n=(0.0, 0.0, 1.0), T: float = 2.0,
@@ -459,7 +466,7 @@ class _Prop1:
         self.x_last = np.zeros(len(grid))
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def feed(self, idx, lo, x, v):
+    def feed(self, idx, lo, x, v, wave):
         m, _, k_e, _ = self.lanes.params(idx)
         e = x - np.array(self.eq)[idx, None]
         V = 0.5 * m * v ** 2 + 0.5 * k_e * e ** 2
@@ -507,7 +514,7 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
     (x0_offset, v0, T, dt) default to `_Prop1`'s. Each point is solved up to
     its own horizon.
     """
-    return _integrate([_Prop1(default_grid() if grid is None else grid, **options)])
+    return _integrate(_Prop1(default_grid() if grid is None else grid, **options))
 
 
 # Proposition 3's default duration, s.
@@ -515,7 +522,8 @@ PROP3_T = 60.0
 
 
 def _iss_bound(p: NormalDynamicsParams, amplitude: float, omega: float) -> tuple:
-    """(sup |u|, error bound) of p under amplitude * sin(omega t); OverflowError past range."""
+    """(sup |u|, error bound) of p under amplitude * sin(omega t); OverflowError
+    or ZeroDivisionError past the float range."""
     sup_u = amplitude * math.sqrt((p.m * omega ** 2) ** 2 + (2.0 * p.d * omega) ** 2)
     # Operational bound: forced amplitude from the frequency response plus
     # the free response from the initial velocity mismatch, with headroom.
@@ -539,9 +547,10 @@ class _Prop3:
         try:
             self.a_scale = -amplitude * omega ** 2  # rest-point acceleration / sin(omega t)
             self.bounds = [_iss_bound(p, amplitude, omega) for p in grid]
-        except OverflowError:
-            raise ValueError(f"omega is too large: omega ** 2 or the bound of proposition 3 "
-                             f"overflows, got {omega}") from None
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"proposition 3's bound leaves the float range: omega ** 2 or a "
+                             f"term of the bound overflows or rounds to 0, got amplitude "
+                             f"{amplitude}, omega {omega}") from None
         # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
         n = _steps("proposition 3 duration T", T, dt, least=4)
         self.lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],
@@ -556,15 +565,14 @@ class _Prop3:
         self.tail = np.zeros((3, L, 4))  # the last four samples of V, e' and u
 
     @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def feed(self, idx, lo, x, v):
+    def feed(self, idx, lo, x, v, wave):
         n, dt, (amp, omega) = self.lanes.n[0], self.lanes.dt, self.lanes.sinusoid
         hi = lo + x.shape[1]
-        wt = omega * (np.arange(lo, hi) * dt)
         # The rest point A sin(omega t), its velocity and its acceleration,
         # shared by every point.
-        sin_wt = _libm(math.sin, wt)
+        sin_wt, cos_wt = wave
         x_e = 0.0 + amp * sin_wt
-        v_e = amp * omega * _libm(math.cos, wt)
+        v_e = amp * omega * cos_wt
         a_e = self.a_scale * sin_wt
         m, d, k_e, f_H = self.lanes.params(idx)
         e = x - (x_e - f_H / k_e)
@@ -630,22 +638,24 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     shares the sinusoid. The error states are relative to the moving rest
     point, so they do not depend on its base, and every point is solved around
     base 0. `options` (amplitude, omega,
-    T, dt) default to `_Prop3`'s. amplitude and omega must be finite and
-    omega ** 2 and the bound must not overflow; T must span between four and
-    MAX_LANE_STEPS steps of dt (ValueError otherwise).
+    T, dt) default to `_Prop3`'s. amplitude and omega must be finite, and
+    omega ** 2 and the bound must stay in the float range; T must span between
+    four and MAX_LANE_STEPS steps of dt (ValueError otherwise).
     """
-    return _integrate([_Prop3(default_grid() if grid is None else grid, **options)])
+    return _integrate(_Prop3(default_grid() if grid is None else grid, **options))
 
 
 def run_default_verification(prop3_T: float = PROP3_T,
                              grid: list[NormalDynamicsParams] | None = None
                              ) -> list[VerificationReport]:
     """All four checks over the parameter grid (one report per check per
-    point), each with its defaults but proposition 2's v0 = 0.05 m/s and
-    proposition 3's duration prop3_T.
+    point): the three proposition functions, each with its defaults but
+    proposition 2's v0 = 0.05 m/s and proposition 3's duration prop3_T, then
+    the equivalence check at every point.
     """
     grid = default_grid() if grid is None else grid
-    reports = _integrate([_Prop1(grid), _Prop2(grid, v0=0.05), _Prop3(grid, T=prop3_T)])
+    reports = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
+               + verify_prop3_grid(grid, T=prop3_T))
     for p in grid:
         cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
                                damping_ratio=DAMPING_RATIO, target_force=p.f_H,

@@ -75,19 +75,18 @@ def test_every_episode_layer_is_called_in_a_traced_run():
 
 # The layers that the offline commands call.
 OFFLINE_LAYERS = (
-    "verify.run", "verify.equivalence", "config.parse", "tasks.build_environment",
-    "tasks.generate_demo", "datasets.write_dataset", "datasets.read_dataset",
+    "verify.run", "verify.prop1_grid", "verify.prop2", "verify.equivalence", "config.parse",
+    "tasks.build_environment", "tasks.generate_demo", "datasets.write_dataset",
+    "datasets.read_dataset",
 )
 
 
 def test_every_offline_layer_is_called_in_a_traced_run(tmp_path):
     """`verify` on a one-point [verify] grid, a one-demo `gen-demos` and
     `read_dataset` of its file, traced: an offline layer at 0 calls fails.
-
-    `run_default_verification` integrates propositions 1 and 2 in its own
-    lane table and never calls `verify_prop1_grid` or `verify_prop2`, so the
-    `verify.prop1_grid` and `verify.prop2` layers read 0 calls in the
-    benchmark's offline workload too, and are not checked here.
+    `run_default_verification` calls the proposition functions through
+    their module names, which the `verify.prop1_grid` and `verify.prop2`
+    layers trace.
     """
     grid = tmp_path / "grid.ini"
     grid.write_text("[verify]\nm = 1.0\nk_e = 1000\nf_h = 4\n")

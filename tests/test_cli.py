@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from admitsim import cli
+from admitsim import cli, verify
 from admitsim.cli import main
 from admitsim.config import parse_scenario
 from admitsim.datasets import read_dataset
@@ -156,6 +156,18 @@ class TestVerifyCommand:
                        f"least 4 steps of 0.001 s, got {float(duration)}\n")
         assert "Traceback" not in err
 
+    def test_a_bad_prop3_duration_is_refused_after_propositions_1_and_2(self, monkeypatch):
+        # verify runs the proposition functions in order; proposition 3's
+        # duration is checked when its turn comes.
+        calls = []
+        for name in ("verify_prop1_grid", "verify_prop2", "verify_prop3_grid"):
+            def traced(*args, _name=name, _real=getattr(verify, name), **options):
+                calls.append(_name)
+                return _real(*args, **options)
+            monkeypatch.setattr(verify, name, traced)
+        assert main(["verify", "--prop3-duration", "0"]) == 2
+        assert calls == ["verify_prop1_grid", "verify_prop2", "verify_prop3_grid"]
+
     @pytest.mark.parametrize("duration", ["1e9", "1e300"])
     def test_prop3_duration_too_long_to_allocate(self, duration, capsys):
         # 1e9 s needs about 400 TiB of lane table, and 1e300 s more rows than
@@ -168,6 +180,23 @@ class TestVerifyCommand:
     def test_four_step_prop3_duration_passes(self, capsys):
         assert main(["verify", "--prop3-duration", "0.0031"]) == 0
         assert "checks=108 passed=108 failed=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid,message", [
+        # The slow pole (d - sqrt(d^2 - m k_e)) / m rounds to 0: no horizon of
+        # its time constants is finite.
+        ("m = 1e-12\nk_e = 1e-300\nf_h = 0\nd = 1.0\n",
+         "proposition 1 horizon T must be finite, > 0 and span at least 1 step of "
+         "0.0005 s, got inf"),
+        # d^2 and m k_e both round to 0 (and so would proposition 3's bound).
+        ("m = 1e-320\nk_e = 1e-300\nd = 1e-300\n",
+         "d = 1e-300 is too small to solve: d^2 and m k_e (m = 1e-320, k_e = 1e-300) "
+         "both round to 0, so the roots cannot be told apart"),
+    ], ids=["slow_pole", "underflowed_roots"])
+    def test_a_grid_past_the_float_range_exits_2(self, tmp_path, capsys, grid, message):
+        params = tmp_path / "v.ini"
+        params.write_text("[verify]\n" + grid)
+        assert main(["verify", "--config", str(params)]) == 2
+        assert capsys.readouterr().err == f"verify: {message}\n"
 
     def test_tiny_mass_grid_ends_in_a_typed_error(self, tmp_path, capsys):
         # Proposition 2 runs one step at m = 1e-12 and four at m = 1e-6: its
@@ -243,7 +272,7 @@ def test_usage_error_exit_code():
 def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, capsys,
                                                    monkeypatch):
     """Any toolkit error at run time (here a door's DegenerateInput) is exit 1."""
-    from admitsim import cli
+    from admitsim import cli, verify
     from admitsim.errors import DegenerateInput
 
     def degenerate_episode(cfg):

@@ -57,13 +57,16 @@ class TestDataset:
         back = read_dataset(path)
         assert back.tuple_count == sum(len(e) for e in eps)
 
-    def test_rot6d_fields_decodable(self, tmp_path):
-        from admitsim.geometry import rot6d_decode
+    def test_rot6d_fields_encode_the_demo_orientations(self, tmp_path):
+        from admitsim.geometry import rot6d_encode
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+        demo = generate_demo("WW", build_environment("WW", rng))
         path = str(tmp_path / "demo.bin")
-        write_dataset(path, Dataset("WW", 16, sample_episodes(1)))
-        for ep in read_dataset(path).episodes:
-            for tup in ep:
-                rot6d_decode(tup.pose10[3:9])
+        write_dataset(path, Dataset("WW", 16, [demo.tuples]))
+        (ep,) = read_dataset(path).episodes
+        for t, tup in enumerate(ep):
+            want = np.array(rot6d_encode(demo.poses[t + 1].orientation))
+            assert tup.pose10[3:9].tobytes() == want.tobytes(), t
 
     def test_write_failure(self):
         with pytest.raises(IoFailure):

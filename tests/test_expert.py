@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from admitsim.environments import (
     HANDLE_LEVER,
     HINGE_AXIS,
+    HOLE_DEPTH,
     LATCH_THRESHOLD,
     HingedDoor,
     HoleFixture,
@@ -23,6 +24,7 @@ from admitsim.errors import (
     NothingToWipe,
 )
 from admitsim.expert import (
+    ARC_STEP,
     ZERO_NORMAL,
     PhaseLabel,
     SupervisionRecords,
@@ -86,16 +88,12 @@ class TestInsertion:
     hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
 
     def test_counting(self):
-        poses = plan_insertion(self.hole, start_height=0.030, step=0.001)
-        assert len(poses) == 31
+        poses = plan_insertion(self.hole)
+        assert len(poses) == 26
         assert_allclose(poses[-1].position, self.hole.bottom_center(), atol=1e-12)
 
-    def test_already_at_bottom(self):
-        poses = plan_insertion(self.hole, start_height=0.0, step=0.001)
-        assert len(poses) == 1
-
     def test_axis_constraint(self):
-        poses = plan_insertion(self.hole, start_height=0.02, step=0.002)
+        poses = plan_insertion(self.hole)
         for a, b in zip(poses, poses[1:]):
             delta = np.subtract(b.position, a.position)
             assert_allclose(delta[:2], np.zeros(2), atol=1e-15)
@@ -111,22 +109,22 @@ class TestInsertion:
     def test_not_aligned(self):
         # The peg holds the identity orientation: a bore tilted 20 degrees is refused.
         with pytest.raises(NotAligned):
-            plan_insertion(self.bore(0.0, 20.0), 0.02, 0.001)
+            plan_insertion(self.bore(0.0, 20.0))
 
     @pytest.mark.parametrize("axis_deg", [0.0, 90.0])
     @pytest.mark.parametrize("degrees", [5.5, 90.0, 180.0])
     def test_not_aligned_beyond_five_degrees(self, axis_deg, degrees):
         with pytest.raises(NotAligned):
-            plan_insertion(self.bore(axis_deg, degrees), 0.02, 0.001)
+            plan_insertion(self.bore(axis_deg, degrees))
 
     @pytest.mark.parametrize("axis_deg", [0.0, 90.0])
     @pytest.mark.parametrize("degrees", [0.0, 3.0, 4.5])
     def test_aligned_within_tolerance(self, axis_deg, degrees):
         hole = self.bore(axis_deg, degrees)
-        poses = plan_insertion(hole, 0.02, 0.001)
+        poses = plan_insertion(hole)
         assert all(p.orientation == (1.0, 0.0, 0.0, 0.0) for p in poses)
         assert_allclose(np.subtract(poses[0].position, poses[-1].position),
-                        0.02 * np.array(hole.axis_up), atol=1e-15)
+                        HOLE_DEPTH * np.array(hole.axis_up), atol=1e-15)
 
 
 class TestWiping:
@@ -184,31 +182,30 @@ def microwave():
                       grasp0=np.array([0.0, 0.0, 0.0]), microwave=True)
 
 
-def turn_poses(door, step):
+def turn_poses(door):
     """Poses of the door's handle-turn arc, the junction included (0 for a microwave)."""
     if door.microwave:
         return 0
-    return int(math.ceil(2.0 * LATCH_THRESHOLD / step - 1e-12)) + 1
+    return int(math.ceil(2.0 * LATCH_THRESHOLD / ARC_STEP - 1e-12)) + 1
 
 
 class TestArticulated:
     def test_zero_target_single_pose(self):
-        poses, normals = plan_articulated(microwave(), 0.0, math.radians(1.0))
+        poses, normals = plan_articulated(microwave(), 0.0)
         assert len(poses) == len(normals) == 1
 
     def test_arc_counting_and_radius(self):
         door = microwave()
-        poses, normals = plan_articulated(door, math.radians(60.0), math.radians(1.0))
-        assert len(poses) == len(normals) == 61
+        poses, normals = plan_articulated(door, math.radians(60.0))
+        assert len(poses) == len(normals) == 41
         for p in poses:
             assert abs(radius(p.position, door.hinge_pivot, HINGE_AXIS) - 0.25) < 1e-9
 
     def test_door_emits_two_arcs(self):
         door = demo_door()
-        step = math.radians(1.5)
-        poses, normals = plan_articulated(door, math.radians(40.0), step)
+        poses, normals = plan_articulated(door, math.radians(40.0))
         assert len(normals) == len(poses)
-        n_turn = turn_poses(door, step)
+        n_turn = turn_poses(door)
         # Turn arc: constant distance from the handle pivot.
         for p in poses[:n_turn]:
             r = radius(p.position, door.handle_pivot, door.handle_axis)
@@ -250,15 +247,14 @@ class TestPlanNormals:
 
     def test_microwave_normals_are_hinge_radials(self):
         door = microwave()
-        poses, normals = plan_articulated(door, math.radians(60.0), math.radians(1.0))
+        poses, normals = plan_articulated(door, math.radians(60.0))
         for p, n in zip(poses, normals):
             assert_allclose(n, radial(p.position, door.hinge_pivot, HINGE_AXIS), atol=1e-12)
 
     def test_door_turn_then_pull_normals(self):
         door = demo_door()
-        step = math.radians(1.5)
-        poses, normals = plan_articulated(door, math.radians(40.0), step)
-        n_turn = turn_poses(door, step)
+        poses, normals = plan_articulated(door, math.radians(40.0))
+        n_turn = turn_poses(door)
         handle = (door.handle_pivot, door.handle_axis)
         hinge = (door.hinge_pivot, HINGE_AXIS)
         for i, (p, n) in enumerate(zip(poses, normals)):
@@ -272,9 +268,8 @@ class TestPlanNormals:
 
     @pytest.mark.parametrize("door", [microwave(), demo_door()], ids=["microwave", "door"])
     def test_every_normal_is_an_orthogonal_unit_to_its_arc_tangent(self, door):
-        step = math.radians(1.5)
-        poses, normals = plan_articulated(door, math.radians(40.0), step)
-        n_turn = turn_poses(door, step)
+        poses, normals = plan_articulated(door, math.radians(40.0))
+        n_turn = turn_poses(door)
         for i, (p, n) in enumerate(zip(poses, normals)):
             pivot, axis = ((door.handle_pivot, door.handle_axis) if i < n_turn
                            else (door.hinge_pivot, HINGE_AXIS))
@@ -304,7 +299,7 @@ class TestSupervision:
 
     def test_insertion_normals_equal_axis(self):
         hole = HoleFixture(rim_center=np.zeros(3))
-        poses = plan_insertion(hole, 0.02, 0.002)
+        poses = plan_insertion(hole)
         n = len(poses)
         tuples = extract_supervision(poses, [PhaseLabel.CONTACT] * n, [1.0] * n,
                                      [hole.axis_up] * n)

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from admitsim.errors import EndOfDemo, LengthMismatch
+from admitsim.errors import EndOfDemo
 from admitsim.expert import SupervisionTuple
-from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, loss, predict
+from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
 
 
 def make_demo(n, contact_from=None):
@@ -69,13 +67,6 @@ class TestPredict:
         for t in flipped:
             assert abs(np.linalg.norm(t.normal) - 1.0) < 1e-9
 
-    def test_rot6d_stays_decodable_under_rot_noise(self):
-        from admitsim.geometry import rot6d_decode
-        demo = make_demo(20)
-        chunk = predict(0, demo, NoiseSpec(rot_std=0.3, seed=7))
-        for t in chunk:
-            rot6d_decode(t.pose10[3:9])
-
     def test_rotation_is_the_demos_under_rot_noise(self):
         # rot_std only advances the noise generator: every predicted 6D
         # rotation is its demo tuple's, bit for bit.
@@ -95,71 +86,21 @@ class TestPredict:
                     assert t.pose10[3:9].tobytes() == src.pose10[3:9].tobytes()
 
 
-class TestLoss:
-    def test_zero_for_identical(self):
-        demo = make_demo(12, contact_from=4)
-        assert loss(demo, demo) == 0.0
-
-    def test_pose_mean_absolute(self):
-        gt = make_demo(1)
-        pred = make_demo(1)
-        pose10 = pred[0].pose10.copy()
-        pose10[0] += 0.1
-        pred = [SupervisionTuple(pose10, pred[0].normal, pred[0].contact)]
-        assert loss(pred, gt, 1.0, 0.0, 0.0) == pytest.approx(0.01)
-
-    def test_contact_flag_counting(self):
-        gt = make_demo(4)
-        pred = make_demo(4)
-        flipped = SupervisionTuple(pred[1].pose10, pred[1].normal, 1)
-        pred = [pred[0], flipped, pred[2], pred[3]]
-        assert loss(pred, gt, 0.0, 0.0, 1.0) == pytest.approx(0.25)
-
-    def test_normal_masked_to_contact_steps(self):
-        gt = make_demo(4)  # all c=0
-        pred = []
-        for t in gt:
-            pred.append(SupervisionTuple(t.pose10, np.array([1.0, 0, 0]), t.contact))
-        # Normal differs everywhere but no ground-truth contact: term masked out.
-        assert loss(pred, gt, 0.0, 1.0, 0.0) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            loss(make_demo(3), make_demo(4))
-
-    @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-    @settings(max_examples=40, deadline=None)
-    def test_linear_in_weights(self, l1, l2, l3):
-        gt = make_demo(6, contact_from=2)
-        rng = np.random.default_rng(0)
-        pred = []
-        for t in gt:
-            p = t.pose10 + rng.normal(0, 0.05, 10)
-            n = t.normal + rng.normal(0, 0.1, 3)
-            pred.append(SupervisionTuple(p, n, 1 - t.contact))
-        base1 = loss(pred, gt, 1.0, 0.0, 0.0)
-        base2 = loss(pred, gt, 0.0, 1.0, 0.0)
-        base3 = loss(pred, gt, 0.0, 0.0, 1.0)
-        combined = loss(pred, gt, l1, l2, l3)
-        assert combined == pytest.approx(l1 * base1 + l2 * base2 + l3 * base3, rel=1e-9)
-        assert combined >= 0.0
+def position_error(chunk, gt):
+    """Mean absolute error of the predicted positions against the demo's."""
+    return float(np.mean([np.abs(p.pose10[:3] - g.pose10[:3]).mean() for p, g in zip(chunk, gt)]))
 
 
-def test_mean_loss_monotone_in_position_noise():
+def test_mean_position_error_grows_with_position_noise():
     demo = make_demo(40, contact_from=10)
-    grid = [0.0, 0.002, 0.01]
     means = []
-    for std in grid:
-        vals = []
-        for seed in range(100):
-            chunk = predict(0, demo, NoiseSpec(pos_std=std, seed=seed))
-            vals.append(loss(list(chunk), demo[:16]))
-        means.append(np.mean(vals))
-    assert means[0] <= means[1] <= means[2]
-    assert means[0] == pytest.approx(0.0)
+    for std in [0.0, 0.002, 0.01]:
+        means.append(np.mean([position_error(predict(0, demo, NoiseSpec(pos_std=std, seed=seed)),
+                                             demo[:16]) for seed in range(100)]))
+    assert means[0] == 0.0 < means[1] < means[2]
 
 
-def test_zero_noise_prediction_scores_zero():
+def test_zero_noise_prediction_has_zero_position_error():
     demo = make_demo(30, contact_from=5)
     chunk = predict(3, demo, NoiseSpec())
-    assert loss(list(chunk), demo[3:19]) == 0.0
+    assert position_error(chunk, demo[3:19]) == 0.0

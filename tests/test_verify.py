@@ -11,8 +11,6 @@ from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim import verify
 from admitsim.errors import NonFiniteState
 from admitsim.verify import (
-    CONTROLLER_K,
-    DAMPING_RATIO,
     NormalDynamicsParams,
     default_grid,
     equivalence_check,
@@ -200,10 +198,18 @@ class TestProp3:
     def test_omega_too_large_for_the_bound_is_refused(self, omega, T):
         # omega ** 2, or the square in the bound, overflows a float: refused
         # before any run, with a ValueError naming omega.
-        message = f"^omega is too large: .*, got {re.escape(str(omega))}$"
+        message = (f"^proposition 3's bound leaves the float range: .*, "
+                   f"omega {re.escape(str(omega))}$")
         with pytest.raises(ValueError, match=message) as exc:
             verify_prop3_grid(omega=omega, T=T)
         assert type(exc.value) is ValueError
+
+    def test_a_bound_that_rounds_to_0_is_refused(self):
+        # Every term under the bound's square root underflows, so its
+        # reciprocal divides by 0: refused before any run.
+        p = NormalDynamicsParams(1e-320, 1e-300, 1e-300, 2.0)
+        with pytest.raises(ValueError, match="^proposition 3's bound leaves the float range"):
+            verify_prop3_grid([p])
 
     def test_omega_below_the_overflow_runs(self):
         (rep,) = verify_prop3_grid([params()], omega=1e70, T=0.01)
@@ -279,7 +285,8 @@ def test_equivalence_horizon_must_be_finite_and_positive(T, dt, message):
 
 
 class TestOneBatch:
-    """run_default_verification solves the three propositions in one call."""
+    """run_default_verification is the three proposition functions and the
+    equivalence check."""
 
     # SHA-256 over repr() of every report of run_default_verification on a
     # one-point grid with a 5 s proposition 3: every measured field of the
@@ -290,42 +297,6 @@ class TestOneBatch:
         reports = run_default_verification(prop3_T=5.0, grid=[params()])
         assert [r.proposition for r in reports] == ["prop1", "prop2", "prop3", "equivalence"]
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.ONE_POINT_SHA256
-
-    # Ragged horizons: proposition 1 runs 1000, 6753 and 2000 steps, proposition
-    # 2 runs 2500, 3536 and 5000, and proposition 3 (T = 5 s) 5000 each, so the
-    # longest lane is a proposition 1 lane, not a proposition 3 one.
-    GRID = [params(m=0.5, k_e=1000.0, f_H=4.0), params(m=1.0, k_e=300.0, f_H=0.0),
-            params(m=2.0, k_e=5000.0, f_H=8.0)]
-
-    def test_equals_each_proposition_alone(self):
-        grid = self.GRID
-        batch = run_default_verification(prop3_T=5.0, grid=grid)
-        alone = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
-                 + verify_prop3_grid(grid, T=5.0))
-        for p in grid:
-            cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
-                                   damping_ratio=DAMPING_RATIO, target_force=p.f_H,
-                                   enable_normal_regulation=True)
-            alone.append(equivalence_check(cfg, p.k_e))
-        steps = {rep.proposition: [] for rep in alone}
-        for rep in alone:
-            if rep.proposition != "equivalence":
-                steps[rep.proposition].append(math.ceil(rep.params["T"] / rep.params["dt"]))
-        assert max(steps["prop1"]) > max(steps["prop3"]) == 5000
-        assert len(set(steps["prop1"])) == len(set(steps["prop2"])) == 3
-        assert [r.proposition for r in batch] == [r.proposition for r in alone]
-        for got, want in zip(batch, alone):
-            assert got.params == want.params
-            assert got.measured == want.measured
-            assert got.passed == want.passed
-
-    def test_divergence_is_nonfinite_state(self):
-        # One proposition-1 lane whose rows overflow ends the run of all three.
-        grid = [params(), params(k_e=100.0)]
-        props = [verify._Prop1(grid, x0_offset=1e308, v0=-1e308),
-                 verify._Prop2(grid, v0=0.05), verify._Prop3(grid, T=0.5)]
-        with pytest.raises(NonFiniteState, match="verifier integration diverged"):
-            verify._integrate(props)
 
 
 def test_default_grid_axes_and_damping():
@@ -351,7 +322,8 @@ class TestChunkedJudges:
     """The judges take each lane's rows a chunk at a time; the reports do not
     depend on the chunk size."""
 
-    GRID = TestOneBatch.GRID
+    GRID = [params(m=0.5, k_e=1000.0, f_H=4.0), params(m=1.0, k_e=300.0, f_H=0.0),
+            params(m=2.0, k_e=5000.0, f_H=8.0)]
 
     def props(self):
         # Short, ragged horizons: proposition 1 runs 100, 676 and 200 steps,
@@ -365,22 +337,39 @@ class TestChunkedJudges:
     def as_data(reports):
         return [(r.proposition, r.params, r.measured, r.tolerances, r.passed) for r in reports]
 
+    def integrate(self, chunk=None):
+        return self.as_data([rep for prop in self.props()
+                             for rep in verify._integrate(prop, chunk)])
+
     def test_reports_equal_at_every_chunk_size(self):
-        props = self.props()
-        longest = max(n for prop in props for n in prop.lanes.n)
+        longest = max(n for prop in self.props() for n in prop.lanes.n)
         assert longest == 676
-        whole = self.as_data(verify._integrate(self.props(), chunk=longest + 1))
+        whole = self.integrate(chunk=longest + 1)
         assert len(whole) == 9
         for chunk in (1, 2, 3, 4, 5, 6, 7, 101):
-            assert self.as_data(verify._integrate(self.props(), chunk=chunk)) == whole, chunk
-        assert self.as_data(verify._integrate(self.props())) == whole
+            assert self.integrate(chunk=chunk) == whole, chunk
+        assert self.integrate() == whole
 
     @pytest.mark.parametrize("chunk", [1, 5, 1024])
     def test_divergence_is_found_at_every_chunk_size(self, chunk):
         # The start state's offsets overflow the coefficients of the solution.
         prop1 = verify._Prop1([params(), params(k_e=100.0)], x0_offset=1e308, v0=-1e308)
         with pytest.raises(NonFiniteState, match="verifier integration diverged"):
-            verify._integrate([prop1], chunk=chunk)
+            verify._integrate(prop1, chunk=chunk)
+
+    def test_a_slow_pole_that_rounds_to_0_is_refused(self):
+        p = NormalDynamicsParams(1e-12, 1.0, 1e-300, 0.0)
+        assert p.time_constant() == math.inf
+        with pytest.raises(ValueError, match="^proposition 1 horizon T must be finite"):
+            verify_prop1_grid([p])
+
+    def test_roots_that_round_together_are_refused(self):
+        # d^2 underflows, and so does m k_e (or k_e is 0, without contact):
+        # the law's distinct roots would be taken for a repeated one.
+        with pytest.raises(ValueError, match="^d = 1e-300 is too small to solve"):
+            verify_prop1_grid([NormalDynamicsParams(1e-320, 1e-300, 1e-300, 2.0)])
+        with pytest.raises(ValueError, match="^d = 1e-200 is too small to solve"):
+            verify_prop2([NormalDynamicsParams(1.0, 1e-200, 100.0, 2.0)], v0=0.05, T=1.0)
 
     def test_a_root_past_the_float_range_is_divergence(self):
         # beta = sqrt(|d^2 - m k_e|) / m overflows, and math.cos would refuse
@@ -421,10 +410,10 @@ class Recorder:
         shape = (len(prop.lanes.n), max(prop.lanes.n) + 1)
         self.x, self.v = np.full(shape, np.nan), np.full(shape, np.nan)
 
-    def feed(self, idx, lo, x, v):
+    def feed(self, idx, lo, x, v, wave):
         hi = lo + x.shape[1]
         self.x[idx, lo:hi], self.v[idx, lo:hi] = x, v
-        self.prop.feed(idx, lo, x, v)
+        self.prop.feed(idx, lo, x, v, wave)
 
     def reports(self):
         return self.prop.reports()
@@ -470,7 +459,7 @@ class TestExactSolution:
     ])
     def test_agrees_with_a_scalar_rk4(self, make):
         rec = Recorder(make())
-        verify._integrate([rec])
+        verify._integrate(rec)
         x, v = rk4_rows(rec.lanes, 0)
         assert np.abs(rec.x[0] - x).max() < 1e-9  # m
         assert np.abs(rec.v[0] - v).max() < 1e-9  # m/s
@@ -481,7 +470,8 @@ class TestExactSolution:
         propositions 1 and 3 at m = 1, d = 2, f_H = 4."""
         p = NormalDynamicsParams(1.0, 2.0, k_e, 4.0)
         recs = [Recorder(verify._Prop1([p], T=10.0)), Recorder(verify._Prop3([p], T=5.0))]
-        return verify._integrate(recs), [rec.x - p.equilibrium() for rec in recs]
+        reports = [rep for rec in recs for rep in verify._integrate(rec)]
+        return reports, [rec.x - p.equilibrium() for rec in recs]
 
     def test_repeated_root(self):
         # d^2 == m k_e exactly: the t e^(alpha t) form, finite and passing, and
