@@ -25,6 +25,7 @@ from admitsim.errors import (
 )
 from admitsim.expert import (
     ARC_STEP,
+    INSERT_STEP,
     ZERO_NORMAL,
     PhaseLabel,
     SupervisionRecords,
@@ -98,6 +99,18 @@ class TestInsertion:
             delta = np.subtract(b.position, a.position)
             assert_allclose(delta[:2], np.zeros(2), atol=1e-15)
             assert delta[2] <= 0.0
+
+    def test_starts_hole_depth_above_the_bottom(self):
+        poses = plan_insertion(self.hole)
+        assert_allclose(poses[0].position,
+                        np.add(self.hole.bottom_center(), HOLE_DEPTH * np.array(self.hole.axis_up)),
+                        atol=1e-15)
+
+    def test_steps_are_insert_step(self):
+        poses = plan_insertion(self.hole)
+        for a, b in zip(poses, poses[1:]):
+            step = np.linalg.norm(np.subtract(b.position, a.position))
+            assert step == pytest.approx(INSERT_STEP, abs=1e-12)
 
     @staticmethod
     def bore(axis_deg: float, degrees: float) -> HoleFixture:
@@ -200,6 +213,24 @@ class TestArticulated:
         assert len(poses) == len(normals) == 41
         for p in poses:
             assert abs(radius(p.position, door.hinge_pivot, HINGE_AXIS) - 0.25) < 1e-9
+
+    def test_arc_steps_are_arc_step(self):
+        # Every step turns ARC_STEP about the hinge but the last, which ends
+        # at the target: 40 degrees is not a multiple of 1.5.
+        door = microwave()
+        poses, _ = plan_articulated(door, math.radians(40.0))
+        assert len(poses) == math.ceil(40.0 / 1.5) + 1
+        rads = [radial(p.position, door.hinge_pivot, HINGE_AXIS) for p in poses]
+        turns = [math.acos(min(1.0, a @ b)) for a, b in zip(rads, rads[1:])]
+        assert_allclose(turns[:-1], ARC_STEP, atol=1e-9)
+        assert 0.0 < turns[-1] < ARC_STEP
+
+    def test_arc_ends_at_the_target_angle(self):
+        door = microwave()
+        poses, _ = plan_articulated(door, math.radians(40.0))
+        first = radial(poses[0].position, door.hinge_pivot, HINGE_AXIS)
+        last = radial(poses[-1].position, door.hinge_pivot, HINGE_AXIS)
+        assert math.acos(first @ last) == pytest.approx(math.radians(40.0), abs=1e-9)
 
     def test_door_emits_two_arcs(self):
         door = demo_door()

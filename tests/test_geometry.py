@@ -44,6 +44,30 @@ class TestRot6d:
         q = quat_from_axis_angle((0.0, 0.0, 1.0), math.pi / 2)
         assert_allclose(rot6d_encode(q), [0, 1, 0, -1, 0, 0], atol=1e-12)
 
+    def test_90deg_about_x(self):
+        q = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi / 2)
+        assert_allclose(rot6d_encode(q), [1, 0, 0, 0, 0, 1], atol=1e-12)
+
+    def test_scale_invariant(self):
+        # The quaternion is normalized before its matrix is taken.
+        assert_allclose(rot6d_encode((2.0, 0.0, 0.0, 0.0)), [1, 0, 0, 0, 1, 0], atol=1e-12)
+
+    def test_sign_invariant(self):
+        # q and -q are the same rotation, and encode bit for bit alike.
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            q = random_quat(rng)
+            assert rot6d_encode(q) == rot6d_encode(tuple(-c for c in q))
+
+    def test_columns_orthonormal_1000_random_rotations(self):
+        rng = np.random.default_rng(42)
+        for _ in range(1000):
+            v = np.array(rot6d_encode(random_quat(rng)))
+            a, b = v[:3], v[3:]
+            assert abs(a @ a - 1.0) < 1e-12
+            assert abs(b @ b - 1.0) < 1e-12
+            assert abs(a @ b) < 1e-12
+
 
 def rodrigues_rotate(p, axis, pivot, angle):
     """Point p turned by angle about the line through pivot along unit axis."""

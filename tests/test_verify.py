@@ -298,6 +298,26 @@ class TestOneBatch:
         assert [r.proposition for r in reports] == ["prop1", "prop2", "prop3", "equivalence"]
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.ONE_POINT_SHA256
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("verify_prop1_grid", {}),
+        ("verify_prop2", {"v0": 0.05}),
+        ("verify_prop3_grid", {"T": 5.0}),
+    ])
+    def test_runs_each_proposition_function_once(self, monkeypatch, name, kwargs):
+        # Called through its module-level name, on the whole grid, with its
+        # defaults but proposition 2's v0 and proposition 3's duration.
+        grid = [params()]
+        calls = []
+        real = getattr(verify, name)
+
+        def traced(g, **kw):
+            calls.append((g, kw))
+            return real(g, **kw)
+
+        monkeypatch.setattr(verify, name, traced)
+        run_default_verification(prop3_T=5.0, grid=grid)
+        assert calls == [(grid, kwargs)]
+
 
 def test_default_grid_axes_and_damping():
     grid = default_grid(ms=(1.0,), kes=(100.0, 500.0), fhs=(4.0,))
@@ -316,6 +336,16 @@ def test_default_grid_axes_and_damping():
 def test_params_validation(m, d, k_e, f_H):
     with pytest.raises(ValueError):
         NormalDynamicsParams(m, d, k_e, f_H)
+
+
+def test_time_constant_of_complex_poles_is_m_over_d():
+    # d^2 < m k_e: both poles have real part -d/m.
+    assert NormalDynamicsParams(1.0, 2.0, 100.0, 0.0).time_constant() == 0.5
+
+
+def test_time_constant_of_real_poles_is_the_slow_poles():
+    # s^2 + 20 s + 36 has poles -2 and -18: the slow one sets the horizon.
+    assert NormalDynamicsParams(1.0, 10.0, 36.0, 0.0).time_constant() == 0.5
 
 
 class TestChunkedJudges:
