@@ -42,6 +42,11 @@ Scenario schema:
     ramp = 0.5
     omega = 6.283185307179586
 
+For `raise`, `lower`, `shift` and `tilt`, `duration` only caps `ramp` (which
+must lie in [0, duration]): the displacement ramps in over `ramp` seconds and
+then holds to the end of the episode. `force_pulse` and `sinusoid` act only
+within [start, start + duration], with ramped edges.
+
 Suite schema:
 
     [suite]
@@ -56,8 +61,10 @@ Suite schema:
     [disturbance.*] sections applied to every episode (disturbances only to
     disturbed runs).
 
-A key that a section read by the parser does not list above is a ConfigParse,
-and so is an input the task does not read (see `tasks.TaskSpec`).
+A verify file holds only a [verify] section (see `parse_verify_params`). A
+section that the file's parser does not read is a ConfigParse, and so is a key
+that a section it reads does not list above, and an input the task does not
+read (see `tasks.TaskSpec`).
 """
 
 from __future__ import annotations
@@ -81,10 +88,14 @@ _ADMITTANCE_KEYS = (
 _NOISE_KEYS = ("pos_std", "rot_std", "normal_cone_std", "contact_flip_prob", "seed")
 _SAFETY_KEYS = ("limit", "debounce")
 _DISTURBANCE_KEYS = ("kind", "start", "duration", "magnitude", "direction", "ramp", "omega")
+# The optional sections of scenario and suite files, besides [disturbance.<name>].
+_SHARED_SECTIONS = ("admittance", "noise", "environment", "safety")
+_DISTURBANCE = "disturbance."
 
 
-def _read(path: str, section: str, keys) -> configparser.ConfigParser:
-    """The parsed file, which must have section, with only keys in it."""
+def _read(path: str, section: str, keys, shared: bool = True) -> configparser.ConfigParser:
+    """The parsed file, which must have section, with only keys in it, and
+    besides it only the shared sections (none unless shared)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -95,6 +106,11 @@ def _read(path: str, section: str, keys) -> configparser.ConfigParser:
         raise ConfigParse(f"{path}: {exc}") from exc
     if not parser.has_section(section):
         raise ConfigParse(f"{path}: missing [{section}] section")
+    # A [DEFAULT] section's keys go into every section, so it is one too.
+    for name in parser.sections() + ["DEFAULT"] * bool(parser.defaults()):
+        event = name.startswith(_DISTURBANCE) and name != _DISTURBANCE
+        if name != section and not (shared and (name in _SHARED_SECTIONS or event)):
+            raise ConfigParse(f"{path}: unknown section [{name}]")
     _check_keys(parser, section, keys, path)
     return parser
 
@@ -158,7 +174,7 @@ def _shared_sections(parser, path: str) -> dict:
 def _disturbances_from(parser, path: str) -> tuple:
     events = []
     for section in parser.sections():
-        if not section.startswith("disturbance"):
+        if not section.startswith(_DISTURBANCE):
             continue
         _check_keys(parser, section, _DISTURBANCE_KEYS, path)
         kind = parser.get(section, "kind", fallback=None)
@@ -210,7 +226,7 @@ def parse_verify_params(path: str):
     """
     from .verify import GRID_FH, GRID_KE, GRID_M, default_grid
 
-    parser = _read(path, "verify", _VERIFY_KEYS)
+    parser = _read(path, "verify", _VERIFY_KEYS, shared=False)
 
     def floats(key, default):
         if not parser.has_option("verify", key):

@@ -19,6 +19,7 @@ along it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,7 +329,7 @@ class PlaneBoard(TaskEnvironment):
         # Zero tilt restores the board as built, with its unit normal, and
         # its rotation object, which update_ink turns into a frame once.
         self._untilted = (self.rotation, self.surface_normal)
-        self.presses = []  # the pressed positions' x, y, z floats, one after another
+        self.presses = array("d")  # the pressed positions' x, y, z, one after another
         self.segments = [(0, self.rest_point, self.rotation)]
 
     def normal(self) -> tuple:
@@ -627,8 +628,10 @@ def update_ink(board: PlaneBoard) -> int:
     # world-to-board rows does.
     axes = np.repeat(np.array(frames).T[:2], runs, axis=2)
     rest = np.repeat(np.array([rest_point for _, rest_point, _ in segments]).T, runs, axis=1)
-    d = np.fromiter(presses, float, len(presses)).reshape(-1, 3).T - rest
+    pressed = np.frombuffer(presses, float)
+    d = pressed.reshape(-1, 3).T - rest
     x, y = (a0 * d[0] + a1 * d[1] + a2 * d[2] for a0, a1, a2 in axes)
+    del pressed  # an array that still exports its buffer cannot be resized
     del presses[:]
     board.segments = [(0, board.rest_point, board.rotation)]
     return board.ink.wipe(x, y)

@@ -13,14 +13,14 @@ One law covers every case: m x'' + 2d x' + k_e x = k_e x_e(t) - f_H, with the
 rest point x_e at the origin for proposition 1 (the propositions are
 translation-invariant), the sinusoid x_e = A sin(omega t) shared by the points
 of proposition 3, and k_e = 0 for proposition 2 (contact lost, f_ext = 0).
-Every lane of it, one per grid point and proposition, is linear and
-time-invariant with a constant or sinusoidal forcing, so `_Solution` samples
-its exact solution at the steps k dt of its own horizon, every value a
-function of k alone. Each proposition's judge takes its lanes' rows a chunk
-of steps at a time and keeps per lane only the maxima, `all`s and final values
-its reports need, so the memory the verifier uses does not grow with the
-horizon; the reports equal those of judging each whole trajectory at once,
-bit for bit. A lane whose rows are not finite ends the run with
+Every lane of it, one grid point of one proposition (`_Prop1`, `_Prop2`,
+`_Prop3`), is linear and time-invariant with a constant or sinusoidal
+forcing, so `_Solution` samples its exact solution at the steps k dt of its
+own horizon, every value a function of k alone. Each lane's judge takes its
+rows a chunk of steps at a time and keeps only the maxima, `all`s and final
+values its report needs, so the memory the verifier uses does not grow with
+the horizon; the reports equal those of judging each whole trajectory at
+once, bit for bit. A lane whose rows are not finite ends the run with
 NonFiniteState("verifier integration diverged").
 
 The equivalence check instead mirrors the controller's semi-implicit scheme
@@ -125,8 +125,7 @@ def _steps(horizon: str, T: float, dt: float, least: int = 1) -> int:
     return n
 
 
-# Rows of one proposition's lanes held between judge calls. 1024 rows of the
-# default run's 27 lanes take 0.4 MB.
+# Rows of a lane fed to its judge at a time: 1024 rows of x and v take 16 kB.
 JUDGE_CHUNK = 1024
 
 # Steps per block of a lane's exponential tables: its e^{lambda k dt} is the
@@ -134,34 +133,6 @@ JUDGE_CHUNK = 1024
 # entry e^{lambda j dt}, j = k % EXP_BLOCK, each from _libm, so every row is a
 # function of k alone, whatever the chunk it is judged in.
 EXP_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class _Lanes:
-    """One proposition's lanes, one per grid point.
-
-    Every lane has its own coefficients of the one law (see `_Solution`), its
-    own start state and step count, and the table's dt. Its rest point is the
-    origin unless `sinusoid` is set to (A, omega): then every lane of the table
-    follows the rest point A sin(omega t).
-    """
-
-    dt: float
-    n: list
-    m: list
-    d: list
-    k_e: list
-    f_H: list
-    x0: list
-    v0: list
-    sinusoid: tuple | None = None
-
-    def params(self, idx: np.ndarray) -> tuple:
-        """(m, d, k_e, f_H) of the lanes idx, as (lanes, 1) columns against a
-        judge's (lanes, rows) blocks: numpy rounds each value's arithmetic as
-        Python does a float's."""
-        return tuple(np.array(getattr(self, name))[idx, None]
-                     for name in ("m", "d", "k_e", "f_H"))
 
 
 def _exp(rate: float, beta: float, t: np.ndarray) -> tuple:
@@ -174,7 +145,8 @@ def _exp(rate: float, beta: float, t: np.ndarray) -> tuple:
 
 
 class _Solution:
-    """The exact solution of one lane of a `_Lanes` table, at its steps k.
+    """The exact solution of one lane (`_Prop1`, `_Prop2` or `_Prop3`) at its
+    steps k.
 
     The lane's law m x'' + 2d x' + k_e x = k_e x_e(t) - f_H has a particular
     solution p: the rest -f_H / k_e, or the ramp -f_H / (2d) t when k_e = 0,
@@ -198,38 +170,38 @@ class _Solution:
     multiply may fuse its operations, and rounds differently on some hosts.
     """
 
-    def __init__(self, lanes: _Lanes, i: int):
-        m, d, k_e, f_H = lanes.m[i], lanes.d[i], lanes.k_e[i], lanes.f_H[i]
+    def __init__(self, lane):
+        (m, d, k_e, f_H), (x0, v0), n = lane.law, lane.start, lane.n
         alpha, disc = -d / m, d * d - m * k_e
         if disc == 0.0 and d * d == 0.0:
             raise ValueError(f"d = {d} is too small to solve: d^2 and m k_e (m = {m}, "
                              f"k_e = {k_e}) both round to 0, so the roots cannot be told apart")
         self.beta = beta = math.sqrt(abs(disc)) / m
-        self.dt, self.disc = lanes.dt, disc
-        if not math.isfinite(beta * (lanes.n[i] * self.dt)):  # past what cos and sin take
+        self.dt, self.disc = lane.dt, disc
+        if not math.isfinite(beta * (n * self.dt)):  # past what cos and sin take
             raise NonFiniteState("verifier integration diverged")
         self.rest = -f_H / k_e if k_e else 0.0
         self.ramp = 0.0 if k_e else -f_H / (2.0 * d)
         # p's wave: x gains ps sin + pc cos of omega t, and v gains vs sin + vc cos.
         ps = pc = vs = vc = 0.0
-        if lanes.sinusoid is not None:
-            amp, omega = lanes.sinusoid
+        if lane.sinusoid is not None:
+            amp, omega = lane.sinusoid
             a, b = k_e - m * omega ** 2, 2.0 * omega * d
             den = a * a + b * b
             ps, pc = amp * (k_e * a / den), amp * (-k_e * b / den)
             vs, vc = -omega * pc, omega * ps
         self.wave = (ps, pc, vs, vc)
-        y0 = lanes.x0[i] - (self.rest + pc)
-        w0 = lanes.v0[i] - (self.ramp + vc)
+        y0 = x0 - (self.rest + pc)
+        w0 = v0 - (self.ramp + vc)
         self.cx = (y0, w0 - alpha * y0)
         self.cv = (w0, alpha * w0 - k_e / m * y0)
         # The roots as (rate, beta) of e^{(rate + i beta) t}, beta 0 if real.
         self.roots = ([(alpha, beta)] if disc < 0.0 else [(alpha, 0.0)] if disc == 0.0
                       else [(alpha + beta, 0.0), (alpha - beta, 0.0)])
-        j = np.arange(min(EXP_BLOCK, lanes.n[i] + 1)) * self.dt
+        j = np.arange(min(EXP_BLOCK, n + 1)) * self.dt
         self.tables = [_exp(rate, b, j) for rate, b in self.roots]
 
-    def rows(self, k: np.ndarray, t: np.ndarray, wave: tuple | None) -> tuple:
+    def rows(self, k: np.ndarray, t: np.ndarray, wave: np.ndarray | None) -> tuple:
         """(x, v) at the consecutive steps k, at the times t = k dt; wave is
         (sin, cos) of omega t under a sinusoidal rest point."""
         q, j = np.divmod(k, EXP_BLOCK)
@@ -260,105 +232,89 @@ class _Solution:
         return x, v
 
 
-def _integrate(prop, chunk: int | None = None) -> list[VerificationReport]:
-    """The exact rows of every lane of one proposition (`_Solution`), its
-    judge taking its lanes' rows a chunk at a time; the judge's reports.
+def _integrate(lanes: list, chunk: int | None = None) -> list[VerificationReport]:
+    """The exact rows of every lane (`_Solution`), each lane's judge taking its
+    rows a chunk at a time; the lanes' reports, in order.
 
-    A lane's rows (x, v) at its steps 0..n go to the proposition's
-    `feed(idx, lo, x, v, wave)` `chunk` rows (default JUDGE_CHUNK) at a time
-    and in order: x and v are C-contiguous (lanes, rows) arrays of the rows
-    from `lo` of the proposition's lanes `idx`, which take the same rows, and
-    wave is (sin, cos) of omega t at those rows under a sinusoidal rest point,
-    else None. Every chunk is checked for finiteness before the judge sees it
-    (NonFiniteState).
+    The lanes of one call share dt and the rest point. A lane's rows (x, v) at
+    its steps 0..n go to its `feed(lo, x, v, wave)` `chunk` rows (default
+    JUDGE_CHUNK) at a time and in order: x and v are the 1-D rows from `lo`,
+    and wave is the (2, rows) array of sin and cos of omega t at those rows
+    under a sinusoidal rest point, else None. Every lane's solution is built
+    before any row, and every chunk is checked for finiteness before the judge
+    sees it (NonFiniteState).
     """
     chunk = JUDGE_CHUNK if chunk is None else chunk
-    lanes = prop.lanes
-    solutions = [_Solution(lanes, i) for i in range(len(lanes.n))]
-    for lo in range(0, max(lanes.n, default=-1) + 1, chunk):
-        takes = {}  # rows taken -> the lanes taking them
-        for i, n in enumerate(lanes.n):
-            if n >= lo:
-                takes.setdefault(min(chunk, n + 1 - lo), []).append(i)
-        for taken, idx in takes.items():
-            k = np.arange(lo, lo + taken)
-            t = k * lanes.dt
+    solutions = [_Solution(lane) for lane in lanes]
+    last = max((lane.n for lane in lanes), default=-1)
+    # A diverging lane is reported once, by the finiteness check, and a run too
+    # large to judge fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, last + 1, chunk):
+            k = np.arange(lo, min(lo + chunk, last + 1))
+            t = k * lanes[0].dt
             wave = None
-            if lanes.sinusoid is not None:
-                wt = lanes.sinusoid[1] * t
-                wave = (_libm(math.sin, wt), _libm(math.cos, wt))
-            rows = np.empty((2, len(idx), taken))
-            # A diverging lane is reported once, by the finiteness check.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for r, i in enumerate(idx):
-                    rows[:, r] = solutions[i].rows(k, t, wave)
-            # NaN propagates through min and max, so this sees every non-finite row.
-            if not (math.isfinite(rows.min()) and math.isfinite(rows.max())):
-                raise NonFiniteState("verifier integration diverged")
-            prop.feed(np.array(idx), lo, rows[0], rows[1], wave)
-    return prop.reports()
+            if lanes[0].sinusoid is not None:
+                wt = lanes[0].sinusoid[1] * t
+                wave = np.array([_libm(math.sin, wt), _libm(math.cos, wt)])
+            for lane, solution in zip(lanes, solutions):
+                rows = lane.n + 1 - lo
+                if rows <= 0:
+                    continue
+                lane_wave = None if wave is None else wave[:, :rows]
+                x, v = solution.rows(k[:rows], t[:rows], lane_wave)
+                if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                    raise NonFiniteState("verifier integration diverged")
+                lane.feed(lo, x, v, lane_wave)
+        return [lane.report() for lane in lanes]
 
 
 class _Prop2:
-    """Proposition 2's lanes (contact lost: k_e = 0) and their judge.
+    """Proposition 2 at one grid point (contact lost: k_e = 0) and its judge.
 
-    The judge keeps, per lane, the largest gap to the analytic solution, the
-    last velocity and the rows of the late-slope fit.
+    The judge keeps the largest gap to the analytic solution, the last
+    velocity and the rows of the late-slope fit.
     """
 
-    def __init__(self, grid: list[NormalDynamicsParams], v0: float, T: float | None = None,
+    def __init__(self, p: NormalDynamicsParams, v0: float, T: float | None = None,
                  dt: float = 1e-4):
         check_finite("v0", v0)
-        Ts = [20.0 * p.m / (2.0 * p.d) if T is None else T for p in grid]
-        ns = [_steps("proposition 2 horizon T", T_i, dt) for T_i in Ts]
-        zeros = [0.0] * len(grid)
-        self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid], zeros,
-                            [p.f_H for p in grid], zeros, [float(v0)] * len(grid))
-        self.grid, self.Ts, self.v0 = grid, Ts, v0
-        self.v_inf = [-p.f_H / (2.0 * p.d) for p in grid]
+        self.T = 20.0 * p.m / (2.0 * p.d) if T is None else T
+        self.n = _steps("proposition 2 horizon T", self.T, dt)
+        self.p, self.v0, self.dt, self.sinusoid = p, v0, dt, None
+        self.law, self.start = (p.m, p.d, 0.0, p.f_H), (0.0, float(v0))
+        self.v_inf = -p.f_H / (2.0 * p.d)
         # Late-time window, the last tenth and at least the last two samples.
-        self.tail_start = [min(int(0.9 * n), n - 1) for n in ns]
-        self.tails = [[] for _ in grid]
-        self.max_err = np.full(len(grid), -np.inf)
-        self.v_last = np.zeros(len(grid))
+        self.tail_start = min(int(0.9 * self.n), self.n - 1)
+        self.tail = []
+        self.max_err, self.v_last = -np.inf, 0.0
 
-    @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def feed(self, idx, lo, x, v, wave):
-        dt = self.lanes.dt
-        hi = lo + x.shape[1]
-        t = np.arange(lo, hi) * dt
-        m, d, _, f_H = self.lanes.params(idx)
-        v_inf = -f_H / (2.0 * d)
-        analytic = v_inf + (self.v0 - v_inf) * _libm(math.exp, -2.0 * d * t / m)
-        self.max_err[idx] = np.maximum(self.max_err[idx], np.abs(v - analytic).max(axis=1))
-        self.v_last[idx] = v[:, -1]
-        for row, i in zip(x, idx.tolist()):
-            start = self.tail_start[i]
-            if start < hi:
-                self.tails[i].append(row[max(start - lo, 0):].copy())
+    def feed(self, lo, x, v, wave):
+        m, d, _, _ = self.law
+        t = np.arange(lo, lo + len(x)) * self.dt
+        analytic = self.v_inf + (self.v0 - self.v_inf) * _libm(math.exp, -2.0 * d * t / m)
+        self.max_err = np.maximum(self.max_err, np.abs(v - analytic).max())
+        self.v_last = v[-1]
+        if self.tail_start < lo + len(x):
+            self.tail.append(x[max(self.tail_start - lo, 0):])
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def reports(self) -> list[VerificationReport]:
-        dt, v0 = self.lanes.dt, self.v0
-        reports = []
-        for i, (p, T_i, n) in enumerate(zip(self.grid, self.Ts, self.lanes.n)):
-            v_inf, v_final = self.v_inf[i], self.v_last[i]
-            max_err = float(self.max_err[i])
-            # The position slope over the late window equals the steady velocity
-            # (linear drive toward the environment).
-            t_tail = np.arange(self.tail_start[i], n + 1) * dt
-            slope = float(np.polyfit(t_tail, np.concatenate(self.tails[i]), 1)[0])
-            v_err = abs(v_final - v_inf)
-            passed = v_err < TOL_V and max_err < 1e-5 and abs(slope - v_inf) < 10 * TOL_V
-            reports.append(VerificationReport(
-                "prop2",
-                {"m": p.m, "d": p.d, "f_H": p.f_H, "v0": v0, "T": T_i, "dt": dt},
-                {"v_final": float(v_final), "v_err": float(v_err), "analytic_max_err": max_err,
-                 "late_slope": slope},
-                {"tol_v": TOL_V, "analytic_tol": 1e-5},
-                bool(passed),
-            ))
-        return reports
+    def report(self) -> VerificationReport:
+        p, v_inf, v_final = self.p, self.v_inf, self.v_last
+        max_err = float(self.max_err)
+        # The position slope over the late window equals the steady velocity
+        # (linear drive toward the environment).
+        t_tail = np.arange(self.tail_start, self.n + 1) * self.dt
+        slope = float(np.polyfit(t_tail, np.concatenate(self.tail), 1)[0])
+        v_err = abs(v_final - v_inf)
+        passed = v_err < TOL_V and max_err < 1e-5 and abs(slope - v_inf) < 10 * TOL_V
+        return VerificationReport(
+            "prop2",
+            {"m": p.m, "d": p.d, "f_H": p.f_H, "v0": self.v0, "T": self.T, "dt": self.dt},
+            {"v_final": float(v_final), "v_err": float(v_err), "analytic_max_err": max_err,
+             "late_slope": slope},
+            {"tol_v": TOL_V, "analytic_tol": 1e-5},
+            bool(passed),
+        )
 
 
 def verify_prop2(grid: list[NormalDynamicsParams], v0: float,
@@ -371,7 +327,7 @@ def verify_prop2(grid: list[NormalDynamicsParams], v0: float,
     dt) default to `_Prop2`'s. Each point is solved up to its own horizon and
     judged on its own.
     """
-    return _integrate(_Prop2(grid, v0, **options))
+    return _integrate([_Prop2(p, v0, **options) for p in grid])
 
 
 def equivalence_check(cfg: AdmittanceConfig, k_e: float, n=(0.0, 0.0, 1.0), T: float = 2.0,
@@ -442,66 +398,54 @@ def default_grid(ms=GRID_M, kes=GRID_KE, fhs=GRID_FH,
 
 
 class _Prop1:
-    """Proposition 1's lanes and their judge.
+    """Proposition 1 at one grid point and its judge.
 
-    The judge keeps, per lane, the Lyapunov reference V[0], the last V (for
-    the difference across a chunk edge), whether V has decreased so far and
-    the last position.
+    The judge keeps the Lyapunov reference V[0], the last V (for the
+    difference across a chunk edge), whether V has decreased so far and the
+    last position.
     """
 
-    def __init__(self, grid: list[NormalDynamicsParams], x0_offset: float = 0.02,
-                 v0: float = 0.0, T: float | None = None, dt: float = 5e-4):
+    def __init__(self, p: NormalDynamicsParams, x0_offset: float = 0.02, v0: float = 0.0,
+                 T: float | None = None, dt: float = 5e-4):
         check_finite("x0_offset", x0_offset)
         check_finite("v0", v0)
-        eq = [p.equilibrium() for p in grid]
-        Ts = [20.0 * p.time_constant() if T is None else float(T) for p in grid]
-        ns = [_steps("proposition 1 horizon T", T_i, dt) for T_i in Ts]
-        self.lanes = _Lanes(dt, ns, [p.m for p in grid], [p.d for p in grid],
-                            [p.k_e for p in grid], [p.f_H for p in grid],
-                            [e + x0_offset for e in eq], [float(v0)] * len(grid))
-        self.grid, self.Ts, self.eq = grid, Ts, eq
-        self.v_ref = np.zeros(len(grid))
-        self.V_last = np.zeros(len(grid))
-        self.lyap_ok = np.ones(len(grid), dtype=bool)
-        self.x_last = np.zeros(len(grid))
+        self.eq = p.equilibrium()
+        self.T = 20.0 * p.time_constant() if T is None else float(T)
+        self.n = _steps("proposition 1 horizon T", self.T, dt)
+        self.p, self.dt, self.sinusoid = p, dt, None
+        self.law, self.start = (p.m, p.d, p.k_e, p.f_H), (self.eq + x0_offset, float(v0))
+        self.v_ref = self.V_last = self.x_last = 0.0
+        self.lyap_ok = True
 
-    @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def feed(self, idx, lo, x, v, wave):
-        m, _, k_e, _ = self.lanes.params(idx)
-        e = x - np.array(self.eq)[idx, None]
+    def feed(self, lo, x, v, wave):
+        m, _, k_e, _ = self.law
+        e = x - self.eq
         V = 0.5 * m * v ** 2 + 0.5 * k_e * e ** 2
         if lo == 0:
-            self.v_ref[idx] = np.maximum(V[:, 0], 1e-12)
+            self.v_ref = np.maximum(V[0], 1e-12)
         else:
-            V = np.concatenate([self.V_last[idx, None], V], axis=1)
+            V = np.concatenate([[self.V_last], V])
         # V may not rise from a sample outside the slack band.
-        slack = LYAP_SLACK * self.v_ref[idx, None]
-        rises = (V[:, :-1] > slack) & ~(np.diff(V, axis=1) <= slack)
-        self.lyap_ok[idx] &= ~rises.any(axis=1)
-        self.V_last[idx] = V[:, -1]
-        self.x_last[idx] = x[:, -1]
+        slack = LYAP_SLACK * self.v_ref
+        rises = (V[:-1] > slack) & ~(np.diff(V) <= slack)
+        self.lyap_ok = self.lyap_ok and not rises.any()
+        self.V_last, self.x_last = V[-1], x[-1]
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def reports(self) -> list[VerificationReport]:
-        dt = self.lanes.dt
-        reports = []
-        for i, (p, T_i, eq_i) in enumerate(zip(self.grid, self.Ts, self.eq)):
-            x_final = self.x_last[i]
-            lyap_ok = bool(self.lyap_ok[i])
-            f_final = p.k_e * (0.0 - x_final)
-            x_err = abs(float(x_final) - eq_i)
-            f_err = abs(f_final - p.f_H)
-            tol_f = max(TOL_F_REL * p.f_H, 1e-6)  # absolute floor for the f_H = 0 case
-            passed = x_err < TOL_X and f_err <= tol_f and lyap_ok
-            reports.append(VerificationReport(
-                "prop1",
-                {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "T": T_i, "dt": dt},
-                {"x_final": float(x_final), "x_err": float(x_err), "f_final": float(f_final),
-                 "f_err": float(f_err), "lyapunov_monotone": lyap_ok},
-                {"tol_x": TOL_X, "tol_f": tol_f, "lyap_slack": LYAP_SLACK},
-                bool(passed),
-            ))
-        return reports
+    def report(self) -> VerificationReport:
+        p, x_final, lyap_ok = self.p, self.x_last, self.lyap_ok
+        f_final = p.k_e * (0.0 - x_final)
+        x_err = abs(float(x_final) - self.eq)
+        f_err = abs(f_final - p.f_H)
+        tol_f = max(TOL_F_REL * p.f_H, 1e-6)  # absolute floor for the f_H = 0 case
+        passed = x_err < TOL_X and f_err <= tol_f and lyap_ok
+        return VerificationReport(
+            "prop1",
+            {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "T": self.T, "dt": self.dt},
+            {"x_final": float(x_final), "x_err": float(x_err), "f_final": float(f_final),
+             "f_err": float(f_err), "lyapunov_monotone": lyap_ok},
+            {"tol_x": TOL_X, "tol_f": tol_f, "lyap_slack": LYAP_SLACK},
+            bool(passed),
+        )
 
 
 def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
@@ -514,7 +458,8 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
     (x0_offset, v0, T, dt) default to `_Prop1`'s. Each point is solved up to
     its own horizon.
     """
-    return _integrate(_Prop1(default_grid() if grid is None else grid, **options))
+    return _integrate([_Prop1(p, **options) for p in
+                       (default_grid() if grid is None else grid)])
 
 
 # Proposition 3's default duration, s.
@@ -532,100 +477,88 @@ def _iss_bound(p: NormalDynamicsParams, amplitude: float, omega: float) -> tuple
 
 
 class _Prop3:
-    """Proposition 3's lanes (one shared sinusoidal rest point) and their judge.
+    """Proposition 3 at one grid point (under the sinusoidal rest point) and
+    its judge.
 
-    The judge keeps, per lane, the maxima of the error, of the steady-state
-    error, of |rhs| and of V' - rhs, the largest V' where the velocity error
-    dominates, and the last four samples of V, e' and u, over which the
-    Lyapunov-rate stencil continues into the next chunk.
+    The judge keeps the maxima of the error, of the steady-state error, of
+    |rhs| and of V' - rhs, the largest V' where the velocity error dominates,
+    and the last four samples of V, e' and u, over which the Lyapunov-rate
+    stencil continues into the next chunk.
     """
 
-    def __init__(self, grid: list[NormalDynamicsParams], amplitude: float = 0.005,
+    def __init__(self, p: NormalDynamicsParams, amplitude: float = 0.005,
                  omega: float = 2.0 * math.pi, T: float = PROP3_T, dt: float = 1e-3):
         check_finite("amplitude", amplitude)
         check_finite("omega", omega)
         try:
             self.a_scale = -amplitude * omega ** 2  # rest-point acceleration / sin(omega t)
-            self.bounds = [_iss_bound(p, amplitude, omega) for p in grid]
+            self.sup_u, self.bound = _iss_bound(p, amplitude, omega)
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"proposition 3's bound leaves the float range: omega ** 2 or a "
                              f"term of the bound overflows or rounds to 0, got amplitude "
                              f"{amplitude}, omega {omega}") from None
         # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
-        n = _steps("proposition 3 duration T", T, dt, least=4)
-        self.lanes = _Lanes(dt, [n] * len(grid), [p.m for p in grid], [p.d for p in grid],
-                            [p.k_e for p in grid], [p.f_H for p in grid],
-                            [-p.f_H / p.k_e for p in grid], [0.0] * len(grid),
-                            sinusoid=(amplitude, omega))
-        self.grid, self.T = grid, T
-        L = len(grid)
-        self.sup_e, self.sup_e_ss = np.full(L, -np.inf), np.full(L, -np.inf)
-        self.rhs_max, self.resid_max = np.full(L, -np.inf), np.full(L, -np.inf)
-        self.dominated, self.dominated_max = np.zeros(L, dtype=bool), np.full(L, -np.inf)
-        self.tail = np.zeros((3, L, 4))  # the last four samples of V, e' and u
+        self.n = _steps("proposition 3 duration T", T, dt, least=4)
+        self.p, self.T, self.dt, self.sinusoid = p, T, dt, (amplitude, omega)
+        self.law, self.start = (p.m, p.d, p.k_e, p.f_H), (-p.f_H / p.k_e, 0.0)
+        self.sup_e = self.sup_e_ss = self.rhs_max = self.resid_max = -np.inf
+        self.dominated, self.dominated_max = False, -np.inf
+        self.tail = np.empty((3, 0))  # the last (up to) four samples of V, e' and u
 
-    @np.errstate(over="ignore", invalid="ignore")  # a run too large to judge fails
-    def feed(self, idx, lo, x, v, wave):
-        n, dt, (amp, omega) = self.lanes.n[0], self.lanes.dt, self.lanes.sinusoid
-        hi = lo + x.shape[1]
-        # The rest point A sin(omega t), its velocity and its acceleration,
-        # shared by every point.
+    def feed(self, lo, x, v, wave):
+        n, dt, (amp, omega) = self.n, self.dt, self.sinusoid
+        m, d, k_e, f_H = self.law
+        hi = lo + len(x)
+        # The rest point A sin(omega t), its velocity and its acceleration.
         sin_wt, cos_wt = wave
         x_e = 0.0 + amp * sin_wt
         v_e = amp * omega * cos_wt
         a_e = self.a_scale * sin_wt
-        m, d, k_e, f_H = self.lanes.params(idx)
         e = x - (x_e - f_H / k_e)
         edot = v - v_e
         u = -(m * a_e + 2.0 * d * v_e)
         abs_e = np.abs(e)
-        self.sup_e[idx] = np.maximum(self.sup_e[idx], abs_e.max(axis=1))
+        self.sup_e = np.maximum(self.sup_e, abs_e.max())
         # Steady-state error: the second half, long after the transients.
         if n // 2 < hi:
-            steady = abs_e[:, max(n // 2 - lo, 0):].max(axis=1)
-            self.sup_e_ss[idx] = np.maximum(self.sup_e_ss[idx], steady)
+            self.sup_e_ss = np.maximum(self.sup_e_ss, abs_e[max(n // 2 - lo, 0):].max())
         V = 0.5 * m * edot ** 2 + 0.5 * k_e * e ** 2
         # The window of the stencil: the samples of the chunk after the (up
         # to) four before it.
-        before, after = min(lo, 4), min(hi, 4)
-        V, edot, u = (np.concatenate([tail[idx, 4 - before:], rows], axis=1)
-                      for tail, rows in zip(self.tail, (V, edot, u)))
-        for tail, rows in zip(self.tail, (V, edot, u)):
-            tail[idx, 4 - after:] = rows[:, -after:]
-        if V.shape[1] < 5:
+        window = np.concatenate([self.tail, [V, edot, u]], axis=1)
+        self.tail = window[:, -4:].copy()
+        if window.shape[1] < 5:
             return
+        V, edot, u = window
         # Sampled Lyapunov rate via 4th-order central differences.
-        Vdot = (V[:, :-4] - 8.0 * V[:, 1:-3] + 8.0 * V[:, 3:-1] - V[:, 4:]) / (12.0 * dt)
-        edot, u = edot[:, 2:-2], u[:, 2:-2]
+        Vdot = (V[:-4] - 8.0 * V[1:-3] + 8.0 * V[3:-1] - V[4:]) / (12.0 * dt)
+        edot, u = edot[2:-2], u[2:-2]
         rhs = -d * edot ** 2 + u ** 2 / (4.0 * d)
-        self.rhs_max[idx] = np.maximum(self.rhs_max[idx], np.abs(rhs).max(axis=1))
-        self.resid_max[idx] = np.maximum(self.resid_max[idx], (Vdot - rhs).max(axis=1))
+        self.rhs_max = np.maximum(self.rhs_max, np.abs(rhs).max())
+        self.resid_max = np.maximum(self.resid_max, (Vdot - rhs).max())
         # Negative rate whenever the velocity error dominates the disturbance.
         dominate = np.abs(edot) >= np.abs(u) / (2.0 * d)
-        self.dominated[idx] |= dominate.any(axis=1)
-        dominated_max = Vdot.max(axis=1, where=dominate, initial=-np.inf)
-        self.dominated_max[idx] = np.maximum(self.dominated_max[idx], dominated_max)
+        self.dominated = self.dominated or dominate.any()
+        self.dominated_max = np.maximum(self.dominated_max,
+                                        Vdot[dominate].max(initial=-np.inf))
 
-    def reports(self) -> list[VerificationReport]:
-        (amplitude, omega), T, dt = self.lanes.sinusoid, self.T, self.lanes.dt
-        reports = []
-        for i, (p, (sup_u, bound)) in enumerate(zip(self.grid, self.bounds)):
-            p_ref = float(self.rhs_max[i]) + 1e-12
-            ineq_resid = float(self.resid_max[i])
-            neg_ok = bool(not self.dominated[i] or self.dominated_max[i] <= LYAP_SLACK * p_ref)
-            sup_e = float(self.sup_e[i])
-            sup_e_ss = float(self.sup_e_ss[i])
-            passed = sup_e <= bound and ineq_resid <= LYAP_SLACK * p_ref and neg_ok
-            reports.append(VerificationReport(
-                "prop3",
-                {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "A": amplitude,
-                 "omega": omega, "T": T, "dt": dt},
-                {"sup_e": sup_e, "bound": bound, "sup_u": sup_u, "sup_e_steady": sup_e_ss,
-                 "ineq_residual": ineq_resid, "neg_rate_ok": neg_ok},
-                {"lyap_slack": LYAP_SLACK * p_ref},
-                bool(passed),
-            ))
-        return reports
+    def report(self) -> VerificationReport:
+        p, (amplitude, omega) = self.p, self.sinusoid
+        p_ref = float(self.rhs_max) + 1e-12
+        ineq_resid = float(self.resid_max)
+        neg_ok = bool(not self.dominated or self.dominated_max <= LYAP_SLACK * p_ref)
+        sup_e = float(self.sup_e)
+        sup_e_ss = float(self.sup_e_ss)
+        passed = sup_e <= self.bound and ineq_resid <= LYAP_SLACK * p_ref and neg_ok
+        return VerificationReport(
+            "prop3",
+            {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "A": amplitude,
+             "omega": omega, "T": self.T, "dt": self.dt},
+            {"sup_e": sup_e, "bound": self.bound, "sup_u": self.sup_u,
+             "sup_e_steady": sup_e_ss, "ineq_residual": ineq_resid, "neg_rate_ok": neg_ok},
+            {"lyap_slack": LYAP_SLACK * p_ref},
+            bool(passed),
+        )
 
 
 def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
@@ -642,7 +575,8 @@ def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
     omega ** 2 and the bound must stay in the float range; T must span between
     four and MAX_LANE_STEPS steps of dt (ValueError otherwise).
     """
-    return _integrate(_Prop3(default_grid() if grid is None else grid, **options))
+    return _integrate([_Prop3(p, **options) for p in
+                       (default_grid() if grid is None else grid)])
 
 
 def run_default_verification(prop3_T: float = PROP3_T,

@@ -119,7 +119,7 @@ def test_batched_wipes_equal_per_press_wipes_under_moving_geometry(seed, steps):
             wiped += update_ink(board)
             assert wiped == expected
             assert np.array_equal(board.ink.inked, inked)
-            assert board.presses == []
+            assert len(board.presses) == 0
 
 
 class WipeReference:

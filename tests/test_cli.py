@@ -395,6 +395,34 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+RAISE = "kind = raise\nstart = 1\nduration = 1\nmagnitude = 0.01\n"
+
+
+@pytest.mark.parametrize("command,text,section", [
+    ("run", "[scenario]\ntask = WW\n[admitance]\nmass = 0.001\n", "admitance"),
+    ("run", "[scenario]\ntask = WW\n[disturbancex]\n" + RAISE, "disturbancex"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.]\n" + RAISE, "disturbance."),
+    ("run", "[scenario]\ntask = WW\n[disturbance]\n" + RAISE, "disturbance"),
+    ("run", "[DEFAULT]\nseed = 1\n[scenario]\ntask = WW\n", "DEFAULT"),
+    ("gen-demos", "[scenario]\ntask = WW\n[verify]\nm = 1.0\n", "verify"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\n[scenario]\ntask = WW\n", "scenario"),
+    ("verify", "[verify]\nm = 1.0\n[noise]\nseed = 1\n", "noise"),
+    ("verify", "[verify]\nm = 1.0\n[disturbance.a]\n" + RAISE, "disturbance.a"),
+])
+def test_a_section_the_command_does_not_read_is_named(tmp_path, capsys, command, text,
+                                                      section):
+    """A misspelt or foreign section exits 2 instead of being ignored (or, for
+    [disturbancex], read as a disturbance)."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {path}: unknown section [{section}]\n"
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
 @pytest.mark.parametrize("key", ["start", "duration", "magnitude", "ramp", "omega"])
 def test_disturbance_value_that_is_not_a_number_is_named(tmp_path, capsys, key):
     """Every number of a [disturbance.*] section is read by one reader, so

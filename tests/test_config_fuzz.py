@@ -3,7 +3,8 @@
 The files mix schema keys with junk keys, and numbers with nan, inf, junk and
 empty values, over the scenario, suite and verify sections plus [disturbance.*]
 and junk sections. A key that is not in the schema of a section the parser
-reads always fails. Only the parsers run: no episode, no verification.
+reads always fails, and so does a section the parser does not read. Only the
+parsers run: no episode, no verification.
 """
 
 import os
@@ -37,6 +38,14 @@ READS = {
     "scenario": ("scenario", "admittance", "noise", "environment", "safety", "disturbance.a"),
     "suite": ("suite", "admittance", "noise", "environment", "safety", "disturbance.a"),
     "verify": ("verify",),
+}
+# Sections each parser does not read, misspelt ones among them.
+_TYPOS = ("admitance", "disturbancex", "disturbance.", "Scenario", "junk", "DEFAULT")
+UNREAD = {
+    "scenario": ("suite", "verify", "disturbance") + _TYPOS,
+    "suite": ("scenario", "verify", "disturbance") + _TYPOS,
+    "verify": ("scenario", "suite", "admittance", "noise", "environment", "safety",
+               "disturbance.a", "disturbance.b", "disturbance") + _TYPOS,
 }
 
 _number = st.one_of(
@@ -87,16 +96,19 @@ _directions = st.sampled_from(["0 0 0", "1e-200 0 0", "1 nan 0", "1 0", "0 0 inf
 
 
 @st.composite
-def ini_files(draw, first: str, unknown_key: bool = False) -> str:
+def ini_files(draw, first: str, unknown_key: bool = False,
+              unknown_section: bool = False) -> str:
     """A valid file, or nearly: most of each drawn section's keys with values
     the schema accepts, then up to three keys set to junk (junk keys included).
     The section its parser requires comes first, or is missing. With
     unknown_key, that section is there and one section the parser reads holds
-    a key outside its schema."""
+    a key outside its schema; with unknown_section, that section is there and
+    so is one the parser does not read, with a schema key or none (a [DEFAULT]
+    always has one)."""
     names = draw(st.lists(st.sampled_from(SECTIONS), max_size=4, unique=True))
     if first in names:
         names.remove(first)
-    if unknown_key or draw(st.integers(0, 9)):
+    if unknown_key or unknown_section or draw(st.integers(0, 9)):
         names.insert(0, first)
     if not names:
         return ""
@@ -107,6 +119,12 @@ def ini_files(draw, first: str, unknown_key: bool = False) -> str:
         section = draw(st.sampled_from(READS[first]))
         key = draw(st.sampled_from([k for k in KEYS + JUNK_KEYS if k not in SCHEMA[section]]))
         ini.setdefault(section, {})[key] = draw(VALID.get(key, _between(1.0, 10.0)))
+    if unknown_section:
+        section = draw(st.sampled_from(UNREAD[first]))
+        entries = ini.setdefault(section, {})
+        if section == "DEFAULT" or draw(st.booleans()):
+            key = draw(st.sampled_from(KEYS))
+            entries[key] = draw(VALID.get(key, _between(1.0, 10.0)))
     for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(KEYS + JUNK_KEYS))
         if key == "seeds":
@@ -162,4 +180,12 @@ PARSERS = {"scenario": parse_scenario, "suite": parse_suite, "verify": parse_ver
 def test_unknown_key_in_a_section_read_is_config_parse(data):
     first = data.draw(st.sampled_from(tuple(PARSERS)))
     text = data.draw(ini_files(first, unknown_key=True))
+    assert _parse_or_config_error(PARSERS[first], text) is None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_section_the_parser_does_not_read_is_config_parse(data):
+    first = data.draw(st.sampled_from(tuple(PARSERS)))
+    text = data.draw(ini_files(first, unknown_section=True))
     assert _parse_or_config_error(PARSERS[first], text) is None

@@ -150,7 +150,7 @@ class TestInk:
         press(board, point(c[0], c[1], -0.004))
         press(board, point(c[0], c[1], -0.004))
         assert update_ink(board) == 1
-        assert (board.presses, board.ink.inked_count()) == ([], 0)
+        assert (len(board.presses), board.ink.inked_count()) == (0, 0)
         assert board.segments == [(0, board.rest_point, board.rotation)]
 
     def test_a_direct_write_is_wiped(self):

@@ -260,10 +260,12 @@ def test_default_grid_is_27_points():
 
 
 def test_empty_grid_gives_no_reports():
-    """An empty grid is not the default grid: it has no points to report on."""
+    """An empty grid is not the default grid: it has no points to report on,
+    and no lane to check an option."""
     assert verify_prop1_grid([]) == []
     assert verify_prop2([], v0=0.05) == []
     assert verify_prop3_grid([]) == []
+    assert verify_prop2([], v0=math.nan) == []
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0, 0.002, 0.003])
@@ -359,20 +361,21 @@ class TestChunkedJudges:
         # Short, ragged horizons: proposition 1 runs 100, 676 and 200 steps,
         # proposition 2 250, 354 and 500, and proposition 3 200 each.
         grid = self.GRID
-        return [verify._Prop1(grid, x0_offset=0.02, v0=0.0, T=None, dt=5e-3),
-                verify._Prop2(grid, v0=0.05, T=None, dt=1e-3),
-                verify._Prop3(grid, amplitude=0.005, omega=2.0 * math.pi, T=0.2, dt=1e-3)]
+        return [[verify._Prop1(p, x0_offset=0.02, v0=0.0, T=None, dt=5e-3) for p in grid],
+                [verify._Prop2(p, v0=0.05, T=None, dt=1e-3) for p in grid],
+                [verify._Prop3(p, amplitude=0.005, omega=2.0 * math.pi, T=0.2, dt=1e-3)
+                 for p in grid]]
 
     @staticmethod
     def as_data(reports):
         return [(r.proposition, r.params, r.measured, r.tolerances, r.passed) for r in reports]
 
     def integrate(self, chunk=None):
-        return self.as_data([rep for prop in self.props()
-                             for rep in verify._integrate(prop, chunk)])
+        return self.as_data([rep for lanes in self.props()
+                             for rep in verify._integrate(lanes, chunk)])
 
     def test_reports_equal_at_every_chunk_size(self):
-        longest = max(n for prop in self.props() for n in prop.lanes.n)
+        longest = max(lane.n for lanes in self.props() for lane in lanes)
         assert longest == 676
         whole = self.integrate(chunk=longest + 1)
         assert len(whole) == 9
@@ -383,9 +386,10 @@ class TestChunkedJudges:
     @pytest.mark.parametrize("chunk", [1, 5, 1024])
     def test_divergence_is_found_at_every_chunk_size(self, chunk):
         # The start state's offsets overflow the coefficients of the solution.
-        prop1 = verify._Prop1([params(), params(k_e=100.0)], x0_offset=1e308, v0=-1e308)
+        lanes = [verify._Prop1(p, x0_offset=1e308, v0=-1e308)
+                 for p in (params(), params(k_e=100.0))]
         with pytest.raises(NonFiniteState, match="verifier integration diverged"):
-            verify._integrate(prop1, chunk=chunk)
+            verify._integrate(lanes, chunk=chunk)
 
     def test_a_slow_pole_that_rounds_to_0_is_refused(self):
         p = NormalDynamicsParams(1e-12, 1.0, 1e-300, 0.0)
@@ -433,34 +437,32 @@ class TestChunkedJudges:
 
 
 class Recorder:
-    """A proposition whose judge also keeps every row it is fed."""
+    """A lane whose judge also keeps every row it is fed."""
 
-    def __init__(self, prop):
-        self.prop, self.lanes = prop, prop.lanes
-        shape = (len(prop.lanes.n), max(prop.lanes.n) + 1)
-        self.x, self.v = np.full(shape, np.nan), np.full(shape, np.nan)
+    def __init__(self, lane):
+        self.lane = lane
+        self.x, self.v = np.full(lane.n + 1, np.nan), np.full(lane.n + 1, np.nan)
 
-    def feed(self, idx, lo, x, v, wave):
-        hi = lo + x.shape[1]
-        self.x[idx, lo:hi], self.v[idx, lo:hi] = x, v
-        self.prop.feed(idx, lo, x, v, wave)
+    def __getattr__(self, name):
+        return getattr(self.lane, name)
 
-    def reports(self):
-        return self.prop.reports()
+    def feed(self, lo, x, v, wave):
+        self.x[lo:lo + len(x)], self.v[lo:lo + len(x)] = x, v
+        self.lane.feed(lo, x, v, wave)
 
 
-def rk4_rows(lanes, i):
-    """The rows (x, v) of lane i of a lane table by classical RK4, one scalar
-    step at a time: the reference for the exact solution."""
-    m, d, k_e, f_H, dt = lanes.m[i], lanes.d[i], lanes.k_e[i], lanes.f_H[i], lanes.dt
-    amp, omega = lanes.sinusoid or (0.0, 0.0)
+def rk4_rows(lane):
+    """The rows (x, v) of a lane by classical RK4, one scalar step at a time:
+    the reference for the exact solution."""
+    (m, d, k_e, f_H), dt = lane.law, lane.dt
+    amp, omega = lane.sinusoid or (0.0, 0.0)
 
     def acc(t, x, v):
         return (k_e * (amp * math.sin(omega * t) - x) - f_H - 2.0 * d * v) / m
 
-    x, v = lanes.x0[i], lanes.v0[i]
+    x, v = lane.start
     rows = [(x, v)]
-    for k in range(lanes.n[i]):
+    for k in range(lane.n):
         t, h = k * dt, 0.5 * dt
         a1 = acc(t, x, v)
         x2, v2 = x + h * v, v + h * a1
@@ -479,28 +481,28 @@ class TestExactSolution:
     """The verifier samples each lane's exact solution (`verify._Solution`)."""
 
     @pytest.mark.parametrize("make", [
-        pytest.param(lambda: verify._Prop1([params(k_e=100.0)], 0.02, 0.1, 1.0, 1e-4),
+        pytest.param(lambda: verify._Prop1(params(k_e=100.0), 0.02, 0.1, 1.0, 1e-4),
                      id="overdamped"),
-        pytest.param(lambda: verify._Prop1([params(k_e=5000.0)], 0.02, 0.1, 1.0, 1e-4),
+        pytest.param(lambda: verify._Prop1(params(k_e=5000.0), 0.02, 0.1, 1.0, 1e-4),
                      id="underdamped"),
-        pytest.param(lambda: verify._Prop2([params()], 0.05, 1.0, 1e-4), id="free_flight"),
-        pytest.param(lambda: verify._Prop3([params()], 0.005, 2.0 * math.pi, 1.0, 1e-4),
+        pytest.param(lambda: verify._Prop2(params(), 0.05, 1.0, 1e-4), id="free_flight"),
+        pytest.param(lambda: verify._Prop3(params(), 0.005, 2.0 * math.pi, 1.0, 1e-4),
                      id="sinusoidal_rest_point"),
     ])
     def test_agrees_with_a_scalar_rk4(self, make):
         rec = Recorder(make())
-        verify._integrate(rec)
-        x, v = rk4_rows(rec.lanes, 0)
-        assert np.abs(rec.x[0] - x).max() < 1e-9  # m
-        assert np.abs(rec.v[0] - v).max() < 1e-9  # m/s
+        verify._integrate([rec])
+        x, v = rk4_rows(rec.lane)
+        assert np.abs(rec.x - x).max() < 1e-9  # m
+        assert np.abs(rec.v - v).max() < 1e-9  # m/s
 
     @staticmethod
     def error_rows(k_e):
         """The reports and the error states (rows less the rest -f_H / k_e) of
         propositions 1 and 3 at m = 1, d = 2, f_H = 4."""
         p = NormalDynamicsParams(1.0, 2.0, k_e, 4.0)
-        recs = [Recorder(verify._Prop1([p], T=10.0)), Recorder(verify._Prop3([p], T=5.0))]
-        reports = [rep for rec in recs for rep in verify._integrate(rec)]
+        recs = [Recorder(verify._Prop1(p, T=10.0)), Recorder(verify._Prop3(p, T=5.0))]
+        reports = [rep for rec in recs for rep in verify._integrate([rec])]
         return reports, [rec.x - p.equilibrium() for rec in recs]
 
     def test_repeated_root(self):
