@@ -19,7 +19,6 @@ along it.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,10 +307,11 @@ class PlaneBoard(TaskEnvironment):
     The contact's `rest_point` and unit `surface_normal` start at the center
     and the board's +z axis; disturbances move and tilt them.
 
-    The episode loop records each press at or above F_MIN_WIPE in `presses`
-    and wipes them all at once with `update_ink`. `segments` says which
-    geometry each press was made under: `(start, rest_point, rotation)` holds
-    from `presses[start]` on, and `apply_disturbance_state` starts a new one.
+    The episode loop records the tick of each press at or above F_MIN_WIPE
+    in `presses` and wipes them all at once with `update_ink`. `segments` says
+    which geometry each press was made under: `(start, rest_point, rotation)`
+    holds from `presses[start]` on, and `apply_disturbance_state` starts a
+    new one.
     """
 
     center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
@@ -329,7 +329,7 @@ class PlaneBoard(TaskEnvironment):
         # Zero tilt restores the board as built, with its unit normal, and
         # its rotation object, which update_ink turns into a frame once.
         self._untilted = (self.rotation, self.surface_normal)
-        self.presses = array("d")  # the pressed positions' x, y, z, one after another
+        self.presses = []  # the ticks that pressed, indices into update_ink's positions
         self.segments = [(0, self.rest_point, self.rotation)]
 
     def normal(self) -> tuple:
@@ -605,18 +605,20 @@ class HingedDoor(TaskEnvironment):
 # Module-level operations
 # --------------------------------------------------------------------------
 
-def update_ink(board: PlaneBoard) -> int:
+def update_ink(board: PlaneBoard, positions: np.ndarray) -> int:
     """Wipe under the eraser at every press the board recorded since the last
     call, each in the board frame of its own segment; return the cells cleaned.
 
-    One columnwise pass over the presses: the board-plane x and y of each are
-    the dot3s of to-board rows with its offset from the rest point, so they
-    equal a per-press transform bit for bit. The wipes together clean the
-    union of their windows, which no order of wiping changes.
+    positions holds the end-effector position of each tick, one row per tick,
+    and each press names its tick's row. One columnwise pass over the
+    presses: the board-plane x and y of each are the dot3s of to-board rows
+    with its offset from the rest point, so they equal a per-press transform
+    bit for bit. The wipes together clean the union of their windows, which
+    no order of wiping changes.
     """
     presses, segments = board.presses, board.segments
     starts = [start for start, _, _ in segments] + [len(presses)]
-    runs = np.diff(starts) // 3  # the presses under each segment
+    runs = np.diff(starts)  # the presses under each segment
     frames, rotation, frame = [], None, None
     for _, _, rot in segments:
         if rot is not rotation:  # one frame per distinct rotation object
@@ -628,11 +630,9 @@ def update_ink(board: PlaneBoard) -> int:
     # world-to-board rows does.
     axes = np.repeat(np.array(frames).T[:2], runs, axis=2)
     rest = np.repeat(np.array([rest_point for _, rest_point, _ in segments]).T, runs, axis=1)
-    pressed = np.frombuffer(presses, float)
-    d = pressed.reshape(-1, 3).T - rest
+    d = positions[presses].T - rest
     x, y = (a0 * d[0] + a1 * d[1] + a2 * d[2] for a0, a1, a2 in axes)
-    del pressed  # an array that still exports its buffer cannot be resized
-    del presses[:]
+    presses.clear()
     board.segments = [(0, board.rest_point, board.rotation)]
     return board.ink.wipe(x, y)
 

@@ -85,7 +85,8 @@ class ScenarioConfig:
             if key not in spec.env_keys:  # the environment would not read it
                 raise ValueError(f"unknown environment override {key!r} for {self.task} "
                                  f"(it takes {' | '.join(spec.env_keys)})")
-            check_range(f"environment {key}", value)
+            # A latch-free door (latch_force 0) is an ablation; a contact needs k_e > 0.
+            check_range(f"environment {key}", value, closed=key == "latch_force")
         for key, value in self.admittance_overrides.items():
             if key not in AdmittanceConfig.__dataclass_fields__:
                 raise ValueError(f"unknown admittance override {key!r}")
@@ -266,7 +267,7 @@ class _Episode:
         debounce_ticks = int(round(cfg.safety_debounce * CONTROL_HZ))
         n_demo = len(tuples)
         is_board = isinstance(env, PlaneBoard)
-        press = env.presses.extend if is_board else None
+        press = env.presses.append if is_board else None
         # The callees, looked up once per call: a wrapper installed on a
         # module name (or an environment class) before this call is called.
         tick, disturb, ink = controller_tick, apply_disturbances, update_ink
@@ -311,7 +312,7 @@ class _Episode:
             state, f_ext, f_cmd, eigs = tick(state, cmd, raw_force, dt, adm)
             x_r, v_r = state
             if is_board and dot3(raw_force, env.surface_normal) >= F_MIN_WIPE:
-                press(x_r)  # wiped with the others at the end of this call
+                press(k)  # wiped with the others at the end of this call
             records += pack(*x_r, *v_r, *f_ext, *f_cmd, *eigs)
             buf_dist.append(dist_active)
             f_mag = sqrt(sq_norm(f_ext))
@@ -322,8 +323,8 @@ class _Episode:
                 self.safety_stopped = self.ended = True
                 break
 
-        if is_board:
-            ink(env)
+        if is_board:  # each press's x_r is its tick record's first three floats
+            ink(env, np.frombuffer(records, np.float64).reshape(-1, 15)[:, :3])
         self.k = len(buf_dist)  # the ticks run: a safety stop or the plan's end cuts the loop
         self.held = held
         self.state, self.chunk, self.cmd = state, chunk, cmd

@@ -385,15 +385,16 @@ CONTROLLER_K = AdmittanceConfig.stiffness
 DAMPING_RATIO = AdmittanceConfig.damping_ratio
 
 
-def default_grid(ms=GRID_M, kes=GRID_KE, fhs=GRID_FH,
+def default_grid(m=GRID_M, k_e=GRID_KE, f_h=GRID_FH,
                  d: float | None = None) -> list[NormalDynamicsParams]:
-    """The m x k_e x f_H grid; d defaults to the controller's over-damped rule."""
+    """The m x k_e x f_H grid, one axis per argument; d defaults to the
+    controller's over-damped rule."""
     grid = []
-    for m in ms:
-        d_m = compute_damping(m, CONTROLLER_K, DAMPING_RATIO) if d is None else d
-        for k_e in kes:
-            for f_H in fhs:
-                grid.append(NormalDynamicsParams(m, d_m, k_e, f_H))
+    for m_i in m:
+        d_m = compute_damping(m_i, CONTROLLER_K, DAMPING_RATIO) if d is None else d
+        for k_e_j in k_e:
+            for f_H in f_h:
+                grid.append(NormalDynamicsParams(m_i, d_m, k_e_j, f_H))
     return grid
 
 

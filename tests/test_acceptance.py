@@ -207,10 +207,10 @@ def test_criterion_9_demo_generation_scale():
         rng = np.random.default_rng(np.random.SeedSequence([0, i]))
         env = build_environment("WW", rng)
         demo = generate_demo("WW", env)
-        for pose, phase in zip(demo.poses, demo.phases):
-            if phase.contact_flag:
-                env.presses.extend(pose.position)
-        update_ink(env)
+        pressed = [pose.position for pose, phase in zip(demo.poses, demo.phases)
+                   if phase.contact_flag]
+        env.presses.extend(range(len(pressed)))  # one tick per contact pose
+        update_ink(env, np.array(pressed))
         if env.ink.inked_count() == 0:
             covered += 1
     elapsed = time.perf_counter() - t0

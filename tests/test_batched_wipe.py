@@ -97,6 +97,7 @@ def test_batched_wipes_equal_per_press_wipes_under_moving_geometry(seed, steps):
     axis = tuple(rng.normal(size=3))
     expected = wiped = 0
     p = board.rest_point
+    positions = []  # one per press, as a tick's position is one per tick
     for step in steps + ["wipe"]:
         if step == "move":
             tilt = 0.0 if rng.random() < 0.3 else rng.uniform(-0.3, 0.3)
@@ -113,10 +114,11 @@ def test_batched_wipes_equal_per_press_wipes_under_moving_geometry(seed, steps):
                     xy = tuple(rng.uniform(-0.2, 0.2, size=2))
                 frame = np.array(_quat_matrix(board.rotation))
                 p = tuple(map(float, board.rest_point + frame @ (*xy, rng.uniform(-0.01, 0.01))))
-            board.presses.extend(p)
+            board.presses.append(len(positions))
+            positions.append(p)
             expected += reference_press(inked, board, p)
         else:
-            wiped += update_ink(board)
+            wiped += update_ink(board, np.reshape(positions, (-1, 3)))
             assert wiped == expected
             assert np.array_equal(board.ink.inked, inked)
             assert len(board.presses) == 0
@@ -141,8 +143,8 @@ class WipeReference:
                 self.grids[id(self.running)] = (grid, count, batched)
             return result
 
-        def counted_update_ink(board):
-            wiped = ink(board)
+        def counted_update_ink(board, positions):
+            wiped = ink(board, positions)
             grid, count, batched = self.grids[id(self.running)]
             self.grids[id(self.running)] = (grid, count, batched + wiped)
             return wiped

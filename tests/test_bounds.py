@@ -75,7 +75,7 @@ BOUNDS = [
     ("scenario", "environment k_e",
      lambda v: ScenarioConfig("DO", env_overrides={"k_e": v}), 0.0, False, VE),
     ("scenario", "environment latch_force",
-     lambda v: ScenarioConfig("DO", env_overrides={"latch_force": v}), 0.0, False, VE),
+     lambda v: ScenarioConfig("DO", env_overrides={"latch_force": v}), 0.0, True, VE),
     ("scenario", "safety limit", lambda v: ScenarioConfig("WW", safety_limit=v), 0.0, False, VE),
     ("scenario", "safety debounce",
      lambda v: ScenarioConfig("WW", safety_debounce=v), 0.0, True, VE),

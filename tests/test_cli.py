@@ -8,7 +8,7 @@ from admitsim import cli, verify
 from admitsim.cli import main
 from admitsim.config import parse_scenario
 from admitsim.datasets import read_dataset
-from admitsim.errors import DegenerateInput, IoFailure
+from admitsim.errors import ConfigParse, DegenerateInput, IoFailure
 from admitsim.tasks import generate_demo
 
 SCENARIO = """
@@ -330,7 +330,7 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("verify", "[verify]\nm = 1.0\nke = 1000\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = -5\n"),
     ("run", "[scenario]\ntask = WW\n[environment]\nk_e = nan\n"),
-    ("run", "[scenario]\ntask = DO\n[environment]\nlatch_force = 0\n"),
+    ("run", "[scenario]\ntask = DO\n[environment]\nlatch_force = -1\n"),
     ("run", "[scenario]\ntask = MO\n[environment]\nlatch_force = inf\n"),
     ("run", "[scenario]\ntask = WW\n[safety]\nlimit = -1\n"),
     ("run", "[scenario]\ntask = WW\n[safety]\nlimit = inf\n"),
@@ -432,6 +432,32 @@ def test_disturbance_value_that_is_not_a_number_is_named(tmp_path, capsys, key):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == (f"config error: {path}: [disturbance.a] {key} "
                                        "is not a number\n")
+
+
+@pytest.mark.parametrize("key", ["kind", "start", "duration", "magnitude"])
+def test_disturbance_without_a_required_key_names_it(tmp_path, capsys, key):
+    """DisturbanceEvent has no default for kind, start, duration and
+    magnitude, so a [disturbance.*] section that leaves one out is a config
+    error that names it, from the parser and from the command."""
+    path = tmp_path / "bad.ini"
+    path.write_text("".join(line for line in shift_event().splitlines(True)
+                            if not line.startswith(f"{key} =")))
+    message = f"{path}: [disturbance.a] missing '{key}'"
+    with pytest.raises(ConfigParse) as err:
+        parse_scenario(str(path))
+    assert str(err.value) == message
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_a_latch_free_door_runs(tmp_path, capsys):
+    """latch_force = 0 is a door without a latch, a valid ablation."""
+    path = tmp_path / "mo.ini"
+    path.write_text("[scenario]\ntask = MO\nduration = 1.0\n[environment]\nlatch_force = 0\n")
+    assert parse_scenario(str(path)).env_overrides == {"latch_force": 0.0}
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert "task=MO" in capsys.readouterr().out
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

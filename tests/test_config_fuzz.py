@@ -17,7 +17,7 @@ from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.environments import DISTURBANCE_KINDS
 from admitsim.errors import ConfigParse
 from admitsim.harness import MODES
-from admitsim.tasks import TASKS
+from admitsim.tasks import TASK_SPECS, TASKS
 
 SCHEMA = {
     "scenario": ("task", "mode", "duration", "seed", "wipe_passes"),
@@ -189,3 +189,14 @@ def test_a_section_the_parser_does_not_read_is_config_parse(data):
     first = data.draw(st.sampled_from(tuple(PARSERS)))
     text = data.draw(ini_files(first, unknown_section=True))
     assert _parse_or_config_error(PARSERS[first], text) is None
+
+
+def test_schema_names_the_sections_and_keys_of_the_parsers_table():
+    """SCHEMA is this test's own copy of the INI schema: it names the sections
+    and keys of the parsers' table, and [environment] the keys some task reads."""
+    from admitsim import config
+
+    env_keys = {key for spec in TASK_SPECS.values() for key in spec.env_keys}
+    table = {name: env_keys if keys is None else set(keys)
+             for name, keys in config._SCHEMA.items()}
+    assert {name.partition(".")[0]: set(keys) for name, keys in SCHEMA.items()} == table

@@ -17,10 +17,12 @@ from admitsim.datasets import (
     write_dataset,
     write_trace,
 )
+from admitsim.environments import DisturbanceEvent
 from admitsim.errors import ConfigParse, IoFailure
 from admitsim.expert import SupervisionRecords, SupervisionTuple
 from admitsim.harness import RunLog, ScenarioConfig, run_episode
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
+from admitsim.verify import default_grid
 
 
 def sample_episodes(n_eps=3, seed=0):
@@ -390,6 +392,60 @@ def test_unknown_key_is_named(tmp_path, parse, text, key):
         parse(str(path))
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_scenario, "[scenario]\ntask = WW\nduration = fast\n",
+     "[scenario] duration is not a number"),
+    (parse_scenario, "[scenario]\ntask = WW\nseed = 1.5\n", "[scenario] seed is not an integer"),
+    (parse_scenario, "[scenario]\ntask = WW\n[noise]\nseed = x\n",
+     "[noise] seed is not an integer"),
+    (parse_suite, "[suite]\ntask = WW\nseeds = 2.0\n", "[suite] seeds is not an integer"),
+    (parse_suite, "[suite]\ntask = WW\nmodes =\n", "[suite] modes has no values"),
+    (parse_verify_params, "[verify]\nm = 1.0 x\n", "[verify] m must be numbers"),
+    (parse_verify_params, "[verify]\nk_e =\n", "[verify] k_e has no values"),
+    (parse_verify_params, "[verify]\nd = x\n", "[verify] d is not a number"),
+    (parse_scenario, "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+                     "duration = 1\nmagnitude = 0.01\ndirection = 0 1\n",
+     "[disturbance.a] direction needs 3 components"),
+    (parse_scenario, "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
+                     "duration = 1\nmagnitude = 0.01\ndirection = 0 1 z\n",
+     "[disturbance.a] direction is not numeric"),
+    (parse_scenario, "[scenario]\ntask = WW\n[environment]\nlatch_force = 1\n",
+     "unknown environment override 'latch_force' for WW"),
+    (parse_scenario, "[scenario]\nmode = force_aware\n", "[scenario] missing 'task'"),
+    (parse_suite, "[suite]\nseeds = 1\n", "[suite] missing 'task'"),
+])
+def test_a_bad_value_is_worded_for_its_key(tmp_path, parse, text, message):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigParse) as err:
+        parse(str(path))
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+class TestLeftOutKeysTakeTheConstructorDefaults:
+    def parse(self, tmp_path, parse, text):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        return parse(str(path))
+
+    def test_scenario(self, tmp_path):
+        assert self.parse(tmp_path, parse_scenario, "[scenario]\ntask = WW\n") == \
+            ScenarioConfig("WW")
+
+    def test_disturbance(self, tmp_path):
+        cfg = self.parse(tmp_path, parse_scenario, "[scenario]\ntask = WW\n[disturbance.a]\n"
+                         "kind = raise\nstart = 1.5\nduration = 2.0\nmagnitude = 0.01\n")
+        assert cfg.disturbances == (DisturbanceEvent("raise", 1.5, 2.0, 0.01),)
+
+    def test_suite(self, tmp_path):
+        assert self.parse(tmp_path, parse_suite, "[suite]\ntask = WW\nseeds = 1\n") == \
+            [ScenarioConfig("WW")]
+
+    def test_verify(self, tmp_path):
+        assert self.parse(tmp_path, parse_verify_params, "[verify]\nm = 1.0\n") == \
+            default_grid(m=(1.0,))
+
+
 def test_readme_scenario_example_lists_every_key(tmp_path):
     """The README's scenario INI example shows each section the scenario
     parser reads, with every key that section accepts."""
@@ -404,9 +460,9 @@ def test_readme_scenario_example_lists_every_key(tmp_path):
     # [environment] holds the keys the example's task reads (any other is a
     # config error for it).
     task = example.get("scenario", "task")
-    schema = {"scenario": config._SCENARIO_KEYS, "noise": config._NOISE_KEYS,
-              "admittance": config._ADMITTANCE_KEYS, "environment": TASK_SPECS[task].env_keys,
-              "safety": config._SAFETY_KEYS, "disturbance": config._DISTURBANCE_KEYS}
+    schema = {name: tuple(config._SCHEMA[name]) for name in
+              ("scenario", "noise", "admittance", "safety", "disturbance")}
+    schema["environment"] = TASK_SPECS[task].env_keys
     sections = {name.split(".")[0]: name for name in example.sections()}
     assert sorted(sections) == sorted(schema)
     for name, keys in schema.items():

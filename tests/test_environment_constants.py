@@ -155,8 +155,8 @@ def test_wiping_is_gated_at_f_min_wipe(force, pressed, monkeypatch):
     board.external_wrench = lambda pos, vel: (0.0, 0.0, force)
     seen = []
     wipe = harness.update_ink
-    monkeypatch.setattr(harness, "update_ink",
-                        lambda board: seen.append(len(board.presses) // 3) or wipe(board))
+    monkeypatch.setattr(harness, "update_ink", lambda board, positions:
+                        seen.append(len(board.presses)) or wipe(board, positions))
     ep.advance(1)
     assert seen == [pressed]
 
@@ -167,8 +167,8 @@ def test_eraser_cleans_the_square_of_eraser_half(x, y):
     board.ink.inked[:] = True
     centers = board.ink.inked_centers()
     inside = np.abs(centers - (x, y)).max(axis=1) <= ERASER_HALF
-    board.presses.extend((x, y, -0.004))
-    assert update_ink(board) == inside.sum() > 0
+    board.presses.append(0)
+    assert update_ink(board, np.array([(x, y, -0.004)])) == inside.sum() > 0
     left = board.ink.inked.reshape(-1)  # inked_centers lists the cells in this order
     assert not left[inside].any()
     assert left[~inside].all()

@@ -124,9 +124,11 @@ def full_grid_stroke(ink, pts, pen_radius):
     return (dmin <= pen_radius).reshape(ink.nx, ink.ny)
 
 
-def press(board, p):
-    """Record a press at p, as the episode loop records one at or above F_MIN_WIPE."""
-    board.presses.extend(p)
+def wipe(board, *points):
+    """update_ink after a press at each point, one tick apart, as the episode
+    loop records the tick of a press at or above F_MIN_WIPE."""
+    board.presses.extend(range(len(points)))
+    return update_ink(board, np.reshape(points, (-1, 3)))
 
 
 class TestInk:
@@ -136,8 +138,7 @@ class TestInk:
         # 4 x 3 block of cells centred under the eraser.
         board.ink.inked[28:32, 19:22] = True
         center = board.ink.inked_centers().mean(axis=0)
-        press(board, point(center[0], center[1], -0.004))
-        wiped = update_ink(board)
+        wiped = wipe(board, point(center[0], center[1], -0.004))
         assert wiped == 12
         assert type(wiped) is int  # counts feed JSON reports and sums
 
@@ -146,10 +147,8 @@ class TestInk:
         board.ink.inked[:, :] = False
         board.ink.inked[30, 20] = True
         (c,) = board.ink.inked_centers()
-        assert update_ink(board) == 0  # nothing pressed
-        press(board, point(c[0], c[1], -0.004))
-        press(board, point(c[0], c[1], -0.004))
-        assert update_ink(board) == 1
+        assert wipe(board) == 0  # nothing pressed
+        assert wipe(board, point(c[0], c[1], -0.004), point(c[0], c[1], -0.004)) == 1
         assert (len(board.presses), board.ink.inked_count()) == (0, 0)
         assert board.segments == [(0, board.rest_point, board.rotation)]
 
@@ -159,8 +158,21 @@ class TestInk:
         board.ink.inked[50, 30] = True
         c = ((50 + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[0],
              (30 + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[1])
-        press(board, point(c[0], c[1], -0.004))
-        assert update_ink(board) == 1
+        assert wipe(board, point(c[0], c[1], -0.004)) == 1
+
+    def test_a_press_wipes_at_the_position_of_its_tick(self):
+        """A press names the row of its tick in positions; rows of ticks that
+        did not press are not wiped."""
+        board = flat_board()
+        board.ink.inked[:, :] = False
+        board.ink.inked[30, 20] = True
+        (c,) = board.ink.inked_centers()
+        positions = np.array([point(-0.1, 0.05, -0.004), point(c[0], c[1], -0.004),
+                              point(0.1, -0.05, -0.004)])
+        board.presses.extend([0, 2])
+        assert update_ink(board, positions) == 0
+        board.presses.append(1)
+        assert update_ink(board, positions) == 1
 
     @pytest.mark.parametrize("reink", ["stroke", "direct_write"])
     def test_a_window_wiped_clean_is_wiped_again_once_reinked(self, reink):
@@ -219,8 +231,7 @@ class TestInk:
         last = board.measure(None)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            press(board, point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004))
-            update_ink(board)
+            wipe(board, point(rng.uniform(-0.06, 0.06), rng.uniform(-0.01, 0.01), -0.004))
             now = board.measure(None)
             assert now <= last
             last = now

@@ -175,10 +175,9 @@ class TestWiping:
         for seed in range(5):
             env = build_environment("WW", np.random.default_rng(seed))
             demo = generate_demo("WW", env)
-            for p, ph in zip(demo.poses, demo.phases):
-                if ph.contact_flag:
-                    env.presses.extend(p.position)
-            assert update_ink(env) > 0
+            pressed = [p.position for p, ph in zip(demo.poses, demo.phases) if ph.contact_flag]
+            env.presses.extend(range(len(pressed)))  # one tick per contact pose
+            assert update_ink(env, np.array(pressed)) > 0
             assert env.ink.inked_count() == 0
 
 

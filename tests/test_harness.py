@@ -75,7 +75,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("kwargs", [
         {"env_overrides": {"k_e": -5.0}},
         {"env_overrides": {"k_e": float("nan")}},
-        {"env_overrides": {"latch_force": 0.0}},
+        {"env_overrides": {"latch_force": -1.0}},
         {"env_overrides": {"latch_force": float("inf")}},
         {"safety_limit": -1.0},
         {"safety_limit": float("nan")},

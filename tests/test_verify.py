@@ -322,10 +322,10 @@ class TestOneBatch:
 
 
 def test_default_grid_axes_and_damping():
-    grid = default_grid(ms=(1.0,), kes=(100.0, 500.0), fhs=(4.0,))
+    grid = default_grid(m=(1.0,), k_e=(100.0, 500.0), f_h=(4.0,))
     assert [(p.m, p.k_e, p.f_H) for p in grid] == [(1.0, 100.0, 4.0), (1.0, 500.0, 4.0)]
     assert all(p.d == compute_damping(1.0, 50.0, 2.0) for p in grid)
-    assert {p.d for p in default_grid(ms=(0.5, 2.0), d=3.0)} == {3.0}
+    assert {p.d for p in default_grid(m=(0.5, 2.0), d=3.0)} == {3.0}
 
 
 @pytest.mark.parametrize("m,d,k_e,f_H", [
