@@ -7,9 +7,16 @@ linear spring along the surface normal plus regularized Coulomb/viscous
 friction in the tangent plane.
 
 A constructor takes only what a task builder or a config override sets: the
-pose of the geometry, the contact stiffness k_e and the door's latch_force.
-Every other dimension, stiffness, friction law and threshold is a module
-constant below, the same for every environment of its kind.
+pose of the geometry, the contact stiffness k_e and the door's latch_force. A
+door is one built with a handle pose; without one it is a microwave. Every
+other dimension, stiffness, friction law and threshold is a module constant
+below, the same for every environment of its kind.
+
+Scripted disturbances act through `apply_disturbances`, which also reports
+when every event has settled (`DisturbanceEvent.envelope`): from then on the
+episode loop holds its result. A tilt sets the board's `frame`, the rows of
+its rotation matrix, which the contact normal, `update_ink` and the wiping
+planner read.
 
 Sign convention: `surface_normal` points out of the environment toward free
 space, so contact forces on the end-effector have a non-negative component
@@ -51,6 +58,8 @@ COULOMB_V_EPS = 1e-4
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
+_X_AXIS = (1.0, 0.0, 0.0)
+_Z_AXIS = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +111,8 @@ class DisturbanceEvent:
     raise/lower/shift/tilt displace the environment geometry, ramping in over
     `ramp` seconds and holding afterwards. force_pulse adds an external force
     and sinusoid oscillates the rest point, both only inside
-    [start, start + duration] with ramped edges (profiles are continuous in t).
+    [start, start + duration] with ramped edges. `envelope` gives both the
+    activation, continuous in t, and whether it has settled.
     """
 
     kind: str
@@ -128,39 +138,29 @@ class DisturbanceEvent:
             raise ValueError(f"direction must be finite with a finite norm, got {d}")
         object.__setattr__(self, "direction", _unit(d, norm))
 
-    def profile(self, t: float) -> float:
-        """Activation envelope in [0, 1]."""
-        if t < self.start:
-            return 0.0
-        rel = t - self.start
-        if self.kind in PERSISTENT_KINDS:
-            if self.ramp <= 0.0:
-                return 1.0
-            return min(1.0, rel / self.ramp)
-        if rel > self.duration:
-            return 0.0
-        if self.ramp <= 0.0:
-            return 1.0
-        return max(0.0, min(1.0, rel / self.ramp, (self.duration - rel) / self.ramp))
+    def envelope(self, t: float) -> tuple:
+        """(p, settled) at t: the activation envelope p in [0, 1], and whether
+        p and the amplitude that `apply_disturbances` reads hold their values
+        from t on.
 
-    def settled(self, t: float) -> bool:
-        """Whether `profile` and the amplitude that `apply_disturbances` reads
-        hold their values from t on.
-
-        Mirrors `profile`'s branches: a persistent kind settles at the end of
-        its ramp (rel / ramp only grows with t), a windowed kind once its
-        window has passed (its profile is 0 from then on). Monotone: settled
-        at t means settled at every later time.
+        A persistent kind settles once p reaches 1 (rel / ramp only grows with
+        t), a windowed kind once its window has passed (p is 0 from then on).
+        Monotone: settled at t means settled at every later time.
         """
         if t < self.start:
-            return False
+            return 0.0, False
         rel = t - self.start
         if self.kind in PERSISTENT_KINDS:
-            return self.ramp <= 0.0 or rel / self.ramp >= 1.0
-        return rel > self.duration
+            p = 1.0 if self.ramp <= 0.0 else min(1.0, rel / self.ramp)
+            return p, p == 1.0
+        if rel > self.duration:
+            return 0.0, True
+        if self.ramp <= 0.0:
+            return 1.0, False
+        return max(0.0, min(1.0, rel / self.ramp, (self.duration - rel) / self.ramp)), False
 
     def amplitude(self, t: float, p: float) -> float:
-        """Signed magnitude along `direction` (m, N or rad by kind) at profile value p."""
+        """Signed magnitude along `direction` (m, N or rad by kind) at envelope value p."""
         if self.kind == "lower":
             return -self.magnitude * p
         if self.kind == "sinusoid":
@@ -305,11 +305,13 @@ class PlaneBoard(TaskEnvironment):
     """Flat board with an ink grid; the outward normal faces the robot.
 
     The contact's `rest_point` and unit `surface_normal` start at the center
-    and the board's +z axis; disturbances move and tilt them.
+    and the board's +z axis; disturbances move and tilt them. `frame` holds
+    the rows of `rotation`'s matrix, the board's axes in the world, and a
+    tilt sets both.
 
     The episode loop records the tick of each press at or above F_MIN_WIPE
     in `presses` and wipes them all at once with `update_ink`. `segments` says
-    which geometry each press was made under: `(start, rest_point, rotation)`
+    which geometry each press was made under: `(start, rest_point, frame)`
     holds from `presses[start]` on, and `apply_disturbance_state` starts a
     new one.
     """
@@ -321,29 +323,26 @@ class PlaneBoard(TaskEnvironment):
     def __post_init__(self):
         self.center = vec3(self.center)
         self.rotation = self._base_rotation = tuple(map(float, self.rotation))
+        self.frame = _quat_matrix(self.rotation)
         self.ink = InkGrid()
         check_range("k_e", self.k_e)
         self.rest_point = self.center
-        n = self.normal()
+        n = _matvec(self.frame, _Z_AXIS)
         self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
-        # Zero tilt restores the board as built, with its unit normal, and
-        # its rotation object, which update_ink turns into a frame once.
-        self._untilted = (self.rotation, self.surface_normal)
+        # Zero tilt restores the board as built, with its unit normal.
+        self._untilted = (self.rotation, self.frame, self.surface_normal)
         self.presses = []  # the ticks that pressed, indices into update_ink's positions
-        self.segments = [(0, self.rest_point, self.rotation)]
-
-    def normal(self) -> tuple:
-        """The board's +z axis in the world, as floats."""
-        return _matvec(_quat_matrix(self.rotation), (0.0, 0.0, 1.0))
+        self.segments = [(0, self.rest_point, self.frame)]
 
     def apply_disturbance_state(self, offset, tilt, tilt_axis):
         self.rest_point = _add(self.center, offset)
         if tilt != 0.0:
             self.rotation = quat_mul(quat_from_axis_angle(tilt_axis, tilt), self._base_rotation)
-            self.surface_normal = self.normal()
+            self.frame = _quat_matrix(self.rotation)
+            self.surface_normal = _matvec(self.frame, _Z_AXIS)
         else:
-            self.rotation, self.surface_normal = self._untilted
-        segment = (len(self.presses), self.rest_point, self.rotation)
+            self.rotation, self.frame, self.surface_normal = self._untilted
+        segment = (len(self.presses), self.rest_point, self.frame)
         if self.segments[-1][0] == segment[0]:  # no press under the geometry it replaces
             self.segments[-1] = segment
         else:
@@ -460,8 +459,10 @@ GRASP_TOL = 0.03  # m, the gripper closes on the handle within this distance
 class HingedDoor(TaskEnvironment):
     """Door or microwave: handle latch, snap lock, circular constraint manifolds.
 
-    While latched the (non-microwave) constraint manifold is the circle about
-    the handle axis; after release it is the circle about the hinge axis. The
+    A door is built with both `handle_pivot` and `handle_axis`, a microwave
+    with neither; `microwave` says which. While latched a door's constraint
+    manifold is the circle about the handle axis; after release, and for a
+    microwave throughout, it is the circle about the hinge axis. The
     latch is a constant force field resisting door opening, disengaged by
     handle rotation beyond the threshold (door) or by the door angle exceeding
     a small release angle (microwave snap lock). Release is latching-free:
@@ -470,15 +471,19 @@ class HingedDoor(TaskEnvironment):
 
     hinge_pivot: tuple = (0.45, 0.25, 0.15)  # any 3-sequences
     grasp0: tuple = (0.45, -0.05, 0.15)
-    handle_pivot: tuple = None  # non-microwave only
+    handle_pivot: tuple = None  # a door's handle; None for a microwave
     handle_axis: tuple = None
-    microwave: bool = True
     latch_force: float = 15.0
     k_e: float = 1000.0
 
     def __post_init__(self):
         check_range("k_e", self.k_e)
         check_range("latch_force", self.latch_force, closed=True)
+        self.microwave = self.handle_pivot is None
+        if self.microwave != (self.handle_axis is None):
+            raise ValueError("a door takes both handle_pivot and handle_axis, a microwave "
+                             f"neither; got handle_pivot {self.handle_pivot!r} and "
+                             f"handle_axis {self.handle_axis!r}")
         self.hinge_pivot = vec3(self.hinge_pivot)
         self.grasp0 = vec3(self.grasp0)
         if not self.microwave:
@@ -578,24 +583,19 @@ class HingedDoor(TaskEnvironment):
                 f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         if self._latched():
             # Constant force against opening, along the hinge circle's tangent.
-            # The microwave's active circle is the hinge circle; a latched
-            # door's is the handle circle. On the hinge axis the tangent is
-            # undefined and the latch term is left out, as the constraint
-            # term is above.
-            if self.microwave:
-                hinge_rad, h = rad, r
-            else:
-                hinge_rad = self._radial(pos)
-                h = math.sqrt(sq_norm(hinge_rad))
+            # On the hinge axis the tangent is undefined and the latch term is
+            # left out, as the constraint term is above.
+            hinge_rad = self._radial(pos)
+            h = math.sqrt(sq_norm(hinge_rad))
             if h > 1e-9:
                 a = -self.latch_force
                 sign = OPENING_SIGN
                 t0, t1, t2 = _cross(HINGE_AXIS, _unit(hinge_rad, h))
                 f0, f1, f2 = f0 + a * (sign * t0), f1 + a * (sign * t1), f2 + a * (sign * t2)
-        if not self.microwave and not self.latch_released and self.handle_angle > 0.0 \
-                and r > 1e-9:
+        if not self.latch_released and self.handle_angle > 0.0 and r > 1e-9:
             # Handle return spring, tangential on the handle circle, which is
-            # the active circle here: its tangent is t_hat.
+            # the active circle here: its tangent is t_hat. A microwave's
+            # handle_angle stays 0.
             k = HANDLE_SPRING * self.handle_angle
             f0, f1, f2 = f0 - k * t_hat[0], f1 - k * t_hat[1], f2 - k * t_hat[2]
         return (f0, f1, f2)
@@ -617,47 +617,42 @@ def update_ink(board: PlaneBoard, positions: np.ndarray) -> int:
     no order of wiping changes.
     """
     presses, segments = board.presses, board.segments
-    starts = [start for start, _, _ in segments] + [len(presses)]
-    runs = np.diff(starts)  # the presses under each segment
-    frames, rotation, frame = [], None, None
-    for _, _, rot in segments:
-        if rot is not rotation:  # one frame per distinct rotation object
-            rotation, frame = rot, _quat_matrix(rot)
-        frames.append(frame)
-    # axes[c, k] is the rotation matrix's entry (k, c) under each press, and
-    # d each press's offset from its rest point, one row per world axis: x
-    # (c = 0) and y (c = 1) sum their products as a per-press _matvec by the
+    starts, rests, frames = zip(*segments)
+    runs = np.diff(starts + (len(presses),))  # the presses under each segment
+    # axes[c, k] is the frame's entry (k, c) under each press, and d each
+    # press's offset from its rest point, one row per world axis: x (c = 0)
+    # and y (c = 1) sum their products as a per-press _matvec by the
     # world-to-board rows does.
     axes = np.repeat(np.array(frames).T[:2], runs, axis=2)
-    rest = np.repeat(np.array([rest_point for _, rest_point, _ in segments]).T, runs, axis=1)
-    d = positions[presses].T - rest
+    d = positions[presses].T - np.repeat(np.array(rests).T, runs, axis=1)
     x, y = (a0 * d[0] + a1 * d[1] + a2 * d[2] for a0, a1, a2 in axes)
     presses.clear()
-    board.segments = [(0, board.rest_point, board.rotation)]
+    board.segments = [(0, board.rest_point, board.frame)]
     return board.ink.wipe(x, y)
 
 
-_X_AXIS = (1.0, 0.0, 0.0)
-
-
 def apply_disturbances(env: TaskEnvironment, events, t: float):
-    """Sum all events' geometry offsets; return (extra force, any_active).
+    """Sum all events' geometry offsets; return (extra force, any active,
+    all settled).
 
-    The sums run on Python floats from +0.0, in event order, as the rest
-    offsets and pulse forces of the events would add up as arrays; the extra
-    force is a float tuple. Tilt angles add up about the last tilt event's
+    Once every event is settled (see `DisturbanceEvent.envelope`), each later
+    call returns the same result and sets the same environment state. The
+    sums run on Python floats from +0.0, in event order, as the rest offsets
+    and pulse forces of the events would add up as arrays; the extra force is
+    a float tuple. Tilt angles add up about the last tilt event's
     axis, so `ScenarioConfig` admits only tilt events that share one.
     """
     if not events:
-        return _ZERO3, False
+        return _ZERO3, False, True
     o0 = o1 = o2 = 0.0
     e0 = e1 = e2 = 0.0
     tilt = 0.0
     tilt_axis = _X_AXIS
-    active = False
+    active, settled = False, True
     for ev in events:
-        p = ev.profile(t)
+        p, done = ev.envelope(t)
         active = active or p > 0.0
+        settled = settled and done
         if ev.kind == "tilt":
             tilt += ev.amplitude(t, p)
             tilt_axis = ev.direction
@@ -670,5 +665,5 @@ def apply_disturbances(env: TaskEnvironment, events, t: float):
             d0, d1, d2 = ev.direction
             o0, o1, o2 = o0 + a * d0, o1 + a * d1, o2 + a * d2
     env.apply_disturbance_state((o0, o1, o2), tilt, tilt_axis)
-    return (e0, e1, e2), active
+    return (e0, e1, e2), active, settled
 

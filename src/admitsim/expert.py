@@ -35,7 +35,6 @@ from .geometry import (
     _matvec,
     _normalize,
     _perp,
-    _quat_matrix,
     _rodrigues,
     _rodrigues_fixed,
     _slerp,
@@ -218,7 +217,7 @@ def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
     lanes = [y_lo]
     while lanes[-1] < y_hi - 1e-12:
         lanes.append(min(lanes[-1] + pitch, y_hi))
-    R = _quat_matrix(board.rotation)
+    R = board.frame
     q = _unit_quat(board.rotation)  # eraser frame aligned with the board surface
     rest = board.rest_point
     n = max(1, int(math.ceil((x_hi - x_lo) / STEP_LEN)))

@@ -23,7 +23,13 @@ from .admittance import (
     ControllerState,
     controller_tick,
 )
-from .environments import F_MIN_WIPE, PlaneBoard, apply_disturbances, update_ink
+from .environments import (
+    F_MIN_WIPE,
+    DisturbanceEvent,
+    PlaneBoard,
+    apply_disturbances,
+    update_ink,
+)
 from .errors import check_count, check_range, check_real
 from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
@@ -60,6 +66,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         spec = task_spec(self.task)
+        for name, kind in (("noise", NoiseSpec), ("disturbances", tuple),
+                           ("admittance_overrides", dict), ("env_overrides", dict)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):  # the checks below and the run read it as one
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        if not all(isinstance(ev, DisturbanceEvent) for ev in self.disturbances):
+            raise ValueError(f"disturbances must hold DisturbanceEvents, got {self.disturbances!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         limit = spec.time_limit
@@ -177,22 +190,10 @@ def _first_tick(holds, lo: int, hi: int) -> int:
     return lo
 
 
-def _settle_tick(events, onset: int, max_ticks: int) -> int:
-    """The first tick from the onset on at which every event is settled (see
-    `DisturbanceEvent.settled`): apply_disturbances returns the same force and
-    flag, and sets the same environment state, at it and at every later tick.
-
-    max_ticks when some event does not settle in time; onset when there is no
-    event. Exact: k * dt and settled never decrease as k grows.
-    """
-    dt = 1.0 / CONTROL_HZ
-    return _first_tick(lambda k: all(ev.settled(k * dt) for ev in events), onset, max_ticks)
-
-
 def _onset_tick(events, max_ticks: int) -> int:
     """The first tick whose time k * dt is at or past the earliest event start.
 
-    Every event's profile is zero before its start, so no event acts before
+    Every event's envelope is zero before its start, so no event acts before
     this tick; max_ticks when there is no event or none starts in time.
     """
     if not events:
@@ -208,11 +209,12 @@ class _Episode:
     Before the onset tick the loop leaves the environment to itself, so a
     disturbed episode up to its onset is bit for bit its clean twin's prefix,
     signed zeros of the geometry included, and a copy of it there continues
-    as that twin (`copy`). From the settle tick on, every event holds its
-    value, and the loop holds that tick's disturbance result instead of
-    applying the events again. No tick reads the board's ink: a tick only
-    records its press, and each `advance` wipes its presses in one
-    `update_ink` call before it returns, so `copy` and `log` see every wipe.
+    as that twin (`copy`). Once apply_disturbances reports every event
+    settled, the loop holds that result instead of applying the events
+    again: each later call would return it and set no new state. No tick
+    reads the board's ink: a tick only records its press, and each `advance`
+    wipes its presses in one `update_ink` call before it returns, so `copy`
+    and `log` see every wipe.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -224,8 +226,7 @@ class _Episode:
         self.noise = replace(cfg.noise, seed=cfg.noise.seed ^ (cfg.seed * 2654435761 % 2 ** 31))
         self.max_ticks = int(round(cfg.duration * CONTROL_HZ))
         self.onset = _onset_tick(cfg.disturbances, self.max_ticks)
-        self.settle = _settle_tick(cfg.disturbances, self.onset, self.max_ticks)
-        self.held = None      # the last disturbance result, held from the settle tick on
+        self.held = (None, False, False)  # the last disturbance result, held once settled
         self.k = 0            # the next tick
         self.ended = False    # the plan and its settle tail ran out, or a safety stop
         self.state = ControllerState.at_rest(self.demo.poses[0])
@@ -248,7 +249,7 @@ class _Episode:
         to this tick, which is at or before the onset, and no event after it."""
         dup = copy.copy(self)
         dup.cfg = cfg
-        dup.onset = dup.settle = self.max_ticks
+        dup.onset = self.max_ticks
         dup.env = copy.deepcopy(self.env)
         dup.records = self.records[:]
         dup.flags = tuple(buf[:] for buf in self.flags)
@@ -262,7 +263,7 @@ class _Episode:
         cfg, env, adm, noise = self.cfg, self.env, self.adm, self.noise
         tuples, phases = self.demo.tuples, self.demo.phases
         events, limit = cfg.disturbances, cfg.safety_limit
-        onset, settle, held = self.onset, self.settle, self.held
+        onset, held = self.onset, self.held
         dt = 1.0 / CONTROL_HZ
         debounce_ticks = int(round(cfg.safety_debounce * CONTROL_HZ))
         n_demo = len(tuples)
@@ -301,9 +302,9 @@ class _Episode:
                 e0 = e1 = e2 = 0.0
                 dist_active = False
             else:
-                if k <= settle:  # past it, a call would return held and set no new state
+                if not held[2]:
                     held = disturb(env, events, k * dt)
-                (e0, e1, e2), dist_active = held
+                (e0, e1, e2), dist_active, _ = held
             x_r, v_r = state
             if door_update is not None:
                 door_update(x_r, cmd.gripper)

@@ -111,15 +111,15 @@ def _build_door(rng, microwave: bool, **overrides) -> HingedDoor:
                 0.25 + rng.uniform(-0.10, 0.10),
                 0.15 + rng.uniform(-0.05, 0.05))
         grasp = _add(base, quat_rotate(rotz, (0.0, -0.25, 0.0)))
-        return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=True, **overrides)
+        return HingedDoor(hinge_pivot=base, grasp0=grasp, **overrides)
     base = (0.55 + rng.uniform(-0.05, 0.05),
             0.35 + rng.uniform(-0.15, 0.15),
             rng.uniform(-0.05, 0.05))
     handle_pivot = _add(base, quat_rotate(rotz, (0.0, -0.42, 0.25)))
     handle_axis = quat_rotate(rotz, (1.0, 0.0, 0.0))
     grasp = _add(handle_pivot, quat_rotate(rotz, (0.0, -HANDLE_LEVER, 0.0)))
-    return HingedDoor(hinge_pivot=base, grasp0=grasp, microwave=False,
-                      handle_pivot=handle_pivot, handle_axis=handle_axis, **overrides)
+    return HingedDoor(hinge_pivot=base, grasp0=grasp, handle_pivot=handle_pivot,
+                      handle_axis=handle_axis, **overrides)
 
 
 # --------------------------------------------------------------------------

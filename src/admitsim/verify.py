@@ -237,12 +237,13 @@ def _integrate(lanes: list, chunk: int | None = None) -> list[VerificationReport
     rows a chunk at a time; the lanes' reports, in order.
 
     The lanes of one call share dt and the rest point. A lane's rows (x, v) at
-    its steps 0..n go to its `feed(lo, x, v, wave)` `chunk` rows (default
+    its steps 0..n go to its `feed(lo, x, v, rest)` `chunk` rows (default
     JUDGE_CHUNK) at a time and in order: x and v are the 1-D rows from `lo`,
-    and wave is the (2, rows) array of sin and cos of omega t at those rows
-    under a sinusoidal rest point, else None. Every lane's solution is built
-    before any row, and every chunk is checked for finiteness before the judge
-    sees it (NonFiniteState).
+    and rest is the (3, rows) array of the rest point A sin(omega t), its
+    velocity and its acceleration at those rows under a sinusoidal rest
+    point, else None. Every lane's solution is built before any row, and
+    every chunk is checked for finiteness before the judge sees it
+    (NonFiniteState).
     """
     chunk = JUDGE_CHUNK if chunk is None else chunk
     solutions = [_Solution(lane) for lane in lanes]
@@ -253,19 +254,22 @@ def _integrate(lanes: list, chunk: int | None = None) -> list[VerificationReport
         for lo in range(0, last + 1, chunk):
             k = np.arange(lo, min(lo + chunk, last + 1))
             t = k * lanes[0].dt
-            wave = None
+            wave = rest = None
             if lanes[0].sinusoid is not None:
-                wt = lanes[0].sinusoid[1] * t
-                wave = np.array([_libm(math.sin, wt), _libm(math.cos, wt)])
+                amp, omega = lanes[0].sinusoid
+                wt = omega * t
+                sin_wt, cos_wt = wave = np.array([_libm(math.sin, wt), _libm(math.cos, wt)])
+                # The shared rest point, its velocity and its acceleration.
+                rest = np.array([0.0 + amp * sin_wt, amp * omega * cos_wt,
+                                 -amp * omega ** 2 * sin_wt])
             for lane, solution in zip(lanes, solutions):
                 rows = lane.n + 1 - lo
                 if rows <= 0:
                     continue
-                lane_wave = None if wave is None else wave[:, :rows]
-                x, v = solution.rows(k[:rows], t[:rows], lane_wave)
+                x, v = solution.rows(k[:rows], t[:rows], None if wave is None else wave[:, :rows])
                 if not (np.isfinite(x).all() and np.isfinite(v).all()):
                     raise NonFiniteState("verifier integration diverged")
-                lane.feed(lo, x, v, lane_wave)
+                lane.feed(lo, x, v, None if rest is None else rest[:, :rows])
         return [lane.report() for lane in lanes]
 
 
@@ -289,7 +293,7 @@ class _Prop2:
         self.tail = []
         self.max_err, self.v_last = -np.inf, 0.0
 
-    def feed(self, lo, x, v, wave):
+    def feed(self, lo, x, v, rest):
         m, d, _, _ = self.law
         t = np.arange(lo, lo + len(x)) * self.dt
         analytic = self.v_inf + (self.v0 - self.v_inf) * _libm(math.exp, -2.0 * d * t / m)
@@ -418,7 +422,7 @@ class _Prop1:
         self.v_ref = self.V_last = self.x_last = 0.0
         self.lyap_ok = True
 
-    def feed(self, lo, x, v, wave):
+    def feed(self, lo, x, v, rest):
         m, _, k_e, _ = self.law
         e = x - self.eq
         V = 0.5 * m * v ** 2 + 0.5 * k_e * e ** 2
@@ -492,7 +496,6 @@ class _Prop3:
         check_finite("amplitude", amplitude)
         check_finite("omega", omega)
         try:
-            self.a_scale = -amplitude * omega ** 2  # rest-point acceleration / sin(omega t)
             self.sup_u, self.bound = _iss_bound(p, amplitude, omega)
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"proposition 3's bound leaves the float range: omega ** 2 or a "
@@ -506,15 +509,11 @@ class _Prop3:
         self.dominated, self.dominated_max = False, -np.inf
         self.tail = np.empty((3, 0))  # the last (up to) four samples of V, e' and u
 
-    def feed(self, lo, x, v, wave):
-        n, dt, (amp, omega) = self.n, self.dt, self.sinusoid
+    def feed(self, lo, x, v, rest):
+        n, dt = self.n, self.dt
         m, d, k_e, f_H = self.law
         hi = lo + len(x)
-        # The rest point A sin(omega t), its velocity and its acceleration.
-        sin_wt, cos_wt = wave
-        x_e = 0.0 + amp * sin_wt
-        v_e = amp * omega * cos_wt
-        a_e = self.a_scale * sin_wt
+        x_e, v_e, a_e = rest
         e = x - (x_e - f_H / k_e)
         edot = v - v_e
         u = -(m * a_e + 2.0 * d * v_e)

@@ -9,8 +9,8 @@ open, and the value just inside it is accepted.
 The inputs that a task does not read (an environment override outside its
 record's `env_keys`, a `wipe_passes` other than 1 outside WW), the admittance
 overrides, the verifier's horizons and its other inputs (start offset and
-velocity, rest-point amplitude and frequency) and a value that is not a number
-fail with a typed error too.
+velocity, rest-point amplitude and frequency), a value that is not a number and
+a `ScenarioConfig` object field of the wrong type fail with a typed error too.
 """
 
 import math
@@ -46,7 +46,7 @@ def field(cls, name):
 def door(name):
     return lambda v: HingedDoor(hinge_pivot=(0.0, 0.42, 0.0), grasp0=(0.0, -0.06, 0.0),
                                 handle_pivot=(0.0, 0.0, 0.0), handle_axis=(1.0, 0.0, 0.0),
-                                microwave=False, **{name: v})
+                                **{name: v})
 
 
 def dynamics(**kw):
@@ -195,6 +195,19 @@ TYPED = [
      ValueError, "admittance mass must be a real number, got '2'"),
     ("admittance-none", lambda: ScenarioConfig("PH", admittance_overrides={"stiffness": None}),
      ValueError, "admittance stiffness must be a real number, got None"),
+    # The object fields, each checked at construction rather than mid-run.
+    ("noise-none", lambda: ScenarioConfig("WW", duration=0.5, noise=None),
+     ValueError, "noise must be a NoiseSpec, got None"),
+    ("noise-dict", lambda: ScenarioConfig("WW", duration=0.5, noise={"seed": 1}),
+     ValueError, "noise must be a NoiseSpec, got {'seed': 1}"),
+    ("disturbances-int", lambda: ScenarioConfig("WW", disturbances=(1,)),
+     ValueError, "disturbances must hold DisturbanceEvents, got (1,)"),
+    ("disturbances-none", lambda: ScenarioConfig("WW", disturbances=None),
+     ValueError, "disturbances must be a tuple, got None"),
+    ("admittance_overrides-none", lambda: ScenarioConfig("WW", admittance_overrides=None),
+     ValueError, "admittance_overrides must be a dict, got None"),
+    ("env_overrides-none", lambda: ScenarioConfig("WW", env_overrides=None),
+     ValueError, "env_overrides must be a dict, got None"),
 ] + [
     (f"{name}-T={T}-dt={dt}", horizon(call, T=T, dt=dt, **kw), ValueError, message)
     for name, call, what, kw in PROPS

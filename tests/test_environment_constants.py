@@ -211,13 +211,13 @@ def test_beyond_the_funnel_is_the_top_plate():
 # ----------------------------------------------------------------------------
 
 def microwave():
-    return HingedDoor(hinge_pivot=(0.0, 0.25, 0.0), grasp0=(0.0, 0.0, 0.0), microwave=True)
+    return HingedDoor(hinge_pivot=(0.0, 0.25, 0.0), grasp0=(0.0, 0.0, 0.0))
 
 
 def lever_door(latch_force=15.0):
     return HingedDoor(hinge_pivot=(0.0, 0.42, 0.0), grasp0=(0.0, -HANDLE_LEVER, 0.0),
                       handle_pivot=(0.0, 0.0, 0.0), handle_axis=(1.0, 0.0, 0.0),
-                      microwave=False, latch_force=latch_force)
+                      latch_force=latch_force)
 
 
 def microwave_grasp(angle):

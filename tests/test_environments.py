@@ -15,6 +15,7 @@ from admitsim.environments import (
     DISTURBANCE_KINDS,
     HINGE_AXIS,
     HOLE_RADIUS,
+    PERSISTENT_KINDS,
     RELEASE_ANGLE,
     DisturbanceEvent,
     FrictionModel,
@@ -26,7 +27,7 @@ from admitsim.environments import (
     apply_disturbances,
     update_ink,
 )
-from admitsim.geometry import quat_from_axis_angle
+from admitsim.geometry import _matvec, _quat_matrix, quat_from_axis_angle
 from admitsim.harness import default_disturbance
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 
@@ -150,7 +151,7 @@ class TestInk:
         assert wipe(board) == 0  # nothing pressed
         assert wipe(board, point(c[0], c[1], -0.004), point(c[0], c[1], -0.004)) == 1
         assert (len(board.presses), board.ink.inked_count()) == (0, 0)
-        assert board.segments == [(0, board.rest_point, board.rotation)]
+        assert board.segments == [(0, board.rest_point, board.frame)]
 
     def test_a_direct_write_is_wiped(self):
         board = flat_board()
@@ -264,6 +265,31 @@ class TestHole:
         assert w[0] < 0.0  # pushes back toward the axis
 
 
+def _profile(ev, t):
+    """The activation envelope, by its own branches."""
+    if t < ev.start:
+        return 0.0
+    rel = t - ev.start
+    if ev.kind in PERSISTENT_KINDS:
+        return 1.0 if ev.ramp <= 0.0 else min(1.0, rel / ev.ramp)
+    if rel > ev.duration:
+        return 0.0
+    if ev.ramp <= 0.0:
+        return 1.0
+    return max(0.0, min(1.0, rel / ev.ramp, (ev.duration - rel) / ev.ramp))
+
+
+def _settled(ev, t):
+    """Whether the envelope holds from t on, by its own branches: a persistent
+    kind at the end of its ramp, a windowed kind once its window has passed."""
+    if t < ev.start:
+        return False
+    rel = t - ev.start
+    if ev.kind in PERSISTENT_KINDS:
+        return ev.ramp <= 0.0 or rel / ev.ramp >= 1.0
+    return rel > ev.duration
+
+
 class TestDisturbances:
     def test_before_start_unchanged(self):
         board = flat_board()
@@ -304,16 +330,31 @@ class TestDisturbances:
 
     def test_tilt_back_to_zero_restores_the_board(self):
         board = PlaneBoard(rotation=quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.3))
-        built = (board.rotation, board.surface_normal)
+        built = (board.rotation, board.frame, board.surface_normal)
         x = np.array([1.0, 0.0, 0.0])
         events = (DisturbanceEvent("tilt", 1.0, 5.0, 0.05, direction=x),
                   DisturbanceEvent("tilt", 2.0, 5.0, -0.05, direction=x))
         apply_disturbances(board, events, 1.5)
-        assert board.surface_normal != built[1]
+        assert board.surface_normal != built[2]
         apply_disturbances(board, events, 3.0)
-        assert (board.rotation, board.surface_normal) == built
-        # The very rotation object as built, which update_ink turns into one frame.
-        assert board.rotation is built[0]
+        assert (board.rotation, board.frame, board.surface_normal) == built
+
+    def test_segments_carry_the_frame_of_each_tilt(self):
+        """The frame is the rows of the rotation's matrix, the tilted normal is
+        its +z column as is (not re-normalized), and each segment holds the
+        frame its presses were made under."""
+        board = PlaneBoard(rotation=quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4))
+        tilt = (DisturbanceEvent("tilt", 1.0, 5.0, 0.2, direction=(1.0, 1.0, 0.0), ramp=1.0),)
+        frames = [board.frame]
+        for t in (1.25, 1.5, 3.0):
+            board.presses.append(len(board.presses))
+            apply_disturbances(board, tilt, t)
+            assert board.frame == _quat_matrix(board.rotation)
+            assert board.surface_normal == _matvec(board.frame, (0.0, 0.0, 1.0))
+            frames.append(board.frame)
+        assert len(set(frames)) == 4
+        assert [frame for _, _, frame in board.segments] == frames
+        assert [start for start, _, _ in board.segments] == [0, 1, 2, 3]
 
     def test_force_pulse_moves_no_door_geometry(self):
         for task in ("MO", "DO"):
@@ -321,9 +362,9 @@ class TestDisturbances:
             door = build_environment(task, rng)
             built = dict(vars(door))
             (pulse,) = default_disturbance(task)
-            force, active = apply_disturbances(door, (pulse,),
-                                               pulse.start + 0.5 * pulse.duration)
-            assert active and np.linalg.norm(force) > 0.0
+            force, active, settled = apply_disturbances(door, (pulse,),
+                                                        pulse.start + 0.5 * pulse.duration)
+            assert active and not settled and np.linalg.norm(force) > 0.0
             assert vars(door) == built, task
 
     def test_profiles_continuous(self):
@@ -334,7 +375,7 @@ class TestDisturbances:
         ]
         ts = np.linspace(0.0, 8.0, 4001)
         for ev in events:
-            vals = np.array([ev.profile(t) * ev.magnitude for t in ts])
+            vals = np.array([ev.envelope(t)[0] * ev.magnitude for t in ts])
             jumps = np.abs(np.diff(vals))
             assert jumps.max() < ev.magnitude * 0.02  # ramped, no steps
 
@@ -345,22 +386,23 @@ class TestDisturbances:
            t=st.floats(-6.0, 10.0))
     @settings(max_examples=300, deadline=None)
     def test_settled_values_hold(self, kind, start, duration, ramp_share, magnitude, omega, t):
-        """From a time where an event is settled on, its profile and the
+        """From a time where an event is settled on, its envelope and the
         amplitude apply_disturbances reads stay bit for bit the same."""
         ev = DisturbanceEvent(kind, start, duration, magnitude,
                               ramp=min(duration, ramp_share * duration), omega=omega)
-        if not ev.settled(t):
+        p, settled = ev.envelope(t)
+        if not settled:
             return
-        p = ev.profile(t)
         a = ev.amplitude(t, p)
         later = [math.nextafter(t, math.inf)] + [
             t + float(dt) for dt in np.linspace(0.0, 4.0 * duration + 1.0, 401)]
         for u in later:
-            assert ev.settled(u)
-            assert ev.profile(u).hex() == p.hex()
+            q, still = ev.envelope(u)
+            assert still
+            assert q.hex() == p.hex()
             if kind == "sinusoid":
-                # Settled only past its window: the profile is 0 there, and
-                # apply_disturbances adds no offset of a profile of 0.
+                # Settled only past its window: the envelope is 0 there, and
+                # apply_disturbances adds no offset of an envelope of 0.
                 assert p == 0.0 and ev.amplitude(u, p) == 0.0
             else:
                 assert ev.amplitude(u, p).hex() == a.hex()
@@ -372,8 +414,31 @@ class TestDisturbances:
         (DisturbanceEvent("sinusoid", 1.0, 2.0, 0.01), math.nextafter(3.0, 4.0)),
     ])
     def test_settled_from_the_end_of_the_ramp_or_the_window(self, ev, first):
-        assert not ev.settled(math.nextafter(first, 0.0))
-        assert ev.settled(first)
+        assert not ev.envelope(math.nextafter(first, 0.0))[1]
+        assert ev.envelope(first)[1]
+
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    @pytest.mark.parametrize("start,duration,ramp", [
+        (1.0, 2.0, 0.5), (1.0, 2.0, 0.0), (1.0, 2.0, 2.0), (-1e308, 1.0, 0.3),
+        (0.1, 0.3, 0.1), (0.0015, 1.0, 0.5)])
+    def test_envelope_is_the_profile_and_settled_pair(self, kind, start, duration, ramp):
+        """envelope(t) equals the activation and the settled flag, each
+        computed by its own branches, on both sides of every edge of the
+        event."""
+        ev = DisturbanceEvent(kind, start, duration, 0.01, ramp=ramp)
+        for edge in (start, start + ramp, start + duration - ramp, start + duration):
+            for t in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                p, settled = ev.envelope(t)
+                assert (p.hex(), settled) == (_profile(ev, t).hex(), _settled(ev, t)), t
+
+    def test_apply_disturbances_reports_every_event_settled(self):
+        board = flat_board()
+        events = (DisturbanceEvent("raise", 1.0, 5.0, 0.01, ramp=0.5),
+                  DisturbanceEvent("sinusoid", 1.2, 1.0, 0.002, ramp=0.1))
+        for t in (0.0, 1.0, 1.5, 2.0, 2.2, math.nextafter(2.2, 3.0), 9.0):
+            *_, settled = apply_disturbances(board, events, t)
+            assert settled == all(ev.envelope(t)[1] for ev in events), t
+        assert apply_disturbances(board, (), 0.0) == ((0.0, 0.0, 0.0), False, True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -428,14 +493,27 @@ class TestConstructorValidation:
         assert microwave(latch_force=0.0).latch_force == 0.0
         assert lever_door(latch_force=0.0).latch_force == 0.0
 
+    @pytest.mark.parametrize("given", ["handle_pivot", "handle_axis"])
+    def test_a_half_given_handle_is_a_value_error(self, given):
+        with pytest.raises(ValueError, match="both handle_pivot and handle_axis") as exc:
+            HingedDoor(**{given: (1.0, 0.0, 0.0)})
+        assert type(exc.value) is ValueError
+
+    def test_the_handle_makes_a_door(self):
+        assert HingedDoor().microwave
+        assert not lever_door().microwave
+        for task, microwave_kind in (("MO", True), ("DO", False)):
+            door = build_environment(task, np.random.default_rng(0))
+            assert door.microwave is microwave_kind
+            assert (door.handle_pivot is None) is microwave_kind
+
 
 # The constructor fields of each environment: the inputs a task builder or a
 # config override sets. Every other dimension is a module constant.
 ENV_FIELDS = {
     PlaneBoard: ("center", "rotation", "k_e"),
     HoleFixture: ("rim_center", "axis_up", "k_e"),
-    HingedDoor: ("hinge_pivot", "grasp0", "handle_pivot", "handle_axis", "microwave",
-                 "latch_force", "k_e"),
+    HingedDoor: ("hinge_pivot", "grasp0", "handle_pivot", "handle_axis", "latch_force", "k_e"),
 }
 
 
@@ -457,15 +535,14 @@ class TestConstructorFields:
 
 def microwave(**kw):
     return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
-                      grasp0=np.array([0.0, 0.0, 0.0]), microwave=True, **kw)
+                      grasp0=np.array([0.0, 0.0, 0.0]), **kw)
 
 
 def lever_door(**kw):
     return HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
                       grasp0=np.array([0.0, -0.06, 0.0]),
                       handle_pivot=np.array([0.0, 0.0, 0.0]),
-                      handle_axis=np.array([1.0, 0.0, 0.0]),
-                      microwave=False, **kw)
+                      handle_axis=np.array([1.0, 0.0, 0.0]), **kw)
 
 
 def microwave_grasp(angle):

@@ -185,13 +185,12 @@ def demo_door():
     return HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
                       grasp0=np.array([0.0, -0.06, 0.0]),
                       handle_pivot=np.array([0.0, 0.0, 0.0]),
-                      handle_axis=np.array([1.0, 0.0, 0.0]),
-                      microwave=False)
+                      handle_axis=np.array([1.0, 0.0, 0.0]))
 
 
 def microwave():
     return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
-                      grasp0=np.array([0.0, 0.0, 0.0]), microwave=True)
+                      grasp0=np.array([0.0, 0.0, 0.0]))
 
 
 def turn_poses(door):

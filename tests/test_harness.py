@@ -505,13 +505,13 @@ def first_settled_tick(events, onset, max_ticks):
     which every event is settled, or max_ticks."""
     dt = 1.0 / harness.CONTROL_HZ
     return next((k for k in range(onset, max_ticks)
-                 if all(ev.settled(k * dt) for ev in events)), max_ticks)
+                 if all(ev.envelope(k * dt)[1] for ev in events)), max_ticks)
 
 
 class TestSettledDisturbances:
-    """From the tick at which every event is settled on, the loop holds that
-    tick's apply_disturbances result instead of calling it again; the logs
-    must not change."""
+    """From the tick at which apply_disturbances reports every event settled
+    on, the loop holds that result instead of calling it again; the logs must
+    not change."""
 
     NOISE11 = TestSuiteTwins.NOISE11
     RAISE = DisturbanceEvent("raise", 2.0, 10.0, 0.03, ramp=0.5)
@@ -521,6 +521,24 @@ class TestSettledDisturbances:
     def cfg(self, events, duration=6.0, mode="force_aware"):
         return ScenarioConfig("WW", mode, duration, 1, noise=self.NOISE11,
                               disturbances=events)
+
+    @staticmethod
+    def counted_run(monkeypatch, cfg, never_settled=False):
+        """The log of cfg and the times of its apply_disturbances calls. With
+        never_settled, each call reports an event still unsettled, so the loop
+        calls on every tick from the onset on."""
+        calls = []
+        original = harness.apply_disturbances
+
+        def counting(env, evs, t):
+            calls.append(t)
+            force, active, settled = original(env, evs, t)
+            return force, active, settled and not never_settled
+
+        monkeypatch.setattr(harness, "apply_disturbances", counting)
+        log = run_episode(cfg)
+        monkeypatch.undo()
+        return log, calls
 
     @pytest.mark.parametrize("events,settle", [
         ((RAISE,), 2500),
@@ -535,28 +553,15 @@ class TestSettledDisturbances:
         cfg = self.cfg(events)
         max_ticks = 6000
         onset = harness._onset_tick(events, max_ticks)
-        assert harness._settle_tick(events, onset, max_ticks) == settle
         assert first_settled_tick(events, onset, max_ticks) == settle
-        calls = []
-        original = harness.apply_disturbances
-
-        def counting(env, evs, t):
-            calls.append(t)
-            return original(env, evs, t)
-
-        monkeypatch.setattr(harness, "apply_disturbances", counting)
-        log = run_episode(cfg)
-        # The same episode with a call on every tick from the onset on.
-        monkeypatch.setattr(harness, "_settle_tick", lambda evs, on, n: n)
-        every_tick = run_episode(cfg)
-        monkeypatch.undo()
+        log, calls = self.counted_run(monkeypatch, cfg)
+        every_tick, every_call = self.counted_run(monkeypatch, cfg, never_settled=True)
 
         dt = 1.0 / harness.CONTROL_HZ
         n = log.n_ticks
         assert n > settle or settle == max_ticks
-        held = [k * dt for k in range(onset, min(settle + 1, n))]
-        assert calls[:len(held)] == held
-        assert calls[len(held):] == [k * dt for k in range(onset, n)]
+        assert calls == [k * dt for k in range(onset, min(settle + 1, n))]
+        assert every_call == [k * dt for k in range(onset, n)]
         assert series_digest(log) == series_digest(every_tick)
 
     @pytest.mark.parametrize("events", [
@@ -571,16 +576,19 @@ class TestSettledDisturbances:
         (DisturbanceEvent("force_pulse", 1e308, 1.0, 1.0),),
         (),
     ])
-    def test_settle_tick_is_the_first_settled_tick(self, events):
+    def test_calls_end_at_the_first_settled_tick(self, monkeypatch, events):
+        dt = 1.0 / harness.CONTROL_HZ
         for max_ticks in (4000, 3999, 4001):
+            log, calls = self.counted_run(monkeypatch, self.cfg(events, max_ticks * dt))
             onset = harness._onset_tick(events, max_ticks)
-            assert harness._settle_tick(events, onset, max_ticks) == \
-                first_settled_tick(events, onset, max_ticks), max_ticks
+            settle = first_settled_tick(events, onset, max_ticks)
+            assert calls == [k * dt for k in range(onset, min(settle + 1, log.n_ticks))], \
+                max_ticks
 
     @pytest.mark.parametrize("ramp", [0.5, 0.0])
     def test_resumed_across_the_settle_tick(self, ramp):
         cfg = self.cfg((replace(self.RAISE, ramp=ramp),))
-        settle = harness._Episode(cfg).settle
+        settle = first_settled_tick(cfg.disturbances, 0, 6000)
         assert settle == 2000 + 1000 * ramp
         alone = series_digest(run_episode(cfg))
         for split in (settle - 1, settle, settle + 1):
