@@ -20,7 +20,7 @@ from math import isfinite
 from typing import NamedTuple
 
 from .errors import NonFiniteState, NonPositiveParameter, check_range
-from .geometry import Pose, dot3, sq_norm, tangent_or_none, vec3
+from .geometry import dot3, sq_norm, tangent_or_none, vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
 
@@ -91,16 +91,13 @@ class ControllerState(_StateFields):
     def __new__(cls, x_r, v_r):
         return super().__new__(cls, vec3(x_r), vec3(v_r))
 
-    @classmethod
-    def at_rest(cls, pose: Pose) -> "ControllerState":
-        return cls(pose.position, _ZERO3)
-
 
 @dataclass(frozen=True)
 class ControllerCommand:
     """One policy action: reference position, gripper, normal direction, contact flag.
 
-    The position and the normal are float tuples, coerced from any sequence.
+    `predict` returns its action chunk as a tuple of these. The position and
+    the normal are float tuples, coerced from any sequence.
     """
 
     x_cmd: tuple
@@ -113,7 +110,7 @@ class ControllerCommand:
         n = _ZERO3 if self.n is None else vec3(self.n)
         object.__setattr__(self, "n", n)
         if self.c not in (0, 1):
-            raise ValueError("contact flag must be 0 or 1")
+            raise ValueError(f"contact flag must be 0 or 1, got {self.c!r}")
         if self.c == 1 and abs(math.sqrt(sq_norm(n)) - 1.0) > 1e-6:
             raise ValueError("normal direction must be unit when c=1")
 

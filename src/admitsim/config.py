@@ -174,6 +174,9 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     parser = _read(path, "suite")
     common = _values(parser, "suite", path)
     modes = common.pop("modes", ("force_aware",))
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:  # its episodes would run, and count, twice
+            raise ConfigParse(f"{path}: [suite] modes repeats {mode}")
     seeds = common.pop("seeds", 5)
     if seeds < 1:
         raise ConfigParse(f"{path}: [suite] seeds must be >= 1, got {seeds}")

@@ -62,29 +62,17 @@ class PhaseLabel(Enum):
         return 1 if self is PhaseLabel.CONTACT else 0
 
 
-class _SupervisionFields(NamedTuple):
-    pose10: np.ndarray
-    normal: np.ndarray
-    contact: int
-
-
-class SupervisionTuple(_SupervisionFields):
+class SupervisionTuple(NamedTuple):
     """Per-step training target: 10-d pose/gripper, normal direction, contact flag.
 
     The tuples of a generated or read-back demo are views of a row of its
-    record block (see `SupervisionRecords`), built with the NamedTuple method
-    `_make`. The public constructor coerces pose10 and normal to float arrays
-    and rejects a contact flag other than 0 or 1, which the dataset format
-    cannot hold.
+    record block (see `SupervisionRecords`); the contact flag is 0 or 1,
+    the two values the dataset format holds.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, pose10, normal, contact):
-        if contact not in (0, 1):
-            raise ValueError(f"contact flag must be 0 or 1, got {contact!r}")
-        return super().__new__(cls, np.asarray(pose10, dtype=float),
-                               np.asarray(normal, dtype=float), contact)
+    pose10: np.ndarray
+    normal: np.ndarray
+    contact: int
 
 
 # Floats per supervision record: 10 pose/gripper, 3 normal, 1 contact flag.
@@ -114,7 +102,7 @@ class SupervisionRecords(Sequence):
         row = self.block[i]
         if row.ndim == 2:  # i is a slice
             return SupervisionRecords(row)
-        return SupervisionTuple._make((row[:10], row[10:13], int(row[13])))
+        return SupervisionTuple(row[:10], row[10:13], int(row[13]))
 
     def __iter__(self):
         block = self.block

@@ -28,15 +28,16 @@ tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Arrays appear only where whole arrays are the point, and numpy ufuncs give
 the same bits at any array length and in any layout there: the `RunLog` of a
-finished episode, built once from the per-tick logs, the ink grid, the
-verifier's lane chunks, judged a chunk of steps at a time, and a demo's
-supervision records, one (n, 14) float64 block in the dataset layout
-(`admitsim.datasets`) whose tuples are made as row views on access.
-Elementwise float arithmetic rounds exactly like numpy's, so the tuples carry
-the bits an array would: the records' 6D rotations are computed on numpy
-columns of all a demo's quaternions (`_unit_matrix` serves floats and
-columns alike), and equal the per-pose `rot6d_encode`; a controller
-command's position is the float tuple of a record's `pose10[:3]`.
+finished episode, whose float series are column views of the loop's packed
+(n, 15) tick records, the ink grid, the verifier's lane chunks, judged a
+chunk of steps at a time, and a demo's supervision records, one (n, 14)
+float64 block in the dataset layout (`admitsim.datasets`) whose tuples are
+made as row views on access. Elementwise float arithmetic rounds exactly
+like numpy's, so the tuples carry the bits an array would: the records' 6D
+rotations are computed on numpy columns of all a demo's quaternions
+(`_unit_matrix` serves floats and columns alike), and equal the per-pose
+`rot6d_encode`; a predicted controller command's position is the float
+tuple of a record's `pose10[:3]` plus its position noise, added as arrays.
 
 Every quaternion keeps the `_unit_quat` passes of the formulas the outputs
 were pinned with (a slerp's own, the one of the `Pose` constructor): a

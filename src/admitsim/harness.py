@@ -17,12 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admittance import (
-    AdmittanceConfig,
-    ControllerCommand,
-    ControllerState,
-    controller_tick,
-)
+from .admittance import AdmittanceConfig, ControllerState, controller_tick
 from .environments import (
     F_MIN_WIPE,
     DisturbanceEvent,
@@ -106,6 +101,9 @@ class ScenarioConfig:
             check_real(f"admittance {key}", value)  # a bool flag is one too
         check_range("safety limit", self.safety_limit)
         check_range("safety debounce", self.safety_debounce, closed=True)
+        if self.safety_debounce * CONTROL_HZ == math.inf:  # the run counts it in ticks
+            raise ValueError(f"safety debounce must be a finite number of ticks "
+                             f"({CONTROL_HZ} per s), got {self.safety_debounce}")
         self.build_admittance()  # the overrides fail here, not mid-run
 
     def build_admittance(self) -> AdmittanceConfig:
@@ -229,13 +227,13 @@ class _Episode:
         self.held = (None, False, False)  # the last disturbance result, held once settled
         self.k = 0            # the next tick
         self.ended = False    # the plan and its settle tail ran out, or a safety stop
-        self.state = ControllerState.at_rest(self.demo.poses[0])
+        self.state = ControllerState(self.demo.poses[0].position, (0.0, 0.0, 0.0))
         self.chunk = self.cmd = None
         self.phase_idx = 0
         self.over = 0
         self.safety_stopped = False
         self.peak_force = 0.0
-        # Compact logs, appended to per tick and turned into arrays once at the
+        # Compact logs, appended to per tick and viewed as arrays once at the
         # end: no numpy call per tick. Each tick appends one _RECORD of the
         # float series and one disturbed flag. t is k * dt, and phase and
         # contact change only at a policy step, so those two hold one record
@@ -290,10 +288,7 @@ class _Episode:
                 if p < n_demo:
                     if p % DEFAULT_HORIZON == 0:
                         chunk = predict(p, tuples, noise)
-                    # The controller is translational: a command takes the
-                    # position and the gripper of the predicted 10-d pose.
-                    pose10, normal, contact = chunk[p % DEFAULT_HORIZON]
-                    cmd = ControllerCommand(pose10[:3], float(pose10[9]), normal, contact)
+                    cmd = chunk[p % DEFAULT_HORIZON]
                     phase_idx = phases[p].value
                 # Past the demo: hold the last command through the settle tail.
                 buf_phase.append(phase_idx)
@@ -333,8 +328,9 @@ class _Episode:
 
     def log(self) -> RunLog:
         """The RunLog of an episode that cannot advance (it ended, or ran
-        max_ticks): the series, moved out of the tick records, which are left
-        empty, and the final metrics. Every later call returns the same log.
+        max_ticks): views of the tick records and the disturbed flags, which
+        nothing resizes from then on, and the final metrics. Every later call
+        returns the same log.
         """
         log = self.final_log
         if log is None:
@@ -347,11 +343,12 @@ class _Episode:
             buf_phase, buf_c, buf_dist = self.flags
             n = len(buf_dist)
             t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
-            series = _take_series(self.records, n)
-            disturbed = np.frombuffer(buf_dist, dtype=np.int8).copy()
+            rows = np.frombuffer(self.records, np.float64).reshape(n, 15)
+            series = [rows[:, i:i + 3] for i in range(0, 15, 3)]
             log = self.final_log = RunLog(t, *series, _per_tick(buf_phase, n),
-                                          _per_tick(buf_c, n), disturbed, metrics, False,
-                                          self.safety_stopped)
+                                          _per_tick(buf_c, n),
+                                          np.frombuffer(buf_dist, dtype=np.int8), metrics,
+                                          False, self.safety_stopped)
             log.success = success_check(task, log)
             log.metrics["success"] = log.success
         return log
@@ -360,27 +357,6 @@ class _Episode:
 # One tick's float log values: x_r, v_r, f_ext, f_cmd and the stiffness
 # eigenvalues, three each, in RunLog's field order.
 _RECORD = struct.Struct("15d")
-
-
-def _take_series(records: bytearray, n: int) -> list:
-    """The five C-contiguous (n, 3) series of n tick records, cut off the
-    buffer as they are copied, from the end.
-
-    A bytearray gives memory back only when cut below half its allocation, so
-    each pass takes the upper half of the rows left: the buffer and the
-    series are never held whole at the same time.
-    """
-    series = [np.empty((n, 3)) for _ in range(5)]
-    hi = n
-    while hi:
-        lo = hi // 2
-        rows = np.frombuffer(records, np.float64, (hi - lo) * 15, lo * _RECORD.size)
-        for i, out in enumerate(series):
-            out[lo:hi] = rows.reshape(-1, 5, 3)[:, i]
-        del rows  # the buffer cannot be resized while an array views it
-        del records[lo * _RECORD.size:]
-        hi = lo
-    return series
 
 
 def _per_tick(steps: array, n: int) -> np.ndarray:

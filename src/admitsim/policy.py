@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admittance import ControllerCommand
 from .errors import EndOfDemo, check_count, check_range, check_real
 from .expert import SupervisionTuple
 from .geometry import _cross, _normalize, _unit, quat_from_axis_angle, quat_rotate, sq_norm
@@ -24,10 +25,9 @@ class NoiseSpec:
     """Oracle prediction noise and its seed.
 
     `rot_std` only advances the noise generator. The controller is
-    translational and a command takes only the position and the gripper of
-    a prediction, so `predict` returns the demo's orientation; while
-    `rot_std` > 0 it still makes the two draws of an orientation
-    perturbation per tuple, which keeps every later draw as it was.
+    translational and a command holds no orientation, so `predict` predicts
+    none; while `rot_std` > 0 it still makes the two draws of an orientation
+    perturbation per step, which keeps every later draw as it was.
     """
 
     pos_std: float = 0.0
@@ -65,13 +65,15 @@ def _perturb_normal(n, rng: np.random.Generator, cone_std: float) -> tuple:
 
 
 def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec) -> tuple:
-    """The next DEFAULT_HORIZON supervision tuples from policy step t0 of the
-    demo, perturbed, as a tuple (the action chunk).
+    """The next DEFAULT_HORIZON steps from policy step t0 of the demo,
+    perturbed, as a tuple of ControllerCommands (the action chunk).
 
-    The slice is padded by repeating the final tuple when the demo ends inside
-    the horizon; a time index at or beyond the demo raises EndOfDemo. Output
-    is deterministic in (noise.seed, t0). The predicted 6D rotation is the
-    demo's: `rot_std` only draws from the noise generator (see NoiseSpec).
+    Each command takes the position (plus the position noise), the gripper,
+    the normal and the contact flag of its demo tuple. The slice is padded
+    by repeating the final tuple when the demo ends inside the horizon; a
+    time index at or beyond the demo raises EndOfDemo. Output is
+    deterministic in (noise.seed, t0). `rot_std` only draws from the noise
+    generator (see NoiseSpec).
     """
     if t0 < 0 or t0 >= len(demo):
         raise EndOfDemo(f"time index {t0} outside demo of length {len(demo)}")
@@ -79,9 +81,9 @@ def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec) -> tupl
     out = []
     for k in range(DEFAULT_HORIZON):
         src = demo[min(t0 + k, len(demo) - 1)]
-        pose10 = src.pose10.copy()
+        x_cmd = src.pose10[:3]
         if noise.pos_std > 0.0:
-            pose10[:3] += rng.normal(0.0, noise.pos_std, 3)
+            x_cmd = x_cmd + rng.normal(0.0, noise.pos_std, 3)
         if noise.rot_std > 0.0:
             # The draws of a rotation perturbation (axis, then angle), which no
             # output reads: they keep the stream of every later draw.
@@ -95,6 +97,5 @@ def predict(t0: int, demo: Sequence[SupervisionTuple], noise: NoiseSpec) -> tupl
                 n = _random_unit(rng)  # spurious contact: the normal is garbage but unit
         if c == 1 and noise.normal_cone_std > 0.0:
             n = _perturb_normal(n, rng, noise.normal_cone_std)
-        out.append(SupervisionTuple(pose10, n, c))
+        out.append(ControllerCommand(x_cmd, float(src.pose10[9]), n, c))
     return tuple(out)
-

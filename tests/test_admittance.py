@@ -321,6 +321,11 @@ class TestControllerTick:
         with pytest.raises(ValueError):
             ControllerCommand(np.zeros(3), 1.0, np.array([0.0, 0, 0.5]), 1)
 
+    @pytest.mark.parametrize("flag", [2, -1, 0.7, np.nan])
+    def test_command_rejects_a_contact_flag_other_than_zero_or_one(self, flag):
+        with pytest.raises(ValueError, match="contact flag"):
+            ControllerCommand(np.zeros(3), 1.0, np.zeros(3), flag)
+
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_force_raises(self, axis, value):

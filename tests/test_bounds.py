@@ -14,6 +14,7 @@ a `ScenarioConfig` object field of the wrong type fail with a typed error too.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from admitsim.environments import (
 )
 from admitsim.config import parse_scenario
 from admitsim.errors import ConfigParse, NonPositiveParameter
-from admitsim.harness import ScenarioConfig
+from admitsim.harness import CONTROL_HZ, ScenarioConfig, run_episode
 from admitsim.policy import NoiseSpec
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 from admitsim.verify import (
@@ -102,6 +103,19 @@ def test_range_bound(owner, name, build, low, closed, error):
     build(math.nextafter(low, math.inf))
     if closed:
         build(low)
+
+
+def test_a_debounce_too_long_to_count_in_ticks_is_refused():
+    """The run counts the debounce in ticks: a finite debounce whose tick
+    count overflows the float range fails at construction, not mid-run."""
+    longest = sys.float_info.max / CONTROL_HZ  # its tick count is the largest float
+    past = math.nextafter(longest, math.inf)
+    with pytest.raises(ValueError) as exc:
+        ScenarioConfig("PH", safety_debounce=past)
+    assert str(exc.value) == (f"safety debounce must be a finite number of ticks "
+                              f"({CONTROL_HZ} per s), got {past}")
+    log = run_episode(ScenarioConfig("PH", duration=0.2, safety_debounce=longest))
+    assert log.n_ticks == 200 and not log.safety_stopped
 
 
 # (name, constructor of one value, low)

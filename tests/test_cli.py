@@ -451,6 +451,26 @@ def test_disturbance_without_a_required_key_names_it(tmp_path, capsys, key):
     assert not os.path.exists(tmp_path / "out.csv")
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("run", "[scenario]\ntask = PH\n[safety]\ndebounce = 1e306\n",
+     "safety debounce must be a finite number of ticks (1000 per s), got 1e+306"),
+    ("suite", "[suite]\ntask = PH\nseeds = 1\n[safety]\ndebounce = 1e306\n",
+     "safety debounce must be a finite number of ticks (1000 per s), got 1e+306"),
+    ("suite", "[suite]\ntask = PH\nmodes = force_aware force_aware\nseeds = 1\n",
+     "[suite] modes repeats force_aware"),
+    ("suite", "[suite]\ntask = WW\nmodes = baseline_low force_aware baseline_low\n",
+     "[suite] modes repeats baseline_low"),
+])
+def test_a_value_the_run_cannot_take_exits_2(tmp_path, capsys, command, text, message):
+    """A debounce whose tick count is not finite stopped the run with an
+    OverflowError, and a repeated mode ran and counted its episodes twice."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
 def test_a_latch_free_door_runs(tmp_path, capsys):
     """latch_force = 0 is a door without a latch, a valid ablation."""
     path = tmp_path / "mo.ini"

@@ -78,7 +78,7 @@ def _between(lo, hi):
 VALID = {
     "task": st.sampled_from(TASKS),
     "mode": st.sampled_from(MODES),
-    "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=2).map(" ".join),
+    "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=2, unique=True).map(" ".join),
     "seeds": st.integers(1, 3).map(str),
     "seed": st.integers(0, 100).map(str),
     "base_seed": st.integers(0, 100).map(str),

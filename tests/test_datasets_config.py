@@ -19,7 +19,7 @@ from admitsim.datasets import (
 )
 from admitsim.environments import DisturbanceEvent
 from admitsim.errors import ConfigParse, IoFailure
-from admitsim.expert import SupervisionRecords, SupervisionTuple
+from admitsim.expert import SupervisionRecords
 from admitsim.harness import RunLog, ScenarioConfig, run_episode
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
 from admitsim.verify import default_grid
@@ -100,11 +100,6 @@ class TestDataset:
         path.write_bytes(with_last_contact(_dataset_bytes(small_dataset()), flag))
         with pytest.raises(IoFailure, match="contact flag"):
             read_dataset(str(path))
-
-    @pytest.mark.parametrize("flag", [2, -1, 0.7, np.nan])
-    def test_supervision_tuple_rejects_a_contact_flag_the_format_cannot_hold(self, flag):
-        with pytest.raises(ValueError, match="contact flag"):
-            SupervisionTuple(np.zeros(10), np.zeros(3), flag)
 
     @pytest.mark.parametrize("task", TASKS)
     def test_demo_tuples_view_one_block(self, task):
@@ -400,6 +395,8 @@ def test_unknown_key_is_named(tmp_path, parse, text, key):
      "[noise] seed is not an integer"),
     (parse_suite, "[suite]\ntask = WW\nseeds = 2.0\n", "[suite] seeds is not an integer"),
     (parse_suite, "[suite]\ntask = WW\nmodes =\n", "[suite] modes has no values"),
+    (parse_suite, "[suite]\ntask = WW\nmodes = force_aware force_aware\n",
+     "[suite] modes repeats force_aware"),
     (parse_verify_params, "[verify]\nm = 1.0 x\n", "[verify] m must be numbers"),
     (parse_verify_params, "[verify]\nk_e =\n", "[verify] k_e has no values"),
     (parse_verify_params, "[verify]\nd = x\n", "[verify] d is not a number"),

@@ -124,17 +124,17 @@ def log_digest(log) -> str:
 
 def predict_digest() -> str:
     """SHA-256 over the position, gripper, normal and contact flag of every
-    tuple of every chunk `predict` makes of a seed-3 WW demo under NOISE (the
+    command of every chunk `predict` makes of a seed-3 WW demo under NOISE (the
     chunks the harness takes, at every DEFAULT_HORIZON-th step). NOISE has
     rot_std > 0, whose draws advance the generator."""
     demo = generate_demo("WW", build_environment("WW", np.random.default_rng(3))).tuples
     h = hashlib.sha256()
     for t0 in range(0, len(demo), DEFAULT_HORIZON):
-        for pose10, normal, contact in predict(t0, demo, NOISE):
-            h.update(pose10[:3].tobytes())
-            h.update(pose10[9].tobytes())
-            h.update(np.asarray(normal, dtype=float).tobytes())
-            h.update(bytes([contact]))
+        for cmd in predict(t0, demo, NOISE):
+            h.update(np.array(cmd.x_cmd).tobytes())
+            h.update(np.float64(cmd.gripper).tobytes())
+            h.update(np.array(cmd.n).tobytes())
+            h.update(bytes([cmd.c]))
     return h.hexdigest()
 
 
