@@ -5,7 +5,6 @@ from .admittance import (
     ControllerCommand,
     ControllerState,
     TickResult,
-    commanded_force,
     compute_damping,
     controller_tick,
 )

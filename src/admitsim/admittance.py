@@ -10,19 +10,32 @@ semi-implicit Euler.
 
 The per-tick evaluation order is fixed for reproducibility:
 deadband -> commanded force -> effective gains -> integrate.
+
+`controller_tick` holds every law of that tick but the deadband: the
+commanded force f*n, the tangent axis (the commanded motion projected off n,
+with its isotropic fallbacks below EPS_POS and EPS_PROJ), the rank-1 gain
+update and the Euler step each have their one implementation there, written
+out on floats. The radial deadband is `_radial_deadband`, which the
+verifier's equivalence check calls too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, sqrt
 from typing import NamedTuple
 
 from .errors import NonFiniteState, NonPositiveParameter, check_range
-from .geometry import dot3, sq_norm, tangent_or_none, vec3
+from .geometry import vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
+
+# Degeneracy thresholds of the tangent axis: below these the commanded motion
+# carries no usable tangent information and the tick falls back to isotropic
+# stiffness.
+EPS_POS = 1e-6
+EPS_PROJ = 1e-6
 
 _ZERO3 = (0.0, 0.0, 0.0)
 
@@ -106,13 +119,22 @@ class ControllerCommand:
     c: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x_cmd", vec3(self.x_cmd))
+        x_cmd = vec3(self.x_cmd)
+        object.__setattr__(self, "x_cmd", x_cmd)
         n = _ZERO3 if self.n is None else vec3(self.n)
         object.__setattr__(self, "n", n)
+        if not all(map(isfinite, x_cmd)):
+            raise ValueError(f"x_cmd must be finite, got {x_cmd}")
+        if not isfinite(self.gripper):
+            raise ValueError(f"gripper must be finite, got {self.gripper!r}")
         if self.c not in (0, 1):
             raise ValueError(f"contact flag must be 0 or 1, got {self.c!r}")
-        if self.c == 1 and abs(math.sqrt(sq_norm(n)) - 1.0) > 1e-6:
-            raise ValueError("normal direction must be unit when c=1")
+        if self.c == 1:  # the tick reads n only in contact
+            if not all(map(isfinite, n)):
+                raise ValueError(f"normal direction n must be finite when c=1, got {n}")
+            n0, n1, n2 = n
+            if abs(sqrt(n0 * n0 + n1 * n1 + n2 * n2) - 1.0) > 1e-6:
+                raise ValueError("normal direction must be unit when c=1")
 
 
 def _radial_deadband(v, band: float) -> tuple:
@@ -120,28 +142,11 @@ def _radial_deadband(v, band: float) -> tuple:
     v0, v1, v2 = v
     if band <= 0.0:
         return (v0, v1, v2)
-    mag = math.sqrt(sq_norm(v))
+    mag = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
     if mag <= band:
         return _ZERO3
     s = (mag - band) / mag
     return (v0 * s, v1 * s, v2 * s)
-
-
-def commanded_force(cmd: ControllerCommand, st: ControllerState, cfg: AdmittanceConfig) -> tuple:
-    """F_cmd = f*n with f = f_H + n.K(x_cmd - x_r) + n.D x_r'; zero out of contact.
-
-    K and D here are the base isotropic gains: any tangent-stiffening rank-1
-    term is orthogonal to n and cannot contribute to the n-projection.
-    """
-    if cmd.c == 0 or not cfg.enable_normal_regulation:
-        return _ZERO3
-    n = cmd.n
-    c0, c1, c2 = cmd.x_cmd
-    x0, x1, x2 = st.x_r
-    f = (cfg.target_force + cfg.stiffness * dot3(n, (c0 - x0, c1 - x1, c2 - x2))
-         + cfg.damping * dot3(n, st.v_r))
-    n0, n1, n2 = n
-    return (f * n0, f * n1, f * n2)
 
 
 class TickResult(NamedTuple):
@@ -157,49 +162,68 @@ def controller_tick(st: ControllerState, cmd: ControllerCommand, force: tuple,
                     dt: float, cfg: AdmittanceConfig) -> TickResult:
     """One full controller tick in the fixed evaluation order.
 
-    Equivalent to deadbanding the raw external force (a float 3-tuple), then
-    one semi-implicit Euler step of the law with materialized K_eff and D_eff,
-    but with the gains applied algebraically (the rank-1 tangent update never
-    needs a materialized matrix), to keep the 1 kHz loop cheap
+    Deadbands the raw external force (a float 3-tuple, `_radial_deadband`),
+    evaluates the commanded force and the tangent axis, then takes one
+    semi-implicit Euler step of the law. The gains are applied algebraically:
+    the rank-1 tangent update never needs a materialized matrix
     (tests/test_admittance.py keeps the materialized form as a reference).
-    Inputs, state and results are float tuples, and the arithmetic, dot
-    products included, runs on Python floats (see the numerics contract in
-    admitsim.geometry). The inputs were validated by their constructors and
-    are not coerced again.
+    Inputs, state and results are float tuples, and the arithmetic runs on
+    Python floats, every vector operation written out as its left-to-right
+    expression (see the numerics contract in admitsim.geometry). The inputs
+    were validated by their constructors and are not coerced again.
     """
     if not 0.0 < dt <= MAX_DT:  # NaN fails the comparison too
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
     f0, f1, f2 = f_ext = _radial_deadband(force, cfg.force_deadband)
-    g0, g1, g2 = f_cmd = commanded_force(cmd, st, cfg)
+    (x0, x1, x2), (v0, v1, v2) = st
+    c0, c1, c2 = cmd.x_cmd
     k = cfg.stiffness
     d = cfg.damping
-    x0, x1, x2 = st.x_r
-    v = st.v_r
-    v0, v1, v2 = v
-    c0, c1, c2 = cmd.x_cmd
-    e = (x0 - c0, x1 - c1, x2 - c2)                           # x_r - x_cmd
-    s0, s1, s2 = k * e[0], k * e[1], k * e[2]                 # spring
+    contact = cmd.c == 1
+    if contact and cfg.enable_normal_regulation:
+        # F_cmd = f*n with f = f_H + n.K(x_cmd - x_r) + n.D x_r'. K and D are
+        # the base isotropic gains: the rank-1 tangent term is orthogonal to n
+        # and cannot contribute to the n-projection.
+        n0, n1, n2 = cmd.n
+        f = (cfg.target_force + k * (n0 * (c0 - x0) + n1 * (c1 - x1) + n2 * (c2 - x2))
+             + d * (n0 * v0 + n1 * v1 + n2 * v2))
+        g0, g1, g2 = f_cmd = (f * n0, f * n1, f * n2)
+    else:  # zero out of contact
+        g0 = g1 = g2 = 0.0
+        f_cmd = _ZERO3
+    e0, e1, e2 = x0 - c0, x1 - c1, x2 - c2                    # x_r - x_cmd
+    s0, s1, s2 = k * e0, k * e1, k * e2                       # spring
     b0, b1, b2 = d * v0, d * v1, d * v2                       # damping
-    t_axis = None
-    if cfg.enable_tangent_stiffening and cmd.c == 1:
-        # None: motion too short or along n, isotropic fallback.
-        t_axis = tangent_or_none(cmd.n, (c0 - x0, c1 - x1, c2 - x2))
-    if t_axis is None:
-        eigs = cfg._eigs
-    else:
-        eigs = cfg._tangent_eigs
-        ks = (eigs[2] - k) * dot3(t_axis, e)
-        ds = (cfg.tangent_damping - d) * dot3(t_axis, v)
-        t0, t1, t2 = t_axis
-        s0, s1, s2 = s0 + ks * t0, s1 + ks * t1, s2 + ks * t2
-        b0, b1, b2 = b0 + ds * t0, b1 + ds * t1, b2 + ds * t2
+    eigs = cfg._eigs
+    if contact and cfg.enable_tangent_stiffening:
+        # The tangent axis: the unit motion direction x_cmd - x_r projected
+        # onto the plane orthogonal to n. The isotropic fallback holds when
+        # the motion is no longer than EPS_POS or, after projection, parallel
+        # to n within EPS_PROJ.
+        u0, u1, u2 = c0 - x0, c1 - x1, c2 - x2
+        dist = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        if dist > EPS_POS:
+            n0, n1, n2 = cmd.n
+            u0, u1, u2 = u0 / dist, u1 / dist, u2 / dist
+            a = u0 * n0 + u1 * n1 + u2 * n2
+            t0, t1, t2 = u0 - a * n0, u1 - a * n1, u2 - a * n2
+            pn = sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+            if pn > EPS_PROJ:
+                t0, t1, t2 = t0 / pn, t1 / pn, t2 / pn
+                eigs = cfg._tangent_eigs
+                ks = (eigs[2] - k) * (t0 * e0 + t1 * e1 + t2 * e2)
+                ds = (cfg.tangent_damping - d) * (t0 * v0 + t1 * v1 + t2 * v2)
+                s0, s1, s2 = s0 + ks * t0, s1 + ks * t1, s2 + ks * t2
+                b0, b1, b2 = b0 + ds * t0, b1 + ds * t1, b2 + ds * t2
     a = dt / cfg.mass
     v0 = v0 + a * (f0 - g0 - b0 - s0)
     v1 = v1 + a * (f1 - g1 - b1 - s1)
     v2 = v2 + a * (f2 - g2 - b2 - s2)
     x0, x1, x2 = x0 + dt * v0, x1 + dt * v1, x2 + dt * v2
-    if not (isfinite(x0) and isfinite(x1) and isfinite(x2)
-            and isfinite(v0) and isfinite(v1) and isfinite(v2)):
+    # x - x is 0.0 for a finite x and NaN for inf or NaN. A non-finite
+    # velocity makes its position non-finite too (dt > 0), so the position
+    # alone tells whether the state left the finite range.
+    if (x0 - x0) + (x1 - x1) + (x2 - x2) != 0.0:
         raise NonFiniteState("controller state diverged")
     return _new(TickResult, (_new(ControllerState, ((x0, x1, x2), (v0, v1, v2))),
                              f_ext, f_cmd, eigs))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -81,18 +82,6 @@ class FrictionModel:
         c = self.viscous_c
         v0, v1, v2 = v_t
         return (a * v0 - c * v0, a * v1 - c * v1, a * v2 - c * v2)
-
-
-def _friction(model: FrictionModel, vel, normal, f_n: float) -> tuple:
-    """Tangential resistance opposing the velocity's component off the unit normal.
-
-    vel and normal are float 3-sequences; the force is a float tuple.
-    """
-    v_t = _perp(vel, normal)
-    speed = math.sqrt(sq_norm(v_t))
-    if speed < 1e-15:
-        return _ZERO3
-    return model.slip_force(v_t, speed, f_n)
 
 
 # --------------------------------------------------------------------------
@@ -349,13 +338,23 @@ class PlaneBoard(TaskEnvironment):
             self.segments.append(segment)
 
     def external_wrench(self, pos, vel) -> tuple:
-        nu = self.surface_normal
-        pen = dot3(_sub(self.rest_point, pos), nu)
+        # The normal spring plus the friction of the velocity's component off
+        # the normal, written out on floats.
+        n0, n1, n2 = self.surface_normal
+        r0, r1, r2 = self.rest_point
+        p0, p1, p2 = pos
+        pen = (r0 - p0) * n0 + (r1 - p1) * n1 + (r2 - p2) * n2
         if pen <= 0.0:
             return _ZERO3
         f_n = self.k_e * pen
-        n0, n1, n2 = nu
-        g0, g1, g2 = _friction(BOARD_FRICTION, vel, nu, f_n)
+        u0, u1, u2 = vel
+        a = u0 * n0 + u1 * n1 + u2 * n2
+        u0, u1, u2 = u0 - a * n0, u1 - a * n1, u2 - a * n2
+        speed = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        if speed < 1e-15:
+            g0 = g1 = g2 = 0.0
+        else:
+            g0, g1, g2 = BOARD_FRICTION.slip_force((u0, u1, u2), speed, f_n)
         return (f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2)
 
     def measure(self, x_r) -> float:
@@ -405,44 +404,53 @@ class HoleFixture(TaskEnvironment):
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
-        rel = _sub(pos, self.rim_center)
-        axis_up = self.axis_up
-        d_ax = -dot3(rel, axis_up)  # depth below the rim
+        p0, p1, p2 = pos
+        c0, c1, c2 = self.rim_center
+        u0, u1, u2 = axis_up = self.axis_up
+        q0, q1, q2 = p0 - c0, p1 - c1, p2 - c2
+        along = q0 * u0 + q1 * u1 + q2 * u2
+        d_ax = -along  # depth below the rim
         if d_ax <= 0.0:
             return _ZERO3
-        r_perp = _perp(rel, axis_up)
-        p0, p1, p2 = r_perp
-        r = math.sqrt(sq_norm(r_perp))
+        q0, q1, q2 = q0 - along * u0, q1 - along * u1, q2 - along * u2  # off the axis
+        r = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
         f0 = f1 = f2 = 0.0
-        spring = None  # (force, unit normal) of a pressed spring
         if r <= HOLE_RADIUS:
             # Inside the bore: compliant wall beyond the clearance.
             if r > CLEARANCE:
                 w = WALL_STIFFNESS * (r - CLEARANCE)
-                f0, f1, f2 = f0 - w * (p0 / r), f1 - w * (p1 / r), f2 - w * (p2 / r)
+                f0, f1, f2 = f0 - w * (q0 / r), f1 - w * (q1 / r), f2 - w * (q2 / r)
             pen = d_ax - HOLE_DEPTH
-            if pen > 0.0:
-                spring = (self.k_e * pen, axis_up)
+            if pen <= 0.0:
+                return (f0, f1, f2)
+            f_n = self.k_e * pen
+            n0, n1, n2 = axis_up
         elif r <= HOLE_RADIUS + CHAMFER:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
             d_surf = HOLE_RADIUS + CHAMFER - r
             h = math.sqrt(0.5)
             pen = (d_ax - d_surf) * h
-            if pen > 0.0:
-                u0, u1, u2 = axis_up
-                cone_n = ((u0 - p0 / r) * h, (u1 - p1 / r) * h, (u2 - p2 / r) * h)
-                spring = (self.k_e * pen, cone_n)
+            if pen <= 0.0:
+                return (f0, f1, f2)
+            f_n = self.k_e * pen
+            n0, n1, n2 = (u0 - q0 / r) * h, (u1 - q1 / r) * h, (u2 - q2 / r) * h
         else:
             # Landed on the top plate beside the hole.
-            spring = (self.k_e * d_ax, axis_up)
-        if spring is not None:
-            f_n, normal = spring
-            n0, n1, n2 = normal
-            f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
-            g0, g1, g2 = _friction(HOLE_FRICTION, vel, normal, f_n)
-            f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
-        return (f0, f1, f2)
+            f_n = self.k_e * d_ax
+            n0, n1, n2 = axis_up
+        # The pressed spring along its unit normal, and the friction of the
+        # velocity's component off it.
+        f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
+        v0, v1, v2 = vel
+        a = v0 * n0 + v1 * n1 + v2 * n2
+        v0, v1, v2 = v0 - a * n0, v1 - a * n1, v2 - a * n2
+        speed = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+        if speed < 1e-15:
+            g0 = g1 = g2 = 0.0
+        else:
+            g0, g1, g2 = HOLE_FRICTION.slip_force((v0, v1, v2), speed, f_n)
+        return (f0 + g0, f1 + g1, f2 + g2)
 
 
 HINGE_AXIS = (0.0, 0.0, 1.0)  # unit; the door swings about a vertical axis
@@ -492,7 +500,7 @@ class HingedDoor(TaskEnvironment):
             # Handle lever at the closed grasp, perpendicular to the handle axis.
             self._lever0_perp = _perp(_sub(self.grasp0, self.handle_pivot), self.handle_axis)
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.
-        rad0 = self._radial(self.grasp0)
+        rad0 = _perp(_sub(self.grasp0, self.hinge_pivot), HINGE_AXIS)  # the hinge radial
         self.pull_radius = math.sqrt(sq_norm(rad0))
         self._e1 = _unit(rad0, self.pull_radius)
         self._e2 = _cross(HINGE_AXIS, self._e1)
@@ -509,95 +517,121 @@ class HingedDoor(TaskEnvironment):
         """Current door angle about the hinge axis, in degrees."""
         return math.degrees(self.door_angle)
 
-    def _radial(self, p) -> tuple:
-        """Component of the float point p - hinge_pivot perpendicular to the hinge axis."""
-        return _perp(_sub(p, self.hinge_pivot), HINGE_AXIS)
-
-    def _azimuth(self, p) -> float:
-        rad = self._radial(p)
-        return math.atan2(dot3(rad, self._e2), dot3(rad, self._e1))
-
     def update(self, eef_pos, gripper: float):
         """Per-tick state update at the float position eef_pos: grasp engagement,
         angles, latch hysteresis."""
-        if not self.engaged:
-            if gripper > 0.5 and \
-                    math.sqrt(sq_norm(_sub(eef_pos, self.grasp0))) < GRASP_TOL:
-                self.engaged = True
-                self._az_ref = self._azimuth(eef_pos)
+        p0, p1, p2 = eef_pos
+        engaging = not self.engaged
+        if engaging:
+            if not gripper > 0.5:
+                return
+            g0, g1, g2 = self.grasp0
+            d0, d1, d2 = p0 - g0, p1 - g1, p2 - g2
+            if not sqrt(d0 * d0 + d1 * d1 + d2 * d2) < GRASP_TOL:
+                return
+            self.engaged = True
         elif gripper < 0.5:
             self.engaged = False
-        if not self.engaged:
             return
-        rel_az = self._azimuth(eef_pos) - self._az_ref
+        # The hinge radial: eef_pos - hinge_pivot off the hinge axis. Its
+        # azimuth in (_e1, _e2) at engagement defines door_angle = 0.
+        c0, c1, c2 = self.hinge_pivot
+        h0, h1, h2 = HINGE_AXIS
+        q0, q1, q2 = p0 - c0, p1 - c1, p2 - c2
+        a = q0 * h0 + q1 * h1 + q2 * h2
+        q0, q1, q2 = q0 - a * h0, q1 - a * h1, q2 - a * h2
+        x0, x1, x2 = self._e1
+        y0, y1, y2 = self._e2
+        az = math.atan2(q0 * y0 + q1 * y1 + q2 * y2, q0 * x0 + q1 * x1 + q2 * x2)
+        if engaging:
+            self._az_ref = az
+        rel_az = az - self._az_ref
         rel_az = (rel_az + math.pi) % (2.0 * math.pi) - math.pi
         self.door_angle = max(0.0, OPENING_SIGN * rel_az)
-        if not self.microwave and not self.latch_released:
-            handle_axis = self.handle_axis
-            lever_perp = _perp(_sub(eef_pos, self.handle_pivot), handle_axis)
-            ref = self._lever0_perp
-            cosv = dot3(ref, lever_perp)
-            sinv = dot3(handle_axis, _cross(ref, lever_perp))
+        if self.latch_released:
+            return
+        if self.microwave:
+            # The snap lock yields to pulling past the release angle.
+            released = self.door_angle > RELEASE_ANGLE
+        else:
+            # The handle angle: the lever (eef_pos - handle_pivot off the
+            # handle axis) against the closed one, signed about the axis. The
+            # door bolt disengages only through it.
+            a0, a1, a2 = self.handle_axis
+            o0, o1, o2 = self.handle_pivot
+            l0, l1, l2 = p0 - o0, p1 - o1, p2 - o2
+            a = l0 * a0 + l1 * a1 + l2 * a2
+            l0, l1, l2 = l0 - a * a0, l1 - a * a1, l2 - a * a2
+            r0, r1, r2 = self._lever0_perp
+            cosv = r0 * l0 + r1 * l1 + r2 * l2
+            sinv = (a0 * (r1 * l2 - r2 * l1) + a1 * (r2 * l0 - r0 * l2)
+                    + a2 * (r0 * l1 - r1 * l0))
             self.handle_angle = max(0.0, math.atan2(sinv, cosv))
-        if not self.latch_released:
-            # Microwave snap lock yields to pulling past the release angle; the
-            # door bolt disengages only through the handle rotation.
-            if self.microwave:
-                if self.door_angle > RELEASE_ANGLE:
-                    self._release(eef_pos)
-            elif self.handle_angle >= LATCH_THRESHOLD:
-                self._release(eef_pos)
-
-    def _release(self, eef_pos):
-        self.latch_released = True
-        self.pull_radius = math.sqrt(sq_norm(self._radial(eef_pos)))
-
-    def _active_circle(self):
-        """(center, axis, radius) of the constraint circle currently in force, as floats."""
-        if not self.microwave and not self.latch_released:
-            return self.handle_pivot, self.handle_axis, HANDLE_LEVER
-        return self.hinge_pivot, HINGE_AXIS, self.pull_radius
-
-    def _latched(self) -> bool:
-        """Whether the latch force field acts: engaged, still latched, door opened."""
-        return self.engaged and not self.latch_released and self.door_angle > 0.0
+            released = self.handle_angle >= LATCH_THRESHOLD
+        if released:
+            self.latch_released = True
+            self.pull_radius = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
         if not self.engaged:
             return _ZERO3
-        center, axis, radius = self._active_circle()
-        rad = _perp(_sub(pos, center), axis)
-        r = math.sqrt(sq_norm(rad))
+        p0, p1, p2 = pos
+        latched = not self.latch_released
+        # The constraint circle in force: a latched door's handle circle, else
+        # the hinge circle.
+        on_handle = latched and not self.microwave
+        if on_handle:
+            (c0, c1, c2), (a0, a1, a2), radius = (self.handle_pivot, self.handle_axis,
+                                                  HANDLE_LEVER)
+        else:
+            (c0, c1, c2), (a0, a1, a2), radius = self.hinge_pivot, HINGE_AXIS, self.pull_radius
+        q0, q1, q2 = p0 - c0, p1 - c1, p2 - c2
+        a = q0 * a0 + q1 * a1 + q2 * a2
+        q0, q1, q2 = q0 - a * a0, q1 - a * a1, q2 - a * a2  # the radial off the axis
+        r = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
         f0 = f1 = f2 = 0.0
         if r > 1e-9:
-            rho = _unit(rad, r)
+            q0, q1, q2 = q0 / r, q1 / r, q2 / r
             f_con = -self.k_e * (r - radius)
-            f0, f1, f2 = f0 + f_con * rho[0], f1 + f_con * rho[1], f2 + f_con * rho[2]
-            t_hat = _cross(axis, rho)
-            s = dot3(vel, t_hat)
-            v_arc = (s * t_hat[0], s * t_hat[1], s * t_hat[2])
-            speed = math.sqrt(sq_norm(v_arc))
+            f0, f1, f2 = f0 + f_con * q0, f1 + f_con * q1, f2 + f_con * q2
+            # The circle's tangent axis x radial, and the velocity along it.
+            t0, t1, t2 = a1 * q2 - a2 * q1, a2 * q0 - a0 * q2, a0 * q1 - a1 * q0
+            v0, v1, v2 = vel
+            s = v0 * t0 + v1 * t1 + v2 * t2
+            u0, u1, u2 = s * t0, s * t1, s * t2
+            speed = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
             if speed > 1e-15:
-                g0, g1, g2 = DOOR_FRICTION.slip_force(v_arc, speed, f_con)
+                g0, g1, g2 = DOOR_FRICTION.slip_force((u0, u1, u2), speed, f_con)
                 f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
-        if self._latched():
-            # Constant force against opening, along the hinge circle's tangent.
-            # On the hinge axis the tangent is undefined and the latch term is
-            # left out, as the constraint term is above.
-            hinge_rad = self._radial(pos)
-            h = math.sqrt(sq_norm(hinge_rad))
+        if latched and self.door_angle > 0.0:
+            # The latch: a constant force against opening, along the hinge
+            # circle's tangent. On the hinge axis the tangent is undefined and
+            # the latch term is left out, as the constraint term is above.
+            if on_handle:  # the hinge radial, as above for the handle circle
+                c0, c1, c2 = self.hinge_pivot
+                h0, h1, h2 = HINGE_AXIS
+                w0, w1, w2 = p0 - c0, p1 - c1, p2 - c2
+                a = w0 * h0 + w1 * h1 + w2 * h2
+                w0, w1, w2 = w0 - a * h0, w1 - a * h1, w2 - a * h2
+                h = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+                if h > 1e-9:
+                    w0, w1, w2 = w0 / h, w1 / h, w2 / h
+                    l0, l1, l2 = h1 * w2 - h2 * w1, h2 * w0 - h0 * w2, h0 * w1 - h1 * w0
+            else:  # the hinge circle is the one in force: its tangent is above
+                h = r
+                if h > 1e-9:
+                    l0, l1, l2 = t0, t1, t2
             if h > 1e-9:
                 a = -self.latch_force
                 sign = OPENING_SIGN
-                t0, t1, t2 = _cross(HINGE_AXIS, _unit(hinge_rad, h))
-                f0, f1, f2 = f0 + a * (sign * t0), f1 + a * (sign * t1), f2 + a * (sign * t2)
-        if not self.latch_released and self.handle_angle > 0.0 and r > 1e-9:
+                f0, f1, f2 = f0 + a * (sign * l0), f1 + a * (sign * l1), f2 + a * (sign * l2)
+        if latched and self.handle_angle > 0.0 and r > 1e-9:
             # Handle return spring, tangential on the handle circle, which is
-            # the active circle here: its tangent is t_hat. A microwave's
+            # the active circle here: its tangent is t. A microwave's
             # handle_angle stays 0.
             k = HANDLE_SPRING * self.handle_angle
-            f0, f1, f2 = f0 - k * t_hat[0], f1 - k * t_hat[1], f2 - k * t_hat[2]
+            f0, f1, f2 = f0 - k * t0, f1 - k * t1, f2 - k * t2
         return (f0, f1, f2)
 
 

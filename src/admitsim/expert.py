@@ -312,11 +312,11 @@ def _rot6d_columns(q: np.ndarray) -> np.ndarray:
     equals rot6d_encode of that quaternion. The pass's canonical sign is left
     out: it negates all four components, and each matrix entry is built from
     products of two of them, which the common sign leaves unchanged, bit for
-    bit. A zero quaternion is DegenerateInput.
+    bit. A zero quaternion, or one with a NaN component, is DegenerateInput.
     """
     w, x, y, z = q.T
     n = np.sqrt(w * w + x * x + y * y + z * z)
-    if (n < 1e-12).any():
+    if not (n >= 1e-12).all():  # NaN fails the comparison too
         raise DegenerateInput("zero quaternion")
     (r00, r01, _), (r10, r11, _), (r20, r21, _) = _unit_matrix(w / n, x / n, y / n, z / n)
     return np.column_stack((r00, r10, r20, r01, r11, r21))

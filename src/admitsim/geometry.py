@@ -14,7 +14,12 @@ to right on Python floats with one rounding per operation. `sq_norm(v)` is
 its four components, and a 3x3 matrix times a vector is three row `dot3`s.
 No BLAS call (`ndarray.dot`, the `@` operator, `np.linalg.norm` of one
 vector) feeds an output: a BLAS kernel may fuse multiply and add, so its last
-bit depends on the CPU. The columnwise numpy form
+bit depends on the CPU. The per-tick code of the 1 kHz loop
+(`controller_tick`, the environments' `external_wrench` and
+`HingedDoor.update`, and the loop body) writes `dot3`, `sq_norm`, `_sub`,
+`_perp`, `_cross` and `_unit` out as their left-to-right expressions instead
+of calling them: the same operations in the same order, so the same bits,
+without a Python call per vector operation. The columnwise numpy form
 `a[:, 0]*b[:, 0] + a[:, 1]*b[:, 1] + a[:, 2]*b[:, 2]` rounds exactly like
 `dot3`, so a batch of N vectors reproduces N single ones bit for bit; the
 axis-wise `np.linalg.norm(x, axis=1)` of the ink grid's 2-column rows is such
@@ -55,13 +60,6 @@ from typing import NamedTuple
 
 from .errors import DegenerateInput
 
-# Degeneracy thresholds for the tangent projection: below these the commanded
-# motion carries no usable tangent information and callers must fall back to
-# isotropic stiffness.
-EPS_POS = 1e-6
-EPS_PROJ = 1e-6
-
-
 def vec3(v) -> tuple:
     """Any sequence of three numbers (an array, a list) as a tuple of Python floats."""
     t = tuple(map(float, v))
@@ -90,7 +88,7 @@ def _normalize(v) -> tuple:
 
 def _unit(v, n: float) -> tuple:
     """_normalize(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
-    if n < 1e-12:
+    if not n >= 1e-12:  # NaN fails the comparison too
         raise DegenerateInput(f"cannot normalize near-zero vector (norm={n:g})")
     v0, v1, v2 = v
     return (v0 / n, v1 / n, v2 / n)
@@ -139,7 +137,7 @@ def _unit_quat(q) -> tuple:
     """q normalized, with the canonical sign w >= 0."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)  # sq_norm's sum, four terms
-    if n < 1e-12:
+    if not n >= 1e-12:  # NaN fails the comparison too
         raise DegenerateInput("zero quaternion")
     w, x, y, z = w / n, x / n, y / n, z / n
     if w < 0.0:
@@ -255,30 +253,6 @@ def _rodrigues(fixed, angle: float) -> tuple:
     return (o0 + (r0 * c + x0 * s + k0 * omc),
             o1 + (r1 * c + x1 * s + k1 * omc),
             o2 + (r2 * c + x2 * s + k2 * omc))
-
-
-# --------------------------------------------------------------------------
-# Tangent projection (the force-direction split)
-# --------------------------------------------------------------------------
-
-def tangent_or_none(n, d) -> tuple | None:
-    """Unit motion direction d = x_cmd - x_r projected onto the plane orthogonal to n.
-
-    None when the motion is no longer than EPS_POS or, after projection,
-    parallel to n within EPS_PROJ: the caller falls back to isotropic
-    stiffness. n and d are float 3-sequences; the tangent is a float tuple.
-    """
-    dist = math.sqrt(sq_norm(d))
-    if dist <= EPS_POS:
-        return None
-    d0, d1, d2 = d
-    v = (d0 / dist, d1 / dist, d2 / dist)
-    proj = _perp(v, n)
-    pn = math.sqrt(sq_norm(proj))
-    if pn <= EPS_PROJ:
-        return None
-    p0, p1, p2 = proj
-    return (p0 / pn, p1 / pn, p2 / pn)
 
 
 # --------------------------------------------------------------------------

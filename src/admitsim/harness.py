@@ -26,7 +26,6 @@ from .environments import (
     update_ink,
 )
 from .errors import check_count, check_range, check_real
-from .geometry import dot3, sq_norm
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
 from .tasks import TASKS, build_environment, generate_demo, task_spec
 
@@ -304,14 +303,19 @@ class _Episode:
             if door_update is not None:
                 door_update(x_r, cmd.gripper)
             w0, w1, w2 = wrench(x_r, v_r)
-            raw_force = (w0 + e0, w1 + e1, w2 + e2)
-            state, f_ext, f_cmd, eigs = tick(state, cmd, raw_force, dt, adm)
-            x_r, v_r = state
-            if is_board and dot3(raw_force, env.surface_normal) >= F_MIN_WIPE:
-                press(k)  # wiped with the others at the end of this call
-            records += pack(*x_r, *v_r, *f_ext, *f_cmd, *eigs)
+            r0, r1, r2 = w0 + e0, w1 + e1, w2 + e2  # the raw force
+            state, f_ext, f_cmd, eigs = tick(state, cmd, (r0, r1, r2), dt, adm)
+            if is_board:
+                n0, n1, n2 = env.surface_normal
+                if r0 * n0 + r1 * n1 + r2 * n2 >= F_MIN_WIPE:
+                    press(k)  # wiped with the others at the end of this call
+            (x0, x1, x2), (v0, v1, v2) = state
+            f0, f1, f2 = f_ext
+            g0, g1, g2 = f_cmd
+            s0, s1, s2 = eigs
+            records += pack(x0, x1, x2, v0, v1, v2, f0, f1, f2, g0, g1, g2, s0, s1, s2)
             buf_dist.append(dist_active)
-            f_mag = sqrt(sq_norm(f_ext))
+            f_mag = sqrt(f0 * f0 + f1 * f1 + f2 * f2)
             if f_mag > peak_force:
                 peak_force = f_mag
             over = over + 1 if f_mag > limit else 0

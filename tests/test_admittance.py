@@ -7,18 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import reference_laws as ref
+
 from admitsim.admittance import (
+    EPS_POS,
     AdmittanceConfig,
     ControllerCommand,
     ControllerState,
     TickResult,
     _radial_deadband,
-    commanded_force,
     compute_damping,
     controller_tick,
 )
 from admitsim.errors import NonFiniteState, NonPositiveParameter
-from admitsim.geometry import tangent_or_none, vec3
+from admitsim.geometry import vec3
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -111,16 +113,21 @@ class TestDeadband:
             assert_allclose(twice, once)
 
 
+def commanded_force(cmd, st_, cfg):
+    """The commanded force F_cmd of one tick, as controller_tick reports it."""
+    return controller_tick(st_, cmd, (0.0, 0.0, 0.0), 1e-3, cfg).f_cmd
+
+
 class TestCommandedForce:
     def test_zero_when_out_of_contact(self):
         cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0)
         f = commanded_force(hold_cmd(c=0), rest_state(), cfg)
-        assert_allclose(f, np.zeros(3))
+        assert f == (0.0, 0.0, 0.0)
 
     def test_zero_when_regulation_disabled(self):
         cfg = AdmittanceConfig(enable_normal_regulation=False, target_force=4.0)
         f = commanded_force(hold_cmd(n=-Z, c=1), rest_state(), cfg)
-        assert_allclose(f, np.zeros(3))
+        assert f == (0.0, 0.0, 0.0)
 
     def test_error_terms_vanish(self):
         cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0)
@@ -200,6 +207,49 @@ class TestEffectiveStiffness:
         expected = 50.0 * e if isotropic else rank_one_response(e, n, 50.0, 200.0)
         assert_allclose(Ke, expected, rtol=1e-9, atol=1e-12)
         assert float(Ke @ e) > 0.0  # positive definite along the spring error
+
+
+def tangent_axis(n, d):
+    """The tangent axis of a tick from rest at the origin commanded to d with
+    the normal n, read off the spring response; None for the isotropic
+    fallback. The rank-1 term is (k_t - k)(t.e) t with e = -d and t.d > 0."""
+    cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
+    res, Ke = spring_response(ControllerCommand(d, 1.0, n, 1), cfg)
+    if res.stiffness_eigs == (50.0, 50.0, 50.0):
+        return None
+    assert res.stiffness_eigs == (50.0, 50.0, 200.0)
+    rank_one = Ke - 50.0 * (0.0 - np.array(d))
+    return -rank_one / np.linalg.norm(rank_one)
+
+
+class TestTangentAxis:
+    """The tick's tangent axis for the commanded motion d = x_cmd - x_r."""
+
+    def test_orthogonal_projection(self):
+        assert_allclose(tangent_axis((0.0, 0.0, 1.0), (0.1, 0.0, 0.1)), [1, 0, 0], atol=1e-9)
+
+    def test_parallel_falls_back(self):
+        assert tangent_axis((0.0, 0.0, 1.0), (0.0, 0.0, 0.1)) is None
+
+    def test_too_short_falls_back(self):
+        assert tangent_axis((0.0, 0.0, 1.0), (1e-8, 0.0, 0.0)) is None
+        assert tangent_axis((0.0, 0.0, 1.0), (EPS_POS, 0.0, 0.0)) is None
+        assert tangent_axis((0.0, 0.0, 1.0), (2.0 * EPS_POS, 0.0, 0.0)) is not None
+
+    def test_hand_projection(self):
+        assert_allclose(tangent_axis((0.0, 1.0, 0.0), (0.03, 0.04, 0.0)), [1, 0, 0], atol=1e-9)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_output_orthogonal_to_normal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        t = tangent_axis(n, rng.normal(size=3) * 0.05)
+        if t is None:
+            return
+        assert abs(float(t @ n)) < 1e-6
+        assert abs(np.linalg.norm(t) - 1.0) < 1e-9
 
 
 class TestStepTranslation:
@@ -283,12 +333,12 @@ def reference_tick(st_, cmd, f_ext, dt, cfg):
     K, D = k * np.eye(3), d * np.eye(3)
     t = None
     if cfg.enable_tangent_stiffening and cmd.c == 1:
-        t = tangent_or_none(cmd.n, (x_cmd - x_r).tolist())
+        t = ref.tangent_or_none(cmd.n, (x_cmd - x_r).tolist())
     if t is not None:
         outer = np.outer(t, t)
         K = K + (cfg.tangent_scale * k - k) * outer
         D = D + (cfg.tangent_damping - d) * outer
-    f_cmd = np.array(commanded_force(cmd, st_, cfg))
+    f_cmd = np.array(ref.commanded_force(cmd, st_, cfg))
     acc = (np.array(f_ext) - f_cmd - D @ v_r - K @ (x_r - x_cmd)) / cfg.mass
     v_new = v_r + dt * acc
     x_new = x_r + dt * v_new
@@ -320,6 +370,29 @@ class TestControllerTick:
     def test_command_validates_unit_normal(self):
         with pytest.raises(ValueError):
             ControllerCommand(np.zeros(3), 1.0, np.array([0.0, 0, 0.5]), 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_command_rejects_a_non_finite_position(self, axis, value):
+        x_cmd = [0.0, 0.0, 0.0]
+        x_cmd[axis] = value
+        with pytest.raises(ValueError, match="x_cmd must be finite"):
+            ControllerCommand(x_cmd, 1.0, (0.0, 0.0, 1.0), 1)
+        with pytest.raises(ValueError, match="x_cmd must be finite"):
+            ControllerCommand(x_cmd)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_command_rejects_a_non_finite_gripper(self, value):
+        with pytest.raises(ValueError, match="gripper must be finite"):
+            ControllerCommand((0.0, 0.0, 0.0), value, (0.0, 0.0, 1.0), 1)
+
+    @pytest.mark.parametrize("n", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.nan),
+                                   (math.inf, 0.0, 0.0), (0.0, -math.inf, 1.0)])
+    def test_command_rejects_a_non_finite_normal_in_contact(self, n):
+        with pytest.raises(ValueError, match="normal direction n must be finite"):
+            ControllerCommand((0.0, 0.0, 0.0), 0.0, n, 1)
+        # Out of contact the tick does not read the normal.
+        assert ControllerCommand((0.0, 0.0, 0.0), 0.0, n, 0).c == 0
 
     @pytest.mark.parametrize("flag", [2, -1, 0.7, np.nan])
     def test_command_rejects_a_contact_flag_other_than_zero_or_one(self, flag):

@@ -23,10 +23,10 @@ from admitsim.environments import (
     HoleFixture,
     InkGrid,
     PlaneBoard,
-    _friction,
     apply_disturbances,
     update_ink,
 )
+from admitsim.errors import DegenerateInput
 from admitsim.geometry import _matvec, _quat_matrix, quat_from_axis_angle
 from admitsim.harness import default_disturbance
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
@@ -78,21 +78,36 @@ class TestSpringWrench:
 
 
 class TestFriction:
+    """The board's friction: its wrench less the normal spring, 10 N deep."""
+
+    board = flat_board(k_e=1000.0)
+    press = point(0, 0, -0.01)
+
+    def friction(self, vel):
+        force = np.array(self.board.external_wrench(self.press, tuple(vel)))
+        assert force[2] == pytest.approx(10.0)
+        return force[:2]
+
     def test_power_non_positive(self):
         rng = np.random.default_rng(1)
-        model = FrictionModel(coulomb_mu=0.4, viscous_c=3.0)
         for _ in range(200):
             vel = rng.normal(size=3)
-            f = np.array(_friction(model, tuple(vel), tuple(Z), 5.0))
-            v_t = vel - (vel @ Z) * Z
-            assert float(f @ v_t) <= 1e-12
+            assert float(self.friction(vel) @ vel[:2]) <= 1e-12
 
     def test_regularized_at_low_speed(self):
-        model = FrictionModel(coulomb_mu=0.5, viscous_c=0.0)
-        slow = _friction(model, (1e-5, 0.0, 0.0), tuple(Z), 10.0)
-        fast = _friction(model, (1.0, 0.0, 0.0), tuple(Z), 10.0)
+        slow = self.friction((1e-5, 0.0, 0.0))
+        fast = self.friction((1.0, 0.0, 0.0))
         assert np.linalg.norm(slow) < np.linalg.norm(fast)
-        assert np.linalg.norm(fast) == pytest.approx(5.0)
+        # Full Coulomb mu f_n plus the viscous c |v_t|.
+        assert np.linalg.norm(fast) == pytest.approx(0.3 * 10.0 + 5.0 * 1.0)
+        assert np.linalg.norm(slow) == pytest.approx(0.3 * 10.0 * 0.1 + 5.0 * 1e-5)
+
+    def test_no_friction_without_slip(self):
+        assert np.all(self.friction((0.0, 0.0, 0.3)) == 0.0)
+
+    def test_slip_law_is_the_friction_model(self):
+        model = FrictionModel(coulomb_mu=0.5, viscous_c=0.0)
+        assert np.linalg.norm(model.slip_force((1.0, 0.0, 0.0), 1.0, 10.0)) == 5.0
 
 
 # Board-frame stroke coordinates: the 30 x 20 cm board, its edges, cell
@@ -488,6 +503,14 @@ class TestConstructorValidation:
     def test_geometry_and_force_parameters_finite(self, build, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             build(**{name: value})
+
+    @pytest.mark.parametrize("build", [
+        lambda: HoleFixture(axis_up=(math.nan, 0.0, 1.0)),
+        lambda: HingedDoor(handle_pivot=(0.45, 0.0, 0.15), handle_axis=(math.nan, 0.0, 0.0)),
+    ], ids=["hole-axis_up", "door-handle_axis"])
+    def test_a_nan_axis_is_degenerate(self, build):
+        with pytest.raises(DegenerateInput):
+            build()
 
     def test_zero_latch_force_accepted(self):
         assert microwave(latch_force=0.0).latch_force == 0.0

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from admitsim.errors import DegenerateInput
 from admitsim.geometry import (
     Pose,
+    _normalize,
     _lerp,
     _quat_matrix,
     _rodrigues,
@@ -19,7 +21,6 @@ from admitsim.geometry import (
     quat_from_axis_angle,
     quat_mul,
     rot6d_encode,
-    tangent_or_none,
 )
 
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
@@ -110,37 +111,26 @@ class TestRodrigues:
         assert abs(d1 - d0) <= 1e-12 * max(1.0, d0)
 
 
-class TestTangentDirection:
-    """tangent_or_none(n, d) for the commanded motion d = x_cmd - x_r."""
+class TestDegenerateNorms:
+    """A NaN norm is as degenerate as a zero one: each fails `not n >= 1e-12`."""
 
-    def test_orthogonal_projection(self):
-        t = tangent_or_none((0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-        assert_allclose(t, [1, 0, 0], atol=1e-12)
+    @pytest.mark.parametrize("v", [(math.nan, 0.0, 1.0), (0.0, 0.0, 0.0), (1e-13, 0.0, 0.0)])
+    def test_normalize(self, v):
+        with pytest.raises(DegenerateInput):
+            _normalize(v)
 
-    def test_parallel_falls_back(self):
-        assert tangent_or_none((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)) is None
+    @pytest.mark.parametrize("q", [(math.nan, 0.0, 0.0, 0.0), (1.0, 0.0, math.nan, 0.0),
+                                   (0.0, 0.0, 0.0, 0.0)])
+    def test_pose_orientation(self, q):
+        with pytest.raises(DegenerateInput, match="zero quaternion"):
+            Pose((0.0, 0.0, 0.0), q)
 
-    def test_too_short_falls_back(self):
-        assert tangent_or_none((0.0, 0.0, 1.0), (1e-8, 0.0, 0.0)) is None
+    def test_axis_angle_axis(self):
+        with pytest.raises(DegenerateInput):
+            quat_from_axis_angle((math.nan, 0.0, 0.0), 0.3)
 
-    def test_hand_projection(self):
-        t = tangent_or_none((0.0, 1.0, 0.0), (3.0, 4.0, 0.0))
-        assert_allclose(t, [1, 0, 0], atol=1e-12)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=80, deadline=None)
-    def test_output_orthogonal_to_normal(self, seed):
-        rng = np.random.default_rng(seed)
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        x_cmd = rng.normal(size=3)
-        x_r = rng.normal(size=3)
-        t = tangent_or_none(tuple(n.tolist()), tuple((x_cmd - x_r).tolist()))
-        if t is None:
-            return
-        t = np.array(t)
-        assert abs(float(t @ n)) < 1e-9
-        assert abs(np.linalg.norm(t) - 1.0) < 1e-9
+    def test_a_finite_unit_vector_still_normalizes(self):
+        assert _normalize((0.0, 3.0, 4.0)) == (0.0, 0.6, 0.8)
 
 
 def interpolate_pose(a, b, s):
