@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import NamedTuple
 
-from .errors import NonFiniteState, NonPositiveParameter, check_range
+from .errors import NonFiniteState, NonPositiveParameter, check_finite_components, check_range
 from .geometry import vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
@@ -97,12 +97,17 @@ class _StateFields(NamedTuple):
 
 
 class ControllerState(_StateFields):
-    """Compliant reference position and velocity advanced by the admittance law."""
+    """Compliant reference position and velocity advanced by the admittance law.
+
+    The public constructor rejects a non-finite component with a ValueError
+    naming the field.
+    """
 
     __slots__ = ()
 
     def __new__(cls, x_r, v_r):
-        return super().__new__(cls, vec3(x_r), vec3(v_r))
+        return super().__new__(cls, check_finite_components("x_r", vec3(x_r)),
+                               check_finite_components("v_r", vec3(v_r)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import check_finite, check_range
+from .errors import check_finite, check_finite_components, check_range
 from .geometry import (
     _add,
     _cross,
@@ -178,8 +178,9 @@ class InkGrid:
         self._x0 = 0.5 * extent_x
         self._y0 = 0.5 * extent_y
 
-    def ink_stroke(self, points_xy: np.ndarray, pen_radius: float = 0.004) -> int:
-        """Ink every cell whose center lies within pen_radius of the polyline.
+    def ink_stroke(self, points_xy, pen_radius: float = 0.004) -> int:
+        """Ink every cell whose center lies within pen_radius of the polyline
+        through points_xy, any sequence of (x, y) pairs.
 
         Only the cells in the stroke's bounding box widened by pen_radius and
         one more cell are evaluated: no cell outside it lies that close.
@@ -202,24 +203,29 @@ class InkGrid:
         return int(fresh.sum())
 
     def _near(self, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
-        """Whether each cell of the index box lies within pen_radius of the polyline."""
-        cx = (np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - self._x0
+        """Whether each cell of the index box lies within pen_radius of the polyline.
+
+        All segments at once, over a (segments x cells) grid: each cell
+        center c's distance to segment a-b is |c - (a + s (b - a))| at the
+        projection s clipped to [0, 1], its squared terms summed as
+        `np.linalg.norm(..., axis=1)` sums them. A degenerate segment
+        (squared length below 1e-18) takes s = 0, its start point, and a
+        single point is a stroke of no segments.
+        """
+        cx = ((np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - self._x0)[:, None]
         cy = (np.arange(j_lo, j_hi) + 0.5) * CELL_SIZE - self._y0
-        centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-        dmin = np.full(len(centers), np.inf)
         if len(pts) == 1:
-            dmin = np.linalg.norm(centers - pts[0], axis=1)
-        for a, b in zip(pts[:-1], pts[1:]):
-            ab0, ab1 = ab = b - a
-            den = float(ab0 * ab0 + ab1 * ab1)
-            if den < 1e-18:
-                d = np.linalg.norm(centers - a, axis=1)
-            else:
-                rel = centers - a  # columnwise dot with ab, as in geometry.dot3
-                s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
-                d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
-            dmin = np.minimum(dmin, d)
-        return (dmin <= pen_radius).reshape(i_hi - i_lo, j_hi - j_lo)
+            dx, dy = cx - pts[0, 0], cy - pts[0, 1]
+            return np.sqrt(dx * dx + dy * dy) <= pen_radius
+        # The segments' starts and vectors, one (segments, 1, 1) array per axis.
+        a0, a1 = pts[:-1].T[:, :, None, None]
+        ab0, ab1 = (pts[1:] - pts[:-1]).T[:, :, None, None]
+        den = ab0 * ab0 + ab1 * ab1
+        point = den < 1e-18
+        s = np.clip(((cx - a0) * ab0 + (cy - a1) * ab1) / np.where(point, 1.0, den), 0.0, 1.0)
+        s[point.ravel()] = 0.0
+        dx, dy = cx - (a0 + s * ab0), cy - (a1 + s * ab1)
+        return np.sqrt(dx * dx + dy * dy).min(axis=0) <= pen_radius
 
     def wipe(self, x: np.ndarray, y: np.ndarray) -> int:
         """Clean the inked cells whose centers fall in the eraser's square
@@ -310,8 +316,9 @@ class PlaneBoard(TaskEnvironment):
     k_e: float = 1000.0
 
     def __post_init__(self):
-        self.center = vec3(self.center)
-        self.rotation = self._base_rotation = tuple(map(float, self.rotation))
+        self.center = check_finite_components("center", vec3(self.center))
+        self.rotation = self._base_rotation = check_finite_components(
+            "rotation", tuple(map(float, self.rotation)))
         self.frame = _quat_matrix(self.rotation)
         self.ink = InkGrid()
         check_range("k_e", self.k_e)
@@ -382,7 +389,7 @@ class HoleFixture(TaskEnvironment):
     k_e: float = 1000.0
 
     def __post_init__(self):
-        self.rim_center = vec3(self.rim_center)
+        self.rim_center = check_finite_components("rim_center", vec3(self.rim_center))
         self.axis_up = _normalize(vec3(self.axis_up))
         check_range("k_e", self.k_e)
         self._base_rest = self.rim_center
@@ -492,10 +499,10 @@ class HingedDoor(TaskEnvironment):
             raise ValueError("a door takes both handle_pivot and handle_axis, a microwave "
                              f"neither; got handle_pivot {self.handle_pivot!r} and "
                              f"handle_axis {self.handle_axis!r}")
-        self.hinge_pivot = vec3(self.hinge_pivot)
-        self.grasp0 = vec3(self.grasp0)
+        self.hinge_pivot = check_finite_components("hinge_pivot", vec3(self.hinge_pivot))
+        self.grasp0 = check_finite_components("grasp0", vec3(self.grasp0))
         if not self.microwave:
-            self.handle_pivot = vec3(self.handle_pivot)
+            self.handle_pivot = check_finite_components("handle_pivot", vec3(self.handle_pivot))
             self.handle_axis = _normalize(vec3(self.handle_axis))
             # Handle lever at the closed grasp, perpendicular to the handle axis.
             self._lever0_perp = _perp(_sub(self.grasp0, self.handle_pivot), self.handle_axis)

@@ -61,6 +61,14 @@ def check_finite(name: str, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_finite_components(name: str, values: tuple) -> tuple:
+    """Return the float tuple values (a position, a quaternion) unless a
+    component is not finite: then raise ValueError naming the field."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite, got {values}")
+    return values
+
+
 def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError):
     """Raise error unless value is a real number, finite and > low (>= low when
     closed).

@@ -3,9 +3,22 @@ and supervision extraction.
 
 Plans are executed kinematically (ideal pose tracking) when generating
 demonstrations; the admittance loop only enters at replay time. A demo's
-supervision is one (n, 14) float64 record block in the dataset layout, built
-column by column, held as a `SupervisionRecords` whose `SupervisionTuple`s
-are row views made on access.
+supervision is one (n, 14) float64 record block in the dataset layout, held
+as a `SupervisionRecords` whose `SupervisionTuple`s are row views made on
+access.
+
+Float contract. Demo generation runs on Python floats, one straight pass per
+plan: the planners write their lerp, slerp, quaternion product, Rodrigues
+rotation and radial normal out as left-to-right float expressions, and
+`extract_supervision` writes each step's 14 floats in one loop and makes the
+block with one `np.array` call. These are the operations, in the order, of
+the helper compositions that the demos were pinned with (`_lerp`, `_slerp`,
+`quat_mul`, `quat_from_axis_angle`, `_rodrigues`, `_perp`, `_normalize` and
+a columnwise rot6d; `tests/reference_demos.py` keeps them), so every record
+carries the same bits. Every quaternion keeps the `_unit_quat` passes of
+those compositions, two per free-motion pose among them (see
+`plan_free_motion`). A value that repeats by object (a plan's one
+orientation or contact normal over a run of poses) is worked on once.
 """
 
 from __future__ import annotations
@@ -13,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from enum import Enum
+from math import cos, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -30,20 +44,12 @@ from .environments import (
 from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NotAligned, NothingToWipe
 from .geometry import (
     Pose,
-    _add,
-    _lerp,
-    _matvec,
     _normalize,
-    _perp,
-    _rodrigues,
     _rodrigues_fixed,
-    _slerp,
     _slerp_ends,
     _sub,
     _unit_matrix,
     _unit_quat,
-    quat_from_axis_angle,
-    quat_mul,
     sq_norm,
 )
 
@@ -110,6 +116,11 @@ class SupervisionRecords(Sequence):
                    zip(block[:, :10], block[:, 10:13], map(int, block[:, 13].tolist())))
 
 
+# The planners build each waypoint's Pose from finished floats with
+# tuple.__new__, which skips the public constructor's coercion and
+# `_unit_quat` pass, and NamedTuple._make's Python call.
+_new = tuple.__new__
+
 # Placeholder normal for out-of-contact steps.
 ZERO_NORMAL = (0.0, 0.0, 0.0)
 
@@ -129,7 +140,11 @@ def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]
     """Piecewise pose interpolation through the schedule of key poses.
 
     One segment of s steps yields s+1 poses; later segments share their start
-    pose with the previous end, contributing s poses each.
+    pose with the previous end, contributing s poses each. Each pose is the
+    segment's position lerp and shortest-arc slerp, on floats. The slerp's
+    quaternion gets the slerp's own `_unit_quat` pass and then a second one:
+    the pinned outputs hold both, and one pass alone moves some poses in the
+    last bits.
     """
     if not schedule:
         raise EmptySchedule("schedule has no key poses")
@@ -137,11 +152,29 @@ def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]
         raise ValueError("steps_per_segment must be >= 1")
     poses = [schedule[0]]
     for a, b in zip(schedule[:-1], schedule[1:]):
-        pa, pb = a.position, b.position
-        ends = _slerp_ends(a.orientation, b.orientation)
+        a0, a1, a2 = a.position
+        b0, b1, b2 = b.position
+        (aw, ax, ay, az), (bw, bx, by, bz), theta, sin_theta = _slerp_ends(a.orientation,
+                                                                          b.orientation)
         for i in range(1, steps_per_segment + 1):
             s = i / steps_per_segment
-            poses.append(Pose._make((_lerp(pa, pb, s), _unit_quat(_slerp(ends, s)))))
+            t = 1.0 - s
+            if theta is None:  # nearly identical ends: a linear blend keeps them exact
+                wa, wb = t, s
+            else:
+                wa = sin(t * theta) / sin_theta
+                wb = sin(s * theta) / sin_theta
+            w, x, y, z = wa * aw + wb * bw, wa * ax + wb * bx, wa * ay + wb * by, wa * az + wb * bz
+            m = sqrt(w * w + x * x + y * y + z * z)
+            if not m >= 1e-12:  # NaN fails the comparison too
+                raise DegenerateInput("zero quaternion")
+            w, x, y, z = w / m, x / m, y / m, z / m
+            if w < 0.0:
+                w, x, y, z = -w, -x, -y, -z
+            # The second pass: m is within rounding of 1 and the sign canonical.
+            m = sqrt(w * w + x * x + y * y + z * z)
+            poses.append(_new(Pose, ((t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2),
+                                     (w / m, x / m, y / m, z / m))))
     return poses
 
 
@@ -169,7 +202,7 @@ def plan_insertion(hole: HoleFixture) -> list[Pose]:
         positions.append((b0 + h * u0, b1 + h * u1, b2 + h * u2))
     if math.sqrt(sq_norm(_sub(positions[-1], bottom))) > 1e-12:
         positions.append(bottom)
-    return [Pose._make((p, IDENTITY_Q)) for p in positions]
+    return [_new(Pose, (p, IDENTITY_Q)) for p in positions]
 
 
 # Wiping: the sweep's waypoint spacing along a lane (m), the overlap of
@@ -205,18 +238,22 @@ def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
     lanes = [y_lo]
     while lanes[-1] < y_hi - 1e-12:
         lanes.append(min(lanes[-1] + pitch, y_hi))
-    R = board.frame
     q = _unit_quat(board.rotation)  # eraser frame aligned with the board surface
-    rest = board.rest_point
     n = max(1, int(math.ceil((x_hi - x_lo) / STEP_LEN)))
     xs = [x_lo + (x_hi - x_lo) * i / n for i in range(n + 1)]
-
-    poses: list[Pose] = []
-    for _ in range(passes):
-        for li, y in enumerate(lanes):
-            for x in xs[::-1] if li % 2 == 1 else xs:
-                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -PRESS_DEPTH))), q)))
-    return poses
+    # Each waypoint is rest + R (x, y, -PRESS_DEPTH), a row dot3 per world
+    # axis: rest_k + ((R_k0 x + R_k1 y) + R_k2 z), with each product made once.
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = board.frame
+    c0, c1, c2 = board.rest_point
+    z = -PRESS_DEPTH
+    z0, z1, z2 = r02 * z, r12 * z, r22 * z
+    sweep: list[Pose] = []
+    for li, y in enumerate(lanes):
+        y0, y1, y2 = r01 * y, r11 * y, r21 * y
+        sweep += [_new(Pose, ((c0 + (r00 * x + y0 + z0), c1 + (r10 * x + y1 + z1),
+                               c2 + (r20 * x + y2 + z2)), q))
+                  for x in (xs[::-1] if li % 2 == 1 else xs)]
+    return sweep * passes
 
 
 # The angle between neighbouring waypoints of an arc (rad).
@@ -248,17 +285,53 @@ def _arc(start: Pose, axis, pivot, total: float,
          sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
     """`start` turned about the line through pivot along the unit axis (float
     3-sequences), co-rotating, by sign * min(total, i * ARC_STEP) for
-    i = 0 .. ceil(total / ARC_STEP); and the outward radial of each pose."""
+    i = 0 .. ceil(total / ARC_STEP); and the outward radial of each pose.
+
+    Each orientation is the axis-angle quaternion (its axis normalized once,
+    then its `_unit_quat` pass) times the start's, given its own pass; each
+    position is the Rodrigues rotation of the start, and each normal the unit
+    radial of the position off the axis.
+    """
     n = int(math.ceil(total / ARC_STEP - 1e-12)) if total > 0 else 0
-    turn = _rodrigues_fixed(start.position, axis, pivot)
-    q0 = start.orientation
+    (o0, o1, o2), (r0, r1, r2), (x0, x1, x2), (k0, k1, k2) = _rodrigues_fixed(
+        start.position, axis, pivot)
+    e0, e1, e2 = _normalize(axis)
+    a0, a1, a2 = axis
+    c0, c1, c2 = pivot
+    qw, qx, qy, qz = start.orientation
     poses, normals = [], []
     for i in range(n + 1):
         ang = sign * min(total, i * ARC_STEP)
-        q = quat_mul(quat_from_axis_angle(axis, ang), q0)
-        p = _rodrigues(turn, ang)
-        poses.append(Pose._make((p, _unit_quat(q))))
-        normals.append(_normalize(_perp(_sub(p, pivot), axis)))
+        half = 0.5 * ang
+        sh = sin(half)
+        w, x, y, z = cos(half), sh * e0, sh * e1, sh * e2
+        m = sqrt(w * w + x * x + y * y + z * z)  # within rounding of 1: e is unit
+        w, x, y, z = w / m, x / m, y / m, z / m
+        if w < 0.0:
+            w, x, y, z = -w, -x, -y, -z
+        pw = w * qw - x * qx - y * qy - z * qz
+        px = w * qx + x * qw + y * qz - z * qy
+        py = w * qy - x * qz + y * qw + z * qx
+        pz = w * qz + x * qy - y * qx + z * qw
+        m = sqrt(pw * pw + px * px + py * py + pz * pz)
+        if not m >= 1e-12:  # NaN fails the comparison too
+            raise DegenerateInput("zero quaternion")
+        pw, px, py, pz = pw / m, px / m, py / m, pz / m
+        if pw < 0.0:
+            pw, px, py, pz = -pw, -px, -py, -pz
+        c, s = cos(ang), sin(ang)
+        omc = 1.0 - c
+        p0 = o0 + (r0 * c + x0 * s + k0 * omc)
+        p1 = o1 + (r1 * c + x1 * s + k1 * omc)
+        p2 = o2 + (r2 * c + x2 * s + k2 * omc)
+        poses.append(_new(Pose, ((p0, p1, p2), (pw, px, py, pz))))
+        d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
+        d = d0 * a0 + d1 * a1 + d2 * a2
+        d0, d1, d2 = d0 - d * a0, d1 - d * a1, d2 - d * a2
+        d = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        if not d >= 1e-12:  # NaN fails the comparison too
+            raise DegenerateInput(f"cannot normalize near-zero vector (norm={d:g})")
+        normals.append((d0 / d, d1 / d, d2 / d))
     return poses, normals
 
 
@@ -273,50 +346,47 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
     The gripper command in the 10-vector is the expert command at time t.
     `normals` holds the plan's contact normal of each pose, float 3-sequences
     (ZERO_NORMAL out of contact); a contact step's normal is that of pose t+1,
-    unit-normalized, or pose t's where contact ends at t+1. The record block is
-    built column by column: each 6D rotation is pose10_encode's, bit for bit,
-    from the same `_unit_quat` pass and operations on numpy columns.
+    unit-normalized, or pose t's where contact ends at t+1. One loop writes
+    each step's 14 floats: each 6D rotation is pose10_encode's, bit for bit,
+    from the quaternion's `_unit_quat` division and `_unit_matrix` (the
+    canonical sign negates all four components, which each matrix entry's
+    products of two of them leave unchanged). One `np.array` call makes the
+    block from the rows.
     """
     if not (len(poses) == len(phases) == len(grippers) == len(normals)):
         raise LengthMismatch("poses, phases, grippers, normals must have equal lengths")
     if len(poses) < 2:
         raise LengthMismatch("need at least two steps to extract supervision")
-    contacts = [ph.contact_flag for ph in phases[:-1]]
-    last = unit = None  # a plan repeats one normal object over a run of poses
-    normal_rows = []
-    for t, c in enumerate(contacts):
-        if c == 0:
-            normal_rows.append(ZERO_NORMAL)
-            continue
-        n = normals[t + 1]
-        if n is not last:
-            if sq_norm(n) < 0.25:  # contact ends at t+1: keep the incoming manifold
-                normal_rows.append(_normalize(normals[t]))
-                continue
-            last, unit = n, _normalize(n)
-        normal_rows.append(unit)
-    block = np.empty((len(contacts), RECORD_DIM))
-    block[:, 0:3] = [p.position for p in poses[1:]]
-    block[:, 3:9] = _rot6d_columns(np.array([p.orientation for p in poses[1:]]))
-    block[:, 9] = grippers[:-1]
-    block[:, 10:13] = normal_rows
-    block[:, 13] = contacts
-    return SupervisionRecords(block)
-
-
-def _rot6d_columns(q: np.ndarray) -> np.ndarray:
-    """rot6d_encode of each row of an (n, 4) quaternion array, as an (n, 6) array.
-
-    The `_unit_quat` pass and the matrix are computed on columns: numpy's
-    elementwise operations and sqrt round like the float ones, so every row
-    equals rot6d_encode of that quaternion. The pass's canonical sign is left
-    out: it negates all four components, and each matrix entry is built from
-    products of two of them, which the common sign leaves unchanged, bit for
-    bit. A zero quaternion, or one with a NaN component, is DegenerateInput.
-    """
-    w, x, y, z = q.T
-    n = np.sqrt(w * w + x * x + y * y + z * z)
-    if not (n >= 1e-12).all():  # NaN fails the comparison too
-        raise DegenerateInput("zero quaternion")
-    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _unit_matrix(w / n, x / n, y / n, z / n)
-    return np.column_stack((r00, r10, r20, r01, r11, r21))
+    # A plan repeats one phase label, normal and orientation object over a
+    # run of poses: each is worked on where a new one starts.
+    label = flag = last = unit = quat = rot6d = None
+    rows = []
+    for pose, phase, gripper, n_at, n_next in zip(poses[1:], phases, grippers, normals,
+                                                  normals[1:]):
+        if phase is not label:
+            label, flag = phase, phase.contact_flag
+        if not flag:
+            normal = ZERO_NORMAL
+        elif n_next is last:
+            normal = unit
+        else:
+            n0, n1, n2 = n_next
+            sq = n0 * n0 + n1 * n1 + n2 * n2
+            if sq < 0.25:  # contact ends at t+1: keep the incoming manifold
+                normal = _normalize(n_at)
+            else:
+                r = sqrt(sq)
+                if not r >= 1e-12:  # _normalize's test, which only NaN fails here
+                    raise DegenerateInput(f"cannot normalize near-zero vector (norm={r:g})")
+                last = n_next
+                normal = unit = (n0 / r, n1 / r, n2 / r)
+        if pose.orientation is not quat:
+            w, x, y, z = quat = pose.orientation
+            m = sqrt(w * w + x * x + y * y + z * z)
+            if not m >= 1e-12:  # NaN fails the comparison too
+                raise DegenerateInput("zero quaternion")
+            (r00, r01, _), (r10, r11, _), (r20, r21, _) = _unit_matrix(w / m, x / m, y / m,
+                                                                      z / m)
+            rot6d = (r00, r10, r20, r01, r11, r21)
+        rows.append((*pose.position, *rot6d, gripper, *normal, flag))
+    return SupervisionRecords(np.array(rows, dtype=float))

@@ -19,11 +19,13 @@ bit depends on the CPU. The per-tick code of the 1 kHz loop
 `HingedDoor.update`, and the loop body) writes `dot3`, `sq_norm`, `_sub`,
 `_perp`, `_cross` and `_unit` out as their left-to-right expressions instead
 of calling them: the same operations in the same order, so the same bits,
-without a Python call per vector operation. The columnwise numpy form
-`a[:, 0]*b[:, 0] + a[:, 1]*b[:, 1] + a[:, 2]*b[:, 2]` rounds exactly like
-`dot3`, so a batch of N vectors reproduces N single ones bit for bit; the
-axis-wise `np.linalg.norm(x, axis=1)` of the ink grid's 2-column rows is such
-a columnwise sum too.
+without a Python call per vector operation. Demo generation does the same
+per waypoint and per supervision step (see `admitsim.expert`). The columnwise
+numpy form `a[:, 0]*b[:, 0] + a[:, 1]*b[:, 1] + a[:, 2]*b[:, 2]` rounds
+exactly like `dot3`, so a batch of N vectors reproduces N single ones bit for
+bit; the axis-wise `np.linalg.norm(x, axis=1)` of 2-column rows is such a
+columnwise sum too, and the ink grid's stroke distances `sqrt(dx*dx + dy*dy)`
+equal it.
 
 Per-value transcendentals come from the `math` module: `sqrt` is correctly
 rounded, and `sin`, `cos`, `atan2` and `acos` come from the C math library,
@@ -39,16 +41,17 @@ chunk of steps at a time, and a demo's supervision records, one (n, 14)
 float64 block in the dataset layout (`admitsim.datasets`) whose tuples are
 made as row views on access. Elementwise float arithmetic rounds exactly
 like numpy's, so the tuples carry the bits an array would: the records' 6D
-rotations are computed on numpy columns of all a demo's quaternions
-(`_unit_matrix` serves floats and columns alike), and equal the per-pose
-`rot6d_encode`; a predicted controller command's position is the float
-tuple of a record's `pose10[:3]` plus its position noise, added as arrays.
+rotations, written per step on floats by `_unit_matrix` (which serves floats
+and numpy columns alike), equal the per-pose `rot6d_encode` and a columnwise
+encoding of all a demo's quaternions; a predicted controller command's
+position is the float tuple of a record's `pose10[:3]` plus its position
+noise, added as arrays.
 
 Every quaternion keeps the `_unit_quat` passes of the formulas the outputs
 were pinned with (a slerp's own, the one of the `Pose` constructor): a
 repeated pass changes at least one component of about a third of unit
 quaternions. The planners build each waypoint's `Pose` once, with
-`Pose._make`, from floats that have had that pass. No quaternion reaches the
+`tuple.__new__`, from floats that have had that pass. No quaternion reaches the
 translational controller: the 6D rotations of the supervision records reach
 the demo datasets only.
 """
@@ -206,19 +209,6 @@ def _slerp_ends(a, b) -> tuple:
     return a, b, theta, math.sin(theta)
 
 
-def _slerp(ends, s: float) -> tuple:
-    """Spherical interpolation at s in [0, 1] between the _slerp_ends."""
-    (aw, ax, ay, az), (bw, bx, by, bz), theta, sin_theta = ends
-    if theta is None:
-        # Nearly identical: linear blend keeps the endpoints exact.
-        wa, wb = 1.0 - s, s
-    else:
-        wa = math.sin((1.0 - s) * theta) / sin_theta
-        wb = math.sin(s * theta) / sin_theta
-    return _unit_quat((wa * aw + wb * bw, wa * ax + wb * bx, wa * ay + wb * by,
-                       wa * az + wb * bz))
-
-
 # --------------------------------------------------------------------------
 # 6D rotation encoding
 # --------------------------------------------------------------------------
@@ -243,18 +233,6 @@ def _rodrigues_fixed(p, axis, pivot) -> tuple:
     return pivot, r, _cross(axis, r), (a0 * k, a1 * k, a2 * k)
 
 
-def _rodrigues(fixed, angle: float) -> tuple:
-    """The point of the _rodrigues_fixed terms rotated by angle, as floats, in
-    the order of operations of the array formula
-    pivot + (r c + (axis x r) s + (axis (axis . r)) (1 - c))."""
-    (o0, o1, o2), (r0, r1, r2), (x0, x1, x2), (k0, k1, k2) = fixed
-    c, s = math.cos(angle), math.sin(angle)
-    omc = 1.0 - c
-    return (o0 + (r0 * c + x0 * s + k0 * omc),
-            o1 + (r1 * c + x1 * s + k1 * omc),
-            o2 + (r2 * c + x2 * s + k2 * omc))
-
-
 # --------------------------------------------------------------------------
 # Poses and the 10-d pose/gripper encoding
 # --------------------------------------------------------------------------
@@ -269,21 +247,13 @@ class Pose(_PoseFields):
 
     The public constructor coerces both to float tuples and gives the
     orientation one `_unit_quat` pass; code holding finished floats builds a
-    pose with the NamedTuple method `_make`, which skips both.
+    pose with `tuple.__new__(Pose, (position, orientation))`, which skips both.
     """
 
     __slots__ = ()
 
     def __new__(cls, position, orientation):
         return super().__new__(cls, vec3(position), _unit_quat(tuple(map(float, orientation))))
-
-
-def _lerp(a, b, s: float) -> tuple:
-    """(1 - s) a + s b for two float 3-sequences, as floats."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    t = 1.0 - s
-    return (t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2)
 
 
 def pose10_encode(pose: Pose, gripper: float) -> tuple:

@@ -79,17 +79,18 @@ SCRIBBLE_SEG_LEN = 0.05
 
 
 def _scribble(board: PlaneBoard, rng):
-    """Random polyline stroke in the central region of the board."""
+    """Random polyline stroke in the central region of the board: float
+    points, each segment's end clipped to the region."""
     half_x = 0.5 * BOARD_EXTENT[0] - 0.04
     half_y = 0.5 * BOARD_EXTENT[1] - 0.04
-    p = np.array([rng.uniform(-half_x, half_x), rng.uniform(-half_y, half_y)])
-    pts = [p]
+    x, y = rng.uniform(-half_x, half_x), rng.uniform(-half_y, half_y)
+    pts = [(x, y)]
     for _ in range(SCRIBBLE_SEGMENTS):
         ang = rng.uniform(0.0, 2.0 * math.pi)
-        q = pts[-1] + SCRIBBLE_SEG_LEN * np.array([math.cos(ang), math.sin(ang)])
-        q = np.clip(q, [-half_x, -half_y], [half_x, half_y])
-        pts.append(q)
-    board.ink.ink_stroke(np.array(pts))
+        x = min(max(x + SCRIBBLE_SEG_LEN * math.cos(ang), -half_x), half_x)
+        y = min(max(y + SCRIBBLE_SEG_LEN * math.sin(ang), -half_y), half_y)
+        pts.append((x, y))
+    board.ink.ink_stroke(pts)
 
 
 def _build_hole(rng, **overrides) -> HoleFixture:

@@ -382,6 +382,14 @@ class TestControllerTick:
             ControllerCommand(x_cmd)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x_r", "v_r"])
+    def test_state_rejects_a_non_finite_component(self, field, value):
+        args = {"x_r": [0.0, 0.0, 0.0], "v_r": [0.0, 0.0, 0.0]}
+        args[field][1] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ControllerState(**args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_command_rejects_a_non_finite_gripper(self, value):
         with pytest.raises(ValueError, match="gripper must be finite"):
             ControllerCommand((0.0, 0.0, 0.0), value, (0.0, 0.0, 1.0), 1)

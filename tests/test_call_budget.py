@@ -1,4 +1,4 @@
-"""Python calls per 1 kHz tick, pinned per task.
+"""Python calls per 1 kHz tick and per demo step, pinned per task.
 
 The per-tick code writes its vector operations out on floats (see the
 numerics contract in admitsim.geometry), so a tick costs one Python call per
@@ -9,16 +9,23 @@ chunk (the later chunks' `predict` calls included) and divides by the ticks.
 Each ceiling is the count this code makes, rounded up in the second decimal:
 a change that brings a per-tick helper call back fails here. The counts are
 deterministic; the four episodes take about 0.3 s.
+
+Demo generation writes its waypoints and supervision steps out on floats too
+(see admitsim.expert). The same hook counts the calls of building and
+planning 20 demos per task, seeded as `gen-demos` seeds them, and divides by
+their supervision steps; the 80 demos take about 0.1 s.
 """
 
 from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
 from admitsim.harness import TICKS_PER_STEP, ScenarioConfig, _Episode
 from admitsim.policy import DEFAULT_HORIZON
+from admitsim.tasks import build_environment, generate_demo
 
 # Calls per tick over ticks 1,600-4,999 of a 5 s seed-1 episode. The helper
 # compositions the tick replaced made 20.47 (WW), 14.47 (PH), 30.92 (MO) and
@@ -50,3 +57,34 @@ def calls_per_tick(task: str) -> float:
 @pytest.mark.parametrize("task", sorted(CEILINGS))
 def test_calls_per_tick_within_the_budget(task):
     assert calls_per_tick(task) <= CEILINGS[task]
+
+
+# Calls per supervision step over demos 0-19 of seed 0 (build_environment and
+# generate_demo). The helper compositions the planners, the ink stroke and
+# the extraction replaced made 13.33 (MO), 4.27 (PH), 8.35 (WW) and 15.43 (DO).
+DEMO_CEILINGS = {"MO": 2.10, "PH": 1.32, "WW": 1.70, "DO": 2.14}
+
+
+def calls_per_demo_step(task: str) -> float:
+    calls = steps = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    outer = sys.getprofile()
+    for i in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence([0, i]))
+        sys.setprofile(count)
+        try:
+            demo = generate_demo(task, build_environment(task, rng))
+        finally:
+            sys.setprofile(outer)
+        steps += len(demo)
+    return calls / steps
+
+
+@pytest.mark.parametrize("task", sorted(DEMO_CEILINGS))
+def test_calls_per_demo_step_within_the_budget(task):
+    assert calls_per_demo_step(task) <= DEMO_CEILINGS[task]

@@ -504,6 +504,25 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             build(**{name: value})
 
+    # A non-finite position or board rotation is a ValueError naming its
+    # field, not a NaN wrench later or a DegenerateInput about a norm.
+    @pytest.mark.parametrize("build,name", [
+        (lambda v: PlaneBoard(center=(0.0, v, 0.0)), "center"),
+        (lambda v: PlaneBoard(rotation=(v, 0.0, 0.0, 1.0)), "rotation"),
+        (lambda v: HoleFixture(rim_center=(v, 0.0, 0.0)), "rim_center"),
+        (lambda v: HingedDoor(hinge_pivot=(v, 0.0, 0.0)), "hinge_pivot"),
+        (lambda v: HingedDoor(grasp0=(0.0, 0.0, v)), "grasp0"),
+        (lambda v: HingedDoor(hinge_pivot=(0.0, 0.42, 0.0), grasp0=(0.0, -0.06, 0.0),
+                              handle_pivot=(0.0, v, 0.0), handle_axis=(1.0, 0.0, 0.0)),
+         "handle_pivot"),
+    ], ids=["board-center", "board-rotation", "hole-rim_center", "door-hinge_pivot",
+            "door-grasp0", "door-handle_pivot"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_position_names_its_field(self, build, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite") as exc:
+            build(value)
+        assert type(exc.value) is ValueError
+
     @pytest.mark.parametrize("build", [
         lambda: HoleFixture(axis_up=(math.nan, 0.0, 1.0)),
         lambda: HingedDoor(handle_pivot=(0.45, 0.0, 0.15), handle_axis=(math.nan, 0.0, 0.0)),

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from reference_demos import _rot6d_columns
+
 from admitsim.environments import (
     HANDLE_LEVER,
     HINGE_AXIS,
@@ -30,7 +32,6 @@ from admitsim.expert import (
     PhaseLabel,
     SupervisionRecords,
     SupervisionTuple,
-    _rot6d_columns,
     extract_supervision,
     plan_articulated,
     plan_free_motion,

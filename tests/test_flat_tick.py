@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_laws as ref
+from reference_demos import _rodrigues
 
 from admitsim.admittance import (
     EPS_POS,
@@ -38,7 +39,7 @@ from admitsim.environments import (
     PlaneBoard,
 )
 from admitsim.errors import NonFiniteState
-from admitsim.geometry import _cross, _normalize, _rodrigues, _rodrigues_fixed
+from admitsim.geometry import _cross, _normalize, _rodrigues_fixed
 from admitsim.tasks import build_environment
 
 

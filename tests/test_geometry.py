@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from reference_demos import _lerp, _rodrigues, _slerp
+
 from admitsim.errors import DegenerateInput
 from admitsim.geometry import (
     Pose,
     _normalize,
-    _lerp,
     _quat_matrix,
-    _rodrigues,
     _rodrigues_fixed,
-    _slerp,
     _slerp_ends,
     _unit_quat,
     pose10_encode,

@@ -8,8 +8,9 @@ the PH, MO and DO environments. The action chunks `predict` makes of one WW
 demo under the scenarios' noise are pinned by what a command reads of them.
 Two `run` trace files (WW, and DO with the
 door, the force pulse and several chunks of the trace writer), a 5-episode
-`gen-demos` dataset per task, the verification CSV on a one-point grid and the
-summary CSV of a small clean/raise WW suite are pinned as bytes.
+and a 200-episode `gen-demos` dataset per task, the verification CSV on a
+one-point grid and the summary CSV of a small clean/raise WW suite are pinned
+as bytes.
 
 The digests hold for one C math library (libm): every 3-vector dot product is
 a left-to-right Python-float sum (admitsim.geometry.dot3) and no BLAS kernel
@@ -70,9 +71,13 @@ SCENARIOS = {
 
 SERIES = ("t", "x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "disturbed")
 
-# GOLDEN key -> task of a 5-episode `gen-demos` dataset (seed 3).
-DEMO_DIGESTS = {"gen_demos": "WW", "gen_demos_ph": "PH", "gen_demos_mo": "MO",
-                "gen_demos_do": "DO"}
+# GOLDEN key -> (task, episodes, seed) of a `gen-demos` dataset: 5 demos per
+# task, and 200 per task over the spread of boards, holes and doors that
+# the task builders draw.
+DEMO_DIGESTS = {"gen_demos": ("WW", 5, 3), "gen_demos_ph": ("PH", 5, 3),
+                "gen_demos_mo": ("MO", 5, 3), "gen_demos_do": ("DO", 5, 3),
+                "gen_demos_200_ww": ("WW", 200, 17), "gen_demos_200_ph": ("PH", 200, 17),
+                "gen_demos_200_mo": ("MO", 200, 17), "gen_demos_200_do": ("DO", 200, 17)}
 
 VERIFY_GRID = "[verify]\nm = 1.0\nk_e = 1000\nf_h = 4\n"
 
@@ -99,6 +104,10 @@ GOLDEN = {
     "gen_demos_ph": "b0b2a9a023a9c0dc8df2de466372eae4edeec309ea272976a34e0a18059bfc55",
     "gen_demos_mo": "c9a77488e7815ff94765507a1f864e1f0a19b7bca9783f9c9c4557b09ba7f305",
     "gen_demos_do": "4958e64285bc5726e28657690c97be95b0e0e5453a8a80f33579bd685638d555",
+    "gen_demos_200_ww": "bab88851e0f33ce6ea3d6bdc3b62278a58a708364c062b9c60d31f0c355e04e8",
+    "gen_demos_200_ph": "b5cc1c1690906b4c973996a04a7477c007b1445d959cb26fd86fe1770f795283",
+    "gen_demos_200_mo": "97b3ed6752c8027dc5e53509639124a1c1845ebd84f760931b12d67123819ad9",
+    "gen_demos_200_do": "28cdcbbd32a042c04f7725c4eef46e7dd8e3e5dc1273e84c37b4aac5a606ba12",
     "verification_csv": "d8986fba7f701372e98bfb582e6e6f7763e46a45390afbce269274642bb5cf24",
     "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
     "predict_chunks": "55bbafc328a93d28a6d8e2f25b30ba4dd456d93cee5629fed652a08a1e51f4cc",
@@ -155,11 +164,11 @@ def file_digests(workdir: str, logs) -> dict:
         fh.write(VERIFY_GRID)
     report = os.path.join(workdir, "verification.csv")
     out = {"trace_csv": _file_sha(trace), "trace_csv_do": _file_sha(trace_do)}
-    for key, task in DEMO_DIGESTS.items():
-        demos = os.path.join(workdir, f"{task}.demos")
+    for key, (task, count, seed) in DEMO_DIGESTS.items():
+        demos = os.path.join(workdir, f"{key}.demos")
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli_main(["gen-demos", "--task", task, "--count", "5", "--seed", "3",
-                           "--out", demos])
+            rc = cli_main(["gen-demos", "--task", task, "--count", str(count), "--seed",
+                           str(seed), "--out", demos])
         if rc != 0:
             raise RuntimeError(f"gen-demos {task} exit {rc}")
         out[key] = _file_sha(demos)
