@@ -77,6 +77,9 @@ class AdmittanceConfig:
         check_range("target_force", self.target_force, closed=True)
         check_range("force_deadband", self.force_deadband, closed=True)
         k_t = self.tangent_scale * k
+        if not k_t < math.inf:
+            raise ValueError(f"tangent_scale * stiffness must be finite, "
+                             f"got {self.tangent_scale} * {k}")
         object.__setattr__(self, "tangent_damping",
                            compute_damping(self.mass, k_t, self.damping_ratio))
         # The two eigenvalue triples of K_eff that controller_tick reports.

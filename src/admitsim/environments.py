@@ -9,8 +9,9 @@ friction in the tangent plane.
 A constructor takes only what a task builder or a config override sets: the
 pose of the geometry, the contact stiffness k_e and the door's latch_force. A
 door is one built with a handle pose; without one it is a microwave. Every
-other dimension, stiffness, friction law and threshold is a module constant
-below, the same for every environment of its kind.
+other dimension (the bore's vertical axis and the ink pen's radius among
+them), stiffness, friction law and threshold is a module constant below, the
+same for every environment of its kind.
 
 Scripted disturbances act through `apply_disturbances`, which also reports
 when every event has settled (`DisturbanceEvent.envelope`): from then on the
@@ -121,6 +122,8 @@ class DisturbanceEvent:
             raise ValueError("duration must be > 0")
         if not 0.0 <= self.ramp <= self.duration:
             raise ValueError("ramp must lie in [0, duration]")
+        if not abs(self.omega * self.duration) < math.inf:  # the sinusoid's largest phase
+            raise ValueError(f"omega * duration must be finite, got {self.omega} * {self.duration}")
         d = vec3(self.direction)
         norm = math.sqrt(sq_norm(d))
         if not norm < math.inf:  # a non-finite component, or a squared norm that overflows
@@ -164,6 +167,7 @@ class DisturbanceEvent:
 CELL_SIZE = 0.005  # 0.5 cm ink cells
 BOARD_EXTENT = (0.30, 0.20)  # the board's size along its x and y axes (m)
 ERASER_HALF = 0.01  # half the side of the square eraser footprint (m)
+PEN_RADIUS = 0.004  # the radius of the pen that inks a stroke (m)
 
 
 class InkGrid:
@@ -178,45 +182,44 @@ class InkGrid:
         self._x0 = 0.5 * extent_x
         self._y0 = 0.5 * extent_y
 
-    def ink_stroke(self, points_xy, pen_radius: float = 0.004) -> int:
-        """Ink every cell whose center lies within pen_radius of the polyline
-        through points_xy, any sequence of (x, y) pairs.
+    def ink_stroke(self, points_xy):
+        """Ink every cell whose center lies within PEN_RADIUS of the polyline
+        through points_xy, (x, y) points in an (n, 2) array-like. An empty
+        stroke inks nothing.
 
-        Only the cells in the stroke's bounding box widened by pen_radius and
+        Only the cells in the stroke's bounding box widened by PEN_RADIUS and
         one more cell are evaluated: no cell outside it lies that close.
         """
         pts = np.asarray(points_xy, dtype=float)
-        if not (np.isfinite(pts).all() and 0.0 <= pen_radius < math.inf):
-            raise ValueError("stroke points must be finite and pen_radius finite and >= 0")
-        mask = np.zeros_like(self.inked)
-        if len(pts):
-            reach = pen_radius + CELL_SIZE
-            lo = (pts.min(axis=0) - reach + (self._x0, self._y0)) / CELL_SIZE - 0.5
-            hi = (pts.max(axis=0) + reach + (self._x0, self._y0)) / CELL_SIZE - 0.5
-            i_lo, j_lo = max(0, math.floor(lo[0])), max(0, math.floor(lo[1]))
-            i_hi = min(self.nx, math.ceil(hi[0]) + 1)
-            j_hi = min(self.ny, math.ceil(hi[1]) + 1)
-            if i_lo < i_hi and j_lo < j_hi:
-                mask[i_lo:i_hi, j_lo:j_hi] = self._near(pts, pen_radius, i_lo, i_hi, j_lo, j_hi)
-        fresh = mask & ~self.inked
-        self.inked |= mask
-        return int(fresh.sum())
+        if pts.size == 0:
+            return
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"stroke points must have shape (n, 2), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("stroke points must be finite")
+        reach = PEN_RADIUS + CELL_SIZE
+        lo = (pts.min(axis=0) - reach + (self._x0, self._y0)) / CELL_SIZE - 0.5
+        hi = (pts.max(axis=0) + reach + (self._x0, self._y0)) / CELL_SIZE - 0.5
+        i_lo, j_lo = max(0, math.floor(lo[0])), max(0, math.floor(lo[1]))
+        i_hi = min(self.nx, math.ceil(hi[0]) + 1)
+        j_hi = min(self.ny, math.ceil(hi[1]) + 1)
+        if i_lo < i_hi and j_lo < j_hi:
+            self.inked[i_lo:i_hi, j_lo:j_hi] |= self._near(pts, i_lo, i_hi, j_lo, j_hi)
 
-    def _near(self, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
-        """Whether each cell of the index box lies within pen_radius of the polyline.
+    def _near(self, pts, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
+        """Whether each cell of the index box lies within PEN_RADIUS of the polyline.
 
         All segments at once, over a (segments x cells) grid: each cell
         center c's distance to segment a-b is |c - (a + s (b - a))| at the
         projection s clipped to [0, 1], its squared terms summed as
         `np.linalg.norm(..., axis=1)` sums them. A degenerate segment
         (squared length below 1e-18) takes s = 0, its start point, and a
-        single point is a stroke of no segments.
+        single point is the zero-length segment from it to itself.
         """
+        if len(pts) == 1:
+            pts = pts[[0, 0]]
         cx = ((np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - self._x0)[:, None]
         cy = (np.arange(j_lo, j_hi) + 0.5) * CELL_SIZE - self._y0
-        if len(pts) == 1:
-            dx, dy = cx - pts[0, 0], cy - pts[0, 1]
-            return np.sqrt(dx * dx + dy * dy) <= pen_radius
         # The segments' starts and vectors, one (segments, 1, 1) array per axis.
         a0, a1 = pts[:-1].T[:, :, None, None]
         ab0, ab1 = (pts[1:] - pts[:-1]).T[:, :, None, None]
@@ -225,7 +228,7 @@ class InkGrid:
         s = np.clip(((cx - a0) * ab0 + (cy - a1) * ab1) / np.where(point, 1.0, den), 0.0, 1.0)
         s[point.ravel()] = 0.0
         dx, dy = cx - (a0 + s * ab0), cy - (a1 + s * ab1)
-        return np.sqrt(dx * dx + dy * dy).min(axis=0) <= pen_radius
+        return np.sqrt(dx * dx + dy * dy).min(axis=0) <= PEN_RADIUS
 
     def wipe(self, x: np.ndarray, y: np.ndarray) -> int:
         """Clean the inked cells whose centers fall in the eraser's square
@@ -369,6 +372,7 @@ class PlaneBoard(TaskEnvironment):
         return self.ink.inked_count() * CELL_SIZE * 100.0
 
 
+BORE_AXIS = (0.0, 0.0, 1.0)  # unit; the bore opens upward
 HOLE_RADIUS = 0.005
 CLEARANCE = 0.001  # lateral play before wall contact
 HOLE_DEPTH = 0.025
@@ -379,24 +383,22 @@ HOLE_FRICTION = FrictionModel(coulomb_mu=0.2, viscous_c=2.0)
 
 @dataclass
 class HoleFixture(TaskEnvironment):
-    """Vertical bore with compliant walls and a spring-loaded bottom.
+    """Bore along BORE_AXIS with compliant walls and a spring-loaded bottom.
 
-    Disturbances move the rim center; the axis is fixed and held unit.
+    Disturbances move the rim center; the axis stays vertical.
     """
 
     rim_center: tuple = (0.30, 0.10, 0.08)  # any 3-sequence
-    axis_up: tuple = (0.0, 0.0, 1.0)  # any 3-sequence
     k_e: float = 1000.0
 
     def __post_init__(self):
         self.rim_center = check_finite_components("rim_center", vec3(self.rim_center))
-        self.axis_up = _normalize(vec3(self.axis_up))
         check_range("k_e", self.k_e)
         self._base_rest = self.rim_center
 
     def bottom_center(self) -> tuple:
         r0, r1, r2 = self.rim_center
-        a0, a1, a2 = self.axis_up
+        a0, a1, a2 = BORE_AXIS
         d = HOLE_DEPTH
         return (r0 - d * a0, r1 - d * a1, r2 - d * a2)
 
@@ -406,14 +408,15 @@ class HoleFixture(TaskEnvironment):
     def measure(self, x_r) -> float:
         """Depth of the peg tip at x_r below the rim along the axis, clamped to
         [0, HOLE_DEPTH], in mm."""
-        d_ax = -dot3(_sub(x_r, self.rim_center), self.axis_up)
+        d_ax = -dot3(_sub(x_r, self.rim_center), BORE_AXIS)
         return 1000.0 * min(HOLE_DEPTH, max(0.0, d_ax))
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
+        # Written for any unit axis: a vertical-only form could flip signed zeros.
         p0, p1, p2 = pos
         c0, c1, c2 = self.rim_center
-        u0, u1, u2 = axis_up = self.axis_up
+        u0, u1, u2 = BORE_AXIS
         q0, q1, q2 = p0 - c0, p1 - c1, p2 - c2
         along = q0 * u0 + q1 * u1 + q2 * u2
         d_ax = -along  # depth below the rim
@@ -431,7 +434,7 @@ class HoleFixture(TaskEnvironment):
             if pen <= 0.0:
                 return (f0, f1, f2)
             f_n = self.k_e * pen
-            n0, n1, n2 = axis_up
+            n0, n1, n2 = BORE_AXIS
         elif r <= HOLE_RADIUS + CHAMFER:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
@@ -445,7 +448,7 @@ class HoleFixture(TaskEnvironment):
         else:
             # Landed on the top plate beside the hole.
             f_n = self.k_e * d_ax
-            n0, n1, n2 = axis_up
+            n0, n1, n2 = BORE_AXIS
         # The pressed spring along its unit normal, and the friction of the
         # velocity's component off it.
         f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2

@@ -24,10 +24,6 @@ class EmptySchedule(AdmitSimError):
     """Key-pose schedule has no entries."""
 
 
-class NotAligned(AdmitSimError):
-    """Peg orientation deviates from the hole axis beyond tolerance."""
-
-
 class NothingToWipe(AdmitSimError):
     """Wiping plan requested for a board without inked cells."""
 

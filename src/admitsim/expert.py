@@ -4,8 +4,8 @@ and supervision extraction.
 Plans are executed kinematically (ideal pose tracking) when generating
 demonstrations; the admittance loop only enters at replay time. A demo's
 supervision is one (n, 14) float64 record block in the dataset layout, held
-as a `SupervisionRecords` whose `SupervisionTuple`s are row views made on
-access.
+as a `SupervisionRecords` whose iteration makes `SupervisionTuple` row views;
+`predict` reads the block's rows directly.
 
 Float contract. Demo generation runs on Python floats, one straight pass per
 plan: the planners write their lerp, slerp, quaternion product, Rodrigues
@@ -24,7 +24,6 @@ orientation or contact normal over a run of poses) is worked on once.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from enum import Enum
 from math import cos, sin, sqrt
 from typing import NamedTuple
@@ -32,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .environments import (
+    BORE_AXIS,
     ERASER_HALF,
     HINGE_AXIS,
     HOLE_DEPTH,
@@ -41,7 +41,7 @@ from .environments import (
     HoleFixture,
     PlaneBoard,
 )
-from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NotAligned, NothingToWipe
+from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NothingToWipe
 from .geometry import (
     Pose,
     _normalize,
@@ -85,15 +85,14 @@ class SupervisionTuple(NamedTuple):
 RECORD_DIM = 14
 
 
-class SupervisionRecords(Sequence):
+class SupervisionRecords:
     """A demo's supervision: its (n, 14) float64 record block, in the dataset's
-    record layout, as a sequence of SupervisionTuple.
+    record layout.
 
-    Indexing and iteration make each tuple on access as views of its row:
+    Iteration makes each SupervisionTuple on access as views of its row:
     pose10 is row[:10], normal row[10:13], and contact the Python int of
-    row[13], which holds 0.0 or 1.0. Negative indices count from the end; a
-    slice is the records of the sliced block. Only the block is held, 112
-    bytes per step.
+    row[13], which holds 0.0 or 1.0. Only the block is held, 112 bytes per
+    step; `predict` reads its rows from it.
     """
 
     __slots__ = ("block",)
@@ -103,12 +102,6 @@ class SupervisionRecords(Sequence):
 
     def __len__(self) -> int:
         return len(self.block)
-
-    def __getitem__(self, i):
-        row = self.block[i]
-        if row.ndim == 2:  # i is a slice
-            return SupervisionRecords(row)
-        return SupervisionTuple(row[:10], row[10:13], int(row[13]))
 
     def __iter__(self):
         block = self.block
@@ -127,9 +120,6 @@ ZERO_NORMAL = (0.0, 0.0, 0.0)
 # The identity orientation, wxyz: that of the peg and of the gripper at a
 # door's grasp point.
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
-
-# Largest angle between the peg axis and the bore axis that insertion accepts.
-ALIGN_TOL = math.radians(5.0)
 
 
 # --------------------------------------------------------------------------
@@ -183,18 +173,14 @@ INSERT_STEP = 0.001
 
 
 def plan_insertion(hole: HoleFixture) -> list[Pose]:
-    """Descend along the hole axis from the rim, HOLE_DEPTH above the bottom,
+    """Descend along BORE_AXIS from the rim, HOLE_DEPTH above the bottom,
     to the bottom in steps of INSERT_STEP.
 
     The peg holds the identity orientation, its axis the tool -z direction,
-    which must oppose the hole's up axis within ALIGN_TOL (NotAligned).
+    which opposes the vertical bore axis.
     """
-    # The cosine of the angle between the peg axis (0, 0, -1) and the bore's
-    # down axis is the up axis's z component.
-    if hole.axis_up[2] < math.cos(ALIGN_TOL):
-        raise NotAligned("peg axis deviates from the hole axis beyond tolerance")
     bottom = b0, b1, b2 = hole.bottom_center()
-    u0, u1, u2 = hole.axis_up
+    u0, u1, u2 = BORE_AXIS
     n_steps = int(math.ceil(HOLE_DEPTH / INSERT_STEP - 1e-12))
     positions = []
     for i in range(n_steps + 1):

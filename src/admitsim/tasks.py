@@ -23,6 +23,7 @@ import numpy as np
 
 from .environments import (
     BOARD_EXTENT,
+    BORE_AXIS,
     DISTURBANCE_KINDS,
     HANDLE_LEVER,
     DisturbanceEvent,
@@ -173,12 +174,12 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
 def _ph_plan(hole: HoleFixture) -> tuple:
     insertion = plan_insertion(hole)
     rim_pose = insertion[0]
-    above = Pose(_along(rim_pose.position, 0.04, hole.axis_up), rim_pose.orientation)
+    above = Pose(_along(rim_pose.position, 0.04, BORE_AXIS), rim_pose.orientation)
     approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
     contact = insertion[1:] + [insertion[-1]] * 10  # press at the bottom to secure depth
     return _chain(
         _section(approach, PhaseLabel.APPROACH, 1.0),
-        _section(contact, PhaseLabel.CONTACT, 1.0, [hole.axis_up] * len(contact)),
+        _section(contact, PhaseLabel.CONTACT, 1.0, [BORE_AXIS] * len(contact)),
     )
 
 

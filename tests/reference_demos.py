@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from admitsim.environments import BOARD_EXTENT, CELL_SIZE, ERASER_HALF
+from admitsim.environments import BOARD_EXTENT, CELL_SIZE, ERASER_HALF, PEN_RADIUS
 from admitsim.errors import DegenerateInput, EmptySchedule, LengthMismatch, NothingToWipe
 from admitsim.expert import (
     ARC_STEP,
@@ -180,7 +180,7 @@ def scribble(board, rng):
     board.ink.ink_stroke(np.array(pts))
 
 
-def near(grid, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
+def near(grid, pts, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
     """InkGrid._near one segment at a time, with np.linalg.norm distances."""
     cx = (np.arange(i_lo, i_hi) + 0.5) * CELL_SIZE - grid._x0
     cy = (np.arange(j_lo, j_hi) + 0.5) * CELL_SIZE - grid._y0
@@ -198,7 +198,7 @@ def near(grid, pts, pen_radius, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
             s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
             d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
         dmin = np.minimum(dmin, d)
-    return (dmin <= pen_radius).reshape(i_hi - i_lo, j_hi - j_lo)
+    return (dmin <= PEN_RADIUS).reshape(i_hi - i_lo, j_hi - j_lo)
 
 
 # --------------------------------------------------------------------------

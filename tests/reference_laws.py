@@ -21,6 +21,7 @@ from admitsim.admittance import (
 )
 from admitsim.environments import (
     BOARD_FRICTION,
+    BORE_AXIS,
     CHAMFER,
     CLEARANCE,
     DOOR_FRICTION,
@@ -139,7 +140,7 @@ def board_wrench(board, pos, vel):
 
 def hole_wrench(hole, pos, vel):
     rel = _sub(pos, hole.rim_center)
-    axis_up = hole.axis_up
+    axis_up = BORE_AXIS
     d_ax = -dot3(rel, axis_up)
     if d_ax <= 0.0:
         return _ZERO3

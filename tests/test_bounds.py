@@ -118,6 +118,44 @@ def test_a_debounce_too_long_to_count_in_ticks_is_refused():
     assert log.n_ticks == 200 and not log.safety_stopped
 
 
+# (name, upper bound, its unit in the message): wider noise draws overflow
+# mid-run, a command position or a normal cone angle of inf.
+NOISE_UPPER = [("pos_std", 1.0, "1 (m)"), ("normal_cone_std", math.pi, "pi (rad)")]
+
+
+@pytest.mark.parametrize("name,high,unit", NOISE_UPPER, ids=[row[0] for row in NOISE_UPPER])
+def test_noise_wider_than_its_bound_is_refused(name, high, unit):
+    for value in (math.nextafter(high, math.inf), 1e308):
+        with pytest.raises(ValueError) as exc:
+            NoiseSpec(**{name: value})
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{name} must be <= {unit}, got {value}"
+    noise = NoiseSpec(**{name: high}, contact_flip_prob=0.5, seed=2)
+    log = run_episode(ScenarioConfig("WW", duration=0.5, noise=noise))
+    assert log.n_ticks > 0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_omega_whose_phase_overflows_is_refused(sign):
+    """A sinusoid's phase omega * (t - start) reaches omega * duration: one
+    that overflows fails at construction, not as a math domain error mid-run."""
+    longest = sign * sys.float_info.max / 2.0
+    past = math.nextafter(longest, sign * math.inf)
+    with pytest.raises(ValueError) as exc:
+        DisturbanceEvent("sinusoid", start=0.0, duration=2.0, magnitude=0.01, omega=past)
+    assert str(exc.value) == f"omega * duration must be finite, got {past} * 2.0"
+    event = DisturbanceEvent("sinusoid", start=0.0, duration=2.0, magnitude=0.01,
+                             omega=longest)
+    assert all(math.isfinite(event.amplitude(t, 1.0)) for t in (0.5, 1.999, 2.0))
+
+
+def test_a_tangent_stiffness_that_overflows_names_tangent_scale():
+    with pytest.raises(ValueError) as exc:
+        AdmittanceConfig(tangent_scale=1e308)
+    assert str(exc.value) == "tangent_scale * stiffness must be finite, got 1e+308 * 50.0"
+    AdmittanceConfig(tangent_scale=1e300)
+
+
 # (name, constructor of one value, low)
 COUNTS = [
     ("seed", lambda v: ScenarioConfig("WW", seed=v), 0),

@@ -30,7 +30,7 @@ from admitsim.tasks import build_environment, generate_demo
 # Calls per tick over ticks 1,600-4,999 of a 5 s seed-1 episode. The helper
 # compositions the tick replaced made 20.47 (WW), 14.47 (PH), 30.92 (MO) and
 # 34.39 (DO) over the same ticks.
-CEILINGS = {"WW": 3.87, "PH": 3.60, "MO": 4.99, "DO": 5.02}
+CEILINGS = {"WW": 3.83, "PH": 3.56, "MO": 4.95, "DO": 4.98}
 
 
 def calls_per_tick(task: str) -> float:
@@ -62,7 +62,7 @@ def test_calls_per_tick_within_the_budget(task):
 # Calls per supervision step over demos 0-19 of seed 0 (build_environment and
 # generate_demo). The helper compositions the planners, the ink stroke and
 # the extraction replaced made 13.33 (MO), 4.27 (PH), 8.35 (WW) and 15.43 (DO).
-DEMO_CEILINGS = {"MO": 2.10, "PH": 1.32, "WW": 1.70, "DO": 2.14}
+DEMO_CEILINGS = {"MO": 2.09, "PH": 1.24, "WW": 1.64, "DO": 2.14}
 
 
 def calls_per_demo_step(task: str) -> float:

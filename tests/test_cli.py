@@ -381,6 +381,11 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", shift_event(magnitude="inf")),
     ("run", shift_event(ramp="nan")),
     ("run", shift_event(omega="inf")),
+    ("run", "[scenario]\ntask = WW\n[noise]\npos_std = 1e308\n"),
+    ("run", "[scenario]\ntask = WW\n[noise]\nnormal_cone_std = 1e308\n"),
+    ("run", "[scenario]\ntask = WW\n[disturbance.a]\nkind = sinusoid\nstart = 1\n"
+            "duration = 2\nmagnitude = 0.01\nomega = 1e308\n"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\ntangent_scale = 1e308\n"),
     ("run", "[scenario]\ntask = WW\n" + tilt_sections("1 0 0", "0 1 0")),
     ("run", "[scenario]\ntask = WW\n" + tilt_sections("1 0 0", "-1 0 0")),
     ("suite", "[suite]\ntask = WW\nseeds = 1\n" + tilt_sections("0 0 1", "0 1 1")),
@@ -393,6 +398,16 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_an_overflowing_tangent_scale_is_named(tmp_path, capsys):
+    """The tangent stiffness tangent_scale * stiffness overflows: the error
+    names tangent_scale, the key the file sets."""
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario]\ntask = WW\n[admittance]\ntangent_scale = 1e308\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (f"config error: {path}: tangent_scale * stiffness "
+                                       "must be finite, got 1e+308 * 50.0\n")
 
 
 RAISE = "kind = raise\nstart = 1\nduration = 1\nmagnitude = 0.01\n"

@@ -162,7 +162,7 @@ def with_last_contact(raw: bytes, flag: float) -> bytes:
 
 def assert_record_block(episode):
     """The tuples are row views of one C-contiguous (n, 14) float64 block."""
-    block = episode[0].pose10.base
+    block = next(iter(episode)).pose10.base
     assert block.shape == (len(episode), 14)
     assert block.dtype == np.float64 and block.flags.c_contiguous
     for i, tup in enumerate(episode):
@@ -233,7 +233,7 @@ class TestContactFlagFuzz:
     def test_only_zero_and_one_read_back(self, flag):
         raw = with_last_contact(_dataset_bytes(small_dataset()), flag)
         if flag in (0.0, 1.0):
-            assert _read_bytes(raw).episodes[0][-1].contact == int(flag)
+            assert list(_read_bytes(raw).episodes[0])[-1].contact == int(flag)
         else:
             with pytest.raises(IoFailure):
                 _read_bytes(raw)

@@ -50,7 +50,9 @@ CONSTANTS = [
     ("BOARD_EXTENT", (0.30, 0.20), None, None),
     ("BOARD_FRICTION", FrictionModel(coulomb_mu=0.3, viscous_c=5.0), 0.0, True),
     ("ERASER_HALF", 0.01, 0.0, False),
+    ("PEN_RADIUS", 0.004, 0.0, True),
     ("F_MIN_WIPE", 1.0, 0.0, True),
+    ("BORE_AXIS", (0.0, 0.0, 1.0), None, None),
     ("HOLE_RADIUS", 0.005, 0.0, False),
     ("CLEARANCE", 0.001, 0.0, True),
     ("HOLE_DEPTH", 0.025, 0.0, False),

@@ -15,6 +15,7 @@ from admitsim.environments import (
     DISTURBANCE_KINDS,
     HINGE_AXIS,
     HOLE_RADIUS,
+    PEN_RADIUS,
     PERSISTENT_KINDS,
     RELEASE_ANGLE,
     DisturbanceEvent,
@@ -119,7 +120,7 @@ _STROKE_COORD = st.one_of(
 )
 
 
-def full_grid_stroke(ink, pts, pen_radius):
+def full_grid_stroke(ink, pts):
     """The ink mask of a stroke evaluated at every cell, by the per-cell formula."""
     cx = (np.arange(ink.nx) + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[0]
     cy = (np.arange(ink.ny) + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[1]
@@ -137,7 +138,7 @@ def full_grid_stroke(ink, pts, pen_radius):
             s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
             d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
         dmin = np.minimum(dmin, d)
-    return (dmin <= pen_radius).reshape(ink.nx, ink.ny)
+    return (dmin <= PEN_RADIUS).reshape(ink.nx, ink.ny)
 
 
 def wipe(board, *points):
@@ -199,14 +200,15 @@ class TestInk:
         origin = np.zeros(1)
         assert ink.wipe(origin, origin) > 0
         assert ink.wipe(origin, origin) == 0
+        wiped = ink.inked_count()
         if reink == "stroke":
-            fresh = ink.ink_stroke(np.array([[-0.002, 0.0], [0.002, 0.0]]))
+            ink.ink_stroke(np.array([[-0.002, 0.0], [0.002, 0.0]]))
         else:
             i, j = ink.nx // 2, ink.ny // 2  # the four cells around the board center
             ink.inked[i - 1:i + 1, j - 1:j + 1] = True
-            fresh = 4
-        assert fresh > 0
         before = ink.inked_count()
+        fresh = before - wiped
+        assert fresh > 0
         assert ink.wipe(origin, origin) == fresh
         assert ink.inked_count() == before - fresh
         assert ink.wipe(origin, origin) == 0
@@ -220,25 +222,46 @@ class TestInk:
 
     def test_stroke_conservation(self):
         board = flat_board()
-        n = board.ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
-        assert n == board.ink.inked_count()
+        board.ink.ink_stroke(np.array([[-0.05, 0.0], [0.05, 0.0]]))
+        n = board.ink.inked_count()
+        assert n > 0
         assert board.measure(None) == pytest.approx(n * 0.5)
 
-    @given(st.lists(st.tuples(_STROKE_COORD, _STROKE_COORD), min_size=1, max_size=5),
-           st.sampled_from([0.0, 0.0025, 0.004, 0.01, 0.05]))
+    @given(st.lists(st.tuples(_STROKE_COORD, _STROKE_COORD), min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
-    def test_stroke_inks_what_a_full_grid_evaluation_inks(self, points, radius):
+    def test_stroke_inks_what_a_full_grid_evaluation_inks(self, points):
         ink = flat_board().ink
         pts = np.array(points)
-        ink.ink_stroke(pts, pen_radius=radius)
-        assert np.array_equal(ink.inked, full_grid_stroke(ink, pts, radius))
+        ink.ink_stroke(pts)
+        assert np.array_equal(ink.inked, full_grid_stroke(ink, pts))
+
+    @given(st.tuples(_STROKE_COORD, _STROKE_COORD))
+    @settings(max_examples=100, deadline=None)
+    def test_a_one_point_stroke_inks_its_zero_length_segment(self, p):
+        one, segment = flat_board().ink, flat_board().ink
+        one.ink_stroke([p])
+        segment.ink_stroke([p, p])
+        assert np.array_equal(one.inked, segment.inked)
 
     def test_stroke_rejects_non_finite_input(self):
         ink = flat_board().ink
         with pytest.raises(ValueError):
             ink.ink_stroke(np.array([[0.0, 0.0], [np.nan, 0.01]]))
-        with pytest.raises(ValueError):
-            ink.ink_stroke(np.array([[0.0, 0.0]]), pen_radius=np.inf)
+        assert ink.inked_count() == 0
+
+    @pytest.mark.parametrize("pts", [[0.01, 0.02], [[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]],
+                                     [[[0.0, 0.0]]], [[0.0], [0.01]]],
+                             ids=["flat-pair", "three-columns", "nested", "one-column"])
+    def test_stroke_rejects_points_not_n_by_2(self, pts):
+        ink = flat_board().ink
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            ink.ink_stroke(pts)
+        assert ink.inked_count() == 0
+
+    @pytest.mark.parametrize("pts", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_an_empty_stroke_inks_nothing(self, pts):
+        ink = flat_board().ink
+        ink.ink_stroke(pts)
         assert ink.inked_count() == 0
 
     def test_monotone_under_wiping(self):
@@ -524,9 +547,8 @@ class TestConstructorValidation:
         assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("build", [
-        lambda: HoleFixture(axis_up=(math.nan, 0.0, 1.0)),
         lambda: HingedDoor(handle_pivot=(0.45, 0.0, 0.15), handle_axis=(math.nan, 0.0, 0.0)),
-    ], ids=["hole-axis_up", "door-handle_axis"])
+    ], ids=["door-handle_axis"])
     def test_a_nan_axis_is_degenerate(self, build):
         with pytest.raises(DegenerateInput):
             build()
@@ -554,7 +576,7 @@ class TestConstructorValidation:
 # config override sets. Every other dimension is a module constant.
 ENV_FIELDS = {
     PlaneBoard: ("center", "rotation", "k_e"),
-    HoleFixture: ("rim_center", "axis_up", "k_e"),
+    HoleFixture: ("rim_center", "k_e"),
     HingedDoor: ("hinge_pivot", "grasp0", "handle_pivot", "handle_axis", "latch_force", "k_e"),
 }
 

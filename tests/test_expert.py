@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from reference_demos import _rot6d_columns
 
 from admitsim.environments import (
+    BORE_AXIS,
     HANDLE_LEVER,
     HINGE_AXIS,
     HOLE_DEPTH,
@@ -22,7 +23,6 @@ from admitsim.errors import (
     DegenerateInput,
     EmptySchedule,
     LengthMismatch,
-    NotAligned,
     NothingToWipe,
 )
 from admitsim.expert import (
@@ -39,7 +39,6 @@ from admitsim.expert import (
     plan_wiping,
 )
 from admitsim.geometry import Pose, _normalize, pose10_encode, quat_rotate, rot6d_encode
-from admitsim.policy import NoiseSpec, predict
 from admitsim.tasks import build_environment, generate_demo
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -104,7 +103,7 @@ class TestInsertion:
     def test_starts_hole_depth_above_the_bottom(self):
         poses = plan_insertion(self.hole)
         assert_allclose(poses[0].position,
-                        np.add(self.hole.bottom_center(), HOLE_DEPTH * np.array(self.hole.axis_up)),
+                        np.add(self.hole.bottom_center(), HOLE_DEPTH * np.array(BORE_AXIS)),
                         atol=1e-15)
 
     def test_steps_are_insert_step(self):
@@ -113,32 +112,12 @@ class TestInsertion:
             step = np.linalg.norm(np.subtract(b.position, a.position))
             assert step == pytest.approx(INSERT_STEP, abs=1e-12)
 
-    @staticmethod
-    def bore(axis_deg: float, degrees: float) -> HoleFixture:
-        """A hole whose up axis is tilted by `degrees` about x (axis_deg 0) or y (90)."""
-        a, b = math.radians(degrees), math.radians(axis_deg)
-        up = (math.sin(b) * math.sin(a), -math.cos(b) * math.sin(a), math.cos(a))
-        return HoleFixture(rim_center=(0.0, 0.0, 0.0), axis_up=up)
-
-    def test_not_aligned(self):
-        # The peg holds the identity orientation: a bore tilted 20 degrees is refused.
-        with pytest.raises(NotAligned):
-            plan_insertion(self.bore(0.0, 20.0))
-
-    @pytest.mark.parametrize("axis_deg", [0.0, 90.0])
-    @pytest.mark.parametrize("degrees", [5.5, 90.0, 180.0])
-    def test_not_aligned_beyond_five_degrees(self, axis_deg, degrees):
-        with pytest.raises(NotAligned):
-            plan_insertion(self.bore(axis_deg, degrees))
-
-    @pytest.mark.parametrize("axis_deg", [0.0, 90.0])
-    @pytest.mark.parametrize("degrees", [0.0, 3.0, 4.5])
-    def test_aligned_within_tolerance(self, axis_deg, degrees):
-        hole = self.bore(axis_deg, degrees)
+    def test_the_peg_holds_the_identity_down_the_bore_axis(self):
+        hole = HoleFixture(rim_center=(0.1, -0.2, 0.3))
         poses = plan_insertion(hole)
         assert all(p.orientation == (1.0, 0.0, 0.0, 0.0) for p in poses)
         assert_allclose(np.subtract(poses[0].position, poses[-1].position),
-                        HOLE_DEPTH * np.array(hole.axis_up), atol=1e-15)
+                        HOLE_DEPTH * np.array(BORE_AXIS), atol=1e-15)
 
 
 class TestWiping:
@@ -165,8 +144,8 @@ class TestWiping:
     def test_lane_count_lower_bound(self):
         board = self.flat_board()
         # Inked bounding box roughly 10 cm x 6 cm (cell-centre aligned rows).
-        board.ink.ink_stroke(np.array([[-0.05, -0.0275], [0.05, -0.0275]]), pen_radius=0.002)
-        board.ink.ink_stroke(np.array([[-0.05, 0.0275], [0.05, 0.0275]]), pen_radius=0.002)
+        board.ink.ink_stroke(np.array([[-0.05, -0.0275], [0.05, -0.0275]]))
+        board.ink.ink_stroke(np.array([[-0.05, 0.0275], [0.05, 0.0275]]))
         poses = plan_wiping(board)
         # The board is the identity at the origin: world y is board-frame y.
         ys = {round(float(p.position[1]), 6) for p in poses}
@@ -268,7 +247,7 @@ class TestPlanNormals:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_insertion_contact_normal_is_the_bore_axis(self, seed):
         hole = build_environment("PH", np.random.default_rng(seed))
-        want = _normalize(hole.axis_up)
+        want = BORE_AXIS
         assert_allclose(want, Z)
         contact = [t for t in generate_demo("PH", hole).tuples if t.contact]
         assert contact
@@ -332,10 +311,10 @@ class TestSupervision:
         poses = plan_insertion(hole)
         n = len(poses)
         tuples = extract_supervision(poses, [PhaseLabel.CONTACT] * n, [1.0] * n,
-                                     [hole.axis_up] * n)
+                                     [BORE_AXIS] * n)
         for t in tuples:
             assert t.contact == 1
-            assert_allclose(t.normal, hole.axis_up)
+            assert_allclose(t.normal, BORE_AXIS)
 
     def test_contact_normal_is_the_next_poses_unit_normal(self):
         # Contact ends at the last pose, whose placeholder normal gives way to
@@ -409,11 +388,6 @@ class TestDemoInvariants:
         assert (on_handle > 0) == (task == "DO")
 
 
-def _tuple_bytes(tup) -> bytes:
-    """A supervision tuple's fields as bytes, the contact's Python type included."""
-    return (tup.pose10.tobytes() + tup.normal.tobytes()
-            + f"{type(tup.contact).__name__}:{tup.contact}".encode())
-
 
 class TestSupervisionRecords:
     """A demo's supervision is its (n, 14) record block, viewed row by row."""
@@ -444,33 +418,15 @@ class TestSupervisionRecords:
             _rot6d_columns(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("task", ["MO", "PH", "WW", "DO"])
-    def test_indexing_slicing_and_iteration_give_the_same_row_views(self, task):
+    def test_iteration_gives_the_row_views_of_the_block(self, task):
         records = generate_demo(task, build_environment(task, np.random.default_rng(4))).tuples
         assert isinstance(records, SupervisionRecords)
-        n = len(records)
+        block = records.block
         listed = list(records)
-        assert len(listed) == n
-        for i in range(-n, n):
-            tup = records[i]
+        assert len(listed) == len(records) == len(block)
+        for i, tup in enumerate(listed):
             assert isinstance(tup, SupervisionTuple)
-            assert _tuple_bytes(tup) == _tuple_bytes(listed[i])
-            assert np.shares_memory(tup.pose10, records.block[i])
-        for sl in (slice(2, 7), slice(None, None, 2), slice(-4, None), slice(5, 2),
-                   slice(None, None, -3)):
-            part = records[sl]
-            assert isinstance(part, SupervisionRecords)
-            assert [_tuple_bytes(t) for t in part] == [_tuple_bytes(t) for t in listed[sl]]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                records[i]
-
-    @pytest.mark.parametrize("task", ["PH", "WW"])
-    def test_predict_chunks_equal_those_of_a_list_of_tuples(self, task):
-        records = generate_demo(task, build_environment(task, np.random.default_rng(5))).tuples
-        listed = list(records)
-        noise = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
-                          contact_flip_prob=0.2, seed=9)
-        for t0 in range(0, len(records), 7):
-            got = predict(t0, records, noise)
-            want = predict(t0, listed, noise)
-            assert list(map(repr, got)) == list(map(repr, want))  # signed zeros too
+            assert np.shares_memory(tup.pose10, block[i, :10])
+            assert np.shares_memory(tup.normal, block[i, 10:13])
+            assert type(tup.contact) is int and tup.contact == block[i, 13]
+            assert (tup.pose10.tobytes() + tup.normal.tobytes()) == block[i, :13].tobytes()

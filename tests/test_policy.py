@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 from admitsim.errors import EndOfDemo
-from admitsim.expert import SupervisionTuple
+from admitsim.expert import RECORD_DIM, SupervisionRecords
 from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
 
 
 def make_demo(n, contact_from=None):
-    demo = []
-    for i in range(n):
-        pose10 = np.zeros(10)
-        pose10[0] = 0.01 * i
-        pose10[3] = 1.0
-        pose10[7] = 1.0
-        pose10[9] = 1.0
-        c = 1 if (contact_from is not None and i >= contact_from) else 0
-        n_vec = np.array([0.0, 0.0, 1.0]) if c else np.zeros(3)
-        demo.append(SupervisionTuple(pose10, n_vec, c))
-    return demo
+    """The records of n steps along x, identity rotation, gripper closed; in
+    contact from step contact_from on, with the normal +z."""
+    block = np.zeros((n, RECORD_DIM))
+    block[:, 0] = 0.01 * np.arange(n)
+    block[:, [3, 7, 9]] = 1.0  # rot6d of the identity, gripper
+    if contact_from is not None:
+        block[contact_from:, 12] = 1.0  # the normal
+        block[contact_from:, 13] = 1.0  # the contact flag
+    return SupervisionRecords(block)
 
 
 class TestPredict:
@@ -26,15 +24,16 @@ class TestPredict:
         chunk = predict(4, demo, NoiseSpec())
         assert len(chunk) == DEFAULT_HORIZON == 16
         for k in range(16):
-            src = demo[4 + k]
-            assert chunk[k].x_cmd == tuple(src.pose10[:3]) and chunk[k].gripper == src.pose10[9]
-            assert chunk[k].n == tuple(src.normal) and chunk[k].c == src.contact
+            row = demo.block[4 + k].tolist()
+            assert chunk[k].x_cmd == tuple(row[:3]) and chunk[k].gripper == row[9]
+            assert chunk[k].n == tuple(row[10:13]) and chunk[k].c == row[13]
+            assert type(chunk[k].c) is int
 
     def test_pads_by_repeating_last(self):
         demo = make_demo(10)
         chunk = predict(8, demo, NoiseSpec())
         for k in range(2, 16):
-            assert chunk[k].x_cmd == tuple(demo[-1].pose10[:3])
+            assert chunk[k].x_cmd == tuple(demo.block[-1, :3].tolist())
 
     def test_end_of_demo_raises(self):
         demo = make_demo(10)
@@ -67,8 +66,8 @@ class TestPredict:
 
 def position_error(chunk, gt):
     """Mean absolute error of the predicted positions against the demo's."""
-    return float(np.mean([np.abs(np.subtract(cmd.x_cmd, g.pose10[:3])).mean()
-                          for cmd, g in zip(chunk, gt)]))
+    return float(np.mean([np.abs(np.subtract(cmd.x_cmd, row[:3])).mean()
+                          for cmd, row in zip(chunk, gt)]))
 
 
 def test_mean_position_error_grows_with_position_noise():
@@ -76,11 +75,11 @@ def test_mean_position_error_grows_with_position_noise():
     means = []
     for std in [0.0, 0.002, 0.01]:
         means.append(np.mean([position_error(predict(0, demo, NoiseSpec(pos_std=std, seed=seed)),
-                                             demo[:16]) for seed in range(100)]))
+                                             demo.block[:16]) for seed in range(100)]))
     assert means[0] == 0.0 < means[1] < means[2]
 
 
 def test_zero_noise_prediction_has_zero_position_error():
     demo = make_demo(30, contact_from=5)
     chunk = predict(3, demo, NoiseSpec())
-    assert position_error(chunk, demo[3:19]) == 0.0
+    assert position_error(chunk, demo.block[3:19]) == 0.0
