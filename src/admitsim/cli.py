@@ -20,17 +20,18 @@ from .datasets import (
     write_verification_csv,
 )
 from .errors import AdmitSimError, ConfigParse
-from .harness import run_episode, run_suite
+from .harness import ScenarioConfig, run_episode, run_suite
 from .policy import DEFAULT_HORIZON
 from .tasks import TASKS, build_environment, generate_demo
 from .verify import PROP3_T, run_default_verification
 
 
 def _cmd_gen_demos(args) -> int:
-    task = args.task
     if args.config:
-        task = parse_scenario(args.config).task
-    if task is None:
+        cfg = parse_scenario(args.config)
+    elif args.task:
+        cfg = ScenarioConfig(args.task)
+    else:
         print("gen-demos: provide --task or --config", file=sys.stderr)
         return 2
     if args.count < 1:
@@ -39,28 +40,30 @@ def _cmd_gen_demos(args) -> int:
     if args.seed < 0:
         print("gen-demos: --seed must be >= 0", file=sys.stderr)
         return 2
-    lengths = write_dataset(args.out, Dataset(task, DEFAULT_HORIZON,
-                                              _Demos(task, args.seed, args.count)))
-    print(f"task={task} episodes={len(lengths)} tuples={sum(lengths)} "
+    lengths = write_dataset(args.out, Dataset(cfg.task, DEFAULT_HORIZON,
+                                              _Demos(cfg, args.seed, args.count)))
+    print(f"task={cfg.task} episodes={len(lengths)} tuples={sum(lengths)} "
           f"mean_len={np.mean(lengths):.1f} out={args.out}")
     return 0
 
 
 class _Demos:
-    """gen-demos' episodes, demo i seeded by (seed, i): a sized iterable that
-    generates each demo as the iteration reaches it, so that write_dataset
-    holds one demo at a time."""
+    """gen-demos' episodes of the scenario cfg, demo i seeded by (seed, i): a
+    sized iterable that generates each demo as the iteration reaches it, so
+    that write_dataset holds one demo at a time."""
 
-    def __init__(self, task: str, seed: int, count: int):
-        self.task, self.seed, self.count = task, seed, count
+    def __init__(self, cfg: ScenarioConfig, seed: int, count: int):
+        self.cfg, self.seed, self.count = cfg, seed, count
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
+        cfg = self.cfg
         for i in range(self.count):
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, i]))
-            yield generate_demo(self.task, build_environment(self.task, rng)).tuples
+            env = build_environment(cfg.task, rng, cfg.env_overrides)
+            yield generate_demo(cfg.task, env, wipe_passes=cfg.wipe_passes).tuples
 
 
 def _cmd_run(args) -> int:
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-demos", help="generate expert demonstration datasets")
     p.add_argument("--task", choices=TASKS, default=None)
-    p.add_argument("--config", default=None, help="scenario file supplying the task")
+    p.add_argument("--config", default=None, help="scenario file: task, environment, wipe passes")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -5,6 +5,9 @@ An episode terminates at the configured duration, on a safety stop, or once
 the expert plan is exhausted plus a short settle tail; success is judged on
 the final task metrics. Identical configs (seed included) produce bit-identical
 logs.
+
+A mode names one `AdmittanceConfig`: the task's (`TaskSpec.admittance`) for
+force_aware, one of `BASELINES` for each blind baseline.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from .errors import check_count, check_range, check_real
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
 from .tasks import TASKS, build_environment, generate_demo, task_spec
 
-MODES = ("force_aware", "baseline_low", "baseline_mid", "baseline_high")
-BASELINE_STIFFNESS = {"baseline_low": 50.0, "baseline_mid": 200.0, "baseline_high": 800.0}
+# The blind baselines: isotropic stiffness, no force awareness.
+BASELINES = {"baseline_low": AdmittanceConfig(stiffness=50.0),
+             "baseline_mid": AdmittanceConfig(stiffness=200.0),
+             "baseline_high": AdmittanceConfig(stiffness=800.0)}
+MODES = ("force_aware", *BASELINES)
 
 CONTROL_HZ = 1000
 POLICY_HZ = 10
@@ -46,6 +52,10 @@ DEFAULT_DEBOUNCE = 0.020      # s a violation must persist before stopping
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One episode's inputs, checked at construction. `admittance`, the mode's
+    controller with `admittance_overrides` applied, is built here once and is
+    not a field: `==` and `repr` ignore it, and `replace` builds it again."""
+
     task: str
     mode: str = "force_aware"
     duration: float = 20.0
@@ -103,20 +113,12 @@ class ScenarioConfig:
         if self.safety_debounce * CONTROL_HZ == math.inf:  # the run counts it in ticks
             raise ValueError(f"safety debounce must be a finite number of ticks "
                              f"({CONTROL_HZ} per s), got {self.safety_debounce}")
-        self.build_admittance()  # the overrides fail here, not mid-run
-
-    def build_admittance(self) -> AdmittanceConfig:
-        if self.mode == "force_aware":
-            spec = task_spec(self.task)
-            base = dict(enable_tangent_stiffening=spec.tangent_stiffening,
-                        enable_normal_regulation=spec.normal_regulation, target_force=spec.f_H)
-        else:
-            # Blind baselines: isotropic stiffness, no force awareness.
-            base = dict(stiffness=BASELINE_STIFFNESS[self.mode],
-                        enable_tangent_stiffening=False,
-                        enable_normal_regulation=False, target_force=0.0)
-        base.update(self.admittance_overrides)
-        return AdmittanceConfig(**base)
+        base = spec.admittance if self.mode == "force_aware" else BASELINES[self.mode]
+        try:
+            adm = replace(base, **self.admittance_overrides)
+        except ValueError as exc:  # NonPositiveParameter is one too
+            raise type(exc)(f"admittance {exc}") from None
+        object.__setattr__(self, "admittance", adm)
 
 
 @dataclass
@@ -219,7 +221,6 @@ class _Episode:
         self.cfg = cfg
         self.env = build_environment(cfg.task, rng, cfg.env_overrides)
         self.demo = generate_demo(cfg.task, self.env, wipe_passes=cfg.wipe_passes)
-        self.adm = cfg.build_admittance()
         self.noise = replace(cfg.noise, seed=cfg.noise.seed ^ (cfg.seed * 2654435761 % 2 ** 31))
         self.max_ticks = int(round(cfg.duration * CONTROL_HZ))
         self.onset = _onset_tick(cfg.disturbances, self.max_ticks)
@@ -257,7 +258,7 @@ class _Episode:
         stop = min(k_end, self.max_ticks)
         if self.ended or self.k >= stop:
             return
-        cfg, env, adm, noise = self.cfg, self.env, self.adm, self.noise
+        cfg, env, adm, noise = self.cfg, self.env, self.cfg.admittance, self.noise
         tuples, phases = self.demo.tuples, self.demo.phases
         events, limit = cfg.disturbances, cfg.safety_limit
         onset, held = self.onset, self.held

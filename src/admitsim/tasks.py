@@ -21,6 +21,7 @@ from itertools import chain
 
 import numpy as np
 
+from .admittance import AdmittanceConfig
 from .environments import (
     BOARD_EXTENT,
     BORE_AXIS,
@@ -211,13 +212,12 @@ def _door_plan(door: HingedDoor, target: float) -> tuple:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Everything that sets one task apart. The controller flags and f_H are
-    those of the force_aware mode; the blind baselines ignore them."""
+    """Everything that sets one task apart. `admittance` is the force_aware
+    controller: the task's flags and f_H (`target_force`), the other gains at
+    their defaults; the blind baselines (`harness.BASELINES`) ignore it."""
 
     time_limit: float           # s, the longest episode
-    tangent_stiffening: bool    # stiffen along the commanded motion tangent
-    normal_regulation: bool     # regulate the normal contact force to f_H
-    f_H: float                  # N
+    admittance: AdmittanceConfig  # the force_aware controller
     disturbance_kinds: tuple    # the kinds the environment responds to (others are no-ops)
     suite_disturbance: tuple    # the scripted events of a disturbed suite run
     env_keys: tuple             # the overrides `build` passes to the environment
@@ -238,27 +238,30 @@ _DOOR_PULSE = (DisturbanceEvent("force_pulse", start=6.0, duration=2.0, magnitud
 # In this order: the index of a task seeds its episodes.
 TASK_SPECS = {
     "MO": TaskSpec(
-        time_limit=120.0, tangent_stiffening=True, normal_regulation=False, f_H=0.0,
+        time_limit=120.0, admittance=AdmittanceConfig(enable_tangent_stiffening=True),
         disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
         env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=True),
         plan=partial(_door_plan, target=math.radians(60.0)), metric="opening_angle_deg",
         threshold=50.0),
     "PH": TaskSpec(
-        time_limit=60.0, tangent_stiffening=False, normal_regulation=True, f_H=2.0,
+        time_limit=60.0,
+        admittance=AdmittanceConfig(enable_normal_regulation=True, target_force=2.0),
         disturbance_kinds=("raise", "lower", "shift", "force_pulse", "sinusoid"),
         suite_disturbance=(DisturbanceEvent("shift", start=3.0, duration=5.0, magnitude=0.01,
                                             direction=(1.0, 0.0, 0.0), ramp=0.5),),
         env_keys=("k_e",), build=_build_hole, plan=_ph_plan,
         metric="insertion_depth_mm", threshold=10.0),
     "WW": TaskSpec(
-        time_limit=120.0, tangent_stiffening=True, normal_regulation=True, f_H=4.0,
+        time_limit=120.0,
+        admittance=AdmittanceConfig(enable_tangent_stiffening=True,
+                                    enable_normal_regulation=True, target_force=4.0),
         disturbance_kinds=DISTURBANCE_KINDS,
         suite_disturbance=(DisturbanceEvent("raise", start=5.0, duration=10.0, magnitude=0.07,
                                             direction=(0.0, 0.0, 1.0), ramp=0.5),),
         env_keys=("k_e",), build=_build_board, plan=_ww_plan, multipass=True,
         metric="remaining_ink_cm", threshold=5.0, meets=operator.lt),
     "DO": TaskSpec(
-        time_limit=120.0, tangent_stiffening=True, normal_regulation=False, f_H=0.0,
+        time_limit=120.0, admittance=AdmittanceConfig(enable_tangent_stiffening=True),
         disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
         env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=False),
         plan=partial(_door_plan, target=math.radians(40.0)), metric="opening_angle_deg",

@@ -217,17 +217,21 @@ def test_wipe_passes_is_one_outside_a_multipass_task(task, tmp_path):
 
 @pytest.mark.parametrize("key", ["mass", "stiffness", "damping_ratio"])
 def test_a_non_positive_gain_override_is_a_value_error(key):
-    with pytest.raises(ValueError, match=f"^{key} must be finite and > 0, got 0.0$") as exc:
+    with pytest.raises(ValueError,
+                       match=f"^admittance {key} must be finite and > 0, got 0.0$") as exc:
         ScenarioConfig("WW", admittance_overrides={key: 0.0})
     assert type(exc.value) is NonPositiveParameter
 
 
 def test_admittance_flag_overrides_still_apply():
     flags = {"enable_tangent_stiffening": False, "enable_normal_regulation": False}
-    adm = ScenarioConfig("WW", admittance_overrides=flags).build_admittance()
+    adm = ScenarioConfig("WW", admittance_overrides=flags).admittance
     assert not adm.enable_tangent_stiffening and not adm.enable_normal_regulation
-    adm = ScenarioConfig("WW", admittance_overrides={"mass": np.float64(2.0)}).build_admittance()
-    assert adm.mass == 2.0
+    assert adm.target_force == 4.0  # the overrides apply on top of the mode's controller
+    adm = ScenarioConfig("PH", "baseline_mid",
+                         admittance_overrides={"mass": np.float64(2.0)}).admittance
+    assert adm.mass == 2.0 and adm.stiffness == 200.0
+    assert adm.damping == compute_damping(2.0, 200.0, 2.0)
 
 
 PROPS = (("prop1", verify_prop1_grid, "proposition 1 horizon T", {}),

@@ -2,14 +2,16 @@ import hashlib
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from admitsim import cli, verify
 from admitsim.cli import main
 from admitsim.config import parse_scenario
-from admitsim.datasets import read_dataset
+from admitsim.datasets import Dataset, read_dataset, write_dataset
 from admitsim.errors import ConfigParse, DegenerateInput, IoFailure
-from admitsim.tasks import generate_demo
+from admitsim.policy import DEFAULT_HORIZON
+from admitsim.tasks import build_environment, generate_demo
 
 SCENARIO = """
 [scenario]
@@ -73,19 +75,47 @@ class TestGenDemos:
         out = str(tmp_path / "d.bin")
         made = []
 
-        def failing_third(task, env):
+        def failing_third(task, env, wipe_passes=1):
             if made:  # the earlier demos are being written: no dataset yet
                 with pytest.raises(IoFailure):
                     read_dataset(out)
             if len(made) == 2:
                 raise DegenerateInput("no plan")
-            made.append(generate_demo(task, env))
+            made.append(generate_demo(task, env, wipe_passes))
             return made[-1]
 
         monkeypatch.setattr(cli, "generate_demo", failing_third)
         assert main(["gen-demos", "--task", "WW", "--count", "4", "--out", out]) == 1
         assert capsys.readouterr().err == "error: no plan\n"
         assert not os.path.exists(out)
+
+    def test_a_scenario_plans_its_demos_with_its_environment_and_wipe_passes(
+            self, tmp_path, monkeypatch):
+        """gen-demos --config builds each demo from the scenario, not from its
+        task alone: demo i is the (seed, i) environment with the scenario's
+        overrides, planned with its wipe passes."""
+        path = tmp_path / "ww.ini"
+        path.write_text("[scenario]\ntask = WW\nwipe_passes = 2\n[environment]\nk_e = 3000\n")
+        overrides = []
+
+        def recording(task, rng, env_overrides=None):
+            overrides.append(env_overrides)
+            return build_environment(task, rng, env_overrides)
+
+        monkeypatch.setattr(cli, "build_environment", recording)
+        out, want = str(tmp_path / "c.bin"), str(tmp_path / "want.bin")
+        assert main(["gen-demos", "--config", str(path), "--count", "3", "--seed", "4",
+                     "--out", out]) == 0
+        assert overrides == [{"k_e": 3000.0}] * 3
+        demos = []
+        for i in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence([4, i]))
+            env = build_environment("WW", rng, {"k_e": 3000.0})
+            one_pass = len(generate_demo("WW", env))
+            demos.append(generate_demo("WW", env, wipe_passes=2).tuples)
+            assert len(demos[-1]) > one_pass
+        write_dataset(want, Dataset("WW", DEFAULT_HORIZON, demos))
+        assert Path(out).read_bytes() == Path(want).read_bytes()
 
     def test_requires_task_or_config(self, tmp_path):
         rc = main(["gen-demos", "--count", "1", "--out", str(tmp_path / "x.bin")])
@@ -406,8 +436,8 @@ def test_an_overflowing_tangent_scale_is_named(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[scenario]\ntask = WW\n[admittance]\ntangent_scale = 1e308\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
-    assert capsys.readouterr().err == (f"config error: {path}: tangent_scale * stiffness "
-                                       "must be finite, got 1e+308 * 50.0\n")
+    assert capsys.readouterr().err == (f"config error: {path}: admittance tangent_scale * "
+                                       "stiffness must be finite, got 1e+308 * 50.0\n")
 
 
 RAISE = "kind = raise\nstart = 1\nduration = 1\nmagnitude = 0.01\n"
@@ -475,10 +505,15 @@ def test_disturbance_without_a_required_key_names_it(tmp_path, capsys, key):
      "[suite] modes repeats force_aware"),
     ("suite", "[suite]\ntask = WW\nmodes = baseline_low force_aware baseline_low\n",
      "[suite] modes repeats baseline_low"),
+    ("run", "[scenario]\ntask = WW\n[admittance]\nmass = -1\n",
+     "admittance mass must be finite and > 0, got -1.0"),
+    ("suite", "[suite]\ntask = PH\nseeds = 1\n[admittance]\ndamping_ratio = 0\n",
+     "admittance damping_ratio must be finite and > 0, got 0.0"),
 ])
 def test_a_value_the_run_cannot_take_exits_2(tmp_path, capsys, command, text, message):
     """A debounce whose tick count is not finite stopped the run with an
-    OverflowError, and a repeated mode ran and counted its episodes twice."""
+    OverflowError, and a repeated mode ran and counted its episodes twice. A
+    refused [admittance] value names its section, as [environment] ones do."""
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admitsim.cli import main as cli_main
 from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.datasets import (
     TRACE_CHUNK_ROWS,
@@ -516,7 +517,19 @@ def test_configs_directory_is_not_empty():
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_shipped_config_parses(path):
-    """Every file under configs/ is a scenario or a suite the CLI accepts."""
-    parse = parse_suite if "[suite]" in path.read_text() else parse_scenario
-    assert parse(str(path))
+def test_shipped_config_parses(path, tmp_path):
+    """Every file under configs/ is a scenario or a suite the CLI accepts, and
+    `gen-demos --config` of a scenario plans each demo (seeded by (0, i)) with
+    the scenario's environment overrides and wipe passes."""
+    if "[suite]" in path.read_text():
+        assert parse_suite(str(path))
+        return
+    cfg = parse_scenario(str(path))
+    out = str(tmp_path / "demos.bin")
+    assert cli_main(["gen-demos", "--config", str(path), "--count", "2", "--out", out]) == 0
+    steps = []
+    for i in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence([0, i]))
+        env = build_environment(cfg.task, rng, cfg.env_overrides)
+        steps.append(len(generate_demo(cfg.task, env, wipe_passes=cfg.wipe_passes)))
+    assert [len(ep) for ep in read_dataset(out).episodes] == steps

@@ -22,6 +22,30 @@ from admitsim.harness import (
 from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
 from admitsim.tasks import TASK_SPECS, TASKS
 
+# Each task and mode's controller, written out: the AdmittanceConfig fields in
+# order (mass, stiffness, damping_ratio, tangent_scale, enable_normal_regulation,
+# enable_tangent_stiffening, target_force, force_deadband), then damping,
+# tangent_damping and the two eigenvalue triples.
+_LOW = (1.0, 50.0, 2.0, 4.0, False, False, 0.0, 2.0, 28.284271247461902, 56.568542494923804,
+        (50.0, 50.0, 50.0), (50.0, 50.0, 200.0))
+_MID = (1.0, 200.0, 2.0, 4.0, False, False, 0.0, 2.0, 56.568542494923804, 113.13708498984761,
+        (200.0, 200.0, 200.0), (200.0, 200.0, 800.0))
+_HIGH = (1.0, 800.0, 2.0, 4.0, False, False, 0.0, 2.0, 113.13708498984761, 226.27416997969522,
+         (800.0, 800.0, 800.0), (800.0, 800.0, 3200.0))
+_DOOR = (1.0, 50.0, 2.0, 4.0, False, True, 0.0, 2.0, 28.284271247461902, 56.568542494923804,
+         (50.0, 50.0, 50.0), (50.0, 50.0, 200.0))
+CONTROLLERS = {
+    ("MO", "force_aware"): _DOOR,
+    ("PH", "force_aware"): (1.0, 50.0, 2.0, 4.0, True, False, 2.0, 2.0, 28.284271247461902,
+                            56.568542494923804, (50.0, 50.0, 50.0), (50.0, 50.0, 200.0)),
+    ("WW", "force_aware"): (1.0, 50.0, 2.0, 4.0, True, True, 4.0, 2.0, 28.284271247461902,
+                            56.568542494923804, (50.0, 50.0, 50.0), (50.0, 50.0, 200.0)),
+    ("DO", "force_aware"): _DOOR,
+    **{(task, mode): row for task in ("MO", "PH", "WW", "DO")
+       for mode, row in (("baseline_low", _LOW), ("baseline_mid", _MID),
+                         ("baseline_high", _HIGH))},
+}
+
 NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
                   contact_flip_prob=0.01, seed=0)
 
@@ -123,15 +147,35 @@ class TestScenarioConfig:
         assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
 
     def test_mode_gain_mapping(self):
-        fa = ScenarioConfig(task="WW", mode="force_aware").build_admittance()
+        fa = ScenarioConfig(task="WW", mode="force_aware").admittance
         assert fa.stiffness == 50.0
         assert fa.enable_normal_regulation and fa.enable_tangent_stiffening
         assert fa.target_force == 4.0
-        hi = ScenarioConfig(task="WW", mode="baseline_high").build_admittance()
+        hi = ScenarioConfig(task="WW", mode="baseline_high").admittance
         assert hi.stiffness == 800.0
         assert not hi.enable_normal_regulation and not hi.enable_tangent_stiffening
-        ph = ScenarioConfig(task="PH", mode="force_aware").build_admittance()
+        ph = ScenarioConfig(task="PH", mode="force_aware").admittance
         assert ph.target_force == 2.0 and not ph.enable_tangent_stiffening
+
+    @pytest.mark.parametrize("task,mode", sorted(CONTROLLERS))
+    def test_each_mode_runs_its_written_out_controller(self, task, mode):
+        adm = ScenarioConfig(task, mode).admittance
+        assert astuple(adm) + (adm.damping, adm.tangent_damping, adm._eigs,
+                               adm._tangent_eigs) == CONTROLLERS[task, mode]
+        built = TASK_SPECS[task].admittance if mode == "force_aware" else harness.BASELINES[mode]
+        assert adm == built
+
+    def test_the_controller_is_not_a_field(self):
+        assert [f.name for f in fields(ScenarioConfig)] == [
+            "task", "mode", "duration", "seed", "noise", "disturbances",
+            "admittance_overrides", "env_overrides", "safety_limit", "safety_debounce",
+            "wipe_passes"]
+        a, b = ScenarioConfig("WW"), ScenarioConfig("WW")
+        object.__setattr__(b, "admittance", harness.BASELINES["baseline_high"])
+        assert a == b and repr(a) == repr(b) and "AdmittanceConfig" not in repr(a)
+        hi = replace(a, mode="baseline_high", admittance_overrides={"mass": 2.0})
+        assert hi.admittance == replace(harness.BASELINES["baseline_high"], mass=2.0)
+        assert replace(hi, mode="force_aware", admittance_overrides={}).admittance == a.admittance
 
 
 def longest_run_over(log, limit):
