@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import parse_scenario, parse_suite
 from .datasets import (
+    MAX_EPISODES,
     Dataset,
     write_dataset,
     write_suite_csv,
@@ -27,15 +28,13 @@ from .verify import PROP3_T, run_default_verification
 
 
 def _cmd_gen_demos(args) -> int:
-    if args.config:
-        cfg = parse_scenario(args.config)
-    elif args.task:
-        cfg = ScenarioConfig(args.task)
-    else:
-        print("gen-demos: provide --task or --config", file=sys.stderr)
-        return 2
+    cfg = ScenarioConfig(args.task) if args.task else parse_scenario(args.config)
     if args.count < 1:
         print("gen-demos: --count must be >= 1", file=sys.stderr)
+        return 2
+    if args.count > MAX_EPISODES:
+        print(f"gen-demos: --count must be <= {MAX_EPISODES}, the episodes one dataset "
+              f"holds", file=sys.stderr)
         return 2
     if args.seed < 0:
         print("gen-demos: --seed must be >= 0", file=sys.stderr)
@@ -116,8 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-demos", help="generate expert demonstration datasets")
-    p.add_argument("--task", choices=TASKS, default=None)
-    p.add_argument("--config", default=None, help="scenario file: task, environment, wipe passes")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--task", choices=TASKS, default=None)
+    source.add_argument("--config", default=None,
+                        help="scenario file: task, environment, wipe passes")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -42,6 +42,8 @@ class Dataset:
 
 _HEADER = struct.Struct("<4sI4sIIQ")  # magic, version, task, horizon, episodes, tuples
 _RECORD_SIZE = 8 * RECORD_DIM
+# The most episodes one file holds: the header's u32 count.
+MAX_EPISODES = 2 ** 32 - 1
 
 
 def write_dataset(path: str, ds: Dataset) -> list:

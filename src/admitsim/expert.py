@@ -10,8 +10,8 @@ as a `SupervisionRecords` whose iteration makes `SupervisionTuple` row views;
 Float contract. Demo generation runs on Python floats, one straight pass per
 plan: the planners write their lerp, slerp, quaternion product, Rodrigues
 rotation and radial normal out as left-to-right float expressions, and
-`extract_supervision` writes each step's 14 floats in one loop and makes the
-block with one `np.array` call. These are the operations, in the order, of
+`extract_supervision` packs each step's 14 floats in one loop and makes the
+block from the joined bytes. These are the operations, in the order, of
 the helper compositions that the demos were pinned with (`_lerp`, `_slerp`,
 `quat_mul`, `quat_from_axis_angle`, `_rodrigues`, `_perp`, `_normalize` and
 a columnwise rot6d; `tests/reference_demos.py` keeps them), so every record
@@ -24,7 +24,10 @@ orientation or contact normal over a run of poses) is worked on once.
 from __future__ import annotations
 
 import math
+import struct
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 from math import cos, sin, sqrt
 from typing import NamedTuple
 
@@ -48,7 +51,6 @@ from .geometry import (
     _rodrigues_fixed,
     _slerp_ends,
     _sub,
-    _unit_matrix,
     _unit_quat,
     sq_norm,
 )
@@ -84,15 +86,19 @@ class SupervisionTuple(NamedTuple):
 # Floats per supervision record: 10 pose/gripper, 3 normal, 1 contact flag.
 RECORD_DIM = 14
 
+# One record as native float64 bytes.
+_RECORD = struct.Struct(f"{RECORD_DIM}d")
+
 
 class SupervisionRecords:
     """A demo's supervision: its (n, 14) float64 record block, in the dataset's
     record layout.
 
-    Iteration makes each SupervisionTuple on access as views of its row:
-    pose10 is row[:10], normal row[10:13], and contact the Python int of
-    row[13], which holds 0.0 or 1.0. Only the block is held, 112 bytes per
-    step; `predict` reads its rows from it.
+    Iteration makes each SupervisionTuple on access as views of its row, by
+    `tuple.__new__` and with no Python frame per row: pose10 is row[:10],
+    normal row[10:13], and contact the Python int of row[13], which holds 0.0
+    or 1.0. Only the block is held, 112 bytes per step; `predict` reads its
+    rows from it.
     """
 
     __slots__ = ("block",)
@@ -105,7 +111,7 @@ class SupervisionRecords:
 
     def __iter__(self):
         block = self.block
-        return map(SupervisionTuple._make,
+        return map(tuple.__new__, repeat(SupervisionTuple),
                    zip(block[:, :10], block[:, 10:13], map(int, block[:, 13].tolist())))
 
 
@@ -286,11 +292,10 @@ def _arc(start: Pose, axis, pivot, total: float,
     c0, c1, c2 = pivot
     qw, qx, qy, qz = start.orientation
     poses, normals = [], []
-    for i in range(n + 1):
-        ang = sign * min(total, i * ARC_STEP)
-        half = 0.5 * ang
-        sh = sin(half)
-        w, x, y, z = cos(half), sh * e0, sh * e1, sh * e2
+    # A cache key equals its signed zero, and an arc of no turn (n == 0) may
+    # turn by sign * -0.0: it gets a table of its own.
+    for ch, sh, c, s, omc in (_arc_table if n else _arc_terms)(n, total, sign):
+        w, x, y, z = ch, sh * e0, sh * e1, sh * e2
         m = sqrt(w * w + x * x + y * y + z * z)  # within rounding of 1: e is unit
         w, x, y, z = w / m, x / m, y / m, z / m
         if w < 0.0:
@@ -305,8 +310,6 @@ def _arc(start: Pose, axis, pivot, total: float,
         pw, px, py, pz = pw / m, px / m, py / m, pz / m
         if pw < 0.0:
             pw, px, py, pz = -pw, -px, -py, -pz
-        c, s = cos(ang), sin(ang)
-        omc = 1.0 - c
         p0 = o0 + (r0 * c + x0 * s + k0 * omc)
         p1 = o1 + (r1 * c + x1 * s + k1 * omc)
         p2 = o2 + (r2 * c + x2 * s + k2 * omc)
@@ -319,6 +322,23 @@ def _arc(start: Pose, axis, pivot, total: float,
             raise DegenerateInput(f"cannot normalize near-zero vector (norm={d:g})")
         normals.append((d0 / d, d1 / d, d2 / d))
     return poses, normals
+
+
+def _arc_terms(n: int, total: float, sign: float) -> tuple:
+    """The terms of `_arc`'s steps that depend on the angle alone: cos and sin
+    of half the angle, cos and sin of the angle, and 1 - cos, for each angle
+    sign * min(total, i * ARC_STEP), i = 0 .. n."""
+    terms = []
+    for i in range(n + 1):
+        ang = sign * min(total, i * ARC_STEP)
+        half = 0.5 * ang
+        c = cos(ang)
+        terms.append((cos(half), sin(half), c, sin(ang), 1.0 - c))
+    return tuple(terms)
+
+
+# Every microwave and door demo turns through the same few arcs.
+_arc_table = lru_cache(maxsize=8)(_arc_terms)
 
 
 # --------------------------------------------------------------------------
@@ -336,8 +356,9 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
     each step's 14 floats: each 6D rotation is pose10_encode's, bit for bit,
     from the quaternion's `_unit_quat` division and `_unit_matrix` (the
     canonical sign negates all four components, which each matrix entry's
-    products of two of them leave unchanged). One `np.array` call makes the
-    block from the rows.
+    products of two of them leave unchanged), its six entries written out
+    from `_unit_matrix`'s expressions. Each row is packed as it is made, and
+    the owned (n, 14) block is a copy of the joined bytes.
     """
     if not (len(poses) == len(phases) == len(grippers) == len(normals)):
         raise LengthMismatch("poses, phases, grippers, normals must have equal lengths")
@@ -346,7 +367,7 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
     # A plan repeats one phase label, normal and orientation object over a
     # run of poses: each is worked on where a new one starts.
     label = flag = last = unit = quat = rot6d = None
-    rows = []
+    pack, rows = _RECORD.pack, []
     for pose, phase, gripper, n_at, n_next in zip(poses[1:], phases, grippers, normals,
                                                   normals[1:]):
         if phase is not label:
@@ -371,8 +392,10 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
             m = sqrt(w * w + x * x + y * y + z * z)
             if not m >= 1e-12:  # NaN fails the comparison too
                 raise DegenerateInput("zero quaternion")
-            (r00, r01, _), (r10, r11, _), (r20, r21, _) = _unit_matrix(w / m, x / m, y / m,
-                                                                      z / m)
-            rot6d = (r00, r10, r20, r01, r11, r21)
-        rows.append((*pose.position, *rot6d, gripper, *normal, flag))
-    return SupervisionRecords(np.array(rows, dtype=float))
+            w, x, y, z = w / m, x / m, y / m, z / m
+            # The first two columns of `_unit_matrix`, entry by entry.
+            rot6d = (1 - 2 * (y * y + z * z), 2 * (x * y + z * w), 2 * (x * z - y * w),
+                     2 * (x * y - z * w), 1 - 2 * (x * x + z * z), 2 * (y * z + x * w))
+        rows.append(pack(*pose.position, *rot6d, gripper, *normal, flag))
+    block = np.frombuffer(b"".join(rows)).reshape(len(rows), RECORD_DIM)
+    return SupervisionRecords(block.copy())

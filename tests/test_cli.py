@@ -8,7 +8,7 @@ import pytest
 from admitsim import cli, verify
 from admitsim.cli import main
 from admitsim.config import parse_scenario
-from admitsim.datasets import Dataset, read_dataset, write_dataset
+from admitsim.datasets import MAX_EPISODES, Dataset, read_dataset, write_dataset
 from admitsim.errors import ConfigParse, DegenerateInput, IoFailure
 from admitsim.policy import DEFAULT_HORIZON
 from admitsim.tasks import build_environment, generate_demo
@@ -125,6 +125,39 @@ class TestGenDemos:
         rc = main(["gen-demos", "--task", "WW", "--count", "0",
                    "--out", str(tmp_path / "x.bin")])
         assert rc == 2
+
+    def test_task_and_config_are_refused_together(self, tmp_path, capsys):
+        path = tmp_path / "ww.ini"
+        path.write_text("[scenario]\ntask = WW\n")
+        out = tmp_path / "x.bin"
+        rc = main(["gen-demos", "--task", "PH", "--config", str(path), "--count", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "not allowed with argument --task" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_count_must_fit_the_header(self, tmp_path, monkeypatch, capsys):
+        """The header holds the episode count as a u32; a larger count is
+        refused before anything is allocated or generated."""
+        assert MAX_EPISODES == 2 ** 32 - 1
+        counts = []
+
+        def recording(path, ds):
+            counts.append(len(ds.episodes))
+            return [1]
+
+        monkeypatch.setattr(cli, "write_dataset", recording)
+        out = str(tmp_path / "x.bin")
+        assert main(["gen-demos", "--task", "WW", "--count", str(MAX_EPISODES),
+                     "--out", out]) == 0
+        assert counts == [MAX_EPISODES]
+        capsys.readouterr()
+        assert main(["gen-demos", "--task", "WW", "--count", str(MAX_EPISODES + 1),
+                     "--out", out]) == 2
+        assert counts == [MAX_EPISODES]
+        assert capsys.readouterr().err == ("gen-demos: --count must be <= 4294967295, "
+                                           "the episodes one dataset holds\n")
+        assert not os.path.exists(out)
 
     def test_seed_must_be_non_negative(self, tmp_path, capsys):
         rc = main(["gen-demos", "--task", "WW", "--seed", "-1",

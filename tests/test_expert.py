@@ -430,3 +430,11 @@ class TestSupervisionRecords:
             assert np.shares_memory(tup.normal, block[i, 10:13])
             assert type(tup.contact) is int and tup.contact == block[i, 13]
             assert (tup.pose10.tobytes() + tup.normal.tobytes()) == block[i, :13].tobytes()
+            # Made by tuple.__new__, each keeps the NamedTuple behaviour.
+            assert tup == SupervisionTuple(tup.pose10, tup.normal, tup.contact)
+            fields = tup._asdict()
+            assert list(fields) == ["pose10", "normal", "contact"]
+            assert fields["pose10"] is tup.pose10 and fields["contact"] == tup.contact
+            flipped = tup._replace(contact=1 - tup.contact)
+            assert type(flipped) is SupervisionTuple and flipped.pose10 is tup.pose10
+            assert flipped.contact == 1 - tup.contact and tup.contact in (0, 1)

@@ -383,6 +383,20 @@ class TestChunkedJudges:
             assert self.integrate(chunk=chunk) == whole, chunk
         assert self.integrate() == whole
 
+    def test_chunks_that_span_exponential_blocks(self):
+        # 5000 steps at 1 ms cross EXP_BLOCK four times: a 4096-row chunk
+        # spans four blocks, and 1000-row chunks end inside them.
+        def integrate(chunk):
+            lanes = [verify._Prop3(p, amplitude=0.005, omega=2.0 * math.pi, T=5.0, dt=1e-3)
+                     for p in self.GRID]
+            assert [lane.n for lane in lanes] == [5000] * 3
+            return self.as_data(verify._integrate(lanes, chunk))
+
+        assert verify.EXP_BLOCK == 1024
+        whole = integrate(5001)
+        for chunk in (1000, 1024, 4096):
+            assert integrate(chunk) == whole, chunk
+
     @pytest.mark.parametrize("chunk", [1, 5, 1024])
     def test_divergence_is_found_at_every_chunk_size(self, chunk):
         # The start state's offsets overflow the coefficients of the solution.
