@@ -77,7 +77,7 @@ def _read(path: str, section: str, shared: bool = True) -> configparser.ConfigPa
     shared sections (none unless shared)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not text
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc

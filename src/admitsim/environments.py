@@ -13,6 +13,10 @@ other dimension (the bore's vertical axis and the ink pen's radius among
 them), stiffness, friction law and threshold is a module constant below, the
 same for every environment of its kind.
 
+There is no base class. Each environment has `k_e`, `external_wrench(pos,
+vel)`, `apply_disturbance_state(offset, tilt, tilt_axis)`, `measure(x_r)` and
+the per-tick `update(x_r, gripper)`, which the board and the bore set to None.
+
 Scripted disturbances act through `apply_disturbances`, which also reports
 when every event has settled (`DisturbanceEvent.envelope`): from then on the
 episode loop holds its result. A tilt sets the board's `frame`, the rows of
@@ -267,39 +271,12 @@ class InkGrid:
 # Environments
 # --------------------------------------------------------------------------
 
-class TaskEnvironment:
-    """Common interface: contact stiffness k_e and per-variant geometry.
-
-    The per-tick methods take the end-effector position and velocity as float
-    3-sequences and return float tuples. Every geometry parameter is a float
-    tuple, coerced once by the constructor.
-    """
-
-    k_e: float
-
-    # The per-tick state update, update(x_r, gripper), run before the wrench;
-    # None for a variant without state of its own to update.
-    update = None
-
-    def external_wrench(self, pos, vel) -> tuple:
-        """The contact force on the end-effector (no environment produces torque)."""
-        raise NotImplementedError
-
-    def apply_disturbance_state(self, offset, tilt: float, tilt_axis):
-        """Move the geometry by the float offset and tilt (an angle about the unit tilt_axis)."""
-        raise NotImplementedError
-
-    def measure(self, x_r) -> float:
-        """The task's final metric with the end-effector at x_r (a float 3-sequence)."""
-        raise NotImplementedError
-
-
 BOARD_FRICTION = FrictionModel(coulomb_mu=0.3, viscous_c=5.0)
 F_MIN_WIPE = 1.0  # wiping force gate (N)
 
 
 @dataclass
-class PlaneBoard(TaskEnvironment):
+class PlaneBoard:
     """Flat board with an ink grid; the outward normal faces the robot.
 
     The contact's `rest_point` and unit `surface_normal` start at the center
@@ -317,6 +294,7 @@ class PlaneBoard(TaskEnvironment):
     center: tuple = (0.25, 0.0, 0.10)  # any 3-sequence
     rotation: tuple = (1.0, 0.0, 0.0, 0.0)  # any 4-sequence, wxyz
     k_e: float = 1000.0
+    update = None  # no state of its own to update per tick
 
     def __post_init__(self):
         self.center = check_finite_components("center", vec3(self.center))
@@ -382,7 +360,7 @@ HOLE_FRICTION = FrictionModel(coulomb_mu=0.2, viscous_c=2.0)
 
 
 @dataclass
-class HoleFixture(TaskEnvironment):
+class HoleFixture:
     """Bore along BORE_AXIS with compliant walls and a spring-loaded bottom.
 
     Disturbances move the rim center; the axis stays vertical.
@@ -390,6 +368,7 @@ class HoleFixture(TaskEnvironment):
 
     rim_center: tuple = (0.30, 0.10, 0.08)  # any 3-sequence
     k_e: float = 1000.0
+    update = None  # no state of its own to update per tick
 
     def __post_init__(self):
         self.rim_center = check_finite_components("rim_center", vec3(self.rim_center))
@@ -474,7 +453,7 @@ GRASP_TOL = 0.03  # m, the gripper closes on the handle within this distance
 
 
 @dataclass
-class HingedDoor(TaskEnvironment):
+class HingedDoor:
     """Door or microwave: handle latch, snap lock, circular constraint manifolds.
 
     A door is built with both `handle_pivot` and `handle_axis`, a microwave
@@ -675,7 +654,7 @@ def update_ink(board: PlaneBoard, positions: np.ndarray) -> int:
     return board.ink.wipe(x, y)
 
 
-def apply_disturbances(env: TaskEnvironment, events, t: float):
+def apply_disturbances(env, events, t: float):
     """Sum all events' geometry offsets; return (extra force, any active,
     all settled).
 

@@ -50,9 +50,7 @@ from .geometry import (
     _normalize,
     _rodrigues_fixed,
     _slerp_ends,
-    _sub,
     _unit_quat,
-    sq_norm,
 )
 
 
@@ -174,8 +172,11 @@ def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]
     return poses
 
 
-# The insertion's waypoint spacing along the bore axis (m).
+# The insertion's waypoint spacing along the bore axis (m), and the heights
+# of its waypoints above the bottom: HOLE_DEPTH at the rim down to 0.0.
 INSERT_STEP = 0.001
+_INSERT_HEIGHTS = tuple(max(0.0, HOLE_DEPTH - i * INSERT_STEP)
+                        for i in range(int(math.ceil(HOLE_DEPTH / INSERT_STEP - 1e-12)) + 1))
 
 
 def plan_insertion(hole: HoleFixture) -> list[Pose]:
@@ -185,16 +186,10 @@ def plan_insertion(hole: HoleFixture) -> list[Pose]:
     The peg holds the identity orientation, its axis the tool -z direction,
     which opposes the vertical bore axis.
     """
-    bottom = b0, b1, b2 = hole.bottom_center()
+    b0, b1, b2 = hole.bottom_center()
     u0, u1, u2 = BORE_AXIS
-    n_steps = int(math.ceil(HOLE_DEPTH / INSERT_STEP - 1e-12))
-    positions = []
-    for i in range(n_steps + 1):
-        h = max(0.0, HOLE_DEPTH - i * INSERT_STEP)
-        positions.append((b0 + h * u0, b1 + h * u1, b2 + h * u2))
-    if math.sqrt(sq_norm(_sub(positions[-1], bottom))) > 1e-12:
-        positions.append(bottom)
-    return [_new(Pose, (p, IDENTITY_Q)) for p in positions]
+    return [_new(Pose, ((b0 + h * u0, b1 + h * u1, b2 + h * u2), IDENTITY_Q))
+            for h in _INSERT_HEIGHTS]
 
 
 # Wiping: the sweep's waypoint spacing along a lane (m), the overlap of

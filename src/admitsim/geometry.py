@@ -41,8 +41,9 @@ chunk of steps at a time, and a demo's supervision records, one (n, 14)
 float64 block in the dataset layout (`admitsim.datasets`) whose tuples are
 made as row views on access. Elementwise float arithmetic rounds exactly
 like numpy's, so the tuples carry the bits an array would: the records' 6D
-rotations, written per step on floats by `_unit_matrix` (which serves floats
-and numpy columns alike), equal the per-pose `rot6d_encode` and a columnwise
+rotations, which `extract_supervision` writes per step on floats as the six
+entries of `_unit_matrix`'s expressions (that function serves floats and
+numpy columns alike), equal the per-pose `rot6d_encode` and a columnwise
 encoding of all a demo's quaternions; a predicted controller command's
 position is the float tuple of a record's `pose10[:3]` plus its position
 noise, added as arrays.

@@ -16,6 +16,7 @@ import copy
 import math
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +90,11 @@ class ScenarioConfig:
         if self.wipe_passes != 1 and not spec.multipass:  # generate_demo would ignore it
             raise ValueError(f"wipe_passes must be 1 for {self.task}, which has no coverage "
                              f"path to repeat, got {self.wipe_passes}")
+        # An episode runs at most this many policy steps, and a pass takes two or more.
+        most = int(limit * POLICY_HZ)
+        if self.wipe_passes > most:
+            raise ValueError(f"wipe_passes must be <= {most} for {self.task} ({limit} s at "
+                             f"{POLICY_HZ} policy steps per s), got {self.wipe_passes}")
         kinds = spec.disturbance_kinds
         for ev in self.disturbances:
             if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed
@@ -174,21 +180,6 @@ def run_episode(cfg: ScenarioConfig) -> RunLog:
 _twin_slot: list | None = None
 
 
-def _first_tick(holds, lo: int, hi: int) -> int:
-    """The first tick k in [lo, hi) at which holds(k), or hi if there is none.
-
-    By bisection: holds must be monotone, true at every tick after one at
-    which it is true.
-    """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _onset_tick(events, max_ticks: int) -> int:
     """The first tick whose time k * dt is at or past the earliest event start.
 
@@ -199,7 +190,7 @@ def _onset_tick(events, max_ticks: int) -> int:
         return max_ticks
     start = min(ev.start for ev in events)
     dt = 1.0 / CONTROL_HZ
-    return _first_tick(lambda k: k * dt >= start, 0, max_ticks)
+    return bisect_left(range(max_ticks), True, key=lambda k: k * dt >= start)
 
 
 class _Episode:
@@ -240,7 +231,6 @@ class _Episode:
         # per step begun.
         self.records = bytearray()
         self.flags = (array("b"), array("b"), array("b"))  # phase, contact, disturbed
-        self.final_log = None  # the log, once the episode cannot advance
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
         """This episode so far, continued as its clean twin cfg: the same run up
@@ -334,28 +324,24 @@ class _Episode:
     def log(self) -> RunLog:
         """The RunLog of an episode that cannot advance (it ended, or ran
         max_ticks): views of the tick records and the disturbed flags, which
-        nothing resizes from then on, and the final metrics. Every later call
-        returns the same log.
+        nothing resizes from then on, and the final metrics.
         """
-        log = self.final_log
-        if log is None:
-            assert self.ended or self.k >= self.max_ticks, "the episode can still advance"
-            task = self.cfg.task
-            spec = task_spec(task)
-            metrics = dict.fromkeys(FINAL_METRICS, math.nan)
-            metrics[spec.metric] = self.env.measure(self.state.x_r)
-            metrics["peak_force_n"] = self.peak_force
-            buf_phase, buf_c, buf_dist = self.flags
-            n = len(buf_dist)
-            t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
-            rows = np.frombuffer(self.records, np.float64).reshape(n, 15)
-            series = [rows[:, i:i + 3] for i in range(0, 15, 3)]
-            log = self.final_log = RunLog(t, *series, _per_tick(buf_phase, n),
-                                          _per_tick(buf_c, n),
-                                          np.frombuffer(buf_dist, dtype=np.int8), metrics,
-                                          False, self.safety_stopped)
-            log.success = success_check(task, log)
-            log.metrics["success"] = log.success
+        assert self.ended or self.k >= self.max_ticks, "the episode can still advance"
+        task = self.cfg.task
+        spec = task_spec(task)
+        metrics = dict.fromkeys(FINAL_METRICS, math.nan)
+        metrics[spec.metric] = self.env.measure(self.state.x_r)
+        metrics["peak_force_n"] = self.peak_force
+        buf_phase, buf_c, buf_dist = self.flags
+        n = len(buf_dist)
+        t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
+        rows = np.frombuffer(self.records, np.float64).reshape(n, 15)
+        series = [rows[:, i:i + 3] for i in range(0, 15, 3)]
+        log = RunLog(t, *series, _per_tick(buf_phase, n), _per_tick(buf_c, n),
+                     np.frombuffer(buf_dist, dtype=np.int8), metrics, False,
+                     self.safety_stopped)
+        log.success = success_check(task, log)
+        log.metrics["success"] = log.success
         return log
 
 

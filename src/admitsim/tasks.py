@@ -31,7 +31,6 @@ from .environments import (
     HingedDoor,
     HoleFixture,
     PlaneBoard,
-    TaskEnvironment,
 )
 from .expert import (
     IDENTITY_Q,
@@ -278,12 +277,12 @@ def task_spec(task: str) -> TaskSpec:
 
 
 def build_environment(task: str, rng: np.random.Generator,
-                      overrides: dict | None = None) -> TaskEnvironment:
+                      overrides: dict | None = None):
     """The task's environment, randomized by rng, with overrides (of env_keys)."""
     return task_spec(task).build(rng, **(overrides or {}))
 
 
-def generate_demo(task: str, env: TaskEnvironment, wipe_passes: int = 1) -> Demo:
+def generate_demo(task: str, env, wipe_passes: int = 1) -> Demo:
     spec = task_spec(task)
     poses, phases, grippers, normals = (spec.plan(env, wipe_passes) if spec.multipass
                                         else spec.plan(env))

@@ -44,7 +44,6 @@ from .admittance import (
     ControllerCommand,
     ControllerState,
     _radial_deadband,
-    compute_damping,
     controller_tick,
 )
 from .errors import NonFiniteState, check_finite, check_range
@@ -390,8 +389,6 @@ def equivalence_check(cfg: AdmittanceConfig, k_e: float, n=(0.0, 0.0, 1.0), T: f
 GRID_M = (0.5, 1.0, 2.0)
 GRID_KE = (100.0, 1000.0, 5000.0)
 GRID_FH = (2.0, 4.0, 8.0)
-CONTROLLER_K = AdmittanceConfig.stiffness
-DAMPING_RATIO = AdmittanceConfig.damping_ratio
 
 
 def default_grid(m=GRID_M, k_e=GRID_KE, f_h=GRID_FH,
@@ -400,7 +397,7 @@ def default_grid(m=GRID_M, k_e=GRID_KE, f_h=GRID_FH,
     controller's over-damped rule."""
     grid = []
     for m_i in m:
-        d_m = compute_damping(m_i, CONTROLLER_K, DAMPING_RATIO) if d is None else d
+        d_m = AdmittanceConfig(mass=m_i).damping if d is None else d
         for k_e_j in k_e:
             for f_H in f_h:
                 grid.append(NormalDynamicsParams(m_i, d_m, k_e_j, f_H))
@@ -596,8 +593,5 @@ def run_default_verification(prop3_T: float = PROP3_T,
     reports = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
                + verify_prop3_grid(grid, T=prop3_T))
     for p in grid:
-        cfg = AdmittanceConfig(mass=p.m, stiffness=CONTROLLER_K,
-                               damping_ratio=DAMPING_RATIO, target_force=p.f_H,
-                               enable_normal_regulation=True)
-        reports.append(equivalence_check(cfg, p.k_e))
+        reports.append(equivalence_check(AdmittanceConfig(mass=p.m, target_force=p.f_H), p.k_e))
     return reports

@@ -177,6 +177,21 @@ def test_count_bound(name, build, low):
     build(np.int64(low + 1))
 
 
+# (name, constructor of one value, high): the largest count accepted. WW's
+# wipe_passes is its time limit in policy steps, 120 s at 10 per s, as a
+# pass takes two or more of them.
+COUNT_CEILINGS = [
+    ("wipe_passes", lambda v: ScenarioConfig("WW", wipe_passes=v), 1200),
+]
+
+
+@pytest.mark.parametrize("name,build,high", COUNT_CEILINGS, ids=["wipe_passes"])
+def test_count_ceiling(name, build, high):
+    with pytest.raises(ValueError, match=f"^{name} must be <= {high} .*, got {high + 1}$"):
+        build(high + 1)
+    build(high)  # it constructs; nothing runs
+
+
 # Each task's environment override keys, from its record: every one is read,
 # and every other key is rejected at construction, naming the task.
 ENV_READ = [(task, key) for task in TASKS for key in TASK_SPECS[task].env_keys]

@@ -359,6 +359,8 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("run", "[scenario]\ntask = WW\nwipe_passes = -2\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\nwipe_passes = 0\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\nwipe_passes = -2\n"),
+    ("run", "[scenario]\ntask = WW\nwipe_passes = 1201\n"),
+    ("suite", "[suite]\ntask = WW\nseeds = 1\nwipe_passes = 1201\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nseed = x\n"),
     ("run", "[scenario]\ntask = WW\n[noise]\nseed = -1\n"),
     ("suite", "[suite]\ntask = WW\nseeds = 1\n[noise]\nseed = -1\n"),
@@ -561,6 +563,14 @@ def test_a_latch_free_door_runs(tmp_path, capsys):
     assert parse_scenario(str(path)).env_overrides == {"latch_force": 0.0}
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
     assert "task=MO" in capsys.readouterr().out
+
+
+def test_a_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    path = tmp_path / "bom.ini"
+    path.write_text("\ufeff[scenario]\ntask = WW\nduration = 0.5\n", encoding="utf-8")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf[scenario]")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert "task=WW" in capsys.readouterr().out
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

@@ -596,6 +596,16 @@ class TestConstructorFields:
         env = build_environment(task, np.random.default_rng(0))
         assert set(TASK_SPECS[task].env_keys) <= set(ENV_FIELDS[type(env)])
 
+    @pytest.mark.parametrize("task", TASKS)
+    def test_the_built_environment_has_what_the_loop_calls(self, task):
+        """There is no base class: each environment has the loop's methods
+        itself, and update is None for the variants without state of their own."""
+        env = build_environment(task, np.random.default_rng(0))
+        for name in ("external_wrench", "apply_disturbance_state", "measure"):
+            assert callable(getattr(env, name)), name
+        assert (env.update is None) == isinstance(env, (PlaneBoard, HoleFixture))
+        assert env.update is None or callable(env.update)
+
 
 def microwave(**kw):
     return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),

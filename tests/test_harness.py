@@ -299,16 +299,16 @@ class TestRunEpisode:
                 else:
                     assert (arr.dtype, arr.shape) == (np.float64, (3000, 3)), name
 
-    def test_the_log_of_an_episode_that_cannot_advance_is_taken_once(self):
+    def test_an_episode_that_cannot_advance_logs_the_same_run(self):
         cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE)
         ep = harness._Episode(cfg)
         ep.advance(ep.max_ticks)
         log = ep.log()
-        assert len(ep.records) == log.n_ticks * harness._RECORD.size  # the log views them
-        assert ep.log() is log
+        size = len(ep.records)
+        assert size == log.n_ticks * harness._RECORD.size  # the log views them
         ep.advance(ep.max_ticks)
-        assert ep.log() is log
-        assert series_digest(log) == series_digest(run_episode(cfg))
+        assert len(ep.records) == size
+        assert series_digest(ep.log()) == series_digest(log) == series_digest(run_episode(cfg))
 
     @pytest.mark.parametrize("task", TASKS)
     def test_float_series_are_views_of_the_tick_records(self, task):
@@ -504,22 +504,18 @@ class TestSuiteTwins:
             cfg("PH", "baseline_mid", 4.0, 2, default_disturbance("PH")),
         ]
 
-    @pytest.mark.parametrize("start", [2.0, 2.007, 0.3, 0.0015, math.nextafter(0.3, 1.0),
-                                       math.nextafter(2.007, 0.0), 0.0, -1.0, -1e308, 3.9995,
-                                       4.0, 9.0, 1e308])
-    def test_onset_tick_is_the_first_tick_at_or_past_the_start(self, start):
+    @pytest.mark.parametrize("start,max_ticks", [
+        *((start, 4000) for start in (2.0, 2.007, 0.3, 0.0015, math.nextafter(0.3, 1.0),
+                                      math.nextafter(2.007, 0.0), 0.0, -1.0, -1e308, 3.9995,
+                                      4.0, 9.0, 1e308)),
+        *((start, max_ticks) for max_ticks in (0, 1) for start in (-1.0, 0.0, 0.0005, 2.0))])
+    def test_onset_tick_is_the_first_tick_at_or_past_the_start(self, start, max_ticks):
         events = (DisturbanceEvent("force_pulse", start, 1.0, 1.0),
                   DisturbanceEvent("force_pulse", start + 0.5, 1.0, 1.0))
         dt = 1.0 / harness.CONTROL_HZ
-        first = next((k for k in range(4000) if k * dt >= start), 4000)
-        assert harness._onset_tick(events, 4000) == first
-        assert harness._onset_tick((), 4000) == 4000
-
-    @given(st.integers(0, 40), st.integers(0, 40), st.integers(-5, 85))
-    def test_first_tick_is_the_first_tick_that_holds(self, lo, span, first):
-        hi = lo + span
-        expected = next((k for k in range(lo, hi) if k >= first), hi)
-        assert harness._first_tick(lambda k: k >= first, lo, hi) == expected
+        first = next((k for k in range(max_ticks) if k * dt >= start), max_ticks)
+        assert harness._onset_tick(events, max_ticks) == first
+        assert harness._onset_tick((), max_ticks) == max_ticks
 
     def test_every_suite_episode_equals_its_standalone_run(self, monkeypatch):
         cfgs = self.cases()
