@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import NamedTuple
 
-from .errors import NonFiniteState, NonPositiveParameter, check_finite_components, check_range
+from .errors import (
+    NonFiniteState,
+    NonPositiveParameter,
+    check_finite_components,
+    check_range,
+    check_real,
+)
 from .geometry import vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
@@ -133,7 +139,12 @@ class ControllerCommand:
         object.__setattr__(self, "n", n)
         if not all(map(isfinite, x_cmd)):
             raise ValueError(f"x_cmd must be finite, got {x_cmd}")
-        if not isfinite(self.gripper):
+        try:  # no call per command unless the check fails
+            finite = isfinite(self.gripper)
+        except TypeError:
+            check_real("gripper", self.gripper)
+            raise
+        if not finite:
             raise ValueError(f"gripper must be finite, got {self.gripper!r}")
         if self.c not in (0, 1):
             raise ValueError(f"contact flag must be 0 or 1, got {self.c!r}")

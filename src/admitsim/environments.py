@@ -77,11 +77,14 @@ class FrictionModel:
     viscous_c: float
 
     def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
-        """Resistance to the tangential velocity v_t (floats) of norm speed > 0.
+        """Resistance to the tangential velocity v_t (floats) of norm speed.
 
-        Coulomb magnitude is ramped linearly below COULOMB_V_EPS so it vanishes
-        at zero slip speed; the viscous part is linear in v_t.
+        (0.0, 0.0, 0.0) under the cut-off speed below, the one for every
+        contact; above it the Coulomb magnitude ramps linearly to 0 below
+        COULOMB_V_EPS, and the viscous part is linear in v_t.
         """
+        if speed < 1e-15:
+            return _ZERO3
         coulomb = self.coulomb_mu * abs(f_n) * min(1.0, speed / COULOMB_V_EPS)
         a = -(coulomb / speed)
         c = self.viscous_c
@@ -339,10 +342,7 @@ class PlaneBoard:
         a = u0 * n0 + u1 * n1 + u2 * n2
         u0, u1, u2 = u0 - a * n0, u1 - a * n1, u2 - a * n2
         speed = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-        if speed < 1e-15:
-            g0 = g1 = g2 = 0.0
-        else:
-            g0, g1, g2 = BOARD_FRICTION.slip_force((u0, u1, u2), speed, f_n)
+        g0, g1, g2 = BOARD_FRICTION.slip_force((u0, u1, u2), speed, f_n)
         return (f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2)
 
     def measure(self, x_r) -> float:
@@ -404,41 +404,35 @@ class HoleFixture:
         q0, q1, q2 = q0 - along * u0, q1 - along * u1, q2 - along * u2  # off the axis
         r = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
         f0 = f1 = f2 = 0.0
+        # Each region gives the spring's penetration and unit normal.
         if r <= HOLE_RADIUS:
             # Inside the bore: compliant wall beyond the clearance.
             if r > CLEARANCE:
                 w = WALL_STIFFNESS * (r - CLEARANCE)
                 f0, f1, f2 = f0 - w * (q0 / r), f1 - w * (q1 / r), f2 - w * (q2 / r)
             pen = d_ax - HOLE_DEPTH
-            if pen <= 0.0:
-                return (f0, f1, f2)
-            f_n = self.k_e * pen
             n0, n1, n2 = BORE_AXIS
         elif r <= HOLE_RADIUS + CHAMFER:
             # 45-degree entry funnel: the reaction tilts toward the axis and
             # guides a misaligned tip into the bore.
-            d_surf = HOLE_RADIUS + CHAMFER - r
             h = math.sqrt(0.5)
-            pen = (d_ax - d_surf) * h
-            if pen <= 0.0:
-                return (f0, f1, f2)
-            f_n = self.k_e * pen
+            pen = (d_ax - (HOLE_RADIUS + CHAMFER - r)) * h
             n0, n1, n2 = (u0 - q0 / r) * h, (u1 - q1 / r) * h, (u2 - q2 / r) * h
         else:
             # Landed on the top plate beside the hole.
-            f_n = self.k_e * d_ax
+            pen = d_ax
             n0, n1, n2 = BORE_AXIS
+        if pen <= 0.0:
+            return (f0, f1, f2)
         # The pressed spring along its unit normal, and the friction of the
         # velocity's component off it.
+        f_n = self.k_e * pen
         f0, f1, f2 = f0 + f_n * n0, f1 + f_n * n1, f2 + f_n * n2
         v0, v1, v2 = vel
         a = v0 * n0 + v1 * n1 + v2 * n2
         v0, v1, v2 = v0 - a * n0, v1 - a * n1, v2 - a * n2
         speed = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-        if speed < 1e-15:
-            g0 = g1 = g2 = 0.0
-        else:
-            g0, g1, g2 = HOLE_FRICTION.slip_force((v0, v1, v2), speed, f_n)
+        g0, g1, g2 = HOLE_FRICTION.slip_force((v0, v1, v2), speed, f_n)
         return (f0 + g0, f1 + g1, f2 + g2)
 
 
@@ -590,30 +584,23 @@ class HingedDoor:
             s = v0 * t0 + v1 * t1 + v2 * t2
             u0, u1, u2 = s * t0, s * t1, s * t2
             speed = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-            if speed > 1e-15:
-                g0, g1, g2 = DOOR_FRICTION.slip_force((u0, u1, u2), speed, f_con)
-                f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
+            g0, g1, g2 = DOOR_FRICTION.slip_force((u0, u1, u2), speed, f_con)
+            f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         if latched and self.door_angle > 0.0:
             # The latch: a constant force against opening, along the hinge
-            # circle's tangent. On the hinge axis the tangent is undefined and
-            # the latch term is left out, as the constraint term is above.
-            if on_handle:  # the hinge radial, as above for the handle circle
-                c0, c1, c2 = self.hinge_pivot
-                h0, h1, h2 = HINGE_AXIS
-                w0, w1, w2 = p0 - c0, p1 - c1, p2 - c2
-                a = w0 * h0 + w1 * h1 + w2 * h2
-                w0, w1, w2 = w0 - a * h0, w1 - a * h1, w2 - a * h2
-                h = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-                if h > 1e-9:
-                    w0, w1, w2 = w0 / h, w1 / h, w2 / h
-                    l0, l1, l2 = h1 * w2 - h2 * w1, h2 * w0 - h0 * w2, h0 * w1 - h1 * w0
-            else:  # the hinge circle is the one in force: its tangent is above
-                h = r
-                if h > 1e-9:
-                    l0, l1, l2 = t0, t1, t2
+            # circle's tangent, from the hinge radial as above. On the hinge
+            # axis the tangent is undefined and the latch term is left out, as
+            # the constraint term is above.
+            c0, c1, c2 = self.hinge_pivot
+            h0, h1, h2 = HINGE_AXIS
+            w0, w1, w2 = p0 - c0, p1 - c1, p2 - c2
+            a = w0 * h0 + w1 * h1 + w2 * h2
+            w0, w1, w2 = w0 - a * h0, w1 - a * h1, w2 - a * h2
+            h = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
             if h > 1e-9:
-                a = -self.latch_force
-                sign = OPENING_SIGN
+                w0, w1, w2 = w0 / h, w1 / h, w2 / h
+                l0, l1, l2 = h1 * w2 - h2 * w1, h2 * w0 - h0 * w2, h0 * w1 - h1 * w0
+                a, sign = -self.latch_force, OPENING_SIGN
                 f0, f1, f2 = f0 + a * (sign * l0), f1 + a * (sign * l1), f2 + a * (sign * l2)
         if latched and self.handle_angle > 0.0 and r > 1e-9:
             # Handle return spring, tangential on the handle circle, which is

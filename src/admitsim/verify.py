@@ -587,11 +587,16 @@ def run_default_verification(prop3_T: float = PROP3_T,
     """All four checks over the parameter grid (one report per check per
     point): the three proposition functions, each with its defaults but
     proposition 2's v0 = 0.05 m/s and proposition 3's duration prop3_T, then
-    the equivalence check at every point.
+    the equivalence check at every point, with the point's mass, damping and
+    f_H.
     """
     grid = default_grid() if grid is None else grid
     reports = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
                + verify_prop3_grid(grid, T=prop3_T))
     for p in grid:
-        reports.append(equivalence_check(AdmittanceConfig(mass=p.m, target_force=p.f_H), p.k_e))
+        # The point's damping d = 2 ratio sqrt(m k) at the default stiffness k;
+        # a point of the default rule gives a ratio of exactly 2.
+        ratio = p.d / (2.0 * math.sqrt(p.m * AdmittanceConfig.stiffness))
+        cfg = AdmittanceConfig(mass=p.m, damping_ratio=ratio, target_force=p.f_H)
+        reports.append(equivalence_check(cfg, p.k_e))
     return reports

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from admitsim.admittance import AdmittanceConfig, compute_damping
+from admitsim.admittance import AdmittanceConfig, ControllerCommand, compute_damping
 from admitsim.environments import (
     DisturbanceEvent,
     HingedDoor,
@@ -315,6 +315,7 @@ NON_NUMBERS = [
     ("pos_std", lambda: NoiseSpec(pos_std="1"), VE),
     ("contact_flip_prob", lambda: NoiseSpec(contact_flip_prob="0.1"), VE),
     ("mass", lambda: AdmittanceConfig(mass="1"), NPP),
+    ("gripper", lambda: ControllerCommand((0.0, 0.0, 0.0), gripper="1"), VE),
     ("m", lambda: NormalDynamicsParams("1", 1, 1, 1), VE),
     ("x0_offset", lambda: verify_prop1_grid([dynamics()], x0_offset="0"), VE),
     ("v0", lambda: verify_prop2([dynamics()], v0="0.05"), VE),

@@ -15,7 +15,8 @@ as bytes.
 The digests hold for one C math library (libm): every 3-vector dot product is
 a left-to-right Python-float sum (admitsim.geometry.dot3) and no BLAS kernel
 rounds an output, so only libm's sin, cos and atan2 (and, for the
-verification CSV, numpy's array sin, cos and exp loops) tie them to a host.
+verification CSV, its exp too, which `verify._libm` calls value by value in
+place of numpy's array loops) tie them to a host.
 After a change that is meant to alter the numbers, or on another libm, print
 the current digests with
 

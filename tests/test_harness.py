@@ -4,8 +4,6 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from admitsim import harness
 from admitsim.datasets import write_suite_csv

@@ -1,9 +1,9 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package or of its tests imports a name it never reads.
 
 No linter runs over the source, so this is the check: every name an import
-statement binds in a module under src/admitsim/ is read somewhere in that
-module's syntax tree, as a name or as the base of an attribute. A name that
-only a docstring or a comment mentions does not count. The package's
+statement binds in a module under src/admitsim/ or tests/ is read somewhere
+in that module's syntax tree, as a name or as the base of an attribute. A
+name that only a docstring or a comment mentions does not count. An
 `__init__.py` is left out: its imports are the public names it re-exports.
 """
 
@@ -12,10 +12,13 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "admitsim")
-MODULES = sorted(name for name in os.listdir(SRC)
-                 if name.endswith(".py") and name != "__init__.py")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "admitsim")
+# (directory, file name): the package's modules, shown by file name, then the
+# tests', shown as tests/<file name>.
+MODULES = [(directory, name) for directory in (SRC, TESTS) for name in sorted(os.listdir(directory))
+           if name.endswith(".py") and name != "__init__.py"]
+IDS = [name if directory == SRC else f"tests/{name}" for directory, name in MODULES]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,9 +37,9 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES, ids=IDS)
 def test_every_imported_name_is_read(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+    with open(os.path.join(*module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
 
 

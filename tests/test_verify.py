@@ -320,6 +320,18 @@ class TestOneBatch:
         run_default_verification(prop3_T=5.0, grid=grid)
         assert calls == [(grid, kwargs)]
 
+    def test_equivalence_runs_the_points_damping(self, monkeypatch):
+        # Off the default rule's 28.28 at m = 1: each controller has the point's d.
+        damping, real = [], verify.equivalence_check
+
+        def traced(cfg, k_e):
+            damping.append(cfg.damping)
+            return real(cfg, k_e)
+
+        monkeypatch.setattr(verify, "equivalence_check", traced)
+        run_default_verification(prop3_T=5.0, grid=default_grid(d=30.0))
+        assert len(damping) == 27 and all(abs(d - 30.0) <= math.ulp(30.0) for d in damping)
+
 
 def test_default_grid_axes_and_damping():
     grid = default_grid(m=(1.0,), k_e=(100.0, 500.0), f_h=(4.0,))
