@@ -4,9 +4,10 @@ Dataset layout (little-endian):
   magic 'ADMS' | u32 version | 4-byte task code | u32 chunk horizon |
   u32 episode count | u64 total tuple count | u32 tuple count per episode |
   records of 14 f64 per tuple (10 pose/gripper + 3 normal + 1 contact flag).
-The contact flag is 0.0 or 1.0; a reader rejects any other value. An
-episode's records are one (n, 14) block, written and read whole: a
-`SupervisionRecords` is written from its block as it is, and read back as one.
+The contact flag is 0.0 or 1.0; a reader rejects any other value. A
+`SupervisionRecords` is written from its (n, 14) block as it is. A file's
+records are read back whole, by one read into one (total, 14) block, and each
+episode is a `SupervisionRecords` of its rows of that block, in file order.
 
 CSV floats are written with repr() (shortest round-trip), so identical runs
 produce byte-identical files.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import astuple, dataclass, fields
+from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
@@ -82,8 +84,10 @@ def read_dataset(path: str) -> Dataset:
     """Read a dataset file; IoFailure unless its size is what its header implies
     and every contact flag is 0.0 or 1.0.
 
-    Records are read an episode at a time, each into the (n, 14) block of
-    one SupervisionRecords.
+    The records are read by one read into one owned (total, 14) block, and
+    their flags checked at once. Each episode is a SupervisionRecords of its
+    row range of that block, a C-contiguous view: an episode that is kept
+    keeps its file's whole block alive.
     """
     try:
         with open(path, "rb") as fh:
@@ -109,21 +113,22 @@ def read_dataset(path: str) -> Dataset:
                 task = task.rstrip(b"\0").decode("ascii")
             except UnicodeDecodeError as exc:
                 raise IoFailure(f"{path}: corrupt dataset: {exc}") from exc
-            episodes = [_read_episode(path, fh, n) for n in lengths]
-            return Dataset(task, horizon, episodes)
+            block = np.empty((total, RECORD_DIM), "<f8")
+            got = fh.readinto(block)
+            if got != block.nbytes:
+                raise IoFailure(f"{path}: {got} record bytes where the header implies "
+                                f"{block.nbytes}")
     except OSError as exc:
         raise IoFailure(f"cannot read dataset {path}: {exc}") from exc
-
-
-def _read_episode(path: str, fh, n: int) -> SupervisionRecords:
-    """The next n records of fh."""
-    block = np.frombuffer(fh.read(_RECORD_SIZE * n), dtype="<f8").reshape(n, RECORD_DIM)
-    block = block.astype(float)  # a writable native copy
+    block = block.astype(float, copy=False)  # already native on a little-endian host
     flags = block[:, 13]
-    if not ((flags == 0.0) | (flags == 1.0)).all():
-        bad = float(flags[(flags != 0.0) & (flags != 1.0)][0])
-        raise IoFailure(f"{path}: corrupt dataset: contact flag {bad!r} is not 0.0 or 1.0")
-    return SupervisionRecords(block)
+    bad = (flags != 0.0) & (flags != 1.0)
+    if bad.any():
+        raise IoFailure(f"{path}: corrupt dataset: contact flag {float(flags[bad][0])!r} "
+                        "is not 0.0 or 1.0")
+    episodes = [SupervisionRecords(block[end - n:end])
+                for n, end in zip(lengths, accumulate(lengths))]
+    return Dataset(task, horizon, episodes)
 
 
 # --------------------------------------------------------------------------

@@ -80,6 +80,8 @@ class NormalDynamicsParams:
         for name in ("m", "d", "k_e"):
             check_range(name, getattr(self, name))
         check_range("f_H", self.f_H, closed=True)
+        if not self.d * self.d < math.inf:  # time_constant's d ** 2 would overflow
+            raise ValueError(f"d ** 2 must be finite, got d = {self.d}")
 
     def equilibrium(self) -> float:
         return 0.0 - self.f_H / self.k_e

@@ -149,6 +149,19 @@ def test_an_omega_whose_phase_overflows_is_refused(sign):
     assert all(math.isfinite(event.amplitude(t, 1.0)) for t in (0.5, 1.999, 2.0))
 
 
+def test_a_damping_whose_square_overflows_is_refused():
+    """The verifier's time constant squares d: a d whose square overflows fails
+    at construction, not as an OverflowError mid-verification."""
+    largest = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
+    past = math.nextafter(largest, math.inf)
+    for value in (past, 1e300):
+        with pytest.raises(ValueError) as exc:
+            dynamics(d=value)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"d ** 2 must be finite, got d = {value}"
+    assert dynamics(d=largest, k_e=1e200).time_constant() == math.inf
+
+
 def test_a_tangent_stiffness_that_overflows_names_tangent_scale():
     with pytest.raises(ValueError) as exc:
         AdmittanceConfig(tangent_scale=1e308)

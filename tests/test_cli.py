@@ -428,6 +428,8 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("verify", "[verify]\nm = -1\n"),
     ("verify", "[verify]\nm =\n"),
     ("verify", "[verify]\nm = 1.0\nk_e =\nf_h = 4\n"),
+    ("verify", "[verify]\nd = 1e300\n"),
+    ("verify", "[verify]\nk_e = 1e200\nd = 1e160\n"),
     ("run", task_event("MO", "raise")),
     ("run", task_event("MO", "lower")),
     ("run", task_event("MO", "shift")),
@@ -463,6 +465,16 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, text):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_a_damping_whose_square_overflows_is_named(tmp_path, capsys):
+    """The verifier squares d: one whose square overflows exits 2 with one
+    line, before any check runs."""
+    path = tmp_path / "bad.ini"
+    path.write_text("[verify]\nd = 1e300\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (f"config error: {path}: [verify] d ** 2 must be "
+                                       "finite, got d = 1e+300\n")
 
 
 def test_an_overflowing_tangent_scale_is_named(tmp_path, capsys):

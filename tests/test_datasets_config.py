@@ -2,6 +2,7 @@ import os
 import pathlib
 import struct
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,8 +114,38 @@ class TestDataset:
                for i in range(2)]
         path = str(tmp_path / "demo.bin")
         write_dataset(path, Dataset(task, 16, eps))
-        for ep in read_dataset(path).episodes:
+        back = read_dataset(path).episodes
+        for ep in back:
             assert_record_block(ep)
+        # The episodes are consecutive row ranges of one (total, 14) array, in file order.
+        whole = back[0].block.base
+        assert whole.shape == (sum(map(len, eps)), 14) and whole.flags.c_contiguous
+        start = 0
+        for ep in back:
+            assert ep.block.base is whole
+            assert ep.block.ctypes.data == whole.ctypes.data + start * whole.strides[0]
+            start += len(ep)
+
+    def test_the_first_bad_contact_flag_in_file_order_is_named(self, tmp_path):
+        row = small_dataset().episodes[0].block[0].tolist()
+        eps = [records([row] * 3) for _ in range(3)]
+        eps[1].block[2, 13] = 0.5
+        eps[2].block[0, 13] = 2.0
+        path = str(tmp_path / "demo.bin")
+        write_dataset(path, Dataset("PH", 16, eps))
+        with pytest.raises(IoFailure, match=r"contact flag 0\.5 is not 0\.0 or 1\.0"):
+            read_dataset(path)
+
+    def test_a_file_shorter_than_its_stat_size_is_io_failure(self, tmp_path, monkeypatch):
+        """The records read fall short of the size fstat reported, as when the
+        file shrinks between the stat and the read."""
+        path = tmp_path / "demo.bin"
+        write_dataset(str(path), Dataset("WW", 16, sample_episodes(1)))
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+        with pytest.raises(IoFailure, match="record bytes where the header implies"):
+            read_dataset(str(path))
 
     @pytest.mark.parametrize("task", TASKS)
     def test_records_write_the_bytes_of_their_tuples(self, tmp_path, task):
@@ -162,12 +193,15 @@ def with_last_contact(raw: bytes, flag: float) -> bytes:
 
 
 def assert_record_block(episode):
-    """The tuples are row views of one C-contiguous (n, 14) float64 block."""
-    block = next(iter(episode)).pose10.base
+    """The tuples are row views of the episode's C-contiguous (n, 14) float64
+    block, which owns its data or views the one array that does."""
+    block = episode.block
     assert block.shape == (len(episode), 14)
     assert block.dtype == np.float64 and block.flags.c_contiguous
+    owner = block if block.base is None else block.base
+    assert owner.flags.owndata
     for i, tup in enumerate(episode):
-        assert tup.pose10.base is block and tup.normal.base is block
+        assert tup.pose10.base is owner and tup.normal.base is owner
         assert np.shares_memory(tup.pose10, block[i, :10])
         assert np.shares_memory(tup.normal, block[i, 10:13])
         assert type(tup.contact) is int and tup.contact in (0, 1)
