@@ -119,12 +119,10 @@ def controller_tick(st, cmd, force, dt, cfg):
 # --------------------------------------------------------------------------
 
 def friction(model, vel, normal, f_n):
-    """Tangential resistance opposing the velocity's component off the unit normal."""
+    """Tangential resistance opposing the velocity's component off the unit
+    normal; slip_force holds the cut-off speed below which there is none."""
     v_t = _perp(vel, normal)
-    speed = math.sqrt(sq_norm(v_t))
-    if speed < 1e-15:
-        return _ZERO3
-    return model.slip_force(v_t, speed, f_n)
+    return model.slip_force(v_t, math.sqrt(sq_norm(v_t)), f_n)
 
 
 def board_wrench(board, pos, vel):
@@ -235,10 +233,8 @@ def door_wrench(door, pos, vel):
         t_hat = _cross(axis, rho)
         s = dot3(vel, t_hat)
         v_arc = (s * t_hat[0], s * t_hat[1], s * t_hat[2])
-        speed = math.sqrt(sq_norm(v_arc))
-        if speed > 1e-15:
-            g0, g1, g2 = DOOR_FRICTION.slip_force(v_arc, speed, f_con)
-            f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
+        g0, g1, g2 = DOOR_FRICTION.slip_force(v_arc, math.sqrt(sq_norm(v_arc)), f_con)
+        f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
     if door.engaged and not door.latch_released and door.door_angle > 0.0:
         hinge_rad = _radial(door, pos)
         h = math.sqrt(sq_norm(hinge_rad))

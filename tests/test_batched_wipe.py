@@ -15,31 +15,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenarios import scenario_config
+
 from admitsim import harness
-from admitsim.environments import (
-    BOARD_EXTENT,
-    CELL_SIZE,
-    ERASER_HALF,
-    F_MIN_WIPE,
-    DisturbanceEvent,
-    update_ink,
-)
+from admitsim.environments import BOARD_EXTENT, CELL_SIZE, ERASER_HALF, F_MIN_WIPE, update_ink
 from admitsim.geometry import _quat_matrix, _sub, dot3
-from admitsim.harness import ScenarioConfig, default_disturbance
-from admitsim.policy import NoiseSpec
 from admitsim.tasks import build_environment
-
-NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
-                  contact_flip_prob=0.01, seed=11)
-
-# The golden mixed WW scenario's events: a tilt, a lowering and a sinusoid.
-WW_MIXED = (
-    DisturbanceEvent("tilt", start=2.5, duration=3.0, magnitude=0.05,
-                     direction=(1.0, 0.0, 0.0), ramp=0.5),
-    DisturbanceEvent("lower", start=3.0, duration=2.0, magnitude=0.004, ramp=0.3),
-    DisturbanceEvent("sinusoid", start=4.0, duration=1.5, magnitude=0.002, ramp=0.2,
-                     omega=9.0),
-)
 
 
 def reference_wipe(inked, x, y) -> int:
@@ -172,11 +153,10 @@ class WipeReference:
 
 
 def test_mixed_disturbances_wipe_as_per_tick(monkeypatch):
-    """Tilt, lowering and sinusoid: the board moves on every tick of their
-    ramps and oscillation while the eraser presses."""
+    """The golden mixed scenario's tilt, lowering and sinusoid: the board
+    moves on every tick of their ramps and oscillation while the eraser presses."""
     ref = WipeReference(monkeypatch)
-    ep = harness._Episode(ScenarioConfig("WW", "force_aware", 6.0, 2, noise=NOISE,
-                                         disturbances=WW_MIXED))
+    ep = harness._Episode(scenario_config("ww_force_aware_mixed"))
     ref.track(ep)
     for k_end in (ep.onset, 3000, 3300, 4100, 5000, ep.max_ticks):
         wiped = ref.advance(ep, k_end)
@@ -187,8 +167,7 @@ def test_the_raise_and_its_twin_wipe_as_per_tick(monkeypatch):
     """The default raise, and its clean twin copied at the onset: each goes on
     from the grid the copy took."""
     ref = WipeReference(monkeypatch)
-    cfg = ScenarioConfig("WW", "force_aware", 7.0, 1, noise=NOISE,
-                         disturbances=default_disturbance("WW"))
+    cfg = scenario_config("ww_force_aware_raise", duration=7.0)
     ep = harness._Episode(cfg)
     ref.track(ep)
     before = ref.advance(ep, ep.onset)
@@ -203,8 +182,7 @@ def test_the_raise_and_its_twin_wipe_as_per_tick(monkeypatch):
 
 def test_the_safety_stopped_raise_wipes_as_per_tick(monkeypatch):
     ref = WipeReference(monkeypatch)
-    ep = harness._Episode(ScenarioConfig("WW", "baseline_high", 6.0, 1, noise=NOISE,
-                                         disturbances=default_disturbance("WW")))
+    ep = harness._Episode(scenario_config("ww_baseline_high_raise_stop"))
     ref.track(ep)
     assert ref.advance(ep, ep.max_ticks) > 0
     assert ep.safety_stopped and ep.log().n_ticks < ep.max_ticks

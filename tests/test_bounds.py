@@ -19,13 +19,10 @@ import sys
 import numpy as np
 import pytest
 
+from scenarios import lever_door, microwave
+
 from admitsim.admittance import AdmittanceConfig, ControllerCommand, compute_damping
-from admitsim.environments import (
-    DisturbanceEvent,
-    HingedDoor,
-    HoleFixture,
-    PlaneBoard,
-)
+from admitsim.environments import DisturbanceEvent, HoleFixture, PlaneBoard
 from admitsim.config import parse_scenario
 from admitsim.errors import ConfigParse, NonPositiveParameter
 from admitsim.harness import CONTROL_HZ, ScenarioConfig, run_episode
@@ -42,12 +39,6 @@ from admitsim.verify import (
 
 def field(cls, name):
     return lambda v: cls(**{name: v})
-
-
-def door(name):
-    return lambda v: HingedDoor(hinge_pivot=(0.0, 0.42, 0.0), grasp0=(0.0, -0.06, 0.0),
-                                handle_pivot=(0.0, 0.0, 0.0), handle_axis=(1.0, 0.0, 0.0),
-                                **{name: v})
 
 
 def dynamics(**kw):
@@ -84,8 +75,10 @@ BOUNDS = [
      0.0, False, VE),
     ("board", "k_e", field(PlaneBoard, "k_e"), 0.0, False, VE),
     ("hole", "k_e", field(HoleFixture, "k_e"), 0.0, False, VE),
-    ("door", "k_e", door("k_e"), 0.0, False, VE),
-    ("door", "latch_force", door("latch_force"), 0.0, True, VE),
+    ("door", "k_e", field(lever_door, "k_e"), 0.0, False, VE),
+    ("door", "latch_force", field(lever_door, "latch_force"), 0.0, True, VE),
+    ("microwave", "k_e", field(microwave, "k_e"), 0.0, False, VE),
+    ("microwave", "latch_force", field(microwave, "latch_force"), 0.0, True, VE),
 ]
 
 

@@ -62,13 +62,6 @@ class TestGenDemos:
         assert os.path.getsize(out) > 0
         assert "episodes=2" in capsys.readouterr().out
 
-    def test_byte_identical_for_same_seed(self, tmp_path):
-        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-        for out in (a, b):
-            assert main(["gen-demos", "--task", "WW", "--count", "3", "--seed", "7",
-                         "--out", out]) == 0
-        assert Path(a).read_bytes() == Path(b).read_bytes()
-
     def test_a_run_that_fails_part_way_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
         """Demos are written as they are generated; the file is no dataset
         while that goes on, and a failure removes it."""

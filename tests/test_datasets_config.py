@@ -82,13 +82,6 @@ class TestDataset:
         with pytest.raises(IoFailure):
             read_dataset(str(path))
 
-    def test_byte_identical_rewrites(self, tmp_path):
-        eps = sample_episodes(2, seed=5)
-        p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-        write_dataset(p1, Dataset("WW", 16, eps))
-        write_dataset(p2, Dataset("WW", 16, eps))
-        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
-
     def test_truncated_file_is_io_failure(self, tmp_path):
         path = tmp_path / "demo.bin"
         write_dataset(str(path), Dataset("WW", 16, sample_episodes(1)))
@@ -286,13 +279,6 @@ class TestTrace:
         ts = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert len(ts) == log.n_ticks
-
-    def test_byte_identical_for_same_log(self, tmp_path):
-        cfg = ScenarioConfig(task="WW", duration=2.0, seed=9)
-        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_trace(p1, run_episode(cfg))
-        write_trace(p2, run_episode(cfg))
-        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_empty_log_writes_header_only(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from scenarios import flat_board, lever_door, lever_grasp, microwave, microwave_grasp
+
 from admitsim import environments, harness
 from admitsim.environments import (
     BOARD_EXTENT,
@@ -35,10 +37,8 @@ from admitsim.environments import (
     RELEASE_ANGLE,
     WALL_STIFFNESS,
     FrictionModel,
-    HingedDoor,
     HoleFixture,
     InkGrid,
-    PlaneBoard,
     update_ink,
 )
 from admitsim.errors import check_range
@@ -108,22 +108,19 @@ def test_the_door_geometry_constants_are_units():
 FRICTIONS = {"board": BOARD_FRICTION, "hole": HOLE_FRICTION, "door": DOOR_FRICTION}
 
 
-@pytest.mark.parametrize("speed_share", [0.5, 10.0, 5e-12], ids=["ramped", "full", "cut-off"])
+@pytest.mark.parametrize("speed", [0.5 * COULOMB_V_EPS, 10.0 * COULOMB_V_EPS, 5e-16, 1e-15],
+                         ids=["ramped", "full", "cut-off", "at-cut-off"])
 @pytest.mark.parametrize("kind", list(FRICTIONS))
-def test_slip_force_law(kind, speed_share):
+def test_slip_force_law(kind, speed):
     model = FRICTIONS[kind]
-    speed = speed_share * COULOMB_V_EPS
     force = model.slip_force((speed, 0.0, 0.0), speed, -3.0)
     if speed < 1e-15:  # below the cut-off the law gives no force at all
         assert force == (0.0, 0.0, 0.0)
         return
-    magnitude = model.coulomb_mu * 3.0 * min(1.0, speed_share) + model.viscous_c * speed
+    magnitude = (model.coulomb_mu * 3.0 * min(1.0, speed / COULOMB_V_EPS)
+                 + model.viscous_c * speed)
     assert force[0] == pytest.approx(-magnitude, rel=1e-12)
     assert force[1:] == (0.0, 0.0)
-
-
-def flat_board():
-    return PlaneBoard(center=(0.0, 0.0, 0.0), rotation=(1.0, 0.0, 0.0, 0.0), k_e=1000.0)
 
 
 def bore():
@@ -214,26 +211,6 @@ def test_beyond_the_funnel_is_the_top_plate():
 # ----------------------------------------------------------------------------
 # Door: grasp, snap lock, handle latch, handle circle and spring, friction
 # ----------------------------------------------------------------------------
-
-def microwave():
-    return HingedDoor(hinge_pivot=(0.0, 0.25, 0.0), grasp0=(0.0, 0.0, 0.0))
-
-
-def lever_door(latch_force=15.0):
-    return HingedDoor(hinge_pivot=(0.0, 0.42, 0.0), grasp0=(0.0, -HANDLE_LEVER, 0.0),
-                      handle_pivot=(0.0, 0.0, 0.0), handle_axis=(1.0, 0.0, 0.0),
-                      latch_force=latch_force)
-
-
-def microwave_grasp(angle):
-    """Grasp point of microwave() opened by `angle` rad about its hinge."""
-    return (-0.25 * math.sin(angle), 0.25 - 0.25 * math.cos(angle), 0.0)
-
-
-def lever_grasp(handle_angle):
-    """Grasp point of lever_door() with the handle turned and the door closed."""
-    return (0.0, -HANDLE_LEVER * math.cos(handle_angle), -HANDLE_LEVER * math.sin(handle_angle))
-
 
 @pytest.mark.parametrize("distance,engaged", [
     (0.0, True), (0.5 * GRASP_TOL, True), (math.nextafter(GRASP_TOL, 0.0), True),

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from scenarios import flat_board, lever_door, lever_grasp, microwave, microwave_grasp
+
 from admitsim.environments import (
     BOARD_EXTENT,
     CELL_SIZE,
@@ -33,10 +35,6 @@ from admitsim.harness import default_disturbance
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 
 Z = np.array([0.0, 0.0, 1.0])
-
-
-def flat_board(**kw):
-    return PlaneBoard(center=(0.0, 0.0, 0.0), rotation=(1.0, 0.0, 0.0, 0.0), **kw)
 
 
 def point(x, y, z):
@@ -508,25 +506,6 @@ class TestDisturbances:
 
 
 class TestConstructorValidation:
-    @pytest.mark.parametrize("build", [
-        lambda: PlaneBoard(k_e=math.nan),
-        lambda: HoleFixture(k_e=math.nan),
-        lambda: microwave(k_e=math.nan),
-        lambda: lever_door(k_e=math.inf),
-    ])
-    def test_environment_geometry_and_stiffness(self, build):
-        with pytest.raises(ValueError, match="finite"):
-            build()
-
-    @pytest.mark.parametrize("build,name", [
-        (lambda **kw: microwave(**kw), "latch_force"),
-        (lambda **kw: lever_door(**kw), "latch_force"),
-    ], ids=["microwave-latch_force", "door-latch_force"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_geometry_and_force_parameters_finite(self, build, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            build(**{name: value})
-
     # A non-finite position or board rotation is a ValueError naming its
     # field, not a NaN wrench later or a DegenerateInput about a norm.
     @pytest.mark.parametrize("build,name", [
@@ -535,9 +514,7 @@ class TestConstructorValidation:
         (lambda v: HoleFixture(rim_center=(v, 0.0, 0.0)), "rim_center"),
         (lambda v: HingedDoor(hinge_pivot=(v, 0.0, 0.0)), "hinge_pivot"),
         (lambda v: HingedDoor(grasp0=(0.0, 0.0, v)), "grasp0"),
-        (lambda v: HingedDoor(hinge_pivot=(0.0, 0.42, 0.0), grasp0=(0.0, -0.06, 0.0),
-                              handle_pivot=(0.0, v, 0.0), handle_axis=(1.0, 0.0, 0.0)),
-         "handle_pivot"),
+        (lambda v: lever_door(handle_pivot=(0.0, v, 0.0)), "handle_pivot"),
     ], ids=["board-center", "board-rotation", "hole-rim_center", "door-hinge_pivot",
             "door-grasp0", "door-handle_pivot"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -552,10 +529,6 @@ class TestConstructorValidation:
     def test_a_nan_axis_is_degenerate(self, build):
         with pytest.raises(DegenerateInput):
             build()
-
-    def test_zero_latch_force_accepted(self):
-        assert microwave(latch_force=0.0).latch_force == 0.0
-        assert lever_door(latch_force=0.0).latch_force == 0.0
 
     @pytest.mark.parametrize("given", ["handle_pivot", "handle_axis"])
     def test_a_half_given_handle_is_a_value_error(self, given):
@@ -607,29 +580,6 @@ class TestConstructorFields:
         assert env.update is None or callable(env.update)
 
 
-def microwave(**kw):
-    return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
-                      grasp0=np.array([0.0, 0.0, 0.0]), **kw)
-
-
-def lever_door(**kw):
-    return HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
-                      grasp0=np.array([0.0, -0.06, 0.0]),
-                      handle_pivot=np.array([0.0, 0.0, 0.0]),
-                      handle_axis=np.array([1.0, 0.0, 0.0]), **kw)
-
-
-def microwave_grasp(angle):
-    """Grasp point of microwave() opened by `angle` rad about its hinge."""
-    return np.array([-0.25 * math.sin(angle), 0.25 - 0.25 * math.cos(angle), 0.0])
-
-
-def lever_grasp(handle_angle, door_shift=0.0):
-    """Grasp point of lever_door() with the handle turned and the door pulled open."""
-    return np.array([-door_shift, -0.06 * math.cos(handle_angle),
-                     -0.06 * math.sin(handle_angle)])
-
-
 def latch_term(door, p):
     """The latch part of the door's wrench at p (at rest): the wrench minus that
     of the same door with a zero latch force."""
@@ -676,9 +626,7 @@ class TestLatch:
         door.update(door.grasp0, 1.0)  # engage
         assert door.engaged
         # Drag the grasp past the snap angle, then back toward closed.
-        opened = np.array([door.grasp0[0] - 0.25 * math.sin(0.2),
-                           0.25 - 0.25 * math.cos(0.2), 0.0])
-        door.update(opened, 1.0)
+        door.update(microwave_grasp(0.2), 1.0)
         assert door.latch_released
         door.update(door.grasp0, 1.0)
         assert door.latch_released  # stays released
@@ -688,10 +636,8 @@ class TestLatch:
         door = microwave()
         door.update(door.grasp0, 1.0)
         assert door.measure(None) == pytest.approx(0.0)
-        ang = 0.3
-        p = np.array([-0.25 * math.sin(ang), 0.25 - 0.25 * math.cos(ang), 0.0])
-        door.update(p, 1.0)
-        assert door.measure(None) == pytest.approx(math.degrees(ang), abs=1e-6)
+        door.update(microwave_grasp(0.3), 1.0)
+        assert door.measure(None) == pytest.approx(math.degrees(0.3), abs=1e-6)
 
     def test_not_engaged_without_gripper(self):
         door = microwave()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from reference_demos import _rot6d_columns
+from scenarios import flat_board, lever_door, microwave
 
 from admitsim.environments import (
     BORE_AXIS,
@@ -14,9 +15,7 @@ from admitsim.environments import (
     HINGE_AXIS,
     HOLE_DEPTH,
     LATCH_THRESHOLD,
-    HingedDoor,
     HoleFixture,
-    PlaneBoard,
     update_ink,
 )
 from admitsim.errors import (
@@ -121,28 +120,25 @@ class TestInsertion:
 
 
 class TestWiping:
-    def flat_board(self):
-        return PlaneBoard(center=np.zeros(3), rotation=IDENTITY)
-
     def test_nothing_to_wipe(self):
         with pytest.raises(NothingToWipe):
-            plan_wiping(self.flat_board())
+            plan_wiping(flat_board())
 
     def test_single_cell_short_pass(self):
-        board = self.flat_board()
+        board = flat_board()
         board.ink.inked[30, 20] = True
         poses = plan_wiping(board)
         assert len(poses) >= 2
 
     @pytest.mark.parametrize("passes", [0, -2])
     def test_passes_below_one_rejected(self, passes):
-        board = self.flat_board()
+        board = flat_board()
         board.ink.inked[30, 20] = True
         with pytest.raises(ValueError):
             plan_wiping(board, passes=passes)
 
     def test_lane_count_lower_bound(self):
-        board = self.flat_board()
+        board = flat_board()
         # Inked bounding box roughly 10 cm x 6 cm (cell-centre aligned rows).
         board.ink.ink_stroke(np.array([[-0.05, -0.0275], [0.05, -0.0275]]))
         board.ink.ink_stroke(np.array([[-0.05, 0.0275], [0.05, 0.0275]]))
@@ -159,18 +155,6 @@ class TestWiping:
             env.presses.extend(range(len(pressed)))  # one tick per contact pose
             assert update_ink(env, np.array(pressed)) > 0
             assert env.ink.inked_count() == 0
-
-
-def demo_door():
-    return HingedDoor(hinge_pivot=np.array([0.0, 0.42, 0.0]),
-                      grasp0=np.array([0.0, -0.06, 0.0]),
-                      handle_pivot=np.array([0.0, 0.0, 0.0]),
-                      handle_axis=np.array([1.0, 0.0, 0.0]))
-
-
-def microwave():
-    return HingedDoor(hinge_pivot=np.array([0.0, 0.25, 0.0]),
-                      grasp0=np.array([0.0, 0.0, 0.0]))
 
 
 def turn_poses(door):
@@ -211,7 +195,7 @@ class TestArticulated:
         assert math.acos(first @ last) == pytest.approx(math.radians(40.0), abs=1e-9)
 
     def test_door_emits_two_arcs(self):
-        door = demo_door()
+        door = lever_door()
         poses, normals = plan_articulated(door, math.radians(40.0))
         assert len(normals) == len(poses)
         n_turn = turn_poses(door)
@@ -261,7 +245,7 @@ class TestPlanNormals:
             assert_allclose(n, radial(p.position, door.hinge_pivot, HINGE_AXIS), atol=1e-12)
 
     def test_door_turn_then_pull_normals(self):
-        door = demo_door()
+        door = lever_door()
         poses, normals = plan_articulated(door, math.radians(40.0))
         n_turn = turn_poses(door)
         handle = (door.handle_pivot, door.handle_axis)
@@ -275,7 +259,7 @@ class TestPlanNormals:
         assert_allclose(n, radial(junction, *handle), atol=1e-12)
         assert np.linalg.norm(np.subtract(n, radial(junction, *hinge))) > 0.1
 
-    @pytest.mark.parametrize("door", [microwave(), demo_door()], ids=["microwave", "door"])
+    @pytest.mark.parametrize("door", [microwave(), lever_door()], ids=["microwave", "door"])
     def test_every_normal_is_an_orthogonal_unit_to_its_arc_tangent(self, door):
         poses, normals = plan_articulated(door, math.radians(40.0))
         n_turn = turn_poses(door)

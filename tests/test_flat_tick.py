@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference_laws as ref
 from reference_demos import _rodrigues
+from scenarios import bits
 
 from admitsim.admittance import (
     EPS_POS,
@@ -42,13 +42,6 @@ from admitsim.environments import (
 from admitsim.errors import NonFiniteState
 from admitsim.geometry import _cross, _normalize, _rodrigues_fixed
 from admitsim.tasks import build_environment
-
-
-def bits(value):
-    """The bytes of a float, or of each float of nested tuples."""
-    if isinstance(value, tuple):
-        return tuple(bits(v) for v in value)
-    return struct.pack("<d", value)
 
 
 def floats(lo, hi, *specials):
@@ -260,6 +253,10 @@ def assert_door_matches(door, pos, gripper, vel):
        gripper=st.sampled_from([0.0, 1.0, 0.5]), door_angle=floats(0.0, 0.5),
        handle_angle=floats(0.0, 0.6), az_ref=st.floats(-0.5, 0.5),
        pull_radius=st.floats(0.05, 0.5), vel=vectors(-0.3, 0.3))
+# Grasped closed and sliding at exactly the slip cut-off speed, 1e-15 m/s: it slips.
+@example(task="DO", seed=0, engaged=False, released=False, handle=0.0, opening=0.0,
+         jitter=(0.0, 0.0, 0.0), gripper=1.0, door_angle=0.0, handle_angle=0.0, az_ref=0.0,
+         pull_radius=0.5, vel=(0.0, 0.0, 1e-15))
 @settings(max_examples=250, deadline=None)
 def test_door_equals_the_helper_composition(task, seed, engaged, released, handle, opening,
                                             jitter, gripper, door_angle, handle_angle, az_ref,

@@ -10,7 +10,8 @@ Two `run` trace files (WW, and DO with the
 door, the force pulse and several chunks of the trace writer), a 5-episode
 and a 200-episode `gen-demos` dataset per task, the verification CSV on a
 one-point grid and the summary CSV of a small clean/raise WW suite are pinned
-as bytes.
+as bytes. The scenarios, their noise and `log_digest` are defined once, in
+`tests/scenarios.py`, as other test modules run them too.
 
 The digests hold for one C math library (libm): every 3-vector dot product is
 a left-to-right Python-float sum (admitsim.geometry.dot3) and no BLAS kernel
@@ -37,40 +38,13 @@ import tempfile
 import numpy as np
 import pytest
 
+from scenarios import GOLDEN_NOISE, SCENARIOS, log_digest, scenario_config
+
 from admitsim.cli import main as cli_main
 from admitsim.datasets import TRACE_CHUNK_ROWS, write_trace
-from admitsim.environments import DisturbanceEvent
-from admitsim.harness import ScenarioConfig, default_disturbance, run_episode
-from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
+from admitsim.harness import run_episode
+from admitsim.policy import DEFAULT_HORIZON, predict
 from admitsim.tasks import build_environment, generate_demo
-
-NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
-                  contact_flip_prob=0.01, seed=11)
-
-# Board tilt about x, a lowering of the board and a rest-point oscillation,
-# all inside the first 6 s of a WW episode (contact starts near 2.1 s).
-WW_MIXED = (
-    DisturbanceEvent("tilt", start=2.5, duration=3.0, magnitude=0.05,
-                     direction=np.array([1.0, 0.0, 0.0]), ramp=0.5),
-    DisturbanceEvent("lower", start=3.0, duration=2.0, magnitude=0.004, ramp=0.3),
-    DisturbanceEvent("sinusoid", start=4.0, duration=1.5, magnitude=0.002, ramp=0.2,
-                     omega=9.0),
-)
-
-# name -> (task, mode, duration s, scenario seed, disturbances)
-SCENARIOS = {
-    "ww_force_aware_clean": ("WW", "force_aware", 4.0, 1, ()),
-    "ww_force_aware_raise": ("WW", "force_aware", 6.0, 1, default_disturbance("WW")),
-    "ww_force_aware_mixed": ("WW", "force_aware", 6.0, 2, WW_MIXED),
-    "ww_baseline_high_raise_stop": ("WW", "baseline_high", 6.0, 1, default_disturbance("WW")),
-    "ph_force_aware_shift": ("PH", "force_aware", 4.0, 1, default_disturbance("PH")),
-    "ph_baseline_mid_clean": ("PH", "baseline_mid", 3.0, 2, ()),
-    "mo_force_aware_pulse": ("MO", "force_aware", 7.0, 1, default_disturbance("MO")),
-    "do_force_aware_clean": ("DO", "force_aware", 4.0, 1, ()),
-    "do_baseline_mid_pulse": ("DO", "baseline_mid", 7.0, 1, default_disturbance("DO")),
-}
-
-SERIES = ("t", "x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "disturbed")
 
 # GOLDEN key -> (task, episodes, seed) of a `gen-demos` dataset: 5 demos per
 # task, and 200 per task over the spread of boards, holes and doors that
@@ -115,32 +89,15 @@ GOLDEN = {
 }
 
 
-def scenario_config(name: str) -> ScenarioConfig:
-    task, mode, duration, seed, events = SCENARIOS[name]
-    return ScenarioConfig(task, mode, duration, seed, noise=NOISE, disturbances=events)
-
-
-def log_digest(log) -> str:
-    """SHA-256 over every per-tick series (dtype, shape, bytes) and the metrics."""
-    h = hashlib.sha256()
-    for name in SERIES:
-        arr = np.ascontiguousarray(getattr(log, name))
-        h.update(f"{name}:{arr.dtype.str}:{arr.shape}\n".encode())
-        h.update(arr.tobytes())
-    h.update(repr(sorted(log.metrics.items())).encode())
-    h.update(f"success={log.success} stopped={log.safety_stopped}".encode())
-    return h.hexdigest()
-
-
 def predict_digest() -> str:
     """SHA-256 over the position, gripper, normal and contact flag of every
-    command of every chunk `predict` makes of a seed-3 WW demo under NOISE (the
-    chunks the harness takes, at every DEFAULT_HORIZON-th step). NOISE has
-    rot_std > 0, whose draws advance the generator."""
+    command of every chunk `predict` makes of a seed-3 WW demo under
+    GOLDEN_NOISE (the chunks the harness takes, at every DEFAULT_HORIZON-th
+    step). GOLDEN_NOISE has rot_std > 0, whose draws advance the generator."""
     demo = generate_demo("WW", build_environment("WW", np.random.default_rng(3))).tuples
     h = hashlib.sha256()
     for t0 in range(0, len(demo), DEFAULT_HORIZON):
-        for cmd in predict(t0, demo, NOISE):
+        for cmd in predict(t0, demo, GOLDEN_NOISE):
             h.update(np.array(cmd.x_cmd).tobytes())
             h.update(np.float64(cmd.gripper).tobytes())
             h.update(np.array(cmd.n).tobytes())

@@ -1,9 +1,10 @@
-import hashlib
 import math
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+
+from scenarios import GOLDEN_NOISE, SERIES, SUITE_NOISE, log_digest, scenario_config
 
 from admitsim import harness
 from admitsim.datasets import write_suite_csv
@@ -17,7 +18,7 @@ from admitsim.harness import (
     run_suite,
     success_check,
 )
-from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
+from admitsim.policy import DEFAULT_HORIZON, predict
 from admitsim.tasks import TASK_SPECS, TASKS
 
 # Each task and mode's controller, written out: the AdmittanceConfig fields in
@@ -44,23 +45,7 @@ CONTROLLERS = {
                          ("baseline_high", _HIGH))},
 }
 
-NOISE = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
-                  contact_flip_prob=0.01, seed=0)
-
-
-SERIES = ("t", "x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "disturbed")
 FLAG_SERIES = ("phase", "contact", "disturbed")
-
-
-def series_digest(log) -> str:
-    """SHA-256 over every per-tick series (dtype, shape, bytes) and the metrics."""
-    h = hashlib.sha256()
-    for name in SERIES:
-        arr = getattr(log, name)
-        h.update(f"{name}:{arr.dtype.str}:{arr.shape}\n".encode())
-        h.update(arr.tobytes())
-    h.update(repr(sorted(log.metrics.items())).encode())
-    return h.hexdigest()
 
 
 def make_log(metrics, safety_stopped=False, n=0):
@@ -89,42 +74,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=r"\[0, 120"):
             ScenarioConfig(task="WW", duration=duration)
 
-    def test_invalid_admittance_override_fails_at_construction(self):
-        from admitsim.errors import NonPositiveParameter
-        with pytest.raises(NonPositiveParameter):
-            ScenarioConfig(task="WW", admittance_overrides={"mass": -1.0})
-
-    @pytest.mark.parametrize("kwargs", [
-        {"env_overrides": {"k_e": -5.0}},
-        {"env_overrides": {"k_e": float("nan")}},
-        {"env_overrides": {"latch_force": -1.0}},
-        {"env_overrides": {"latch_force": float("inf")}},
-        {"safety_limit": -1.0},
-        {"safety_limit": float("nan")},
-        {"safety_debounce": float("nan")},
-        {"safety_debounce": -0.01},
-    ])
-    def test_rejects_invalid_environment_and_safety_values(self, kwargs):
-        with pytest.raises(ValueError, match="finite"):
-            ScenarioConfig(task="DO", **kwargs)
-
-    @pytest.mark.parametrize("build", [lambda: ScenarioConfig(task="WW", seed=-1),
-                                       lambda: NoiseSpec(seed=-1)], ids=["scenario", "noise"])
-    def test_rejects_negative_seed(self, build):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            build()
-
-    def test_rejects_unknown_environment_override(self, tmp_path):
-        from admitsim.config import parse_scenario
-        from admitsim.errors import ConfigParse
-        with pytest.raises(ValueError, match="unknown environment override 'bogus' for WW"):
-            ScenarioConfig(task="WW", env_overrides={"bogus": 3.0})
-        # The INI parser leaves the [environment] keys to ScenarioConfig.
-        path = tmp_path / "s.ini"
-        path.write_text("[scenario]\ntask = WW\n[environment]\nbogus = 3.0\n")
-        with pytest.raises(ConfigParse, match="unknown environment override 'bogus' for WW"):
-            parse_scenario(str(path))
-
     @pytest.mark.parametrize("axes", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                                       ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
                                       ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.1, 1.0))])
@@ -140,9 +89,6 @@ class TestScenarioConfig:
                   DisturbanceEvent("raise", 1.0, 2.0, 0.01, direction=(1.0, 0.0, 0.0)),
                   DisturbanceEvent("tilt", 1.5, 2.0, -0.1, direction=(0.0, 0.0, 1.0)))
         assert ScenarioConfig(task="WW", disturbances=events).disturbances == events
-
-    def test_zero_debounce_accepted(self):
-        assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
 
     def test_mode_gain_mapping(self):
         fa = ScenarioConfig(task="WW", mode="force_aware").admittance
@@ -186,18 +132,12 @@ def longest_run_over(log, limit):
 
 
 class TestSafetyMonitor:
-    """The debounced stop inside run_episode, on a WW baseline_high episode whose
-    board raise pushes the force past the 25 N limit (debounce 0.02 s = 20 ticks)."""
-
-    @staticmethod
-    def stop_scenario(**kwargs):
-        noise = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
-                          contact_flip_prob=0.01, seed=11)
-        return ScenarioConfig("WW", "baseline_high", 6.0, 1, noise=noise,
-                              disturbances=default_disturbance("WW"), **kwargs)
+    """The debounced stop inside run_episode, mostly on the golden WW
+    baseline_high episode whose board raise pushes the force past the 25 N
+    limit (debounce 0.02 s = 20 ticks)."""
 
     def test_sustained_violation_stops(self):
-        cfg = self.stop_scenario()
+        cfg = scenario_config("ww_baseline_high_raise_stop")
         assert (cfg.safety_limit, cfg.safety_debounce) == (25.0, 0.02)
         log = run_episode(cfg)
         assert log.safety_stopped and not log.success
@@ -206,16 +146,26 @@ class TestSafetyMonitor:
         assert longest_run_over(log, 25.0) == (21, 21)
 
     def test_short_spike_survives_debounce(self):
-        log = run_episode(self.stop_scenario(safety_debounce=1.0))
+        log = run_episode(scenario_config("ww_baseline_high_raise_stop", safety_debounce=1.0))
         assert not log.safety_stopped
         assert log.n_ticks == 6000
         assert longest_run_over(log, 25.0)[0] == 700  # 700 ticks < 1000-tick debounce
 
     def test_all_below_limit(self):
-        peak = run_episode(self.stop_scenario(safety_debounce=1.0)).metrics["peak_force_n"]
-        log = run_episode(self.stop_scenario(safety_limit=peak + 1.0))
+        long_debounce = scenario_config("ww_baseline_high_raise_stop", safety_debounce=1.0)
+        peak = run_episode(long_debounce).metrics["peak_force_n"]
+        log = run_episode(scenario_config("ww_baseline_high_raise_stop", safety_limit=peak + 1.0))
         assert not log.safety_stopped
         assert log.n_ticks == 6000
+        assert log.metrics["peak_force_n"] == peak
+
+    def test_a_force_at_the_limit_is_not_over_it(self):
+        """A tick counts when its force is above the limit, not at it: with no
+        debounce, a limit equal to the episode's own peak force never stops it."""
+        cfg = scenario_config("ww_force_aware_clean", safety_debounce=0.0)
+        peak = run_episode(cfg).metrics["peak_force_n"]
+        log = run_episode(replace(cfg, safety_limit=peak))
+        assert not log.safety_stopped and log.n_ticks == 4000
         assert log.metrics["peak_force_n"] == peak
 
 
@@ -249,15 +199,10 @@ class TestSuccessCheck:
 
 
 class TestRunEpisode:
-    def test_bit_identical_reruns(self):
-        cfg = ScenarioConfig(task="WW", duration=6.0, seed=12, noise=NOISE)
-        a = run_episode(cfg)
-        b = run_episode(cfg)
-        assert np.array_equal(a.x_r, b.x_r)
-        assert np.array_equal(a.v_r, b.v_r)
-        assert np.array_equal(a.f_ext, b.f_ext)
-        assert np.array_equal(a.f_cmd, b.f_cmd)
-        assert repr(a.metrics) == repr(b.metrics)  # NaN-tolerant equality
+    def test_the_settle_tail_holds_the_last_command_for_one_second(self):
+        # A literal, not SETTLE_STEPS: the PH seed-1 plan is 51 policy steps,
+        # and the tail holds its last command for 10 more.
+        assert run_episode(ScenarioConfig("PH", duration=60.0, seed=1)).n_ticks == 6100
 
     def test_rate_coupling_tick_count(self):
         # Duration shorter than the demo: exactly duration * 1000 ticks.
@@ -275,18 +220,18 @@ class TestRunEpisode:
 
     def test_ph_reaches_success_depth(self):
         cfg = ScenarioConfig(task="PH", mode="force_aware", duration=15.0, seed=1,
-                             noise=NOISE)
+                             noise=SUITE_NOISE)
         log = run_episode(cfg)
         assert log.metrics["insertion_depth_mm"] >= 10.0
         assert log.success
 
     def test_logs_of_successive_episodes_are_independent(self):
         # A log buffer shared between episodes would rewrite the first log.
-        first = run_episode(ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE))
-        before = series_digest(first)
-        second = run_episode(ScenarioConfig(task="WW", duration=3.0, seed=6, noise=NOISE))
-        assert series_digest(first) == before
-        assert series_digest(second) != before
+        first = run_episode(ScenarioConfig(task="WW", duration=3.0, seed=5, noise=SUITE_NOISE))
+        before = log_digest(first)
+        second = run_episode(ScenarioConfig(task="WW", duration=3.0, seed=6, noise=SUITE_NOISE))
+        assert log_digest(first) == before
+        assert log_digest(second) != before
         for log in (first, second):
             for name in SERIES:
                 arr = getattr(log, name)
@@ -298,7 +243,7 @@ class TestRunEpisode:
                     assert (arr.dtype, arr.shape) == (np.float64, (3000, 3)), name
 
     def test_an_episode_that_cannot_advance_logs_the_same_run(self):
-        cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=NOISE)
+        cfg = ScenarioConfig(task="WW", duration=3.0, seed=5, noise=SUITE_NOISE)
         ep = harness._Episode(cfg)
         ep.advance(ep.max_ticks)
         log = ep.log()
@@ -306,11 +251,11 @@ class TestRunEpisode:
         assert size == log.n_ticks * harness._RECORD.size  # the log views them
         ep.advance(ep.max_ticks)
         assert len(ep.records) == size
-        assert series_digest(ep.log()) == series_digest(log) == series_digest(run_episode(cfg))
+        assert log_digest(ep.log()) == log_digest(log) == log_digest(run_episode(cfg))
 
     @pytest.mark.parametrize("task", TASKS)
     def test_float_series_are_views_of_the_tick_records(self, task):
-        cfg = ScenarioConfig(task=task, duration=1.0, seed=2, noise=NOISE)
+        cfg = ScenarioConfig(task=task, duration=1.0, seed=2, noise=SUITE_NOISE)
         ep = harness._Episode(cfg)
         ep.advance(ep.max_ticks)
         log = ep.log()
@@ -325,7 +270,7 @@ class TestRunEpisode:
                 assert np.shares_memory(arr, block[:, 3 * j:3 * j + 3]) == (i == j), name
             assert arr.tobytes() == rows[:, 3 * i:3 * i + 3].tobytes(), name
         assert np.shares_memory(log.disturbed, np.frombuffer(ep.flags[2], np.int8))
-        assert series_digest(log) == series_digest(run_episode(cfg))
+        assert log_digest(log) == log_digest(run_episode(cfg))
 
     def test_disturbance_flag_logged(self):
         cfg = ScenarioConfig(task="WW", duration=8.0, seed=3,
@@ -333,6 +278,26 @@ class TestRunEpisode:
         log = run_episode(cfg)
         assert log.disturbed[:4000].max() == 0  # raise starts at 5 s
         assert log.disturbed[5500:].max() == 1
+
+
+def suite_episodes(monkeypatch, cfgs):
+    """run_suite(cfgs) under monkeypatch's patches, which it then undoes: the
+    (config, log) of every episode the suite ran, in order, each log checked
+    equal to its config's standalone run."""
+    seen = []
+    original = harness.run_episode
+
+    def tap(cfg):
+        log = original(cfg)
+        seen.append((cfg, log))
+        return log
+
+    monkeypatch.setattr(harness, "run_episode", tap)
+    run_suite(cfgs)
+    monkeypatch.undo()
+    for cfg, log in seen:
+        assert log_digest(log) == log_digest(run_episode(cfg)), cfg
+    return seen
 
 
 def reference_flags(cfg, n):
@@ -356,8 +321,6 @@ class TestDerivedSeries:
     """t is k * dt, and phase and contact are recorded once per policy step and
     spread over its ticks; every episode end must still give one value per tick."""
 
-    NOISE11 = TestSafetyMonitor.stop_scenario().noise
-
     def check(self, log, cfg):
         n = log.n_ticks
         dt = 1.0 / harness.CONTROL_HZ
@@ -370,13 +333,13 @@ class TestDerivedSeries:
             assert arr.tolist() == expected, name
 
     def test_safety_stop_inside_a_policy_step(self):
-        cfg = TestSafetyMonitor.stop_scenario()
+        cfg = scenario_config("ww_baseline_high_raise_stop")
         log = run_episode(cfg)
         assert log.safety_stopped and log.n_ticks % harness.TICKS_PER_STEP == 21
         self.check(log, cfg)
 
     def test_end_on_the_settle_tail(self):
-        cfg = ScenarioConfig("PH", "force_aware", 30.0, 1, noise=self.NOISE11)
+        cfg = ScenarioConfig("PH", "force_aware", 30.0, 1, noise=GOLDEN_NOISE)
         log = run_episode(cfg)
         steps = len(harness._Episode(cfg).demo.tuples) + harness.SETTLE_STEPS
         assert not log.safety_stopped
@@ -385,7 +348,7 @@ class TestDerivedSeries:
         self.check(log, cfg)
 
     def test_end_inside_a_policy_step_at_the_duration(self):
-        cfg = ScenarioConfig("WW", "force_aware", 2.345, 1, noise=self.NOISE11)
+        cfg = ScenarioConfig("WW", "force_aware", 2.345, 1, noise=GOLDEN_NOISE)
         log = run_episode(cfg)
         assert log.n_ticks == 2345
         self.check(log, cfg)
@@ -393,31 +356,21 @@ class TestDerivedSeries:
     def test_suite_twin_resumed_inside_a_policy_step(self, monkeypatch):
         raise_ = (DisturbanceEvent("raise", start=5.0505, duration=10.0, magnitude=0.07,
                                    ramp=0.5),)
-        clean = ScenarioConfig("WW", "force_aware", 7.0, 1, noise=self.NOISE11)
+        clean = ScenarioConfig("WW", "force_aware", 7.0, 1, noise=GOLDEN_NOISE)
         disturbed = replace(clean, disturbances=raise_)
         assert harness._onset_tick(raise_, 7000) == 5051
-        seen, built = [], []
-        original, episode = harness.run_episode, harness._Episode
-
-        def tap(cfg):
-            log = original(cfg)
-            seen.append((cfg, log))
-            return log
+        built = []
+        episode = harness._Episode
 
         def counting_episode(cfg):
             built.append(cfg)
             return episode(cfg)
 
-        monkeypatch.setattr(harness, "run_episode", tap)
         monkeypatch.setattr(harness, "_Episode", counting_episode)
-        run_suite([clean, disturbed])
-        monkeypatch.undo()
-
+        seen = suite_episodes(monkeypatch, [clean, disturbed])
         assert [cfg for cfg, _ in seen] == [disturbed, clean]
         assert built == [disturbed]  # the twin continued the disturbed episode
         for cfg, log in seen:
-            alone = run_episode(cfg)
-            assert series_digest(log) == series_digest(alone), cfg
             self.check(log, cfg)
 
 
@@ -426,7 +379,7 @@ class TestRunSuite:
         assert run_suite([]) == []
 
     def test_identical_configs_identical_rows(self):
-        cfg = ScenarioConfig(task="WW", duration=6.0, seed=4, noise=NOISE)
+        cfg = ScenarioConfig(task="WW", duration=6.0, seed=4, noise=SUITE_NOISE)
         r1 = run_suite([cfg])
         r2 = run_suite([cfg])
         assert repr(r1) == repr(r2)
@@ -447,7 +400,7 @@ class TestRunSuite:
         for mode in ("force_aware", "baseline_low"):
             for seed in range(2):
                 cfgs.append(ScenarioConfig(task="WW", mode=mode, duration=6.0,
-                                           seed=seed, noise=NOISE))
+                                           seed=seed, noise=SUITE_NOISE))
         rows = run_suite(cfgs)
         assert [r.mode for r in rows] == ["force_aware", "baseline_low"]
         assert all(r.episodes == 2 for r in rows)
@@ -459,14 +412,11 @@ class TestSuiteTwins:
     continues the twin from the disturbed episode at the onset; every episode
     must still equal its own standalone run_episode bit for bit."""
 
-    NOISE11 = NoiseSpec(pos_std=0.002, rot_std=0.01, normal_cone_std=0.05,
-                        contact_flip_prob=0.01, seed=11)
-
     def cases(self):
         """A suite's configs: clean configs next to disturbed twins, and the cases
         that share nothing."""
         def cfg(task, mode, duration, seed, events=()):
-            return ScenarioConfig(task, mode, duration, seed, noise=self.NOISE11,
+            return ScenarioConfig(task, mode, duration, seed, noise=GOLDEN_NOISE,
                                   disturbances=events)
 
         two_starts = (DisturbanceEvent("force_pulse", start=2.0, duration=0.5, magnitude=5.0,
@@ -517,33 +467,21 @@ class TestSuiteTwins:
 
     def test_every_suite_episode_equals_its_standalone_run(self, monkeypatch):
         cfgs = self.cases()
-        seen, builds = [], []
-        original, build = harness.run_episode, harness.build_environment
-
-        def tap(cfg):
-            log = original(cfg)
-            seen.append((cfg, log))
-            return log
+        builds = []
+        build = harness.build_environment
 
         def counting_build(*args):
             builds.append(args[0])
             return build(*args)
 
-        monkeypatch.setattr(harness, "run_episode", tap)
         monkeypatch.setattr(harness, "build_environment", counting_build)
-        run_suite(cfgs)
-        monkeypatch.undo()
-
+        seen = suite_episodes(monkeypatch, cfgs)
         assert sorted(map(repr, (cfg for cfg, _ in seen))) == sorted(map(repr, cfgs))
         # Five twins continue a disturbed episode (three WW, PH, DO) and build
         # no environment of their own.
         assert len(builds) == len(cfgs) - 5
         assert [(cfg.mode, bool(cfg.disturbances)) for cfg, log in seen
                 if log.safety_stopped] == [("baseline_high", True)]
-        for cfg, log in seen:
-            alone = run_episode(cfg)
-            assert series_digest(log) == series_digest(alone), cfg
-            assert (log.success, log.safety_stopped) == (alone.success, alone.safety_stopped)
 
 
 def first_settled_tick(events, onset, max_ticks):
@@ -559,13 +497,12 @@ class TestSettledDisturbances:
     on, the loop holds that result instead of calling it again; the logs must
     not change."""
 
-    NOISE11 = TestSuiteTwins.NOISE11
     RAISE = DisturbanceEvent("raise", 2.0, 10.0, 0.03, ramp=0.5)
     PULSE = DisturbanceEvent("force_pulse", 3.0, 1.0, 5.0, direction=(1.0, 0.0, 0.0),
                              ramp=0.2)
 
     def cfg(self, events, duration=6.0, mode="force_aware"):
-        return ScenarioConfig("WW", mode, duration, 1, noise=self.NOISE11,
+        return ScenarioConfig("WW", mode, duration, 1, noise=GOLDEN_NOISE,
                               disturbances=events)
 
     @staticmethod
@@ -608,7 +545,7 @@ class TestSettledDisturbances:
         assert n > settle or settle == max_ticks
         assert calls == [k * dt for k in range(onset, min(settle + 1, n))]
         assert every_call == [k * dt for k in range(onset, n)]
-        assert series_digest(log) == series_digest(every_tick)
+        assert log_digest(log) == log_digest(every_tick)
 
     @pytest.mark.parametrize("events", [
         (DisturbanceEvent("force_pulse", -1e308, 1.0, 1.0),),
@@ -636,29 +573,17 @@ class TestSettledDisturbances:
         cfg = self.cfg((replace(self.RAISE, ramp=ramp),))
         settle = first_settled_tick(cfg.disturbances, 0, 6000)
         assert settle == 2000 + 1000 * ramp
-        alone = series_digest(run_episode(cfg))
+        alone = log_digest(run_episode(cfg))
         for split in (settle - 1, settle, settle + 1):
             ep = harness._Episode(cfg)
             ep.advance(split)
             ep.advance(ep.max_ticks)
-            assert series_digest(ep.log()) == alone, split
+            assert log_digest(ep.log()) == alone, split
 
     def test_suite_pair_resumed_at_the_settle_tick(self, monkeypatch):
         # A ramp-0 raise settles at its onset, where run_suite parts the
         # disturbed episode from its clean twin and resumes it.
         step = (replace(self.RAISE, ramp=0.0),)
         clean = self.cfg(())
-        seen = []
-        original = harness.run_episode
-
-        def tap(cfg):
-            log = original(cfg)
-            seen.append((cfg, log))
-            return log
-
-        monkeypatch.setattr(harness, "run_episode", tap)
-        run_suite([clean, self.cfg(step), clean, self.cfg((self.RAISE,))])
-        monkeypatch.undo()
+        seen = suite_episodes(monkeypatch, [clean, self.cfg(step), clean, self.cfg((self.RAISE,))])
         assert len(seen) == 4
-        for cfg, log in seen:
-            assert series_digest(log) == series_digest(run_episode(cfg)), cfg

@@ -30,7 +30,8 @@ finite_float = st.one_of(st.sampled_from([x for x in SPECIAL if math.isfinite(x)
 vec3 = st.tuples(any_float, any_float, any_float)
 
 
-def bits(x) -> np.ndarray:
+def patterns(x) -> np.ndarray:
+    """The floats of x as their uint64 bit patterns."""
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
@@ -46,13 +47,13 @@ def test_dot3_equals_columnwise_numpy(pairs):
     with np.errstate(all="ignore"):
         batch = columnwise(a, b)
     single = [dot3(u, v) for u, v in pairs]
-    assert bits(single).tolist() == bits(batch).tolist()
+    assert patterns(single).tolist() == patterns(batch).tolist()
 
 
 @given(vec3)
 @settings(max_examples=300, deadline=None)
 def test_sq_norm_is_dot3_with_itself(v):
-    assert bits(sq_norm(v)) == bits(dot3(v, v))
+    assert patterns(sq_norm(v)) == patterns(dot3(v, v))
 
 
 def test_dot3_equals_columnwise_numpy_over_all_exponents():
@@ -70,14 +71,15 @@ def test_dot3_equals_columnwise_numpy_over_all_exponents():
     with np.errstate(all="ignore"):
         batch = columnwise(a, b)
     single = [dot3(u, v) for u, v in zip(a.tolist(), b.tolist())]
-    assert bits(single).tolist() == bits(batch).tolist()
+    assert patterns(single).tolist() == patterns(batch).tolist()
 
 
 @given(st.lists(finite_float, min_size=1, max_size=16))
 @settings(max_examples=300, deadline=None)
 def test_math_transcendentals_equal_numpy_ufuncs(xs):
     arr = np.array(xs)
-    assert bits([math.sin(x) for x in xs]).tolist() == bits(np.sin(arr)).tolist()
-    assert bits([math.cos(x) for x in xs]).tolist() == bits(np.cos(arr)).tolist()
+    assert patterns([math.sin(x) for x in xs]).tolist() == patterns(np.sin(arr)).tolist()
+    assert patterns([math.cos(x) for x in xs]).tolist() == patterns(np.cos(arr)).tolist()
     mags = [abs(x) if x != 0.0 else x for x in xs]  # keeps -0.0
-    assert bits([math.sqrt(x) for x in mags]).tolist() == bits(np.sqrt(np.array(mags))).tolist()
+    assert (patterns([math.sqrt(x) for x in mags]).tolist()
+            == patterns(np.sqrt(np.array(mags))).tolist())
