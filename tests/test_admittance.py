@@ -19,7 +19,7 @@ from admitsim.admittance import (
     compute_damping,
     controller_tick,
 )
-from admitsim.errors import NonFiniteState
+from admitsim.errors import NonFiniteState, NonPositiveParameter
 from admitsim.geometry import vec3
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -44,8 +44,30 @@ class TestComputeDamping:
     def test_high_stiffness(self):
         assert compute_damping(1.0, 800.0, 2.0) == pytest.approx(113.13708498984761, abs=1e-12)
 
+    @pytest.mark.parametrize("m,k,xi", [(0, 1, 1), (1, -2, 1), (1, 1, 0),
+                                        (math.nan, 50, 2), (math.inf, 50, 2), (1, math.nan, 2),
+                                        (1, math.inf, 2), (1, 50, math.nan), (1, 50, math.inf)])
+    def test_rejects_non_positive(self, m, k, xi):
+        with pytest.raises(NonPositiveParameter):
+            compute_damping(m, k, xi)
+
 
 class TestAdmittanceConfigValidation:
+    @pytest.mark.parametrize("field", ["mass", "stiffness", "damping_ratio"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_gains_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(NonPositiveParameter):
+            AdmittanceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("tangent_scale", math.nan), ("tangent_scale", math.inf), ("tangent_scale", 0.5),
+        ("target_force", math.nan), ("target_force", math.inf), ("target_force", -1.0),
+        ("force_deadband", math.nan), ("force_deadband", math.inf),
+    ])
+    def test_scale_force_and_deadband_must_be_finite(self, field, value):
+        with pytest.raises(ValueError):
+            AdmittanceConfig(**{field: value})
+
     def test_damping_is_derived_from_the_gains(self):
         cfg = AdmittanceConfig(mass=2.0, stiffness=80.0, damping_ratio=1.5, tangent_scale=3.0)
         assert cfg.damping == compute_damping(2.0, 80.0, 1.5)

@@ -506,6 +506,25 @@ class TestDisturbances:
 
 
 class TestConstructorValidation:
+    @pytest.mark.parametrize("build", [
+        lambda: PlaneBoard(k_e=math.nan),
+        lambda: HoleFixture(k_e=math.nan),
+        lambda: microwave(k_e=math.nan),
+        lambda: lever_door(k_e=math.inf),
+    ])
+    def test_environment_geometry_and_stiffness(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda **kw: microwave(**kw), "latch_force"),
+        (lambda **kw: lever_door(**kw), "latch_force"),
+    ], ids=["microwave-latch_force", "door-latch_force"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_geometry_and_force_parameters_finite(self, build, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build(**{name: value})
+
     # A non-finite position or board rotation is a ValueError naming its
     # field, not a NaN wrench later or a DegenerateInput about a norm.
     @pytest.mark.parametrize("build,name", [
@@ -529,6 +548,10 @@ class TestConstructorValidation:
     def test_a_nan_axis_is_degenerate(self, build):
         with pytest.raises(DegenerateInput):
             build()
+
+    def test_zero_latch_force_accepted(self):
+        assert microwave(latch_force=0.0).latch_force == 0.0
+        assert lever_door(latch_force=0.0).latch_force == 0.0
 
     @pytest.mark.parametrize("given", ["handle_pivot", "handle_axis"])
     def test_a_half_given_handle_is_a_value_error(self, given):

@@ -18,7 +18,7 @@ from admitsim.harness import (
     run_suite,
     success_check,
 )
-from admitsim.policy import DEFAULT_HORIZON, predict
+from admitsim.policy import DEFAULT_HORIZON, NoiseSpec, predict
 from admitsim.tasks import TASK_SPECS, TASKS
 
 # Each task and mode's controller, written out: the AdmittanceConfig fields in
@@ -74,6 +74,42 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=r"\[0, 120"):
             ScenarioConfig(task="WW", duration=duration)
 
+    def test_invalid_admittance_override_fails_at_construction(self):
+        from admitsim.errors import NonPositiveParameter
+        with pytest.raises(NonPositiveParameter):
+            ScenarioConfig(task="WW", admittance_overrides={"mass": -1.0})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"env_overrides": {"k_e": -5.0}},
+        {"env_overrides": {"k_e": float("nan")}},
+        {"env_overrides": {"latch_force": -1.0}},
+        {"env_overrides": {"latch_force": float("inf")}},
+        {"safety_limit": -1.0},
+        {"safety_limit": float("nan")},
+        {"safety_debounce": float("nan")},
+        {"safety_debounce": -0.01},
+    ])
+    def test_rejects_invalid_environment_and_safety_values(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(task="DO", **kwargs)
+
+    @pytest.mark.parametrize("build", [lambda: ScenarioConfig(task="WW", seed=-1),
+                                       lambda: NoiseSpec(seed=-1)], ids=["scenario", "noise"])
+    def test_rejects_negative_seed(self, build):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            build()
+
+    def test_rejects_unknown_environment_override(self, tmp_path):
+        from admitsim.config import parse_scenario
+        from admitsim.errors import ConfigParse
+        with pytest.raises(ValueError, match="unknown environment override 'bogus' for WW"):
+            ScenarioConfig(task="WW", env_overrides={"bogus": 3.0})
+        # The INI parser leaves the [environment] keys to ScenarioConfig.
+        path = tmp_path / "s.ini"
+        path.write_text("[scenario]\ntask = WW\n[environment]\nbogus = 3.0\n")
+        with pytest.raises(ConfigParse, match="unknown environment override 'bogus' for WW"):
+            parse_scenario(str(path))
+
     @pytest.mark.parametrize("axes", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                                       ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
                                       ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.1, 1.0))])
@@ -89,6 +125,9 @@ class TestScenarioConfig:
                   DisturbanceEvent("raise", 1.0, 2.0, 0.01, direction=(1.0, 0.0, 0.0)),
                   DisturbanceEvent("tilt", 1.5, 2.0, -0.1, direction=(0.0, 0.0, 1.0)))
         assert ScenarioConfig(task="WW", disturbances=events).disturbances == events
+
+    def test_zero_debounce_accepted(self):
+        assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
 
     def test_mode_gain_mapping(self):
         fa = ScenarioConfig(task="WW", mode="force_aware").admittance

@@ -229,6 +229,12 @@ class TestEquivalence:
         rep = equivalence_check(cfg, 500.0, n)
         assert rep.measured["max_step_gap"] < 1e-9
 
+    @pytest.mark.parametrize("k_e", [math.nan, math.inf, 0.0, -5.0])
+    def test_spring_stiffness_finite_and_positive(self, k_e):
+        cfg = AdmittanceConfig(target_force=4.0)
+        with pytest.raises(ValueError, match=f"^k_e must be finite and > 0, got {k_e}$"):
+            equivalence_check(cfg, k_e)
+
     def test_with_tangent_stiffening_enabled(self):
         # Motion parallel to n is degenerate for the tangent projection, so the
         # stiffened pipeline falls back to isotropic gains and still reduces.
@@ -260,6 +266,14 @@ def test_empty_grid_gives_no_reports():
     assert verify_prop2([], v0=0.05) == []
     assert verify_prop3_grid([]) == []
     assert verify_prop2([], v0=math.nan) == []
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0, 0.002, 0.003])
+def test_prop3_horizon_must_be_finite_and_positive(T):
+    with pytest.raises(ValueError):
+        verify_prop3_grid([params()], T=T)
+    with pytest.raises(ValueError):
+        run_default_verification(prop3_T=T, grid=[params()])
 
 
 @pytest.mark.parametrize("T,dt,message", [
@@ -324,6 +338,18 @@ def test_default_grid_axes_and_damping():
     assert [(p.m, p.k_e, p.f_H) for p in grid] == [(1.0, 100.0, 4.0), (1.0, 500.0, 4.0)]
     assert all(p.d == compute_damping(1.0, 50.0, 2.0) for p in grid)
     assert {p.d for p in default_grid(m=(0.5, 2.0), d=3.0)} == {3.0}
+
+
+@pytest.mark.parametrize("m,d,k_e,f_H", [
+    (1.0, 0.0, 100.0, 1.0), (1.0, 1.0, 100.0, -1.0),
+    (math.nan, 1.0, 100.0, 1.0), (math.inf, 1.0, 100.0, 1.0),
+    (1.0, math.nan, 100.0, 1.0), (1.0, math.inf, 100.0, 1.0),
+    (1.0, 1.0, math.nan, 1.0), (1.0, 1.0, math.inf, 1.0),
+    (1.0, 1.0, 100.0, math.nan), (1.0, 1.0, 100.0, math.inf),
+])
+def test_params_validation(m, d, k_e, f_H):
+    with pytest.raises(ValueError):
+        NormalDynamicsParams(m, d, k_e, f_H)
 
 
 def test_time_constant_of_complex_poles_is_m_over_d():
