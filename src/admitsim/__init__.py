@@ -27,11 +27,7 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import (
-    Pose,
-    pose10_encode,
-    rot6d_encode,
-)
+from .geometry import Pose
 from .harness import (
     RunLog,
     ScenarioConfig,

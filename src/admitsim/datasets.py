@@ -4,7 +4,8 @@ Dataset layout (little-endian):
   magic 'ADMS' | u32 version | 4-byte task code | u32 chunk horizon |
   u32 episode count | u64 total tuple count | u32 tuple count per episode |
   records of 14 f64 per tuple (10 pose/gripper + 3 normal + 1 contact flag).
-The contact flag is 0.0 or 1.0; a reader rejects any other value. A
+The task code is a name of `tasks.TASKS`, NUL-padded; the contact flag is 0.0
+or 1.0. A reader rejects any other value, and a writer any other task. A
 `SupervisionRecords` is written from its (n, 14) block as it is. A file's
 records are read back whole, by one read into one (total, 14) block, and each
 episode is a `SupervisionRecords` of its rows of that block, in file order.
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import IoFailure
 from .expert import RECORD_DIM, SupervisionRecords
 from .harness import SuiteRow
+from .tasks import TASKS
 
 MAGIC = b"ADMS"
 VERSION = 1
@@ -44,8 +46,11 @@ class Dataset:
 
 _HEADER = struct.Struct("<4sI4sIIQ")  # magic, version, task, horizon, episodes, tuples
 _RECORD_SIZE = 8 * RECORD_DIM
-# The most episodes one file holds: the header's u32 count.
-MAX_EPISODES = 2 ** 32 - 1
+# The header's task code of each task.
+_TASK_CODES = {task.encode("ascii").ljust(4, b"\0"): task for task in TASKS}
+# The most episodes one file holds, and the longest chunk horizon: the
+# header's u32 fields.
+MAX_EPISODES = MAX_HORIZON = 2 ** 32 - 1
 
 
 def write_dataset(path: str, ds: Dataset) -> list:
@@ -56,8 +61,15 @@ def write_dataset(path: str, ds: Dataset) -> list:
     holding one episode at a time. The header and the length table come
     last, by a seek back over zero bytes: until then the file has no magic,
     so read_dataset rejects a file that a failed or killed write left, and a
-    write that fails with an exception removes its file.
+    write that fails with an exception removes its file. A task not in TASKS
+    or a horizon outside the u32 range is a ValueError, before the file is
+    opened.
     """
+    if ds.task not in TASKS:
+        raise ValueError(f"unknown task {ds.task!r}; expected one of {', '.join(TASKS)}")
+    if not (isinstance(ds.horizon, Integral) and 0 <= ds.horizon <= MAX_HORIZON):
+        raise ValueError(f"horizon must be an integer in [0, {MAX_HORIZON}], "
+                         f"got {ds.horizon!r}")
     count = len(ds.episodes)
     lengths = []
     try:
@@ -81,8 +93,8 @@ def write_dataset(path: str, ds: Dataset) -> list:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read a dataset file; IoFailure unless its size is what its header implies
-    and every contact flag is 0.0 or 1.0.
+    """Read a dataset file; IoFailure unless its task code is known, its size
+    is what its header implies and every contact flag is 0.0 or 1.0.
 
     The records are read by one read into one owned (total, 14) block, and
     their flags checked at once. Each episode is a SupervisionRecords of its
@@ -97,9 +109,11 @@ def read_dataset(path: str) -> Dataset:
                 raise IoFailure(f"{path}: not a dataset file")
             if len(head) < _HEADER.size:
                 raise IoFailure(f"{path}: truncated header")
-            _, version, task, horizon, n_eps, total = _HEADER.unpack(head)
+            _, version, code, horizon, n_eps, total = _HEADER.unpack(head)
             if version != VERSION:
                 raise IoFailure(f"{path}: unsupported version {version}")
+            if code not in _TASK_CODES:
+                raise IoFailure(f"{path}: unknown task code {code!r}")
             table = 4 * n_eps
             if size < _HEADER.size + table:
                 raise IoFailure(f"{path}: truncated episode table")
@@ -109,10 +123,6 @@ def read_dataset(path: str) -> Dataset:
             expected = _HEADER.size + table + _RECORD_SIZE * total
             if size != expected:
                 raise IoFailure(f"{path}: {size} bytes where the header implies {expected}")
-            try:
-                task = task.rstrip(b"\0").decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise IoFailure(f"{path}: corrupt dataset: {exc}") from exc
             block = np.empty((total, RECORD_DIM), "<f8")
             got = fh.readinto(block)
             if got != block.nbytes:
@@ -128,7 +138,7 @@ def read_dataset(path: str) -> Dataset:
                         "is not 0.0 or 1.0")
     episodes = [SupervisionRecords(block[end - n:end])
                 for n, end in zip(lengths, accumulate(lengths))]
-    return Dataset(task, horizon, episodes)
+    return Dataset(_TASK_CODES[code], horizon, episodes)
 
 
 # --------------------------------------------------------------------------

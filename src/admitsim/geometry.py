@@ -1,11 +1,13 @@
 """Vector, quaternion, and trajectory primitives used by the controller and planners.
 
 Conventions:
-- A 3-vector is a tuple of three Python floats in SI units, a quaternion a
-  tuple of four (wxyz, unit norm, canonical sign w >= 0) and a `Pose` a pair
-  of them. The public constructors (`vec3`, `Pose`) coerce any sequence, an
-  array or a list, into that form.
-- The 6D rotation encoding is the first two columns of the rotation matrix.
+- A 3-vector is a tuple of three Python floats in SI units and a quaternion a
+  tuple of four (wxyz, unit norm, canonical sign w >= 0). Quaternions describe
+  environment geometry only: a board's rotation and its tilt, a door's yaw,
+  and the normal-cone noise of `policy.predict`. A `Pose` is an expert
+  waypoint, its position alone: the controller is translational. The public
+  constructors (`vec3`, `Pose`) coerce any sequence, an array or a list, into
+  that form.
 
 Numerics contract. Every dot product of 3-vectors whose value reaches state,
 a log or an output file is `dot3(a, b) = a0*b0 + a1*b1 + a2*b2`, evaluated left
@@ -28,8 +30,8 @@ columnwise sum too, and the ink grid's stroke distances `sqrt(dx*dx + dy*dy)`
 equal it.
 
 Per-value transcendentals come from the `math` module: `sqrt` is correctly
-rounded, and `sin`, `cos`, `atan2` and `acos` come from the C math library,
-so outputs are identical on any host with the same libm. On the reference
+rounded, and `sin`, `cos` and `atan2` come from the C math library, so
+outputs are identical on any host with the same libm. On the reference
 host numpy's `sqrt`, `sin` and `cos` ufuncs equal `math` bit for bit (a
 tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
@@ -39,22 +41,9 @@ finished episode, whose float series are column views of the loop's packed
 (n, 15) tick records, the ink grid, the verifier's lane chunks, judged a
 chunk of steps at a time, and a demo's supervision records, one (n, 14)
 float64 block in the dataset layout (`admitsim.datasets`) whose tuples are
-made as row views on access. Elementwise float arithmetic rounds exactly
-like numpy's, so the tuples carry the bits an array would: the records' 6D
-rotations, which `extract_supervision` writes per step on floats as the six
-entries of `_unit_matrix`'s expressions (that function serves floats and
-numpy columns alike), equal the per-pose `rot6d_encode` and a columnwise
-encoding of all a demo's quaternions; a predicted controller command's
-position is the float tuple of a record's `pose10[:3]` plus its position
-noise, added as arrays.
-
-Every quaternion keeps the `_unit_quat` passes of the formulas the outputs
-were pinned with (a slerp's own, the one of the `Pose` constructor): a
-repeated pass changes at least one component of about a third of unit
-quaternions. The planners build each waypoint's `Pose` once, with
-`tuple.__new__`, from floats that have had that pass. No quaternion reaches the
-translational controller: the 6D rotations of the supervision records reach
-the demo datasets only.
+made as row views on access. A predicted controller command's position is
+the float tuple of a record's `pose10[:3]` plus its position noise, added as
+arrays.
 """
 
 from __future__ import annotations
@@ -171,15 +160,7 @@ def quat_from_axis_angle(axis, angle: float) -> tuple:
 
 def _quat_matrix(q) -> tuple:
     """Rows of the rotation matrix of q, as float tuples."""
-    return _unit_matrix(*_unit_quat(q))
-
-
-def _unit_matrix(w, x, y, z) -> tuple:
-    """Rows of the rotation matrix of the unit quaternion (w, x, y, z).
-
-    The components are floats, or numpy columns of many quaternions, which
-    the same operations round alike.
-    """
+    w, x, y, z = _unit_quat(q)
     return (
         (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
         (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
@@ -190,34 +171,6 @@ def _unit_matrix(w, x, y, z) -> tuple:
 def quat_rotate(q, v) -> tuple:
     """The 3-vector v rotated by q."""
     return _matvec(_quat_matrix(q), v)
-
-
-def _slerp_ends(a, b) -> tuple:
-    """The terms of a shortest-arc slerp from a to b that do not depend on s.
-
-    (a, b, theta, sin theta) with a and b unit, b on a's hemisphere and theta
-    None where the two nearly coincide and the blend is linear.
-    """
-    aw, ax, ay, az = a = _unit_quat(a)
-    bw, bx, by, bz = b = _unit_quat(b)
-    dot = aw * bw + ax * bx + ay * by + az * bz
-    if dot < 0.0:
-        b = (-bw, -bx, -by, -bz)
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        return a, b, None, None
-    theta = math.acos(min(1.0, dot))
-    return a, b, theta, math.sin(theta)
-
-
-# --------------------------------------------------------------------------
-# 6D rotation encoding
-# --------------------------------------------------------------------------
-
-def rot6d_encode(q) -> tuple:
-    """First two columns of the rotation matrix, flattened column-first."""
-    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _quat_matrix(q)
-    return (r00, r10, r20, r01, r11, r21)
 
 
 # --------------------------------------------------------------------------
@@ -235,28 +188,23 @@ def _rodrigues_fixed(p, axis, pivot) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Poses and the 10-d pose/gripper encoding
+# Poses
 # --------------------------------------------------------------------------
 
 class _PoseFields(NamedTuple):
     position: tuple
-    orientation: tuple
 
 
 class Pose(_PoseFields):
-    """End-effector position (m) and orientation (unit quaternion, wxyz).
+    """An expert waypoint: the end-effector position (m).
 
-    The public constructor coerces both to float tuples and gives the
-    orientation one `_unit_quat` pass; code holding finished floats builds a
-    pose with `tuple.__new__(Pose, (position, orientation))`, which skips both.
+    The controller is translational, so a plan carries no orientation. The
+    public constructor coerces the position to a float tuple; code holding
+    finished floats builds a pose with `tuple.__new__(Pose, (position,))`,
+    which skips that.
     """
 
     __slots__ = ()
 
-    def __new__(cls, position, orientation):
-        return super().__new__(cls, vec3(position), _unit_quat(tuple(map(float, orientation))))
-
-
-def pose10_encode(pose: Pose, gripper: float) -> tuple:
-    """Pack (position, 6D rotation, gripper command) into 10 floats."""
-    return (*pose.position, *rot6d_encode(pose.orientation), float(gripper))
+    def __new__(cls, position):
+        return super().__new__(cls, vec3(position))

@@ -33,7 +33,6 @@ from .environments import (
     PlaneBoard,
 )
 from .expert import (
-    IDENTITY_Q,
     ZERO_NORMAL,
     PhaseLabel,
     SupervisionRecords,
@@ -128,7 +127,7 @@ def _build_door(rng, microwave: bool, **overrides) -> HingedDoor:
 # Demonstration generation
 # --------------------------------------------------------------------------
 
-HOME = Pose((0.0, 0.0, 0.35), IDENTITY_Q)
+HOME = Pose((0.0, 0.0, 0.35))
 GRASP_STEPS = 5
 
 
@@ -156,11 +155,11 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
     wipe = plan_wiping(board, passes=wipe_passes)
     start = wipe[0]
     nu = board.surface_normal
-    above = Pose(_along(start.position, 0.03, nu), start.orientation)
-    high = Pose(_along(above.position, 0.05, nu), start.orientation)
+    above = Pose(_along(start.position, 0.03, nu))
+    high = Pose(_along(above.position, 0.05, nu))
     approach = plan_free_motion([HOME, high, above], steps_per_segment=8)
     descend = plan_free_motion([above, start], steps_per_segment=4)[1:]
-    lift = Pose(_along(wipe[-1].position, 0.08, nu), wipe[-1].orientation)
+    lift = Pose(_along(wipe[-1].position, 0.08, nu))
     retract = plan_free_motion([wipe[-1], lift], steps_per_segment=6)[1:]
     dwell = [wipe[0]] * 6  # press and let the contact force converge before sweeping
     contact = dwell + wipe
@@ -174,7 +173,7 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
 def _ph_plan(hole: HoleFixture) -> tuple:
     insertion = plan_insertion(hole)
     rim_pose = insertion[0]
-    above = Pose(_along(rim_pose.position, 0.04, BORE_AXIS), rim_pose.orientation)
+    above = Pose(_along(rim_pose.position, 0.04, BORE_AXIS))
     approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
     contact = insertion[1:] + [insertion[-1]] * 10  # press at the bottom to secure depth
     return _chain(
@@ -185,11 +184,11 @@ def _ph_plan(hole: HoleFixture) -> tuple:
 
 def _door_plan(door: HingedDoor, target: float) -> tuple:
     """Grasp the handle, open the door to target (rad) and let go."""
-    grasp_pose = Pose(door.grasp0, IDENTITY_Q)
+    grasp_pose = Pose(door.grasp0)
     # Approach from above: a vertical standoff leaves the hinge azimuth (and
     # with it the inferred door angle) unbiased when the gripper closes.
     standoff_dir = (0.0, 0.0, 1.0)
-    pre = Pose(_along(door.grasp0, 0.08, standoff_dir), IDENTITY_Q)
+    pre = Pose(_along(door.grasp0, 0.08, standoff_dir))
     approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
     grasp_poses = [grasp_pose] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
@@ -199,7 +198,7 @@ def _door_plan(door: HingedDoor, target: float) -> tuple:
     # commanded arc before letting go.
     hold = [open_pose] * 12
     hold_normals = [arc_normals[-1]] * 12
-    away = Pose(_along(open_pose.position, 0.06, standoff_dir), open_pose.orientation)
+    away = Pose(_along(open_pose.position, 0.06, standoff_dir))
     retract_poses = plan_free_motion([open_pose, away], steps_per_segment=5)
     return _chain(
         _section(approach, PhaseLabel.APPROACH, 0.0),

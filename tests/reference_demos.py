@@ -1,11 +1,10 @@
 """Demo generation composed from the geometry helpers, as references.
 
 The planners, the ink stroke and `extract_supervision` write their vector
-and quaternion operations out on floats; the code below builds the same
-plans from `_lerp`, `_slerp`, `quat_mul`, `quat_from_axis_angle`,
-`_rodrigues`, `_perp` and `_normalize` calls, the stroke from numpy points,
-its cells one segment at a time, and the supervision block column by column,
-in the order of operations the outputs were pinned with. The tests hold the
+operations out on floats; the code below builds the same plans from `_lerp`,
+`_matvec`, `_rodrigues`, `_perp` and `_normalize` calls, the stroke from
+numpy points, its cells one segment at a time, and the supervision block
+column by column, in the order of operations the outputs were pinned with. The tests hold the
 flat code to them bit for bit, signed zeros included.
 """
 
@@ -16,9 +15,10 @@ import math
 import numpy as np
 
 from admitsim.environments import BOARD_EXTENT, CELL_SIZE, ERASER_HALF, PEN_RADIUS
-from admitsim.errors import DegenerateInput, EmptySchedule, LengthMismatch, NothingToWipe
+from admitsim.errors import EmptySchedule, LengthMismatch, NothingToWipe
 from admitsim.expert import (
     ARC_STEP,
+    IDENTITY_ROT6D,
     LANE_OVERLAP,
     MARGIN,
     PRESS_DEPTH,
@@ -34,12 +34,7 @@ from admitsim.geometry import (
     _normalize,
     _perp,
     _rodrigues_fixed,
-    _slerp_ends,
     _sub,
-    _unit_matrix,
-    _unit_quat,
-    quat_from_axis_angle,
-    quat_mul,
     sq_norm,
 )
 from admitsim.tasks import SCRIBBLE_SEG_LEN, SCRIBBLE_SEGMENTS
@@ -57,19 +52,6 @@ def _lerp(a, b, s: float) -> tuple:
     return (t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2)
 
 
-def _slerp(ends, s: float) -> tuple:
-    """Spherical interpolation at s in [0, 1] between the _slerp_ends."""
-    (aw, ax, ay, az), (bw, bx, by, bz), theta, sin_theta = ends
-    if theta is None:
-        # Nearly identical: linear blend keeps the endpoints exact.
-        wa, wb = 1.0 - s, s
-    else:
-        wa = math.sin((1.0 - s) * theta) / sin_theta
-        wb = math.sin(s * theta) / sin_theta
-    return _unit_quat((wa * aw + wb * bw, wa * ax + wb * bx, wa * ay + wb * by,
-                       wa * az + wb * bz))
-
-
 def _rodrigues(fixed, angle: float) -> tuple:
     """The point of the _rodrigues_fixed terms rotated by angle, as floats, in
     the order of operations of the array formula
@@ -80,24 +62,6 @@ def _rodrigues(fixed, angle: float) -> tuple:
     return (o0 + (r0 * c + x0 * s + k0 * omc),
             o1 + (r1 * c + x1 * s + k1 * omc),
             o2 + (r2 * c + x2 * s + k2 * omc))
-
-
-def _rot6d_columns(q: np.ndarray) -> np.ndarray:
-    """rot6d_encode of each row of an (n, 4) quaternion array, as an (n, 6) array.
-
-    The `_unit_quat` pass and the matrix are computed on columns: numpy's
-    elementwise operations and sqrt round like the float ones, so every row
-    equals rot6d_encode of that quaternion. The pass's canonical sign is left
-    out: it negates all four components, and each matrix entry is built from
-    products of two of them, which the common sign leaves unchanged, bit for
-    bit. A zero quaternion, or one with a NaN component, is DegenerateInput.
-    """
-    w, x, y, z = q.T
-    n = np.sqrt(w * w + x * x + y * y + z * z)
-    if not (n >= 1e-12).all():  # NaN fails the comparison too
-        raise DegenerateInput("zero quaternion")
-    (r00, r01, _), (r10, r11, _), (r20, r21, _) = _unit_matrix(w / n, x / n, y / n, z / n)
-    return np.column_stack((r00, r10, r20, r01, r11, r21))
 
 
 # --------------------------------------------------------------------------
@@ -111,11 +75,8 @@ def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]
         raise ValueError("steps_per_segment must be >= 1")
     poses = [schedule[0]]
     for a, b in zip(schedule[:-1], schedule[1:]):
-        pa, pb = a.position, b.position
-        ends = _slerp_ends(a.orientation, b.orientation)
         for i in range(1, steps_per_segment + 1):
-            s = i / steps_per_segment
-            poses.append(Pose._make((_lerp(pa, pb, s), _unit_quat(_slerp(ends, s)))))
+            poses.append(Pose._make((_lerp(a.position, b.position, i / steps_per_segment),)))
     return poses
 
 
@@ -134,7 +95,6 @@ def plan_wiping(board, passes: int = 1) -> list[Pose]:
     while lanes[-1] < y_hi - 1e-12:
         lanes.append(min(lanes[-1] + pitch, y_hi))
     R = board.frame
-    q = _unit_quat(board.rotation)
     rest = board.rest_point
     n = max(1, int(math.ceil((x_hi - x_lo) / STEP_LEN)))
     xs = [x_lo + (x_hi - x_lo) * i / n for i in range(n + 1)]
@@ -143,21 +103,17 @@ def plan_wiping(board, passes: int = 1) -> list[Pose]:
     for _ in range(passes):
         for li, y in enumerate(lanes):
             for x in xs[::-1] if li % 2 == 1 else xs:
-                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -PRESS_DEPTH))), q)))
+                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -PRESS_DEPTH))),)))
     return poses
 
 
-def _arc(start: Pose, axis, pivot, total: float,
-         sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
+def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
     n = int(math.ceil(total / ARC_STEP - 1e-12)) if total > 0 else 0
-    turn = _rodrigues_fixed(start.position, axis, pivot)
-    q0 = start.orientation
+    turn = _rodrigues_fixed(start, axis, pivot)
     poses, normals = [], []
     for i in range(n + 1):
-        ang = sign * min(total, i * ARC_STEP)
-        q = quat_mul(quat_from_axis_angle(axis, ang), q0)
-        p = _rodrigues(turn, ang)
-        poses.append(Pose._make((p, _unit_quat(q))))
+        p = _rodrigues(turn, sign * min(total, i * ARC_STEP))
+        poses.append(Pose._make((p,)))
         normals.append(_normalize(_perp(_sub(p, pivot), axis)))
     return poses, normals
 
@@ -226,7 +182,7 @@ def extract_supervision(poses, phases, grippers, normals) -> SupervisionRecords:
         normal_rows.append(unit)
     block = np.empty((len(contacts), RECORD_DIM))
     block[:, 0:3] = [p.position for p in poses[1:]]
-    block[:, 3:9] = _rot6d_columns(np.array([p.orientation for p in poses[1:]]))
+    block[:, 3:9] = IDENTITY_ROT6D
     block[:, 9] = grippers[:-1]
     block[:, 10:13] = normal_rows
     block[:, 13] = contacts

@@ -7,8 +7,10 @@ commands (verify, gen-demos, read_dataset). They only read perfbench/: the
 module is executed from its source, so no bytecode is written there.
 
 The benchmark's workloads also read package names as `admitsim.<module>.<name>`
-(the scripted suite disturbance, the task order, the builders); a rename would
-fail the benchmark run, so each such name in perfbench's source must resolve.
+(the scripted suite disturbance, the task order, the builders), and attributes
+off the package's objects (a read-back dataset and its tuples, an episode's
+log and config, the disturbance events); a rename would fail the benchmark
+run, so each such name in perfbench's source must resolve.
 """
 
 import importlib
@@ -125,3 +127,50 @@ def test_the_benchmark_reads_package_names():
 def test_package_name_read_by_the_benchmark_resolves(module, name):
     assert hasattr(importlib.import_module(f"admitsim.{module}"), name), \
         f"admitsim.{module}.{name} is missing"
+
+
+WORKLOADS_PY = os.path.join(os.path.dirname(LAYERS_PY), "workloads.py")
+
+# The names perfbench/workloads.py gives the package objects it reads:
+# a read-back dataset, one of its tuples, an episode's log and config, and a
+# scripted disturbance event.
+OBJECTS = ("ds", "tup", "log", "cfg", "ev")
+
+
+def read_attributes():
+    """Every (object, attribute) that perfbench/workloads.py reads off the
+    objects above, and every key it reads from an episode's metrics (`m`)."""
+    with open(WORKLOADS_PY) as fh:
+        source = fh.read()
+    reads = re.findall(rf"\b({'|'.join(OBJECTS)})\.(\w+)", source)
+    return sorted(set(reads)), sorted(set(re.findall(r"\bm\['(\w+)'\]", source)))
+
+
+ATTRIBUTES, METRIC_KEYS = read_attributes()
+
+
+@pytest.fixture(scope="module")
+def package_objects(tmp_path_factory):
+    """One real object of each kind: a read-back one-demo dataset and its first
+    tuple, and a short disturbed episode's log, config and first event."""
+    path = str(tmp_path_factory.mktemp("demos") / "demos.bin")
+    assert cli.main(["gen-demos", "--task", "WW", "--count", "1", "--out", path]) == 0
+    ds = datasets.read_dataset(path)
+    cfg = ScenarioConfig("PH", duration=0.5, disturbances=default_disturbance("PH"))
+    return {"ds": ds, "tup": next(iter(ds.episodes[0])), "log": harness.run_episode(cfg),
+            "cfg": cfg, "ev": cfg.disturbances[0]}
+
+
+def test_the_benchmark_reads_package_attributes():
+    assert {obj for obj, _ in ATTRIBUTES} == set(OBJECTS)
+    assert len(METRIC_KEYS) >= 4
+
+
+@pytest.mark.parametrize("obj,attr", ATTRIBUTES, ids=[f"{o}.{a}" for o, a in ATTRIBUTES])
+def test_attribute_read_by_the_benchmark_resolves(package_objects, obj, attr):
+    assert hasattr(package_objects[obj], attr), f"{obj}.{attr} is missing"
+
+
+@pytest.mark.parametrize("key", METRIC_KEYS)
+def test_metric_read_by_the_benchmark_is_logged(package_objects, key):
+    assert key in package_objects["log"].metrics

@@ -61,10 +61,11 @@ def test_calls_per_tick_within_the_budget(task):
 
 # Calls per supervision step over demos 0-19 of seed 0 (build_environment and
 # generate_demo). The helper compositions the planners, the ink stroke and
-# the extraction replaced made 13.33 (MO), 4.27 (PH), 8.35 (WW) and 15.43 (DO).
-# MO and DO include the one miss of the arc table (`expert._arc_table`) of a
-# fresh process; a warm table makes fewer calls.
-DEMO_CEILINGS = {"MO": 1.31, "PH": 0.91, "WW": 1.33, "DO": 1.30}
+# the extraction replaced made 13.33 (MO), 4.27 (PH), 8.35 (WW) and 15.43 (DO),
+# and the plans made 1.30, 0.86, 1.32 and 1.29 while they carried an
+# orientation. MO and DO include the one miss of the arc table
+# (`expert._arc_table`) of a fresh process; a warm table makes fewer calls.
+DEMO_CEILINGS = {"MO": 1.06, "PH": 0.73, "WW": 1.13, "DO": 1.06}
 
 
 def calls_per_demo_step(task: str) -> float:

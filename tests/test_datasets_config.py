@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import struct
 import tempfile
 from types import SimpleNamespace
@@ -61,20 +62,47 @@ class TestDataset:
         back = read_dataset(path)
         assert back.tuple_count == sum(len(e) for e in eps)
 
-    def test_rot6d_fields_encode_the_demo_orientations(self, tmp_path):
-        from admitsim.geometry import rot6d_encode
-        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
-        demo = generate_demo("WW", build_environment("WW", rng))
+    @pytest.mark.parametrize("task", TASKS)
+    def test_rot6d_columns_hold_the_identity(self, tmp_path, task):
+        """A plan carries no orientation: columns 3-8 of every record, generated
+        and read back, are the identity's 6D rotation, bit for bit."""
+        eps = [generate_demo(task, build_environment(task, np.random.default_rng(i))).tuples
+               for i in range(3)]
         path = str(tmp_path / "demo.bin")
-        write_dataset(path, Dataset("WW", 16, [demo.tuples]))
-        (ep,) = read_dataset(path).episodes
-        for t, tup in enumerate(ep):
-            want = np.array(rot6d_encode(demo.poses[t + 1].orientation))
-            assert tup.pose10[3:9].tobytes() == want.tobytes(), t
+        write_dataset(path, Dataset(task, 16, eps))
+        identity = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]).tobytes()
+        for ep in eps + read_dataset(path).episodes:
+            assert all(row.tobytes() == identity for row in ep.block[:, 3:9])
 
     def test_write_failure(self):
         with pytest.raises(IoFailure):
             write_dataset("/nonexistent-dir/x.bin", Dataset("WW", 16, []))
+
+    # A task or horizon that the header cannot hold: refused before the
+    # file is opened, so a file already at the path is left as it was.
+    @pytest.mark.parametrize("task,horizon,message", [
+        ("ZZ", 16, "unknown task 'ZZ'; expected one of MO, PH, WW, DO"),
+        ("PHXYZ", 16, "unknown task 'PHXYZ'"),
+        ("W\u00e9", 16, "unknown task 'W\u00e9'"),
+        ("WW", -1, "horizon must be an integer in [0, 4294967295], got -1"),
+        ("WW", 2 ** 32, "horizon must be an integer in [0, 4294967295], got 4294967296"),
+    ], ids=["unknown", "too-long", "non-ascii", "horizon-negative", "horizon-past-u32"])
+    def test_write_refuses_a_header_the_format_cannot_hold(self, tmp_path, task, horizon,
+                                                           message):
+        path = tmp_path / "demo.bin"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError) as exc:
+            write_dataset(str(path), Dataset(task, horizon, small_dataset().episodes))
+        assert type(exc.value) is ValueError and str(exc.value).startswith(message)
+        assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("code", [b"ZZ\0\0", b"PHXY", b"W\xc3\xa9\0", b"\0\0\0\0"],
+                             ids=["unknown", "too-long", "non-ascii", "empty"])
+    def test_an_unknown_task_code_is_io_failure(self, tmp_path, code):
+        raw = bytearray(_dataset_bytes(small_dataset()))
+        raw[8:12] = code  # after the magic and the version
+        with pytest.raises(IoFailure, match=f"unknown task code {re.escape(repr(code))}"):
+            _read_bytes(bytes(raw))
 
     def test_read_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"

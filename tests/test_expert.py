@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from reference_demos import _rot6d_columns
 from scenarios import flat_board, lever_door, microwave
 
 from admitsim.environments import (
@@ -18,12 +15,7 @@ from admitsim.environments import (
     HoleFixture,
     update_ink,
 )
-from admitsim.errors import (
-    DegenerateInput,
-    EmptySchedule,
-    LengthMismatch,
-    NothingToWipe,
-)
+from admitsim.errors import EmptySchedule, LengthMismatch, NothingToWipe
 from admitsim.expert import (
     ARC_STEP,
     INSERT_STEP,
@@ -37,15 +29,10 @@ from admitsim.expert import (
     plan_insertion,
     plan_wiping,
 )
-from admitsim.geometry import Pose, _normalize, pose10_encode, quat_rotate, rot6d_encode
+from admitsim.geometry import Pose, _normalize, quat_rotate
 from admitsim.tasks import build_environment, generate_demo
 
 Z = np.array([0.0, 0.0, 1.0])
-IDENTITY = (1.0, 0.0, 0.0, 0.0)
-
-
-def kp(pos):
-    return Pose(pos, IDENTITY)
 
 
 def radius(p, pivot, axis):
@@ -65,16 +52,16 @@ def radial(p, pivot, axis):
 
 class TestFreeMotion:
     def test_fencepost_count(self):
-        poses = plan_free_motion([kp((0, 0, 0)), kp((1, 0, 0))], steps_per_segment=10)
+        poses = plan_free_motion([Pose((0, 0, 0)), Pose((1, 0, 0))], steps_per_segment=10)
         assert len(poses) == 11
 
     def test_zero_length_segment_repeats(self):
-        poses = plan_free_motion([kp((0, 0, 0)), kp((0, 0, 0))], steps_per_segment=3)
+        poses = plan_free_motion([Pose((0, 0, 0)), Pose((0, 0, 0))], steps_per_segment=3)
         for p in poses:
             assert_allclose(p.position, np.zeros(3))
 
     def test_uniform_spacing(self):
-        poses = plan_free_motion([kp((0, 0, 0)), kp((0.2, 0, 0))], steps_per_segment=20)
+        poses = plan_free_motion([Pose((0, 0, 0)), Pose((0.2, 0, 0))], steps_per_segment=20)
         gaps = [np.linalg.norm(np.subtract(b.position, a.position))
                 for a, b in zip(poses, poses[1:])]
         assert_allclose(gaps, 0.01, atol=1e-12)
@@ -111,10 +98,9 @@ class TestInsertion:
             step = np.linalg.norm(np.subtract(b.position, a.position))
             assert step == pytest.approx(INSERT_STEP, abs=1e-12)
 
-    def test_the_peg_holds_the_identity_down_the_bore_axis(self):
+    def test_the_peg_descends_hole_depth_along_the_bore_axis(self):
         hole = HoleFixture(rim_center=(0.1, -0.2, 0.3))
         poses = plan_insertion(hole)
-        assert all(p.orientation == (1.0, 0.0, 0.0, 0.0) for p in poses)
         assert_allclose(np.subtract(poses[0].position, poses[-1].position),
                         HOLE_DEPTH * np.array(BORE_AXIS), atol=1e-15)
 
@@ -275,7 +261,7 @@ class TestPlanNormals:
 
 class TestSupervision:
     def make(self, n_steps, label=PhaseLabel.APPROACH):
-        poses = [Pose(np.array([0.01 * i, 0, 0.05]), IDENTITY) for i in range(n_steps)]
+        poses = [Pose(np.array([0.01 * i, 0, 0.05])) for i in range(n_steps)]
         phases = [label] * n_steps
         grippers = [1.0] * n_steps
         return poses, phases, grippers, [ZERO_NORMAL] * n_steps
@@ -378,28 +364,12 @@ class TestSupervisionRecords:
 
     @pytest.mark.parametrize("task", ["MO", "PH", "WW", "DO"])
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_each_pose10_is_pose10_encode_of_the_next_pose(self, task, seed):
-        # The 6D rotations are built columnwise; each row must be the
-        # per-pose encoding bit for bit.
+    def test_each_pose10_is_the_next_position_and_the_identity(self, task, seed):
         demo = generate_demo(task, build_environment(task, np.random.default_rng(seed)))
         assert len(demo.tuples) == len(demo.poses) - 1
         for t, tup in enumerate(demo.tuples):
-            want = np.array(pose10_encode(demo.poses[t + 1], tup.pose10[9]))
-            assert tup.pose10.tobytes() == want.tobytes(), t
-
-    @given(st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 4), min_size=1, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_rot6d_columns_equal_rot6d_encode(self, quats):
-        quats = [q for q in quats if math.sqrt(sum(c * c for c in q)) >= 1e-12]
-        if not quats:
-            return
-        got = _rot6d_columns(np.array(quats))
-        want = np.array([rot6d_encode(q) for q in quats])
-        assert got.tobytes() == want.tobytes()
-
-    def test_rot6d_columns_reject_a_zero_quaternion(self):
-        with pytest.raises(DegenerateInput, match="zero quaternion"):
-            _rot6d_columns(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+            want = np.array((*demo.poses[t + 1].position, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+            assert tup.pose10[:9].tobytes() == want.tobytes(), t
 
     @pytest.mark.parametrize("task", ["MO", "PH", "WW", "DO"])
     def test_iteration_gives_the_row_views_of_the_block(self, task):

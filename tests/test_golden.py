@@ -75,14 +75,14 @@ GOLDEN = {
     "do_baseline_mid_pulse": "61e70b7589580aaed048d69448cea5a0046edde89320add94af85d48e162d2aa",
     "trace_csv": "5343e7faf7009191d9a57e14dbb5865cb7cacdcc6f070633f030813b6db4cc66",
     "trace_csv_do": "735fef5a6b7a5c39e5e233d1c757cb3be7d3636e44bbc209a5e4623eed07da51",
-    "gen_demos": "703e76c5036d5543ec33e8ace7f14d450c74524e872474b41d00b9d592cae955",
+    "gen_demos": "2eccda7a009acb56fcb84e3066d3e23d8076f1db35738d406967cff0630a695a",
     "gen_demos_ph": "b0b2a9a023a9c0dc8df2de466372eae4edeec309ea272976a34e0a18059bfc55",
-    "gen_demos_mo": "c9a77488e7815ff94765507a1f864e1f0a19b7bca9783f9c9c4557b09ba7f305",
-    "gen_demos_do": "4958e64285bc5726e28657690c97be95b0e0e5453a8a80f33579bd685638d555",
-    "gen_demos_200_ww": "bab88851e0f33ce6ea3d6bdc3b62278a58a708364c062b9c60d31f0c355e04e8",
+    "gen_demos_mo": "b0ae67ceef87b592eaf1be08e8e6d3408331a8b14ed3f7242ca0a20ce0969f59",
+    "gen_demos_do": "f34eca92617508d6b5668936bfb12c00846c696d5f08904d7e62a9778efefb7f",
+    "gen_demos_200_ww": "4fb33ad3d05803306e32f943f1266b240912a9642529aafedd802ce32a40659f",
     "gen_demos_200_ph": "b5cc1c1690906b4c973996a04a7477c007b1445d959cb26fd86fe1770f795283",
-    "gen_demos_200_mo": "97b3ed6752c8027dc5e53509639124a1c1845ebd84f760931b12d67123819ad9",
-    "gen_demos_200_do": "28cdcbbd32a042c04f7725c4eef46e7dd8e3e5dc1273e84c37b4aac5a606ba12",
+    "gen_demos_200_mo": "fcf77ab85615b6408701741d6f32845308c1331ef31946028e88fc6594618b1c",
+    "gen_demos_200_do": "7c28441d4cb1dc890c117141d05c66cd470cc0df2b48f5b9bb9cc73e71f08904",
     "verification_csv": "d8986fba7f701372e98bfb582e6e6f7763e46a45390afbce269274642bb5cf24",
     "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
     "predict_chunks": "55bbafc328a93d28a6d8e2f25b30ba4dd456d93cee5629fed652a08a1e51f4cc",

@@ -417,12 +417,6 @@ class TestRunSuite:
     def test_empty(self):
         assert run_suite([]) == []
 
-    def test_identical_configs_identical_rows(self):
-        cfg = ScenarioConfig(task="WW", duration=6.0, seed=4, noise=SUITE_NOISE)
-        r1 = run_suite([cfg])
-        r2 = run_suite([cfg])
-        assert repr(r1) == repr(r2)
-
     def test_suite_csv_columns_are_the_row_fields(self, tmp_path):
         rows = run_suite([ScenarioConfig(task="PH", duration=0.5, seed=s) for s in range(2)])
         path = tmp_path / "suite.csv"
