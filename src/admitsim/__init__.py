@@ -8,6 +8,7 @@ from .admittance import (
     compute_damping,
     controller_tick,
 )
+from .datasets import read_dataset
 from .environments import (
     DisturbanceEvent,
     FrictionModel,
@@ -27,7 +28,6 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import Pose
 from .harness import (
     RunLog,
     ScenarioConfig,

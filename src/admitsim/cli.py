@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check/runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -20,11 +21,26 @@ from .datasets import (
     write_trace,
     write_verification_csv,
 )
-from .errors import AdmitSimError, ConfigParse
+from .errors import AdmitSimError, ConfigParse, IoFailure
 from .harness import ScenarioConfig, run_episode, run_suite
 from .policy import DEFAULT_HORIZON
 from .tasks import TASKS, build_environment, generate_demo
 from .verify import PROP3_T, run_default_verification
+
+
+def _check_out(path: str) -> None:
+    """IoFailure, naming path, unless a file can be written there: path is
+    not a directory, its directory exists, and the file, or for a new file
+    the directory, is writable. Checked before the first episode or check;
+    gen-demos opens its file before its first demo instead."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IoFailure(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise IoFailure(f"cannot write {path}: no directory {parent}")
+    # Writing an existing file truncates it, which needs only its own permission.
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise IoFailure(f"cannot write {path}: permission denied")
 
 
 def _cmd_gen_demos(args) -> int:
@@ -67,6 +83,7 @@ class _Demos:
 
 def _cmd_run(args) -> int:
     cfg = parse_scenario(args.config)
+    _check_out(args.out)
     log = run_episode(cfg)
     write_trace(args.out, log)
     m = log.metrics
@@ -83,6 +100,8 @@ def _cmd_verify(args) -> int:
     if args.config:
         from .config import parse_verify_params
         grid = parse_verify_params(args.config)
+    if args.out:
+        _check_out(args.out)
     try:
         reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
     except ValueError as exc:  # a horizon or a bound out of range
@@ -100,6 +119,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     cfgs = parse_suite(args.config)
+    _check_out(args.out)
     rows = run_suite(cfgs)
     write_suite_csv(args.out, rows)
     for r in rows:

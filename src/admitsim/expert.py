@@ -7,9 +7,10 @@ supervision is one (n, 14) float64 record block in the dataset layout, held
 as a `SupervisionRecords` whose iteration makes `SupervisionTuple` row views;
 `predict` reads the block's rows directly.
 
-The controller is translational, so a plan is positions only: a `Pose` holds
-no orientation. A record keeps the dataset's 14-float layout, and its 6D
-rotation columns (3-8) hold the identity's, `IDENTITY_ROT6D`, in every row.
+The controller is translational, so a plan is positions only: each waypoint
+is a float 3-tuple, with no orientation. A record keeps the dataset's
+14-float layout, and its 6D rotation columns (3-8) hold the identity's,
+`IDENTITY_ROT6D`, in every row.
 
 Float contract. Demo generation runs on Python floats, one straight pass per
 plan: the planners write their lerp, Rodrigues rotation and radial normal
@@ -19,7 +20,7 @@ These are the operations, in the order, of the helper compositions that the
 demos were pinned with (`_lerp`, `_rodrigues`, `_perp` and `_normalize`;
 `tests/reference_demos.py` keeps them), so every record carries the same
 bits. A value that repeats by object (a plan's contact normal over a run of
-poses) is worked on once.
+positions) is worked on once.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .environments import (
     PlaneBoard,
 )
 from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NothingToWipe
-from .geometry import Pose, _normalize, _rodrigues_fixed
+from .geometry import _normalize, _rodrigues_fixed
 
 
 class PhaseLabel(Enum):
@@ -108,11 +109,6 @@ class SupervisionRecords:
                    zip(block[:, :10], block[:, 10:13], map(int, block[:, 13].tolist())))
 
 
-# The planners build each waypoint's Pose from finished floats with
-# tuple.__new__, which skips the public constructor's coercion and
-# NamedTuple._make's Python call.
-_new = tuple.__new__
-
 # Placeholder normal for out-of-contact steps.
 ZERO_NORMAL = (0.0, 0.0, 0.0)
 
@@ -126,26 +122,25 @@ IDENTITY_ROT6D = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 # Planners
 # --------------------------------------------------------------------------
 
-def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]:
-    """Piecewise linear interpolation through the schedule of key poses.
+def plan_free_motion(schedule: list[tuple], steps_per_segment: int) -> list[tuple]:
+    """Piecewise linear interpolation through the schedule of key positions,
+    float 3-tuples.
 
-    One segment of s steps yields s+1 poses; later segments share their start
-    pose with the previous end, contributing s poses each. Step i of a
+    One segment of s steps yields s+1 positions; later segments share their
+    start with the previous end, contributing s positions each. Step i of a
     segment from a to b is (1 - i/s) a + (i/s) b, on floats.
     """
     if not schedule:
-        raise EmptySchedule("schedule has no key poses")
+        raise EmptySchedule("schedule has no key positions")
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
-    poses = [schedule[0]]
-    for a, b in zip(schedule[:-1], schedule[1:]):
-        a0, a1, a2 = a.position
-        b0, b1, b2 = b.position
+    positions = [schedule[0]]
+    for (a0, a1, a2), (b0, b1, b2) in zip(schedule[:-1], schedule[1:]):
         for i in range(1, steps_per_segment + 1):
             s = i / steps_per_segment
             t = 1.0 - s
-            poses.append(_new(Pose, ((t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2),)))
-    return poses
+            positions.append((t * a0 + s * b0, t * a1 + s * b1, t * a2 + s * b2))
+    return positions
 
 
 # The insertion's waypoint spacing along the bore axis (m), and the heights
@@ -155,12 +150,12 @@ _INSERT_HEIGHTS = tuple(max(0.0, HOLE_DEPTH - i * INSERT_STEP)
                         for i in range(int(math.ceil(HOLE_DEPTH / INSERT_STEP - 1e-12)) + 1))
 
 
-def plan_insertion(hole: HoleFixture) -> list[Pose]:
+def plan_insertion(hole: HoleFixture) -> list[tuple]:
     """Descend along BORE_AXIS from the rim, HOLE_DEPTH above the bottom,
     to the bottom in steps of INSERT_STEP."""
     b0, b1, b2 = hole.bottom_center()
     u0, u1, u2 = BORE_AXIS
-    return [_new(Pose, ((b0 + h * u0, b1 + h * u1, b2 + h * u2),)) for h in _INSERT_HEIGHTS]
+    return [(b0 + h * u0, b1 + h * u1, b2 + h * u2) for h in _INSERT_HEIGHTS]
 
 
 # Wiping: the sweep's waypoint spacing along a lane (m), the overlap of
@@ -173,7 +168,7 @@ MARGIN = 0.025
 PRESS_DEPTH = 0.004
 
 
-def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
+def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[tuple]:
     """Boustrophedon sweep over the bounding box of the inked cells.
 
     Lanes run along the board-frame x axis with pitch (1 - LANE_OVERLAP) times
@@ -203,11 +198,10 @@ def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
     c0, c1, c2 = board.rest_point
     z = -PRESS_DEPTH
     z0, z1, z2 = r02 * z, r12 * z, r22 * z
-    sweep: list[Pose] = []
+    sweep = []
     for li, y in enumerate(lanes):
         y0, y1, y2 = r01 * y, r11 * y, r21 * y
-        sweep += [_new(Pose, ((c0 + (r00 * x + y0 + z0), c1 + (r10 * x + y1 + z1),
-                               c2 + (r20 * x + y2 + z2)),))
+        sweep += [(c0 + (r00 * x + y0 + z0), c1 + (r10 * x + y1 + z1), c2 + (r20 * x + y2 + z2))
                   for x in (xs[::-1] if li % 2 == 1 else xs)]
     return sweep * passes
 
@@ -216,29 +210,30 @@ def plan_wiping(board: PlaneBoard, passes: int = 1) -> list[Pose]:
 ARC_STEP = math.radians(1.5)
 
 
-def plan_articulated(door: HingedDoor, target_angle: float) -> tuple[list[Pose], list[tuple]]:
+def plan_articulated(door: HingedDoor, target_angle: float) -> tuple[list[tuple], list[tuple]]:
     """Circular arcs about the ground-truth joint axes from the door's grasp
-    point, and the contact normal of each pose: the outward radial, as
+    point, and the contact normal of each position: the outward radial, as
     floats, of the circle it lies on.
 
     Microwave: a single arc about the hinge. Door: a handle-turn arc (to twice
     the latch threshold) followed by the hinge arc, encoding the turn-then-pull
-    sequence; the junction pose keeps the handle normal.
+    sequence; the junction position keeps the handle normal.
     """
     if door.microwave:
         return _arc(door.grasp0, HINGE_AXIS, door.hinge_pivot, target_angle, sign=OPENING_SIGN)
-    poses, normals = _arc(door.grasp0, door.handle_axis, door.handle_pivot,
-                          2.0 * LATCH_THRESHOLD)
-    pull, pull_normals = _arc(poses[-1].position, HINGE_AXIS, door.hinge_pivot,
-                              target_angle, sign=OPENING_SIGN)
-    # The junction pose is already emitted, with the handle normal.
-    return poses + pull[1:], normals + pull_normals[1:]
+    turn, normals = _arc(door.grasp0, door.handle_axis, door.handle_pivot,
+                         2.0 * LATCH_THRESHOLD)
+    pull, pull_normals = _arc(turn[-1], HINGE_AXIS, door.hinge_pivot, target_angle,
+                              sign=OPENING_SIGN)
+    # The junction position is already emitted, with the handle normal.
+    return turn + pull[1:], normals + pull_normals[1:]
 
 
-def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
+def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[tuple], list[tuple]]:
     """The point `start` turned about the line through pivot along the unit
     axis (float 3-sequences) by sign * min(total, i * ARC_STEP) for
-    i = 0 .. ceil(total / ARC_STEP), as poses; and the outward radial of each.
+    i = 0 .. ceil(total / ARC_STEP), as float 3-tuples; and the outward radial
+    of each.
 
     Each position is the Rodrigues rotation of the start, and each normal the
     unit radial of the position off the axis.
@@ -248,14 +243,14 @@ def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[Pose
         start, axis, pivot)
     a0, a1, a2 = axis
     c0, c1, c2 = pivot
-    poses, normals = [], []
+    positions, normals = [], []
     # A cache key equals its signed zero, and an arc of no turn (n == 0) may
     # turn by sign * -0.0: it gets a table of its own.
     for c, s, omc in (_arc_table if n else _arc_terms)(n, total, sign):
         p0 = o0 + (r0 * c + x0 * s + k0 * omc)
         p1 = o1 + (r1 * c + x1 * s + k1 * omc)
         p2 = o2 + (r2 * c + x2 * s + k2 * omc)
-        poses.append(_new(Pose, ((p0, p1, p2),)))
+        positions.append((p0, p1, p2))
         d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
         d = d0 * a0 + d1 * a1 + d2 * a2
         d0, d1, d2 = d0 - d * a0, d1 - d * a1, d2 - d * a2
@@ -263,7 +258,7 @@ def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[Pose
         if not d >= 1e-12:  # NaN fails the comparison too
             raise DegenerateInput(f"cannot normalize near-zero vector (norm={d:g})")
         normals.append((d0 / d, d1 / d, d2 / d))
-    return poses, normals
+    return positions, normals
 
 
 def _arc_terms(n: int, total: float, sign: float) -> tuple:
@@ -286,27 +281,28 @@ _arc_table = lru_cache(maxsize=8)(_arc_terms)
 # Supervision extraction
 # --------------------------------------------------------------------------
 
-def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: list[float],
-                        normals: list) -> SupervisionRecords:
-    """Shifted supervision: tuple[t] = (pose[t+1], normal at t+1, contact[t]).
+def extract_supervision(positions: list[tuple], phases: list[PhaseLabel],
+                        grippers: list[float], normals: list) -> SupervisionRecords:
+    """Shifted supervision: tuple[t] = (position[t+1], normal at t+1, contact[t]).
 
     The gripper command in the 10-vector is the expert command at time t.
-    `normals` holds the plan's contact normal of each pose, float 3-sequences
-    (ZERO_NORMAL out of contact); a contact step's normal is that of pose t+1,
-    unit-normalized, or pose t's where contact ends at t+1. Columns 3-8
-    hold IDENTITY_ROT6D. One loop packs each step's 14 floats as it makes
-    them, and the owned (n, 14) block is a copy of the joined bytes.
+    `normals` holds the plan's contact normal of each position, float
+    3-sequences (ZERO_NORMAL out of contact); a contact step's normal is that
+    of position t+1, unit-normalized, or position t's where contact ends at
+    t+1. Columns 3-8 hold IDENTITY_ROT6D. One loop packs each step's 14
+    floats as it makes them, and the owned (n, 14) block is a copy of the
+    joined bytes.
     """
-    if not (len(poses) == len(phases) == len(grippers) == len(normals)):
-        raise LengthMismatch("poses, phases, grippers, normals must have equal lengths")
-    if len(poses) < 2:
+    if not (len(positions) == len(phases) == len(grippers) == len(normals)):
+        raise LengthMismatch("positions, phases, grippers, normals must have equal lengths")
+    if len(positions) < 2:
         raise LengthMismatch("need at least two steps to extract supervision")
-    # A plan repeats one phase label and normal object over a run of poses:
+    # A plan repeats one phase label and normal object over a run of positions:
     # each is worked on where a new one starts.
     label = flag = last = unit = None
     pack, rows = _RECORD.pack, []
-    for pose, phase, gripper, n_at, n_next in zip(poses[1:], phases, grippers, normals,
-                                                  normals[1:]):
+    for position, phase, gripper, n_at, n_next in zip(positions[1:], phases, grippers,
+                                                      normals, normals[1:]):
         if phase is not label:
             label, flag = phase, phase.contact_flag
         if not flag:
@@ -324,6 +320,6 @@ def extract_supervision(poses: list[Pose], phases: list[PhaseLabel], grippers: l
                     raise DegenerateInput(f"cannot normalize near-zero vector (norm={r:g})")
                 last = n_next
                 normal = unit = (n0 / r, n1 / r, n2 / r)
-        rows.append(pack(*pose.position, *IDENTITY_ROT6D, gripper, *normal, flag))
+        rows.append(pack(*position, *IDENTITY_ROT6D, gripper, *normal, flag))
     block = np.frombuffer(b"".join(rows)).reshape(len(rows), RECORD_DIM)
     return SupervisionRecords(block.copy())

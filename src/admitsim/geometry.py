@@ -4,10 +4,9 @@ Conventions:
 - A 3-vector is a tuple of three Python floats in SI units and a quaternion a
   tuple of four (wxyz, unit norm, canonical sign w >= 0). Quaternions describe
   environment geometry only: a board's rotation and its tilt, a door's yaw,
-  and the normal-cone noise of `policy.predict`. A `Pose` is an expert
-  waypoint, its position alone: the controller is translational. The public
-  constructors (`vec3`, `Pose`) coerce any sequence, an array or a list, into
-  that form.
+  and the normal-cone noise of `policy.predict`. An expert waypoint is a
+  3-vector, its position alone: the controller is translational. The public
+  constructor `vec3` coerces any sequence, an array or a list, into that form.
 
 Numerics contract. Every dot product of 3-vectors whose value reaches state,
 a log or an output file is `dot3(a, b) = a0*b0 + a1*b1 + a2*b2`, evaluated left
@@ -49,7 +48,6 @@ arrays.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DegenerateInput
 
@@ -186,25 +184,3 @@ def _rodrigues_fixed(p, axis, pivot) -> tuple:
     a0, a1, a2 = axis
     return pivot, r, _cross(axis, r), (a0 * k, a1 * k, a2 * k)
 
-
-# --------------------------------------------------------------------------
-# Poses
-# --------------------------------------------------------------------------
-
-class _PoseFields(NamedTuple):
-    position: tuple
-
-
-class Pose(_PoseFields):
-    """An expert waypoint: the end-effector position (m).
-
-    The controller is translational, so a plan carries no orientation. The
-    public constructor coerces the position to a float tuple; code holding
-    finished floats builds a pose with `tuple.__new__(Pose, (position,))`,
-    which skips that.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, position):
-        return super().__new__(cls, vec3(position))

@@ -218,7 +218,7 @@ class _Episode:
         self.held = (None, False, False)  # the last disturbance result, held once settled
         self.k = 0            # the next tick
         self.ended = False    # the plan and its settle tail ran out, or a safety stop
-        self.state = ControllerState(self.demo.poses[0].position, (0.0, 0.0, 0.0))
+        self.state = ControllerState(self.demo.positions[0], (0.0, 0.0, 0.0))
         self.chunk = self.cmd = None
         self.phase_idx = 0
         self.over = 0

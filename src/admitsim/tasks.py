@@ -3,7 +3,8 @@
 Task codes: MO (microwave opening), PH (peg-in-hole), WW (whiteboard wiping),
 DO (door opening). Initial object poses are randomized per seed within the
 documented evaluation ranges; demonstrations chain approach / grasp / contact /
-retract phases and end with shifted supervision tuples.
+retract phases of end-effector positions, float 3-tuples, and end with shifted
+supervision tuples.
 
 Everything that sets one task apart is its `TaskSpec` record in `TASK_SPECS`.
 The harness and the two entry points below read it; no code branches on the
@@ -42,17 +43,16 @@ from .expert import (
     plan_insertion,
     plan_wiping,
 )
-from .geometry import Pose, _add, quat_from_axis_angle, quat_rotate
+from .geometry import _add, quat_from_axis_angle, quat_rotate
 
 
 @dataclass
 class Demo:
-    """One expert rollout: aligned pose and phase streams plus supervision."""
+    """One expert rollout: aligned position and phase streams plus supervision."""
 
-    task: str
-    poses: list
-    phases: list  # one PhaseLabel per pose
-    tuples: SupervisionRecords  # one per pose but the last
+    positions: list  # float 3-tuples
+    phases: list  # one PhaseLabel per position
+    tuples: SupervisionRecords  # one per position but the last
 
     def __len__(self):
         return len(self.tuples)
@@ -127,12 +127,12 @@ def _build_door(rng, microwave: bool, **overrides) -> HingedDoor:
 # Demonstration generation
 # --------------------------------------------------------------------------
 
-HOME = Pose((0.0, 0.0, 0.35))
+HOME = (0.0, 0.0, 0.35)
 GRASP_STEPS = 5
 
 
 def _chain(*sections) -> tuple:
-    """Concatenate (poses, phases, grippers, normals) sections."""
+    """Concatenate (positions, phases, grippers, normals) sections."""
     return tuple(list(chain.from_iterable(parts)) for parts in zip(*sections))
 
 
@@ -143,23 +143,24 @@ def _along(p, s: float, d) -> tuple:
     return (p0 + s * d0, p1 + s * d1, p2 + s * d2)
 
 
-def _section(poses, label: PhaseLabel, gripper, normals=None):
-    """One phase of a plan: its poses, labels, gripper commands (one for all,
-    or one per pose) and contact normals (one per pose; ZERO_NORMAL if None)."""
-    n = len(poses)
+def _section(positions, label: PhaseLabel, gripper, normals=None):
+    """One phase of a plan: its positions, labels, gripper commands (one for
+    all, or one per position) and contact normals (one per position;
+    ZERO_NORMAL if None)."""
+    n = len(positions)
     grippers = [gripper] * n if np.isscalar(gripper) else list(gripper)
-    return poses, [label] * n, grippers, [ZERO_NORMAL] * n if normals is None else normals
+    return positions, [label] * n, grippers, [ZERO_NORMAL] * n if normals is None else normals
 
 
 def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
     wipe = plan_wiping(board, passes=wipe_passes)
     start = wipe[0]
     nu = board.surface_normal
-    above = Pose(_along(start.position, 0.03, nu))
-    high = Pose(_along(above.position, 0.05, nu))
+    above = _along(start, 0.03, nu)
+    high = _along(above, 0.05, nu)
     approach = plan_free_motion([HOME, high, above], steps_per_segment=8)
     descend = plan_free_motion([above, start], steps_per_segment=4)[1:]
-    lift = Pose(_along(wipe[-1].position, 0.08, nu))
+    lift = _along(wipe[-1], 0.08, nu)
     retract = plan_free_motion([wipe[-1], lift], steps_per_segment=6)[1:]
     dwell = [wipe[0]] * 6  # press and let the contact force converge before sweeping
     contact = dwell + wipe
@@ -172,9 +173,9 @@ def _ww_plan(board: PlaneBoard, wipe_passes: int) -> tuple:
 
 def _ph_plan(hole: HoleFixture) -> tuple:
     insertion = plan_insertion(hole)
-    rim_pose = insertion[0]
-    above = Pose(_along(rim_pose.position, 0.04, BORE_AXIS))
-    approach = plan_free_motion([HOME, above, rim_pose], steps_per_segment=8)
+    rim = insertion[0]
+    above = _along(rim, 0.04, BORE_AXIS)
+    approach = plan_free_motion([HOME, above, rim], steps_per_segment=8)
     contact = insertion[1:] + [insertion[-1]] * 10  # press at the bottom to secure depth
     return _chain(
         _section(approach, PhaseLabel.APPROACH, 1.0),
@@ -184,27 +185,27 @@ def _ph_plan(hole: HoleFixture) -> tuple:
 
 def _door_plan(door: HingedDoor, target: float) -> tuple:
     """Grasp the handle, open the door to target (rad) and let go."""
-    grasp_pose = Pose(door.grasp0)
+    grasp = door.grasp0
     # Approach from above: a vertical standoff leaves the hinge azimuth (and
     # with it the inferred door angle) unbiased when the gripper closes.
     standoff_dir = (0.0, 0.0, 1.0)
-    pre = Pose(_along(door.grasp0, 0.08, standoff_dir))
-    approach = plan_free_motion([HOME, pre, grasp_pose], steps_per_segment=8)
-    grasp_poses = [grasp_pose] * GRASP_STEPS
+    pre = _along(grasp, 0.08, standoff_dir)
+    approach = plan_free_motion([HOME, pre, grasp], steps_per_segment=8)
+    grasp_hold = [grasp] * GRASP_STEPS
     grasp_grip = [min(1.0, (i + 1) / GRASP_STEPS) for i in range(GRASP_STEPS)]
     arc, arc_normals = plan_articulated(door, target)
-    open_pose = arc[-1]
-    # Hold the end pose grasped so the compliant reference catches up with the
-    # commanded arc before letting go.
-    hold = [open_pose] * 12
+    opened = arc[-1]
+    # Hold the end position grasped so the compliant reference catches up with
+    # the commanded arc before letting go.
+    hold = [opened] * 12
     hold_normals = [arc_normals[-1]] * 12
-    away = Pose(_along(open_pose.position, 0.06, standoff_dir))
-    retract_poses = plan_free_motion([open_pose, away], steps_per_segment=5)
+    away = _along(opened, 0.06, standoff_dir)
+    retract = plan_free_motion([opened, away], steps_per_segment=5)
     return _chain(
         _section(approach, PhaseLabel.APPROACH, 0.0),
-        _section(grasp_poses, PhaseLabel.GRASP, grasp_grip),
+        _section(grasp_hold, PhaseLabel.GRASP, grasp_grip),
         _section(arc + hold, PhaseLabel.CONTACT, 1.0, arc_normals + hold_normals),
-        _section(retract_poses, PhaseLabel.RETRACT, 0.0),
+        _section(retract, PhaseLabel.RETRACT, 0.0),
     )
 
 
@@ -220,7 +221,7 @@ class TaskSpec:
     suite_disturbance: tuple    # the scripted events of a disturbed suite run
     env_keys: tuple             # the overrides `build` passes to the environment
     build: Callable             # (rng, **overrides) -> the randomized environment
-    plan: Callable              # (env[, wipe_passes]) -> (poses, phases, grippers, normals)
+    plan: Callable              # (env[, wipe_passes]) -> (positions, phases, grippers, normals)
     metric: str                 # the final metric that decides success, env.measure's value
     threshold: float
     meets: Callable = operator.ge  # meets(metric, threshold): success
@@ -283,6 +284,6 @@ def build_environment(task: str, rng: np.random.Generator,
 
 def generate_demo(task: str, env, wipe_passes: int = 1) -> Demo:
     spec = task_spec(task)
-    poses, phases, grippers, normals = (spec.plan(env, wipe_passes) if spec.multipass
-                                        else spec.plan(env))
-    return Demo(task, poses, phases, extract_supervision(poses, phases, grippers, normals))
+    positions, phases, grippers, normals = (spec.plan(env, wipe_passes) if spec.multipass
+                                            else spec.plan(env))
+    return Demo(positions, phases, extract_supervision(positions, phases, grippers, normals))

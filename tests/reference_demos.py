@@ -28,7 +28,6 @@ from admitsim.expert import (
     SupervisionRecords,
 )
 from admitsim.geometry import (
-    Pose,
     _add,
     _matvec,
     _normalize,
@@ -68,19 +67,19 @@ def _rodrigues(fixed, angle: float) -> tuple:
 # Planners
 # --------------------------------------------------------------------------
 
-def plan_free_motion(schedule: list[Pose], steps_per_segment: int) -> list[Pose]:
+def plan_free_motion(schedule: list[tuple], steps_per_segment: int) -> list[tuple]:
     if not schedule:
-        raise EmptySchedule("schedule has no key poses")
+        raise EmptySchedule("schedule has no key positions")
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
-    poses = [schedule[0]]
+    positions = [schedule[0]]
     for a, b in zip(schedule[:-1], schedule[1:]):
         for i in range(1, steps_per_segment + 1):
-            poses.append(Pose._make((_lerp(a.position, b.position, i / steps_per_segment),)))
-    return poses
+            positions.append(_lerp(a, b, i / steps_per_segment))
+    return positions
 
 
-def plan_wiping(board, passes: int = 1) -> list[Pose]:
+def plan_wiping(board, passes: int = 1) -> list[tuple]:
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     centers = board.ink.inked_centers()
@@ -99,23 +98,23 @@ def plan_wiping(board, passes: int = 1) -> list[Pose]:
     n = max(1, int(math.ceil((x_hi - x_lo) / STEP_LEN)))
     xs = [x_lo + (x_hi - x_lo) * i / n for i in range(n + 1)]
 
-    poses: list[Pose] = []
+    positions = []
     for _ in range(passes):
         for li, y in enumerate(lanes):
             for x in xs[::-1] if li % 2 == 1 else xs:
-                poses.append(Pose._make((_add(rest, _matvec(R, (x, y, -PRESS_DEPTH))),)))
-    return poses
+                positions.append(_add(rest, _matvec(R, (x, y, -PRESS_DEPTH))))
+    return positions
 
 
-def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[Pose], list[tuple]]:
+def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[tuple], list[tuple]]:
     n = int(math.ceil(total / ARC_STEP - 1e-12)) if total > 0 else 0
     turn = _rodrigues_fixed(start, axis, pivot)
-    poses, normals = [], []
+    positions, normals = [], []
     for i in range(n + 1):
         p = _rodrigues(turn, sign * min(total, i * ARC_STEP))
-        poses.append(Pose._make((p,)))
+        positions.append(p)
         normals.append(_normalize(_perp(_sub(p, pivot), axis)))
-    return poses, normals
+    return positions, normals
 
 
 # --------------------------------------------------------------------------
@@ -161,10 +160,10 @@ def near(grid, pts, i_lo, i_hi, j_lo, j_hi) -> np.ndarray:
 # Supervision extraction
 # --------------------------------------------------------------------------
 
-def extract_supervision(poses, phases, grippers, normals) -> SupervisionRecords:
-    if not (len(poses) == len(phases) == len(grippers) == len(normals)):
-        raise LengthMismatch("poses, phases, grippers, normals must have equal lengths")
-    if len(poses) < 2:
+def extract_supervision(positions, phases, grippers, normals) -> SupervisionRecords:
+    if not (len(positions) == len(phases) == len(grippers) == len(normals)):
+        raise LengthMismatch("positions, phases, grippers, normals must have equal lengths")
+    if len(positions) < 2:
         raise LengthMismatch("need at least two steps to extract supervision")
     contacts = [ph.contact_flag for ph in phases[:-1]]
     last = unit = None
@@ -181,7 +180,7 @@ def extract_supervision(poses, phases, grippers, normals) -> SupervisionRecords:
             last, unit = n, _normalize(n)
         normal_rows.append(unit)
     block = np.empty((len(contacts), RECORD_DIM))
-    block[:, 0:3] = [p.position for p in poses[1:]]
+    block[:, 0:3] = positions[1:]
     block[:, 3:9] = IDENTITY_ROT6D
     block[:, 9] = grippers[:-1]
     block[:, 10:13] = normal_rows

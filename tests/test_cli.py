@@ -277,6 +277,50 @@ class TestVerifyCommand:
         assert "Traceback" not in err
 
 
+# The shipped 200-episode suite.
+BASELINE_SUITE = str(Path(__file__).parents[1] / "configs" / "ww_baseline_suite.ini")
+
+
+class TestOutIsCheckedFirst:
+    """run, suite and verify refuse an --out that cannot be written with exit 1
+    before their first episode or check."""
+
+    @pytest.fixture()
+    def command(self, request, tmp_path, monkeypatch):
+        """The argv of the command up to --out; running its work fails the test."""
+        def never(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        for name in ("run_suite", "run_episode", "run_default_verification"):
+            monkeypatch.setattr(cli, name, never)
+        scenario = tmp_path / "c.ini"
+        scenario.write_text(SCENARIO)
+        return {"run": ["run", "--config", str(scenario)],
+                "suite": ["suite", "--config", BASELINE_SUITE],
+                "verify": ["verify"]}[request.param]
+
+    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    def test_a_missing_directory(self, command, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main([*command, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: no directory " \
+                                          f"{tmp_path / 'missing'}\n"
+
+    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    def test_a_directory(self, command, tmp_path, capsys):
+        assert main([*command, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    def test_an_unwritable_directory(self, command, tmp_path, monkeypatch, capsys):
+        # A superuser may write anywhere, so the denial is the access check's.
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path))
+        out = str(tmp_path / "x.csv")
+        assert main([*command, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: permission denied\n"
+        assert not os.path.exists(out)
+
+
 def shift_event(**values):
     """A PH scenario with one shift disturbance, some of its values replaced."""
     event = {"start": 1.0, "duration": 2.0, "magnitude": 0.01, "ramp": 0.5, "omega": 6.0,

@@ -30,12 +30,8 @@ from admitsim.expert import (
     plan_free_motion,
     plan_wiping,
 )
-from admitsim.geometry import Pose, _normalize
+from admitsim.geometry import _normalize
 from admitsim.tasks import TASKS, _scribble, build_environment, task_spec
-
-
-def pose_bytes(poses) -> bytes:
-    return b"".join(struct.pack("<3d", *p.position) for p in poses)
 
 
 def vec_bytes(vectors) -> bytes:
@@ -70,7 +66,7 @@ unit_axes = st.one_of(
         lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-2).map(_normalize),
 )
 
-schedules = st.lists(st.builds(Pose, positions), min_size=1, max_size=4)
+schedules = st.lists(positions, min_size=1, max_size=4)
 
 
 # --------------------------------------------------------------------------
@@ -82,10 +78,10 @@ class TestFreeMotion:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_lerp(self, schedule, steps):
         got = plan_free_motion(schedule, steps)
-        assert pose_bytes(got) == pose_bytes(ref.plan_free_motion(schedule, steps))
+        assert vec_bytes(got) == vec_bytes(ref.plan_free_motion(schedule, steps))
 
     def test_rejections_match(self):
-        for args in (([], 3), ([Pose((0.0, 0.0, 0.0))], 0)):
+        for args in (([], 3), ([(0.0, 0.0, 0.0)], 0)):
             assert outcome(plan_free_motion, *args) == outcome(ref.plan_free_motion, *args)
 
 
@@ -100,8 +96,8 @@ class TestArc:
         if isinstance(want, tuple) and isinstance(want[0], type):  # a start on the axis
             assert got == want
             return
-        (poses, normals), (ref_poses, ref_normals) = got, want
-        assert pose_bytes(poses) == pose_bytes(ref_poses)
+        (positions, normals), (ref_positions, ref_normals) = got, want
+        assert vec_bytes(positions) == vec_bytes(ref_positions)
         assert vec_bytes(normals) == vec_bytes(ref_normals)
 
     def test_a_start_on_the_axis_is_degenerate_on_both(self):
@@ -126,12 +122,12 @@ class TestWiping:
     def test_equals_the_matvec_sweep(self, center, rotation, seed, tilt, passes):
         board = board_with_ink(center, rotation, seed, tilt)
         got = plan_wiping(board, passes)
-        assert pose_bytes(got) == pose_bytes(ref.plan_wiping(board, passes))
+        assert vec_bytes(got) == vec_bytes(ref.plan_wiping(board, passes))
 
     def test_each_pass_repeats_the_first(self):
         board = board_with_ink((0.3, 0.0, 0.12), (1.0, 0.0, 0.0, 0.0), 5, 0.0)
         one, three = plan_wiping(board, 1), plan_wiping(board, 3)
-        assert pose_bytes(three) == pose_bytes(one * 3) == pose_bytes(ref.plan_wiping(board, 3))
+        assert vec_bytes(three) == vec_bytes(one * 3) == vec_bytes(ref.plan_wiping(board, 3))
 
 
 # --------------------------------------------------------------------------
@@ -214,9 +210,9 @@ class TestNear:
 # Supervision extraction
 # --------------------------------------------------------------------------
 
-def assert_extract_matches(poses, phases, grippers, normals):
-    got = outcome(extract_supervision, poses, phases, grippers, normals)
-    want = outcome(ref.extract_supervision, poses, phases, grippers, normals)
+def assert_extract_matches(positions, phases, grippers, normals):
+    got = outcome(extract_supervision, positions, phases, grippers, normals)
+    want = outcome(ref.extract_supervision, positions, phases, grippers, normals)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -226,14 +222,14 @@ def assert_extract_matches(poses, phases, grippers, normals):
 
 @st.composite
 def plans(draw):
-    """(poses, phases, grippers, normals) of 2-8 steps. The normals are shared
-    by object over runs of poses, fresh, unit or not, or ZERO_NORMAL, under
+    """(positions, phases, grippers, normals) of 2-8 steps. The normals are
+    shared by object over runs of positions, fresh, unit or not, or ZERO_NORMAL, under
     any phase: contact may end anywhere."""
     n = draw(st.integers(2, 8))
     shared = draw(st.tuples(*[floats(-2.0, 2.0)] * 3))
     normal = st.one_of(st.just(ZERO_NORMAL), st.just(shared),
                        st.tuples(*[floats(-2.0, 2.0)] * 3))
-    steps = st.tuples(st.builds(Pose, positions), st.sampled_from(PhaseLabel),
+    steps = st.tuples(positions, st.sampled_from(PhaseLabel),
                       floats(0.0, 1.0), normal)
     return tuple(map(list, zip(*draw(st.lists(steps, min_size=n, max_size=n)))))
 
@@ -257,22 +253,23 @@ class TestExtractSupervision:
         assert_extract_matches(*plan)
 
     def test_a_contact_that_ends_mid_plan(self):
-        # Contact at steps 0-2; pose 3 has no normal, so step 2 keeps pose 2's.
-        poses = [Pose((0.1 * i, -0.0, 0.2)) for i in range(6)]
+        # Contact at steps 0-2; position 3 has no normal, so step 2 keeps
+        # position 2's.
+        positions = [(0.1 * i, -0.0, 0.2) for i in range(6)]
         phases = [PhaseLabel.CONTACT] * 3 + [PhaseLabel.RETRACT] * 3
         nu = (0.0, -0.6, 0.8)
         normals = [nu, nu, (0.0, 0.0, 2.0), ZERO_NORMAL, ZERO_NORMAL, ZERO_NORMAL]
-        got = extract_supervision(poses, phases, [1.0] * 6, normals)
+        got = extract_supervision(positions, phases, [1.0] * 6, normals)
         assert got.block[2, 10:13].tolist() == [0.0, 0.0, 1.0]
-        assert_extract_matches(poses, phases, [1.0] * 6, normals)
+        assert_extract_matches(positions, phases, [1.0] * 6, normals)
 
     def test_a_degenerate_normal_raises_alike(self):
-        poses = [Pose((0.0, 0.0, 0.0)) for _ in range(3)]
+        positions = [(0.0, 0.0, 0.0)] * 3
         normals = [(0.0, 0.0, 1.0), (math.nan, 0.0, 1.0), (0.0, 0.0, 1.0)]
         phases = [PhaseLabel.CONTACT] * 3
-        got = outcome(extract_supervision, poses, phases, [1.0] * 3, normals)
+        got = outcome(extract_supervision, positions, phases, [1.0] * 3, normals)
         assert got[0].__name__ == "DegenerateInput"
-        assert_extract_matches(poses, phases, [1.0] * 3, normals)
+        assert_extract_matches(positions, phases, [1.0] * 3, normals)
 
     def test_the_block_owns_its_buffer(self):
         block = extract_supervision(*task_plan("DO", 1, 1)).block

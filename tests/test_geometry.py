@@ -10,7 +10,6 @@ from reference_demos import _rodrigues
 
 from admitsim.errors import DegenerateInput
 from admitsim.geometry import (
-    Pose,
     _normalize,
     _quat_matrix,
     _rodrigues_fixed,
@@ -100,17 +99,3 @@ def test_quat_mul_matches_matrix_product():
         a, b = random_quat(rng), random_quat(rng)
         assert_allclose(matrix(quat_mul(a, b)), matrix(a) @ matrix(b), atol=1e-12)
 
-
-@pytest.mark.parametrize("position", [
-    [0.0, 0.0],            # a position of 2 components
-    [0.0, 0.0, 0.0, 0.0],  # ... or of 4
-])
-def test_pose_rejects_malformed_components(position):
-    with pytest.raises(ValueError):
-        Pose(position)
-
-
-def test_pose_holds_float_tuples():
-    pose = Pose(np.array([1, 2, 3]))
-    assert pose == ((1.0, 2.0, 3.0),)
-    assert all(type(x) is float for x in pose.position)
