@@ -30,9 +30,11 @@ from .verify import PROP3_T, run_default_verification
 
 def _check_out(path: str) -> None:
     """IoFailure, naming path, unless a file can be written there: path is
-    not a directory, its directory exists, and the file, or for a new file
-    the directory, is writable. Checked before the first episode or check;
-    gen-demos opens its file before its first demo instead."""
+    not empty and not a directory, its directory exists, and the file, or for
+    a new file the directory, is writable. Checked before the first episode or
+    check; gen-demos opens its file before its first demo instead."""
+    if not path:
+        raise IoFailure("cannot write '': the path is empty")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise IoFailure(f"cannot write {path}: it is a directory")
@@ -100,14 +102,14 @@ def _cmd_verify(args) -> int:
     if args.config:
         from .config import parse_verify_params
         grid = parse_verify_params(args.config)
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
     try:
         reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
     except ValueError as exc:  # a horizon or a bound out of range
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    if args.out is not None:
         write_verification_csv(args.out, reports)
     n_pass = sum(1 for r in reports if r.passed)
     print(f"checks={len(reports)} passed={n_pass} failed={len(reports) - n_pass}")

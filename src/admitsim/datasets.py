@@ -3,9 +3,10 @@
 Dataset layout (little-endian):
   magic 'ADMS' | u32 version | 4-byte task code | u32 chunk horizon |
   u32 episode count | u64 total tuple count | u32 tuple count per episode |
-  records of 14 f64 per tuple (10 pose/gripper + 3 normal + 1 contact flag).
-The task code is a name of `tasks.TASKS`, NUL-padded; the contact flag is 0.0
-or 1.0. A reader rejects any other value, and a writer any other task. A
+  records of RECORD_DIM f64 per tuple, in `expert`'s record layout.
+The task code is a name of `tasks.TASKS`, NUL-padded. A writer rejects any
+other task, and the writer and the reader both reject a record block that
+`expert.check_records` refuses, so every file written reads back. A
 `SupervisionRecords` is written from its (n, 14) block as it is. A file's
 records are read back whole, by one read into one (total, 14) block, and each
 episode is a `SupervisionRecords` of its rows of that block, in file order.
@@ -25,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import IoFailure
-from .expert import RECORD_DIM, SupervisionRecords
+from .expert import RECORD_DIM, SupervisionRecords, check_records
 from .harness import SuiteRow
 from .tasks import TASKS
 
@@ -63,7 +64,8 @@ def write_dataset(path: str, ds: Dataset) -> list:
     so read_dataset rejects a file that a failed or killed write left, and a
     write that fails with an exception removes its file. A task not in TASKS
     or a horizon outside the u32 range is a ValueError, before the file is
-    opened.
+    opened; an episode whose block `check_records` refuses is one too, before
+    that block is written.
     """
     if ds.task not in TASKS:
         raise ValueError(f"unknown task {ds.task!r}; expected one of {', '.join(TASKS)}")
@@ -77,6 +79,7 @@ def write_dataset(path: str, ds: Dataset) -> list:
             try:
                 fh.write(bytes(_HEADER.size + 4 * count))
                 for ep in ds.episodes:
+                    check_records(ep.block)
                     fh.write(ep.block.astype("<f8", copy=False).tobytes())
                     lengths.append(len(ep))
                 fh.seek(0)
@@ -94,10 +97,10 @@ def write_dataset(path: str, ds: Dataset) -> list:
 
 def read_dataset(path: str) -> Dataset:
     """Read a dataset file; IoFailure unless its task code is known, its size
-    is what its header implies and every contact flag is 0.0 or 1.0.
+    is what its header implies and its records pass `check_records`.
 
-    The records are read by one read into one owned (total, 14) block, and
-    their flags checked at once. Each episode is a SupervisionRecords of its
+    The records are read by one read into one owned (total, 14) block, which
+    is checked once. Each episode is a SupervisionRecords of its
     row range of that block, a C-contiguous view: an episode that is kept
     keeps its file's whole block alive.
     """
@@ -131,11 +134,10 @@ def read_dataset(path: str) -> Dataset:
     except OSError as exc:
         raise IoFailure(f"cannot read dataset {path}: {exc}") from exc
     block = block.astype(float, copy=False)  # already native on a little-endian host
-    flags = block[:, 13]
-    bad = (flags != 0.0) & (flags != 1.0)
-    if bad.any():
-        raise IoFailure(f"{path}: corrupt dataset: contact flag {float(flags[bad][0])!r} "
-                        "is not 0.0 or 1.0")
+    try:
+        check_records(block)
+    except ValueError as exc:
+        raise IoFailure(f"{path}: corrupt dataset: {exc}") from None
     episodes = [SupervisionRecords(block[end - n:end])
                 for n, end in zip(lengths, accumulate(lengths))]
     return Dataset(_TASK_CODES[code], horizon, episodes)

@@ -3,13 +3,16 @@ and supervision extraction.
 
 Plans are executed kinematically (ideal pose tracking) when generating
 demonstrations; the admittance loop only enters at replay time. A demo's
-supervision is one (n, 14) float64 record block in the dataset layout, held
-as a `SupervisionRecords` whose iteration makes `SupervisionTuple` row views;
-`predict` reads the block's rows directly.
+supervision is one (n, 14) float64 record block, held as a
+`SupervisionRecords` whose iteration makes `SupervisionTuple` row views;
+`predict` reads the block's rows directly. The record's column names
+(`POSITION` ... `CONTACT`) are the one statement of its layout, and
+`check_records` the one check of a block, which the dataset writer and reader
+both run.
 
 The controller is translational, so a plan is positions only: each waypoint
 is a float 3-tuple, with no orientation. A record keeps the dataset's
-14-float layout, and its 6D rotation columns (3-8) hold the identity's,
+14-float layout, and its 6D rotation columns (ROT6D) hold the identity's,
 `IDENTITY_ROT6D`, in every row.
 
 Float contract. Demo generation runs on Python floats, one straight pass per
@@ -77,7 +80,16 @@ class SupervisionTuple(NamedTuple):
     contact: int
 
 
-# Floats per supervision record: 10 pose/gripper, 3 normal, 1 contact flag.
+# The supervision record's columns, the one statement of its layout: the
+# position, the 6D rotation and the gripper command (together pose10), the
+# unit contact normal (zero out of contact) and the contact flag, 0.0 or 1.0.
+POSITION = slice(0, 3)
+ROT6D = slice(3, 9)
+GRIPPER = 9
+POSE10 = slice(0, 10)
+NORMAL = slice(10, 13)
+CONTACT = 13
+# Floats per supervision record.
 RECORD_DIM = 14
 
 # One record as native float64 bytes.
@@ -89,10 +101,10 @@ class SupervisionRecords:
     record layout.
 
     Iteration makes each SupervisionTuple on access as views of its row, by
-    `tuple.__new__` and with no Python frame per row: pose10 is row[:10],
-    normal row[10:13], and contact the Python int of row[13], which holds 0.0
-    or 1.0. Only the block is held, 112 bytes per step; `predict` reads its
-    rows from it.
+    `tuple.__new__` and with no Python frame per row: pose10 is row[POSE10],
+    normal row[NORMAL], and contact the Python int of row[CONTACT], which
+    holds 0.0 or 1.0. Only the block is held, 112 bytes per step; `predict`
+    reads its rows from it.
     """
 
     __slots__ = ("block",)
@@ -106,14 +118,28 @@ class SupervisionRecords:
     def __iter__(self):
         block = self.block
         return map(tuple.__new__, repeat(SupervisionTuple),
-                   zip(block[:, :10], block[:, 10:13], map(int, block[:, 13].tolist())))
+                   zip(block[:, POSE10], block[:, NORMAL],
+                       map(int, block[:, CONTACT].tolist())))
+
+
+def check_records(block) -> None:
+    """ValueError unless block is a 2-D array of RECORD_DIM columns whose
+    contact column holds only 0.0 and 1.0, the record blocks a dataset holds.
+    The message names the first other flag in row order."""
+    if block.ndim != 2 or block.shape[1] != RECORD_DIM:
+        raise ValueError(f"a record block is a 2-D array of {RECORD_DIM} columns, "
+                         f"got shape {block.shape}")
+    flags = block[:, CONTACT]
+    bad = (flags != 0.0) & (flags != 1.0)
+    if bad.any():
+        raise ValueError(f"contact flag {float(flags[bad][0])!r} is not 0.0 or 1.0")
 
 
 # Placeholder normal for out-of-contact steps.
 ZERO_NORMAL = (0.0, 0.0, 0.0)
 
 # The 6D rotation (the rotation matrix's first two columns, column-first) of
-# the identity: what every record's columns 3-8 hold. No run reads them; the
+# the identity: what every record's ROT6D columns hold. No run reads them; the
 # layout keeps them for readers of `SupervisionTuple.pose10`.
 IDENTITY_ROT6D = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
@@ -289,7 +315,7 @@ def extract_supervision(positions: list[tuple], phases: list[PhaseLabel],
     `normals` holds the plan's contact normal of each position, float
     3-sequences (ZERO_NORMAL out of contact); a contact step's normal is that
     of position t+1, unit-normalized, or position t's where contact ends at
-    t+1. Columns 3-8 hold IDENTITY_ROT6D. One loop packs each step's 14
+    t+1. The ROT6D columns hold IDENTITY_ROT6D. One loop packs each step's 14
     floats as it makes them, and the owned (n, 14) block is a copy of the
     joined bytes.
     """

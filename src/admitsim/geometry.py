@@ -39,10 +39,9 @@ the same bits at any array length and in any layout there: the `RunLog` of a
 finished episode, whose float series are column views of the loop's packed
 (n, 15) tick records, the ink grid, the verifier's lane chunks, judged a
 chunk of steps at a time, and a demo's supervision records, one (n, 14)
-float64 block in the dataset layout (`admitsim.datasets`) whose tuples are
+float64 block in the record layout of `admitsim.expert`, whose tuples are
 made as row views on access. A predicted controller command's position is
-the float tuple of a record's `pose10[:3]` plus its position noise, added as
-arrays.
+the float tuple of a record's position columns plus its position noise.
 """
 
 from __future__ import annotations

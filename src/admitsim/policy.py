@@ -13,7 +13,7 @@ import numpy as np
 
 from .admittance import ControllerCommand
 from .errors import EndOfDemo, check_count, check_range, check_real
-from .expert import SupervisionRecords
+from .expert import CONTACT, GRIPPER, NORMAL, POSITION, SupervisionRecords
 from .geometry import _cross, _normalize, _unit, quat_from_axis_angle, quat_rotate, sq_norm
 
 DEFAULT_HORIZON = 16
@@ -88,22 +88,23 @@ def predict(t0: int, records: SupervisionRecords, noise: NoiseSpec) -> tuple:
     rows += rows[-1:] * (DEFAULT_HORIZON - len(rows))
     out = []
     for row in rows:
-        x_cmd = row[:3]
+        x_cmd = row[POSITION]
         if noise.pos_std > 0.0:
             d0, d1, d2 = rng.normal(0.0, noise.pos_std, 3).tolist()
-            x_cmd = (row[0] + d0, row[1] + d1, row[2] + d2)
+            p0, p1, p2 = x_cmd
+            x_cmd = (p0 + d0, p1 + d1, p2 + d2)
         if noise.rot_std > 0.0:
             # The draws of a rotation perturbation (axis, then angle), which no
             # output reads: they keep the stream of every later draw.
             _random_unit(rng)
             rng.normal(0.0, noise.rot_std)
-        c = int(row[13])
-        n = row[10:13]
+        c = int(row[CONTACT])
+        n = row[NORMAL]
         if noise.contact_flip_prob > 0.0 and rng.random() < noise.contact_flip_prob:
             c = 1 - c
             if c == 1 and math.sqrt(sq_norm(n)) < 0.5:
                 n = _random_unit(rng)  # spurious contact: the normal is garbage but unit
         if c == 1 and noise.normal_cone_std > 0.0:
             n = _perturb_normal(n, rng, noise.normal_cone_std)
-        out.append(ControllerCommand(x_cmd, row[9], n, c))
+        out.append(ControllerCommand(x_cmd, row[GRIPPER], n, c))
     return tuple(out)

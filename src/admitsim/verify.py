@@ -396,7 +396,13 @@ GRID_FH = (2.0, 4.0, 8.0)
 def default_grid(m=GRID_M, k_e=GRID_KE, f_h=GRID_FH,
                  d: float | None = None) -> list[NormalDynamicsParams]:
     """The m x k_e x f_H grid, one axis per argument; d defaults to the
-    controller's over-damped rule."""
+    controller's over-damped rule. An axis that repeats a value is a
+    ValueError naming the axis and the value: each check of that point would
+    run, and be reported, twice."""
+    for name, axis in (("m", m), ("k_e", k_e), ("f_h", f_h)):
+        for i, value in enumerate(axis):
+            if value in axis[:i]:
+                raise ValueError(f"{name} repeats {value!r}")
     grid = []
     for m_i in m:
         d_m = AdmittanceConfig(mass=m_i).damping if d is None else d

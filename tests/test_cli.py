@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,32 @@ class TestOutIsCheckedFirst:
         assert capsys.readouterr().err == f"error: cannot write {out}: permission denied\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    def test_an_empty_path(self, command, capsys):
+        # os.path.dirname("") is "", so the directory checks alone would test ".".
+        assert main([*command, "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: cannot write '': the path is empty\n"
+
+
+def test_readme_command_lines_parse():
+    """Every `admitsim ...` line of README.md's fenced code blocks, its comment
+    stripped, parses with the CLI's parser, and every configs/ file it names
+    exists."""
+    root = Path(__file__).parents[1]
+    blocks = (root / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("admitsim ")]
+    assert lines
+    parser = cli.build_parser()
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(words)}")
+        for word in words:
+            if word.startswith("configs/"):
+                assert (root / word).is_file(), f"README names a missing {word}"
+
 
 def shift_event(**values):
     """A PH scenario with one shift disturbance, some of its values replaced."""
@@ -467,6 +494,9 @@ def test_runtime_failure_exits_1_without_traceback(scenario_file, tmp_path, caps
     ("verify", "[verify]\nm = 1.0\nk_e =\nf_h = 4\n"),
     ("verify", "[verify]\nd = 1e300\n"),
     ("verify", "[verify]\nk_e = 1e200\nd = 1e160\n"),
+    ("verify", "[verify]\nm = 1 1\n"),
+    ("verify", "[verify]\nk_e = 100 1000 100.0\n"),
+    ("verify", "[verify]\nf_h = 4 4.0\n"),
     ("run", task_event("MO", "raise")),
     ("run", task_event("MO", "lower")),
     ("run", task_event("MO", "shift")),

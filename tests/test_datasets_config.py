@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import re
@@ -22,7 +23,7 @@ from admitsim.datasets import (
 )
 from admitsim.environments import DisturbanceEvent
 from admitsim.errors import ConfigParse, IoFailure
-from admitsim.expert import SupervisionRecords
+from admitsim.expert import CONTACT, RECORD_DIM, SupervisionRecords
 from admitsim.harness import RunLog, ScenarioConfig, run_episode
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
 from admitsim.verify import default_grid
@@ -148,14 +149,14 @@ class TestDataset:
             start += len(ep)
 
     def test_the_first_bad_contact_flag_in_file_order_is_named(self, tmp_path):
-        row = small_dataset().episodes[0].block[0].tolist()
-        eps = [records([row] * 3) for _ in range(3)]
-        eps[1].block[2, 13] = 0.5
-        eps[2].block[0, 13] = 2.0
-        path = str(tmp_path / "demo.bin")
-        write_dataset(path, Dataset("PH", 16, eps))
+        raw = bytearray(_dataset_bytes(Dataset("PH", 16, small_dataset().episodes * 3)))
+        # The flags of the file's records 5 and 6 of 9: episode 1's row 2 and
+        # episode 2's row 0. The writer refuses such blocks, so the bytes are edited.
+        for record, flag in ((5, 0.5), (6, 2.0)):
+            end = len(raw) - (8 - record) * 8 * RECORD_DIM
+            raw[end - 8:end] = struct.pack("<d", flag)
         with pytest.raises(IoFailure, match=r"contact flag 0\.5 is not 0\.0 or 1\.0"):
-            read_dataset(path)
+            _read_bytes(bytes(raw))
 
     def test_a_file_shorter_than_its_stat_size_is_io_failure(self, tmp_path, monkeypatch):
         """The records read fall short of the size fstat reported, as when the
@@ -187,8 +188,15 @@ class TestDataset:
             read_dataset(str(path))
 
 
-# Any float64 bit pattern but NaN (which array_equal cannot compare), -0.0 included.
-_FLOATS = st.floats(allow_nan=False, width=64)
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+# Any float64 bit pattern: hypothesis' floats, -0.0, subnormals, infinities
+# and NaN included, and raw bit patterns, NaN payloads of either sign included.
+_VALUE_BITS = st.one_of(st.floats(width=64).map(_bits), st.integers(0, 2 ** 64 - 1))
+# A record: 13 values and a contact flag, 0.0 or 1.0, as float64 bit patterns.
+_RECORD_BITS = st.tuples(*[_VALUE_BITS] * 13, st.sampled_from([0.0, 1.0]).map(_bits))
 
 
 def records(rows) -> SupervisionRecords:
@@ -196,11 +204,30 @@ def records(rows) -> SupervisionRecords:
     return SupervisionRecords(np.array(rows, dtype=float).reshape(len(rows), 14))
 
 
+def bit_records(rows) -> SupervisionRecords:
+    """The records of rows, each 14 float64 bit patterns, as one (n, 14) block."""
+    return SupervisionRecords(
+        np.array(rows, dtype=np.uint64).reshape(len(rows), RECORD_DIM).view(np.float64))
+
+
 @st.composite
 def datasets(draw):
-    row = st.tuples(*[_FLOATS] * 13, st.sampled_from([0.0, 1.0]))
-    episodes = draw(st.lists(st.lists(row, max_size=4).map(records), max_size=3))
+    episodes = draw(st.lists(st.lists(_RECORD_BITS, max_size=4).map(bit_records), max_size=3))
     return Dataset(draw(st.sampled_from(TASKS)), draw(st.integers(0, 2 ** 32 - 1)), episodes)
+
+
+@st.composite
+def refused_blocks(draw):
+    """A block the reader refuses: a valid one of 1 to 4 records with one contact
+    flag set to 0.5, 2.0 or NaN, a column short or over, or its first row alone."""
+    block = bit_records(draw(st.lists(_RECORD_BITS, min_size=1, max_size=4))).block
+    kind = draw(st.sampled_from(["flag", "13 columns", "15 columns", "1-D"]))
+    if kind == "flag":
+        block[draw(st.integers(0, len(block) - 1)), CONTACT] = \
+            draw(st.sampled_from([0.5, 2.0, math.nan]))
+        return block
+    return {"13 columns": block[:, :13], "15 columns": np.hstack([block, block[:, :1]]),
+            "1-D": block[0]}[kind]
 
 
 def small_dataset() -> Dataset:
@@ -252,11 +279,20 @@ class TestDatasetFuzz:
         back = _read_bytes(_dataset_bytes(ds))
         assert (back.task, back.horizon) == (ds.task, ds.horizon)
         assert [len(ep) for ep in back.episodes] == [len(ep) for ep in ds.episodes]
-        for e1, e2 in zip(ds.episodes, back.episodes):
-            for a, b in zip(e1, e2):
-                assert a.pose10.tobytes() == b.pose10.tobytes()
-                assert a.normal.tobytes() == b.normal.tobytes()
-                assert a.contact == b.contact
+        assert [ep.block.tobytes() for ep in back.episodes] == \
+            [ep.block.tobytes() for ep in ds.episodes]
+
+    @given(datasets(), refused_blocks(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_writer_refuses_what_the_reader_refuses(self, ds, block, data):
+        """A block the reader would refuse, among valid ones, is a ValueError
+        of the writer, which leaves no file."""
+        ds.episodes.insert(data.draw(st.integers(0, len(ds.episodes))), SupervisionRecords(block))
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "d.bin")
+            with pytest.raises(ValueError, match="record block is a 2-D array|contact flag"):
+                write_dataset(path, ds)
+            assert not os.path.exists(path)
 
     @given(datasets(), st.data())
     @settings(max_examples=60, deadline=None)

@@ -334,6 +334,17 @@ def test_default_grid_axes_and_damping():
     assert {p.d for p in default_grid(m=(0.5, 2.0), d=3.0)} == {3.0}
 
 
+@pytest.mark.parametrize("axes,message", [
+    ({"m": (1.0, 1.0)}, "m repeats 1.0"),
+    ({"k_e": (100.0, 500.0, 100.0)}, "k_e repeats 100.0"),
+    ({"f_h": (4, 4.0)}, "f_h repeats 4.0"),
+])
+def test_default_grid_refuses_a_repeated_axis_value(axes, message):
+    """Each check of a repeated point would run, and be reported, twice."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        default_grid(**axes)
+
+
 @pytest.mark.parametrize("m,d,k_e,f_H", [
     (1.0, 0.0, 100.0, 1.0), (1.0, 1.0, 100.0, -1.0),
     (math.nan, 1.0, 100.0, 1.0), (math.inf, 1.0, 100.0, 1.0),
