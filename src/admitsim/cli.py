@@ -24,7 +24,7 @@ from .datasets import (
 from .errors import AdmitSimError, ConfigParse, IoFailure
 from .harness import ScenarioConfig, run_episode, run_suite
 from .policy import DEFAULT_HORIZON
-from .tasks import TASKS, build_environment, generate_demo
+from .tasks import TASKS, build_environment, generate_demo, task_spec
 from .verify import PROP3_T, run_default_verification
 
 
@@ -124,10 +124,11 @@ def _cmd_suite(args) -> int:
     _check_out(args.out)
     rows = run_suite(cfgs)
     write_suite_csv(args.out, rows)
+    metric = task_spec(cfgs[0].task).metric  # a suite runs one task
     for r in rows:
         print(f"mode={r.mode} disturbed={int(r.disturbed)} n={r.episodes} "
               f"success={r.success_rate:.2f} stops={r.safety_stop_rate:.2f} "
-              f"ink_cm={r.mean_remaining_ink_cm:.2f}")
+              f"{metric}={getattr(r, 'mean_' + metric):.2f} peak_force_n={r.mean_peak_force_n:.2f}")
     return 0
 
 

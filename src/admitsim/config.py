@@ -21,6 +21,7 @@ from .environments import DisturbanceEvent
 from .errors import ConfigParse, DegenerateInput
 from .harness import ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
+from .verify import default_grid
 
 
 def _worded(convert, wording: str):
@@ -159,8 +160,6 @@ def parse_verify_params(path: str):
     optional d (explicit damping for every point instead of the over-damped
     rule at stiffness 50).
     """
-    from .verify import default_grid
-
     parser = _read(path, "verify", shared=False)
     return _build(default_grid, path, "verify", **_values(parser, "verify", path))
 

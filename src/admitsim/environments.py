@@ -14,8 +14,10 @@ them), stiffness, friction law and threshold is a module constant below, the
 same for every environment of its kind.
 
 There is no base class. Each environment has `k_e`, `external_wrench(pos,
-vel)`, `apply_disturbance_state(offset, tilt, tilt_axis)`, `measure(x_r)` and
-the per-tick `update(x_r, gripper)`, which the board and the bore set to None.
+vel)`, `apply_disturbance_state(offset, tilt, tilt_axis)`, `measure(x_r)`, the
+per-tick `update(x_r, gripper)`, which the board and the bore set to None,
+`OVERRIDES`, each input a config may set with the check its constructor runs,
+and `DISTURBANCES`, the kinds that move it (any other kind is a no-op).
 
 Scripted disturbances act through `apply_disturbances`, which also reports
 when every event has settled (`DisturbanceEvent.envelope`): from then on the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -276,6 +279,8 @@ class InkGrid:
 
 BOARD_FRICTION = FrictionModel(coulomb_mu=0.3, viscous_c=5.0)
 F_MIN_WIPE = 1.0  # wiping force gate (N)
+_K_E = partial(check_range, "k_e")  # a contact needs a spring: k_e > 0
+_LATCH_FORCE = partial(check_range, "latch_force", closed=True)  # 0: a latch-free door
 
 
 @dataclass
@@ -298,6 +303,8 @@ class PlaneBoard:
     rotation: tuple = (1.0, 0.0, 0.0, 0.0)  # any 4-sequence, wxyz
     k_e: float = 1000.0
     update = None  # no state of its own to update per tick
+    OVERRIDES = {"k_e": _K_E}
+    DISTURBANCES = DISTURBANCE_KINDS
 
     def __post_init__(self):
         self.center = check_finite_components("center", vec3(self.center))
@@ -305,7 +312,7 @@ class PlaneBoard:
             "rotation", tuple(map(float, self.rotation)))
         self.frame = _quat_matrix(self.rotation)
         self.ink = InkGrid()
-        check_range("k_e", self.k_e)
+        _K_E(self.k_e)
         self.rest_point = self.center
         n = _matvec(self.frame, _Z_AXIS)
         self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
@@ -369,10 +376,12 @@ class HoleFixture:
     rim_center: tuple = (0.30, 0.10, 0.08)  # any 3-sequence
     k_e: float = 1000.0
     update = None  # no state of its own to update per tick
+    OVERRIDES = {"k_e": _K_E}
+    DISTURBANCES = ("raise", "lower", "shift", "force_pulse", "sinusoid")
 
     def __post_init__(self):
         self.rim_center = check_finite_components("rim_center", vec3(self.rim_center))
-        check_range("k_e", self.k_e)
+        _K_E(self.k_e)
         self._base_rest = self.rim_center
 
     def bottom_center(self) -> tuple:
@@ -466,10 +475,12 @@ class HingedDoor:
     handle_axis: tuple = None
     latch_force: float = 15.0
     k_e: float = 1000.0
+    OVERRIDES = {"k_e": _K_E, "latch_force": _LATCH_FORCE}
+    DISTURBANCES = ("force_pulse",)  # no disturbance moves the hinge or handle geometry
 
     def __post_init__(self):
-        check_range("k_e", self.k_e)
-        check_range("latch_force", self.latch_force, closed=True)
+        _K_E(self.k_e)
+        _LATCH_FORCE(self.latch_force)
         self.microwave = self.handle_pivot is None
         if self.microwave != (self.handle_axis is None):
             raise ValueError("a door takes both handle_pivot and handle_axis, a microwave "

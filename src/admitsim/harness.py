@@ -95,21 +95,23 @@ class ScenarioConfig:
         if self.wipe_passes > most:
             raise ValueError(f"wipe_passes must be <= {most} for {self.task} ({limit} s at "
                              f"{POLICY_HZ} policy steps per s), got {self.wipe_passes}")
-        kinds = spec.disturbance_kinds
+        env_class = spec.environment  # it declares what moves it and what a config may set
         for ev in self.disturbances:
-            if ev.kind not in kinds:  # it would run as a no-op, logged as disturbed
+            if ev.kind not in env_class.DISTURBANCES:  # a no-op, yet logged as disturbed
                 raise ValueError(f"a {ev.kind} disturbance has no effect on {self.task} "
-                                 f"(it takes {' | '.join(kinds)})")
+                                 f"(it takes {' | '.join(env_class.DISTURBANCES)})")
         # apply_disturbances sums the tilt angles about one axis.
         axes = {ev.direction for ev in self.disturbances if ev.kind == "tilt"}
         if len(axes) > 1:
             raise ValueError(f"tilt events must share one direction, got {sorted(axes)}")
         for key, value in self.env_overrides.items():
-            if key not in spec.env_keys:  # the environment would not read it
+            if key not in env_class.OVERRIDES:  # the environment would not read it
                 raise ValueError(f"unknown environment override {key!r} for {self.task} "
-                                 f"(it takes {' | '.join(spec.env_keys)})")
-            # A latch-free door (latch_force 0) is an ablation; a contact needs k_e > 0.
-            check_range(f"environment {key}", value, closed=key == "latch_force")
+                                 f"(it takes {' | '.join(env_class.OVERRIDES)})")
+            try:
+                env_class.OVERRIDES[key](value)  # the check its constructor runs
+            except ValueError as exc:
+                raise type(exc)(f"environment {exc}") from None
         for key, value in self.admittance_overrides.items():
             if key not in AdmittanceConfig.__dataclass_fields__:
                 raise ValueError(f"unknown admittance override {key!r}")
@@ -433,9 +435,7 @@ def _runs(cfgs: list[ScenarioConfig]) -> list[tuple]:
 
 def _nanmean(values) -> float:
     arr = np.asarray(values, dtype=float)
-    if np.isnan(arr).all():
-        return float("nan")
-    return float(np.nanmean(arr))
+    return float("nan") if np.isnan(arr).all() else float(np.nanmean(arr))
 
 
 def default_disturbance(task: str) -> tuple:

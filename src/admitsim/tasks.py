@@ -26,7 +26,6 @@ from .admittance import AdmittanceConfig
 from .environments import (
     BOARD_EXTENT,
     BORE_AXIS,
-    DISTURBANCE_KINDS,
     HANDLE_LEVER,
     DisturbanceEvent,
     HingedDoor,
@@ -217,9 +216,8 @@ class TaskSpec:
 
     time_limit: float           # s, the longest episode
     admittance: AdmittanceConfig  # the force_aware controller
-    disturbance_kinds: tuple    # the kinds the environment responds to (others are no-ops)
     suite_disturbance: tuple    # the scripted events of a disturbed suite run
-    env_keys: tuple             # the overrides `build` passes to the environment
+    environment: type           # the class `build` returns: its OVERRIDES and DISTURBANCES
     build: Callable             # (rng, **overrides) -> the randomized environment
     plan: Callable              # (env[, wipe_passes]) -> (positions, phases, grippers, normals)
     metric: str                 # the final metric that decides success, env.measure's value
@@ -228,43 +226,34 @@ class TaskSpec:
     multipass: bool = False     # plan repeats its coverage path wipe_passes times
 
 
-# The door wrench reads only the hinge and handle geometry, which no
-# disturbance moves; the round bore (PH) takes every kind but tilt.
-_DOOR_KINDS = ("force_pulse",)
 _DOOR_PULSE = (DisturbanceEvent("force_pulse", start=6.0, duration=2.0, magnitude=10.0,
                                 direction=(0.0, 1.0, 0.0), ramp=0.3),)
 
 # In this order: the index of a task seeds its episodes.
 TASK_SPECS = {
     "MO": TaskSpec(
-        time_limit=120.0, admittance=AdmittanceConfig(enable_tangent_stiffening=True),
-        disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
-        env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=True),
-        plan=partial(_door_plan, target=math.radians(60.0)), metric="opening_angle_deg",
-        threshold=50.0),
+        time_limit=120.0, environment=HingedDoor, build=partial(_build_door, microwave=True),
+        plan=partial(_door_plan, target=math.radians(60.0)),
+        admittance=AdmittanceConfig(enable_tangent_stiffening=True),
+        suite_disturbance=_DOOR_PULSE, metric="opening_angle_deg", threshold=50.0),
     "PH": TaskSpec(
-        time_limit=60.0,
+        time_limit=60.0, environment=HoleFixture, build=_build_hole, plan=_ph_plan,
         admittance=AdmittanceConfig(enable_normal_regulation=True, target_force=2.0),
-        disturbance_kinds=("raise", "lower", "shift", "force_pulse", "sinusoid"),
         suite_disturbance=(DisturbanceEvent("shift", start=3.0, duration=5.0, magnitude=0.01,
                                             direction=(1.0, 0.0, 0.0), ramp=0.5),),
-        env_keys=("k_e",), build=_build_hole, plan=_ph_plan,
         metric="insertion_depth_mm", threshold=10.0),
     "WW": TaskSpec(
-        time_limit=120.0,
+        time_limit=120.0, environment=PlaneBoard, build=_build_board, plan=_ww_plan,
         admittance=AdmittanceConfig(enable_tangent_stiffening=True,
                                     enable_normal_regulation=True, target_force=4.0),
-        disturbance_kinds=DISTURBANCE_KINDS,
         suite_disturbance=(DisturbanceEvent("raise", start=5.0, duration=10.0, magnitude=0.07,
                                             direction=(0.0, 0.0, 1.0), ramp=0.5),),
-        env_keys=("k_e",), build=_build_board, plan=_ww_plan, multipass=True,
-        metric="remaining_ink_cm", threshold=5.0, meets=operator.lt),
+        metric="remaining_ink_cm", threshold=5.0, meets=operator.lt, multipass=True),
     "DO": TaskSpec(
-        time_limit=120.0, admittance=AdmittanceConfig(enable_tangent_stiffening=True),
-        disturbance_kinds=_DOOR_KINDS, suite_disturbance=_DOOR_PULSE,
-        env_keys=("k_e", "latch_force"), build=partial(_build_door, microwave=False),
-        plan=partial(_door_plan, target=math.radians(40.0)), metric="opening_angle_deg",
-        threshold=30.0),
+        time_limit=120.0, environment=HingedDoor, build=partial(_build_door, microwave=False),
+        plan=partial(_door_plan, target=math.radians(40.0)),
+        admittance=AdmittanceConfig(enable_tangent_stiffening=True),
+        suite_disturbance=_DOOR_PULSE, metric="opening_angle_deg", threshold=30.0),
 }
 TASKS = tuple(TASK_SPECS)
 
@@ -276,9 +265,8 @@ def task_spec(task: str) -> TaskSpec:
     return TASK_SPECS[task]
 
 
-def build_environment(task: str, rng: np.random.Generator,
-                      overrides: dict | None = None):
-    """The task's environment, randomized by rng, with overrides (of env_keys)."""
+def build_environment(task: str, rng: np.random.Generator, overrides: dict | None = None):
+    """The task's environment, randomized by rng, with overrides (of its OVERRIDES)."""
     return task_spec(task).build(rng, **(overrides or {}))
 
 

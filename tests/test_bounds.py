@@ -7,10 +7,11 @@ bound itself is accepted where the range is closed and rejected where it is
 open, and the value just inside it is accepted.
 
 The inputs that a task does not read (an environment override outside its
-record's `env_keys`, a `wipe_passes` other than 1 outside WW), the admittance
-overrides, the verifier's horizons and its other inputs (start offset and
-velocity, rest-point amplitude and frequency), a value that is not a number and
-a `ScenarioConfig` object field of the wrong type fail with a typed error too.
+environment class's `OVERRIDES`, a `wipe_passes` other than 1 outside WW), the
+admittance overrides, the verifier's horizons and its other inputs (start
+offset and velocity, rest-point amplitude and frequency), a value that is not
+a number and a `ScenarioConfig` object field of the wrong type fail with a
+typed error too.
 """
 
 import math
@@ -198,12 +199,13 @@ def test_count_ceiling(name, build, high):
     build(high)  # it constructs; nothing runs
 
 
-# Each task's environment override keys, from its record: every one is read,
-# and every other key is rejected at construction, naming the task.
-ENV_READ = [(task, key) for task in TASKS for key in TASK_SPECS[task].env_keys]
-ANY_ENV_KEY = tuple(dict.fromkeys(k for spec in TASK_SPECS.values() for k in spec.env_keys))
+# Each task's environment override keys, from its environment class: every
+# one is read, and every other key is rejected at construction, naming the task.
+OVERRIDES = {task: tuple(TASK_SPECS[task].environment.OVERRIDES) for task in TASKS}
+ENV_READ = [(task, key) for task in TASKS for key in OVERRIDES[task]]
+ANY_ENV_KEY = tuple(dict.fromkeys(k for keys in OVERRIDES.values() for k in keys))
 ENV_UNREAD = [(task, key) for task in TASKS for key in ANY_ENV_KEY + ("bogus",)
-              if key not in TASK_SPECS[task].env_keys]
+              if key not in OVERRIDES[task]]
 
 
 @pytest.mark.parametrize("task,key", ENV_READ, ids=[f"{t}-{k}" for t, k in ENV_READ])

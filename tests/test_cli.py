@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import shlex
@@ -174,6 +175,22 @@ class TestSuiteCommand:
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 3  # header + 2 modes
         assert lines[0].startswith("mode,disturbed,episodes,success_rate")
+
+    @pytest.mark.parametrize("task,metric", [("PH", "insertion_depth_mm"),
+                                             ("WW", "remaining_ink_cm")])
+    def test_each_line_gives_the_task_metric_and_the_peak_force(self, task, metric,
+                                                                 tmp_path, capsys):
+        suite = tmp_path / "suite.ini"
+        suite.write_text(f"[suite]\ntask = {task}\nseeds = 1\nduration = 6.0\n")
+        out = tmp_path / "summary.csv"
+        assert main(["suite", "--config", str(suite), "--out", str(out)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "nan" not in line
+        printed = dict(word.split("=") for word in line.split())
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        for name in (metric, "peak_force_n"):
+            assert np.isfinite(float(printed[name])), name
+            assert printed[name] == f"{float(row['mean_' + name]):.2f}", name
 
 
 class TestVerifyCommand:

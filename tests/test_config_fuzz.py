@@ -196,7 +196,7 @@ def test_schema_names_the_sections_and_keys_of_the_parsers_table():
     and keys of the parsers' table, and [environment] the keys some task reads."""
     from admitsim import config
 
-    env_keys = {key for spec in TASK_SPECS.values() for key in spec.env_keys}
+    env_keys = {key for spec in TASK_SPECS.values() for key in spec.environment.OVERRIDES}
     table = {name: env_keys if keys is None else set(keys)
              for name, keys in config._SCHEMA.items()}
     assert {name.partition(".")[0]: set(keys) for name, keys in SCHEMA.items()} == table

@@ -544,7 +544,7 @@ def test_readme_scenario_example_lists_every_key(tmp_path):
     task = example.get("scenario", "task")
     schema = {name: tuple(config._SCHEMA[name]) for name in
               ("scenario", "noise", "admittance", "safety", "disturbance")}
-    schema["environment"] = TASK_SPECS[task].env_keys
+    schema["environment"] = tuple(TASK_SPECS[task].environment.OVERRIDES)
     sections = {name.split(".")[0]: name for name in example.sections()}
     assert sorted(sections) == sorted(schema)
     for name, keys in schema.items():

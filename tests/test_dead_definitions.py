@@ -1,12 +1,15 @@
-"""Every function, class and method the package defines is read elsewhere in it.
+"""Every function, class, method and class constant the package defines is
+read elsewhere in it.
 
 The companion of tests/test_unused_imports.py, over definitions: each
-`def` and `class` under src/admitsim/, nested ones included, must be read
-somewhere in src/admitsim/ outside its own body, as a name (`vec3(v)`,
-`key=_fmt`) or as an attribute (`log.metrics`, `self._near(...)`). Names are
-matched bare, so a method counts as read wherever an attribute of its name
-is. A name that `__init__.py` imports is a public export and counts as read.
-Dunders are called by Python itself and are exempt. A definition that only
+`def` and `class` under src/admitsim/, nested ones included, and each plain
+(non-annotated) assignment in a class body, must be read somewhere in
+src/admitsim/ outside its own body, as a name (`vec3(v)`, `key=_fmt`) or as
+an attribute (`log.metrics`, `self._near(...)`, `env.OVERRIDES`). An
+annotated one is a field, which the constructor reads. Names are matched
+bare, so a method counts as read wherever an attribute of its name is. A
+name that `__init__.py` imports is a public export and counts as read.
+Dunders are read by Python itself and are exempt. A definition that only
 code outside the package reads passes only by its entry in
 `OUTSIDE_READERS`, which names that reader.
 """
@@ -20,7 +23,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
                    "admitsim")
 
-# "Class.method" or "function": the reader outside src/ that keeps it.
+# "Class.name" or "function": the reader outside src/ that keeps it.
 OUTSIDE_READERS = {
     "Dataset.tuple_count": "perfbench/workloads.py counts the records of each dataset it "
                            "reads back",
@@ -36,12 +39,18 @@ def reads(tree: ast.AST) -> Counter:
 
 
 def definitions(tree: ast.AST, prefix: str = ""):
-    """(qualified name, node) of each function and class defined in tree,
-    nested ones included: a method is Class.method."""
+    """(qualified name, bare name, node) of each function and class defined
+    in tree, nested ones included, and of each name a plain assignment in a
+    class body binds: a method or a class constant is Class.name."""
+    in_class = isinstance(tree, ast.ClassDef)
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield prefix + node.name, node
+            yield prefix + node.name, node.name, node
             yield from definitions(node, prefix + node.name + ".")
+        elif in_class and isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield prefix + target.id, target.id, node
         else:
             yield from definitions(node, prefix)
 
@@ -57,8 +66,7 @@ def unread_definitions(sources: dict) -> list[str]:
                     if isinstance(node, ast.ImportFrom) for alias in node.names)
     unread = []
     for name, tree in trees.items():
-        for qualname, node in definitions(tree):
-            bare = node.name
+        for qualname, bare, node in definitions(tree):
             if bare.startswith("__") and bare.endswith("__"):
                 continue
             if read[bare] - reads(node)[bare] <= 0:
@@ -100,8 +108,17 @@ def test_each_outside_reader_entry_is_still_needed():
     ({"a.py": 'def f(): pass\n"""f"""\n'}, ["a.py:f"]),
     ({"a.py": "def f(): pass\nf = 1\n"}, ["a.py:f"]),
     ({"a.py": "class C:\n    def m(self): pass\nC().m = None\n"}, ["a.py:C.m"]),
+    ({"a.py": "class C:\n    K = 1\nC.K\n"}, []),
+    ({"a.py": "class C:\n    K = 1\nC()\n"}, ["a.py:C.K"]),
+    ({"a.py": "class C:\n    A = B = 1\nC().A\n"}, ["a.py:C.B"]),
+    ({"a.py": "class C:\n    K = 1\n    L = K\nC.L\n"}, []),
+    ({"a.py": "class C:\n    k: int = 1\nC()\n"}, []),
+    ({"a.py": "class C:\n    __slots__ = ()\nC()\n"}, []),
+    ({"a.py": "class C:\n    def m(self):\n        x = 1\nC().m()\n"}, []),
 ], ids=["called", "unread", "read-in-another-module", "exported", "only-recursive",
         "method-read", "method-unread", "dunder", "nested-unread", "passed-as-value",
-        "only-in-a-docstring", "only-rebound", "method-only-assigned"])
+        "only-in-a-docstring", "only-rebound", "method-only-assigned", "constant-read",
+        "constant-unread", "constant-chained", "constant-read-in-its-class",
+        "annotated-field", "constant-dunder", "method-local"])
 def test_the_check_finds_the_unread_definitions(sources, unread):
     assert unread_definitions(sources) == unread

@@ -403,6 +403,28 @@ class TestDisturbances:
             assert active and not settled and np.linalg.norm(force) > 0.0
             assert vars(door) == built, task
 
+    @pytest.mark.parametrize("kind", DISTURBANCE_KINDS)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_the_declared_kinds_are_the_ones_that_act(self, task, kind):
+        """One event at full envelope, through apply_disturbances, on the
+        board (WW), the bore (PH), the microwave (MO) and the door (DO): a kind
+        the environment's class declares rebinds some of its state, or for a
+        force pulse returns a force, and any other kind rebinds nothing and
+        returns no force."""
+        env = build_environment(task, np.random.default_rng(0))
+        built = dict(vars(env))
+        # A quarter period after the start: the sinusoid's crest.
+        event = DisturbanceEvent(kind, start=0.0, duration=1.0, magnitude=0.1,
+                                 direction=(0.6, 0.0, 0.8))
+        force, active, _ = apply_disturbances(env, (event,), 0.25)
+        assert active and event.envelope(0.25)[0] == 1.0
+        if kind not in type(env).DISTURBANCES:
+            assert vars(env) == built and force == (0.0, 0.0, 0.0)
+        elif kind == "force_pulse":
+            assert force != (0.0, 0.0, 0.0)
+        else:
+            assert vars(env) != built
+
     def test_profiles_continuous(self):
         events = [
             DisturbanceEvent("raise", 1.0, 5.0, 0.05, ramp=0.5),
@@ -590,7 +612,8 @@ class TestConstructorFields:
     @pytest.mark.parametrize("task", TASKS)
     def test_every_override_key_is_a_field_of_the_built_environment(self, task):
         env = build_environment(task, np.random.default_rng(0))
-        assert set(TASK_SPECS[task].env_keys) <= set(ENV_FIELDS[type(env)])
+        assert type(env) is TASK_SPECS[task].environment
+        assert set(type(env).OVERRIDES) <= set(ENV_FIELDS[type(env)])
 
     @pytest.mark.parametrize("task", TASKS)
     def test_the_built_environment_has_what_the_loop_calls(self, task):
