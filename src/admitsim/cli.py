@@ -21,7 +21,7 @@ from .datasets import (
     write_trace,
     write_verification_csv,
 )
-from .errors import AdmitSimError, ConfigParse, IoFailure
+from .errors import AdmitSimError, ConfigParse, IoFailure, check_count
 from .harness import ScenarioConfig, run_episode, run_suite
 from .policy import DEFAULT_HORIZON
 from .tasks import TASKS, build_environment, generate_demo, task_spec
@@ -47,15 +47,11 @@ def _check_out(path: str) -> None:
 
 def _cmd_gen_demos(args) -> int:
     cfg = ScenarioConfig(args.task) if args.task else parse_scenario(args.config)
-    if args.count < 1:
-        print("gen-demos: --count must be >= 1", file=sys.stderr)
-        return 2
-    if args.count > MAX_EPISODES:
-        print(f"gen-demos: --count must be <= {MAX_EPISODES}, the episodes one dataset "
-              f"holds", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("gen-demos: --seed must be >= 0", file=sys.stderr)
+    try:
+        check_count("--count", args.count, 1, high=MAX_EPISODES)  # the episodes a dataset holds
+        check_count("--seed", args.seed, 0)
+    except ValueError as exc:
+        print(f"gen-demos: {exc}", file=sys.stderr)
         return 2
     lengths = write_dataset(args.out, Dataset(cfg.task, DEFAULT_HORIZON,
                                               _Demos(cfg, args.seed, args.count)))

@@ -18,7 +18,7 @@ import functools
 import inspect
 
 from .environments import DisturbanceEvent
-from .errors import ConfigParse, DegenerateInput
+from .errors import ConfigParse, DegenerateInput, check_count, check_distinct
 from .harness import ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
 from .verify import default_grid
@@ -173,12 +173,12 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     parser = _read(path, "suite")
     common = _values(parser, "suite", path)
     modes = common.pop("modes", ("force_aware",))
-    for i, mode in enumerate(modes):
-        if mode in modes[:i]:  # its episodes would run, and count, twice
-            raise ConfigParse(f"{path}: [suite] modes repeats {mode}")
     seeds = common.pop("seeds", 5)
-    if seeds < 1:
-        raise ConfigParse(f"{path}: [suite] seeds must be >= 1, got {seeds}")
+    try:
+        check_distinct("[suite] modes", modes)  # its episodes would run, and count, twice
+        check_count("[suite] seeds", seeds, 1)
+    except ValueError as exc:
+        raise ConfigParse(f"{path}: {exc}") from None
     base_seed = common.pop("base_seed", 0)
     conditions = {"none": (False,), "only": (True,), "both": (False, True)}.get(
         common.pop("disturbed", "none"))

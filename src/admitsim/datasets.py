@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import IoFailure, check_count
 from .expert import RECORD_DIM, SupervisionRecords, check_records
 from .harness import SuiteRow
 from .tasks import TASKS
@@ -69,9 +69,7 @@ def write_dataset(path: str, ds: Dataset) -> list:
     """
     if ds.task not in TASKS:
         raise ValueError(f"unknown task {ds.task!r}; expected one of {', '.join(TASKS)}")
-    if not (isinstance(ds.horizon, Integral) and 0 <= ds.horizon <= MAX_HORIZON):
-        raise ValueError(f"horizon must be an integer in [0, {MAX_HORIZON}], "
-                         f"got {ds.horizon!r}")
+    check_count("horizon", ds.horizon, 0, high=MAX_HORIZON)
     count = len(ds.episodes)
     lengths = []
     try:

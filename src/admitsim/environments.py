@@ -126,12 +126,10 @@ class DisturbanceEvent:
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        for name in ("start", "duration", "magnitude", "ramp", "omega"):
+        for name in ("start", "magnitude", "omega"):
             check_finite(name, getattr(self, name))
-        if self.duration <= 0.0:
-            raise ValueError("duration must be > 0")
-        if not 0.0 <= self.ramp <= self.duration:
-            raise ValueError("ramp must lie in [0, duration]")
+        check_range("duration", self.duration)
+        check_range("ramp", self.ramp, closed=True, high=self.duration)
         if not abs(self.omega * self.duration) < math.inf:  # the sinusoid's largest phase
             raise ValueError(f"omega * duration must be finite, got {self.omega} * {self.duration}")
         d = vec3(self.direction)

@@ -1,4 +1,13 @@
-"""Exception types shared across the toolkit, and the range checks that raise them."""
+"""Exception types shared across the toolkit, and the range checks that raise them.
+
+Every numeric bound of an input is checked by `check_range` (a real number),
+`check_count` (an integer) or `check_distinct` (no value twice), each bound
+in one wording: `<name> must be finite and > <low>, got <value>` (`>=` where
+closed), `<name> must be >= <low>, got <value>` for a count, `<name> must be
+<= <high>, got <value>` for both, and `<name> repeats <value>`. The upper
+bound is printed exactly (pi as 3.141592653589793); its default, inf, is none.
+A value of the wrong kind reads `<name> must be a real number (an integer), got <value>`.
+"""
 
 import math
 from numbers import Integral, Real
@@ -65,20 +74,32 @@ def check_finite_components(name: str, values: tuple) -> tuple:
     return values
 
 
-def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError):
-    """Raise error unless value is a real number, finite and > low (>= low when
-    closed).
+def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError,
+                high: float = math.inf):
+    """Raise error unless value is a real number, finite, > low (>= low when
+    closed) and <= high.
 
     Written so that NaN fails: every comparison with NaN is false.
     """
     check_real(name, value, error)
     if not ((low <= value) if closed else (low < value)) or not value < math.inf:
         raise error(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, got {value}")
+    if not value <= high:
+        raise error(f"{name} must be <= {high}, got {value}")
 
 
-def check_count(name: str, value, low: int):
-    """Raise ValueError unless value is an integer (a float is not) and >= low."""
+def check_count(name: str, value, low: int, high: float = math.inf):
+    """Raise ValueError unless value is an integer (a float is not), >= low and <= high."""
     if not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+
+
+def check_distinct(name: str, values):
+    """Raise ValueError naming the first value of values that an earlier one equals."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} repeats {value}")

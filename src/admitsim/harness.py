@@ -80,21 +80,13 @@ class ScenarioConfig:
             raise ValueError(f"disturbances must hold DisturbanceEvents, got {self.disturbances!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
-        limit = spec.time_limit
-        check_real("duration", self.duration)
-        if not 0.0 <= self.duration <= limit:  # false for NaN
-            raise ValueError(
-                f"duration must be within [0, {limit}] s for {self.task}, got {self.duration}")
+        check_range("duration", self.duration, closed=True, high=spec.time_limit)
         check_count("seed", self.seed, 0)
-        check_count("wipe_passes", self.wipe_passes, 1)
         if self.wipe_passes != 1 and not spec.multipass:  # generate_demo would ignore it
             raise ValueError(f"wipe_passes must be 1 for {self.task}, which has no coverage "
                              f"path to repeat, got {self.wipe_passes}")
         # An episode runs at most this many policy steps, and a pass takes two or more.
-        most = int(limit * POLICY_HZ)
-        if self.wipe_passes > most:
-            raise ValueError(f"wipe_passes must be <= {most} for {self.task} ({limit} s at "
-                             f"{POLICY_HZ} policy steps per s), got {self.wipe_passes}")
+        check_count("wipe_passes", self.wipe_passes, 1, high=int(spec.time_limit * POLICY_HZ))
         env_class = spec.environment  # it declares what moves it and what a config may set
         for ev in self.disturbances:
             if ev.kind not in env_class.DISTURBANCES:  # a no-op, yet logged as disturbed

@@ -46,7 +46,7 @@ from .admittance import (
     _radial_deadband,
     controller_tick,
 )
-from .errors import NonFiniteState, check_finite, check_range
+from .errors import NonFiniteState, check_distinct, check_finite, check_range
 from .geometry import _normalize, dot3, vec3
 
 TOL_X = 1e-4          # m, equilibrium position tolerance
@@ -400,9 +400,7 @@ def default_grid(m=GRID_M, k_e=GRID_KE, f_h=GRID_FH,
     ValueError naming the axis and the value: each check of that point would
     run, and be reported, twice."""
     for name, axis in (("m", m), ("k_e", k_e), ("f_h", f_h)):
-        for i, value in enumerate(axis):
-            if value in axis[:i]:
-                raise ValueError(f"{name} repeats {value!r}")
+        check_distinct(name, axis)
     grid = []
     for m_i in m:
         d_m = AdmittanceConfig(mass=m_i).damping if d is None else d
@@ -595,15 +593,16 @@ def run_default_verification(prop3_T: float = PROP3_T,
     """All four checks over the parameter grid (one report per check per
     point): the three proposition functions, each with its defaults but
     proposition 2's v0 = 0.05 m/s and proposition 3's duration prop3_T, then
-    the equivalence check at every point, with the point's mass, damping and
-    f_H.
+    the equivalence check at every point, with the point's mass and f_H and
+    the damping ratio d / (2 sqrt(m k)) at the default stiffness k. Its
+    controller's damping 2 ratio sqrt(m k) can differ from d in the last bit
+    (m = 0.5 with d = 0.9 gives 0.8999999999999999); a point of the default
+    damping rule gives a ratio of exactly 2, and runs its own d.
     """
     grid = default_grid() if grid is None else grid
     reports = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
                + verify_prop3_grid(grid, T=prop3_T))
     for p in grid:
-        # The point's damping d = 2 ratio sqrt(m k) at the default stiffness k;
-        # a point of the default rule gives a ratio of exactly 2.
         ratio = p.d / (2.0 * math.sqrt(p.m * AdmittanceConfig.stiffness))
         cfg = AdmittanceConfig(mass=p.m, damping_ratio=ratio, target_force=p.f_H)
         reports.append(equivalence_check(cfg, p.k_e))

@@ -1,10 +1,11 @@
-"""Every numeric bound of the constructors, in one table.
+"""Every numeric bound of the inputs, in one table of real ranges and one of counts.
 
 Each bound is checked by `errors.check_range` (finite and > low, or >= low
-when closed) or, for counts and seeds, by `errors.check_count`. NaN, both
-infinities and the value just past the bound raise the documented type; the
-bound itself is accepted where the range is closed and rejected where it is
-open, and the value just inside it is accepted.
+when closed, and <= high) or, for counts and seeds, by `errors.check_count`
+(>= low and <= high). NaN, both infinities and the value just past each end
+raise the documented type in the one wording of that end; the bound itself
+is accepted where the range is closed and rejected where it is open, and the
+value just inside it is accepted. A high of inf is no upper bound.
 
 The inputs that a task does not read (an environment override outside its
 environment class's `OVERRIDES`, a `wipe_passes` other than 1 outside WW), the
@@ -24,7 +25,8 @@ from scenarios import lever_door, microwave
 
 from admitsim.admittance import AdmittanceConfig, ControllerCommand, compute_damping
 from admitsim.environments import DisturbanceEvent, HoleFixture, PlaneBoard
-from admitsim.config import parse_scenario
+from admitsim.config import parse_scenario, parse_suite
+from admitsim.datasets import MAX_HORIZON, Dataset, write_dataset
 from admitsim.errors import ConfigParse, NonPositiveParameter
 from admitsim.harness import CONTROL_HZ, ScenarioConfig, run_episode
 from admitsim.policy import NoiseSpec
@@ -46,46 +48,60 @@ def dynamics(**kw):
     return NormalDynamicsParams(**{"m": 1.0, "d": 28.0, "k_e": 1000.0, "f_H": 4.0, **kw})
 
 
-NPP, VE = NonPositiveParameter, ValueError
-# (owner, name in the message, constructor of one value, low, closed, error)
+NPP, VE, INF = NonPositiveParameter, ValueError, math.inf
+# (owner, name in the message, constructor of one value, low, closed, high, error)
 BOUNDS = [
-    ("compute_damping", "mass", lambda v: compute_damping(v, 50.0, 2.0), 0.0, False, NPP),
-    ("compute_damping", "stiffness", lambda v: compute_damping(1.0, v, 2.0), 0.0, False, NPP),
-    ("compute_damping", "damping_ratio", lambda v: compute_damping(1.0, 50.0, v), 0.0, False, NPP),
-    ("admittance", "mass", field(AdmittanceConfig, "mass"), 0.0, False, NPP),
-    ("admittance", "stiffness", field(AdmittanceConfig, "stiffness"), 0.0, False, NPP),
-    ("admittance", "damping_ratio", field(AdmittanceConfig, "damping_ratio"), 0.0, False, NPP),
-    ("admittance", "tangent_scale", field(AdmittanceConfig, "tangent_scale"), 1.0, True, VE),
-    ("admittance", "target_force", field(AdmittanceConfig, "target_force"), 0.0, True, VE),
-    ("admittance", "force_deadband", field(AdmittanceConfig, "force_deadband"), 0.0, True, VE),
-    ("dynamics", "m", lambda v: dynamics(m=v), 0.0, False, VE),
-    ("dynamics", "d", lambda v: dynamics(d=v), 0.0, False, VE),
-    ("dynamics", "k_e", lambda v: dynamics(k_e=v), 0.0, False, VE),
-    ("dynamics", "f_H", lambda v: dynamics(f_H=v), 0.0, True, VE),
-    ("noise", "pos_std", field(NoiseSpec, "pos_std"), 0.0, True, VE),
-    ("noise", "rot_std", field(NoiseSpec, "rot_std"), 0.0, True, VE),
-    ("noise", "normal_cone_std", field(NoiseSpec, "normal_cone_std"), 0.0, True, VE),
+    ("compute_damping", "mass", lambda v: compute_damping(v, 50.0, 2.0), 0.0, False, INF, NPP),
+    ("compute_damping", "stiffness", lambda v: compute_damping(1.0, v, 2.0), 0.0, False, INF,
+     NPP),
+    ("compute_damping", "damping_ratio", lambda v: compute_damping(1.0, 50.0, v), 0.0, False,
+     INF, NPP),
+    ("admittance", "mass", field(AdmittanceConfig, "mass"), 0.0, False, INF, NPP),
+    ("admittance", "stiffness", field(AdmittanceConfig, "stiffness"), 0.0, False, INF, NPP),
+    ("admittance", "damping_ratio", field(AdmittanceConfig, "damping_ratio"), 0.0, False, INF,
+     NPP),
+    ("admittance", "tangent_scale", field(AdmittanceConfig, "tangent_scale"), 1.0, True, INF, VE),
+    ("admittance", "target_force", field(AdmittanceConfig, "target_force"), 0.0, True, INF, VE),
+    ("admittance", "force_deadband", field(AdmittanceConfig, "force_deadband"), 0.0, True, INF,
+     VE),
+    ("dynamics", "m", lambda v: dynamics(m=v), 0.0, False, INF, VE),
+    ("dynamics", "d", lambda v: dynamics(d=v), 0.0, False, INF, VE),
+    ("dynamics", "k_e", lambda v: dynamics(k_e=v), 0.0, False, INF, VE),
+    ("dynamics", "f_H", lambda v: dynamics(f_H=v), 0.0, True, INF, VE),
+    # Wider noise draws overflow mid-run: a command position or a cone angle of inf.
+    ("noise", "pos_std", field(NoiseSpec, "pos_std"), 0.0, True, 1.0, VE),
+    ("noise", "rot_std", field(NoiseSpec, "rot_std"), 0.0, True, INF, VE),
+    ("noise", "normal_cone_std", field(NoiseSpec, "normal_cone_std"), 0.0, True, math.pi, VE),
+    ("noise", "contact_flip_prob", field(NoiseSpec, "contact_flip_prob"), 0.0, True, 1.0, VE),
+    # Each task's duration up to its time limit.
+    *[(task, "duration", lambda v, task=task: ScenarioConfig(task, duration=v), 0.0, True,
+       TASK_SPECS[task].time_limit, VE) for task in TASKS],
     ("scenario", "environment k_e",
-     lambda v: ScenarioConfig("DO", env_overrides={"k_e": v}), 0.0, False, VE),
+     lambda v: ScenarioConfig("DO", env_overrides={"k_e": v}), 0.0, False, INF, VE),
     ("scenario", "environment latch_force",
-     lambda v: ScenarioConfig("DO", env_overrides={"latch_force": v}), 0.0, True, VE),
-    ("scenario", "safety limit", lambda v: ScenarioConfig("WW", safety_limit=v), 0.0, False, VE),
+     lambda v: ScenarioConfig("DO", env_overrides={"latch_force": v}), 0.0, True, INF, VE),
+    ("scenario", "safety limit", lambda v: ScenarioConfig("WW", safety_limit=v), 0.0, False,
+     INF, VE),
     ("scenario", "safety debounce",
-     lambda v: ScenarioConfig("WW", safety_debounce=v), 0.0, True, VE),
+     lambda v: ScenarioConfig("WW", safety_debounce=v), 0.0, True, INF, VE),
     ("equivalence", "k_e", lambda v: equivalence_check(AdmittanceConfig(), v, T=1e-3),
-     0.0, False, VE),
-    ("board", "k_e", field(PlaneBoard, "k_e"), 0.0, False, VE),
-    ("hole", "k_e", field(HoleFixture, "k_e"), 0.0, False, VE),
-    ("door", "k_e", field(lever_door, "k_e"), 0.0, False, VE),
-    ("door", "latch_force", field(lever_door, "latch_force"), 0.0, True, VE),
-    ("microwave", "k_e", field(microwave, "k_e"), 0.0, False, VE),
-    ("microwave", "latch_force", field(microwave, "latch_force"), 0.0, True, VE),
+     0.0, False, INF, VE),
+    ("disturbance", "duration", lambda v: DisturbanceEvent("raise", 0.0, v, 0.01), 0.0, False,
+     INF, VE),
+    ("disturbance", "ramp", lambda v: DisturbanceEvent("raise", 0.0, 2.0, 0.01, ramp=v), 0.0,
+     True, 2.0, VE),  # up to the event's duration
+    ("board", "k_e", field(PlaneBoard, "k_e"), 0.0, False, INF, VE),
+    ("hole", "k_e", field(HoleFixture, "k_e"), 0.0, False, INF, VE),
+    ("door", "k_e", field(lever_door, "k_e"), 0.0, False, INF, VE),
+    ("door", "latch_force", field(lever_door, "latch_force"), 0.0, True, INF, VE),
+    ("microwave", "k_e", field(microwave, "k_e"), 0.0, False, INF, VE),
+    ("microwave", "latch_force", field(microwave, "latch_force"), 0.0, True, INF, VE),
 ]
 
 
-@pytest.mark.parametrize("owner,name,build,low,closed,error", BOUNDS,
+@pytest.mark.parametrize("owner,name,build,low,closed,high,error", BOUNDS,
                          ids=[f"{row[0]}-{row[1]}" for row in BOUNDS])
-def test_range_bound(owner, name, build, low, closed, error):
+def test_range_bound(owner, name, build, low, closed, high, error):
     relation = ">=" if closed else ">"
     message = f"{name} must be finite and {relation} {low:g}, got "
     past = math.nextafter(low, -math.inf)
@@ -97,6 +113,14 @@ def test_range_bound(owner, name, build, low, closed, error):
     build(math.nextafter(low, math.inf))
     if closed:
         build(low)
+    if high < INF:
+        past = math.nextafter(high, math.inf)
+        with pytest.raises(error) as exc:
+            build(past)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{name} must be <= {high}, got {past}"
+        build(high)
+        build(math.nextafter(high, -math.inf))
 
 
 def test_a_debounce_too_long_to_count_in_ticks_is_refused():
@@ -112,18 +136,8 @@ def test_a_debounce_too_long_to_count_in_ticks_is_refused():
     assert log.n_ticks == 200 and not log.safety_stopped
 
 
-# (name, upper bound, its unit in the message): wider noise draws overflow
-# mid-run, a command position or a normal cone angle of inf.
-NOISE_UPPER = [("pos_std", 1.0, "1 (m)"), ("normal_cone_std", math.pi, "pi (rad)")]
-
-
-@pytest.mark.parametrize("name,high,unit", NOISE_UPPER, ids=[row[0] for row in NOISE_UPPER])
-def test_noise_wider_than_its_bound_is_refused(name, high, unit):
-    for value in (math.nextafter(high, math.inf), 1e308):
-        with pytest.raises(ValueError) as exc:
-            NoiseSpec(**{name: value})
-        assert type(exc.value) is ValueError
-        assert str(exc.value) == f"{name} must be <= {unit}, got {value}"
+@pytest.mark.parametrize("name,high", [("pos_std", 1.0), ("normal_cone_std", math.pi)])
+def test_noise_at_its_upper_bound_runs(name, high):
     noise = NoiseSpec(**{name: high}, contact_flip_prob=0.5, seed=2)
     log = run_episode(ScenarioConfig("WW", duration=0.5, noise=noise))
     assert log.n_ticks > 0
@@ -163,40 +177,48 @@ def test_a_tangent_stiffness_that_overflows_names_tangent_scale():
     AdmittanceConfig(tangent_scale=1e300)
 
 
-# (name, constructor of one value, low)
+def suite_seeds(value):
+    """parse_suite of a WW suite file of value seeds, written to the working
+    directory: its errors are ConfigParses led by the file's name."""
+    with open("suite.ini", "w") as fh:
+        fh.write(f"[suite]\ntask = WW\nseeds = {value}\n")
+    return parse_suite("suite.ini")
+
+
+# (id, name in the message, constructor of one value, low, high, error). WW's
+# wipe_passes is at most its time limit in policy steps, 120 s at 10 per s, as
+# a pass takes two or more of them; the dataset header holds the horizon as a u32.
 COUNTS = [
-    ("seed", lambda v: ScenarioConfig("WW", seed=v), 0),
-    ("wipe_passes", lambda v: ScenarioConfig("WW", wipe_passes=v), 1),
-    ("seed", lambda v: NoiseSpec(seed=v), 0),
+    ("scenario-seed", "seed", lambda v: ScenarioConfig("WW", seed=v), 0, INF, VE),
+    ("wipe_passes", "wipe_passes", lambda v: ScenarioConfig("WW", wipe_passes=v), 1, 1200, VE),
+    ("noise-seed", "seed", lambda v: NoiseSpec(seed=v), 0, INF, VE),
+    ("horizon", "horizon", lambda v: write_dataset("demos.bin", Dataset("WW", v, ())), 0,
+     MAX_HORIZON, VE),
+    ("suite-seeds", "suite.ini: [suite] seeds", suite_seeds, 1, INF, ConfigParse),
 ]
 
 
-@pytest.mark.parametrize("name,build,low", COUNTS, ids=["scenario-seed", "wipe_passes",
-                                                        "noise-seed"])
-def test_count_bound(name, build, low):
-    with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
-        build(low - 1)
-    # A float, even an integral one, fails here and not inside run_episode.
-    for value in (low + 0.5, float(low), math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+@pytest.mark.parametrize("owner,name,build,low,high,error", COUNTS, ids=[row[0] for row in COUNTS])
+def test_count_bound(owner, name, build, low, high, error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the rows that write a file write it
+    ends = [(low - 1, ">=", low)] + ([(high + 1, "<=", high)] if high < INF else [])
+    for value, relation, bound in ends:
+        with pytest.raises(error) as exc:
             build(value)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{name} must be {relation} {bound}, got {value}"
+    # A float, even an integral one, fails here and not inside run_episode; an
+    # INI file's reader refuses its text first.
+    wording = (f"{name} is not an integer" if error is ConfigParse
+               else f"{name} must be an integer, got ")
+    for value in (low + 0.5, float(low), math.nan, math.inf, -math.inf):
+        with pytest.raises(error) as exc:
+            build(value)
+        assert type(exc.value) is error and str(exc.value).startswith(wording), value
     build(low)
     build(np.int64(low + 1))
-
-
-# (name, constructor of one value, high): the largest count accepted. WW's
-# wipe_passes is its time limit in policy steps, 120 s at 10 per s, as a
-# pass takes two or more of them.
-COUNT_CEILINGS = [
-    ("wipe_passes", lambda v: ScenarioConfig("WW", wipe_passes=v), 1200),
-]
-
-
-@pytest.mark.parametrize("name,build,high", COUNT_CEILINGS, ids=["wipe_passes"])
-def test_count_ceiling(name, build, high):
-    with pytest.raises(ValueError, match=f"^{name} must be <= {high} .*, got {high + 1}$"):
-        build(high + 1)
-    build(high)  # it constructs; nothing runs
+    if high < INF:
+        build(high)
 
 
 # Each task's environment override keys, from its environment class: every
@@ -229,7 +251,7 @@ def test_environment_override_the_task_does_not_read(task, key, tmp_path):
 @pytest.mark.parametrize("task", [t for t in TASKS if not TASK_SPECS[t].multipass])
 def test_wipe_passes_is_one_outside_a_multipass_task(task, tmp_path):
     assert ScenarioConfig(task, wipe_passes=1).wipe_passes == 1
-    for passes in (2, 3):
+    for passes in (2, 3, 1201):  # 1201: past every task's ceiling, checked after this
         with pytest.raises(ValueError, match=f"^wipe_passes must be 1 for {task}, "):
             ScenarioConfig(task, wipe_passes=passes)
     path = tmp_path / "s.ini"

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scenarios import GOLDEN, verify_default_grid
+
 from admitsim import cli, verify
 from admitsim.cli import main
 from admitsim.config import parse_scenario
@@ -22,10 +24,6 @@ mode = force_aware
 duration = 6.0
 seed = 2
 """
-
-# SHA-256 of `admitsim verify --prop3-duration 5.0` on the default 27-point grid
-# (see tests/test_golden.py for how such a digest is re-pinned).
-DEFAULT_GRID_SHA256 = "6f783590df8958195694adf23bb094f4157ecd904990ab0e87e6c2a302f5bca3"
 
 
 @pytest.fixture()
@@ -116,10 +114,11 @@ class TestGenDemos:
         rc = main(["gen-demos", "--count", "1", "--out", str(tmp_path / "x.bin")])
         assert rc == 2
 
-    def test_count_must_be_positive(self, tmp_path):
+    def test_count_must_be_positive(self, tmp_path, capsys):
         rc = main(["gen-demos", "--task", "WW", "--count", "0",
                    "--out", str(tmp_path / "x.bin")])
         assert rc == 2
+        assert capsys.readouterr().err == "gen-demos: --count must be >= 1, got 0\n"
 
     def test_task_and_config_are_refused_together(self, tmp_path, capsys):
         path = tmp_path / "ww.ini"
@@ -151,14 +150,14 @@ class TestGenDemos:
                      "--out", out]) == 2
         assert counts == [MAX_EPISODES]
         assert capsys.readouterr().err == ("gen-demos: --count must be <= 4294967295, "
-                                           "the episodes one dataset holds\n")
+                                           "got 4294967296\n")
         assert not os.path.exists(out)
 
     def test_seed_must_be_non_negative(self, tmp_path, capsys):
         rc = main(["gen-demos", "--task", "WW", "--seed", "-1",
                    "--out", str(tmp_path / "x.bin")])
         assert rc == 2
-        assert capsys.readouterr().err == "gen-demos: --seed must be >= 0\n"
+        assert capsys.readouterr().err == "gen-demos: --seed must be >= 0, got -1\n"
         assert not os.path.exists(tmp_path / "x.bin")
 
 
@@ -196,14 +195,14 @@ class TestSuiteCommand:
 class TestVerifyCommand:
     def test_default_grid_all_pass(self, tmp_path, capsys):
         out = str(tmp_path / "report.csv")
-        rc = main(["verify", "--out", out, "--prop3-duration", "5.0"])
+        rc = verify_default_grid(out)
         assert rc == 0
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 + 27 * 4  # header + four checks per grid point
         assert "failed=0" in capsys.readouterr().out
-        # The whole default-grid report, pinned as bytes like the golden digests.
+        # The whole default-grid report, pinned as bytes among the golden digests.
         with open(out, "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == DEFAULT_GRID_SHA256
+            assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN["default_grid_csv"]
 
     def test_zero_damping_rejected(self, tmp_path):
         params = tmp_path / "v.ini"

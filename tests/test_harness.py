@@ -71,7 +71,8 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
     def test_rejects_non_finite_or_negative_duration(self, duration):
-        with pytest.raises(ValueError, match=r"\[0, 120"):
+        message = f"^duration must be finite and >= 0, got {duration}$"
+        with pytest.raises(ValueError, match=message):
             ScenarioConfig(task="WW", duration=duration)
 
     def test_invalid_admittance_override_fails_at_construction(self):

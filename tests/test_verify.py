@@ -1,4 +1,3 @@
-import hashlib
 import math
 import re
 import tracemalloc
@@ -6,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+
+from scenarios import GOLDEN, non_default_reports, one_point_reports, reports_digest
 
 from admitsim.admittance import AdmittanceConfig, compute_damping
 from admitsim import verify
@@ -184,14 +185,10 @@ class TestProp3:
         ratio = half.measured["sup_e_steady"] / full.measured["sup_e_steady"]
         assert ratio == pytest.approx(0.5, rel=0.05)
 
-    # SHA-256 over repr() of every report of a run with a negative amplitude
-    # and a non-default omega on the default grid.
-    NON_DEFAULT_SHA256 = "fd175e2b76f0e15c6d62fb19b366d41240fe63ed1a6b85abfd297d70124b0086"
-
     def test_non_default_run_is_pinned(self):
-        reports = verify_prop3_grid(T=7.0, amplitude=-0.003, omega=3.0)
+        reports = non_default_reports()
         assert len(reports) == 27
-        assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.NON_DEFAULT_SHA256
+        assert reports_digest(reports) == GOLDEN["non_default_reports"]
 
     @pytest.mark.parametrize("omega,T", [(1e80, 0.5), (1e154, 0.5), (1.5e154, 0.5),
                                          (1e200, 0.5), (-1e200, 0.5), (1.7e308, 60.0)])
@@ -284,15 +281,10 @@ class TestOneBatch:
     """run_default_verification is the three proposition functions and the
     equivalence check."""
 
-    # SHA-256 over repr() of every report of run_default_verification on a
-    # one-point grid with a 5 s proposition 3: every measured field of the
-    # four checks with their defaults, not only the CSV's columns.
-    ONE_POINT_SHA256 = "df8e58b9a5734a318bc78cde9bf2122ee7e3c34086c2afb131c96f6d097ccf21"
-
     def test_one_point_run_is_pinned(self):
-        reports = run_default_verification(prop3_T=5.0, grid=[params()])
+        reports = one_point_reports()
         assert [r.proposition for r in reports] == ["prop1", "prop2", "prop3", "equivalence"]
-        assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.ONE_POINT_SHA256
+        assert reports_digest(reports) == GOLDEN["one_point_reports"]
 
     @pytest.mark.parametrize("name,kwargs", [
         ("verify_prop1_grid", {}),
