@@ -115,8 +115,8 @@ class ControllerState(_StateFields):
     __slots__ = ()
 
     def __new__(cls, x_r, v_r):
-        return super().__new__(cls, check_finite_components("x_r", vec3(x_r)),
-                               check_finite_components("v_r", vec3(v_r)))
+        return super().__new__(cls, check_finite_components("x_r", vec3("x_r", x_r)),
+                               check_finite_components("v_r", vec3("v_r", v_r)))
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,9 @@ class ControllerCommand:
     c: int = 0
 
     def __post_init__(self):
-        x_cmd = vec3(self.x_cmd)
+        x_cmd = vec3("x_cmd", self.x_cmd)
         object.__setattr__(self, "x_cmd", x_cmd)
-        n = _ZERO3 if self.n is None else vec3(self.n)
+        n = _ZERO3 if self.n is None else vec3("n", self.n)
         object.__setattr__(self, "n", n)
         if not all(map(isfinite, x_cmd)):
             raise ValueError(f"x_cmd must be finite, got {x_cmd}")

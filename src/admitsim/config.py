@@ -4,11 +4,13 @@ sections, SI units).
 The README's "Scenario config" block shows every section and key of a
 scenario file, with units and bounds, and the paragraphs after it those of
 suite and verify files. `_SCHEMA` is the one list of them that the parsers
-read: each key of each section with the reader of its text. A key the file
-leaves out takes its constructor's default (`ScenarioConfig`, `NoiseSpec`,
-`DisturbanceEvent`, `verify.default_grid`). A section that the file's parser
-does not read is a ConfigParse, and so is a key that a section it reads does
-not list, and an input the task does not read (see `tasks.TaskSpec`).
+read: each key of each section with the reader of its text, which converts
+it and checks nothing. A value is refused by the check of the constructor it
+reaches, in that check's wording, and a key the file leaves out takes that
+constructor's default (`ScenarioConfig`, `NoiseSpec`, `DisturbanceEvent`,
+`verify.default_grid`). A section that the file's parser does not read is a
+ConfigParse, and so is a key that a section it reads does not list, and an
+input the task does not read (see `tasks.TaskSpec`).
 """
 
 from __future__ import annotations
@@ -24,39 +26,34 @@ from .policy import NoiseSpec
 from .verify import default_grid
 
 
-def _worded(convert, wording: str):
-    """A reader of a key's text: convert, its ValueError worded as wording."""
+def _reader(*kinds):
+    """A key's reader: its text as the first of kinds that converts it, else as is."""
     def read(text: str):
-        try:
-            return convert(text)
-        except ValueError:
-            raise ValueError(wording) from None
+        for kind in kinds:
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
     return read
 
 
-def _words(read, n: int | None, wording: str):
-    """A reader of n space-separated values (one or more when n is None), each
-    read by read; a wrong count is worded as wording."""
-    def read_all(text: str) -> tuple:
-        words = text.split()
-        if len(words) != n if n else not words:
-            raise ValueError(wording)
-        return tuple(map(read, words))
-    return read_all
+_FLOAT, _INT = _reader(float), _reader(int, float)
 
 
-_FLOAT = _worded(float, "is not a number")
-_INT = _worded(int, "is not an integer")
-_AXIS = _words(_worded(float, "must be numbers"), None, "has no values")
+def _numbers(text: str) -> tuple:
+    """The space-separated words of text, each read by `_FLOAT`."""
+    return tuple(map(_FLOAT, text.split()))
+
 
 # The reader of each key of each section; any other key is a config error.
-# [environment] reads any key as a float (ScenarioConfig checks it against the
+# [environment] reads any key as a number (ScenarioConfig checks it against the
 # task), and every [disturbance.<name>] reads the "disturbance" keys.
 _SCHEMA = {
     "scenario": {"task": str, "mode": str, "duration": _FLOAT, "seed": _INT, "wipe_passes": _INT},
-    "suite": {"task": str, "modes": _words(str, None, "has no values"), "seeds": _INT,
-              "duration": _FLOAT, "disturbed": str, "base_seed": _INT, "wipe_passes": _INT},
-    "verify": {"m": _AXIS, "k_e": _AXIS, "f_h": _AXIS, "d": _FLOAT},
+    "suite": {"task": str, "modes": str.split, "seeds": _INT, "duration": _FLOAT,
+              "disturbed": str, "base_seed": _INT, "wipe_passes": _INT},
+    "verify": {"m": _numbers, "k_e": _numbers, "f_h": _numbers, "d": _FLOAT},
     "admittance": dict.fromkeys(("mass", "stiffness", "damping_ratio", "tangent_scale",
                                  "target_force", "force_deadband"), _FLOAT),
     "noise": {"pos_std": _FLOAT, "rot_std": _FLOAT, "normal_cone_std": _FLOAT,
@@ -64,9 +61,7 @@ _SCHEMA = {
     "environment": None,
     "safety": {"limit": _FLOAT, "debounce": _FLOAT},
     "disturbance": {"kind": str, "start": _FLOAT, "duration": _FLOAT, "magnitude": _FLOAT,
-                    "direction": _words(_worded(float, "is not numeric"), 3,
-                                        "needs 3 components"),
-                    "ramp": _FLOAT, "omega": _FLOAT},
+                    "direction": _numbers, "ramp": _FLOAT, "omega": _FLOAT},
 }
 # The optional sections of scenario and suite files, besides [disturbance.<name>].
 _SHARED_SECTIONS = ("admittance", "noise", "environment", "safety")
@@ -105,10 +100,7 @@ def _values(parser, section: str, path: str) -> dict:
         read = _FLOAT if readers is None else readers.get(key)
         if read is None:
             raise ConfigParse(f"{path}: unknown key {key!r} in [{section}]")
-        try:
-            values[key] = read(text)
-        except ValueError as exc:
-            raise ConfigParse(f"{path}: [{section}] {key} {exc}") from exc
+        values[key] = read(text)
     return values
 
 
@@ -174,11 +166,8 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     common = _values(parser, "suite", path)
     modes = common.pop("modes", ("force_aware",))
     seeds = common.pop("seeds", 5)
-    try:
-        check_distinct("[suite] modes", modes)  # its episodes would run, and count, twice
-        check_count("[suite] seeds", seeds, 1)
-    except ValueError as exc:
-        raise ConfigParse(f"{path}: {exc}") from None
+    _build(check_distinct, path, "suite", name="modes", values=modes)  # a repeat runs twice
+    _build(check_count, path, "suite", name="seeds", value=seeds, low=1)
     base_seed = common.pop("base_seed", 0)
     conditions = {"none": (False,), "only": (True,), "both": (False, True)}.get(
         common.pop("disturbed", "none"))

@@ -132,7 +132,7 @@ class DisturbanceEvent:
         check_range("ramp", self.ramp, closed=True, high=self.duration)
         if not abs(self.omega * self.duration) < math.inf:  # the sinusoid's largest phase
             raise ValueError(f"omega * duration must be finite, got {self.omega} * {self.duration}")
-        d = vec3(self.direction)
+        d = vec3("direction", self.direction)
         norm = math.sqrt(sq_norm(d))
         if not norm < math.inf:  # a non-finite component, or a squared norm that overflows
             raise ValueError(f"direction must be finite with a finite norm, got {d}")
@@ -305,7 +305,7 @@ class PlaneBoard:
     DISTURBANCES = DISTURBANCE_KINDS
 
     def __post_init__(self):
-        self.center = check_finite_components("center", vec3(self.center))
+        self.center = check_finite_components("center", vec3("center", self.center))
         self.rotation = self._base_rotation = check_finite_components(
             "rotation", tuple(map(float, self.rotation)))
         self.frame = _quat_matrix(self.rotation)
@@ -378,7 +378,7 @@ class HoleFixture:
     DISTURBANCES = ("raise", "lower", "shift", "force_pulse", "sinusoid")
 
     def __post_init__(self):
-        self.rim_center = check_finite_components("rim_center", vec3(self.rim_center))
+        self.rim_center = check_finite_components("rim_center", vec3("rim_center", self.rim_center))
         _K_E(self.k_e)
         self._base_rest = self.rim_center
 
@@ -484,11 +484,10 @@ class HingedDoor:
             raise ValueError("a door takes both handle_pivot and handle_axis, a microwave "
                              f"neither; got handle_pivot {self.handle_pivot!r} and "
                              f"handle_axis {self.handle_axis!r}")
-        self.hinge_pivot = check_finite_components("hinge_pivot", vec3(self.hinge_pivot))
-        self.grasp0 = check_finite_components("grasp0", vec3(self.grasp0))
+        for name in ("hinge_pivot", "grasp0") + ("handle_pivot",) * (not self.microwave):
+            setattr(self, name, check_finite_components(name, vec3(name, getattr(self, name))))
         if not self.microwave:
-            self.handle_pivot = check_finite_components("handle_pivot", vec3(self.handle_pivot))
-            self.handle_axis = _normalize(vec3(self.handle_axis))
+            self.handle_axis = _normalize(vec3("handle_axis", self.handle_axis))
             # Handle lever at the closed grasp, perpendicular to the handle axis.
             self._lever0_perp = _perp(_sub(self.grasp0, self.handle_pivot), self.handle_axis)
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.

@@ -1,12 +1,14 @@
 """Exception types shared across the toolkit, and the range checks that raise them.
 
 Every numeric bound of an input is checked by `check_range` (a real number),
-`check_count` (an integer) or `check_distinct` (no value twice), each bound
-in one wording: `<name> must be finite and > <low>, got <value>` (`>=` where
-closed), `<name> must be >= <low>, got <value>` for a count, `<name> must be
-<= <high>, got <value>` for both, and `<name> repeats <value>`. The upper
-bound is printed exactly (pi as 3.141592653589793); its default, inf, is none.
-A value of the wrong kind reads `<name> must be a real number (an integer), got <value>`.
+`check_count` (an integer) or `check_distinct` (one or more values, none
+twice), each in one wording: `<name> must be finite and > <low>, got <value>`
+(`>=` where closed), `<name> must be >= <low>, got <value>` for a count,
+`<name> must be <= <high>, got <value>` for both, and `<name> has no values`
+or `<name> repeats <value>`. The upper bound is printed exactly (pi as
+3.141592653589793); its default, inf, is none. A value of the wrong kind reads
+`<name> must be a real number (an integer), got <value>`, or for a 3-vector
+(`geometry.vec3`) `<name> must be 3 real numbers, got <value>`.
 """
 
 import math
@@ -54,8 +56,8 @@ class IoFailure(AdmitSimError):
 
 
 def check_real(name: str, value, error=ValueError):
-    """Raise error unless value is a real number (a bool is one too)."""
-    if not isinstance(value, Real):
+    """Raise error unless value is a real number (a bool is one too); a float makes no call."""
+    if type(value) is not float and not isinstance(value, Real):
         raise error(f"{name} must be a real number, got {value!r}")
 
 
@@ -99,7 +101,9 @@ def check_count(name: str, value, low: int, high: float = math.inf):
 
 
 def check_distinct(name: str, values):
-    """Raise ValueError naming the first value of values that an earlier one equals."""
+    """Raise ValueError if values is empty, or naming its first value that an earlier one equals."""
+    if not len(values):
+        raise ValueError(f"{name} has no values")
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{name} repeats {value}")

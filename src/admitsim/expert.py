@@ -281,8 +281,8 @@ def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[tupl
         d = d0 * a0 + d1 * a1 + d2 * a2
         d0, d1, d2 = d0 - d * a0, d1 - d * a1, d2 - d * a2
         d = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        if not d >= 1e-12:  # NaN fails the comparison too
-            raise DegenerateInput(f"cannot normalize near-zero vector (norm={d:g})")
+        if not 1e-12 <= d < math.inf:  # NaN fails the comparison too
+            raise DegenerateInput(f"cannot normalize a vector of norm {d:g}")
         normals.append((d0 / d, d1 / d, d2 / d))
     return positions, normals
 
@@ -342,8 +342,8 @@ def extract_supervision(positions: list[tuple], phases: list[PhaseLabel],
                 normal = _normalize(n_at)
             else:
                 r = sqrt(sq)
-                if not r >= 1e-12:  # _normalize's test, which only NaN fails here
-                    raise DegenerateInput(f"cannot normalize near-zero vector (norm={r:g})")
+                if not 1e-12 <= r < math.inf:  # _normalize's test: only NaN or inf fails it here
+                    raise DegenerateInput(f"cannot normalize a vector of norm {r:g}")
                 last = n_next
                 normal = unit = (n0 / r, n1 / r, n2 / r)
         rows.append(pack(*position, *IDENTITY_ROT6D, gripper, *normal, flag))

@@ -6,7 +6,7 @@ Conventions:
   environment geometry only: a board's rotation and its tilt, a door's yaw,
   and the normal-cone noise of `policy.predict`. An expert waypoint is a
   3-vector, its position alone: the controller is translational. The public
-  constructor `vec3` coerces any sequence, an array or a list, into that form.
+  constructor `vec3` coerces three real numbers, an array or a list, to that form.
 
 Numerics contract. Every dot product of 3-vectors whose value reaches state,
 a log or an output file is `dot3(a, b) = a0*b0 + a1*b1 + a2*b2`, evaluated left
@@ -47,15 +47,22 @@ the float tuple of a record's position columns plus its position noise.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 from .errors import DegenerateInput
 
-def vec3(v) -> tuple:
-    """Any sequence of three numbers (an array, a list) as a tuple of Python floats."""
-    t = tuple(map(float, v))
-    if len(t) != 3:
-        raise ValueError(f"expected 3 components, got {len(t)}")
-    return t
+def vec3(name: str, v) -> tuple:
+    """v, three real numbers (an array, a list), as a float tuple, else a ValueError
+    naming the field name. Three floats cost no Python call: vec3 runs per command."""
+    try:
+        x, y, z = v
+    except (TypeError, ValueError):  # not iterable, or not three
+        x = y = z = None
+    if type(x) is float and type(y) is float and type(z) is float:
+        return (x, y, z)
+    if isinstance(x, Real) and isinstance(y, Real) and isinstance(z, Real):
+        return (float(x), float(y), float(z))
+    raise ValueError(f"{name} must be 3 real numbers, got {v!r}")
 
 
 def dot3(a, b) -> float:
@@ -77,9 +84,9 @@ def _normalize(v) -> tuple:
 
 
 def _unit(v, n: float) -> tuple:
-    """_normalize(v) for the floats v, given their norm n = sqrt(sq_norm(v))."""
-    if not n >= 1e-12:  # NaN fails the comparison too
-        raise DegenerateInput(f"cannot normalize near-zero vector (norm={n:g})")
+    """_normalize(v) for the floats v, given their finite norm n = sqrt(sq_norm(v))."""
+    if not 1e-12 <= n < math.inf:  # NaN fails the comparison too
+        raise DegenerateInput(f"cannot normalize a vector of norm {n:g}")
     v0, v1, v2 = v
     return (v0 / n, v1 / n, v2 / n)
 

@@ -347,7 +347,7 @@ def equivalence_check(cfg: AdmittanceConfig, k_e: float, n=(0.0, 0.0, 1.0), T: f
     algebraic reduction of the commanded-force law.
     """
     check_range("k_e", k_e)
-    n = _normalize(vec3(n))
+    n = _normalize(vec3("n", n))
     n0, n1, n2 = n
     cfg = replace(cfg, enable_normal_regulation=True)
     x_n = v_n = 0.0
@@ -396,13 +396,14 @@ GRID_FH = (2.0, 4.0, 8.0)
 def default_grid(m=GRID_M, k_e=GRID_KE, f_h=GRID_FH,
                  d: float | None = None) -> list[NormalDynamicsParams]:
     """The m x k_e x f_H grid, one axis per argument; d defaults to the
-    controller's over-damped rule. An axis that repeats a value is a
-    ValueError naming the axis and the value: each check of that point would
-    run, and be reported, twice."""
+    controller's over-damped rule. An axis that is empty, or repeats a value,
+    is a ValueError naming the axis: an empty grid would pass with no check,
+    and each check of a repeated point would run, and be reported, twice."""
     for name, axis in (("m", m), ("k_e", k_e), ("f_h", f_h)):
         check_distinct(name, axis)
     grid = []
     for m_i in m:
+        check_range("m", m_i)  # before the damping rule's AdmittanceConfig calls it mass
         d_m = AdmittanceConfig(mass=m_i).damping if d is None else d
         for k_e_j in k_e:
             for f_H in f_h:

@@ -82,7 +82,7 @@ class TestAdmittanceConfigValidation:
 
 def tick(st_, cmd, force=(0.0, 0.0, 0.0), cfg=None, dt=1e-3):
     """controller_tick on a raw force, with the default gains unless cfg is given."""
-    return controller_tick(st_, cmd, vec3(force), dt, cfg or AdmittanceConfig())
+    return controller_tick(st_, cmd, vec3("force", force), dt, cfg or AdmittanceConfig())
 
 
 class TestDeadband:
@@ -371,7 +371,7 @@ class TestControllerTick:
         st_ = ControllerState(rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.01)
         n = np.array([0.0, 1.0, 0.0])
         cmd = ControllerCommand(rng.normal(size=3) * 0.02, 1.0, n, 1)
-        force = vec3(rng.normal(size=3) * 5)
+        force = vec3("force", rng.normal(size=3) * 5)
         res = controller_tick(st_, cmd, force, 1e-3, cfg)
         f_ext = _radial_deadband(force, cfg.force_deadband)
         ref = reference_tick(st_, cmd, f_ext, 1e-3, cfg)
@@ -467,7 +467,7 @@ class TestControllerTick:
 
 vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
 unit_vectors = vectors.filter(lambda v: math.fsum(c * c for c in v) > 1e-4).map(
-    lambda v: vec3(np.divide(v, np.linalg.norm(v))))
+    lambda v: vec3("n", np.divide(v, np.linalg.norm(v))))
 
 
 class TestControllerProperties:
@@ -540,7 +540,8 @@ class TestControllerProperties:
                                enable_tangent_stiffening=tangent)
         dt = 1e-3
         st_ = ControllerState(x, v)
-        res = controller_tick(st_, ControllerCommand(x_cmd, 1.0, n, 1), vec3(force), dt, cfg)
+        res = controller_tick(st_, ControllerCommand(x_cmd, 1.0, n, 1), vec3("force", force),
+                              dt, cfg)
         v_n = float(np.dot(v, n))
         a_n = (float(np.dot(res.f_ext, n)) - f_h - 2.0 * cfg.damping * v_n) / cfg.mass
         scale = (np.linalg.norm(force) + f_h + cfg.tangent_damping * np.linalg.norm(v)

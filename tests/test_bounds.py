@@ -12,7 +12,9 @@ environment class's `OVERRIDES`, a `wipe_passes` other than 1 outside WW), the
 admittance overrides, the verifier's horizons and its other inputs (start
 offset and velocity, rest-point amplitude and frequency), a value that is not
 a number and a `ScenarioConfig` object field of the wrong type fail with a
-typed error too.
+typed error too. The INI readers convert text and check nothing, so a value
+of the wrong kind in a file is refused by the check of the constructor it
+reaches, in that check's wording.
 """
 
 import math
@@ -23,16 +25,23 @@ import pytest
 
 from scenarios import lever_door, microwave
 
-from admitsim.admittance import AdmittanceConfig, ControllerCommand, compute_damping
+from admitsim.admittance import (
+    AdmittanceConfig,
+    ControllerCommand,
+    ControllerState,
+    compute_damping,
+)
 from admitsim.environments import DisturbanceEvent, HoleFixture, PlaneBoard
-from admitsim.config import parse_scenario, parse_suite
+from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.datasets import MAX_HORIZON, Dataset, write_dataset
-from admitsim.errors import ConfigParse, NonPositiveParameter
+from admitsim.errors import ConfigParse, NonPositiveParameter, check_count, check_distinct
+from admitsim.geometry import vec3
 from admitsim.harness import CONTROL_HZ, ScenarioConfig, run_episode
 from admitsim.policy import NoiseSpec
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 from admitsim.verify import (
     NormalDynamicsParams,
+    default_grid,
     equivalence_check,
     verify_prop1_grid,
     verify_prop2,
@@ -207,14 +216,13 @@ def test_count_bound(owner, name, build, low, high, error, tmp_path, monkeypatch
             build(value)
         assert type(exc.value) is error
         assert str(exc.value) == f"{name} must be {relation} {bound}, got {value}"
-    # A float, even an integral one, fails here and not inside run_episode; an
-    # INI file's reader refuses its text first.
-    wording = (f"{name} is not an integer" if error is ConfigParse
-               else f"{name} must be an integer, got ")
+    # A float, even an integral one, fails here and not inside run_episode, in
+    # the same wording from an INI file.
     for value in (low + 0.5, float(low), math.nan, math.inf, -math.inf):
         with pytest.raises(error) as exc:
             build(value)
-        assert type(exc.value) is error and str(exc.value).startswith(wording), value
+        assert type(exc.value) is error, value
+        assert str(exc.value) == f"{name} must be an integer, got {value}"
     build(low)
     build(np.int64(low + 1))
     if high < INF:
@@ -362,3 +370,83 @@ def test_a_value_that_is_not_a_number_is_a_typed_error(name, call, error):
         call()
     assert type(exc.value) is error
     assert str(exc.value).startswith(f"{name} must be a real number, got '"), str(exc.value)
+
+
+EVENT = ("[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\nduration = 1\n"
+         "magnitude = 0.01\n")
+
+
+def event(direction):
+    return lambda: DisturbanceEvent("raise", 1.0, 1.0, 0.01, direction=direction)
+
+
+# (id, parser, INI text, the call its value reaches): the value-kind faults of
+# a file. A [suite]'s own keys reach no constructor but the checks parse_suite
+# runs on them.
+INI_FAULTS = [
+    ("scenario-duration", parse_scenario, "[scenario]\ntask = WW\nduration = fast\n",
+     lambda: ScenarioConfig("WW", duration="fast")),
+    ("suite-seeds", parse_suite, "[suite]\ntask = WW\nseeds = 1.5\n",
+     lambda: check_count("seeds", 1.5, 1)),
+    ("scenario-seed", parse_scenario, "[scenario]\ntask = WW\nseed = 1.5\n",
+     lambda: ScenarioConfig("WW", seed=1.5)),
+    ("noise-seed", parse_scenario, "[scenario]\ntask = WW\n[noise]\nseed = 1.5\n",
+     lambda: NoiseSpec(seed=1.5)),
+    ("verify-m-word", parse_verify_params, "[verify]\nm = 1.0 x\n",
+     lambda: default_grid(m=(1.0, "x"))),
+    ("verify-m-zero", parse_verify_params, "[verify]\nm = 0\n", lambda: default_grid(m=(0.0,))),
+    ("verify-k_e-empty", parse_verify_params, "[verify]\nk_e =\n", lambda: default_grid(k_e=())),
+    ("suite-modes-empty", parse_suite, "[suite]\ntask = WW\nmodes =\n",
+     lambda: check_distinct("modes", [])),
+    ("direction-two", parse_scenario, EVENT + "direction = 0 1\n", event((0.0, 1.0))),
+    ("direction-word", parse_scenario, EVENT + "direction = 0 1 z\n", event((0.0, 1.0, "z"))),
+]
+
+
+@pytest.mark.parametrize("case,parse,text,call", INI_FAULTS, ids=[row[0] for row in INI_FAULTS])
+def test_an_ini_value_fault_is_worded_by_the_check_it_reaches(case, parse, text, call, tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        call()
+    with pytest.raises(ConfigParse) as parsed:
+        parse(str(path))
+    assert str(parsed.value).startswith(f"{path}: ")
+    assert str(parsed.value).endswith(str(exc.value))
+
+
+# (id, call, message): the same faults at the API, which no INI reader screens.
+API_FAULTS = [
+    ("grid-k_e-empty", lambda: default_grid(k_e=()), "k_e has no values"),
+    ("grid-m-zero", lambda: default_grid(m=(0.0,)), "m must be finite and > 0, got 0.0"),
+    ("grid-m-word", lambda: default_grid(m=("1",)), "m must be a real number, got '1'"),
+    ("vector-str", lambda: PlaneBoard(center=("0.3", "0", "0.1")),
+     "center must be 3 real numbers, got ('0.3', '0', '0.1')"),
+    ("vector-str-direction", event(("0", "0", "1")),
+     "direction must be 3 real numbers, got ('0', '0', '1')"),
+    ("vector-two", lambda: ControllerState((0.0, 0.0), (0.0, 0.0, 0.0)),
+     "x_r must be 3 real numbers, got (0.0, 0.0)"),
+    ("vector-four", lambda: HoleFixture(rim_center=[0.0, 0.0, 0.1, 1.0]),
+     "rim_center must be 3 real numbers, got [0.0, 0.0, 0.1, 1.0]"),
+    ("vector-scalar", lambda: ControllerCommand(1.0), "x_cmd must be 3 real numbers, got 1.0"),
+    ("vector-none", lambda: equivalence_check(AdmittanceConfig(), 1000.0, n=None),
+     "n must be 3 real numbers, got None"),
+]
+
+
+@pytest.mark.parametrize("case,call,message", API_FAULTS, ids=[row[0] for row in API_FAULTS])
+def test_an_api_value_fault_is_a_value_error_naming_the_field(case, call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("v", [(0.5, -1.0, 2.0), [1, 0, -3], (True, 0, 0.5),
+                               np.array([0.5, -1.0, 2.0]), np.arange(3),
+                               (np.float32(0.5), np.int64(-1), np.float64(2.0))],
+                         ids=["floats", "ints", "bool", "array", "int-array", "numpy-scalars"])
+def test_a_vector_of_real_numbers_is_a_float_tuple(v):
+    got = vec3("v", v)
+    assert got == tuple(float(c) for c in v)
+    assert type(got) is tuple and all(type(c) is float for c in got)

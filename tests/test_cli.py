@@ -600,13 +600,13 @@ def test_a_section_the_command_does_not_read_is_named(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("key", ["start", "duration", "magnitude", "ramp", "omega"])
 def test_disturbance_value_that_is_not_a_number_is_named(tmp_path, capsys, key):
-    """Every number of a [disturbance.*] section is read by one reader, so
-    each one that is not a number gets the same message."""
+    """Every number of a [disturbance.*] section reaches DisturbanceEvent's
+    checks as read, so each one that is not a number gets their one message."""
     path = tmp_path / "bad.ini"
     path.write_text(shift_event(**{key: "abc"}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == (f"config error: {path}: [disturbance.a] {key} "
-                                       "is not a number\n")
+                                       "must be a real number, got 'abc'\n")
 
 
 @pytest.mark.parametrize("key", ["kind", "start", "duration", "magnitude"])

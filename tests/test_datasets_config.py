@@ -474,23 +474,23 @@ def test_unknown_key_is_named(tmp_path, parse, text, key):
 
 @pytest.mark.parametrize("parse,text,message", [
     (parse_scenario, "[scenario]\ntask = WW\nduration = fast\n",
-     "[scenario] duration is not a number"),
-    (parse_scenario, "[scenario]\ntask = WW\nseed = 1.5\n", "[scenario] seed is not an integer"),
+     "duration must be a real number, got 'fast'"),
+    (parse_scenario, "[scenario]\ntask = WW\nseed = 1.5\n", "seed must be an integer, got 1.5"),
     (parse_scenario, "[scenario]\ntask = WW\n[noise]\nseed = x\n",
-     "[noise] seed is not an integer"),
-    (parse_suite, "[suite]\ntask = WW\nseeds = 2.0\n", "[suite] seeds is not an integer"),
+     "[noise] seed must be an integer, got 'x'"),
+    (parse_suite, "[suite]\ntask = WW\nseeds = 2.0\n", "[suite] seeds must be an integer, got 2.0"),
     (parse_suite, "[suite]\ntask = WW\nmodes =\n", "[suite] modes has no values"),
     (parse_suite, "[suite]\ntask = WW\nmodes = force_aware force_aware\n",
      "[suite] modes repeats force_aware"),
-    (parse_verify_params, "[verify]\nm = 1.0 x\n", "[verify] m must be numbers"),
+    (parse_verify_params, "[verify]\nm = 1.0 x\n", "[verify] m must be a real number, got 'x'"),
     (parse_verify_params, "[verify]\nk_e =\n", "[verify] k_e has no values"),
-    (parse_verify_params, "[verify]\nd = x\n", "[verify] d is not a number"),
+    (parse_verify_params, "[verify]\nd = x\n", "[verify] d must be a real number, got 'x'"),
     (parse_scenario, "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
                      "duration = 1\nmagnitude = 0.01\ndirection = 0 1\n",
-     "[disturbance.a] direction needs 3 components"),
+     "[disturbance.a] direction must be 3 real numbers, got (0.0, 1.0)"),
     (parse_scenario, "[scenario]\ntask = WW\n[disturbance.a]\nkind = raise\nstart = 1\n"
                      "duration = 1\nmagnitude = 0.01\ndirection = 0 1 z\n",
-     "[disturbance.a] direction is not numeric"),
+     "[disturbance.a] direction must be 3 real numbers, got (0.0, 1.0, 'z')"),
     (parse_scenario, "[scenario]\ntask = WW\n[environment]\nlatch_force = 1\n",
      "unknown environment override 'latch_force' for WW"),
     (parse_scenario, "[scenario]\nmode = force_aware\n", "[scenario] missing 'task'"),

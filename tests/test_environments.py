@@ -29,10 +29,12 @@ from admitsim.environments import (
     apply_disturbances,
     update_ink,
 )
+from admitsim.admittance import AdmittanceConfig
 from admitsim.errors import DegenerateInput
 from admitsim.geometry import _matvec, _quat_matrix, quat_from_axis_angle
 from admitsim.harness import default_disturbance
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
+from admitsim.verify import equivalence_check
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -564,9 +566,17 @@ class TestConstructorValidation:
             build(value)
         assert type(exc.value) is ValueError
 
+    # An infinite component would make a NaN one of the unit axis, and a norm
+    # that overflows a zero axis.
     @pytest.mark.parametrize("build", [
         lambda: HingedDoor(handle_pivot=(0.45, 0.0, 0.15), handle_axis=(math.nan, 0.0, 0.0)),
-    ], ids=["door-handle_axis"])
+        lambda: HingedDoor(handle_pivot=(0.5, 0.0, 0.2), handle_axis=(math.inf, 0.0, 0.0)),
+        lambda: HingedDoor(handle_pivot=(0.5, 0.0, 0.2), handle_axis=(0.0, -math.inf, 0.0)),
+        lambda: HingedDoor(handle_pivot=(0.5, 0.0, 0.2), handle_axis=(1e200, 1e200, 0.0)),
+        lambda: equivalence_check(AdmittanceConfig(), 1000.0, n=(math.inf, 0.0, 0.0)),
+        lambda: equivalence_check(AdmittanceConfig(), 1000.0, n=(0.0, 0.0, math.nan)),
+    ], ids=["door-handle_axis", "door-handle_axis-inf", "door-handle_axis--inf",
+            "door-handle_axis-overflow", "equivalence-n-inf", "equivalence-n-nan"])
     def test_a_nan_axis_is_degenerate(self, build):
         with pytest.raises(DegenerateInput):
             build()
