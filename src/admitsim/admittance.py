@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import NamedTuple
 
-from .errors import (
-    NonFiniteState,
-    NonPositiveParameter,
-    check_finite_components,
-    check_range,
-    check_real,
-)
+from .errors import NonFiniteState, NonPositiveParameter, check_range, check_real
 from .geometry import vec3
 
 MAX_DT = 0.01  # controller step ceiling (s); nominal operation is 1 kHz
@@ -106,17 +100,13 @@ class _StateFields(NamedTuple):
 
 
 class ControllerState(_StateFields):
-    """Compliant reference position and velocity advanced by the admittance law.
-
-    The public constructor rejects a non-finite component with a ValueError
-    naming the field.
-    """
+    """Compliant reference position and velocity advanced by the admittance law,
+    each coerced and checked by `vec3`."""
 
     __slots__ = ()
 
     def __new__(cls, x_r, v_r):
-        return super().__new__(cls, check_finite_components("x_r", vec3("x_r", x_r)),
-                               check_finite_components("v_r", vec3("v_r", v_r)))
+        return super().__new__(cls, vec3("x_r", x_r), vec3("v_r", v_r))
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,7 @@ class ControllerCommand:
     """One policy action: reference position, gripper, normal direction, contact flag.
 
     `predict` returns its action chunk as a tuple of these. The position and
-    the normal are float tuples, coerced from any sequence.
+    the normal are float tuples, coerced and checked by `vec3`.
     """
 
     x_cmd: tuple
@@ -133,12 +123,9 @@ class ControllerCommand:
     c: int = 0
 
     def __post_init__(self):
-        x_cmd = vec3("x_cmd", self.x_cmd)
-        object.__setattr__(self, "x_cmd", x_cmd)
+        object.__setattr__(self, "x_cmd", vec3("x_cmd", self.x_cmd))
         n = _ZERO3 if self.n is None else vec3("n", self.n)
         object.__setattr__(self, "n", n)
-        if not all(map(isfinite, x_cmd)):
-            raise ValueError(f"x_cmd must be finite, got {x_cmd}")
         try:  # no call per command unless the check fails
             finite = isfinite(self.gripper)
         except TypeError:
@@ -149,8 +136,6 @@ class ControllerCommand:
         if self.c not in (0, 1):
             raise ValueError(f"contact flag must be 0 or 1, got {self.c!r}")
         if self.c == 1:  # the tick reads n only in contact
-            if not all(map(isfinite, n)):
-                raise ValueError(f"normal direction n must be finite when c=1, got {n}")
             n0, n1, n2 = n
             if abs(sqrt(n0 * n0 + n1 * n1 + n2 * n2) - 1.0) > 1e-6:
                 raise ValueError("normal direction must be unit when c=1")

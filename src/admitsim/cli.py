@@ -84,12 +84,10 @@ def _cmd_run(args) -> int:
     _check_out(args.out)
     log = run_episode(cfg)
     write_trace(args.out, log)
-    m = log.metrics
+    m, metric = log.metrics, task_spec(cfg.task).metric
     print(f"task={cfg.task} mode={cfg.mode} seed={cfg.seed} "
           f"success={int(log.success)} safety_stopped={int(log.safety_stopped)} "
-          f"ticks={log.n_ticks} peak_force={m['peak_force_n']:.3f} "
-          f"ink_cm={m['remaining_ink_cm']:.3f} depth_mm={m['insertion_depth_mm']:.3f} "
-          f"angle_deg={m['opening_angle_deg']:.3f}")
+          f"ticks={log.n_ticks} {metric}={m[metric]:.3f} peak_force_n={m['peak_force_n']:.3f}")
     return 0
 
 

@@ -39,7 +39,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import check_finite, check_finite_components, check_range
+from .errors import check_finite, check_range
 from .geometry import (
     _add,
     _cross,
@@ -132,11 +132,7 @@ class DisturbanceEvent:
         check_range("ramp", self.ramp, closed=True, high=self.duration)
         if not abs(self.omega * self.duration) < math.inf:  # the sinusoid's largest phase
             raise ValueError(f"omega * duration must be finite, got {self.omega} * {self.duration}")
-        d = vec3("direction", self.direction)
-        norm = math.sqrt(sq_norm(d))
-        if not norm < math.inf:  # a non-finite component, or a squared norm that overflows
-            raise ValueError(f"direction must be finite with a finite norm, got {d}")
-        object.__setattr__(self, "direction", _unit(d, norm))
+        object.__setattr__(self, "direction", _normalize(vec3("direction", self.direction)))
 
     def envelope(self, t: float) -> tuple:
         """(p, settled) at t: the activation envelope p in [0, 1], and whether
@@ -305,15 +301,13 @@ class PlaneBoard:
     DISTURBANCES = DISTURBANCE_KINDS
 
     def __post_init__(self):
-        self.center = check_finite_components("center", vec3("center", self.center))
-        self.rotation = self._base_rotation = check_finite_components(
-            "rotation", tuple(map(float, self.rotation)))
+        self.center = vec3("center", self.center)
+        self.rotation = self._base_rotation = vec3("rotation", self.rotation, 4)
         self.frame = _quat_matrix(self.rotation)
         self.ink = InkGrid()
         _K_E(self.k_e)
         self.rest_point = self.center
-        n = _matvec(self.frame, _Z_AXIS)
-        self.surface_normal = _unit(n, math.sqrt(sq_norm(n)))
+        self.surface_normal = _normalize(_matvec(self.frame, _Z_AXIS))
         # Zero tilt restores the board as built, with its unit normal.
         self._untilted = (self.rotation, self.frame, self.surface_normal)
         self.presses = []  # the ticks that pressed, indices into update_ink's positions
@@ -378,7 +372,7 @@ class HoleFixture:
     DISTURBANCES = ("raise", "lower", "shift", "force_pulse", "sinusoid")
 
     def __post_init__(self):
-        self.rim_center = check_finite_components("rim_center", vec3("rim_center", self.rim_center))
+        self.rim_center = vec3("rim_center", self.rim_center)
         _K_E(self.k_e)
         self._base_rest = self.rim_center
 
@@ -485,11 +479,12 @@ class HingedDoor:
                              f"neither; got handle_pivot {self.handle_pivot!r} and "
                              f"handle_axis {self.handle_axis!r}")
         for name in ("hinge_pivot", "grasp0") + ("handle_pivot",) * (not self.microwave):
-            setattr(self, name, check_finite_components(name, vec3(name, getattr(self, name))))
+            setattr(self, name, vec3(name, getattr(self, name)))
         if not self.microwave:
             self.handle_axis = _normalize(vec3("handle_axis", self.handle_axis))
             # Handle lever at the closed grasp, perpendicular to the handle axis.
             self._lever0_perp = _perp(_sub(self.grasp0, self.handle_pivot), self.handle_axis)
+            _normalize(self._lever0_perp)  # a grasp on the handle axis turns no handle
         # Orthonormal basis perpendicular to the hinge axis, for azimuth angles.
         rad0 = _perp(_sub(self.grasp0, self.hinge_pivot), HINGE_AXIS)  # the hinge radial
         self.pull_radius = math.sqrt(sq_norm(rad0))

@@ -7,8 +7,11 @@ twice), each in one wording: `<name> must be finite and > <low>, got <value>`
 `<name> must be <= <high>, got <value>` for both, and `<name> has no values`
 or `<name> repeats <value>`. The upper bound is printed exactly (pi as
 3.141592653589793); its default, inf, is none. A value of the wrong kind reads
-`<name> must be a real number (an integer), got <value>`, or for a 3-vector
-(`geometry.vec3`) `<name> must be 3 real numbers, got <value>`.
+`<name> must be a real number (an integer), got <value>`. A point, direction
+or rotation input has one check too, in `geometry`: `<name> must be 3 real
+numbers, got <value>` (4 for a quaternion) or `<name> must be finite, got
+<tuple>`, and `DegenerateInput`, `cannot normalize a vector of norm <norm>`,
+for a direction or quaternion whose norm is zero, NaN or infinite.
 """
 
 import math
@@ -66,14 +69,6 @@ def check_finite(name: str, value):
     check_real(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
-
-
-def check_finite_components(name: str, values: tuple) -> tuple:
-    """Return the float tuple values (a position, a quaternion) unless a
-    component is not finite: then raise ValueError naming the field."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must be finite, got {values}")
-    return values
 
 
 def check_range(name: str, value, low: float = 0.0, closed: bool = False, error=ValueError,

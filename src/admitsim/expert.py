@@ -49,8 +49,8 @@ from .environments import (
     HoleFixture,
     PlaneBoard,
 )
-from .errors import DegenerateInput, EmptySchedule, LengthMismatch, NothingToWipe
-from .geometry import _normalize, _rodrigues_fixed
+from .errors import EmptySchedule, LengthMismatch, NothingToWipe
+from .geometry import _degenerate, _normalize, _rodrigues_fixed
 
 
 class PhaseLabel(Enum):
@@ -282,7 +282,7 @@ def _arc(start, axis, pivot, total: float, sign: float = 1.0) -> tuple[list[tupl
         d0, d1, d2 = d0 - d * a0, d1 - d * a1, d2 - d * a2
         d = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         if not 1e-12 <= d < math.inf:  # NaN fails the comparison too
-            raise DegenerateInput(f"cannot normalize a vector of norm {d:g}")
+            raise _degenerate(d)
         normals.append((d0 / d, d1 / d, d2 / d))
     return positions, normals
 
@@ -343,7 +343,7 @@ def extract_supervision(positions: list[tuple], phases: list[PhaseLabel],
             else:
                 r = sqrt(sq)
                 if not 1e-12 <= r < math.inf:  # _normalize's test: only NaN or inf fails it here
-                    raise DegenerateInput(f"cannot normalize a vector of norm {r:g}")
+                    raise _degenerate(r)
                 last = n_next
                 normal = unit = (n0 / r, n1 / r, n2 / r)
         rows.append(pack(*position, *IDENTITY_ROT6D, gripper, *normal, flag))

@@ -5,8 +5,12 @@ Conventions:
   tuple of four (wxyz, unit norm, canonical sign w >= 0). Quaternions describe
   environment geometry only: a board's rotation and its tilt, a door's yaw,
   and the normal-cone noise of `policy.predict`. An expert waypoint is a
-  3-vector, its position alone: the controller is translational. The public
-  constructor `vec3` coerces three real numbers, an array or a list, to that form.
+  3-vector, its position alone: the controller is translational. `vec3` is
+  the one check of a point, direction or rotation input: a component that is
+  not a real number, or not finite, is a ValueError naming the field, `<name>
+  must be 3 real numbers, got <value>` (4 for a quaternion) or `<name> must be
+  finite, got <tuple>`. A norm that `_unit` or `_unit_quat` is given that is
+  zero, NaN or infinite is `DegenerateInput`, in `_degenerate`'s one wording.
 
 Numerics contract. Every dot product of 3-vectors whose value reaches state,
 a log or an output file is `dot3(a, b) = a0*b0 + a1*b1 + a2*b2`, evaluated left
@@ -51,18 +55,30 @@ from numbers import Real
 
 from .errors import DegenerateInput
 
-def vec3(name: str, v) -> tuple:
-    """v, three real numbers (an array, a list), as a float tuple, else a ValueError
-    naming the field name. Three floats cost no Python call: vec3 runs per command."""
+def vec3(name: str, v, size: int = 3) -> tuple:
+    """v, `size` finite real numbers (an array, a list; 4 for a quaternion), as
+    a float tuple, else a ValueError naming the field (see above). Three finite
+    floats cost no Python call: vec3 runs per command."""
     try:
-        x, y, z = v
-    except (TypeError, ValueError):  # not iterable, or not three
-        x = y = z = None
-    if type(x) is float and type(y) is float and type(z) is float:
-        return (x, y, z)
-    if isinstance(x, Real) and isinstance(y, Real) and isinstance(z, Real):
-        return (float(x), float(y), float(z))
-    raise ValueError(f"{name} must be 3 real numbers, got {v!r}")
+        t = tuple(v)
+    except TypeError:  # not iterable
+        t = ()
+    if len(t) == size == 3:
+        x, y, z = t
+        if (type(x) is float and type(y) is float and type(z) is float
+                and x - x == 0.0 and y - y == 0.0 and z - z == 0.0):  # inf - inf is NaN
+            return t
+    # float first: isinstance(c, Real) of a float is an abc check, a Python call.
+    if len(t) != size or not all(map(isinstance, t, ((float, Real),) * size)):
+        raise ValueError(f"{name} must be {size} real numbers, got {v!r}")
+    try:
+        t = tuple(map(float, t))
+        finite = all(map(math.isfinite, t))
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {t}")
+    return t
 
 
 def dot3(a, b) -> float:
@@ -86,9 +102,15 @@ def _normalize(v) -> tuple:
 def _unit(v, n: float) -> tuple:
     """_normalize(v) for the floats v, given their finite norm n = sqrt(sq_norm(v))."""
     if not 1e-12 <= n < math.inf:  # NaN fails the comparison too
-        raise DegenerateInput(f"cannot normalize a vector of norm {n:g}")
+        raise _degenerate(n)
     v0, v1, v2 = v
     return (v0 / n, v1 / n, v2 / n)
+
+
+def _degenerate(n: float) -> DegenerateInput:
+    """The error of a vector or quaternion whose norm n is zero (below 1e-12),
+    NaN or infinite: the one wording of every normalization."""
+    return DegenerateInput(f"cannot normalize a vector of norm {n:g}")
 
 
 def _cross(a, b) -> tuple:
@@ -134,8 +156,8 @@ def _unit_quat(q) -> tuple:
     """q normalized, with the canonical sign w >= 0."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)  # sq_norm's sum, four terms
-    if not n >= 1e-12:  # NaN fails the comparison too
-        raise DegenerateInput("zero quaternion")
+    if not 1e-12 <= n < math.inf:  # _unit's range test
+        raise _degenerate(n)
     w, x, y, z = w / n, x / n, y / n, z / n
     if w < 0.0:
         return (-w, -x, -y, -z)

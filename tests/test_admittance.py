@@ -414,11 +414,11 @@ class TestControllerTick:
 
     @pytest.mark.parametrize("n", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.nan),
                                    (math.inf, 0.0, 0.0), (0.0, -math.inf, 1.0)])
-    def test_command_rejects_a_non_finite_normal_in_contact(self, n):
-        with pytest.raises(ValueError, match="normal direction n must be finite"):
-            ControllerCommand((0.0, 0.0, 0.0), 0.0, n, 1)
-        # Out of contact the tick does not read the normal.
-        assert ControllerCommand((0.0, 0.0, 0.0), 0.0, n, 0).c == 0
+    def test_command_rejects_a_non_finite_normal_in_or_out_of_contact(self, n):
+        for c in (1, 0):
+            with pytest.raises(ValueError) as exc:
+                ControllerCommand((0.0, 0.0, 0.0), 0.0, n, c)
+            assert str(exc.value) == f"n must be finite, got {n}"
 
     @pytest.mark.parametrize("flag", [2, -1, 0.7, np.nan])
     def test_command_rejects_a_contact_flag_other_than_zero_or_one(self, flag):

@@ -15,6 +15,11 @@ a number and a `ScenarioConfig` object field of the wrong type fail with a
 typed error too. The INI readers convert text and check nothing, so a value
 of the wrong kind in a file is refused by the check of the constructor it
 reaches, in that check's wording.
+
+Every point, direction and rotation input has one more table, of its faults:
+a component of the wrong kind or not finite is a ValueError naming the
+input, and a normalized one whose norm is zero or overflows is
+`DegenerateInput`, each in one wording whichever constructor it reaches.
 """
 
 import math
@@ -31,11 +36,17 @@ from admitsim.admittance import (
     ControllerState,
     compute_damping,
 )
-from admitsim.environments import DisturbanceEvent, HoleFixture, PlaneBoard
+from admitsim.environments import DisturbanceEvent, HingedDoor, HoleFixture, PlaneBoard
 from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.datasets import MAX_HORIZON, Dataset, write_dataset
-from admitsim.errors import ConfigParse, NonPositiveParameter, check_count, check_distinct
-from admitsim.geometry import vec3
+from admitsim.errors import (
+    ConfigParse,
+    DegenerateInput,
+    NonPositiveParameter,
+    check_count,
+    check_distinct,
+)
+from admitsim.geometry import _quat_matrix, vec3
 from admitsim.harness import CONTROL_HZ, ScenarioConfig, run_episode
 from admitsim.policy import NoiseSpec
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
@@ -420,17 +431,6 @@ API_FAULTS = [
     ("grid-k_e-empty", lambda: default_grid(k_e=()), "k_e has no values"),
     ("grid-m-zero", lambda: default_grid(m=(0.0,)), "m must be finite and > 0, got 0.0"),
     ("grid-m-word", lambda: default_grid(m=("1",)), "m must be a real number, got '1'"),
-    ("vector-str", lambda: PlaneBoard(center=("0.3", "0", "0.1")),
-     "center must be 3 real numbers, got ('0.3', '0', '0.1')"),
-    ("vector-str-direction", event(("0", "0", "1")),
-     "direction must be 3 real numbers, got ('0', '0', '1')"),
-    ("vector-two", lambda: ControllerState((0.0, 0.0), (0.0, 0.0, 0.0)),
-     "x_r must be 3 real numbers, got (0.0, 0.0)"),
-    ("vector-four", lambda: HoleFixture(rim_center=[0.0, 0.0, 0.1, 1.0]),
-     "rim_center must be 3 real numbers, got [0.0, 0.0, 0.1, 1.0]"),
-    ("vector-scalar", lambda: ControllerCommand(1.0), "x_cmd must be 3 real numbers, got 1.0"),
-    ("vector-none", lambda: equivalence_check(AdmittanceConfig(), 1000.0, n=None),
-     "n must be 3 real numbers, got None"),
 ]
 
 
@@ -442,11 +442,95 @@ def test_an_api_value_fault_is_a_value_error_naming_the_field(case, call, messag
     assert str(exc.value) == message
 
 
+ORIGIN = (0.0, 0.0, 0.0)
+# Every point, direction and rotation input: (owner, name in the message,
+# constructor of one value, components, normalized). `geometry.vec3` checks
+# each, and `_normalize` (`_unit_quat` for the rotation) the normalized ones.
+GEOMETRY = [
+    ("state", "x_r", lambda v: ControllerState(v, ORIGIN), 3, False),
+    ("state", "v_r", lambda v: ControllerState(ORIGIN, v), 3, False),
+    ("command", "x_cmd", lambda v: ControllerCommand(v), 3, False),
+    ("command", "n", lambda v: ControllerCommand(ORIGIN, 0.0, v, 0), 3, False),  # c = 0 too
+    ("board", "center", field(PlaneBoard, "center"), 3, False),
+    ("board", "rotation", field(PlaneBoard, "rotation"), 4, True),
+    ("hole", "rim_center", field(HoleFixture, "rim_center"), 3, False),
+    ("door", "hinge_pivot", field(HingedDoor, "hinge_pivot"), 3, False),
+    ("door", "grasp0", field(HingedDoor, "grasp0"), 3, False),
+    ("door", "handle_pivot", field(lever_door, "handle_pivot"), 3, False),
+    ("door", "handle_axis", field(lever_door, "handle_axis"), 3, True),
+    ("disturbance", "direction", lambda v: event(v)(), 3, True),
+    ("equivalence", "n", lambda v: equivalence_check(AdmittanceConfig(), 1000.0, n=v), 3, True),
+]
+
+
+def geometry_faults(owner, name, build, size, normalized):
+    """(id, call, error, message) of each fault of one input: a component
+    that is not a real number, each non-finite value in each component and,
+    where the input is normalized, a zero norm and one that overflows."""
+    unit = (1.0,) + (0.0,) * (size - 1)
+    word = ("1",) + unit[1:]
+    rows = [(f"{owner}-{name}-word", lambda: build(word), VE,
+             f"{name} must be {size} real numbers, got {word!r}")]
+    for i in range(size):
+        for value in (math.nan, math.inf, -math.inf):
+            v = unit[:i] + (value,) + unit[i + 1:]
+            rows.append((f"{owner}-{name}-{i}={value}", lambda v=v: build(v), VE,
+                         f"{name} must be finite, got {v}"))
+    if normalized:
+        zero, huge = (0.0,) * size, (1e200, 1e200) + (0.0,) * (size - 2)
+        rows += [(f"{owner}-{name}-zero", lambda: build(zero), DegenerateInput,
+                  "cannot normalize a vector of norm 0"),
+                 (f"{owner}-{name}-overflow", lambda: build(huge), DegenerateInput,
+                  "cannot normalize a vector of norm inf")]
+    return rows
+
+
+# (id, call, error, message): one type and one wording per fault, whichever
+# constructor the input reaches.
+GEOMETRY_FAULTS = [row for entry in GEOMETRY for row in geometry_faults(*entry)] + [
+    ("vector-str", lambda: PlaneBoard(center=("0.3", "0", "0.1")), VE,
+     "center must be 3 real numbers, got ('0.3', '0', '0.1')"),
+    ("vector-str-direction", event(("0", "0", "1")), VE,
+     "direction must be 3 real numbers, got ('0', '0', '1')"),
+    ("vector-two", lambda: ControllerState((0.0, 0.0), ORIGIN), VE,
+     "x_r must be 3 real numbers, got (0.0, 0.0)"),
+    ("vector-four", lambda: HoleFixture(rim_center=[0.0, 0.0, 0.1, 1.0]), VE,
+     "rim_center must be 3 real numbers, got [0.0, 0.0, 0.1, 1.0]"),
+    ("vector-scalar", lambda: ControllerCommand(1.0), VE, "x_cmd must be 3 real numbers, got 1.0"),
+    ("vector-none", lambda: equivalence_check(AdmittanceConfig(), 1000.0, n=None), VE,
+     "n must be 3 real numbers, got None"),
+    ("vector-int-past-float", lambda: ControllerState((10 ** 400, 0, 0), ORIGIN), VE,
+     f"x_r must be finite, got {(10 ** 400, 0, 0)}"),
+    ("rotation-str", lambda: PlaneBoard(rotation=("1", "0", "0", "0")), VE,
+     "rotation must be 4 real numbers, got ('1', '0', '0', '0')"),
+    ("rotation-three", lambda: PlaneBoard(rotation=(1.0, 0.0, 0.0)), VE,
+     "rotation must be 4 real numbers, got (1.0, 0.0, 0.0)"),
+    ("direction-overflow-one", event((0.0, -1e155, 0.0)), DegenerateInput,
+     "cannot normalize a vector of norm inf"),
+    # The rotation's normalization itself, which a tilt reaches too.
+    *[(f"quat_matrix-{q}", lambda q=q: _quat_matrix(q), DegenerateInput,
+       f"cannot normalize a vector of norm {norm}")
+      for q, norm in (((math.nan, 0.0, 0.0, 0.0), "nan"), ((1.0, 0.0, math.nan, 0.0), "nan"),
+                      ((0.0, 0.0, 0.0, 0.0), "0"), ((1e-13, 0.0, 0.0, 0.0), "1e-13"))],
+]
+
+
+@pytest.mark.parametrize("case,call,error,message", GEOMETRY_FAULTS,
+                         ids=[row[0] for row in GEOMETRY_FAULTS])
+def test_a_geometric_fault_has_one_type_and_one_message(case, call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("v", [(0.5, -1.0, 2.0), [1, 0, -3], (True, 0, 0.5),
                                np.array([0.5, -1.0, 2.0]), np.arange(3),
-                               (np.float32(0.5), np.int64(-1), np.float64(2.0))],
-                         ids=["floats", "ints", "bool", "array", "int-array", "numpy-scalars"])
+                               (np.float32(0.5), np.int64(-1), np.float64(2.0)),
+                               (0.5, 0.5, -0.5, 0.5), np.arange(4)],
+                         ids=["floats", "ints", "bool", "array", "int-array", "numpy-scalars",
+                              "quaternion", "int-quaternion"])
 def test_a_vector_of_real_numbers_is_a_float_tuple(v):
-    got = vec3("v", v)
+    got = vec3("v", v, len(v))
     assert got == tuple(float(c) for c in v)
     assert type(got) is tuple and all(type(c) is float for c in got)

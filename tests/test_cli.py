@@ -42,6 +42,14 @@ class TestRunCommand:
         line = capsys.readouterr().out
         assert "task=WW" in line and "success=" in line
 
+    def test_prints_its_task_metric_and_peak_force(self, tmp_path, capsys):
+        scenario = tmp_path / "ph.ini"
+        scenario.write_text("[scenario]\ntask = PH\nduration = 0.5\n")
+        assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "t.csv")]) == 0
+        line = capsys.readouterr().out
+        assert " insertion_depth_mm=" in line and " peak_force_n=" in line
+        assert "nan" not in line
+
     def test_unknown_task_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[scenario]\ntask = QQ\n")
