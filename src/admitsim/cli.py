@@ -29,10 +29,8 @@ from .verify import PROP3_T, run_default_verification
 
 
 def _check_out(path: str) -> None:
-    """IoFailure, naming path, unless a file can be written there: path is
-    not empty and not a directory, its directory exists, and the file, or for
-    a new file the directory, is writable. Checked before the first episode or
-    check; gen-demos opens its file before its first demo instead."""
+    """IoFailure, naming path, unless path is neither empty nor a directory, its
+    directory exists and the file, or for a new file the directory, is writable."""
     if not path:
         raise IoFailure("cannot write '': the path is empty")
     parent = os.path.dirname(path) or "."
@@ -53,6 +51,7 @@ def _cmd_gen_demos(args) -> int:
     except ValueError as exc:
         print(f"gen-demos: {exc}", file=sys.stderr)
         return 2
+    _check_out(args.out)
     lengths = write_dataset(args.out, Dataset(cfg.task, DEFAULT_HORIZON,
                                               _Demos(cfg, args.seed, args.count)))
     print(f"task={cfg.task} episodes={len(lengths)} tuples={sum(lengths)} "

@@ -12,13 +12,15 @@ records are read back whole, by one read into one (total, 14) block, and each
 episode is a `SupervisionRecords` of its rows of that block, in file order.
 
 CSV floats are written with repr() (shortest round-trip), so identical runs
-produce byte-identical files.
+produce byte-identical files. A write that fails, by any exception, removes
+its regular file; an OSError is an IoFailure `cannot write <what> <path>: <reason>`.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from itertools import accumulate
 from numbers import Integral
@@ -54,6 +56,23 @@ _TASK_CODES = {task.encode("ascii").ljust(4, b"\0"): task for task in TASKS}
 MAX_EPISODES = MAX_HORIZON = 2 ** 32 - 1
 
 
+@contextmanager
+def _output(path: str, what: str, binary: bool = False):
+    """path opened to write what. If the with body or the close raises, the
+    file is removed and the exception goes on, an OSError as IoFailure."""
+    try:
+        fh = open(path, "wb" if binary else "w", newline=None if binary else "")
+        try:
+            with fh:
+                yield fh
+        except BaseException:
+            if os.path.isfile(path):  # a device or a pipe, such as /dev/stdout, stays
+                os.remove(path)
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
 def write_dataset(path: str, ds: Dataset) -> list:
     """Write ds to path; return the episode lengths.
 
@@ -61,35 +80,26 @@ def write_dataset(path: str, ds: Dataset) -> list:
     iterable that makes each episode as the iteration reaches it is written
     holding one episode at a time. The header and the length table come
     last, by a seek back over zero bytes: until then the file has no magic,
-    so read_dataset rejects a file that a failed or killed write left, and a
-    write that fails with an exception removes its file. A task not in TASKS
-    or a horizon outside the u32 range is a ValueError, before the file is
-    opened; an episode whose block `check_records` refuses is one too, before
-    that block is written.
+    so read_dataset rejects a file that a killed write left. A task not in
+    TASKS or a horizon outside the u32 range is a ValueError, before the
+    file is opened; an episode whose block `check_records` refuses is one
+    too, before that block is written.
     """
     if ds.task not in TASKS:
         raise ValueError(f"unknown task {ds.task!r}; expected one of {', '.join(TASKS)}")
     check_count("horizon", ds.horizon, 0, high=MAX_HORIZON)
     count = len(ds.episodes)
     lengths = []
-    try:
-        with open(path, "wb") as fh:
-            try:
-                fh.write(bytes(_HEADER.size + 4 * count))
-                for ep in ds.episodes:
-                    check_records(ep.block)
-                    fh.write(ep.block.astype("<f8", copy=False).tobytes())
-                    lengths.append(len(ep))
-                fh.seek(0)
-                fh.write(_HEADER.pack(MAGIC, VERSION, ds.task.encode("ascii"), ds.horizon,
-                                      count, sum(lengths)))
-                fh.write(struct.pack(f"<{count}I", *lengths))
-            except BaseException:
-                fh.close()
-                os.remove(path)
-                raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
+    with _output(path, "dataset", binary=True) as fh:
+        fh.write(bytes(_HEADER.size + 4 * count))
+        for ep in ds.episodes:
+            check_records(ep.block)
+            fh.write(ep.block.astype("<f8", copy=False).tobytes())
+            lengths.append(len(ep))
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, VERSION, ds.task.encode("ascii"), ds.horizon,
+                              count, sum(lengths)))
+        fh.write(struct.pack(f"<{count}I", *lengths))
     return lengths
 
 
@@ -185,18 +195,15 @@ def write_trace(path: str, log) -> None:
     """
     floats = (log.t, log.x_r, log.v_r, log.f_ext, log.f_cmd, log.k_eigs)
     ints = (log.phase, log.contact, log.disturbed)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for lo in range(0, log.n_ticks, TRACE_CHUNK_ROWS):
-                rows = slice(lo, lo + TRACE_CHUNK_ROWS)
-                block = np.column_stack([a[rows] for a in floats]).astype(float, copy=False)
-                cols = _repr_columns(block)
-                flags = np.column_stack([a[rows] for a in ints]).astype(np.int64)
-                cols += [list(map(str, col)) for col in flags.T.tolist()]
-                fh.write("".join([",".join(row) + "\n" for row in zip(*cols)]))
-    except OSError as exc:
-        raise IoFailure(f"cannot write trace {path}: {exc}") from exc
+    with _output(path, "trace") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for lo in range(0, log.n_ticks, TRACE_CHUNK_ROWS):
+            rows = slice(lo, lo + TRACE_CHUNK_ROWS)
+            block = np.column_stack([a[rows] for a in floats]).astype(float, copy=False)
+            cols = _repr_columns(block)
+            flags = np.column_stack([a[rows] for a in ints]).astype(np.int64)
+            cols += [list(map(str, col)) for col in flags.T.tolist()]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cols)]))
 
 
 def _cell(v) -> str:  # a name as it is, a flag or a count as an integer, else repr(float)
@@ -205,13 +212,10 @@ def _cell(v) -> str:  # a name as it is, a flag or a count as an integer, else r
 
 def write_suite_csv(path: str, rows) -> None:
     """One column per SuiteRow field, in field order."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f.name for f in fields(SuiteRow)) + "\n")
-            for r in rows:
-                fh.write(",".join(map(_cell, astuple(r))) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write suite summary {path}: {exc}") from exc
+    with _output(path, "suite summary") as fh:
+        fh.write(",".join(f.name for f in fields(SuiteRow)) + "\n")
+        for r in rows:
+            fh.write(",".join(map(_cell, astuple(r))) + "\n")
 
 
 VERIFY_COLUMNS = ("proposition", "m", "d", "k_e", "f_H", "measured", "bound", "passed")
@@ -225,18 +229,15 @@ def write_verification_csv(path: str, reports) -> None:
         "prop3": ("sup_e", None),
         "equivalence": ("max_step_gap", "tol"),
     }
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(VERIFY_COLUMNS) + "\n")
-            for rep in reports:
-                mkey, tkey = headline[rep.proposition]
-                measured = rep.measured[mkey]
-                bound = rep.measured["bound"] if tkey is None else rep.tolerances[tkey]
-                fh.write(",".join([
-                    rep.proposition,
-                    _fmt(rep.params.get("m", 0.0)), _fmt(rep.params.get("d", 0.0)),
-                    _fmt(rep.params.get("k_e", 0.0)), _fmt(rep.params.get("f_H", 0.0)),
-                    _fmt(measured), _fmt(bound), str(int(rep.passed)),
-                ]) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write verification report {path}: {exc}") from exc
+    with _output(path, "verification report") as fh:
+        fh.write(",".join(VERIFY_COLUMNS) + "\n")
+        for rep in reports:
+            mkey, tkey = headline[rep.proposition]
+            measured = rep.measured[mkey]
+            bound = rep.measured["bound"] if tkey is None else rep.tolerances[tkey]
+            fh.write(",".join([
+                rep.proposition,
+                _fmt(rep.params.get("m", 0.0)), _fmt(rep.params.get("d", 0.0)),
+                _fmt(rep.params.get("k_e", 0.0)), _fmt(rep.params.get("f_H", 0.0)),
+                _fmt(measured), _fmt(bound), str(int(rep.passed)),
+            ]) + "\n")

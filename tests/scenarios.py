@@ -20,6 +20,8 @@ one of these names at its top level.
 - `flat_board` is a board through the origin, facing up; `microwave` and
   `lever_door` are a door of each kind, grasped closed at the origin, and
   `microwave_grasp` and `lever_grasp` their grasp points once moved.
+- `fail_writes` makes every file that `admitsim.datasets` opens raise an
+  exception at its second write or at its close: a write that fails part way.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from admitsim import datasets
 from admitsim.admittance import compute_damping
 from admitsim.cli import main as cli_main
 from admitsim.environments import HANDLE_LEVER, DisturbanceEvent, HingedDoor, PlaneBoard
@@ -182,3 +185,38 @@ def lever_grasp(handle_angle, door_shift=0.0):
     rad and the door pulled `door_shift` m open."""
     return (-door_shift, -HANDLE_LEVER * math.cos(handle_angle),
             -HANDLE_LEVER * math.sin(handle_angle))
+
+
+class _FailingFile:
+    """A file whose second write raises exc instead of writing, or with
+    at_close, whose close raises exc once it has closed the file."""
+
+    def __init__(self, fh, exc, at_close):
+        self._fh, self._exc, self._at_close, self._writes = fh, exc, at_close, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2 and not self._at_close:
+            raise self._exc
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+        if self._at_close:
+            raise self._exc
+
+
+def fail_writes(monkeypatch, exc, at_close=False):
+    """Every file that admitsim.datasets opens from now on raises exc at its
+    second write, or with at_close at its close, as a full disk does when the
+    close flushes the last writes; monkeypatch undoes it."""
+    def opened(*args, **kw):
+        return _FailingFile(open(*args, **kw), exc, at_close)
+
+    monkeypatch.setattr(datasets, "open", opened, raising=False)

@@ -12,6 +12,14 @@ deterministic, with every gc callback set aside while they are taken (see
 `calls_of`), and each test prints its count; the four episodes take about
 0.3 s.
 
+Calls are coarse: inlining or trimming a law's body does not change them. A
+`sys.settrace` hook with `f_trace_opcodes` counts the bytecodes the same
+episode's ticks 1,600-2,599 execute, and each task's tick has a bytecode
+ceiling too, its count rounded up to a whole bytecode: one more bytecode per
+tick fails. A bytecode is not a unit of time (a C call is one bytecode
+whatever it costs), and the counts are CPython 3.11's, whose compiler made
+them, so those tests run on 3.11 only; the four windows take about 0.3 s.
+
 Demo generation writes its waypoints and supervision steps out on floats too
 (see admitsim.expert). The same hook counts the calls of building and
 planning 20 demos per task, seeded as `gen-demos` seeds them, and divides by
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -36,10 +45,21 @@ from admitsim.tasks import build_environment, generate_demo
 CEILINGS = {"WW": 3.83, "PH": 3.56, "MO": 4.95, "DO": 4.98}
 
 
+@contextmanager
+def gc_callbacks_set_aside():
+    """No gc callback meanwhile: hypothesis times each collection with one,
+    which would add its work to whichever window the collection falls in."""
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
+    try:
+        yield
+    finally:
+        gc.callbacks[:] = callbacks
+
+
 def calls_of(run) -> int:
-    """The Python calls that run() makes, not counting run itself. Every gc
-    callback is set aside meanwhile: hypothesis times each collection with one,
-    which would add its calls to whichever window the collection falls in."""
+    """The Python calls that run() makes, not counting run itself, with every
+    gc callback set aside."""
     calls = -1  # run's own call
 
     def count(frame, event, arg):
@@ -47,15 +67,41 @@ def calls_of(run) -> int:
         if event == "call":
             calls += 1
 
-    outer, callbacks = sys.getprofile(), gc.callbacks[:]
-    gc.callbacks.clear()
-    sys.setprofile(count)
-    try:
-        run()
-    finally:
-        sys.setprofile(outer)
-        gc.callbacks[:] = callbacks
+    outer = sys.getprofile()
+    with gc_callbacks_set_aside():
+        sys.setprofile(count)
+        try:
+            run()
+        finally:
+            sys.setprofile(outer)
     return calls
+
+
+def bytecodes_of(run) -> int:
+    """The bytecodes that the calls run() makes execute, not counting run's
+    own, with every gc callback set aside."""
+    bytecodes = 0
+
+    def count(frame, event, arg):
+        nonlocal bytecodes
+        if event == "opcode":
+            bytecodes += 1
+        return count
+
+    def enter(frame, event, arg):  # the trace hook's call event of each frame
+        if frame.f_code is run.__code__:
+            return None
+        frame.f_trace_opcodes = True
+        return count
+
+    outer = sys.gettrace()
+    with gc_callbacks_set_aside():
+        sys.settrace(enter)
+        try:
+            run()
+        finally:
+            sys.settrace(outer)
+    return bytecodes
 
 
 def calls_per_tick(task: str) -> float:
@@ -72,6 +118,29 @@ def test_calls_per_tick_within_the_budget(task):
     measured = calls_per_tick(task)
     print(f"{task}: {measured:.4f} calls per tick, ceiling {CEILINGS[task]}")
     assert measured <= CEILINGS[task]
+
+
+# Bytecodes per tick over ticks 1,600-2,599 of the same episodes: 576.873 (WW),
+# 482.973 (PH), 724.663 (MO) and 843.778 (DO) when they were pinned.
+BYTECODE_CEILINGS = {"WW": 577, "PH": 483, "MO": 725, "DO": 844}
+
+
+def bytecodes_per_tick(task: str) -> float:
+    ep = _Episode(ScenarioConfig(task, duration=5.0, seed=1))
+    ep.advance(DEFAULT_HORIZON * TICKS_PER_STEP)
+    first = ep.k
+    bytecodes = bytecodes_of(lambda: ep.advance(first + 1000))
+    assert ep.k - first == 1000
+    return bytecodes / 1000
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the ceilings count the bytecode of CPython 3.11's compiler")
+@pytest.mark.parametrize("task", sorted(BYTECODE_CEILINGS))
+def test_bytecodes_per_tick_within_the_budget(task):
+    measured = bytecodes_per_tick(task)
+    print(f"{task}: {measured:.3f} bytecodes per tick, ceiling {BYTECODE_CEILINGS[task]}")
+    assert measured <= BYTECODE_CEILINGS[task]
 
 
 # Calls per supervision step over demos 0-19 of seed 0 (build_environment and

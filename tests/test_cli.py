@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import os
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenarios import GOLDEN, verify_default_grid
+from scenarios import GOLDEN, fail_writes, verify_default_grid
 
 from admitsim import cli, verify
 from admitsim.cli import main
@@ -306,9 +307,12 @@ class TestVerifyCommand:
 BASELINE_SUITE = str(Path(__file__).parents[1] / "configs" / "ww_baseline_suite.ini")
 
 
+COMMANDS = ["gen-demos", "run", "suite", "verify"]
+
+
 class TestOutIsCheckedFirst:
-    """run, suite and verify refuse an --out that cannot be written with exit 1
-    before their first episode or check."""
+    """gen-demos, run, suite and verify refuse an --out that cannot be written
+    with exit 1 before their first demo, episode or check."""
 
     @pytest.fixture()
     def command(self, request, tmp_path, monkeypatch):
@@ -316,27 +320,29 @@ class TestOutIsCheckedFirst:
         def never(*args, **kwargs):
             raise AssertionError("the work ran before --out was checked")
 
-        for name in ("run_suite", "run_episode", "run_default_verification"):
+        for name in ("run_suite", "run_episode", "run_default_verification",
+                     "build_environment", "generate_demo"):
             monkeypatch.setattr(cli, name, never)
         scenario = tmp_path / "c.ini"
         scenario.write_text(SCENARIO)
-        return {"run": ["run", "--config", str(scenario)],
+        return {"gen-demos": ["gen-demos", "--task", "WW", "--count", "2"],
+                "run": ["run", "--config", str(scenario)],
                 "suite": ["suite", "--config", BASELINE_SUITE],
                 "verify": ["verify"]}[request.param]
 
-    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True)
     def test_a_missing_directory(self, command, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.csv")
         assert main([*command, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: no directory " \
                                           f"{tmp_path / 'missing'}\n"
 
-    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True)
     def test_a_directory(self, command, tmp_path, capsys):
         assert main([*command, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory\n"
 
-    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True)
     def test_an_unwritable_directory(self, command, tmp_path, monkeypatch, capsys):
         # A superuser may write anywhere, so the denial is the access check's.
         monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path))
@@ -345,11 +351,31 @@ class TestOutIsCheckedFirst:
         assert capsys.readouterr().err == f"error: cannot write {out}: permission denied\n"
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("command", ["run", "suite", "verify"], indirect=True)
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True)
     def test_an_empty_path(self, command, capsys):
         # os.path.dirname("") is "", so the directory checks alone would test ".".
         assert main([*command, "--out", ""]) == 1
         assert capsys.readouterr().err == "error: cannot write '': the path is empty\n"
+
+
+@pytest.mark.parametrize("command,what,config", [
+    ("run", "trace", "[scenario]\ntask = PH\nduration = 0.5\n"),
+    ("suite", "suite summary", "[suite]\ntask = PH\nmodes = force_aware\nseeds = 1\n"
+                               "duration = 0.5\n"),
+    ("verify", "verification report", "[verify]\nm = 1.0\nk_e = 500\nf_h = 4\n"),
+], ids=["run", "suite", "verify"])
+def test_a_write_that_fails_part_way_leaves_no_out(command, what, config, tmp_path,
+                                                   monkeypatch, capsys):
+    """As gen-demos leaves no dataset (TestGenDemos), run, suite and verify
+    leave no --out file when its write fails after it began."""
+    path = tmp_path / "c.ini"
+    path.write_text(config)
+    out = str(tmp_path / "out.csv")
+    full = OSError(errno.ENOSPC, "No space left on device")
+    fail_writes(monkeypatch, full)
+    assert main([command, "--config", str(path), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {what} {out}: {full}\n"
+    assert not os.path.exists(out)
 
 
 def test_readme_command_lines_parse():

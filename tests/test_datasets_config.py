@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import pathlib
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenarios import fail_writes
+
 from admitsim.cli import main as cli_main
 from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.datasets import (
@@ -19,14 +22,16 @@ from admitsim.datasets import (
     Dataset,
     read_dataset,
     write_dataset,
+    write_suite_csv,
     write_trace,
+    write_verification_csv,
 )
 from admitsim.environments import DisturbanceEvent
 from admitsim.errors import ConfigParse, IoFailure
 from admitsim.expert import CONTACT, RECORD_DIM, SupervisionRecords
-from admitsim.harness import RunLog, ScenarioConfig, run_episode
+from admitsim.harness import RunLog, ScenarioConfig, SuiteRow, run_episode
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
-from admitsim.verify import default_grid
+from admitsim.verify import VerificationReport, default_grid
 
 
 def sample_episodes(n_eps=3, seed=0):
@@ -363,6 +368,51 @@ class TestTrace:
         assert floats.tobytes() == expect.tobytes()
         assert np.array_equal(ints, np.column_stack([log.phase, log.contact, log.disturbed]))
         assert "-0.0" in lines[1].split(",")
+
+
+# Each writer, what its IoFailure names, and a call that writes a file of two
+# or more writes to a path.
+WRITERS = {
+    "dataset": lambda path: write_dataset(path, small_dataset()),
+    "trace": lambda path: write_trace(path, synthetic_log(3)),
+    "suite summary": lambda path: write_suite_csv(
+        path, [SuiteRow("force_aware", False, 2, 1.0, 0.0, 0.5, 0.0, 0.0, 12.5)]),
+    "verification report": lambda path: write_verification_csv(
+        path, [VerificationReport("prop1", {"m": 1.0}, {"x_err": 1e-6}, {"tol_x": 1e-4}, True)]),
+}
+
+
+@pytest.mark.parametrize("what", WRITERS)
+class TestAWriteThatFailsLeavesNoFile:
+    """Every writer removes its file when a write, or the close that flushes
+    the last writes, fails."""
+
+    @pytest.mark.parametrize("at_close", [False, True], ids=["at-a-write", "at-the-close"])
+    def test_an_os_error_is_an_io_failure(self, what, at_close, tmp_path, monkeypatch):
+        path = str(tmp_path / "out")
+        full = OSError(errno.ENOSPC, "No space left on device")
+        fail_writes(monkeypatch, full, at_close)
+        with pytest.raises(IoFailure) as exc:
+            WRITERS[what](path)
+        assert str(exc.value) == f"cannot write {what} {path}: {full}"
+        assert not os.path.exists(path)
+
+    def test_any_other_exception_goes_on_unchanged(self, what, tmp_path, monkeypatch):
+        path = str(tmp_path / "out")
+        interrupt = KeyboardInterrupt()
+        fail_writes(monkeypatch, interrupt)
+        with pytest.raises(KeyboardInterrupt) as exc:
+            WRITERS[what](path)
+        assert exc.value is interrupt
+        assert not os.path.exists(path)
+
+    def test_a_device_is_not_removed(self, what, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        path.symlink_to(os.devnull)  # removing the link shows what removing the device would
+        fail_writes(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+        with pytest.raises(IoFailure):
+            WRITERS[what](str(path))
+        assert path.is_symlink()
 
 
 def synthetic_log(n: int) -> RunLog:
