@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen-demos, run, verify, suite.
-Exit codes: 0 success, 1 check/runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 check/runtime failure, 2 usage, config error or refused value.
 """
 
 from __future__ import annotations
@@ -45,12 +45,8 @@ def _check_out(path: str) -> None:
 
 def _cmd_gen_demos(args) -> int:
     cfg = ScenarioConfig(args.task) if args.task else parse_scenario(args.config)
-    try:
-        check_count("--count", args.count, 1, high=MAX_EPISODES)  # the episodes a dataset holds
-        check_count("--seed", args.seed, 0)
-    except ValueError as exc:
-        print(f"gen-demos: {exc}", file=sys.stderr)
-        return 2
+    check_count("--count", args.count, 1, high=MAX_EPISODES)  # the episodes a dataset holds
+    check_count("--seed", args.seed, 0)
     _check_out(args.out)
     lengths = write_dataset(args.out, Dataset(cfg.task, DEFAULT_HORIZON,
                                               _Demos(cfg, args.seed, args.count)))
@@ -97,11 +93,7 @@ def _cmd_verify(args) -> int:
         grid = parse_verify_params(args.config)
     if args.out is not None:
         _check_out(args.out)
-    try:
-        reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
-    except ValueError as exc:  # a horizon or a bound out of range
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    reports = run_default_verification(prop3_T=args.prop3_duration, grid=grid)
     if args.out is not None:
         write_verification_csv(args.out, reports)
     n_pass = sum(1 for r in reports if r.passed)
@@ -168,6 +160,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a refused value, such as a count or a horizon
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except AdmitSimError as exc:  # runtime failure: message, no traceback
         print(f"error: {exc}", file=sys.stderr)

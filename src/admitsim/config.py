@@ -20,7 +20,7 @@ import functools
 import inspect
 
 from .environments import DisturbanceEvent
-from .errors import ConfigParse, DegenerateInput, check_count, check_distinct
+from .errors import ConfigParse, DegenerateInput, check_choice, check_count, check_distinct
 from .harness import ScenarioConfig, default_disturbance
 from .policy import NoiseSpec
 from .verify import default_grid
@@ -169,10 +169,9 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     _build(check_distinct, path, "suite", name="modes", values=modes)  # a repeat runs twice
     _build(check_count, path, "suite", name="seeds", value=seeds, low=1)
     base_seed = common.pop("base_seed", 0)
-    conditions = {"none": (False,), "only": (True,), "both": (False, True)}.get(
-        common.pop("disturbed", "none"))
-    if conditions is None:
-        raise ConfigParse(f"{path}: [suite] disturbed must be none|only|both")
+    conditions = {"none": (False,), "only": (True,), "both": (False, True)}
+    disturbed = common.pop("disturbed", "none")
+    _build(check_choice, path, "suite", name="disturbed", value=disturbed, choices=conditions)
     common.update(_shared_sections(parser, path))
     # The file's events must suit the task even when no run of the suite
     # takes them.
@@ -182,4 +181,4 @@ def parse_suite(path: str) -> list[ScenarioConfig]:
     events = events or default_disturbance(first.task)
     return [_build(ScenarioConfig, path, "suite", mode=mode, seed=base_seed + s,
                    disturbances=events if with_dist else (), **common)
-            for mode in modes for with_dist in conditions for s in range(seeds)]
+            for mode in modes for with_dist in conditions[disturbed] for s in range(seeds)]

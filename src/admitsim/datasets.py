@@ -13,7 +13,8 @@ episode is a `SupervisionRecords` of its rows of that block, in file order.
 
 CSV floats are written with repr() (shortest round-trip), so identical runs
 produce byte-identical files. A write that fails, by any exception, removes
-its regular file; an OSError is an IoFailure `cannot write <what> <path>: <reason>`.
+its regular file (the file a link names, not the link); an OSError is an
+IoFailure `cannot write <what> <path>: <reason>`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import IoFailure, check_count
 from .expert import RECORD_DIM, SupervisionRecords, check_records
 from .harness import SuiteRow
-from .tasks import TASKS
+from .tasks import TASKS, task_spec
 
 MAGIC = b"ADMS"
 VERSION = 1
@@ -59,7 +60,7 @@ MAX_EPISODES = MAX_HORIZON = 2 ** 32 - 1
 @contextmanager
 def _output(path: str, what: str, binary: bool = False):
     """path opened to write what. If the with body or the close raises, the
-    file is removed and the exception goes on, an OSError as IoFailure."""
+    file that path names is removed and the exception goes on, an OSError as IoFailure."""
     try:
         fh = open(path, "wb" if binary else "w", newline=None if binary else "")
         try:
@@ -67,7 +68,7 @@ def _output(path: str, what: str, binary: bool = False):
                 yield fh
         except BaseException:
             if os.path.isfile(path):  # a device or a pipe, such as /dev/stdout, stays
-                os.remove(path)
+                os.remove(os.path.realpath(path))  # the file a link names, not the link
             raise
     except OSError as exc:
         raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
@@ -85,8 +86,7 @@ def write_dataset(path: str, ds: Dataset) -> list:
     file is opened; an episode whose block `check_records` refuses is one
     too, before that block is written.
     """
-    if ds.task not in TASKS:
-        raise ValueError(f"unknown task {ds.task!r}; expected one of {', '.join(TASKS)}")
+    task_spec(ds.task)  # a ValueError unless ds.task is one of TASKS
     check_count("horizon", ds.horizon, 0, high=MAX_HORIZON)
     count = len(ds.episodes)
     lengths = []

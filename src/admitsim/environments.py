@@ -39,7 +39,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import check_finite, check_range
+from .errors import check_choice, check_finite, check_range
 from .geometry import (
     _add,
     _cross,
@@ -124,8 +124,7 @@ class DisturbanceEvent:
     omega: float = 2.0 * math.pi
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        check_choice("kind", self.kind, DISTURBANCE_KINDS)
         for name in ("start", "magnitude", "omega"):
             check_finite(name, getattr(self, name))
         check_range("duration", self.duration)

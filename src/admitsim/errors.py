@@ -11,7 +11,11 @@ or `<name> repeats <value>`. The upper bound is printed exactly (pi as
 or rotation input has one check too, in `geometry`: `<name> must be 3 real
 numbers, got <value>` (4 for a quaternion) or `<name> must be finite, got
 <tuple>`, and `DegenerateInput`, `cannot normalize a vector of norm <norm>`,
-for a direction or quaternion whose norm is zero, NaN or infinite.
+for a direction or quaternion whose norm is zero, NaN or infinite. A name of
+a set (a task, a mode, an override key) has `check_choice`: `<name> must be
+one of <c1> | <c2> | ..., got <value!r>`. From a file each of these
+ValueErrors is a `ConfigParse` naming the path, and `cli.main` prints one
+after the command's name (`verify: ...`) and exits 2.
 """
 
 import math
@@ -102,3 +106,9 @@ def check_distinct(name: str, values):
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{name} repeats {value}")
+
+
+def check_choice(name: str, value, choices):
+    """Raise ValueError unless value is one of choices, names in a tuple or a dict's keys."""
+    if value not in tuple(choices):  # no hashing: a list value is refused, not a TypeError
+        raise ValueError(f"{name} must be one of {' | '.join(choices)}, got {value!r}")

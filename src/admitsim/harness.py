@@ -29,7 +29,7 @@ from .environments import (
     apply_disturbances,
     update_ink,
 )
-from .errors import check_count, check_range, check_real
+from .errors import check_choice, check_count, check_range, check_real
 from .policy import DEFAULT_HORIZON, NoiseSpec, predict
 from .tasks import TASKS, build_environment, generate_demo, task_spec
 
@@ -78,8 +78,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if not all(isinstance(ev, DisturbanceEvent) for ev in self.disturbances):
             raise ValueError(f"disturbances must hold DisturbanceEvents, got {self.disturbances!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown controller mode {self.mode!r}")
+        check_choice("mode", self.mode, MODES)
         check_range("duration", self.duration, closed=True, high=spec.time_limit)
         check_count("seed", self.seed, 0)
         if self.wipe_passes != 1 and not spec.multipass:  # generate_demo would ignore it
@@ -88,25 +87,20 @@ class ScenarioConfig:
         # An episode runs at most this many policy steps, and a pass takes two or more.
         check_count("wipe_passes", self.wipe_passes, 1, high=int(spec.time_limit * POLICY_HZ))
         env_class = spec.environment  # it declares what moves it and what a config may set
-        for ev in self.disturbances:
-            if ev.kind not in env_class.DISTURBANCES:  # a no-op, yet logged as disturbed
-                raise ValueError(f"a {ev.kind} disturbance has no effect on {self.task} "
-                                 f"(it takes {' | '.join(env_class.DISTURBANCES)})")
+        for ev in self.disturbances:  # any other kind is a no-op, yet logged as disturbed
+            check_choice(f"{self.task} disturbance kind", ev.kind, env_class.DISTURBANCES)
         # apply_disturbances sums the tilt angles about one axis.
         axes = {ev.direction for ev in self.disturbances if ev.kind == "tilt"}
         if len(axes) > 1:
             raise ValueError(f"tilt events must share one direction, got {sorted(axes)}")
-        for key, value in self.env_overrides.items():
-            if key not in env_class.OVERRIDES:  # the environment would not read it
-                raise ValueError(f"unknown environment override {key!r} for {self.task} "
-                                 f"(it takes {' | '.join(env_class.OVERRIDES)})")
+        for key, value in self.env_overrides.items():  # any other key would go unread
+            check_choice(f"{self.task} environment override", key, env_class.OVERRIDES)
             try:
                 env_class.OVERRIDES[key](value)  # the check its constructor runs
             except ValueError as exc:
                 raise type(exc)(f"environment {exc}") from None
         for key, value in self.admittance_overrides.items():
-            if key not in AdmittanceConfig.__dataclass_fields__:
-                raise ValueError(f"unknown admittance override {key!r}")
+            check_choice("admittance override", key, AdmittanceConfig.__dataclass_fields__)
             check_real(f"admittance {key}", value)  # a bool flag is one too
         check_range("safety limit", self.safety_limit)
         check_range("safety debounce", self.safety_debounce, closed=True)

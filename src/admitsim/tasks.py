@@ -32,6 +32,7 @@ from .environments import (
     HoleFixture,
     PlaneBoard,
 )
+from .errors import check_choice
 from .expert import (
     ZERO_NORMAL,
     PhaseLabel,
@@ -260,8 +261,8 @@ TASKS = tuple(TASK_SPECS)
 
 def task_spec(task: str) -> TaskSpec:
     """The record of task (ValueError for an unknown one)."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
+    if task not in TASKS:  # a known task costs no call: a demo looks it up twice
+        check_choice("task", task, TASKS)
     return TASK_SPECS[task]
 
 

@@ -118,7 +118,7 @@ def _steps(horizon: str, T: float, dt: float, least: int = 1) -> int:
     q = T / dt if 0.0 < T < math.inf else 0.0  # false for NaN
     n = math.ceil(q) if q < math.inf else q  # a tiny dt can overflow T / dt
     if n > MAX_LANE_STEPS:
-        raise ValueError(f"{horizon} needs {n} steps of {dt} s, more than the "
+        raise ValueError(f"{horizon} needs {float(n)} steps of {dt} s, more than the "
                          f"{MAX_LANE_STEPS} one check may take; shorten it")
     if n < least:
         raise ValueError(f"{horizon} must be finite, > 0 and span at least {least} "
@@ -476,8 +476,8 @@ def verify_prop1_grid(grid: list[NormalDynamicsParams] | None = None,
                        (default_grid() if grid is None else grid)])
 
 
-# Proposition 3's default duration, s.
-PROP3_T = 60.0
+# Proposition 3's default duration and step, s.
+PROP3_T, PROP3_DT = 60.0, 1e-3
 
 
 def _iss_bound(p: NormalDynamicsParams, amplitude: float, omega: float) -> tuple:
@@ -501,7 +501,7 @@ class _Prop3:
     """
 
     def __init__(self, p: NormalDynamicsParams, amplitude: float = 0.005,
-                 omega: float = 2.0 * math.pi, T: float = PROP3_T, dt: float = 1e-3):
+                 omega: float = 2.0 * math.pi, T: float = PROP3_T, dt: float = PROP3_DT):
         check_finite("amplitude", amplitude)
         check_finite("omega", omega)
         try:
@@ -600,6 +600,7 @@ def run_default_verification(prop3_T: float = PROP3_T,
     (m = 0.5 with d = 0.9 gives 0.8999999999999999); a point of the default
     damping rule gives a ratio of exactly 2, and runs its own d.
     """
+    _steps("proposition 3 duration T", prop3_T, PROP3_DT, least=4)  # before any work
     grid = default_grid() if grid is None else grid
     reports = (verify_prop1_grid(grid) + verify_prop2(grid, v0=0.05)
                + verify_prop3_grid(grid, T=prop3_T))

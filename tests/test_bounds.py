@@ -7,14 +7,20 @@ raise the documented type in the one wording of that end; the bound itself
 is accepted where the range is closed and rejected where it is open, and the
 value just inside it is accepted. A high of inf is no upper bound.
 
-The inputs that a task does not read (an environment override outside its
-environment class's `OVERRIDES`, a `wipe_passes` other than 1 outside WW), the
-admittance overrides, the verifier's horizons and its other inputs (start
-offset and velocity, rest-point amplitude and frequency), a value that is not
-a number and a `ScenarioConfig` object field of the wrong type fail with a
-typed error too. The INI readers convert text and check nothing, so a value
-of the wrong kind in a file is refused by the check of the constructor it
-reaches, in that check's wording.
+Every input that must be one of a set of names (a task, a controller mode,
+a disturbance kind, an override key, a suite's `disturbed`) is a row of one
+more table, `CHOICES`: each listed name is accepted, and any other value is a
+ValueError (from a file a ConfigParse naming the path) in the one wording of
+`errors.check_choice`, and the package's readers of that check are the
+table's call sites.
+
+An input that a task does not read (a `wipe_passes` other than 1 outside
+WW), the admittance override values, the verifier's horizons and its other
+inputs (start offset and velocity, rest-point amplitude and frequency), a
+value that is not a number and a `ScenarioConfig` object field of the wrong
+type fail with a typed error too. The INI readers convert text and check
+nothing, so a value of the wrong kind in a file is refused by the check of
+the constructor it reaches, in that check's wording.
 
 Every point, direction and rotation input has one more table, of its faults:
 a component of the wrong kind or not finite is a ValueError naming the
@@ -22,7 +28,9 @@ input, and a normalized one whose norm is zero or overflows is
 `DegenerateInput`, each in one wording whichever constructor it reaches.
 """
 
+import ast
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -30,13 +38,20 @@ import pytest
 
 from scenarios import lever_door, microwave
 
+from admitsim import errors
 from admitsim.admittance import (
     AdmittanceConfig,
     ControllerCommand,
     ControllerState,
     compute_damping,
 )
-from admitsim.environments import DisturbanceEvent, HingedDoor, HoleFixture, PlaneBoard
+from admitsim.environments import (
+    DISTURBANCE_KINDS,
+    DisturbanceEvent,
+    HingedDoor,
+    HoleFixture,
+    PlaneBoard,
+)
 from admitsim.config import parse_scenario, parse_suite, parse_verify_params
 from admitsim.datasets import MAX_HORIZON, Dataset, write_dataset
 from admitsim.errors import (
@@ -47,7 +62,7 @@ from admitsim.errors import (
     check_distinct,
 )
 from admitsim.geometry import _quat_matrix, vec3
-from admitsim.harness import CONTROL_HZ, ScenarioConfig, run_episode
+from admitsim.harness import CONTROL_HZ, MODES, ScenarioConfig, run_episode
 from admitsim.policy import NoiseSpec
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 from admitsim.verify import (
@@ -241,12 +256,9 @@ def test_count_bound(owner, name, build, low, high, error, tmp_path, monkeypatch
 
 
 # Each task's environment override keys, from its environment class: every
-# one is read, and every other key is rejected at construction, naming the task.
+# one is read (and any other key is refused, see CHOICES).
 OVERRIDES = {task: tuple(TASK_SPECS[task].environment.OVERRIDES) for task in TASKS}
 ENV_READ = [(task, key) for task in TASKS for key in OVERRIDES[task]]
-ANY_ENV_KEY = tuple(dict.fromkeys(k for keys in OVERRIDES.values() for k in keys))
-ENV_UNREAD = [(task, key) for task in TASKS for key in ANY_ENV_KEY + ("bogus",)
-              if key not in OVERRIDES[task]]
 
 
 @pytest.mark.parametrize("task,key", ENV_READ, ids=[f"{t}-{k}" for t, k in ENV_READ])
@@ -257,14 +269,106 @@ def test_environment_override_changes_the_built_environment(task, key):
     assert getattr(env, key) == 2.0 * default
 
 
-@pytest.mark.parametrize("task,key", ENV_UNREAD, ids=[f"{t}-{k}" for t, k in ENV_UNREAD])
-def test_environment_override_the_task_does_not_read(task, key, tmp_path):
-    with pytest.raises(ValueError, match=f"^unknown environment override '{key}' for {task} "):
-        ScenarioConfig(task, env_overrides={key: 1.0})
-    path = tmp_path / "s.ini"  # through an INI file: a config error
-    path.write_text(f"[scenario]\ntask = {task}\n[environment]\n{key} = 1.0\n")
-    with pytest.raises(ConfigParse, match=f"override '{key}' for {task} "):
-        parse_scenario(str(path))
+EVENT_SECTION = "[disturbance.a]\nkind = {v}\nstart = 1\nduration = 1\nmagnitude = 0.01\n"
+# Names no input takes, and one that cannot be hashed: a ValueError, not a TypeError.
+STRANGERS = ("bogus", "", [1], None)
+DISTURBANCES = {task: TASK_SPECS[task].environment.DISTURBANCES for task in TASKS}
+# Every input that must be one of a set of names, each checked by
+# `errors.check_choice`: (id, call site as module:function, name in the
+# message, the choices, values outside them, call of one value or None where
+# only a file reaches the input, and (parser, INI text of one value, section
+# named in the message) or None where no file does). A file's [admittance]
+# lists its keys, so an unknown one there is a config error of the file's
+# structure, not this check. WW's board takes every disturbance kind.
+CHOICES = [
+    ("disturbance-kind", "environments:DisturbanceEvent.__post_init__", "kind",
+     DISTURBANCE_KINDS, STRANGERS + ("Raise",),
+     lambda v: DisturbanceEvent(v, 1.0, 1.0, 0.01),
+     (parse_scenario, "[scenario]\ntask = WW\n" + EVENT_SECTION, "[disturbance.a] ")),
+    ("mode", "harness:ScenarioConfig.__post_init__", "mode", MODES,
+     STRANGERS + ("baseline",), lambda v: ScenarioConfig("WW", mode=v),
+     (parse_scenario, "[scenario]\ntask = WW\nmode = {v}\n", "")),
+    ("suite-modes", "harness:ScenarioConfig.__post_init__", "mode", MODES, ("bogus",), None,
+     (parse_suite, "[suite]\ntask = PH\nseeds = 1\nmodes = {v}\n", "")),
+    *[(f"{task}-disturbance-kind", "harness:ScenarioConfig.__post_init__",
+       f"{task} disturbance kind", DISTURBANCES[task],
+       tuple(k for k in DISTURBANCE_KINDS if k not in DISTURBANCES[task]),
+       lambda v, task=task: ScenarioConfig(task, disturbances=(DisturbanceEvent(v, 1, 1, 0.01),)),
+       (parse_scenario, f"[scenario]\ntask = {task}\n" + EVENT_SECTION, ""))
+      for task in TASKS if DISTURBANCES[task] != DISTURBANCE_KINDS],
+    *[(f"{task}-environment-override", "harness:ScenarioConfig.__post_init__",
+       f"{task} environment override", OVERRIDES[task],
+       tuple(k for k in ("k_e", "latch_force", "bogus") if k not in OVERRIDES[task]),
+       lambda v, task=task: ScenarioConfig(task, env_overrides={v: 1.0}),
+       (parse_scenario, f"[scenario]\ntask = {task}\n[environment]\n{{v}} = 1.0\n", ""))
+      for task in TASKS],
+    ("admittance-override", "harness:ScenarioConfig.__post_init__", "admittance override",
+     tuple(AdmittanceConfig.__dataclass_fields__), ("bogus", "damping", 1),
+     lambda v: ScenarioConfig("WW", admittance_overrides={v: 1.0}), None),
+    ("task", "tasks:task_spec", "task", TASKS, STRANGERS + ("ww", "WWW"), ScenarioConfig,
+     (parse_scenario, "[scenario]\ntask = {v}\n", "")),
+    ("suite-task", "tasks:task_spec", "task", TASKS, ("ZZ",), None,
+     (parse_suite, "[suite]\ntask = {v}\nseeds = 1\n", "")),
+    ("environment-task", "tasks:task_spec", "task", TASKS, STRANGERS,
+     lambda v: build_environment(v, np.random.default_rng(0)), None),
+    # The header's task code: refused before the file is opened.
+    ("dataset-task", "tasks:task_spec", "task", TASKS, ("ZZ", "PHXYZ", "W\u00e9", [1]),
+     lambda v: write_dataset("demos.bin", Dataset(v, 16, ())), None),
+    ("suite-disturbed", "config:parse_suite", "disturbed", ("none", "only", "both"),
+     ("bogus", "None", ""), None,
+     (parse_suite, "[suite]\ntask = WW\nseeds = 1\ndisturbed = {v}\n", "[suite] ")),
+]
+
+
+@pytest.mark.parametrize("case,site,name,choices,outside,build,ini", CHOICES,
+                         ids=[row[0] for row in CHOICES])
+def test_a_choice_is_one_of_its_names(case, site, name, choices, outside, build, ini,
+                                      tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the rows that write a file write it
+    parse, text, where = ini or (None, None, None)
+    for value in choices:
+        if build:
+            build(value)
+        if parse:
+            pathlib.Path("c.ini").write_text(text.format(v=value))
+            parse("c.ini")
+    assert outside
+    for value in outside:
+        message = f"{name} must be one of {' | '.join(choices)}, got {value!r}"
+        if build:
+            with pytest.raises(ValueError) as exc:
+                build(value)
+            assert type(exc.value) is ValueError and str(exc.value) == message
+        if parse and isinstance(value, str):
+            pathlib.Path("c.ini").write_text(text.format(v=value))
+            with pytest.raises(ConfigParse) as exc:
+                parse("c.ini")
+            assert str(exc.value) == f"c.ini: {where}{message}"
+
+
+def choice_readers(tree: ast.AST, module: str, scope: str = "") -> set:
+    """module:function of each function in tree that reads the name
+    check_choice, by a call or as an argument."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= choice_readers(node, module, scope + node.name + ".")
+        else:
+            if (isinstance(node, ast.Name) and node.id == "check_choice"
+                    and isinstance(node.ctx, ast.Load)):
+                found.add(f"{module}:{scope[:-1]}")
+            found |= choice_readers(node, module, scope)
+    return found
+
+
+def test_every_reader_of_check_choice_is_a_row_of_the_table():
+    """A new choice input cannot skip its test: the functions of the package
+    that read check_choice are the sites that CHOICES tests."""
+    package = pathlib.Path(errors.__file__).parent
+    readers = set()
+    for source in sorted(package.glob("*.py")):
+        readers |= choice_readers(ast.parse(source.read_text()), source.stem)
+    assert readers == {row[1] for row in CHOICES}
 
 
 @pytest.mark.parametrize("task", [t for t in TASKS if not TASK_SPECS[t].multipass])
@@ -309,8 +413,6 @@ def horizon(call, **kw):
 
 # (case, call, error, message prefix): the inputs that no range table covers.
 TYPED = [
-    ("admittance-key", lambda: ScenarioConfig("WW", admittance_overrides={"bogus": 1.0}),
-     ValueError, "unknown admittance override 'bogus'"),
     ("admittance-str", lambda: ScenarioConfig("WW", admittance_overrides={"mass": "2"}),
      ValueError, "admittance mass must be a real number, got '2'"),
     ("admittance-none", lambda: ScenarioConfig("PH", admittance_overrides={"stiffness": None}),

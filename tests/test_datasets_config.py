@@ -87,9 +87,9 @@ class TestDataset:
     # A task or horizon that the header cannot hold: refused before the
     # file is opened, so a file already at the path is left as it was.
     @pytest.mark.parametrize("task,horizon,message", [
-        ("ZZ", 16, "unknown task 'ZZ'; expected one of MO, PH, WW, DO"),
-        ("PHXYZ", 16, "unknown task 'PHXYZ'"),
-        ("W\u00e9", 16, "unknown task 'W\u00e9'"),
+        ("ZZ", 16, "task must be one of MO | PH | WW | DO, got 'ZZ'"),
+        ("PHXYZ", 16, "task must be one of MO | PH | WW | DO, got 'PHXYZ'"),
+        ("W\u00e9", 16, "task must be one of MO | PH | WW | DO, got 'W\u00e9'"),
         ("WW", -1, "horizon must be >= 0, got -1"),
         ("WW", 2 ** 32, "horizon must be <= 4294967295, got 4294967296"),
     ], ids=["unknown", "too-long", "non-ascii", "horizon-negative", "horizon-past-u32"])
@@ -406,13 +406,25 @@ class TestAWriteThatFailsLeavesNoFile:
         assert exc.value is interrupt
         assert not os.path.exists(path)
 
-    def test_a_device_is_not_removed(self, what, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("at_close", [False, True], ids=["at-a-write", "at-the-close"])
+    def test_a_device_is_not_removed(self, what, at_close, tmp_path, monkeypatch):
         path = tmp_path / "out"
         path.symlink_to(os.devnull)  # removing the link shows what removing the device would
-        fail_writes(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+        fail_writes(monkeypatch, OSError(errno.ENOSPC, "No space left on device"), at_close)
         with pytest.raises(IoFailure):
             WRITERS[what](str(path))
-        assert path.is_symlink()
+        assert path.is_symlink() and os.path.exists(os.devnull)
+
+    @pytest.mark.parametrize("at_close", [False, True], ids=["at-a-write", "at-the-close"])
+    def test_a_link_stays_and_the_file_it_names_is_removed(self, what, at_close, tmp_path,
+                                                           monkeypatch):
+        target, link = tmp_path / "target", tmp_path / "out"
+        target.write_text("old content\n")
+        link.symlink_to(target)
+        fail_writes(monkeypatch, OSError(errno.ENOSPC, "No space left on device"), at_close)
+        with pytest.raises(IoFailure):
+            WRITERS[what](str(link))
+        assert link.is_symlink() and not target.exists()
 
 
 def synthetic_log(n: int) -> RunLog:
@@ -542,7 +554,7 @@ def test_unknown_key_is_named(tmp_path, parse, text, key):
                      "duration = 1\nmagnitude = 0.01\ndirection = 0 1 z\n",
      "[disturbance.a] direction must be 3 real numbers, got (0.0, 1.0, 'z')"),
     (parse_scenario, "[scenario]\ntask = WW\n[environment]\nlatch_force = 1\n",
-     "unknown environment override 'latch_force' for WW"),
+     "WW environment override must be one of k_e, got 'latch_force'"),
     (parse_scenario, "[scenario]\nmode = force_aware\n", "[scenario] missing 'task'"),
     (parse_suite, "[suite]\nseeds = 1\n", "[suite] missing 'task'"),
 ])

@@ -103,13 +103,16 @@ class TestScenarioConfig:
     def test_rejects_unknown_environment_override(self, tmp_path):
         from admitsim.config import parse_scenario
         from admitsim.errors import ConfigParse
-        with pytest.raises(ValueError, match="unknown environment override 'bogus' for WW"):
+        message = "WW environment override must be one of k_e, got 'bogus'"
+        with pytest.raises(ValueError) as exc:
             ScenarioConfig(task="WW", env_overrides={"bogus": 3.0})
+        assert str(exc.value) == message
         # The INI parser leaves the [environment] keys to ScenarioConfig.
         path = tmp_path / "s.ini"
         path.write_text("[scenario]\ntask = WW\n[environment]\nbogus = 3.0\n")
-        with pytest.raises(ConfigParse, match="unknown environment override 'bogus' for WW"):
+        with pytest.raises(ConfigParse) as exc:
             parse_scenario(str(path))
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("axes", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                                       ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
