@@ -79,19 +79,20 @@ class FrictionModel:
     coulomb_mu: float
     viscous_c: float
 
-    def slip_force(self, v_t, speed: float, f_n: float) -> tuple:
-        """Resistance to the tangential velocity v_t (floats) of norm speed.
+    def slip_force(self, v_t, f_n: float) -> tuple:
+        """Resistance to the tangential velocity v_t (floats), whose norm is the slip speed.
 
         (0.0, 0.0, 0.0) under the cut-off speed below, the one for every
         contact; above it the Coulomb magnitude ramps linearly to 0 below
         COULOMB_V_EPS, and the viscous part is linear in v_t.
         """
+        v0, v1, v2 = v_t
+        speed = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
         if speed < 1e-15:
             return _ZERO3
         coulomb = self.coulomb_mu * abs(f_n) * min(1.0, speed / COULOMB_V_EPS)
         a = -(coulomb / speed)
         c = self.viscous_c
-        v0, v1, v2 = v_t
         return (a * v0 - c * v0, a * v1 - c * v1, a * v2 - c * v2)
 
 
@@ -339,8 +340,7 @@ class PlaneBoard:
         u0, u1, u2 = vel
         a = u0 * n0 + u1 * n1 + u2 * n2
         u0, u1, u2 = u0 - a * n0, u1 - a * n1, u2 - a * n2
-        speed = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-        g0, g1, g2 = BOARD_FRICTION.slip_force((u0, u1, u2), speed, f_n)
+        g0, g1, g2 = BOARD_FRICTION.slip_force((u0, u1, u2), f_n)
         return (f_n * n0 + g0, f_n * n1 + g1, f_n * n2 + g2)
 
     def measure(self, x_r) -> float:
@@ -386,9 +386,13 @@ class HoleFixture:
 
     def measure(self, x_r) -> float:
         """Depth of the peg tip at x_r below the rim along the axis, clamped to
-        [0, HOLE_DEPTH], in mm."""
-        d_ax = -dot3(_sub(x_r, self.rim_center), BORE_AXIS)
-        return 1000.0 * min(HOLE_DEPTH, max(0.0, d_ax))
+        [0, HOLE_DEPTH], in mm; 0 where the tip lies outside the opening,
+        more than HOLE_RADIUS + CHAMFER from the axis, as a peg pressed into
+        the top plate beside the hole does."""
+        q = _sub(x_r, self.rim_center)
+        if sqrt(sq_norm(_perp(q, BORE_AXIS))) > HOLE_RADIUS + CHAMFER:
+            return 0.0
+        return 1000.0 * min(HOLE_DEPTH, max(0.0, -dot3(q, BORE_AXIS)))
 
     def external_wrench(self, pos, vel) -> tuple:
         # Floats throughout, summed from +0.0 in the order of the force terms.
@@ -431,8 +435,7 @@ class HoleFixture:
         v0, v1, v2 = vel
         a = v0 * n0 + v1 * n1 + v2 * n2
         v0, v1, v2 = v0 - a * n0, v1 - a * n1, v2 - a * n2
-        speed = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-        g0, g1, g2 = HOLE_FRICTION.slip_force((v0, v1, v2), speed, f_n)
+        g0, g1, g2 = HOLE_FRICTION.slip_force((v0, v1, v2), f_n)
         return (f0 + g0, f1 + g1, f2 + g2)
 
 
@@ -585,8 +588,7 @@ class HingedDoor:
             v0, v1, v2 = vel
             s = v0 * t0 + v1 * t1 + v2 * t2
             u0, u1, u2 = s * t0, s * t1, s * t2
-            speed = sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-            g0, g1, g2 = DOOR_FRICTION.slip_force((u0, u1, u2), speed, f_con)
+            g0, g1, g2 = DOOR_FRICTION.slip_force((u0, u1, u2), f_con)
             f0, f1, f2 = f0 + g0, f1 + g1, f2 + g2
         if latched and self.door_angle > 0.0:
             # The latch: a constant force against opening, along the hinge

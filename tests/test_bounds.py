@@ -1,18 +1,19 @@
-"""Every numeric bound of the inputs, in one table of real ranges and one of counts.
+"""Every input check, tested here once: each numeric bound in one table of
+real ranges and one of counts.
 
 Each bound is checked by `errors.check_range` (finite and > low, or >= low
 when closed, and <= high) or, for counts and seeds, by `errors.check_count`
 (>= low and <= high). NaN, both infinities and the value just past each end
 raise the documented type in the one wording of that end; the bound itself
 is accepted where the range is closed and rejected where it is open, and the
-value just inside it is accepted. A high of inf is no upper bound.
+value just inside it is accepted. A high of inf is no upper bound. Each value
+of each row is a case of its own.
 
 Every input that must be one of a set of names (a task, a controller mode,
 a disturbance kind, an override key, a suite's `disturbed`) is a row of one
 more table, `CHOICES`: each listed name is accepted, and any other value is a
 ValueError (from a file a ConfigParse naming the path) in the one wording of
-`errors.check_choice`, and the package's readers of that check are the
-table's call sites.
+`errors.check_choice`.
 
 An input that a task does not read (a `wipe_passes` other than 1 outside
 WW), the admittance override values, the verifier's horizons and its other
@@ -26,12 +27,20 @@ Every point, direction and rotation input has one more table, of its faults:
 a component of the wrong kind or not finite is a ValueError naming the
 input, and a normalized one whose norm is zero or overflows is
 `DegenerateInput`, each in one wording whichever constructor it reaches.
+
+This module is the one home of these tests. Each row names the call site it
+tests as module:function: the function that calls the check, or that holds
+a check written out in place. For each shared check (`check_range`,
+`check_count`, `check_finite`, `check_real`, `check_distinct`,
+`check_choice` and `geometry.vec3`) the functions of the package that read
+it are the sites its rows name, so a new call of a check cannot go untested.
 """
 
 import ast
 import math
 import pathlib
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,6 +54,7 @@ from admitsim.admittance import (
     ControllerState,
     compute_damping,
 )
+from admitsim.cli import main
 from admitsim.environments import (
     DISTURBANCE_KINDS,
     DisturbanceEvent,
@@ -53,7 +63,7 @@ from admitsim.environments import (
     PlaneBoard,
 )
 from admitsim.config import parse_scenario, parse_suite, parse_verify_params
-from admitsim.datasets import MAX_HORIZON, Dataset, write_dataset
+from admitsim.datasets import MAX_EPISODES, MAX_HORIZON, Dataset, write_dataset
 from admitsim.errors import (
     ConfigParse,
     DegenerateInput,
@@ -69,6 +79,7 @@ from admitsim.verify import (
     NormalDynamicsParams,
     default_grid,
     equivalence_check,
+    run_default_verification,
     verify_prop1_grid,
     verify_prop2,
     verify_prop3_grid,
@@ -84,78 +95,113 @@ def dynamics(**kw):
 
 
 NPP, VE, INF = NonPositiveParameter, ValueError, math.inf
-# (owner, name in the message, constructor of one value, low, closed, high, error)
+# The checks that rows name after their sites, and the sites that many rows share.
+RANGE, COUNT, FINITE, REAL, DISTINCT, VEC3, CHOICE = (
+    "check_range", "check_count", "check_finite", "check_real", "check_distinct", "vec3",
+    "check_choice")
+DAMPING, ADMITTANCE = "admittance:compute_damping", "admittance:AdmittanceConfig.__post_init__"
+COMMAND = "admittance:ControllerCommand.__post_init__"
+SCENARIO, NOISE = "harness:ScenarioConfig.__post_init__", "policy:NoiseSpec.__post_init__"
+EVENT_SITE = "environments:DisturbanceEvent.__post_init__"
+DOOR = "environments:HingedDoor.__post_init__"
+DYNAMICS, GRID = "verify:NormalDynamicsParams.__post_init__", "verify:default_grid"
+STEPS, SUITE = "verify:_steps", "config:parse_suite"
+# (owner, call site of check_range, name in the message, constructor of one
+# value, low, closed, high, error). compute_damping checks the gains of an
+# AdmittanceConfig, a scenario's gain overrides among them.
 BOUNDS = [
-    ("compute_damping", "mass", lambda v: compute_damping(v, 50.0, 2.0), 0.0, False, INF, NPP),
-    ("compute_damping", "stiffness", lambda v: compute_damping(1.0, v, 2.0), 0.0, False, INF,
-     NPP),
-    ("compute_damping", "damping_ratio", lambda v: compute_damping(1.0, 50.0, v), 0.0, False,
+    ("compute_damping", DAMPING, "mass", lambda v: compute_damping(v, 50.0, 2.0), 0.0, False,
      INF, NPP),
-    ("admittance", "mass", field(AdmittanceConfig, "mass"), 0.0, False, INF, NPP),
-    ("admittance", "stiffness", field(AdmittanceConfig, "stiffness"), 0.0, False, INF, NPP),
-    ("admittance", "damping_ratio", field(AdmittanceConfig, "damping_ratio"), 0.0, False, INF,
+    ("compute_damping", DAMPING, "stiffness", lambda v: compute_damping(1.0, v, 2.0), 0.0, False,
+     INF, NPP),
+    ("compute_damping", DAMPING, "damping_ratio", lambda v: compute_damping(1.0, 50.0, v), 0.0,
+     False, INF, NPP),
+    ("admittance", DAMPING, "mass", field(AdmittanceConfig, "mass"), 0.0, False, INF, NPP),
+    ("admittance", DAMPING, "stiffness", field(AdmittanceConfig, "stiffness"), 0.0, False, INF,
      NPP),
-    ("admittance", "tangent_scale", field(AdmittanceConfig, "tangent_scale"), 1.0, True, INF, VE),
-    ("admittance", "target_force", field(AdmittanceConfig, "target_force"), 0.0, True, INF, VE),
-    ("admittance", "force_deadband", field(AdmittanceConfig, "force_deadband"), 0.0, True, INF,
-     VE),
-    ("dynamics", "m", lambda v: dynamics(m=v), 0.0, False, INF, VE),
-    ("dynamics", "d", lambda v: dynamics(d=v), 0.0, False, INF, VE),
-    ("dynamics", "k_e", lambda v: dynamics(k_e=v), 0.0, False, INF, VE),
-    ("dynamics", "f_H", lambda v: dynamics(f_H=v), 0.0, True, INF, VE),
+    ("admittance", DAMPING, "damping_ratio", field(AdmittanceConfig, "damping_ratio"), 0.0, False,
+     INF, NPP),
+    *[("scenario", DAMPING, f"admittance {key}",
+       lambda v, key=key: ScenarioConfig("WW", admittance_overrides={key: v}), 0.0, False, INF,
+       NPP) for key in ("mass", "stiffness", "damping_ratio")],
+    ("admittance", ADMITTANCE, "tangent_scale", field(AdmittanceConfig, "tangent_scale"), 1.0,
+     True, INF, VE),
+    ("admittance", ADMITTANCE, "target_force", field(AdmittanceConfig, "target_force"), 0.0, True,
+     INF, VE),
+    ("admittance", ADMITTANCE, "force_deadband", field(AdmittanceConfig, "force_deadband"), 0.0,
+     True, INF, VE),
+    ("dynamics", DYNAMICS, "m", lambda v: dynamics(m=v), 0.0, False, INF, VE),
+    ("dynamics", DYNAMICS, "d", lambda v: dynamics(d=v), 0.0, False, INF, VE),
+    ("dynamics", DYNAMICS, "k_e", lambda v: dynamics(k_e=v), 0.0, False, INF, VE),
+    ("dynamics", DYNAMICS, "f_H", lambda v: dynamics(f_H=v), 0.0, True, INF, VE),
     # Wider noise draws overflow mid-run: a command position or a cone angle of inf.
-    ("noise", "pos_std", field(NoiseSpec, "pos_std"), 0.0, True, 1.0, VE),
-    ("noise", "rot_std", field(NoiseSpec, "rot_std"), 0.0, True, INF, VE),
-    ("noise", "normal_cone_std", field(NoiseSpec, "normal_cone_std"), 0.0, True, math.pi, VE),
-    ("noise", "contact_flip_prob", field(NoiseSpec, "contact_flip_prob"), 0.0, True, 1.0, VE),
+    ("noise", NOISE, "pos_std", field(NoiseSpec, "pos_std"), 0.0, True, 1.0, VE),
+    ("noise", NOISE, "rot_std", field(NoiseSpec, "rot_std"), 0.0, True, INF, VE),
+    ("noise", NOISE, "normal_cone_std", field(NoiseSpec, "normal_cone_std"), 0.0, True, math.pi,
+     VE),
+    ("noise", NOISE, "contact_flip_prob", field(NoiseSpec, "contact_flip_prob"), 0.0, True, 1.0,
+     VE),
     # Each task's duration up to its time limit.
-    *[(task, "duration", lambda v, task=task: ScenarioConfig(task, duration=v), 0.0, True,
-       TASK_SPECS[task].time_limit, VE) for task in TASKS],
-    ("scenario", "environment k_e",
+    *[(task, SCENARIO, "duration", lambda v, task=task: ScenarioConfig(task, duration=v), 0.0,
+       True, TASK_SPECS[task].time_limit, VE) for task in TASKS],
+    # An environment override runs the check of the environment's constructor.
+    ("scenario", SCENARIO, "environment k_e",
      lambda v: ScenarioConfig("DO", env_overrides={"k_e": v}), 0.0, False, INF, VE),
-    ("scenario", "environment latch_force",
+    ("scenario", SCENARIO, "environment latch_force",
      lambda v: ScenarioConfig("DO", env_overrides={"latch_force": v}), 0.0, True, INF, VE),
-    ("scenario", "safety limit", lambda v: ScenarioConfig("WW", safety_limit=v), 0.0, False,
-     INF, VE),
-    ("scenario", "safety debounce",
+    ("scenario", SCENARIO, "safety limit", lambda v: ScenarioConfig("WW", safety_limit=v), 0.0,
+     False, INF, VE),
+    ("scenario", SCENARIO, "safety debounce",
      lambda v: ScenarioConfig("WW", safety_debounce=v), 0.0, True, INF, VE),
-    ("equivalence", "k_e", lambda v: equivalence_check(AdmittanceConfig(), v, T=1e-3),
+    ("equivalence", "verify:equivalence_check", "k_e",
+     lambda v: equivalence_check(AdmittanceConfig(), v, T=1e-3), 0.0, False, INF, VE),
+    ("disturbance", EVENT_SITE, "duration", lambda v: DisturbanceEvent("raise", 0.0, v, 0.01),
      0.0, False, INF, VE),
-    ("disturbance", "duration", lambda v: DisturbanceEvent("raise", 0.0, v, 0.01), 0.0, False,
-     INF, VE),
-    ("disturbance", "ramp", lambda v: DisturbanceEvent("raise", 0.0, 2.0, 0.01, ramp=v), 0.0,
-     True, 2.0, VE),  # up to the event's duration
-    ("board", "k_e", field(PlaneBoard, "k_e"), 0.0, False, INF, VE),
-    ("hole", "k_e", field(HoleFixture, "k_e"), 0.0, False, INF, VE),
-    ("door", "k_e", field(lever_door, "k_e"), 0.0, False, INF, VE),
-    ("door", "latch_force", field(lever_door, "latch_force"), 0.0, True, INF, VE),
-    ("microwave", "k_e", field(microwave, "k_e"), 0.0, False, INF, VE),
-    ("microwave", "latch_force", field(microwave, "latch_force"), 0.0, True, INF, VE),
+    ("disturbance", EVENT_SITE, "ramp",
+     lambda v: DisturbanceEvent("raise", 0.0, 2.0, 0.01, ramp=v), 0.0, True, 2.0,
+     VE),  # up to the event's duration
+    # Each environment's k_e and latch_force, through environments' partials of check_range.
+    ("board", "environments:PlaneBoard.__post_init__", "k_e", field(PlaneBoard, "k_e"), 0.0,
+     False, INF, VE),
+    ("hole", "environments:HoleFixture.__post_init__", "k_e", field(HoleFixture, "k_e"), 0.0,
+     False, INF, VE),
+    ("door", DOOR, "k_e", field(lever_door, "k_e"), 0.0, False, INF, VE),
+    ("door", DOOR, "latch_force", field(lever_door, "latch_force"), 0.0, True, INF, VE),
+    ("microwave", DOOR, "k_e", field(microwave, "k_e"), 0.0, False, INF, VE),
+    ("microwave", DOOR, "latch_force", field(microwave, "latch_force"), 0.0, True, INF, VE),
 ]
 
 
-@pytest.mark.parametrize("owner,name,build,low,closed,high,error", BOUNDS,
-                         ids=[f"{row[0]}-{row[1]}" for row in BOUNDS])
-def test_range_bound(owner, name, build, low, closed, high, error):
+def range_cases(owner, site, name, build, low, closed, high, error):
+    """(value, message) of each value a BOUNDS row tries: the one wording of
+    its refusal, or None where the row accepts it."""
     relation = ">=" if closed else ">"
-    message = f"{name} must be finite and {relation} {low:g}, got "
-    past = math.nextafter(low, -math.inf)
-    for value in (math.nan, math.inf, -math.inf, past) + (() if closed else (low,)):
-        with pytest.raises(error) as exc:
-            build(value)
-        assert type(exc.value) is error, value
-        assert str(exc.value) == message + str(value), value
-    build(math.nextafter(low, math.inf))
-    if closed:
-        build(low)
+    head = f"{name} must be finite and {relation} {low:g}, got "
+    cases = [(value, head + str(value))
+             for value in (math.nan, math.inf, -math.inf, math.nextafter(low, -math.inf))]
+    cases += [(low, None if closed else head + str(low)), (math.nextafter(low, math.inf), None)]
     if high < INF:
         past = math.nextafter(high, math.inf)
-        with pytest.raises(error) as exc:
-            build(past)
-        assert type(exc.value) is error
-        assert str(exc.value) == f"{name} must be <= {high}, got {past}"
-        build(high)
-        build(math.nextafter(high, -math.inf))
+        cases += [(past, f"{name} must be <= {high}, got {past}"), (high, None),
+                  (math.nextafter(high, -math.inf), None)]
+    return cases
+
+
+# One case per value of each row, so a fault at one value cannot hide another.
+RANGE_CASES = [(row, value, message) for row in BOUNDS for value, message in range_cases(*row)]
+
+
+@pytest.mark.parametrize("row,value,message", RANGE_CASES,
+                         ids=[f"{row[0]}-{row[2]}-{value!r}" for row, value, _ in RANGE_CASES])
+def test_range_bound(row, value, message):
+    build, error = row[3], row[7]
+    if message is None:
+        build(value)
+        return
+    with pytest.raises(error) as exc:
+        build(value)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_a_debounce_too_long_to_count_in_ticks_is_refused():
@@ -220,39 +266,71 @@ def suite_seeds(value):
     return parse_suite("suite.ini")
 
 
-# (id, name in the message, constructor of one value, low, high, error). WW's
-# wipe_passes is at most its time limit in policy steps, 120 s at 10 per s, as
-# a pass takes two or more of them; the dataset header holds the horizon as a u32.
+# (id, call site of check_count, name in the message, constructor of one
+# value, low, high, error). WW's wipe_passes is at most its time limit in
+# policy steps, 120 s at 10 per s, as a pass takes two or more of them; the
+# dataset header holds the horizon as a u32.
 COUNTS = [
-    ("scenario-seed", "seed", lambda v: ScenarioConfig("WW", seed=v), 0, INF, VE),
-    ("wipe_passes", "wipe_passes", lambda v: ScenarioConfig("WW", wipe_passes=v), 1, 1200, VE),
-    ("noise-seed", "seed", lambda v: NoiseSpec(seed=v), 0, INF, VE),
-    ("horizon", "horizon", lambda v: write_dataset("demos.bin", Dataset("WW", v, ())), 0,
-     MAX_HORIZON, VE),
-    ("suite-seeds", "suite.ini: [suite] seeds", suite_seeds, 1, INF, ConfigParse),
+    ("scenario-seed", SCENARIO, "seed", lambda v: ScenarioConfig("WW", seed=v), 0, INF, VE),
+    ("wipe_passes", SCENARIO, "wipe_passes", lambda v: ScenarioConfig("WW", wipe_passes=v), 1,
+     1200, VE),
+    ("noise-seed", NOISE, "seed", lambda v: NoiseSpec(seed=v), 0, INF, VE),
+    ("horizon", "datasets:write_dataset", "horizon",
+     lambda v: write_dataset("demos.bin", Dataset("WW", v, ())), 0, MAX_HORIZON, VE),
+    ("suite-seeds", SUITE, "suite.ini: [suite] seeds", suite_seeds, 1, INF, ConfigParse),
 ]
 
 
-@pytest.mark.parametrize("owner,name,build,low,high,error", COUNTS, ids=[row[0] for row in COUNTS])
-def test_count_bound(owner, name, build, low, high, error, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # where the rows that write a file write it
-    ends = [(low - 1, ">=", low)] + ([(high + 1, "<=", high)] if high < INF else [])
-    for value, relation, bound in ends:
-        with pytest.raises(error) as exc:
-            build(value)
-        assert type(exc.value) is error
-        assert str(exc.value) == f"{name} must be {relation} {bound}, got {value}"
-    # A float, even an integral one, fails here and not inside run_episode, in
-    # the same wording from an INI file.
-    for value in (low + 0.5, float(low), math.nan, math.inf, -math.inf):
-        with pytest.raises(error) as exc:
-            build(value)
-        assert type(exc.value) is error, value
-        assert str(exc.value) == f"{name} must be an integer, got {value}"
-    build(low)
-    build(np.int64(low + 1))
+def count_cases(owner, site, name, build, low, high, error):
+    """(value, message) of each value a COUNTS row tries, as range_cases. A
+    float, even an integral one, fails here and not inside run_episode, in
+    the same wording from an INI file."""
+    cases = [(low - 1, f"{name} must be >= {low}, got {low - 1}")]
     if high < INF:
-        build(high)
+        cases.append((high + 1, f"{name} must be <= {high}, got {high + 1}"))
+    cases += [(value, f"{name} must be an integer, got {value}")
+              for value in (low + 0.5, float(low), math.nan, math.inf, -math.inf)]
+    cases += [(low, None), (np.int64(low + 1), None)] + ([(high, None)] if high < INF else [])
+    return cases
+
+
+COUNT_CASES = [(row, value, message) for row in COUNTS for value, message in count_cases(*row)]
+
+
+@pytest.mark.parametrize("row,value,message", COUNT_CASES,
+                         ids=[f"{row[0]}-{type(value).__name__}-{value}"
+                              for row, value, _ in COUNT_CASES])
+def test_count_bound(row, value, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the rows that write a file write it
+    build, error = row[3], row[6]
+    if message is None:
+        build(value)
+        return
+    with pytest.raises(error) as exc:
+        build(value)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# (flag, call site of check_count, value, message): gen-demos' counts, through
+# the command line, where argparse has made each an int. Each is an exit 2
+# that prints the message after the command's name and writes no file.
+# tests/test_cli.py stubs out the dataset to accept the largest count.
+CLI_COUNTS = [
+    ("--count", "cli:_cmd_gen_demos", 0, "--count must be >= 1, got 0"),
+    ("--count", "cli:_cmd_gen_demos", MAX_EPISODES + 1,
+     f"--count must be <= {MAX_EPISODES}, got {MAX_EPISODES + 1}"),
+    ("--seed", "cli:_cmd_gen_demos", -1, "--seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("flag,site,value,message", CLI_COUNTS,
+                         ids=[f"{row[0]}={row[2]}" for row in CLI_COUNTS])
+def test_a_gen_demos_count_out_of_range_exits_2(flag, site, value, message, tmp_path, capsys):
+    out = tmp_path / "x.bin"
+    assert main(["gen-demos", "--task", "WW", flag, str(value), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"gen-demos: {message}\n"
+    assert not out.exists()
 
 
 # Each task's environment override keys, from its environment class: every
@@ -281,28 +359,25 @@ DISTURBANCES = {task: TASK_SPECS[task].environment.DISTURBANCES for task in TASK
 # lists its keys, so an unknown one there is a config error of the file's
 # structure, not this check. WW's board takes every disturbance kind.
 CHOICES = [
-    ("disturbance-kind", "environments:DisturbanceEvent.__post_init__", "kind",
-     DISTURBANCE_KINDS, STRANGERS + ("Raise",),
+    ("disturbance-kind", EVENT_SITE, "kind", DISTURBANCE_KINDS, STRANGERS + ("Raise",),
      lambda v: DisturbanceEvent(v, 1.0, 1.0, 0.01),
      (parse_scenario, "[scenario]\ntask = WW\n" + EVENT_SECTION, "[disturbance.a] ")),
-    ("mode", "harness:ScenarioConfig.__post_init__", "mode", MODES,
-     STRANGERS + ("baseline",), lambda v: ScenarioConfig("WW", mode=v),
+    ("mode", SCENARIO, "mode", MODES, STRANGERS + ("baseline",),
+     lambda v: ScenarioConfig("WW", mode=v),
      (parse_scenario, "[scenario]\ntask = WW\nmode = {v}\n", "")),
-    ("suite-modes", "harness:ScenarioConfig.__post_init__", "mode", MODES, ("bogus",), None,
+    ("suite-modes", SCENARIO, "mode", MODES, ("bogus",), None,
      (parse_suite, "[suite]\ntask = PH\nseeds = 1\nmodes = {v}\n", "")),
-    *[(f"{task}-disturbance-kind", "harness:ScenarioConfig.__post_init__",
-       f"{task} disturbance kind", DISTURBANCES[task],
+    *[(f"{task}-disturbance-kind", SCENARIO, f"{task} disturbance kind", DISTURBANCES[task],
        tuple(k for k in DISTURBANCE_KINDS if k not in DISTURBANCES[task]),
        lambda v, task=task: ScenarioConfig(task, disturbances=(DisturbanceEvent(v, 1, 1, 0.01),)),
        (parse_scenario, f"[scenario]\ntask = {task}\n" + EVENT_SECTION, ""))
       for task in TASKS if DISTURBANCES[task] != DISTURBANCE_KINDS],
-    *[(f"{task}-environment-override", "harness:ScenarioConfig.__post_init__",
-       f"{task} environment override", OVERRIDES[task],
+    *[(f"{task}-environment-override", SCENARIO, f"{task} environment override", OVERRIDES[task],
        tuple(k for k in ("k_e", "latch_force", "bogus") if k not in OVERRIDES[task]),
        lambda v, task=task: ScenarioConfig(task, env_overrides={v: 1.0}),
        (parse_scenario, f"[scenario]\ntask = {task}\n[environment]\n{{v}} = 1.0\n", ""))
       for task in TASKS],
-    ("admittance-override", "harness:ScenarioConfig.__post_init__", "admittance override",
+    ("admittance-override", SCENARIO, "admittance override",
      tuple(AdmittanceConfig.__dataclass_fields__), ("bogus", "damping", 1),
      lambda v: ScenarioConfig("WW", admittance_overrides={v: 1.0}), None),
     ("task", "tasks:task_spec", "task", TASKS, STRANGERS + ("ww", "WWW"), ScenarioConfig,
@@ -314,8 +389,7 @@ CHOICES = [
     # The header's task code: refused before the file is opened.
     ("dataset-task", "tasks:task_spec", "task", TASKS, ("ZZ", "PHXYZ", "W\u00e9", [1]),
      lambda v: write_dataset("demos.bin", Dataset(v, 16, ())), None),
-    ("suite-disturbed", "config:parse_suite", "disturbed", ("none", "only", "both"),
-     ("bogus", "None", ""), None,
+    ("suite-disturbed", SUITE, "disturbed", ("none", "only", "both"), ("bogus", "None", ""), None,
      (parse_suite, "[suite]\ntask = WW\nseeds = 1\ndisturbed = {v}\n", "[suite] ")),
 ]
 
@@ -346,31 +420,6 @@ def test_a_choice_is_one_of_its_names(case, site, name, choices, outside, build,
             assert str(exc.value) == f"c.ini: {where}{message}"
 
 
-def choice_readers(tree: ast.AST, module: str, scope: str = "") -> set:
-    """module:function of each function in tree that reads the name
-    check_choice, by a call or as an argument."""
-    found = set()
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found |= choice_readers(node, module, scope + node.name + ".")
-        else:
-            if (isinstance(node, ast.Name) and node.id == "check_choice"
-                    and isinstance(node.ctx, ast.Load)):
-                found.add(f"{module}:{scope[:-1]}")
-            found |= choice_readers(node, module, scope)
-    return found
-
-
-def test_every_reader_of_check_choice_is_a_row_of_the_table():
-    """A new choice input cannot skip its test: the functions of the package
-    that read check_choice are the sites that CHOICES tests."""
-    package = pathlib.Path(errors.__file__).parent
-    readers = set()
-    for source in sorted(package.glob("*.py")):
-        readers |= choice_readers(ast.parse(source.read_text()), source.stem)
-    assert readers == {row[1] for row in CHOICES}
-
-
 @pytest.mark.parametrize("task", [t for t in TASKS if not TASK_SPECS[t].multipass])
 def test_wipe_passes_is_one_outside_a_multipass_task(task, tmp_path):
     assert ScenarioConfig(task, wipe_passes=1).wipe_passes == 1
@@ -381,14 +430,6 @@ def test_wipe_passes_is_one_outside_a_multipass_task(task, tmp_path):
     path.write_text(f"[scenario]\ntask = {task}\nwipe_passes = 3\n")
     with pytest.raises(ConfigParse, match=f"wipe_passes must be 1 for {task}"):
         parse_scenario(str(path))
-
-
-@pytest.mark.parametrize("key", ["mass", "stiffness", "damping_ratio"])
-def test_a_non_positive_gain_override_is_a_value_error(key):
-    with pytest.raises(ValueError,
-                       match=f"^admittance {key} must be finite and > 0, got 0.0$") as exc:
-        ScenarioConfig("WW", admittance_overrides={key: 0.0})
-    assert type(exc.value) is NonPositiveParameter
 
 
 def test_admittance_flag_overrides_still_apply():
@@ -402,83 +443,108 @@ def test_admittance_flag_overrides_still_apply():
     assert adm.damping == compute_damping(2.0, 200.0, 2.0)
 
 
-PROPS = (("prop1", verify_prop1_grid, "proposition 1 horizon T", {}),
-         ("prop2", verify_prop2, "proposition 2 horizon T", {"v0": 0.05}),
-         ("prop3", verify_prop3_grid, "proposition 3 duration T", {}))
-
-
-def horizon(call, **kw):
-    return lambda: call([dynamics()], **kw)
-
-
-# (case, call, error, message prefix): the inputs that no range table covers.
+# The verifiers on a grid of one point, and a disturbance, each called with keywords.
+PROP1, PROP2, PROP3 = (partial(verify_prop1_grid, [dynamics()]),
+                       partial(verify_prop2, [dynamics()], v0=0.05),
+                       partial(verify_prop3_grid, [dynamics()]))
+SHIFT = partial(DisturbanceEvent, "shift", start=1.0, duration=2.0, magnitude=0.01, ramp=0.5)
+# Each verifier's horizon: (id, call, name of T in the message). `_steps`
+# counts its steps and checks T and dt.
+HORIZONS = (("prop1", PROP1, "proposition 1 horizon T"),
+            ("prop2", PROP2, "proposition 2 horizon T"),
+            ("prop3", PROP3, "proposition 3 duration T"),
+            ("equivalence", partial(equivalence_check, AdmittanceConfig(), 1000.0),
+             "equivalence horizon T"))
+PROP3_SHORT = "proposition 3 duration T must be finite, > 0 and span at least 4 steps of 0.001 s"
+# (case, call site, the check it calls or None where the check is written out
+# in place, call, error, message prefix): the inputs that no range table covers.
 TYPED = [
-    ("admittance-str", lambda: ScenarioConfig("WW", admittance_overrides={"mass": "2"}),
+    ("admittance-str", SCENARIO, REAL,
+     lambda: ScenarioConfig("WW", admittance_overrides={"mass": "2"}),
      ValueError, "admittance mass must be a real number, got '2'"),
-    ("admittance-none", lambda: ScenarioConfig("PH", admittance_overrides={"stiffness": None}),
+    ("admittance-none", SCENARIO, REAL,
+     lambda: ScenarioConfig("PH", admittance_overrides={"stiffness": None}),
      ValueError, "admittance stiffness must be a real number, got None"),
     # The object fields, each checked at construction rather than mid-run.
-    ("noise-none", lambda: ScenarioConfig("WW", duration=0.5, noise=None),
+    ("noise-none", SCENARIO, None, lambda: ScenarioConfig("WW", duration=0.5, noise=None),
      ValueError, "noise must be a NoiseSpec, got None"),
-    ("noise-dict", lambda: ScenarioConfig("WW", duration=0.5, noise={"seed": 1}),
+    ("noise-dict", SCENARIO, None, lambda: ScenarioConfig("WW", duration=0.5, noise={"seed": 1}),
      ValueError, "noise must be a NoiseSpec, got {'seed': 1}"),
-    ("disturbances-int", lambda: ScenarioConfig("WW", disturbances=(1,)),
+    ("disturbances-int", SCENARIO, None, lambda: ScenarioConfig("WW", disturbances=(1,)),
      ValueError, "disturbances must hold DisturbanceEvents, got (1,)"),
-    ("disturbances-none", lambda: ScenarioConfig("WW", disturbances=None),
+    ("disturbances-none", SCENARIO, None, lambda: ScenarioConfig("WW", disturbances=None),
      ValueError, "disturbances must be a tuple, got None"),
-    ("admittance_overrides-none", lambda: ScenarioConfig("WW", admittance_overrides=None),
+    ("admittance_overrides-none", SCENARIO, None,
+     lambda: ScenarioConfig("WW", admittance_overrides=None),
      ValueError, "admittance_overrides must be a dict, got None"),
-    ("env_overrides-none", lambda: ScenarioConfig("WW", env_overrides=None),
+    ("env_overrides-none", SCENARIO, None, lambda: ScenarioConfig("WW", env_overrides=None),
      ValueError, "env_overrides must be a dict, got None"),
 ] + [
-    (f"{name}-T={T}-dt={dt}", horizon(call, T=T, dt=dt, **kw), ValueError, message)
-    for name, call, what, kw in PROPS
-    for T, dt, message in [(T, 1e-3, f"{what} must be finite, > 0 and span at least ")
-                           for T in (math.inf, math.nan, 0.0, -1.0)]
-    + [(1.0, dt, "dt must be finite and > 0, got ") for dt in (0.0, -1e-3, math.nan, math.inf)]
-    + [(1.0, 5e-324, f"{what} needs inf steps of 5e-324 s")]
+    (f"{name}-T={T}-dt={dt}", STEPS, check, partial(call, T=T, dt=dt), ValueError, message)
+    for name, call, what in HORIZONS
+    for T, dt, check, message in
+    # T = 5e-324 over dt = 10: the step count underflows to 0.
+    [(T, dt, None, f"{what} must be finite, > 0 and span at least ")
+     for T, dt in ((math.inf, 1e-3), (math.nan, 1e-3), (0.0, 1e-3), (-1.0, 1e-3), (5e-324, 10.0))]
+    + [(1.0, dt, RANGE, "dt must be finite and > 0, got ")
+       for dt in (0.0, -1e-3, math.nan, math.inf)]
+    + [(1.0, 5e-324, None, f"{what} needs inf steps of 5e-324 s")]
 ] + [
-    (f"{name}-{arg}={value}", horizon(call, **{arg: value}), ValueError,
+    # Proposition 3's judge needs 4 steps, also of the duration a batch gives it.
+    (f"prop3-T={T}", STEPS, None, partial(PROP3, T=T), ValueError, f"{PROP3_SHORT}, got {T}")
+    for T in (0.002, 0.003)
+] + [
+    (f"run_default_verification-T={T}", STEPS, None,
+     partial(run_default_verification, prop3_T=T, grid=[dynamics()]), ValueError,
+     f"{PROP3_SHORT}, got {T}") for T in (math.nan, math.inf, 0.0, -1.0, 0.002, 0.003)
+] + [
+    (f"{name}-{arg}={value}", site, FINITE, partial(call, **{arg: value}), ValueError,
      f"{arg} must be finite, got {value}")
-    for name, call, arg in (("prop1", verify_prop1_grid, "x0_offset"),
-                            ("prop1", verify_prop1_grid, "v0"),
-                            ("prop2", verify_prop2, "v0"),
-                            ("prop3", verify_prop3_grid, "amplitude"),
-                            ("prop3", verify_prop3_grid, "omega"))
+    for name, site, call, arg in (("prop1", "verify:_Prop1.__init__", PROP1, "x0_offset"),
+                                  ("prop1", "verify:_Prop1.__init__", PROP1, "v0"),
+                                  ("prop2", "verify:_Prop2.__init__", PROP2, "v0"),
+                                  ("prop3", "verify:_Prop3.__init__", PROP3, "amplitude"),
+                                  ("prop3", "verify:_Prop3.__init__", PROP3, "omega"),
+                                  ("disturbance", EVENT_SITE, SHIFT, "start"),
+                                  ("disturbance", EVENT_SITE, SHIFT, "magnitude"),
+                                  ("disturbance", EVENT_SITE, SHIFT, "omega"))
     for value in (math.nan, math.inf, -math.inf)
 ]
 
 
-@pytest.mark.parametrize("case,call,error,message", TYPED, ids=[row[0] for row in TYPED])
-def test_typed_error(case, call, error, message):
+@pytest.mark.parametrize("case,site,check,call,error,message", TYPED,
+                         ids=[row[0] for row in TYPED])
+def test_typed_error(case, site, check, call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error
     assert str(exc.value).startswith(message), str(exc.value)
 
 
-# (name in the message, constructor given a str where a number belongs, error)
+# (name in the message, call site, the check it calls, constructor given a str
+# where a number belongs, error)
 NON_NUMBERS = [
-    ("environment k_e", lambda: ScenarioConfig("WW", env_overrides={"k_e": "2"}), VE),
-    ("safety limit", lambda: ScenarioConfig("WW", safety_limit="1"), VE),
-    ("safety debounce", lambda: ScenarioConfig("WW", safety_debounce="0"), VE),
-    ("duration", lambda: ScenarioConfig("WW", duration="5"), VE),
-    ("pos_std", lambda: NoiseSpec(pos_std="1"), VE),
-    ("contact_flip_prob", lambda: NoiseSpec(contact_flip_prob="0.1"), VE),
-    ("mass", lambda: AdmittanceConfig(mass="1"), NPP),
-    ("gripper", lambda: ControllerCommand((0.0, 0.0, 0.0), gripper="1"), VE),
-    ("m", lambda: NormalDynamicsParams("1", 1, 1, 1), VE),
-    ("x0_offset", lambda: verify_prop1_grid([dynamics()], x0_offset="0"), VE),
-    ("v0", lambda: verify_prop2([dynamics()], v0="0.05"), VE),
-    ("amplitude", lambda: verify_prop3_grid([dynamics()], amplitude="x"), VE),
-    ("omega", lambda: verify_prop3_grid([dynamics()], omega="3"), VE),
-    ("start", lambda: DisturbanceEvent("raise", start="1", duration=1.0, magnitude=0.01,
-                                       direction=(0.0, 0.0, 1.0)), VE),
+    ("environment k_e", SCENARIO, RANGE, lambda: ScenarioConfig("WW", env_overrides={"k_e": "2"}),
+     VE),
+    ("safety limit", SCENARIO, RANGE, lambda: ScenarioConfig("WW", safety_limit="1"), VE),
+    ("safety debounce", SCENARIO, RANGE, lambda: ScenarioConfig("WW", safety_debounce="0"), VE),
+    ("duration", SCENARIO, RANGE, lambda: ScenarioConfig("WW", duration="5"), VE),
+    ("pos_std", NOISE, RANGE, lambda: NoiseSpec(pos_std="1"), VE),
+    ("contact_flip_prob", NOISE, RANGE, lambda: NoiseSpec(contact_flip_prob="0.1"), VE),
+    ("mass", DAMPING, RANGE, lambda: AdmittanceConfig(mass="1"), NPP),
+    ("gripper", COMMAND, REAL, lambda: ControllerCommand((0.0, 0.0, 0.0), gripper="1"), VE),
+    ("m", DYNAMICS, RANGE, lambda: NormalDynamicsParams("1", 1, 1, 1), VE),
+    ("x0_offset", "verify:_Prop1.__init__", FINITE, partial(PROP1, x0_offset="0"), VE),
+    ("v0", "verify:_Prop2.__init__", FINITE, partial(PROP2, v0="0.05"), VE),
+    ("amplitude", "verify:_Prop3.__init__", FINITE, partial(PROP3, amplitude="x"), VE),
+    ("omega", "verify:_Prop3.__init__", FINITE, partial(PROP3, omega="3"), VE),
+    ("start", EVENT_SITE, FINITE, partial(SHIFT, start="1"), VE),
 ]
 
 
-@pytest.mark.parametrize("name,call,error", NON_NUMBERS, ids=[row[0] for row in NON_NUMBERS])
-def test_a_value_that_is_not_a_number_is_a_typed_error(name, call, error):
+@pytest.mark.parametrize("name,site,check,call,error", NON_NUMBERS,
+                         ids=[row[0] for row in NON_NUMBERS])
+def test_a_value_that_is_not_a_number_is_a_typed_error(name, site, check, call, error):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error
@@ -493,31 +559,37 @@ def event(direction):
     return lambda: DisturbanceEvent("raise", 1.0, 1.0, 0.01, direction=direction)
 
 
-# (id, parser, INI text, the call its value reaches): the value-kind faults of
-# a file. A [suite]'s own keys reach no constructor but the checks parse_suite
-# runs on them.
+# (id, call site, the check it calls, parser, INI text, the call its value
+# reaches): the value-kind faults of a file. A [suite]'s own keys reach no
+# constructor but the checks parse_suite runs on them.
 INI_FAULTS = [
-    ("scenario-duration", parse_scenario, "[scenario]\ntask = WW\nduration = fast\n",
-     lambda: ScenarioConfig("WW", duration="fast")),
-    ("suite-seeds", parse_suite, "[suite]\ntask = WW\nseeds = 1.5\n",
+    ("scenario-duration", SCENARIO, RANGE, parse_scenario,
+     "[scenario]\ntask = WW\nduration = fast\n", lambda: ScenarioConfig("WW", duration="fast")),
+    ("suite-seeds", SUITE, COUNT, parse_suite, "[suite]\ntask = WW\nseeds = 1.5\n",
      lambda: check_count("seeds", 1.5, 1)),
-    ("scenario-seed", parse_scenario, "[scenario]\ntask = WW\nseed = 1.5\n",
+    ("scenario-seed", SCENARIO, COUNT, parse_scenario, "[scenario]\ntask = WW\nseed = 1.5\n",
      lambda: ScenarioConfig("WW", seed=1.5)),
-    ("noise-seed", parse_scenario, "[scenario]\ntask = WW\n[noise]\nseed = 1.5\n",
-     lambda: NoiseSpec(seed=1.5)),
-    ("verify-m-word", parse_verify_params, "[verify]\nm = 1.0 x\n",
+    ("noise-seed", NOISE, COUNT, parse_scenario,
+     "[scenario]\ntask = WW\n[noise]\nseed = 1.5\n", lambda: NoiseSpec(seed=1.5)),
+    ("verify-m-word", GRID, RANGE, parse_verify_params, "[verify]\nm = 1.0 x\n",
      lambda: default_grid(m=(1.0, "x"))),
-    ("verify-m-zero", parse_verify_params, "[verify]\nm = 0\n", lambda: default_grid(m=(0.0,))),
-    ("verify-k_e-empty", parse_verify_params, "[verify]\nk_e =\n", lambda: default_grid(k_e=())),
-    ("suite-modes-empty", parse_suite, "[suite]\ntask = WW\nmodes =\n",
+    ("verify-m-zero", GRID, RANGE, parse_verify_params, "[verify]\nm = 0\n",
+     lambda: default_grid(m=(0.0,))),
+    ("verify-k_e-empty", GRID, DISTINCT, parse_verify_params, "[verify]\nk_e =\n",
+     lambda: default_grid(k_e=())),
+    ("suite-modes-empty", SUITE, DISTINCT, parse_suite, "[suite]\ntask = WW\nmodes =\n",
      lambda: check_distinct("modes", [])),
-    ("direction-two", parse_scenario, EVENT + "direction = 0 1\n", event((0.0, 1.0))),
-    ("direction-word", parse_scenario, EVENT + "direction = 0 1 z\n", event((0.0, 1.0, "z"))),
+    ("direction-two", EVENT_SITE, VEC3, parse_scenario, EVENT + "direction = 0 1\n",
+     event((0.0, 1.0))),
+    ("direction-word", EVENT_SITE, VEC3, parse_scenario, EVENT + "direction = 0 1 z\n",
+     event((0.0, 1.0, "z"))),
 ]
 
 
-@pytest.mark.parametrize("case,parse,text,call", INI_FAULTS, ids=[row[0] for row in INI_FAULTS])
-def test_an_ini_value_fault_is_worded_by_the_check_it_reaches(case, parse, text, call, tmp_path):
+@pytest.mark.parametrize("case,site,check,parse,text,call", INI_FAULTS,
+                         ids=[row[0] for row in INI_FAULTS])
+def test_an_ini_value_fault_is_worded_by_the_check_it_reaches(case, site, check, parse, text,
+                                                               call, tmp_path):
     path = tmp_path / "c.ini"
     path.write_text(text)
     with pytest.raises(ValueError) as exc:
@@ -528,16 +600,24 @@ def test_an_ini_value_fault_is_worded_by_the_check_it_reaches(case, parse, text,
     assert str(parsed.value).endswith(str(exc.value))
 
 
-# (id, call, message): the same faults at the API, which no INI reader screens.
+# (id, call site, the check it calls, call, message): the same faults at the
+# API, which no INI reader screens, and a repeat on each axis of the grid.
 API_FAULTS = [
-    ("grid-k_e-empty", lambda: default_grid(k_e=()), "k_e has no values"),
-    ("grid-m-zero", lambda: default_grid(m=(0.0,)), "m must be finite and > 0, got 0.0"),
-    ("grid-m-word", lambda: default_grid(m=("1",)), "m must be a real number, got '1'"),
+    ("grid-k_e-empty", GRID, DISTINCT, lambda: default_grid(k_e=()), "k_e has no values"),
+    ("grid-m-zero", GRID, RANGE, lambda: default_grid(m=(0.0,)),
+     "m must be finite and > 0, got 0.0"),
+    ("grid-m-word", GRID, RANGE, lambda: default_grid(m=("1",)),
+     "m must be a real number, got '1'"),
+    ("grid-m-repeat", GRID, DISTINCT, lambda: default_grid(m=(1.0, 1.0)), "m repeats 1.0"),
+    ("grid-k_e-repeat", GRID, DISTINCT, lambda: default_grid(k_e=(100.0, 500.0, 100.0)),
+     "k_e repeats 100.0"),
+    ("grid-f_h-repeat", GRID, DISTINCT, lambda: default_grid(f_h=(4, 4.0)), "f_h repeats 4.0"),
 ]
 
 
-@pytest.mark.parametrize("case,call,message", API_FAULTS, ids=[row[0] for row in API_FAULTS])
-def test_an_api_value_fault_is_a_value_error_naming_the_field(case, call, message):
+@pytest.mark.parametrize("case,site,check,call,message", API_FAULTS,
+                         ids=[row[0] for row in API_FAULTS])
+def test_an_api_value_fault_is_a_value_error_naming_the_field(case, site, check, call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError
@@ -545,27 +625,37 @@ def test_an_api_value_fault_is_a_value_error_naming_the_field(case, call, messag
 
 
 ORIGIN = (0.0, 0.0, 0.0)
-# Every point, direction and rotation input: (owner, name in the message,
-# constructor of one value, components, normalized). `geometry.vec3` checks
-# each, and `_normalize` (`_unit_quat` for the rotation) the normalized ones.
+STATE = "admittance:ControllerState.__new__"
+# Every point, direction and rotation input: (owner, call site of vec3, name
+# in the message, constructor of one value, components, normalized).
+# `geometry.vec3` checks each, and `_normalize` (`_unit_quat` for the
+# rotation) the normalized ones. A command's position and normal are checked
+# in and out of contact alike.
 GEOMETRY = [
-    ("state", "x_r", lambda v: ControllerState(v, ORIGIN), 3, False),
-    ("state", "v_r", lambda v: ControllerState(ORIGIN, v), 3, False),
-    ("command", "x_cmd", lambda v: ControllerCommand(v), 3, False),
-    ("command", "n", lambda v: ControllerCommand(ORIGIN, 0.0, v, 0), 3, False),  # c = 0 too
-    ("board", "center", field(PlaneBoard, "center"), 3, False),
-    ("board", "rotation", field(PlaneBoard, "rotation"), 4, True),
-    ("hole", "rim_center", field(HoleFixture, "rim_center"), 3, False),
-    ("door", "hinge_pivot", field(HingedDoor, "hinge_pivot"), 3, False),
-    ("door", "grasp0", field(HingedDoor, "grasp0"), 3, False),
-    ("door", "handle_pivot", field(lever_door, "handle_pivot"), 3, False),
-    ("door", "handle_axis", field(lever_door, "handle_axis"), 3, True),
-    ("disturbance", "direction", lambda v: event(v)(), 3, True),
-    ("equivalence", "n", lambda v: equivalence_check(AdmittanceConfig(), 1000.0, n=v), 3, True),
+    ("state", STATE, "x_r", lambda v: ControllerState(v, ORIGIN), 3, False),
+    ("state", STATE, "v_r", lambda v: ControllerState(ORIGIN, v), 3, False),
+    ("command", COMMAND, "x_cmd", lambda v: ControllerCommand(v), 3, False),
+    ("command", COMMAND, "n", lambda v: ControllerCommand(ORIGIN, 0.0, v, 0), 3, False),
+    ("command-c1", COMMAND, "x_cmd", lambda v: ControllerCommand(v, 1.0, (0.0, 0.0, 1.0), 1), 3,
+     False),
+    ("command-c1", COMMAND, "n", lambda v: ControllerCommand(ORIGIN, 0.0, v, 1), 3, False),
+    ("board", "environments:PlaneBoard.__post_init__", "center", field(PlaneBoard, "center"), 3,
+     False),
+    ("board", "environments:PlaneBoard.__post_init__", "rotation",
+     field(PlaneBoard, "rotation"), 4, True),
+    ("hole", "environments:HoleFixture.__post_init__", "rim_center",
+     field(HoleFixture, "rim_center"), 3, False),
+    ("door", DOOR, "hinge_pivot", field(HingedDoor, "hinge_pivot"), 3, False),
+    ("door", DOOR, "grasp0", field(HingedDoor, "grasp0"), 3, False),
+    ("door", DOOR, "handle_pivot", field(lever_door, "handle_pivot"), 3, False),
+    ("door", DOOR, "handle_axis", field(lever_door, "handle_axis"), 3, True),
+    ("disturbance", EVENT_SITE, "direction", lambda v: event(v)(), 3, True),
+    ("equivalence", "verify:equivalence_check", "n",
+     lambda v: equivalence_check(AdmittanceConfig(), 1000.0, n=v), 3, True),
 ]
 
 
-def geometry_faults(owner, name, build, size, normalized):
+def geometry_faults(owner, site, name, build, size, normalized):
     """(id, call, error, message) of each fault of one input: a component
     that is not a real number, each non-finite value in each component and,
     where the input is normalized, a zero norm and one that overflows."""
@@ -636,3 +726,57 @@ def test_a_vector_of_real_numbers_is_a_float_tuple(v):
     got = vec3("v", v, len(v))
     assert got == tuple(float(c) for c in v)
     assert type(got) is tuple and all(type(c) is float for c in got)
+
+
+def readers(tree: ast.AST, module: str, names: set, scope: str = "",
+            in_function: bool = False) -> set:
+    """module:function (Class.method for a method) of each function in tree
+    that reads one of names, by a call or as an argument. A module or class
+    body only binds a check to a name (a partial, an OVERRIDES table), so its
+    reads are no call site."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= readers(node, module, names, scope + node.name + ".",
+                             in_function or not isinstance(node, ast.ClassDef))
+        else:
+            if (in_function and isinstance(node, ast.Name) and node.id in names
+                    and isinstance(node.ctx, ast.Load)):
+                found.add(f"{module}:{scope[:-1]}")
+            found |= readers(node, module, names, scope, in_function)
+    return found
+
+
+def check_names(tree: ast.Module, check: str) -> set:
+    """check and each name that the module binds at its top level to a call
+    taking it, such as environments' `_K_E = partial(check_range, "k_e")`: a
+    function that reads the name calls the check."""
+    return {check} | {target.id for node in tree.body if isinstance(node, ast.Assign)
+                      and isinstance(node.value, ast.Call)
+                      and any(isinstance(arg, ast.Name) and arg.id == check
+                              for arg in node.value.args)
+                      for target in node.targets if isinstance(target, ast.Name)}
+
+
+def sites(check: str) -> set:
+    """The call sites that the rows of check name: every row of the table
+    that tests that check alone, and each row of the others that names it."""
+    whole = {RANGE: BOUNDS, COUNT: COUNTS + CLI_COUNTS, VEC3: GEOMETRY, CHOICE: CHOICES}
+    mixed = TYPED + NON_NUMBERS + INI_FAULTS + API_FAULTS
+    return {row[1] for row in whole.get(check, ())} | {row[1] for row in mixed if row[2] == check}
+
+
+@pytest.mark.parametrize("check", [RANGE, COUNT, FINITE, REAL, DISTINCT, VEC3, CHOICE])
+def test_the_readers_of_a_check_are_the_sites_its_rows_name(check):
+    """A new call of a check cannot skip its test: the functions of the
+    package that read the check are the sites that its rows name. `errors`,
+    whose checks call each other, is left out."""
+    package = pathlib.Path(errors.__file__).parent
+    found = set()
+    for source in sorted(package.glob("*.py")):
+        if source.stem != "errors":
+            tree = ast.parse(source.read_text())
+            found |= readers(tree, source.stem, check_names(tree, check))
+    named = sites(check)
+    assert found == named, (f"no row names {sorted(found - named)}; "
+                            f"no function reads {check} at {sorted(named - found)}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from reference_demos import near
 from scenarios import flat_board, lever_door, lever_grasp, microwave, microwave_grasp
 
 from admitsim.environments import (
@@ -17,7 +18,6 @@ from admitsim.environments import (
     DISTURBANCE_KINDS,
     HINGE_AXIS,
     HOLE_RADIUS,
-    PEN_RADIUS,
     PERSISTENT_KINDS,
     RELEASE_ANGLE,
     DisturbanceEvent,
@@ -106,7 +106,7 @@ class TestFriction:
 
     def test_slip_law_is_the_friction_model(self):
         model = FrictionModel(coulomb_mu=0.5, viscous_c=0.0)
-        assert np.linalg.norm(model.slip_force((1.0, 0.0, 0.0), 1.0, 10.0)) == 5.0
+        assert np.linalg.norm(model.slip_force((1.0, 0.0, 0.0), 10.0)) == 5.0
 
 
 # Board-frame stroke coordinates: the 30 x 20 cm board, its edges, cell
@@ -116,27 +116,6 @@ _STROKE_COORD = st.one_of(
     st.integers(-80, 80).map(lambda k: 0.0025 * k),
     st.sampled_from([-0.15, 0.15, -0.1, 0.1, -0.154, 0.154]),
 )
-
-
-def full_grid_stroke(ink, pts):
-    """The ink mask of a stroke evaluated at every cell, by the per-cell formula."""
-    cx = (np.arange(ink.nx) + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[0]
-    cy = (np.arange(ink.ny) + 0.5) * CELL_SIZE - 0.5 * BOARD_EXTENT[1]
-    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    dmin = np.full(len(centers), np.inf)
-    if len(pts) == 1:
-        dmin = np.linalg.norm(centers - pts[0], axis=1)
-    for a, b in zip(pts[:-1], pts[1:]):
-        ab0, ab1 = ab = b - a
-        den = float(ab0 * ab0 + ab1 * ab1)
-        if den < 1e-18:
-            d = np.linalg.norm(centers - a, axis=1)
-        else:
-            rel = centers - a
-            s = np.clip((rel[:, 0] * ab0 + rel[:, 1] * ab1) / den, 0.0, 1.0)
-            d = np.linalg.norm(centers - (a + s[:, None] * ab), axis=1)
-        dmin = np.minimum(dmin, d)
-    return (dmin <= PEN_RADIUS).reshape(ink.nx, ink.ny)
 
 
 def wipe(board, *points):
@@ -231,7 +210,7 @@ class TestInk:
         ink = flat_board().ink
         pts = np.array(points)
         ink.ink_stroke(pts)
-        assert np.array_equal(ink.inked, full_grid_stroke(ink, pts))
+        assert np.array_equal(ink.inked, near(ink, pts, 0, ink.nx, 0, ink.ny))
 
     @given(st.tuples(_STROKE_COORD, _STROKE_COORD))
     @settings(max_examples=100, deadline=None)
@@ -286,6 +265,13 @@ class TestHole:
     def test_success_threshold_depth(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
         assert hole.measure(point(0, 0, -0.010)) == pytest.approx(10.0)
+
+    def test_a_tip_outside_the_opening_has_no_depth(self):
+        # A peg pressed 6 mm into the top plate, 12 mm off the axis, is not
+        # inserted; inside the chamfer's funnel (up to 9 mm off) it is.
+        hole = HoleFixture(rim_center=(0.0, 0.0, 0.0))
+        assert hole.measure((0.012, 0.0, -0.006)) == 0.0
+        assert hole.measure((0.0, -0.0089, -0.006)) == pytest.approx(6.0)
 
     def test_bottom_spring(self):
         hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]), k_e=1000.0)
@@ -498,22 +484,6 @@ class TestDisturbances:
             assert settled == all(ev.envelope(t)[1] for ev in events), t
         assert apply_disturbances(board, (), 0.0) == ((0.0, 0.0, 0.0), False, True)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DisturbanceEvent("lower", 0.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            DisturbanceEvent("lower", 0.0, 1.0, 0.1, ramp=2.0)
-        with pytest.raises(ValueError):
-            DisturbanceEvent("wobble", 0.0, 1.0, 0.1)
-
-    @pytest.mark.parametrize("field", ["start", "duration", "magnitude", "ramp", "omega"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_values_rejected(self, field, value):
-        kwargs = dict(kind="shift", start=1.0, duration=2.0, magnitude=0.01, ramp=0.5)
-        kwargs[field] = value
-        with pytest.raises(ValueError, match=field):
-            DisturbanceEvent(**kwargs)
-
     @pytest.mark.parametrize("direction,unit", [((3.0, 4.0, 0.0), (0.6, 0.8, 0.0)),
                                                 ((0.0, 0.0, 2.0), (0.0, 0.0, 1.0)),
                                                 ((0.0, -1e150, 0.0), (0.0, -1.0, 0.0))])
@@ -522,25 +492,6 @@ class TestDisturbances:
 
 
 class TestConstructorValidation:
-    @pytest.mark.parametrize("build", [
-        lambda: PlaneBoard(k_e=math.nan),
-        lambda: HoleFixture(k_e=math.nan),
-        lambda: microwave(k_e=math.nan),
-        lambda: lever_door(k_e=math.inf),
-    ])
-    def test_environment_geometry_and_stiffness(self, build):
-        with pytest.raises(ValueError, match="finite"):
-            build()
-
-    @pytest.mark.parametrize("build,name", [
-        (lambda **kw: microwave(**kw), "latch_force"),
-        (lambda **kw: lever_door(**kw), "latch_force"),
-    ], ids=["microwave-latch_force", "door-latch_force"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_geometry_and_force_parameters_finite(self, build, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            build(**{name: value})
-
     # The grasp of either door is off its swing axes: one on the hinge axis has
     # no hinge radial, and one on a lever door's handle axis no lever.
     @pytest.mark.parametrize("build", [
@@ -552,10 +503,6 @@ class TestConstructorValidation:
         with pytest.raises(DegenerateInput) as exc:
             build()
         assert str(exc.value) == "cannot normalize a vector of norm 0"
-
-    def test_zero_latch_force_accepted(self):
-        assert microwave(latch_force=0.0).latch_force == 0.0
-        assert lever_door(latch_force=0.0).latch_force == 0.0
 
     @pytest.mark.parametrize("given", ["handle_pivot", "handle_axis"])
     def test_a_half_given_handle_is_a_value_error(self, given):

@@ -130,13 +130,6 @@ class TestProp2:
         slope, v_final = rep.measured["late_slope"], rep.measured["v_final"]
         assert v_final < slope < 0.05
 
-    @pytest.mark.parametrize("T,dt", [(0.0, 1e-4), (-1.0, 1e-4), (math.nan, 1e-4),
-                                      (math.inf, 1e-4), (5e-324, 10.0)])
-    def test_horizon_under_one_step_rejected(self, T, dt):
-        """ceil(T / dt) == 0 (the last case underflows) leaves no step to judge."""
-        with pytest.raises(ValueError, match="horizon"):
-            verify_prop2([params()], v0=0.05, T=T, dt=dt)
-
     def test_tiny_mass_is_a_verdict(self):
         """m = 1e-12 runs one proposition-2 step of 1e-4 s (20 time constants
         are ~4e-7 s): the late-slope fit spans that one step, past the whole
@@ -226,12 +219,6 @@ class TestEquivalence:
         rep = equivalence_check(cfg, 500.0, n)
         assert rep.measured["max_step_gap"] < 1e-9
 
-    @pytest.mark.parametrize("k_e", [math.nan, math.inf, 0.0, -5.0])
-    def test_spring_stiffness_finite_and_positive(self, k_e):
-        cfg = AdmittanceConfig(target_force=4.0)
-        with pytest.raises(ValueError, match=f"^k_e must be finite and > 0, got {k_e}$"):
-            equivalence_check(cfg, k_e)
-
     def test_with_tangent_stiffening_enabled(self):
         # Motion parallel to n is degenerate for the tangent projection, so the
         # stiffened pipeline falls back to isotropic gains and still reduces.
@@ -257,24 +244,6 @@ def test_empty_grid_gives_no_reports():
     assert verify_prop2([], v0=0.05) == []
     assert verify_prop3_grid([]) == []
     assert verify_prop2([], v0=math.nan) == []
-
-
-@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0, 0.002, 0.003])
-def test_prop3_horizon_must_be_finite_and_positive(T):
-    with pytest.raises(ValueError):
-        verify_prop3_grid([params()], T=T)
-    with pytest.raises(ValueError):
-        run_default_verification(prop3_T=T, grid=[params()])
-
-
-@pytest.mark.parametrize("T,dt,message", [
-    (T, 1e-3, "equivalence horizon T must be finite, > 0 and span at least 1 step")
-    for T in (0.0, -1.0, math.inf, math.nan)
-] + [(2.0, dt, "dt must be finite and > 0") for dt in (math.nan, 0.0)])
-def test_equivalence_horizon_must_be_finite_and_positive(T, dt, message):
-    with pytest.raises(ValueError, match=f"^{message}") as exc:
-        equivalence_check(AdmittanceConfig(target_force=4.0), 1000.0, T=T, dt=dt)
-    assert type(exc.value) is ValueError
 
 
 class TestOneBatch:
@@ -324,29 +293,6 @@ def test_default_grid_axes_and_damping():
     assert [(p.m, p.k_e, p.f_H) for p in grid] == [(1.0, 100.0, 4.0), (1.0, 500.0, 4.0)]
     assert all(p.d == compute_damping(1.0, 50.0, 2.0) for p in grid)
     assert {p.d for p in default_grid(m=(0.5, 2.0), d=3.0)} == {3.0}
-
-
-@pytest.mark.parametrize("axes,message", [
-    ({"m": (1.0, 1.0)}, "m repeats 1.0"),
-    ({"k_e": (100.0, 500.0, 100.0)}, "k_e repeats 100.0"),
-    ({"f_h": (4, 4.0)}, "f_h repeats 4.0"),
-])
-def test_default_grid_refuses_a_repeated_axis_value(axes, message):
-    """Each check of a repeated point would run, and be reported, twice."""
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        default_grid(**axes)
-
-
-@pytest.mark.parametrize("m,d,k_e,f_H", [
-    (1.0, 0.0, 100.0, 1.0), (1.0, 1.0, 100.0, -1.0),
-    (math.nan, 1.0, 100.0, 1.0), (math.inf, 1.0, 100.0, 1.0),
-    (1.0, math.nan, 100.0, 1.0), (1.0, math.inf, 100.0, 1.0),
-    (1.0, 1.0, math.nan, 1.0), (1.0, 1.0, math.inf, 1.0),
-    (1.0, 1.0, 100.0, math.nan), (1.0, 1.0, 100.0, math.inf),
-])
-def test_params_validation(m, d, k_e, f_H):
-    with pytest.raises(ValueError):
-        NormalDynamicsParams(m, d, k_e, f_H)
 
 
 def test_time_constant_of_complex_poles_is_m_over_d():
