@@ -99,6 +99,10 @@ def predict(t0: int, records: SupervisionRecords, noise: NoiseSpec) -> tuple:
             if c == 1 and math.sqrt(sq_norm(n)) < 0.5:
                 n = _random_unit(rng)  # spurious contact: the normal is garbage but unit
         if c == 1 and noise.normal_cone_std > 0.0:
+            # ControllerCommand's check, made before the tilt would hide the
+            # fault (a normal shorter than 1e-8 would never find its axis).
+            if abs(math.sqrt(sq_norm(n)) - 1.0) > 1e-6:
+                raise ValueError("normal direction must be unit when c=1")
             n = _perturb_normal(n, rng, noise.normal_cone_std)
         out.append(ControllerCommand(x_cmd, row[GRIPPER], n, c))
     return tuple(out)

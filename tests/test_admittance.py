@@ -64,20 +64,6 @@ def tick(st_, cmd, force=(0.0, 0.0, 0.0), cfg=None, dt=1e-3):
 
 
 class TestDeadband:
-    cfg = AdmittanceConfig()
-
-    def test_below_band_zeroed(self):
-        res = tick(rest_state(), hold_cmd(), force=[0.0, 0, 1.5], cfg=self.cfg)
-        assert_allclose(res.f_ext, np.zeros(3))
-
-    def test_radial_shrink(self):
-        res = tick(rest_state(), hold_cmd(), force=[0.0, 0, 5.0], cfg=self.cfg)
-        assert_allclose(res.f_ext, [0, 0, 3.0], atol=1e-12)
-
-    def test_zero_passthrough(self):
-        res = tick(rest_state(), hold_cmd(), cfg=self.cfg)
-        assert_allclose(res.f_ext, 0)
-
     @pytest.mark.parametrize("force,band,out", [
         ((-2.0, 0.0, 0.0), 2.0, (0.0, 0.0, 0.0)),
         ((-0.0, 0.0, 0.0), 0.0, (-0.0, 0.0, 0.0)),
@@ -87,18 +73,6 @@ class TestDeadband:
         of 0 passes the force through, a signed zero too."""
         assert bits(_radial_deadband(force, band)) == bits(out)
 
-    @given(st.integers(0, 100_000))
-    @settings(max_examples=80, deadline=None)
-    def test_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        band = self.cfg.force_deadband
-        once = _radial_deadband(rng.normal(scale=5, size=3), band)
-        twice = _radial_deadband(once, band)
-        # Applying twice subtracts the band twice unless already inside it;
-        # idempotence refers to a fixed point at and below the band edge.
-        if np.linalg.norm(once) == 0.0:
-            assert_allclose(twice, once)
-
 
 def commanded_force(cmd, st_, cfg):
     """The commanded force F_cmd of one tick, as controller_tick reports it."""
@@ -106,16 +80,6 @@ def commanded_force(cmd, st_, cfg):
 
 
 class TestCommandedForce:
-    def test_zero_when_out_of_contact(self):
-        cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0)
-        f = commanded_force(hold_cmd(c=0), rest_state(), cfg)
-        assert f == (0.0, 0.0, 0.0)
-
-    def test_zero_when_regulation_disabled(self):
-        cfg = AdmittanceConfig(enable_normal_regulation=False, target_force=4.0)
-        f = commanded_force(hold_cmd(n=-Z, c=1), rest_state(), cfg)
-        assert f == (0.0, 0.0, 0.0)
-
     def test_error_terms_vanish(self):
         cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0)
         f = commanded_force(hold_cmd(n=-Z, c=1), rest_state(), cfg)
@@ -170,13 +134,6 @@ class TestEffectiveStiffness:
         assert_allclose(Ke, [-20.0, 0.0, 0.0], atol=1e-9)
         assert_allclose(Ke, rank_one_response(-np.array(cmd.x_cmd), Z, 50.0, 200.0), atol=1e-9)
 
-    def test_parallel_motion_falls_back(self):
-        cfg = AdmittanceConfig(enable_tangent_stiffening=True)
-        cmd = hold_cmd(pos=(0, 0, 0.1), n=Z, c=1)
-        res, Ke = spring_response(cmd, cfg)
-        assert_allclose(res.stiffness_eigs, [50.0, 50.0, 50.0])
-        assert_allclose(Ke, 50.0 * (0.0 - np.array(cmd.x_cmd)), rtol=1e-9)
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_spd_with_known_eigenvalues(self, seed):
@@ -199,10 +156,12 @@ class TestEffectiveStiffness:
 def tangent_axis(n, d):
     """The tangent axis of a tick from rest at the origin commanded to d with
     the normal n, read off the spring response; None for the isotropic
-    fallback. The rank-1 term is (k_t - k)(t.e) t with e = -d and t.d > 0."""
+    fallback, whose response is k e. The rank-1 term is (k_t - k)(t.e) t with
+    e = -d and t.d > 0."""
     cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
     res, Ke = spring_response(ControllerCommand(d, 1.0, n, 1), cfg)
     if res.stiffness_eigs == (50.0, 50.0, 50.0):
+        assert_allclose(Ke, 50.0 * (0.0 - np.array(d)), rtol=1e-9)
         return None
     assert res.stiffness_eigs == (50.0, 50.0, 200.0)
     rank_one = Ke - 50.0 * (0.0 - np.array(d))
@@ -249,12 +208,6 @@ class TestTangentAxis:
 
 
 class TestStepTranslation:
-    def test_equilibrium_unchanged(self):
-        st_ = rest_state()
-        out = tick(st_, hold_cmd()).state
-        assert_allclose(out.x_r, st_.x_r)
-        assert_allclose(out.v_r, st_.v_r)
-
     @pytest.mark.parametrize("k", [50.0, 200.0, 800.0])
     def test_no_overshoot_over_stiffness_grid(self, k):
         cfg = AdmittanceConfig(stiffness=k)
@@ -278,43 +231,6 @@ class TestStepTranslation:
 
     def test_largest_dt_accepted(self):
         assert tick(rest_state(), hold_cmd(), dt=0.01).state == rest_state()
-
-
-class TestEq4Reduction:
-    """n-projection of the full law matches direct damping-control integration."""
-
-    @pytest.mark.parametrize("n", [Z, np.array([1.0, 1.0, 1.0]) / math.sqrt(3)])
-    def test_matches_direct_integration(self, n):
-        cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0,
-                               force_deadband=0.0)
-        d = cfg.damping
-        rng = np.random.default_rng(0)
-        x_cmd = 0.01 * n
-        cmd = ControllerCommand(x_cmd, 1.0, n, 1)
-        st_ = rest_state()
-        x_n = 0.0
-        v_n = 0.0
-        dt = 1e-3
-        for k in range(2000):
-            f_n = 3.0 * math.sin(0.01 * k)  # arbitrary force profile along n
-            st_ = tick(st_, cmd, force=f_n * n, cfg=cfg, dt=dt).state
-            a = (f_n - cfg.target_force - 2.0 * d * v_n) / cfg.mass
-            v_n = v_n + dt * a
-            x_n = x_n + dt * v_n
-            assert abs(float(np.array(st_.x_r) @ n) - x_n) < 1e-9
-
-    def test_tangential_command_offset_does_not_touch_normal_axis(self):
-        cfg = AdmittanceConfig(enable_normal_regulation=True, target_force=4.0,
-                               enable_tangent_stiffening=False, force_deadband=0.0)
-        st_a = rest_state()
-        st_b = rest_state()
-        cmd_a = ControllerCommand(np.array([0.0, 0, -0.01]), 1.0, Z, 1)
-        cmd_b = ControllerCommand(np.array([0.05, 0, -0.01]), 1.0, Z, 1)
-        for k in range(1000):
-            f = math.sin(0.02 * k) * Z
-            st_a = tick(st_a, cmd_a, force=f, cfg=cfg).state
-            st_b = tick(st_b, cmd_b, force=f, cfg=cfg).state
-            assert abs(st_a.x_r[2] - st_b.x_r[2]) < 1e-12
 
 
 def reference_tick(st_, cmd, f_ext, dt, cfg):
@@ -356,12 +272,6 @@ class TestControllerTick:
         assert_allclose(res.state.x_r, ref.x_r, atol=1e-15)
         assert_allclose(res.state.v_r, ref.v_r, atol=1e-15)
         assert_allclose(res.f_ext, f_ext)
-
-    def test_records_stiffness_eigenvalues(self):
-        cfg = AdmittanceConfig(enable_tangent_stiffening=True, tangent_scale=4.0)
-        cmd = ControllerCommand(np.array([0.1, 0, 0]), 1.0, Z, 1)
-        res = controller_tick(rest_state(), cmd, (0.0, 0.0, 0.0), 1e-3, cfg)
-        assert_allclose(sorted(res.stiffness_eigs), [50.0, 50.0, 200.0])
 
     def test_command_validates_unit_normal(self):
         with pytest.raises(ValueError):

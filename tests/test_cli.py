@@ -208,6 +208,19 @@ class TestVerifyCommand:
         assert rc == 0
         assert len(Path(out).read_text().splitlines()) == 1 + 2 * 4
 
+    def test_a_failed_check_exits_1_and_is_reported(self, monkeypatch, tmp_path, capsys):
+        failed = verify.VerificationReport(
+            "prop1", {"m": 1.0, "d": 2.0, "k_e": 100.0, "f_H": 4.0},
+            {"x_err": 0.5}, {"tol_x": 1e-4}, False)
+        monkeypatch.setattr(cli, "run_default_verification", lambda **kw: [failed])
+        out = tmp_path / "r.csv"
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "checks=1 passed=0 failed=1\n"
+            f"FAIL prop1 params={failed.params} measured={failed.measured}\n")
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert (row["proposition"], row["passed"]) == ("prop1", "0")
+
     # 0.002 and 0.003 s are 2 and 3 proposition-3 steps, short of the Lyapunov-rate
     # stencil's four.
     @pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1", "0.002", "0.003"])

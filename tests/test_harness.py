@@ -75,17 +75,6 @@ class TestScenarioConfig:
     def test_zero_debounce_accepted(self):
         assert ScenarioConfig(task="WW", safety_debounce=0.0).safety_debounce == 0.0
 
-    def test_mode_gain_mapping(self):
-        fa = ScenarioConfig(task="WW", mode="force_aware").admittance
-        assert fa.stiffness == 50.0
-        assert fa.enable_normal_regulation and fa.enable_tangent_stiffening
-        assert fa.target_force == 4.0
-        hi = ScenarioConfig(task="WW", mode="baseline_high").admittance
-        assert hi.stiffness == 800.0
-        assert not hi.enable_normal_regulation and not hi.enable_tangent_stiffening
-        ph = ScenarioConfig(task="PH", mode="force_aware").admittance
-        assert ph.target_force == 2.0 and not ph.enable_tangent_stiffening
-
     @pytest.mark.parametrize("task,mode", sorted(CONTROLLERS))
     def test_each_mode_runs_its_written_out_controller(self, task, mode):
         adm = ScenarioConfig(task, mode).admittance

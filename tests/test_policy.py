@@ -46,6 +46,19 @@ class TestPredict:
         for cmd in chunk:
             assert abs(np.linalg.norm(cmd.n) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("length", [0.5, 2.0], ids=["half", "double"])
+    @pytest.mark.parametrize("cone_std", [0.0, 0.1], ids=["no-noise", "cone-noise"])
+    def test_a_contact_normal_that_is_not_unit_is_refused(self, length, cone_std):
+        """A record in contact whose normal is not unit is refused as
+        ControllerCommand refuses it, before any cone noise tilts it."""
+        block = np.zeros((3, RECORD_DIM))
+        block[:, 12] = length  # the normal's z
+        block[:, 13] = 1.0  # the contact flag
+        with pytest.raises(ValueError) as exc:
+            predict(0, SupervisionRecords(block), NoiseSpec(normal_cone_std=cone_std))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "normal direction must be unit when c=1"
+
     def test_deterministic_per_seed(self):
         demo = make_demo(30, contact_from=5)
         spec = NoiseSpec(pos_std=0.01, rot_std=0.05, normal_cone_std=0.1,
@@ -77,9 +90,3 @@ def test_mean_position_error_grows_with_position_noise():
         means.append(np.mean([position_error(predict(0, demo, NoiseSpec(pos_std=std, seed=seed)),
                                              demo.block[:16]) for seed in range(100)]))
     assert means[0] == 0.0 < means[1] < means[2]
-
-
-def test_zero_noise_prediction_has_zero_position_error():
-    demo = make_demo(30, contact_from=5)
-    chunk = predict(3, demo, NoiseSpec())
-    assert position_error(chunk, demo.block[3:19]) == 0.0
