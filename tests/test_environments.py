@@ -41,6 +41,7 @@ from admitsim.environments import (
     HOLE_FRICTION,
     HOLE_RADIUS,
     LATCH_THRESHOLD,
+    PEN_RADIUS,
     PERSISTENT_KINDS,
     RELEASE_ANGLE,
     WALL_STIFFNESS,
@@ -226,6 +227,15 @@ class TestBoard:
         segment.ink_stroke([p, p])
         assert np.array_equal(one.inked, segment.inked)
 
+    def test_a_cell_centre_at_pen_radius_is_inked(self):
+        """A one-point stroke whose distance from the centre of cell (30, 20)
+        rounds to PEN_RADIUS exactly inks that cell and the next one along x."""
+        ink = flat_board().ink
+        cx, cy = (30 + 0.5) * CELL_SIZE - ink._x0, (20 + 0.5) * CELL_SIZE - ink._y0
+        assert cx - (cx + PEN_RADIUS) == -PEN_RADIUS
+        ink.ink_stroke([(cx + PEN_RADIUS, cy)])
+        assert np.argwhere(ink.inked).tolist() == [[30, 20], [31, 20]]
+
     def test_stroke_rejects_non_finite_input(self):
         ink = flat_board().ink
         with pytest.raises(ValueError):
@@ -269,30 +279,26 @@ def bore():
 
 
 class TestBore:
-    def test_depth_at_rim_zero(self):
-        hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert hole.measure(point(0, 0, 0)) == 0.0
+    @pytest.mark.parametrize("tip,depth", [
+        ((0.0, 0.0, 0.0), 0.0), ((0.0, 0.0, -0.010), 10.0), ((0.0, 0.0, -0.030), 25.0),
+        ((0.012, 0.0, -0.006), 0.0), ((0.0, -0.0089, -0.006), 6.0),
+        ((HOLE_RADIUS + CHAMFER, 0.0, -0.006), 6.0),
+    ], ids=["rim", "success-depth", "clamped-at-the-bottom", "beside", "funnel", "funnel-rim"])
+    def test_depth_below_the_rim_inside_the_opening(self, tip, depth):
+        # In mm, clamped to HOLE_DEPTH. A peg pressed 6 mm into the top plate,
+        # 12 mm off the axis, is not inserted; inside the chamfer's funnel, up
+        # to and at 9 mm off, it is.
+        assert HoleFixture(rim_center=(0.0, 0.0, 0.0)).measure(tip) == pytest.approx(
+            depth, rel=1e-6, abs=0.0)
 
-    def test_depth_clamps_at_bottom(self):
-        hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert hole.measure(point(0, 0, -0.030)) == pytest.approx(25.0)
-
-    def test_success_threshold_depth(self):
-        hole = HoleFixture(rim_center=np.array([0.0, 0.0, 0.0]))
-        assert hole.measure(point(0, 0, -0.010)) == pytest.approx(10.0)
-
-    def test_a_tip_outside_the_opening_has_no_depth(self):
-        # A peg pressed 6 mm into the top plate, 12 mm off the axis, is not
-        # inserted; inside the chamfer's funnel (up to 9 mm off) it is.
-        hole = HoleFixture(rim_center=(0.0, 0.0, 0.0))
-        assert hole.measure((0.012, 0.0, -0.006)) == 0.0
-        assert hole.measure((0.0, -0.0089, -0.006)) == pytest.approx(6.0)
-
-    @pytest.mark.parametrize("r", [0.0, 0.5 * CLEARANCE, CLEARANCE, 1.5 * CLEARANCE, HOLE_RADIUS],
-                             ids=["axis", "half-clearance", "clearance", "wall", "radius"])
-    def test_wall_pushes_back_beyond_the_clearance(self, r):
-        force = bore().external_wrench((r, 0.0, -0.01), (0.0, 0.0, 0.0))
-        expected = -WALL_STIFFNESS * (r - CLEARANCE) if r > CLEARANCE else 0.0
+    @pytest.mark.parametrize("r,depth", [
+        (0.0, 0.01), (0.5 * CLEARANCE, 0.01), (CLEARANCE, 0.01), (1.5 * CLEARANCE, 0.01),
+        (HOLE_RADIUS, 0.01), (1.5 * CLEARANCE, 0.0),
+    ], ids=["axis", "half-clearance", "clearance", "wall", "radius", "rim-plane"])
+    def test_wall_pushes_back_beyond_the_clearance(self, r, depth):
+        # A tip in the rim plane has not entered the bore: its wall does not push.
+        force = bore().external_wrench((r, 0.0, -depth), (0.0, 0.0, 0.0))
+        expected = -WALL_STIFFNESS * (r - CLEARANCE) if r > CLEARANCE and depth else 0.0
         assert force == pytest.approx((expected, 0.0, 0.0), abs=1e-12)
 
     @pytest.mark.parametrize("past", [-0.001, 0.0, 0.002], ids=["above", "at", "below"])
@@ -300,17 +306,14 @@ class TestBore:
         force = bore().external_wrench((0.0, 0.0, -(HOLE_DEPTH + past)), (0.0, 0.0, 0.0))
         assert force == pytest.approx((0.0, 0.0, 1000.0 * max(0.0, past)), abs=1e-9)
 
-    def test_funnel_reaction_leans_toward_the_axis(self):
-        r, depth = HOLE_RADIUS + 0.5 * CHAMFER, 0.004
+    @pytest.mark.parametrize("r", [HOLE_RADIUS + 0.5 * CHAMFER, HOLE_RADIUS + CHAMFER],
+                             ids=["mid-funnel", "funnel-rim"])
+    def test_funnel_reaction_leans_toward_the_axis(self, r):
+        depth = 0.004  # at r = HOLE_RADIUS + CHAMFER the tip is still in the funnel
         force = bore().external_wrench((r, 0.0, -depth), (0.0, 0.0, 0.0))
         h = math.sqrt(0.5)
         f_n = 1000.0 * (depth - (HOLE_RADIUS + CHAMFER - r)) * h
         assert force == pytest.approx((-f_n * h, 0.0, f_n * h), rel=1e-12)
-
-    def test_beyond_the_funnel_is_the_top_plate(self):
-        force = bore().external_wrench((HOLE_RADIUS + CHAMFER + 0.001, 0.0, -0.002),
-                                       (0.0, 0.0, 0.0))
-        assert force == pytest.approx((0.0, 0.0, 2.0), rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -334,13 +337,25 @@ class TestDoor:
     @pytest.mark.parametrize("distance,gripper,engaged", [
         (0.0, 1.0, True), (0.5 * GRASP_TOL, 1.0, True), (math.nextafter(GRASP_TOL, 0.0), 1.0, True),
         (GRASP_TOL, 1.0, False), (2.0 * GRASP_TOL, 1.0, False), (0.0, 0.0, False),
-    ], ids=["at-grasp", "half", "just-inside", "at-tolerance", "twice", "gripper-open"])
+        (0.0, 0.5, False),
+    ], ids=["at-grasp", "half", "just-inside", "at-tolerance", "twice", "gripper-open",
+            "gripper-half"])
     def test_gripper_closes_on_the_handle_within_grasp_tol(self, distance, gripper, engaged):
         door = microwave()
         door.update((distance, 0.0, 0.0), gripper)
         assert door.engaged is engaged
         if not engaged:  # a door not held takes no force
             assert door.external_wrench(door.grasp0, (0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("gripper,engaged", [(0.0, False), (0.5, True)], ids=["open", "half"])
+    def test_opening_the_gripper_lets_go(self, gripper, engaged):
+        """A gripper opened below 0.5 lets go of the door, which then takes no force."""
+        door = lever_door()
+        door.update(door.grasp0, 1.0)
+        p = lever_grasp(0.5 * LATCH_THRESHOLD)
+        door.update(p, gripper)
+        assert door.engaged is engaged
+        assert (door.external_wrench(p, (0.0, 0.0, 0.0)) != (0.0, 0.0, 0.0)) is engaged
 
     @pytest.mark.parametrize("sense", [1.0, -1.0], ids=["opening", "closing"])
     def test_the_door_opens_in_the_opening_sense(self, sense):
@@ -358,16 +373,22 @@ class TestDoor:
         p = microwave_grasp(share * RELEASE_ANGLE)
         door.update(p, 1.0)
         assert door.latch_released is released
-        latch = np.linalg.norm(latch_term(door, p))
-        assert latch == (0.0 if released else pytest.approx(door.latch_force))
+        # The latch pulls against opening, along -d p / d angle (unit), while latched.
+        angle = share * RELEASE_ANGLE
+        opening = np.array([-math.cos(angle), math.sin(angle), 0.0])
+        assert_allclose(latch_term(door, p), -door.latch_force * opening * (not released),
+                        atol=1e-12)
 
-    @pytest.mark.parametrize("share,released", [(0.9, False), (1.1, True)], ids=["inside", "past"])
+    @pytest.mark.parametrize("share,released", [(0.9, False), (1.0, True), (1.1, True)],
+                             ids=["inside", "at", "past"])
     def test_bolt_yields_at_the_latch_threshold(self, share, released):
         door = lever_door()
         door.update(door.grasp0, 1.0)
         p = lever_grasp(share * LATCH_THRESHOLD, door_shift=0.01)
         door.update(p, 1.0)
         assert door.handle_angle == pytest.approx(share * LATCH_THRESHOLD, rel=1e-12)
+        if share == 1.0:  # the tie itself
+            assert door.handle_angle == LATCH_THRESHOLD
         assert door.door_angle > 0.0
         assert door.latch_released is released
         latch = np.linalg.norm(latch_term(door, p))
@@ -464,6 +485,14 @@ class TestFriction:
         f_con = -1000.0 * 0.001
         slip = DOOR_FRICTION.coulomb_mu * abs(f_con) + DOOR_FRICTION.viscous_c * 1.0
         assert force == pytest.approx((-slip, -f_con, 0.0), rel=1e-9)
+
+    @pytest.mark.parametrize("build,pos", [(flat_board, (0.0, 0.0, 0.0)),
+                                           (bore, (0.0, 0.0, -HOLE_DEPTH))],
+                             ids=["board-surface", "bore-bottom"])
+    def test_a_spring_at_its_rest_length_holds_no_slip(self, build, pos):
+        """A contact spring at its rest length presses with no force, so a tip
+        sliding on it meets no friction, not even the viscous part."""
+        assert build().external_wrench(pos, (0.5, 0.2, 0.0)) == (0.0, 0.0, 0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -666,6 +695,14 @@ class TestDisturbances:
             *_, settled = apply_disturbances(board, events, t)
             assert settled == all(ev.envelope(t)[1] for ev in events), t
         assert apply_disturbances(board, (), 0.0) == ((0.0, 0.0, 0.0), False, True)
+
+    @pytest.mark.parametrize("t,active", [(0.5, False), (1.0, False), (2.0, True), (3.5, False)],
+                             ids=["before", "ramp-start", "inside", "after"])
+    def test_an_event_is_active_while_its_envelope_is_positive(self, t, active):
+        """The flag the episode logs as disturbed, on each branch of the envelope:
+        0 before the start, at the foot of the ramp and after the window."""
+        ev = DisturbanceEvent("force_pulse", start=1.0, duration=2.0, magnitude=3.0, ramp=0.5)
+        assert apply_disturbances(flat_board(), (ev,), t)[1] is active
 
     @pytest.mark.parametrize("direction,unit", [((3.0, 4.0, 0.0), (0.6, 0.8, 0.0)),
                                                 ((0.0, 0.0, 2.0), (0.0, 0.0, 1.0)),

@@ -144,22 +144,19 @@ class TestSafetyMonitor:
 
 
 class TestSuccessCheck:
-    def test_microwave_threshold(self):
-        log = make_log({"opening_angle_deg": 55.0})
-        assert success_check("MO", log)
-        assert not success_check("MO", make_log({"opening_angle_deg": 45.0}))
-
-    def test_wiping_threshold(self):
-        assert not success_check("WW", make_log({"remaining_ink_cm": 6.0}))
-        assert success_check("WW", make_log({"remaining_ink_cm": 3.0}))
+    @pytest.mark.parametrize("task,metric,success", [
+        ("MO", 50.0, True), ("MO", math.nextafter(50.0, 0.0), False),
+        ("DO", 30.0, True), ("DO", math.nextafter(30.0, 0.0), False),
+        ("PH", 10.0, True), ("PH", math.nextafter(10.0, 0.0), False),
+        ("WW", math.nextafter(5.0, 0.0), True), ("WW", 5.0, False),
+    ], ids=["MO-at", "MO-below", "DO-at", "DO-below", "PH-at", "PH-below", "WW-below", "WW-at"])
+    def test_each_task_succeeds_at_its_threshold(self, task, metric, success):
+        """Doors opened 50 (MO) or 30 (DO) degrees, a peg 10 mm in, under 5 cm of ink."""
+        assert success_check(task, make_log({TASK_SPECS[task].metric: metric})) is success
 
     def test_safety_stop_overrides_metrics(self):
         log = make_log({"opening_angle_deg": 80.0}, safety_stopped=True)
         assert not success_check("MO", log)
-
-    def test_insertion_threshold(self):
-        assert success_check("PH", make_log({"insertion_depth_mm": 10.0}))
-        assert not success_check("PH", make_log({"insertion_depth_mm": 9.0}))
 
     @pytest.mark.parametrize("target_force", [4.0, 16.0])
     def test_a_peg_pressed_on_the_plate_is_not_inserted(self, target_force):

@@ -46,11 +46,11 @@ class TestPredict:
         for cmd in chunk:
             assert abs(np.linalg.norm(cmd.n) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("length", [0.5, 2.0], ids=["half", "double"])
+    @pytest.mark.parametrize("length", [0.5, 2.0, 1.0 + 2e-6], ids=["half", "double", "2e-6-long"])
     @pytest.mark.parametrize("cone_std", [0.0, 0.1], ids=["no-noise", "cone-noise"])
     def test_a_contact_normal_that_is_not_unit_is_refused(self, length, cone_std):
-        """A record in contact whose normal is not unit is refused as
-        ControllerCommand refuses it, before any cone noise tilts it."""
+        """A record in contact whose normal is not unit within 1e-6 is refused
+        as ControllerCommand refuses it, before any cone noise tilts it."""
         block = np.zeros((3, RECORD_DIM))
         block[:, 12] = length  # the normal's z
         block[:, 13] = 1.0  # the contact flag

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,15 +64,28 @@ class TestProp1:
         rep = prop1(params(), x0=0.05, v0=0.1)
         assert rep.measured["lyapunov_monotone"]
 
-    @pytest.mark.parametrize("rise,passed", [(2.0, False), (0.5, True)], ids=["2x", "half"])
-    def test_a_lyapunov_rise_past_the_slack_fails(self, rise, passed):
+    @pytest.mark.parametrize("low,rise,passed", [(0.5, 2.0, False), (0.5, 0.5, True),
+                                                 (0.5 * verify.LYAP_SLACK, 2.5, True)],
+                             ids=["2x", "half", "from-inside-the-band"])
+    def test_a_lyapunov_rise_past_the_slack_fails(self, low, rise, passed):
         """Rows at the rest position whose V = v^2 / 2 (m = 1) falls from 1
-        to 0.5, rises by `rise` times the slack (LYAP_SLACK of V[0]) and falls
-        to 0 at rest."""
+        to `low`, rises by `rise` times the slack (LYAP_SLACK of V[0]) and
+        falls to 0 at rest. A rise from inside the slack band is forgiven."""
         lane = verify._Prop1(params(), T=1.0)
-        V = np.array([1.0, 0.5, 0.5 + rise * verify.LYAP_SLACK, 0.0])
+        V = np.array([1.0, low, low + rise * verify.LYAP_SLACK, 0.0])
         rep = judged(lane, np.full(4, lane.eq), np.sqrt(2.0 * V))
         assert rep.measured["lyapunov_monotone"] is passed
+        assert rep.passed is passed
+
+    @pytest.mark.parametrize("k_e,offset,passed", [(100.0, 5e-5, True), (100.0, 2e-4, False),
+        (5000.0, 5e-5, False)], ids=["within", "position-off", "force-off"])
+    def test_position_and_force_are_each_held_to_their_tolerance(self, k_e, offset, passed):
+        """Rows at rest `offset` from the equilibrium -f_H / k_e (f_H = 4 N): the
+        position error must be under TOL_X (1e-4 m) and the force error
+        k_e * offset within 1 % of f_H (0.04 N), each on its own."""
+        lane = verify._Prop1(params(k_e=k_e), T=1.0)
+        rep = judged(lane, np.full(4, lane.eq + offset), np.zeros(4))
+        assert rep.measured["lyapunov_monotone"]
         assert rep.passed is passed
 
     def test_libm_at_each_value_of_an_array(self):
@@ -120,6 +134,23 @@ class TestProp2:
         rep = prop2(params(f_H=0.0), v0=0.0)
         assert rep.measured["v_final"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("v0,kick,passed", [(None, 0.0, True), (0.0, 0.0, False),
+                                                (None, 1e-4, False)],
+                             ids=["steady", "not-yet-steady", "off-the-analytic-solution"])
+    def test_velocity_and_trajectory_are_each_held_to_their_tolerance(self, v0, kick, passed):
+        """10 ms of rows moving at v_inf = -f_H / (2d), their velocities on the
+        analytic solution from v0 (v_inf if None), a middle one kicked: a run
+        ending more than TOL_V from v_inf fails, as does one row 1e-4 m/s off."""
+        p = params()
+        v_inf = -p.f_H / (2.0 * p.d)
+        v0 = v_inf if v0 is None else v0
+        lane = verify._Prop2(p, v0, T=0.01)
+        t = np.arange(lane.n + 1) * lane.dt
+        v = v_inf + (v0 - v_inf) * np.exp(-2.0 * p.d * t / p.m)
+        v[lane.n // 2] += kick
+        rep = judged(lane, v_inf * t, v)
+        assert rep.passed is passed
+
     def test_grid_points_independent(self):
         # Each point keeps its own horizon 20 m/(2d) inside a batch that runs to
         # the longest one, and reports what it reports alone.
@@ -167,13 +198,15 @@ class TestProp3:
         ((0.0, 0.0, 0.0, 0.0, 0.0), 1.0, True, True),
         ((0.0, 0.0, 0.0, 1.0, 1.0), 1.0, False, True),
         ((0.0, 0.0, 1.0, 1.0, 1.0), 1.5 * D_NOMINAL, False, False),
-    ], ids=["at-rest", "rate-above-the-bound", "rising-where-the-velocity-error-dominates"])
+        ((0.0, 0.0, 1.0, 1.0, 1.0), 2.0 * D_NOMINAL, False, False),
+    ], ids=["at-rest", "rate-above-the-bound", "rising-where-the-velocity-error-dominates",
+            "rising-where-it-just-dominates"])
     def test_the_judge_holds_the_lyapunov_rate_to_its_bound(self, v, u, passed, neg_rate_ok):
         """Five rows at the rest position (e = 0), so V = e'^2 / 2 (m = 1), and
         one rate V' > 0 at the middle row, where the disturbance is u: a rate
         above -d e'^2 + u^2 / (4d) by more than the slack fails, and the rate
         must not be positive where |e'| >= |u| / (2d) (here |e'| = 1 lies
-        between |u| / (2d) and |u| / d)."""
+        between |u| / (2d) and |u| / d, or equals |u| / (2d))."""
         p = params()
         lane = verify._Prop3(p, T=1.0)
         a_e = np.array([0.0, 0.0, -u, 0.0, 0.0])  # u = -(m a_e + 2 d v_e)
@@ -181,6 +214,18 @@ class TestProp3:
         rep = judged(lane, np.full(5, -p.f_H / p.k_e), np.array(v), rest)
         assert rep.measured["neg_rate_ok"] is neg_rate_ok
         assert rep.passed is passed
+
+    @pytest.mark.parametrize("past,passed", [(False, True), (True, False)],
+                             ids=["at-the-bound", "past-the-bound"])
+    def test_the_judge_holds_the_error_to_the_iss_bound(self, past, passed):
+        """Five rows about a still rest point (f_H = 0, so e = x), the middle one,
+        which the rate stencil skips, at the bound (passes) or the next float."""
+        lane = verify._Prop3(params(f_H=0.0), T=1.0)
+        e = math.nextafter(lane.bound, math.inf) if past else lane.bound
+        rep = judged(lane, np.array([0.0, 0.0, e, 0.0, 0.0]), np.zeros(5), (np.zeros(5),) * 3)
+        assert rep.measured["sup_e"] == e
+        assert rep.passed is passed
+
     def test_bounded_and_inequality(self):
         rep = prop3(params(), amplitude=0.005, omega=2 * math.pi, T=20.0)
         assert rep.passed
@@ -260,6 +305,17 @@ class TestEquivalence:
                                enable_tangent_stiffening=True)
         rep = equivalence_check(cfg, 1000.0)
         assert rep.measured["max_step_gap"] < 1e-9
+
+    def test_a_pipeline_off_the_reduced_law_fails(self, monkeypatch):
+        """A tick that regulates to 1 mN above f_H parts from the reduced law
+        by more than EQUIV_TOL, and the check fails."""
+        tick = verify.controller_tick
+        monkeypatch.setattr(verify, "controller_tick", lambda st, cmd, force, dt, cfg: tick(
+            st, cmd, force, dt, replace(cfg, target_force=cfg.target_force + 1e-3)))
+        cfg = AdmittanceConfig(target_force=4.0, enable_normal_regulation=True)
+        rep = equivalence_check(cfg, 1000.0)
+        assert rep.measured["max_step_gap"] > verify.EQUIV_TOL
+        assert not rep.passed
 
 
 def test_default_grid_is_27_points():
