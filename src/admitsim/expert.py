@@ -124,8 +124,11 @@ class SupervisionRecords:
 
 def check_records(block) -> None:
     """ValueError unless block is a 2-D array of RECORD_DIM columns whose
-    contact column holds only 0.0 and 1.0, the record blocks a dataset holds.
-    The message names the first other flag in row order."""
+    contact column holds only 0.0 and 1.0, and whose rows in contact hold a
+    normal that is unit within `ControllerCommand`'s 1e-6: the record blocks
+    a dataset holds. The message names the first other flag in row order,
+    else the first row in contact whose normal is not unit (NaN and
+    infinities included)."""
     if block.ndim != 2 or block.shape[1] != RECORD_DIM:
         raise ValueError(f"a record block is a 2-D array of {RECORD_DIM} columns, "
                          f"got shape {block.shape}")
@@ -133,6 +136,14 @@ def check_records(block) -> None:
     bad = (flags != 0.0) & (flags != 1.0)
     if bad.any():
         raise ValueError(f"contact flag {float(flags[bad][0])!r} is not 0.0 or 1.0")
+    n0, n1, n2 = block[:, NORMAL].T
+    with np.errstate(over="ignore"):  # a square past the float range is inf: refused
+        unit = np.abs(np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) - 1.0) <= 1e-6
+    bad = (flags == 1.0) & ~unit  # NaN fails the comparison too
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"contact normal {tuple(block[i, NORMAL].tolist())} of row {i} "
+                         f"is not unit")
 
 
 # Placeholder normal for out-of-contact steps.

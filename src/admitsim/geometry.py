@@ -40,8 +40,9 @@ tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Arrays appear only where whole arrays are the point, and numpy ufuncs give
 the same bits at any array length and in any layout there: the `RunLog` of a
-finished episode, whose float series are column views of the loop's packed
-(n, 15) tick records, the ink grid, the verifier's lane chunks, judged a
+finished episode, whose series are column views of the loop's packed tick
+records (an (n, 16) float64 view, its last column the flag bytes), whose
+peak force is `np.sqrt` of the columnwise `f_ext` sum, the ink grid, the verifier's lane chunks, judged a
 chunk of steps at a time, and a demo's supervision records, one (n, 14)
 float64 block in the record layout of `admitsim.expert`, whose tuples are
 made as row views on access. A predicted controller command's position is

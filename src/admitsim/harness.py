@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import math
 import struct
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
@@ -192,7 +191,9 @@ class _Episode:
     again: each later call would return it and set no new state. No tick
     reads the board's ink: a tick only records its press, and each `advance`
     wipes its presses in one `update_ink` call before it returns, so `copy`
-    and `log` see every wipe.
+    and `log` see every wipe. The log is one buffer, `records`, of one
+    `_RECORD` per tick run: its 15 floats and its phase, contact and
+    disturbed flags. The tick count and the peak force are read off it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -211,14 +212,9 @@ class _Episode:
         self.phase_idx = 0
         self.over = 0
         self.safety_stopped = False
-        self.peak_force = 0.0
-        # Compact logs, appended to per tick and viewed as arrays once at the
-        # end: no numpy call per tick. Each tick appends one _RECORD of the
-        # float series and one disturbed flag. t is k * dt, and phase and
-        # contact change only at a policy step, so those two hold one record
-        # per step begun.
+        # The log: one _RECORD per tick run, appended to per tick and viewed
+        # as arrays once at the end, so no numpy call per tick. t is k * dt.
         self.records = bytearray()
-        self.flags = (array("b"), array("b"), array("b"))  # phase, contact, disturbed
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
         """This episode so far, continued as its clean twin cfg: the same run up
@@ -228,7 +224,6 @@ class _Episode:
         dup.onset = self.max_ticks
         dup.env = copy.deepcopy(self.env)
         dup.records = self.records[:]
-        dup.flags = tuple(buf[:] for buf in self.flags)
         return dup
 
     def advance(self, k_end: int):
@@ -253,9 +248,8 @@ class _Episode:
         sqrt = math.sqrt
         pack = _RECORD.pack
         state, chunk, cmd = self.state, self.chunk, self.cmd
-        phase_idx, over, peak_force = self.phase_idx, self.over, self.peak_force
+        phase_idx, over = self.phase_idx, self.over
         records = self.records
-        buf_phase, buf_c, buf_dist = self.flags
 
         for k in range(self.k, stop):
             if k % TICKS_PER_STEP == 0:
@@ -263,14 +257,11 @@ class _Episode:
                 if p >= n_demo + SETTLE_STEPS:
                     self.ended = True
                     break
-                if p < n_demo:
+                if p < n_demo:  # past the demo the last command holds through the settle tail
                     if p % DEFAULT_HORIZON == 0:
                         chunk = predict(p, tuples, noise)
                     cmd = chunk[p % DEFAULT_HORIZON]
                     phase_idx = phases[p].value
-                # Past the demo: hold the last command through the settle tail.
-                buf_phase.append(phase_idx)
-                buf_c.append(cmd.c)
             if k < onset:
                 e0 = e1 = e2 = 0.0
                 dist_active = False
@@ -292,55 +283,51 @@ class _Episode:
             f0, f1, f2 = f_ext
             g0, g1, g2 = f_cmd
             s0, s1, s2 = eigs
-            records += pack(x0, x1, x2, v0, v1, v2, f0, f1, f2, g0, g1, g2, s0, s1, s2)
-            buf_dist.append(dist_active)
-            f_mag = sqrt(f0 * f0 + f1 * f1 + f2 * f2)
-            if f_mag > peak_force:
-                peak_force = f_mag
-            over = over + 1 if f_mag > limit else 0
+            records += pack(x0, x1, x2, v0, v1, v2, f0, f1, f2, g0, g1, g2, s0, s1, s2,
+                            phase_idx, cmd.c, dist_active)
+            over = over + 1 if sqrt(f0 * f0 + f1 * f1 + f2 * f2) > limit else 0
             if over > debounce_ticks:
                 self.safety_stopped = self.ended = True
                 break
 
         if is_board:  # each press's x_r is its tick record's first three floats
-            ink(env, np.frombuffer(records, np.float64).reshape(-1, 15)[:, :3])
-        self.k = len(buf_dist)  # the ticks run: a safety stop or the plan's end cuts the loop
+            ink(env, np.frombuffer(records, np.float64).reshape(-1, 16)[:, :3])
+        # The ticks run: a safety stop or the plan's end cuts the loop.
+        self.k = len(records) // _RECORD.size
         self.held = held
         self.state, self.chunk, self.cmd = state, chunk, cmd
-        self.phase_idx, self.over, self.peak_force = phase_idx, over, peak_force
+        self.phase_idx, self.over = phase_idx, over
 
     def log(self) -> RunLog:
         """The RunLog of an episode that cannot advance (it ended, or ran
-        max_ticks): views of the tick records and the disturbed flags, which
-        nothing resizes from then on, and the final metrics.
+        max_ticks): its nine series are views of the tick records, which
+        nothing resizes from then on, and the final metrics. The peak force
+        is the largest f_ext magnitude, summed column by column as the loop
+        sums it, and 0.0 for an episode of no tick.
         """
         assert self.ended or self.k >= self.max_ticks, "the episode can still advance"
         task = self.cfg.task
         spec = task_spec(task)
+        n = self.k
+        t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
+        rows = np.frombuffer(self.records, np.float64).reshape(n, 16)
+        flags = np.frombuffer(self.records, np.int8).reshape(n, _RECORD.size)[:, 120:123]
+        f0, f1, f2 = rows[:, 6], rows[:, 7], rows[:, 8]
         metrics = dict.fromkeys(FINAL_METRICS, math.nan)
         metrics[spec.metric] = self.env.measure(self.state.x_r)
-        metrics["peak_force_n"] = self.peak_force
-        buf_phase, buf_c, buf_dist = self.flags
-        n = len(buf_dist)
-        t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
-        rows = np.frombuffer(self.records, np.float64).reshape(n, 15)
+        metrics["peak_force_n"] = float(np.sqrt(f0 * f0 + f1 * f1 + f2 * f2).max(initial=0.0))
         series = [rows[:, i:i + 3] for i in range(0, 15, 3)]
-        log = RunLog(t, *series, _per_tick(buf_phase, n), _per_tick(buf_c, n),
-                     np.frombuffer(buf_dist, dtype=np.int8), metrics, False,
-                     self.safety_stopped)
+        log = RunLog(t, *series, *flags.T, metrics, False, self.safety_stopped)
         log.success = success_check(task, log)
         log.metrics["success"] = log.success
         return log
 
 
-# One tick's float log values: x_r, v_r, f_ext, f_cmd and the stiffness
-# eigenvalues, three each, in RunLog's field order.
-_RECORD = struct.Struct("15d")
-
-
-def _per_tick(steps: array, n: int) -> np.ndarray:
-    """The (n,) per-tick series of one int8 record per policy step begun."""
-    return np.repeat(np.frombuffer(steps, dtype=np.int8), TICKS_PER_STEP)[:n]
+# One tick's log record, in RunLog's field order: x_r, v_r, f_ext, f_cmd and
+# the stiffness eigenvalues as 15 float64 (bytes 0-119), then the phase,
+# contact and disturbed flags as int8 (bytes 120-122), padded to 16 float64
+# so that every float column is an aligned view.
+_RECORD = struct.Struct("15d3b5x")
 
 
 # --------------------------------------------------------------------------

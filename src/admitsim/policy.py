@@ -14,7 +14,7 @@ import numpy as np
 from .admittance import ControllerCommand
 from .errors import EndOfDemo, check_count, check_range
 from .expert import CONTACT, GRIPPER, NORMAL, POSITION, SupervisionRecords
-from .geometry import _cross, _normalize, _unit, quat_from_axis_angle, quat_rotate, sq_norm
+from .geometry import _cross, _normalize, _unit, quat_from_axis_angle, quat_rotate, sq_norm, vec3
 
 DEFAULT_HORIZON = 16
 
@@ -99,8 +99,9 @@ def predict(t0: int, records: SupervisionRecords, noise: NoiseSpec) -> tuple:
             if c == 1 and math.sqrt(sq_norm(n)) < 0.5:
                 n = _random_unit(rng)  # spurious contact: the normal is garbage but unit
         if c == 1 and noise.normal_cone_std > 0.0:
-            # ControllerCommand's check, made before the tilt would hide the
+            # ControllerCommand's checks, made before the tilt would hide the
             # fault (a normal shorter than 1e-8 would never find its axis).
+            n = vec3("n", n)
             if abs(math.sqrt(sq_norm(n)) - 1.0) > 1e-6:
                 raise ValueError("normal direction must be unit when c=1")
             n = _perturb_normal(n, rng, noise.normal_cone_std)

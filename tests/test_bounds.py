@@ -26,7 +26,8 @@ the constructor it reaches, in that check's wording.
 Every point, direction and rotation input has one more table, of its faults:
 a component of the wrong kind or not finite is a ValueError naming the
 input, and a normalized one whose norm is zero or overflows is
-`DegenerateInput`, each in one wording whichever constructor it reaches.
+`DegenerateInput`, each in one wording whichever constructor it reaches. A
+norm of exactly 1e-12 is the least that each normalization accepts.
 
 This module is the one home of these tests. Each row names the call site it
 tests as module:function: the function that calls the check, or that holds
@@ -71,9 +72,10 @@ from admitsim.errors import (
     check_count,
     check_distinct,
 )
-from admitsim.geometry import _quat_matrix, vec3
+from admitsim.expert import SupervisionRecords, _arc
+from admitsim.geometry import _normalize, _quat_matrix, _unit_quat, vec3
 from admitsim.harness import CONTROL_HZ, MODES, ScenarioConfig, run_episode
-from admitsim.policy import NoiseSpec
+from admitsim.policy import NoiseSpec, predict
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment
 from admitsim.verify import (
     NormalDynamicsParams,
@@ -601,8 +603,14 @@ def test_an_ini_value_fault_is_worded_by_the_check_it_reaches(case, site, check,
 
 
 # (id, call site, the check it calls, call, message): the same faults at the
-# API, which no INI reader screens, and a repeat on each axis of the grid.
+# API, which no INI reader screens, a repeat on each axis of the grid, and a
+# record's contact normal, which `predict` checks before cone noise tilts it
+# (without cone noise `ControllerCommand` refuses it in the same wording).
 API_FAULTS = [
+    ("predict-n-nan", "policy:predict", VEC3,
+     lambda: predict(0, SupervisionRecords(np.array([[0.0] * 10 + [math.nan, 0.0, 1.0, 1.0]])),
+                     NoiseSpec(normal_cone_std=0.1)),
+     "n must be finite, got (nan, 0.0, 1.0)"),
     ("grid-k_e-empty", GRID, DISTINCT, lambda: default_grid(k_e=()), "k_e has no values"),
     ("grid-m-zero", GRID, RANGE, lambda: default_grid(m=(0.0,)),
      "m must be finite and > 0, got 0.0"),
@@ -714,6 +722,28 @@ def test_a_geometric_fault_has_one_type_and_one_message(case, call, error, messa
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# Each normalization's least norm: (id, call site, call of a vector of norm
+# n, its result at n = 1e-12). A norm of exactly 1e-12 is normalized, and
+# the float below it is `DegenerateInput`; a zero-turn arc's one radial is its
+# start's offset from the axis.
+NORM_TIES = [
+    ("unit", "geometry:_unit", lambda n: _normalize((n, 0.0, 0.0)), (1.0, 0.0, 0.0)),
+    ("unit_quat", "geometry:_unit_quat", lambda n: _unit_quat((n, 0.0, 0.0, 0.0)),
+     (1.0, 0.0, 0.0, 0.0)),
+    ("arc-radial", "expert:_arc", lambda n: _arc((n, 0.0, 0.0), (0.0, 0.0, 1.0), ORIGIN, 0.0)[1],
+     [(1.0, 0.0, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("case,site,call,unit", NORM_TIES, ids=[row[0] for row in NORM_TIES])
+def test_a_norm_of_1e_12_is_the_least_that_is_normalized(case, site, call, unit):
+    assert call(1e-12) == unit
+    below = math.nextafter(1e-12, 0.0)
+    with pytest.raises(DegenerateInput) as exc:
+        call(below)
+    assert str(exc.value) == f"cannot normalize a vector of norm {below:g}"
 
 
 @pytest.mark.parametrize("v", [(0.5, -1.0, 2.0), [1, 0, -3], (True, 0, 0.5),

@@ -28,7 +28,7 @@ from admitsim.datasets import (
 )
 from admitsim.environments import DisturbanceEvent
 from admitsim.errors import ConfigParse, IoFailure
-from admitsim.expert import CONTACT, RECORD_DIM, SupervisionRecords
+from admitsim.expert import CONTACT, NORMAL, RECORD_DIM, SupervisionRecords
 from admitsim.harness import RunLog, ScenarioConfig, SuiteRow, run_episode
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
 from admitsim.verify import VerificationReport, default_grid
@@ -163,6 +163,40 @@ class TestDataset:
         with pytest.raises(IoFailure, match=r"contact flag 0\.5 is not 0\.0 or 1\.0"):
             _read_bytes(bytes(raw))
 
+    @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.5), (0.0, 0.0, 1.0 + 2e-6),
+                                        (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0),
+                                        (0.0, math.inf, 0.0), (1e200, 0.0, 0.0)],
+                             ids=["half", "2e-6-long", "zero", "nan", "inf", "overflow"])
+    def test_a_contact_normal_that_is_not_unit_is_refused(self, tmp_path, normal):
+        """The writer refuses a row in contact whose normal is not unit within
+        1e-6 and leaves no file; the reader refuses a file that holds one."""
+        block = small_dataset().episodes[0].block.copy()
+        block[1, NORMAL] = normal
+        message = f"contact normal {normal} of row 1 is not unit"
+        path = tmp_path / "demo.bin"
+        with pytest.raises(ValueError) as exc:
+            write_dataset(str(path), Dataset("PH", 16, [SupervisionRecords(block)]))
+        assert type(exc.value) is ValueError and str(exc.value) == message
+        assert not path.exists()
+        raw = _dataset_bytes(small_dataset())
+        cut = len(raw) - 8 * RECORD_DIM  # the end of row 1 of 3
+        path.write_bytes(raw[:cut - 32] + struct.pack("<3d", *normal) + raw[cut - 8:])
+        with pytest.raises(IoFailure, match=f"corrupt dataset: {re.escape(message)}$"):
+            read_dataset(str(path))
+
+    def test_the_first_contact_normal_that_is_not_unit_is_named(self, tmp_path):
+        """The first row in contact whose normal is not unit is named, and a row
+        out of contact keeps whatever normal it holds (row 0's NaN)."""
+        block = records([(0.0,) * 10 + (math.nan, 0.0, 0.5, 0.0),
+                         (0.0,) * 10 + (0.0, 0.0, 1.0, 1.0),
+                         (0.0,) * 10 + (0.0, 0.0, 2.0, 1.0),
+                         (0.0,) * 10 + (0.0, 0.0, 0.5, 1.0)]).block
+        path = str(tmp_path / "demo.bin")
+        with pytest.raises(ValueError, match=r"^contact normal \(0\.0, 0\.0, 2\.0\) of row 2 "):
+            write_dataset(path, Dataset("PH", 16, [SupervisionRecords(block)]))
+        write_dataset(path, Dataset("PH", 16, [SupervisionRecords(block[:2])]))
+        assert read_dataset(path).episodes[0].block.tobytes() == block[:2].tobytes()
+
     def test_a_file_shorter_than_its_stat_size_is_io_failure(self, tmp_path, monkeypatch):
         """The records read fall short of the size fstat reported, as when the
         file shrinks between the stat and the read."""
@@ -200,8 +234,16 @@ def _bits(x: float) -> int:
 # Any float64 bit pattern: hypothesis' floats, -0.0, subnormals, infinities
 # and NaN included, and raw bit patterns, NaN payloads of either sign included.
 _VALUE_BITS = st.one_of(st.floats(width=64).map(_bits), st.integers(0, 2 ** 64 - 1))
-# A record: 13 values and a contact flag, 0.0 or 1.0, as float64 bit patterns.
-_RECORD_BITS = st.tuples(*[_VALUE_BITS] * 13, st.sampled_from([0.0, 1.0]).map(_bits))
+# A unit normal as float64 bit patterns: a direction, divided by its norm.
+_NORMAL_BITS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) >= 0.1).map(lambda v: tuple(_bits(c / math.hypot(*v)) for c in v))
+# A record: 10 values, a normal and a contact flag, 0.0 or 1.0, as float64 bit
+# patterns. Out of contact the normal is any 3 values; in contact it is unit,
+# as the format requires.
+_RECORD_BITS = st.one_of(
+    st.tuples(*[_VALUE_BITS] * 13, st.just(_bits(0.0))),
+    st.tuples(st.tuples(*[_VALUE_BITS] * 10), _NORMAL_BITS).map(
+        lambda parts: (*parts[0], *parts[1], _bits(1.0))))
 
 
 def records(rows) -> SupervisionRecords:
@@ -224,12 +266,19 @@ def datasets(draw):
 @st.composite
 def refused_blocks(draw):
     """A block the reader refuses: a valid one of 1 to 4 records with one contact
-    flag set to 0.5, 2.0 or NaN, a column short or over, or its first row alone."""
+    flag set to 0.5, 2.0 or NaN, or one row set in contact with a normal that
+    is not unit, a column short or over, or its first row alone."""
     block = bit_records(draw(st.lists(_RECORD_BITS, min_size=1, max_size=4))).block
-    kind = draw(st.sampled_from(["flag", "13 columns", "15 columns", "1-D"]))
+    kind = draw(st.sampled_from(["flag", "normal", "13 columns", "15 columns", "1-D"]))
+    row = draw(st.integers(0, len(block) - 1))
     if kind == "flag":
-        block[draw(st.integers(0, len(block) - 1)), CONTACT] = \
-            draw(st.sampled_from([0.5, 2.0, math.nan]))
+        block[row, CONTACT] = draw(st.sampled_from([0.5, 2.0, math.nan]))
+        return block
+    if kind == "normal":
+        block[row, CONTACT] = 1.0
+        block[row, NORMAL] = draw(st.sampled_from(
+            [(0.0, 0.0, 0.5), (0.0, 0.0, 1.0 + 2e-6), (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0),
+             (0.0, -math.inf, 0.0)]))
         return block
     return {"13 columns": block[:, :13], "15 columns": np.hstack([block, block[:, :1]]),
             "1-D": block[0]}[kind]
@@ -295,7 +344,8 @@ class TestDatasetFuzz:
         ds.episodes.insert(data.draw(st.integers(0, len(ds.episodes))), SupervisionRecords(block))
         with tempfile.TemporaryDirectory() as workdir:
             path = os.path.join(workdir, "d.bin")
-            with pytest.raises(ValueError, match="record block is a 2-D array|contact flag"):
+            with pytest.raises(ValueError,
+                               match="record block is a 2-D array|contact flag|contact normal"):
                 write_dataset(path, ds)
             assert not os.path.exists(path)
 

@@ -197,6 +197,7 @@ class TestRunEpisode:
         assert log.n_ticks == 0
         assert not log.success
         assert np.isfinite(log.metrics["remaining_ink_cm"])
+        assert log.metrics["peak_force_n"] == 0.0
 
     def test_ph_reaches_success_depth(self):
         cfg = ScenarioConfig(task="PH", mode="force_aware", duration=15.0, seed=1,
@@ -235,21 +236,28 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("task", TASKS)
     def test_float_series_are_views_of_the_tick_records(self, task):
+        """Each of the nine series views its own bytes of the packed tick
+        records and no others, and holds what `_RECORD` unpacks there."""
         cfg = ScenarioConfig(task=task, duration=1.0, seed=2, noise=SUITE_NOISE)
         ep = harness._Episode(cfg)
         ep.advance(ep.max_ticks)
         log = ep.log()
         n = log.n_ticks
-        block = np.frombuffer(ep.records, np.float64).reshape(n, 15)
-        rows = np.array(list(harness._RECORD.iter_unpack(ep.records))).reshape(n, 15)
-        names = ("x_r", "v_r", "f_ext", "f_cmd", "k_eigs")  # RunLog's order
-        for i, name in enumerate(names):
+        raw = np.frombuffer(ep.records, np.uint8).reshape(n, harness._RECORD.size)
+        unpacked = list(harness._RECORD.iter_unpack(ep.records))
+        # (series, dtype, its bytes of a record, its values of an unpacked
+        # record), in RunLog's order.
+        fields = [(name, np.float64, slice(24 * i, 24 * i + 24), slice(3 * i, 3 * i + 3))
+                  for i, name in enumerate(("x_r", "v_r", "f_ext", "f_cmd", "k_eigs"))]
+        fields += [(name, np.int8, slice(120 + i, 121 + i), 15 + i)
+                   for i, name in enumerate(("phase", "contact", "disturbed"))]
+        for name, dtype, _, values in fields:
             arr = getattr(log, name)
-            assert (arr.dtype, arr.shape) == (np.float64, (n, 3)), name
-            for j in range(len(names)):  # the columns of its field, and no others
-                assert np.shares_memory(arr, block[:, 3 * j:3 * j + 3]) == (i == j), name
-            assert arr.tobytes() == rows[:, 3 * i:3 * i + 3].tobytes(), name
-        assert np.shares_memory(log.disturbed, np.frombuffer(ep.flags[2], np.int8))
+            for other, _, own, _ in fields:
+                assert np.shares_memory(arr, raw[:, own]) == (other == name), (name, other)
+            expected = np.array([row[values] for row in unpacked], dtype)
+            assert (arr.dtype, arr.shape) == (dtype, expected.shape), name
+            assert arr.tobytes() == expected.tobytes(), name
         assert log_digest(log) == log_digest(run_episode(cfg))
 
     def test_disturbance_flag_logged(self):

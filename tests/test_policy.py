@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,18 +48,25 @@ class TestPredict:
         for cmd in chunk:
             assert abs(np.linalg.norm(cmd.n) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("length", [0.5, 2.0, 1.0 + 2e-6], ids=["half", "double", "2e-6-long"])
+    @pytest.mark.parametrize("normal,message", [
+        ((0.0, 0.0, 0.5), "normal direction must be unit when c=1"),
+        ((0.0, 0.0, 2.0), "normal direction must be unit when c=1"),
+        ((0.0, 0.0, 1.0 + 2e-6), "normal direction must be unit when c=1"),
+        ((math.nan, 0.0, 1.0), "n must be finite, got (nan, 0.0, 1.0)"),
+        ((0.0, 0.0, math.inf), "n must be finite, got (0.0, 0.0, inf)"),
+    ], ids=["half", "double", "2e-6-long", "nan", "inf"])
     @pytest.mark.parametrize("cone_std", [0.0, 0.1], ids=["no-noise", "cone-noise"])
-    def test_a_contact_normal_that_is_not_unit_is_refused(self, length, cone_std):
-        """A record in contact whose normal is not unit within 1e-6 is refused
-        as ControllerCommand refuses it, before any cone noise tilts it."""
+    def test_a_contact_normal_that_is_not_unit_is_refused(self, normal, message, cone_std):
+        """A record in contact whose normal is not unit within 1e-6, or not
+        finite, is refused as ControllerCommand refuses it, in its wording,
+        before any cone noise tilts it."""
         block = np.zeros((3, RECORD_DIM))
-        block[:, 12] = length  # the normal's z
+        block[:, 10:13] = normal
         block[:, 13] = 1.0  # the contact flag
         with pytest.raises(ValueError) as exc:
             predict(0, SupervisionRecords(block), NoiseSpec(normal_cone_std=cone_std))
         assert type(exc.value) is ValueError
-        assert str(exc.value) == "normal direction must be unit when c=1"
+        assert str(exc.value) == message
 
     def test_deterministic_per_seed(self):
         demo = make_demo(30, contact_from=5)
