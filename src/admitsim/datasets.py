@@ -6,10 +6,12 @@ Dataset layout (little-endian):
   records of RECORD_DIM f64 per tuple, in `expert`'s record layout.
 The task code is a name of `tasks.TASKS`, NUL-padded. A writer rejects any
 other task, and the writer and the reader both reject a record block that
-`expert.check_records` refuses, so every file written reads back. A
-`SupervisionRecords` is written from its (n, 14) block as it is. A file's
-records are read back whole, by one read into one (total, 14) block, and each
-episode is a `SupervisionRecords` of its rows of that block, in file order.
+`expert.check_records` refuses, so every file written reads back. Both
+name a bad record by its row in the file, counted from 0 over all episodes.
+A `SupervisionRecords` is written from its (n, 14) block as it is. A file's
+records are read back whole, by one read into one (total, 14) block, which
+`check_records` takes a fixed chunk of rows at a time, and each episode is a
+`SupervisionRecords` of its rows of that block, in file order.
 
 CSV floats are written with repr() (shortest round-trip), so identical runs
 produce byte-identical files. A write that fails, by any exception, removes
@@ -84,21 +86,25 @@ def write_dataset(path: str, ds: Dataset) -> list:
     so read_dataset rejects a file that a killed write left. A task not in
     TASKS or a horizon outside the u32 range is a ValueError, before the
     file is opened; an episode whose block `check_records` refuses is one
-    too, before that block is written.
+    too, before that block is written. The check is given the episode's
+    first row in the file, so it names a bad record by the row that
+    read_dataset names it by.
     """
     task_spec(ds.task)  # a ValueError unless ds.task is one of TASKS
     check_count("horizon", ds.horizon, 0, high=MAX_HORIZON)
     count = len(ds.episodes)
     lengths = []
+    rows = 0  # the file's rows so far: the next episode's first row
     with _output(path, "dataset", binary=True) as fh:
         fh.write(bytes(_HEADER.size + 4 * count))
         for ep in ds.episodes:
-            check_records(ep.block)
+            check_records(ep.block, rows)
             fh.write(ep.block.astype("<f8", copy=False).tobytes())
             lengths.append(len(ep))
+            rows += len(ep)
         fh.seek(0)
         fh.write(_HEADER.pack(MAGIC, VERSION, ds.task.encode("ascii"), ds.horizon,
-                              count, sum(lengths)))
+                              count, rows))
         fh.write(struct.pack(f"<{count}I", *lengths))
     return lengths
 
@@ -108,7 +114,9 @@ def read_dataset(path: str) -> Dataset:
     is what its header implies and its records pass `check_records`.
 
     The records are read by one read into one owned (total, 14) block, which
-    is checked once. Each episode is a SupervisionRecords of its
+    is checked once, a fixed chunk of rows at a time, so the check's
+    temporaries do not grow with the file; a bad record is named by its row
+    in the file. Each episode is a SupervisionRecords of its
     row range of that block, a C-contiguous view: an episode that is kept
     keeps its file's whole block alive.
     """

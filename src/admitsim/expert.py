@@ -122,28 +122,40 @@ class SupervisionRecords:
                        map(int, block[:, CONTACT].tolist())))
 
 
-def check_records(block) -> None:
+# Rows of a record block checked at a time: each float temporary of the
+# normal test takes 32 kB, however long the block.
+CHECK_CHUNK = 4096
+
+
+def check_records(block, first_row: int = 0) -> None:
     """ValueError unless block is a 2-D array of RECORD_DIM columns whose
     contact column holds only 0.0 and 1.0, and whose rows in contact hold a
     normal that is unit within `ControllerCommand`'s 1e-6: the record blocks
-    a dataset holds. The message names the first other flag in row order,
-    else the first row in contact whose normal is not unit (NaN and
-    infinities included)."""
+    a dataset holds.
+
+    The rows are checked CHECK_CHUNK at a time, in order, and the message
+    names the first bad row: its flag when that is neither 0.0 nor 1.0, else
+    its normal that is not unit (NaN and infinities included). The row is
+    numbered first_row plus its index in the block, so a block that starts
+    at row first_row of a file names the row by its index in the file."""
     if block.ndim != 2 or block.shape[1] != RECORD_DIM:
         raise ValueError(f"a record block is a 2-D array of {RECORD_DIM} columns, "
                          f"got shape {block.shape}")
-    flags = block[:, CONTACT]
-    bad = (flags != 0.0) & (flags != 1.0)
-    if bad.any():
-        raise ValueError(f"contact flag {float(flags[bad][0])!r} is not 0.0 or 1.0")
-    n0, n1, n2 = block[:, NORMAL].T
-    with np.errstate(over="ignore"):  # a square past the float range is inf: refused
-        unit = np.abs(np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) - 1.0) <= 1e-6
-    bad = (flags == 1.0) & ~unit  # NaN fails the comparison too
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"contact normal {tuple(block[i, NORMAL].tolist())} of row {i} "
-                         f"is not unit")
+    for lo in range(0, len(block), CHECK_CHUNK):
+        rows = block[lo:lo + CHECK_CHUNK]
+        flags = rows[:, CONTACT]
+        odd = (flags != 0.0) & (flags != 1.0)
+        n0, n1, n2 = rows[:, NORMAL].T
+        with np.errstate(over="ignore"):  # a square past the float range is inf: refused
+            unit = np.abs(np.sqrt(n0 * n0 + n1 * n1 + n2 * n2) - 1.0) <= 1e-6
+        bad = odd | ((flags == 1.0) & ~unit)  # NaN fails the comparison too
+        if bad.any():
+            i = int(bad.argmax())
+            if odd[i]:
+                raise ValueError(f"contact flag {float(flags[i])!r} of row {first_row + lo + i} "
+                                 f"is not 0.0 or 1.0")
+            raise ValueError(f"contact normal {tuple(rows[i, NORMAL].tolist())} of row "
+                             f"{first_row + lo + i} is not unit")
 
 
 # Placeholder normal for out-of-contact steps.

@@ -18,10 +18,13 @@ to right on Python floats with one rounding per operation. `sq_norm(v)` is
 `dot3(v, v)`, a quaternion's squared norm is the same left-to-right sum over
 its four components, and a 3x3 matrix times a vector is three row `dot3`s.
 No BLAS call (`ndarray.dot`, the `@` operator, `np.linalg.norm` of one
-vector) feeds an output: a BLAS kernel may fuse multiply and add, so its last
-bit depends on the CPU. The per-tick code of the 1 kHz loop
-(`controller_tick`, the environments' `external_wrench` and
-`HingedDoor.update`, and the loop body) writes `dot3`, `sq_norm`, `_sub`,
+vector) and no LAPACK call (`np.polyfit`, `np.linalg.lstsq`) feeds an output:
+such a kernel may fuse multiply and add, or block its sums, by the CPU, so its
+last bit depends on the host. The package calls neither (a tier-1 syntax test
+in `tests/test_numerics.py` finds every entry point); the verifier's late
+slope, a least-squares fit, is centred sums of elementwise products. The
+per-tick code of the 1 kHz loop (`controller_tick`, the environments'
+`external_wrench` and `HingedDoor.update`, and the loop body) writes `dot3`, `sq_norm`, `_sub`,
 `_perp`, `_cross` and `_unit` out as their left-to-right expressions instead
 of calling them: the same operations in the same order, so the same bits,
 without a Python call per vector operation. Demo generation does the same
@@ -41,8 +44,9 @@ in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Arrays appear only where whole arrays are the point, and numpy ufuncs give
 the same bits at any array length and in any layout there: the `RunLog` of a
 finished episode, whose series are column views of the loop's packed tick
-records (an (n, 16) float64 view, its last column the flag bytes), whose
-peak force is `np.sqrt` of the columnwise `f_ext` sum, the ink grid, the verifier's lane chunks, judged a
+records (an (n, 16) float64 view, its last column the flag bytes), whose t
+is a view of one shared, read-only time base and whose peak force is
+`np.sqrt` of the columnwise `f_ext` sum, the ink grid, the verifier's lane chunks, judged a
 chunk of steps at a time, and a demo's supervision records, one (n, 14)
 float64 block in the record layout of `admitsim.expert`, whose tuples are
 made as row views on access. A predicted controller command's position is

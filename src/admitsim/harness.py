@@ -213,7 +213,7 @@ class _Episode:
         self.over = 0
         self.safety_stopped = False
         # The log: one _RECORD per tick run, appended to per tick and viewed
-        # as arrays once at the end, so no numpy call per tick. t is k * dt.
+        # as arrays once at the end, so no numpy call per tick.
         self.records = bytearray()
 
     def copy(self, cfg: ScenarioConfig) -> "_Episode":
@@ -301,7 +301,8 @@ class _Episode:
     def log(self) -> RunLog:
         """The RunLog of an episode that cannot advance (it ended, or ran
         max_ticks): its nine series are views of the tick records, which
-        nothing resizes from then on, and the final metrics. The peak force
+        nothing resizes from then on, its t a view of the shared time base
+        (`_tick_times`), and the final metrics. The peak force
         is the largest f_ext magnitude, summed column by column as the loop
         sums it, and 0.0 for an episode of no tick.
         """
@@ -309,7 +310,7 @@ class _Episode:
         task = self.cfg.task
         spec = task_spec(task)
         n = self.k
-        t = np.arange(n) * (1.0 / CONTROL_HZ)  # k * dt, as the loop's event times
+        t = _tick_times(n)
         rows = np.frombuffer(self.records, np.float64).reshape(n, 16)
         flags = np.frombuffer(self.records, np.int8).reshape(n, _RECORD.size)[:, 120:123]
         f0, f1, f2 = rows[:, 6], rows[:, 7], rows[:, 8]
@@ -321,6 +322,21 @@ class _Episode:
         log.success = success_check(task, log)
         log.metrics["success"] = log.success
         return log
+
+
+# The times of ticks 0, 1, ...: k * dt, as the loop's event times. Each
+# element is a function of k alone, so every RunLog's t is a prefix of this
+# one read-only array, which `_tick_times` grows on demand.
+_times = np.empty(0)
+
+
+def _tick_times(n: int) -> np.ndarray:
+    """A read-only view of the times of ticks 0 .. n - 1, np.arange(n) * dt."""
+    global _times
+    if n > len(_times):
+        _times = np.arange(n) * (1.0 / CONTROL_HZ)
+        _times.flags.writeable = False
+    return _times[:n]
 
 
 # One tick's log record, in RunLog's field order: x_r, v_r, f_ext, f_cmd and

@@ -307,9 +307,14 @@ class _Prop2:
         p, v_inf, v_final = self.p, self.v_inf, self.v_last
         max_err = float(self.max_err)
         # The position slope over the late window equals the steady velocity
-        # (linear drive toward the environment).
-        t_tail = np.arange(self.tail_start, self.n + 1) * self.dt
-        slope = float(np.polyfit(t_tail, np.concatenate(self.tail), 1)[0])
+        # (linear drive toward the environment). It is the least-squares slope
+        # of x on the step k, both centred, per dt: elementwise ufuncs and
+        # sums, no LAPACK call, so its bits do not depend on the host's BLAS.
+        k = np.arange(self.tail_start, self.n + 1, dtype=float)
+        k -= k.mean()
+        x = np.concatenate(self.tail)
+        x -= x.mean()
+        slope = float((k * x).sum()) / float((k * k).sum()) / self.dt
         v_err = abs(v_final - v_inf)
         passed = v_err < TOL_V and max_err < 1e-5 and abs(slope - v_inf) < 10 * TOL_V
         return VerificationReport(

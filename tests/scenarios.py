@@ -116,7 +116,7 @@ GOLDEN = {
     "verification_csv": "d8986fba7f701372e98bfb582e6e6f7763e46a45390afbce269274642bb5cf24",
     "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
     "default_grid_csv": "6f783590df8958195694adf23bb094f4157ecd904990ab0e87e6c2a302f5bca3",
-    "one_point_reports": "df8e58b9a5734a318bc78cde9bf2122ee7e3c34086c2afb131c96f6d097ccf21",
+    "one_point_reports": "7fc1f696b6f9f3438609ba201f89466019b63f94ded3e766721cc9db108025bd",
     "non_default_reports": "fd175e2b76f0e15c6d62fb19b366d41240fe63ed1a6b85abfd297d70124b0086",
     "predict_chunks": "55bbafc328a93d28a6d8e2f25b30ba4dd456d93cee5629fed652a08a1e51f4cc",
 }

@@ -5,6 +5,7 @@ import pathlib
 import re
 import struct
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,14 @@ from admitsim.datasets import (
 )
 from admitsim.environments import DisturbanceEvent
 from admitsim.errors import ConfigParse, IoFailure
-from admitsim.expert import CONTACT, NORMAL, RECORD_DIM, SupervisionRecords
+from admitsim.expert import (
+    CHECK_CHUNK,
+    CONTACT,
+    NORMAL,
+    RECORD_DIM,
+    SupervisionRecords,
+    check_records,
+)
 from admitsim.harness import RunLog, ScenarioConfig, SuiteRow, run_episode
 from admitsim.tasks import TASK_SPECS, TASKS, build_environment, generate_demo
 from admitsim.verify import VerificationReport, default_grid
@@ -160,7 +168,8 @@ class TestDataset:
         for record, flag in ((5, 0.5), (6, 2.0)):
             end = len(raw) - (8 - record) * 8 * RECORD_DIM
             raw[end - 8:end] = struct.pack("<d", flag)
-        with pytest.raises(IoFailure, match=r"contact flag 0\.5 is not 0\.0 or 1\.0"):
+        message = r"corrupt dataset: contact flag 0\.5 of row 5 is not 0\.0 or 1\.0$"
+        with pytest.raises(IoFailure, match=message):
             _read_bytes(bytes(raw))
 
     @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.5), (0.0, 0.0, 1.0 + 2e-6),
@@ -196,6 +205,57 @@ class TestDataset:
             write_dataset(path, Dataset("PH", 16, [SupervisionRecords(block)]))
         write_dataset(path, Dataset("PH", 16, [SupervisionRecords(block[:2])]))
         assert read_dataset(path).episodes[0].block.tobytes() == block[:2].tobytes()
+
+    @pytest.mark.parametrize("column,value,message", [
+        (NORMAL, (0.0, 0.0, 0.5), "contact normal (0.0, 0.0, 0.5) of row 4 is not unit"),
+        (CONTACT, 0.5, "contact flag 0.5 of row 4 is not 0.0 or 1.0"),
+    ], ids=["normal", "flag"])
+    def test_the_writer_and_the_reader_name_a_bad_record_by_one_row(self, tmp_path, column,
+                                                                   value, message):
+        """Two 3-row PH episodes, the second's row 1 bad: the writer and the
+        reader both name it row 4, its row in the file."""
+        bad = small_dataset().episodes[0].block.copy()
+        bad[1, column] = value
+        path = tmp_path / "demo.bin"
+        with pytest.raises(ValueError) as exc:
+            write_dataset(str(path), Dataset("PH", 16, small_dataset().episodes
+                                             + [SupervisionRecords(bad)]))
+        assert str(exc.value) == message
+        raw = _dataset_bytes(Dataset("PH", 16, small_dataset().episodes * 2))
+        start = len(raw) - 2 * 8 * RECORD_DIM  # the second episode's row 1
+        path.write_bytes(raw[:start] + bad[1].tobytes() + raw[start + 8 * RECORD_DIM:])
+        with pytest.raises(IoFailure, match=f"corrupt dataset: {re.escape(message)}$"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize("first_row", [0, 100])
+    @pytest.mark.parametrize("column,value,message", [
+        (NORMAL, (0.0, 0.0, 0.5), "contact normal (0.0, 0.0, 0.5) of row {} is not unit"),
+        (CONTACT, 2.0, "contact flag 2.0 of row {} is not 0.0 or 1.0"),
+    ], ids=["normal", "flag"])
+    def test_a_bad_row_past_the_first_chunk_is_named_by_its_row(self, column, value, message,
+                                                                first_row):
+        """The first bad row in the block's second chunk of CHECK_CHUNK rows is
+        named by its index in the block plus first_row; a bad row after it in
+        the same chunk is not named."""
+        block = np.zeros((CHECK_CHUNK + 10, RECORD_DIM))
+        block[:, CONTACT], block[:, NORMAL.stop - 1] = 1.0, 1.0
+        row = CHECK_CHUNK + 3
+        block[row, column] = value
+        block[row + 1, CONTACT] = 0.5
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(first_row + row))}$"):
+            check_records(block, first_row)
+
+    def test_the_check_does_not_grow_with_the_block(self):
+        # Checking the whole block at once took several MB.
+        block = np.zeros((200_000, RECORD_DIM))
+        block[::2, CONTACT], block[::2, NORMAL.stop - 1] = 1.0, 1.0
+        tracemalloc.start()
+        try:
+            check_records(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_a_file_shorter_than_its_stat_size_is_io_failure(self, tmp_path, monkeypatch):
         """The records read fall short of the size fstat reported, as when the

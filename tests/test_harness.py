@@ -260,6 +260,18 @@ class TestRunEpisode:
             assert arr.tobytes() == expected.tobytes(), name
         assert log_digest(log) == log_digest(run_episode(cfg))
 
+    def test_the_times_of_two_logs_share_one_read_only_base(self):
+        """A log's t views the shared time base: a log no longer than one
+        before it shares that log's memory, and neither can be written."""
+        longer = run_episode(ScenarioConfig(task="PH", duration=1.0, seed=2))
+        shorter = run_episode(ScenarioConfig(task="WW", duration=0.5, seed=3))
+        assert shorter.n_ticks < longer.n_ticks
+        assert np.shares_memory(longer.t, shorter.t)
+        for log in (longer, shorter):
+            assert not log.t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                log.t[0] = 1.0
+
     def test_disturbance_flag_logged(self):
         cfg = ScenarioConfig(task="WW", duration=8.0, seed=3,
                              disturbances=default_disturbance("WW"))

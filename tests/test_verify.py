@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ class TestProp2:
             (rep,) = verify_prop2([p], v0=0.05, T=n * 1e-4, dt=1e-4)
         slope, v_final = rep.measured["late_slope"], rep.measured["v_final"]
         assert v_final < slope < 0.05
+
+    def test_late_slope_is_the_exact_least_squares_slope(self):
+        """On the default grid, late_slope is within 1e-12 relative of the
+        least-squares slope of the same tail rows on their times k dt,
+        worked in exact fractions."""
+        for p in default_grid():
+            rec = Recorder(verify._Prop2(p, v0=0.05))
+            (rep,) = verify._integrate([rec])
+            ks = range(rec.tail_start, rec.n + 1)
+            t = [Fraction(k * rec.dt) for k in ks]
+            x = [Fraction(v) for v in rec.x[rec.tail_start:].tolist()]
+            t_mean, x_mean = sum(t) / len(t), sum(x) / len(x)
+            exact = (sum((a - t_mean) * (b - x_mean) for a, b in zip(t, x))
+                     / sum((a - t_mean) ** 2 for a in t))
+            assert abs(rep.measured["late_slope"] - exact) <= 1e-12 * abs(exact), p
 
     def test_tiny_mass_is_a_verdict(self):
         """m = 1e-12 runs one proposition-2 step of 1e-4 s (20 time constants
