@@ -113,10 +113,10 @@ GOLDEN = {
     "gen_demos_200_ph": "b5cc1c1690906b4c973996a04a7477c007b1445d959cb26fd86fe1770f795283",
     "gen_demos_200_mo": "fcf77ab85615b6408701741d6f32845308c1331ef31946028e88fc6594618b1c",
     "gen_demos_200_do": "7c28441d4cb1dc890c117141d05c66cd470cc0df2b48f5b9bb9cc73e71f08904",
-    "verification_csv": "d8986fba7f701372e98bfb582e6e6f7763e46a45390afbce269274642bb5cf24",
+    "verification_csv": "75cb80e62a000bd790b2018fb2cd20ac71ed629a2fb68ee98b2473f36d1ff091",
     "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
-    "default_grid_csv": "6f783590df8958195694adf23bb094f4157ecd904990ab0e87e6c2a302f5bca3",
-    "one_point_reports": "7fc1f696b6f9f3438609ba201f89466019b63f94ded3e766721cc9db108025bd",
+    "default_grid_csv": "8c2202d820eb1a4493b3becd23b48baddc6ce305efe1f224c715dc7f95bced63",
+    "one_point_reports": "9ee4bf39e1862a327c978b0c31cc982ea22bc3a0541eec5f6bc9c5a70e32087f",
     "non_default_reports": "fd175e2b76f0e15c6d62fb19b366d41240fe63ed1a6b85abfd297d70124b0086",
     "predict_chunks": "55bbafc328a93d28a6d8e2f25b30ba4dd456d93cee5629fed652a08a1e51f4cc",
 }

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenarios import GOLDEN, non_default_reports, one_point_reports, reports_digest
 
@@ -193,6 +195,27 @@ class TestProp2:
                      / sum((a - t_mean) ** 2 for a in t))
             assert abs(rep.measured["late_slope"] - exact) <= 1e-12 * abs(exact), p
 
+    def test_a_long_lane_fits_its_last_judge_chunk_of_rows(self):
+        """50,000 steps, whose last tenth is 5,001 rows: the fit spans the last
+        JUDGE_CHUNK rows, filled across chunk edges alike at every chunk size,
+        and is within 1e-12 relative of their exact least-squares slope. At
+        d = 0.5 the velocity's time constant is 1 s, so the rows still bend."""
+        p = NormalDynamicsParams(1.0, 0.5, 1000.0, 4.0)
+        measured = []
+        for chunk in (1000, verify.JUDGE_CHUNK - 1, verify.JUDGE_CHUNK + 1, None):
+            rec = Recorder(verify._Prop2(p, v0=0.05, T=5.0))
+            (rep,) = verify._integrate([rec], chunk)
+            measured.append(rep.measured)
+        assert rec.n == 50_000 and rec.tail_start == rec.n + 1 - verify.JUDGE_CHUNK
+        assert all(m == measured[0] for m in measured)
+        t = [Fraction(k * rec.dt) for k in range(rec.tail_start, rec.n + 1)]
+        x = [Fraction(v) for v in rec.x[rec.tail_start:].tolist()]
+        t_mean, x_mean = sum(t) / len(t), sum(x) / len(x)
+        exact = (sum((a - t_mean) * (b - x_mean) for a, b in zip(t, x))
+                 / sum((a - t_mean) ** 2 for a in t))
+        assert abs(rep.measured["late_slope"] - exact) <= 1e-12 * abs(exact)
+        assert abs(exact - rep.measured["v_final"]) > 1e-6  # the rows are not a line
+
     def test_tiny_mass_is_a_verdict(self):
         """m = 1e-12 runs one proposition-2 step of 1e-4 s (20 time constants
         are ~4e-7 s): the late-slope fit spans that one step, past the whole
@@ -207,6 +230,34 @@ class TestProp2:
         assert math.isfinite(rep.measured["late_slope"])
         assert not rep.passed
         assert [r.passed for r in reports] == [True, True]
+
+
+@st.composite
+def judge_rows(draw):
+    """Proposition 3's judge inputs: a mass m of the default damping rule and
+    5 to 9 rows (x, v, (x_e, v_e, a_e)) about a still base, some rows with
+    the velocity error on the tie |e'| = |u| / (2d) and v_e = 0, so that the
+    judge's e' and u are exactly those of the tie."""
+    m = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    d = params(m=m).d
+    n = draw(st.integers(5, 9))
+    column = lambda lo, hi: np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    x, v, v_e, a_e = column(-1e-3, 1e-3), column(-1.0, 1.0), column(-1.0, 1.0), column(-1e3, 1e3)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        v_e[i] = 0.0
+        v[i] = draw(st.sampled_from([-1.0, 1.0])) * abs(m * a_e[i]) / (2.0 * d)
+    return m, x, v, (np.zeros(n), v_e, a_e)
+
+
+def tie_rounding_above_0():
+    """Five rows at m = 1 and the rest position (e = 0), the middle one on
+    the tie with u = 200, where -d e'^2 + u^2 / (4d) rounds to 5.7e-14, and
+    e' = 1e-8 at the next row, which makes the middle row's rate
+    V' = 3.3e-14."""
+    p = params()
+    v = np.array([0.0, 0.0, 200.0 / (2.0 * p.d), 1e-8, 0.0])
+    rest = (np.zeros(5), np.zeros(5), np.array([0.0, 0.0, -200.0, 0.0, 0.0]))
+    return 1.0, np.full(5, -p.f_H / p.k_e), v, rest
 
 
 class TestProp3:
@@ -230,6 +281,36 @@ class TestProp3:
         rep = judged(lane, np.full(5, -p.f_H / p.k_e), np.array(v), rest)
         assert rep.measured["neg_rate_ok"] is neg_rate_ok
         assert rep.passed is passed
+
+    def test_the_rate_sign_decides_where_rhs_rounds_above_0(self):
+        """On the tie |e'| = |u| / (2d), rhs = -d e'^2 + u^2 / (4d) can round
+        above 0. A positive rate under it passes the residual check, and only
+        the sign check, V' <= 0 where the velocity error dominates, fails
+        the point."""
+        m, x, v, rest = tie_rounding_above_0()
+        rep = judged(verify._Prop3(params(m=m), T=1.0), x, v, rest)
+        assert rep.measured["ineq_residual"] <= rep.tolerances["lyap_slack"]
+        assert rep.measured["neg_rate_ok"] is False
+        assert rep.passed is False
+
+    @given(rows=judge_rows())
+    @example(rows=tie_rounding_above_0())
+    @settings(max_examples=300, deadline=None)
+    def test_the_rate_sign_decides_only_where_rhs_rounds_above_0(self, rows):
+        """Wherever the rate is positive where the velocity error dominates,
+        the point fails; and where the residual check alone would pass it,
+        some dominated row's -d e'^2 + u^2 / (4d) rounds above 0."""
+        m, x, v, rest = rows
+        p = params(m=m)
+        rep = judged(verify._Prop3(p, T=1.0), x, v, rest)
+        if rep.measured["neg_rate_ok"]:
+            return
+        assert not rep.passed
+        if rep.measured["ineq_residual"] <= rep.tolerances["lyap_slack"]:
+            _, v_e, a_e = rest
+            edot, u = (v - v_e)[2:-2], -(p.m * a_e + 2.0 * p.d * v_e)[2:-2]
+            dominate = np.abs(edot) >= np.abs(u) / (2.0 * p.d)
+            assert (-p.d * edot[dominate] ** 2 + u[dominate] ** 2 / (4.0 * p.d) > 0.0).any()
 
     @pytest.mark.parametrize("past,passed", [(False, True), (True, False)],
                              ids=["at-the-bound", "past-the-bound"])
@@ -487,12 +568,20 @@ class TestChunkedJudges:
         with pytest.raises(NonFiniteState, match="verifier integration diverged"):
             verify_prop1_grid([p])
 
-    def test_memory_does_not_grow_with_the_horizon(self):
-        # Holding every row, 20 s took 3.6 times the memory of 5 s.
-        def peak(prop3_T):
+    @pytest.mark.parametrize("run", [
+        lambda T: run_default_verification(prop3_T=T, grid=[params()]),
+        lambda T: verify_prop1_grid([params()], T=T),
+        lambda T: verify_prop2([params()], v0=0.05, T=T),
+        lambda T: verify_prop3_grid([params()], T=T),
+    ], ids=["default-run", "prop1", "prop2", "prop3"])
+    def test_memory_does_not_grow_with_the_horizon(self, run):
+        # Holding every row, the default run took 3.6 times the memory at
+        # 20 s that it took at 5 s; holding the last tenth of its rows,
+        # proposition 2 took 1.42 times.
+        def peak(T):
             tracemalloc.start()
             try:
-                run_default_verification(prop3_T=prop3_T, grid=[params()])
+                run(T)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
