@@ -43,8 +43,8 @@ tier-1 property test pins this), but `np.arctan2` differs from `math.atan2`
 in about 8 % of inputs, so a batched caller takes `math.atan2` per value.
 Arrays appear only where whole arrays are the point, and numpy ufuncs give
 the same bits at any array length and in any layout there: the `RunLog` of a
-finished episode, whose series are column views of the loop's packed tick
-records (an (n, 16) float64 view, its last column the flag bytes), whose t
+finished episode, whose series are the named fields (x_r, v_r, f_ext, f_cmd,
+k_eigs, phase, contact, disturbed) of the loop's packed tick records, whose t
 is a view of one shared, read-only time base and whose peak force is
 `np.sqrt` of the columnwise `f_ext` sum, the ink grid, the verifier's lane chunks, judged a
 chunk of steps at a time, and a demo's supervision records, one (n, 14)

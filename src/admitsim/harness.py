@@ -290,8 +290,8 @@ class _Episode:
                 self.safety_stopped = self.ended = True
                 break
 
-        if is_board:  # each press's x_r is its tick record's first three floats
-            ink(env, np.frombuffer(records, np.float64).reshape(-1, 16)[:, :3])
+        if is_board:  # each press's x_r is its tick record's x_r field
+            ink(env, np.frombuffer(records, _RECORD_DTYPE)["x_r"])
         # The ticks run: a safety stop or the plan's end cuts the loop.
         self.k = len(records) // _RECORD.size
         self.held = held
@@ -300,7 +300,7 @@ class _Episode:
 
     def log(self) -> RunLog:
         """The RunLog of an episode that cannot advance (it ended, or ran
-        max_ticks): its nine series are views of the tick records, which
+        max_ticks): its nine series are the fields of the tick records, which
         nothing resizes from then on, its t a view of the shared time base
         (`_tick_times`), and the final metrics. The peak force
         is the largest f_ext magnitude, summed column by column as the loop
@@ -309,16 +309,13 @@ class _Episode:
         assert self.ended or self.k >= self.max_ticks, "the episode can still advance"
         task = self.cfg.task
         spec = task_spec(task)
-        n = self.k
-        t = _tick_times(n)
-        rows = np.frombuffer(self.records, np.float64).reshape(n, 16)
-        flags = np.frombuffer(self.records, np.int8).reshape(n, _RECORD.size)[:, 120:123]
-        f0, f1, f2 = rows[:, 6], rows[:, 7], rows[:, 8]
+        records = np.frombuffer(self.records, _RECORD_DTYPE)
+        f0, f1, f2 = records["f_ext"].T
         metrics = dict.fromkeys(FINAL_METRICS, math.nan)
         metrics[spec.metric] = self.env.measure(self.state.x_r)
         metrics["peak_force_n"] = float(np.sqrt(f0 * f0 + f1 * f1 + f2 * f2).max(initial=0.0))
-        series = [rows[:, i:i + 3] for i in range(0, 15, 3)]
-        log = RunLog(t, *series, *flags.T, metrics, False, self.safety_stopped)
+        series = [records[name] for name in _RECORD_DTYPE.names]
+        log = RunLog(_tick_times(self.k), *series, metrics, False, self.safety_stopped)
         log.success = success_check(task, log)
         log.metrics["success"] = log.success
         return log
@@ -340,10 +337,13 @@ def _tick_times(n: int) -> np.ndarray:
 
 
 # One tick's log record, in RunLog's field order: x_r, v_r, f_ext, f_cmd and
-# the stiffness eigenvalues as 15 float64 (bytes 0-119), then the phase,
-# contact and disturbed flags as int8 (bytes 120-122), padded to 16 float64
-# so that every float column is an aligned view.
+# the stiffness eigenvalues as 15 float64, then the phase, contact and
+# disturbed flags as int8, padded to 128 bytes so that every float field is
+# an aligned view. `_RECORD` packs it per tick; `_RECORD_DTYPE` names its fields.
 _RECORD = struct.Struct("15d3b5x")
+_RECORD_DTYPE = np.dtype({
+    "names": ["x_r", "v_r", "f_ext", "f_cmd", "k_eigs", "phase", "contact", "disturbed"],
+    "formats": ["3f8"] * 5 + ["i1"] * 3, "itemsize": _RECORD.size})
 
 
 # --------------------------------------------------------------------------

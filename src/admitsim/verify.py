@@ -7,8 +7,9 @@ The verifier solves the bilateral closed-loop normal dynamics
 
 and checks three properties: convergence to the force/position equilibrium,
 velocity convergence after contact loss, and input-to-state stability under a
-moving rest point: the ISS error bound, the Lyapunov-rate inequality from the
-ISS proof and V' <= 0 wherever the velocity error dominates the disturbance.
+moving rest point: the ISS error bound and the Lyapunov-rate inequality from
+the ISS proof, whose right side is computed so that it implies V' <= 0
+wherever the velocity error dominates the disturbance.
 
 One law covers every case: m x'' + 2d x' + k_e x = k_e x_e(t) - f_H, with the
 rest point x_e at the origin for proposition 1 (the propositions are
@@ -500,9 +501,8 @@ class _Prop3:
     its judge.
 
     The judge keeps the maxima of the error, of the steady-state error, of
-    |rhs| and of V' - rhs, the largest V' where the velocity error dominates,
-    and the last four samples of V, e' and u, over which the Lyapunov-rate
-    stencil continues into the next chunk.
+    |rhs| and of V' - rhs, and the last four samples of V, e' and u, over
+    which the Lyapunov-rate stencil continues into the next chunk.
     """
 
     def __init__(self, p: NormalDynamicsParams, amplitude: float = 0.005,
@@ -513,14 +513,14 @@ class _Prop3:
             self.sup_u, self.bound = _iss_bound(p, amplitude, omega)
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"proposition 3's bound leaves the float range: omega ** 2 or a "
-                             f"term of the bound overflows or rounds to 0, got amplitude "
-                             f"{amplitude}, omega {omega}") from None
+                             f"term of the bound overflows or rounds to 0 at m = {p.m}, "
+                             f"d = {p.d}, k_e = {p.k_e}, got amplitude {amplitude}, "
+                             f"omega {omega}") from None
         # The judge's Lyapunov-rate stencil spans five samples, i.e. four steps.
         self.n = _steps("proposition 3 duration T", T, dt, least=4)
         self.p, self.T, self.dt, self.sinusoid = p, T, dt, (amplitude, omega)
         self.law, self.start = (p.m, p.d, p.k_e, p.f_H), (-p.f_H / p.k_e, 0.0)
         self.sup_e = self.sup_e_ss = self.rhs_max = self.resid_max = -np.inf
-        self.dominated, self.dominated_max = False, -np.inf
         self.tail = np.empty((3, 0))  # the last (up to) four samples of V, e' and u
 
     def feed(self, lo, x, v, rest):
@@ -547,29 +547,27 @@ class _Prop3:
         # Sampled Lyapunov rate via 4th-order central differences.
         Vdot = (V[:-4] - 8.0 * V[1:-3] + 8.0 * V[3:-1] - V[4:]) / (12.0 * dt)
         edot, u = edot[2:-2], u[2:-2]
-        rhs = -d * edot ** 2 + u ** 2 / (4.0 * d)
+        # -d e'^2 + u^2 / (4d) as -d (a - b)(a + b): its sign cannot round wrong.
+        a, b = np.abs(edot), np.abs(u) / (2.0 * d)
+        rhs = -d * ((a - b) * (a + b))
         self.rhs_max = np.maximum(self.rhs_max, np.abs(rhs).max())
         self.resid_max = np.maximum(self.resid_max, (Vdot - rhs).max())
-        # Negative rate whenever the velocity error dominates the disturbance.
-        dominate = np.abs(edot) >= np.abs(u) / (2.0 * d)
-        self.dominated = self.dominated or dominate.any()
-        self.dominated_max = np.maximum(self.dominated_max,
-                                        Vdot[dominate].max(initial=-np.inf))
 
     def report(self) -> VerificationReport:
         p, (amplitude, omega) = self.p, self.sinusoid
         p_ref = float(self.rhs_max) + 1e-12
         ineq_resid = float(self.resid_max)
-        neg_ok = bool(not self.dominated or self.dominated_max <= LYAP_SLACK * p_ref)
         sup_e, sup_e_ss = float(self.sup_e), float(self.sup_e_ss)
-        # neg_ok decides only where rhs rounds above 0 on the tie |e'| = |u|/(2d).
-        passed = sup_e <= self.bound and ineq_resid <= LYAP_SLACK * p_ref and neg_ok
+        # The residual implies V' <= 0 where |e'| >= |u|/(2d): there a - b
+        # rounds to at least +0, so rhs <= 0 exactly, fl(V' - rhs) >= V', and
+        # a residual within the slack holds V' within the same slack.
+        passed = sup_e <= self.bound and ineq_resid <= LYAP_SLACK * p_ref
         return VerificationReport(
             "prop3",
             {"m": p.m, "d": p.d, "k_e": p.k_e, "f_H": p.f_H, "A": amplitude,
              "omega": omega, "T": self.T, "dt": self.dt},
             {"sup_e": sup_e, "bound": self.bound, "sup_u": self.sup_u,
-             "sup_e_steady": sup_e_ss, "ineq_residual": ineq_resid, "neg_rate_ok": neg_ok},
+             "sup_e_steady": sup_e_ss, "ineq_residual": ineq_resid},
             {"lyap_slack": LYAP_SLACK * p_ref},
             bool(passed),
         )
@@ -578,8 +576,8 @@ class _Prop3:
 def verify_prop3_grid(grid: list[NormalDynamicsParams] | None = None,
                       **options) -> list[VerificationReport]:
     """ISS under the sinusoidal rest point amplitude*sin(omega t): bounded error
-    states, the sampled Lyapunov rate satisfies V' <= -d e'^2 + u^2/(4d), and
-    V' <= 0 whenever |e'| >= |u|/(2d).
+    states, and the sampled Lyapunov rate satisfies V' <= -d e'^2 + u^2/(4d)
+    within the slack, and so V' <= 0 (within it) whenever |e'| >= |u|/(2d).
 
     Every point starts at rest at the equilibrium of the t = 0 rest point and
     shares the sinusoid. The error states are relative to the moving rest

@@ -116,8 +116,8 @@ GOLDEN = {
     "verification_csv": "75cb80e62a000bd790b2018fb2cd20ac71ed629a2fb68ee98b2473f36d1ff091",
     "suite_csv": "568ed16175a3862e32363fda68fad98487725dbf55fe9bd7ae41fc6d4d2ea016",
     "default_grid_csv": "8c2202d820eb1a4493b3becd23b48baddc6ce305efe1f224c715dc7f95bced63",
-    "one_point_reports": "9ee4bf39e1862a327c978b0c31cc982ea22bc3a0541eec5f6bc9c5a70e32087f",
-    "non_default_reports": "fd175e2b76f0e15c6d62fb19b366d41240fe63ed1a6b85abfd297d70124b0086",
+    "one_point_reports": "47a6958fd6db0c2eb3a7b8abd3f2f7945b42efc46156d0430257a6378f9f6af0",
+    "non_default_reports": "efb9c8cc69b14ef76f39070c607d2535bbaa079a58c7e51cdd70e1005c8be638",
     "predict_chunks": "55bbafc328a93d28a6d8e2f25b30ba4dd456d93cee5629fed652a08a1e51f4cc",
 }
 

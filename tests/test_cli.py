@@ -264,7 +264,12 @@ class TestVerifyCommand:
         ("m = 1e-320\nk_e = 1e-300\nd = 1e-300\n",
          "d = 1e-300 is too small to solve: d^2 and m k_e (m = 1e-320, k_e = 1e-300) "
          "both round to 0, so the roots cannot be told apart"),
-    ], ids=["slow_pole", "underflowed_roots"])
+        # k_e ** 2 overflows in proposition 3's bound: refused naming the point.
+        ("k_e = 1e300\n",
+         "proposition 3's bound leaves the float range: omega ** 2 or a term of the bound "
+         "overflows or rounds to 0 at m = 0.5, d = 20.0, k_e = 1e+300, got amplitude 0.005, "
+         "omega 6.283185307179586"),
+    ], ids=["slow_pole", "underflowed_roots", "overflowed_bound"])
     def test_a_grid_past_the_float_range_exits_2(self, tmp_path, capsys, grid, message):
         params = tmp_path / "v.ini"
         params.write_text("[verify]\n" + grid)
